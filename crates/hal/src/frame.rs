@@ -366,6 +366,34 @@ impl PhysicalMemory {
         self.model.charge(OpKind::BzeroPage);
     }
 
+    /// Overwrites a whole frame with `data` followed by zeroes, writing
+    /// each byte once. Uncharged, like [`PhysicalMemory::write`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is longer than a page or the frame is not live.
+    pub fn write_padded(&mut self, f: FrameNo, data: &[u8]) {
+        let (head, tail) = self.frame_mut(f).split_at_mut(data.len());
+        head.copy_from_slice(data);
+        tail.fill(0);
+    }
+
+    /// Lands a `fillUp` chunk (possibly a short trailing one) in a fresh
+    /// frame: [`PhysicalMemory::write_padded`], charged and counted as
+    /// the `bzero` + copy it replaces (`BzeroPage`, `zeroed`), so the
+    /// simulated clock cannot tell the difference. `zeroed_bytes` counts
+    /// the bytes actually cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is longer than a page or the frame is not live.
+    pub fn fill(&mut self, f: FrameNo, data: &[u8]) {
+        self.write_padded(f, data);
+        self.stats.zeroed += 1;
+        self.stats.zeroed_bytes += self.geom.page_size() - data.len() as u64;
+        self.model.charge(OpKind::BzeroPage);
+    }
+
     /// Copies the full contents of frame `src` into frame `dst` (`bcopy`).
     ///
     /// # Panics
@@ -528,6 +556,33 @@ mod tests {
         assert!(pm.frame(b).iter().all(|&x| x == 7));
         assert_eq!(model.count(OpKind::BcopyPage), 1);
         assert_eq!(pm.stats().copied, 1);
+    }
+
+    #[test]
+    fn fill_pads_a_short_chunk_and_costs_what_zero_plus_write_did() {
+        let run = |fill: bool, data: &[u8]| {
+            let model = Arc::new(CostModel::new(crate::cost::CostParams::sun3()));
+            let mut pm = PhysicalMemory::new(PageGeometry::new(64), 1, model.clone());
+            let f = pm.alloc().unwrap();
+            pm.frame_mut(f).fill(0xAB);
+            if fill {
+                pm.fill(f, data);
+            } else {
+                pm.zero(f);
+                pm.write(f, 0, data);
+            }
+            (pm.frame(f).to_vec(), pm.stats().zeroed, model.now())
+        };
+        for data in [&b"hello"[..], &[7u8; 64][..], &[][..]] {
+            let (bytes, zeroed, now) = run(true, data);
+            assert_eq!(&bytes[..data.len()], data);
+            assert!(bytes[data.len()..].iter().all(|&b| b == 0), "stale tail");
+            assert_eq!((bytes, zeroed, now), run(false, data));
+        }
+        let mut pm = pool(1);
+        let f = pm.alloc().unwrap();
+        pm.fill(f, b"hello");
+        assert_eq!(pm.stats().zeroed_bytes, 64 - 5, "only the tail is cleared");
     }
 
     #[test]

@@ -144,12 +144,14 @@ impl Mapper for MemMapper {
         self.delay();
         let segments = self.segments.lock();
         let data = segments.get(&cap.key).expect("checked above");
-        let mut out = vec![0u8; size as usize];
-        let len = data.len() as u64;
-        if offset < len {
-            let n = (len - offset).min(size) as usize;
-            out[..n].copy_from_slice(&data[offset as usize..offset as usize + n]);
-        }
+        // The reply is written once: the stored bytes, then the sparse
+        // tail (if any) zero-filled — never a pre-zeroed buffer that is
+        // overwritten.
+        let start = (offset as usize).min(data.len());
+        let end = (start + size as usize).min(data.len());
+        let mut out = Vec::with_capacity(size as usize);
+        out.extend_from_slice(&data[start..end]);
+        out.resize(size as usize, 0);
         Ok(out)
     }
 

@@ -76,7 +76,11 @@ pub struct PvmConfig {
     /// Write-back clustering: a `pushOut` may cover up to this many
     /// contiguous dirty resident pages of the same cache in one batched
     /// upcall (one request overhead per run, symmetric to
-    /// [`PvmConfig::pull_cluster_pages`]). 1 disables clustering.
+    /// [`PvmConfig::pull_cluster_pages`]). The default is one IPC
+    /// message (64 KB, 8 pages — the same boundary as
+    /// [`PvmConfig::per_page_max_pages`]): the GMI's `pushOut` takes a
+    /// fragment of any size and the message is what the upcall travels
+    /// in. 1 disables clustering.
     pub push_cluster_pages: u64,
     /// Watermark-driven laundering: whenever an operation enters the
     /// PVM with fewer than [`PvmConfig::writeback_low_frames`] free
@@ -209,10 +213,13 @@ pub struct PvmConfig {
     pub policy: PolicyConfig,
 }
 
+/// The paper's IPC message limit in pages (64 KB over 8 KB pages).
+const IPC_MESSAGE_PAGES: u64 = 8;
+
 impl Default for PvmConfig {
     fn default() -> PvmConfig {
         PvmConfig {
-            per_page_max_pages: 8,
+            per_page_max_pages: IPC_MESSAGE_PAGES,
             enable_pageout: true,
             check_invariants: cfg!(debug_assertions),
             collapse_zombies: true,
@@ -223,7 +230,7 @@ impl Default for PvmConfig {
             fast_path: true,
             global_map_shards: 16,
             trace: TraceConfig::default(),
-            push_cluster_pages: 1,
+            push_cluster_pages: IPC_MESSAGE_PAGES,
             writeback_daemon: false,
             writeback_low_frames: 0,
             writeback_high_frames: 0,
@@ -674,7 +681,10 @@ mod tests {
         assert!(c.global_map_shards.is_power_of_two());
         assert!(!c.trace.enabled, "tracing is opt-in");
         assert!(!c.trace.wall_clock, "wall stamps are opt-in");
-        assert_eq!(c.push_cluster_pages, 1, "write clustering is opt-in");
+        assert_eq!(
+            c.push_cluster_pages, c.per_page_max_pages,
+            "a dirty run is laundered one IPC message at a time"
+        );
         assert!(!c.writeback_daemon, "laundering is opt-in");
         assert_eq!(c.writeback_low_frames, 0);
         assert_eq!(c.writeback_high_frames, 0);

@@ -71,7 +71,12 @@ impl PvmState {
                 );
             }
         }
+        // The O(1) liveness count must agree with a full scan of the
+        // index, cache by cache.
+        let mut scanned: chorus_hal::FxHashMap<_, usize> = Default::default();
         for ((c, o), list) in self.gmap.loc_stubs_snapshot() {
+            assert!(!list.is_empty(), "empty loc-stub list left in the index");
+            *scanned.entry(c).or_insert(0) += list.len();
             for (dc, doff) in list {
                 assert_eq!(
                     self.gmap.get(dc, doff),
@@ -80,6 +85,11 @@ impl PvmState {
                 );
             }
         }
+        assert_eq!(
+            self.gmap.loc_stub_counts(),
+            scanned,
+            "per-cache loc-stub counts != full scan of the stub index"
+        );
         let indexed: usize = self.caches.iter().map(|(_, c)| c.entries.len()).sum();
         assert_eq!(
             self.gmap.len(),
@@ -225,6 +235,15 @@ impl PvmState {
             }
             if self.caches.get(p.cache).map(|c| c.owns(p.offset)) == Some(false) {
                 panic!("page {key:?} resident but not owned by its cache");
+            }
+        }
+        // A page held for a faulter is pinned where the pull expects it.
+        for (&(cache, off), held) in &self.demand_pulls {
+            if let Some(p) = held.and_then(|k| self.pages.get(k)) {
+                assert!(
+                    p.lock_count > 0,
+                    "demand page ({cache:?},{off:#x}) held without a pin"
+                );
             }
         }
     }

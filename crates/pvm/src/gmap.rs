@@ -9,10 +9,9 @@
 //! across shards and two unrelated caches almost never share one.
 //!
 //! **Ordering discipline:** any operation that must visit more than one
-//! shard (the `has_loc_stubs_from` cache-liveness scan, the snapshot
-//! helpers used by the invariant checker) visits shards in ascending
-//! index order and never holds two shard locks at once unless acquired
-//! in that order. Today the outer `Mutex<PvmState>` already serializes
+//! shard (the snapshot helpers used by the invariant checker and the
+//! dumps) visits shards in ascending index order and never holds two
+//! shard locks at once unless acquired in that order. Today the outer `Mutex<PvmState>` already serializes
 //! whole multi-shard *transactions* (history walks, copies); the shard
 //! locks exist so the lock-free fault fast path and future finer-grained
 //! entry points see a consistent per-entry view, and so contention on
@@ -46,6 +45,13 @@ pub(crate) struct GlobalMap {
     /// `len()` — polled by the telemetry gauge sampler — never has to
     /// sweep the stripes.
     slot_count: AtomicUsize,
+    /// Live location stubs per *source* cache, maintained wherever a
+    /// stub is threaded or unthreaded, so the cache-liveness check
+    /// (`has_loc_stubs_from`, on every cache destroy and zombie
+    /// collapse) is one lookup instead of a sweep of the whole index.
+    /// Caches with no stubs have no entry. A leaf lock: taken with a
+    /// shard lock held, never the other way round.
+    stubs_from: Mutex<FxHashMap<CacheKey, usize>>,
     /// Shared counter registry; contended shard-lock acquisitions bump
     /// `Counter::ShardContention` (exposed as
     /// `PvmStats::shard_contention`).
@@ -61,6 +67,7 @@ impl GlobalMap {
             shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             mask: (n - 1) as u64,
             slot_count: AtomicUsize::new(0),
+            stubs_from: Mutex::new(FxHashMap::default()),
             stats,
         }
     }
@@ -148,20 +155,32 @@ impl GlobalMap {
     /// location (cache, offset).
     pub fn push_loc_stub(&self, cache: CacheKey, off: u64, dst: (CacheKey, u64)) {
         let key = (cache, off);
-        self.lock(self.shard_for(&key))
-            .loc_stubs
-            .entry(key)
-            .or_default()
-            .push(dst);
+        let mut g = self.lock(self.shard_for(&key));
+        g.loc_stubs.entry(key).or_default().push(dst);
+        *self.stubs_from.lock().entry(cache).or_insert(0) += 1;
+    }
+
+    /// Drops `n` stubs from `cache`'s live count (called with the
+    /// source location's shard lock held).
+    fn unthreaded(&self, cache: CacheKey, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let mut counts = self.stubs_from.lock();
+        let left = counts.get_mut(&cache).expect("stub count underflow");
+        *left -= n;
+        if *left == 0 {
+            counts.remove(&cache);
+        }
     }
 
     /// Takes (and removes) every stub waiting on (cache, offset).
     pub fn take_loc_stubs(&self, cache: CacheKey, off: u64) -> Vec<(CacheKey, u64)> {
         let key = (cache, off);
-        self.lock(self.shard_for(&key))
-            .loc_stubs
-            .remove(&key)
-            .unwrap_or_default()
+        let mut g = self.lock(self.shard_for(&key));
+        let taken = g.loc_stubs.remove(&key).unwrap_or_default();
+        self.unthreaded(cache, taken.len());
+        taken
     }
 
     /// Unthreads one stub (dc, doff) from the list at (cache, offset).
@@ -169,14 +188,18 @@ impl GlobalMap {
     pub fn unthread_loc_stub(&self, cache: CacheKey, off: u64, dc: CacheKey, doff: u64) -> bool {
         let key = (cache, off);
         let mut g = self.lock(self.shard_for(&key));
-        if let Some(list) = g.loc_stubs.get_mut(&key) {
-            list.retain(|&(c, o)| !(c == dc && o == doff));
-            if list.is_empty() {
-                g.loc_stubs.remove(&key);
-                return true;
-            }
+        let Some(list) = g.loc_stubs.get_mut(&key) else {
+            return false;
+        };
+        let before = list.len();
+        list.retain(|&(c, o)| !(c == dc && o == doff));
+        let removed = before - list.len();
+        let emptied = list.is_empty();
+        if emptied {
+            g.loc_stubs.remove(&key);
         }
-        false
+        self.unthreaded(cache, removed);
+        emptied
     }
 
     /// True if exactly `dst` is threaded on (cache, offset) — invariant
@@ -199,14 +222,15 @@ impl GlobalMap {
     }
 
     /// True if any location anywhere in `cache` still has threaded stubs
-    /// (cache-liveness check; scans shards in ascending order).
+    /// (cache-liveness check; one lookup in the per-cache count).
     pub fn has_loc_stubs_from(&self, cache: CacheKey) -> bool {
-        self.shards.iter().any(|s| {
-            self.lock(s)
-                .loc_stubs
-                .iter()
-                .any(|(&(c, _), l)| c == cache && !l.is_empty())
-        })
+        self.stubs_from.lock().contains_key(&cache)
+    }
+
+    /// The per-cache live-stub counts, for the invariant checker to
+    /// compare against a full scan of the index.
+    pub fn loc_stub_counts(&self) -> FxHashMap<CacheKey, usize> {
+        self.stubs_from.lock().clone()
     }
 
     /// Copies out the whole stub index, ascending shard order.

@@ -1,10 +1,10 @@
 //! Bounded-interleaving model checking of the cross-domain protocols
 //! (DESIGN.md §7), in lieu of a vendored `loom`.
 //!
-//! The two protocols whose correctness depends on *ordering between
-//! lock domains* — not on any single mutex — are modeled as small
-//! state machines and checked exhaustively over every interleaving of
-//! their atomic steps:
+//! The protocols whose correctness depends on *ordering between lock
+//! domains* (or between a lock and an atomic) — not on any single
+//! mutex — are modeled as small state machines and checked
+//! exhaustively over every interleaving of their atomic steps:
 //!
 //! 1. **Fast-path generation validation vs invalidation** — the
 //!    lock-free soft-fault path reads a `(frame, generation)` entry
@@ -27,6 +27,16 @@
 //!    for the whole wait. The buggy variant splits the condvar's
 //!    atomic release-and-register to show the checker catches the
 //!    classic lost-wakeup deadlock.
+//!
+//! 3. **Counted wake** — the vendored `Condvar` skips the underlying
+//!    wake (a futex syscall) when its waiter count reads zero, and the
+//!    driver notifies *after* dropping the state lock. Safety: no lost
+//!    wakeup, because the count is bumped while the waiter still holds
+//!    the mutex: a notifier that changed the predicate under that
+//!    mutex either ran first (the waiter sees the predicate and never
+//!    sleeps) or acquired it after the waiter released it, with the
+//!    bump already visible. The buggy variant bumps the count after
+//!    the release and the checker finds the skipped wake.
 //!
 //! The checker itself is a plain DFS over `(shared, locals, pcs)`
 //! configurations with memoization and a hard state cap — deliberately
@@ -451,6 +461,160 @@ fn filler(s: &mut StubShared, _l: &mut (), pc: usize) -> Outcome {
     }
 }
 
+// ---------------------------------------------------------------
+// Model 3: "notify only if waiters > 0" (the vendored Condvar).
+// ---------------------------------------------------------------
+
+/// Shared state of the counted-wake handoff: one mutex, the predicate
+/// it guards, the shim's waiter count and the underlying primitive's
+/// own sleeper set (whose register-and-release is atomic, as in
+/// model 2).
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct CountedShared {
+    locked: bool,
+    /// What the waiter waits for; only ever written under the mutex.
+    predicate: bool,
+    /// The shim's `waiters` atomic: what `notify_all` reads.
+    count: u8,
+    /// Threads asleep in the underlying condvar.
+    sleeping: u8,
+    /// Pending wake permits.
+    wakes: u8,
+}
+
+impl CountedShared {
+    fn init() -> Self {
+        CountedShared {
+            locked: false,
+            predicate: false,
+            count: 0,
+            sleeping: 0,
+            wakes: 0,
+        }
+    }
+}
+
+/// Liveness is the property here: a lost wake-up surfaces as the
+/// explorer's deadlock report, so there is no separate safety predicate.
+fn counted_violation(_: &CountedShared) -> Option<&'static str> {
+    None
+}
+
+/// The implemented waiter: bump the count with the mutex held, sleep
+/// (atomic register-and-release), and drop the count after
+/// re-acquiring the mutex.
+fn counted_waiter(s: &mut CountedShared, _l: &mut (), pc: usize) -> Outcome {
+    match pc {
+        0 => {
+            if s.locked {
+                return Outcome::Block;
+            }
+            s.locked = true;
+            Outcome::Next
+        }
+        1 => {
+            if s.predicate {
+                s.locked = false;
+                return Outcome::Done;
+            }
+            s.count += 1;
+            Outcome::Next
+        }
+        2 => {
+            s.sleeping += 1;
+            s.locked = false;
+            Outcome::Next
+        }
+        3 => {
+            if s.wakes == 0 {
+                return Outcome::Block;
+            }
+            s.wakes -= 1;
+            s.sleeping -= 1;
+            Outcome::Next
+        }
+        4 => {
+            if s.locked {
+                return Outcome::Block;
+            }
+            s.locked = true;
+            s.count -= 1;
+            Outcome::Goto(1)
+        }
+        _ => unreachable!(),
+    }
+}
+
+/// Buggy waiter: goes to sleep first and bumps the count only after
+/// the mutex is released — the notifier can read zero in the gap.
+fn counted_waiter_late_bump(s: &mut CountedShared, _l: &mut (), pc: usize) -> Outcome {
+    match pc {
+        0 => {
+            if s.locked {
+                return Outcome::Block;
+            }
+            s.locked = true;
+            Outcome::Next
+        }
+        1 => {
+            if s.predicate {
+                s.locked = false;
+                return Outcome::Done;
+            }
+            s.sleeping += 1;
+            s.locked = false;
+            Outcome::Next
+        }
+        2 => {
+            s.count += 1;
+            Outcome::Next
+        }
+        3 => {
+            if s.wakes == 0 {
+                return Outcome::Block;
+            }
+            s.wakes -= 1;
+            s.sleeping -= 1;
+            Outcome::Next
+        }
+        4 => {
+            if s.locked {
+                return Outcome::Block;
+            }
+            s.locked = true;
+            s.count -= 1;
+            Outcome::Goto(1)
+        }
+        _ => unreachable!(),
+    }
+}
+
+/// The notifier, as the driver does it: change the predicate under the
+/// mutex, unlock, then wake — but only if the count reads non-zero.
+fn counted_notifier(s: &mut CountedShared, _l: &mut (), pc: usize) -> Outcome {
+    match pc {
+        0 => {
+            if s.locked {
+                return Outcome::Block;
+            }
+            s.locked = true;
+            Outcome::Next
+        }
+        1 => {
+            s.predicate = true;
+            s.locked = false;
+            Outcome::Next
+        }
+        2 => {
+            if s.count > 0 {
+                s.wakes += s.sleeping;
+            }
+            Outcome::Done
+        }
+        _ => unreachable!(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,5 +715,52 @@ mod tests {
         )
         .expect_err("a lost wakeup must surface as a deadlock");
         assert!(err.contains("deadlock"), "{err}");
+    }
+
+    fn counted_threads(
+        waiter: fn(&mut CountedShared, &mut (), usize) -> Outcome,
+    ) -> Vec<ThreadModel<CountedShared, ()>> {
+        vec![
+            ThreadModel {
+                name: "waiter",
+                local: (),
+                step: waiter,
+            },
+            ThreadModel {
+                name: "notifier",
+                local: (),
+                step: counted_notifier,
+            },
+        ]
+    }
+
+    #[test]
+    fn counted_wake_never_loses_a_wakeup() {
+        let report = explore(
+            CountedShared::init(),
+            counted_threads(counted_waiter),
+            counted_violation,
+        )
+        .expect("a count bumped under the mutex must never hide a waiter");
+        assert!(
+            report.states > 8,
+            "model vacuously small: {}",
+            report.states
+        );
+    }
+
+    #[test]
+    fn counted_wake_with_late_bump_deadlocks() {
+        let err = explore(
+            CountedShared::init(),
+            counted_threads(counted_waiter_late_bump),
+            counted_violation,
+        )
+        .expect_err("a count bumped after the release must lose a wakeup");
+        assert!(err.contains("deadlock"), "{err}");
+        assert!(
+            err.contains("waiter@3"),
+            "the waiter must be the one asleep: {err}"
+        );
     }
 }

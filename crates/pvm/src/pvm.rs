@@ -306,8 +306,25 @@ impl Pvm {
         self.run(attempt)
     }
 
-    fn run<T>(&self, mut attempt: impl FnMut(&mut PvmState) -> Attempt<T>) -> Result<T> {
-        let mut guard = self.state.lock();
+    fn run<T>(&self, attempt: impl FnMut(&mut PvmState) -> Attempt<T>) -> Result<T> {
+        let (guard, v) = self.drive(self.state.lock(), attempt)?;
+        drop(guard);
+        // Wake anyone whose wait condition we may have satisfied (stub
+        // resolution, promotion, cleaning).
+        self.stub_cv.notify_all();
+        Ok(v)
+    }
+
+    /// One driver entry under a state lock the caller already holds:
+    /// the entry hooks (completion pump, watchdog, laundering, gauge
+    /// sampler), then the attempt loop. Returns with the lock held so a
+    /// caller with more to do under it (`fillUp` landing several pages)
+    /// need not re-acquire; on error the lock is released.
+    fn drive<'a, T>(
+        &'a self,
+        mut guard: parking_lot::MutexGuard<'a, PvmState>,
+        mut attempt: impl FnMut(&mut PvmState) -> Attempt<T>,
+    ) -> Result<(parking_lot::MutexGuard<'a, PvmState>, T)> {
         guard = self.pump_completions(guard);
         if guard.watchdog_sweep() > 0 {
             // Cancelled pulls cleared their stubs and freed in-flight
@@ -326,11 +343,7 @@ impl Pvm {
                     if guard.config.check_invariants {
                         guard.check_invariants();
                     }
-                    drop(guard);
-                    // Wake anyone whose wait condition we may have
-                    // satisfied (stub resolution, promotion, cleaning).
-                    self.stub_cv.notify_all();
-                    return Ok(v);
+                    return Ok((guard, v));
                 }
                 Outcome::Blocked(action) => {
                     guard = self.perform(guard, action)?;
@@ -766,6 +779,10 @@ impl Pvm {
                     size = ps;
                 }
                 let policy = guard.config.retry;
+                // The page `fillUp` lands here is born pinned and stays
+                // so until we hold the lock again (see
+                // `PvmState::demand_pulls`).
+                guard.demand_pulls.insert((cache, offset), None);
                 drop(guard);
                 let t0 = self.trace.phase_start();
                 self.trace.event(|| TraceEvent::UpcallStart {
@@ -790,6 +807,9 @@ impl Pvm {
                 });
                 self.trace.phase_end(Phase::PullIn, t0);
                 let mut guard = self.state.lock();
+                if let Some(Some(held)) = guard.demand_pulls.remove(&(cache, offset)) {
+                    guard.unpin_pages(&[held]);
+                }
                 guard.stats.add(Counter::MapperRetries, retries);
                 guard.dim_mapper(segment, DimCounter::Retries, retries);
                 let ps = guard.ps();
@@ -1187,59 +1207,68 @@ impl Pvm {
 impl CacheIo for Pvm {
     fn fill_up(&self, cache: CacheId, offset: u64, data: &[u8]) -> Result<()> {
         let key = cache_key(cache);
-        let ps = {
-            let guard = self.state.lock();
-            guard.cache(key)?;
-            guard.ps()
-        };
+        let ps = self.geom.page_size();
+        // One state-lock hold per delivery: every page lands through
+        // its own driver entry under it, and the lock is only given up
+        // where an attempt blocks (a dirty victim to push) or the
+        // parallel driver lands a page through the lock-free plane.
+        let held = self.state.lock();
+        held.cache(key)?;
+        let mut guard = Some(held);
         // Pages already landed by this delivery are pinned until the
         // whole delivery completes: the evictions that later pages'
         // frame allocations trigger must not take earlier pages of the
-        // same window (a clustered pull would eat its own head and the
-        // faulter would see "pullIn returned without fillUp"). The
-        // last — and in the unclustered case only — page needs no pin:
-        // nothing fills after it. Pins are dropped on every exit path.
+        // same window (a clustered pull would eat its own head). The
+        // last page needs no such pin — nothing fills after it — and the
+        // page a faulter is waiting for is held separately, past the
+        // end of the delivery (`PvmState::demand_pulls`).
         let mut pinned: Vec<crate::keys::PageKey> = Vec::new();
-        let mut cur = 0u64;
-        let result = loop {
-            if cur >= data.len() as u64 {
-                break Ok(());
-            }
-            let page_off = offset + cur;
+        let mut result = Ok(());
+        for (i, chunk) in data.chunks(ps as usize).enumerate() {
+            let page_off = offset + i as u64 * ps;
             debug_assert!(
                 page_off.is_multiple_of(ps),
                 "fillUp chunks must start page-aligned"
             );
-            let n = ps.min(data.len() as u64 - cur);
-            let chunk = &data[cur as usize..(cur + n) as usize];
             // Parallel driver: land the bytes through the lock-free
             // frame plane, holding the state lock only to claim and
             // then publish the landing frame. When the claim would
             // block (frame pool dry), fall back to the classic
             // blocked-action driver, which knows how to evict.
-            let landed = if self.parallel && self.fill_one_parallel(key, page_off, chunk)? {
-                true
-            } else {
-                match self.run(|s| s.fill_up_page_attempt(key, page_off, chunk)) {
-                    Ok(()) => true,
-                    Err(e) => break Err(e),
-                }
-            };
-            self.stub_cv.notify_all();
-            cur += n;
-            if landed && cur < data.len() as u64 {
-                let mut guard = self.state.lock();
-                if let Some(p) = guard.pin_resident(key, page_off) {
-                    pinned.push(p);
+            let mut landed = false;
+            if self.parallel {
+                guard = None;
+                match self.fill_one_parallel(key, page_off, chunk) {
+                    Ok(l) => landed = l,
+                    Err(e) => {
+                        result = Err(e);
+                        break;
+                    }
                 }
             }
-        };
-        if !pinned.is_empty() {
-            let mut guard = self.state.lock();
-            guard.unpin_pages(&pinned);
-            drop(guard);
-            self.stub_cv.notify_all();
+            if !landed {
+                let held = guard.take().unwrap_or_else(|| self.state.lock());
+                match self.drive(held, |s| s.fill_up_page_attempt(key, page_off, chunk)) {
+                    Ok((held, ())) => guard = Some(held),
+                    Err(e) => {
+                        result = Err(e);
+                        break;
+                    }
+                }
+            }
+            if ((i + 1) * ps as usize) < data.len() {
+                let held = guard.get_or_insert_with(|| self.state.lock());
+                pinned.extend(held.pin_resident(key, page_off));
+            }
         }
+        if !pinned.is_empty() {
+            guard
+                .get_or_insert_with(|| self.state.lock())
+                .unpin_pages(&pinned);
+        }
+        drop(guard);
+        // One wake per delivery, for the faulters asleep on its stubs.
+        self.stub_cv.notify_all();
         result
     }
 
@@ -1298,9 +1327,7 @@ impl PvmState {
                 // the bytes only if the page is clean.
                 if !self.page(p).dirty {
                     let frame = self.page(p).frame;
-                    let mut full = vec![0u8; self.ps() as usize];
-                    full[..chunk.len()].copy_from_slice(chunk);
-                    self.phys.lock().write(frame, 0, &full);
+                    self.phys.lock().write_padded(frame, chunk);
                 }
                 crate::state::done(())
             }
@@ -1335,9 +1362,9 @@ impl PvmState {
                     Outcome::Done(f) => f,
                     Outcome::Blocked(b) => return crate::state::blocked(b),
                 };
-                // Partial trailing chunks are zero-padded.
-                self.phys.lock().zero(frame);
-                self.phys.lock().write(frame, 0, chunk);
+                // Partial trailing chunks are zero-padded: only the tail
+                // the chunk leaves uncovered is cleared.
+                self.phys.lock().fill(frame, chunk);
                 if let Some(Slot::Cow(src)) = self.slot(cache, page_off) {
                     self.unthread_cow_stub(cache, page_off, src);
                 }
@@ -1825,9 +1852,7 @@ impl Pvm {
                 // other thread.
                 if !guard.page(p).dirty {
                     let frame = guard.page(p).frame;
-                    let mut full = vec![0u8; guard.ps() as usize];
-                    full[..chunk.len()].copy_from_slice(chunk);
-                    guard.phys.lock().write(frame, 0, &full);
+                    guard.phys.lock().write_padded(frame, chunk);
                 }
                 return Ok(true);
             }

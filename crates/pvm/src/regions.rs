@@ -1,7 +1,7 @@
 //! Context and region management (Table 2 operations).
 
 use crate::descriptors::{ContextDesc, RegionDesc, Slot};
-use crate::keys::{CtxKey, RegKey};
+use crate::keys::{CtxKey, PageKey, RegKey};
 use crate::state::{blocked, done, Attempt, PvmState};
 use chorus_gmi::{GmiError, RegionStatus, Result};
 use chorus_hal::{OpKind, Prot, VirtAddr, Vpn};
@@ -113,7 +113,7 @@ impl PvmState {
         if region.locked {
             return Err(GmiError::Locked);
         }
-        self.unmap_region_range(&region, reg);
+        self.unmap_region_range(&region);
         // The paper: "destruction requires the invalidation of the
         // corresponding portion of the virtual address space" — the one
         // size-dependent cost of region teardown.
@@ -131,24 +131,40 @@ impl PvmState {
         Ok(())
     }
 
-    /// Removes every MMU mapping inside a region (management structures
-    /// are proportional to resident pages, so this scans the page arena,
-    /// not the virtual range).
-    fn unmap_region_range(&mut self, region: &RegionDesc, _reg: RegKey) {
+    /// The resident mappings inside a region, as (page, vpn) pairs.
+    /// The cost follows the region, never the pool: a region no larger
+    /// than the resident set is found by probing its own virtual range
+    /// in the MMU; only a region *larger* than everything resident (a
+    /// huge sparse mapping) is found from the page side instead.
+    fn region_mappings(&self, region: &RegionDesc) -> Vec<(PageKey, Vpn)> {
         let lo = self.geom.vpn(region.addr);
         let hi = self.geom.vpn(VirtAddr(region.addr.0 + region.size - 1));
-        let hits: Vec<(crate::keys::PageKey, Vpn)> = self
-            .pages
+        if hi.0 - lo.0 < self.pages.len() as u64 {
+            let Ok(ctx) = self.ctx(region.ctx) else {
+                return Vec::new();
+            };
+            let mmu = self.mmu.lock();
+            return (lo.0..=hi.0)
+                .filter_map(|v| {
+                    let (frame, _) = mmu.query(ctx.mmu_ctx, Vpn(v))?;
+                    Some((*self.frame_owner.get(&frame.0)?, Vpn(v)))
+                })
+                .collect();
+        }
+        self.pages
             .iter()
             .flat_map(|(k, p)| {
                 p.mappings
                     .iter()
                     .filter(|m| m.ctx == region.ctx && m.vpn >= lo && m.vpn <= hi)
                     .map(move |m| (k, m.vpn))
-                    .collect::<Vec<_>>()
             })
-            .collect();
-        for (_page, vpn) in hits {
+            .collect()
+    }
+
+    /// Removes every MMU mapping inside a region.
+    fn unmap_region_range(&mut self, region: &RegionDesc) {
+        for (_page, vpn) in self.region_mappings(region) {
             self.unmap_va(region.ctx, vpn);
         }
     }
@@ -214,18 +230,15 @@ impl PvmState {
             r.prot = prot;
             r.clone()
         };
-        let lo = self.geom.vpn(region.addr);
-        let hi = self.geom.vpn(VirtAddr(region.addr.0 + region.size - 1));
-        let pages: Vec<crate::keys::PageKey> = self
-            .pages
-            .iter()
-            .filter(|(_, p)| {
-                p.mappings
-                    .iter()
-                    .any(|m| m.ctx == region.ctx && m.vpn >= lo && m.vpn <= hi)
-            })
-            .map(|(k, _)| k)
+        let mut pages: Vec<PageKey> = self
+            .region_mappings(&region)
+            .into_iter()
+            .map(|(p, _)| p)
             .collect();
+        // A page copied within its own cache is mapped at two addresses
+        // of one region; it is re-protected (and charged) once.
+        pages.sort_unstable();
+        pages.dedup();
         for p in pages {
             self.reprotect_mappings(p);
         }

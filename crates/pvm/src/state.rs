@@ -219,6 +219,16 @@ pub(crate) struct PvmState {
     /// reads, maps or releases a landing frame. Empty unless
     /// `config.parallel_faults` engaged the parallel driver.
     pub landing: FxHashMap<(CacheKey, u64), FrameNo>,
+    /// Demand pages of synchronous `pullIn` upcalls in flight, keyed by
+    /// (cache, offset). The driver registers the entry (`None`) before
+    /// it releases the lock for the upcall; the page `fillUp` creates
+    /// there is born pinned and recorded (`create_page`); the driver
+    /// removes the entry and drops the pin once it holds the lock
+    /// again. Without it the page a faulter is about to map sits
+    /// unpinned between `fillUp`'s unlock and the faulter's re-lock,
+    /// and a second thread's eviction turns a served pull into "pullIn
+    /// returned without fillUp".
+    pub demand_pulls: FxHashMap<(CacheKey, u64), Option<PageKey>>,
     /// The dimensional telemetry registry (per-cache / per-context /
     /// per-mapper counters), shared with the translation cache and
     /// `Pvm`. Inert (one relaxed load per site) unless
@@ -280,6 +290,7 @@ impl PvmState {
             large_maps: Vec::new(),
             reserved_frames: FxHashMap::default(),
             landing: FxHashMap::default(),
+            demand_pulls: FxHashMap::default(),
             telemetry,
             series: SeriesRing::new(SERIES_CAP),
             next_sample_ns: 0,
@@ -519,6 +530,13 @@ impl PvmState {
         self.set_slot(cache, offset, Slot::Present(key));
         if let Some(c) = self.caches.get_mut(cache) {
             c.owned.insert(offset);
+        }
+        // A page born where a faulter's synchronous pull is waiting is
+        // born pinned; the driver drops the pin when it has the lock
+        // back (see `demand_pulls`).
+        if let Some(held @ None) = self.demand_pulls.get_mut(&(cache, offset)) {
+            *held = Some(key);
+            self.pages.get_mut(key).expect("just inserted").lock_count += 1;
         }
         self.frame_owner.insert(frame.0, key);
         let segment = self.caches.get(cache).and_then(|c| c.segment).map(|s| s.0);

@@ -707,3 +707,55 @@ fn parallel_faults_race_promotion_and_demotion() {
         }
     }
 }
+
+/// Two clients scan their own mapped files through one frame pool a
+/// third the size of the combined working set, so each thread's hard
+/// faults keep evicting under the other's. Regression for the demand
+/// page of a delivery being left unpinned between `fillUp`'s unlock and
+/// the faulter's re-lock: the other thread's eviction took it and the
+/// faulter reported a transient `pullIn returned without fillUp`. No
+/// access may fail, transiently or otherwise, and every byte must match.
+#[test]
+fn two_scanners_on_a_shared_pool_never_see_a_transient_error() {
+    const SCANNERS: u64 = 2;
+    const FILE_PAGES: u64 = 48;
+    const OPS: u64 = 100_000;
+    let (pvm, mgr) = setup_with(32, |o| o.config.check_invariants = false);
+    let barrier = Arc::new(Barrier::new(SCANNERS as usize));
+    let handles: Vec<_> = (0..SCANNERS)
+        .map(|t| {
+            let content = pattern(0x40 + t as u8, (FILE_PAGES * PS) as usize);
+            let cache = pvm
+                .cache_create(Some(mgr.create_segment(&content)))
+                .unwrap();
+            let ctx = pvm.context_create().unwrap();
+            pvm.region_create(ctx, VirtAddr(0), FILE_PAGES * PS, Prot::READ, cache, 0)
+                .unwrap();
+            let pvm = Arc::clone(&pvm);
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                barrier.wait();
+                let mut x = 0x9E37_79B9u64 + t;
+                let mut buf = [0u8; 8];
+                for op in 0..OPS {
+                    // Even ops step a page-stride cursor, odd ops jump.
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let page = if op % 2 == 0 {
+                        (op / 2) % FILE_PAGES
+                    } else {
+                        (x >> 33) % FILE_PAGES
+                    };
+                    let off = (page * PS + (x >> 20) % (PS - 8)) as usize;
+                    pvm.vm_read(ctx, VirtAddr(off as u64), &mut buf)
+                        .unwrap_or_else(|e| panic!("scanner {t} op {op} page {page}: {e}"));
+                    assert_eq!(buf, content[off..off + 8], "scanner {t} op {op}");
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert!(pvm.stats().evictions > OPS / 4, "the pool never thrashed");
+    pvm.check_invariants();
+}

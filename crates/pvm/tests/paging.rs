@@ -521,3 +521,52 @@ fn clustering_does_not_overshoot_unowned_pages() {
         .count();
     assert_eq!(pulls, 1, "one clustered pull serves the whole region");
 }
+
+#[test]
+fn fill_up_pads_short_chunks_and_charges_like_bzero_plus_copy() {
+    use chorus_gmi::CacheIo;
+    use chorus_hal::{CostParams, OpKind};
+    // The shipped (classic) landing path: the striped driver lands
+    // through the byte plane and documents its own accounting drift.
+    let (pvm, mgr) = setup_with(8, |o| {
+        o.cost = CostParams::sun3();
+        o.config.parallel_faults = false;
+    });
+    // Leave junk in every frame, so a tail that is not cleared shows.
+    let junk = pvm.cache_create(None).unwrap();
+    pvm.write_logical(junk, 0, &vec![0xFF; (8 * PS) as usize])
+        .unwrap();
+    pvm.cache_destroy(junk).unwrap();
+    assert_eq!(pvm.free_frames(), 8);
+
+    let cache = pvm.cache_create(Some(mgr.create_segment(&[]))).unwrap();
+    let model = pvm.cost_model();
+    let deliver = |offset: u64, data: &[u8]| {
+        let before = (
+            pvm.mem_stats().zeroed,
+            model.count(OpKind::BzeroPage),
+            model.now().nanos(),
+        );
+        pvm.fill_up(cache, offset, data).unwrap();
+        (
+            pvm.mem_stats().zeroed - before.0,
+            model.count(OpKind::BzeroPage) - before.1,
+            model.now().nanos() - before.2,
+        )
+    };
+    let full = deliver(0, &pattern(3, PS as usize));
+    let short = deliver(PS, &pattern(9, 5));
+    // What `phys.zero` + `phys.write` charged per landed page before the
+    // tail-only clear: one counted bzero, and (sun3 costs, measured on
+    // that path) 906 us of simulated time for an unsolicited one-page
+    // delivery.
+    assert_eq!(full, (1, 1, 906_000));
+    assert_eq!(short, full, "a short chunk costs what a full page does");
+    assert_eq!(
+        pvm.read_logical(cache, 0, PS as usize).unwrap(),
+        pattern(3, PS as usize)
+    );
+    let mut padded = pattern(9, 5);
+    padded.resize(PS as usize, 0);
+    assert_eq!(pvm.read_logical(cache, PS, PS as usize).unwrap(), padded);
+}

@@ -19,10 +19,14 @@
 # (every built-in replacement policy races the three ablation_policies
 # scenarios with per-combo determinism self-checks and byte-verified
 # workloads), the pvmtop render smoke, the
-# release-mode concurrency stress, and the tracing
+# release-mode concurrency stress, the tracing
 # bit-identity check (Table 5 regenerated with CHORUS_TRACE=1 must
 # match the committed reports/table5.txt byte for byte — the
-# determinism rule: no trace call may advance the cost-model clock).
+# determinism rule: no trace call may advance the cost-model clock),
+# and the end-to-end scoreboard (benchmark/) at smoke size plus its
+# determinism self-test: every workload must finish with 0 failed ops
+# and correct bytes, and the one-thread workloads must repeat their
+# `exact` lines run to run.
 #
 # Every ablation smoke tees its --json output to a stable
 # BENCH_<name>.json at the repo root; the committed copies are the
@@ -276,6 +280,14 @@ CHORUS_TRACE=1 cargo run --release -q -p chorus-bench --bin table5 > "$tmp"
 diff -u reports/table5.txt "$tmp" ||
   { echo "FAIL: table5 output with tracing on differs from reports/table5.txt"; exit 1; }
 echo "ok"
+
+step "scoreboard --smoke: five workloads end to end, 0 failed ops"
+# benchmark/run.sh exits non-zero on a failed op or a wrong byte
+# (pipefail carries that through the tail).
+bash benchmark/run.sh --smoke | tail -n 1
+
+step "scoreboard --check: exact lines repeat, BENCHMARK.json matches"
+bash benchmark/run.sh --check | tail -n 1
 
 step "bench drift vs committed references (sim/fault fields gate)"
 # The deterministic fields — simulated clocks, fault and upcall

@@ -178,6 +178,15 @@ fn generous_retry(config: &mut PvmConfig) {
     };
 }
 
+/// Sets `push_cluster_pages` when a case names a value; `None` leaves
+/// whatever `PvmConfig::default()` ships, so the pageout cases below
+/// run on the shipped laundering path as well as on a pinned one.
+fn push_cluster(config: &mut PvmConfig, pages: Option<u64>) {
+    if let Some(n) = pages {
+        config.push_cluster_pages = n;
+    }
+}
+
 #[test]
 fn thirty_two_seeds_of_transient_faults_all_heal() {
     let mut total_retries = 0u64;
@@ -353,12 +362,19 @@ fn failed_pageout_never_loses_a_dirty_page() {
     // pressure fails, the triggering fault returns the error, and the
     // dirty page stays dirty in memory. After the mapper heals, the
     // retried pageout writes the page back and nothing is lost.
+    for cluster in [None, Some(1)] {
+        failed_pageout_case(cluster);
+    }
+}
+
+fn failed_pageout_case(cluster: Option<u64>) {
     let bad_swap = FaultPlan {
         transient_per_mille: 1000,
         ..FaultPlan::quiet(9)
     };
     let s = stack(4, FaultPlan::quiet(0), bad_swap, |c| {
         c.retry = RetryPolicy::no_retry();
+        push_cluster(c, cluster);
     });
     let pvm = &s.pvm;
     let ctx = pvm.context_create().unwrap();
@@ -513,6 +529,12 @@ fn batched_writeback_faults_never_lose_dirty_pages() {
     // split and retried page by page, and the byte oracle proves no
     // dirty page is ever lost. Truncated writes land half the batch
     // before dying, so the idempotent-rewrite path is exercised too.
+    for cluster in [None, Some(4)] {
+        batched_writeback_case(cluster);
+    }
+}
+
+fn batched_writeback_case(cluster: Option<u64>) {
     let mut batches = 0u64;
     let mut splits = 0u64;
     for seed in 0..12u64 {
@@ -535,7 +557,7 @@ fn batched_writeback_faults_never_lose_dirty_pages() {
             },
             |c| {
                 generous_retry(c);
-                c.push_cluster_pages = 4;
+                push_cluster(c, cluster);
                 c.writeback_daemon = true;
                 c.writeback_low_frames = 2;
                 c.writeback_high_frames = 4;
@@ -547,10 +569,10 @@ fn batched_writeback_faults_never_lose_dirty_pages() {
         splits += stats.push_batch_splits;
         assert_eq!(stats.quarantined_caches, 0, "seed={seed}");
     }
-    assert!(batches > 0, "clustered pushOut never fired");
+    assert!(batches > 0, "clustered pushOut never fired ({cluster:?})");
     assert!(
         splits > 0,
-        "no batch ever failed and split: faults too weak"
+        "no batch ever failed and split: faults too weak ({cluster:?})"
     );
 }
 
@@ -560,8 +582,14 @@ fn batched_pushout_permanent_death_quarantines_without_data_loss_elsewhere() {
     // pushOut: the split pass aborts on the first page, nothing partial
     // lands on the segment, the cache is quarantined exactly once, and
     // an unrelated cache on a clean mapper is untouched.
+    for cluster in [None, Some(4)] {
+        batched_pushout_death_case(cluster);
+    }
+}
+
+fn batched_pushout_death_case(cluster: Option<u64>) {
     let s = stack(16, FaultPlan::quiet(0), FaultPlan::quiet(0), |c| {
-        c.push_cluster_pages = 4;
+        push_cluster(c, cluster);
     });
     let clean = Arc::new(MemMapper::new(PortName(7)));
     s.seg_mgr.register_mapper(PortName(7), clean.clone());
