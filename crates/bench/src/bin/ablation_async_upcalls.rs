@@ -83,7 +83,6 @@ fn run_config(shape: &Shape, engine: bool, max_inflight: u64) -> Row {
                 .paging(|p| {
                     p.check_invariants(false)
                         .pull_cluster_pages(PULL_CLUSTER)
-                        .readahead_max_pages(PULL_CLUSTER.max(8))
                         .push_cluster_pages(PUSH_CLUSTER)
                 })
                 .r#async(|a| a.async_upcalls(engine).max_inflight_upcalls(max_inflight))

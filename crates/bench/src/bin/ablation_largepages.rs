@@ -77,11 +77,7 @@ fn run_config(shape: &Shape, large_pages: bool) -> Row {
             config: PvmConfig::builder()
                 // Identical mapper I/O in both rows: one pull request
                 // per large-page-sized window.
-                .paging(|p| {
-                    p.check_invariants(false)
-                        .pull_cluster_pages(FACTOR)
-                        .readahead_max_pages(FACTOR)
-                })
+                .paging(|p| p.check_invariants(false).pull_cluster_pages(FACTOR))
                 .large_pages(|l| {
                     l.buddy_runs(large_pages)
                         .large_pages(large_pages)

@@ -1,10 +1,11 @@
 //! Ablation: the policy engine (DESIGN.md §14) — every built-in
-//! replacement policy plus the FIFO readahead baseline, raced across
-//! three scenarios:
+//! replacement policy, raced across three scenarios:
 //!
 //! * `scale` — repeated sequential read scans of a working set three
 //!   times the frame pool: the classic sequential-flood case where
-//!   recency protection cannot help and clustered readahead dominates;
+//!   recency protection cannot help (pulls are pinned at two pages:
+//!   this bench's segment manager states no segment lengths, so the
+//!   stream table adds nothing — `ablation_readahead` covers that);
 //! * `writeback` — dirty rewrite scans with the writeback daemon and
 //!   `pushOut` clustering on: victim choice decides how often the
 //!   pageout pipeline runs against dirty pages;
@@ -13,15 +14,14 @@
 //!   (LRU, WSClock, ARC) keep the hot set resident and fault less.
 //!
 //! Every combination self-checks its bytes against the generating
-//! pattern, and the default combination (clock + doubling) is asserted
-//! bit-identical to a config that never mentions the policy section at
-//! all — the redesign must not move the paper's tables.
+//! pattern, and the default policy (clock) is asserted bit-identical to
+//! a config that never mentions the policy section at all.
 //!
 //! Usage: `cargo run --release -p chorus-bench --bin ablation_policies [--json] [--quick]`
 
 use chorus_bench::{assert_deterministic, bench_args, json, pvm_world_config, World, PAGE};
 use chorus_gmi::{Gmi, Prot, VirtAddr};
-use chorus_pvm::{Pvm, PvmConfig, ReadaheadKind, ReplacementKind};
+use chorus_pvm::{Pvm, PvmConfig, ReplacementKind};
 
 const FRAMES: u32 = 64;
 
@@ -49,34 +49,9 @@ const QUICK: Shape = Shape {
     rounds: 3,
 };
 
-/// One policy combination under race.
-#[derive(Clone, Copy)]
-struct Combo {
-    replacement: ReplacementKind,
-    readahead: ReadaheadKind,
-}
-
-/// Every replacement policy under the default readahead, plus the
-/// FIFO-readahead baseline on the default replacement.
-fn combos() -> Vec<Combo> {
-    let mut v: Vec<Combo> = ReplacementKind::ALL
-        .into_iter()
-        .map(|replacement| Combo {
-            replacement,
-            readahead: ReadaheadKind::Doubling,
-        })
-        .collect();
-    v.push(Combo {
-        replacement: ReplacementKind::Clock,
-        readahead: ReadaheadKind::Fifo,
-    });
-    v
-}
-
 struct Row {
     scenario: &'static str,
     replacement: &'static str,
-    readahead: &'static str,
     faults: u64,
     pull_ins: u64,
     evictions: u64,
@@ -103,24 +78,21 @@ impl Row {
 /// the only raced variable is the policy section.
 #[derive(Clone, Copy)]
 struct Knobs {
-    /// Adaptive readahead with this base cluster (0 = plain demand
-    /// paging) — the scale scenario races doubling vs fifo through it.
-    ra_cluster: u64,
+    /// The minimum pull window (0 = the default).
+    pull_cluster: u64,
     /// `pushOut` clustering + the watermark writeback daemon.
     writeback: bool,
 }
 
-/// Builds the raced world. `combo: None` builds the control config that
-/// never touches the policy section (the defaults must behave
-/// identically to an explicit clock + doubling selection).
-fn world(combo: Option<Combo>, knobs: Knobs) -> World<Pvm> {
+/// Builds the raced world. `policy: None` builds the control config
+/// that never touches the policy section (the defaults must behave
+/// identically to an explicit clock selection).
+fn world(policy: Option<ReplacementKind>, knobs: Knobs) -> World<Pvm> {
     let config = PvmConfig::builder()
         .paging(|p| {
             let p = p.check_invariants(false);
-            let p = if knobs.ra_cluster > 0 {
-                p.pull_cluster_pages(knobs.ra_cluster)
-                    .readahead_adaptive(true)
-                    .readahead_max_pages(8)
+            let p = if knobs.pull_cluster > 0 {
+                p.pull_cluster_pages(knobs.pull_cluster)
             } else {
                 p
             };
@@ -139,8 +111,8 @@ fn world(combo: Option<Combo>, knobs: Knobs) -> World<Pvm> {
                 pr
             }
         })
-        .policy(|p| match combo {
-            Some(c) => p.replacement(c.replacement).readahead(c.readahead),
+        .policy(|p| match policy {
+            Some(kind) => p.replacement(kind),
             None => p,
         })
         .build()
@@ -148,16 +120,16 @@ fn world(combo: Option<Combo>, knobs: Knobs) -> World<Pvm> {
     pvm_world_config(FRAMES, config)
 }
 
-fn finish(w: &World<Pvm>, scenario: &'static str, combo: Option<Combo>, sim_ms: f64) -> Row {
+fn finish(
+    w: &World<Pvm>,
+    scenario: &'static str,
+    policy: Option<ReplacementKind>,
+    sim_ms: f64,
+) -> Row {
     let stats = w.gmi.stats();
-    let c = combo.unwrap_or(Combo {
-        replacement: ReplacementKind::Clock,
-        readahead: ReadaheadKind::Doubling,
-    });
     Row {
         scenario,
-        replacement: c.replacement.label(),
-        readahead: c.readahead.label(),
+        replacement: policy.unwrap_or(ReplacementKind::Clock).label(),
         faults: stats.faults,
         pull_ins: stats.pull_ins,
         evictions: stats.evictions,
@@ -170,13 +142,12 @@ fn finish(w: &World<Pvm>, scenario: &'static str, combo: Option<Combo>, sim_ms: 
 }
 
 /// Sequential read scans: the working set floods the pool `scans`
-/// times; adaptive readahead is on, so the doubling-vs-fifo race shows
-/// in `pull_ins`.
-fn run_scale(shape: &Shape, combo: Option<Combo>) -> Row {
+/// times, two pages a pull whatever the policy.
+fn run_scale(shape: &Shape, policy: Option<ReplacementKind>) -> Row {
     let w = world(
-        combo,
+        policy,
         Knobs {
-            ra_cluster: 2,
+            pull_cluster: 2,
             writeback: false,
         },
     );
@@ -204,16 +175,16 @@ fn run_scale(shape: &Shape, combo: Option<Combo>) -> Row {
             assert_eq!(buf[0], ((p * PAGE) % 241) as u8, "scan read wrong bytes");
         }
     }
-    finish(&w, "scale", combo, w.model.now().since(t0).millis())
+    finish(&w, "scale", policy, w.model.now().since(t0).millis())
 }
 
 /// Dirty rewrite scans with the pageout pipeline on: every victim is
 /// dirty, so the policy's choices feed straight into `pushOut` batches.
-fn run_writeback(shape: &Shape, combo: Option<Combo>) -> Row {
+fn run_writeback(shape: &Shape, policy: Option<ReplacementKind>) -> Row {
     let w = world(
-        combo,
+        policy,
         Knobs {
-            ra_cluster: 0,
+            pull_cluster: 0,
             writeback: true,
         },
     );
@@ -241,17 +212,17 @@ fn run_writeback(shape: &Shape, combo: Option<Combo>) -> Row {
         w.gmi.vm_read(ctx, VirtAddr(p * PAGE), &mut buf).unwrap();
         assert_eq!(buf[0], (last as u8) ^ (p as u8), "dirty page lost");
     }
-    finish(&w, "writeback", combo, w.model.now().since(t0).millis())
+    finish(&w, "writeback", policy, w.model.now().since(t0).millis())
 }
 
 /// Hot/cold skew: the hot set is rewritten every round while a cold
 /// stream walks the rest of the working set. Reuse-tracking policies
 /// keep the hot pages resident across rounds.
-fn run_pressure(shape: &Shape, combo: Option<Combo>) -> Row {
+fn run_pressure(shape: &Shape, policy: Option<ReplacementKind>) -> Row {
     let w = world(
-        combo,
+        policy,
         Knobs {
-            ra_cluster: 0,
+            pull_cluster: 0,
             writeback: false,
         },
     );
@@ -280,7 +251,7 @@ fn run_pressure(shape: &Shape, combo: Option<Combo>) -> Row {
             assert_eq!(buf[0], ((p * PAGE) % 233) as u8, "cold read wrong bytes");
         }
     }
-    finish(&w, "pressure", combo, w.model.now().since(t0).millis())
+    finish(&w, "pressure", policy, w.model.now().since(t0).millis())
 }
 
 fn main() {
@@ -288,48 +259,40 @@ fn main() {
     let (emit_json, quick) = (args.json, args.quick);
     let shape = args.shape(&FULL, &QUICK);
 
-    // Determinism self-check, once per combination on the writeback
+    // Determinism self-check, once per policy on the writeback
     // scenario (the one verify.sh smokes): re-running a policy must
     // reproduce the simulated clock and every counter bit for bit.
-    for combo in combos() {
-        assert_deterministic(
-            &format!(
-                "policy {}/{} writeback",
-                combo.replacement.label(),
-                combo.readahead.label()
-            ),
-            || run_writeback(shape, Some(combo)).fingerprint(),
-        );
+    for kind in ReplacementKind::ALL {
+        assert_deterministic(&format!("policy {} writeback", kind.label()), || {
+            run_writeback(shape, Some(kind)).fingerprint()
+        });
     }
 
     // Bit-identity of the defaults: a config that never names the
-    // policy section must match an explicit clock + doubling selection
-    // in every scenario — the trait refactor moved no numbers.
+    // policy section must match an explicit clock selection in every
+    // scenario.
     for (name, run) in [
-        ("scale", run_scale as fn(&Shape, Option<Combo>) -> Row),
+        (
+            "scale",
+            run_scale as fn(&Shape, Option<ReplacementKind>) -> Row,
+        ),
         ("writeback", run_writeback),
         ("pressure", run_pressure),
     ] {
         let control = run(shape, None);
-        let explicit = run(
-            shape,
-            Some(Combo {
-                replacement: ReplacementKind::Clock,
-                readahead: ReadaheadKind::Doubling,
-            }),
-        );
+        let explicit = run(shape, Some(ReplacementKind::Clock));
         assert_eq!(
             control.fingerprint(),
             explicit.fingerprint(),
-            "default config must be bit-identical to explicit clock+doubling in {name}"
+            "default config must be bit-identical to explicit clock in {name}"
         );
     }
 
     let mut rows = Vec::new();
-    for combo in combos() {
-        rows.push(run_scale(shape, Some(combo)));
-        rows.push(run_writeback(shape, Some(combo)));
-        rows.push(run_pressure(shape, Some(combo)));
+    for kind in ReplacementKind::ALL {
+        rows.push(run_scale(shape, Some(kind)));
+        rows.push(run_writeback(shape, Some(kind)));
+        rows.push(run_pressure(shape, Some(kind)));
     }
 
     // Headline cross-checks, asserted so regressions fail loudly.
@@ -361,20 +324,21 @@ fn main() {
         }
     }
     // The reuse-tracking policies must beat the sequential-flood
-    // baseline on the hot/cold scenario they exist for.
-    let pressure_faults = |label: &str| {
+    // baseline on the hot/cold scenario they exist for. Misses are what
+    // they save: a hot page that stays resident still takes a soft
+    // fault when it is rewritten after a push cleaned it, where the
+    // clock, having evicted it, takes a pull.
+    let pressure_pulls = |label: &str| {
         rows.iter()
-            .find(|r| {
-                r.scenario == "pressure" && r.replacement == label && r.readahead == "doubling"
-            })
-            .map(|r| r.faults)
+            .find(|r| r.scenario == "pressure" && r.replacement == label)
+            .map(|r| r.pull_ins)
             .expect("pressure row")
     };
-    let clock = pressure_faults("clock");
+    let clock = pressure_pulls("clock");
     for tracking in ["lru", "wsclock", "arc"] {
         assert!(
-            pressure_faults(tracking) <= clock,
-            "{tracking} must not fault more than clock on the hot/cold scenario"
+            pressure_pulls(tracking) <= clock,
+            "{tracking} must not miss more than clock on the hot/cold scenario"
         );
     }
 
@@ -383,7 +347,6 @@ fn main() {
             json::Obj::new()
                 .str("scenario", r.scenario)
                 .str("replacement", r.replacement)
-                .str("readahead", r.readahead)
                 .int("faults", r.faults)
                 .int("pull_ins", r.pull_ins)
                 .int("evictions", r.evictions)
@@ -410,8 +373,8 @@ fn main() {
     }
 
     println!(
-        "Policy ablation: {} replacement policies (+ fifo readahead baseline)\n\
-         raced over {} frames; scale/writeback = {} scans of {} pages,\n\
+        "Policy ablation: {} replacement policies raced over {} frames;\n\
+         scale/writeback = {} scans of {} pages,\n\
          pressure = {} rounds of {} hot pages + cold stream\n",
         ReplacementKind::ALL.len(),
         FRAMES,
@@ -421,14 +384,13 @@ fn main() {
         shape.hot_pages,
     );
     println!(
-        "  scenario  | policy   | rahead   | faults | pulls | evict | victims (req) | ext batch/fb | sim ms"
+        "  scenario  | policy   | faults | pulls | evict | victims (req) | ext batch/fb | sim ms"
     );
     for r in &rows {
         println!(
-            "  {:<9} | {:<8} | {:<8} | {:>6} | {:>5} | {:>5} | {:>6} ({:>4}) | {:>5}/{:<5} | {:>8.1}",
+            "  {:<9} | {:<8} | {:>6} | {:>5} | {:>5} | {:>6} ({:>4}) | {:>5}/{:<5} | {:>8.1}",
             r.scenario,
             r.replacement,
-            r.readahead,
             r.faults,
             r.pull_ins,
             r.evictions,
@@ -442,10 +404,10 @@ fn main() {
     let best = rows
         .iter()
         .filter(|r| r.scenario == "pressure")
-        .min_by_key(|r| r.faults)
+        .min_by_key(|r| r.pull_ins)
         .expect("pressure rows");
     println!(
-        "\n  hot/cold winner: {} ({} faults vs clock's {})",
-        best.replacement, best.faults, clock
+        "\n  hot/cold winner: {} ({} pulls vs clock's {})",
+        best.replacement, best.pull_ins, clock
     );
 }

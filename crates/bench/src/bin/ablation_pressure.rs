@@ -95,11 +95,7 @@ fn run_config(
             frames: FRAMES,
             cost: CostParams::sun3(),
             config: PvmConfig::builder()
-                .paging(|p| {
-                    p.check_invariants(false)
-                        .pull_cluster_pages(PULL_CLUSTER)
-                        .readahead_max_pages(PULL_CLUSTER)
-                })
+                .paging(|p| p.check_invariants(false).pull_cluster_pages(PULL_CLUSTER))
                 .r#async(|a| {
                     a.async_upcalls(true)
                         .max_inflight_upcalls(if backpressure { 1 } else { 2 })

@@ -1,42 +1,64 @@
-//! Ablation: pull clustering (read-ahead) — an extension exercising
-//! §3.3.3's "the MM may unilaterally decide to cache a fragment of
-//! data". A sequential scan over a swapped-out segment is timed for
-//! several cluster sizes; each `pullIn` upcall pays the simulated
-//! per-page I/O cost plus a fixed request overhead, so clustering
-//! amortizes the request count.
+//! Ablation: stream-aware pull windows — §3.3.3's "the MM may
+//! unilaterally decide to cache a fragment of data", decided per cache
+//! by a table of at most four sequential streams (DESIGN.md §14). There
+//! is no knob to turn: the table is the shipped pull path, so the rows
+//! are access *shapes* over the same file and pool, and the columns are
+//! what the table made of each: how many `pullIn` round trips, how many
+//! pages each carried, how much of the readahead was evicted untouched,
+//! and the simulated time.
 //!
 //! Usage: `cargo run -p chorus-bench --bin ablation_readahead [--json]`
 
 use chorus_bench::{json, PAGE};
-use chorus_gmi::testing::MemSegmentManager;
 use chorus_gmi::{Gmi, Prot, SyncShim, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
+use chorus_nucleus::{MemMapper, NucleusSegmentManager, PortName};
 use chorus_pvm::{Pvm, PvmConfig, PvmOptions};
 use std::sync::Arc;
 
-const PAGES: u64 = 64;
+/// Pages of the mapped file: three times the frame pool.
+const PAGES: u64 = 192;
+const FRAMES: u32 = 64;
+const ACCESSES: u64 = 2 * PAGES;
 
 struct Row {
-    cluster: u64,
+    shape: &'static str,
     pull_ins: u64,
+    pulled_pages: u64,
+    readahead_unused: u64,
     sim_ms: f64,
 }
 
-fn run(cluster: u64) -> Row {
-    let mgr = Arc::new(MemSegmentManager::new());
+/// The page touched by access `i` of a shape.
+type Shape = fn(i: u64, random: u64) -> u64;
+
+const SHAPES: [(&str, Shape); 4] = [
+    ("sequential", |i, _| i % PAGES),
+    ("two-streams", |i, _| {
+        (i / 2 + (i % 2) * (PAGES / 2)) % PAGES
+    }),
+    (
+        "seq+random",
+        |i, r| if i % 2 == 0 { (i / 2) % PAGES } else { r },
+    ),
+    ("random", |_, r| r),
+];
+
+fn run(shape: &'static str, page_of: Shape) -> Row {
+    // A file mapper that knows its segments' lengths: a stream only
+    // widens a pull inside bounds the mapper has stated.
+    let mgr = Arc::new(NucleusSegmentManager::new());
+    let files = Arc::new(MemMapper::new(PortName(1)));
+    mgr.register_mapper(PortName(1), files.clone());
     let content: Vec<u8> = (0..PAGES * PAGE).map(|i| (i % 241) as u8).collect();
-    let seg = mgr.create_segment(&content);
+    let seg = mgr.segment_for(files.create_segment(&content));
     let pvm = Pvm::new(
         PvmOptions {
             geometry: PageGeometry::sun3(),
-            frames: 2 * PAGES as u32,
+            frames: FRAMES,
             cost: CostParams::sun3(),
             config: PvmConfig::builder()
-                .paging(|p| {
-                    p.pull_cluster_pages(cluster)
-                        .readahead_max_pages(cluster.max(8))
-                        .check_invariants(false)
-                })
+                .paging(|p| p.check_invariants(false))
                 .build()
                 .expect("valid config"),
             ..PvmOptions::default()
@@ -49,31 +71,47 @@ fn run(cluster: u64) -> Row {
         .unwrap();
     let model = pvm.cost_model();
     let t0 = model.now();
-    let mut buf = [0u8; 64];
-    for p in 0..PAGES {
-        pvm.vm_read(ctx, VirtAddr(p * PAGE), &mut buf).unwrap();
+    let mut lcg = 0x2545_f491_4f6c_dd1du64;
+    let mut buf = [0u8; 8];
+    for i in 0..ACCESSES {
+        lcg = lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let page = page_of(i, (lcg >> 33) % PAGES);
+        pvm.vm_read(ctx, VirtAddr(page * PAGE), &mut buf).unwrap();
+        // Data correct whatever the window.
+        assert_eq!(buf[..], content[(page * PAGE) as usize..][..8]);
     }
-    let elapsed = model.now().since(t0);
-    // Sanity: data correct regardless of clustering.
-    assert_eq!(
-        &buf[..],
-        &content[(PAGES - 1) as usize * PAGE as usize..][..64]
-    );
+    let stats = pvm.stats();
     Row {
-        cluster,
-        pull_ins: pvm.stats().pull_ins,
-        sim_ms: elapsed.millis(),
+        shape,
+        pull_ins: stats.pull_ins,
+        pulled_pages: stats.pull_ins + stats.readahead_pages,
+        readahead_unused: stats.readahead_unused,
+        sim_ms: model.now().since(t0).millis(),
     }
 }
 
 fn main() {
     let emit_json = std::env::args().any(|a| a == "--json");
-    let rows: Vec<Row> = [1u64, 2, 4, 8, 16].iter().map(|&c| run(c)).collect();
+    let rows: Vec<Row> = SHAPES.iter().map(|&(name, f)| run(name, f)).collect();
+    // Headline cross-checks, asserted so regressions fail loudly: a
+    // stream must amortise the round trip, and random misses must not
+    // be charged for readahead nobody uses.
+    let by = |shape: &str| rows.iter().find(|r| r.shape == shape).expect("row");
+    assert!(by("sequential").pulled_pages >= 4 * by("sequential").pull_ins);
+    assert!(by("two-streams").pulled_pages >= 4 * by("two-streams").pull_ins);
+    // Half the accesses are random misses of one page each: the stream
+    // among them must still ramp.
+    assert!(by("seq+random").pulled_pages * 2 >= 3 * by("seq+random").pull_ins);
+    assert!(by("random").readahead_unused * 10 <= by("random").pulled_pages);
     if emit_json {
         let encoded = rows.iter().map(|r| {
             json::Obj::new()
-                .int("cluster", r.cluster)
+                .str("shape", r.shape)
                 .int("pull_ins", r.pull_ins)
+                .int("pulled_pages", r.pulled_pages)
+                .int("readahead_unused", r.readahead_unused)
                 .num("sim_ms", r.sim_ms)
                 .build()
         });
@@ -81,22 +119,30 @@ fn main() {
             "{}",
             json::Obj::bench("ablation_readahead")
                 .int("pages", PAGES)
+                .int("frames", u64::from(FRAMES))
+                .int("accesses", ACCESSES)
                 .raw("rows", &json::array(encoded))
                 .build()
         );
         return;
     }
-    println!("Read-ahead ablation: sequential scan of a {PAGES}-page segment\n");
-    println!("  cluster | pullIn upcalls | simulated scan time");
+    println!(
+        "Stream-table ablation: {ACCESSES} reads of a {PAGES}-page file through {FRAMES} frames\n"
+    );
+    println!("  shape       | pullIn upcalls | pages/pull | unused readahead | simulated time");
     for r in &rows {
         println!(
-            "  {:>7} | {:>14} | {:.2} ms",
-            r.cluster, r.pull_ins, r.sim_ms
+            "  {:<11} | {:>14} | {:>10.2} | {:>16} | {:.2} ms",
+            r.shape,
+            r.pull_ins,
+            r.pulled_pages as f64 / r.pull_ins as f64,
+            r.readahead_unused,
+            r.sim_ms
         );
     }
     println!(
-        "\nEach pullIn costs one segment_io_page charge per page plus the\n\
-         fault/stub machinery once per upcall: larger clusters trade a\n\
-         single longer transfer for fewer request round trips."
+        "\nEach pullIn costs one IPC round trip plus one segment_io_page per\n\
+         page: a detected stream trades a longer transfer for fewer round\n\
+         trips, and a miss that continues no stream pulls one page."
     );
 }

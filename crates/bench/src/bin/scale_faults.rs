@@ -274,7 +274,6 @@ fn hard_fault_rep(parallel: bool, threads: usize) -> (f64, chorus_pvm::PvmStats)
                     p.check_invariants(false)
                         .parallel_faults(parallel)
                         .pull_cluster_pages(HARD_CLUSTER)
-                        .readahead_max_pages(HARD_CLUSTER)
                 })
                 .build()
                 .expect("valid config"),

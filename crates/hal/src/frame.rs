@@ -366,29 +366,19 @@ impl PhysicalMemory {
         self.model.charge(OpKind::BzeroPage);
     }
 
-    /// Overwrites a whole frame with `data` followed by zeroes, writing
-    /// each byte once. Uncharged, like [`PhysicalMemory::write`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is longer than a page or the frame is not live.
-    pub fn write_padded(&mut self, f: FrameNo, data: &[u8]) {
-        let (head, tail) = self.frame_mut(f).split_at_mut(data.len());
-        head.copy_from_slice(data);
-        tail.fill(0);
-    }
-
     /// Lands a `fillUp` chunk (possibly a short trailing one) in a fresh
-    /// frame: [`PhysicalMemory::write_padded`], charged and counted as
-    /// the `bzero` + copy it replaces (`BzeroPage`, `zeroed`), so the
-    /// simulated clock cannot tell the difference. `zeroed_bytes` counts
-    /// the bytes actually cleared.
+    /// frame: `data` followed by zeroes, each byte written once, charged
+    /// and counted as the `bzero` + copy it replaces (`BzeroPage`,
+    /// `zeroed`), so the simulated clock cannot tell the difference.
+    /// `zeroed_bytes` counts the bytes actually cleared.
     ///
     /// # Panics
     ///
     /// Panics if `data` is longer than a page or the frame is not live.
     pub fn fill(&mut self, f: FrameNo, data: &[u8]) {
-        self.write_padded(f, data);
+        let (head, tail) = self.frame_mut(f).split_at_mut(data.len());
+        head.copy_from_slice(data);
+        tail.fill(0);
         self.stats.zeroed += 1;
         self.stats.zeroed_bytes += self.geom.page_size() - data.len() as u64;
         self.model.charge(OpKind::BzeroPage);

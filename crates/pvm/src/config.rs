@@ -11,7 +11,7 @@
 //! constrain. The old flat setters survive one release as thin
 //! deprecated forwards.
 
-use crate::policy::{PolicyConfig, ReadaheadKind, ReplacementKind};
+use crate::policy::{PolicyConfig, ReplacementKind};
 use crate::trace::TraceConfig;
 use chorus_gmi::RetryPolicy;
 
@@ -41,10 +41,13 @@ pub struct PvmConfig {
     /// their child (§4.2.5: the bounded analogue of Mach's shadow-chain
     /// garbage collection, needed only for fork-exit-fork-exit chains).
     pub collapse_zombies: bool,
-    /// Read-ahead: a `pullIn` may cover up to this many contiguous
-    /// owned-but-non-resident pages in one upcall (§3.3.3: "The MM may
-    /// unilaterally decide to cache a fragment of data"). 1 disables
-    /// clustering.
+    /// The minimum pull window: every `pullIn` covers up to this many
+    /// contiguous owned-but-non-resident pages in one upcall (§3.3.3:
+    /// "The MM may unilaterally decide to cache a fragment of data"),
+    /// whatever the access pattern. On top of it each cache's stream
+    /// table widens the window of a miss that continues a sequential
+    /// stream, doubling up to one IPC message while the frames can be
+    /// had without a `pushOut`; that part needs no knob.
     pub pull_cluster_pages: u64,
     /// Retry policy for mapper upcalls (`pullIn`, `pushOut`,
     /// `getWriteAccess`): transient failures are retried with exponential
@@ -92,13 +95,6 @@ pub struct PvmConfig {
     pub writeback_low_frames: u32,
     /// High free-frame watermark at which the laundering pass stops.
     pub writeback_high_frames: u32,
-    /// Adaptive readahead: ramp the pull cluster window per cache on a
-    /// detected sequential fault stream (doubling up to
-    /// [`PvmConfig::readahead_max_pages`]) and reset it to
-    /// [`PvmConfig::pull_cluster_pages`] on random access.
-    pub readahead_adaptive: bool,
-    /// Ceiling for the adaptive readahead window, in pages.
-    pub readahead_max_pages: u64,
     /// Completion-based asynchronous upcalls: readahead tail `pullIn`s
     /// and watermark-laundering `pushOut`s become fire-and-collect
     /// requests tracked in a per-mapper in-flight table and delivered
@@ -204,17 +200,16 @@ pub struct PvmConfig {
     /// config literal. Explicit assignments and builder calls still
     /// win over the environment.
     pub parallel_faults: bool,
-    /// Replacement and readahead policy selection: which
-    /// `ReplacementPolicy` runs victim selection — globally and per
-    /// segment override — and which `ReadaheadPolicy` sizes the
-    /// adaptive pull window. The defaults (`Clock` + `DoublingWindow`)
-    /// reproduce the classic clock sweep and window doubling
-    /// bit-identically.
+    /// Replacement policy selection: which `ReplacementPolicy` runs
+    /// victim selection, globally and per segment override. The default
+    /// is the classic clock sweep.
     pub policy: PolicyConfig,
 }
 
-/// The paper's IPC message limit in pages (64 KB over 8 KB pages).
-const IPC_MESSAGE_PAGES: u64 = 8;
+/// The paper's IPC message limit in pages (64 KB over 8 KB pages): the
+/// default `pushOut` run, the ceiling of a stream's pull window and the
+/// length of the write-behind queue.
+pub(crate) const IPC_MESSAGE_PAGES: u64 = 8;
 
 impl Default for PvmConfig {
     fn default() -> PvmConfig {
@@ -234,8 +229,6 @@ impl Default for PvmConfig {
             writeback_daemon: false,
             writeback_low_frames: 0,
             writeback_high_frames: 0,
-            readahead_adaptive: false,
-            readahead_max_pages: 8,
             async_upcalls: false,
             max_inflight_upcalls: 4,
             upcall_watchdog: false,
@@ -275,8 +268,8 @@ impl PvmConfig {
 
 /// Builder for [`PvmConfig`] enforcing cross-field invariants that a
 /// plain struct literal cannot: watermark ordering, non-zero cluster
-/// and shard sizes, readahead ceiling at least the base cluster, a
-/// positive in-flight budget, and well-formed policy overrides.
+/// and shard sizes, a positive in-flight budget, and well-formed policy
+/// overrides.
 ///
 /// Knobs are set through grouped sections, each a closure over a
 /// section proxy:
@@ -284,7 +277,7 @@ impl PvmConfig {
 /// ```
 /// # use chorus_pvm::PvmConfig;
 /// let config = PvmConfig::builder()
-///     .paging(|p| p.pull_cluster_pages(4).readahead_max_pages(16))
+///     .paging(|p| p.pull_cluster_pages(4).push_cluster_pages(4))
 ///     .pressure(|p| p.writeback_daemon(true).writeback_high_frames(8))
 ///     .policy(|p| p.replacement(chorus_pvm::ReplacementKind::Lru))
 ///     .build()
@@ -329,7 +322,7 @@ macro_rules! flat_forwards {
     };
 }
 
-/// The `paging` section: core replacement/readahead mechanics, map
+/// The `paging` section: core replacement/clustering mechanics, map
 /// sharding and the fault fast paths.
 #[derive(Debug)]
 pub struct PagingSection {
@@ -350,10 +343,6 @@ impl PagingSection {
         pull_cluster_pages: u64,
         /// See [`PvmConfig::push_cluster_pages`].
         push_cluster_pages: u64,
-        /// See [`PvmConfig::readahead_adaptive`].
-        readahead_adaptive: bool,
-        /// See [`PvmConfig::readahead_max_pages`].
-        readahead_max_pages: u64,
         /// See [`PvmConfig::fast_path`].
         fast_path: bool,
         /// See [`PvmConfig::global_map_shards`].
@@ -451,7 +440,7 @@ impl TelemetrySection {
     }
 }
 
-/// The `policy` section: replacement/readahead policy selection (see
+/// The `policy` section: replacement policy selection (see
 /// [`crate::policy`]), per-segment overrides and the external-policy
 /// batch size.
 #[derive(Debug)]
@@ -465,13 +454,6 @@ impl PolicySection {
     #[must_use]
     pub fn replacement(mut self, kind: ReplacementKind) -> Self {
         self.cfg.policy.replacement = kind;
-        self
-    }
-
-    /// Readahead window policy. See [`PolicyConfig::readahead`].
-    #[must_use]
-    pub fn readahead(mut self, kind: ReadaheadKind) -> Self {
-        self.cfg.policy.readahead = kind;
         self
     }
 
@@ -516,8 +498,8 @@ macro_rules! sections {
 
 impl PvmConfigBuilder {
     sections! {
-        /// Core paging mechanics: clustering, readahead window bounds,
-        /// map sharding, fast paths. See [`PagingSection`].
+        /// Core paging mechanics: clustering, map sharding, fast
+        /// paths. See [`PagingSection`].
         paging: PagingSection,
         /// The asynchronous upcall engine and mapper-health
         /// escalation. See [`AsyncSection`].
@@ -531,8 +513,7 @@ impl PvmConfigBuilder {
         /// Dimensional telemetry, gauge sampling and tracing. See
         /// [`TelemetrySection`].
         telemetry: TelemetrySection,
-        /// Replacement/readahead policy selection. See
-        /// [`PolicySection`].
+        /// Replacement policy selection. See [`PolicySection`].
         policy: PolicySection,
     }
 
@@ -552,8 +533,6 @@ impl PvmConfigBuilder {
         writeback_daemon: bool => "pressure",
         writeback_low_frames: u32 => "pressure",
         writeback_high_frames: u32 => "pressure",
-        readahead_adaptive: bool => "paging",
-        readahead_max_pages: u64 => "paging",
         async_upcalls: bool => "async",
         max_inflight_upcalls: u64 => "async",
         upcall_watchdog: bool => "async",
@@ -577,9 +556,8 @@ impl PvmConfigBuilder {
     /// # Errors
     ///
     /// Returns [`chorus_gmi::GmiError::Unsupported`] naming the violated
-    /// invariant: zero cluster/shard/in-flight sizes, inverted
-    /// writeback watermarks, or a readahead ceiling below the base
-    /// pull cluster.
+    /// invariant: zero cluster/shard/in-flight sizes or inverted
+    /// writeback watermarks.
     pub fn build(self) -> chorus_gmi::Result<PvmConfig> {
         let c = &self.config;
         if c.pull_cluster_pages < 1 {
@@ -600,11 +578,6 @@ impl PvmConfigBuilder {
         if c.writeback_low_frames > c.writeback_high_frames {
             return Err(chorus_gmi::GmiError::Unsupported(
                 "writeback_low_frames must not exceed writeback_high_frames",
-            ));
-        }
-        if c.readahead_max_pages < c.pull_cluster_pages {
-            return Err(chorus_gmi::GmiError::Unsupported(
-                "readahead_max_pages must be at least pull_cluster_pages",
             ));
         }
         if c.max_inflight_upcalls < 1 {
@@ -672,7 +645,10 @@ mod tests {
         assert_eq!(c.per_page_max_pages * 8192, 64 * 1024);
         assert!(c.enable_pageout);
         assert!(c.collapse_zombies);
-        assert_eq!(c.pull_cluster_pages, 1, "clustering is opt-in");
+        assert_eq!(
+            c.pull_cluster_pages, 1,
+            "no minimum window: streams alone widen a pull"
+        );
         assert!(c.retry.max_attempts > 1, "transient faults heal by default");
         assert!(c.quarantine_on_permanent_failure);
         assert!(c.emergency_pageout);
@@ -688,8 +664,6 @@ mod tests {
         assert!(!c.writeback_daemon, "laundering is opt-in");
         assert_eq!(c.writeback_low_frames, 0);
         assert_eq!(c.writeback_high_frames, 0);
-        assert!(!c.readahead_adaptive, "adaptive readahead is opt-in");
-        assert_eq!(c.readahead_max_pages, 8);
         assert!(!c.async_upcalls, "the completion engine is opt-in");
         assert!(c.max_inflight_upcalls >= 1);
         assert!(!c.upcall_watchdog, "the deadline watchdog is opt-in");
@@ -715,22 +689,13 @@ mod tests {
             ReplacementKind::Clock,
             "the default replacement policy is the classic clock"
         );
-        assert_eq!(
-            c.policy.readahead,
-            ReadaheadKind::Doubling,
-            "the default readahead policy is the doubling window"
-        );
         assert!(c.policy.segment_overrides.is_empty());
     }
 
     #[test]
     fn builder_accepts_defaults_and_valid_tweaks() {
         let c = PvmConfig::builder()
-            .paging(|p| {
-                p.pull_cluster_pages(4)
-                    .readahead_max_pages(16)
-                    .parallel_faults(true)
-            })
+            .paging(|p| p.pull_cluster_pages(4).parallel_faults(true))
             .pressure(|p| {
                 p.writeback_daemon(true)
                     .writeback_low_frames(4)
@@ -769,7 +734,6 @@ mod tests {
         let c = PvmConfig::builder()
             .policy(|p| {
                 p.replacement(ReplacementKind::Lru)
-                    .readahead(ReadaheadKind::Fifo)
                     .segment_override(7, ReplacementKind::WsClock)
                     .wsclock_tau(3)
                     .external_batch(4)
@@ -777,7 +741,6 @@ mod tests {
             .build()
             .expect("valid policy config");
         assert_eq!(c.policy.replacement, ReplacementKind::Lru);
-        assert_eq!(c.policy.readahead, ReadaheadKind::Fifo);
         assert_eq!(
             c.policy.segment_overrides,
             vec![(7, ReplacementKind::WsClock)]
@@ -808,9 +771,6 @@ mod tests {
         assert!(paging_err(|p| p.pull_cluster_pages(0)));
         assert!(paging_err(|p| p.push_cluster_pages(0)));
         assert!(paging_err(|p| p.global_map_shards(0)));
-        assert!(paging_err(|p| p
-            .pull_cluster_pages(8)
-            .readahead_max_pages(4)));
         assert!(PvmConfig::builder()
             .pressure(|p| p.writeback_low_frames(8).writeback_high_frames(4))
             .build()

@@ -28,6 +28,13 @@ impl PvmState {
         self.check_clock_ring();
         self.check_fast_path();
         self.check_large_maps();
+        // The write-behind queue holds at most one IPC message of
+        // distinct keys. A key may be stale (page freed, cleaned, pinned
+        // or quarantined since it was set aside): dropped when popped.
+        let queue = &self.write_behind;
+        assert!(queue.len() as u64 <= crate::config::IPC_MESSAGE_PAGES);
+        let twice = |k| queue.iter().filter(|&o| o == k).count() > 1;
+        assert!(!queue.iter().any(twice), "a key queued twice: {queue:?}");
     }
 
     fn check_global_map(&self) {

@@ -178,15 +178,92 @@ pub(crate) struct CacheDesc {
     /// Known length of the backing segment, if any. Clamps clustered
     /// `pullIn` runs of fully-backed caches (which own *every* offset) so
     /// readahead never asks the mapper for data past segment end. Grown
-    /// when a `pushOut` extends the segment; `None` means unknown, which
-    /// only disables the clamp, never the pull itself.
+    /// when a `pushOut` extends the segment; `None` means unknown: the
+    /// configured `pull_cluster_pages` run goes unclamped and the stream
+    /// table adds nothing to it.
     pub seg_len: Option<u64>,
-    /// Adaptive readahead window, in pages (0 = not yet ramped; the base
-    /// window is `PvmConfig::pull_cluster_pages`).
-    pub ra_window: u64,
-    /// Offset one past the last clustered pull: a fault landing exactly
-    /// here continues a sequential stream and doubles the window.
-    pub ra_next: u64,
+    /// The sequential streams detected in this cache's miss sequence;
+    /// they size clustered `pullIn` runs.
+    pub streams: StreamTable,
+}
+
+/// Streams tracked per cache: a fifth replaces the weakest.
+const MAX_STREAMS: usize = 4;
+
+/// Misses of the cache a stream may sit out before its window halves.
+const STREAM_IDLE_MISSES: u64 = 32;
+
+/// One detected sequential stream of a cache's miss sequence.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stream {
+    /// Where the stream's last pull began. A miss here again is that
+    /// pull driven again after it failed: same stream, same window.
+    start: u64,
+    /// Offset one past the stream's last pull, set by whoever sized it
+    /// once the run's real end is known. A miss anywhere in `[next,
+    /// next + window pages)` continues the stream, so a pull cut short
+    /// by a resident page does not break it.
+    pub next: u64,
+    /// The window last granted, in pages, demand page included.
+    pub window: u64,
+    /// The table's miss count when the stream last continued.
+    seen: u64,
+}
+
+/// A cache's stream table. Interleaved random misses and a second
+/// sequential reader each get an entry of their own instead of
+/// resetting the cursor of the stream that is ramping.
+#[derive(Debug, Default)]
+pub(crate) struct StreamTable {
+    pub table: Vec<Stream>,
+    misses: u64,
+}
+
+impl StreamTable {
+    /// Finds the stream a miss at `off` belongs to and sets its window.
+    /// A miss inside a stream's window continues it and doubles the
+    /// window up to `cap`; a miss elsewhere starts a stream of `base`
+    /// pages in place of the weakest one (smallest window, then longest
+    /// idle). `base <= cap`, both at least one page of `ps` bytes.
+    /// Returns the stream's index in `table` and the window it had
+    /// before (0: the miss started it).
+    pub fn miss(&mut self, off: u64, ps: u64, base: u64, cap: u64) -> (usize, u64) {
+        self.misses += 1;
+        let now = self.misses;
+        for s in &mut self.table {
+            if now - s.seen > STREAM_IDLE_MISSES {
+                s.window = (s.window / 2).max(1);
+                s.seen = now;
+            }
+        }
+        let inside = |s: &Stream| off >= s.next && (off - s.next) / ps < s.window;
+        let found = self.table.iter().position(|s| s.start == off).or_else(|| {
+            (0..self.table.len())
+                .filter(|&i| inside(&self.table[i]))
+                .max_by_key(|&i| self.table[i].window)
+        });
+        let slot = found.unwrap_or_else(|| {
+            if self.table.len() < MAX_STREAMS {
+                self.table.push(Stream::default());
+                return self.table.len() - 1;
+            }
+            (0..MAX_STREAMS)
+                .min_by_key(|&i| (self.table[i].window, self.table[i].seen))
+                .expect("a full table is not empty")
+        });
+        let s = &mut self.table[slot];
+        if found.is_none() {
+            s.window = 0;
+            s.next = off;
+        }
+        let before = s.window;
+        if before == 0 || off != s.start {
+            s.window = before.saturating_mul(2).clamp(base, cap);
+        }
+        s.start = off;
+        s.seen = now;
+        (slot, before)
+    }
 }
 
 impl CacheDesc {
@@ -258,6 +335,9 @@ pub(crate) struct PageDesc {
     pub lock_count: u32,
     /// Clock algorithm reference bit.
     pub ref_bit: bool,
+    /// Landed as the readahead tail of a `pullIn` and not mapped since:
+    /// evicting it in this state is a wasted prefetch.
+    pub prefetched: bool,
     /// Reverse mappings of this page's frame.
     pub mappings: Vec<Mapping>,
     /// Per-virtual-page copy-on-write stubs threaded on this source page
@@ -279,6 +359,7 @@ impl PageDesc {
             cleaning: false,
             lock_count: 0,
             ref_bit: true,
+            prefetched: false,
             mappings: Vec::new(),
             stubs: Vec::new(),
         }
@@ -409,6 +490,131 @@ mod tests {
         assert!(!c.owns(0x2000));
         c.fully_backed = true;
         assert!(c.owns(0x2000));
+    }
+
+    const PAGE: u64 = 0x1000;
+
+    /// A miss on page `page` whose pull then covers the whole window.
+    fn miss(t: &mut StreamTable, page: u64) -> u64 {
+        let (slot, _) = t.miss(page * PAGE, PAGE, 1, 8);
+        let s = &mut t.table[slot];
+        s.next = (page + s.window) * PAGE;
+        s.window
+    }
+
+    #[test]
+    fn random_misses_do_not_reset_a_sequential_stream() {
+        let mut t = StreamTable::default();
+        let mut next = 0;
+        let mut windows = Vec::new();
+        for round in 0..6 {
+            let w = miss(&mut t, next);
+            windows.push(w);
+            next += w;
+            // Three unrelated misses between every two of the stream's.
+            for k in 0..3 {
+                assert_eq!(miss(&mut t, 1000 + 50 * (3 * round + k)), 1);
+            }
+        }
+        assert_eq!(windows, [1, 2, 4, 8, 8, 8]);
+    }
+
+    #[test]
+    fn a_fifth_stream_replaces_the_weakest() {
+        let mut t = StreamTable::default();
+        // Two ramped streams, then two one-page ones: the table is full.
+        for start in [0u64, 500] {
+            let mut at = start;
+            for _ in 0..3 {
+                at += miss(&mut t, at);
+            }
+        }
+        miss(&mut t, 2000);
+        miss(&mut t, 3000);
+        // A fifth takes the older of the two one-page entries (2000)...
+        miss(&mut t, 4000);
+        assert_eq!(miss(&mut t, 3001), 2, "the younger weak stream survived");
+        assert_eq!(miss(&mut t, 2001), 1, "the older one was replaced");
+        // ...and both ramped streams are still there.
+        assert_eq!(miss(&mut t, 7), 8);
+        assert_eq!(miss(&mut t, 507), 8);
+    }
+
+    #[test]
+    fn two_interleaved_readers_both_reach_the_full_window() {
+        let mut t = StreamTable::default();
+        let (mut a, mut b) = (0u64, 10_000u64);
+        let (mut wa, mut wb) = (0, 0);
+        for _ in 0..5 {
+            wa = miss(&mut t, a);
+            a += wa;
+            wb = miss(&mut t, b);
+            b += wb;
+        }
+        assert_eq!((wa, wb), (8, 8));
+    }
+
+    #[test]
+    fn a_truncated_window_is_continued() {
+        let mut t = StreamTable::default();
+        let mut at = 0;
+        for _ in 0..3 {
+            at += miss(&mut t, at);
+        }
+        // Granted 8, but a resident page cut the run after 3; the next
+        // miss lands behind the resident pages, still inside the window.
+        let (slot, before) = t.miss(at * PAGE, PAGE, 1, 8);
+        assert_eq!((before, t.table[slot].window), (4, 8));
+        t.table[slot].next = (at + 3) * PAGE;
+        assert_eq!(t.miss((at + 5) * PAGE, PAGE, 1, 8), (slot, 8));
+        // One page past the window is somebody else's miss.
+        t.table[slot].next = (at + 13) * PAGE;
+        assert_eq!(t.miss((at + 13 + 8) * PAGE, PAGE, 1, 8).1, 0);
+    }
+
+    #[test]
+    fn a_pull_driven_again_keeps_its_stream_and_window() {
+        let mut t = StreamTable::default();
+        let mut at = 0;
+        for _ in 0..3 {
+            at += miss(&mut t, at);
+        }
+        // The 8-page pull at `at` fails and the access faults again:
+        // same stream, same window, and nobody's stream is evicted.
+        assert_eq!(miss(&mut t, at), 8);
+        assert_eq!(t.miss(at * PAGE, PAGE, 1, 8), (0, 8));
+        assert_eq!((t.table.len(), t.table[0].window), (1, 8));
+        t.table[0].next = (at + 8) * PAGE;
+        assert_eq!(miss(&mut t, at + 8), 8);
+    }
+
+    #[test]
+    fn an_idle_stream_decays_and_the_minimum_window_is_kept() {
+        let mut t = StreamTable::default();
+        let mut at = 0;
+        for _ in 0..4 {
+            at += miss(&mut t, at);
+        }
+        // The stream sits out a long run of misses: its window halves.
+        for k in 0..=STREAM_IDLE_MISSES {
+            miss(&mut t, 1_000_000 + 100 * k);
+        }
+        assert_eq!(miss(&mut t, at), 8, "halved to 4, doubled on the hit");
+        for k in 0..=3 * STREAM_IDLE_MISSES + 2 {
+            miss(&mut t, 2_000_000 + 100 * k);
+        }
+        assert_eq!(miss(&mut t, at + 8), 2, "decayed to 1 over three periods");
+        // `base` is a floor for new and continued streams alike, and a
+        // base above the ceiling is the window.
+        let mut t = StreamTable::default();
+        assert_eq!(t.miss(0, PAGE, 4, 8), (0, 0));
+        assert_eq!(t.table[0].window, 4);
+        t.table[0].next = 4 * PAGE;
+        assert_eq!(t.miss(4 * PAGE, PAGE, 4, 8), (0, 4));
+        assert_eq!(t.table[0].window, 8);
+        let mut t = StreamTable::default();
+        t.miss(0, PAGE, 16, 16);
+        assert_eq!(t.table[0].window, 16);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use config::{
     PvmConfigBuilder, TelemetrySection,
 };
 pub use debug::{CacheDump, SlotDump, TreeDump};
-pub use policy::{PolicyConfig, ReadaheadKind, ReplacementKind};
+pub use policy::{PolicyConfig, ReplacementKind};
 pub use pvm::{MmuChoice, Pvm, PvmOptions};
 pub use pvmtop::{CacheHeat, DomainHeat, MapperHealth, MapperState, PhaseLatency, PvmTop};
 pub use stats::{Counter, PvmStats, StatsRegistry};

@@ -3,11 +3,14 @@
 //! The data management policy (page-out decisions) belongs to the memory
 //! manager below the GMI (§3.3.3). When the frame pool is exhausted the
 //! clock sweep picks a victim: clean victims are evicted inline; dirty
-//! victims are first cleaned by a `pushOut` upcall (preceded, for
+//! victims are set aside on the bounded write-behind queue, which the
+//! driver launders one `pushOut` run per light entry (preceded, for
 //! segment-less temporary caches, by a `segmentCreate` upcall — the
-//! §5.1.2 lazy swap binding). Eviction keeps the cache's `owned` mark so
-//! a later miss pulls the page back in.
+//! §5.1.2 lazy swap binding), and cleaned inline only once the queue is
+//! full. Eviction keeps the cache's `owned` mark so a later miss pulls
+//! the page back in.
 
+use crate::config::IPC_MESSAGE_PAGES;
 use crate::descriptors::Slot;
 use crate::keys::PageKey;
 use crate::policy::{PolicyEngine, StateView};
@@ -54,42 +57,36 @@ impl PvmState {
     }
 
     /// The allocation loop: frames above `floor` are handed out freely;
-    /// at or below it, page replacement runs (clean victims evicted
-    /// inline, dirty ones cleaned via `pushOut`), and when replacement
-    /// finds nothing the out-of-memory killer (if enabled) reclaims one
-    /// victim context before the allocation finally fails.
+    /// at or below it, page replacement runs (see [`PvmState::sweep`];
+    /// what it cannot take is cleaned via `pushOut`), and when
+    /// replacement finds nothing the out-of-memory killer (if enabled)
+    /// reclaims one victim context before the allocation finally fails.
     fn alloc_frame_with_floor(&mut self, floor: u32) -> Attempt<FrameNo> {
         let mut oom_killed_once = false;
         loop {
-            if self.phys.lock().free_frames() > floor {
-                return done(self.phys.lock().alloc().expect("free frame count lied"));
-            }
-            if self.config.enable_pageout {
-                match self.select_victim() {
-                    Pick::Victim(victim) => {
-                        if self.page(victim).dirty {
-                            match self.start_clean(victim, PushOrigin::Demand)? {
-                                Outcome::Blocked(b) => return blocked(b),
-                                Outcome::Done(()) => continue,
-                            }
-                        } else {
-                            self.evict(victim);
-                            continue;
-                        }
+            match self.sweep(floor) {
+                None => return done(self.phys.lock().alloc().expect("free frame count lied")),
+                Some(Pick::Victim(victim)) => {
+                    match self.start_clean(victim, PushOrigin::Demand)? {
+                        Outcome::Blocked(b) => return blocked(b),
+                        Outcome::Done(()) => continue,
                     }
-                    Pick::Advice(pages) => {
-                        return blocked(self.victim_advice_blocked(pages));
-                    }
-                    Pick::None => {
-                        // No victim, but the completion engine owes work
-                        // (e.g. every candidate is `cleaning` under an
-                        // in-flight laundering push): delivering a
-                        // completion makes those pages clean and
-                        // evictable, so wait for one instead of reporting
-                        // a premature OutOfMemory.
-                        if self.config.async_upcalls && self.engine.has_work() {
-                            return blocked(Blocked::AwaitCompletion);
-                        }
+                }
+                Some(Pick::Advice(pages)) => {
+                    return blocked(self.victim_advice_blocked(pages));
+                }
+                Some(Pick::None) => {
+                    // No victim, but the completion engine owes work
+                    // (e.g. every candidate is `cleaning` under an
+                    // in-flight laundering push): delivering a
+                    // completion makes those pages clean and
+                    // evictable, so wait for one instead of reporting
+                    // a premature OutOfMemory.
+                    if self.config.enable_pageout
+                        && self.config.async_upcalls
+                        && self.engine.has_work()
+                    {
+                        return blocked(Blocked::AwaitCompletion);
                     }
                 }
             }
@@ -104,6 +101,103 @@ impl PvmState {
             }
             return Err(GmiError::OutOfMemory);
         }
+    }
+
+    /// Sweeps for victims until more than `floor` frames are free,
+    /// without an upcall: clean victims are evicted, dirty ones set
+    /// aside for write-behind. `None` once the frames are there, else
+    /// what stopped the sweep short — a dirty victim that could not be
+    /// set aside (see [`PvmState::set_aside`]), the external policy's
+    /// request for advice, or nothing evictable.
+    fn sweep(&mut self, floor: u32) -> Option<Pick> {
+        while self.phys.lock().free_frames() <= floor {
+            if !self.config.enable_pageout {
+                return Some(Pick::None);
+            }
+            match self.select_victim() {
+                Pick::Victim(victim) if !self.page(victim).dirty => self.evict(victim),
+                Pick::Victim(victim) if self.set_aside(victim) => {}
+                stop => return Some(stop),
+            }
+        }
+        None
+    }
+
+    /// Frees up to `want` (at least one) frames without a single upcall,
+    /// for the pull about to be issued. Returns how many of them are
+    /// free now; the caller shrinks its window to that.
+    pub fn secure_frames(&mut self, want: u64) -> u64 {
+        if let Some(Pick::Advice(_)) = self.sweep(want as u32 - 1) {
+            // Nobody will perform this round trip: release the external
+            // policy's in-flight latch.
+            self.approve_external_victims(&[]);
+        }
+        u64::from(self.phys.lock().free_frames()).min(want)
+    }
+
+    /// True while a queued page can still be laundered from the
+    /// write-behind queue: live, dirty, unpinned, not already being
+    /// cleaned, and its cache can still reach its mapper.
+    fn write_behind_ready(&self, page: PageKey) -> bool {
+        self.pages.get(page).is_some_and(|p| {
+            let dirty = p.dirty && !p.cleaning && p.lock_count == 0;
+            dirty && !self.caches.get(p.cache).is_some_and(|c| c.poisoned)
+        })
+    }
+
+    /// Sets a dirty victim aside for write-behind, so the sweep that met
+    /// it can go on to a clean page. False when the queue (one IPC
+    /// message of pages) is full or the sweep has come back round to a
+    /// page already on it: the caller launders inline. A full queue is
+    /// first rid of the keys a pop would drop anyway: with no light
+    /// entry to pop them (every access a hard fault) they would hold
+    /// their slots for good, and every allocation would launder inline
+    /// (`ablation_writeback`: 5 % more pushes).
+    fn set_aside(&mut self, page: PageKey) -> bool {
+        let full = |s: &Self| s.write_behind.len() as u64 >= IPC_MESSAGE_PAGES;
+        if full(self) {
+            let mut queue = core::mem::take(&mut self.write_behind);
+            queue.retain(|&k| self.write_behind_ready(k));
+            self.write_behind = queue;
+        }
+        if full(self) || self.write_behind.contains(&page) {
+            return false;
+        }
+        self.write_behind.push_back(page);
+        true
+    }
+
+    /// One step of the write-behind drain: launders the run round the
+    /// oldest queued page that is still a victim (a page freed, cleaned,
+    /// pinned, quarantined or referenced again since it was set aside is
+    /// dropped). `Done(())` once `pushed`
+    /// — one `pushOut` has gone out — or the queue is empty; `Blocked`
+    /// must be performed and the step retried, as with
+    /// [`PvmState::launder_attempt`].
+    pub fn write_behind_attempt(&mut self, pushed: &mut bool) -> Attempt<()> {
+        while !*pushed {
+            let Some(&page) = self.write_behind.front() else {
+                break;
+            };
+            if self.write_behind_ready(page) && !self.page(page).ref_bit {
+                match self.start_clean(page, PushOrigin::Daemon)? {
+                    Outcome::Blocked(b @ Blocked::PushOut { .. }) => {
+                        let cache = self.page(page).cache;
+                        self.stats.bump(Counter::WriteBehindPushes);
+                        self.dim_cache(cache, crate::telemetry::DimCounter::WriteBehindPushes, 1);
+                        *pushed = true;
+                        self.write_behind.pop_front();
+                        return blocked(b);
+                    }
+                    // `segmentCreate` first; the page keeps its place.
+                    Outcome::Blocked(b) => return blocked(b),
+                    // Its cache had died: evicted on the spot.
+                    Outcome::Done(()) => {}
+                }
+            }
+            self.write_behind.pop_front();
+        }
+        done(())
     }
 
     /// Allocates a frame while `keep` is guaranteed to stay resident:
@@ -235,6 +329,10 @@ impl PvmState {
         for &p in &pages {
             self.begin_cleaning(p);
         }
+        if origin == PushOrigin::Demand {
+            self.stats.bump(Counter::DemandPushes);
+            self.dim_cache(cache, crate::telemetry::DimCounter::DemandPushes, 1);
+        }
         let size = pages.len() as u64 * self.ps();
         blocked(Blocked::PushOut {
             cache,
@@ -319,8 +417,9 @@ impl PvmState {
         }
     }
 
-    /// Called by the driver after a successful `pushOut`: the page is
-    /// clean and will be picked as a victim on the retry.
+    /// Called by the driver after a `pushOut`. On success the page is
+    /// clean and, unless it is referenced or pinned again first, the
+    /// retry picks it as its victim before the policy sweeps on.
     pub fn finish_clean(&mut self, page: PageKey, success: bool) {
         if let Some(p) = self.pages.get_mut(page) {
             p.cleaning = false;
@@ -339,12 +438,13 @@ impl PvmState {
     /// the frame.
     pub fn evict(&mut self, victim: PageKey) {
         debug_assert!(!self.page(victim).dirty, "evicting a dirty page");
+        let (cache, unused) = (self.page(victim).cache, self.page(victim).prefetched);
         self.stats.bump(Counter::Evictions);
-        self.dim_cache(
-            self.page(victim).cache,
-            crate::telemetry::DimCounter::Evictions,
-            1,
-        );
+        self.dim_cache(cache, crate::telemetry::DimCounter::Evictions, 1);
+        if unused {
+            self.stats.bump(Counter::ReadaheadUnused);
+            self.dim_cache(cache, crate::telemetry::DimCounter::ReadaheadUnused, 1);
+        }
         self.trace.event(|| TraceEvent::Eviction {
             cache: self.page(victim).cache.index(),
             offset: self.page(victim).offset,

@@ -1,14 +1,13 @@
-//! Pluggable replacement and readahead policies.
+//! Pluggable replacement policies.
 //!
 //! The paper's machine-independent PVM is generic over *mechanism*; this
 //! module makes it generic over *policy* as well. Eviction candidates
-//! flow through a `ReplacementPolicy` (the clock ring, LRU lists,
+//! flow through a `ReplacementPolicy`: the clock ring, LRU lists,
 //! WSClock, an ARC-style adaptive pair, or an external advisor driven
-//! over the upcall protocol), and pull-cluster sizing flows through a
-//! `ReadaheadPolicy` (the adaptive doubling window or a fixed FIFO
-//! baseline). The default `Clock` + `DoublingWindow` pair reproduces the
-//! pre-policy behaviour bit for bit: same sweep order, same
-//! `ClockFullSweeps` accounting, same window arithmetic.
+//! over the upcall protocol. The default `Clock` is the classic
+//! two-sweep clock, except that pages a `pushOut` has just cleaned go
+//! first. (Pull-window sizing is not a policy: every cache carries a
+//! stream table, see `descriptors.rs`.)
 //!
 //! Lock order (PR 9 domains): every policy structure lives *inside*
 //! `PvmState` and is only touched under the state lock; policies never
@@ -72,43 +71,15 @@ impl ReplacementKind {
     }
 }
 
-/// Which readahead policy sizes clustered pulls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadaheadKind {
-    /// Sequential streams double the window up to the cap (default).
-    Doubling,
-    /// Fixed window: always the static cluster base (FIFO baseline).
-    Fifo,
-}
-
-impl ReadaheadKind {
-    /// Stable lower-case label (bench JSON, pvmtop).
-    pub fn label(self) -> &'static str {
-        match self {
-            ReadaheadKind::Doubling => "doubling",
-            ReadaheadKind::Fifo => "fifo",
-        }
-    }
-
-    /// Parses a [`Self::label`] back into a kind.
-    pub fn parse(s: &str) -> Option<ReadaheadKind> {
-        [ReadaheadKind::Doubling, ReadaheadKind::Fifo]
-            .into_iter()
-            .find(|k| k.label() == s)
-    }
-}
-
-/// The policy section of [`crate::PvmConfig`]: which replacement and
-/// readahead policies run, selectable per segment (each override gets
-/// its own policy instance, so distinct segment managers age their
-/// pages independently).
+/// The policy section of [`crate::PvmConfig`]: which replacement policy
+/// runs, selectable per segment (each override gets its own policy
+/// instance, so distinct segment managers age their pages
+/// independently).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct PolicyConfig {
     /// Replacement policy for every page not covered by an override.
     pub replacement: ReplacementKind,
-    /// Readahead policy (global: the window state is per cache already).
-    pub readahead: ReadaheadKind,
     /// Per-segment replacement overrides: pages of a cache backed by
     /// segment `.0` are tracked by their own instance of `.1`.
     pub segment_overrides: Vec<(u64, ReplacementKind)>,
@@ -123,7 +94,6 @@ impl Default for PolicyConfig {
     fn default() -> PolicyConfig {
         PolicyConfig {
             replacement: ReplacementKind::Clock,
-            readahead: ReadaheadKind::Doubling,
             segment_overrides: Vec::new(),
             wsclock_tau: 2,
             external_batch: 8,
@@ -203,110 +173,36 @@ pub(crate) trait ReplacementPolicy: Send {
     fn approve_victims(&mut self, _pages: &[PageKey]) {}
 }
 
-/// Input to one readahead-window decision.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RaInput {
-    /// The missing page offset.
-    pub offset: u64,
-    /// The static cluster base (`pull_cluster_pages`, min 1).
-    pub base: u64,
-    /// The window cap (`readahead_max_pages`, min `base`).
-    pub cap: u64,
-    /// The cache's previously granted window (0 = not yet ramped).
-    pub window: u64,
-    /// Where the cache's previous clustered pull ended (0 = none).
-    pub next: u64,
-}
-
-/// One readahead-window decision. The caller does the counter
-/// bookkeeping (`ReadaheadHits`/`ReadaheadRamps` and the cache
-/// dimension) so policies stay side-effect free.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RaDecision {
-    /// Granted window in pages.
-    pub pages: u64,
-    /// The miss continued a sequential stream.
-    pub hit: bool,
-    /// The window actually grew.
-    pub ramped: bool,
-}
-
-/// A readahead policy: maps a miss's stream position onto a pull window.
-pub(crate) trait ReadaheadPolicy: Send {
-    /// Which kind this instance is.
-    fn kind(&self) -> ReadaheadKind;
-    /// Decides the window for one miss.
-    fn window(&mut self, inp: &RaInput) -> RaDecision;
-}
-
-// ----- built-in readahead policies ----------------------------------------
-
-/// The adaptive doubling window (default; bit-identical to the
-/// pre-policy `pull_window`).
-#[derive(Default)]
-pub(crate) struct DoublingWindow;
-
-impl ReadaheadPolicy for DoublingWindow {
-    fn kind(&self) -> ReadaheadKind {
-        ReadaheadKind::Doubling
-    }
-
-    fn window(&mut self, inp: &RaInput) -> RaDecision {
-        if inp.next != 0 && inp.offset == inp.next {
-            let prev = if inp.window == 0 {
-                inp.base
-            } else {
-                inp.window
-            };
-            let grown = prev.saturating_mul(2).min(inp.cap);
-            RaDecision {
-                pages: grown,
-                hit: true,
-                ramped: grown > prev,
-            }
-        } else {
-            RaDecision {
-                pages: inp.base,
-                hit: false,
-                ramped: false,
-            }
-        }
-    }
-}
-
-/// Fixed-window baseline: always the static base. Stream hits are still
-/// detected (so `ReadaheadHits` stays comparable across policies) but
-/// never ramp the window.
-#[derive(Default)]
-pub(crate) struct FifoWindow;
-
-impl ReadaheadPolicy for FifoWindow {
-    fn kind(&self) -> ReadaheadKind {
-        ReadaheadKind::Fifo
-    }
-
-    fn window(&mut self, inp: &RaInput) -> RaDecision {
-        RaDecision {
-            pages: inp.base,
-            hit: inp.next != 0 && inp.offset == inp.next,
-            ramped: false,
-        }
-    }
-}
-
 // ----- Clock ---------------------------------------------------------------
 
-/// The classic two-sweep clock (default; bit-identical to the
-/// pre-policy `select_victim`).
+/// The classic two-sweep clock (default), with one addition: pages a
+/// `pushOut` has just cleaned are taken before the hand moves on.
 #[derive(Default)]
 pub(crate) struct Clock {
     ring: ClockRing,
+    /// Pages cleaned since the last sweep, oldest first. The hand has
+    /// usually passed them, and without this list the allocation that
+    /// paid for the push would go on to a second dirty victim.
+    cleaned: VecDeque<PageKey>,
 }
 
 impl Clock {
-    /// The shared sweep: up to two full revolutions, clearing reference
-    /// bits on the first. Collects up to `want` victims.
+    /// The shared sweep: the cleaned pages that nobody has touched
+    /// since, then up to two full revolutions, clearing reference bits
+    /// on the first. Collects up to `want` victims.
     fn sweep(&mut self, want: usize, view: &mut dyn PolicyView, out: &mut SelectOutcome) {
+        while let Some(key) = self.cleaned.pop_front() {
+            if self.ring.contains(key)
+                && !view.pinned_or_cleaning(key)
+                && !view.referenced(key)
+                && !view.dirty_unpushable(key)
+            {
+                out.victims.push(key);
+                if out.victims.len() >= want {
+                    return;
+                }
+            }
+        }
         if self.ring.is_empty() {
             return;
         }
@@ -349,6 +245,14 @@ impl ReplacementPolicy for Clock {
     fn touch(&mut self, _key: PageKey) {
         // The reference bit on the page descriptor is the clock's use
         // signal; `map_page` sets it already.
+    }
+
+    fn cleaned(&mut self, key: PageKey) {
+        // An explicit sync of a large cache cleans more pages than any
+        // sweep will ask for; the list need not outgrow the ring.
+        if self.cleaned.len() < self.ring.len() {
+            self.cleaned.push_back(key);
+        }
     }
 
     fn len(&self) -> usize {
@@ -1043,9 +947,9 @@ impl ReplacementPolicy for ExternalPolicy {
 // ----- the engine ----------------------------------------------------------
 
 /// The per-`PvmState` policy engine: one replacement instance for the
-/// default kind plus one per segment override, a routing table, and the
-/// readahead policy. With the default configuration this is exactly one
-/// `Clock` and one `DoublingWindow` — zero-overhead routing (slot 0).
+/// default kind plus one per segment override, and a routing table.
+/// With the default configuration this is exactly one `Clock` —
+/// zero-overhead routing (slot 0).
 pub(crate) struct PolicyEngine {
     slots: Vec<Box<dyn ReplacementPolicy>>,
     /// Segment id → slot index (empty with no overrides).
@@ -1054,7 +958,6 @@ pub(crate) struct PolicyEngine {
     page_slot: FxHashMap<PageKey, usize>,
     /// Rotating start slot for victim selection (always 0 with one slot).
     cursor: usize,
-    pub readahead: Box<dyn ReadaheadPolicy>,
 }
 
 fn make_replacement(kind: ReplacementKind, cfg: &PolicyConfig) -> Box<dyn ReplacementPolicy> {
@@ -1080,23 +983,18 @@ impl PolicyEngine {
             by_segment,
             page_slot: FxHashMap::default(),
             cursor: 0,
-            readahead: match cfg.readahead {
-                ReadaheadKind::Doubling => Box::new(DoublingWindow),
-                ReadaheadKind::Fifo => Box::new(FifoWindow),
-            },
         }
     }
 
     /// A zero-allocation stand-in used while the real engine is
-    /// temporarily moved out of `PvmState` for a selection call (both
-    /// `Vec::new` and boxing a ZST allocate nothing).
+    /// temporarily moved out of `PvmState` for a selection call
+    /// (`Vec::new` allocates nothing).
     pub fn placeholder() -> PolicyEngine {
         PolicyEngine {
             slots: Vec::new(),
             by_segment: FxHashMap::default(),
             page_slot: FxHashMap::default(),
             cursor: 0,
-            readahead: Box::new(FifoWindow),
         }
     }
 
@@ -1425,47 +1323,5 @@ mod tests {
         let mut view = TestView::default();
         let out = eng.select_victims(1, &mut view);
         assert_eq!(out.victims.len(), 1);
-    }
-
-    #[test]
-    fn doubling_window_arithmetic() {
-        let mut d = DoublingWindow;
-        // Cold miss: base.
-        let dec = d.window(&RaInput {
-            offset: 0x3000,
-            base: 2,
-            cap: 16,
-            window: 0,
-            next: 0,
-        });
-        assert_eq!((dec.pages, dec.hit, dec.ramped), (2, false, false));
-        // Stream hit: double from the previous window.
-        let dec = d.window(&RaInput {
-            offset: 0x5000,
-            base: 2,
-            cap: 16,
-            window: 4,
-            next: 0x5000,
-        });
-        assert_eq!((dec.pages, dec.hit, dec.ramped), (8, true, true));
-        // Capped: hit without ramp.
-        let dec = d.window(&RaInput {
-            offset: 0x5000,
-            base: 2,
-            cap: 8,
-            window: 8,
-            next: 0x5000,
-        });
-        assert_eq!((dec.pages, dec.hit, dec.ramped), (8, true, false));
-        // FIFO never ramps but still detects the stream.
-        let mut f = FifoWindow;
-        let dec = f.window(&RaInput {
-            offset: 0x5000,
-            base: 2,
-            cap: 16,
-            window: 4,
-            next: 0x5000,
-        });
-        assert_eq!((dec.pages, dec.hit, dec.ramped), (2, true, false));
     }
 }

@@ -307,7 +307,21 @@ impl Pvm {
     }
 
     fn run<T>(&self, attempt: impl FnMut(&mut PvmState) -> Attempt<T>) -> Result<T> {
-        let (guard, v) = self.drive(self.state.lock(), attempt)?;
+        let guard = self.state.lock();
+        let performed = guard.performed;
+        let (mut guard, v) = self.drive(guard, attempt)?;
+        // A light entry — nothing blocked, neither the attempt nor the
+        // entry hooks before it: no upcall and no wait (a soft fault on
+        // a prefetched page, typically) — has room for one mapper round
+        // trip: it launders one run off the write-behind queue, so the
+        // allocations to come find clean victims and no entry pays for
+        // a pull and a push. (Another thread can only move the count
+        // while this entry has the lock released, performing.)
+        if guard.performed == performed && !guard.write_behind.is_empty() {
+            let mut pushed = false;
+            guard = self.launder(guard, |s| s.write_behind_attempt(&mut pushed));
+            guard.check_invariants_if_enabled();
+        }
         drop(guard);
         // Wake anyone whose wait condition we may have satisfied (stub
         // resolution, promotion, cleaning).
@@ -371,14 +385,33 @@ impl Pvm {
         if !guard.config.writeback_daemon || low == 0 || guard.phys.lock().free_frames() >= low {
             return guard;
         }
+        let high = guard.config.writeback_high_frames.max(low);
+        let mut counted = false;
+        self.launder(guard, |s| {
+            if !counted {
+                counted = true;
+                s.stats.bump(Counter::LaunderPasses);
+            }
+            s.launder_attempt(high)
+        })
+    }
+
+    /// Runs a laundering step (`launder_attempt`, `write_behind_attempt`)
+    /// to completion, performing what it blocks on. Inline and
+    /// deterministic, never on a thread of its own; a failure ends the
+    /// pass and is swallowed (see [`Pvm::maybe_launder`]). Guarded
+    /// against reentry: a push whose mapper calls back into the GMI must
+    /// not start laundering of its own.
+    fn launder<'a>(
+        &'a self,
+        mut guard: parking_lot::MutexGuard<'a, PvmState>,
+        mut step: impl FnMut(&mut PvmState) -> Attempt<()>,
+    ) -> parking_lot::MutexGuard<'a, PvmState> {
         if self.laundering.swap(true, Ordering::Acquire) {
             return guard;
         }
-        let high = guard.config.writeback_high_frames.max(low);
-        let mut guard = guard;
-        guard.stats.bump(Counter::LaunderPasses);
         loop {
-            match guard.launder_attempt(high) {
+            match step(&mut guard) {
                 Ok(Outcome::Done(())) => break,
                 Ok(Outcome::Blocked(action)) => match self.perform(guard, action) {
                     Ok(g) => guard = g,
@@ -695,6 +728,7 @@ impl Pvm {
         mut guard: parking_lot::MutexGuard<'a, PvmState>,
         action: Blocked,
     ) -> Result<parking_lot::MutexGuard<'a, PvmState>> {
+        guard.performed += 1;
         match action {
             Blocked::WaitStub => {
                 // The stub may belong to an in-flight asynchronous
@@ -1322,15 +1356,11 @@ impl PvmState {
             return crate::state::done(());
         }
         match self.slot(cache, page_off) {
-            Some(Slot::Present(p)) => {
-                // Data already resident (e.g. a concurrent fill): refresh
-                // the bytes only if the page is clean.
-                if !self.page(p).dirty {
-                    let frame = self.page(p).frame;
-                    self.phys.lock().write_padded(frame, chunk);
-                }
-                crate::state::done(())
-            }
+            // Already resident (a concurrent fill, a duplicate or late
+            // delivery). A clean resident page equals its segment, so
+            // these bytes can only be as old or older — written and
+            // laundered since the mapper read them: leave it alone.
+            Some(Slot::Present(_)) => crate::state::done(()),
             _ => {
                 // A frame reserved for this pull window is consumed in
                 // place: it is part of a contiguous pre-zeroed run, so
@@ -1338,11 +1368,7 @@ impl PvmState {
                 // promotion check sees consecutive frame numbers.
                 if let Some(frame) = self.reserved_frames.remove(&(cache, page_off)) {
                     self.phys.lock().write(frame, 0, chunk);
-                    if let Some(Slot::Cow(src)) = self.slot(cache, page_off) {
-                        self.unthread_cow_stub(cache, page_off, src);
-                    }
-                    let writable = !self.has_history_covering(cache, page_off);
-                    self.create_page(cache, page_off, frame, writable, false);
+                    self.land_page(cache, page_off, frame);
                     return crate::state::done(());
                 }
                 // Failing this allocation would strand the pulled data
@@ -1365,13 +1391,33 @@ impl PvmState {
                 // Partial trailing chunks are zero-padded: only the tail
                 // the chunk leaves uncovered is cleared.
                 self.phys.lock().fill(frame, chunk);
-                if let Some(Slot::Cow(src)) = self.slot(cache, page_off) {
-                    self.unthread_cow_stub(cache, page_off, src);
-                }
-                let writable = !self.has_history_covering(cache, page_off);
-                self.create_page(cache, page_off, frame, writable, false);
+                self.land_page(cache, page_off, frame);
                 crate::state::done(())
             }
+        }
+    }
+
+    /// Threads a frame `fillUp` has filled into (cache, page_off), in
+    /// place of whatever stub is there. A page landing on a
+    /// synchronization stub that no faulter's pull registered is the
+    /// readahead tail of somebody's pull: it is marked until its first
+    /// mapping, so an eviction before that counts as waste.
+    fn land_page(
+        &mut self,
+        cache: crate::keys::CacheKey,
+        page_off: u64,
+        frame: chorus_hal::FrameNo,
+    ) {
+        let slot = self.slot(cache, page_off);
+        if let Some(Slot::Cow(src)) = slot {
+            self.unthread_cow_stub(cache, page_off, src);
+        }
+        let writable = !self.has_history_covering(cache, page_off);
+        let page = self.create_page(cache, page_off, frame, writable, false);
+        if slot == Some(Slot::Sync) && !self.demand_pulls.contains_key(&(cache, page_off)) {
+            self.page_mut(page).prefetched = true;
+            self.stats.bump(Counter::ReadaheadPages);
+            self.dim_cache(cache, DimCounter::ReadaheadPages, 1);
         }
     }
 
@@ -1845,15 +1891,9 @@ impl Pvm {
                 }
                 return Ok(true);
             }
-            if let Some(Slot::Present(p)) = guard.slot(cache, page_off) {
-                // Data already resident (e.g. a concurrent fill):
-                // refresh the bytes only if the page is clean — under
-                // the lock, since a resident page is visible to every
-                // other thread.
-                if !guard.page(p).dirty {
-                    let frame = guard.page(p).frame;
-                    guard.phys.lock().write_padded(frame, chunk);
-                }
+            if let Some(Slot::Present(_)) = guard.slot(cache, page_off) {
+                // Already resident: left alone, as in
+                // `fill_up_page_attempt`.
                 return Ok(true);
             }
             if let Some(frame) = guard.reserved_frames.remove(&(cache, page_off)) {
@@ -1915,11 +1955,7 @@ impl Pvm {
             guard.phys.lock().release(frame);
             return Ok(true);
         }
-        if let Some(Slot::Cow(src)) = guard.slot(cache, page_off) {
-            guard.unthread_cow_stub(cache, page_off, src);
-        }
-        let writable = !guard.has_history_covering(cache, page_off);
-        guard.create_page(cache, page_off, frame, writable, false);
+        guard.land_page(cache, page_off, frame);
         if guard.config.check_invariants {
             guard.check_invariants();
         }

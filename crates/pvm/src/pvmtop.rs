@@ -41,8 +41,17 @@ pub struct CacheHeat {
     pub evictions: u64,
     /// Victims the replacement policy engine picked from this cache.
     pub policy_victims: u64,
-    /// Sequential-stream readahead window hits.
+    /// Misses that continued a sequential stream.
     pub readahead_hits: u64,
+    /// Readahead tail pages delivered.
+    pub readahead_pages: u64,
+    /// Readahead pages evicted before their first touch; over
+    /// `readahead_pages`, the wasted share of the prefetching.
+    pub readahead_unused: u64,
+    /// `pushOut` runs issued from the write-behind queue.
+    pub write_behind_pushes: u64,
+    /// `pushOut` runs a stalled allocation issued inline.
+    pub demand_pushes: u64,
     /// Fault-stripe acquisitions for this cache (`parallel_faults`).
     pub lock_acqs: u64,
     /// Fault-stripe acquisitions that had to block — the cache's
@@ -145,15 +154,12 @@ pub struct DomainHeat {
     pub contended: u64,
 }
 
-/// The replacement/readahead policy engine's identity and decision
-/// counters.
+/// The replacement policy engine's identity and decision counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicyHeat {
     /// Label of the default replacement policy (`clock`, `lru`,
     /// `wsclock`, `arc`, `external`).
     pub replacement: &'static str,
-    /// Label of the readahead policy (`doubling`, `fifo`).
-    pub readahead: &'static str,
     /// Per-segment replacement overrides in effect.
     pub segment_overrides: u64,
     /// Victim-selection rounds requested.
@@ -236,6 +242,10 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
                 evictions: dim(Dim::Cache, id, DimCounter::Evictions),
                 policy_victims: dim(Dim::Cache, id, DimCounter::PolicyVictims),
                 readahead_hits: dim(Dim::Cache, id, DimCounter::ReadaheadHits),
+                readahead_pages: dim(Dim::Cache, id, DimCounter::ReadaheadPages),
+                readahead_unused: dim(Dim::Cache, id, DimCounter::ReadaheadUnused),
+                write_behind_pushes: dim(Dim::Cache, id, DimCounter::WriteBehindPushes),
+                demand_pushes: dim(Dim::Cache, id, DimCounter::DemandPushes),
                 lock_acqs: dim(Dim::Cache, id, DimCounter::LockAcqs),
                 lock_contended: dim(Dim::Cache, id, DimCounter::LockContended),
                 resident_pages: res,
@@ -323,7 +333,6 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
 
     let policy = PolicyHeat {
         replacement: state.policy.default_kind().label(),
-        readahead: state.policy.readahead.kind().label(),
         segment_overrides: state.policy.override_count() as u64,
         victim_requests: state.stats.get(C::PolicyVictimRequests),
         victims: state.stats.get(C::PolicyVictims),
@@ -375,11 +384,10 @@ pub fn render(top: &PvmTop, n: usize) -> String {
     }
     let pol = &top.policy;
     out.push_str(&format!(
-        "        policy: {} (+{} overrides)  readahead={}  victims {}/{} req  \
+        "        policy: {} (+{} overrides)  victims {}/{} req  \
          external {}/{} appr  fallbacks {}\n",
         pol.replacement,
         pol.segment_overrides,
-        pol.readahead,
         pol.victims,
         pol.victim_requests,
         pol.external_approvals,
@@ -388,7 +396,7 @@ pub fn render(top: &PvmTop, n: usize) -> String {
     ));
 
     out.push_str(&format!(
-        "\n  {:>5} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>8} {:>8}  {}\n",
+        "\n  {:>5} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>11} {:>9} {:>9} {:>8} {:>8}  {}\n",
         "CACHE",
         "FAULTS",
         "PULLS",
@@ -396,6 +404,8 @@ pub fn render(top: &PvmTop, n: usize) -> String {
         "EVICT",
         "PVICT",
         "RAHIT",
+        "RAUNUSED",
+        "WB/DEMAND",
         "LOCKHEAT",
         "RES",
         "DIRTY",
@@ -403,7 +413,7 @@ pub fn render(top: &PvmTop, n: usize) -> String {
     ));
     for c in top.caches.iter().take(n.max(1)) {
         out.push_str(&format!(
-            "  {:>5} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>8} {:>8}  {}\n",
+            "  {:>5} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>11} {:>9} {:>9} {:>8} {:>8}  {}\n",
             c.index,
             c.faults,
             c.pull_ins,
@@ -411,6 +421,8 @@ pub fn render(top: &PvmTop, n: usize) -> String {
             c.evictions,
             c.policy_victims,
             c.readahead_hits,
+            format!("{}/{}", c.readahead_unused, c.readahead_pages),
+            format!("{}/{}", c.write_behind_pushes, c.demand_pushes),
             format!("{}/{}", c.lock_contended, c.lock_acqs),
             c.resident_pages,
             c.dirty_pages,
@@ -470,6 +482,10 @@ mod tests {
             evictions: 0,
             policy_victims: 0,
             readahead_hits: 0,
+            readahead_pages: 8,
+            readahead_unused: 1,
+            write_behind_pushes: 3,
+            demand_pushes: 0,
             lock_acqs: 0,
             lock_contended: 0,
             resident_pages: dirty,
@@ -517,7 +533,6 @@ mod tests {
             ],
             policy: PolicyHeat {
                 replacement: "clock",
-                readahead: "doubling",
                 segment_overrides: 0,
                 victim_requests: 3,
                 victims: 2,
@@ -528,11 +543,13 @@ mod tests {
         };
         let text = render(&top, 2);
         assert!(text.contains("pvmtop  sim=42 ns"));
-        assert!(text.contains("policy: clock (+0 overrides)  readahead=doubling  victims 2/3 req"));
+        assert!(text.contains("policy: clock (+0 overrides)  victims 2/3 req"));
         assert!(text.contains("PVICT"));
         assert!(text.contains("... 1 more caches"));
         assert!(text.contains("lock heat (contended/acqs): state 3/12 stripe 1/4"));
         assert!(text.contains("LOCKHEAT"));
+        assert!(text.contains("RAUNUSED") && text.contains("        1/8"));
+        assert!(text.contains("WB/DEMAND") && text.contains("      3/0"));
         // Render keeps the caller's hottest-first order: cache 0 (9
         // faults) appears before cache 1 (5 faults), cache 2 is cut.
         let row0 = text.find("      0        9").expect("cache 0 row");

@@ -6,6 +6,7 @@
 //! per-virtual-page stub pointers (§4.3) and triggers `pullIn` for owned
 //! but swapped-out data.
 
+use crate::config::IPC_MESSAGE_PAGES;
 use crate::descriptors::{CowSource, Slot};
 use crate::keys::{CacheKey, PageKey};
 use crate::state::{blocked, done, Attempt, Blocked, Outcome, PvmState};
@@ -71,12 +72,14 @@ impl PvmState {
             // data is unreachable; fail cleanly rather than pulling.
             self.check_not_poisoned(x)?;
             match self.slot(x, o) {
-                Some(Slot::Present(p)) => return done(Version::Page(p)),
-                Some(Slot::Sync) => return blocked(Blocked::WaitStub),
-                Some(Slot::Cow(CowSource::Page(p))) => {
+                Some(Slot::Present(p)) | Some(Slot::Cow(CowSource::Page(p))) => {
                     debug_assert!(self.pages.contains(p), "stub points at dead page");
+                    // Consumed, mapped or not: no longer a prefetch that
+                    // an eviction would count as wasted.
+                    self.page_mut(p).prefetched = false;
                     return done(Version::Page(p));
                 }
+                Some(Slot::Sync) => return blocked(Blocked::WaitStub),
                 Some(Slot::Cow(CowSource::Loc(c2, o2))) => {
                     *depth += 1;
                     x = c2;
@@ -94,35 +97,8 @@ impl PvmState {
                         let segment = desc.segment.ok_or(GmiError::InvalidArgument(
                             "owned page with neither residence nor segment",
                         ))?;
+                        let pages = self.size_pull(x, o)?;
                         let ps = self.ps();
-                        let window = self.pull_window(x, o)?;
-                        let mut pages = 1u64;
-                        while pages < window {
-                            let next = o + pages * ps;
-                            let desc = self.cache(x)?;
-                            // Clamp at segment end: a fully-backed cache
-                            // owns *every* offset, but the mapper has no
-                            // data past the segment's known length, and a
-                            // run crossing it would come back truncated.
-                            if let Some(len) = desc.seg_len {
-                                if next + ps > len {
-                                    break;
-                                }
-                            }
-                            // Stop at resident pages, in-transit stubs and
-                            // COW stubs (all indexed in `entries`): pulling
-                            // them again would be redundant mapper I/O.
-                            if !desc.owns(next) || desc.entries.contains(&next) {
-                                break;
-                            }
-                            pages += 1;
-                        }
-                        if self.config.readahead_adaptive {
-                            let granted = window;
-                            let d = self.cache_mut(x)?;
-                            d.ra_window = granted;
-                            d.ra_next = o + pages * ps;
-                        }
                         // A synchronous pull covering exactly one
                         // large-aligned full run gets a contiguous
                         // pre-zeroed frame run reserved up front, so the
@@ -162,40 +138,67 @@ impl PvmState {
         }
     }
 
-    /// The pull cluster window (in pages) for a miss of `cache` at
-    /// `off`. Static `pull_cluster_pages` unless adaptive readahead is
-    /// on; then the configured [`ReadaheadPolicy`] decides from the
-    /// cache's stream state (the default `DoublingWindow` doubles the
-    /// window up to `readahead_max_pages` when a miss lands exactly
-    /// where the previous clustered pull ended, and resets to the
-    /// static base otherwise).
+    /// Sizes the `pullIn` run for a miss of `cache` at `off`, in pages.
     ///
-    /// [`ReadaheadPolicy`]: crate::policy::ReadaheadPolicy
-    fn pull_window(&mut self, cache: CacheKey, off: u64) -> chorus_gmi::Result<u64> {
-        if !self.config.readahead_adaptive {
-            return Ok(self.config.pull_cluster_pages);
+    /// The cache's stream table grants a window: `pull_cluster_pages`
+    /// for a miss that continues no stream, doubling up to one IPC
+    /// message for one that does. The run then stops at the first
+    /// resident page, stub or unowned offset and at the segment's end.
+    /// Whatever the run holds beyond `pull_cluster_pages` is readahead
+    /// the PVM decided on its own, so it is also bounded by what the
+    /// pool can take without a single upcall (see
+    /// [`PvmState::secure_frames`]): no operation then carries both a
+    /// multi-page pull and a `pushOut`.
+    fn size_pull(&mut self, cache: CacheKey, off: u64) -> chorus_gmi::Result<u64> {
+        let ps = self.ps();
+        let floor = self.config.pull_cluster_pages.max(1);
+        // Readahead stays under a quarter of the pool: a delivery pins
+        // its own earlier pages while the later ones land.
+        let frames = u64::from(self.phys.lock().total_frames());
+        let mut cap = floor;
+        while cap * 2 <= IPC_MESSAGE_PAGES && cap * 8 < frames {
+            cap *= 2;
         }
-        let base = self.config.pull_cluster_pages.max(1);
-        let cap = self.config.readahead_max_pages.max(base);
-        let (window, next) = {
-            let d = self.cache(cache)?;
-            (d.ra_window, d.ra_next)
-        };
-        let dec = self.policy.readahead.window(&crate::policy::RaInput {
-            offset: off,
-            base,
-            cap,
-            window,
-            next,
-        });
-        if dec.hit {
-            self.stats.bump(Counter::ReadaheadHits);
-            self.dim_cache(cache, crate::telemetry::DimCounter::ReadaheadHits, 1);
+        let desc = self.cache_mut(cache)?;
+        // A fully-backed cache owns *every* offset: until the segment's
+        // length is known nothing bounds a window the mapper never
+        // asked for, so the stream table is not consulted at all.
+        let stream = (!desc.fully_backed || desc.seg_len.is_some())
+            .then(|| desc.streams.miss(off, ps, floor, cap));
+        let window = stream.map_or(floor, |(slot, _)| desc.streams.table[slot].window);
+        let mut pages = 1u64;
+        while pages < window {
+            let next = off + pages * ps;
+            // Clamp at segment end: the mapper has no data past the
+            // segment's known length, and a run crossing it would come
+            // back truncated.
+            if desc.seg_len.is_some_and(|len| next + ps > len) {
+                break;
+            }
+            // Stop at resident pages, in-transit stubs and COW stubs
+            // (all indexed in `entries`): pulling them again would be
+            // redundant mapper I/O.
+            if !desc.owns(next) || desc.entries.contains(&next) {
+                break;
+            }
+            pages += 1;
         }
-        if dec.ramped {
-            self.stats.bump(Counter::ReadaheadRamps);
+        if pages > floor {
+            pages = self.secure_frames(pages).max(floor);
         }
-        Ok(dec.pages)
+        if let Some((slot, before)) = stream {
+            let s = &mut self.cache_mut(cache)?.streams.table[slot];
+            s.next = off + pages * ps;
+            let ramped = s.window > before;
+            if before > 0 {
+                self.stats.bump(Counter::ReadaheadHits);
+                self.dim_cache(cache, crate::telemetry::DimCounter::ReadaheadHits, 1);
+                if ramped {
+                    self.stats.bump(Counter::ReadaheadRamps);
+                }
+            }
+        }
+        Ok(pages)
     }
 
     /// True if the fragment policy of `cache` at `off` is

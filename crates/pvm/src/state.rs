@@ -180,10 +180,9 @@ pub(crate) struct PvmState {
     pub fast: Arc<TranslationCache>,
     /// Owner page of each allocated frame (reverse of `PageDesc.frame`).
     pub frame_owner: FxHashMap<u32, PageKey>,
-    /// The replacement/readahead policy engine (every tracked entry is a
-    /// live page; freed pages are removed eagerly). The default
-    /// configuration is one clock ring plus the doubling readahead
-    /// window — the pre-policy behaviour, bit for bit.
+    /// The replacement policy engine (every tracked entry is a live
+    /// page; freed pages are removed eagerly). The default configuration
+    /// is one clock ring.
     pub policy: PolicyEngine,
     /// The current user context.
     pub current: Option<CtxKey>,
@@ -229,6 +228,15 @@ pub(crate) struct PvmState {
     /// and a second thread's eviction turns a served pull into "pullIn
     /// returned without fillUp".
     pub demand_pulls: FxHashMap<(CacheKey, u64), Option<PageKey>>,
+    /// The write-behind queue: dirty victims an allocation sweep met and
+    /// set aside so it could go on to a clean page, at most one IPC
+    /// message of them. The driver launders one run per light entry
+    /// (`Pvm::run`); keys are validated when they are popped, so a page
+    /// freed or cleaned in the meantime is simply dropped.
+    pub write_behind: std::collections::VecDeque<PageKey>,
+    /// Blocked actions performed so far. An entry that leaves it
+    /// unchanged was light (`Pvm::run`).
+    pub performed: u64,
     /// The dimensional telemetry registry (per-cache / per-context /
     /// per-mapper counters), shared with the translation cache and
     /// `Pvm`. Inert (one relaxed load per site) unless
@@ -291,6 +299,8 @@ impl PvmState {
             reserved_frames: FxHashMap::default(),
             landing: FxHashMap::default(),
             demand_pulls: FxHashMap::default(),
+            write_behind: std::collections::VecDeque::new(),
+            performed: 0,
             telemetry,
             series: SeriesRing::new(SERIES_CAP),
             next_sample_ns: 0,
@@ -602,6 +612,7 @@ impl PvmState {
         let page = self.page_mut(key);
         page.mappings.push(Mapping { ctx, vpn, via });
         page.ref_bit = true;
+        page.prefetched = false;
         // The policy's use signal (the clock reads the reference bit set
         // above; recency policies queue the touch).
         self.policy.touch(key);

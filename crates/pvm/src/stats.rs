@@ -137,11 +137,10 @@ counters! {
     push_batch_splits => PushBatchSplits,
     /// Watermark-driven laundering passes run by the writeback daemon.
     launder_passes => LaunderPasses,
-    /// Faults that landed on a page pre-fetched by the adaptive
-    /// readahead window (sequential stream continuations).
+    /// Misses that continued a sequential stream of their cache's
+    /// stream table (and so pulled a widened window).
     readahead_hits => ReadaheadHits,
-    /// Times the adaptive readahead window grew (doubled) on a
-    /// sequential stream.
+    /// Times a stream's pull window grew (doubled).
     readahead_ramps => ReadaheadRamps,
     /// Asynchronous upcalls submitted to the completion engine
     /// (fire-and-collect readahead pulls and laundering pushes).
@@ -234,6 +233,18 @@ counters! {
     /// fallback clock because advice was still in flight (or an entire
     /// approved batch had died by delivery time).
     policy_external_fallbacks => PolicyExternalFallbacks,
+    /// Readahead tail pages delivered: pages a `pullIn` landed beyond
+    /// the one its faulter asked for.
+    readahead_pages => ReadaheadPages,
+    /// Readahead pages evicted before their first touch (the wasted
+    /// share of `readahead_pages`).
+    readahead_unused => ReadaheadUnused,
+    /// `pushOut` runs issued from the write-behind queue, on a light
+    /// driver entry.
+    write_behind_pushes => WriteBehindPushes,
+    /// `pushOut` runs issued inline by an allocation that found the
+    /// write-behind queue full (the faulter stalls on them).
+    demand_pushes => DemandPushes,
 }
 
 const N_COUNTERS: usize = Counter::ALL.len();
@@ -340,7 +351,9 @@ mod tests {
     #[test]
     fn counter_labels_match_snapshot_fields() {
         assert_eq!(Counter::FastPathHits.label(), "fast_path_hits");
-        assert_eq!(Counter::ALL.len(), 56);
+        assert_eq!(Counter::ALL.len(), 60);
+        assert_eq!(Counter::ReadaheadHits.label(), "readahead_hits");
+        assert_eq!(Counter::ReadaheadRamps.label(), "readahead_ramps");
         assert_eq!(Counter::PolicyVictims.label(), "policy_victims");
         assert_eq!(Counter::TelemetrySamples.label(), "telemetry_samples");
         assert_eq!(Counter::StateLockAcqs.label(), "state_lock_acqs");

@@ -104,7 +104,8 @@ dim_counters! {
     Cancels => "cancels",
     /// Pages evicted by the clock algorithm (per cache).
     Evictions => "evictions",
-    /// Faults landing on a readahead-prefetched page (per cache).
+    /// Misses that continued one of the cache's sequential streams
+    /// (per cache).
     ReadaheadHits => "readahead_hits",
     /// Fault-stripe acquisitions attributed to the entity (per cache:
     /// every striped hard-fault entry under `parallel_faults`).
@@ -115,6 +116,15 @@ dim_counters! {
     /// Victims the replacement policy engine selected from the entity
     /// (per cache).
     PolicyVictims => "policy_victims",
+    /// Readahead tail pages delivered (per cache).
+    ReadaheadPages => "readahead_pages",
+    /// Readahead pages evicted before their first touch (per cache).
+    ReadaheadUnused => "readahead_unused",
+    /// `pushOut` runs issued from the write-behind queue (per cache).
+    WriteBehindPushes => "write_behind_pushes",
+    /// `pushOut` runs issued inline by a stalled allocation (per
+    /// cache).
+    DemandPushes => "demand_pushes",
 }
 
 /// Number of counters in one dimensional row.
@@ -402,7 +412,7 @@ mod tests {
         assert_eq!(Dim::Mapper.label(), "mapper");
         assert_eq!(DimCounter::Faults.label(), "faults");
         assert_eq!(DimCounter::ReadaheadHits.label(), "readahead_hits");
-        assert_eq!(N_DIM_COUNTERS, 12);
+        assert_eq!(N_DIM_COUNTERS, 16);
         assert_eq!(DimCounter::LockAcqs.label(), "lock_acqs");
         assert_eq!(DimCounter::LockContended.label(), "lock_contended");
     }

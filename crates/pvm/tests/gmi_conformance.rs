@@ -65,7 +65,6 @@ fn pvm_passes_gmi_conformance_through_v2() {
             .paging(|p| {
                 p.check_invariants(true)
                     .pull_cluster_pages(4)
-                    .readahead_max_pages(8)
                     .push_cluster_pages(4)
             })
             .pressure(|p| {

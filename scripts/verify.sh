@@ -11,7 +11,8 @@
 # zero data loss and the OOM killer must reclaim exactly one victim),
 # the large-page smoke (buddy runs plus 2 MiB promotion must cut
 # faults >=5x on a dense scan and win simulated time), the read-ahead
-# smoke (clustering must amortize pullIn upcalls), the mapper-fault
+# smoke (a sequential stream must amortize pullIn upcalls, random
+# misses must not pay for it), the mapper-fault
 # smoke (retries must heal transient faults with zero client errors),
 # the telemetry smoke (the knob must be free when off — bit-identical
 # sim clocks — and cost <=5% wall when on, with pvmtop attributing a
@@ -176,26 +177,27 @@ print("ok: faults %d -> %d (%.0fx), sim %.1f -> %.1f ms"
          off["sim_ms"], on["sim_ms"]))
 '
 
-step "ablation_readahead: clustering amortizes pullIn upcalls"
+step "ablation_readahead: streams amortize pullIn upcalls, random misses pay nothing"
 cargo run --release -q -p chorus-bench --bin ablation_readahead -- --json |
   tee BENCH_readahead.json |
   python3 -c '
 import json, sys
-rows = json.load(sys.stdin)["rows"]
-base = next(r for r in rows if r["cluster"] == 1)
-clustered = next(r for r in rows if r["cluster"] == 8)
-assert clustered["pull_ins"] * 8 == base["pull_ins"], (base, clustered)
-assert clustered["sim_ms"] < base["sim_ms"], (base, clustered)
-print("ok: pullIn upcalls %d -> %d, sim %.1f -> %.1f ms"
-      % (base["pull_ins"], clustered["pull_ins"],
-         base["sim_ms"], clustered["sim_ms"]))
+rows = {r["shape"]: r for r in json.load(sys.stdin)["rows"]}
+seq, two, rand = rows["sequential"], rows["two-streams"], rows["random"]
+for r in (seq, two):
+    assert r["pulled_pages"] >= 6 * r["pull_ins"], r
+    assert r["readahead_unused"] == 0, r
+assert rand["pulled_pages"] <= 1.05 * rand["pull_ins"], rand
+assert seq["sim_ms"] * 2 < rand["sim_ms"], (seq, rand)
+print("ok: %.1f pages/pull sequential, %.1f two streams, %.2f random"
+      % tuple(r["pulled_pages"] / r["pull_ins"] for r in (seq, two, rand)))
 '
 
 step "ablation_policies --quick: every replacement policy raced"
 # The bench asserts internally that every combination re-runs
 # bit-identically (per-combo determinism self-check on the writeback
 # scenario), that a config which never names the policy section is
-# bit-identical to an explicit clock+doubling selection, and that each
+# bit-identical to an explicit clock selection, and that each
 # workload's bytes survive every policy (no dirty-page loss).
 cargo run --release -q -p chorus-bench --bin ablation_policies -- --json --quick |
   tee BENCH_policies.json |
@@ -212,9 +214,9 @@ assert all(r["victims"] >= r["evictions"] > 0 for r in rows), \
 ext = [r for r in rows if r["replacement"] == "external"]
 assert ext and all(r["external_batches"] > 0 for r in ext), ext
 best = min((r for r in rows if r["scenario"] == "pressure"),
-           key=lambda r: r["faults"])
-print("ok: %d rows, every eviction policy-driven; hot/cold winner %s (%d faults)"
-      % (len(rows), best["replacement"], best["faults"]))
+           key=lambda r: r["pull_ins"])
+print("ok: %d rows, every eviction policy-driven; hot/cold winner %s (%d pulls)"
+      % (len(rows), best["replacement"], best["pull_ins"]))
 '
 
 step "ablation_mapper_faults: retries heal transient faults"

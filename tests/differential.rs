@@ -413,6 +413,70 @@ proptest! {
     }
 }
 
+/// The shipped paging path against the oracle. Two anonymous caches,
+/// together three times the pool, are filled (so their pages go out
+/// through the write-behind queue) and then walked by two sequential
+/// cursors each — one reading, one writing half a cache ahead — with
+/// random jumps in between, so the stream tables carry two streams per
+/// cache plus noise. Every `every`-th operation the next `pullIn` fails
+/// transiently (a multi-page one included) and the retry must heal it.
+#[test]
+fn pvm_matches_model_on_two_streams_under_transient_faults() {
+    const BIG: u64 = 60;
+    for (seed, every) in [(1u64, 3usize), (2, 5), (3, 7), (4, 11)] {
+        let (pvm, mgr) = pvm_with_manager(40);
+        let caches = [
+            pvm.cache_create(None).unwrap(),
+            pvm.cache_create(None).unwrap(),
+        ];
+        let mut model = [
+            vec![0u8; (BIG * PS) as usize],
+            vec![0u8; (BIG * PS) as usize],
+        ];
+        let mut x = seed;
+        let mut rand = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        for i in 0..(BIG * 2 + 1200) as usize {
+            if i % every == 0 {
+                mgr.fail_next_pull();
+            }
+            let which = i % 2;
+            let step = (i / 2) as u64;
+            let (page, write) = match step {
+                s if s < BIG => (s, true),
+                s if s % 3 == 0 => (s / 3 % BIG, false),
+                s if s % 3 == 1 => ((s / 3 + BIG / 2) % BIG, true),
+                _ => (rand() % BIG, rand() % 4 == 0),
+            };
+            let at = page * PS + rand() % (PS - 8);
+            let range = at as usize..at as usize + 8;
+            if write {
+                let value = rand().to_le_bytes();
+                pvm.cache_write(caches[which], at, &value).unwrap();
+                model[which][range].copy_from_slice(&value);
+            } else {
+                let mut got = [0u8; 8];
+                pvm.cache_read(caches[which], at, &mut got).unwrap();
+                assert_eq!(got, model[which][range], "seed={seed} op {i} page {page}");
+            }
+        }
+        for (cache, bytes) in caches.into_iter().zip(&model) {
+            let mut got = vec![0u8; bytes.len()];
+            pvm.cache_read(cache, 0, &mut got).unwrap();
+            assert!(got == *bytes, "seed={seed}: final contents diverged");
+        }
+        let stats = pvm.stats();
+        assert!(stats.readahead_pages > 0, "seed={seed}: {stats:?}");
+        assert!(stats.write_behind_pushes > 0, "seed={seed}: {stats:?}");
+        assert!(stats.mapper_retries > 0, "seed={seed}: {stats:?}");
+        pvm.check_invariants();
+    }
+}
+
 /// Regression: exact shrunk case from an earlier divergence (runs
 /// against both managers).
 #[test]

@@ -10,97 +10,23 @@
 //! with an error rather than deadlocking, and a failed pageout never
 //! loses a dirty page that a later successful retry can write back.
 
+mod common;
+
 use chorus_gmi::{Gmi, GmiError, Prot, RetryPolicy, SyncShim, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_nucleus::{
     FaultPlan, FaultyMapper, MemMapper, NucleusSegmentManager, PortName, SwapMapper,
 };
 use chorus_pvm::trace::{TraceEvent, UpcallOutcome};
-use chorus_pvm::{Pvm, PvmConfig, PvmOptions, TraceConfig};
+use chorus_pvm::{Pvm, PvmConfig, PvmOptions};
+use common::{stack, FaultStack, Lcg, PS};
 use proptest::prelude::*;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-const PS: u64 = 256;
 const SEG_PAGES: u64 = 4;
 const SEG_SIZE: usize = (PS * SEG_PAGES) as usize;
-
-/// The full stack: PVM → NucleusSegmentManager → FaultyMapper(files) /
-/// FaultyMapper(swap).
-struct FaultStack {
-    pvm: Arc<Pvm>,
-    seg_mgr: Arc<NucleusSegmentManager>,
-    files: Arc<MemMapper>,
-    faulty_files: Arc<FaultyMapper>,
-    swap: Arc<SwapMapper>,
-    faulty_swap: Arc<FaultyMapper>,
-}
-
-fn stack(
-    frames: u32,
-    file_plan: FaultPlan,
-    swap_plan: FaultPlan,
-    tweak: impl FnOnce(&mut PvmConfig),
-) -> FaultStack {
-    let seg_mgr = Arc::new(NucleusSegmentManager::new());
-    let files = Arc::new(MemMapper::new(PortName(1)));
-    let faulty_files = Arc::new(FaultyMapper::new(files.clone(), file_plan));
-    let swap = Arc::new(SwapMapper::new(PortName(2)));
-    let faulty_swap = Arc::new(FaultyMapper::new(swap.clone(), swap_plan));
-    seg_mgr.register_mapper(PortName(1), faulty_files.clone());
-    seg_mgr.register_mapper(PortName(2), faulty_swap.clone());
-    seg_mgr.set_default_mapper(PortName(2));
-    // The whole fault-injection suite runs traced: recovery must be
-    // byte-identical with observability on.
-    let mut config = PvmConfig::builder()
-        .paging(|p| p.check_invariants(true))
-        .telemetry(|t| {
-            t.trace(TraceConfig {
-                enabled: true,
-                ..TraceConfig::default()
-            })
-        })
-        .build()
-        .expect("valid config");
-    tweak(&mut config);
-    let pvm = Arc::new(Pvm::new(
-        PvmOptions {
-            geometry: PageGeometry::new(PS),
-            frames,
-            cost: CostParams::zero(),
-            config,
-            ..PvmOptions::default()
-        },
-        SyncShim::wrap(seg_mgr.clone()),
-    ));
-    faulty_files.attach_clock(pvm.cost_model());
-    faulty_swap.attach_clock(pvm.cost_model());
-    faulty_files.attach_tracer(pvm.tracer());
-    faulty_swap.attach_tracer(pvm.tracer());
-    FaultStack {
-        pvm,
-        seg_mgr,
-        files,
-        faulty_files,
-        swap,
-        faulty_swap,
-    }
-}
-
-/// A tiny deterministic PRNG for workload scheduling (the mapper's own
-/// fault schedule uses its independent seeded RNG).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 11
-    }
-}
 
 /// Runs a deterministic read/write workload over `n_segs` file-backed
 /// segments under memory pressure, maintaining a byte oracle. Every
@@ -657,18 +583,14 @@ fn batched_pushout_death_case(cluster: Option<u64>) {
 
 #[test]
 fn adaptive_readahead_ramps_on_sequential_streams() {
-    // A strictly sequential read over a long segment with adaptive
-    // readahead: each miss landing where the previous cluster ended
-    // doubles the window, so the pull count grows logarithmically, and
-    // the ramp counters record the progression. A random re-access
-    // resets the window (no ramp counters move for it).
+    // A strictly sequential read over a long segment on the shipped
+    // configuration: each miss landing where the previous pull ended
+    // continues the stream and doubles its window, so the pull count
+    // grows logarithmically, and the ramp counters record the
+    // progression.
     let long_pages = 32u64;
     let init: Vec<u8> = (0..long_pages * PS).map(|k| (k % 251) as u8).collect();
-    let s = stack(64, FaultPlan::quiet(0), FaultPlan::quiet(0), |c| {
-        c.pull_cluster_pages = 1;
-        c.readahead_adaptive = true;
-        c.readahead_max_pages = 8;
-    });
+    let s = stack(64, FaultPlan::quiet(0), FaultPlan::quiet(0), |_| {});
     let pvm = &s.pvm;
     let ctx = pvm.context_create().unwrap();
     let seg = s.seg_mgr.segment_for(s.files.create_segment(&init));
@@ -681,8 +603,8 @@ fn adaptive_readahead_ramps_on_sequential_streams() {
         assert_eq!(buf[0], ((p * PS) % 251) as u8, "page {p}");
     }
     let stats = pvm.stats();
-    // Windows 1,2,4,8,8,... cover 32 pages in 7 pulls; without
-    // adaptation it would take 32.
+    // Windows 1,2,4,8,8,... cover 32 pages in 7 pulls; page at a time
+    // it would take 32.
     assert!(
         stats.pull_ins <= 8,
         "sequential stream did not ramp: {} pulls",
@@ -691,6 +613,144 @@ fn adaptive_readahead_ramps_on_sequential_streams() {
     assert!(stats.readahead_hits >= 4, "{:?}", stats.readahead_hits);
     assert!(stats.readahead_ramps >= 3, "{:?}", stats.readahead_ramps);
     pvm.check_invariants();
+}
+
+/// The shipped paging path end to end: a mapped file and an anonymous
+/// region, each three times their share of a 48-frame pool, each read
+/// by one sequential cursor and written by another while a third of the
+/// accesses jump at random. Streams widen the pulls, dirty victims go
+/// through the write-behind queue. An access to the file may fail once
+/// `file_may_die` says its mapper can.
+fn two_stream_workload(
+    s: &FaultStack,
+    seed: u64,
+    ops: u64,
+    mut before_op: impl FnMut(u64),
+    file_may_die: bool,
+) -> TwoStreams {
+    const PAGES: u64 = 72;
+    let pvm = &s.pvm;
+    let ctx = pvm.context_create().unwrap();
+    let init: Vec<u8> = (0..PAGES * PS).map(|k| (k % 253) as u8).collect();
+    let cap = s.files.create_segment(&init);
+    let file = pvm.cache_create(Some(s.seg_mgr.segment_for(cap))).unwrap();
+    let anon = pvm.cache_create(None).unwrap();
+    let bases = [0x100_0000u64, 0x200_0000];
+    for (base, cache) in bases.into_iter().zip([file, anon]) {
+        pvm.region_create(ctx, VirtAddr(base), PAGES * PS, Prot::RW, cache, 0)
+            .unwrap();
+    }
+    let mut oracle = [init, vec![0u8; (PAGES * PS) as usize]];
+    let mut rng = Lcg(seed.wrapping_mul(2).wrapping_add(1));
+    for i in 0..ops {
+        before_op(i);
+        let which = (i % 2) as usize;
+        // Per region: a read cursor, a write cursor half a region ahead,
+        // and random jumps.
+        let (page, write) = match (i / 2) % 3 {
+            0 => ((i / 6) % PAGES, false),
+            1 => ((i / 6 + PAGES / 2) % PAGES, true),
+            _ => (rng.next() % PAGES, rng.next().is_multiple_of(4)),
+        };
+        let at = (page * PS + rng.next() % (PS - 8)) as usize;
+        let va = VirtAddr(bases[which] + at as u64);
+        let done = if write {
+            let value = rng.next().to_le_bytes();
+            pvm.vm_write(ctx, va, &value)
+                .map(|()| oracle[which][at..at + 8].copy_from_slice(&value))
+        } else {
+            let mut got = [0u8; 8];
+            pvm.vm_read(ctx, va, &mut got)
+                .map(|()| assert_eq!(got, oracle[which][at..at + 8], "seed={seed} op {i}"))
+        };
+        if let Err(e) = done {
+            assert!(file_may_die && which == 0, "seed={seed} op {i}: {e}");
+        }
+    }
+    TwoStreams {
+        ctx,
+        file,
+        cap,
+        oracle,
+    }
+}
+
+/// What [`two_stream_workload`] leaves behind: the file region at
+/// 0x100_0000 and the anonymous one at 0x200_0000 of `ctx`, with the
+/// bytes each must hold.
+struct TwoStreams {
+    ctx: chorus_gmi::CtxId,
+    file: chorus_gmi::CacheId,
+    cap: chorus_nucleus::Capability,
+    oracle: [Vec<u8>; 2],
+}
+
+#[test]
+fn two_stream_scans_on_the_shipped_config_lose_no_dirty_page() {
+    // Transient, truncating and crash-once faults on reads and writes of
+    // both mappers, the byte oracle on every access, the file's segment
+    // compared after a final sync. Multi-page pulls are re-driven,
+    // write-behind batches split and retry page by page.
+    let (mut splits, mut readahead, mut write_behind) = (0, 0, 0);
+    for seed in 0..8u64 {
+        let s = stack(
+            48,
+            healable_plan(seed),
+            healable_plan(!seed),
+            generous_retry,
+        );
+        let w = two_stream_workload(&s, seed, 1500, |_| {}, false);
+        s.pvm.cache_sync(w.file, 0, u64::MAX).unwrap();
+        assert!(
+            s.files.segment_data(w.cap) == w.oracle[0],
+            "seed={seed}: segment diverged"
+        );
+        let stats = s.pvm.stats();
+        assert_eq!(stats.quarantined_caches, 0, "seed={seed}");
+        assert!(
+            stats.mapper_retries > 0,
+            "seed={seed}: plan injected nothing"
+        );
+        splits += stats.push_batch_splits;
+        readahead += stats.readahead_pages;
+        write_behind += stats.write_behind_pushes;
+        s.pvm.check_invariants();
+    }
+    assert!(readahead > 0 && write_behind > 0 && splits > 0);
+}
+
+#[test]
+fn two_stream_scans_survive_a_mapper_dying_under_write_behind() {
+    // The file mapper dies for good a third of the way in, with file
+    // pages on the write-behind queue and file pulls about to widen:
+    // exactly that cache is quarantined, its queued pages are dropped
+    // rather than pushed into the dead mapper, and the anonymous region
+    // on the healthy swap mapper stays oracle-exact to the end.
+    let s = stack(48, FaultPlan::quiet(3), FaultPlan::quiet(4), |_| {});
+    let dead = FaultPlan {
+        permanent_per_mille: 1000,
+        ..FaultPlan::quiet(5)
+    };
+    let w = two_stream_workload(
+        &s,
+        3,
+        1500,
+        |i| {
+            if i == 500 {
+                s.faulty_files.set_plan(dead);
+            }
+        },
+        true,
+    );
+    let stats = s.pvm.stats();
+    assert_eq!(stats.quarantined_caches, 1, "{stats:?}");
+    assert!(stats.write_behind_pushes > 0 && stats.readahead_pages > 0);
+    let mut got = vec![0u8; w.oracle[1].len()];
+    s.pvm
+        .vm_read(w.ctx, VirtAddr(0x200_0000), &mut got)
+        .unwrap();
+    assert!(got == w.oracle[1], "the healthy region diverged");
+    s.pvm.check_invariants();
 }
 
 proptest! {
@@ -809,7 +869,6 @@ fn injected_faults_and_retries_appear_in_the_trace() {
 /// pushes, all through the completion scheduler.
 fn async_knobs(c: &mut PvmConfig) {
     c.pull_cluster_pages = 4;
-    c.readahead_max_pages = 8;
     c.push_cluster_pages = 4;
     c.writeback_daemon = true;
     c.writeback_low_frames = 2;
@@ -958,12 +1017,11 @@ fn hang_plan(at: u64) -> FaultPlan {
 
 /// The pressure-suite knobs: clustered async pulls without the
 /// writeback daemon (so the only engine traffic is what the test
-/// drives), readahead capped at the cluster size to keep pull
-/// boundaries fixed.
+/// drives). The pools are too small for a stream to widen a window past
+/// the cluster size, so pull boundaries stay fixed.
 fn pressure_knobs(c: &mut PvmConfig) {
     async_knobs(c);
     c.writeback_daemon = false;
-    c.readahead_max_pages = 4;
 }
 
 fn file_region(

@@ -15,7 +15,7 @@ use chorus_mix::{ProcessManager, ProgramStore};
 use chorus_nucleus::{
     FaultPlan, FaultyMapper, MemMapper, Nucleus, NucleusSegmentManager, PortName, SwapMapper,
 };
-use chorus_pvm::{Pvm, PvmConfig, PvmOptions, ReadaheadKind, ReplacementKind};
+use chorus_pvm::{Pvm, PvmConfig, PvmOptions, ReplacementKind};
 use chorus_shadow::{ShadowOptions, ShadowVm};
 use chorus_vm::gmi::VirtAddr;
 use std::sync::Arc;
@@ -245,17 +245,13 @@ fn workload_survives_memory_pressure_on_the_pvm() {
 // ===== replaceable policies: the same claim one layer down ==================
 //
 // §5.2's replaceable-unit argument applies inside the PVM too: the
-// replacement and readahead policies are trait objects behind
-// `PolicyConfig`, and swapping them may change *performance* but never
-// observable behaviour. These tests race every built-in policy through
+// replacement policies are trait objects behind `PolicyConfig`, and
+// swapping them may change *performance* but never observable
+// behaviour. These tests race every built-in policy through
 // the identical Nucleus + MIX stack.
 
-/// A PVM squeezed far below the working set, with the given policies.
-fn pressured_pvm(
-    seg_mgr: Arc<NucleusSegmentManager>,
-    replacement: ReplacementKind,
-    readahead: ReadaheadKind,
-) -> Arc<Pvm> {
+/// A PVM squeezed far below the working set, with the given policy.
+fn pressured_pvm(seg_mgr: Arc<NucleusSegmentManager>, replacement: ReplacementKind) -> Arc<Pvm> {
     Arc::new(Pvm::new(
         PvmOptions {
             geometry: PageGeometry::new(PS),
@@ -263,7 +259,7 @@ fn pressured_pvm(
             cost: CostParams::zero(),
             config: PvmConfig::builder()
                 .paging(|p| p.check_invariants(true))
-                .policy(|p| p.replacement(replacement).readahead(readahead))
+                .policy(|p| p.replacement(replacement))
                 .build()
                 .expect("valid config"),
             ..PvmOptions::default()
@@ -274,7 +270,7 @@ fn pressured_pvm(
 
 #[test]
 fn every_replacement_policy_preserves_workload_behaviour_under_pressure() {
-    // Roomy reference with the default (clock/doubling) policies.
+    // Roomy reference with the default (clock) policy.
     let (seg_mgr, files) = managers();
     let roomy = Arc::new(Pvm::new(
         PvmOptions {
@@ -292,17 +288,10 @@ fn every_replacement_policy_preserves_workload_behaviour_under_pressure() {
     let pm = stack(roomy, seg_mgr, files);
     let reference = unix_workload(&pm);
 
-    // Every replacement policy, plus the fifo readahead baseline.
-    let mut combos: Vec<(ReplacementKind, ReadaheadKind)> = ReplacementKind::ALL
-        .into_iter()
-        .map(|r| (r, ReadaheadKind::Doubling))
-        .collect();
-    combos.push((ReplacementKind::Clock, ReadaheadKind::Fifo));
-
-    for (replacement, readahead) in combos {
-        let label = format!("{}/{}", replacement.label(), readahead.label());
+    for replacement in ReplacementKind::ALL {
+        let label = replacement.label();
         let (seg_mgr, files) = managers();
-        let pvm = pressured_pvm(seg_mgr.clone(), replacement, readahead);
+        let pvm = pressured_pvm(seg_mgr.clone(), replacement);
         let pm = stack(pvm.clone(), seg_mgr, files);
         assert_eq!(unix_workload(&pm), reference, "{label} diverged");
 
