@@ -6,15 +6,19 @@
 //! part is swappable without affecting the layers above.
 
 use crate::addr::{PhysAddr, VirtAddr, Vpn};
+use crate::cost::{CostModel, OpKind};
 use crate::frame::FrameNo;
-use crate::mmu::{Access, Mmu, MmuFault, Prot};
+use crate::mmu::{Access, Mmu, MmuCtx, MmuFault, Prot};
+use std::sync::Arc;
 
-/// Runs the full conformance suite against fresh MMUs built by `mk`.
+/// Runs the full conformance suite against fresh MMUs built by
+/// `mk_on`, each charging a counting cost model of its own.
 ///
 /// # Panics
 ///
 /// Panics (via assertions) on any contract violation.
-pub fn run<M: Mmu>(mk: impl Fn() -> M) {
+pub fn run<M: Mmu>(mk_on: impl Fn(Arc<CostModel>) -> M) {
+    let mk = || mk_on(Arc::new(CostModel::counting()));
     basic_map_translate(&mk);
     unmapped_access_faults(&mk);
     protection_enforced(&mk);
@@ -24,6 +28,13 @@ pub fn run<M: Mmu>(mk: impl Fn() -> M) {
     system_pages_respected(&mk);
     destroy_then_recreate(&mk);
     query_is_side_effect_free(&mk);
+    walk_sets_referenced_fault_does_not(&mk);
+    map_and_remap_enter_referenced_clear(&mk);
+    protect_keeps_referenced(&mk);
+    unmap_and_destroy_drop_referenced(&mk);
+    take_referenced_forces_the_next_walk(&mk_on);
+    tlb_hit_sets_nothing(&mk_on);
+    large_bit_stands_for_each_base_page(&mk);
 }
 
 fn page(m: &impl Mmu) -> u64 {
@@ -150,4 +161,164 @@ fn query_is_side_effect_free<M: Mmu>(mk: &impl Fn() -> M) {
     m.map(c, Vpn(6), FrameNo(2), Prot::RX);
     assert_eq!(m.query(c, Vpn(6)), Some((FrameNo(2), Prot::RX)));
     assert_eq!(m.query(c, Vpn(7)), None);
+}
+
+/// Reads at the start of page `vpn` from user mode.
+fn read(m: &mut impl Mmu, c: MmuCtx, vpn: u64) -> Result<PhysAddr, MmuFault> {
+    let va = VirtAddr(vpn * page(m));
+    m.translate(c, va, Access::Read, false)
+}
+
+fn walk_sets_referenced_fault_does_not<M: Mmu>(mk: &impl Fn() -> M) {
+    let mut m = mk();
+    let c = m.ctx_create();
+    m.switch(c);
+    m.map(c, Vpn(1), FrameNo(1), Prot::READ);
+    assert!(!m.referenced(c, Vpn(1)), "map enters the bit clear");
+    // A protection fault walks the table but is no use of the page...
+    let w = m.translate(c, VirtAddr(page(&m)), Access::Write, false);
+    assert!(matches!(w, Err(MmuFault::ProtectionViolation { .. })));
+    assert!(
+        !m.referenced(c, Vpn(1)),
+        "a faulting translate sets nothing"
+    );
+    // ...nor is a fault on a neighbour that has no mapping at all.
+    assert!(read(&mut m, c, 2).is_err());
+    assert!(!m.referenced(c, Vpn(2)));
+    assert!(!m.take_referenced(c, Vpn(2)), "no mapping, no bit");
+    read(&mut m, c, 1).unwrap();
+    assert!(
+        m.referenced(c, Vpn(1)),
+        "the walk of an allowed access sets it"
+    );
+    // A context that is not current has no TLB: every access walks.
+    let other = m.ctx_create();
+    m.map(other, Vpn(1), FrameNo(2), Prot::READ);
+    read(&mut m, other, 1).unwrap();
+    assert!(m.referenced(other, Vpn(1)));
+}
+
+fn map_and_remap_enter_referenced_clear<M: Mmu>(mk: &impl Fn() -> M) {
+    let mut m = mk();
+    let c = m.ctx_create();
+    m.switch(c);
+    m.map(c, Vpn(3), FrameNo(1), Prot::RW);
+    read(&mut m, c, 3).unwrap();
+    assert!(m.referenced(c, Vpn(3)));
+    // A new mapping at the same vpn is a new page: nobody has used it.
+    m.map(c, Vpn(3), FrameNo(2), Prot::RW);
+    assert!(!m.referenced(c, Vpn(3)), "remap enters the bit clear");
+    // And the stale TLB entry is gone, so the next access walks.
+    assert_eq!(read(&mut m, c, 3), Ok(PhysAddr(2 * page(&m))));
+    assert!(m.referenced(c, Vpn(3)));
+}
+
+fn protect_keeps_referenced<M: Mmu>(mk: &impl Fn() -> M) {
+    let mut m = mk();
+    let c = m.ctx_create();
+    m.switch(c);
+    m.map(c, Vpn(0), FrameNo(0), Prot::RW);
+    m.map(c, Vpn(1), FrameNo(1), Prot::RW);
+    read(&mut m, c, 0).unwrap();
+    assert!(m.protect(c, Vpn(0), Prot::READ));
+    assert!(m.protect(c, Vpn(1), Prot::READ));
+    assert!(m.referenced(c, Vpn(0)), "protect keeps a set bit");
+    assert!(!m.referenced(c, Vpn(1)), "and a clear one");
+}
+
+fn unmap_and_destroy_drop_referenced<M: Mmu>(mk: &impl Fn() -> M) {
+    let mut m = mk();
+    let c = m.ctx_create();
+    m.switch(c);
+    m.map(c, Vpn(4), FrameNo(4), Prot::READ);
+    read(&mut m, c, 4).unwrap();
+    m.unmap(c, Vpn(4));
+    assert!(!m.referenced(c, Vpn(4)), "the bit goes with the mapping");
+    assert!(!m.take_referenced(c, Vpn(4)));
+    m.map(c, Vpn(4), FrameNo(5), Prot::READ);
+    assert!(!m.referenced(c, Vpn(4)), "a later mapping starts clear");
+    read(&mut m, c, 4).unwrap();
+    m.ctx_destroy(c);
+    let d = m.ctx_create();
+    m.map(d, Vpn(4), FrameNo(4), Prot::READ);
+    assert!(!m.referenced(d, Vpn(4)), "nothing survives ctx_destroy");
+}
+
+fn take_referenced_forces_the_next_walk<M: Mmu>(mk_on: &impl Fn(Arc<CostModel>) -> M) {
+    let model = Arc::new(CostModel::counting());
+    let mut m = mk_on(model.clone());
+    let c = m.ctx_create();
+    m.switch(c);
+    m.map(c, Vpn(2), FrameNo(2), Prot::RW);
+    read(&mut m, c, 2).unwrap();
+    assert_eq!(model.count(OpKind::TlbMiss), 1);
+    assert!(m.take_referenced(c, Vpn(2)), "test...");
+    assert!(!m.referenced(c, Vpn(2)), "...and clear");
+    assert!(!m.take_referenced(c, Vpn(2)), "taken once");
+    // The TLB entry went with the bit: the next access walks, pays for
+    // the miss and sets the bit again.
+    read(&mut m, c, 2).unwrap();
+    assert_eq!(model.count(OpKind::TlbMiss), 2);
+    assert!(m.referenced(c, Vpn(2)));
+    // `referenced` itself is a side-effect-free read.
+    read(&mut m, c, 2).unwrap();
+    assert_eq!(model.count(OpKind::TlbMiss), 2);
+}
+
+fn tlb_hit_sets_nothing<M: Mmu>(mk_on: &impl Fn(Arc<CostModel>) -> M) {
+    let model = Arc::new(CostModel::counting());
+    let mut m = mk_on(model.clone());
+    let c = m.ctx_create();
+    m.switch(c);
+    m.map(c, Vpn(6), FrameNo(6), Prot::RW);
+    // Only a walk that sets the bit loads the TLB, so a hit has nothing
+    // left to set and costs nothing: a thousand of them are one miss.
+    for _ in 0..1000 {
+        read(&mut m, c, 6).unwrap();
+    }
+    assert_eq!(model.count(OpKind::TlbMiss), 1);
+    assert!(m.referenced(c, Vpn(6)));
+    // A faulting walk loads no entry either: were the refused write
+    // cached, the read after it would hit with the bit still clear.
+    m.map(c, Vpn(7), FrameNo(7), Prot::READ);
+    let va = VirtAddr(7 * page(&m));
+    assert!(m.translate(c, va, Access::Write, false).is_err());
+    assert!(!m.referenced(c, Vpn(7)));
+    read(&mut m, c, 7).unwrap();
+    assert!(m.referenced(c, Vpn(7)), "the read walked");
+}
+
+fn large_bit_stands_for_each_base_page<M: Mmu>(mk: &impl Fn() -> M) {
+    let mut m = mk();
+    if !m.supports_large() {
+        return;
+    }
+    let factor = m.geometry().large_factor();
+    let c = m.ctx_create();
+    m.switch(c);
+    // Large page 1 over base mappings of its first two pages.
+    let (a, b) = (Vpn(factor), Vpn(factor + 1));
+    m.map(c, a, FrameNo(factor as u32), Prot::READ);
+    m.map(c, b, FrameNo(factor as u32 + 1), Prot::READ);
+    assert!(m.map_large(c, Vpn(1), FrameNo(factor as u32), Prot::READ));
+    assert!(!m.referenced(c, a), "map_large enters the bit clear");
+    // One access anywhere in the run goes through the large entry and
+    // references every base page under it.
+    read(&mut m, c, factor + 2).unwrap();
+    assert!(m.referenced(c, a) && m.referenced(c, b));
+    assert!(!m.referenced(c, Vpn(0)), "not the run next door");
+    // Taking it for one page leaves it standing for the others.
+    assert!(m.take_referenced(c, a));
+    assert!(!m.referenced(c, a));
+    assert!(m.referenced(c, b));
+    assert!(m.take_referenced(c, b));
+    assert!(!m.take_referenced(c, b));
+    // The large TLB entry went too: the next access sets the bit again.
+    read(&mut m, c, factor).unwrap();
+    assert!(m.referenced(c, a) && m.referenced(c, b));
+    // Demotion hands the bit down instead of losing it.
+    m.unmap_large(c, Vpn(1));
+    assert!(m.referenced(c, a) && m.referenced(c, b));
+    assert!(m.take_referenced(c, a));
+    assert!(!m.referenced(c, a));
 }

@@ -188,20 +188,26 @@ pub trait Mmu: Send {
     fn current(&self) -> Option<MmuCtx>;
 
     /// Enters a mapping `vpn -> frame` with protection `prot`, replacing
-    /// any previous mapping for `vpn`.
+    /// any previous mapping for `vpn`. The new entry's referenced bit is
+    /// clear.
     fn map(&mut self, ctx: MmuCtx, vpn: Vpn, frame: FrameNo, prot: Prot);
 
     /// Removes the mapping for `vpn`, returning the frame it pointed at.
     fn unmap(&mut self, ctx: MmuCtx, vpn: Vpn) -> Option<FrameNo>;
 
-    /// Changes the protection of an existing mapping. Returns false if
-    /// `vpn` was not mapped.
+    /// Changes the protection of an existing mapping, keeping its
+    /// referenced bit. Returns false if `vpn` was not mapped.
     fn protect(&mut self, ctx: MmuCtx, vpn: Vpn, prot: Prot) -> bool;
 
     /// Reads back a mapping without touching the TLB or charging costs.
     fn query(&self, ctx: MmuCtx, vpn: Vpn) -> Option<(FrameNo, Prot)>;
 
     /// Translates a virtual address for an access, consulting the TLB.
+    ///
+    /// A translation that *walks the table* to a mapping allowing the
+    /// access sets that mapping's referenced bit, as the hardware does.
+    /// A TLB hit leaves the bit alone (it was set when the entry was
+    /// loaded), and a faulting translation sets nothing.
     ///
     /// # Errors
     ///
@@ -214,6 +220,19 @@ pub trait Mmu: Send {
         access: Access,
         system_mode: bool,
     ) -> Result<PhysAddr, MmuFault>;
+
+    /// Reads the referenced bit of the mapping at `vpn` (false if there
+    /// is none) without touching the TLB or charging costs. A set bit on
+    /// a large mapping covering `vpn` counts: it stands for each of the
+    /// mapping's base pages.
+    fn referenced(&self, ctx: MmuCtx, vpn: Vpn) -> bool;
+
+    /// Test-and-clears the referenced bit of the mapping at `vpn` and
+    /// invalidates that page's TLB entry if `ctx` is current, so the
+    /// next access walks the table and sets the bit again. The bit of a
+    /// large mapping covering `vpn` is first handed down to every base
+    /// mapping under it, so each of them reports it once.
+    fn take_referenced(&mut self, ctx: MmuCtx, vpn: Vpn) -> bool;
 
     /// Number of live mappings in a context (for assertions and stats).
     fn mapped_count(&self, ctx: MmuCtx) -> usize;

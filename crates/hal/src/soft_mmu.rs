@@ -2,8 +2,8 @@
 //!
 //! Models MMUs like the Sun-3 custom MMU where the OS view is "a mapping
 //! table per context". Each context is a hash map from virtual page number
-//! to (frame, protection). A shared [`Tlb`] caches translations for the
-//! current context.
+//! to a page table entry (frame, protection, referenced bit). A shared
+//! [`Tlb`] caches translations for the current context.
 
 use crate::addr::{PageGeometry, PhysAddr, VirtAddr, Vpn};
 use crate::cost::{CostModel, OpKind};
@@ -16,6 +16,26 @@ use std::sync::Arc;
 /// Default TLB entry count for the software MMUs.
 pub const DEFAULT_TLB_ENTRIES: usize = 64;
 
+/// A page table entry, base or large.
+#[derive(Clone, Copy)]
+struct Pte {
+    frame: FrameNo,
+    prot: Prot,
+    /// Set by a table walk that ends in an allowed access; a large
+    /// entry's bit stands for each of its base pages.
+    referenced: bool,
+}
+
+impl Pte {
+    fn new(frame: FrameNo, prot: Prot) -> Pte {
+        Pte {
+            frame,
+            prot,
+            referenced: false,
+        }
+    }
+}
+
 /// A software MMU with per-context hash page tables.
 ///
 /// Supports an optional *large-page level*: per-context tables keyed by
@@ -25,8 +45,8 @@ pub const DEFAULT_TLB_ENTRIES: usize = 64;
 pub struct SoftMmu {
     geom: PageGeometry,
     model: Arc<CostModel>,
-    ctxs: HashMap<u32, HashMap<Vpn, (FrameNo, Prot)>>,
-    large: HashMap<u32, HashMap<Vpn, (FrameNo, Prot)>>,
+    ctxs: HashMap<u32, HashMap<Vpn, Pte>>,
+    large: HashMap<u32, HashMap<Vpn, Pte>>,
     /// Live large mappings across all contexts (fast guard: translation
     /// skips the large path entirely while this is zero).
     large_total: usize,
@@ -80,8 +100,13 @@ impl SoftMmu {
         let (frame, prot) = match cached {
             Some(hit) => hit,
             None => {
-                let entry = self.large.get(&ctx.0)?.get(&lvpn).copied()?;
+                let pte = self.large.get_mut(&ctx.0)?.get_mut(&lvpn)?;
                 self.model.charge(OpKind::TlbMiss);
+                if !pte.prot.allows(access, system_mode) {
+                    return None;
+                }
+                pte.referenced = true;
+                let entry = (pte.frame, pte.prot);
                 if self.current == Some(ctx) {
                     self.large_tlb.insert(lvpn, entry.0, entry.1);
                 }
@@ -96,11 +121,11 @@ impl SoftMmu {
         ))
     }
 
-    fn table(&self, ctx: MmuCtx) -> &HashMap<Vpn, (FrameNo, Prot)> {
+    fn table(&self, ctx: MmuCtx) -> &HashMap<Vpn, Pte> {
         self.ctxs.get(&ctx.0).expect("MMU context does not exist")
     }
 
-    fn table_mut(&mut self, ctx: MmuCtx) -> &mut HashMap<Vpn, (FrameNo, Prot)> {
+    fn table_mut(&mut self, ctx: MmuCtx) -> &mut HashMap<Vpn, Pte> {
         self.ctxs
             .get_mut(&ctx.0)
             .expect("MMU context does not exist")
@@ -109,6 +134,35 @@ impl SoftMmu {
     fn maybe_invalidate(&mut self, ctx: MmuCtx, vpn: Vpn) {
         if self.current == Some(ctx) {
             self.tlb.invalidate(vpn);
+        }
+    }
+
+    /// The large virtual page number covering base page `vpn`.
+    fn large_vpn_of(&self, vpn: Vpn) -> Vpn {
+        Vpn(vpn.0 / self.geom.large_factor())
+    }
+
+    /// Moves a set referenced bit from the large mapping at `lvpn` to
+    /// every base mapping under it, the way an OS splits a huge page's
+    /// accessed bit: the one bit stands for each base page, and each is
+    /// then test-and-cleared on its own. Demotion does the same, so the
+    /// bit is not lost with the large mapping.
+    fn hand_down_large_bit(&mut self, ctx: MmuCtx, lvpn: Vpn) {
+        let Some(pte) = self.large.get_mut(&ctx.0).and_then(|t| t.get_mut(&lvpn)) else {
+            return;
+        };
+        if !core::mem::take(&mut pte.referenced) {
+            return;
+        }
+        if self.current == Some(ctx) {
+            self.large_tlb.invalidate(lvpn);
+        }
+        let factor = self.geom.large_factor();
+        let table = self.table_mut(ctx);
+        for v in lvpn.0 * factor..(lvpn.0 + 1) * factor {
+            if let Some(base) = table.get_mut(&Vpn(v)) {
+                base.referenced = true;
+            }
         }
     }
 }
@@ -159,7 +213,7 @@ impl Mmu for SoftMmu {
     }
 
     fn map(&mut self, ctx: MmuCtx, vpn: Vpn, frame: FrameNo, prot: Prot) {
-        self.table_mut(ctx).insert(vpn, (frame, prot));
+        self.table_mut(ctx).insert(vpn, Pte::new(frame, prot));
         self.maybe_invalidate(ctx, vpn);
         self.model.charge(OpKind::MapPage);
     }
@@ -170,13 +224,13 @@ impl Mmu for SoftMmu {
             self.maybe_invalidate(ctx, vpn);
             self.model.charge(OpKind::UnmapPage);
         }
-        removed.map(|(f, _)| f)
+        removed.map(|pte| pte.frame)
     }
 
     fn protect(&mut self, ctx: MmuCtx, vpn: Vpn, prot: Prot) -> bool {
         match self.table_mut(ctx).get_mut(&vpn) {
-            Some(entry) => {
-                entry.1 = prot;
+            Some(pte) => {
+                pte.prot = prot;
                 self.maybe_invalidate(ctx, vpn);
                 self.model.charge(OpKind::ProtectPage);
                 true
@@ -186,7 +240,7 @@ impl Mmu for SoftMmu {
     }
 
     fn query(&self, ctx: MmuCtx, vpn: Vpn) -> Option<(FrameNo, Prot)> {
-        self.table(ctx).get(&vpn).copied()
+        self.table(ctx).get(&vpn).map(|pte| (pte.frame, pte.prot))
     }
 
     fn translate(
@@ -214,23 +268,50 @@ impl Mmu for SoftMmu {
         let (frame, prot) = match cached {
             Some(hit) => hit,
             None => {
-                // Table walk.
-                match self.table(ctx).get(&vpn).copied() {
-                    Some(entry) => {
-                        self.model.charge(OpKind::TlbMiss);
-                        if self.current == Some(ctx) {
-                            self.tlb.insert(vpn, entry.0, entry.1);
-                        }
-                        entry
-                    }
-                    None => return Err(MmuFault::NotMapped { va, access }),
+                // Table walk. Only a walk that ends in an allowed access
+                // sets the referenced bit and loads the TLB, so a cached
+                // entry always has its bit set.
+                let Some(pte) = self.table_mut(ctx).get_mut(&vpn) else {
+                    return Err(MmuFault::NotMapped { va, access });
+                };
+                let allowed = pte.prot.allows(access, system_mode);
+                pte.referenced |= allowed;
+                let entry = (pte.frame, pte.prot);
+                self.model.charge(OpKind::TlbMiss);
+                if allowed && self.current == Some(ctx) {
+                    self.tlb.insert(vpn, entry.0, entry.1);
                 }
+                entry
             }
         };
         if !prot.allows(access, system_mode) {
             return Err(MmuFault::ProtectionViolation { va, access, prot });
         }
         Ok(PhysAddr(frame.0 as u64 * self.geom.page_size() + offset))
+    }
+
+    fn referenced(&self, ctx: MmuCtx, vpn: Vpn) -> bool {
+        let large = self.large_total > 0
+            && self
+                .large
+                .get(&ctx.0)
+                .and_then(|t| t.get(&self.large_vpn_of(vpn)))
+                .is_some_and(|pte| pte.referenced);
+        large || self.table(ctx).get(&vpn).is_some_and(|pte| pte.referenced)
+    }
+
+    fn take_referenced(&mut self, ctx: MmuCtx, vpn: Vpn) -> bool {
+        if self.large_total > 0 {
+            self.hand_down_large_bit(ctx, self.large_vpn_of(vpn));
+        }
+        let was = self
+            .table_mut(ctx)
+            .get_mut(&vpn)
+            .is_some_and(|pte| core::mem::take(&mut pte.referenced));
+        if was {
+            self.maybe_invalidate(ctx, vpn);
+        }
+        was
     }
 
     fn mapped_count(&self, ctx: MmuCtx) -> usize {
@@ -247,7 +328,7 @@ impl Mmu for SoftMmu {
             .large
             .entry(ctx.0)
             .or_default()
-            .insert(lvpn, (base_frame, prot));
+            .insert(lvpn, Pte::new(base_frame, prot));
         if prev.is_none() {
             self.large_total += 1;
         }
@@ -259,6 +340,7 @@ impl Mmu for SoftMmu {
     }
 
     fn unmap_large(&mut self, ctx: MmuCtx, lvpn: Vpn) -> Option<FrameNo> {
+        self.hand_down_large_bit(ctx, lvpn);
         let removed = self.large.get_mut(&ctx.0).and_then(|t| t.remove(&lvpn));
         if removed.is_some() {
             self.large_total -= 1;
@@ -267,7 +349,7 @@ impl Mmu for SoftMmu {
             }
             self.model.charge(OpKind::UnmapPage);
         }
-        removed.map(|(f, _)| f)
+        removed.map(|pte| pte.frame)
     }
 
     fn has_large_mapping(&self, ctx: MmuCtx, lvpn: Vpn) -> bool {
@@ -296,7 +378,7 @@ mod tests {
 
     #[test]
     fn conformance_suite() {
-        conformance::run(mk);
+        conformance::run(|model| SoftMmu::new(PageGeometry::new(256).with_large_factor(4), model));
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! is flushed on context switch, matching the un-tagged TLBs of the
 //! paper's era. It exists so the cost model can account for switch and
 //! miss costs and so benches can report locality effects.
+//!
+//! The TLB holds no referenced bit. The back-ends load an entry only in
+//! the table walk that sets the page table entry's bit, and whoever
+//! clears that bit ([`crate::Mmu::take_referenced`]) invalidates the
+//! entry with it. A hit therefore has nothing to set, and the first
+//! access after the bit was taken is a miss that sets it again.
 
 use crate::addr::Vpn;
 use crate::frame::FrameNo;

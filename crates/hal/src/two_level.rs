@@ -25,6 +25,8 @@ pub const L1_ENTRIES: usize = 8192;
 struct Pte {
     frame: FrameNo,
     prot: Prot,
+    /// Set by a table walk that ends in an allowed access.
+    referenced: bool,
 }
 
 struct L2Table {
@@ -113,6 +115,13 @@ impl TwoLevelMmu {
         self.root(ctx).l1[l1].as_ref().and_then(|t| t.entries[l2])
     }
 
+    fn walk_mut(&mut self, ctx: MmuCtx, vpn: Vpn) -> Option<&mut Pte> {
+        let (l1, l2) = split(vpn);
+        self.root_mut(ctx).l1[l1]
+            .as_mut()
+            .and_then(|t| t.entries[l2].as_mut())
+    }
+
     fn maybe_invalidate(&mut self, ctx: MmuCtx, vpn: Vpn) {
         if self.current == Some(ctx) {
             self.tlb.invalidate(vpn);
@@ -168,7 +177,11 @@ impl Mmu for TwoLevelMmu {
             table.live += 1;
             root.live_pages += 1;
         }
-        table.entries[l2] = Some(Pte { frame, prot });
+        table.entries[l2] = Some(Pte {
+            frame,
+            prot,
+            referenced: false,
+        });
         self.maybe_invalidate(ctx, vpn);
         self.model.charge(OpKind::MapPage);
     }
@@ -191,12 +204,7 @@ impl Mmu for TwoLevelMmu {
     }
 
     fn protect(&mut self, ctx: MmuCtx, vpn: Vpn, prot: Prot) -> bool {
-        let (l1, l2) = split(vpn);
-        let root = self.root_mut(ctx);
-        let Some(table) = root.l1[l1].as_mut() else {
-            return false;
-        };
-        let Some(pte) = table.entries[l2].as_mut() else {
+        let Some(pte) = self.walk_mut(ctx, vpn) else {
             return false;
         };
         pte.prot = prot;
@@ -225,21 +233,41 @@ impl Mmu for TwoLevelMmu {
         };
         let (frame, prot) = match cached {
             Some(hit) => hit,
-            None => match self.walk(ctx, vpn) {
-                Some(pte) => {
-                    self.model.charge(OpKind::TlbMiss);
-                    if self.current == Some(ctx) {
-                        self.tlb.insert(vpn, pte.frame, pte.prot);
-                    }
-                    (pte.frame, pte.prot)
+            None => {
+                // Only a walk that ends in an allowed access sets the
+                // referenced bit and loads the TLB, so a cached entry
+                // always has its bit set.
+                let Some(pte) = self.walk_mut(ctx, vpn) else {
+                    return Err(MmuFault::NotMapped { va, access });
+                };
+                let allowed = pte.prot.allows(access, system_mode);
+                pte.referenced |= allowed;
+                let entry = (pte.frame, pte.prot);
+                self.model.charge(OpKind::TlbMiss);
+                if allowed && self.current == Some(ctx) {
+                    self.tlb.insert(vpn, entry.0, entry.1);
                 }
-                None => return Err(MmuFault::NotMapped { va, access }),
-            },
+                entry
+            }
         };
         if !prot.allows(access, system_mode) {
             return Err(MmuFault::ProtectionViolation { va, access, prot });
         }
         Ok(PhysAddr(frame.0 as u64 * self.geom.page_size() + offset))
+    }
+
+    fn referenced(&self, ctx: MmuCtx, vpn: Vpn) -> bool {
+        self.walk(ctx, vpn).is_some_and(|pte| pte.referenced)
+    }
+
+    fn take_referenced(&mut self, ctx: MmuCtx, vpn: Vpn) -> bool {
+        let was = self
+            .walk_mut(ctx, vpn)
+            .is_some_and(|pte| core::mem::take(&mut pte.referenced));
+        if was {
+            self.maybe_invalidate(ctx, vpn);
+        }
+        was
     }
 
     fn mapped_count(&self, ctx: MmuCtx) -> usize {
@@ -258,7 +286,7 @@ mod tests {
 
     #[test]
     fn conformance_suite() {
-        conformance::run(mk);
+        conformance::run(|model| TwoLevelMmu::new(PageGeometry::new(256), model));
     }
 
     #[test]

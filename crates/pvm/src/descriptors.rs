@@ -18,7 +18,8 @@
 
 use crate::keys::{CacheKey, CtxKey, PageKey, RegKey};
 use chorus_gmi::SegmentId;
-use chorus_hal::{FrameNo, MmuCtx, Prot, VirtAddr, Vpn};
+use chorus_hal::{Arena, CostModel, FrameNo, Mmu, MmuCtx, OpKind, Prot, VirtAddr, Vpn};
+use core::ops::Range;
 use std::collections::BTreeSet;
 
 /// A context descriptor: one protected virtual address space.
@@ -225,9 +226,18 @@ impl StreamTable {
     /// window up to `cap`; a miss elsewhere starts a stream of `base`
     /// pages in place of the weakest one (smallest window, then longest
     /// idle). `base <= cap`, both at least one page of `ps` bytes.
-    /// Returns the stream's index in `table` and the window it had
-    /// before (0: the miss started it).
-    pub fn miss(&mut self, off: u64, ps: u64, base: u64, cap: u64) -> (usize, u64) {
+    /// Returns the stream's index in `table`, the window it had before
+    /// (0: the miss started it) and, when the miss *continued* the
+    /// stream, the byte range of the pull it has now left behind. A miss
+    /// at the last pull's start is that pull driven again: the stream
+    /// has left nothing.
+    pub fn miss(
+        &mut self,
+        off: u64,
+        ps: u64,
+        base: u64,
+        cap: u64,
+    ) -> (usize, u64, Option<Range<u64>>) {
         self.misses += 1;
         let now = self.misses;
         for s in &mut self.table {
@@ -257,12 +267,13 @@ impl StreamTable {
             s.next = off;
         }
         let before = s.window;
+        let left = (before > 0 && off != s.start).then_some(s.start..s.next);
         if before == 0 || off != s.start {
             s.window = before.saturating_mul(2).clamp(base, cap);
         }
         s.start = off;
         s.seen = now;
-        (slot, before)
+        (slot, before, left)
     }
 }
 
@@ -333,7 +344,10 @@ pub(crate) struct PageDesc {
     pub cleaning: bool,
     /// `lockInMemory` pin count.
     pub lock_count: u32,
-    /// Clock algorithm reference bit.
+    /// The software half of the reference signal: set at birth, by
+    /// `map_page` and by the PVM's own consumption of the page
+    /// (`resolve_version`). The hardware half is the referenced
+    /// bit of each entry of `mappings`; see [`PageDesc::referenced`].
     pub ref_bit: bool,
     /// Landed as the readahead tail of a `pullIn` and not mapped since:
     /// evicting it in this state is a wasted prefetch.
@@ -368,6 +382,36 @@ impl PageDesc {
     /// True if a write may currently be performed in place.
     pub fn write_allowed(&self) -> bool {
         self.writable && self.seg_write_ok && self.stubs.is_empty() && !self.cleaning
+    }
+
+    /// The use signal replacement reads: the software half, or the
+    /// hardware referenced bit of any mapping of the page.
+    pub fn referenced(&self, contexts: &Arena<ContextDesc>, mmu: &dyn Mmu) -> bool {
+        self.ref_bit
+            || self.mappings.iter().any(|m| {
+                contexts
+                    .get(m.ctx)
+                    .is_some_and(|c| mmu.referenced(c.mmu_ctx, m.vpn))
+            })
+    }
+
+    /// Clears both halves of the reference signal and reports whether
+    /// either was set. Each hardware bit found set cost one TLB
+    /// invalidate, charged as a `VaInvalidatePage`.
+    pub fn take_reference(
+        &mut self,
+        contexts: &Arena<ContextDesc>,
+        mmu: &mut dyn Mmu,
+        model: &CostModel,
+    ) -> bool {
+        let mut bits = 0u64;
+        for m in &self.mappings {
+            if let Some(c) = contexts.get(m.ctx) {
+                bits += u64::from(mmu.take_referenced(c.mmu_ctx, m.vpn));
+            }
+        }
+        model.charge_n(OpKind::VaInvalidatePage, bits);
+        core::mem::take(&mut self.ref_bit) || bits > 0
     }
 
     /// The hardware protection a mapping of this page may carry, given
@@ -496,7 +540,7 @@ mod tests {
 
     /// A miss on page `page` whose pull then covers the whole window.
     fn miss(t: &mut StreamTable, page: u64) -> u64 {
-        let (slot, _) = t.miss(page * PAGE, PAGE, 1, 8);
+        let (slot, ..) = t.miss(page * PAGE, PAGE, 1, 8);
         let s = &mut t.table[slot];
         s.next = (page + s.window) * PAGE;
         s.window
@@ -563,10 +607,13 @@ mod tests {
         }
         // Granted 8, but a resident page cut the run after 3; the next
         // miss lands behind the resident pages, still inside the window.
-        let (slot, before) = t.miss(at * PAGE, PAGE, 1, 8);
+        let (slot, before, left) = t.miss(at * PAGE, PAGE, 1, 8);
         assert_eq!((before, t.table[slot].window), (4, 8));
+        assert_eq!(left, Some((at - 4) * PAGE..at * PAGE));
         t.table[slot].next = (at + 3) * PAGE;
-        assert_eq!(t.miss((at + 5) * PAGE, PAGE, 1, 8), (slot, 8));
+        // What the stream leaves behind is the pull as it really ended.
+        let cut = Some(at * PAGE..(at + 3) * PAGE);
+        assert_eq!(t.miss((at + 5) * PAGE, PAGE, 1, 8), (slot, 8, cut));
         // One page past the window is somebody else's miss.
         t.table[slot].next = (at + 13) * PAGE;
         assert_eq!(t.miss((at + 13 + 8) * PAGE, PAGE, 1, 8).1, 0);
@@ -582,7 +629,7 @@ mod tests {
         // The 8-page pull at `at` fails and the access faults again:
         // same stream, same window, and nobody's stream is evicted.
         assert_eq!(miss(&mut t, at), 8);
-        assert_eq!(t.miss(at * PAGE, PAGE, 1, 8), (0, 8));
+        assert_eq!(t.miss(at * PAGE, PAGE, 1, 8), (0, 8, None));
         assert_eq!((t.table.len(), t.table[0].window), (1, 8));
         t.table[0].next = (at + 8) * PAGE;
         assert_eq!(miss(&mut t, at + 8), 8);
@@ -607,10 +654,10 @@ mod tests {
         // `base` is a floor for new and continued streams alike, and a
         // base above the ceiling is the window.
         let mut t = StreamTable::default();
-        assert_eq!(t.miss(0, PAGE, 4, 8), (0, 0));
+        assert_eq!(t.miss(0, PAGE, 4, 8), (0, 0, None));
         assert_eq!(t.table[0].window, 4);
         t.table[0].next = 4 * PAGE;
-        assert_eq!(t.miss(4 * PAGE, PAGE, 4, 8), (0, 4));
+        assert_eq!(t.miss(4 * PAGE, PAGE, 4, 8), (0, 4, Some(0..4 * PAGE)));
         assert_eq!(t.table[0].window, 8);
         let mut t = StreamTable::default();
         t.miss(0, PAGE, 16, 16);

@@ -20,11 +20,11 @@
 //! raced a bump falls through to the slow path, which re-derives truth
 //! under the mutex. Installs happen only while the state mutex is held
 //! (from `map_page`), so an entry can never outlive the MMU mapping it
-//! mirrors by more than one generation bump. The one deliberate
-//! imprecision: fast hits do not set the page's `ref_bit` (the slow
-//! path already set it at install), which at worst ages a hot page
-//! slightly faster — a replacement-policy nuance, never a correctness
-//! issue, because eviction itself bumps the generation.
+//! mirrors by more than one generation bump. A fast hit leaves the
+//! page's reference alone and loses nothing by it: the access that
+//! follows the fault walks the page table (or hits a TLB entry that a
+//! walk loaded), and the walk sets the mapping's hardware referenced
+//! bit, which is what replacement reads.
 
 use crate::keys::CtxKey;
 use crate::stats::{Counter, StatsRegistry};

@@ -458,6 +458,13 @@ impl PvmState {
                             }
                         }
                     }
+                    // A read through the stub mapped the source page
+                    // into this cache's regions; that mapping must not
+                    // outlive the stub, or the reader goes on seeing the
+                    // old value after the overwrite.
+                    if let crate::descriptors::CowSource::Page(p) = src {
+                        self.unmap_via(p, cache);
+                    }
                     self.unthread_cow_stub(cache, o, src);
                     self.clear_slot(cache, o);
                 }

@@ -179,7 +179,7 @@ impl PvmState {
             let Some(&page) = self.write_behind.front() else {
                 break;
             };
-            if self.write_behind_ready(page) && !self.page(page).ref_bit {
+            if self.write_behind_ready(page) && !self.page_referenced(page) {
                 match self.start_clean(page, PushOrigin::Daemon)? {
                     Outcome::Blocked(b @ Blocked::PushOut { .. }) => {
                         let cache = self.page(page).cache;
@@ -227,6 +227,10 @@ impl PvmState {
             &mut StateView {
                 pages: &mut self.pages,
                 caches: &self.caches,
+                contexts: &self.contexts,
+                mmu: &mut **self.mmu.lock(),
+                model: &self.model,
+                stats: &self.stats,
             },
         );
         self.policy = engine;
@@ -425,7 +429,9 @@ impl PvmState {
             p.cleaning = false;
             if success {
                 p.dirty = false;
-                // Make it an immediate eviction candidate.
+                // Make it an immediate eviction candidate, unless it
+                // was accessed while the push was out: the hardware
+                // bits are left alone.
                 p.ref_bit = false;
                 self.policy.cleaned(page);
             }

@@ -13,12 +13,15 @@
 //! `PvmState` and is only touched under the state lock; policies never
 //! take the `phys`/`trans` domain locks themselves — mutable page state
 //! is reached through the `PolicyView` the caller passes in, which
-//! borrows the page arena under the same state-lock section.
+//! borrows the page arena under the same state-lock section (and holds
+//! the `trans` domain for the length of one selection, to read and take
+//! the hardware referenced bits).
 
 use crate::clock::ClockRing;
-use crate::descriptors::{CacheDesc, PageDesc};
+use crate::descriptors::{CacheDesc, ContextDesc, PageDesc};
 use crate::keys::PageKey;
-use chorus_hal::{Arena, FxHashMap};
+use crate::stats::{Counter, StatsRegistry};
+use chorus_hal::{Arena, CostModel, FxHashMap, Mmu};
 use std::collections::VecDeque;
 
 // ----- public configuration ------------------------------------------------
@@ -118,9 +121,12 @@ pub(crate) struct PageIdent {
 pub(crate) trait PolicyView {
     /// Pinned (`lock_count > 0`) or mid-cleaning: never a victim.
     fn pinned_or_cleaning(&self, key: PageKey) -> bool;
-    /// The hardware reference bit.
+    /// Used since its reference was last cleared: mapped or consumed by
+    /// the PVM, or accessed through any of its mappings (the hardware
+    /// referenced bits).
     fn referenced(&self, key: PageKey) -> bool;
-    /// Clears the reference bit (the clock sweep's first pass).
+    /// Clears the reference (the clock sweep's first pass): the page
+    /// gets a second chance, and must be used again to get a third.
     fn clear_referenced(&mut self, key: PageKey);
     /// Dirty page of a quarantined cache: cannot be cleaned, so not a
     /// victim (clean pages of quarantined caches still are).
@@ -243,8 +249,8 @@ impl ReplacementPolicy for Clock {
     }
 
     fn touch(&mut self, _key: PageKey) {
-        // The reference bit on the page descriptor is the clock's use
-        // signal; `map_page` sets it already.
+        // The clock's use signal is the page's reference, read through
+        // the view; `map_page` sets its software half already.
     }
 
     fn cleaned(&mut self, key: PageKey) {
@@ -1114,6 +1120,12 @@ impl PolicyEngine {
 pub(crate) struct StateView<'a> {
     pub pages: &'a mut Arena<PageDesc>,
     pub caches: &'a Arena<CacheDesc>,
+    /// Resolve a reverse mapping's context to its MMU context.
+    pub contexts: &'a Arena<ContextDesc>,
+    /// The translation domain, held for the whole selection.
+    pub mmu: &'a mut dyn Mmu,
+    pub model: &'a CostModel,
+    pub stats: &'a StatsRegistry,
 }
 
 impl PolicyView for StateView<'_> {
@@ -1123,11 +1135,14 @@ impl PolicyView for StateView<'_> {
     }
 
     fn referenced(&self, key: PageKey) -> bool {
-        self.pages.get(key).expect("dead key in policy").ref_bit
+        let p = self.pages.get(key).expect("dead key in policy");
+        p.referenced(self.contexts, &*self.mmu)
     }
 
     fn clear_referenced(&mut self, key: PageKey) {
-        self.pages.get_mut(key).expect("dead key in policy").ref_bit = false;
+        let p = self.pages.get_mut(key).expect("dead key in policy");
+        p.take_reference(self.contexts, &mut *self.mmu, self.model);
+        self.stats.bump(Counter::RefSecondChances);
     }
 
     fn dirty_unpushable(&self, key: PageKey) -> bool {

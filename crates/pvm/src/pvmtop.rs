@@ -173,6 +173,10 @@ pub struct PolicyHeat {
     /// Selections served from the internal fallback clock while advice
     /// was in flight.
     pub external_fallbacks: u64,
+    /// Second chances granted: referenced pages a policy passed over.
+    pub second_chances: u64,
+    /// Pages that lost their reference to drop-behind.
+    pub drop_behind_pages: u64,
 }
 
 /// The full `pvmtop` snapshot.
@@ -339,6 +343,8 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
         external_batches: state.stats.get(C::PolicyExternalBatches),
         external_approvals: state.stats.get(C::PolicyExternalApprovals),
         external_fallbacks: state.stats.get(C::PolicyExternalFallbacks),
+        second_chances: state.stats.get(C::RefSecondChances),
+        drop_behind_pages: state.stats.get(C::DropBehindPages),
     };
 
     PvmTop {
@@ -385,7 +391,8 @@ pub fn render(top: &PvmTop, n: usize) -> String {
     let pol = &top.policy;
     out.push_str(&format!(
         "        policy: {} (+{} overrides)  victims {}/{} req  \
-         external {}/{} appr  fallbacks {}\n",
+         external {}/{} appr  fallbacks {}  second chances {}  \
+         drop-behind {}\n",
         pol.replacement,
         pol.segment_overrides,
         pol.victims,
@@ -393,6 +400,8 @@ pub fn render(top: &PvmTop, n: usize) -> String {
         pol.external_approvals,
         pol.external_batches,
         pol.external_fallbacks,
+        pol.second_chances,
+        pol.drop_behind_pages,
     ));
 
     out.push_str(&format!(
@@ -539,11 +548,14 @@ mod tests {
                 external_batches: 0,
                 external_approvals: 0,
                 external_fallbacks: 0,
+                second_chances: 7,
+                drop_behind_pages: 5,
             },
         };
         let text = render(&top, 2);
         assert!(text.contains("pvmtop  sim=42 ns"));
         assert!(text.contains("policy: clock (+0 overrides)  victims 2/3 req"));
+        assert!(text.contains("fallbacks 0  second chances 7  drop-behind 5"));
         assert!(text.contains("PVICT"));
         assert!(text.contains("... 1 more caches"));
         assert!(text.contains("lock heat (contended/acqs): state 3/12 stripe 1/4"));

@@ -14,6 +14,7 @@ use crate::stats::Counter;
 use crate::trace::TraceEvent;
 use chorus_gmi::GmiError;
 use chorus_hal::{Access, OpKind};
+use core::ops::Range;
 
 /// The resolved current version of a (cache, offset) datum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,8 +76,12 @@ impl PvmState {
                 Some(Slot::Present(p)) | Some(Slot::Cow(CowSource::Page(p))) => {
                     debug_assert!(self.pages.contains(p), "stub points at dead page");
                     // Consumed, mapped or not: no longer a prefetch that
-                    // an eviction would count as wasted.
-                    self.page_mut(p).prefetched = false;
+                    // an eviction would count as wasted, and a use like
+                    // any mapped access (`cache_read` and its kin map
+                    // nothing, so no hardware bit speaks for them).
+                    let page = self.page_mut(p);
+                    page.prefetched = false;
+                    page.ref_bit = true;
                     return done(Version::Page(p));
                 }
                 Some(Slot::Sync) => return blocked(Blocked::WaitStub),
@@ -149,6 +154,10 @@ impl PvmState {
     /// pool can take without a single upcall (see
     /// [`PvmState::secure_frames`]): no operation then carries both a
     /// multi-page pull and a `pushOut`.
+    ///
+    /// A miss that continues a stream also drops the reference of the
+    /// window the stream has left, before frames are secured for the
+    /// new one: see [`PvmState::drop_behind`].
     fn size_pull(&mut self, cache: CacheKey, off: u64) -> chorus_gmi::Result<u64> {
         let ps = self.ps();
         let floor = self.config.pull_cluster_pages.max(1);
@@ -165,7 +174,9 @@ impl PvmState {
         // asked for, so the stream table is not consulted at all.
         let stream = (!desc.fully_backed || desc.seg_len.is_some())
             .then(|| desc.streams.miss(off, ps, floor, cap));
-        let window = stream.map_or(floor, |(slot, _)| desc.streams.table[slot].window);
+        let window = stream
+            .as_ref()
+            .map_or(floor, |&(slot, ..)| desc.streams.table[slot].window);
         let mut pages = 1u64;
         while pages < window {
             let next = off + pages * ps;
@@ -183,10 +194,13 @@ impl PvmState {
             }
             pages += 1;
         }
+        if let Some((.., Some(left))) = &stream {
+            self.drop_behind(cache, left.clone());
+        }
         if pages > floor {
             pages = self.secure_frames(pages).max(floor);
         }
-        if let Some((slot, before)) = stream {
+        if let Some((slot, before, _)) = stream {
             let s = &mut self.cache_mut(cache)?.streams.table[slot];
             s.next = off + pages * ps;
             let ramped = s.window > before;
@@ -199,6 +213,28 @@ impl PvmState {
             }
         }
         Ok(pages)
+    }
+
+    /// Drop-behind: the resident pages of `left`, the window a stream of
+    /// `cache` has just moved past, lose their reference, both halves. A
+    /// sequential reader does not come back, so each is the hand's
+    /// first-pass victim unless somebody touches it again; without this
+    /// every scan page takes two passes and the hand revolves twice as
+    /// fast, past hot pages that had no time to be used again.
+    fn drop_behind(&mut self, cache: CacheKey, left: Range<u64>) {
+        let Some(desc) = self.caches.get(cache) else {
+            return;
+        };
+        let mut mmu = self.mmu.lock();
+        let mut dropped = 0u64;
+        for &off in desc.entries.range(left) {
+            if let Some(Slot::Present(p)) = self.gmap.get(cache, off) {
+                let page = self.pages.get_mut(p).expect("dangling page key");
+                dropped += u64::from(page.take_reference(&self.contexts, &mut **mmu, &self.model));
+            }
+        }
+        drop(mmu);
+        self.stats.add(Counter::DropBehindPages, dropped);
     }
 
     /// True if the fragment policy of `cache` at `off` is

@@ -440,6 +440,12 @@ impl PvmState {
         self.pages.get_mut(k).expect("dangling page key")
     }
 
+    /// Whether the page was used since its reference was last cleared
+    /// (see [`PageDesc::referenced`]).
+    pub fn page_referenced(&self, k: PageKey) -> bool {
+        self.page(k).referenced(&self.contexts, &**self.mmu.lock())
+    }
+
     /// Pins the page resident at `(cache, offset)`, if any, and returns
     /// its key. Used by `fillUp` to keep the already-landed pages of a
     /// clustered delivery out of the victim pool while the rest of the
@@ -611,10 +617,13 @@ impl PvmState {
         self.mmu.lock().map(mmu_ctx, vpn, frame, prot);
         let page = self.page_mut(key);
         page.mappings.push(Mapping { ctx, vpn, via });
+        // The MMU entered the mapping unreferenced; the access that
+        // faulted walks the table when it is retried and sets that bit
+        // too. Until then the software half stands for the fault.
         page.ref_bit = true;
         page.prefetched = false;
-        // The policy's use signal (the clock reads the reference bit set
-        // above; recency policies queue the touch).
+        // The policy's fault-time hook (the clock reads the reference
+        // set above through its view; recency policies queue the touch).
         self.policy.touch(key);
         // Publish the translation so later soft faults on it skip the
         // state mutex. Only non-COW, non-stub resident pages ever get

@@ -245,6 +245,12 @@ counters! {
     /// `pushOut` runs issued inline by an allocation that found the
     /// write-behind queue full (the faulter stalls on them).
     demand_pushes => DemandPushes,
+    /// Second chances granted: times a replacement policy passed over a
+    /// page because it was referenced, clearing the reference.
+    ref_second_chances => RefSecondChances,
+    /// Resident pages that lost their reference because the stream that
+    /// pulled them in moved on to its next window (drop-behind).
+    drop_behind_pages => DropBehindPages,
 }
 
 const N_COUNTERS: usize = Counter::ALL.len();
@@ -351,7 +357,7 @@ mod tests {
     #[test]
     fn counter_labels_match_snapshot_fields() {
         assert_eq!(Counter::FastPathHits.label(), "fast_path_hits");
-        assert_eq!(Counter::ALL.len(), 60);
+        assert_eq!(Counter::ALL.len(), 62);
         assert_eq!(Counter::ReadaheadHits.label(), "readahead_hits");
         assert_eq!(Counter::ReadaheadRamps.label(), "readahead_ramps");
         assert_eq!(Counter::PolicyVictims.label(), "policy_victims");

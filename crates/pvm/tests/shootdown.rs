@@ -60,3 +60,35 @@ fn reader_mapping_follows_per_page_stub_materialization() {
     assert_eq!(read(&pvm, reader, 0x1000, 4), b"COW!");
     assert_eq!(pvm.read_logical(src, 0, 4).unwrap(), pattern(0x33, 4));
 }
+
+#[test]
+fn reader_mapping_does_not_outlive_an_overwritten_per_page_stub() {
+    // The Nucleus IPC receive path: a message lands in the receiver's
+    // cache as per-page stubs, the receiver reads it (mapping the
+    // sender's page read-only through its stub) and never writes, and
+    // the next message is copied over the same range.
+    let (pvm, _) = setup(64);
+    let first = pvm.cache_create(None).unwrap();
+    let second = pvm.cache_create(None).unwrap();
+    pvm.write_logical(first, 0, &pattern(0x51, (2 * PS) as usize))
+        .unwrap();
+    pvm.write_logical(second, 0, &pattern(0x52, (2 * PS) as usize))
+        .unwrap();
+    let inbox = pvm.cache_create(None).unwrap();
+    let reader = pvm.context_create().unwrap();
+    pvm.region_create(reader, VirtAddr(0x1000), 2 * PS, Prot::RW, inbox, 0)
+        .unwrap();
+
+    pvm.cache_copy_with(first, 0, inbox, 0, 2 * PS, CopyMode::PerPage)
+        .unwrap();
+    let len = (2 * PS) as usize;
+    assert_eq!(read(&pvm, reader, 0x1000, len), pattern(0x51, len));
+    pvm.cache_copy_with(second, 0, inbox, 0, 2 * PS, CopyMode::PerPage)
+        .unwrap();
+    assert_eq!(
+        read(&pvm, reader, 0x1000, len),
+        pattern(0x52, len),
+        "the reader still sees the first message through a stale mapping"
+    );
+    pvm.check_invariants();
+}

@@ -19,7 +19,9 @@
 # seeded hot-cache/sick-mapper scenario), the policy-matrix smoke
 # (every built-in replacement policy races the three ablation_policies
 # scenarios with per-combo determinism self-checks and byte-verified
-# workloads), the pvmtop render smoke, the
+# workloads, and at full size the clock must pull fewer hot pages back
+# than it did without hardware referenced bits), the pvmtop render
+# smoke, the
 # release-mode concurrency stress, the tracing
 # bit-identity check (Table 5 regenerated with CHORUS_TRACE=1 must
 # match the committed reports/table5.txt byte for byte — the
@@ -53,7 +55,7 @@ cp BENCH_*.json "$refdir"/ 2>/dev/null || true
 step "cargo build --release"
 cargo build --release
 
-step "cargo test -q"
+step "cargo test -q (the workspace's default members)"
 cargo test -q
 
 step "cargo fmt --check"
@@ -217,6 +219,22 @@ best = min((r for r in rows if r["scenario"] == "pressure"),
            key=lambda r: r["pull_ins"])
 print("ok: %d rows, every eviction policy-driven; hot/cold winner %s (%d pulls)"
       % (len(rows), best["replacement"], best["pull_ins"]))
+'
+
+step "ablation_policies (full shape): the clock sees the hot set"
+# With a software-only reference bit the clock could not tell the hot
+# pages of `pressure` from the cold stream and pulled 267 pages. (The
+# --quick shape cannot show it: its three rounds keep the hand four
+# pages ahead of the rewrite whatever the clock knows, 102 pulls.)
+cargo run --release -q -p chorus-bench --bin ablation_policies -- --json |
+  python3 -c '
+import json, sys
+rows = json.load(sys.stdin)["rows"]
+clock = next(r for r in rows
+             if r["scenario"] == "pressure" and r["replacement"] == "clock")
+assert clock["pull_ins"] < 267, clock
+print("ok: clock pulls %d pages under hot/cold pressure (267 without "
+      "hardware referenced bits)" % clock["pull_ins"])
 '
 
 step "ablation_mapper_faults: retries heal transient faults"
