@@ -117,11 +117,7 @@ fn run(fault_per_mille: u32, policy: RetryPolicy, policy_name: &'static str) -> 
         .iter()
         .map(|(_, c)| c[DimCounter::Faults as usize])
         .sum();
-    assert_eq!(
-        by_cache,
-        stats.faults - stats.fast_path_hits,
-        "per-cache fault counters vs global"
-    );
+    assert_eq!(by_cache, stats.faults, "per-cache fault counters vs global");
     Row {
         fault_per_mille,
         policy: policy_name,

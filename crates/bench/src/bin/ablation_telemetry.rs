@@ -51,7 +51,7 @@ const QUICK: Shape = Shape {
 };
 
 /// Gauge cadence for the overhead run: coarse enough that the sampler
-/// walk (buddy orders, shard occupancy) stays a rounding error next to
+/// walk (buddy orders) stays a rounding error next to
 /// the faults it observes, fine enough for a few hundred points.
 const SAMPLE_NS: u64 = 500_000_000;
 

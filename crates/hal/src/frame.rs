@@ -19,7 +19,7 @@
 use crate::addr::{PageGeometry, PhysAddr};
 use crate::cost::{CostModel, OpKind};
 use std::collections::BTreeSet;
-use std::ptr::NonNull;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A physical page frame number.
@@ -49,82 +49,12 @@ pub struct MemStats {
     pub merges: u64,
 }
 
-/// The frame byte plane, split out of [`PhysicalMemory`] so fill paths
-/// can write a frame's bytes without holding the allocator's lock.
-///
-/// The allocator keeps one `Arc` and routes every safe accessor through
-/// it; a memory manager doing unlocked fills keeps another. All slice
-/// accessors are `unsafe` with the same contract: the caller must hold
-/// *logical exclusive ownership* of the frames it touches — either the
-/// allocator's own exclusivity (`&mut PhysicalMemory`), or a frame that
-/// is allocated but published to exactly one filling thread and to no
-/// page descriptor (so nothing else can read or write it concurrently).
-/// Distinct frames never overlap, so concurrent access to different
-/// frames is always race-free.
-pub struct FrameStore {
-    page: usize,
-    len: usize,
-    ptr: NonNull<u8>,
-}
-
-// SAFETY: the store is a plain byte arena; all mutation goes through
-// `unsafe` accessors whose contract (exclusive logical ownership of the
-// touched frames) rules out data races.
-unsafe impl Send for FrameStore {}
-unsafe impl Sync for FrameStore {}
-
-impl FrameStore {
-    fn new(page: usize, frames: usize) -> FrameStore {
-        let len = page * frames;
-        let leaked: &'static mut [u8] = Box::leak(vec![0u8; len].into_boxed_slice());
-        FrameStore {
-            page,
-            len,
-            ptr: NonNull::new(leaked.as_mut_ptr()).expect("boxed slice has a base"),
-        }
-    }
-
-    /// Bytes of one frame, read-only.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold logical exclusive-or-shared ownership of `f`
-    /// (see the type docs): no other thread may be writing it.
-    pub unsafe fn frame(&self, f: FrameNo) -> &[u8] {
-        debug_assert!((f.0 as usize + 1) * self.page <= self.len);
-        std::slice::from_raw_parts(self.ptr.as_ptr().add(f.0 as usize * self.page), self.page)
-    }
-
-    /// Bytes of one frame, writable.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold logical *exclusive* ownership of `f` (see
-    /// the type docs): no other thread may be reading or writing it.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn frame_mut(&self, f: FrameNo) -> &mut [u8] {
-        debug_assert!((f.0 as usize + 1) * self.page <= self.len);
-        std::slice::from_raw_parts_mut(self.ptr.as_ptr().add(f.0 as usize * self.page), self.page)
-    }
-}
-
-impl Drop for FrameStore {
-    fn drop(&mut self) {
-        // SAFETY: reconstructs exactly the boxed slice leaked in `new`.
-        unsafe {
-            drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(
-                self.ptr.as_ptr(),
-                self.len,
-            )));
-        }
-    }
-}
-
 /// A fixed-size pool of physical page frames over a buddy allocator.
 pub struct PhysicalMemory {
     geom: PageGeometry,
     model: Arc<CostModel>,
-    store: Arc<FrameStore>,
+    /// The frames' bytes, frame `n` at `n * page_size`.
+    bytes: Vec<u8>,
     /// Per-order free lists of aligned block base frames. Ordered sets so
     /// allocation is deterministic lowest-address-first.
     free_lists: Vec<BTreeSet<u32>>,
@@ -161,18 +91,12 @@ impl PhysicalMemory {
         PhysicalMemory {
             geom,
             model,
-            store: Arc::new(FrameStore::new(page, frames as usize)),
+            bytes: vec![0u8; page * frames as usize],
             free_lists,
             allocated: vec![false; frames as usize],
             free_count: frames,
             stats: MemStats::default(),
         }
-    }
-
-    /// The shared frame byte plane (see [`FrameStore`] for the
-    /// exclusivity contract its accessors demand).
-    pub fn store(&self) -> Arc<FrameStore> {
-        self.store.clone()
     }
 
     /// The page geometry of this pool.
@@ -286,8 +210,7 @@ impl PhysicalMemory {
         let n = self.take_block(0)?;
         self.mark_allocated(n, 1);
         let page = self.geom.page_size() as usize;
-        // SAFETY: just allocated, so `&mut self` owns the frame.
-        unsafe { self.store.frame_mut(FrameNo(n)) }.fill(0);
+        self.frame_mut(FrameNo(n)).fill(0);
         self.stats.zeroed += 1;
         self.stats.zeroed_bytes += page as u64;
         self.model.charge(OpKind::BzeroPage);
@@ -320,10 +243,8 @@ impl PhysicalMemory {
         let frames = 1u64 << order;
         let page = self.geom.page_size() as usize;
         let len = page * frames as usize;
-        for k in 0..frames {
-            // SAFETY: the whole run was just allocated by `&mut self`.
-            unsafe { self.store.frame_mut(FrameNo(run.0 + k as u32)) }.fill(0);
-        }
+        let start = self.byte_range(run).start;
+        self.bytes[start..start + len].fill(0);
         self.stats.zeroed += frames;
         self.stats.zeroed_bytes += len as u64;
         self.model.charge_n(OpKind::BzeroPage, frames);
@@ -357,10 +278,8 @@ impl PhysicalMemory {
 
     /// Fills a frame with zeroes (`bzero`).
     pub fn zero(&mut self, f: FrameNo) {
-        self.check_live(f);
         let page = self.geom.page_size() as usize;
-        // SAFETY: `&mut self` owns every live frame's bytes.
-        unsafe { self.store.frame_mut(f) }.fill(0);
+        self.frame_mut(f).fill(0);
         self.stats.zeroed += 1;
         self.stats.zeroed_bytes += page as u64;
         self.model.charge(OpKind::BzeroPage);
@@ -393,12 +312,8 @@ impl PhysicalMemory {
         assert_ne!(src, dst, "copy_frame with identical frames");
         self.check_live(src);
         self.check_live(dst);
-        // SAFETY: `&mut self` owns both frames; src != dst so the slices
-        // are disjoint.
-        unsafe {
-            let s = self.store.frame(src);
-            self.store.frame_mut(dst).copy_from_slice(s);
-        }
+        let (src, dst) = (self.byte_range(src), self.byte_range(dst));
+        self.bytes.copy_within(src, dst.start);
         self.stats.copied += 1;
         self.model.charge(OpKind::BcopyPage);
     }
@@ -421,9 +336,7 @@ impl PhysicalMemory {
     /// Read-only view of a live frame's bytes.
     pub fn frame(&self, f: FrameNo) -> &[u8] {
         self.check_live(f);
-        // SAFETY: `&self` shares every live frame's bytes; writers need
-        // `&mut self` or an exclusive landing frame never read here.
-        unsafe { self.store.frame(f) }
+        &self.bytes[self.byte_range(f)]
     }
 
     /// Mutable view of a live frame's bytes.
@@ -432,8 +345,8 @@ impl PhysicalMemory {
     /// written straight into the frame.
     pub fn frame_mut(&mut self, f: FrameNo) -> &mut [u8] {
         self.check_live(f);
-        // SAFETY: `&mut self` owns every live frame's bytes.
-        unsafe { self.store.frame_mut(f) }
+        let range = self.byte_range(f);
+        &mut self.bytes[range]
     }
 
     /// Reads `buf.len()` bytes from a frame starting at `offset`.
@@ -485,6 +398,13 @@ impl PhysicalMemory {
     /// True if the frame is currently allocated.
     pub fn is_allocated(&self, f: FrameNo) -> bool {
         (f.0 as usize) < self.allocated.len() && self.allocated[f.0 as usize]
+    }
+
+    /// Where frame `f`'s bytes sit in the plane.
+    fn byte_range(&self, f: FrameNo) -> Range<usize> {
+        let page = self.geom.page_size() as usize;
+        let start = f.0 as usize * page;
+        start..start + page
     }
 
     fn check_live(&self, f: FrameNo) {

@@ -13,6 +13,8 @@
 //! Nothing in this crate knows about caches, segments or history objects;
 //! those live above, in `chorus-pvm`.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod arena;
 pub mod clock;
@@ -30,7 +32,7 @@ pub use addr::{PageGeometry, PhysAddr, VirtAddr, Vpn};
 pub use arena::{Arena, Id};
 pub use clock::{TraceClock, TraceStamp};
 pub use cost::{CostModel, CostParams, OpKind, SimTime};
-pub use frame::{FrameNo, FrameStore, MemStats, PhysicalMemory};
+pub use frame::{FrameNo, MemStats, PhysicalMemory};
 pub use fx::{fx_hash_one, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use mmu::{Access, Mmu, MmuCtx, MmuFault, Prot};
 pub use soft_mmu::SoftMmu;

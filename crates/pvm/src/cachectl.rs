@@ -97,20 +97,11 @@ impl PvmState {
         };
         self.demote_covering_slot(pc, po);
         let mappings = self.page(page).mappings.clone();
-        let frame = self.page(page).frame;
         for m in mappings {
             if let Ok(c) = self.ctx(m.ctx) {
                 let mmu_ctx = c.mmu_ctx;
-                // Hoisted out of the `if let` scrutinee: a scrutinee
-                // temporary would keep the trans guard alive across the
-                // body, self-deadlocking on the `protect` below.
-                let queried = self.mmu.lock().query(mmu_ctx, m.vpn);
-                if let Some((_, prot)) = queried {
-                    let narrowed = prot.remove(Prot::WRITE);
-                    self.mmu.lock().protect(mmu_ctx, m.vpn, narrowed);
-                    // Narrow the fast-path entry in the same step so a
-                    // racing writer cannot dodge the cleaning wait.
-                    self.fast.install(m.ctx, m.vpn, frame, narrowed);
+                if let Some((_, prot)) = self.mmu.query(mmu_ctx, m.vpn) {
+                    self.mmu.protect(mmu_ctx, m.vpn, prot.remove(Prot::WRITE));
                 }
             }
         }
@@ -274,10 +265,10 @@ impl PvmState {
         match version {
             Version::Page(p) => {
                 let src = self.page(p).frame;
-                self.phys.lock().copy_frame(src, frame);
+                self.phys.copy_frame(src, frame);
                 self.unmap_via(p, cache);
             }
-            Version::Zero => self.phys.lock().zero(frame),
+            Version::Zero => self.phys.zero(frame),
         }
         if let Some(Slot::Cow(src)) = self.slot(cache, off) {
             self.unthread_cow_stub(cache, off, src);

@@ -8,8 +8,7 @@
 //! [`telemetry`](PvmConfigBuilder::telemetry) and
 //! [`policy`](PvmConfigBuilder::policy) — so related knobs are set
 //! together and cross-field invariants read next to the fields they
-//! constrain. The old flat setters survive one release as thin
-//! deprecated forwards.
+//! constrain.
 
 use crate::policy::{PolicyConfig, ReplacementKind};
 use crate::trace::TraceConfig;
@@ -62,15 +61,6 @@ pub struct PvmConfig {
     /// run an emergency eviction pass over clean unpinned pages instead
     /// of failing the fault recovery with `OutOfMemory`.
     pub emergency_pageout: bool,
-    /// Consult the lock-free resident translation cache before taking
-    /// the state mutex on a fault. Soft faults (resident page, non-COW,
-    /// non-stub, access already allowed) then complete without the big
-    /// lock. Disable for single-lock ablation runs.
-    pub fast_path: bool,
-    /// Lock stripes for the sharded global map (rounded up to a power of
-    /// two). Independent caches hash to different stripes and never
-    /// contend on one mutex.
-    pub global_map_shards: usize,
     /// Event tracing (see [`crate::trace`]). Disabled by default; when
     /// disabled every trace point is one relaxed atomic load, and when
     /// enabled the simulated clock is untouched, so the evaluation
@@ -126,7 +116,7 @@ pub struct PvmConfig {
     /// [`PvmConfig::suspect_after_timeouts`].
     pub quarantine_after_timeouts: u32,
     /// Backpressure bound on the pending asynchronous pull queue: a
-    /// faulting thread entering the slow path while this many pulls are
+    /// faulting thread entering the fault path while this many pulls are
     /// queued (not yet submitted) blocks on `Blocked::Throttled`,
     /// force-draining completions instead of growing the queue without
     /// bound. 0 disables throttling.
@@ -179,27 +169,6 @@ pub struct PvmConfig {
     /// to multiples of this period on the simulated clock. Must be at
     /// least 1 when [`PvmConfig::telemetry`] is on.
     pub telemetry_sample_ns: u64,
-    /// Parallel hard-fault engine: decompose the PVM into independently
-    /// lockable domains (per-cache fault stripes over the global-map
-    /// hash, a physical-tier lock around the buddy allocator, one
-    /// translation lock around the MMU) so hard faults to *disjoint*
-    /// caches pull, fill and map concurrently — the faulting thread
-    /// holds only its cache's stripe across the pull, and `fillUp`
-    /// copies the delivered bytes into landing frames outside every
-    /// domain lock. Off by default: all work then funnels through the
-    /// classic single state mutex and the evaluation tables are
-    /// bit-identical. The striped driver engages only when
-    /// [`PvmConfig::async_upcalls`] is off (the completion engine has
-    /// its own source of concurrency); the knob is inert, not invalid,
-    /// with the engine on.
-    ///
-    /// Setting the `CHORUS_PARALLEL_FAULTS` environment variable to
-    /// anything but `0` or the empty string flips the *default* to on,
-    /// so whole existing test suites can be swept knob-on
-    /// (`CHORUS_PARALLEL_FAULTS=1 cargo test`) without editing every
-    /// config literal. Explicit assignments and builder calls still
-    /// win over the environment.
-    pub parallel_faults: bool,
     /// Replacement policy selection: which `ReplacementPolicy` runs
     /// victim selection, globally and per segment override. The default
     /// is the classic clock sweep.
@@ -222,8 +191,6 @@ impl Default for PvmConfig {
             retry: RetryPolicy::default(),
             quarantine_on_permanent_failure: true,
             emergency_pageout: true,
-            fast_path: true,
-            global_map_shards: 16,
             trace: TraceConfig::default(),
             push_cluster_pages: IPC_MESSAGE_PAGES,
             writeback_daemon: false,
@@ -242,18 +209,9 @@ impl Default for PvmConfig {
             promote_threshold_pages: 256,
             telemetry: false,
             telemetry_sample_ns: 1_000_000,
-            parallel_faults: parallel_faults_env(),
             policy: PolicyConfig::default(),
         }
     }
-}
-
-/// Environment override for the [`PvmConfig::parallel_faults`] default:
-/// `CHORUS_PARALLEL_FAULTS` set to anything but `0`/empty turns the
-/// knob on for every default-constructed config, enabling knob-on
-/// sweeps of unmodified test suites.
-fn parallel_faults_env() -> bool {
-    std::env::var_os("CHORUS_PARALLEL_FAULTS").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
 impl PvmConfig {
@@ -268,7 +226,7 @@ impl PvmConfig {
 
 /// Builder for [`PvmConfig`] enforcing cross-field invariants that a
 /// plain struct literal cannot: watermark ordering, non-zero cluster
-/// and shard sizes, a positive in-flight budget, and well-formed policy
+/// sizes, a positive in-flight budget, and well-formed policy
 /// overrides.
 ///
 /// Knobs are set through grouped sections, each a closure over a
@@ -304,26 +262,7 @@ macro_rules! setters {
     };
 }
 
-/// Generates the deprecated flat forwards on [`PvmConfigBuilder`]
-/// itself: same names and behaviour as the pre-section setters, kept
-/// for one release.
-macro_rules! flat_forwards {
-    ($($name:ident: $ty:ty => $section:literal),* $(,)?) => {
-        $(
-            #[doc = concat!("See [`PvmConfig::", stringify!($name), "`]. ",
-                "Grouped section: `", $section, "`.")]
-            #[deprecated(note = "set this through its grouped builder section instead")]
-            #[must_use]
-            pub fn $name(mut self, value: $ty) -> Self {
-                self.config.$name = value;
-                self
-            }
-        )*
-    };
-}
-
-/// The `paging` section: core replacement/clustering mechanics, map
-/// sharding and the fault fast paths.
+/// The `paging` section: core replacement/clustering mechanics.
 #[derive(Debug)]
 pub struct PagingSection {
     cfg: PvmConfig,
@@ -343,12 +282,6 @@ impl PagingSection {
         pull_cluster_pages: u64,
         /// See [`PvmConfig::push_cluster_pages`].
         push_cluster_pages: u64,
-        /// See [`PvmConfig::fast_path`].
-        fast_path: bool,
-        /// See [`PvmConfig::global_map_shards`].
-        global_map_shards: usize,
-        /// See [`PvmConfig::parallel_faults`].
-        parallel_faults: bool,
     }
 }
 
@@ -498,8 +431,8 @@ macro_rules! sections {
 
 impl PvmConfigBuilder {
     sections! {
-        /// Core paging mechanics: clustering, map sharding, fast
-        /// paths. See [`PagingSection`].
+        /// Core paging mechanics: replacement and clustering. See
+        /// [`PagingSection`].
         paging: PagingSection,
         /// The asynchronous upcall engine and mapper-health
         /// escalation. See [`AsyncSection`].
@@ -517,46 +450,12 @@ impl PvmConfigBuilder {
         policy: PolicySection,
     }
 
-    flat_forwards! {
-        per_page_max_pages: u64 => "paging",
-        enable_pageout: bool => "paging",
-        check_invariants: bool => "paging",
-        collapse_zombies: bool => "paging",
-        pull_cluster_pages: u64 => "paging",
-        retry: RetryPolicy => "async",
-        quarantine_on_permanent_failure: bool => "async",
-        emergency_pageout: bool => "pressure",
-        fast_path: bool => "paging",
-        global_map_shards: usize => "paging",
-        trace: TraceConfig => "telemetry",
-        push_cluster_pages: u64 => "paging",
-        writeback_daemon: bool => "pressure",
-        writeback_low_frames: u32 => "pressure",
-        writeback_high_frames: u32 => "pressure",
-        async_upcalls: bool => "async",
-        max_inflight_upcalls: u64 => "async",
-        upcall_watchdog: bool => "async",
-        suspect_after_timeouts: u32 => "async",
-        quarantine_after_timeouts: u32 => "async",
-        max_pending_pulls: u64 => "pressure",
-        emergency_reserve_frames: u32 => "pressure",
-        oom_killer: bool => "pressure",
-        buddy_runs: bool => "large_pages",
-        promote_threshold_pages: u64 => "large_pages",
-        telemetry_sample_ns: u64 => "telemetry",
-        parallel_faults: bool => "paging",
-    }
-    // `large_pages(bool)` and `telemetry(bool)` could not survive as
-    // forwards: their names ARE the section entry points now. Use
-    // `.large_pages(|l| l.large_pages(true))` / `.telemetry(|t|
-    // t.telemetry(true))`.
-
     /// Validates the assembled configuration.
     ///
     /// # Errors
     ///
     /// Returns [`chorus_gmi::GmiError::Unsupported`] naming the violated
-    /// invariant: zero cluster/shard/in-flight sizes or inverted
+    /// invariant: zero cluster/in-flight sizes or inverted
     /// writeback watermarks.
     pub fn build(self) -> chorus_gmi::Result<PvmConfig> {
         let c = &self.config;
@@ -568,11 +467,6 @@ impl PvmConfigBuilder {
         if c.push_cluster_pages < 1 {
             return Err(chorus_gmi::GmiError::Unsupported(
                 "push_cluster_pages must be at least 1",
-            ));
-        }
-        if c.global_map_shards < 1 {
-            return Err(chorus_gmi::GmiError::Unsupported(
-                "global_map_shards must be at least 1",
             ));
         }
         if c.writeback_low_frames > c.writeback_high_frames {
@@ -652,9 +546,6 @@ mod tests {
         assert!(c.retry.max_attempts > 1, "transient faults heal by default");
         assert!(c.quarantine_on_permanent_failure);
         assert!(c.emergency_pageout);
-        assert!(c.fast_path, "soft-fault fast path is on by default");
-        assert_eq!(c.global_map_shards, 16);
-        assert!(c.global_map_shards.is_power_of_two());
         assert!(!c.trace.enabled, "tracing is opt-in");
         assert!(!c.trace.wall_clock, "wall stamps are opt-in");
         assert_eq!(
@@ -681,9 +572,6 @@ mod tests {
         );
         assert!(!c.telemetry, "dimensional telemetry is opt-in");
         assert_eq!(c.telemetry_sample_ns, 1_000_000, "1 ms sim cadence");
-        if std::env::var_os("CHORUS_PARALLEL_FAULTS").is_none() {
-            assert!(!c.parallel_faults, "parallel hard faults are opt-in");
-        }
         assert_eq!(
             c.policy.replacement,
             ReplacementKind::Clock,
@@ -695,7 +583,7 @@ mod tests {
     #[test]
     fn builder_accepts_defaults_and_valid_tweaks() {
         let c = PvmConfig::builder()
-            .paging(|p| p.pull_cluster_pages(4).parallel_faults(true))
+            .paging(|p| p.pull_cluster_pages(4))
             .pressure(|p| {
                 p.writeback_daemon(true)
                     .writeback_low_frames(4)
@@ -723,10 +611,6 @@ mod tests {
         assert!(c.oom_killer);
         assert!(c.telemetry);
         assert_eq!(c.telemetry_sample_ns, 500_000);
-        assert!(
-            c.parallel_faults,
-            "parallel_faults composes with the async engine (inert, not invalid)"
-        );
     }
 
     #[test]
@@ -750,27 +634,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_flat_setters_still_forward() {
-        let c = PvmConfig::builder()
-            .pull_cluster_pages(2)
-            .async_upcalls(true)
-            .writeback_daemon(true)
-            .writeback_high_frames(4)
-            .build()
-            .expect("flat forwards still build");
-        assert_eq!(c.pull_cluster_pages, 2);
-        assert!(c.writeback_daemon);
-        assert!(c.async_upcalls);
-    }
-
-    #[test]
     fn builder_rejects_invalid_combinations() {
         let paging_err =
             |f: fn(PagingSection) -> PagingSection| PvmConfig::builder().paging(f).build().is_err();
         assert!(paging_err(|p| p.pull_cluster_pages(0)));
         assert!(paging_err(|p| p.push_cluster_pages(0)));
-        assert!(paging_err(|p| p.global_map_shards(0)));
         assert!(PvmConfig::builder()
             .pressure(|p| p.writeback_low_frames(8).writeback_high_frames(4))
             .build()

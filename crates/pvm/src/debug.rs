@@ -26,7 +26,6 @@ impl PvmState {
         self.check_regions();
         self.check_frames();
         self.check_clock_ring();
-        self.check_fast_path();
         self.check_large_maps();
         // The write-behind queue holds at most one IPC message of
         // distinct keys. A key may be stale (page freed, cleaned, pinned
@@ -38,7 +37,7 @@ impl PvmState {
     }
 
     fn check_global_map(&self) {
-        for ((cache, off), slot) in self.gmap.slots_snapshot() {
+        for ((cache, off), slot) in self.gmap.slots() {
             let c = self
                 .caches
                 .get(cache)
@@ -81,10 +80,10 @@ impl PvmState {
         // The O(1) liveness count must agree with a full scan of the
         // index, cache by cache.
         let mut scanned: chorus_hal::FxHashMap<_, usize> = Default::default();
-        for ((c, o), list) in self.gmap.loc_stubs_snapshot() {
+        for ((c, o), list) in self.gmap.loc_stubs() {
             assert!(!list.is_empty(), "empty loc-stub list left in the index");
             *scanned.entry(c).or_insert(0) += list.len();
-            for (dc, doff) in list {
+            for &(dc, doff) in list {
                 assert_eq!(
                     self.gmap.get(dc, doff),
                     Some(Slot::Cow(CowSource::Loc(c, o))),
@@ -94,7 +93,7 @@ impl PvmState {
         }
         assert_eq!(
             self.gmap.loc_stub_counts(),
-            scanned,
+            &scanned,
             "per-cache loc-stub counts != full scan of the stub index"
         );
         let indexed: usize = self.caches.iter().map(|(_, c)| c.entries.len()).sum();
@@ -120,26 +119,6 @@ impl PvmState {
             assert!(
                 self.policy.contains(k),
                 "live page {k:?} missing from policy engine"
-            );
-        }
-    }
-
-    /// Every *current-generation* fast-path entry must mirror a live MMU
-    /// mapping to the same frame with at least its recorded protection —
-    /// the property that makes a lock-free hit safe.
-    fn check_fast_path(&self) {
-        for ((ctx, vpn), e) in self.fast.snapshot() {
-            let Some(cd) = self.contexts.get(ctx) else {
-                panic!("fast-path entry for dead context {ctx:?}");
-            };
-            let Some((frame, prot)) = self.mmu.lock().query(cd.mmu_ctx, vpn) else {
-                panic!("fast-path entry ({ctx:?},{vpn:?}) without MMU mapping");
-            };
-            assert_eq!(e.frame, frame, "fast-path frame mismatch at {vpn:?}");
-            assert_eq!(
-                prot.intersect(e.prot),
-                e.prot,
-                "fast-path entry wider than MMU protection at {vpn:?}"
             );
         }
     }
@@ -233,9 +212,8 @@ impl PvmState {
             }
             for m in &p.mappings {
                 let ctx = self.contexts.get(m.ctx).expect("mapping into dead context");
-                let entry = self.mmu.lock().query(ctx.mmu_ctx, m.vpn);
                 assert_eq!(
-                    entry.map(|(f, _)| f),
+                    self.mmu.query(ctx.mmu_ctx, m.vpn).map(|(f, _)| f),
                     Some(p.frame),
                     "MMU entry mismatch for mapping of page {key:?}"
                 );
@@ -290,9 +268,9 @@ impl PvmState {
 
     fn check_frames(&self) {
         assert_eq!(
-            self.phys.lock().stats().in_use as usize,
-            self.pages.len() + self.reserved_frames.len() + self.landing.len(),
-            "allocated frames != live pages + reserved pull frames + landing frames"
+            self.phys.stats().in_use as usize,
+            self.pages.len() + self.reserved_frames.len(),
+            "allocated frames != live pages + reserved pull frames"
         );
         assert_eq!(
             self.frame_owner.len(),
@@ -301,32 +279,20 @@ impl PvmState {
         );
         for (&f, &p) in &self.frame_owner {
             assert!(
-                self.phys.lock().is_allocated(chorus_hal::FrameNo(f)),
+                self.phys.is_allocated(chorus_hal::FrameNo(f)),
                 "frame_owner lists unallocated frame {f}"
             );
             assert!(self.pages.contains(p), "frame_owner lists dead page");
         }
         for (&(cache, off), &f) in &self.reserved_frames {
             assert!(
-                self.phys.lock().is_allocated(f),
+                self.phys.is_allocated(f),
                 "reserved frame {} for ({cache:?},{off:#x}) not allocated",
                 f.0
             );
             assert!(
                 !self.frame_owner.contains_key(&f.0),
                 "reserved frame {} already owned by a page",
-                f.0
-            );
-        }
-        for (&(cache, off), &f) in &self.landing {
-            assert!(
-                self.phys.lock().is_allocated(f),
-                "landing frame {} for ({cache:?},{off:#x}) not allocated",
-                f.0
-            );
-            assert!(
-                !self.frame_owner.contains_key(&f.0),
-                "landing frame {} already owned by a page",
                 f.0
             );
         }
@@ -343,7 +309,7 @@ impl PvmState {
                 .get(rec.ctx)
                 .unwrap_or_else(|| panic!("large map for dead context {:?}", rec.ctx));
             assert!(
-                self.mmu.lock().has_large_mapping(ctx.mmu_ctx, rec.lvpn),
+                self.mmu.has_large_mapping(ctx.mmu_ctx, rec.lvpn),
                 "promotion record without MMU large mapping at lvpn {}",
                 rec.lvpn.0
             );

@@ -1,94 +1,38 @@
-//! Independently lockable domains of the PVM (the `parallel_faults`
-//! decomposition).
-//!
-//! Historically the whole PVM sat behind one `Mutex<PvmState>` — the
-//! classic Mach VM-lock wall. This module splits that monolith into
-//! *lock domains*, each a [`DomainLock`] that counts its acquisitions
-//! and contended acquisitions in the shared [`StatsRegistry`] (the same
-//! try-lock-then-lock idiom the global-map stripes use for
-//! `ShardContention`):
-//!
-//! - the **state** domain: cache descriptors, regions, history trees,
-//!   the clock ring — everything that used to be the big mutex;
-//! - the **phys** domain: the buddy allocator and the frame-plane
-//!   metadata ([`chorus_hal::PhysicalMemory`]); the frame *bytes*
-//!   themselves live in the lock-free [`chorus_hal::FrameStore`] plane
-//!   and are touched outside every domain lock;
-//! - the **trans** domain: MMU contexts and hardware page tables.
-//!
-//! Per-cache *fault stripes* (plain mutexes on [`crate::Pvm`], hashed
-//! by cache key like the global-map shards) form the outermost domain
-//! ring when `parallel_faults` is on.
-//!
-//! # Lock order
-//!
-//! ```text
-//! fault stripe (at most one per thread, by cache-key hash)
-//!   → gmap shard (at most one, ascending by index inside gmap ops)
-//!     → state
-//!       → phys | trans   (leaf locks, never both wired into a cycle:
-//!                         phys and trans are only taken while state
-//!                         is held, and never one inside the other)
-//! ```
-//!
-//! Cross-domain waits never hold a lock: the stub protocol
-//! (`Blocked::WaitStub` + the condvar on the state domain) and mapper
-//! upcalls both run with every domain released, exactly as the
-//! blocked-action driver always did. A stripe holder may *wait* only
-//! on the state lock, the 50 ms-bounded stub condvar, or a mapper
-//! upcall — never on another stripe — so the hierarchy is acyclic.
+//! The state lock: the PVM's one mutex, in a wrapper that counts its
+//! acquisitions and contended acquisitions (`state_lock_acqs` /
+//! `state_lock_contended`, which the end-to-end scoreboard reads).
 
 use std::sync::Arc;
 
 use crate::stats::{Counter, StatsRegistry};
 use parking_lot::{Mutex, MutexGuard};
 
-/// A mutex fronting one lock domain, bumping the domain's acquisition
-/// and contention counters in the shared registry on every lock.
-pub(crate) struct DomainLock<T: ?Sized> {
+/// The counting mutex around [`crate::state::PvmState`].
+pub(crate) struct DomainLock<T> {
     stats: Arc<StatsRegistry>,
-    acqs: Counter,
-    contended: Counter,
     inner: Mutex<T>,
 }
 
 impl<T> DomainLock<T> {
-    /// Wraps `value` as a lock domain counting into `acqs`/`contended`.
-    pub(crate) fn new(
-        value: T,
-        stats: Arc<StatsRegistry>,
-        acqs: Counter,
-        contended: Counter,
-    ) -> DomainLock<T> {
+    pub(crate) fn new(value: T, stats: Arc<StatsRegistry>) -> DomainLock<T> {
         DomainLock {
             stats,
-            acqs,
-            contended,
             inner: Mutex::new(value),
         }
     }
 
-    /// Locks the domain, counting the acquisition and (when the
-    /// uncontended try-lock misses) the contention.
+    /// Locks, counting the acquisition and (when the uncontended
+    /// try-lock misses) the contention.
     #[inline]
     pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
-        self.stats.bump(self.acqs);
+        self.stats.bump(Counter::StateLockAcqs);
         match self.inner.try_lock() {
             Some(g) => g,
             None => {
-                self.stats.bump(self.contended);
+                self.stats.bump(Counter::StateLockContended);
                 self.inner.lock()
             }
         }
-    }
-}
-
-impl<T: core::fmt::Debug> core::fmt::Debug for DomainLock<T> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("DomainLock")
-            .field("acqs", &self.acqs)
-            .field("inner", &self.inner)
-            .finish()
     }
 }
 
@@ -99,16 +43,11 @@ mod tests {
     #[test]
     fn counts_acquisitions_and_contention() {
         let stats = Arc::new(StatsRegistry::new());
-        let l = Arc::new(DomainLock::new(
-            0u64,
-            stats.clone(),
-            Counter::PhysLockAcqs,
-            Counter::PhysLockContended,
-        ));
+        let l = Arc::new(DomainLock::new(0u64, stats.clone()));
         *l.lock() += 1;
         *l.lock() += 1;
-        assert_eq!(stats.get(Counter::PhysLockAcqs), 2);
-        assert_eq!(stats.get(Counter::PhysLockContended), 0, "uncontended");
+        assert_eq!(stats.get(Counter::StateLockAcqs), 2);
+        assert_eq!(stats.get(Counter::StateLockContended), 0, "uncontended");
 
         // Force one contended acquisition: hold the lock in a thread
         // until the main thread has registered its attempt.
@@ -123,7 +62,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         drop(held);
         t.join().unwrap();
-        assert_eq!(stats.get(Counter::PhysLockAcqs), 4);
+        assert_eq!(stats.get(Counter::StateLockAcqs), 4);
         assert_eq!(*l.lock(), 3);
     }
 }

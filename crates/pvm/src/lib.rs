@@ -25,6 +25,8 @@
 //!
 //! The public type is [`Pvm`], which implements [`chorus_gmi::Gmi`].
 
+#![forbid(unsafe_code)]
+
 mod cachectl;
 mod clock;
 mod config;
@@ -33,7 +35,6 @@ mod debug;
 mod descriptors;
 mod domains;
 mod engine;
-mod fastpath;
 mod fault;
 mod gmap;
 mod history;
@@ -60,7 +61,7 @@ pub use config::{
 pub use debug::{CacheDump, SlotDump, TreeDump};
 pub use policy::{PolicyConfig, ReplacementKind};
 pub use pvm::{MmuChoice, Pvm, PvmOptions};
-pub use pvmtop::{CacheHeat, DomainHeat, MapperHealth, MapperState, PhaseLatency, PvmTop};
+pub use pvmtop::{CacheHeat, MapperHealth, MapperState, PhaseLatency, PvmTop};
 pub use stats::{Counter, PvmStats, StatsRegistry};
 pub use telemetry::{Dim, DimCounter, Telemetry, TelemetrySample};
 pub use trace::{TraceConfig, TraceSink, Tracer};

@@ -1,34 +1,19 @@
-//! Bounded-interleaving model checking of the cross-domain protocols
-//! (DESIGN.md §7), in lieu of a vendored `loom`.
+//! Bounded-interleaving model checking of the two sleep/wake protocols
+//! around the state lock (DESIGN.md §7), in lieu of a vendored `loom`.
 //!
-//! The protocols whose correctness depends on *ordering between lock
-//! domains* (or between a lock and an atomic) — not on any single
-//! mutex — are modeled as small state machines and checked
-//! exhaustively over every interleaving of their atomic steps:
+//! The protocols whose correctness depends on *ordering between the
+//! lock and something outside it* (a condvar's sleeper set, an atomic)
+//! are modeled as small state machines and checked exhaustively over
+//! every interleaving of their atomic steps:
 //!
-//! 1. **Fast-path generation validation vs invalidation** — the
-//!    lock-free soft-fault path reads a `(frame, generation)` entry
-//!    from the sharded fast table and uses the frame, while an
-//!    invalidation (flush, eviction, protection change) removes the
-//!    entry, bumps the generation and frees the frame. Safety: the
-//!    reader must never touch a frame after it was freed. The real
-//!    code gets this from the shard lock (validate-and-use is one
-//!    critical section; invalidators unhook under the shard's write
-//!    lock *before* the frame dies), and the two buggy variants below
-//!    confirm the checker actually sees the race when either half of
-//!    that discipline is dropped.
+//! 1. **Stub wait/wake** — a faulting thread finds a `Sync` stub under
+//!    the state lock, releases the lock and sleeps on the stub condvar;
+//!    the filler publishes the page under the state lock and wakes.
+//!    Safety: no lost wakeup and no deadlock. The buggy variant splits
+//!    the condvar's atomic release-and-register to show the checker
+//!    catches the classic lost-wakeup deadlock.
 //!
-//! 2. **Stub wait/wake across two lock domains** — a faulting thread
-//!    that holds its cache's *fault stripe* finds a `Sync` stub under
-//!    the *state lock*, releases the state lock and sleeps on the stub
-//!    condvar; the filler needs only the state lock (never the
-//!    waiter's stripe) to publish the page and wake. Safety: no lost
-//!    wakeup and no deadlock, even though the waiter keeps its stripe
-//!    for the whole wait. The buggy variant splits the condvar's
-//!    atomic release-and-register to show the checker catches the
-//!    classic lost-wakeup deadlock.
-//!
-//! 3. **Counted wake** — the vendored `Condvar` skips the underlying
+//! 2. **Counted wake** — the vendored `Condvar` skips the underlying
 //!    wake (a futex syscall) when its waiter count reads zero, and the
 //!    driver notifies *after* dropping the state lock. Safety: no lost
 //!    wakeup, because the count is bumped while the waiter still holds
@@ -182,169 +167,21 @@ where
     Ok(())
 }
 
-// ---------------------------------------------------------------
-// Model 1: fast-path generation validation vs invalidation.
-// ---------------------------------------------------------------
-
-/// Shared state of the fast-path race: one page, one fast-table shard.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct FastShared {
-    /// The shard lock guarding the fast-table entry (the reader's read
-    /// lock is modeled as exclusive — conservative, since the race of
-    /// interest is reader-vs-invalidator, not reader-vs-reader).
-    shard_locked: bool,
-    /// The fast-table entry: the generation it was installed at.
-    entry: Option<u32>,
-    /// The page's current generation (state-lock truth).
-    cur_gen: u32,
-    /// Whether the frame still belongs to this page.
-    frame_live: bool,
-    /// Set by the reader if it ever touches a dead frame.
-    used_after_free: bool,
-}
-
-impl FastShared {
-    fn init() -> Self {
-        FastShared {
-            shard_locked: false,
-            entry: Some(0),
-            cur_gen: 0,
-            frame_live: true,
-            used_after_free: false,
-        }
-    }
-}
-
-fn fast_violation(s: &FastShared) -> Option<&'static str> {
-    s.used_after_free
-        .then_some("fast path used a frame after it was freed")
-}
-
-/// The implemented reader: validate *and* use under one shard-lock
-/// critical section.
-fn reader_locked(s: &mut FastShared, _l: &mut (), pc: usize) -> Outcome {
-    match pc {
-        0 => {
-            if s.shard_locked {
-                return Outcome::Block;
-            }
-            s.shard_locked = true;
-            Outcome::Next
-        }
-        1 => match s.entry {
-            Some(g) if g == s.cur_gen => Outcome::Next,
-            _ => {
-                // Miss or stale: release and take the slow path.
-                s.shard_locked = false;
-                Outcome::Done
-            }
-        },
-        2 => {
-            if !s.frame_live {
-                s.used_after_free = true;
-            }
-            s.shard_locked = false;
-            Outcome::Done
-        }
-        _ => unreachable!(),
-    }
-}
-
-/// Buggy reader: validates under the lock but uses the frame after
-/// releasing it — the window the shard lock exists to close.
-fn reader_unlocked_use(s: &mut FastShared, _l: &mut (), pc: usize) -> Outcome {
-    match pc {
-        0 => {
-            if s.shard_locked {
-                return Outcome::Block;
-            }
-            s.shard_locked = true;
-            Outcome::Next
-        }
-        1 => match s.entry {
-            Some(g) if g == s.cur_gen => {
-                s.shard_locked = false;
-                Outcome::Next
-            }
-            _ => {
-                s.shard_locked = false;
-                Outcome::Done
-            }
-        },
-        2 => {
-            if !s.frame_live {
-                s.used_after_free = true;
-            }
-            Outcome::Done
-        }
-        _ => unreachable!(),
-    }
-}
-
-/// The implemented invalidator: unhook the entry and bump the
-/// generation under the shard lock, and only then free the frame.
-fn invalidator_ordered(s: &mut FastShared, _l: &mut (), pc: usize) -> Outcome {
-    match pc {
-        0 => {
-            if s.shard_locked {
-                return Outcome::Block;
-            }
-            s.shard_locked = true;
-            Outcome::Next
-        }
-        1 => {
-            s.entry = None;
-            s.cur_gen += 1;
-            s.shard_locked = false;
-            Outcome::Next
-        }
-        2 => {
-            s.frame_live = false;
-            Outcome::Done
-        }
-        _ => unreachable!(),
-    }
-}
-
-/// Buggy invalidator: frees the frame first, unhooks second — the
-/// cross-domain ordering DESIGN.md §7 forbids.
-fn invalidator_free_first(s: &mut FastShared, _l: &mut (), pc: usize) -> Outcome {
-    match pc {
-        0 => {
-            s.frame_live = false;
-            Outcome::Next
-        }
-        1 => {
-            if s.shard_locked {
-                return Outcome::Block;
-            }
-            s.shard_locked = true;
-            Outcome::Next
-        }
-        2 => {
-            s.entry = None;
-            s.cur_gen += 1;
-            s.shard_locked = false;
-            Outcome::Done
-        }
-        _ => unreachable!(),
-    }
+/// For a model whose property is liveness: a lost wake-up surfaces as
+/// the explorer's deadlock report, so there is no safety predicate.
+fn no_violation<S>(_: &S) -> Option<&'static str> {
+    None
 }
 
 // ---------------------------------------------------------------
-// Model 2: stub wait/wake across the stripe and state domains.
+// Model 1: stub wait/wake.
 // ---------------------------------------------------------------
 
-/// Shared state of the stub handoff: one `Sync` stub on cache 0, the
-/// state lock, and the waiter's fault stripe (held for the whole
-/// episode — the point of the model is that the filler never needs
-/// it).
+/// Shared state of the stub handoff: one `Sync` stub and the state
+/// lock.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct StubShared {
     state_locked: bool,
-    /// The waiter's cache stripe. Acquired before the model starts and
-    /// asserted to stay held: the filler must complete regardless.
-    stripe_held: bool,
     /// false = `Sync` stub in the slot, true = page published.
     slot_present: bool,
     /// Condvar waiters registered on the stub.
@@ -357,16 +194,11 @@ impl StubShared {
     fn init() -> Self {
         StubShared {
             state_locked: false,
-            stripe_held: true,
             slot_present: false,
             waiters: 0,
             wakes: 0,
         }
     }
-}
-
-fn stub_violation(s: &StubShared) -> Option<&'static str> {
-    (!s.stripe_held).then_some("waiter dropped its stripe mid-fault")
 }
 
 /// The implemented waiter: check the slot under the state lock;
@@ -439,9 +271,7 @@ fn waiter_split(s: &mut StubShared, _l: &mut (), pc: usize) -> Outcome {
     }
 }
 
-/// The filler: publish the page and notify under the state lock alone.
-/// It never looks at `stripe_held` — completing while the waiter keeps
-/// its stripe *is* the cross-domain property.
+/// The filler: publish the page and notify under the state lock.
 fn filler(s: &mut StubShared, _l: &mut (), pc: usize) -> Outcome {
     match pc {
         0 => {
@@ -462,13 +292,13 @@ fn filler(s: &mut StubShared, _l: &mut (), pc: usize) -> Outcome {
 }
 
 // ---------------------------------------------------------------
-// Model 3: "notify only if waiters > 0" (the vendored Condvar).
+// Model 2: "notify only if waiters > 0" (the vendored Condvar).
 // ---------------------------------------------------------------
 
 /// Shared state of the counted-wake handoff: one mutex, the predicate
 /// it guards, the shim's waiter count and the underlying primitive's
 /// own sleeper set (whose register-and-release is atomic, as in
-/// model 2).
+/// model 1).
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct CountedShared {
     locked: bool,
@@ -492,12 +322,6 @@ impl CountedShared {
             wakes: 0,
         }
     }
-}
-
-/// Liveness is the property here: a lost wake-up surfaces as the
-/// explorer's deadlock report, so there is no separate safety predicate.
-fn counted_violation(_: &CountedShared) -> Option<&'static str> {
-    None
 }
 
 /// The implemented waiter: bump the count with the mutex held, sleep
@@ -619,61 +443,6 @@ fn counted_notifier(s: &mut CountedShared, _l: &mut (), pc: usize) -> Outcome {
 mod tests {
     use super::*;
 
-    fn fast_threads(
-        reader: fn(&mut FastShared, &mut (), usize) -> Outcome,
-        invalidator: fn(&mut FastShared, &mut (), usize) -> Outcome,
-    ) -> Vec<ThreadModel<FastShared, ()>> {
-        vec![
-            ThreadModel {
-                name: "reader",
-                local: (),
-                step: reader,
-            },
-            ThreadModel {
-                name: "invalidator",
-                local: (),
-                step: invalidator,
-            },
-        ]
-    }
-
-    #[test]
-    fn fastpath_generation_protocol_is_safe() {
-        let report = explore(
-            FastShared::init(),
-            fast_threads(reader_locked, invalidator_ordered),
-            fast_violation,
-        )
-        .expect("the implemented protocol must survive every interleaving");
-        assert!(
-            report.states > 10,
-            "model vacuously small: {}",
-            report.states
-        );
-    }
-
-    #[test]
-    fn fastpath_use_outside_shard_lock_is_caught() {
-        let err = explore(
-            FastShared::init(),
-            fast_threads(reader_unlocked_use, invalidator_ordered),
-            fast_violation,
-        )
-        .expect_err("validate-then-use outside the shard lock must race");
-        assert!(err.contains("after it was freed"), "{err}");
-    }
-
-    #[test]
-    fn fastpath_freeing_before_unhooking_is_caught() {
-        let err = explore(
-            FastShared::init(),
-            fast_threads(reader_locked, invalidator_free_first),
-            fast_violation,
-        )
-        .expect_err("freeing the frame before unhooking the entry must race");
-        assert!(err.contains("after it was freed"), "{err}");
-    }
-
     fn stub_threads(
         waiter: fn(&mut StubShared, &mut (), usize) -> Outcome,
     ) -> Vec<ThreadModel<StubShared, ()>> {
@@ -696,7 +465,7 @@ mod tests {
         let report = explore(
             StubShared::init(),
             stub_threads(waiter_atomic),
-            stub_violation,
+            no_violation,
         )
         .expect("atomic register-and-release must terminate in every interleaving");
         assert!(
@@ -708,12 +477,8 @@ mod tests {
 
     #[test]
     fn stub_wait_with_split_release_deadlocks() {
-        let err = explore(
-            StubShared::init(),
-            stub_threads(waiter_split),
-            stub_violation,
-        )
-        .expect_err("a lost wakeup must surface as a deadlock");
+        let err = explore(StubShared::init(), stub_threads(waiter_split), no_violation)
+            .expect_err("a lost wakeup must surface as a deadlock");
         assert!(err.contains("deadlock"), "{err}");
     }
 
@@ -739,7 +504,7 @@ mod tests {
         let report = explore(
             CountedShared::init(),
             counted_threads(counted_waiter),
-            counted_violation,
+            no_violation,
         )
         .expect("a count bumped under the mutex must never hide a waiter");
         assert!(
@@ -754,7 +519,7 @@ mod tests {
         let err = explore(
             CountedShared::init(),
             counted_threads(counted_waiter_late_bump),
-            counted_violation,
+            no_violation,
         )
         .expect_err("a count bumped after the release must lose a wakeup");
         assert!(err.contains("deadlock"), "{err}");

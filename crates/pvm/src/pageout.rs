@@ -48,7 +48,7 @@ impl PvmState {
     pub fn alloc_frame_reserved(&mut self) -> Attempt<FrameNo> {
         let reserve = self.config.emergency_reserve_frames;
         if reserve > 0 {
-            let free = self.phys.lock().free_frames();
+            let free = self.phys.free_frames();
             if free > 0 && free <= reserve {
                 self.stats.bump(Counter::ReserveGrants);
             }
@@ -65,7 +65,7 @@ impl PvmState {
         let mut oom_killed_once = false;
         loop {
             match self.sweep(floor) {
-                None => return done(self.phys.lock().alloc().expect("free frame count lied")),
+                None => return done(self.phys.alloc().expect("free frame count lied")),
                 Some(Pick::Victim(victim)) => {
                     match self.start_clean(victim, PushOrigin::Demand)? {
                         Outcome::Blocked(b) => return blocked(b),
@@ -110,7 +110,7 @@ impl PvmState {
     /// set aside (see [`PvmState::set_aside`]), the external policy's
     /// request for advice, or nothing evictable.
     fn sweep(&mut self, floor: u32) -> Option<Pick> {
-        while self.phys.lock().free_frames() <= floor {
+        while self.phys.free_frames() <= floor {
             if !self.config.enable_pageout {
                 return Some(Pick::None);
             }
@@ -132,7 +132,7 @@ impl PvmState {
             // policy's in-flight latch.
             self.approve_external_victims(&[]);
         }
-        u64::from(self.phys.lock().free_frames()).min(want)
+        u64::from(self.phys.free_frames()).min(want)
     }
 
     /// True while a queued page can still be laundered from the
@@ -228,7 +228,7 @@ impl PvmState {
                 pages: &mut self.pages,
                 caches: &self.caches,
                 contexts: &self.contexts,
-                mmu: &mut **self.mmu.lock(),
+                mmu: &mut *self.mmu,
                 model: &self.model,
                 stats: &self.stats,
             },
@@ -327,9 +327,7 @@ impl PvmState {
         let limit = self.config.push_cluster_pages.max(1);
         let (offset, pages) = self.gather_push_run(victim, limit);
         // Write-protect every mapping so a concurrent write faults and
-        // waits for the cleaning to finish (`begin_cleaning` narrows the
-        // fast-path entries in the same step so a racing writer cannot
-        // satisfy its fault lock-free and dodge the synchronization).
+        // waits for the cleaning to finish.
         for &p in &pages {
             self.begin_cleaning(p);
         }
@@ -399,7 +397,7 @@ impl PvmState {
     /// the attempt retried, like any other blocked action.
     pub fn launder_attempt(&mut self, high: u32) -> Attempt<()> {
         loop {
-            if self.phys.lock().free_frames() >= high {
+            if self.phys.free_frames() >= high {
                 return done(());
             }
             match self.select_victim() {
@@ -516,7 +514,7 @@ impl PvmState {
         let Some((victim, resident, dirty, _)) = best else {
             return 0;
         };
-        let free_before = self.phys.lock().free_frames();
+        let free_before = self.phys.free_frames();
         // Caches the victim maps: once the context is gone they may
         // have no user left, making their resident pages freeable.
         let mut touched: Vec<crate::keys::CacheKey> = Vec::new();
@@ -560,6 +558,6 @@ impl PvmState {
             resident,
             dirty,
         });
-        (self.phys.lock().free_frames() - free_before) as u64
+        (self.phys.free_frames() - free_before) as u64
     }
 }

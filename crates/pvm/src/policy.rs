@@ -9,13 +9,11 @@
 //! first. (Pull-window sizing is not a policy: every cache carries a
 //! stream table, see `descriptors.rs`.)
 //!
-//! Lock order (PR 9 domains): every policy structure lives *inside*
-//! `PvmState` and is only touched under the state lock; policies never
-//! take the `phys`/`trans` domain locks themselves — mutable page state
-//! is reached through the `PolicyView` the caller passes in, which
-//! borrows the page arena under the same state-lock section (and holds
-//! the `trans` domain for the length of one selection, to read and take
-//! the hardware referenced bits).
+//! Every policy structure lives *inside* `PvmState` and is only touched
+//! under the state lock; mutable page state is reached through the
+//! `PolicyView` the caller passes in, which borrows the page arena and
+//! the MMU (to read and take the hardware referenced bits) from the
+//! same locked state.
 
 use crate::clock::ClockRing;
 use crate::descriptors::{CacheDesc, ContextDesc, PageDesc};
@@ -1122,7 +1120,7 @@ pub(crate) struct StateView<'a> {
     pub caches: &'a Arena<CacheDesc>,
     /// Resolve a reverse mapping's context to its MMU context.
     pub contexts: &'a Arena<ContextDesc>,
-    /// The translation domain, held for the whole selection.
+    /// Where the hardware referenced bits live.
     pub mmu: &'a mut dyn Mmu,
     pub model: &'a CostModel,
     pub stats: &'a StatsRegistry,

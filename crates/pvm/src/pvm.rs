@@ -14,34 +14,21 @@ use crate::config::PvmConfig;
 use crate::descriptors::Slot;
 use crate::domains::DomainLock;
 use crate::engine::{CompletionRecord, PendingPull};
-use crate::keys::{
-    cache_key, ctx_key, pub_cache, pub_ctx, pub_region, region_key, CacheKey, CtxKey,
-};
+use crate::keys::{cache_key, ctx_key, pub_cache, pub_ctx, pub_region, region_key};
 use crate::pvmtop::PvmTop;
 use crate::state::{Attempt, Blocked, Outcome, PushOrigin, PvmState};
 use crate::stats::{Counter, PvmStats, StatsRegistry};
-use crate::telemetry::{Dim, DimCounter, Telemetry, TelemetrySample};
+use crate::telemetry::{DimCounter, Telemetry, TelemetrySample};
 use crate::trace::{Phase, Resolution, TraceEvent, Tracer, UpcallKind, UpcallOutcome};
 use chorus_gmi::{
     Access, CacheId, CacheIo, CopyMode, CtxId, Gmi, GmiError, PageGeometry, Prot, PullRequest,
     PushRequest, RegionId, RegionStatus, Result, SegmentId, SegmentManagerV2, VirtAddr,
 };
-use chorus_hal::{
-    fx_hash_one, CostModel, CostParams, FrameStore, Mmu, PhysicalMemory, SoftMmu, TwoLevelMmu,
-};
-use parking_lot::{Condvar, Mutex};
+use chorus_hal::{CostModel, CostParams, Mmu, PhysicalMemory, SoftMmu, TwoLevelMmu};
+use parking_lot::Condvar;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-thread_local! {
-    /// Set while this thread holds a per-cache fault stripe. A mapper
-    /// that re-enters the GMI and faults again (on any cache) must not
-    /// take a second stripe — one stripe per thread keeps the stripe
-    /// tier trivially acyclic — so nested faults fall through to the
-    /// classic unstriped driver.
-    static HOLDS_STRIPE: core::cell::Cell<bool> = const { core::cell::Cell::new(false) };
-}
 
 /// Which MMU back-end to instantiate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -82,28 +69,20 @@ impl Default for PvmOptions {
 
 /// The Paged Virtual memory Manager.
 pub struct Pvm {
-    /// The state lock domain (see [`crate::domains`] for the lock-order
-    /// discipline). With `parallel_faults` off this is the classic big
-    /// mutex in a counting wrapper; with it on it is one domain among
-    /// the stripes, the physical tier and the translation tier.
+    /// The state lock: the PVM's one mutex, in a counting wrapper.
     state: DomainLock<PvmState>,
     stub_cv: Condvar,
     seg_mgr: Arc<dyn SegmentManagerV2>,
     model: Arc<CostModel>,
     /// Page geometry, copied out so `geometry()` never takes the lock.
     geom: PageGeometry,
-    /// The resident translation cache, shared with the locked state:
-    /// `handle_fault` consults it *before* the mutex, the state updates
-    /// it at every mapping install/revoke.
-    fast: Arc<crate::fastpath::TranslationCache>,
-    /// The counter registry, shared with the state, the translation
-    /// cache and the global map; snapshots never take the lock.
+    /// The counter registry, shared with the state; snapshots never
+    /// take the lock.
     stats: Arc<StatsRegistry>,
     /// The event tracer (see [`crate::trace`]), shared with the state.
     trace: Arc<Tracer>,
     /// The dimensional telemetry registry (see [`crate::telemetry`]),
-    /// shared with the state and the translation cache; table reads
-    /// never take the state lock.
+    /// shared with the state; table reads never take the state lock.
     telemetry: Arc<Telemetry>,
     /// Reentrancy guard for the watermark laundering pass: a laundering
     /// push that re-enters the driver (e.g. a mapper calling back into
@@ -113,23 +92,6 @@ pub struct Pvm {
     /// executing a pending pull re-enters the driver through `fillUp`
     /// and must not start a nested drain.
     pumping: AtomicBool,
-    /// Whether the parallel hard-fault machinery is engaged:
-    /// `config.parallel_faults` and not `config.async_upcalls` (the
-    /// completion engine is its own source of concurrency and keeps the
-    /// classic driver). Immutable after construction.
-    parallel: bool,
-    /// Per-cache fault stripes (outermost lock tier of the parallel
-    /// driver), hashed by cache key exactly like the global-map shards.
-    /// Empty unless `parallel` is set. Plain mutexes — acquisition and
-    /// contention are counted manually so the per-cache telemetry can
-    /// ride the same bump.
-    stripes: Box<[Mutex<()>]>,
-    /// `stripes.len() - 1` (stripe count is a power of two).
-    stripe_mask: u64,
-    /// The lock-free frame byte plane, shared with the physical tier:
-    /// the parallel `fillUp` writes pulled bytes into *landing frames*
-    /// through it without holding any domain lock.
-    store: Arc<FrameStore>,
 }
 
 impl Pvm {
@@ -151,46 +113,25 @@ impl Pvm {
             options.geometry
         };
         let phys = PhysicalMemory::new(geometry, options.frames, model.clone());
-        let store = phys.store();
         let mmu: Box<dyn Mmu> = match options.mmu {
             MmuChoice::Soft => Box::new(SoftMmu::new(geometry, model.clone())),
             MmuChoice::TwoLevel => Box::new(TwoLevelMmu::new(geometry, model.clone())),
         };
-        // The completion engine is its own source of concurrency and
-        // keeps the classic driver; the knob is inert (not invalid)
-        // with the engine on.
-        let parallel = options.config.parallel_faults && !options.config.async_upcalls;
-        let n_stripes = if parallel {
-            options.config.global_map_shards.next_power_of_two().max(1)
-        } else {
-            0
-        };
         let state = PvmState::new(geometry, phys, mmu, model.clone(), options.config);
-        let fast = state.fast.clone();
         let stats = state.stats.clone();
         let trace = state.trace.clone();
         let telemetry = state.telemetry.clone();
         Pvm {
-            state: DomainLock::new(
-                state,
-                stats.clone(),
-                Counter::StateLockAcqs,
-                Counter::StateLockContended,
-            ),
+            state: DomainLock::new(state, stats.clone()),
             stub_cv: Condvar::new(),
             seg_mgr,
             model,
             geom: geometry,
-            fast,
             stats,
             trace,
             telemetry,
             laundering: AtomicBool::new(false),
             pumping: AtomicBool::new(false),
-            parallel,
-            stripes: (0..n_stripes).map(|_| Mutex::new(())).collect(),
-            stripe_mask: n_stripes.saturating_sub(1) as u64,
-            store,
         }
     }
 
@@ -199,9 +140,8 @@ impl Pvm {
         self.model.clone()
     }
 
-    /// Snapshot of the PVM event counters. Every counter — including
-    /// the lock-free fast-path and shard-contention cells — lives in
-    /// one atomic registry, so this never takes the state lock.
+    /// Snapshot of the PVM event counters. Every counter lives in one
+    /// atomic registry, so this never takes the state lock.
     pub fn stats(&self) -> PvmStats {
         self.stats.snapshot()
     }
@@ -267,18 +207,18 @@ impl Pvm {
 
     /// Number of free physical frames.
     pub fn free_frames(&self) -> u32 {
-        self.state.lock().phys.lock().free_frames()
+        self.state.lock().phys.free_frames()
     }
 
     /// Physical memory statistics.
     pub fn mem_stats(&self) -> chorus_hal::MemStats {
-        self.state.lock().phys.lock().stats()
+        self.state.lock().phys.stats()
     }
 
     /// Hit/miss statistics of the MMU's large-page TLB, if the backing
     /// MMU has a large level (`None` otherwise).
     pub fn large_tlb_stats(&self) -> Option<chorus_hal::TlbStats> {
-        self.state.lock().mmu.lock().large_tlb_stats()
+        self.state.lock().mmu.large_tlb_stats()
     }
 
     /// Number of currently installed large mappings.
@@ -382,7 +322,7 @@ impl Pvm {
         guard: parking_lot::MutexGuard<'a, PvmState>,
     ) -> parking_lot::MutexGuard<'a, PvmState> {
         let low = guard.config.writeback_low_frames;
-        if !guard.config.writeback_daemon || low == 0 || guard.phys.lock().free_frames() >= low {
+        if !guard.config.writeback_daemon || low == 0 || guard.phys.free_frames() >= low {
             return guard;
         }
         let high = guard.config.writeback_high_frames.max(low);
@@ -1244,11 +1184,9 @@ impl CacheIo for Pvm {
         let ps = self.geom.page_size();
         // One state-lock hold per delivery: every page lands through
         // its own driver entry under it, and the lock is only given up
-        // where an attempt blocks (a dirty victim to push) or the
-        // parallel driver lands a page through the lock-free plane.
-        let held = self.state.lock();
-        held.cache(key)?;
-        let mut guard = Some(held);
+        // where an attempt blocks (a dirty victim to push).
+        let mut guard = self.state.lock();
+        guard.cache(key)?;
         // Pages already landed by this delivery are pinned until the
         // whole delivery completes: the evictions that later pages'
         // frame allocations trigger must not take earlier pages of the
@@ -1257,53 +1195,32 @@ impl CacheIo for Pvm {
         // page a faulter is waiting for is held separately, past the
         // end of the delivery (`PvmState::demand_pulls`).
         let mut pinned: Vec<crate::keys::PageKey> = Vec::new();
-        let mut result = Ok(());
         for (i, chunk) in data.chunks(ps as usize).enumerate() {
             let page_off = offset + i as u64 * ps;
             debug_assert!(
                 page_off.is_multiple_of(ps),
                 "fillUp chunks must start page-aligned"
             );
-            // Parallel driver: land the bytes through the lock-free
-            // frame plane, holding the state lock only to claim and
-            // then publish the landing frame. When the claim would
-            // block (frame pool dry), fall back to the classic
-            // blocked-action driver, which knows how to evict.
-            let mut landed = false;
-            if self.parallel {
-                guard = None;
-                match self.fill_one_parallel(key, page_off, chunk) {
-                    Ok(l) => landed = l,
-                    Err(e) => {
-                        result = Err(e);
-                        break;
+            match self.drive(guard, |s| s.fill_up_page_attempt(key, page_off, chunk)) {
+                Ok((held, ())) => guard = held,
+                Err(e) => {
+                    // `drive` gave the lock up on its way out.
+                    if !pinned.is_empty() {
+                        self.state.lock().unpin_pages(&pinned);
                     }
-                }
-            }
-            if !landed {
-                let held = guard.take().unwrap_or_else(|| self.state.lock());
-                match self.drive(held, |s| s.fill_up_page_attempt(key, page_off, chunk)) {
-                    Ok((held, ())) => guard = Some(held),
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
+                    self.stub_cv.notify_all();
+                    return Err(e);
                 }
             }
             if ((i + 1) * ps as usize) < data.len() {
-                let held = guard.get_or_insert_with(|| self.state.lock());
-                pinned.extend(held.pin_resident(key, page_off));
+                pinned.extend(guard.pin_resident(key, page_off));
             }
         }
-        if !pinned.is_empty() {
-            guard
-                .get_or_insert_with(|| self.state.lock())
-                .unpin_pages(&pinned);
-        }
+        guard.unpin_pages(&pinned);
         drop(guard);
         // One wake per delivery, for the faulters asleep on its stubs.
         self.stub_cv.notify_all();
-        result
+        Ok(())
     }
 
     fn copy_back(&self, cache: CacheId, offset: u64, buf: &mut [u8]) -> Result<()> {
@@ -1367,7 +1284,7 @@ impl PvmState {
                 // only the payload bytes need writing and the later
                 // promotion check sees consecutive frame numbers.
                 if let Some(frame) = self.reserved_frames.remove(&(cache, page_off)) {
-                    self.phys.lock().write(frame, 0, chunk);
+                    self.phys.write(frame, 0, chunk);
                     self.land_page(cache, page_off, frame);
                     return crate::state::done(());
                 }
@@ -1390,7 +1307,7 @@ impl PvmState {
                 };
                 // Partial trailing chunks are zero-padded: only the tail
                 // the chunk leaves uncovered is cleared.
-                self.phys.lock().fill(frame, chunk);
+                self.phys.fill(frame, chunk);
                 self.land_page(cache, page_off, frame);
                 crate::state::done(())
             }
@@ -1438,7 +1355,7 @@ impl PvmState {
             match self.gmap.get(cache, page_off) {
                 Some(Slot::Present(p)) => {
                     let frame = self.page(p).frame;
-                    self.phys.lock().read(
+                    self.phys.read(
                         frame,
                         o - page_off,
                         &mut buf[cur as usize..(cur + in_page) as usize],
@@ -1478,7 +1395,7 @@ impl PvmState {
             match self.gmap.get(cache, page_off) {
                 Some(Slot::Present(p)) => {
                     let frame = self.page(p).frame;
-                    self.phys.lock().read(
+                    self.phys.read(
                         frame,
                         o - page_off,
                         &mut buf[cur as usize..(cur + in_page) as usize],
@@ -1691,50 +1608,20 @@ impl Gmi for Pvm {
 
     fn handle_fault(&self, ctx: CtxId, va: VirtAddr, access: Access) -> Result<()> {
         let key = ctx_key(ctx);
-        // The fault-enter stamp is taken before the fast-path probe so
-        // every handled fault — fast or slow — has exactly one
-        // FaultEnter/FaultExit pair.
         let fstart = self.trace.fault_enter(key.index(), va.0, access);
-        // Soft-fault fast path: a current-generation translation whose
-        // installed protection already allows the access means the MMU
-        // mapping is valid — the fault needs no state change at all, so
-        // it completes without the state mutex (only one sharded read
-        // lock). Anything else (miss, stale generation, COW, stub,
-        // protection upgrade) falls through to the locked slow path,
-        // which re-derives truth from the global map.
-        if self.fast.lookup(key, self.geom.vpn(va), access) {
-            self.model.charge(chorus_hal::OpKind::FaultEntry);
-            self.trace.event(|| TraceEvent::FastPathHit {
-                ctx: key.index(),
-                va: va.0,
-            });
-            self.trace
-                .fault_exit(fstart, key.index(), va.0, Resolution::FastPath);
-            return Ok(());
-        }
-        if self.fast.enabled() {
-            self.trace.event(|| TraceEvent::FastPathFallback {
-                ctx: key.index(),
-                va: va.0,
-            });
-        }
-        // Parallel driver: resolve the faulting cache with a short
-        // state-lock peek, then hold that cache's stripe across the
-        // whole hard fault (pull upcall included) so faults on the same
-        // cache serialize — visibly, in the stripe counters — while
-        // faults on disjoint caches proceed concurrently. Any peek
-        // failure (dead context, unmapped address) falls through to the
-        // unstriped driver so error semantics stay identical.
-        if self.parallel && !HOLDS_STRIPE.with(|f| f.get()) {
-            if let Some(cache) = self.peek_fault_cache(key, va) {
-                let _stripe = self.lock_stripe(cache);
-                HOLDS_STRIPE.with(|f| f.set(true));
-                let res = self.fault_slow(key, va, access, fstart);
-                HOLDS_STRIPE.with(|f| f.set(false));
-                return res;
+        let mut first = true;
+        let res = self.run(|s| {
+            let head = first;
+            if head {
+                first = false;
+                s.stats.bump(Counter::Faults);
+                s.charge(chorus_hal::OpKind::FaultEntry);
             }
-        }
-        self.fault_slow(key, va, access, fstart)
+            s.fault_attempt(key, va, access, head)
+        });
+        let resolution = *res.as_ref().unwrap_or(&Resolution::Failed);
+        self.trace.fault_exit(fstart, key.index(), va.0, resolution);
+        res.map(|_| ())
     }
 
     fn vm_read(&self, ctx: CtxId, va: VirtAddr, buf: &mut [u8]) -> Result<()> {
@@ -1808,160 +1695,6 @@ enum AccessBuf<'a> {
 }
 
 impl Pvm {
-    /// The locked slow half of `handle_fault`: the blocked-action
-    /// driver looping `fault_attempt`, shared by the classic and the
-    /// striped paths.
-    fn fault_slow(
-        &self,
-        key: CtxKey,
-        va: VirtAddr,
-        access: Access,
-        fstart: Option<u64>,
-    ) -> Result<()> {
-        let mut first = true;
-        let res = self.run(|s| {
-            let head = first;
-            if head {
-                first = false;
-                s.stats.bump(Counter::Faults);
-                s.charge(chorus_hal::OpKind::FaultEntry);
-            }
-            s.fault_attempt(key, va, access, head)
-        });
-        let resolution = *res.as_ref().unwrap_or(&Resolution::Failed);
-        self.trace.fault_exit(fstart, key.index(), va.0, resolution);
-        res.map(|_| ())
-    }
-
-    /// Resolves which cache backs a faulting address, under a short
-    /// state-lock section. `None` (dead context, unmapped va) routes
-    /// the fault to the unstriped driver, which re-derives and reports
-    /// the error itself.
-    fn peek_fault_cache(&self, ctx: CtxKey, va: VirtAddr) -> Option<CacheKey> {
-        let guard = self.state.lock();
-        let reg = guard.find_region(ctx, va).ok()?;
-        guard.region(reg).ok().map(|r| r.cache)
-    }
-
-    /// Locks the fault stripe of one cache (outermost tier of the
-    /// parallel lock order), counting acquisition and contention both
-    /// globally and in the cache's telemetry family.
-    fn lock_stripe(&self, cache: CacheKey) -> parking_lot::MutexGuard<'_, ()> {
-        let m = &self.stripes[(fx_hash_one(&cache) & self.stripe_mask) as usize];
-        self.stats.bump(Counter::CacheStripeAcqs);
-        if self.telemetry.enabled() {
-            self.telemetry
-                .bump(Dim::Cache, u64::from(cache.index()), DimCounter::LockAcqs);
-        }
-        match m.try_lock() {
-            Some(g) => g,
-            None => {
-                self.stats.bump(Counter::CacheStripeContended);
-                if self.telemetry.enabled() {
-                    self.telemetry.bump(
-                        Dim::Cache,
-                        u64::from(cache.index()),
-                        DimCounter::LockContended,
-                    );
-                }
-                m.lock()
-            }
-        }
-    }
-
-    /// One page of parallel `fillUp`: the landing-frame protocol. The
-    /// frame is claimed under one state-lock section, filled through
-    /// the lock-free byte plane with no lock held, and published under
-    /// a second section — so the memcpy/zeroing (the expensive part of
-    /// a hard fault's recovery) no longer serializes behind the state
-    /// lock.
-    ///
-    /// Returns `Ok(true)` when the page was handled here; `Ok(false)`
-    /// when claiming a frame would have to evict, routing this page to
-    /// the classic blocked-action driver.
-    fn fill_one_parallel(&self, cache: CacheKey, page_off: u64, chunk: &[u8]) -> Result<bool> {
-        // --- state lock #1: classify, claim a landing frame ---
-        let (frame, prezeroed) = {
-            let mut guard = self.state.lock();
-            if guard.caches.get(cache).is_none() {
-                // The cache died while the pull was in flight; drop the
-                // data.
-                if guard.gmap.get(cache, page_off) == Some(Slot::Sync) {
-                    guard.gmap.remove(cache, page_off);
-                }
-                return Ok(true);
-            }
-            if let Some(Slot::Present(_)) = guard.slot(cache, page_off) {
-                // Already resident: left alone, as in
-                // `fill_up_page_attempt`.
-                return Ok(true);
-            }
-            if let Some(frame) = guard.reserved_frames.remove(&(cache, page_off)) {
-                // A pre-zeroed contiguous-run frame reserved for this
-                // pull window is consumed in place.
-                guard.landing.insert((cache, page_off), frame);
-                (frame, true)
-            } else {
-                // Mirror `alloc_frame_reserved`'s uncontended path,
-                // reserve-grant accounting included; a dry pool routes
-                // to the classic driver, which knows how to evict.
-                let reserve = guard.config.emergency_reserve_frames;
-                let free = guard.phys.lock().free_frames();
-                if free == 0 {
-                    return Ok(false);
-                }
-                if reserve > 0 && free <= reserve {
-                    guard.stats.bump(Counter::ReserveGrants);
-                }
-                let frame = guard.phys.lock().alloc().expect("free frame count lied");
-                guard.landing.insert((cache, page_off), frame);
-                (frame, false)
-            }
-        };
-        // --- no lock: land the bytes ---
-        // SAFETY: `frame` came out of the free pool (or the reservation
-        // table) under the state lock and is recorded only in
-        // `landing`, which no other path reads, maps or releases — this
-        // thread is the frame's sole logical owner until state lock #2
-        // threads it into a page descriptor, so the plane access cannot
-        // race.
-        unsafe {
-            let dst = self.store.frame_mut(frame);
-            dst[..chunk.len()].copy_from_slice(chunk);
-            if !prezeroed {
-                dst[chunk.len()..].fill(0);
-            }
-        }
-        // --- state lock #2: publish ---
-        let mut guard = self.state.lock();
-        guard.landing.remove(&(cache, page_off));
-        // Mirror the serial path's zero charge (`phys.write` charges
-        // nothing). MemStats.zeroed is not bumped: the tail was zeroed
-        // through the plane, not `phys.zero` — a documented drift of
-        // the parallel fill.
-        if !prezeroed {
-            guard.charge(chorus_hal::OpKind::BzeroPage);
-        }
-        if guard.caches.get(cache).is_none() {
-            // Quarantine/destroy raced the fill: drop the data.
-            if guard.gmap.get(cache, page_off) == Some(Slot::Sync) {
-                guard.gmap.remove(cache, page_off);
-            }
-            guard.phys.lock().release(frame);
-            return Ok(true);
-        }
-        if let Some(Slot::Present(_)) = guard.slot(cache, page_off) {
-            // A concurrent fill landed first; drop our frame.
-            guard.phys.lock().release(frame);
-            return Ok(true);
-        }
-        guard.land_page(cache, page_off, frame);
-        if guard.config.check_invariants {
-            guard.check_invariants();
-        }
-        Ok(true)
-    }
-
     /// The faulting user-access simulation loop: translate, fault,
     /// retry — crossing page (and region) boundaries as needed.
     fn vm_access(
@@ -1985,25 +1718,22 @@ impl Pvm {
             // Translate-or-fault loop for this chunk.
             let mut tries = 0;
             loop {
-                let guard = self.state.lock();
+                let mut guard = self.state.lock();
                 // An OOM-killed context reports the kill, not a bare
                 // "no such context", so MIX can reap the process.
                 guard.check_context_alive(key)?;
                 let mmu_ctx = guard.ctx(key)?.mmu_ctx;
-                let translated = guard.mmu.lock().translate(mmu_ctx, addr, access, false);
-                match translated {
+                match guard.mmu.translate(mmu_ctx, addr, access, false) {
                     Ok(pa) => {
                         match &mut buf {
                             AccessBuf::Read(b) => {
                                 guard
                                     .phys
-                                    .lock()
                                     .read_phys(pa, &mut b[cur as usize..cur as usize + n]);
                             }
                             AccessBuf::Write(b) => {
                                 guard
                                     .phys
-                                    .lock()
                                     .write_phys(pa, &b[cur as usize..cur as usize + n]);
                             }
                         }

@@ -31,7 +31,7 @@ pub struct CacheHeat {
     pub cache: CacheId,
     /// Raw arena index (the id used in trace events and telemetry rows).
     pub index: u32,
-    /// Slow-path faults attributed to this cache.
+    /// Faults attributed to this cache.
     pub faults: u64,
     /// `pullIn` requests completed for this cache.
     pub pull_ins: u64,
@@ -52,11 +52,6 @@ pub struct CacheHeat {
     pub write_behind_pushes: u64,
     /// `pushOut` runs a stalled allocation issued inline.
     pub demand_pushes: u64,
-    /// Fault-stripe acquisitions for this cache (`parallel_faults`).
-    pub lock_acqs: u64,
-    /// Fault-stripe acquisitions that had to block — the cache's
-    /// "lock heat".
-    pub lock_contended: u64,
     /// Resident pages right now.
     pub resident_pages: u64,
     /// Dirty resident pages right now.
@@ -142,18 +137,6 @@ impl PhaseLatency {
     }
 }
 
-/// One lock domain's global acquisition/contention totals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DomainHeat {
-    /// Stable domain label (`state`, `phys`, `trans`, `stripe`,
-    /// `gmap`).
-    pub domain: &'static str,
-    /// Total acquisitions.
-    pub acqs: u64,
-    /// Acquisitions that missed the uncontended try-lock.
-    pub contended: u64,
-}
-
 /// The replacement policy engine's identity and decision counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicyHeat {
@@ -193,12 +176,10 @@ pub struct PvmTop {
     pub phases: Vec<PhaseLatency>,
     /// The live gauge sample taken with the snapshot.
     pub sample: TelemetrySample,
-    /// Live slots per global-map stripe, ascending shard order (a
-    /// skewed vector means one stripe convoys).
-    pub gmap_shards: Vec<usize>,
-    /// Per-domain lock heat (state, phys, trans, fault stripes, gmap
-    /// shards), in a fixed order.
-    pub lock_domains: Vec<DomainHeat>,
+    /// Acquisitions of the state lock.
+    pub state_lock_acqs: u64,
+    /// State-lock acquisitions that missed the uncontended try-lock.
+    pub state_lock_contended: u64,
     /// The policy engine's identity and decision counters.
     pub policy: PolicyHeat,
 }
@@ -250,8 +231,6 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
                 readahead_unused: dim(Dim::Cache, id, DimCounter::ReadaheadUnused),
                 write_behind_pushes: dim(Dim::Cache, id, DimCounter::WriteBehindPushes),
                 demand_pushes: dim(Dim::Cache, id, DimCounter::DemandPushes),
-                lock_acqs: dim(Dim::Cache, id, DimCounter::LockAcqs),
-                lock_contended: dim(Dim::Cache, id, DimCounter::LockContended),
                 resident_pages: res,
                 dirty_pages: dirty,
                 poisoned: desc.poisoned,
@@ -315,26 +294,7 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
         .map(|&p| PhaseLatency::from_snapshot(p, &state.trace.histogram(p)))
         .collect();
 
-    let heat = |domain, acqs, contended| DomainHeat {
-        domain,
-        acqs: state.stats.get(acqs),
-        contended: state.stats.get(contended),
-    };
     use crate::stats::Counter as C;
-    let lock_domains = vec![
-        heat("state", C::StateLockAcqs, C::StateLockContended),
-        heat("phys", C::PhysLockAcqs, C::PhysLockContended),
-        heat("trans", C::TransLockAcqs, C::TransLockContended),
-        heat("stripe", C::CacheStripeAcqs, C::CacheStripeContended),
-        // The gmap stripes count contention only (no acq counter —
-        // per-entry acquisitions are far too hot to meter twice).
-        DomainHeat {
-            domain: "gmap",
-            acqs: 0,
-            contended: state.stats.get(C::ShardContention),
-        },
-    ];
-
     let policy = PolicyHeat {
         replacement: state.policy.default_kind().label(),
         segment_overrides: state.policy.override_count() as u64,
@@ -353,8 +313,8 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
         mappers,
         phases,
         sample: state.live_sample(),
-        gmap_shards: state.gmap.shard_occupancy(),
-        lock_domains,
+        state_lock_acqs: state.stats.get(C::StateLockAcqs),
+        state_lock_contended: state.stats.get(C::StateLockContended),
         policy,
     }
 }
@@ -375,19 +335,10 @@ pub fn render(top: &PvmTop, n: usize) -> String {
         s.clock_ring_pages,
         s.gmap_slots,
     ));
-    if let (Some(&lo), Some(&hi)) = (top.gmap_shards.iter().min(), top.gmap_shards.iter().max()) {
-        out.push_str(&format!(
-            "        gmap stripes: {} shards, occupancy {lo}..{hi}\n",
-            top.gmap_shards.len(),
-        ));
-    }
-    if !top.lock_domains.is_empty() {
-        out.push_str("        lock heat (contended/acqs):");
-        for d in &top.lock_domains {
-            out.push_str(&format!(" {} {}/{}", d.domain, d.contended, d.acqs));
-        }
-        out.push('\n');
-    }
+    out.push_str(&format!(
+        "        lock heat (contended/acqs): state {}/{}\n",
+        top.state_lock_contended, top.state_lock_acqs,
+    ));
     let pol = &top.policy;
     out.push_str(&format!(
         "        policy: {} (+{} overrides)  victims {}/{} req  \
@@ -405,7 +356,7 @@ pub fn render(top: &PvmTop, n: usize) -> String {
     ));
 
     out.push_str(&format!(
-        "\n  {:>5} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>11} {:>9} {:>9} {:>8} {:>8}  {}\n",
+        "\n  {:>5} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>11} {:>9} {:>8} {:>8}  {}\n",
         "CACHE",
         "FAULTS",
         "PULLS",
@@ -415,14 +366,13 @@ pub fn render(top: &PvmTop, n: usize) -> String {
         "RAHIT",
         "RAUNUSED",
         "WB/DEMAND",
-        "LOCKHEAT",
         "RES",
         "DIRTY",
         "FLAGS"
     ));
     for c in top.caches.iter().take(n.max(1)) {
         out.push_str(&format!(
-            "  {:>5} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>11} {:>9} {:>9} {:>8} {:>8}  {}\n",
+            "  {:>5} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>11} {:>9} {:>8} {:>8}  {}\n",
             c.index,
             c.faults,
             c.pull_ins,
@@ -432,7 +382,6 @@ pub fn render(top: &PvmTop, n: usize) -> String {
             c.readahead_hits,
             format!("{}/{}", c.readahead_unused, c.readahead_pages),
             format!("{}/{}", c.write_behind_pushes, c.demand_pushes),
-            format!("{}/{}", c.lock_contended, c.lock_acqs),
             c.resident_pages,
             c.dirty_pages,
             if c.poisoned { "POISONED" } else { "-" },
@@ -495,8 +444,6 @@ mod tests {
             readahead_unused: 1,
             write_behind_pushes: 3,
             demand_pushes: 0,
-            lock_acqs: 0,
-            lock_contended: 0,
             resident_pages: dirty,
             dirty_pages: dirty,
             poisoned: false,
@@ -527,19 +474,8 @@ mod tests {
                 gmap_slots: 0,
                 reserve_free: 4,
             },
-            gmap_shards: vec![0, 0],
-            lock_domains: vec![
-                DomainHeat {
-                    domain: "state",
-                    acqs: 12,
-                    contended: 3,
-                },
-                DomainHeat {
-                    domain: "stripe",
-                    acqs: 4,
-                    contended: 1,
-                },
-            ],
+            state_lock_acqs: 12,
+            state_lock_contended: 3,
             policy: PolicyHeat {
                 replacement: "clock",
                 segment_overrides: 0,
@@ -558,8 +494,7 @@ mod tests {
         assert!(text.contains("fallbacks 0  second chances 7  drop-behind 5"));
         assert!(text.contains("PVICT"));
         assert!(text.contains("... 1 more caches"));
-        assert!(text.contains("lock heat (contended/acqs): state 3/12 stripe 1/4"));
-        assert!(text.contains("LOCKHEAT"));
+        assert!(text.contains("lock heat (contended/acqs): state 3/12\n"));
         assert!(text.contains("RAUNUSED") && text.contains("        1/8"));
         assert!(text.contains("WB/DEMAND") && text.contains("      3/0"));
         // Render keeps the caller's hottest-first order: cache 0 (9

@@ -9,7 +9,7 @@ use chorus_hal::{OpKind, Prot, VirtAddr, Vpn};
 impl PvmState {
     /// `contextCreate()`.
     pub fn context_create_locked(&mut self) -> CtxKey {
-        let mmu_ctx = self.mmu.lock().ctx_create();
+        let mmu_ctx = self.mmu.ctx_create();
         self.charge(OpKind::ObjectCreate);
         self.contexts.insert(ContextDesc {
             mmu_ctx,
@@ -31,12 +31,7 @@ impl PvmState {
         // the promotion records (and counters) need dropping here.
         self.drop_large_maps_of_ctx(ctx);
         let desc = self.contexts.remove(ctx).expect("context vanished");
-        self.mmu.lock().ctx_destroy(desc.mmu_ctx);
-        // `ctx_destroy` drops every remaining MMU mapping of the context
-        // wholesale; invalidate the whole translation cache rather than
-        // enumerating them (a context dies rarely; a stale entry would be
-        // a use-after-free of the arena slot).
-        self.fast.bump_generation();
+        self.mmu.ctx_destroy(desc.mmu_ctx);
         self.charge(OpKind::ObjectDestroy);
         if self.current == Some(ctx) {
             self.current = None;
@@ -47,7 +42,7 @@ impl PvmState {
     /// `context.switch()`.
     pub fn context_switch_locked(&mut self, ctx: CtxKey) -> Result<()> {
         let mmu_ctx = self.ctx(ctx)?.mmu_ctx;
-        self.mmu.lock().switch(mmu_ctx);
+        self.mmu.switch(mmu_ctx);
         self.current = Some(ctx);
         Ok(())
     }
@@ -143,10 +138,9 @@ impl PvmState {
             let Ok(ctx) = self.ctx(region.ctx) else {
                 return Vec::new();
             };
-            let mmu = self.mmu.lock();
             return (lo.0..=hi.0)
                 .filter_map(|v| {
-                    let (frame, _) = mmu.query(ctx.mmu_ctx, Vpn(v))?;
+                    let (frame, _) = self.mmu.query(ctx.mmu_ctx, Vpn(v))?;
                     Some((*self.frame_owner.get(&frame.0)?, Vpn(v)))
                 })
                 .collect();

@@ -163,7 +163,7 @@ impl PvmState {
         let floor = self.config.pull_cluster_pages.max(1);
         // Readahead stays under a quarter of the pool: a delivery pins
         // its own earlier pages while the later ones land.
-        let frames = u64::from(self.phys.lock().total_frames());
+        let frames = u64::from(self.phys.total_frames());
         let mut cap = floor;
         while cap * 2 <= IPC_MESSAGE_PAGES && cap * 8 < frames {
             cap *= 2;
@@ -225,15 +225,14 @@ impl PvmState {
         let Some(desc) = self.caches.get(cache) else {
             return;
         };
-        let mut mmu = self.mmu.lock();
         let mut dropped = 0u64;
         for &off in desc.entries.range(left) {
             if let Some(Slot::Present(p)) = self.gmap.get(cache, off) {
                 let page = self.pages.get_mut(p).expect("dangling page key");
-                dropped += u64::from(page.take_reference(&self.contexts, &mut **mmu, &self.model));
+                dropped +=
+                    u64::from(page.take_reference(&self.contexts, &mut *self.mmu, &self.model));
             }
         }
-        drop(mmu);
         self.stats.add(Counter::DropBehindPages, dropped);
     }
 

@@ -1,17 +1,16 @@
 //! The locked PVM state and its core bookkeeping helpers.
 //!
 //! All descriptor arenas, the global map, and the machine state (frame
-//! pool + MMU) live behind one mutex in [`crate::Pvm`]. Operations that
-//! must block (waiting on a synchronization page stub, performing a
-//! `pullIn`/`pushOut` upcall) never sleep while holding the lock: an
+//! pool + MMU) live behind one mutex in [`crate::Pvm`] — the PVM's only
+//! lock. Operations that must block (waiting on a synchronization page
+//! stub, performing a `pullIn`/`pushOut` upcall) never sleep while
+//! holding the lock: an
 //! *attempt* runs under the lock and either completes or returns a
 //! [`Blocked`] action; the driver in `pvm.rs` releases the lock, performs
 //! the action, and retries the attempt.
 
 use crate::config::PvmConfig;
 use crate::descriptors::{CacheDesc, ContextDesc, CowSource, Mapping, PageDesc, RegionDesc, Slot};
-use crate::domains::DomainLock;
-use crate::fastpath::TranslationCache;
 use crate::gmap::GlobalMap;
 use crate::keys::{CacheKey, CtxKey, PageKey, RegKey};
 use crate::policy::{PageIdent, PolicyEngine};
@@ -159,25 +158,19 @@ pub(crate) enum StubsTo {
 /// The PVM state proper (everything behind the lock).
 pub(crate) struct PvmState {
     pub geom: PageGeometry,
-    /// The physical-tier lock domain: buddy allocator + frame metadata.
-    /// Guards must stay single-statement (parking_lot is non-reentrant);
-    /// lock order is state → phys, never the reverse.
-    pub phys: DomainLock<PhysicalMemory>,
-    /// The translation lock domain: MMU contexts + page tables. Same
-    /// single-statement guard discipline; lock order state → trans.
-    pub mmu: DomainLock<Box<dyn Mmu>>,
+    /// The frame pool: buddy allocator, frame metadata and the bytes.
+    pub phys: PhysicalMemory,
+    /// MMU contexts and page tables.
+    pub mmu: Box<dyn Mmu>,
     pub model: Arc<CostModel>,
     pub contexts: Arena<ContextDesc>,
     pub regions: Arena<RegionDesc>,
     pub caches: Arena<CacheDesc>,
     pub pages: Arena<PageDesc>,
-    /// The global map (§4.1.1), lock-striped by (cache, offset); also
-    /// holds the location-stub index (per-virtual-page stubs whose
-    /// source page is not resident, re-threaded at the next pull).
+    /// The global map (§4.1.1); also holds the location-stub index
+    /// (per-virtual-page stubs whose source page is not resident,
+    /// re-threaded at the next pull).
     pub gmap: GlobalMap,
-    /// The lock-free resident translation cache consulted by
-    /// `handle_fault` before the state mutex (shared with `Pvm`).
-    pub fast: Arc<TranslationCache>,
     /// Owner page of each allocated frame (reverse of `PageDesc.frame`).
     pub frame_owner: FxHashMap<u32, PageKey>,
     /// The replacement policy engine (every tracked entry is a live
@@ -187,8 +180,8 @@ pub(crate) struct PvmState {
     /// The current user context.
     pub current: Option<CtxKey>,
     pub config: PvmConfig,
-    /// The live counter cells, shared with the translation cache, the
-    /// global map, the tracer and `Pvm` (lock-free snapshots).
+    /// The live counter cells, shared with the tracer and `Pvm`
+    /// (lock-free snapshots).
     pub stats: Arc<StatsRegistry>,
     /// The event tracer, shared with `Pvm` and (for correlation) the
     /// nucleus mapper layers.
@@ -210,14 +203,6 @@ pub(crate) struct PvmState {
     /// keyed by (cache, page offset) and consumed by `fillUp`. Empty
     /// unless `config.large_pages` is on.
     pub reserved_frames: FxHashMap<(CacheKey, u64), FrameNo>,
-    /// Landing frames of the parallel `fillUp` protocol: allocated (or
-    /// claimed from `reserved_frames`) under one state-lock section,
-    /// filled from the mapper's bytes *outside every domain lock*, and
-    /// threaded into a page descriptor under a second section. An entry
-    /// here is the filling thread's exclusive property — no other path
-    /// reads, maps or releases a landing frame. Empty unless
-    /// `config.parallel_faults` engaged the parallel driver.
-    pub landing: FxHashMap<(CacheKey, u64), FrameNo>,
     /// Demand pages of synchronous `pullIn` upcalls in flight, keyed by
     /// (cache, offset). The driver registers the entry (`None`) before
     /// it releases the lock for the upcall; the page `fillUp` creates
@@ -238,9 +223,8 @@ pub(crate) struct PvmState {
     /// unchanged was light (`Pvm::run`).
     pub performed: u64,
     /// The dimensional telemetry registry (per-cache / per-context /
-    /// per-mapper counters), shared with the translation cache and
-    /// `Pvm`. Inert (one relaxed load per site) unless
-    /// `config.telemetry` is on.
+    /// per-mapper counters), shared with `Pvm`. Inert (one relaxed load
+    /// per site) unless `config.telemetry` is on.
     pub telemetry: Arc<Telemetry>,
     /// Ring of deterministic sim-time gauge samples recorded by
     /// [`PvmState::maybe_sample`]. Empty unless `config.telemetry` is
@@ -264,29 +248,14 @@ impl PvmState {
         let telemetry = Arc::new(Telemetry::new(config.telemetry));
         PvmState {
             geom,
-            phys: DomainLock::new(
-                phys,
-                stats.clone(),
-                Counter::PhysLockAcqs,
-                Counter::PhysLockContended,
-            ),
-            mmu: DomainLock::new(
-                mmu,
-                stats.clone(),
-                Counter::TransLockAcqs,
-                Counter::TransLockContended,
-            ),
+            phys,
+            mmu,
             model,
             contexts: Arena::new(),
             regions: Arena::new(),
             caches: Arena::new(),
             pages: Arena::new(),
-            gmap: GlobalMap::new(config.global_map_shards, stats.clone()),
-            fast: Arc::new(TranslationCache::new(
-                config.fast_path,
-                stats.clone(),
-                telemetry.clone(),
-            )),
+            gmap: GlobalMap::default(),
             frame_owner: FxHashMap::default(),
             policy: PolicyEngine::new(&config.policy),
             current: None,
@@ -297,7 +266,6 @@ impl PvmState {
             oom_killed: Vec::new(),
             large_maps: Vec::new(),
             reserved_frames: FxHashMap::default(),
-            landing: FxHashMap::default(),
             demand_pulls: FxHashMap::default(),
             write_behind: std::collections::VecDeque::new(),
             performed: 0,
@@ -386,10 +354,6 @@ impl PvmState {
                 self.stats.bump(Counter::QuarantinedCaches);
                 self.trace
                     .event(|| TraceEvent::Quarantine { cache: k.index() });
-                // Faults touching the quarantined cache must reach the
-                // slow path to observe `CachePoisoned`; drop every fast
-                // translation rather than finding the cache's mappings.
-                self.fast.bump_generation();
             }
         }
         if transitioned {
@@ -443,7 +407,7 @@ impl PvmState {
     /// Whether the page was used since its reference was last cleared
     /// (see [`PageDesc::referenced`]).
     pub fn page_referenced(&self, k: PageKey) -> bool {
-        self.page(k).referenced(&self.contexts, &**self.mmu.lock())
+        self.page(k).referenced(&self.contexts, &*self.mmu)
     }
 
     /// Pins the page resident at `(cache, offset)`, if any, and returns
@@ -601,7 +565,7 @@ impl PvmState {
             },
         );
         if release_frame {
-            self.phys.lock().release(desc.frame);
+            self.phys.release(desc.frame);
         }
         desc.frame
     }
@@ -614,7 +578,7 @@ impl PvmState {
         self.unmap_va(ctx, vpn);
         let mmu_ctx = self.ctx(ctx).expect("mapping into dead context").mmu_ctx;
         let frame = self.page(key).frame;
-        self.mmu.lock().map(mmu_ctx, vpn, frame, prot);
+        self.mmu.map(mmu_ctx, vpn, frame, prot);
         let page = self.page_mut(key);
         page.mappings.push(Mapping { ctx, vpn, via });
         // The MMU entered the mapping unreferenced; the access that
@@ -625,10 +589,6 @@ impl PvmState {
         // The policy's fault-time hook (the clock reads the reference
         // set above through its view; recency policies queue the touch).
         self.policy.touch(key);
-        // Publish the translation so later soft faults on it skip the
-        // state mutex. Only non-COW, non-stub resident pages ever get
-        // here with the protection actually installed in the MMU.
-        self.fast.install(ctx, vpn, frame, prot);
     }
 
     /// Removes the mapping at (ctx, vpn), if any, and unthreads it from
@@ -637,9 +597,7 @@ impl PvmState {
         self.demote_covering_va(ctx, vpn);
         let Ok(desc) = self.ctx(ctx) else { return };
         let mmu_ctx = desc.mmu_ctx;
-        let unmapped = self.mmu.lock().unmap(mmu_ctx, vpn);
-        if let Some(frame) = unmapped {
-            self.fast.remove(ctx, vpn);
+        if let Some(frame) = self.mmu.unmap(mmu_ctx, vpn) {
             if let Some(&owner) = self.frame_owner.get(&frame.0) {
                 let page = self.page_mut(owner);
                 page.mappings.retain(|m| !(m.ctx == ctx && m.vpn == vpn));
@@ -652,10 +610,9 @@ impl PvmState {
         let mappings = core::mem::take(&mut self.page_mut(key).mappings);
         for m in mappings {
             self.demote_covering_va(m.ctx, m.vpn);
-            self.fast.remove(m.ctx, m.vpn);
             if let Ok(desc) = self.ctx(m.ctx) {
                 let mmu_ctx = desc.mmu_ctx;
-                self.mmu.lock().unmap(mmu_ctx, m.vpn);
+                self.mmu.unmap(mmu_ctx, m.vpn);
             }
         }
     }
@@ -668,10 +625,9 @@ impl PvmState {
             self.page(key).mappings.iter().partition(|m| m.via != via);
         for m in &drop {
             self.demote_covering_va(m.ctx, m.vpn);
-            self.fast.remove(m.ctx, m.vpn);
             if let Ok(desc) = self.ctx(m.ctx) {
                 let mmu_ctx = desc.mmu_ctx;
-                self.mmu.lock().unmap(mmu_ctx, m.vpn);
+                self.mmu.unmap(mmu_ctx, m.vpn);
             }
         }
         self.page_mut(key).mappings = keep;
@@ -686,10 +642,9 @@ impl PvmState {
             self.page(key).mappings.iter().partition(|m| m.via == owner);
         for m in &drop {
             self.demote_covering_va(m.ctx, m.vpn);
-            self.fast.remove(m.ctx, m.vpn);
             if let Ok(desc) = self.ctx(m.ctx) {
                 let mmu_ctx = desc.mmu_ctx;
-                self.mmu.lock().unmap(mmu_ctx, m.vpn);
+                self.mmu.unmap(mmu_ctx, m.vpn);
             }
         }
         self.page_mut(key).mappings = keep;
@@ -721,11 +676,7 @@ impl PvmState {
                 region_prot.remove(Prot::WRITE)
             };
             let mmu_ctx = self.ctx(m.ctx).expect("mapping into dead context").mmu_ctx;
-            self.mmu.lock().protect(mmu_ctx, m.vpn, eff);
-            // Refresh the fast-path entry to the narrowed protection so
-            // a revoked right cannot be satisfied lock-free.
-            let frame = self.page(key).frame;
-            self.fast.install(m.ctx, m.vpn, frame, eff);
+            self.mmu.protect(mmu_ctx, m.vpn, eff);
         }
     }
 
@@ -764,14 +715,13 @@ impl PvmState {
 
     // ----- dimensional telemetry --------------------------------------------
 
-    /// Attributes one handled slow-path fault to its context. Called by
+    /// Attributes one handled fault to its context. Called by
     /// `fault_attempt` on the first attempt only; the cache half rides
     /// [`Self::note_fault_cache_dim`] once the region resolves, so
     /// attribution reuses the fault path's own region lookup and never
     /// touches the cost model (faults into unmapped addresses are
     /// charged to the context only; the cache-dimension sum therefore
-    /// equals the global slow-path fault count whenever every fault
-    /// resolved).
+    /// equals the global fault count whenever every fault resolved).
     #[inline]
     pub fn note_fault_ctx_dim(&self, ctx: CtxKey) {
         if self.telemetry.enabled() {
@@ -819,11 +769,11 @@ impl PvmState {
     /// model (`free_frames`/`free_blocks_per_order`/`len` are plain
     /// reads, and the gmap is consulted via its uncharged `len`).
     pub fn live_sample(&self) -> TelemetrySample {
-        let free = self.phys.lock().free_frames();
+        let free = self.phys.free_frames();
         TelemetrySample {
             sim_ns: self.model.now().nanos(),
             free_frames: free,
-            free_blocks_per_order: self.phys.lock().free_blocks_per_order(),
+            free_blocks_per_order: self.phys.free_blocks_per_order(),
             inflight_upcalls: self.engine.inflight(),
             pending_pulls: self.engine.pending_pulls.len() as u64,
             clock_ring_pages: self.policy.tracked() as u64,

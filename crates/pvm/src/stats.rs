@@ -1,10 +1,10 @@
 //! PVM event counters: the atomic registry and its snapshot view.
 //!
 //! The registry ([`StatsRegistry`]) is one cache of atomic cells shared
-//! by every counting site — the locked slow path, the lock-free fault
-//! fast path, the global-map shards and the tracer all bump the *same*
-//! cells, so no counter can lose updates to a non-atomic read-modify-
-//! write and no fold-at-snapshot step has to reconcile divergent copies.
+//! by every counting site — the locked state, the state lock's own
+//! wrapper and the tracer all bump the *same* cells, so no counter can
+//! lose updates to a non-atomic read-modify-write and no
+//! fold-at-snapshot step has to reconcile divergent copies.
 //! [`PvmStats`] survives as the plain snapshot view the tests and
 //! benches always consumed; [`PvmStats::delta`] subtracts an earlier
 //! snapshot for before/after measurements.
@@ -62,15 +62,11 @@ macro_rules! counters {
         }
 
         impl StatsRegistry {
-            /// Copies every cell into a plain snapshot. The `faults`
-            /// field folds in the fast-path hits: a fast hit IS a
-            /// handled fault the slow path never saw.
+            /// Copies every cell into a plain snapshot.
             pub fn snapshot(&self) -> PvmStats {
-                let mut s = PvmStats {
+                PvmStats {
                     $($field: self.get(Counter::$variant),)*
-                };
-                s.faults += s.fast_path_hits;
-                s
+                }
             }
         }
     };
@@ -116,14 +112,13 @@ counters! {
     /// Emergency eviction passes run when fault recovery hit
     /// `OutOfMemory`.
     emergency_pageouts => EmergencyPageouts,
-    /// Faults resolved by the lock-free resident translation cache
-    /// without taking the state mutex.
+    /// Reserved, never bumped: `benchmark/src/run.rs` still names this
+    /// cell. A later `benchmark` PR drops `pvm.fast_path_hit_ratio`,
+    /// then the cell goes.
     fast_path_hits => FastPathHits,
-    /// Fast-path lookups that missed (stale generation, absent entry,
-    /// or insufficient protection) and fell through to the slow path.
-    fast_path_fallbacks => FastPathFallbacks,
-    /// Global-map shard locks that were contended (the uncontended
-    /// try-lock missed and the caller blocked).
+    /// Reserved, never bumped: `benchmark/src/run.rs` still names this
+    /// cell. A later `benchmark` PR drops `pvm.shard_contention`, then
+    /// the cell goes.
     shard_contention => ShardContention,
     /// Full clock-hand sweeps completed while hunting an eviction
     /// victim (each pass over the whole ring counts once).
@@ -194,29 +189,11 @@ counters! {
     /// Deterministic sim-time gauge samples recorded by the telemetry
     /// sampler (dimensional telemetry knob on; see [`crate::telemetry`]).
     telemetry_samples => TelemetrySamples,
-    /// Acquisitions of the state lock domain (cache/region/history
-    /// bookkeeping — the classic big mutex, now one domain of several).
+    /// Acquisitions of the state lock, the PVM's one mutex.
     state_lock_acqs => StateLockAcqs,
-    /// State-domain acquisitions that were contended (the uncontended
+    /// State-lock acquisitions that were contended (the uncontended
     /// try-lock missed and the caller blocked).
     state_lock_contended => StateLockContended,
-    /// Acquisitions of the physical-tier lock domain (buddy allocator
-    /// and frame-plane metadata).
-    phys_lock_acqs => PhysLockAcqs,
-    /// Physical-tier acquisitions that were contended.
-    phys_lock_contended => PhysLockContended,
-    /// Acquisitions of the translation lock domain (MMU contexts and
-    /// hardware page tables).
-    trans_lock_acqs => TransLockAcqs,
-    /// Translation-domain acquisitions that were contended.
-    trans_lock_contended => TransLockContended,
-    /// Per-cache fault-stripe acquisitions by the parallel hard-fault
-    /// driver (`parallel_faults` knob on; disjoint caches hash to
-    /// different stripes).
-    cache_stripe_acqs => CacheStripeAcqs,
-    /// Fault-stripe acquisitions that were contended (two faults raced
-    /// on the same cache's stripe).
-    cache_stripe_contended => CacheStripeContended,
     /// Victim-selection rounds requested from the replacement policy
     /// engine (demand allocation and the laundering daemon both count).
     policy_victim_requests => PolicyVictimRequests,
@@ -256,9 +233,8 @@ counters! {
 const N_COUNTERS: usize = Counter::ALL.len();
 
 /// The live counter cells. One instance per [`crate::Pvm`], shared (via
-/// `Arc`) with the translation cache, the global map and the tracer so
-/// every bump lands in the same atomic cell regardless of which lock (if
-/// any) the bumping path holds.
+/// `Arc`) with the state, its lock and the tracer so every bump lands in
+/// the same atomic cell whether or not the bumping path holds the lock.
 pub struct StatsRegistry {
     cells: [AtomicU64; N_COUNTERS],
 }
@@ -331,16 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_folds_fast_hits_into_faults() {
-        let r = StatsRegistry::new();
-        r.add(Counter::Faults, 5);
-        r.add(Counter::FastPathHits, 7);
-        let s = r.snapshot();
-        assert_eq!(s.faults, 12, "a fast hit IS a handled fault");
-        assert_eq!(s.fast_path_hits, 7);
-    }
-
-    #[test]
     fn delta_subtracts_fieldwise() {
         let r = StatsRegistry::new();
         r.add(Counter::Evictions, 2);
@@ -356,15 +322,12 @@ mod tests {
 
     #[test]
     fn counter_labels_match_snapshot_fields() {
-        assert_eq!(Counter::FastPathHits.label(), "fast_path_hits");
-        assert_eq!(Counter::ALL.len(), 62);
+        assert_eq!(Counter::ALL.len(), 55);
         assert_eq!(Counter::ReadaheadHits.label(), "readahead_hits");
         assert_eq!(Counter::ReadaheadRamps.label(), "readahead_ramps");
         assert_eq!(Counter::PolicyVictims.label(), "policy_victims");
         assert_eq!(Counter::TelemetrySamples.label(), "telemetry_samples");
         assert_eq!(Counter::StateLockAcqs.label(), "state_lock_acqs");
-        assert_eq!(Counter::PhysLockContended.label(), "phys_lock_contended");
-        assert_eq!(Counter::CacheStripeAcqs.label(), "cache_stripe_acqs");
         assert_eq!(Counter::LargePromotions.label(), "large_promotions");
         assert_eq!(Counter::WatchdogCancels.label(), "watchdog_cancels");
         assert_eq!(Counter::OomKills.label(), "oom_kills");
@@ -380,7 +343,7 @@ mod tests {
                 let r = r.clone();
                 std::thread::spawn(move || {
                     for _ in 0..10_000 {
-                        r.bump(Counter::ShardContention);
+                        r.bump(Counter::StubWaits);
                     }
                 })
             })
@@ -388,6 +351,6 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(r.get(Counter::ShardContention), 40_000);
+        assert_eq!(r.get(Counter::StubWaits), 40_000);
     }
 }

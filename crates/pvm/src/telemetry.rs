@@ -84,13 +84,10 @@ macro_rules! dim_counters {
 }
 
 dim_counters! {
-    /// Slow-path faults attributed to the entity (per context: every
-    /// handled slow-path fault; per cache: those whose address resolved
-    /// to a region of the cache).
+    /// Faults attributed to the entity (per context: every handled
+    /// fault; per cache: those whose address resolved to a region of
+    /// the cache).
     Faults => "faults",
-    /// Lock-free fast-path hits (per context only: the fast path never
-    /// learns the cache).
-    FastPathHits => "fast_path_hits",
     /// Successful `pullIn` requests (per cache and per mapper).
     PullIns => "pull_ins",
     /// Pages successfully pushed out (per cache and per mapper).
@@ -107,12 +104,6 @@ dim_counters! {
     /// Misses that continued one of the cache's sequential streams
     /// (per cache).
     ReadaheadHits => "readahead_hits",
-    /// Fault-stripe acquisitions attributed to the entity (per cache:
-    /// every striped hard-fault entry under `parallel_faults`).
-    LockAcqs => "lock_acqs",
-    /// Fault-stripe acquisitions that missed the uncontended try-lock
-    /// and had to block (per cache) — the "lock heat" of the entity.
-    LockContended => "lock_contended",
     /// Victims the replacement policy engine selected from the entity
     /// (per cache).
     PolicyVictims => "policy_victims",
@@ -202,7 +193,7 @@ impl DimTable {
 }
 
 /// The dimensional counter registry. Shared (via `Arc`) between the
-/// locked state and the lock-free fault fast path. Small entity ids —
+/// locked state and its readers outside the lock. Small entity ids —
 /// the only ones real runs produce — bump a pre-sized atomic array
 /// without taking any lock; only pathological ids fall back to a
 /// mutexed spill map. With the layer disabled every call is one relaxed
@@ -380,7 +371,7 @@ mod tests {
         t.bump(Dim::Cache, 7, DimCounter::Faults);
         t.bump(Dim::Cache, 2, DimCounter::Faults);
         t.add(Dim::Cache, 7, DimCounter::PullIns, 3);
-        t.bump(Dim::Context, 0, DimCounter::FastPathHits);
+        t.bump(Dim::Context, 0, DimCounter::Faults);
         assert_eq!(t.get(Dim::Cache, 7, DimCounter::PullIns), 3);
         assert_eq!(t.sum(Dim::Cache, DimCounter::Faults), 2);
         let rows = t.table(Dim::Cache);
@@ -412,9 +403,7 @@ mod tests {
         assert_eq!(Dim::Mapper.label(), "mapper");
         assert_eq!(DimCounter::Faults.label(), "faults");
         assert_eq!(DimCounter::ReadaheadHits.label(), "readahead_hits");
-        assert_eq!(N_DIM_COUNTERS, 16);
-        assert_eq!(DimCounter::LockAcqs.label(), "lock_acqs");
-        assert_eq!(DimCounter::LockContended.label(), "lock_contended");
+        assert_eq!(N_DIM_COUNTERS, 13);
     }
 
     #[test]

@@ -36,7 +36,7 @@ macro_rules! phases {
 }
 
 phases! {
-    /// Whole fault, entry to resolution (fast or slow path).
+    /// Whole fault, entry to resolution.
     FaultTotal => "fault.total",
     /// `pullIn` upcall including retries and backoff.
     PullIn => "upcall.pullIn",

@@ -1,10 +1,10 @@
 //! Deterministic event tracing for the PVM fault pipeline.
 //!
-//! The tracer records typed events (fault entry/exit, fast-path
-//! hit/fallback, stub wait/wake, history pushes and root-ward walk
-//! depth, mapper upcalls with retry outcomes, eviction, quarantine)
-//! into per-lane bounded ring buffers, each record stamped with the
-//! *simulated* cost-model clock (plus an optional wall clock).
+//! The tracer records typed events (fault entry/exit, stub wait/wake,
+//! history pushes and root-ward walk depth, mapper upcalls with retry
+//! outcomes, eviction, quarantine) into per-lane bounded ring buffers,
+//! each record stamped with the *simulated* cost-model clock (plus an
+//! optional wall clock).
 //!
 //! **Determinism rule (enforced by construction):** no trace call may
 //! advance the cost-model clock. The tracer only holds a
@@ -81,8 +81,6 @@ impl TraceConfig {
 /// How a fault was resolved (recorded in [`TraceEvent::FaultExit`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Resolution {
-    /// Satisfied by the lock-free translation cache; no state change.
-    FastPath,
     /// The page was already resident in the faulting cache (possibly
     /// after a write-permission promote).
     Resident,
@@ -100,7 +98,6 @@ impl Resolution {
     /// Stable label for exports.
     pub fn label(self) -> &'static str {
         match self {
-            Resolution::FastPath => "fast_path",
             Resolution::Resident => "resident",
             Resolution::SharedRead => "shared_read",
             Resolution::ZeroFill => "zero_fill",
@@ -210,7 +207,7 @@ impl InjectedKind {
 /// `cache`) or raw values (`va`, `offset`, `segment`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A fault entered the pipeline (before the fast-path probe).
+    /// A fault entered the pipeline.
     FaultEnter {
         /// Faulting context index.
         ctx: u32,
@@ -227,20 +224,6 @@ pub enum TraceEvent {
         va: u64,
         /// How it was resolved.
         resolution: Resolution,
-    },
-    /// The lock-free translation cache satisfied the fault.
-    FastPathHit {
-        /// Faulting context index.
-        ctx: u32,
-        /// Faulting virtual address.
-        va: u64,
-    },
-    /// The translation cache missed; falling through to the slow path.
-    FastPathFallback {
-        /// Faulting context index.
-        ctx: u32,
-        /// Faulting virtual address.
-        va: u64,
     },
     /// A thread is about to sleep on a synchronization page stub.
     StubWait {

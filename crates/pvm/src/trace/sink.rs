@@ -55,16 +55,6 @@ fn parts(e: &TraceEvent) -> (Ph, String, Vec<(&'static str, String)>) {
             "fault".into(),
             vec![("resolution", s(resolution.label()))],
         ),
-        TraceEvent::FastPathHit { ctx, va } => (
-            Ph::Instant,
-            "fastpath.hit".into(),
-            vec![("ctx", ctx.to_string()), ("va", format!("\"{va:#x}\""))],
-        ),
-        TraceEvent::FastPathFallback { ctx, va } => (
-            Ph::Instant,
-            "fastpath.fallback".into(),
-            vec![("ctx", ctx.to_string()), ("va", format!("\"{va:#x}\""))],
-        ),
         TraceEvent::StubWait { cache, offset } => (
             Ph::Instant,
             "stub.wait".into(),
@@ -484,7 +474,7 @@ mod tests {
             Arc::new(StatsRegistry::new()),
         );
         let f = t.fault_enter(1, 0x8000, Access::Write);
-        t.event(|| TraceEvent::FastPathFallback { ctx: 1, va: 0x8000 });
+        t.event(|| TraceEvent::StubWake);
         t.event(|| TraceEvent::UpcallStart {
             kind: UpcallKind::PullIn,
             segment: 4,
@@ -532,7 +522,7 @@ mod tests {
         let sink = capture_with_activity();
         let text = sink.flame_summary();
         assert!(text.contains("fault;upcall.pullIn"), "{text}");
-        assert!(text.contains("fastpath.fallback"));
+        assert!(text.contains("stub.wake"));
         assert!(text.contains("fault.total:"));
         assert!(text.contains("samples=1"));
     }

@@ -354,3 +354,57 @@ fn both_mmu_backends_agree() {
         );
     }
 }
+
+/// `handle_fault` on a mapping that already allows the access changes
+/// nothing: no frame is allocated, freed, zeroed or copied (so the page
+/// keeps its frame), the bytes stand, and the fault is counted once.
+#[test]
+fn fault_on_an_already_valid_mapping_is_an_idempotent_success() {
+    use chorus_gmi::Access;
+    for mmu in [chorus_pvm::MmuChoice::Soft, chorus_pvm::MmuChoice::TwoLevel] {
+        let (pvm, _) = setup_with(16, |o| o.mmu = mmu);
+        // A read-only mapping of a page with known bytes, and a
+        // writable mapping of an anonymous page, both already entered.
+        let ctx = pvm.context_create().unwrap();
+        let ro_cache = pvm.cache_create(None).unwrap();
+        let ro_data = pattern(0x51, PS as usize);
+        pvm.write_logical(ro_cache, 0, &ro_data).unwrap();
+        pvm.region_create(ctx, VirtAddr(0x4_0000), PS, Prot::READ, ro_cache, 0)
+            .unwrap();
+        assert_eq!(read(&pvm, ctx, 0x4_0000, PS as usize), ro_data);
+        let rw_cache = pvm.cache_create(None).unwrap();
+        pvm.region_create(ctx, VirtAddr(0x8_0000), PS, Prot::RW, rw_cache, 0)
+            .unwrap();
+        let rw_data = pattern(0x62, PS as usize);
+        write(&pvm, ctx, 0x8_0000, &rw_data);
+
+        for (va, access, cache, want) in [
+            (0x4_0000, Access::Read, ro_cache, &ro_data),
+            (0x8_0000, Access::Write, rw_cache, &rw_data),
+        ] {
+            let observe = || {
+                (
+                    pvm.mem_stats(),
+                    pvm.resident_page_count(),
+                    pvm.free_frames(),
+                    pvm.dump_caches().cache(cache).unwrap().slots.clone(),
+                )
+            };
+            let (faults, before) = (pvm.stats().faults, observe());
+            pvm.handle_fault(ctx, VirtAddr(va), access)
+                .unwrap_or_else(|e| panic!("{mmu:?} {access:?}: {e}"));
+            assert_eq!(pvm.stats().faults, faults + 1, "{mmu:?} {access:?}");
+            assert_eq!(
+                observe(),
+                before,
+                "{mmu:?} {access:?}: frame pool, residency or slot state moved"
+            );
+            assert_eq!(
+                &read(&pvm, ctx, va, PS as usize),
+                want,
+                "{mmu:?} {access:?}"
+            );
+            pvm.check_invariants();
+        }
+    }
+}

@@ -204,14 +204,12 @@ fn clustered_writeback_races_flushes_without_losing_writes() {
     }
 }
 
-/// The fast-path-vs-eviction race: one thread satisfies soft faults
-/// lock-free on mapped pages while another keeps flushing the cache out
-/// from under it. A hit may only happen while the MMU mapping is live
-/// (flush removes the fast entries under the state mutex before the
-/// mapping dies), so every lock-free answer is correct, and the faulter
-/// must transparently re-pull flushed pages via the slow path.
+/// The soft-fault-vs-eviction race: one thread re-faults pages it has
+/// just mapped while another keeps flushing the cache out from under
+/// it. A fault on a still-mapped page must succeed without changing
+/// anything, and the faulter must transparently re-pull flushed pages.
 #[test]
-fn fast_path_survives_eviction_races() {
+fn soft_faults_survive_eviction_races() {
     let (pvm, mgr) = setup_with(12, |o| o.config.check_invariants = false);
     const PAGES: u64 = 4;
     let seg = mgr.create_segment(&pattern(7, (PAGES * PS) as usize));
@@ -230,8 +228,7 @@ fn fast_path_survives_eviction_races() {
             for i in 0..4_000u64 {
                 let va = VirtAddr(base + (i % PAGES) * PS);
                 // vm_read maps the page if needed; the direct
-                // handle_fault then exercises the lock-free check on a
-                // (usually) mapped page.
+                // handle_fault then lands on a (usually) mapped page.
                 let mut b = [0u8; 2];
                 pvm.vm_read(ctx, va, &mut b).unwrap();
                 assert_eq!(
@@ -257,15 +254,6 @@ fn fast_path_survives_eviction_races() {
     faulter.join().expect("faulter");
     evictor.join().expect("evictor");
 
-    let stats = pvm.stats();
-    assert!(
-        stats.fast_path_hits > 0,
-        "the lock-free path never hit despite mapped re-faults"
-    );
-    assert!(
-        stats.fast_path_fallbacks > 0,
-        "flushes should force some slow-path faults"
-    );
     pvm.check_invariants();
 }
 
@@ -273,7 +261,7 @@ fn fast_path_survives_eviction_races() {
 /// large-aligned runs (driving promotions) under a pool too small for
 /// the combined working set (driving eviction-side demotions), while a
 /// chaos thread syncs the cache (cleaning-side demotions) and re-reads
-/// through the fast path. A stale large mapping would either satisfy a
+/// through the fault path. A stale large mapping would either satisfy a
 /// write after its page moved (lost update) or translate to a recycled
 /// frame (foreign bytes) — the byte oracle catches both, and the final
 /// invariant sweep cross-checks every surviving promotion record
@@ -375,25 +363,20 @@ fn promotion_races_eviction_and_cleaning() {
 }
 
 // ---------------------------------------------------------------------
-// `parallel_faults` knob-on: the striped driver under cross-domain races.
-// Each test builds its PVM with the knob on, so hard faults on disjoint
-// caches take per-cache fault stripes and the parallel landing protocol
-// fills frames off the state lock. The byte oracles are unchanged from
-// the knob-off tests above: the decomposition must be invisible except
-// in the lock counters.
+// Hard faults on disjoint caches: each thread pulls through its own
+// cache while the driver gives the state lock up around every upcall,
+// so the other threads' faults, evictions and kills run in the gaps.
 // ---------------------------------------------------------------------
 
-/// Concurrent hard faults on disjoint caches through the striped
-/// driver: every thread owns its own file-backed cache and pulls a cold
-/// working set while the others do the same. The stripes must engage
-/// (one acquisition per striped hard fault), the pulls must land, and
-/// every byte must come from the faulting thread's own segment.
+/// Concurrent hard faults on disjoint caches: every thread owns its own
+/// file-backed cache and pulls a cold working set while the others do
+/// the same. The pulls must land, and every byte must come from the
+/// faulting thread's own segment.
 #[test]
 fn parallel_hard_faults_on_disjoint_caches() {
     const PAGES: u64 = 16;
     let (pvm, mgr) = setup_with(PAGES as u32 * THREADS as u32 + 8, |o| {
         o.config.check_invariants = false;
-        o.config.parallel_faults = true;
     });
     let base = 0x4_0000u64;
     let mut ctxs = Vec::new();
@@ -420,7 +403,7 @@ fn parallel_hard_faults_on_disjoint_caches() {
                     assert_eq!(
                         read(&pvm, ctx, base + p * PS, PS as usize),
                         want[(p * PS) as usize..((p + 1) * PS) as usize],
-                        "thread {t} page {p}: foreign bytes through the striped driver"
+                        "thread {t} page {p}: foreign bytes"
                     );
                 }
             })
@@ -430,29 +413,24 @@ fn parallel_hard_faults_on_disjoint_caches() {
         h.join().expect("faulting thread");
     }
 
-    let stats = pvm.stats();
     assert!(
-        stats.cache_stripe_acqs >= THREADS as u64 * PAGES,
-        "striped driver never engaged: {} stripe acquisitions",
-        stats.cache_stripe_acqs
+        pvm.stats().pull_ins > 0,
+        "cold reads must pull from the mappers"
     );
-    assert!(stats.pull_ins > 0, "cold reads must pull from the mappers");
     pvm.check_invariants();
 }
 
-/// Striped hard faults vs eviction: two caches' working sets overcommit
-/// a tiny pool, so every round's re-faults race page replacement
-/// stealing frames from the *other* cache (stripe held on one cache,
-/// victim pages on another — the cross-domain case the lock order must
-/// survive). A chaos thread flushes pages out from under both.
+/// Hard faults vs eviction: two caches' working sets overcommit a tiny
+/// pool, so every round's re-faults race page replacement stealing
+/// frames from the *other* cache (a pull in flight on one cache, victim
+/// pages on another). A chaos thread flushes pages out from under both.
 #[test]
-fn parallel_faults_race_eviction_across_caches() {
+fn hard_faults_race_eviction_across_caches() {
     const WORKERS: usize = 2;
     const PAGES: u64 = 8;
     const SPINS: u8 = 20;
     let (pvm, mgr) = setup_with(12, |o| {
         o.config.check_invariants = false;
-        o.config.parallel_faults = true;
     });
     let base = 0x1_0000u64;
     // Segment-backed caches: eviction pushes dirty pages to the mapper
@@ -512,7 +490,6 @@ fn parallel_faults_race_eviction_across_caches() {
     chaos.join().expect("chaos thread");
 
     let stats = pvm.stats();
-    assert!(stats.cache_stripe_acqs > 0, "striped driver never engaged");
     assert!(
         stats.pull_ins > 0,
         "an overcommitted pool must evict and re-pull"
@@ -532,17 +509,15 @@ fn parallel_faults_race_eviction_across_caches() {
     }
 }
 
-/// Striped hard faults vs the OOM killer: two locked contexts pin the
-/// whole pool, then two threads hard-fault concurrently on disjoint
+/// Hard faults vs the OOM killer: two locked contexts pin the whole
+/// pool, then two threads hard-fault concurrently on disjoint
 /// file-backed caches. Reclaim cannot progress, so the killer must
-/// reclaim the largest locked footprint mid-fault — while both faulting
-/// threads hold their cache stripes — and both faults must then
-/// complete with correct bytes.
+/// reclaim the largest locked footprint mid-fault, and both faults must
+/// then complete with correct bytes.
 #[test]
-fn parallel_faults_race_oom_kill() {
+fn hard_faults_race_oom_kill() {
     let (pvm, mgr) = setup_with(8, |o| {
         o.config.check_invariants = false;
-        o.config.parallel_faults = true;
         o.config.oom_killer = true;
     });
 
@@ -594,7 +569,6 @@ fn parallel_faults_race_oom_kill() {
 
     let stats = pvm.stats();
     assert!(stats.oom_kills >= 1, "{stats:?}");
-    assert!(stats.cache_stripe_acqs > 0, "striped driver never engaged");
     let err = pvm
         .vm_read(victim, VirtAddr(0x10_0000), &mut [0u8; 1])
         .unwrap_err();
@@ -609,15 +583,15 @@ fn parallel_faults_race_oom_kill() {
     pvm.check_invariants();
 }
 
-/// Striped hard faults vs large-page promotion and demotion: two
-/// threads on disjoint caches densely rewrite aligned runs (driving
-/// promotions through the buddy allocator's reserved-run path of the
-/// parallel fill) under a pool too small for both working sets
+/// Hard faults vs large-page promotion and demotion: two threads on
+/// disjoint caches densely rewrite aligned runs (driving promotions
+/// through the buddy allocator's reserved-run path of `fillUp`) under
+/// a pool too small for both working sets
 /// (eviction-side demotions), while a chaos thread syncs and flushes
 /// (cleaning-side demotions). A stale large mapping surviving a
 /// demotion would leak foreign bytes across caches.
 #[test]
-fn parallel_faults_race_promotion_and_demotion() {
+fn hard_faults_race_promotion_and_demotion() {
     const WORKERS: usize = 2;
     const FACTOR: u64 = 4;
     const RUNS_PER_WORKER: u64 = 2;
@@ -625,7 +599,6 @@ fn parallel_faults_race_promotion_and_demotion() {
     let pages = RUNS_PER_WORKER * FACTOR;
     let (pvm, _mgr) = setup_with(12, |o| {
         o.config.check_invariants = false;
-        o.config.parallel_faults = true;
         o.config.buddy_runs = true;
         o.config.large_pages = true;
         o.config.promote_threshold_pages = FACTOR;
@@ -684,7 +657,6 @@ fn parallel_faults_race_promotion_and_demotion() {
     chaos.join().expect("chaos thread");
 
     let stats = pvm.stats();
-    assert!(stats.cache_stripe_acqs > 0, "striped driver never engaged");
     assert!(
         stats.large_promotions > 0,
         "dense aligned rewrites never promoted a run"

@@ -193,12 +193,9 @@ fn concurrent_faulters_block_on_sync_stub_and_pull_once() {
         pulls, 1,
         "the sync stub must coalesce concurrent faults into one pull"
     );
-    // Under `parallel_faults` the losers serialize on the cache's fault
-    // stripe instead of the sync stub; either witness proves they waited.
-    let stats = pvm.stats();
     assert!(
-        stats.stub_waits > 0 || stats.cache_stripe_contended > 0,
-        "someone must have waited on the stub or the fault stripe"
+        pvm.stats().stub_waits > 0,
+        "the losers must have slept on the sync stub"
     );
 }
 
@@ -526,12 +523,7 @@ fn clustering_does_not_overshoot_unowned_pages() {
 fn fill_up_pads_short_chunks_and_charges_like_bzero_plus_copy() {
     use chorus_gmi::CacheIo;
     use chorus_hal::{CostParams, OpKind};
-    // The shipped (classic) landing path: the striped driver lands
-    // through the byte plane and documents its own accounting drift.
-    let (pvm, mgr) = setup_with(8, |o| {
-        o.cost = CostParams::sun3();
-        o.config.parallel_faults = false;
-    });
+    let (pvm, mgr) = setup_with(8, |o| o.cost = CostParams::sun3());
     // Leave junk in every frame, so a tail that is not cleared shows.
     let junk = pvm.cache_create(None).unwrap();
     pvm.write_logical(junk, 0, &vec![0xFF; (8 * PS) as usize])

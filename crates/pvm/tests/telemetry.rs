@@ -68,9 +68,6 @@ fn per_entity_fault_counters_sum_to_global() {
     let (_ctx_b, _cache_b) = touch_region(&pvm, 0x80_0000, 3);
     let stats = pvm.stats();
     let telemetry = pvm.telemetry();
-    // `PvmStats::faults` folds fast-path hits in; the dimensional rows
-    // attribute slow-path faults only.
-    let slow = stats.faults - stats.fast_path_hits;
     let by_cache: u64 = telemetry
         .table(Dim::Cache)
         .iter()
@@ -81,18 +78,11 @@ fn per_entity_fault_counters_sum_to_global() {
         .iter()
         .map(|(_, c)| c[chorus_pvm::DimCounter::Faults as usize])
         .sum();
-    assert_eq!(by_ctx, slow, "context-dimension faults vs global");
+    assert_eq!(by_ctx, stats.faults, "context-dimension faults vs global");
     assert_eq!(
-        by_cache, slow,
+        by_cache, stats.faults,
         "cache-dimension faults vs global (all resolved)"
     );
-    // Fast-path hits live in the context dimension only.
-    let fast_by_ctx: u64 = telemetry
-        .table(Dim::Context)
-        .iter()
-        .map(|(_, c)| c[chorus_pvm::DimCounter::FastPathHits as usize])
-        .sum();
-    assert_eq!(fast_by_ctx, stats.fast_path_hits);
 }
 
 #[test]
@@ -204,11 +194,8 @@ fn pvmtop_ranks_the_hot_cache_first() {
     // phase table is present (empty without tracing) and the gauge
     // sample is coherent.
     assert_eq!(top.sample.sim_ns, top.sim_ns);
-    assert!(!top.gmap_shards.is_empty());
-    assert_eq!(
-        top.gmap_shards.iter().sum::<usize>() as u64,
-        top.sample.gmap_slots
-    );
+    assert!(top.sample.gmap_slots > 0);
+    assert!(top.state_lock_acqs > 0);
 }
 
 #[test]

@@ -16,9 +16,9 @@ Fields split into two classes:
   are seedless and the determinism rule forbids observability from
   advancing the clock, so any drift here is a behaviour change; the
   exit status is 1 and verify.sh fails.
-* **Warn-only** — wall-clock times and their derivatives (throughputs,
-  speedups, lock contention, machine core counts). These move with the
-  host; they are reported but never fail the run.
+* **Warn-only** — wall-clock times and their derivatives (speedups,
+  overheads). These move with the host; they are reported but never
+  fail the run.
 
 Rows are matched positionally after checking that their identifying
 fields (non-numeric, non-warn) agree; a shape mismatch is an error,
@@ -35,15 +35,8 @@ import sys
 # final key segment.
 WARN_PATTERNS = (
     "wall",
-    "fps",
-    "per_sec",
     "speedup",
-    "contended",
-    "contention",
     "overhead",
-    "cores",
-    "reason",
-    "asserted",
 )
 
 
