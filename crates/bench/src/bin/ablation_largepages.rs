@@ -10,15 +10,21 @@
 //! * knobs off, every page still takes one translation fault to get its
 //!   own base mapping (`faults` ≈ working-set pages);
 //! * knobs on, each aligned pull window lands in one contiguous
-//!   pre-zeroed buddy run, the first fault of the run installs a large
-//!   mapping on top, and the remaining 255 pages of the run — and the
-//!   entire second scan — translate through it without faulting
-//!   (`faults` ≈ windows), saving the per-fault entry and per-page map
-//!   costs.
+//!   pre-zeroed buddy run; the first fault of the run waits for the
+//!   large page and lands its own base page, the second finds the run
+//!   complete and installs a large mapping on top, and the remaining
+//!   pages of the run — and the entire second scan — translate through
+//!   it without faulting (`faults` ≈ 2 × windows), saving the per-fault
+//!   entry and per-page map costs.
 //!
-//! The binary asserts the headline result (≥5x fewer faults and a
-//! simulated-time win with large pages on) and re-runs one
-//! configuration to assert bit-identical clocks and counters.
+//! Pulls are split-phase (DESIGN.md §10): with the knobs off the scan
+//! takes each page as it arrives and its faults hide inside the
+//! transfer; with them on the large page arrives whole. Either way the
+//! scan is bound by the transfer, so simulated time is a tie.
+//!
+//! The binary asserts the headline result (≥5x fewer faults, no more
+//! than 1 % of simulated time lost, with large pages on) and re-runs
+//! one configuration to assert bit-identical clocks and counters.
 //!
 //! Usage: `cargo run --release -p chorus-bench --bin ablation_largepages [--json] [--quick]`
 
@@ -151,8 +157,8 @@ fn main() {
         on.faults
     );
     assert!(
-        on.sim_ms < off.sim_ms,
-        "large pages must win simulated time on a dense scan: {} ms -> {} ms",
+        on.sim_ms < off.sim_ms * 1.01,
+        "large pages must not lose simulated time on a dense scan: {} ms -> {} ms",
         off.sim_ms,
         on.sim_ms
     );

@@ -1,9 +1,9 @@
 //! Ablation: the memory-pressure survival layer (DESIGN.md §11) — the
-//! hung-upcall watchdog, pending-pull backpressure and the OOM victim
-//! killer — against the bare completion engine.
+//! hung-upcall watchdog and the OOM victim killer — against the bare
+//! completion engine.
 //!
-//! A file-backed working set is swept through clustered asynchronous
-//! pulls while the mapper wedges mid-run (every reply from then on is a
+//! A file-backed working set is swept through clustered pulls while the
+//! mapper wedges mid-run (every reply from then on is a
 //! hang). The client skips failed pages, heals the mapper after the
 //! third visible error and revisits the failures — the question is what
 //! the *kernel* does with the replies that never arrived:
@@ -14,10 +14,7 @@
 //! * with the watchdog on, the request is cancelled at its retry
 //!   deadline (about a simulated second) and the mapper is marked
 //!   Suspected, so end-to-end time stays within sight of the healthy
-//!   baseline;
-//! * backpressure (`max_pending_pulls`) additionally bounds the queue
-//!   of coalesced pulls behind the wedged mapper, surfacing throttle
-//!   stalls instead of unbounded queueing.
+//!   baseline.
 //!
 //! In every configuration the byte oracle must hold: a hang may cost
 //! time, never data. A separate mini-scenario pins every frame with two
@@ -60,23 +57,15 @@ struct Row {
     scenario: &'static str,
     hang: bool,
     watchdog: bool,
-    backpressure: bool,
     client_errors: u64,
     watchdog_cancels: u64,
     suspected_mappers: u64,
-    throttle_stalls: u64,
     lost_pages: u64,
     faults: u64,
     sim_ms: f64,
 }
 
-fn run_config(
-    shape: &Shape,
-    scenario: &'static str,
-    hang: bool,
-    watchdog: bool,
-    backpressure: bool,
-) -> Row {
+fn run_config(shape: &Shape, scenario: &'static str, hang: bool, watchdog: bool) -> Row {
     let seg_mgr = Arc::new(NucleusSegmentManager::new());
     let files = Arc::new(MemMapper::new(PortName(1)));
     let plan = if hang {
@@ -97,13 +86,10 @@ fn run_config(
             config: PvmConfig::builder()
                 .paging(|p| p.check_invariants(false).pull_cluster_pages(PULL_CLUSTER))
                 .r#async(|a| {
-                    a.async_upcalls(true)
-                        .max_inflight_upcalls(if backpressure { 1 } else { 2 })
-                        .upcall_watchdog(watchdog)
+                    a.upcall_watchdog(watchdog)
                         .suspect_after_timeouts(2)
                         .quarantine_after_timeouts(1 << 20)
                 })
-                .pressure(|pr| pr.max_pending_pulls(if backpressure { 1 } else { 0 }))
                 .build()
                 .expect("valid config"),
             ..PvmOptions::default()
@@ -130,8 +116,7 @@ fn run_config(
     let mut failed = Vec::new();
     let mut buf = [0u8; 16];
     // Sweep pass: a failed page is skipped (revisited below), so the
-    // wedged window spans several clustered faults and the engine's
-    // queues actually fill. The mapper heals after the third visible
+    // wedged window spans several clustered faults. The mapper heals after the third visible
     // error; the kernel still owns every reply that never arrived.
     for _ in 0..shape.sweeps {
         for p in 0..shape.ws_pages {
@@ -194,11 +179,9 @@ fn run_config(
         scenario,
         hang,
         watchdog,
-        backpressure,
         client_errors,
         watchdog_cancels: stats.watchdog_cancels,
         suspected_mappers: stats.suspected_mappers,
-        throttle_stalls: stats.throttle_stalls,
         lost_pages,
         faults: stats.faults,
         sim_ms: model.now().since(t0).millis(),
@@ -282,7 +265,7 @@ fn main() {
 
     // Determinism self-check: the watchdog path must be bit-identical.
     assert_deterministic("pressure layer", || {
-        let r = run_config(shape, "selfcheck", true, true, false);
+        let r = run_config(shape, "selfcheck", true, true);
         (
             r.sim_ms.to_bits(),
             r.client_errors,
@@ -292,10 +275,9 @@ fn main() {
     });
 
     let rows = vec![
-        run_config(shape, "healthy baseline", false, false, false),
-        run_config(shape, "hang, bare engine", true, false, false),
-        run_config(shape, "hang + watchdog", true, true, false),
-        run_config(shape, "hang + watchdog + backpressure", true, true, true),
+        run_config(shape, "healthy baseline", false, false),
+        run_config(shape, "hang, bare engine", true, false),
+        run_config(shape, "hang + watchdog", true, true),
     ];
     let baseline = &rows[0];
     let bare = &rows[1];
@@ -333,11 +315,9 @@ fn main() {
                 .str("scenario", r.scenario)
                 .bool("hang", r.hang)
                 .bool("watchdog", r.watchdog)
-                .bool("backpressure", r.backpressure)
                 .int("client_errors", r.client_errors)
                 .int("watchdog_cancels", r.watchdog_cancels)
                 .int("suspected_mappers", r.suspected_mappers)
-                .int("throttle_stalls", r.throttle_stalls)
                 .int("lost_pages", r.lost_pages)
                 .int("faults", r.faults)
                 .num("sim_ms", r.sim_ms)
@@ -370,15 +350,14 @@ fn main() {
          client after its third visible error\n",
         shape.sweeps, shape.ws_pages, FRAMES, HANG_AT
     );
-    println!("  scenario                        | errors | cancels | suspected | throttled | lost | sim time");
+    println!("  scenario          | errors | cancels | suspected | lost | sim time");
     for r in &rows {
         println!(
-            "  {:<31} | {:>6} | {:>7} | {:>9} | {:>9} | {:>4} | {:>12.1} ms",
+            "  {:<17} | {:>6} | {:>7} | {:>9} | {:>4} | {:>12.1} ms",
             r.scenario,
             r.client_errors,
             r.watchdog_cancels,
             r.suspected_mappers,
-            r.throttle_stalls,
             r.lost_pages,
             r.sim_ms,
         );

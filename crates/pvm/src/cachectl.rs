@@ -8,6 +8,7 @@
 //! revoke them with `invalidate`.
 
 use crate::descriptors::Slot;
+use crate::engine::Parked;
 use crate::keys::{CacheKey, PageKey};
 use crate::state::{blocked, done, Attempt, Blocked, PushOrigin, PvmState, StubsTo};
 use chorus_gmi::{GmiError, Result};
@@ -35,7 +36,7 @@ impl PvmState {
                 Slot::Present(p) => {
                     let page = self.page(p);
                     if page.cleaning {
-                        return blocked(Blocked::WaitStub);
+                        return blocked(Blocked::WaitStub(cache, o));
                     }
                     if !page.dirty {
                         continue;
@@ -78,7 +79,7 @@ impl PvmState {
                         origin: PushOrigin::Sync,
                     });
                 }
-                Slot::Sync => return blocked(Blocked::WaitStub),
+                Slot::Sync => return blocked(Blocked::WaitStub(cache, o)),
                 Slot::Cow(_) => {}
             }
         }
@@ -134,7 +135,7 @@ impl PvmState {
         let end = off.saturating_add(size);
         for (o, slot) in self.range_pages(cache, off, size)? {
             match slot {
-                Slot::Sync => return blocked(Blocked::WaitStub),
+                Slot::Sync => return blocked(Blocked::WaitStub(cache, o)),
                 Slot::Cow(src) => {
                     self.unthread_cow_stub(cache, o, src);
                     self.clear_slot(cache, o);
@@ -185,7 +186,7 @@ impl PvmState {
         prot: Prot,
     ) -> Result<()> {
         let write_ok = prot.contains(Prot::WRITE);
-        for (_o, slot) in self.range_pages(cache, off, size)? {
+        for (o, slot) in self.range_pages(cache, off, size)? {
             if let Slot::Present(p) = slot {
                 self.page_mut(p).seg_write_ok = write_ok;
                 if !write_ok {
@@ -194,6 +195,10 @@ impl PvmState {
                     // next local write must upcall.
                     self.reprotect_mappings(p);
                 }
+            } else if let Some(&Parked::Filled { page, .. }) = self.engine.parked.get(&(cache, o)) {
+                // A page in flight: the mapper protects what it has just
+                // filled.
+                self.page_mut(page).seg_write_ok = write_ok;
             }
         }
         Ok(())
@@ -225,7 +230,7 @@ impl PvmState {
                     self.page_mut(p).lock_count += 1;
                     *pinned += 1;
                 }
-                Some(Slot::Sync) => return blocked(Blocked::WaitStub),
+                Some(Slot::Sync) => return blocked(Blocked::WaitStub(cache, o)),
                 _ => {
                     // Materialize an own resident page with the current
                     // value, then pin it.

@@ -85,42 +85,26 @@ pub struct PvmConfig {
     pub writeback_low_frames: u32,
     /// High free-frame watermark at which the laundering pass stops.
     pub writeback_high_frames: u32,
-    /// Completion-based asynchronous upcalls: readahead tail `pullIn`s
-    /// and watermark-laundering `pushOut`s become fire-and-collect
-    /// requests tracked in a per-mapper in-flight table and delivered
-    /// by a deterministic completion scheduler in (due-time,
-    /// request-id) order. Off by default: every upcall then completes
-    /// synchronously inside the blocked-action driver and the
-    /// evaluation tables are bit-identical to the pre-engine code.
-    pub async_upcalls: bool,
-    /// Maximum outstanding asynchronous upcalls per mapper. Further
-    /// submissions fall back to the synchronous path (pushes) or queue
-    /// as pending coalescible requests (pulls). Must be at least 1.
-    pub max_inflight_upcalls: u64,
-    /// Deadline watchdog over the asynchronous in-flight table: every
+    /// Deadline watchdog over the completion engine's in-flight table
+    /// (DESIGN.md §10): every
     /// driver entry sweeps the completion queue on the simulated clock
     /// and cancels requests whose per-request deadline (submit time +
     /// [`RetryPolicy::deadline_ns`]) has expired, failing them through
-    /// the existing transient taxonomy (`MapperTimeout`) so pull stubs
-    /// are cleared and push pages stay dirty for relaundering. Off by
+    /// the existing transient taxonomy (`MapperTimeout`) so a window's
+    /// pages that have not arrived are given up and push pages stay
+    /// dirty for relaundering. Off by
     /// default: hung requests then park in the queue until force-
     /// delivered, reproducing the pre-watchdog stall behaviour.
     pub upcall_watchdog: bool,
     /// Watchdog timeouts after which a mapper is escalated to the
-    /// `Suspected` state: its in-flight cap shrinks to 1 and demand
-    /// pulls stop splitting an asynchronous readahead tail (fully
-    /// synchronous path). A successful delivery clears the suspicion.
+    /// `Suspected` state: its in-flight cap shrinks to 1, so every
+    /// request waits out the one before it. A successful delivery
+    /// clears the suspicion.
     pub suspect_after_timeouts: u32,
     /// Watchdog timeouts after which the affected cache is quarantined
     /// outright (the full `CachePoisoned` escalation). Must be at least
     /// [`PvmConfig::suspect_after_timeouts`].
     pub quarantine_after_timeouts: u32,
-    /// Backpressure bound on the pending asynchronous pull queue: a
-    /// faulting thread entering the fault path while this many pulls are
-    /// queued (not yet submitted) blocks on `Blocked::Throttled`,
-    /// force-draining completions instead of growing the queue without
-    /// bound. 0 disables throttling.
-    pub max_pending_pulls: u64,
     /// Emergency frame reserve: ordinary allocations launder/evict
     /// until this many frames stay free, while pull-recovery (`fillUp`)
     /// allocations may draw the reserve down to zero. Closes the
@@ -196,12 +180,9 @@ impl Default for PvmConfig {
             writeback_daemon: false,
             writeback_low_frames: 0,
             writeback_high_frames: 0,
-            async_upcalls: false,
-            max_inflight_upcalls: 4,
             upcall_watchdog: false,
             suspect_after_timeouts: 2,
             quarantine_after_timeouts: 4,
-            max_pending_pulls: 0,
             emergency_reserve_frames: 0,
             oom_killer: false,
             buddy_runs: false,
@@ -226,7 +207,7 @@ impl PvmConfig {
 
 /// Builder for [`PvmConfig`] enforcing cross-field invariants that a
 /// plain struct literal cannot: watermark ordering, non-zero cluster
-/// sizes, a positive in-flight budget, and well-formed policy
+/// sizes, an ordered escalation ladder, and well-formed policy
 /// overrides.
 ///
 /// Knobs are set through grouped sections, each a closure over a
@@ -285,8 +266,8 @@ impl PagingSection {
     }
 }
 
-/// The `async` section: the completion engine, mapper retry/health
-/// escalation and the deadline watchdog.
+/// The `async` section: mapper retry/health escalation and the
+/// completion engine's deadline watchdog.
 #[derive(Debug)]
 pub struct AsyncSection {
     cfg: PvmConfig,
@@ -294,10 +275,6 @@ pub struct AsyncSection {
 
 impl AsyncSection {
     setters! {
-        /// See [`PvmConfig::async_upcalls`].
-        async_upcalls: bool,
-        /// See [`PvmConfig::max_inflight_upcalls`].
-        max_inflight_upcalls: u64,
         /// See [`PvmConfig::upcall_watchdog`].
         upcall_watchdog: bool,
         /// See [`PvmConfig::suspect_after_timeouts`].
@@ -312,7 +289,7 @@ impl AsyncSection {
 }
 
 /// The `pressure` section: the memory-pressure survival layer —
-/// laundering watermarks, backpressure, reserves and the OOM killer.
+/// laundering watermarks, reserves and the OOM killer.
 #[derive(Debug)]
 pub struct PressureSection {
     cfg: PvmConfig,
@@ -326,8 +303,6 @@ impl PressureSection {
         writeback_low_frames: u32,
         /// See [`PvmConfig::writeback_high_frames`].
         writeback_high_frames: u32,
-        /// See [`PvmConfig::max_pending_pulls`].
-        max_pending_pulls: u64,
         /// See [`PvmConfig::emergency_reserve_frames`].
         emergency_reserve_frames: u32,
         /// See [`PvmConfig::emergency_pageout`].
@@ -434,11 +409,11 @@ impl PvmConfigBuilder {
         /// Core paging mechanics: replacement and clustering. See
         /// [`PagingSection`].
         paging: PagingSection,
-        /// The asynchronous upcall engine and mapper-health
-        /// escalation. See [`AsyncSection`].
+        /// Mapper-health escalation and the upcall watchdog. See
+        /// [`AsyncSection`].
         r#async: AsyncSection,
-        /// Memory-pressure survival: laundering watermarks,
-        /// backpressure, reserves, OOM killer. See [`PressureSection`].
+        /// Memory-pressure survival: laundering watermarks, reserves,
+        /// OOM killer. See [`PressureSection`].
         pressure: PressureSection,
         /// Buddy contiguous runs and large-page promotion. See
         /// [`LargePagesSection`].
@@ -455,8 +430,7 @@ impl PvmConfigBuilder {
     /// # Errors
     ///
     /// Returns [`chorus_gmi::GmiError::Unsupported`] naming the violated
-    /// invariant: zero cluster/in-flight sizes or inverted
-    /// writeback watermarks.
+    /// invariant: zero cluster sizes or inverted writeback watermarks.
     pub fn build(self) -> chorus_gmi::Result<PvmConfig> {
         let c = &self.config;
         if c.pull_cluster_pages < 1 {
@@ -472,11 +446,6 @@ impl PvmConfigBuilder {
         if c.writeback_low_frames > c.writeback_high_frames {
             return Err(chorus_gmi::GmiError::Unsupported(
                 "writeback_low_frames must not exceed writeback_high_frames",
-            ));
-        }
-        if c.max_inflight_upcalls < 1 {
-            return Err(chorus_gmi::GmiError::Unsupported(
-                "max_inflight_upcalls must be at least 1",
             ));
         }
         if c.suspect_after_timeouts < 1 {
@@ -555,12 +524,9 @@ mod tests {
         assert!(!c.writeback_daemon, "laundering is opt-in");
         assert_eq!(c.writeback_low_frames, 0);
         assert_eq!(c.writeback_high_frames, 0);
-        assert!(!c.async_upcalls, "the completion engine is opt-in");
-        assert!(c.max_inflight_upcalls >= 1);
         assert!(!c.upcall_watchdog, "the deadline watchdog is opt-in");
         assert_eq!(c.suspect_after_timeouts, 2);
         assert_eq!(c.quarantine_after_timeouts, 4);
-        assert_eq!(c.max_pending_pulls, 0, "backpressure is opt-in");
         assert_eq!(c.emergency_reserve_frames, 0, "the reserve is opt-in");
         assert!(!c.oom_killer, "the OOM killer is opt-in");
         assert!(!c.buddy_runs, "contiguous runs are opt-in");
@@ -588,14 +554,11 @@ mod tests {
                 p.writeback_daemon(true)
                     .writeback_low_frames(4)
                     .writeback_high_frames(8)
-                    .max_pending_pulls(16)
                     .emergency_reserve_frames(2)
                     .oom_killer(true)
             })
             .r#async(|a| {
-                a.async_upcalls(true)
-                    .max_inflight_upcalls(2)
-                    .upcall_watchdog(true)
+                a.upcall_watchdog(true)
                     .suspect_after_timeouts(1)
                     .quarantine_after_timeouts(3)
             })
@@ -603,11 +566,8 @@ mod tests {
             .build()
             .expect("valid config");
         assert_eq!(c.pull_cluster_pages, 4);
-        assert!(c.async_upcalls);
-        assert_eq!(c.max_inflight_upcalls, 2);
         assert!(c.upcall_watchdog);
         assert_eq!(c.quarantine_after_timeouts, 3);
-        assert_eq!(c.max_pending_pulls, 16);
         assert!(c.oom_killer);
         assert!(c.telemetry);
         assert_eq!(c.telemetry_sample_ns, 500_000);
@@ -641,10 +601,6 @@ mod tests {
         assert!(paging_err(|p| p.push_cluster_pages(0)));
         assert!(PvmConfig::builder()
             .pressure(|p| p.writeback_low_frames(8).writeback_high_frames(4))
-            .build()
-            .is_err());
-        assert!(PvmConfig::builder()
-            .r#async(|a| a.max_inflight_upcalls(0))
             .build()
             .is_err());
         assert!(PvmConfig::builder()

@@ -158,7 +158,7 @@ impl PvmState {
                         && !page.cleaning
                         && !self.has_history_covering(src, so)
                 }
-                Some(Slot::Sync) => return blocked(Blocked::WaitStub),
+                Some(Slot::Sync) => return blocked(Blocked::WaitStub(src, so)),
                 _ => false,
             };
             if stealable {
@@ -281,7 +281,7 @@ impl PvmState {
                 }
                 done(p)
             }
-            Some(Slot::Sync) => blocked(Blocked::WaitStub),
+            Some(Slot::Sync) => blocked(Blocked::WaitStub(cache, page_off)),
             other => {
                 // Cow stub or absent: materialize an own copy of the
                 // current value, then promote it.

@@ -5,6 +5,7 @@
 //! `figure3` bench binary and the worked examples.
 
 use crate::descriptors::{CowSource, Slot};
+use crate::engine::Parked;
 use crate::keys::pub_cache;
 use crate::pvm::Pvm;
 use crate::state::PvmState;
@@ -52,7 +53,11 @@ impl PvmState {
                     assert_eq!(page.cache, cache, "page back pointer mismatch");
                     assert_eq!(page.offset, off, "page offset mismatch");
                 }
-                Slot::Sync => {}
+                // A stub nothing will ever replace is a hang.
+                Slot::Sync => assert!(
+                    self.engine.parked.contains_key(&(cache, off)),
+                    "sync stub ({cache:?},{off:#x}) with no page in flight"
+                ),
                 Slot::Cow(CowSource::Page(p)) => {
                     let src = self.pages.get(p).expect("Cow stub points at dead page");
                     assert!(
@@ -193,11 +198,18 @@ impl PvmState {
 
     fn check_pages(&self) {
         for (key, p) in self.pages.iter() {
-            assert_eq!(
-                self.gmap.get(p.cache, p.offset),
-                Some(Slot::Present(key)),
-                "page {key:?} not indexed in the global map"
-            );
+            // Indexed in the global map, or parked behind its stub.
+            let at = (p.cache, p.offset);
+            match self.engine.parked.get(&at) {
+                Some(&Parked::Filled { page, .. }) if page == key => {
+                    assert!(p.lock_count > 0, "parked page {key:?} not pinned")
+                }
+                _ => assert_eq!(
+                    self.gmap.get(p.cache, p.offset),
+                    Some(Slot::Present(key)),
+                    "page {key:?} not indexed in the global map"
+                ),
+            }
             assert_eq!(
                 self.frame_owner.get(&p.frame.0),
                 Some(&key),
@@ -224,7 +236,7 @@ impl PvmState {
         }
         // A page held for a faulter is pinned where the pull expects it.
         for (&(cache, off), held) in &self.demand_pulls {
-            if let Some(p) = held.and_then(|k| self.pages.get(k)) {
+            if let Some(p) = held.as_ref().ok().and_then(|&k| self.pages.get(k?)) {
                 assert!(
                     p.lock_count > 0,
                     "demand page ({cache:?},{off:#x}) held without a pin"
@@ -267,10 +279,13 @@ impl PvmState {
     }
 
     fn check_frames(&self) {
+        // Every allocated frame backs a page or is reserved for a window
+        // in flight.
+        let reserved = |p: &&Parked| matches!(p, Parked::Reserved(_));
         assert_eq!(
             self.phys.stats().in_use as usize,
-            self.pages.len() + self.reserved_frames.len(),
-            "allocated frames != live pages + reserved pull frames"
+            self.pages.len() + self.engine.parked.values().filter(reserved).count(),
+            "allocated frames != pages + reserved pull frames"
         );
         assert_eq!(
             self.frame_owner.len(),
@@ -284,7 +299,15 @@ impl PvmState {
             );
             assert!(self.pages.contains(p), "frame_owner lists dead page");
         }
-        for (&(cache, off), &f) in &self.reserved_frames {
+        for (&(cache, off), &parked) in &self.engine.parked {
+            // A page awaiting arrival hides behind its stub.
+            assert!(
+                self.is_sync_stub(cache, off),
+                "parked page ({cache:?},{off:#x}) without its stub"
+            );
+            let Parked::Reserved(f) = parked else {
+                continue;
+            };
             assert!(
                 self.phys.is_allocated(f),
                 "reserved frame {} for ({cache:?},{off:#x}) not allocated",

@@ -1,50 +1,52 @@
-//! The completion-based asynchronous upcall engine.
+//! Split-phase pulls and the completion engine (DESIGN.md §10).
 //!
-//! With `PvmConfig::async_upcalls` set, readahead tail `pullIn`s and
-//! watermark-laundering `pushOut`s become *fire-and-collect*: the mapper
-//! protocol (including the retry/backoff budget) runs eagerly at submit
-//! time with the state lock released, while the request's bookkeeping —
-//! cost-model charges, stub clearing, `finish_clean`, quarantine and
-//! counters — is deferred into a [`CompletionRecord`] scheduled on the
-//! simulated clock. A record becomes *due* at `submit time + modelled
-//! service time` (one `IpcOp` round trip plus per-page transfer, read
-//! from the cost parameters without charging); the in-flight service
-//! time therefore overlaps whatever the submitting thread does next,
-//! which is exactly the latency the engine exists to hide.
+//! In the paper `pullIn` is an upcall and `fillUp` a separate downcall,
+//! and the PVM runs them that way: a miss places the window's
+//! synchronization stubs, submits **one** `pullIn` for the window and
+//! goes back to its attempt. The mapper protocol (retry budget
+//! included) runs eagerly at submit with the state lock released; what
+//! `fillUp` delivers meanwhile is *parked* ([`Parked`]) — the page is
+//! built, but stays off the global map — until its *arrival time*: page
+//! `k` of a window submitted at simulated time `t` arrives at
+//! `t + IpcOp + (k + 1) * SegmentIoPage`. Until then the stub stands, so
+//! nobody (fault, `cache_read` and its kin, `copyBack`, a COW walk, the
+//! pageout policy) can observe the bytes; a toucher, faulter or not,
+//! waits on the stub until that page's arrival, not the window's end.
 //!
-//! Delivery is deterministic: completions leave the queue in
-//! `(due-time, request-id)` order — [`chorus_gmi::CompletionQueue`]'s
-//! total order — so the same operation sequence produces bit-identical
-//! counters and clock readings run-to-run. Ordinary delivery happens at
-//! driver entry for every completion already due (no clock movement:
-//! the simulated time was covered by intervening work, so the deferred
-//! charges are applied with `count_only`). *Forced* delivery — a stub
-//! waiter or a frame-starved allocation that cannot make progress any
-//! other way — advances the clock to the record's due time first, which
-//! models blocking until the in-flight transfer finishes.
+//! Mapper service (`IpcOp`, `SegmentIoPage`) is the only cost that
+//! overlaps other work: it is counted, never charged, because whoever
+//! needed the page waited for it on the clock. The landing (`BzeroPage`
+//! for the copy into the frame, `MapPage`) is charged when the page
+//! lands, in whoever's operation that is.
 //!
-//! The in-flight table is capped per mapper (approximated per segment,
-//! the finest mapper identity the PVM sees) at
-//! `PvmConfig::max_inflight_upcalls`. Over-cap laundering pushes fall
-//! back to the synchronous path; over-cap readahead pulls queue as
-//! *pending* requests, and adjacent pending pulls of one cache coalesce
-//! into a single elastic batch before submission.
+//! A window is one [`CompletionRecord`], due at its last arrival, where
+//! it lands what nobody came for. Laundering `pushOut`s and
+//! `victimAdvice` rounds are the other records: fire-and-collect, their
+//! bookkeeping applied at the due time. Records leave the queue in
+//! `(due-time, request-id)` order ([`chorus_gmi::CompletionQueue`]), so
+//! the same operations produce bit-identical counters and clocks:
+//! everything already due at driver entry, and *forced* — the clock
+//! advanced to the due time — for a waiter on something only a
+//! completion resolves, a frame-starved allocation, a submit over the
+//! cap. A mapper (a segment: the finest mapper identity the PVM sees)
+//! has at most [`MAX_INFLIGHT`] requests in flight: over it a
+//! laundering push is synchronous and a faulter forces a delivery first.
 
 use crate::keys::{CacheKey, PageKey};
-use crate::state::PvmState;
+use crate::state::{PvmState, StubsTo};
 use crate::stats::Counter;
 use crate::telemetry::DimCounter;
-use crate::trace::{TraceEvent, UpcallKind, UpcallOutcome};
+use crate::trace::{TraceEvent, UpcallKind};
 use chorus_gmi::{CompletionQueue, GmiError, Result, SegmentId};
-use chorus_hal::{Access, FxHashMap, OpKind};
+use chorus_hal::{FrameNo, FxHashMap, OpKind};
 use std::collections::BTreeSet;
 
-/// A submitted asynchronous upcall whose bookkeeping awaits delivery.
+/// A submitted upcall whose bookkeeping awaits delivery.
 #[derive(Debug)]
 pub(crate) struct CompletionRecord {
-    /// Pull or push (never `GetWriteAccess`: write-access upcalls stay
-    /// synchronous — a faulting writer cannot proceed without the
-    /// answer, so there is no latency to hide).
+    /// Pull, push or advice (never `GetWriteAccess`: a faulting writer
+    /// cannot proceed without the answer, so there is no latency to
+    /// hide).
     pub kind: UpcallKind,
     /// Target cache.
     pub cache: CacheKey,
@@ -65,6 +67,9 @@ pub(crate) struct CompletionRecord {
     /// disabled). The watchdog cancels the request once the clock
     /// passes this while the record is still undelivered.
     pub deadline_ns: u64,
+    /// The submit instant; a window's arrival times count from it (see
+    /// [`PvmState::arrival_ns`]).
+    pub submit_ns: u64,
 }
 
 /// Simulated "never": the due time given to a request whose mapper
@@ -76,20 +81,31 @@ pub(crate) struct CompletionRecord {
 /// pre-watchdog stall (the observable hang in the ablation tests).
 pub(crate) const HUNG_REPLY_NS: u64 = 3_600_000_000_000;
 
-/// A readahead pull that could not be submitted (per-mapper cap):
-/// queued, coalescible, submitted as in-flight slots free up.
+/// Requests one mapper may have in flight (1 while it is Suspected).
+pub(crate) const MAX_INFLIGHT: u64 = 4;
+
+/// One page of a pull window in flight. Its synchronization stub is in
+/// the global map; what will replace the stub at the page's arrival
+/// waits here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PendingPull {
-    /// Target cache.
-    pub cache: CacheKey,
-    /// Its segment.
-    pub segment: SegmentId,
-    /// Page-aligned fragment offset.
-    pub offset: u64,
-    /// Fragment size in bytes.
-    pub size: u64,
-    /// Access mode of the originating fault.
-    pub access: Access,
+pub(crate) enum Parked {
+    /// `fillUp` has not delivered the page (yet).
+    Empty,
+    /// A frame of the contiguous pre-zeroed run reserved for a
+    /// whole-large-page window ([`PvmState::reserve_pull_run`]).
+    Reserved(FrameNo),
+    /// `fillUp` wrote the page's bytes into a frame and built its
+    /// descriptor around it: `page`, pinned, not yet in the global map.
+    /// A frame that came `prezeroed` from a reserved run paid its
+    /// `BzeroPage` there. `arrival_ns` is stamped when the mapper
+    /// protocol has answered (`u64::MAX` until then, and for good if it
+    /// failed: only the window's completion can say what becomes of
+    /// the page).
+    Filled {
+        page: PageKey,
+        prezeroed: bool,
+        arrival_ns: u64,
+    },
 }
 
 /// The engine's state, living inside the PVM's one state mutex so
@@ -98,6 +114,11 @@ pub(crate) struct PendingPull {
 pub(crate) struct EngineState {
     /// Completions ordered by `(due_ns, request_id)`.
     pub queue: CompletionQueue<CompletionRecord>,
+    /// The pages of every pull window in flight that have not arrived,
+    /// by (cache, offset). Empty when no pull is in flight. A key whose
+    /// window is still queued but which is gone from here was given up
+    /// on (its cache was destroyed): the delivery finds nothing to land.
+    pub parked: FxHashMap<(CacheKey, u64), Parked>,
     /// Monotonic request-id source (ids start at 1).
     next_id: u64,
     /// Every in-flight request id (submitted, not yet delivered). The
@@ -106,26 +127,19 @@ pub(crate) struct EngineState {
     inflight_ids: BTreeSet<u64>,
     /// In-flight request count per segment (the per-mapper cap proxy).
     inflight_by_segment: FxHashMap<u64, u64>,
-    /// Queued over-cap readahead pulls, in arrival order.
-    pub pending_pulls: Vec<PendingPull>,
     /// Watchdog timeouts per segment since its last successful
     /// delivery; feeds the Suspected/quarantine escalation ladder.
     timeouts_by_segment: FxHashMap<u64, u32>,
     /// Segments whose mapper is currently Suspected: in-flight cap
-    /// shrunk to 1 and demand pulls degraded to the synchronous path.
+    /// shrunk to 1, so every request waits out the one before it.
     suspected: BTreeSet<u64>,
 }
 
 impl EngineState {
     pub fn new() -> EngineState {
         EngineState {
-            queue: CompletionQueue::new(),
             next_id: 1,
-            inflight_ids: BTreeSet::new(),
-            inflight_by_segment: FxHashMap::default(),
-            pending_pulls: Vec::new(),
-            timeouts_by_segment: FxHashMap::default(),
-            suspected: BTreeSet::new(),
+            ..EngineState::default()
         }
     }
 
@@ -135,14 +149,17 @@ impl EngineState {
         self.suspected.contains(&segment.0)
     }
 
-    /// The effective in-flight cap for `segment`: the configured cap,
-    /// shrunk to 1 while the mapper is Suspected.
-    pub fn cap_for(&self, segment: SegmentId, cap: u64) -> u64 {
-        if self.is_suspected(segment) {
+    /// True when `segment`'s mapper has a free in-flight slot under its
+    /// cap: [`MAX_INFLIGHT`], shrunk to 1 while the mapper is Suspected.
+    pub fn has_slot(&self, segment: SegmentId) -> bool {
+        let cap = if self.is_suspected(segment) {
             1
         } else {
-            cap
-        }
+            MAX_INFLIGHT
+        };
+        self.inflight_by_segment
+            .get(&segment.0)
+            .is_none_or(|&n| n < cap)
     }
 
     /// Records one watchdog timeout against `segment`; returns the
@@ -165,23 +182,9 @@ impl EngineState {
         self.suspected.remove(&segment.0);
     }
 
-    /// In-flight requests currently charged against `segment`'s cap.
-    pub fn inflight_for(&self, segment: SegmentId) -> u64 {
-        self.inflight_by_segment
-            .get(&segment.0)
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Total in-flight requests (all mappers).
     pub fn inflight(&self) -> u64 {
         self.inflight_ids.len() as u64
-    }
-
-    /// True when the engine still owes work: a queued completion, a
-    /// request mid-execution, or a pending pull.
-    pub fn has_work(&self) -> bool {
-        !self.inflight_ids.is_empty() || !self.pending_pulls.is_empty()
     }
 
     /// Allocates a request id and enters it in the in-flight table.
@@ -204,39 +207,6 @@ impl EngineState {
             }
         }
         self.inflight_ids.first().is_some_and(|&oldest| oldest < id)
-    }
-
-    /// Queues a pull the cap rejected, coalescing it with an adjacent
-    /// pending pull of the same cache into one elastic batch. Returns
-    /// true when it merged.
-    pub fn queue_pending_pull(&mut self, pull: PendingPull) -> bool {
-        for p in &mut self.pending_pulls {
-            if p.cache != pull.cache || p.segment != pull.segment {
-                continue;
-            }
-            if p.offset + p.size == pull.offset {
-                p.size += pull.size;
-                return true;
-            }
-            if pull.offset + pull.size == p.offset {
-                p.offset = pull.offset;
-                p.size += pull.size;
-                return true;
-            }
-        }
-        self.pending_pulls.push(pull);
-        false
-    }
-
-    /// Takes the first pending pull whose segment has a free in-flight
-    /// slot under its effective cap (`cap`, shrunk to 1 when the
-    /// mapper is Suspected).
-    pub fn take_submittable_pending(&mut self, cap: u64) -> Option<PendingPull> {
-        let idx = self
-            .pending_pulls
-            .iter()
-            .position(|p| self.inflight_for(p.segment) < self.cap_for(p.segment, cap))?;
-        Some(self.pending_pulls.remove(idx))
     }
 
     // ----- introspection (pvmtop) ------------------------------------------
@@ -271,51 +241,219 @@ impl EngineState {
 }
 
 impl PvmState {
-    /// The modelled service time of an asynchronous upcall covering
+    /// The modelled service time of a fire-and-collect upcall covering
     /// `pages` pages: one mapper round trip plus the per-page transfer,
-    /// read from the cost parameters *without* charging (the charge is
-    /// deferred to delivery).
+    /// read from the cost parameters *without* charging.
     pub(crate) fn upcall_service_ns(&self, pages: u64) -> u64 {
         let p = self.model.params();
         p.get(OpKind::IpcOp) + pages * p.get(OpKind::SegmentIoPage)
     }
 
-    /// Applies one delivered completion's deferred bookkeeping under the
-    /// state lock. `forced` means a waiter blocked until this transfer
-    /// finished: the clock advances to the record's due time (ordinary
-    /// pumped deliveries are already past it, and only count the ops).
-    pub(crate) fn apply_completion(&mut self, due_ns: u64, id: u64, rec: CompletionRecord) {
-        let now = self.model.now().nanos();
-        if due_ns > now {
-            self.model.advance_ns(due_ns - now);
+    /// Blocks until simulated time `t`: the clock moves there unless it
+    /// is past it already.
+    fn advance_to(&self, t: u64) {
+        self.model
+            .advance_ns(t.saturating_sub(self.model.now().nanos()));
+    }
+
+    /// Enters a request in the in-flight table. Returns its id and the
+    /// record its completion will carry, to be completed with what the
+    /// mapper protocol answers and queued at its due time.
+    pub(crate) fn begin_request(
+        &mut self,
+        kind: UpcallKind,
+        cache: CacheKey,
+        segment: SegmentId,
+        (offset, size): (u64, u64),
+        pages: u64,
+    ) -> (u64, CompletionRecord) {
+        let submit_ns = self.model.now().nanos();
+        let id = self.engine.register(segment);
+        self.stats.bump(Counter::AsyncSubmits);
+        let inflight = self.engine.inflight();
+        let last_arrival_ns = submit_ns + self.upcall_service_ns(pages);
+        self.trace.event(|| TraceEvent::UpcallSubmit {
+            kind,
+            segment: segment.0,
+            offset,
+            size,
+            inflight,
+            pages,
+            last_arrival_ns,
+        });
+        let rec = CompletionRecord {
+            kind,
+            cache,
+            segment,
+            offset,
+            size,
+            pages: Vec::new(),
+            result: Ok(()),
+            retries: 0,
+            deadline_ns: match self.config.retry.deadline_ns {
+                0 => u64::MAX,
+                deadline => submit_ns.saturating_add(deadline),
+            },
+            submit_ns,
+        };
+        (id, rec)
+    }
+
+    /// When page `k` (0-based, the faulting page is 0) of a window
+    /// submitted at `submit_ns` arrives: `submit_ns + IpcOp + (k + 1) *
+    /// SegmentIoPage`. A window which is one large page (§12) is one
+    /// unit of transfer: it arrives with its last base page, so it can
+    /// be promoted at once.
+    fn arrival_ns(&self, rec: &CompletionRecord, k: u64) -> u64 {
+        let pages = rec.size / self.ps();
+        let k = if self.is_large_window(rec.offset, rec.size) {
+            pages - 1
+        } else {
+            k
+        };
+        rec.submit_ns + self.upcall_service_ns(k + 1)
+    }
+
+    /// Queues a pull window whose mapper protocol has answered. A
+    /// healthy one has its parked pages stamped with their arrival
+    /// times and is due at the last; one that failed answers once, when
+    /// its first page would have; one that timed out never answers on
+    /// its own.
+    pub(crate) fn queue_window(&mut self, id: u64, mut rec: CompletionRecord) {
+        let (ps, pages) = (self.ps(), rec.size / self.ps());
+        self.stats.add(Counter::MapperRetries, rec.retries);
+        self.dim_mapper(rec.segment, DimCounter::Retries, rec.retries);
+        let head = self.engine.parked.get(&(rec.cache, rec.offset));
+        if rec.result.is_ok() && !matches!(head, Some(Parked::Filled { .. })) {
+            // The mapper never delivered the faulting page.
+            rec.result = Err(GmiError::SegmentIo {
+                segment: rec.segment,
+                cause: "pullIn returned without fillUp".into(),
+                transient: true,
+            });
         }
+        let due = match rec.result {
+            Ok(()) => {
+                // The mapper's service is only counted: whoever needs a
+                // page waits for it on the clock.
+                self.stats.bump(Counter::PullIns);
+                self.dim_io(rec.cache, rec.segment, DimCounter::PullIns, 1);
+                self.model.count_only(OpKind::IpcOp);
+                self.model.count_only_n(OpKind::SegmentIoPage, pages);
+                for k in 0..pages {
+                    let at = self.arrival_ns(&rec, k);
+                    if let Some(Parked::Filled { arrival_ns, .. }) = self
+                        .engine
+                        .parked
+                        .get_mut(&(rec.cache, rec.offset + k * ps))
+                    {
+                        *arrival_ns = at;
+                    }
+                }
+                self.arrival_ns(&rec, pages - 1)
+            }
+            Err(GmiError::MapperTimeout { .. }) => rec.submit_ns + HUNG_REPLY_NS,
+            Err(_) => self.arrival_ns(&rec, 0),
+        };
+        self.engine.queue.insert(due, id, rec);
+    }
+
+    /// Waits for the page parked at (cache, off), if the wait is for
+    /// that and nothing more: the clock advances to the page's arrival
+    /// (no further) and the page lands. False when there is no such
+    /// page — the stub is a window's still mid-submit, or one whose
+    /// mapper failed, or the wait is for a completion.
+    pub(crate) fn await_page(&mut self, cache: CacheKey, off: u64) -> bool {
+        match self.engine.parked.get(&(cache, off)) {
+            Some(&Parked::Filled { arrival_ns, .. }) if arrival_ns != u64::MAX => {
+                self.stats.bump(Counter::AsyncInflightStalls);
+                self.advance_to(arrival_ns);
+                self.deliver_page(cache, off);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Delivers the page parked at (cache, off), if it is still there:
+    /// it takes its stub's place in the global map, and the landing is
+    /// charged here, in whoever's operation this is. One the mapper
+    /// never filled leaves no stub: whoever sleeps on it drives a pull
+    /// of their own.
+    fn deliver_page(&mut self, cache: CacheKey, off: u64) {
+        match self.engine.parked.remove(&(cache, off)) {
+            Some(Parked::Filled {
+                page, prezeroed, ..
+            }) => {
+                if !prezeroed {
+                    self.charge(OpKind::BzeroPage);
+                }
+                self.page_mut(page).lock_count -= 1;
+                self.land_page(cache, off, page);
+            }
+            Some(unfilled) => self.drop_parked(cache, off, unfilled),
+            None => {}
+        }
+    }
+
+    /// Gives up one page of a window in flight: frees its frame and
+    /// clears its stub, so a sleeper wakes and re-faults. The window
+    /// stays queued and finds nothing to land.
+    pub(crate) fn drop_parked(&mut self, cache: CacheKey, off: u64, parked: Parked) {
+        match parked {
+            Parked::Empty => {}
+            Parked::Reserved(frame) => self.phys.release(frame),
+            Parked::Filled { page, .. } => {
+                self.free_page(page, StubsTo::AlreadyHandled, true);
+            }
+        }
+        if self.is_sync_stub(cache, off) {
+            self.clear_slot(cache, off);
+        }
+    }
+
+    /// Applies one delivered completion under the state lock, advancing
+    /// the clock to its due time if that is still ahead (a forced
+    /// delivery: somebody blocked until the transfer finished), and
+    /// concludes the request.
+    pub(crate) fn apply_completion(&mut self, due_ns: u64, id: u64, rec: CompletionRecord) {
+        self.advance_to(due_ns);
+        let ps = self.ps();
         let overtook = self.engine.retire(id, rec.segment);
         if overtook {
             self.stats.bump(Counter::AsyncOutOfOrder);
         }
         self.stats.bump(Counter::AsyncDeliveries);
-        self.stats.add(Counter::MapperRetries, rec.retries);
-        self.dim_mapper(rec.segment, DimCounter::Retries, rec.retries);
-        let ps = self.ps();
         let pages = rec.size / ps;
         match rec.kind {
             UpcallKind::PullIn => {
-                // Clear any stub the pull left behind: on success the
-                // `fillUp`s already replaced them with real pages; on
-                // failure this wakes every faulter asleep on one so it
-                // re-drives its own (synchronous) pull.
-                let mut cur = rec.offset;
-                while cur < rec.offset + rec.size {
-                    if self.is_sync_stub(rec.cache, cur) {
-                        self.clear_slot(rec.cache, cur);
+                // What is left of the window lands, if it has arrived. A
+                // failed or cancelled window gives up exactly the pages
+                // that have not: their frames go back to the pool and
+                // their stubs go, so every faulter asleep on one
+                // re-drives a pull of its own.
+                let now = self.model.now().nanos();
+                for k in 0..pages {
+                    let off = rec.offset + k * ps;
+                    match self.engine.parked.get(&(rec.cache, off)) {
+                        Some(&Parked::Filled { arrival_ns, .. }) if arrival_ns <= now => {
+                            self.deliver_page(rec.cache, off);
+                        }
+                        Some(&parked) => {
+                            self.engine.parked.remove(&(rec.cache, off));
+                            self.drop_parked(rec.cache, off, parked);
+                        }
+                        None => {}
                     }
-                    cur += ps;
                 }
-                if rec.result.is_ok() {
-                    self.stats.bump(Counter::PullIns);
-                    self.dim_io(rec.cache, rec.segment, DimCounter::PullIns, 1);
-                    self.model.count_only(OpKind::IpcOp);
-                    self.model.count_only_n(OpKind::SegmentIoPage, pages);
+                // The faulter gets the error of its own pull (see
+                // `PvmState::demand_pulls`); other sleepers re-drive the
+                // pull and get one of their own.
+                if let Err(e) = &rec.result {
+                    let demand = self.demand_pulls.get_mut(&(rec.cache, rec.offset));
+                    if let Some(waiting @ Ok(None)) = demand {
+                        *waiting = Err(e.clone());
+                    }
                 }
             }
             UpcallKind::PushOut => {
@@ -372,25 +510,58 @@ impl PvmState {
         let inflight = self.engine.inflight();
         self.trace.event(|| TraceEvent::UpcallComplete {
             kind: rec.kind,
-            outcome: match &rec.result {
-                Ok(()) => UpcallOutcome::Ok,
-                Err(GmiError::MapperTimeout { .. }) => UpcallOutcome::Timeout,
-                Err(e) if e.is_transient() => UpcallOutcome::Transient,
-                Err(_) => UpcallOutcome::Permanent,
-            },
+            outcome: crate::pvm::upcall_outcome(&rec.result),
             retries: rec.retries,
             inflight,
+            pages,
+            last_arrival_ns: due_ns,
         });
+    }
+
+    /// Delivers every completion already due at the current simulated
+    /// time. Runs at every driver entry.
+    pub(crate) fn pump_completions(&mut self) {
+        while let Some((due, id, rec)) = self.engine.queue.pop_due(self.model.now().nanos()) {
+            self.apply_completion(due, id, rec);
+        }
+    }
+
+    /// Force-delivers the earliest in-flight completion, advancing the
+    /// simulated clock to its due time — a stub waiter, a frame-starved
+    /// allocation or a submit over the cap modelling a block until the
+    /// transfer lands (`stall`; not so when a measurement drains the
+    /// engine). False when there was nothing to deliver.
+    pub(crate) fn force_delivery(&mut self, stall: bool) -> bool {
+        let Some((due, id, rec)) = self.engine.queue.pop_earliest() else {
+            return false;
+        };
+        self.performed += 1;
+        if stall {
+            self.stats.bump(Counter::AsyncInflightStalls);
+        }
+        if self.config.upcall_watchdog && rec.deadline_ns < due {
+            // The waiter would block until a due time past the
+            // request's deadline (a hung reply). The unified wake
+            // path: advance only to the deadline and cancel, so the
+            // waiter observes the timeout and re-faults instead of
+            // waiting out a reply that never comes.
+            self.advance_to(rec.deadline_ns);
+            self.cancel_completion(id, rec);
+        } else {
+            self.apply_completion(due, id, rec);
+        }
+        true
     }
 
     /// Cancels one in-flight completion whose deadline expired: the
     /// request is failed as a mapper timeout through the ordinary
-    /// delivery path (pull stubs are cleared so sleepers re-fault,
-    /// push pages keep their dirty bits for relaundering — the
-    /// existing transient taxonomy), and the timeout is scored against
-    /// the mapper for the Suspected/quarantine escalation ladder. The
-    /// record is applied at the *current* clock: a cancellation never
-    /// advances simulated time to the hung due time.
+    /// delivery path (a window gives up the pages that have not arrived
+    /// so sleepers re-fault, push pages keep their dirty bits for
+    /// relaundering — the existing transient taxonomy), and the timeout
+    /// is scored against the mapper for the Suspected/quarantine
+    /// escalation ladder. The record is applied at the *current* clock:
+    /// a cancellation never advances simulated time to the hung due
+    /// time.
     pub(crate) fn cancel_completion(&mut self, id: u64, mut rec: CompletionRecord) {
         let segment = rec.segment;
         let cache = rec.cache;
@@ -423,10 +594,7 @@ impl PvmState {
     /// returns the number of cancellations so the driver can wake stub
     /// sleepers whose stubs were just cleared.
     pub(crate) fn watchdog_sweep(&mut self) -> usize {
-        if !self.config.async_upcalls
-            || !self.config.upcall_watchdog
-            || self.engine.queue.is_empty()
-        {
+        if !self.config.upcall_watchdog || self.engine.queue.is_empty() {
             return 0;
         }
         let now = self.model.now().nanos();
@@ -450,79 +618,29 @@ impl PvmState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keys::CacheKey;
-    use chorus_hal::Id;
-
-    fn key() -> CacheKey {
-        Id::from_raw_parts(0, 0)
-    }
 
     #[test]
     fn register_and_retire_track_the_per_segment_cap() {
         let mut e = EngineState::new();
         let (s1, s2) = (SegmentId(1), SegmentId(2));
-        let a = e.register(s1);
-        let b = e.register(s1);
+        let ids: Vec<u64> = (0..MAX_INFLIGHT).map(|_| e.register(s1)).collect();
         let c = e.register(s2);
-        assert_eq!(e.inflight_for(s1), 2);
-        assert_eq!(e.inflight_for(s2), 1);
-        assert_eq!(e.inflight(), 3);
-        // Retiring b while a is still in flight is an overtake.
-        assert!(e.retire(b, s1));
-        assert!(!e.retire(a, s1));
-        assert_eq!(e.inflight_for(s1), 0);
+        assert!(!e.has_slot(s1), "the cap is {MAX_INFLIGHT} per mapper");
+        assert!(e.has_slot(s2));
+        assert_eq!(e.inflight(), MAX_INFLIGHT + 1);
+        // Retiring the second while the first is still in flight is an
+        // overtake.
+        assert!(e.retire(ids[1], s1));
+        assert!(e.has_slot(s1));
+        assert!(!e.retire(ids[0], s1));
+        // A Suspected mapper gets one request at a time.
+        e.mark_suspected(s1);
+        assert!(!e.has_slot(s1));
+        for &id in &ids[2..] {
+            e.retire(id, s1);
+        }
+        assert!(e.has_slot(s1));
         assert!(!e.retire(c, s2));
-        assert!(!e.has_work());
-    }
-
-    #[test]
-    fn adjacent_pending_pulls_coalesce_into_one_batch() {
-        let mut e = EngineState::new();
-        let c = key();
-        let seg = SegmentId(7);
-        let mk = |offset: u64, size: u64| PendingPull {
-            cache: c,
-            segment: seg,
-            offset,
-            size,
-            access: Access::Read,
-        };
-        assert!(!e.queue_pending_pull(mk(0x2000, 0x2000)));
-        // Forward-adjacent: grows the tail.
-        assert!(e.queue_pending_pull(mk(0x4000, 0x1000)));
-        // Backward-adjacent: grows the head.
-        assert!(e.queue_pending_pull(mk(0x1000, 0x1000)));
-        // A gap does not coalesce.
-        assert!(!e.queue_pending_pull(mk(0x9000, 0x1000)));
-        assert_eq!(e.pending_pulls.len(), 2);
-        assert_eq!(e.pending_pulls[0], mk(0x1000, 0x4000));
-    }
-
-    #[test]
-    fn take_submittable_pending_respects_the_cap() {
-        let mut e = EngineState::new();
-        let c = key();
-        let busy = SegmentId(1);
-        let idle = SegmentId(2);
-        e.register(busy);
-        e.queue_pending_pull(PendingPull {
-            cache: c,
-            segment: busy,
-            offset: 0,
-            size: 0x2000,
-            access: Access::Read,
-        });
-        e.queue_pending_pull(PendingPull {
-            cache: c,
-            segment: idle,
-            offset: 0x8000,
-            size: 0x2000,
-            access: Access::Read,
-        });
-        // Cap 1: the busy mapper's pull must wait, the idle one goes.
-        let p = e.take_submittable_pending(1).expect("idle pull");
-        assert_eq!(p.segment, idle);
-        assert!(e.take_submittable_pending(1).is_none());
-        assert!(e.take_submittable_pending(2).is_some());
+        assert_eq!(e.inflight(), 0);
     }
 }

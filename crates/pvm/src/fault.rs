@@ -40,15 +40,6 @@ impl PvmState {
         // A context torn down by the OOM killer answers faults with
         // `ContextKilled`, not `NoSuchContext`, so MIX can reap it.
         self.check_context_alive(ctx)?;
-        // Backpressure: when the pending asynchronous pull queue is at
-        // its configured bound, stall this fault deterministically
-        // rather than letting the queue grow without bound.
-        if self.config.async_upcalls
-            && self.config.max_pending_pulls > 0
-            && self.engine.pending_pulls.len() as u64 >= self.config.max_pending_pulls
-        {
-            return blocked(crate::state::Blocked::Throttled);
-        }
         if let Some(c) = self.contexts.get_mut(ctx) {
             c.recent_faults += 1;
         }
@@ -81,8 +72,30 @@ impl PvmState {
         // permanent failure cleared it.
         self.check_not_poisoned(cache)?;
 
-        // Global map lookup.
-        match self.slot(cache, off) {
+        // Global map lookup. A page in transit is waited for here when
+        // the engine can deliver: simulated time, nothing to unlock
+        // for, and nothing looked up so far goes stale by a delivery
+        // (deeper in it would: there a wait is the driver's `WaitStub`
+        // round, as is one on what the engine cannot deliver).
+        let slot = loop {
+            match self.slot(cache, off) {
+                Some(Slot::Sync) => {
+                    self.stats.bump(Counter::StubWaits);
+                    self.trace.event(|| TraceEvent::StubWait {
+                        cache: cache.index(),
+                        offset: off,
+                    });
+                    if !self.await_page(cache, off) && !self.force_delivery(true) {
+                        return blocked(crate::state::Blocked::WaitStub(cache, off));
+                    }
+                    if let Some(e) = self.take_demand_error((cache, off)) {
+                        return Err(e);
+                    }
+                }
+                slot => break slot,
+            }
+        };
+        match slot {
             Some(Slot::Present(p)) => {
                 if access == Access::Write && !self.page(p).write_allowed() {
                     match self.promote_page(cache, off, p)? {
@@ -93,14 +106,7 @@ impl PvmState {
                 self.map_for_access(p, ctx, vpn, &region, access);
                 done(Resolution::Resident)
             }
-            Some(Slot::Sync) => {
-                self.stats.bump(Counter::StubWaits);
-                self.trace.event(|| TraceEvent::StubWait {
-                    cache: cache.index(),
-                    offset: off,
-                });
-                blocked(crate::state::Blocked::WaitStub)
-            }
+            Some(Slot::Sync) => unreachable!("waited out above"),
             Some(Slot::Cow(src)) => {
                 self.resolve_cow_stub_fault(ctx, vpn, &region, off, src, access)
             }

@@ -438,7 +438,7 @@ impl PvmState {
             .collect();
         for o in offsets {
             match self.slot(cache, o) {
-                Some(Slot::Sync) => return blocked(Blocked::WaitStub),
+                Some(Slot::Sync) => return blocked(Blocked::WaitStub(cache, o)),
                 Some(Slot::Cow(src)) => {
                     // The history child's snapshot includes this stub's
                     // value: duplicate the stub for it (at every
@@ -609,7 +609,7 @@ impl PvmState {
     /// writable and shoot down foreign (descendant) read mappings.
     pub fn promote_page(&mut self, cache: CacheKey, off: u64, page: PageKey) -> Attempt<()> {
         if self.page(page).cleaning {
-            return blocked(Blocked::WaitStub);
+            return blocked(Blocked::WaitStub(cache, off));
         }
         // Coherence constraint: the segment manager must grant write
         // access first (Table 3 getWriteAccess).
@@ -773,9 +773,11 @@ impl PvmState {
                     self.clear_slot(cache, o);
                 }
                 Some(Slot::Sync) | None => {
-                    // In-transit pages die with the cache once the
-                    // transit finishes; leave the stub for the filler to
-                    // discover the dead cache.
+                    // A page in flight dies with the cache: its window
+                    // stays queued and finds nothing to land.
+                    if let Some(parked) = self.engine.parked.remove(&(cache, o)) {
+                        self.drop_parked(cache, o, parked);
+                    }
                 }
             }
         }

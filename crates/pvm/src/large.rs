@@ -11,14 +11,15 @@
 //! *demotes* it by removing only the large mapping; the base level then
 //! carries on as before.
 //!
-//! Physical contiguity comes from the buddy allocator: a synchronous
-//! pull whose window lands exactly on a large-aligned full run reserves
-//! one contiguous pre-zeroed frame run up front
-//! ([`PvmState::reserve_pull_run`]), and `fillUp` consumes the reserved
+//! Physical contiguity comes from the buddy allocator: a pull whose
+//! window lands exactly on a large-aligned full run reserves one
+//! contiguous pre-zeroed frame run up front
+//! ([`PvmState::reserve_pull_run`]), and `fillUp` fills the reserved
 //! frames in place. Every hook early-returns on an empty record list,
 //! so the machinery costs one branch when the feature is off.
 
 use crate::descriptors::{RegionDesc, Slot};
+use crate::engine::Parked;
 use crate::keys::{CacheKey, CtxKey};
 use crate::state::PvmState;
 use crate::stats::Counter;
@@ -213,12 +214,22 @@ impl PvmState {
 
     // ----- contiguous pull-run reservations ---------------------------------
 
+    /// True if `[offset, offset + size)` of a cache is one aligned large
+    /// page: the pull window a contiguous run is reserved for.
+    pub(crate) fn is_large_window(&self, offset: u64, size: u64) -> bool {
+        self.config.large_pages
+            && size == self.geom.large_page_size()
+            && self.geom.is_large_aligned(offset)
+    }
+
     /// Reserves one physically contiguous pre-zeroed frame run for the
-    /// large-aligned pull window starting at (cache, offset), keyed per
-    /// page offset so `fillUp` consumes exact frames. Falls back
-    /// silently (counted) when the buddy pool has no aligned run free —
-    /// the pull proceeds with per-page allocation and the run simply
-    /// cannot be promoted afterwards.
+    /// large-aligned pull window starting at (cache, offset), parked per
+    /// page offset so `fillUp` fills exact frames and the delivery lands
+    /// them; a frame the mapper never fills goes back to the buddy pool
+    /// with its page's delivery. Falls back silently (counted) when the
+    /// buddy pool has no aligned run free — the pull proceeds with
+    /// per-page allocation and the run simply cannot be promoted
+    /// afterwards.
     pub(crate) fn reserve_pull_run(&mut self, cache: CacheKey, offset: u64) {
         let factor = self.geom.large_factor();
         let order = factor.trailing_zeros();
@@ -226,49 +237,15 @@ impl PvmState {
             Some(base) => {
                 let ps = self.ps();
                 for k in 0..factor {
-                    self.reserved_frames
-                        .insert((cache, offset + k * ps), FrameNo(base.0 + k as u32));
+                    let frame = FrameNo(base.0 + k as u32);
+                    self.engine
+                        .parked
+                        .insert((cache, offset + k * ps), Parked::Reserved(frame));
                 }
                 self.stats.bump(Counter::LargeRunReserves);
             }
             None => {
                 self.stats.bump(Counter::LargeRunFallbacks);
-            }
-        }
-    }
-
-    /// Releases any frames still reserved for the pull window
-    /// `[offset, offset + size)` of `cache` — the mapper delivered fewer
-    /// pages than reserved (or failed), so the leftovers go back to the
-    /// buddy pool. Runs after every synchronous pull, success or not.
-    pub(crate) fn release_reservations(&mut self, cache: CacheKey, offset: u64, size: u64) {
-        if self.reserved_frames.is_empty() {
-            return;
-        }
-        let ps = self.ps();
-        let mut off = offset;
-        while off < offset.saturating_add(size) {
-            if let Some(frame) = self.reserved_frames.remove(&(cache, off)) {
-                self.phys.release(frame);
-            }
-            off += ps;
-        }
-    }
-
-    /// Releases every reserved frame of a cache (quarantine path).
-    pub(crate) fn release_all_reservations_of(&mut self, cache: CacheKey) {
-        if self.reserved_frames.is_empty() {
-            return;
-        }
-        let stale: Vec<(CacheKey, u64)> = self
-            .reserved_frames
-            .keys()
-            .filter(|&&(c, _)| c == cache)
-            .copied()
-            .collect();
-        for k in stale {
-            if let Some(frame) = self.reserved_frames.remove(&k) {
-                self.phys.release(frame);
             }
         }
     }

@@ -1,5 +1,5 @@
-//! Bounded-interleaving model checking of the two sleep/wake protocols
-//! around the state lock (DESIGN.md §7), in lieu of a vendored `loom`.
+//! Bounded-interleaving model checking of the protocols around the
+//! state lock (DESIGN.md §7, §10), in lieu of a vendored `loom`.
 //!
 //! The protocols whose correctness depends on *ordering between the
 //! lock and something outside it* (a condvar's sleeper set, an atomic)
@@ -22,6 +22,17 @@
 //!    sleeps) or acquired it after the waiter released it, with the
 //!    bump already visible. The buggy variant bumps the count after
 //!    the release and the checker finds the skipped wake.
+//!
+//! 3. **A window in flight** — a pull window's pages wait parked
+//!    behind their stubs until their arrival (DESIGN.md §10), while a
+//!    second faulter, a toucher of the tail, the watchdog and a cache
+//!    destroyer interleave with submit / arrive / touch / cancel /
+//!    destroy. Safety: nobody reads a page before its arrival, every
+//!    frame is a resident page's, a parked page's or free, and no stub
+//!    is left that nothing will replace. The buggy variant is the
+//!    engine as it was before pulls went split-phase — `fillUp` makes
+//!    the tail resident at submit — and the checker rejects it with
+//!    "read before arrival".
 //!
 //! The checker itself is a plain DFS over `(shared, locals, pcs)`
 //! configurations with memoization and a hard state cap — deliberately
@@ -439,9 +450,233 @@ fn counted_notifier(s: &mut CountedShared, _l: &mut (), pc: usize) -> Outcome {
     }
 }
 
+// ---------------------------------------------------------------
+// Model 3: a pull window in flight.
+// ---------------------------------------------------------------
+
+/// Pages in the modeled window: the demand page and one tail page.
+const WINDOW: usize = 2;
+
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
+enum Slot {
+    #[default]
+    Absent,
+    Stub,
+    Present,
+}
+
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+struct WindowShared {
+    locked: bool,
+    /// The seeded bug: `fillUp` lands the tail at submit.
+    eager_tail: bool,
+    /// The cache was destroyed.
+    dead: bool,
+    slot: [Slot; WINDOW],
+    /// `Some(filled)` while the page is in the engine's parked table.
+    parked: [Option<bool>; WINDOW],
+    /// The page's arrival time has passed (a delivery advanced the
+    /// clock to it).
+    arrived: [bool; WINDOW],
+    /// The window's record is in the completion queue (and its parked
+    /// pages carry their arrival times).
+    queued: bool,
+    /// A faulter is mid-submit, the lock released for the mapper.
+    submitting: bool,
+    free_frames: usize,
+    read_early: bool,
+}
+
+impl WindowShared {
+    fn init(eager_tail: bool) -> Self {
+        WindowShared {
+            eager_tail,
+            free_frames: WINDOW,
+            ..WindowShared::default()
+        }
+    }
+
+    /// Page `k` arrives: a parked page takes its stub's place; one the
+    /// mapper never filled leaves nothing but a cleared stub.
+    fn arrive(&mut self, k: usize) {
+        self.arrived[k] = true;
+        match self.parked[k].take() {
+            Some(true) => self.slot[k] = Slot::Present,
+            Some(false) => self.slot[k] = Slot::Absent,
+            None => {}
+        }
+    }
+
+    /// Gives up every page still parked: frames freed, stubs cleared.
+    fn give_up(&mut self) {
+        for k in 0..WINDOW {
+            if let Some(filled) = self.parked[k].take() {
+                self.free_frames += usize::from(filled);
+                self.slot[k] = Slot::Absent;
+            }
+        }
+    }
+}
+
+fn window_violation(s: &WindowShared) -> Option<&'static str> {
+    let resident = s.slot.iter().filter(|&&x| x == Slot::Present).count();
+    let parked = s.parked.iter().filter(|&&p| p == Some(true)).count();
+    if s.read_early {
+        Some("read before arrival")
+    } else if s.free_frames + resident + parked != WINDOW {
+        Some("frame leaked")
+    } else if (0..WINDOW).any(|k| (s.slot[k] == Slot::Stub) != s.parked[k].is_some()) {
+        Some("a stub and its parked page parted")
+    } else if !s.locked && !s.submitting && !s.queued && s.parked != [None; WINDOW] {
+        Some("a parked page nothing will deliver")
+    } else {
+        None
+    }
+}
+
+/// A thread that wants page `*page`: a faulter on the demand page (two
+/// of them race for the submit) or a toucher of the tail.
+fn window_toucher(s: &mut WindowShared, page: &mut usize, pc: usize) -> Outcome {
+    match pc {
+        // Lock (also the mapper's `fillUp` re-locking, pc 2, and the
+        // submitter re-locking after the protocol, pc 4).
+        0 | 2 | 4 => {
+            if s.locked {
+                return Outcome::Block;
+            }
+            s.locked = true;
+            Outcome::Next
+        }
+        // One attempt, under the lock.
+        1 => match s.slot[*page] {
+            _ if s.dead => {
+                s.locked = false;
+                Outcome::Done
+            }
+            Slot::Present => {
+                s.read_early |= !s.arrived[*page];
+                s.locked = false;
+                Outcome::Done
+            }
+            // The page is parked and its arrival known: wait for that,
+            // and no further. One the mapper never filled waits for the
+            // window's completion, which lands what is left; with the
+            // window's faulter mid-submit, a bounded sleep.
+            Slot::Stub if s.queued && s.parked[*page] == Some(true) => {
+                s.arrive(*page);
+                Outcome::Goto(1)
+            }
+            Slot::Stub if s.queued => {
+                (0..WINDOW).for_each(|k| s.arrive(k));
+                s.queued = false;
+                Outcome::Goto(1)
+            }
+            Slot::Stub => {
+                s.locked = false;
+                Outcome::Goto(0)
+            }
+            // A miss on the demand page: stubs and parked entries for
+            // the window, then the mapper with the lock released. (A
+            // miss on the tail would be a window of its own.)
+            Slot::Absent if *page == 0 && !s.submitting => {
+                s.slot = [Slot::Stub; WINDOW];
+                s.parked = [Some(false); WINDOW];
+                s.submitting = true;
+                s.locked = false;
+                Outcome::Next
+            }
+            Slot::Absent => {
+                s.locked = false;
+                Outcome::Done
+            }
+        },
+        // `fillUp`: every page that is still wanted gets a frame.
+        3 => {
+            for k in 0..WINDOW {
+                if s.parked[k] == Some(false) {
+                    s.free_frames -= 1;
+                    if s.eager_tail && k > 0 {
+                        s.parked[k] = None;
+                        s.slot[k] = Slot::Present;
+                    } else {
+                        s.parked[k] = Some(true);
+                    }
+                }
+            }
+            s.locked = false;
+            Outcome::Next
+        }
+        // The record is queued; the attempt goes on under the lock.
+        5 => {
+            s.queued = true;
+            s.submitting = false;
+            Outcome::Goto(1)
+        }
+        _ => unreachable!(),
+    }
+}
+
+/// The watchdog (`destroy` false) cancels the queued window; the cache
+/// destroyer frees everything the cache has, in flight or resident.
+fn window_reaper(s: &mut WindowShared, destroy: &mut usize, pc: usize) -> Outcome {
+    if pc == 0 {
+        if s.locked {
+            return Outcome::Block;
+        }
+        s.locked = true;
+        return Outcome::Next;
+    }
+    if *destroy == 1 {
+        s.dead = true;
+        s.give_up();
+        for slot in &mut s.slot {
+            if core::mem::replace(slot, Slot::Absent) == Slot::Present {
+                s.free_frames += 1;
+            }
+        }
+    } else if core::mem::take(&mut s.queued) {
+        s.give_up();
+    }
+    s.locked = false;
+    Outcome::Done
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn window_threads() -> Vec<ThreadModel<WindowShared, usize>> {
+        let thread = |name, local, step| ThreadModel { name, local, step };
+        vec![
+            thread("faulter", 0, window_toucher as fn(&mut _, &mut _, _) -> _),
+            thread("second", 0, window_toucher),
+            thread("toucher", 1, window_toucher),
+            thread("watchdog", 0, window_reaper),
+            thread("destroyer", 1, window_reaper),
+        ]
+    }
+
+    #[test]
+    fn nobody_reads_a_page_of_a_window_before_its_arrival() {
+        let report = explore(
+            WindowShared::init(false),
+            window_threads(),
+            window_violation,
+        )
+        .expect("parked pages stay behind their stubs in every interleaving");
+        assert!(
+            report.states > 200,
+            "model vacuously small: {}",
+            report.states
+        );
+    }
+
+    #[test]
+    fn a_tail_resident_at_submit_is_read_before_its_arrival() {
+        let err = explore(WindowShared::init(true), window_threads(), window_violation)
+            .expect_err("an eagerly landed tail must be caught");
+        assert!(err.contains("read before arrival"), "{err}");
+    }
 
     fn stub_threads(
         waiter: fn(&mut StubShared, &mut (), usize) -> Outcome,

@@ -78,14 +78,11 @@ impl PvmState {
                 Some(Pick::None) => {
                     // No victim, but the completion engine owes work
                     // (e.g. every candidate is `cleaning` under an
-                    // in-flight laundering push): delivering a
-                    // completion makes those pages clean and
-                    // evictable, so wait for one instead of reporting
-                    // a premature OutOfMemory.
-                    if self.config.enable_pageout
-                        && self.config.async_upcalls
-                        && self.engine.has_work()
-                    {
+                    // in-flight laundering push, or parked until its
+                    // arrival): delivering a completion makes those
+                    // pages evictable, so wait for one instead of
+                    // reporting a premature OutOfMemory.
+                    if self.config.enable_pageout && !self.engine.queue.is_empty() {
                         return blocked(Blocked::AwaitCompletion);
                     }
                 }

@@ -27,7 +27,7 @@ pub(crate) enum Located {
     /// No data anywhere on the path.
     Zero,
     /// A synchronization stub is in the way.
-    InTransit,
+    InTransit(CacheKey, u64),
 }
 
 impl PvmState {
@@ -42,7 +42,7 @@ impl PvmState {
             steps -= 1;
             match self.gmap.get(x, o) {
                 Some(Slot::Present(p)) => return Ok(Located::Page(p)),
-                Some(Slot::Sync) => return Ok(Located::InTransit),
+                Some(Slot::Sync) => return Ok(Located::InTransit(x, o)),
                 Some(Slot::Cow(CowSource::Page(p))) => return Ok(Located::Page(p)),
                 Some(Slot::Cow(CowSource::Loc(c2, o2))) => {
                     x = c2;
@@ -87,7 +87,7 @@ impl PvmState {
             let so = src_off + k * ps;
             let dstoff = dst_off + k * ps;
             match self.locate_version(src, so)? {
-                Located::InTransit => return blocked(Blocked::WaitStub),
+                Located::InTransit(x, o) => return blocked(Blocked::WaitStub(x, o)),
                 Located::Page(p) => {
                     // Protect the source page read-only and thread the
                     // stub on its descriptor.

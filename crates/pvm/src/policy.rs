@@ -39,9 +39,8 @@ pub enum ReplacementKind {
     /// list, steered by ghost hits.
     Arc,
     /// Victim selection delegated to the segment manager through the
-    /// upcall protocol (batched; rides the async completion engine when
-    /// `async_upcalls` is on, with an inner clock as the in-flight
-    /// fallback).
+    /// upcall protocol (batched; rides the completion engine, with an
+    /// inner clock as the in-flight fallback).
     External,
 }
 

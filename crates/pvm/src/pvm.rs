@@ -13,7 +13,7 @@
 use crate::config::PvmConfig;
 use crate::descriptors::Slot;
 use crate::domains::DomainLock;
-use crate::engine::{CompletionRecord, PendingPull};
+use crate::engine::Parked;
 use crate::keys::{cache_key, ctx_key, pub_cache, pub_ctx, pub_region, region_key};
 use crate::pvmtop::PvmTop;
 use crate::state::{Attempt, Blocked, Outcome, PushOrigin, PvmState};
@@ -88,16 +88,12 @@ pub struct Pvm {
     /// push that re-enters the driver (e.g. a mapper calling back into
     /// the GMI) must not start a second pass.
     laundering: AtomicBool,
-    /// Reentrancy guard for draining the engine's pending pulls:
-    /// executing a pending pull re-enters the driver through `fillUp`
-    /// and must not start a nested drain.
-    pumping: AtomicBool,
 }
 
 impl Pvm {
     /// Creates a PVM over a v2 segment manager
     /// ([`chorus_gmi::SegmentManagerV2`]) — the native front of the
-    /// asynchronous upcall engine. Classic synchronous (v1) managers
+    /// completion engine. Classic synchronous (v1) managers
     /// attach through [`chorus_gmi::SyncShim::wrap`], the only
     /// remaining v1 bridge.
     pub fn new(options: PvmOptions, seg_mgr: Arc<dyn SegmentManagerV2>) -> Pvm {
@@ -131,7 +127,6 @@ impl Pvm {
             trace,
             telemetry,
             laundering: AtomicBool::new(false),
-            pumping: AtomicBool::new(false),
         }
     }
 
@@ -251,9 +246,10 @@ impl Pvm {
         let performed = guard.performed;
         let (mut guard, v) = self.drive(guard, attempt)?;
         // A light entry — nothing blocked, neither the attempt nor the
-        // entry hooks before it: no upcall and no wait (a soft fault on
-        // a prefetched page, typically) — has room for one mapper round
-        // trip: it launders one run off the write-behind queue, so the
+        // entry hooks before it: no upcall and no wait but for a parked
+        // page's arrival (a soft fault on a prefetched page, typically)
+        // — has room for one mapper round trip: it launders one run off
+        // the write-behind queue, so the
         // allocations to come find clean victims and no entry pays for
         // a pull and a push. (Another thread can only move the count
         // while this entry has the lock released, performing.)
@@ -279,31 +275,50 @@ impl Pvm {
         mut guard: parking_lot::MutexGuard<'a, PvmState>,
         mut attempt: impl FnMut(&mut PvmState) -> Attempt<T>,
     ) -> Result<(parking_lot::MutexGuard<'a, PvmState>, T)> {
-        guard = self.pump_completions(guard);
+        guard.pump_completions();
         if guard.watchdog_sweep() > 0 {
-            // Cancelled pulls cleared their stubs and freed in-flight
-            // slots: wake sleepers so they re-fault, and feed queued
-            // pending pulls into the freed slots.
+            // Cancelled pulls cleared their stubs: wake sleepers so
+            // they re-fault.
             self.stub_cv.notify_all();
-            guard = self.drain_pending(guard);
         }
         guard = self.maybe_launder(guard);
         // The deterministic gauge sampler rides every driver entry:
         // reads the simulated clock, never advances it.
         guard.maybe_sample();
-        loop {
-            match attempt(&mut guard)? {
-                Outcome::Done(v) => {
-                    if guard.config.check_invariants {
-                        guard.check_invariants();
+        // The demand page of the window this entry has in flight (see
+        // `PvmState::demand_pulls`): pinned from its delivery until the
+        // attempt is over, or until the attempt misses again.
+        let mut demand = None;
+        let result = loop {
+            if let Some(e) = demand.and_then(|key| guard.take_demand_error(key)) {
+                break Err(e);
+            }
+            match attempt(&mut guard) {
+                Err(e) => break Err(e),
+                Ok(Outcome::Done(v)) => break Ok(v),
+                Ok(Outcome::Blocked(action)) => {
+                    if let Blocked::PullIn { cache, req } = &action {
+                        guard.end_demand(demand.replace((*cache, req.offset)));
+                        guard.demand_pulls.insert((*cache, req.offset), Ok(None));
                     }
-                    return Ok((guard, v));
-                }
-                Outcome::Blocked(action) => {
-                    guard = self.perform(guard, action)?;
+                    match self.perform(guard, action) {
+                        Ok(held) => guard = held,
+                        Err(e) => {
+                            if demand.is_some() {
+                                self.state.lock().end_demand(demand);
+                            }
+                            return Err(e);
+                        }
+                    }
                 }
             }
+        };
+        guard.end_demand(demand);
+        let v = result?;
+        if guard.config.check_invariants {
+            guard.check_invariants();
         }
+        Ok((guard, v))
     }
 
     /// The deterministic "writeback daemon": when the watermark config
@@ -408,257 +423,135 @@ impl Pvm {
         (result, retries)
     }
 
-    // ----- the asynchronous upcall engine -----------------------------------
+    // ----- the completion engine ---------------------------------------------
 
-    /// Delivers every completion already due at the current simulated
-    /// time (their service windows were covered by intervening work, so
-    /// the deferred charges only count), then feeds pending pulls into
-    /// freed in-flight slots. Runs at every driver entry; a no-op with
-    /// the engine off.
-    fn pump_completions<'a>(
-        &'a self,
-        mut guard: parking_lot::MutexGuard<'a, PvmState>,
-    ) -> parking_lot::MutexGuard<'a, PvmState> {
-        if !guard.config.async_upcalls {
-            return guard;
-        }
-        loop {
-            let now = guard.model.now().nanos();
-            let Some((due, id, rec)) = guard.engine.queue.pop_due(now) else {
-                break;
-            };
-            guard.apply_completion(due, id, rec);
-        }
-        self.drain_pending(guard)
-    }
-
-    /// Force-delivers the earliest in-flight completion, advancing the
-    /// simulated clock to its due time — a stub waiter or frame-starved
-    /// allocation modelling a block until the transfer lands. Returns
-    /// whether any progress was made (a delivery, or a pending pull
-    /// submitted into a free slot).
-    fn engine_force_one<'a>(
-        &'a self,
-        mut guard: parking_lot::MutexGuard<'a, PvmState>,
-        stall: bool,
-    ) -> (parking_lot::MutexGuard<'a, PvmState>, bool) {
-        if let Some((due, id, rec)) = guard.engine.queue.pop_earliest() {
-            if stall {
-                guard.stats.bump(Counter::AsyncInflightStalls);
-            }
-            if guard.config.upcall_watchdog && rec.deadline_ns < due {
-                // The waiter would block until a due time past the
-                // request's deadline (a hung reply). The unified wake
-                // path: advance only to the deadline and cancel, so
-                // the waiter observes the timeout and re-faults
-                // instead of waiting out a reply that never comes.
-                let now = guard.model.now().nanos();
-                if rec.deadline_ns > now {
-                    guard.model.advance_ns(rec.deadline_ns - now);
-                }
-                guard.cancel_completion(id, rec);
-            } else {
-                guard.apply_completion(due, id, rec);
-            }
-            guard = self.drain_pending(guard);
-            return (guard, true);
-        }
-        let before = guard.engine.pending_pulls.len();
-        guard = self.drain_pending(guard);
-        let progressed = guard.engine.pending_pulls.len() < before;
-        (guard, progressed)
-    }
-
-    /// Submits queued over-cap pulls while in-flight slots are free.
-    /// Guarded against reentry: executing a pull re-enters the driver
-    /// through `fillUp`, which pumps again.
-    fn drain_pending<'a>(
-        &'a self,
-        mut guard: parking_lot::MutexGuard<'a, PvmState>,
-    ) -> parking_lot::MutexGuard<'a, PvmState> {
-        if guard.engine.pending_pulls.is_empty() || self.pumping.swap(true, Ordering::Acquire) {
-            return guard;
-        }
-        let cap = guard.config.max_inflight_upcalls.max(1);
-        while let Some(p) = guard.engine.take_submittable_pending(cap) {
-            guard = self.submit_async_pull(guard, p);
-        }
-        self.pumping.store(false, Ordering::Release);
-        guard
-    }
-
-    /// Routes a readahead tail pull into the engine: submitted when the
-    /// mapper has a free in-flight slot, queued (coalescing with an
-    /// adjacent pending pull) otherwise.
-    fn queue_async_pull<'a>(
-        &'a self,
-        mut guard: parking_lot::MutexGuard<'a, PvmState>,
-        pull: PendingPull,
-    ) -> parking_lot::MutexGuard<'a, PvmState> {
-        let cap = guard
-            .engine
-            .cap_for(pull.segment, guard.config.max_inflight_upcalls.max(1));
-        if guard.engine.pending_pulls.is_empty() && guard.engine.inflight_for(pull.segment) < cap {
-            return self.submit_async_pull(guard, pull);
-        }
-        if guard.engine.queue_pending_pull(pull) {
-            guard.stats.bump(Counter::AsyncCoalesced);
-        }
-        guard
-    }
-
-    /// Submits one asynchronous pull: registers it in the in-flight
-    /// table, runs the mapper protocol eagerly with the lock released
-    /// (retries and backoff charge the clock as they would inline), and
-    /// schedules the completion at `now + modelled service time`. The
-    /// deferred bookkeeping — charges, stub clearing, quarantine — runs
+    /// Submits one `pullIn` for a whole window: registers it in the
+    /// in-flight table, runs the mapper protocol eagerly with the lock
+    /// released (retries and backoff charge the clock as they go; what
+    /// `fillUp` delivers is parked), and queues the window, its arrival
+    /// times counted from the submit instant. Everything else —
+    /// landing, stub clearing, the faulter's error, quarantine — runs
     /// at delivery.
-    fn submit_async_pull<'a>(
+    fn submit_pull<'a>(
         &'a self,
         mut guard: parking_lot::MutexGuard<'a, PvmState>,
-        pull: PendingPull,
+        cache: crate::keys::CacheKey,
+        req: PullRequest,
     ) -> parking_lot::MutexGuard<'a, PvmState> {
-        let id = guard.engine.register(pull.segment);
-        let inflight = guard.engine.inflight();
-        guard.stats.bump(Counter::AsyncSubmits);
-        guard.trace.event(|| TraceEvent::UpcallSubmit {
-            kind: UpcallKind::PullIn,
-            segment: pull.segment.0,
-            offset: pull.offset,
-            size: pull.size,
-            inflight,
-        });
+        let pages = req.size / guard.ps();
+        let (id, mut rec) = guard.begin_request(
+            UpcallKind::PullIn,
+            cache,
+            req.segment,
+            (req.offset, req.size),
+            pages,
+        );
+        // A window that is one large page gets a contiguous pre-zeroed
+        // frame run reserved up front (zeroed while the request is on
+        // its way), so the delivered pages land physically contiguous
+        // and the run can be promoted.
+        if guard.config.buddy_runs && guard.is_large_window(req.offset, req.size) {
+            guard.reserve_pull_run(cache, req.offset);
+        }
         let policy = guard.config.retry;
-        let service = guard.upcall_service_ns(pull.size / guard.ps());
-        let deadline_ns = request_deadline(guard.model.now().nanos(), &policy);
         drop(guard);
-        let req = PullRequest {
-            cache: pub_cache(pull.cache),
-            segment: pull.segment,
-            offset: pull.offset,
-            size: pull.size,
-            access: pull.access,
-        };
-        let (result, retries) = self.upcall_with_retry(pull.segment, policy, || {
+        let t0 = self.trace.phase_start();
+        let at = (req.segment, req.offset, req.size);
+        (rec.result, rec.retries) = self.traced_upcall(UpcallKind::PullIn, at, policy, || {
             self.seg_mgr.submit_pull(self, &req)
         });
+        self.trace.phase_end(Phase::PullIn, t0);
         let mut guard = self.state.lock();
-        // A protocol-level timeout means the reply is not coming on its
-        // own: park the record at the hung-reply horizon instead of the
-        // modelled service time, so the watchdog (or a forced delivery)
-        // decides its fate.
-        let service = if matches!(result, Err(GmiError::MapperTimeout { .. })) {
-            crate::engine::HUNG_REPLY_NS
-        } else {
-            service
-        };
-        let due = guard.model.now().nanos() + service;
-        guard.engine.queue.insert(
-            due,
-            id,
-            CompletionRecord {
-                kind: UpcallKind::PullIn,
-                cache: pull.cache,
-                segment: pull.segment,
-                offset: pull.offset,
-                size: pull.size,
-                pages: Vec::new(),
-                result,
-                retries,
-                deadline_ns,
-            },
-        );
+        guard.queue_window(id, rec);
         guard
     }
 
-    /// Submits one asynchronous laundering push. The pages stay
+    /// Runs the mapper's side of one upcall under the retry policy,
+    /// between its `UpcallStart` and `UpcallEnd` trace events.
+    fn traced_upcall(
+        &self,
+        kind: UpcallKind,
+        (segment, offset, size): (SegmentId, u64, u64),
+        policy: chorus_gmi::RetryPolicy,
+        upcall: impl FnMut() -> Result<()>,
+    ) -> (Result<()>, u64) {
+        self.trace.event(|| TraceEvent::UpcallStart {
+            kind,
+            segment: segment.0,
+            offset,
+            size,
+        });
+        let (res, retries) = self.upcall_with_retry(segment, policy, upcall);
+        self.trace.event(|| TraceEvent::UpcallEnd {
+            kind,
+            outcome: upcall_outcome(&res),
+            retries,
+        });
+        (res, retries)
+    }
+
+    /// Runs the mapper's side of one `pushOut`. A multi-page batch gets
+    /// one shot: on any failure the caller falls back to per-page pushes
+    /// or leaves the pages dirty, rather than re-driving N-page
+    /// transfers against a mapper that already dropped one.
+    fn push_protocol(
+        &self,
+        mut policy: chorus_gmi::RetryPolicy,
+        req: &PushRequest,
+        pages: usize,
+    ) -> (Result<()>, u64) {
+        if pages > 1 {
+            policy = chorus_gmi::RetryPolicy::no_retry();
+        }
+        let at = (req.segment, req.offset, req.size);
+        self.traced_upcall(UpcallKind::PushOut, at, policy, || {
+            self.seg_mgr.submit_push(self, req)
+        })
+    }
+
+    /// Submits one fire-and-collect laundering push. The pages stay
     /// `cleaning` (write-protected) until the completion delivers, so
     /// the bytes the mapper read at submit time cannot be re-dirtied
     /// under it; on a failed completion they keep their dirty bits and
     /// the next laundering pass re-drives them — no dirty data is lost.
-    #[allow(clippy::too_many_arguments)]
     fn submit_async_push<'a>(
         &'a self,
         mut guard: parking_lot::MutexGuard<'a, PvmState>,
         cache: crate::keys::CacheKey,
-        segment: SegmentId,
-        offset: u64,
-        size: u64,
+        req: PushRequest,
         pages: Vec<crate::keys::PageKey>,
     ) -> parking_lot::MutexGuard<'a, PvmState> {
-        let id = guard.engine.register(segment);
-        let inflight = guard.engine.inflight();
-        guard.stats.bump(Counter::AsyncSubmits);
-        guard.trace.event(|| TraceEvent::UpcallSubmit {
-            kind: UpcallKind::PushOut,
-            segment: segment.0,
-            offset,
-            size,
-            inflight,
-        });
-        let policy = guard.config.retry;
-        let service = guard.upcall_service_ns(pages.len() as u64);
-        let deadline_ns = request_deadline(guard.model.now().nanos(), &policy);
+        let n = pages.len() as u64;
+        let at = (req.offset, req.size);
+        let (id, mut rec) = guard.begin_request(UpcallKind::PushOut, cache, req.segment, at, n);
+        let (policy, service) = (guard.config.retry, guard.upcall_service_ns(n));
         drop(guard);
-        let req = PushRequest {
-            cache: pub_cache(cache),
-            segment,
-            offset,
-            size,
-        };
-        // Same batch discipline as the synchronous path: a multi-page
-        // run gets one shot (a failed batch keeps every page dirty for
-        // the next pass rather than re-driving N-page transfers).
-        let (result, retries) = if pages.len() == 1 {
-            self.upcall_with_retry(segment, policy, || self.seg_mgr.submit_push(self, &req))
-        } else {
-            (self.seg_mgr.submit_push(self, &req), 0)
-        };
+        // A failed batch keeps every page dirty for the next pass.
+        (rec.result, rec.retries) = self.push_protocol(policy, &req, pages.len());
+        rec.pages = pages;
         let mut guard = self.state.lock();
+        guard.stats.add(Counter::MapperRetries, rec.retries);
+        guard.dim_mapper(req.segment, DimCounter::Retries, rec.retries);
         // As with pulls: a timed-out push parks at the hung-reply
         // horizon (its pages stay `cleaning` until cancelled or forced,
         // then keep their dirty bits — no modified data is lost).
-        let service = if matches!(result, Err(GmiError::MapperTimeout { .. })) {
-            crate::engine::HUNG_REPLY_NS
-        } else {
-            service
+        let service = match rec.result {
+            Err(GmiError::MapperTimeout { .. }) => crate::engine::HUNG_REPLY_NS,
+            _ => service,
         };
         let due = guard.model.now().nanos() + service;
-        guard.engine.queue.insert(
-            due,
-            id,
-            CompletionRecord {
-                kind: UpcallKind::PushOut,
-                cache,
-                segment,
-                offset,
-                size,
-                pages,
-                result,
-                retries,
-                deadline_ns,
-            },
-        );
+        guard.engine.queue.insert(due, id, rec);
         guard
     }
 
-    /// Force-delivers every outstanding asynchronous completion (and
-    /// submits queued pending pulls), advancing the simulated clock as
-    /// each transfer lands. Deterministic `(due, id)` order. Call at
-    /// the end of a measurement window so the tables include all
-    /// in-flight work; a no-op with the engine off or idle.
+    /// Force-delivers every outstanding completion, advancing the
+    /// simulated clock as each transfer lands. Deterministic
+    /// `(due, id)` order. Call at the end of a measurement window so
+    /// the tables include all in-flight work; a no-op with the engine
+    /// idle.
     pub fn drain_upcalls(&self) {
-        loop {
-            let guard = self.state.lock();
-            if !guard.config.async_upcalls {
-                return;
-            }
-            let (guard, progressed) = self.engine_force_one(guard, false);
-            drop(guard);
+        while self.state.lock().force_delivery(false) {
             self.stub_cv.notify_all();
-            if !progressed {
-                return;
-            }
         }
     }
 
@@ -670,21 +563,20 @@ impl Pvm {
     ) -> Result<parking_lot::MutexGuard<'a, PvmState>> {
         guard.performed += 1;
         match action {
-            Blocked::WaitStub => {
-                // The stub may belong to an in-flight asynchronous
-                // upcall, whose completion no other thread will deliver:
-                // force the earliest one (advancing the clock to its due
-                // time — this thread is blocked on the transfer) before
-                // considering a sleep.
-                if guard.config.async_upcalls {
-                    let (g, progressed) = self.engine_force_one(guard, true);
-                    guard = g;
-                    if progressed {
-                        return Ok(guard);
-                    }
+            Blocked::WaitStub(cache, offset) => {
+                // The stub most likely hides a page in flight: wait for
+                // its arrival on the clock. If not — a page the mapper
+                // has not filled, one being cleaned — a completion no
+                // other thread will deliver must resolve it: force the
+                // earliest one (advancing the clock to its due time)
+                // before considering a sleep.
+                if guard.await_page(cache, offset) || guard.force_delivery(true) {
+                    return Ok(guard);
                 }
-                // Bounded wait: progress is re-checked on every wakeup,
-                // and the timeout guards against lost notifications.
+                // Another thread is mid-submit on the window, or the
+                // wait is for a page being cleaned. Bounded wait:
+                // progress is re-checked on every wakeup, and the
+                // timeout guards against lost notifications.
                 let t0 = self.trace.phase_start();
                 let span = self.trace.span("stub.sleep");
                 let _ = self.stub_cv.wait_for(&mut guard, Duration::from_millis(50));
@@ -693,150 +585,22 @@ impl Pvm {
                 self.trace.event(|| TraceEvent::StubWake);
                 Ok(guard)
             }
-            Blocked::Throttled => {
-                // Backpressure: the pending-pull queue is at its bound.
-                // Force-deliver the earliest completion — freeing an
-                // in-flight slot feeds a pending pull forward — so the
-                // stall drains the queue instead of merely sleeping.
-                guard.stats.bump(Counter::ThrottleStalls);
-                let pending = guard.engine.pending_pulls.len() as u64;
-                guard.trace.event(|| TraceEvent::Throttled { pending });
-                let (mut guard, progressed) = self.engine_force_one(guard, true);
-                if !progressed {
-                    // Another thread is mid-submit on the outstanding
-                    // request: yield briefly and retry.
-                    let _ = self.stub_cv.wait_for(&mut guard, Duration::from_millis(5));
-                }
-                Ok(guard)
-            }
             Blocked::AwaitCompletion => {
                 // Frame allocation is starved but the engine owes work
                 // whose delivery can free frames; force it, then retry.
-                let (guard, progressed) = self.engine_force_one(guard, true);
-                if progressed {
-                    return Ok(guard);
-                }
-                // Another thread is mid-execution on the outstanding
-                // request: yield briefly and retry.
-                let mut guard = guard;
-                let _ = self.stub_cv.wait_for(&mut guard, Duration::from_millis(5));
+                guard.force_delivery(true);
                 Ok(guard)
             }
-            Blocked::PullIn {
-                cache,
-                segment,
-                offset,
-                mut size,
-                access,
-            } => {
-                // With the engine on, a clustered pull splits: the
-                // faulting head page stays synchronous (the faulter
-                // needs it now), the readahead tail becomes a
-                // fire-and-collect asynchronous pull. The tail pages'
-                // sync stubs are already placed; they clear at the
-                // completion's delivery (or when `fillUp` lands data).
-                let ps = guard.ps();
-                // A Suspected mapper gets no asynchronous tail: the
-                // whole clustered pull degrades to the synchronous path
-                // until a successful delivery clears the suspicion.
-                if guard.config.async_upcalls && size > ps && !guard.engine.is_suspected(segment) {
-                    guard = self.queue_async_pull(
-                        guard,
-                        PendingPull {
-                            cache,
-                            segment,
-                            offset: offset + ps,
-                            size: size - ps,
-                            access,
-                        },
-                    );
-                    size = ps;
-                }
-                let policy = guard.config.retry;
-                // The page `fillUp` lands here is born pinned and stays
-                // so until we hold the lock again (see
-                // `PvmState::demand_pulls`).
-                guard.demand_pulls.insert((cache, offset), None);
-                drop(guard);
-                let t0 = self.trace.phase_start();
-                self.trace.event(|| TraceEvent::UpcallStart {
-                    kind: UpcallKind::PullIn,
-                    segment: segment.0,
-                    offset,
-                    size,
-                });
-                let req = PullRequest {
-                    cache: pub_cache(cache),
-                    segment,
-                    offset,
-                    size,
-                    access,
-                };
-                let (res, retries) = self
-                    .upcall_with_retry(segment, policy, || self.seg_mgr.submit_pull(self, &req));
-                self.trace.event(|| TraceEvent::UpcallEnd {
-                    kind: UpcallKind::PullIn,
-                    outcome: upcall_outcome(&res),
-                    retries,
-                });
-                self.trace.phase_end(Phase::PullIn, t0);
-                let mut guard = self.state.lock();
-                if let Some(Some(held)) = guard.demand_pulls.remove(&(cache, offset)) {
-                    guard.unpin_pages(&[held]);
-                }
-                guard.stats.add(Counter::MapperRetries, retries);
-                guard.dim_mapper(segment, DimCounter::Retries, retries);
-                let ps = guard.ps();
-                // Clear any stub of the pulled range the mapper left
-                // unfilled — on failure this is also the waiter cleanup:
-                // every faulter asleep on one of these stubs wakes,
-                // retries, and reports its own error instead of hanging.
-                let mut cur = offset;
-                while cur < offset + size {
-                    if guard.is_sync_stub(cache, cur) {
-                        guard.clear_slot(cache, cur);
-                    }
-                    cur += ps;
-                }
-                // Return any contiguous-run frames the mapper did not
-                // fill (short delivery or failure) to the buddy pool.
-                guard.release_reservations(cache, offset, size);
-                match res {
-                    Ok(()) => {
-                        guard.stats.bump(Counter::PullIns);
-                        guard.dim_io(cache, segment, DimCounter::PullIns, 1);
-                        // One mapper round trip plus per-page transfer.
-                        guard.charge(chorus_hal::OpKind::IpcOp);
-                        guard.charge_n(chorus_hal::OpKind::SegmentIoPage, size / ps);
-                        if !matches!(
-                            guard.gmap.get(cache, offset),
-                            Some(crate::descriptors::Slot::Present(_))
-                        ) && guard.caches.contains(cache)
-                        {
-                            // The mapper never delivered the faulting page.
-                            drop(guard);
-                            self.stub_cv.notify_all();
-                            return Err(GmiError::SegmentIo {
-                                segment,
-                                cause: "pullIn returned without fillUp".into(),
-                                transient: true,
-                            });
-                        }
-                        Ok(guard)
-                    }
-                    Err(e) => {
-                        if matches!(e, GmiError::MapperTimeout { .. }) {
-                            guard.stats.bump(Counter::MapperTimeouts);
-                            guard.dim_mapper(segment, DimCounter::Timeouts, 1);
-                        }
-                        if !e.is_transient() {
-                            guard.quarantine_cache(cache);
-                        }
-                        drop(guard);
-                        self.stub_cv.notify_all();
-                        Err(e)
+            Blocked::PullIn { cache, req } => {
+                // Over the mapper's cap the faulter waits out the
+                // earliest completion first (with every slot held by
+                // another thread mid-submit: yields briefly).
+                while !guard.engine.has_slot(req.segment) {
+                    if !guard.force_delivery(true) {
+                        let _ = self.stub_cv.wait_for(&mut guard, Duration::from_millis(5));
                     }
                 }
+                Ok(self.submit_pull(guard, cache, req))
             }
             Blocked::PushOut {
                 cache,
@@ -846,20 +610,19 @@ impl Pvm {
                 pages,
                 origin,
             } => {
-                // Daemon-origin laundering pushes are the engine's other
-                // async source: nothing waits on them, so they become
-                // fire-and-collect when the mapper has a free in-flight
-                // slot (at the cap they degrade to the synchronous path
-                // below, never to unbounded queueing of dirty runs).
-                if guard.config.async_upcalls && origin == PushOrigin::Daemon {
-                    let cap = guard
-                        .engine
-                        .cap_for(segment, guard.config.max_inflight_upcalls.max(1));
-                    if guard.engine.inflight_for(segment) < cap {
-                        return Ok(
-                            self.submit_async_push(guard, cache, segment, offset, size, pages)
-                        );
-                    }
+                // Nothing waits on a daemon-origin laundering push, so
+                // it is fire-and-collect when the mapper has a free
+                // in-flight slot (at the cap it degrades to the
+                // synchronous path below, never to unbounded queueing
+                // of dirty runs).
+                let req = PushRequest {
+                    cache: pub_cache(cache),
+                    segment,
+                    offset,
+                    size,
+                };
+                if origin == PushOrigin::Daemon && guard.engine.has_slot(segment) {
+                    return Ok(self.submit_async_push(guard, cache, req, pages));
                 }
                 let policy = guard.config.retry;
                 drop(guard);
@@ -873,47 +636,7 @@ impl Pvm {
                     None
                 };
                 let t0 = self.trace.phase_start();
-                self.trace.event(|| TraceEvent::UpcallStart {
-                    kind: UpcallKind::PushOut,
-                    segment: segment.0,
-                    offset,
-                    size,
-                });
-                let (res, retries) = if pages.len() == 1 {
-                    self.upcall_with_retry(segment, policy, || {
-                        self.seg_mgr.submit_push(
-                            self,
-                            &PushRequest {
-                                cache: pub_cache(cache),
-                                segment,
-                                offset,
-                                size,
-                            },
-                        )
-                    })
-                } else {
-                    // A multi-page batch gets one shot: on any failure we
-                    // fall back to per-page pushes, each with its own full
-                    // retry budget, rather than re-driving N-page transfers
-                    // against a mapper that already dropped one.
-                    (
-                        self.seg_mgr.submit_push(
-                            self,
-                            &PushRequest {
-                                cache: pub_cache(cache),
-                                segment,
-                                offset,
-                                size,
-                            },
-                        ),
-                        0,
-                    )
-                };
-                self.trace.event(|| TraceEvent::UpcallEnd {
-                    kind: UpcallKind::PushOut,
-                    outcome: upcall_outcome(&res),
-                    retries,
-                });
+                let (res, retries) = self.push_protocol(policy, &req, pages.len());
                 self.trace.phase_end(Phase::PushOut, t0);
                 let mut guard = self.state.lock();
                 guard.stats.add(Counter::MapperRetries, retries);
@@ -1047,68 +770,21 @@ impl Pvm {
                 // while the advice round trip runs below;
                 // `approve_external_victims` re-filters on return.
                 let cache = guard.page(pages[0]).cache;
-                if guard.config.async_upcalls {
-                    // Fire-and-collect, like a laundering push: the
-                    // mapper answers eagerly, the approval bookkeeping
-                    // waits for the completion's due time. Selection
-                    // falls back to the internal clock meanwhile, so
-                    // allocation never stalls on the advisor.
-                    let segment = ADVICE_SEGMENT;
-                    let id = guard.engine.register(segment);
-                    let inflight = guard.engine.inflight();
-                    guard.stats.bump(Counter::AsyncSubmits);
-                    guard.trace.event(|| TraceEvent::UpcallSubmit {
-                        kind: UpcallKind::VictimAdvice,
-                        segment: segment.0,
-                        offset: 0,
-                        size: 0,
-                        inflight,
-                    });
-                    let policy = guard.config.retry;
-                    let service = guard.upcall_service_ns(idents.len() as u64);
-                    let deadline_ns = request_deadline(guard.model.now().nanos(), &policy);
-                    drop(guard);
-                    let verdicts = self.seg_mgr.advise_victims(&idents);
-                    let approved = approved_victims(&pages, &verdicts);
-                    let mut guard = self.state.lock();
-                    let due = guard.model.now().nanos() + service;
-                    guard.engine.queue.insert(
-                        due,
-                        id,
-                        CompletionRecord {
-                            kind: UpcallKind::VictimAdvice,
-                            cache,
-                            segment,
-                            offset: 0,
-                            size: 0,
-                            pages: approved,
-                            result: Ok(()),
-                            retries: 0,
-                            deadline_ns,
-                        },
-                    );
-                    return Ok(guard);
-                }
+                // Fire-and-collect, like a laundering push: the mapper
+                // answers eagerly, the approval bookkeeping waits for
+                // the completion's due time. Selection falls back to
+                // the internal clock meanwhile, so allocation never
+                // stalls on the advisor.
+                let n = idents.len() as u64;
+                let (id, mut rec) =
+                    guard.begin_request(UpcallKind::VictimAdvice, cache, ADVICE_SEGMENT, (0, 0), n);
+                let service = guard.upcall_service_ns(n);
                 drop(guard);
-                let t0 = self.trace.phase_start();
-                self.trace.event(|| TraceEvent::UpcallStart {
-                    kind: UpcallKind::VictimAdvice,
-                    segment: ADVICE_SEGMENT.0,
-                    offset: 0,
-                    size: idents.len() as u64,
-                });
                 let verdicts = self.seg_mgr.advise_victims(&idents);
-                self.trace.event(|| TraceEvent::UpcallEnd {
-                    kind: UpcallKind::VictimAdvice,
-                    outcome: UpcallOutcome::Ok,
-                    retries: 0,
-                });
-                self.trace.phase_end(Phase::PushOut, t0);
-                let approved = approved_victims(&pages, &verdicts);
+                rec.pages = approved_victims(&pages, &verdicts);
                 let mut guard = self.state.lock();
-                // One advisory round trip on the wire.
-                guard.charge(chorus_hal::OpKind::IpcOp);
-                guard.approve_external_victims(&approved);
+                let due = guard.model.now().nanos() + service;
+                guard.engine.queue.insert(due, id, rec);
                 Ok(guard)
             }
             Blocked::NeedSegment { cache } => {
@@ -1134,20 +810,11 @@ impl Pvm {
                 let policy = guard.config.retry;
                 drop(guard);
                 let t0 = self.trace.phase_start();
-                self.trace.event(|| TraceEvent::UpcallStart {
-                    kind: UpcallKind::GetWriteAccess,
-                    segment: segment.0,
-                    offset,
-                    size,
-                });
-                let (res, retries) = self.upcall_with_retry(segment, policy, || {
-                    self.seg_mgr.acquire_write_access(segment, offset, size)
-                });
-                self.trace.event(|| TraceEvent::UpcallEnd {
-                    kind: UpcallKind::GetWriteAccess,
-                    outcome: upcall_outcome(&res),
-                    retries,
-                });
+                let at = (segment, offset, size);
+                let (res, retries) =
+                    self.traced_upcall(UpcallKind::GetWriteAccess, at, policy, || {
+                        self.seg_mgr.acquire_write_access(segment, offset, size)
+                    });
                 self.trace.phase_end(Phase::GetWriteAccess, t0);
                 let mut guard = self.state.lock();
                 // Each retry is its own upcall on the wire.
@@ -1187,14 +854,6 @@ impl CacheIo for Pvm {
         // where an attempt blocks (a dirty victim to push).
         let mut guard = self.state.lock();
         guard.cache(key)?;
-        // Pages already landed by this delivery are pinned until the
-        // whole delivery completes: the evictions that later pages'
-        // frame allocations trigger must not take earlier pages of the
-        // same window (a clustered pull would eat its own head). The
-        // last page needs no such pin — nothing fills after it — and the
-        // page a faulter is waiting for is held separately, past the
-        // end of the delivery (`PvmState::demand_pulls`).
-        let mut pinned: Vec<crate::keys::PageKey> = Vec::new();
         for (i, chunk) in data.chunks(ps as usize).enumerate() {
             let page_off = offset + i as u64 * ps;
             debug_assert!(
@@ -1205,18 +864,11 @@ impl CacheIo for Pvm {
                 Ok((held, ())) => guard = held,
                 Err(e) => {
                     // `drive` gave the lock up on its way out.
-                    if !pinned.is_empty() {
-                        self.state.lock().unpin_pages(&pinned);
-                    }
                     self.stub_cv.notify_all();
                     return Err(e);
                 }
             }
-            if ((i + 1) * ps as usize) < data.len() {
-                pinned.extend(guard.pin_resident(key, page_off));
-            }
         }
-        guard.unpin_pages(&pinned);
         drop(guard);
         // One wake per delivery, for the faulters asleep on its stubs.
         self.stub_cv.notify_all();
@@ -1272,69 +924,129 @@ impl PvmState {
             }
             return crate::state::done(());
         }
-        match self.slot(cache, page_off) {
+        let slot = self.slot(cache, page_off);
+        // A page of a window in flight is parked: its bytes wait in a
+        // frame of their own, off the global map, for the page's
+        // arrival time (see [`crate::engine`]).
+        let parked = match slot {
             // Already resident (a concurrent fill, a duplicate or late
             // delivery). A clean resident page equals its segment, so
             // these bytes can only be as old or older — written and
             // laundered since the mapper read them: leave it alone.
-            Some(Slot::Present(_)) => crate::state::done(()),
-            _ => {
-                // A frame reserved for this pull window is consumed in
-                // place: it is part of a contiguous pre-zeroed run, so
-                // only the payload bytes need writing and the later
-                // promotion check sees consecutive frame numbers.
-                if let Some(frame) = self.reserved_frames.remove(&(cache, page_off)) {
-                    self.phys.write(frame, 0, chunk);
-                    self.land_page(cache, page_off, frame);
-                    return crate::state::done(());
-                }
-                // Failing this allocation would strand the pulled data
-                // and error the recovery; this is reclaim-critical work,
-                // so it may draw from the emergency reserve, and it
-                // degrades through an emergency eviction pass before
-                // giving up.
-                let alloc = match self.alloc_frame_reserved() {
-                    Err(GmiError::OutOfMemory)
-                        if self.config.emergency_pageout && self.emergency_evict() > 0 =>
-                    {
-                        self.alloc_frame_reserved()
-                    }
-                    other => other,
-                };
-                let frame = match alloc? {
-                    Outcome::Done(f) => f,
-                    Outcome::Blocked(b) => return crate::state::blocked(b),
-                };
-                // Partial trailing chunks are zero-padded: only the tail
-                // the chunk leaves uncovered is cleared.
-                self.phys.fill(frame, chunk);
-                self.land_page(cache, page_off, frame);
-                crate::state::done(())
+            Some(Slot::Present(_)) => return crate::state::done(()),
+            Some(Slot::Sync) => self.engine.parked.get(&(cache, page_off)).copied(),
+            _ => None,
+        };
+        match parked {
+            // A duplicate delivery: the first one stands.
+            Some(Parked::Filled { .. }) => return crate::state::done(()),
+            // A frame reserved for this window is filled in place: it is
+            // part of a contiguous pre-zeroed run, so only the payload
+            // bytes need writing and the later promotion check sees
+            // consecutive frame numbers.
+            Some(Parked::Reserved(frame)) => {
+                self.phys.write(frame, 0, chunk);
+                self.park(cache, page_off, frame, true);
+                return crate::state::done(());
             }
+            Some(Parked::Empty) | None => {}
         }
+        // Failing this allocation would strand the pulled data and
+        // error the recovery; this is reclaim-critical work, so it may
+        // draw from the emergency reserve, and it degrades through an
+        // emergency eviction pass before giving up.
+        let alloc = match self.alloc_frame_reserved() {
+            Err(GmiError::OutOfMemory)
+                if self.config.emergency_pageout && self.emergency_evict() > 0 =>
+            {
+                self.alloc_frame_reserved()
+            }
+            other => other,
+        };
+        let frame = match alloc? {
+            Outcome::Done(f) => f,
+            Outcome::Blocked(b) => return crate::state::blocked(b),
+        };
+        if parked.is_some() {
+            // The transfer into the frame is the mapper's; the copy is
+            // charged when the page lands (`PvmState::deliver_page`).
+            self.phys.write(frame, 0, chunk);
+            self.phys.frame_mut(frame)[chunk.len()..].fill(0);
+            self.park(cache, page_off, frame, false);
+        } else {
+            // Partial trailing chunks are zero-padded: only the tail
+            // the chunk leaves uncovered is cleared.
+            self.phys.fill(frame, chunk);
+            let page = self.new_page(cache, page_off, frame, true, false);
+            self.land_page(cache, page_off, page);
+        }
+        crate::state::done(())
     }
 
-    /// Threads a frame `fillUp` has filled into (cache, page_off), in
-    /// place of whatever stub is there. A page landing on a
-    /// synchronization stub that no faulter's pull registered is the
-    /// readahead tail of somebody's pull: it is marked until its first
-    /// mapping, so an eviction before that counts as waste.
-    fn land_page(
+    /// Parks a page of a window in flight in its filled `frame`: its
+    /// descriptor is built now, pinned so that it is nobody's victim,
+    /// and enters the global map at the page's arrival.
+    fn park(
+        &mut self,
+        cache: crate::keys::CacheKey,
+        off: u64,
+        frame: chorus_hal::FrameNo,
+        prezeroed: bool,
+    ) {
+        let page = self.new_page(cache, off, frame, true, false);
+        self.page_mut(page).lock_count += 1;
+        let filled = Parked::Filled {
+            page,
+            prezeroed,
+            arrival_ns: u64::MAX,
+        };
+        self.engine.parked.insert((cache, off), filled);
+    }
+
+    /// Enters the page of a frame `fillUp` has filled in the global map
+    /// at (cache, page_off), in place of whatever stub is there. A page
+    /// landing on a synchronization stub that no faulter's pull
+    /// registered is the readahead tail of somebody's pull: it is marked
+    /// until its first mapping, so an eviction before that counts as
+    /// waste.
+    pub(crate) fn land_page(
         &mut self,
         cache: crate::keys::CacheKey,
         page_off: u64,
-        frame: chorus_hal::FrameNo,
+        page: crate::keys::PageKey,
     ) {
         let slot = self.slot(cache, page_off);
         if let Some(Slot::Cow(src)) = slot {
             self.unthread_cow_stub(cache, page_off, src);
         }
+        let prefetched =
+            slot == Some(Slot::Sync) && !self.demand_pulls.contains_key(&(cache, page_off));
         let writable = !self.has_history_covering(cache, page_off);
-        let page = self.create_page(cache, page_off, frame, writable, false);
-        if slot == Some(Slot::Sync) && !self.demand_pulls.contains_key(&(cache, page_off)) {
-            self.page_mut(page).prefetched = true;
+        let desc = self.page_mut(page);
+        (desc.writable, desc.prefetched) = (writable, prefetched);
+        self.publish_page(page);
+        if prefetched {
             self.stats.bump(Counter::ReadaheadPages);
             self.dim_cache(cache, DimCounter::ReadaheadPages, 1);
+        }
+    }
+
+    /// Takes the error a failed window left for its faulter, if any:
+    /// the operation fails with it instead of pulling again.
+    pub(crate) fn take_demand_error(
+        &mut self,
+        key: (crate::keys::CacheKey, u64),
+    ) -> Option<GmiError> {
+        match self.demand_pulls.get(&key) {
+            Some(Err(_)) => self.demand_pulls.remove(&key)?.err(),
+            _ => None,
+        }
+    }
+
+    /// Closes a faulter's mailbox, dropping the pin on its demand page.
+    fn end_demand(&mut self, demand: Option<(crate::keys::CacheKey, u64)>) {
+        if let Some(Ok(Some(held))) = demand.and_then(|key| self.demand_pulls.remove(&key)) {
+            self.unpin_pages(&[held]);
         }
     }
 
@@ -1648,17 +1360,6 @@ impl Gmi for Pvm {
     }
 }
 
-/// The absolute simulated deadline of a request submitted at
-/// `submit_ns`: the retry policy's per-upcall deadline from submission,
-/// or "never" when deadlines are disabled.
-fn request_deadline(submit_ns: u64, policy: &chorus_gmi::RetryPolicy) -> u64 {
-    if policy.deadline_ns == 0 {
-        u64::MAX
-    } else {
-        submit_ns.saturating_add(policy.deadline_ns)
-    }
-}
-
 /// Sentinel segment id that carries `victimAdvice` completions through
 /// the engine's in-flight table: advice is addressed to the manager as
 /// a whole, not to any one segment, and no real segment ever gets this
@@ -1680,7 +1381,7 @@ fn approved_victims(
 }
 
 /// Maps an upcall's final result onto the traced outcome.
-fn upcall_outcome(res: &Result<()>) -> UpcallOutcome {
+pub(crate) fn upcall_outcome(res: &Result<()>) -> UpcallOutcome {
     match res {
         Ok(()) => UpcallOutcome::Ok,
         Err(GmiError::MapperTimeout { .. }) => UpcallOutcome::Timeout,

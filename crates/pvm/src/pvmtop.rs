@@ -52,6 +52,8 @@ pub struct CacheHeat {
     pub write_behind_pushes: u64,
     /// `pushOut` runs a stalled allocation issued inline.
     pub demand_pushes: u64,
+    /// Pages of pull windows in flight that have not arrived yet.
+    pub arriving_pages: u64,
     /// Resident pages right now.
     pub resident_pages: u64,
     /// Dirty resident pages right now.
@@ -66,7 +68,7 @@ pub enum MapperState {
     /// Serving upcalls normally.
     Healthy,
     /// Escalated by the deadline watchdog after repeated timeouts:
-    /// in-flight cap shrunk, degraded to the synchronous path.
+    /// in-flight cap shrunk to one request at a time.
     Suspected,
     /// A cache backed by this segment was poisoned after a permanent
     /// failure.
@@ -91,7 +93,7 @@ pub struct MapperHealth {
     pub segment: SegmentId,
     /// Health state (worst applicable wins).
     pub state: MapperState,
-    /// Asynchronous upcalls in flight right now.
+    /// Upcalls in flight right now (a pull window is one).
     pub inflight: u64,
     /// Watchdog deadline misses observed so far (the escalation count).
     pub deadline_misses: u32,
@@ -209,6 +211,11 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
         }
     }
 
+    let mut arriving: BTreeMap<u32, u64> = BTreeMap::new();
+    for (cache, _) in state.engine.parked.keys() {
+        *arriving.entry(cache.index()).or_insert(0) += 1;
+    }
+
     let dim = |d: Dim, id: u64, c: DimCounter| state.telemetry.get(d, id, c);
 
     let mut caches: Vec<CacheHeat> = state
@@ -231,6 +238,7 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
                 readahead_unused: dim(Dim::Cache, id, DimCounter::ReadaheadUnused),
                 write_behind_pushes: dim(Dim::Cache, id, DimCounter::WriteBehindPushes),
                 demand_pushes: dim(Dim::Cache, id, DimCounter::DemandPushes),
+                arriving_pages: arriving.get(&idx).copied().unwrap_or(0),
                 resident_pages: res,
                 dirty_pages: dirty,
                 poisoned: desc.poisoned,
@@ -326,12 +334,12 @@ pub fn render(top: &PvmTop, n: usize) -> String {
     let s = &top.sample;
     out.push_str(&format!(
         "pvmtop  sim={} ns  free={} frames (reserve {})  inflight={}  \
-         pending={}  ring={} pages  gmap={} slots\n",
+         arriving={} pages  ring={} pages  gmap={} slots\n",
         top.sim_ns,
         s.free_frames,
         s.reserve_free,
         s.inflight_upcalls,
-        s.pending_pulls,
+        s.arriving_pages,
         s.clock_ring_pages,
         s.gmap_slots,
     ));
@@ -356,7 +364,7 @@ pub fn render(top: &PvmTop, n: usize) -> String {
     ));
 
     out.push_str(&format!(
-        "\n  {:>5} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>11} {:>9} {:>8} {:>8}  {}\n",
+        "\n  {:>5} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>11} {:>9} {:>8} {:>8} {:>8}  {}\n",
         "CACHE",
         "FAULTS",
         "PULLS",
@@ -366,13 +374,14 @@ pub fn render(top: &PvmTop, n: usize) -> String {
         "RAHIT",
         "RAUNUSED",
         "WB/DEMAND",
+        "ARRIVING",
         "RES",
         "DIRTY",
         "FLAGS"
     ));
     for c in top.caches.iter().take(n.max(1)) {
         out.push_str(&format!(
-            "  {:>5} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>11} {:>9} {:>8} {:>8}  {}\n",
+            "  {:>5} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>11} {:>9} {:>8} {:>8} {:>8}  {}\n",
             c.index,
             c.faults,
             c.pull_ins,
@@ -382,6 +391,7 @@ pub fn render(top: &PvmTop, n: usize) -> String {
             c.readahead_hits,
             format!("{}/{}", c.readahead_unused, c.readahead_pages),
             format!("{}/{}", c.write_behind_pushes, c.demand_pushes),
+            c.arriving_pages,
             c.resident_pages,
             c.dirty_pages,
             if c.poisoned { "POISONED" } else { "-" },
@@ -444,6 +454,7 @@ mod tests {
             readahead_unused: 1,
             write_behind_pushes: 3,
             demand_pushes: 0,
+            arriving_pages: 0,
             resident_pages: dirty,
             dirty_pages: dirty,
             poisoned: false,
@@ -469,7 +480,7 @@ mod tests {
                 free_frames: 7,
                 free_blocks_per_order: vec![1, 1],
                 inflight_upcalls: 0,
-                pending_pulls: 0,
+                arriving_pages: 0,
                 clock_ring_pages: 0,
                 gmap_slots: 0,
                 reserve_free: 4,

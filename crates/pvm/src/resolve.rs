@@ -8,6 +8,7 @@
 
 use crate::config::IPC_MESSAGE_PAGES;
 use crate::descriptors::{CowSource, Slot};
+use crate::engine::Parked;
 use crate::keys::{CacheKey, PageKey};
 use crate::state::{blocked, done, Attempt, Blocked, Outcome, PvmState};
 use crate::stats::Counter;
@@ -30,8 +31,8 @@ pub(crate) enum Version {
 impl PvmState {
     /// Resolves the current logical version of offset `off` of `cache`.
     ///
-    /// May request a `pullIn` (placing the synchronization stub first) or
-    /// a wait on an in-transit page.
+    /// May request a `pullIn` (placing the window's synchronization
+    /// stubs first) or a wait on an in-transit page.
     pub fn resolve_version(
         &mut self,
         cache: CacheKey,
@@ -84,7 +85,7 @@ impl PvmState {
                     page.ref_bit = true;
                     return done(Version::Page(p));
                 }
-                Some(Slot::Sync) => return blocked(Blocked::WaitStub),
+                Some(Slot::Sync) => return blocked(Blocked::WaitStub(x, o)),
                 Some(Slot::Cow(CowSource::Loc(c2, o2))) => {
                     *depth += 1;
                     x = c2;
@@ -104,31 +105,19 @@ impl PvmState {
                         ))?;
                         let pages = self.size_pull(x, o)?;
                         let ps = self.ps();
-                        // A synchronous pull covering exactly one
-                        // large-aligned full run gets a contiguous
-                        // pre-zeroed frame run reserved up front, so the
-                        // delivered pages land physically contiguous and
-                        // the run can be promoted. Async pulls skip this:
-                        // completions interleave and the window may be
-                        // re-split by coalescing.
-                        if self.config.large_pages
-                            && self.config.buddy_runs
-                            && !self.config.async_upcalls
-                            && pages == self.geom.large_factor()
-                            && self.geom.is_large_aligned(o)
-                        {
-                            self.reserve_pull_run(x, o);
-                        }
                         for k in 0..pages {
-                            self.set_slot(x, o + k * ps, Slot::Sync);
+                            let off = o + k * ps;
+                            self.set_slot(x, off, Slot::Sync);
+                            self.engine.parked.insert((x, off), Parked::Empty);
                         }
-                        return blocked(Blocked::PullIn {
-                            cache: x,
+                        let req = chorus_gmi::PullRequest {
+                            cache: crate::keys::pub_cache(x),
                             segment,
                             offset: o,
                             size: pages * ps,
                             access,
-                        });
+                        };
+                        return blocked(Blocked::PullIn { cache: x, req });
                     }
                     match desc.parent_at(o) {
                         Some(frag) => {

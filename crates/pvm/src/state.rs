@@ -27,21 +27,19 @@ use std::sync::Arc;
 /// An action the caller must perform without the state lock, then retry.
 #[derive(Debug)]
 pub(crate) enum Blocked {
-    /// Wait for a synchronization page stub to resolve.
-    WaitStub,
-    /// Perform a `pullIn` upcall. The attempt has already placed a sync
-    /// stub at (cache, offset).
+    /// Wait for the synchronization page stub at (cache, offset) to
+    /// resolve, or for the page there to come out of cleaning.
+    WaitStub(CacheKey, u64),
+    /// Submit a `pullIn` for a window. The attempt has already placed a
+    /// sync stub on every page of it and entered them in the engine's
+    /// parked table; the faulter then waits on the stub of the page it
+    /// wants like anybody else.
     PullIn {
         /// Target cache.
         cache: CacheKey,
-        /// Its segment.
-        segment: SegmentId,
-        /// Page-aligned fragment offset.
-        offset: u64,
-        /// Fragment size.
-        size: u64,
-        /// Access mode for the pull.
-        access: Access,
+        /// The window: its segment, page-aligned offset, size, and the
+        /// access mode of the miss.
+        req: chorus_gmi::PullRequest,
     },
     /// Perform a `pushOut` upcall for a run of pages being cleaned. The
     /// attempt has already write-protected every page's mappings and set
@@ -68,22 +66,16 @@ pub(crate) enum Blocked {
         cache: CacheKey,
     },
     /// Frame allocation found no victim, but the completion engine has
-    /// in-flight (or pending) asynchronous upcalls whose delivery can
-    /// free frames (a finished laundering push makes its pages clean
-    /// and evictable). The driver force-delivers the earliest
-    /// completion and retries.
+    /// in-flight upcalls whose delivery can free frames (a finished
+    /// laundering push makes its pages clean and evictable, a landed
+    /// page is one). The driver force-delivers the earliest completion
+    /// and retries.
     AwaitCompletion,
-    /// Backpressure: the pending asynchronous pull queue reached
-    /// `PvmConfig::max_pending_pulls`. The faulting thread is stalled
-    /// deterministically — the driver force-delivers a completion
-    /// (feeding a pending pull into the freed slot) and retries —
-    /// instead of letting the queue grow without bound.
-    Throttled,
     /// The external replacement policy needs a `victimAdvice` upcall:
     /// present the candidate batch to the segment manager and deliver
     /// the approved subset back through
-    /// [`PvmState::approve_external_victims`] (directly in synchronous
-    /// mode; via a completion-engine record when `async_upcalls` is on).
+    /// [`PvmState::approve_external_victims`] through a
+    /// completion-engine record.
     VictimAdvice {
         /// Candidate pages, in policy order.
         pages: Vec<PageKey>,
@@ -186,9 +178,8 @@ pub(crate) struct PvmState {
     /// The event tracer, shared with `Pvm` and (for correlation) the
     /// nucleus mapper layers.
     pub trace: Arc<Tracer>,
-    /// The asynchronous-upcall completion engine (in-flight table,
-    /// deterministic completion queue, pending coalescible pulls).
-    /// Entirely inert unless `config.async_upcalls` is set.
+    /// The completion engine: in-flight table, deterministic
+    /// completion queue and the parked pages of pull windows in flight.
     pub engine: crate::engine::EngineState,
     /// Public ids of contexts torn down by the out-of-memory killer.
     /// Lookups through a dead handle consult this so the error is
@@ -199,20 +190,15 @@ pub(crate) struct PvmState {
     /// Installed large mappings (promotion records). Empty unless
     /// `config.large_pages` is on; every hook early-returns on empty.
     pub large_maps: Vec<crate::large::LargeMap>,
-    /// Contiguous frames reserved for an in-flight large-aligned pull,
-    /// keyed by (cache, page offset) and consumed by `fillUp`. Empty
-    /// unless `config.large_pages` is on.
-    pub reserved_frames: FxHashMap<(CacheKey, u64), FrameNo>,
-    /// Demand pages of synchronous `pullIn` upcalls in flight, keyed by
-    /// (cache, offset). The driver registers the entry (`None`) before
-    /// it releases the lock for the upcall; the page `fillUp` creates
-    /// there is born pinned and recorded (`create_page`); the driver
-    /// removes the entry and drops the pin once it holds the lock
-    /// again. Without it the page a faulter is about to map sits
-    /// unpinned between `fillUp`'s unlock and the faulter's re-lock,
-    /// and a second thread's eviction turns a served pull into "pullIn
-    /// returned without fillUp".
-    pub demand_pulls: FxHashMap<(CacheKey, u64), Option<PageKey>>,
+    /// The demand pages of pull windows in flight, keyed by (cache,
+    /// offset): the faulter's mailbox. The driver enters `Ok(None)`
+    /// when it submits; the page delivered there is born pinned and
+    /// recorded (`create_page`), or the error of a failed window is
+    /// left instead; the driver takes either when its attempt is over.
+    /// Without the pin the page a faulter is about to map sits
+    /// unpinned between its delivery and the faulter's re-lock, and a
+    /// second thread's eviction makes the faulter pull it again.
+    pub demand_pulls: FxHashMap<(CacheKey, u64), Result<Option<PageKey>>>,
     /// The write-behind queue: dirty victims an allocation sweep met and
     /// set aside so it could go on to a clean page, at most one IPC
     /// message of them. The driver launders one run per light entry
@@ -265,7 +251,6 @@ impl PvmState {
             engine: crate::engine::EngineState::new(),
             oom_killed: Vec::new(),
             large_maps: Vec::new(),
-            reserved_frames: FxHashMap::default(),
             demand_pulls: FxHashMap::default(),
             write_behind: std::collections::VecDeque::new(),
             performed: 0,
@@ -357,40 +342,10 @@ impl PvmState {
             }
         }
         if transitioned {
-            // Large mappings over a poisoned cache are stale by fiat;
-            // reserved pull frames for it will never be consumed.
+            // Large mappings over a poisoned cache are stale by fiat.
+            // Its windows in flight stay queued and deliver, or fail, in
+            // their turn; faulters see `CachePoisoned` either way.
             self.demote_all_of_cache(k);
-            self.release_all_reservations_of(k);
-            // Coalesced pulls still queued behind an in-flight request
-            // must fail, not vanish: clear their synchronization stubs
-            // so the waiting faults re-run and observe `CachePoisoned`
-            // instead of sleeping on a request that will never be
-            // resubmitted for a quarantined cache.
-            let drained: Vec<_> = {
-                let pending = &mut self.engine.pending_pulls;
-                let mut kept = Vec::with_capacity(pending.len());
-                let mut gone = Vec::new();
-                for p in pending.drain(..) {
-                    if p.cache == k {
-                        gone.push(p);
-                    } else {
-                        kept.push(p);
-                    }
-                }
-                *pending = kept;
-                gone
-            };
-            for p in drained {
-                self.stats.bump(Counter::AsyncPendingFailed);
-                let ps = self.ps();
-                let mut off = p.offset;
-                while off < p.offset + p.size {
-                    if self.is_sync_stub(p.cache, off) {
-                        self.clear_slot(p.cache, off);
-                    }
-                    off += ps;
-                }
-            }
         }
     }
 
@@ -410,25 +365,9 @@ impl PvmState {
         self.page(k).referenced(&self.contexts, &*self.mmu)
     }
 
-    /// Pins the page resident at `(cache, offset)`, if any, and returns
-    /// its key. Used by `fillUp` to keep the already-landed pages of a
-    /// clustered delivery out of the victim pool while the rest of the
-    /// window is still landing.
-    pub fn pin_resident(&mut self, cache: CacheKey, offset: u64) -> Option<PageKey> {
-        // Uncharged lookup: the pin is kernel bookkeeping, not a
-        // modeled global-map operation (`slot()` would bill one).
-        match self.gmap.get(cache, offset) {
-            Some(Slot::Present(p)) => {
-                self.page_mut(p).lock_count += 1;
-                Some(p)
-            }
-            _ => None,
-        }
-    }
-
-    /// Releases pins taken with [`Self::pin_resident`]. Pages may have
-    /// died with their cache in the meantime; dead keys are skipped
-    /// (arena generations make reuse detection exact).
+    /// Releases pins (`lock_count`) taken on pages. They may have died
+    /// with their cache in the meantime; dead keys are skipped (arena
+    /// generations make reuse detection exact).
     pub fn unpin_pages(&mut self, keys: &[PageKey]) {
         for &p in keys {
             if self.pages.contains(p) {
@@ -498,25 +437,28 @@ impl PvmState {
         writable: bool,
         dirty: bool,
     ) -> PageKey {
+        let key = self.new_page(cache, offset, frame, writable, dirty);
+        self.publish_page(key);
+        key
+    }
+
+    /// Builds the page descriptor of `frame` at (cache, offset): owned,
+    /// framed and known to the replacement policy, but not yet in the
+    /// global map, so nothing can reach it ([`Self::publish_page`]).
+    pub fn new_page(
+        &mut self,
+        cache: CacheKey,
+        offset: u64,
+        frame: FrameNo,
+        writable: bool,
+        dirty: bool,
+    ) -> PageKey {
         let mut desc = PageDesc::new(cache, offset, frame);
         desc.writable = writable;
         desc.dirty = dirty;
-        // Re-thread per-page stubs that were pointing at this location.
-        desc.stubs = self.gmap.take_loc_stubs(cache, offset);
         let key = self.pages.insert(desc);
-        for &(dc, doff) in &self.page(key).stubs.clone() {
-            self.set_slot(dc, doff, Slot::Cow(CowSource::Page(key)));
-        }
-        self.set_slot(cache, offset, Slot::Present(key));
         if let Some(c) = self.caches.get_mut(cache) {
             c.owned.insert(offset);
-        }
-        // A page born where a faulter's synchronous pull is waiting is
-        // born pinned; the driver drops the pin when it has the lock
-        // back (see `demand_pulls`).
-        if let Some(held @ None) = self.demand_pulls.get_mut(&(cache, offset)) {
-            *held = Some(key);
-            self.pages.get_mut(key).expect("just inserted").lock_count += 1;
         }
         self.frame_owner.insert(frame.0, key);
         let segment = self.caches.get(cache).and_then(|c| c.segment).map(|s| s.0);
@@ -529,6 +471,26 @@ impl PvmState {
             segment,
         );
         key
+    }
+
+    /// Enters a built page in the global map, in place of whatever stub
+    /// is there, and re-threads the per-page stubs that were pointing
+    /// at its location.
+    pub fn publish_page(&mut self, key: PageKey) {
+        let (cache, offset) = (self.page(key).cache, self.page(key).offset);
+        let stubs = self.gmap.take_loc_stubs(cache, offset);
+        for &(dc, doff) in &stubs {
+            self.set_slot(dc, doff, Slot::Cow(CowSource::Page(key)));
+        }
+        self.page_mut(key).stubs = stubs;
+        self.set_slot(cache, offset, Slot::Present(key));
+        // A page born where a faulter's pull is waiting is born
+        // pinned; the driver drops the pin when its attempt is over
+        // (see `demand_pulls`).
+        if let Some(held @ Ok(None)) = self.demand_pulls.get_mut(&(cache, offset)) {
+            *held = Ok(Some(key));
+            self.page_mut(key).lock_count += 1;
+        }
     }
 
     /// Removes a page: unmaps it everywhere, detaches stubs per
@@ -775,7 +737,7 @@ impl PvmState {
             free_frames: free,
             free_blocks_per_order: self.phys.free_blocks_per_order(),
             inflight_upcalls: self.engine.inflight(),
-            pending_pulls: self.engine.pending_pulls.len() as u64,
+            arriving_pages: self.engine.parked.len() as u64,
             clock_ring_pages: self.policy.tracked() as u64,
             gmap_slots: self.gmap.len() as u64,
             reserve_free: free.min(self.config.emergency_reserve_frames),

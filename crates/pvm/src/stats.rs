@@ -137,17 +137,16 @@ counters! {
     readahead_hits => ReadaheadHits,
     /// Times a stream's pull window grew (doubled).
     readahead_ramps => ReadaheadRamps,
-    /// Asynchronous upcalls submitted to the completion engine
-    /// (fire-and-collect readahead pulls and laundering pushes).
+    /// Upcalls submitted to the completion engine (pull windows,
+    /// fire-and-collect laundering pushes, advice rounds).
     async_submits => AsyncSubmits,
-    /// Asynchronous completions delivered by the scheduler (each
-    /// applies its deferred bookkeeping under the state lock).
+    /// Requests the completion engine concluded (a pull window once,
+    /// with its last page or its failure); equals `async_submits` once
+    /// the engine is drained.
     async_deliveries => AsyncDeliveries,
-    /// Pending asynchronous pulls merged into an adjacent in-flight or
-    /// queued request instead of submitting a new one.
-    async_coalesced => AsyncCoalesced,
     /// Times a thread had to force-deliver the earliest in-flight
-    /// completion to make progress (stub wait or frame exhaustion).
+    /// completion to make progress (a stub wait, the faulter's own
+    /// included; frame exhaustion; a submit over the cap).
     async_inflight_stalls => AsyncInflightStalls,
     /// Completions delivered in a different order than their requests
     /// were submitted (the observable signature of the engine).
@@ -157,20 +156,12 @@ counters! {
     /// the simulated clock.
     watchdog_cancels => WatchdogCancels,
     /// Mappers escalated to the `Suspected` state after repeated
-    /// watchdog timeouts (degraded to the synchronous path with a
-    /// shrunken in-flight cap, one step short of quarantine).
+    /// watchdog timeouts (in-flight cap shrunk to one request at a
+    /// time, one step short of quarantine).
     suspected_mappers => SuspectedMappers,
-    /// Faulting threads stalled by backpressure because the pending
-    /// asynchronous pull queue was at its configured bound.
-    throttle_stalls => ThrottleStalls,
     /// Contexts killed by the out-of-memory escalation path (frame
     /// exhaustion with no reclaim progress).
     oom_kills => OomKills,
-    /// Pending (queued, never submitted) asynchronous pulls failed
-    /// because their cache was quarantined while they waited; their
-    /// stubs are cleared so waiters observe the poisoning instead of
-    /// hanging.
-    async_pending_failed => AsyncPendingFailed,
     /// Allocations that dipped into the emergency frame reserve (only
     /// pull-recovery and pageout work may draw from it).
     reserve_grants => ReserveGrants,
@@ -322,7 +313,7 @@ mod tests {
 
     #[test]
     fn counter_labels_match_snapshot_fields() {
-        assert_eq!(Counter::ALL.len(), 55);
+        assert_eq!(Counter::ALL.len(), 52);
         assert_eq!(Counter::ReadaheadHits.label(), "readahead_hits");
         assert_eq!(Counter::ReadaheadRamps.label(), "readahead_ramps");
         assert_eq!(Counter::PolicyVictims.label(), "policy_victims");

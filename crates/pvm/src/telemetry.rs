@@ -18,7 +18,7 @@
 //! sim-time series is a pure observation of the run it rides on.
 //!
 //! Gauges that counters cannot express — free frames, per-order buddy
-//! occupancy, completion-table depth, pending-pull queue length,
+//! occupancy, completion-table depth, pages awaiting arrival,
 //! clock-ring size, emergency-reserve level — are captured as
 //! [`TelemetrySample`] points into a bounded [`SeriesRing`]
 //! (drop-oldest), exported by [`crate::TraceSink`] as chrome-trace
@@ -282,10 +282,11 @@ pub struct TelemetrySample {
     pub free_frames: u32,
     /// Free buddy blocks per order (`free_blocks_per_order`).
     pub free_blocks_per_order: Vec<u32>,
-    /// In-flight asynchronous upcalls (completion-table population).
+    /// In-flight upcalls (completion-table population; a pull window is
+    /// one).
     pub inflight_upcalls: u64,
-    /// Queued (not yet submitted) asynchronous pulls.
-    pub pending_pulls: u64,
+    /// Pages of pull windows in flight that have not arrived.
+    pub arriving_pages: u64,
     /// Pages in the clock replacement ring.
     pub clock_ring_pages: u64,
     /// Live slots in the global map (pages + stubs).
@@ -413,7 +414,7 @@ mod tests {
             free_frames: 0,
             free_blocks_per_order: Vec::new(),
             inflight_upcalls: 0,
-            pending_pulls: 0,
+            arriving_pages: 0,
             clock_ring_pages: 0,
             gmap_slots: 0,
             reserve_free: 0,

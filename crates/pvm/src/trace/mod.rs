@@ -270,9 +270,9 @@ pub enum TraceEvent {
         /// Transient retries performed.
         retries: u64,
     },
-    /// An asynchronous upcall entered the per-mapper in-flight table
-    /// (fire-and-collect; the mapper protocol already ran eagerly, the
-    /// bookkeeping is deferred to the completion delivery).
+    /// An upcall entered the per-mapper in-flight table (the mapper
+    /// protocol runs eagerly, the bookkeeping is deferred to the
+    /// completion delivery).
     UpcallSubmit {
         /// Which upcall.
         kind: UpcallKind,
@@ -284,6 +284,10 @@ pub enum TraceEvent {
         size: u64,
         /// In-flight requests (this one included) after the submit.
         inflight: u64,
+        /// Pages the request covers (a pull window, a push run).
+        pages: u64,
+        /// Simulated time its last page arrives.
+        last_arrival_ns: u64,
     },
     /// A completion was delivered by the scheduler and its deferred
     /// bookkeeping applied.
@@ -296,6 +300,10 @@ pub enum TraceEvent {
         retries: u64,
         /// In-flight requests remaining after the delivery.
         inflight: u64,
+        /// Pages the request covered.
+        pages: u64,
+        /// Simulated time its last page was due.
+        last_arrival_ns: u64,
     },
     /// The clock algorithm evicted a page.
     Eviction {
@@ -330,12 +338,6 @@ pub enum TraceEvent {
         segment: u64,
         /// Watchdog timeouts observed so far.
         timeouts: u32,
-    },
-    /// A faulting thread was stalled by backpressure: the pending
-    /// asynchronous pull queue hit its configured bound.
-    Throttled {
-        /// Pending pulls queued at the stall.
-        pending: u64,
     },
     /// The out-of-memory escalation killed a context.
     OomKill {

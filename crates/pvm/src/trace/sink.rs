@@ -111,6 +111,8 @@ fn parts(e: &TraceEvent) -> (Ph, String, Vec<(&'static str, String)>) {
             offset,
             size,
             inflight,
+            pages,
+            last_arrival_ns,
         } => (
             Ph::Instant,
             format!("upcall.submit.{}", kind.label()),
@@ -119,6 +121,8 @@ fn parts(e: &TraceEvent) -> (Ph, String, Vec<(&'static str, String)>) {
                 ("offset", offset.to_string()),
                 ("size", size.to_string()),
                 ("inflight", inflight.to_string()),
+                ("pages", pages.to_string()),
+                ("last_arrival_ns", last_arrival_ns.to_string()),
             ],
         ),
         TraceEvent::UpcallComplete {
@@ -126,6 +130,8 @@ fn parts(e: &TraceEvent) -> (Ph, String, Vec<(&'static str, String)>) {
             outcome,
             retries,
             inflight,
+            pages,
+            last_arrival_ns,
         } => (
             Ph::Instant,
             format!("upcall.complete.{}", kind.label()),
@@ -133,6 +139,8 @@ fn parts(e: &TraceEvent) -> (Ph, String, Vec<(&'static str, String)>) {
                 ("outcome", s(outcome.label())),
                 ("retries", retries.to_string()),
                 ("inflight", inflight.to_string()),
+                ("pages", pages.to_string()),
+                ("last_arrival_ns", last_arrival_ns.to_string()),
             ],
         ),
         TraceEvent::Eviction { cache, offset } => (
@@ -167,11 +175,6 @@ fn parts(e: &TraceEvent) -> (Ph, String, Vec<(&'static str, String)>) {
                 ("segment", segment.to_string()),
                 ("timeouts", timeouts.to_string()),
             ],
-        ),
-        TraceEvent::Throttled { pending } => (
-            Ph::Instant,
-            "throttle.stall".into(),
-            vec![("pending", pending.to_string())],
         ),
         TraceEvent::OomKill {
             ctx,
@@ -304,8 +307,8 @@ impl TraceSink {
             counter(
                 "engine.queues",
                 format!(
-                    "\"inflight\":{},\"pending_pulls\":{}",
-                    s.inflight_upcalls, s.pending_pulls
+                    "\"inflight\":{},\"arriving_pages\":{}",
+                    s.inflight_upcalls, s.arriving_pages
                 ),
             );
             counter(
@@ -341,7 +344,7 @@ impl TraceSink {
             .map(|s| {
                 format!(
                     "{{\"sim_ns\":{},\"free_frames\":{},\"free_blocks_per_order\":[{}],\
-                     \"inflight_upcalls\":{},\"pending_pulls\":{},\"clock_ring_pages\":{},\
+                     \"inflight_upcalls\":{},\"arriving_pages\":{},\"clock_ring_pages\":{},\
                      \"gmap_slots\":{},\"reserve_free\":{}}}",
                     s.sim_ns,
                     s.free_frames,
@@ -351,7 +354,7 @@ impl TraceSink {
                         .collect::<Vec<_>>()
                         .join(","),
                     s.inflight_upcalls,
-                    s.pending_pulls,
+                    s.arriving_pages,
                     s.clock_ring_pages,
                     s.gmap_slots,
                     s.reserve_free
@@ -542,7 +545,7 @@ mod tests {
             free_frames: free,
             free_blocks_per_order: vec![3, 1, 0],
             inflight_upcalls: 2,
-            pending_pulls: 1,
+            arriving_pages: 1,
             clock_ring_pages: 5,
             gmap_slots: 6,
             reserve_free: free.min(4),

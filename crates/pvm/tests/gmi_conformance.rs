@@ -57,10 +57,9 @@ fn pvm_passes_gmi_conformance_through_v2() {
 
     conformance::run_v2(|mode| {
         let mgr = Arc::new(MemSegmentManager::new());
-        // Knobs that actually put traffic through the completion
-        // engine in the native mode: clustered pulls split their tail
-        // into asynchronous submissions and the laundering daemon
-        // issues fire-and-collect pushes.
+        // Knobs that put traffic through the completion engine on
+        // both front ends: clustered pulls are multi-page windows and
+        // the laundering daemon issues fire-and-collect pushes.
         let config = PvmConfig::builder()
             .paging(|p| {
                 p.check_invariants(true)
@@ -71,10 +70,6 @@ fn pvm_passes_gmi_conformance_through_v2() {
                 p.writeback_daemon(true)
                     .writeback_low_frames(4)
                     .writeback_high_frames(8)
-            })
-            .r#async(|a| {
-                a.async_upcalls(mode == V2Mode::NativeAsync)
-                    .max_inflight_upcalls(2)
             })
             .build()
             .expect("valid config");

@@ -101,7 +101,6 @@ fn inflight_gauge_matches_completion_table() {
         config: PvmConfig::builder()
             .paging(|p| p.check_invariants(true).pull_cluster_pages(4))
             .telemetry(|t| t.telemetry(true))
-            .r#async(|a| a.async_upcalls(true).max_inflight_upcalls(2))
             .build()
             .expect("valid config"),
     };

@@ -17,7 +17,7 @@ use chorus_hal::{CostParams, PageGeometry};
 use chorus_nucleus::{
     FaultPlan, FaultyMapper, MemMapper, NucleusSegmentManager, PortName, SwapMapper,
 };
-use chorus_pvm::trace::{TraceEvent, UpcallOutcome};
+use chorus_pvm::trace::{TraceEvent, UpcallKind, UpcallOutcome};
 use chorus_pvm::{Pvm, PvmConfig, PvmOptions};
 use common::{stack, FaultStack, Lcg, PS};
 use proptest::prelude::*;
@@ -451,9 +451,10 @@ fn clustered_pull_stops_at_resident_pages() {
 fn batched_writeback_faults_never_lose_dirty_pages() {
     // The full healing workload with clustering and the writeback
     // daemon on, under transient/truncate/crash fault sprinkling on
-    // *writes* as well as reads: batched copyBacks fail mid-run, get
-    // split and retried page by page, and the byte oracle proves no
-    // dirty page is ever lost. Truncated writes land half the batch
+    // *writes* as well as reads: batched copyBacks fail mid-run — one
+    // somebody waits for is split and retried page by page, one the
+    // daemon submitted leaves its pages dirty for the next pass — and
+    // the byte oracle proves no dirty page is ever lost. Truncated writes land half the batch
     // before dying, so the idempotent-rewrite path is exercised too.
     for cluster in [None, Some(4)] {
         batched_writeback_case(cluster);
@@ -493,12 +494,24 @@ fn batched_writeback_case(cluster: Option<u64>) {
         let stats = s.pvm.stats();
         batches += stats.push_out_batches;
         splits += stats.push_batch_splits;
+        let left_dirty = |r: &&chorus_pvm::trace::TraceRecord| {
+            matches!(
+                r.event,
+                TraceEvent::UpcallComplete {
+                    kind: UpcallKind::PushOut,
+                    outcome: UpcallOutcome::Transient,
+                    pages: 2..,
+                    ..
+                }
+            )
+        };
+        splits += s.pvm.tracer().drain().iter().filter(left_dirty).count() as u64;
         assert_eq!(stats.quarantined_caches, 0, "seed={seed}");
     }
     assert!(batches > 0, "clustered pushOut never fired ({cluster:?})");
     assert!(
         splits > 0,
-        "no batch ever failed and split: faults too weak ({cluster:?})"
+        "no batch ever failed (and split, or stayed dirty): faults too weak ({cluster:?})"
     );
 }
 
@@ -862,23 +875,21 @@ fn injected_faults_and_retries_appear_in_the_trace() {
     assert_eq!(pull_ok, stats.pull_ins);
 }
 
-// ----- asynchronous upcall engine ------------------------------------------
+// ----- the completion engine -------------------------------------------------
 
-/// Async knobs used by the engine fault tests: clustered pulls feed the
-/// tail-split path and the laundering daemon feeds fire-and-collect
-/// pushes, all through the completion scheduler.
+/// Knobs used by the engine fault tests: clustered pulls feed multi-page
+/// windows and the laundering daemon feeds fire-and-collect pushes, all
+/// through the completion scheduler.
 fn async_knobs(c: &mut PvmConfig) {
     c.pull_cluster_pages = 4;
     c.push_cluster_pages = 4;
     c.writeback_daemon = true;
     c.writeback_low_frames = 2;
     c.writeback_high_frames = 4;
-    c.async_upcalls = true;
-    c.max_inflight_upcalls = 4;
 }
 
 #[test]
-fn async_upcalls_heal_faults_without_dirty_page_loss() {
+fn completion_engine_heals_faults_without_dirty_page_loss() {
     // The healing workload under the completion engine with transient,
     // truncating and crash-once faults on both mappers: the byte oracle
     // proves no dirty page is lost while completions are in flight, and
@@ -916,7 +927,6 @@ fn ooo_stack() -> FaultStack {
     seg_mgr.set_default_mapper(PortName(2));
     let config = PvmConfig::builder()
         .paging(|p| p.check_invariants(true).push_cluster_pages(8))
-        .r#async(|a| a.async_upcalls(true).max_inflight_upcalls(4))
         .pressure(|pr| {
             pr.writeback_daemon(true)
                 .writeback_low_frames(4)
@@ -994,10 +1004,10 @@ fn async_completions_deliver_out_of_order_and_deterministically() {
     assert_eq!(stats1, stats2, "counters diverged across identical runs");
 }
 
-// ===== memory-pressure survival: watchdog, backpressure, OOM killer =====
+// ===== memory-pressure survival: watchdog, OOM killer =====
 
-/// One simulated hour: the horizon a hung (timed-out) asynchronous
-/// upcall parks at when nobody cancels it.
+/// One simulated hour: the horizon a hung (timed-out) upcall parks at
+/// when nobody cancels it.
 const HOUR: u64 = 3_600_000_000_000;
 
 /// A plan whose only fault is a hang: from upcall number `at` on, the
@@ -1015,9 +1025,8 @@ fn hang_plan(at: u64) -> FaultPlan {
     }
 }
 
-/// The pressure-suite knobs: clustered async pulls without the
-/// writeback daemon (so the only engine traffic is what the test
-/// drives). The pools are too small for a stream to widen a window past
+/// The pressure-suite knobs: clustered pulls without the writeback
+/// daemon (so the only engine traffic is what the test drives). The pools are too small for a stream to widen a window past
 /// the cluster size, so pull boundaries stay fixed.
 fn pressure_knobs(c: &mut PvmConfig) {
     async_knobs(c);
@@ -1062,17 +1071,15 @@ fn watchdog_cancels_hung_pull_and_degrades_the_segment_to_sync() {
     pvm.region_create(ctx, VirtAddr(base), SEG_SIZE as u64, Prot::RW, cache, 0)
         .unwrap();
 
-    // First fault: the clustered pull splits, the async tail wedges in
-    // the hung mapper and parks in flight, the sync head times out
-    // against the retry deadline and surfaces a transient error.
+    // First fault: the window wedges in the hung mapper and parks in
+    // flight; the faulter, waiting on its page, has the watchdog rule
+    // on it: the window is cancelled at its deadline (about a
+    // simulated second), not at the hung-reply horizon, the faulter
+    // gets the timeout and the segment becomes Suspected.
     let mut byte = [0u8; 1];
     let err = pvm.vm_read(ctx, VirtAddr(base), &mut byte).unwrap_err();
     assert!(matches!(err, GmiError::MapperTimeout { .. }), "{err}");
     assert!(s.faulty_files.is_wedged());
-
-    // Heal the mapper, then let the watchdog rule on the parked pull:
-    // it is cancelled at its deadline (about a simulated second), not
-    // at the hung-reply horizon, and the segment becomes Suspected.
     s.faulty_files.set_plan(FaultPlan::quiet(2));
     pvm.drain_upcalls();
     let stats = pvm.stats();
@@ -1082,14 +1089,14 @@ fn watchdog_cancels_hung_pull_and_degrades_the_segment_to_sync() {
     let t = pvm.cost_model().now().nanos();
     assert!(t < HOUR, "watchdog waited for the hung reply: {t} ns");
 
-    // A Suspected segment degrades to the synchronous path, which is
+    // A Suspected segment gets one request at a time, which is
     // slower but correct: the full content reads back.
     let mut got = vec![0u8; SEG_SIZE];
     pvm.vm_read(ctx, VirtAddr(base), &mut got).unwrap();
     assert_eq!(got, init);
 
     // No dirty page is lost across the recovery: overwrite the whole
-    // segment and push it back through the degraded path.
+    // segment and push it back.
     let new: Vec<u8> = (0..SEG_SIZE)
         .map(|k| (k as u8).wrapping_mul(13).wrapping_add(5))
         .collect();
@@ -1179,106 +1186,6 @@ fn repeated_hangs_escalate_from_suspected_to_quarantine() {
     .unwrap();
     let mut got = vec![0u8; SEG_SIZE];
     pvm.vm_read(ctx, VirtAddr(0x20_0000), &mut got).unwrap();
-    assert_eq!(got, init);
-    assert!(pvm.cost_model().now().nanos() < HOUR);
-    pvm.check_invariants();
-}
-
-#[test]
-fn quarantine_mid_flight_fails_coalesced_pending_pulls() {
-    // Regression: a cache quarantined while one of its pulls is in
-    // flight must fail the coalesced pulls queued behind that request
-    // (clearing their stubs) rather than drop them, or a faulter on the
-    // queued range sleeps on a stub that will never be filled.
-    let s = stack(16, hang_plan(0), FaultPlan::quiet(2), |c| {
-        pressure_knobs(c);
-        c.max_inflight_upcalls = 1;
-    });
-    let pvm = &s.pvm;
-    let (ctx, _cache, _init) = file_region(&s, 8, 0x10_0000);
-    let base = 0x10_0000u64;
-
-    // Fault page 0: the async tail (pages 1..4) wedges and parks in
-    // flight; the sync head times out.
-    let mut byte = [0u8; 1];
-    let err = pvm.vm_read(ctx, VirtAddr(base), &mut byte).unwrap_err();
-    assert!(err.is_transient(), "{err}");
-
-    // The mapper now fails permanently (set_plan also un-wedges it).
-    s.faulty_files.set_plan(FaultPlan {
-        permanent_per_mille: 1000,
-        ..FaultPlan::quiet(3)
-    });
-
-    // Fault page 4: its tail (pages 5..8) queues behind the parked
-    // request (in-flight cap 1); the sync head's permanent failure
-    // quarantines the cache mid-flight.
-    let err = pvm
-        .vm_read(ctx, VirtAddr(base + 4 * PS), &mut byte)
-        .unwrap_err();
-    assert!(!err.is_transient(), "{err}");
-
-    // A faulter on the queued tail range observes the quarantine
-    // promptly instead of sleeping behind the hung request.
-    let err = pvm
-        .vm_read(ctx, VirtAddr(base + 5 * PS), &mut byte)
-        .unwrap_err();
-    assert!(matches!(err, GmiError::CachePoisoned(_)), "{err}");
-    let t = pvm.cost_model().now().nanos();
-    assert!(t < HOUR, "faulter waited on the hung reply: {t} ns");
-    let stats = pvm.stats();
-    assert_eq!(stats.async_pending_failed, 1, "{stats:?}");
-    assert_eq!(stats.quarantined_caches, 1, "{stats:?}");
-
-    pvm.drain_upcalls();
-    pvm.check_invariants();
-}
-
-#[test]
-fn backpressure_throttles_faulters_at_the_pending_pull_bound() {
-    let s = stack(16, hang_plan(0), FaultPlan::quiet(2), |c| {
-        pressure_knobs(c);
-        c.max_inflight_upcalls = 1;
-        c.max_pending_pulls = 1;
-        c.upcall_watchdog = true;
-        c.suspect_after_timeouts = 10;
-        c.quarantine_after_timeouts = 10;
-    });
-    let pvm = &s.pvm;
-    let (ctx, _cache, init) = file_region(&s, 12, 0x10_0000);
-    let base = 0x10_0000u64;
-    let mut byte = [0u8; 1];
-
-    // Saturate: one parked in-flight pull (pages 1..4), one pending
-    // pull queued behind it (pages 5..8).
-    let err = pvm.vm_read(ctx, VirtAddr(base), &mut byte).unwrap_err();
-    assert!(err.is_transient(), "{err}");
-    let err = pvm
-        .vm_read(ctx, VirtAddr(base + 4 * PS), &mut byte)
-        .unwrap_err();
-    assert!(err.is_transient(), "{err}");
-
-    // The third faulter hits the bound: it is throttled, and the stall
-    // force-delivers (cancels) the parked request to drain the queue
-    // forward rather than merely sleeping.
-    let err = pvm
-        .vm_read(ctx, VirtAddr(base + 8 * PS), &mut byte)
-        .unwrap_err();
-    assert!(err.is_transient(), "{err}");
-    let stats = pvm.stats();
-    assert_eq!(stats.throttle_stalls, 1, "{stats:?}");
-    assert_eq!(stats.watchdog_cancels, 1, "{stats:?}");
-    let t = pvm.cost_model().now().nanos();
-    assert!(
-        t < HOUR,
-        "throttled faulter waited for the hung reply: {t} ns"
-    );
-
-    // Heal; the drained pipeline recovers and every byte reads back.
-    s.faulty_files.set_plan(FaultPlan::quiet(2));
-    pvm.drain_upcalls();
-    let mut got = vec![0u8; (12 * PS) as usize];
-    pvm.vm_read(ctx, VirtAddr(base), &mut got).unwrap();
     assert_eq!(got, init);
     assert!(pvm.cost_model().now().nanos() < HOUR);
     pvm.check_invariants();

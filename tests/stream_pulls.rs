@@ -445,8 +445,13 @@ impl Queued {
 fn a_light_entry_launders_one_queued_run_and_a_stale_key_is_dropped() {
     let q = queued(FaultPlan::quiet(1));
     let (s, pvm) = (&q.s, &q.s.pvm);
+    // Submitted on the light entry, collected at the next one: page 0
+    // is `cleaning` in between.
+    let cleaned = pvm.stats().push_outs;
     assert_eq!(q.light(), [(0, 1)], "oldest first, one run per entry");
+    assert_eq!(pvm.stats().push_outs, cleaned, "still in flight");
     assert_eq!(q.light(), [(2, 1)]);
+    assert_eq!(pvm.stats().push_outs, cleaned + 1, "page 0 delivered");
 
     // Freed: the invalidate is itself a light entry; page 4 is gone by
     // the time the queue is looked at, so page 6 goes out.
@@ -503,22 +508,36 @@ fn an_entry_the_writeback_daemon_pushed_in_is_not_a_light_one() {
     }
     let two = [page_bytes(0x32, 40), page_bytes(0x32, 41)].concat();
     s.pvm.cache_write(cache, 40 * PS, &two).unwrap();
-    let before = s.pvm.stats();
-    assert_eq!(before.write_behind_pushes, 0);
+    let mut last = s.pvm.stats();
+    assert_eq!(last.write_behind_pushes, 0);
     s.upcalls(UpcallKind::PushOut);
-    let light = || {
-        let mut buf = [0u8; 6];
-        s.pvm.cache_read(pinned, 0, &mut buf).unwrap();
-        s.upcalls(UpcallKind::PushOut).len()
-    };
-    // No free frame: the daemon's pass takes this entry's one round trip.
-    assert_eq!(light(), 1);
-    let after = s.pvm.stats();
-    assert_eq!(after.launder_passes, before.launder_passes + 1);
-    assert_eq!(after.write_behind_pushes, 0);
-    // The daemon is satisfied now, and the next entry drains the queue.
-    assert_eq!(light(), 1);
-    assert_eq!(s.pvm.stats().write_behind_pushes, 1);
+    // Entries that block on nothing of their own: a read of the pinned
+    // page, a first write of a page. The daemon's pushes are submitted
+    // and collected at a later entry, which then finds clean victims;
+    // whenever its pass does push, that is the entry's round trip, and
+    // the queue waits for the next light one.
+    let (mut pushed_in, mut light) = (0, 0);
+    for k in 0..32 {
+        if k % 2 == 0 {
+            s.pvm.cache_read(pinned, 0, &mut [0u8; 6]).unwrap();
+        } else {
+            write_page(&s, ctx, QBASE, 42 + k, &page_bytes(0x32, 42 + k));
+        }
+        let now = s.pvm.stats();
+        let pushes = s.upcalls(UpcallKind::PushOut).len() as u64;
+        let queue = now.write_behind_pushes - last.write_behind_pushes;
+        let daemon = pushes - queue - (now.demand_pushes - last.demand_pushes);
+        assert!(queue <= 1, "one run per light entry");
+        assert!(
+            daemon == 0 || queue == 0,
+            "entry {k}: the daemon's pass and the queue both pushed"
+        );
+        assert!(daemon == 0 || now.launder_passes > last.launder_passes);
+        pushed_in += u64::from(daemon > 0);
+        light += queue;
+        last = now;
+    }
+    assert!(pushed_in > 0 && light > 0, "{pushed_in} / {light}");
     s.pvm.check_invariants();
 }
 
@@ -528,7 +547,10 @@ fn a_failed_write_behind_push_is_swallowed_and_the_page_stays_dirty() {
     let pvm = &q.s.pvm;
     let before = pvm.stats();
     assert_eq!(q.light(), [(0, 1)], "issued; the mapper refuses it");
+    // The refusal is collected, and swallowed, at the next entry.
+    assert_eq!(q.light(), [(2, 1)]);
     let after = pvm.stats();
+    assert_eq!(after.async_deliveries + 1, after.async_submits);
     assert_eq!(after.push_outs, before.push_outs, "nothing was cleaned");
     assert_eq!(after.quarantined_caches, 0);
     q.s.faulty_swap.set_plan(FaultPlan::quiet(1));
@@ -555,6 +577,9 @@ fn quarantine_and_destruction_empty_the_queue_without_a_push() {
         ..FaultPlan::quiet(1)
     });
     assert_eq!(q.light(), [(0, 1)]);
+    // The failure is collected at the next entry, and quarantines there.
+    assert_eq!(q.s.pvm.stats().quarantined_caches, 0, "still in flight");
+    assert_eq!(q.light(), []);
     assert_eq!(q.s.pvm.stats().quarantined_caches, 1);
     for _ in 0..8 {
         assert_eq!(
