@@ -48,7 +48,7 @@ fn run(fault_per_mille: u32, policy: RetryPolicy, policy_name: &'static str) -> 
             frames: (PAGES / 2) as u32,
             cost: CostParams::sun3(),
             config: PvmConfig::builder()
-                .r#async(|a| a.retry(policy))
+                .retry(policy)
                 .paging(|p| p.check_invariants(false))
                 // Telemetry never charges the cost model, so the table
                 // below is identical with the knob on; each scenario

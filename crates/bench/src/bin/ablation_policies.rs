@@ -1,4 +1,4 @@
-//! Ablation: the policy engine (DESIGN.md §14) — every built-in
+//! Ablation: the policy engine (DESIGN.md §13) — every built-in
 //! replacement policy, raced across three scenarios:
 //!
 //! * `scale` — repeated sequential read scans of a working set three
@@ -6,9 +6,9 @@
 //!   recency protection cannot help (pulls are pinned at two pages:
 //!   this bench's segment manager states no segment lengths, so the
 //!   stream table adds nothing — `ablation_readahead` covers that);
-//! * `writeback` — dirty rewrite scans with the writeback daemon and
-//!   `pushOut` clustering on: victim choice decides how often the
-//!   pageout pipeline runs against dirty pages;
+//! * `writeback` — dirty rewrite scans: every victim is dirty, so
+//!   victim choice decides how often the pageout pipeline (write-behind
+//!   queue, clustered `pushOut`) runs;
 //! * `pressure` — a hot set rewritten every round while a cold stream
 //!   sweeps through the remaining frames: policies that track reuse
 //!   (LRU, WSClock, ARC) keep the hot set resident and fault less.
@@ -74,49 +74,20 @@ impl Row {
     }
 }
 
-/// Per-scenario paging/pressure knobs, shared across every combo so
-/// the only raced variable is the policy section.
-#[derive(Clone, Copy)]
-struct Knobs {
-    /// The minimum pull window (0 = the default).
-    pull_cluster: u64,
-    /// `pushOut` clustering + the watermark writeback daemon.
-    writeback: bool,
-}
-
-/// Builds the raced world. `policy: None` builds the control config
-/// that never touches the policy section (the defaults must behave
+/// Builds the raced world with a minimum pull window of
+/// `pull_cluster` pages (1 = the default), shared across every combo
+/// so the only raced variable is the policy. `policy: None` builds the
+/// control config that never names one (the default must behave
 /// identically to an explicit clock selection).
-fn world(policy: Option<ReplacementKind>, knobs: Knobs) -> World<Pvm> {
-    let config = PvmConfig::builder()
-        .paging(|p| {
-            let p = p.check_invariants(false);
-            let p = if knobs.pull_cluster > 0 {
-                p.pull_cluster_pages(knobs.pull_cluster)
-            } else {
-                p
-            };
-            if knobs.writeback {
-                p.push_cluster_pages(8)
-            } else {
-                p
-            }
-        })
-        .pressure(|pr| {
-            if knobs.writeback {
-                pr.writeback_daemon(true)
-                    .writeback_low_frames(16)
-                    .writeback_high_frames(32)
-            } else {
-                pr
-            }
-        })
-        .policy(|p| match policy {
-            Some(kind) => p.replacement(kind),
-            None => p,
-        })
-        .build()
-        .expect("valid config");
+fn world(policy: Option<ReplacementKind>, pull_cluster: u64) -> World<Pvm> {
+    let builder =
+        PvmConfig::builder().paging(|p| p.check_invariants(false).pull_cluster_pages(pull_cluster));
+    let config = match policy {
+        Some(kind) => builder.replacement(kind),
+        None => builder,
+    }
+    .build()
+    .expect("valid config");
     pvm_world_config(FRAMES, config)
 }
 
@@ -144,13 +115,7 @@ fn finish(
 /// Sequential read scans: the working set floods the pool `scans`
 /// times, two pages a pull whatever the policy.
 fn run_scale(shape: &Shape, policy: Option<ReplacementKind>) -> Row {
-    let w = world(
-        policy,
-        Knobs {
-            pull_cluster: 2,
-            writeback: false,
-        },
-    );
+    let w = world(policy, 2);
     let content: Vec<u8> = (0..shape.ws_pages * PAGE)
         .map(|i| (i % 241) as u8)
         .collect();
@@ -181,13 +146,7 @@ fn run_scale(shape: &Shape, policy: Option<ReplacementKind>) -> Row {
 /// Dirty rewrite scans with the pageout pipeline on: every victim is
 /// dirty, so the policy's choices feed straight into `pushOut` batches.
 fn run_writeback(shape: &Shape, policy: Option<ReplacementKind>) -> Row {
-    let w = world(
-        policy,
-        Knobs {
-            pull_cluster: 0,
-            writeback: true,
-        },
-    );
+    let w = world(policy, 1);
     let content: Vec<u8> = (0..shape.ws_pages * PAGE)
         .map(|i| (i % 239) as u8)
         .collect();
@@ -219,13 +178,7 @@ fn run_writeback(shape: &Shape, policy: Option<ReplacementKind>) -> Row {
 /// stream walks the rest of the working set. Reuse-tracking policies
 /// keep the hot pages resident across rounds.
 fn run_pressure(shape: &Shape, policy: Option<ReplacementKind>) -> Row {
-    let w = world(
-        policy,
-        Knobs {
-            pull_cluster: 0,
-            writeback: false,
-        },
-    );
+    let w = world(policy, 1);
     let content: Vec<u8> = (0..shape.ws_pages * PAGE)
         .map(|i| (i % 233) as u8)
         .collect();

@@ -1,6 +1,6 @@
-//! Ablation: the memory-pressure survival layer (DESIGN.md §11) — the
-//! hung-upcall watchdog and the OOM victim killer — against the bare
-//! completion engine.
+//! Ablation: liveness under a hung mapper (DESIGN.md §11) — the
+//! completion engine's deadline watchdog against an engine with no
+//! deadline.
 //!
 //! A file-backed working set is swept through clustered pulls while the
 //! mapper wedges mid-run (every reply from then on is a
@@ -8,27 +8,24 @@
 //! third visible error and revisits the failures — the question is what
 //! the *kernel* does with the replies that never arrived:
 //!
-//! * with the watchdog off, the parked request is only resolved when a
-//!   faulter or the final drain forces it, paying the full hung-reply
-//!   horizon (one simulated hour) — the workload completes but stalls;
-//! * with the watchdog on, the request is cancelled at its retry
-//!   deadline (about a simulated second) and the mapper is marked
-//!   Suspected, so end-to-end time stays within sight of the healthy
-//!   baseline.
+//! * with no deadline (`retry.deadline_ns = 0`), the parked request is
+//!   only resolved when a faulter or the final drain forces it, paying
+//!   the full hung-reply horizon (one simulated hour) — the workload
+//!   completes but stalls;
+//! * with the default deadline, the request is cancelled at it (about a
+//!   simulated second) and the mapper is marked Suspected, so
+//!   end-to-end time stays within sight of the healthy baseline.
 //!
 //! In every configuration the byte oracle must hold: a hang may cost
-//! time, never data. A separate mini-scenario pins every frame with two
-//! contexts and faults a third: the OOM killer must reclaim exactly one
-//! victim (the largest) and leave the survivor bit-intact.
+//! time, never data.
 //!
 //! The layer must stay deterministic: a built-in self-check re-runs the
-//! watchdog configuration and asserts bit-identical clocks and
-//! counters.
+//! default configuration and asserts bit-identical clocks and counters.
 //!
 //! Usage: `cargo run --release -p chorus-bench --bin ablation_pressure [--json] [--quick]`
 
 use chorus_bench::{assert_deterministic, bench_args, json, PAGE};
-use chorus_gmi::{Gmi, GmiError, Prot, SyncShim, VirtAddr};
+use chorus_gmi::{Gmi, Prot, RetryPolicy, SyncShim, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_nucleus::{FaultPlan, FaultyMapper, MemMapper, NucleusSegmentManager, PortName};
 use chorus_pvm::{Pvm, PvmConfig, PvmOptions};
@@ -56,7 +53,8 @@ const QUICK: Shape = Shape {
 struct Row {
     scenario: &'static str,
     hang: bool,
-    watchdog: bool,
+    /// Whether requests carry the default deadline (none otherwise).
+    deadline: bool,
     client_errors: u64,
     watchdog_cancels: u64,
     suspected_mappers: u64,
@@ -65,7 +63,7 @@ struct Row {
     sim_ms: f64,
 }
 
-fn run_config(shape: &Shape, scenario: &'static str, hang: bool, watchdog: bool) -> Row {
+fn run_config(shape: &Shape, scenario: &'static str, hang: bool, deadline: bool) -> Row {
     let seg_mgr = Arc::new(NucleusSegmentManager::new());
     let files = Arc::new(MemMapper::new(PortName(1)));
     let plan = if hang {
@@ -85,10 +83,13 @@ fn run_config(shape: &Shape, scenario: &'static str, hang: bool, watchdog: bool)
             cost: CostParams::sun3(),
             config: PvmConfig::builder()
                 .paging(|p| p.check_invariants(false).pull_cluster_pages(PULL_CLUSTER))
-                .r#async(|a| {
-                    a.upcall_watchdog(watchdog)
-                        .suspect_after_timeouts(2)
-                        .quarantine_after_timeouts(1 << 20)
+                .retry(RetryPolicy {
+                    deadline_ns: if deadline {
+                        RetryPolicy::default().deadline_ns
+                    } else {
+                        0
+                    },
+                    ..RetryPolicy::default()
                 })
                 .build()
                 .expect("valid config"),
@@ -178,7 +179,7 @@ fn run_config(shape: &Shape, scenario: &'static str, hang: bool, watchdog: bool)
     Row {
         scenario,
         hang,
-        watchdog,
+        deadline,
         client_errors,
         watchdog_cancels: stats.watchdog_cancels,
         suspected_mappers: stats.suspected_mappers,
@@ -188,82 +189,12 @@ fn run_config(shape: &Shape, scenario: &'static str, hang: bool, watchdog: bool)
     }
 }
 
-struct OomOutcome {
-    oom_kills: u64,
-    victim_reported: bool,
-    survivor_intact: bool,
-}
-
-/// Every frame pinned by two contexts, a third faults: the killer must
-/// reclaim exactly one victim (the six-page context, the largest
-/// footprint) and leave the two-page survivor bit-intact.
-fn oom_scenario() -> OomOutcome {
-    let seg_mgr = Arc::new(NucleusSegmentManager::new());
-    let files = Arc::new(MemMapper::new(PortName(1)));
-    seg_mgr.register_mapper(PortName(1), files.clone());
-    seg_mgr.set_default_mapper(PortName(1));
-    let ps = PAGE;
-    let pvm = Pvm::new(
-        PvmOptions {
-            geometry: PageGeometry::sun3(),
-            frames: 8,
-            cost: CostParams::sun3(),
-            config: PvmConfig::builder()
-                .paging(|p| p.check_invariants(true))
-                .pressure(|pr| pr.oom_killer(true))
-                .build()
-                .expect("valid config"),
-            ..PvmOptions::default()
-        },
-        SyncShim::wrap(seg_mgr.clone()),
-    );
-    let victim = pvm.context_create().unwrap();
-    let cache_v = pvm.cache_create(None).unwrap();
-    let r_v = pvm
-        .region_create(victim, VirtAddr(0x100_0000), 6 * ps, Prot::RW, cache_v, 0)
-        .unwrap();
-    pvm.region_lock_in_memory(r_v).unwrap();
-
-    let survivor = pvm.context_create().unwrap();
-    let cache_s = pvm.cache_create(None).unwrap();
-    let r_s = pvm
-        .region_create(survivor, VirtAddr(0x200_0000), 2 * ps, Prot::RW, cache_s, 0)
-        .unwrap();
-    let keep: Vec<u8> = (0..2 * ps as usize).map(|k| (k % 241) as u8).collect();
-    pvm.vm_write(survivor, VirtAddr(0x200_0000), &keep).unwrap();
-    pvm.region_lock_in_memory(r_s).unwrap();
-
-    let init: Vec<u8> = (0..ps as usize).map(|k| (k % 199) as u8).collect();
-    let cap = files.create_segment(&init);
-    let seg = seg_mgr.segment_for(cap);
-    let cache_f = pvm.cache_create(Some(seg)).unwrap();
-    let faulter = pvm.context_create().unwrap();
-    pvm.region_create(faulter, VirtAddr(0x300_0000), ps, Prot::READ, cache_f, 0)
-        .unwrap();
-    let mut got = vec![0u8; ps as usize];
-    pvm.vm_read(faulter, VirtAddr(0x300_0000), &mut got)
-        .unwrap();
-
-    let victim_reported = matches!(
-        pvm.vm_read(victim, VirtAddr(0x100_0000), &mut [0u8; 1]),
-        Err(GmiError::ContextKilled(id)) if id == victim
-    );
-    let mut back = vec![0u8; keep.len()];
-    pvm.vm_read(survivor, VirtAddr(0x200_0000), &mut back)
-        .unwrap();
-    OomOutcome {
-        oom_kills: pvm.stats().oom_kills,
-        victim_reported,
-        survivor_intact: got == init && back == keep,
-    }
-}
-
 fn main() {
     let args = bench_args();
     let (emit_json, quick) = (args.json, args.quick);
     let shape = args.shape(&FULL, &QUICK);
 
-    // Determinism self-check: the watchdog path must be bit-identical.
+    // Determinism self-check: the cancel path must be bit-identical.
     assert_deterministic("pressure layer", || {
         let r = run_config(shape, "selfcheck", true, true);
         (
@@ -275,9 +206,9 @@ fn main() {
     });
 
     let rows = vec![
-        run_config(shape, "healthy baseline", false, false),
-        run_config(shape, "hang, bare engine", true, false),
-        run_config(shape, "hang + watchdog", true, true),
+        run_config(shape, "healthy baseline", false, true),
+        run_config(shape, "hang, no deadline", true, false),
+        run_config(shape, "hang + deadline", true, true),
     ];
     let baseline = &rows[0];
     let bare = &rows[1];
@@ -301,20 +232,12 @@ fn main() {
         "watchdog never ruled"
     );
 
-    let oom = oom_scenario();
-    assert_eq!(oom.oom_kills, 1, "exactly one victim per escalation");
-    assert!(
-        oom.victim_reported,
-        "the kill must surface as ContextKilled"
-    );
-    assert!(oom.survivor_intact, "the survivor must keep its bytes");
-
     if emit_json {
         let encoded = rows.iter().map(|r| {
             json::Obj::new()
                 .str("scenario", r.scenario)
                 .bool("hang", r.hang)
-                .bool("watchdog", r.watchdog)
+                .bool("deadline", r.deadline)
                 .int("client_errors", r.client_errors)
                 .int("watchdog_cancels", r.watchdog_cancels)
                 .int("suspected_mappers", r.suspected_mappers)
@@ -331,14 +254,6 @@ fn main() {
                 .int("frames", u64::from(FRAMES))
                 .bool("quick", quick)
                 .raw("rows", &json::array(encoded))
-                .raw(
-                    "oom",
-                    &json::Obj::new()
-                        .int("oom_kills", oom.oom_kills)
-                        .bool("victim_reported", oom.victim_reported)
-                        .bool("survivor_intact", oom.survivor_intact)
-                        .build()
-                )
                 .build()
         );
         return;
@@ -363,16 +278,12 @@ fn main() {
         );
     }
     println!(
-        "\n  hung reply: bare engine pays {:.0} ms (the hung-reply horizon);\n\
-         the watchdog resolves it in {:.1} ms ({:.0}x better) against a\n\
-         healthy baseline of {:.1} ms. OOM: {} kill(s), victim reported: {},\n\
-         survivor intact: {}",
+        "\n  hung reply: with no deadline the engine pays {:.0} ms (the\n\
+         hung-reply horizon); the watchdog resolves it in {:.1} ms ({:.0}x\n\
+         better) against a healthy baseline of {:.1} ms.",
         bare.sim_ms,
         dog.sim_ms,
         bare.sim_ms / dog.sim_ms,
         baseline.sim_ms,
-        oom.oom_kills,
-        oom.victim_reported,
-        oom.survivor_intact,
     );
 }

@@ -1,6 +1,6 @@
 //! Ablation: stream-aware pull windows — §3.3.3's "the MM may
 //! unilaterally decide to cache a fragment of data", decided per cache
-//! by a table of at most four sequential streams (DESIGN.md §14). There
+//! by a table of at most four sequential streams (DESIGN.md §13). There
 //! is no knob to turn: the table is the shipped pull path, so the rows
 //! are access *shapes* over the same file and pool, and the columns are
 //! what the table made of each: how many `pullIn` round trips, how many

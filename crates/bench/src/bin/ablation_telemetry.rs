@@ -1,4 +1,4 @@
-//! Ablation: the dimensional-telemetry layer (DESIGN.md §13) — per-cache
+//! Ablation: the dimensional-telemetry layer (DESIGN.md §12) — per-cache
 //! and per-context counter families, the sim-time gauge sampler and the
 //! `pvmtop` attribution surface — against the bare kernel.
 //!
@@ -16,8 +16,8 @@
 //!
 //! The scenario's series and dimensional tables are exported as the
 //! `telemetry.json` artifact plus a chrome-trace file whose counter
-//! tracks (`mem.free`, `engine.queues`, `residency`, `buddy.free`) plot
-//! the gauges over simulated time.
+//! tracks (`mem.free`, `engine.queues`, `residency`) plot the gauges
+//! over simulated time.
 //!
 //! Usage: `cargo run --release -p chorus-bench --bin ablation_telemetry [--json] [--quick] [--out DIR]`
 
@@ -51,8 +51,8 @@ const QUICK: Shape = Shape {
 };
 
 /// Gauge cadence for the overhead run: coarse enough that the sampler
-/// walk (buddy orders) stays a rounding error next to
-/// the faults it observes, fine enough for a few hundred points.
+/// stays a rounding error next to the faults it observes, fine enough
+/// for a few hundred points.
 const SAMPLE_NS: u64 = 500_000_000;
 
 /// One pressure world: a file-backed working set twice the frame pool.

@@ -3,15 +3,14 @@
 //!
 //! A working set of dirty pages larger than the frame pool is rewritten
 //! in repeated sequential scans, so page replacement runs continuously
-//! and every victim is dirty. The grid varies the `pushOut` cluster
-//! size and toggles the watermark-driven writeback daemon:
-//!
-//! * clustering amortizes the fixed per-request mapper overhead over a
-//!   run of contiguous dirty pages (`pushout_upcalls` drops while
-//!   `pages_cleaned` stays constant);
-//! * the daemon launders dirty pages ahead of demand, so faulting
-//!   threads stop paying synchronous `pushOut` latency (the
-//!   `fault.evictStall` histogram empties out).
+//! and every victim is dirty. The sweep varies the `pushOut` cluster
+//! size: clustering amortizes the fixed per-request mapper overhead
+//! over a run of contiguous dirty pages (`pushout_upcalls` drops while
+//! `pages_cleaned` stays constant). Every access here is a hard fault,
+//! so the write-behind queue never finds a light entry to drain on and
+//! each push is a demand push (`fault.evictStall` counts them). After
+//! the scans every page is read back: a page that does not hold its
+//! last tag is a lost page.
 //!
 //! Tracing is on explicitly (the stall histogram needs it); the
 //! determinism rule says tracing never advances the simulated clock,
@@ -29,8 +28,6 @@ use chorus_pvm::{Pvm, PvmConfig, PvmOptions, TraceConfig};
 use std::sync::Arc;
 
 const FRAMES: u32 = 64;
-const LOW: u32 = 16;
-const HIGH: u32 = 32;
 const CLUSTERS: [u64; 3] = [1, 4, 8];
 
 struct Shape {
@@ -51,20 +48,20 @@ const QUICK: Shape = Shape {
 
 struct Row {
     cluster: u64,
-    daemon: bool,
     /// Successful `pushOut` mapper requests (batched or single).
     pushout_upcalls: u64,
     /// Dirty pages written back (each counts once per clean).
     pages_cleaned: u64,
-    launder_passes: u64,
     /// Demand faults that stalled on a synchronous dirty eviction.
     evict_stalls: u64,
     evict_stall_p99_ns: u64,
     sim_ms: f64,
     faults: u64,
+    /// Pages whose bytes after the run are not their last tag.
+    lost_pages: u64,
 }
 
-fn run_config(shape: &Shape, cluster: u64, daemon: bool) -> Row {
+fn run_config(shape: &Shape, cluster: u64) -> Row {
     let mgr = Arc::new(MemSegmentManager::new());
     let content: Vec<u8> = (0..shape.ws_pages * PAGE)
         .map(|i| (i % 239) as u8)
@@ -77,11 +74,6 @@ fn run_config(shape: &Shape, cluster: u64, daemon: bool) -> Row {
             cost: CostParams::sun3(),
             config: PvmConfig::builder()
                 .paging(|p| p.check_invariants(false).push_cluster_pages(cluster))
-                .pressure(|pr| {
-                    pr.writeback_daemon(daemon)
-                        .writeback_low_frames(if daemon { LOW } else { 0 })
-                        .writeback_high_frames(if daemon { HIGH } else { 0 })
-                })
                 .telemetry(|t| {
                     t.trace(TraceConfig {
                         enabled: true,
@@ -109,16 +101,23 @@ fn run_config(shape: &Shape, cluster: u64, daemon: bool) -> Row {
     let sim_ms = model.now().since(t0).millis();
     let stats = pvm.stats();
     let stall = pvm.tracer().histogram(Phase::EvictStall);
+    let last = shape.scans - 1;
+    let lost_pages = (0..shape.ws_pages)
+        .filter(|&p| {
+            let mut got = [0u8; 16];
+            pvm.vm_read(ctx, VirtAddr(p * PAGE), &mut got).unwrap();
+            got != [(last as u8) ^ (p as u8); 16]
+        })
+        .count() as u64;
     Row {
         cluster,
-        daemon,
         pushout_upcalls: stats.push_out_batches,
         pages_cleaned: stats.push_outs,
-        launder_passes: stats.launder_passes,
         evict_stalls: stall.count(),
         evict_stall_p99_ns: stall.percentile(0.99),
         sim_ms,
         faults: stats.faults,
+        lost_pages,
     }
 }
 
@@ -130,7 +129,7 @@ fn main() {
     // The simulated clock and every counter must agree bit for bit
     // across reruns (tracing is on in both).
     assert_deterministic("writeback pipeline", || {
-        let r = run_config(shape, 4, true);
+        let r = run_config(shape, 4);
         (
             r.sim_ms.to_bits(),
             r.pushout_upcalls,
@@ -140,25 +139,20 @@ fn main() {
         )
     });
 
-    let mut rows = Vec::new();
-    for &daemon in &[false, true] {
-        for &cluster in &CLUSTERS {
-            rows.push(run_config(shape, cluster, daemon));
-        }
-    }
+    let rows: Vec<Row> = CLUSTERS.iter().map(|&c| run_config(shape, c)).collect();
+    assert!(rows.iter().all(|r| r.lost_pages == 0), "a row lost a page");
 
     if emit_json {
         let encoded = rows.iter().map(|r| {
             json::Obj::new()
                 .int("cluster", r.cluster)
-                .bool("daemon", r.daemon)
                 .int("pushout_upcalls", r.pushout_upcalls)
                 .int("pages_cleaned", r.pages_cleaned)
-                .int("launder_passes", r.launder_passes)
                 .int("evict_stalls", r.evict_stalls)
                 .int("evict_stall_p99_ns", r.evict_stall_p99_ns)
                 .num("sim_ms", r.sim_ms)
                 .int("faults", r.faults)
+                .int("lost_pages", r.lost_pages)
                 .build()
         });
         println!(
@@ -176,40 +170,29 @@ fn main() {
 
     println!(
         "Writeback ablation: {} sequential rewrite scans of a {}-page dirty\n\
-         working set over {} frames (watermarks low={} high={} when the daemon is on)\n",
-        shape.scans, shape.ws_pages, FRAMES, LOW, HIGH
+         working set over {} frames\n",
+        shape.scans, shape.ws_pages, FRAMES
     );
     println!(
-        "  cluster | daemon | pushOut upcalls | pages cleaned | launder | evict stalls | stall p99 (ns) | sim ms"
+        "  cluster | pushOut upcalls | pages cleaned | evict stalls | stall p99 (ns) | sim ms | lost pages"
     );
     for r in &rows {
         println!(
-            "  {:>7} | {:<6} | {:>15} | {:>13} | {:>7} | {:>12} | {:>14} | {:>10.1}",
+            "  {:>7} | {:>15} | {:>13} | {:>12} | {:>14} | {:>10.1} | {:>10}",
             r.cluster,
-            if r.daemon { "on" } else { "off" },
             r.pushout_upcalls,
             r.pages_cleaned,
-            r.launder_passes,
             r.evict_stalls,
             r.evict_stall_p99_ns,
             r.sim_ms,
+            r.lost_pages,
         );
     }
-    let base = rows
-        .iter()
-        .find(|r| r.cluster == 1 && !r.daemon)
-        .expect("baseline row");
-    let best = rows
-        .iter()
-        .find(|r| r.cluster == 8 && r.daemon)
-        .expect("clustered+daemon row");
+    let (base, best) = (&rows[0], &rows[rows.len() - 1]);
     println!(
-        "\n  cluster=8 + daemon vs cluster=1 sync: {:.1}x fewer pushOut requests,\n\
-         \u{20} demand evict stalls {} -> {} (p99 {} ns -> {} ns)",
+        "\n  cluster={} vs cluster={}: {:.1}x fewer pushOut requests",
+        best.cluster,
+        base.cluster,
         base.pushout_upcalls as f64 / best.pushout_upcalls.max(1) as f64,
-        base.evict_stalls,
-        best.evict_stalls,
-        base.evict_stall_p99_ns,
-        best.evict_stall_p99_ns,
     );
 }

@@ -101,13 +101,6 @@ pub enum GmiError {
     /// operations on it fail cleanly instead of exposing pages whose
     /// backing store is unreachable or inconsistent.
     CachePoisoned(CacheId),
-    /// The context was torn down by the out-of-memory killer: under
-    /// frame exhaustion with no reclaim progress, the PVM scores
-    /// contexts by resident+dirty footprint and destroys the worst
-    /// victim. Accesses through the dead handle report this instead of
-    /// a bare "no such context" so upper layers (MIX) can distinguish a
-    /// kill from a plain teardown and reap the process accordingly.
-    ContextKilled(CtxId),
     /// The operation conflicts with a memory lock (`lockInMemory`).
     Locked,
     /// A structurally invalid argument (e.g. zero-size region, split at
@@ -162,9 +155,6 @@ impl fmt::Display for GmiError {
                     f,
                     "cache {cache:?} is quarantined after a permanent mapper failure"
                 )
-            }
-            GmiError::ContextKilled(ctx) => {
-                write!(f, "context {ctx:?} was killed by the out-of-memory killer")
             }
             GmiError::Locked => write!(f, "page is locked in memory"),
             GmiError::InvalidArgument(what) => write!(f, "invalid argument: {what}"),
@@ -265,10 +255,6 @@ mod tests {
         .is_transient());
         assert!(!GmiError::CachePoisoned(CacheId::pack(1, 0)).is_transient());
         assert!(!GmiError::OutOfMemory.is_transient());
-        assert!(
-            !GmiError::ContextKilled(CtxId::pack(1, 0)).is_transient(),
-            "an OOM kill is final: retrying cannot revive the context"
-        );
     }
 
     #[test]

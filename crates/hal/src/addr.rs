@@ -66,29 +66,20 @@ impl fmt::Debug for Vpn {
     }
 }
 
-/// Page geometry: the page size, the large-page factor, and derived
-/// helpers.
+/// Page geometry: the page size and derived helpers.
 ///
 /// The page size must be a power of two, at least 16 bytes. All address
 /// splitting in the simulator goes through this type so that the page size
-/// is configured exactly once per machine. A geometry also carries the
-/// machine's *large-page factor*: how many base pages one large page
-/// spans (256 by default — 2 MiB over the Sun-3 8 KiB base page). The
-/// factor only matters to MMU back-ends that support large mappings; the
-/// base-page helpers are unaffected by it.
+/// is configured exactly once per machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PageGeometry {
     page_size: u64,
     page_shift: u32,
-    large_factor: u64,
 }
 
 impl PageGeometry {
     /// The paper's testbed page size (Sun-3/60, 8 KB pages).
     pub const SUN3_PAGE_SIZE: u64 = 8 * 1024;
-
-    /// Default large-page factor: 256 base pages (2 MiB at 8 KiB).
-    pub const DEFAULT_LARGE_FACTOR: u64 = 256;
 
     /// Creates a geometry for the given page size.
     ///
@@ -103,24 +94,6 @@ impl PageGeometry {
         PageGeometry {
             page_size,
             page_shift: page_size.trailing_zeros(),
-            large_factor: Self::DEFAULT_LARGE_FACTOR,
-        }
-    }
-
-    /// This geometry with a different large-page factor (base pages per
-    /// large page).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not a power of two or is smaller than 2.
-    pub fn with_large_factor(self, factor: u64) -> PageGeometry {
-        assert!(
-            factor.is_power_of_two() && factor >= 2,
-            "large-page factor must be a power of two >= 2, got {factor}"
-        );
-        PageGeometry {
-            large_factor: factor,
-            ..self
         }
     }
 
@@ -177,45 +150,6 @@ impl PageGeometry {
     pub fn pages_for(self, len: u64) -> u64 {
         self.round_up(len) >> self.page_shift
     }
-
-    // ----- Large-page level ------------------------------------------------
-
-    /// Base pages per large page.
-    #[inline]
-    pub fn large_factor(self) -> u64 {
-        self.large_factor
-    }
-
-    /// Large page size in bytes.
-    #[inline]
-    pub fn large_page_size(self) -> u64 {
-        self.page_size * self.large_factor
-    }
-
-    /// The *large* virtual page number containing `va` (the index of the
-    /// large page, not a base-page VPN).
-    #[inline]
-    pub fn large_vpn(self, va: VirtAddr) -> Vpn {
-        Vpn(va.0 / self.large_page_size())
-    }
-
-    /// The byte offset of `va` within its large page.
-    #[inline]
-    pub fn large_offset(self, va: VirtAddr) -> u64 {
-        va.0 & (self.large_page_size() - 1)
-    }
-
-    /// Rounds `v` down to a large-page boundary.
-    #[inline]
-    pub fn round_down_large(self, v: u64) -> u64 {
-        v & !(self.large_page_size() - 1)
-    }
-
-    /// True if `v` is large-page aligned.
-    #[inline]
-    pub fn is_large_aligned(self, v: u64) -> bool {
-        v & (self.large_page_size() - 1) == 0
-    }
 }
 
 #[cfg(test)]
@@ -263,26 +197,5 @@ mod tests {
     fn vpn_next_and_addr_add() {
         assert_eq!(Vpn(7).next(), Vpn(8));
         assert_eq!(VirtAddr(8).offset_by(8), VirtAddr(16));
-    }
-
-    #[test]
-    fn large_page_level() {
-        let g = PageGeometry::new(4096).with_large_factor(4);
-        assert_eq!(g.large_factor(), 4);
-        assert_eq!(g.large_page_size(), 16384);
-        assert_eq!(g.large_vpn(VirtAddr(16383)), Vpn(0));
-        assert_eq!(g.large_vpn(VirtAddr(16384)), Vpn(1));
-        assert_eq!(g.large_offset(VirtAddr(16385)), 1);
-        assert_eq!(g.round_down_large(20000), 16384);
-        assert!(g.is_large_aligned(32768));
-        assert!(!g.is_large_aligned(4096));
-        // The default factor matches the 2 MiB class over 8 KiB pages.
-        assert_eq!(PageGeometry::sun3().large_page_size(), 2 * 1024 * 1024);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn large_factor_rejects_non_power_of_two() {
-        let _ = PageGeometry::new(4096).with_large_factor(3);
     }
 }

@@ -34,7 +34,6 @@ pub fn run<M: Mmu>(mk_on: impl Fn(Arc<CostModel>) -> M) {
     unmap_and_destroy_drop_referenced(&mk);
     take_referenced_forces_the_next_walk(&mk_on);
     tlb_hit_sets_nothing(&mk_on);
-    large_bit_stands_for_each_base_page(&mk);
 }
 
 fn page(m: &impl Mmu) -> u64 {
@@ -286,39 +285,4 @@ fn tlb_hit_sets_nothing<M: Mmu>(mk_on: &impl Fn(Arc<CostModel>) -> M) {
     assert!(!m.referenced(c, Vpn(7)));
     read(&mut m, c, 7).unwrap();
     assert!(m.referenced(c, Vpn(7)), "the read walked");
-}
-
-fn large_bit_stands_for_each_base_page<M: Mmu>(mk: &impl Fn() -> M) {
-    let mut m = mk();
-    if !m.supports_large() {
-        return;
-    }
-    let factor = m.geometry().large_factor();
-    let c = m.ctx_create();
-    m.switch(c);
-    // Large page 1 over base mappings of its first two pages.
-    let (a, b) = (Vpn(factor), Vpn(factor + 1));
-    m.map(c, a, FrameNo(factor as u32), Prot::READ);
-    m.map(c, b, FrameNo(factor as u32 + 1), Prot::READ);
-    assert!(m.map_large(c, Vpn(1), FrameNo(factor as u32), Prot::READ));
-    assert!(!m.referenced(c, a), "map_large enters the bit clear");
-    // One access anywhere in the run goes through the large entry and
-    // references every base page under it.
-    read(&mut m, c, factor + 2).unwrap();
-    assert!(m.referenced(c, a) && m.referenced(c, b));
-    assert!(!m.referenced(c, Vpn(0)), "not the run next door");
-    // Taking it for one page leaves it standing for the others.
-    assert!(m.take_referenced(c, a));
-    assert!(!m.referenced(c, a));
-    assert!(m.referenced(c, b));
-    assert!(m.take_referenced(c, b));
-    assert!(!m.take_referenced(c, b));
-    // The large TLB entry went too: the next access sets the bit again.
-    read(&mut m, c, factor).unwrap();
-    assert!(m.referenced(c, a) && m.referenced(c, b));
-    // Demotion hands the bit down instead of losing it.
-    m.unmap_large(c, Vpn(1));
-    assert!(m.referenced(c, a) && m.referenced(c, b));
-    assert!(m.take_referenced(c, a));
-    assert!(!m.referenced(c, a));
 }

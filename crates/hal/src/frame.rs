@@ -6,19 +6,13 @@
 //! and so on. Allocation, zero-fill and copies are charged to the shared
 //! [`CostModel`] (the paper's `bzero`/`bcopy` costs).
 //!
-//! The pool is organized as a **binary buddy allocator**: per-order free
-//! lists of naturally-aligned power-of-two blocks, split on demand and
-//! lazily re-merged on release. Single-frame callers see exactly the old
-//! flat-pool behavior (ascending first-fit allocation, one
-//! `FrameAlloc`/`FrameFree` charge per frame), while the memory manager
-//! above can ask for *contiguous runs* with [`PhysicalMemory::alloc_run`]
-//! — the physical tier under large-page mappings. Splits and merges are
-//! pure bookkeeping and charge nothing, so the simulated tables are
-//! bit-identical to the flat allocator's.
+//! The pool is flat: every allocation hands out the lowest free frame,
+//! so frame numbers are deterministic.
 
 use crate::addr::{PageGeometry, PhysAddr};
 use crate::cost::{CostModel, OpKind};
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -39,27 +33,21 @@ pub struct MemStats {
     pub frees: u64,
     /// Frames zero-filled.
     pub zeroed: u64,
-    /// Bytes zero-filled (counts one-pass run zeroing accurately).
+    /// Bytes zero-filled (a short `fill` clears only its tail).
     pub zeroed_bytes: u64,
     /// Frame-to-frame copies.
     pub copied: u64,
-    /// Buddy blocks split while servicing an allocation.
-    pub splits: u64,
-    /// Buddy pairs merged back while servicing a release.
-    pub merges: u64,
 }
 
-/// A fixed-size pool of physical page frames over a buddy allocator.
+/// A fixed-size pool of physical page frames.
 pub struct PhysicalMemory {
     geom: PageGeometry,
     model: Arc<CostModel>,
     /// The frames' bytes, frame `n` at `n * page_size`.
     bytes: Vec<u8>,
-    /// Per-order free lists of aligned block base frames. Ordered sets so
-    /// allocation is deterministic lowest-address-first.
-    free_lists: Vec<BTreeSet<u32>>,
+    /// The free frames, lowest number first.
+    free: BinaryHeap<Reverse<u32>>,
     allocated: Vec<bool>,
-    free_count: u32,
     stats: MemStats,
 }
 
@@ -67,34 +55,12 @@ impl PhysicalMemory {
     /// Creates a pool of `frames` frames of `geom.page_size()` bytes each.
     pub fn new(geom: PageGeometry, frames: u32, model: Arc<CostModel>) -> PhysicalMemory {
         let page = geom.page_size() as usize;
-        let max_order = if frames <= 1 {
-            0
-        } else {
-            31 - frames.leading_zeros()
-        };
-        let mut free_lists: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); max_order as usize + 1];
-        // Seed with maximal naturally-aligned blocks covering [0, frames):
-        // a power-of-two pool is one block; anything else decomposes into
-        // a descending run of aligned blocks.
-        let mut base = 0u32;
-        while base < frames {
-            let align = if base == 0 {
-                max_order
-            } else {
-                base.trailing_zeros().min(max_order)
-            };
-            let fit = 31 - (frames - base).leading_zeros();
-            let order = align.min(fit);
-            free_lists[order as usize].insert(base);
-            base += 1 << order;
-        }
         PhysicalMemory {
             geom,
             model,
             bytes: vec![0u8; page * frames as usize],
-            free_lists,
+            free: (0..frames).map(Reverse).collect(),
             allocated: vec![false; frames as usize],
-            free_count: frames,
             stats: MemStats::default(),
         }
     }
@@ -118,7 +84,7 @@ impl PhysicalMemory {
 
     /// Number of currently free frames.
     pub fn free_frames(&self) -> u32 {
-        self.free_count
+        self.free.len() as u32
     }
 
     /// Pool statistics.
@@ -126,154 +92,29 @@ impl PhysicalMemory {
         self.stats
     }
 
-    /// The largest order any single allocation could currently satisfy:
-    /// free-block counts per order, index = order. A fragmentation
-    /// metric: `sum(count[k] << k)` equals [`PhysicalMemory::free_frames`],
-    /// and the highest non-zero index bounds the largest contiguous run.
-    pub fn free_blocks_per_order(&self) -> Vec<u32> {
-        self.free_lists.iter().map(|l| l.len() as u32).collect()
-    }
-
-    /// The order of the largest free block, or `None` when exhausted.
-    pub fn largest_free_order(&self) -> Option<u32> {
-        (0..self.free_lists.len())
-            .rev()
-            .find(|&k| !self.free_lists[k].is_empty())
-            .map(|k| k as u32)
-    }
-
-    /// Takes the lowest-address free block of order >= `order`, splitting
-    /// larger blocks as needed (lower half kept, upper halves parked).
-    fn take_block(&mut self, order: u32) -> Option<u32> {
-        let mut k =
-            (order as usize..self.free_lists.len()).find(|&k| !self.free_lists[k].is_empty())?;
-        let base = *self.free_lists[k].iter().next().expect("non-empty list");
-        self.free_lists[k].remove(&base);
-        while k > order as usize {
-            k -= 1;
-            self.free_lists[k].insert(base + (1u32 << k));
-            self.stats.splits += 1;
-        }
-        Some(base)
-    }
-
-    /// Inserts a free block and lazily merges it with its buddy upward.
-    fn insert_block(&mut self, mut base: u32, order: u32) {
-        let total = self.total_frames();
-        let mut k = order as usize;
-        while k + 1 < self.free_lists.len() {
-            let buddy = base ^ (1u32 << k);
-            // The buddy must be a whole block inside the pool and free at
-            // this very order (partially-free buddies stay split).
-            if u64::from(buddy) + (1u64 << k) > u64::from(total)
-                || !self.free_lists[k].remove(&buddy)
-            {
-                break;
-            }
-            self.stats.merges += 1;
-            base = base.min(buddy);
-            k += 1;
-        }
-        self.free_lists[k].insert(base);
-    }
-
-    /// Marks `count` frames from `base` allocated and updates the stats;
-    /// one `FrameAlloc` charge per frame, as the flat pool did.
-    fn mark_allocated(&mut self, base: u32, count: u32) {
-        for f in base..base + count {
-            debug_assert!(!self.allocated[f as usize], "frame {f} double-allocated");
-            self.allocated[f as usize] = true;
-        }
-        self.free_count -= count;
-        self.stats.in_use += u64::from(count);
-        self.stats.allocs += u64::from(count);
-        self.stats.peak = self.stats.peak.max(self.stats.in_use);
-        self.model.charge_n(OpKind::FrameAlloc, u64::from(count));
-    }
-
     /// Allocates a frame without initializing its contents.
     ///
     /// Returns `None` when the pool is exhausted — the caller (the memory
     /// manager) is expected to run page replacement and retry.
     pub fn alloc(&mut self) -> Option<FrameNo> {
-        let n = self.take_block(0)?;
-        self.mark_allocated(n, 1);
+        let Reverse(n) = self.free.pop()?;
+        debug_assert!(!self.allocated[n as usize], "frame {n} double-allocated");
+        self.allocated[n as usize] = true;
+        self.stats.in_use += 1;
+        self.stats.allocs += 1;
+        self.stats.peak = self.stats.peak.max(self.stats.in_use);
+        self.model.charge(OpKind::FrameAlloc);
         Some(FrameNo(n))
     }
 
     /// Allocates a frame and fills it with zeroes (demand-zero path).
     ///
-    /// The zeroing happens in place as part of the allocation — one pass,
-    /// not an alloc followed by a separate `zero()` walk — with the same
-    /// charges (`FrameAlloc` + `BzeroPage`) as the two-step sequence.
+    /// Allocation does not touch the bytes, so this is one pass over the
+    /// frame, charged `FrameAlloc` + `BzeroPage`.
     pub fn alloc_zeroed(&mut self) -> Option<FrameNo> {
-        let n = self.take_block(0)?;
-        self.mark_allocated(n, 1);
-        let page = self.geom.page_size() as usize;
-        self.frame_mut(FrameNo(n)).fill(0);
-        self.stats.zeroed += 1;
-        self.stats.zeroed_bytes += page as u64;
-        self.model.charge(OpKind::BzeroPage);
-        Some(FrameNo(n))
-    }
-
-    /// Allocates `2^order` physically contiguous frames whose base is
-    /// naturally aligned (`base % 2^order == 0`): the backing for a
-    /// large-page mapping. Returns the first frame of the run, or `None`
-    /// when no sufficiently large contiguous block exists (the pool may
-    /// still have plenty of scattered single frames).
-    ///
-    /// Charges `FrameAlloc` once per frame, so a run costs exactly what
-    /// allocating its frames one by one would.
-    pub fn alloc_run(&mut self, order: u32) -> Option<FrameNo> {
-        if order as usize >= self.free_lists.len() {
-            return None;
-        }
-        let base = self.take_block(order)?;
-        self.mark_allocated(base, 1u32 << order);
-        Some(FrameNo(base))
-    }
-
-    /// Allocates a contiguous run like [`PhysicalMemory::alloc_run`] and
-    /// zeroes it with a single `memset`-style pass over the whole run.
-    /// Charges `BzeroPage` once per frame (cost parity with per-frame
-    /// zeroing; the one-pass fill is a host-side optimization).
-    pub fn alloc_run_zeroed(&mut self, order: u32) -> Option<FrameNo> {
-        let run = self.alloc_run(order)?;
-        let frames = 1u64 << order;
-        let page = self.geom.page_size() as usize;
-        let len = page * frames as usize;
-        let start = self.byte_range(run).start;
-        self.bytes[start..start + len].fill(0);
-        self.stats.zeroed += frames;
-        self.stats.zeroed_bytes += len as u64;
-        self.model.charge_n(OpKind::BzeroPage, frames);
-        Some(run)
-    }
-
-    /// Releases a whole contiguous run allocated with
-    /// [`PhysicalMemory::alloc_run`] in one step, re-inserting it as a
-    /// single block (merging upward where possible).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the base is not aligned to the order or any frame of the
-    /// run is not currently allocated.
-    pub fn release_run(&mut self, base: FrameNo, order: u32) {
-        let count = 1u32 << order;
-        assert!(
-            base.0.is_multiple_of(count),
-            "run base {base:?} is not aligned to order {order}"
-        );
-        for f in base.0..base.0 + count {
-            self.check_live(FrameNo(f));
-            self.allocated[f as usize] = false;
-        }
-        self.free_count += count;
-        self.stats.in_use -= u64::from(count);
-        self.stats.frees += u64::from(count);
-        self.model.charge_n(OpKind::FrameFree, u64::from(count));
-        self.insert_block(base.0, order);
+        let f = self.alloc()?;
+        self.zero(f);
+        Some(f)
     }
 
     /// Fills a frame with zeroes (`bzero`).
@@ -326,11 +167,10 @@ impl PhysicalMemory {
     pub fn release(&mut self, f: FrameNo) {
         self.check_live(f);
         self.allocated[f.0 as usize] = false;
-        self.free_count += 1;
+        self.free.push(Reverse(f.0));
         self.stats.in_use -= 1;
         self.stats.frees += 1;
         self.model.charge(OpKind::FrameFree);
-        self.insert_block(f.0, 0);
     }
 
     /// Read-only view of a live frame's bytes.
@@ -542,80 +382,14 @@ mod tests {
     }
 
     #[test]
-    fn run_allocation_is_aligned_and_contiguous() {
-        let mut pm = pool(16);
-        let a = pm.alloc().unwrap(); // Frame 0: forces the run elsewhere.
-        let run = pm.alloc_run(2).unwrap();
-        assert_eq!(run.0 % 4, 0, "run base naturally aligned");
-        assert_ne!(run.0, a.0);
-        for k in 0..4 {
-            assert!(pm.is_allocated(FrameNo(run.0 + k)));
-        }
-        assert_eq!(pm.stats().in_use, 5);
-        assert_eq!(pm.free_frames(), 11);
-        pm.release_run(run, 2);
-        assert_eq!(pm.free_frames(), 15);
-    }
-
-    #[test]
-    fn run_zeroing_is_one_pass_but_charges_per_frame() {
-        let model = Arc::new(CostModel::new(crate::cost::CostParams::sun3()));
-        let mut pm = PhysicalMemory::new(PageGeometry::new(64), 8, model.clone());
-        let run = pm.alloc_run_zeroed(3).unwrap();
-        assert_eq!(run.0, 0);
-        for k in 0..8 {
-            assert!(pm.frame(FrameNo(k)).iter().all(|&b| b == 0));
-        }
-        assert_eq!(model.count(OpKind::BzeroPage), 8);
-        assert_eq!(model.count(OpKind::FrameAlloc), 8);
-        assert_eq!(pm.stats().zeroed, 8);
-        assert_eq!(pm.stats().zeroed_bytes, 8 * 64);
-    }
-
-    #[test]
-    fn merge_restores_max_order_block() {
-        let mut pm = pool(8);
-        let frames: Vec<FrameNo> = (0..8).map(|_| pm.alloc().unwrap()).collect();
-        assert_eq!(pm.largest_free_order(), None);
-        for f in frames {
-            pm.release(f);
-        }
-        assert_eq!(pm.largest_free_order(), Some(3), "fully merged back");
-        assert_eq!(pm.free_blocks_per_order(), vec![0, 0, 0, 1]);
-        assert!(pm.stats().merges >= 7);
-        let run = pm.alloc_run(3).unwrap();
-        assert_eq!(run.0, 0);
-    }
-
-    #[test]
-    fn run_allocation_fails_under_fragmentation_without_leaking() {
-        let mut pm = pool(8);
-        // Allocate everything, free every other frame: 4 free frames but
-        // no contiguous pair.
-        let frames: Vec<FrameNo> = (0..8).map(|_| pm.alloc().unwrap()).collect();
-        for f in frames.iter().step_by(2) {
-            pm.release(*f);
-        }
-        assert_eq!(pm.free_frames(), 4);
-        assert!(pm.alloc_run(1).is_none(), "no aligned pair exists");
-        assert_eq!(pm.free_frames(), 4, "failed run probe leaks nothing");
-        assert_eq!(pm.alloc().unwrap().0, 0, "single frames still served");
-    }
-
-    #[test]
     fn non_power_of_two_pool_works() {
         let mut pm = pool(6);
-        // Seeded as [0,4) order 2 + [4,6) order 1.
-        assert_eq!(pm.free_blocks_per_order(), vec![0, 1, 1]);
-        let run = pm.alloc_run(2).unwrap();
-        assert_eq!(run.0, 0);
-        let pair = pm.alloc_run(1).unwrap();
-        assert_eq!(pair.0, 4);
+        let frames: Vec<FrameNo> = (0..6).map(|_| pm.alloc().unwrap()).collect();
+        assert_eq!(frames.last(), Some(&FrameNo(5)));
         assert!(pm.alloc().is_none());
-        pm.release_run(run, 2);
-        pm.release_run(pair, 1);
-        assert_eq!(pm.free_frames(), 6);
-        // The order-1 tail must never merge past the pool end.
-        assert_eq!(pm.free_blocks_per_order(), vec![0, 1, 1]);
+        pm.release(frames[4]);
+        pm.release(frames[1]);
+        assert_eq!(pm.alloc(), Some(FrameNo(1)), "lowest free frame first");
+        assert_eq!(pm.free_frames(), 1);
     }
 }

@@ -222,64 +222,16 @@ pub trait Mmu: Send {
     ) -> Result<PhysAddr, MmuFault>;
 
     /// Reads the referenced bit of the mapping at `vpn` (false if there
-    /// is none) without touching the TLB or charging costs. A set bit on
-    /// a large mapping covering `vpn` counts: it stands for each of the
-    /// mapping's base pages.
+    /// is none) without touching the TLB or charging costs.
     fn referenced(&self, ctx: MmuCtx, vpn: Vpn) -> bool;
 
     /// Test-and-clears the referenced bit of the mapping at `vpn` and
     /// invalidates that page's TLB entry if `ctx` is current, so the
-    /// next access walks the table and sets the bit again. The bit of a
-    /// large mapping covering `vpn` is first handed down to every base
-    /// mapping under it, so each of them reports it once.
+    /// next access walks the table and sets the bit again.
     fn take_referenced(&mut self, ctx: MmuCtx, vpn: Vpn) -> bool;
 
     /// Number of live mappings in a context (for assertions and stats).
     fn mapped_count(&self, ctx: MmuCtx) -> usize;
-
-    // ----- Large pages (optional capability) ---------------------------
-    //
-    // Back-ends without hardware large-page support keep the defaults:
-    // `supports_large` reports false and the memory manager never calls
-    // the rest. `lvpn` arguments are *large* virtual page numbers
-    // (`PageGeometry::large_vpn`), not base-page VPNs.
-
-    /// True if this back-end can install large-page mappings.
-    fn supports_large(&self) -> bool {
-        false
-    }
-
-    /// Enters a large mapping `lvpn -> base_frame` covering
-    /// `geometry().large_factor()` contiguous frames from `base_frame`.
-    /// Returns false if the back-end has no large-page support.
-    fn map_large(&mut self, ctx: MmuCtx, lvpn: Vpn, base_frame: FrameNo, prot: Prot) -> bool {
-        let _ = (ctx, lvpn, base_frame, prot);
-        false
-    }
-
-    /// Removes a large mapping, returning the base frame it pointed at.
-    fn unmap_large(&mut self, ctx: MmuCtx, lvpn: Vpn) -> Option<FrameNo> {
-        let _ = (ctx, lvpn);
-        None
-    }
-
-    /// True if a large mapping exists for `lvpn` in `ctx`.
-    fn has_large_mapping(&self, ctx: MmuCtx, lvpn: Vpn) -> bool {
-        let _ = (ctx, lvpn);
-        false
-    }
-
-    /// Number of live large mappings in a context.
-    fn large_mapped_count(&self, ctx: MmuCtx) -> usize {
-        let _ = ctx;
-        0
-    }
-
-    /// Hit/miss statistics of the large-page TLB, if the back-end keeps
-    /// one separate from the base-page TLB.
-    fn large_tlb_stats(&self) -> Option<crate::tlb::TlbStats> {
-        None
-    }
 }
 
 #[cfg(test)]

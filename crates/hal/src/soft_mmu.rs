@@ -16,13 +16,12 @@ use std::sync::Arc;
 /// Default TLB entry count for the software MMUs.
 pub const DEFAULT_TLB_ENTRIES: usize = 64;
 
-/// A page table entry, base or large.
+/// A page table entry.
 #[derive(Clone, Copy)]
 struct Pte {
     frame: FrameNo,
     prot: Prot,
-    /// Set by a table walk that ends in an allowed access; a large
-    /// entry's bit stands for each of its base pages.
+    /// Set by a table walk that ends in an allowed access.
     referenced: bool,
 }
 
@@ -37,23 +36,13 @@ impl Pte {
 }
 
 /// A software MMU with per-context hash page tables.
-///
-/// Supports an optional *large-page level*: per-context tables keyed by
-/// large virtual page number (`geometry().large_factor()` base pages per
-/// entry), cached by a second, separate TLB with its own statistics. The
-/// large path costs nothing until the first large mapping is installed.
 pub struct SoftMmu {
     geom: PageGeometry,
     model: Arc<CostModel>,
     ctxs: HashMap<u32, HashMap<Vpn, Pte>>,
-    large: HashMap<u32, HashMap<Vpn, Pte>>,
-    /// Live large mappings across all contexts (fast guard: translation
-    /// skips the large path entirely while this is zero).
-    large_total: usize,
     next: u32,
     current: Option<MmuCtx>,
     tlb: Tlb,
-    large_tlb: Tlb,
 }
 
 impl SoftMmu {
@@ -63,62 +52,15 @@ impl SoftMmu {
             geom,
             model,
             ctxs: HashMap::new(),
-            large: HashMap::new(),
-            large_total: 0,
             next: 0,
             current: None,
             tlb: Tlb::new(DEFAULT_TLB_ENTRIES),
-            large_tlb: Tlb::new(DEFAULT_TLB_ENTRIES),
         }
     }
 
     /// TLB statistics (for benches and the ablation on MMU back-ends).
     pub fn tlb_stats(&self) -> TlbStats {
         self.tlb.stats()
-    }
-
-    /// Attempts a large-page translation. Returns `None` when no usable
-    /// large mapping covers `va` — including protection mismatches, which
-    /// fall through to the base path so the fault carries the base
-    /// mapping's protection.
-    fn translate_large(
-        &mut self,
-        ctx: MmuCtx,
-        va: VirtAddr,
-        access: Access,
-        system_mode: bool,
-    ) -> Option<PhysAddr> {
-        if self.large.get(&ctx.0).is_none_or(|t| t.is_empty()) {
-            return None;
-        }
-        let lvpn = self.geom.large_vpn(va);
-        let cached = if self.current == Some(ctx) {
-            self.large_tlb.lookup(lvpn)
-        } else {
-            None
-        };
-        let (frame, prot) = match cached {
-            Some(hit) => hit,
-            None => {
-                let pte = self.large.get_mut(&ctx.0)?.get_mut(&lvpn)?;
-                self.model.charge(OpKind::TlbMiss);
-                if !pte.prot.allows(access, system_mode) {
-                    return None;
-                }
-                pte.referenced = true;
-                let entry = (pte.frame, pte.prot);
-                if self.current == Some(ctx) {
-                    self.large_tlb.insert(lvpn, entry.0, entry.1);
-                }
-                entry
-            }
-        };
-        if !prot.allows(access, system_mode) {
-            return None;
-        }
-        Some(PhysAddr(
-            frame.0 as u64 * self.geom.page_size() + self.geom.large_offset(va),
-        ))
     }
 
     fn table(&self, ctx: MmuCtx) -> &HashMap<Vpn, Pte> {
@@ -134,35 +76,6 @@ impl SoftMmu {
     fn maybe_invalidate(&mut self, ctx: MmuCtx, vpn: Vpn) {
         if self.current == Some(ctx) {
             self.tlb.invalidate(vpn);
-        }
-    }
-
-    /// The large virtual page number covering base page `vpn`.
-    fn large_vpn_of(&self, vpn: Vpn) -> Vpn {
-        Vpn(vpn.0 / self.geom.large_factor())
-    }
-
-    /// Moves a set referenced bit from the large mapping at `lvpn` to
-    /// every base mapping under it, the way an OS splits a huge page's
-    /// accessed bit: the one bit stands for each base page, and each is
-    /// then test-and-cleared on its own. Demotion does the same, so the
-    /// bit is not lost with the large mapping.
-    fn hand_down_large_bit(&mut self, ctx: MmuCtx, lvpn: Vpn) {
-        let Some(pte) = self.large.get_mut(&ctx.0).and_then(|t| t.get_mut(&lvpn)) else {
-            return;
-        };
-        if !core::mem::take(&mut pte.referenced) {
-            return;
-        }
-        if self.current == Some(ctx) {
-            self.large_tlb.invalidate(lvpn);
-        }
-        let factor = self.geom.large_factor();
-        let table = self.table_mut(ctx);
-        for v in lvpn.0 * factor..(lvpn.0 + 1) * factor {
-            if let Some(base) = table.get_mut(&Vpn(v)) {
-                base.referenced = true;
-            }
         }
     }
 }
@@ -186,14 +99,9 @@ impl Mmu for SoftMmu {
             .remove(&ctx.0)
             .expect("MMU context does not exist");
         self.model.charge_n(OpKind::UnmapPage, table.len() as u64);
-        if let Some(large) = self.large.remove(&ctx.0) {
-            self.large_total -= large.len();
-            self.model.charge_n(OpKind::UnmapPage, large.len() as u64);
-        }
         if self.current == Some(ctx) {
             self.current = None;
             self.tlb.flush();
-            self.large_tlb.flush();
             self.model.charge(OpKind::TlbFlush);
         }
     }
@@ -203,7 +111,6 @@ impl Mmu for SoftMmu {
         if self.current != Some(ctx) {
             self.current = Some(ctx);
             self.tlb.flush();
-            self.large_tlb.flush();
             self.model.charge(OpKind::TlbFlush);
         }
     }
@@ -250,14 +157,6 @@ impl Mmu for SoftMmu {
         access: Access,
         system_mode: bool,
     ) -> Result<PhysAddr, MmuFault> {
-        // Large mappings take precedence; a miss (or protection mismatch)
-        // falls through to the base tables. The guard keeps this free for
-        // configurations that never promote.
-        if self.large_total > 0 {
-            if let Some(pa) = self.translate_large(ctx, va, access, system_mode) {
-                return Ok(pa);
-            }
-        }
         let vpn = self.geom.vpn(va);
         let offset = self.geom.page_offset(va);
         let cached = if self.current == Some(ctx) {
@@ -291,19 +190,10 @@ impl Mmu for SoftMmu {
     }
 
     fn referenced(&self, ctx: MmuCtx, vpn: Vpn) -> bool {
-        let large = self.large_total > 0
-            && self
-                .large
-                .get(&ctx.0)
-                .and_then(|t| t.get(&self.large_vpn_of(vpn)))
-                .is_some_and(|pte| pte.referenced);
-        large || self.table(ctx).get(&vpn).is_some_and(|pte| pte.referenced)
+        self.table(ctx).get(&vpn).is_some_and(|pte| pte.referenced)
     }
 
     fn take_referenced(&mut self, ctx: MmuCtx, vpn: Vpn) -> bool {
-        if self.large_total > 0 {
-            self.hand_down_large_bit(ctx, self.large_vpn_of(vpn));
-        }
         let was = self
             .table_mut(ctx)
             .get_mut(&vpn)
@@ -316,54 +206,6 @@ impl Mmu for SoftMmu {
 
     fn mapped_count(&self, ctx: MmuCtx) -> usize {
         self.table(ctx).len()
-    }
-
-    fn supports_large(&self) -> bool {
-        true
-    }
-
-    fn map_large(&mut self, ctx: MmuCtx, lvpn: Vpn, base_frame: FrameNo, prot: Prot) -> bool {
-        assert!(self.ctxs.contains_key(&ctx.0), "MMU context does not exist");
-        let prev = self
-            .large
-            .entry(ctx.0)
-            .or_default()
-            .insert(lvpn, Pte::new(base_frame, prot));
-        if prev.is_none() {
-            self.large_total += 1;
-        }
-        if self.current == Some(ctx) {
-            self.large_tlb.invalidate(lvpn);
-        }
-        self.model.charge(OpKind::MapPage);
-        true
-    }
-
-    fn unmap_large(&mut self, ctx: MmuCtx, lvpn: Vpn) -> Option<FrameNo> {
-        self.hand_down_large_bit(ctx, lvpn);
-        let removed = self.large.get_mut(&ctx.0).and_then(|t| t.remove(&lvpn));
-        if removed.is_some() {
-            self.large_total -= 1;
-            if self.current == Some(ctx) {
-                self.large_tlb.invalidate(lvpn);
-            }
-            self.model.charge(OpKind::UnmapPage);
-        }
-        removed.map(|pte| pte.frame)
-    }
-
-    fn has_large_mapping(&self, ctx: MmuCtx, lvpn: Vpn) -> bool {
-        self.large
-            .get(&ctx.0)
-            .is_some_and(|t| t.contains_key(&lvpn))
-    }
-
-    fn large_mapped_count(&self, ctx: MmuCtx) -> usize {
-        self.large.get(&ctx.0).map_or(0, HashMap::len)
-    }
-
-    fn large_tlb_stats(&self) -> Option<TlbStats> {
-        Some(self.large_tlb.stats())
     }
 }
 
@@ -378,7 +220,7 @@ mod tests {
 
     #[test]
     fn conformance_suite() {
-        conformance::run(|model| SoftMmu::new(PageGeometry::new(256).with_large_factor(4), model));
+        conformance::run(|model| SoftMmu::new(PageGeometry::new(256), model));
     }
 
     #[test]
@@ -424,95 +266,6 @@ mod tests {
             Ok(PhysAddr(2 * 256 + 8))
         );
         assert_eq!(m.tlb_stats().hits, 0);
-    }
-
-    /// Geometry 256-byte pages, large factor 4 (1 KiB large pages).
-    fn mk_large() -> SoftMmu {
-        SoftMmu::new(
-            PageGeometry::new(256).with_large_factor(4),
-            Arc::new(CostModel::counting()),
-        )
-    }
-
-    #[test]
-    fn large_mapping_translates_whole_run() {
-        let mut m = mk_large();
-        let c = m.ctx_create();
-        m.switch(c);
-        assert!(m.supports_large());
-        // Large page 1 covers VAs [1024, 2048) -> frames 8..12.
-        assert!(m.map_large(c, Vpn(1), FrameNo(8), Prot::READ));
-        assert!(m.has_large_mapping(c, Vpn(1)));
-        assert_eq!(m.large_mapped_count(c), 1);
-        // No base mapping needed anywhere in the run.
-        for off in [0u64, 255, 256, 1023] {
-            let va = VirtAddr(1024 + off);
-            assert_eq!(
-                m.translate(c, va, Access::Read, false),
-                Ok(PhysAddr(8 * 256 + off))
-            );
-        }
-        // First translation walks, the rest hit the large TLB.
-        let ls = m.large_tlb_stats().unwrap();
-        assert_eq!(ls.misses, 1);
-        assert_eq!(ls.hits, 3);
-        // The base TLB never saw any of it.
-        assert_eq!(m.tlb_stats().hits + m.tlb_stats().misses, 0);
-    }
-
-    #[test]
-    fn large_protection_mismatch_falls_through_to_base() {
-        let mut m = mk_large();
-        let c = m.ctx_create();
-        m.switch(c);
-        m.map_large(c, Vpn(0), FrameNo(0), Prot::READ);
-        // A write inside a read-only large page reports the *base* fault:
-        // not-mapped here, since no base mapping exists.
-        assert!(matches!(
-            m.translate(c, VirtAddr(100), Access::Write, false),
-            Err(MmuFault::NotMapped { .. })
-        ));
-        // With a writable base mapping underneath, the write goes through.
-        m.map(c, Vpn(0), FrameNo(0), Prot::RW);
-        assert_eq!(
-            m.translate(c, VirtAddr(100), Access::Write, false),
-            Ok(PhysAddr(100))
-        );
-    }
-
-    #[test]
-    fn unmap_large_demotes_to_base_mappings() {
-        let mut m = mk_large();
-        let c = m.ctx_create();
-        m.switch(c);
-        m.map(c, Vpn(4), FrameNo(20), Prot::READ);
-        m.map_large(c, Vpn(1), FrameNo(20), Prot::READ);
-        assert_eq!(m.unmap_large(c, Vpn(1)), Some(FrameNo(20)));
-        assert!(!m.has_large_mapping(c, Vpn(1)));
-        assert_eq!(m.unmap_large(c, Vpn(1)), None);
-        // The base mapping still serves the page.
-        assert_eq!(
-            m.translate(c, VirtAddr(1024), Access::Read, false),
-            Ok(PhysAddr(20 * 256))
-        );
-    }
-
-    #[test]
-    fn ctx_destroy_drops_large_mappings() {
-        let mut m = mk_large();
-        let a = m.ctx_create();
-        let b = m.ctx_create();
-        m.map_large(a, Vpn(0), FrameNo(0), Prot::READ);
-        m.map_large(b, Vpn(0), FrameNo(4), Prot::READ);
-        m.ctx_destroy(a);
-        assert_eq!(m.large_total, 1);
-        assert!(m.has_large_mapping(b, Vpn(0)));
-        // ctx b was never current, so its translation bypasses both TLBs.
-        assert_eq!(
-            m.translate(b, VirtAddr(3), Access::Read, false),
-            Ok(PhysAddr(4 * 256 + 3))
-        );
-        assert_eq!(m.large_tlb_stats().unwrap().hits, 0);
     }
 
     #[test]

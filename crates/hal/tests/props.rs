@@ -1,7 +1,7 @@
 //! Property-based tests of the HAL building blocks: the generational
 //! arena against a reference map, page geometry laws, protection
-//! algebra, MMU map/unmap sequences against a model, and the buddy
-//! frame allocator's split/merge invariants.
+//! algebra, MMU map/unmap sequences against a model, and the frame pool
+//! against a bitmap.
 
 use chorus_hal::{
     Access, Arena, CostModel, FrameNo, Mmu, PageGeometry, PhysicalMemory, Prot, SoftMmu,
@@ -216,104 +216,55 @@ proptest! {
 }
 
 #[derive(Clone, Debug)]
-enum BuddyOp {
+enum PoolOp {
     Alloc,
-    AllocRun { order: u32 },
-    ReleaseOne { idx: usize },
-    ReleaseRun { idx: usize },
-}
-
-fn buddy_op() -> impl Strategy<Value = BuddyOp> {
-    prop_oneof![
-        3 => Just(BuddyOp::Alloc),
-        3 => (0..6u32).prop_map(|order| BuddyOp::AllocRun { order }),
-        3 => (0..256usize).prop_map(|idx| BuddyOp::ReleaseOne { idx }),
-        3 => (0..256usize).prop_map(|idx| BuddyOp::ReleaseRun { idx }),
-    ]
+    Release { idx: usize },
 }
 
 proptest! {
-    /// Buddy split/merge invariants under random alloc/release sequences:
-    /// live allocations never overlap, runs are aligned to their order, no
-    /// frame leaks (live + free always covers the pool exactly), and after
-    /// releasing everything the merge path restores the initial free-list
-    /// decomposition — for a full pool, one maximum-order block.
+    /// The frame pool against a bitmap under random alloc/release
+    /// sequences: every allocation is the lowest free frame, no frame is
+    /// handed out twice, and live + free always covers the pool exactly.
     #[test]
-    fn buddy_allocator_invariants(
-        pool_frames in prop_oneof![Just(256u32), 200u32..=256],
-        ops in proptest::collection::vec(buddy_op(), 1..200),
+    fn pool_matches_bitmap_model(
+        pool_frames in 1u32..=64,
+        ops in proptest::collection::vec(
+            prop_oneof![
+                3 => Just(PoolOp::Alloc),
+                2 => (0..64usize).prop_map(|idx| PoolOp::Release { idx }),
+            ],
+            1..200,
+        ),
     ) {
         let mut phys = PhysicalMemory::new(
             PageGeometry::new(16),
             pool_frames,
             Arc::new(CostModel::counting()),
         );
-        let initial_decomposition = phys.free_blocks_per_order();
-        // Live blocks as (base, order).
-        let mut live: Vec<(u32, u32)> = Vec::new();
+        let mut bitmap = vec![false; pool_frames as usize];
+        let mut live: Vec<u32> = Vec::new();
         for op in ops {
             match op {
-                BuddyOp::Alloc => {
-                    if let Some(f) = phys.alloc() {
-                        live.push((f.0, 0));
+                PoolOp::Alloc => {
+                    let lowest = bitmap.iter().position(|&used| !used).map(|n| n as u32);
+                    prop_assert_eq!(phys.alloc().map(|f| f.0), lowest);
+                    if let Some(n) = lowest {
+                        bitmap[n as usize] = true;
+                        live.push(n);
                     }
                 }
-                BuddyOp::AllocRun { order } => {
-                    if let Some(base) = phys.alloc_run(order) {
-                        // Runs come back aligned and fully inside the pool.
-                        prop_assert_eq!(base.0 % (1 << order), 0);
-                        prop_assert!(base.0 + (1 << order) <= pool_frames);
-                        live.push((base.0, order));
-                    }
-                }
-                BuddyOp::ReleaseOne { idx } => {
-                    // Only whole blocks can be released; pick an order-0 one.
-                    let zeros: Vec<usize> = live
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &(_, o))| o == 0)
-                        .map(|(i, _)| i)
-                        .collect();
-                    if !zeros.is_empty() {
-                        let (base, _) = live.swap_remove(zeros[idx % zeros.len()]);
-                        phys.release(FrameNo(base));
-                    }
-                }
-                BuddyOp::ReleaseRun { idx } => {
+                PoolOp::Release { idx } => {
                     if !live.is_empty() {
-                        let (base, order) = live.swap_remove(idx % live.len());
-                        phys.release_run(FrameNo(base), order);
+                        let n = live.swap_remove(idx % live.len());
+                        phys.release(FrameNo(n));
+                        bitmap[n as usize] = false;
                     }
                 }
             }
-            // No overlap between live blocks.
-            let mut spans: Vec<(u32, u32)> = live
-                .iter()
-                .map(|&(b, o)| (b, b + (1u32 << o)))
-                .collect();
-            spans.sort_unstable();
-            for w in spans.windows(2) {
-                prop_assert!(w[0].1 <= w[1].0, "overlapping blocks {:?}", w);
+            prop_assert_eq!(live.len() as u32 + phys.free_frames(), pool_frames);
+            for (n, &used) in bitmap.iter().enumerate() {
+                prop_assert_eq!(phys.is_allocated(FrameNo(n as u32)), used);
             }
-            // No leak: live + free == pool, and the free lists agree.
-            let live_frames: u32 = live.iter().map(|&(_, o)| 1u32 << o).sum();
-            prop_assert_eq!(live_frames + phys.free_frames(), pool_frames);
-            let listed: u32 = phys
-                .free_blocks_per_order()
-                .iter()
-                .enumerate()
-                .map(|(o, &n)| n << o)
-                .sum();
-            prop_assert_eq!(listed, phys.free_frames());
-        }
-        // Releasing everything merges back to the initial decomposition.
-        for (base, order) in live.drain(..) {
-            phys.release_run(FrameNo(base), order);
-        }
-        prop_assert_eq!(phys.free_frames(), pool_frames);
-        prop_assert_eq!(phys.free_blocks_per_order(), initial_decomposition);
-        if pool_frames.is_power_of_two() {
-            prop_assert_eq!(phys.largest_free_order(), Some(pool_frames.trailing_zeros()));
         }
     }
 }

@@ -312,65 +312,22 @@ impl<G: Gmi> ProcessManager<G> {
             .count()
     }
 
-    /// Performs the exit-table bookkeeping for a process whose address
-    /// space the memory manager's OOM killer already tore down: the
-    /// process becomes `Zombie(137)` (128 + SIGKILL) for its parent to
-    /// reap, or disappears if it has none. `actor_destroy` is skipped —
-    /// the context is already gone. Idempotent.
-    fn reap_oom_killed(&self, pid: Pid) {
-        let mut table = self.table.lock();
-        match table.get(&pid) {
-            Some(p) if p.state == ProcState::Running => {}
-            _ => return,
-        }
-        let has_parent = table.get(&pid).and_then(|p| p.parent).is_some();
-        if has_parent {
-            table.get_mut(&pid).expect("pid vanished").state = ProcState::Zombie(137);
-        } else {
-            table.remove(&pid);
-        }
-        // Re-parent children of the killed process to "init" (none).
-        for proc in table.values_mut() {
-            if proc.parent == Some(pid) {
-                proc.parent = None;
-            }
-        }
-        // Reap orphaned zombies.
-        table.retain(|_, p| !(p.parent.is_none() && matches!(p.state, ProcState::Zombie(_))));
-    }
-
-    /// Routes a memory-access result, turning an OOM kill reported by
-    /// the memory manager into process-table bookkeeping before
-    /// propagating the error to the caller.
-    fn note_mem_result(&self, pid: Pid, result: Result<()>) -> Result<()> {
-        if let Err(GmiError::ContextKilled(_)) = &result {
-            self.reap_oom_killed(pid);
-        }
-        result
-    }
-
     /// Reads process memory.
     ///
     /// # Errors
     ///
-    /// Propagates faults. If the process's address space was torn down
-    /// by the memory manager's OOM killer, the process is transitioned
-    /// to `Zombie(137)` and [`GmiError::ContextKilled`] is returned.
+    /// Propagates faults.
     pub fn read_mem(&self, pid: Pid, va: VirtAddr, buf: &mut [u8]) -> Result<()> {
-        let result = self.nucleus.read_mem(self.actor_of(pid)?, va, buf);
-        self.note_mem_result(pid, result)
+        self.nucleus.read_mem(self.actor_of(pid)?, va, buf)
     }
 
     /// Writes process memory.
     ///
     /// # Errors
     ///
-    /// Propagates faults. If the process's address space was torn down
-    /// by the memory manager's OOM killer, the process is transitioned
-    /// to `Zombie(137)` and [`GmiError::ContextKilled`] is returned.
+    /// Propagates faults.
     pub fn write_mem(&self, pid: Pid, va: VirtAddr, data: &[u8]) -> Result<()> {
-        let result = self.nucleus.write_mem(self.actor_of(pid)?, va, data);
-        self.note_mem_result(pid, result)
+        self.nucleus.write_mem(self.actor_of(pid)?, va, data)
     }
 
     // ----- pipes (ports + transit segment) --------------------------------

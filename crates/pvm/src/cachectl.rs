@@ -89,14 +89,6 @@ impl PvmState {
     /// Write-protects a page's mappings and marks it cleaning, so
     /// concurrent writers fault and wait for the push-out to finish.
     pub fn begin_cleaning(&mut self, page: PageKey) {
-        // This narrows protection via `mmu.protect` directly (not
-        // `reprotect_mappings`), so the covering large mapping — which
-        // would keep the old write right alive — must go first.
-        let (pc, po) = {
-            let p = self.page(page);
-            (p.cache, p.offset)
-        };
-        self.demote_covering_slot(pc, po);
         let mappings = self.page(page).mappings.clone();
         for m in mappings {
             if let Ok(c) = self.ctx(m.ctx) {

@@ -36,7 +36,7 @@ impl PvmState {
         if !aligned {
             return CopyMode::Eager;
         }
-        if self.geom.pages_for(size) <= self.config.per_page_max_pages {
+        if self.geom.pages_for(size) <= crate::config::IPC_MESSAGE_PAGES {
             CopyMode::PerPage
         } else {
             CopyMode::HistoryCow

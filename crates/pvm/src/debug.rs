@@ -27,7 +27,6 @@ impl PvmState {
         self.check_regions();
         self.check_frames();
         self.check_clock_ring();
-        self.check_large_maps();
         // The write-behind queue holds at most one IPC message of
         // distinct keys. A key may be stale (page freed, cleaned, pinned
         // or quarantined since it was set aside): dropped when popped.
@@ -113,7 +112,7 @@ impl PvmState {
     /// replacement policy engine and every tracked key is a live page.
     fn check_clock_ring(&self) {
         assert_eq!(
-            self.policy.tracked(),
+            self.policy.len(),
             self.pages.len(),
             "policy tracked size != live pages"
         );
@@ -279,13 +278,11 @@ impl PvmState {
     }
 
     fn check_frames(&self) {
-        // Every allocated frame backs a page or is reserved for a window
-        // in flight.
-        let reserved = |p: &&Parked| matches!(p, Parked::Reserved(_));
+        // Every allocated frame backs a page.
         assert_eq!(
             self.phys.stats().in_use as usize,
-            self.pages.len() + self.engine.parked.values().filter(reserved).count(),
-            "allocated frames != pages + reserved pull frames"
+            self.pages.len(),
+            "allocated frames != pages"
         );
         assert_eq!(
             self.frame_owner.len(),
@@ -299,60 +296,12 @@ impl PvmState {
             );
             assert!(self.pages.contains(p), "frame_owner lists dead page");
         }
-        for (&(cache, off), &parked) in &self.engine.parked {
+        for &(cache, off) in self.engine.parked.keys() {
             // A page awaiting arrival hides behind its stub.
             assert!(
                 self.is_sync_stub(cache, off),
                 "parked page ({cache:?},{off:#x}) without its stub"
             );
-            let Parked::Reserved(f) = parked else {
-                continue;
-            };
-            assert!(
-                self.phys.is_allocated(f),
-                "reserved frame {} for ({cache:?},{off:#x}) not allocated",
-                f.0
-            );
-            assert!(
-                !self.frame_owner.contains_key(&f.0),
-                "reserved frame {} already owned by a page",
-                f.0
-            );
-        }
-    }
-
-    /// Every promotion record must describe a live, fully resident,
-    /// physically contiguous run whose large MMU mapping is installed.
-    fn check_large_maps(&self) {
-        let factor = self.geom.large_factor();
-        let ps = self.geom.page_size();
-        for rec in &self.large_maps {
-            let ctx = self
-                .contexts
-                .get(rec.ctx)
-                .unwrap_or_else(|| panic!("large map for dead context {:?}", rec.ctx));
-            assert!(
-                self.mmu.has_large_mapping(ctx.mmu_ctx, rec.lvpn),
-                "promotion record without MMU large mapping at lvpn {}",
-                rec.lvpn.0
-            );
-            for k in 0..factor {
-                let off = rec.offset + k * ps;
-                let Some(crate::descriptors::Slot::Present(p)) = self.gmap.get(rec.cache, off)
-                else {
-                    panic!(
-                        "promoted run ({:?},{:#x}) page {k} not resident",
-                        rec.cache, rec.offset
-                    );
-                };
-                assert_eq!(
-                    u64::from(self.pages.get(p).expect("promoted page dead").frame.0),
-                    u64::from(rec.base_frame.0) + k,
-                    "promoted run ({:?},{:#x}) not physically contiguous at page {k}",
-                    rec.cache,
-                    rec.offset
-                );
-            }
         }
     }
 }

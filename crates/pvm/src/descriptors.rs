@@ -29,11 +29,6 @@ pub(crate) struct ContextDesc {
     pub mmu_ctx: MmuCtx,
     /// Regions of the context, sorted by start address (non-overlapping).
     pub regions: Vec<RegKey>,
-    /// Running count of faults taken by this context, consulted by the
-    /// OOM victim score (a hot context is a better kill than an idle
-    /// one with the same footprint). Pure bookkeeping: never charged
-    /// to the cost model.
-    pub recent_faults: u64,
 }
 
 /// A region descriptor: a contiguous window of a context mapped onto a

@@ -38,7 +38,7 @@ use crate::stats::Counter;
 use crate::telemetry::DimCounter;
 use crate::trace::{TraceEvent, UpcallKind};
 use chorus_gmi::{CompletionQueue, GmiError, Result, SegmentId};
-use chorus_hal::{FrameNo, FxHashMap, OpKind};
+use chorus_hal::{FxHashMap, OpKind};
 use std::collections::BTreeSet;
 
 /// A submitted upcall whose bookkeeping awaits delivery.
@@ -77,12 +77,20 @@ pub(crate) struct CompletionRecord {
 /// own. One simulated hour: far beyond any workload's horizon but
 /// finite, so a forced delivery advances the clock instead of
 /// overflowing it. The watchdog cancels such requests at their
-/// deadline; with the watchdog off, forcing one reproduces the
-/// pre-watchdog stall (the observable hang in the ablation tests).
+/// deadline; with `retry.deadline_ns == 0` there is none, and forcing
+/// one waits the hour out (the observable hang in the ablation tests).
 pub(crate) const HUNG_REPLY_NS: u64 = 3_600_000_000_000;
 
 /// Requests one mapper may have in flight (1 while it is Suspected).
 pub(crate) const MAX_INFLIGHT: u64 = 4;
+
+/// Watchdog timeouts (since the mapper's last successful delivery)
+/// after which it is Suspected: its in-flight cap shrinks to 1.
+pub(crate) const SUSPECT_AFTER_TIMEOUTS: u32 = 2;
+
+/// Watchdog timeouts after which the affected cache is quarantined
+/// outright (the full `CachePoisoned` escalation).
+pub(crate) const QUARANTINE_AFTER_TIMEOUTS: u32 = 4;
 
 /// One page of a pull window in flight. Its synchronization stub is in
 /// the global map; what will replace the stub at the page's arrival
@@ -91,21 +99,12 @@ pub(crate) const MAX_INFLIGHT: u64 = 4;
 pub(crate) enum Parked {
     /// `fillUp` has not delivered the page (yet).
     Empty,
-    /// A frame of the contiguous pre-zeroed run reserved for a
-    /// whole-large-page window ([`PvmState::reserve_pull_run`]).
-    Reserved(FrameNo),
     /// `fillUp` wrote the page's bytes into a frame and built its
     /// descriptor around it: `page`, pinned, not yet in the global map.
-    /// A frame that came `prezeroed` from a reserved run paid its
-    /// `BzeroPage` there. `arrival_ns` is stamped when the mapper
-    /// protocol has answered (`u64::MAX` until then, and for good if it
-    /// failed: only the window's completion can say what becomes of
-    /// the page).
-    Filled {
-        page: PageKey,
-        prezeroed: bool,
-        arrival_ns: u64,
-    },
+    /// `arrival_ns` is stamped when the mapper protocol has answered
+    /// (`u64::MAX` until then, and for good if it failed: only the
+    /// window's completion can say what becomes of the page).
+    Filled { page: PageKey, arrival_ns: u64 },
 }
 
 /// The engine's state, living inside the PVM's one state mutex so
@@ -301,16 +300,8 @@ impl PvmState {
 
     /// When page `k` (0-based, the faulting page is 0) of a window
     /// submitted at `submit_ns` arrives: `submit_ns + IpcOp + (k + 1) *
-    /// SegmentIoPage`. A window which is one large page (§12) is one
-    /// unit of transfer: it arrives with its last base page, so it can
-    /// be promoted at once.
+    /// SegmentIoPage`.
     fn arrival_ns(&self, rec: &CompletionRecord, k: u64) -> u64 {
-        let pages = rec.size / self.ps();
-        let k = if self.is_large_window(rec.offset, rec.size) {
-            pages - 1
-        } else {
-            k
-        };
         rec.submit_ns + self.upcall_service_ns(k + 1)
     }
 
@@ -382,12 +373,8 @@ impl PvmState {
     /// of their own.
     fn deliver_page(&mut self, cache: CacheKey, off: u64) {
         match self.engine.parked.remove(&(cache, off)) {
-            Some(Parked::Filled {
-                page, prezeroed, ..
-            }) => {
-                if !prezeroed {
-                    self.charge(OpKind::BzeroPage);
-                }
+            Some(Parked::Filled { page, .. }) => {
+                self.charge(OpKind::BzeroPage);
                 self.page_mut(page).lock_count -= 1;
                 self.land_page(cache, off, page);
             }
@@ -402,7 +389,6 @@ impl PvmState {
     pub(crate) fn drop_parked(&mut self, cache: CacheKey, off: u64, parked: Parked) {
         match parked {
             Parked::Empty => {}
-            Parked::Reserved(frame) => self.phys.release(frame),
             Parked::Filled { page, .. } => {
                 self.free_page(page, StubsTo::AlreadyHandled, true);
             }
@@ -539,7 +525,7 @@ impl PvmState {
         if stall {
             self.stats.bump(Counter::AsyncInflightStalls);
         }
-        if self.config.upcall_watchdog && rec.deadline_ns < due {
+        if rec.deadline_ns < due {
             // The waiter would block until a due time past the
             // request's deadline (a hung reply). The unified wake
             // path: advance only to the deadline and cancel, so the
@@ -575,14 +561,14 @@ impl PvmState {
         let now = self.model.now().nanos();
         self.apply_completion(now, id, rec);
         let n = self.engine.note_timeout(segment);
-        if n >= self.config.suspect_after_timeouts && self.engine.mark_suspected(segment) {
+        if n >= SUSPECT_AFTER_TIMEOUTS && self.engine.mark_suspected(segment) {
             self.stats.bump(Counter::SuspectedMappers);
             self.trace.event(|| TraceEvent::MapperSuspected {
                 segment: segment.0,
                 timeouts: n,
             });
         }
-        if n >= self.config.quarantine_after_timeouts {
+        if n >= QUARANTINE_AFTER_TIMEOUTS {
             self.quarantine_cache(cache);
         }
     }
@@ -594,7 +580,7 @@ impl PvmState {
     /// returns the number of cancellations so the driver can wake stub
     /// sleepers whose stubs were just cleared.
     pub(crate) fn watchdog_sweep(&mut self) -> usize {
-        if !self.config.upcall_watchdog || self.engine.queue.is_empty() {
+        if self.engine.queue.is_empty() {
             return 0;
         }
         let now = self.model.now().nanos();

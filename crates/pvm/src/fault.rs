@@ -37,12 +37,6 @@ impl PvmState {
         if note_dims {
             self.note_fault_ctx_dim(ctx);
         }
-        // A context torn down by the OOM killer answers faults with
-        // `ContextKilled`, not `NoSuchContext`, so MIX can reap it.
-        self.check_context_alive(ctx)?;
-        if let Some(c) = self.contexts.get_mut(ctx) {
-            c.recent_faults += 1;
-        }
         // Region lookup ("the PVM searches in its list of region
         // descriptors for the region containing the fault address").
         let reg_key = self
@@ -284,7 +278,6 @@ impl PvmState {
         }
         let via = region.cache;
         self.map_page(page, ctx, vpn, prot, via);
-        self.maybe_promote(ctx, vpn, region);
     }
 
     /// Fault entry used by `lockInMemory`: faults a page in (and, when

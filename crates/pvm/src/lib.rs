@@ -39,7 +39,6 @@ mod fault;
 mod gmap;
 mod history;
 mod keys;
-mod large;
 #[cfg(test)]
 mod modelcheck;
 mod pageout;
@@ -54,10 +53,7 @@ mod stats;
 pub mod telemetry;
 pub mod trace;
 
-pub use config::{
-    AsyncSection, LargePagesSection, PagingSection, PolicySection, PressureSection, PvmConfig,
-    PvmConfigBuilder, TelemetrySection,
-};
+pub use config::{PagingSection, PvmConfig, PvmConfigBuilder, TelemetrySection};
 pub use debug::{CacheDump, SlotDump, TreeDump};
 pub use policy::{PolicyConfig, ReplacementKind};
 pub use pvm::{MmuChoice, Pvm, PvmOptions};

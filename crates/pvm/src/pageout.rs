@@ -13,7 +13,7 @@
 use crate::config::IPC_MESSAGE_PAGES;
 use crate::descriptors::Slot;
 use crate::keys::PageKey;
-use crate::policy::{PolicyEngine, StateView};
+use crate::policy::StateView;
 use crate::state::{blocked, done, Attempt, Blocked, Outcome, PushOrigin, PvmState, StubsTo};
 use crate::stats::Counter;
 use crate::trace::TraceEvent;
@@ -32,39 +32,14 @@ enum Pick {
 }
 
 impl PvmState {
-    /// Allocates a frame, running page replacement when the pool is dry.
-    /// Ordinary allocations keep `emergency_reserve_frames` frames off
-    /// limits so the reclaim machinery itself (laundering pushes need a
-    /// frame to land pulled data) can always make progress.
+    /// Allocates a frame, running page replacement when the pool is
+    /// dry (see [`PvmState::sweep`]; what it cannot take is cleaned via
+    /// `pushOut`). When replacement finds nothing and no completion is
+    /// owed, the allocation fails with `OutOfMemory`: exhaustion is the
+    /// caller's to handle.
     pub fn alloc_frame(&mut self) -> Attempt<FrameNo> {
-        let floor = self.config.emergency_reserve_frames;
-        self.alloc_frame_with_floor(floor)
-    }
-
-    /// Frame allocation for reclaim-critical work (`fillUp` delivering
-    /// pulled data): may dip into the emergency reserve that ordinary
-    /// faults cannot touch, closing the deadlock where freeing frames
-    /// itself needs a frame.
-    pub fn alloc_frame_reserved(&mut self) -> Attempt<FrameNo> {
-        let reserve = self.config.emergency_reserve_frames;
-        if reserve > 0 {
-            let free = self.phys.free_frames();
-            if free > 0 && free <= reserve {
-                self.stats.bump(Counter::ReserveGrants);
-            }
-        }
-        self.alloc_frame_with_floor(0)
-    }
-
-    /// The allocation loop: frames above `floor` are handed out freely;
-    /// at or below it, page replacement runs (see [`PvmState::sweep`];
-    /// what it cannot take is cleaned via `pushOut`), and when
-    /// replacement finds nothing the out-of-memory killer (if enabled)
-    /// reclaims one victim context before the allocation finally fails.
-    fn alloc_frame_with_floor(&mut self, floor: u32) -> Attempt<FrameNo> {
-        let mut oom_killed_once = false;
         loop {
-            match self.sweep(floor) {
+            match self.sweep(0) {
                 None => return done(self.phys.alloc().expect("free frame count lied")),
                 Some(Pick::Victim(victim)) => {
                     match self.start_clean(victim, PushOrigin::Demand)? {
@@ -85,18 +60,9 @@ impl PvmState {
                     if self.config.enable_pageout && !self.engine.queue.is_empty() {
                         return blocked(Blocked::AwaitCompletion);
                     }
+                    return Err(GmiError::OutOfMemory);
                 }
             }
-            // Reclaim made no progress at all (or is disabled). Kill at
-            // most one victim context per allocation attempt; if even
-            // that frees nothing, the allocation fails.
-            if self.config.oom_killer && !oom_killed_once {
-                oom_killed_once = true;
-                if self.oom_kill_victim() > 0 {
-                    continue;
-                }
-            }
-            return Err(GmiError::OutOfMemory);
         }
     }
 
@@ -169,8 +135,8 @@ impl PvmState {
     /// pinned, quarantined or referenced again since it was set aside is
     /// dropped). `Done(())` once `pushed`
     /// — one `pushOut` has gone out — or the queue is empty; `Blocked`
-    /// must be performed and the step retried, as with
-    /// [`PvmState::launder_attempt`].
+    /// must be performed and the step retried, like any other blocked
+    /// action.
     pub fn write_behind_attempt(&mut self, pushed: &mut bool) -> Attempt<()> {
         while !*pushed {
             let Some(&page) = self.write_behind.front() else {
@@ -218,8 +184,7 @@ impl PvmState {
     /// eagerly), so no stale-key compaction is needed.
     fn select_victim(&mut self) -> Pick {
         self.stats.bump(Counter::PolicyVictimRequests);
-        let mut engine = core::mem::replace(&mut self.policy, PolicyEngine::placeholder());
-        let out = engine.select_victims(
+        let out = self.policy.select_victims(
             1,
             &mut StateView {
                 pages: &mut self.pages,
@@ -230,7 +195,6 @@ impl PvmState {
                 stats: &self.stats,
             },
         );
-        self.policy = engine;
         // The clock's sweep bookkeeping, exactly as before the policy
         // split: `step / n` full sweeps on success, two on exhaustion,
         // a trace event whenever the count is positive.
@@ -353,16 +317,6 @@ impl PvmState {
         let base = self.page(victim).offset;
         let mut start = base;
         let mut pages = vec![victim];
-        // With large pages on, clamp the run to the victim's large page
-        // so a batched push never straddles a promotion-granule boundary
-        // — cleaning one run demotes at most one large mapping, and
-        // writeback I/O stays huge-page aligned.
-        let (lo_bound, hi_bound) = if self.config.large_pages {
-            let lo = self.geom.round_down_large(base);
-            (lo, lo + self.geom.large_page_size())
-        } else {
-            (0, u64::MAX)
-        };
         let eligible = |o: u64| -> Option<PageKey> {
             match self.gmap.get(cache, o) {
                 Some(Slot::Present(p)) => {
@@ -372,48 +326,18 @@ impl PvmState {
                 _ => None,
             }
         };
-        while (pages.len() as u64) < limit && start >= ps && start - ps >= lo_bound {
+        while (pages.len() as u64) < limit && start >= ps {
             let Some(p) = eligible(start - ps) else { break };
             pages.insert(0, p);
             start -= ps;
         }
         let mut next = base + ps;
-        while (pages.len() as u64) < limit && next + ps <= hi_bound {
+        while (pages.len() as u64) < limit {
             let Some(p) = eligible(next) else { break };
             pages.push(p);
             next += ps;
         }
         (start, pages)
-    }
-
-    /// One step of the watermark-driven laundering pass: while fewer
-    /// than `high` frames are free, evict clean victims inline and hand
-    /// dirty ones to [`PvmState::start_clean`] as daemon-origin batched
-    /// pushes. `Done(())` means the pass is finished (watermark reached
-    /// or no evictable victim remains); `Blocked` must be performed and
-    /// the attempt retried, like any other blocked action.
-    pub fn launder_attempt(&mut self, high: u32) -> Attempt<()> {
-        loop {
-            if self.phys.free_frames() >= high {
-                return done(());
-            }
-            match self.select_victim() {
-                Pick::Victim(victim) => {
-                    if self.page(victim).dirty {
-                        match self.start_clean(victim, PushOrigin::Daemon)? {
-                            Outcome::Blocked(b) => return blocked(b),
-                            Outcome::Done(()) => {}
-                        }
-                    } else {
-                        self.evict(victim);
-                    }
-                }
-                Pick::Advice(pages) => {
-                    return blocked(self.victim_advice_blocked(pages));
-                }
-                Pick::None => return done(()),
-            }
-        }
     }
 
     /// Called by the driver after a `pushOut`. On success the page is
@@ -457,104 +381,5 @@ impl PvmState {
     /// True if (cache, off) currently holds a synchronization stub.
     pub fn is_sync_stub(&self, cache: crate::keys::CacheKey, off: u64) -> bool {
         matches!(self.gmap.get(cache, off), Some(Slot::Sync))
-    }
-
-    /// Resident and dirty page counts of a context's footprint: every
-    /// resident page reachable through one of its regions' windows.
-    /// Probes the global map directly (uncharged — pure accounting for
-    /// the OOM score, never on the default path).
-    fn context_footprint(&self, ctx: crate::keys::CtxKey) -> (u64, u64) {
-        let mut resident = 0u64;
-        let mut dirty = 0u64;
-        let Some(desc) = self.contexts.get(ctx) else {
-            return (0, 0);
-        };
-        for &r in &desc.regions {
-            let Some(region) = self.regions.get(r) else {
-                continue;
-            };
-            let Some(cache) = self.caches.get(region.cache) else {
-                continue;
-            };
-            for &off in cache
-                .entries
-                .range(region.offset..region.offset + region.size)
-            {
-                if let Some(Slot::Present(p)) = self.gmap.get(region.cache, off) {
-                    resident += 1;
-                    dirty += self.page(p).dirty as u64;
-                }
-            }
-        }
-        (resident, dirty)
-    }
-
-    /// The out-of-memory killer: scores every context by footprint
-    /// (resident + dirty pages) and recent fault activity, tears the
-    /// worst victim down through the ordinary context-destroy path, and
-    /// frees the reclaimable resident pages of caches that thereby lost
-    /// their last user. Dirty contents die with the victim — that is
-    /// the OOM contract — but pages other caches still depend on
-    /// (copy-on-write stub sources) are left alone. Returns the number
-    /// of frames returned to the pool. Deterministic: ties break toward
-    /// the lowest arena index.
-    pub fn oom_kill_victim(&mut self) -> u64 {
-        let mut best: Option<(crate::keys::CtxKey, u64, u64, u64)> = None;
-        for ctx in self.contexts.ids() {
-            let (resident, dirty) = self.context_footprint(ctx);
-            let faults = self.contexts.get(ctx).map(|c| c.recent_faults).unwrap_or(0);
-            let score = (resident + dirty).max(faults);
-            if best.map(|(_, _, _, s)| score > s).unwrap_or(true) {
-                best = Some((ctx, resident, dirty, score));
-            }
-        }
-        let Some((victim, resident, dirty, _)) = best else {
-            return 0;
-        };
-        let free_before = self.phys.free_frames();
-        // Caches the victim maps: once the context is gone they may
-        // have no user left, making their resident pages freeable.
-        let mut touched: Vec<crate::keys::CacheKey> = Vec::new();
-        if let Some(desc) = self.contexts.get(victim) {
-            for &r in &desc.regions.clone() {
-                if let Some(region) = self.regions.get(r) {
-                    if !touched.contains(&region.cache) {
-                        touched.push(region.cache);
-                    }
-                }
-            }
-        }
-        // Tear the address space down through the existing destroy path
-        // (force-unlocks pinned regions, invalidates mappings, drops
-        // the translation cache generation).
-        let _ = self.context_destroy_locked(victim);
-        for cache in touched {
-            let Some(c) = self.caches.get(cache) else {
-                continue;
-            };
-            if c.mapped_regions != 0 || c.internal || c.zombie || !c.children.is_empty() {
-                // Still in use (another context, or history descendants
-                // that may pull values from it): keep its pages.
-                continue;
-            }
-            let offsets: Vec<u64> = c.entries.iter().copied().collect();
-            for off in offsets {
-                let Some(Slot::Present(p)) = self.gmap.get(cache, off) else {
-                    continue;
-                };
-                let page = self.page(p);
-                if page.lock_count == 0 && !page.cleaning && page.stubs.is_empty() {
-                    self.free_page(p, StubsTo::AlreadyHandled, true);
-                }
-            }
-        }
-        self.stats.bump(Counter::OomKills);
-        self.oom_killed.push(crate::keys::pub_ctx(victim));
-        self.trace.event(|| TraceEvent::OomKill {
-            ctx: victim.index(),
-            resident,
-            dirty,
-        });
-        (self.phys.free_frames() - free_before) as u64
     }
 }

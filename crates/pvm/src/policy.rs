@@ -32,7 +32,7 @@ pub enum ReplacementKind {
     /// LRU via active/inactive lists with lazy demotion.
     Lru,
     /// WSClock: a clock sweep that only takes pages outside the working
-    /// set (older than `wsclock_tau` virtual ticks), falling back to the
+    /// set (older than two virtual ticks), falling back to the
     /// oldest candidate when everything is in the working set.
     WsClock,
     /// ARC-style adaptive split between a recency list and a frequency
@@ -72,34 +72,28 @@ impl ReplacementKind {
 }
 
 /// The policy section of [`crate::PvmConfig`]: which replacement policy
-/// runs, selectable per segment (each override gets its own policy
-/// instance, so distinct segment managers age their pages
-/// independently).
+/// runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct PolicyConfig {
-    /// Replacement policy for every page not covered by an override.
+    /// The replacement policy.
     pub replacement: ReplacementKind,
-    /// Per-segment replacement overrides: pages of a cache backed by
-    /// segment `.0` are tracked by their own instance of `.1`.
-    pub segment_overrides: Vec<(u64, ReplacementKind)>,
-    /// WSClock working-set horizon in virtual ticks (touches + sweeps).
-    pub wsclock_tau: u64,
-    /// Candidate batch size for [`ReplacementKind::External`] advice
-    /// upcalls.
-    pub external_batch: u64,
 }
 
 impl Default for PolicyConfig {
     fn default() -> PolicyConfig {
         PolicyConfig {
             replacement: ReplacementKind::Clock,
-            segment_overrides: Vec::new(),
-            wsclock_tau: 2,
-            external_batch: 8,
         }
     }
 }
+
+/// WSClock working-set horizon in virtual ticks (touches + sweeps).
+const WSCLOCK_TAU: u64 = 2;
+
+/// Candidate batch size of a [`ReplacementKind::External`] advice
+/// upcall.
+const EXTERNAL_BATCH: u64 = 8;
 
 // ----- trait contracts -----------------------------------------------------
 
@@ -949,165 +943,14 @@ impl ReplacementPolicy for ExternalPolicy {
 
 // ----- the engine ----------------------------------------------------------
 
-/// The per-`PvmState` policy engine: one replacement instance for the
-/// default kind plus one per segment override, and a routing table.
-/// With the default configuration this is exactly one `Clock` —
-/// zero-overhead routing (slot 0).
-pub(crate) struct PolicyEngine {
-    slots: Vec<Box<dyn ReplacementPolicy>>,
-    /// Segment id → slot index (empty with no overrides).
-    by_segment: FxHashMap<u64, usize>,
-    /// Page → slot index; only maintained with more than one slot.
-    page_slot: FxHashMap<PageKey, usize>,
-    /// Rotating start slot for victim selection (always 0 with one slot).
-    cursor: usize,
-}
-
-fn make_replacement(kind: ReplacementKind, cfg: &PolicyConfig) -> Box<dyn ReplacementPolicy> {
-    match kind {
+/// Builds the configured replacement policy.
+pub(crate) fn new_policy(cfg: &PolicyConfig) -> Box<dyn ReplacementPolicy> {
+    match cfg.replacement {
         ReplacementKind::Clock => Box::new(Clock::default()),
         ReplacementKind::Lru => Box::new(Lru::default()),
-        ReplacementKind::WsClock => Box::new(WsClock::new(cfg.wsclock_tau)),
+        ReplacementKind::WsClock => Box::new(WsClock::new(WSCLOCK_TAU)),
         ReplacementKind::Arc => Box::new(ArcPolicy::default()),
-        ReplacementKind::External => Box::new(ExternalPolicy::new(cfg.external_batch)),
-    }
-}
-
-impl PolicyEngine {
-    pub fn new(cfg: &PolicyConfig) -> PolicyEngine {
-        let mut slots = vec![make_replacement(cfg.replacement, cfg)];
-        let mut by_segment = FxHashMap::default();
-        for &(seg, kind) in &cfg.segment_overrides {
-            by_segment.insert(seg, slots.len());
-            slots.push(make_replacement(kind, cfg));
-        }
-        PolicyEngine {
-            slots,
-            by_segment,
-            page_slot: FxHashMap::default(),
-            cursor: 0,
-        }
-    }
-
-    /// A zero-allocation stand-in used while the real engine is
-    /// temporarily moved out of `PvmState` for a selection call
-    /// (`Vec::new` allocates nothing).
-    pub fn placeholder() -> PolicyEngine {
-        PolicyEngine {
-            slots: Vec::new(),
-            by_segment: FxHashMap::default(),
-            page_slot: FxHashMap::default(),
-            cursor: 0,
-        }
-    }
-
-    /// The replacement kind of the default slot (pvmtop, bench labels).
-    pub fn default_kind(&self) -> ReplacementKind {
-        self.slots[0].kind()
-    }
-
-    /// How many per-segment replacement overrides are routing pages.
-    pub fn override_count(&self) -> usize {
-        self.by_segment.len()
-    }
-
-    fn route(&self, segment: Option<u64>) -> usize {
-        if self.slots.len() == 1 {
-            return 0;
-        }
-        segment
-            .and_then(|s| self.by_segment.get(&s).copied())
-            .unwrap_or(0)
-    }
-
-    fn slot_of(&self, key: PageKey) -> usize {
-        if self.slots.len() == 1 {
-            0
-        } else {
-            self.page_slot.get(&key).copied().unwrap_or(0)
-        }
-    }
-
-    /// A page became resident; `segment` routes it to its policy.
-    pub fn insert(&mut self, key: PageKey, ident: PageIdent, segment: Option<u64>) {
-        let idx = self.route(segment);
-        if self.slots.len() > 1 {
-            self.page_slot.insert(key, idx);
-        }
-        self.slots[idx].insert(key, ident);
-    }
-
-    /// A resident page is going away.
-    pub fn remove(&mut self, key: PageKey, ident: PageIdent) {
-        let idx = self.slot_of(key);
-        self.slots[idx].remove(key, ident);
-        if self.slots.len() > 1 {
-            self.page_slot.remove(&key);
-        }
-    }
-
-    /// A page was (re)mapped.
-    pub fn touch(&mut self, key: PageKey) {
-        let idx = self.slot_of(key);
-        self.slots[idx].touch(key);
-    }
-
-    /// A laundering push finished for the page.
-    pub fn cleaned(&mut self, key: PageKey) {
-        let idx = self.slot_of(key);
-        self.slots[idx].cleaned(key);
-    }
-
-    /// Total tracked pages across every slot.
-    pub fn tracked(&self) -> usize {
-        self.slots.iter().map(|s| s.len()).sum()
-    }
-
-    /// Whether any slot tracks `key`.
-    pub fn contains(&self, key: PageKey) -> bool {
-        self.slots[self.slot_of(key)].contains(key)
-    }
-
-    /// Snapshot of every tracked key, slot by slot in policy order.
-    pub fn keys(&self) -> Vec<PageKey> {
-        let mut out = Vec::with_capacity(self.tracked());
-        for s in &self.slots {
-            out.extend(s.keys());
-        }
-        out
-    }
-
-    /// Selects up to `want` victims, asking slots round-robin from a
-    /// rotating cursor (with one slot: always slot 0, bit-identical to
-    /// the single clock).
-    pub fn select_victims(&mut self, want: usize, view: &mut dyn PolicyView) -> SelectOutcome {
-        let n = self.slots.len();
-        let start = self.cursor % n;
-        self.cursor = (self.cursor + 1) % n;
-        let mut merged = SelectOutcome::default();
-        for i in 0..n {
-            let idx = (start + i) % n;
-            let out = self.slots[idx].select_victims(want, view);
-            merged.full_sweeps += out.full_sweeps;
-            merged.external_fallback |= out.external_fallback;
-            if !out.victims.is_empty() {
-                merged.victims = out.victims;
-                return merged;
-            }
-            if out.need_advice.is_some() {
-                merged.need_advice = out.need_advice;
-                return merged;
-            }
-        }
-        merged
-    }
-
-    /// Delivers approved external victims to every slot (non-external
-    /// slots ignore it).
-    pub fn approve_victims(&mut self, pages: &[PageKey]) {
-        for s in &mut self.slots {
-            s.approve_victims(pages);
-        }
+        ReplacementKind::External => Box::new(ExternalPolicy::new(EXTERNAL_BATCH)),
     }
 }
 
@@ -1315,25 +1158,5 @@ mod tests {
         let out = e.select_victims(1, &mut view);
         assert_eq!(out.victims, vec![cands[0]]);
         assert!(!out.external_fallback);
-    }
-
-    #[test]
-    fn engine_routes_by_segment_override() {
-        let cfg = PolicyConfig {
-            segment_overrides: vec![(7, ReplacementKind::Lru)],
-            ..PolicyConfig::default()
-        };
-        let mut eng = PolicyEngine::new(&cfg);
-        eng.insert(k(0), ident(0), None);
-        eng.insert(k(1), ident(1), Some(7));
-        eng.insert(k(2), ident(2), Some(9));
-        assert_eq!(eng.tracked(), 3);
-        assert!(eng.contains(k(0)) && eng.contains(k(1)) && eng.contains(k(2)));
-        eng.remove(k(1), ident(1));
-        assert_eq!(eng.tracked(), 2);
-        assert!(!eng.contains(k(1)));
-        let mut view = TestView::default();
-        let out = eng.select_victims(1, &mut view);
-        assert_eq!(out.victims.len(), 1);
     }
 }

@@ -84,9 +84,9 @@ pub struct Pvm {
     /// The dimensional telemetry registry (see [`crate::telemetry`]),
     /// shared with the state; table reads never take the state lock.
     telemetry: Arc<Telemetry>,
-    /// Reentrancy guard for the watermark laundering pass: a laundering
-    /// push that re-enters the driver (e.g. a mapper calling back into
-    /// the GMI) must not start a second pass.
+    /// Reentrancy guard for the write-behind drain: a laundering push
+    /// that re-enters the driver (e.g. a mapper calling back into the
+    /// GMI) must not start a second one.
     laundering: AtomicBool,
 }
 
@@ -98,16 +98,7 @@ impl Pvm {
     /// remaining v1 bridge.
     pub fn new(options: PvmOptions, seg_mgr: Arc<dyn SegmentManagerV2>) -> Pvm {
         let model = Arc::new(CostModel::new(options.cost.clone()));
-        // With large pages on, the promotion threshold becomes the
-        // geometry's large factor so the HAL tiers (buddy runs, large
-        // TLB level) agree with the PVM on the run size.
-        let geometry = if options.config.large_pages {
-            options
-                .geometry
-                .with_large_factor(options.config.promote_threshold_pages)
-        } else {
-            options.geometry
-        };
+        let geometry = options.geometry;
         let phys = PhysicalMemory::new(geometry, options.frames, model.clone());
         let mmu: Box<dyn Mmu> = match options.mmu {
             MmuChoice::Soft => Box::new(SoftMmu::new(geometry, model.clone())),
@@ -210,17 +201,6 @@ impl Pvm {
         self.state.lock().phys.stats()
     }
 
-    /// Hit/miss statistics of the MMU's large-page TLB, if the backing
-    /// MMU has a large level (`None` otherwise).
-    pub fn large_tlb_stats(&self) -> Option<chorus_hal::TlbStats> {
-        self.state.lock().mmu.large_tlb_stats()
-    }
-
-    /// Number of currently installed large mappings.
-    pub fn large_mapping_count(&self) -> usize {
-        self.state.lock().large_maps.len()
-    }
-
     /// Runs the structural invariant checker (also run automatically when
     /// `PvmConfig::check_invariants` is set).
     ///
@@ -266,10 +246,10 @@ impl Pvm {
     }
 
     /// One driver entry under a state lock the caller already holds:
-    /// the entry hooks (completion pump, watchdog, laundering, gauge
-    /// sampler), then the attempt loop. Returns with the lock held so a
-    /// caller with more to do under it (`fillUp` landing several pages)
-    /// need not re-acquire; on error the lock is released.
+    /// the entry hooks (completion pump, watchdog, gauge sampler), then
+    /// the attempt loop. Returns with the lock held so a caller with
+    /// more to do under it (`fillUp` landing several pages) need not
+    /// re-acquire; on error the lock is released.
     fn drive<'a, T>(
         &'a self,
         mut guard: parking_lot::MutexGuard<'a, PvmState>,
@@ -281,7 +261,6 @@ impl Pvm {
             // they re-fault.
             self.stub_cv.notify_all();
         }
-        guard = self.maybe_launder(guard);
         // The deterministic gauge sampler rides every driver entry:
         // reads the simulated clock, never advances it.
         guard.maybe_sample();
@@ -321,42 +300,13 @@ impl Pvm {
         Ok((guard, v))
     }
 
-    /// The deterministic "writeback daemon": when the watermark config
-    /// is on and free frames fell below the low watermark, launder
-    /// (clean + evict) pages until the high watermark is reached, so the
-    /// operation about to run — and the demand faults after it — find
-    /// free or clean frames instead of stalling on a synchronous
-    /// `pushOut`. Runs inline at every driver entry rather than on a
-    /// free-running thread, so the same operation sequence always
-    /// launders at the same simulated instants (the determinism rule).
-    /// Laundering failures are swallowed: the daemon must never fail the
-    /// operation that happened to trigger it (the pages simply stay
-    /// dirty and the synchronous emergency path still applies).
-    fn maybe_launder<'a>(
-        &'a self,
-        guard: parking_lot::MutexGuard<'a, PvmState>,
-    ) -> parking_lot::MutexGuard<'a, PvmState> {
-        let low = guard.config.writeback_low_frames;
-        if !guard.config.writeback_daemon || low == 0 || guard.phys.free_frames() >= low {
-            return guard;
-        }
-        let high = guard.config.writeback_high_frames.max(low);
-        let mut counted = false;
-        self.launder(guard, |s| {
-            if !counted {
-                counted = true;
-                s.stats.bump(Counter::LaunderPasses);
-            }
-            s.launder_attempt(high)
-        })
-    }
-
-    /// Runs a laundering step (`launder_attempt`, `write_behind_attempt`)
-    /// to completion, performing what it blocks on. Inline and
-    /// deterministic, never on a thread of its own; a failure ends the
-    /// pass and is swallowed (see [`Pvm::maybe_launder`]). Guarded
-    /// against reentry: a push whose mapper calls back into the GMI must
-    /// not start laundering of its own.
+    /// Runs a laundering step (`write_behind_attempt`) to completion,
+    /// performing what it blocks on. Inline and deterministic, never on
+    /// a thread of its own; a failure ends the pass and is swallowed:
+    /// laundering must never fail the operation that happened to
+    /// trigger it (the pages simply stay dirty). Guarded against
+    /// reentry: a push whose mapper calls back into the GMI must not
+    /// start laundering of its own.
     fn launder<'a>(
         &'a self,
         mut guard: parking_lot::MutexGuard<'a, PvmState>,
@@ -446,13 +396,6 @@ impl Pvm {
             (req.offset, req.size),
             pages,
         );
-        // A window that is one large page gets a contiguous pre-zeroed
-        // frame run reserved up front (zeroed while the request is on
-        // its way), so the delivered pages land physically contiguous
-        // and the run can be promoted.
-        if guard.config.buddy_runs && guard.is_large_window(req.offset, req.size) {
-            guard.reserve_pull_run(cache, req.offset);
-        }
         let policy = guard.config.retry;
         drop(guard);
         let t0 = self.trace.phase_start();
@@ -628,8 +571,8 @@ impl Pvm {
                 drop(guard);
                 let ps = self.geom.page_size();
                 // A demand-origin push is the faulting thread stalling on
-                // a dirty eviction — the latency the writeback daemon
-                // exists to remove; record it in its own histogram.
+                // a dirty eviction — the latency write-behind exists to
+                // remove; record it in its own histogram.
                 let stall0 = if origin == PushOrigin::Demand {
                     self.trace.phase_start()
                 } else {
@@ -937,30 +880,15 @@ impl PvmState {
             Some(Slot::Sync) => self.engine.parked.get(&(cache, page_off)).copied(),
             _ => None,
         };
-        match parked {
+        if let Some(Parked::Filled { .. }) = parked {
             // A duplicate delivery: the first one stands.
-            Some(Parked::Filled { .. }) => return crate::state::done(()),
-            // A frame reserved for this window is filled in place: it is
-            // part of a contiguous pre-zeroed run, so only the payload
-            // bytes need writing and the later promotion check sees
-            // consecutive frame numbers.
-            Some(Parked::Reserved(frame)) => {
-                self.phys.write(frame, 0, chunk);
-                self.park(cache, page_off, frame, true);
-                return crate::state::done(());
-            }
-            Some(Parked::Empty) | None => {}
+            return crate::state::done(());
         }
         // Failing this allocation would strand the pulled data and
-        // error the recovery; this is reclaim-critical work, so it may
-        // draw from the emergency reserve, and it degrades through an
-        // emergency eviction pass before giving up.
-        let alloc = match self.alloc_frame_reserved() {
-            Err(GmiError::OutOfMemory)
-                if self.config.emergency_pageout && self.emergency_evict() > 0 =>
-            {
-                self.alloc_frame_reserved()
-            }
+        // error the recovery, so it degrades through an emergency
+        // eviction pass before giving up.
+        let alloc = match self.alloc_frame() {
+            Err(GmiError::OutOfMemory) if self.emergency_evict() > 0 => self.alloc_frame(),
             other => other,
         };
         let frame = match alloc? {
@@ -972,7 +900,7 @@ impl PvmState {
             // charged when the page lands (`PvmState::deliver_page`).
             self.phys.write(frame, 0, chunk);
             self.phys.frame_mut(frame)[chunk.len()..].fill(0);
-            self.park(cache, page_off, frame, false);
+            self.park(cache, page_off, frame);
         } else {
             // Partial trailing chunks are zero-padded: only the tail
             // the chunk leaves uncovered is cleared.
@@ -986,18 +914,11 @@ impl PvmState {
     /// Parks a page of a window in flight in its filled `frame`: its
     /// descriptor is built now, pinned so that it is nobody's victim,
     /// and enters the global map at the page's arrival.
-    fn park(
-        &mut self,
-        cache: crate::keys::CacheKey,
-        off: u64,
-        frame: chorus_hal::FrameNo,
-        prezeroed: bool,
-    ) {
+    fn park(&mut self, cache: crate::keys::CacheKey, off: u64, frame: chorus_hal::FrameNo) {
         let page = self.new_page(cache, off, frame, true, false);
         self.page_mut(page).lock_count += 1;
         let filled = Parked::Filled {
             page,
-            prezeroed,
             arrival_ns: u64::MAX,
         };
         self.engine.parked.insert((cache, off), filled);
@@ -1420,9 +1341,6 @@ impl Pvm {
             let mut tries = 0;
             loop {
                 let mut guard = self.state.lock();
-                // An OOM-killed context reports the kill, not a bare
-                // "no such context", so MIX can reap the process.
-                guard.check_context_alive(key)?;
                 let mmu_ctx = guard.ctx(key)?.mmu_ctx;
                 match guard.mmu.translate(mmu_ctx, addr, access, false) {
                     Ok(pa) => {

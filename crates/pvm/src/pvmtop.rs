@@ -142,11 +142,9 @@ impl PhaseLatency {
 /// The replacement policy engine's identity and decision counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicyHeat {
-    /// Label of the default replacement policy (`clock`, `lru`,
-    /// `wsclock`, `arc`, `external`).
+    /// Label of the replacement policy (`clock`, `lru`, `wsclock`,
+    /// `arc`, `external`).
     pub replacement: &'static str,
-    /// Per-segment replacement overrides in effect.
-    pub segment_overrides: u64,
     /// Victim-selection rounds requested.
     pub victim_requests: u64,
     /// Victims actually produced.
@@ -304,8 +302,7 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
 
     use crate::stats::Counter as C;
     let policy = PolicyHeat {
-        replacement: state.policy.default_kind().label(),
-        segment_overrides: state.policy.override_count() as u64,
+        replacement: state.policy.kind().label(),
         victim_requests: state.stats.get(C::PolicyVictimRequests),
         victims: state.stats.get(C::PolicyVictims),
         external_batches: state.stats.get(C::PolicyExternalBatches),
@@ -333,11 +330,10 @@ pub fn render(top: &PvmTop, n: usize) -> String {
     let mut out = String::new();
     let s = &top.sample;
     out.push_str(&format!(
-        "pvmtop  sim={} ns  free={} frames (reserve {})  inflight={}  \
+        "pvmtop  sim={} ns  free={} frames  inflight={}  \
          arriving={} pages  ring={} pages  gmap={} slots\n",
         top.sim_ns,
         s.free_frames,
-        s.reserve_free,
         s.inflight_upcalls,
         s.arriving_pages,
         s.clock_ring_pages,
@@ -349,11 +345,10 @@ pub fn render(top: &PvmTop, n: usize) -> String {
     ));
     let pol = &top.policy;
     out.push_str(&format!(
-        "        policy: {} (+{} overrides)  victims {}/{} req  \
+        "        policy: {}  victims {}/{} req  \
          external {}/{} appr  fallbacks {}  second chances {}  \
          drop-behind {}\n",
         pol.replacement,
-        pol.segment_overrides,
         pol.victims,
         pol.victim_requests,
         pol.external_approvals,
@@ -478,18 +473,15 @@ mod tests {
             sample: TelemetrySample {
                 sim_ns: 42,
                 free_frames: 7,
-                free_blocks_per_order: vec![1, 1],
                 inflight_upcalls: 0,
                 arriving_pages: 0,
                 clock_ring_pages: 0,
                 gmap_slots: 0,
-                reserve_free: 4,
             },
             state_lock_acqs: 12,
             state_lock_contended: 3,
             policy: PolicyHeat {
                 replacement: "clock",
-                segment_overrides: 0,
                 victim_requests: 3,
                 victims: 2,
                 external_batches: 0,
@@ -501,7 +493,7 @@ mod tests {
         };
         let text = render(&top, 2);
         assert!(text.contains("pvmtop  sim=42 ns"));
-        assert!(text.contains("policy: clock (+0 overrides)  victims 2/3 req"));
+        assert!(text.contains("policy: clock  victims 2/3 req"));
         assert!(text.contains("fallbacks 0  second chances 7  drop-behind 5"));
         assert!(text.contains("PVICT"));
         assert!(text.contains("... 1 more caches"));

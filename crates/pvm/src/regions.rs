@@ -14,7 +14,6 @@ impl PvmState {
         self.contexts.insert(ContextDesc {
             mmu_ctx,
             regions: Vec::new(),
-            recent_faults: 0,
         })
     }
 
@@ -27,9 +26,6 @@ impl PvmState {
             let _ = self.region_force_unlock(r);
             self.region_destroy_locked(r)?;
         }
-        // `ctx_destroy` below removes any large entries wholesale; only
-        // the promotion records (and counters) need dropping here.
-        self.drop_large_maps_of_ctx(ctx);
         let desc = self.contexts.remove(ctx).expect("context vanished");
         self.mmu.ctx_destroy(desc.mmu_ctx);
         self.charge(OpKind::ObjectDestroy);

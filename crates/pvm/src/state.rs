@@ -13,7 +13,7 @@ use crate::config::PvmConfig;
 use crate::descriptors::{CacheDesc, ContextDesc, CowSource, Mapping, PageDesc, RegionDesc, Slot};
 use crate::gmap::GlobalMap;
 use crate::keys::{CacheKey, CtxKey, PageKey, RegKey};
-use crate::policy::{PageIdent, PolicyEngine};
+use crate::policy::{PageIdent, ReplacementPolicy};
 use crate::stats::{Counter, StatsRegistry};
 use crate::telemetry::{Dim, DimCounter, SeriesRing, Telemetry, TelemetrySample, SERIES_CAP};
 use crate::trace::{TraceEvent, Tracer};
@@ -55,8 +55,8 @@ pub(crate) enum Blocked {
         size: u64,
         /// The contiguous run of pages being cleaned, in offset order.
         pages: Vec<PageKey>,
-        /// Why the run is being pushed (demand eviction, the writeback
-        /// daemon, or an explicit sync/flush).
+        /// Why the run is being pushed (demand eviction, write-behind,
+        /// or an explicit sync/flush).
         origin: PushOrigin,
     },
     /// The cache needs a segment assigned (`segmentCreate` upcall,
@@ -102,14 +102,14 @@ pub(crate) enum Blocked {
 
 /// Why a [`Blocked::PushOut`] was issued. Demand evictions stall the
 /// faulting thread (tracked in the `fault.evictStall` histogram); daemon
-/// pushes run from the watermark laundering pass and must never fail the
+/// pushes drain the write-behind queue and must never fail the
 /// operation that triggered them; sync pushes come from explicit
 /// `cache_sync`/flush/destroy and keep their caller's error semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PushOrigin {
     /// Synchronous eviction inside a demand fault or allocation.
     Demand,
-    /// Background laundering by the watermark-driven writeback daemon.
+    /// Background laundering off the write-behind queue.
     Daemon,
     /// Explicit `cache_sync`/flush/destroy writeback.
     Sync,
@@ -150,7 +150,7 @@ pub(crate) enum StubsTo {
 /// The PVM state proper (everything behind the lock).
 pub(crate) struct PvmState {
     pub geom: PageGeometry,
-    /// The frame pool: buddy allocator, frame metadata and the bytes.
+    /// The frame pool: frame metadata and the bytes.
     pub phys: PhysicalMemory,
     /// MMU contexts and page tables.
     pub mmu: Box<dyn Mmu>,
@@ -168,7 +168,7 @@ pub(crate) struct PvmState {
     /// The replacement policy engine (every tracked entry is a live
     /// page; freed pages are removed eagerly). The default configuration
     /// is one clock ring.
-    pub policy: PolicyEngine,
+    pub policy: Box<dyn ReplacementPolicy>,
     /// The current user context.
     pub current: Option<CtxKey>,
     pub config: PvmConfig,
@@ -181,15 +181,6 @@ pub(crate) struct PvmState {
     /// The completion engine: in-flight table, deterministic
     /// completion queue and the parked pages of pull windows in flight.
     pub engine: crate::engine::EngineState,
-    /// Public ids of contexts torn down by the out-of-memory killer.
-    /// Lookups through a dead handle consult this so the error is
-    /// `ContextKilled`, not a bare `NoSuchContext` (MIX keys process
-    /// reaping off the distinction). Grows only when `oom_killer` is
-    /// on, and one entry per kill — never a space concern.
-    pub oom_killed: Vec<chorus_gmi::CtxId>,
-    /// Installed large mappings (promotion records). Empty unless
-    /// `config.large_pages` is on; every hook early-returns on empty.
-    pub large_maps: Vec<crate::large::LargeMap>,
     /// The demand pages of pull windows in flight, keyed by (cache,
     /// offset): the faulter's mailbox. The driver enters `Ok(None)`
     /// when it submits; the page delivered there is born pinned and
@@ -243,14 +234,12 @@ impl PvmState {
             pages: Arena::new(),
             gmap: GlobalMap::default(),
             frame_owner: FxHashMap::default(),
-            policy: PolicyEngine::new(&config.policy),
+            policy: crate::policy::new_policy(&config.policy),
             current: None,
             config,
             stats,
             trace,
             engine: crate::engine::EngineState::new(),
-            oom_killed: Vec::new(),
-            large_maps: Vec::new(),
             demand_pulls: FxHashMap::default(),
             write_behind: std::collections::VecDeque::new(),
             performed: 0,
@@ -272,21 +261,6 @@ impl PvmState {
         self.contexts
             .get_mut(k)
             .ok_or(GmiError::NoSuchContext(crate::keys::pub_ctx(k)))
-    }
-
-    /// Distinguishes "context was killed by the OOM killer" from a
-    /// plain dangling handle: a killed context's public id is recorded
-    /// in `oom_killed`, and accesses through it report `ContextKilled`
-    /// so the MIX layer can reap the process rather than treat the
-    /// handle as a caller bug.
-    pub fn check_context_alive(&self, k: CtxKey) -> Result<()> {
-        if self.contexts.get(k).is_none() {
-            let id = crate::keys::pub_ctx(k);
-            if self.oom_killed.contains(&id) {
-                return Err(GmiError::ContextKilled(id));
-            }
-        }
-        Ok(())
     }
 
     pub fn region(&self, k: RegKey) -> Result<&RegionDesc> {
@@ -323,29 +297,20 @@ impl PvmState {
         }
     }
 
-    /// Quarantines a cache after a permanent mapper failure (if the
-    /// config enables it): every later operation that needs the cache
-    /// fails with a clean `CachePoisoned` error instead of re-driving
-    /// upcalls into an unavailable mapper.
+    /// Quarantines a cache after a permanent mapper failure: every
+    /// later operation that needs the cache fails with a clean
+    /// `CachePoisoned` error instead of re-driving upcalls into an
+    /// unavailable mapper. Its windows in flight stay queued and
+    /// deliver, or fail, in their turn; faulters see `CachePoisoned`
+    /// either way.
     pub fn quarantine_cache(&mut self, k: CacheKey) {
-        if !self.config.quarantine_on_permanent_failure {
-            return;
-        }
-        let mut transitioned = false;
         if let Some(c) = self.caches.get_mut(k) {
             if !c.poisoned {
                 c.poisoned = true;
-                transitioned = true;
                 self.stats.bump(Counter::QuarantinedCaches);
                 self.trace
                     .event(|| TraceEvent::Quarantine { cache: k.index() });
             }
-        }
-        if transitioned {
-            // Large mappings over a poisoned cache are stale by fiat.
-            // Its windows in flight stay queued and deliver, or fail, in
-            // their turn; faulters see `CachePoisoned` either way.
-            self.demote_all_of_cache(k);
         }
     }
 
@@ -400,10 +365,6 @@ impl PvmState {
 
     /// Installs a slot, maintaining the cache's entry index.
     pub fn set_slot(&mut self, cache: CacheKey, off: u64, slot: Slot) {
-        // Any slot transition inside a promoted run invalidates the
-        // large mapping (this is the lowest-level hook, covering every
-        // path that moves or re-points a page).
-        self.demote_covering_slot(cache, off);
         self.model.charge(OpKind::GlobalMapOp);
         self.gmap.insert(cache, off, slot);
         if let Some(c) = self.caches.get_mut(cache) {
@@ -413,7 +374,6 @@ impl PvmState {
 
     /// Removes a slot, maintaining the cache's entry index.
     pub fn clear_slot(&mut self, cache: CacheKey, off: u64) -> Option<Slot> {
-        self.demote_covering_slot(cache, off);
         self.model.charge(OpKind::GlobalMapOp);
         let old = self.gmap.remove(cache, off);
         if old.is_some() {
@@ -461,14 +421,12 @@ impl PvmState {
             c.owned.insert(offset);
         }
         self.frame_owner.insert(frame.0, key);
-        let segment = self.caches.get(cache).and_then(|c| c.segment).map(|s| s.0);
         self.policy.insert(
             key,
             PageIdent {
                 cache: cache.index(),
                 offset,
             },
-            segment,
         );
         key
     }
@@ -556,7 +514,6 @@ impl PvmState {
     /// Removes the mapping at (ctx, vpn), if any, and unthreads it from
     /// its page descriptor.
     pub fn unmap_va(&mut self, ctx: CtxKey, vpn: Vpn) {
-        self.demote_covering_va(ctx, vpn);
         let Ok(desc) = self.ctx(ctx) else { return };
         let mmu_ctx = desc.mmu_ctx;
         if let Some(frame) = self.mmu.unmap(mmu_ctx, vpn) {
@@ -571,7 +528,6 @@ impl PvmState {
     pub fn unmap_all(&mut self, key: PageKey) {
         let mappings = core::mem::take(&mut self.page_mut(key).mappings);
         for m in mappings {
-            self.demote_covering_va(m.ctx, m.vpn);
             if let Ok(desc) = self.ctx(m.ctx) {
                 let mmu_ctx = desc.mmu_ctx;
                 self.mmu.unmap(mmu_ctx, m.vpn);
@@ -586,7 +542,6 @@ impl PvmState {
         let (keep, drop): (Vec<Mapping>, Vec<Mapping>) =
             self.page(key).mappings.iter().partition(|m| m.via != via);
         for m in &drop {
-            self.demote_covering_va(m.ctx, m.vpn);
             if let Ok(desc) = self.ctx(m.ctx) {
                 let mmu_ctx = desc.mmu_ctx;
                 self.mmu.unmap(mmu_ctx, m.vpn);
@@ -603,7 +558,6 @@ impl PvmState {
         let (keep, drop): (Vec<Mapping>, Vec<Mapping>) =
             self.page(key).mappings.iter().partition(|m| m.via == owner);
         for m in &drop {
-            self.demote_covering_va(m.ctx, m.vpn);
             if let Ok(desc) = self.ctx(m.ctx) {
                 let mmu_ctx = desc.mmu_ctx;
                 self.mmu.unmap(mmu_ctx, m.vpn);
@@ -615,15 +569,6 @@ impl PvmState {
     /// Re-applies the protection of every current mapping of a page,
     /// given each mapping's region protection recomputed from scratch.
     pub fn reprotect_mappings(&mut self, key: PageKey) {
-        // A protection change anywhere in a promoted run breaks its
-        // uniform-protection invariant; demote by the page's slot so
-        // even pages with no base mapping of their own (covered only by
-        // the large entry) take effect immediately.
-        let (pc, po) = {
-            let p = self.page(key);
-            (p.cache, p.offset)
-        };
-        self.demote_covering_slot(pc, po);
         let mappings = self.page(key).mappings.clone();
         for m in mappings {
             let Some(region_prot) = self.region_prot_at(m.ctx, m.vpn) else {
@@ -728,19 +673,16 @@ impl PvmState {
 
     /// A gauge sample of the live state, stamped with the current
     /// simulated time. Pure observation: nothing here charges the cost
-    /// model (`free_frames`/`free_blocks_per_order`/`len` are plain
-    /// reads, and the gmap is consulted via its uncharged `len`).
+    /// model (`free_frames`/`len` are plain reads, and the gmap is
+    /// consulted via its uncharged `len`).
     pub fn live_sample(&self) -> TelemetrySample {
-        let free = self.phys.free_frames();
         TelemetrySample {
             sim_ns: self.model.now().nanos(),
-            free_frames: free,
-            free_blocks_per_order: self.phys.free_blocks_per_order(),
+            free_frames: self.phys.free_frames(),
             inflight_upcalls: self.engine.inflight(),
             arriving_pages: self.engine.parked.len() as u64,
-            clock_ring_pages: self.policy.tracked() as u64,
+            clock_ring_pages: self.policy.len() as u64,
             gmap_slots: self.gmap.len() as u64,
-            reserve_free: free.min(self.config.emergency_reserve_frames),
         }
     }
 

@@ -130,8 +130,6 @@ counters! {
     /// Batched `pushOut` requests that failed part-way and were split
     /// into per-page retries to avoid dirty-page loss.
     push_batch_splits => PushBatchSplits,
-    /// Watermark-driven laundering passes run by the writeback daemon.
-    launder_passes => LaunderPasses,
     /// Misses that continued a sequential stream of their cache's
     /// stream table (and so pulled a widened window).
     readahead_hits => ReadaheadHits,
@@ -159,24 +157,6 @@ counters! {
     /// watchdog timeouts (in-flight cap shrunk to one request at a
     /// time, one step short of quarantine).
     suspected_mappers => SuspectedMappers,
-    /// Contexts killed by the out-of-memory escalation path (frame
-    /// exhaustion with no reclaim progress).
-    oom_kills => OomKills,
-    /// Allocations that dipped into the emergency frame reserve (only
-    /// pull-recovery and pageout work may draw from it).
-    reserve_grants => ReserveGrants,
-    /// Fully resident aligned runs promoted to a single large MMU
-    /// mapping.
-    large_promotions => LargePromotions,
-    /// Large mappings demoted back to base pages (partial unmap,
-    /// reprotect, eviction, quarantine, or context teardown).
-    large_demotions => LargeDemotions,
-    /// Contiguous pre-zeroed frame runs reserved from the buddy tier for
-    /// a whole-large-page pull window.
-    large_run_reserves => LargeRunReserves,
-    /// Whole-large-page pull windows that fell back to per-frame
-    /// allocation because no contiguous run was free.
-    large_run_fallbacks => LargeRunFallbacks,
     /// Deterministic sim-time gauge samples recorded by the telemetry
     /// sampler (dimensional telemetry knob on; see [`crate::telemetry`]).
     telemetry_samples => TelemetrySamples,
@@ -186,7 +166,7 @@ counters! {
     /// try-lock missed and the caller blocked).
     state_lock_contended => StateLockContended,
     /// Victim-selection rounds requested from the replacement policy
-    /// engine (demand allocation and the laundering daemon both count).
+    /// engine.
     policy_victim_requests => PolicyVictimRequests,
     /// Victims the policy engine actually produced (a request can come
     /// up empty when every candidate is pinned or cleaning).
@@ -313,15 +293,13 @@ mod tests {
 
     #[test]
     fn counter_labels_match_snapshot_fields() {
-        assert_eq!(Counter::ALL.len(), 52);
+        assert_eq!(Counter::ALL.len(), 45);
         assert_eq!(Counter::ReadaheadHits.label(), "readahead_hits");
         assert_eq!(Counter::ReadaheadRamps.label(), "readahead_ramps");
         assert_eq!(Counter::PolicyVictims.label(), "policy_victims");
         assert_eq!(Counter::TelemetrySamples.label(), "telemetry_samples");
         assert_eq!(Counter::StateLockAcqs.label(), "state_lock_acqs");
-        assert_eq!(Counter::LargePromotions.label(), "large_promotions");
         assert_eq!(Counter::WatchdogCancels.label(), "watchdog_cancels");
-        assert_eq!(Counter::OomKills.label(), "oom_kills");
         assert_eq!(Counter::AsyncSubmits.label(), "async_submits");
         assert_eq!(Counter::PushOutBatches.label(), "push_out_batches");
     }

@@ -17,9 +17,9 @@
 //! (`PvmConfig::telemetry_sample_ns`) without ever charging it, so the
 //! sim-time series is a pure observation of the run it rides on.
 //!
-//! Gauges that counters cannot express — free frames, per-order buddy
-//! occupancy, completion-table depth, pages awaiting arrival,
-//! clock-ring size, emergency-reserve level — are captured as
+//! Gauges that counters cannot express — free frames,
+//! completion-table depth, pages awaiting arrival, clock-ring size —
+//! are captured as
 //! [`TelemetrySample`] points into a bounded [`SeriesRing`]
 //! (drop-oldest), exported by [`crate::TraceSink`] as chrome-trace
 //! counter tracks and a `telemetry.json` artifact.
@@ -280,8 +280,6 @@ pub struct TelemetrySample {
     pub sim_ns: u64,
     /// Free physical frames.
     pub free_frames: u32,
-    /// Free buddy blocks per order (`free_blocks_per_order`).
-    pub free_blocks_per_order: Vec<u32>,
     /// In-flight upcalls (completion-table population; a pull window is
     /// one).
     pub inflight_upcalls: u64,
@@ -291,9 +289,6 @@ pub struct TelemetrySample {
     pub clock_ring_pages: u64,
     /// Live slots in the global map (pages + stubs).
     pub gmap_slots: u64,
-    /// Intact portion of the emergency frame reserve:
-    /// `min(free_frames, emergency_reserve_frames)`.
-    pub reserve_free: u32,
 }
 
 /// A bounded drop-oldest ring of gauge samples.
@@ -412,12 +407,10 @@ mod tests {
         let sample = |ns: u64| TelemetrySample {
             sim_ns: ns,
             free_frames: 0,
-            free_blocks_per_order: Vec::new(),
             inflight_upcalls: 0,
             arriving_pages: 0,
             clock_ring_pages: 0,
             gmap_slots: 0,
-            reserve_free: 0,
         };
         let mut r = SeriesRing::new(2);
         r.push(sample(1));

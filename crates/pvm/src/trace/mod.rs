@@ -339,37 +339,10 @@ pub enum TraceEvent {
         /// Watchdog timeouts observed so far.
         timeouts: u32,
     },
-    /// The out-of-memory escalation killed a context.
-    OomKill {
-        /// Killed context index.
-        ctx: u32,
-        /// Resident pages attributed to the victim at the kill.
-        resident: u64,
-        /// Dirty pages among them.
-        dirty: u64,
-    },
     /// The nucleus fault injector fired (correlation marker).
     MapperFaultInjected {
         /// Injected failure kind.
         kind: InjectedKind,
-    },
-    /// A fully resident aligned run was promoted to one large mapping.
-    LargePromote {
-        /// Promoted context index.
-        ctx: u32,
-        /// Base virtual address of the large page.
-        va: u64,
-        /// Backing cache index.
-        cache: u32,
-        /// Cache byte offset of the run base.
-        offset: u64,
-    },
-    /// A large mapping was demoted back to base pages.
-    LargeDemote {
-        /// Demoted context index.
-        ctx: u32,
-        /// Base virtual address of the large page.
-        va: u64,
     },
     /// A named nested phase opened (span API).
     SpanBegin {

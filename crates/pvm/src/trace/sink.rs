@@ -176,39 +176,6 @@ fn parts(e: &TraceEvent) -> (Ph, String, Vec<(&'static str, String)>) {
                 ("timeouts", timeouts.to_string()),
             ],
         ),
-        TraceEvent::OomKill {
-            ctx,
-            resident,
-            dirty,
-        } => (
-            Ph::Instant,
-            "oom.kill".into(),
-            vec![
-                ("ctx", ctx.to_string()),
-                ("resident", resident.to_string()),
-                ("dirty", dirty.to_string()),
-            ],
-        ),
-        TraceEvent::LargePromote {
-            ctx,
-            va,
-            cache,
-            offset,
-        } => (
-            Ph::Instant,
-            "large.promote".into(),
-            vec![
-                ("ctx", ctx.to_string()),
-                ("va", format!("{va:#x}")),
-                ("cache", cache.to_string()),
-                ("offset", offset.to_string()),
-            ],
-        ),
-        TraceEvent::LargeDemote { ctx, va } => (
-            Ph::Instant,
-            "large.demote".into(),
-            vec![("ctx", ctx.to_string()), ("va", format!("{va:#x}"))],
-        ),
         TraceEvent::SpanBegin { name } => (Ph::Begin, name.into(), vec![]),
         TraceEvent::SpanEnd { name } => (Ph::End, name.into(), vec![]),
     }
@@ -297,13 +264,7 @@ impl TraceSink {
                     "{{\"name\":\"{name}\",\"cat\":\"pvm\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":1,\"args\":{{{args}}}}}"
                 ));
             };
-            counter(
-                "mem.free",
-                format!(
-                    "\"free_frames\":{},\"reserve_free\":{}",
-                    s.free_frames, s.reserve_free
-                ),
-            );
+            counter("mem.free", format!("\"free_frames\":{}", s.free_frames));
             counter(
                 "engine.queues",
                 format!(
@@ -318,13 +279,6 @@ impl TraceSink {
                     s.clock_ring_pages, s.gmap_slots
                 ),
             );
-            let orders: Vec<String> = s
-                .free_blocks_per_order
-                .iter()
-                .enumerate()
-                .map(|(i, n)| format!("\"order{i}\":{n}"))
-                .collect();
-            counter("buddy.free", orders.join(","));
         }
         format!(
             "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"clock\":\"simulated\",\"dropped\":{}}}}}\n",
@@ -343,21 +297,15 @@ impl TraceSink {
             .iter()
             .map(|s| {
                 format!(
-                    "{{\"sim_ns\":{},\"free_frames\":{},\"free_blocks_per_order\":[{}],\
+                    "{{\"sim_ns\":{},\"free_frames\":{},\
                      \"inflight_upcalls\":{},\"arriving_pages\":{},\"clock_ring_pages\":{},\
-                     \"gmap_slots\":{},\"reserve_free\":{}}}",
+                     \"gmap_slots\":{}}}",
                     s.sim_ns,
                     s.free_frames,
-                    s.free_blocks_per_order
-                        .iter()
-                        .map(|n| n.to_string())
-                        .collect::<Vec<_>>()
-                        .join(","),
                     s.inflight_upcalls,
                     s.arriving_pages,
                     s.clock_ring_pages,
-                    s.gmap_slots,
-                    s.reserve_free
+                    s.gmap_slots
                 )
             })
             .collect();
@@ -543,12 +491,10 @@ mod tests {
         TelemetrySample {
             sim_ns,
             free_frames: free,
-            free_blocks_per_order: vec![3, 1, 0],
             inflight_upcalls: 2,
             arriving_pages: 1,
             clock_ring_pages: 5,
             gmap_slots: 6,
-            reserve_free: free.min(4),
         }
     }
 
@@ -556,10 +502,9 @@ mod tests {
     fn counter_tracks_ride_in_the_chrome_export() {
         let sink = capture_with_activity().with_telemetry(vec![sample(0, 10), sample(1_000, 8)]);
         let json = sink.chrome_trace_json();
-        assert_eq!(json.matches("\"ph\":\"C\"").count(), 8, "4 tracks x 2");
+        assert_eq!(json.matches("\"ph\":\"C\"").count(), 6, "3 tracks x 2");
         assert!(json.contains("\"name\":\"mem.free\""));
-        assert!(json.contains("\"name\":\"buddy.free\""));
-        assert!(json.contains("\"order2\":0"));
+        assert!(json.contains("\"name\":\"residency\""));
         // Still structurally sound with the counter events in place.
         let depth = json.chars().fold(0i64, |d, c| match c {
             '{' | '[' => d + 1,

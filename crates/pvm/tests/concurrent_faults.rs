@@ -7,7 +7,7 @@
 
 mod common;
 
-use chorus_gmi::{Access, Gmi, GmiError, Prot, VirtAddr};
+use chorus_gmi::{Access, Gmi, Prot, VirtAddr};
 use common::*;
 use std::sync::{Arc, Barrier};
 
@@ -105,7 +105,7 @@ fn threads_hammer_shared_cache_under_tiny_pool() {
     }
 }
 
-/// The writeback-vs-eviction race: the watermark daemon launders dirty
+/// The writeback-vs-eviction race: page replacement launders dirty
 /// runs in clustered batches while worker threads rewrite those same
 /// pages and a chaos thread flushes them mid-batch. A page can be
 /// invalidated between the batched pushOut upcall and its copyBack
@@ -118,9 +118,6 @@ fn clustered_writeback_races_flushes_without_losing_writes() {
     let (pvm, _mgr) = setup_with(24, |o| {
         o.config.check_invariants = false;
         o.config.push_cluster_pages = 4;
-        o.config.writeback_daemon = true;
-        o.config.writeback_low_frames = 8;
-        o.config.writeback_high_frames = 12;
     });
     let cache = pvm.cache_create(None).unwrap();
     let total = THREADS as u64 * PAGES_PER_THREAD;
@@ -136,14 +133,20 @@ fn clustered_writeback_races_flushes_without_losing_writes() {
         .collect();
 
     let barrier = Arc::new(Barrier::new(THREADS + 1));
+    // The workers rewrite in lockstep, so that every round dirties the
+    // whole working set (a third more than the pool) however the
+    // threads are scheduled: replacement must meet dirty victims.
+    let lockstep = Arc::new(Barrier::new(THREADS));
     let mut handles = Vec::new();
     for (t, &ctx) in ctxs.iter().enumerate() {
         let pvm = Arc::clone(&pvm);
         let barrier = Arc::clone(&barrier);
+        let lockstep = Arc::clone(&lockstep);
         handles.push(std::thread::spawn(move || {
             barrier.wait();
             let lo = base + t as u64 * PAGES_PER_THREAD * PS;
             for round in 0..ROUNDS {
+                lockstep.wait();
                 let tag = (t as u8) << 5 | round;
                 for p in 0..PAGES_PER_THREAD {
                     write(&pvm, ctx, lo + p * PS, &pattern(tag, PS as usize));
@@ -186,8 +189,8 @@ fn clustered_writeback_races_flushes_without_losing_writes() {
         "clustered writeback never completed a batch"
     );
     assert!(
-        stats.launder_passes > 0,
-        "the watermark daemon never woke despite sustained pressure"
+        stats.write_behind_pushes + stats.demand_pushes > 0,
+        "replacement never laundered despite sustained pressure"
     );
 
     // Final oracle: every partition holds its last-round pattern.
@@ -255,111 +258,6 @@ fn soft_faults_survive_eviction_races() {
     evictor.join().expect("evictor");
 
     pvm.check_invariants();
-}
-
-/// The promotion-vs-demotion race: worker threads densely rewrite
-/// large-aligned runs (driving promotions) under a pool too small for
-/// the combined working set (driving eviction-side demotions), while a
-/// chaos thread syncs the cache (cleaning-side demotions) and re-reads
-/// through the fault path. A stale large mapping would either satisfy a
-/// write after its page moved (lost update) or translate to a recycled
-/// frame (foreign bytes) — the byte oracle catches both, and the final
-/// invariant sweep cross-checks every surviving promotion record
-/// against the global map and the MMU.
-#[test]
-fn promotion_races_eviction_and_cleaning() {
-    const FACTOR: u64 = 4;
-    const RUNS_PER_THREAD: u64 = 2;
-    let (pvm, _mgr) = setup_with(24, |o| {
-        o.config.check_invariants = false;
-        o.config.buddy_runs = true;
-        o.config.large_pages = true;
-        o.config.promote_threshold_pages = FACTOR;
-    });
-    let cache = pvm.cache_create(None).unwrap();
-    let pages_per_thread = RUNS_PER_THREAD * FACTOR;
-    let total = THREADS as u64 * pages_per_thread;
-    let base = 0x1_0000u64;
-
-    let ctxs: Vec<_> = (0..THREADS)
-        .map(|_| {
-            let ctx = pvm.context_create().unwrap();
-            pvm.region_create(ctx, VirtAddr(base), total * PS, Prot::RW, cache, 0)
-                .unwrap();
-            ctx
-        })
-        .collect();
-
-    let barrier = Arc::new(Barrier::new(THREADS + 1));
-    let mut handles = Vec::new();
-    for (t, &ctx) in ctxs.iter().enumerate() {
-        let pvm = Arc::clone(&pvm);
-        let barrier = Arc::clone(&barrier);
-        handles.push(std::thread::spawn(move || {
-            barrier.wait();
-            let lo = base + t as u64 * pages_per_thread * PS;
-            for round in 0..ROUNDS {
-                let tag = (t as u8) << 5 | round;
-                // Dense sequential pass over whole aligned runs: each
-                // completed run is a promotion candidate.
-                for p in 0..pages_per_thread {
-                    write(&pvm, ctx, lo + p * PS, &pattern(tag, PS as usize));
-                }
-                for p in 0..pages_per_thread {
-                    assert_eq!(
-                        read(&pvm, ctx, lo + p * PS, PS as usize),
-                        pattern(tag, PS as usize),
-                        "thread {t} page {p} round {round}: stale large mapping leaked bytes"
-                    );
-                }
-            }
-        }));
-    }
-
-    // Chaos: cleaning passes demote promoted runs mid-write, flushes
-    // tear whole runs out, forcing re-pull + re-promotion.
-    let chaos = {
-        let pvm = Arc::clone(&pvm);
-        let barrier = Arc::clone(&barrier);
-        std::thread::spawn(move || {
-            barrier.wait();
-            for i in 0..u64::from(ROUNDS) * 6 {
-                let _ = pvm.cache_sync(cache, 0, total * PS);
-                if i % 4 == 0 {
-                    let _ = pvm.cache_flush(cache, (i % total) * PS, FACTOR * PS);
-                }
-            }
-        })
-    };
-
-    for h in handles {
-        h.join().expect("worker thread");
-    }
-    chaos.join().expect("chaos thread");
-    pvm.check_invariants();
-
-    let stats = pvm.stats();
-    assert!(
-        stats.large_promotions > 0,
-        "dense aligned rewrites never promoted a run"
-    );
-    assert!(
-        stats.large_demotions > 0,
-        "sustained sync/flush/eviction pressure never demoted a run"
-    );
-
-    // Final oracle: every partition holds its last-round pattern.
-    for (t, &ctx) in ctxs.iter().enumerate() {
-        let tag = (t as u8) << 5 | (ROUNDS - 1);
-        let lo = base + t as u64 * pages_per_thread * PS;
-        for p in 0..pages_per_thread {
-            assert_eq!(
-                read(&pvm, ctx, lo + p * PS, PS as usize),
-                pattern(tag, PS as usize),
-                "thread {t} page {p}: final bytes diverged"
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -500,177 +398,6 @@ fn hard_faults_race_eviction_across_caches() {
     for (t, &(ctx, _)) in setups.iter().enumerate() {
         let tag = (t as u8) << 5 | (SPINS - 1);
         for p in 0..PAGES {
-            assert_eq!(
-                read(&pvm, ctx, base + p * PS, PS as usize),
-                pattern(tag, PS as usize),
-                "thread {t} page {p}: final bytes diverged"
-            );
-        }
-    }
-}
-
-/// Hard faults vs the OOM killer: two locked contexts pin the whole
-/// pool, then two threads hard-fault concurrently on disjoint
-/// file-backed caches. Reclaim cannot progress, so the killer must
-/// reclaim the largest locked footprint mid-fault, and both faults must
-/// then complete with correct bytes.
-#[test]
-fn hard_faults_race_oom_kill() {
-    let (pvm, mgr) = setup_with(8, |o| {
-        o.config.check_invariants = false;
-        o.config.oom_killer = true;
-    });
-
-    // Victim: six locked dirty pages. Survivor: two locked pages whose
-    // bytes must come through the kill untouched.
-    let victim = pvm.context_create().unwrap();
-    let vcache = pvm.cache_create(None).unwrap();
-    let vr = pvm
-        .region_create(victim, VirtAddr(0x10_0000), 6 * PS, Prot::RW, vcache, 0)
-        .unwrap();
-    write(&pvm, victim, 0x10_0000, &pattern(0xA1, 6 * PS as usize));
-    pvm.region_lock_in_memory(vr).unwrap();
-
-    let survivor = pvm.context_create().unwrap();
-    let scache = pvm.cache_create(None).unwrap();
-    let sr = pvm
-        .region_create(survivor, VirtAddr(0x20_0000), 2 * PS, Prot::RW, scache, 0)
-        .unwrap();
-    let keep = pattern(0xB2, 2 * PS as usize);
-    write(&pvm, survivor, 0x20_0000, &keep);
-    pvm.region_lock_in_memory(sr).unwrap();
-    assert_eq!(pvm.free_frames(), 0, "setup must exhaust the pool");
-
-    // Two concurrent hard faults on disjoint caches, each needing a
-    // frame only a kill can free.
-    let barrier = Arc::new(Barrier::new(2));
-    let handles: Vec<_> = (0..2u8)
-        .map(|t| {
-            let seg = mgr.create_segment(&pattern(0xC0 | t, PS as usize));
-            let cache = pvm.cache_create(Some(seg)).unwrap();
-            let ctx = pvm.context_create().unwrap();
-            pvm.region_create(ctx, VirtAddr(0x30_0000), PS, Prot::READ, cache, 0)
-                .unwrap();
-            let pvm = Arc::clone(&pvm);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                assert_eq!(
-                    read(&pvm, ctx, 0x30_0000, PS as usize),
-                    pattern(0xC0 | t, PS as usize),
-                    "the fault that triggered the kill must complete correctly"
-                );
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("faulting thread");
-    }
-
-    let stats = pvm.stats();
-    assert!(stats.oom_kills >= 1, "{stats:?}");
-    let err = pvm
-        .vm_read(victim, VirtAddr(0x10_0000), &mut [0u8; 1])
-        .unwrap_err();
-    assert!(
-        matches!(err, GmiError::ContextKilled(id) if id == victim),
-        "{err}"
-    );
-    let mut back = vec![0u8; keep.len()];
-    pvm.vm_read(survivor, VirtAddr(0x20_0000), &mut back)
-        .unwrap();
-    assert_eq!(back, keep, "survivor's locked pages corrupted by the kill");
-    pvm.check_invariants();
-}
-
-/// Hard faults vs large-page promotion and demotion: two threads on
-/// disjoint caches densely rewrite aligned runs (driving promotions
-/// through the buddy allocator's reserved-run path of `fillUp`) under
-/// a pool too small for both working sets
-/// (eviction-side demotions), while a chaos thread syncs and flushes
-/// (cleaning-side demotions). A stale large mapping surviving a
-/// demotion would leak foreign bytes across caches.
-#[test]
-fn hard_faults_race_promotion_and_demotion() {
-    const WORKERS: usize = 2;
-    const FACTOR: u64 = 4;
-    const RUNS_PER_WORKER: u64 = 2;
-    const SPINS: u8 = 20;
-    let pages = RUNS_PER_WORKER * FACTOR;
-    let (pvm, _mgr) = setup_with(12, |o| {
-        o.config.check_invariants = false;
-        o.config.buddy_runs = true;
-        o.config.large_pages = true;
-        o.config.promote_threshold_pages = FACTOR;
-    });
-    let base = 0x1_0000u64;
-    let setups: Vec<_> = (0..WORKERS)
-        .map(|_| {
-            let cache = pvm.cache_create(None).unwrap();
-            let ctx = pvm.context_create().unwrap();
-            pvm.region_create(ctx, VirtAddr(base), pages * PS, Prot::RW, cache, 0)
-                .unwrap();
-            (ctx, cache)
-        })
-        .collect();
-
-    let barrier = Arc::new(Barrier::new(WORKERS + 1));
-    let mut handles = Vec::new();
-    for (t, &(ctx, _)) in setups.iter().enumerate() {
-        let pvm = Arc::clone(&pvm);
-        let barrier = Arc::clone(&barrier);
-        handles.push(std::thread::spawn(move || {
-            barrier.wait();
-            for round in 0..SPINS {
-                let tag = (t as u8) << 5 | round;
-                for p in 0..pages {
-                    write(&pvm, ctx, base + p * PS, &pattern(tag, PS as usize));
-                }
-                for p in 0..pages {
-                    assert_eq!(
-                        read(&pvm, ctx, base + p * PS, PS as usize),
-                        pattern(tag, PS as usize),
-                        "thread {t} page {p} round {round}: stale large mapping leaked bytes"
-                    );
-                }
-            }
-        }));
-    }
-    let chaos = {
-        let pvm = Arc::clone(&pvm);
-        let barrier = Arc::clone(&barrier);
-        let caches: Vec<_> = setups.iter().map(|&(_, c)| c).collect();
-        std::thread::spawn(move || {
-            barrier.wait();
-            for i in 0..u64::from(SPINS) * 4 {
-                let cache = caches[(i % caches.len() as u64) as usize];
-                let _ = pvm.cache_sync(cache, 0, pages * PS);
-                if i % 4 == 0 {
-                    let _ = pvm.cache_flush(cache, (i % pages) * PS, FACTOR * PS);
-                }
-            }
-        })
-    };
-    for h in handles {
-        h.join().expect("worker thread");
-    }
-    chaos.join().expect("chaos thread");
-
-    let stats = pvm.stats();
-    assert!(
-        stats.large_promotions > 0,
-        "dense aligned rewrites never promoted a run"
-    );
-    assert!(
-        stats.large_demotions > 0,
-        "sync/flush/eviction pressure never demoted a run"
-    );
-    pvm.check_invariants();
-
-    // Final oracle: each cache holds its thread's last-round pattern.
-    for (t, &(ctx, _)) in setups.iter().enumerate() {
-        let tag = (t as u8) << 5 | (SPINS - 1);
-        for p in 0..pages {
             assert_eq!(
                 read(&pvm, ctx, base + p * PS, PS as usize),
                 pattern(tag, PS as usize),

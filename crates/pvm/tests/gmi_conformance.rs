@@ -59,17 +59,12 @@ fn pvm_passes_gmi_conformance_through_v2() {
         let mgr = Arc::new(MemSegmentManager::new());
         // Knobs that put traffic through the completion engine on
         // both front ends: clustered pulls are multi-page windows and
-        // the laundering daemon issues fire-and-collect pushes.
+        // write-behind issues fire-and-collect pushes.
         let config = PvmConfig::builder()
             .paging(|p| {
                 p.check_invariants(true)
                     .pull_cluster_pages(4)
                     .push_cluster_pages(4)
-            })
-            .pressure(|p| {
-                p.writeback_daemon(true)
-                    .writeback_low_frames(4)
-                    .writeback_high_frames(8)
             })
             .build()
             .expect("valid config");

@@ -89,6 +89,45 @@ fn out_of_memory_when_pageout_disabled() {
     assert_eq!(err, GmiError::OutOfMemory);
 }
 
+/// Exhaustion ends where the paper ends it: with every frame pinned
+/// by `lockInMemory` regions of two contexts, a third context's fault
+/// returns `OutOfMemory`, and nothing is killed, unlocked or lost.
+#[test]
+fn exhaustion_by_locked_regions_is_out_of_memory_and_kills_nothing() {
+    let (pvm, _) = setup(8);
+    let locked = |base: u64, pages: u64, tag: u8| {
+        let ctx = pvm.context_create().unwrap();
+        let cache = pvm.cache_create(None).unwrap();
+        let region = pvm
+            .region_create(ctx, VirtAddr(base), pages * PS, Prot::RW, cache, 0)
+            .unwrap();
+        write(&pvm, ctx, base, &pattern(tag, (pages * PS) as usize));
+        pvm.region_lock_in_memory(region).unwrap();
+        (ctx, region)
+    };
+    let (big, r_big) = locked(0x10_0000, 6, 0xA1);
+    let (small, r_small) = locked(0x20_0000, 2, 0xB2);
+    assert_eq!(pvm.free_frames(), 0, "setup must exhaust the pool");
+
+    let (third, _r, _c) = anon_region(&pvm, 1);
+    let err = pvm.vm_write(third, VirtAddr(0x1_0000), b"x").unwrap_err();
+    assert_eq!(err, GmiError::OutOfMemory);
+
+    for (ctx, region, base, pages, tag) in [
+        (big, r_big, 0x10_0000, 6, 0xA1),
+        (small, r_small, 0x20_0000, 2, 0xB2),
+    ] {
+        let st = pvm.region_status(region).unwrap();
+        assert!(st.locked);
+        assert_eq!(st.resident_pages, pages);
+        assert_eq!(
+            read(&pvm, ctx, base, (pages * PS) as usize),
+            pattern(tag, (pages * PS) as usize)
+        );
+    }
+    pvm.check_invariants();
+}
+
 #[test]
 fn locked_pages_are_never_evicted() {
     let (pvm, _) = setup(4);

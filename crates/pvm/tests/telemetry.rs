@@ -51,14 +51,6 @@ fn free_frame_gauge_matches_hal_mem_stats() {
         "free-frame gauge vs hal MemStats"
     );
     assert_eq!(sample.free_frames, pvm.free_frames());
-    // The buddy occupancy vector is the same pool viewed by order.
-    let from_orders: u32 = sample
-        .free_blocks_per_order
-        .iter()
-        .enumerate()
-        .map(|(k, &n)| n << k)
-        .sum();
-    assert_eq!(from_orders, sample.free_frames);
 }
 
 #[test]

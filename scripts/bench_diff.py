@@ -7,7 +7,7 @@ scripts/verify.sh, which tees each smoke's --json output to the repo
 root). This script diffs two such files — typically a committed
 reference against a fresh run — and prints the per-field deltas:
 
-    scripts/bench_diff.py BENCH_largepages.json /tmp/fresh.json
+    scripts/bench_diff.py BENCH_readahead.json /tmp/fresh.json
 
 Fields split into two classes:
 

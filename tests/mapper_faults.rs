@@ -14,12 +14,10 @@ mod common;
 
 use chorus_gmi::{Gmi, GmiError, Prot, RetryPolicy, SyncShim, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
-use chorus_nucleus::{
-    FaultPlan, FaultyMapper, MemMapper, NucleusSegmentManager, PortName, SwapMapper,
-};
+use chorus_nucleus::{FaultPlan, FaultyMapper, MemMapper, NucleusSegmentManager, PortName};
 use chorus_pvm::trace::{TraceEvent, UpcallKind, UpcallOutcome};
 use chorus_pvm::{Pvm, PvmConfig, PvmOptions};
-use common::{stack, FaultStack, Lcg, PS};
+use common::{stack, stack_costed, FaultStack, Lcg, PS};
 use proptest::prelude::*;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -358,7 +356,6 @@ fn emergency_pageout_rescues_fill_up_when_replacement_is_off() {
     // progress.
     let s = stack(2, FaultPlan::quiet(0), FaultPlan::quiet(0), |c| {
         c.enable_pageout = false;
-        c.emergency_pageout = true;
     });
     let pvm = &s.pvm;
     let ctx = pvm.context_create().unwrap();
@@ -485,9 +482,6 @@ fn batched_writeback_case(cluster: Option<u64>) {
             |c| {
                 generous_retry(c);
                 push_cluster(c, cluster);
-                c.writeback_daemon = true;
-                c.writeback_low_frames = 2;
-                c.writeback_high_frames = 4;
             },
         );
         healing_workload(&s, seed, 3, 40);
@@ -878,14 +872,12 @@ fn injected_faults_and_retries_appear_in_the_trace() {
 // ----- the completion engine -------------------------------------------------
 
 /// Knobs used by the engine fault tests: clustered pulls feed multi-page
-/// windows and the laundering daemon feeds fire-and-collect pushes, all
-/// through the completion scheduler.
+/// windows and write-behind feeds fire-and-collect pushes, all through
+/// the completion scheduler. The pools are too small for a stream to
+/// widen a window past the cluster size, so pull boundaries stay fixed.
 fn async_knobs(c: &mut PvmConfig) {
     c.pull_cluster_pages = 4;
     c.push_cluster_pages = 4;
-    c.writeback_daemon = true;
-    c.writeback_low_frames = 2;
-    c.writeback_high_frames = 4;
 }
 
 #[test]
@@ -913,53 +905,24 @@ fn completion_engine_heals_faults_without_dirty_page_loss() {
 }
 
 /// Builds the OOO stack: real sun3 costs (the completion scheduler
-/// orders by due time, which is degenerate under zero costs), an
-/// anonymous working set and a laundering daemon that gathers one
-/// 8-page batch and one single-page batch in the same pass.
+/// orders by due time, which is degenerate under zero costs) over a
+/// 12-frame pool.
 fn ooo_stack() -> FaultStack {
-    let seg_mgr = Arc::new(NucleusSegmentManager::new());
-    let files = Arc::new(MemMapper::new(PortName(1)));
-    let faulty_files = Arc::new(FaultyMapper::new(files.clone(), FaultPlan::quiet(0)));
-    let swap = Arc::new(SwapMapper::new(PortName(2)));
-    let faulty_swap = Arc::new(FaultyMapper::new(swap.clone(), FaultPlan::quiet(0)));
-    seg_mgr.register_mapper(PortName(1), faulty_files.clone());
-    seg_mgr.register_mapper(PortName(2), faulty_swap.clone());
-    seg_mgr.set_default_mapper(PortName(2));
-    let config = PvmConfig::builder()
-        .paging(|p| p.check_invariants(true).push_cluster_pages(8))
-        .pressure(|pr| {
-            pr.writeback_daemon(true)
-                .writeback_low_frames(4)
-                .writeback_high_frames(6)
-        })
-        .build()
-        .expect("valid config");
-    let pvm = Arc::new(Pvm::new(
-        PvmOptions {
-            geometry: PageGeometry::new(PS),
-            frames: 12,
-            cost: CostParams::sun3(),
-            config,
-            ..PvmOptions::default()
-        },
-        SyncShim::wrap(seg_mgr.clone()),
-    ));
-    faulty_files.attach_clock(pvm.cost_model());
-    faulty_swap.attach_clock(pvm.cost_model());
-    FaultStack {
-        pvm,
-        seg_mgr,
-        files,
-        faulty_files,
-        swap,
-        faulty_swap,
-    }
+    stack_costed(
+        12,
+        CostParams::sun3(),
+        FaultPlan::quiet(0),
+        FaultPlan::quiet(0),
+        |_| {},
+    )
 }
 
 /// Dirties an 8-page contiguous run plus one disjoint page on an
-/// anonymous cache, then triggers one laundering pass. The pass
-/// submits the 8-page push first (long service time) and the 1-page
-/// push second (short service time): the second, higher-id request
+/// anonymous cache and fills the pool, so that the next allocation's
+/// sweep sets page 0 and page 10 aside before it finds a clean victim.
+/// Two light entries then launder one run each off the write-behind
+/// queue: the 8-page push first (long service time) and the 1-page
+/// push second (short service time), so the second, higher-id request
 /// completes first. Returns (final sim time, stats).
 fn ooo_run(s: &FaultStack) -> (u64, chorus_pvm::PvmStats) {
     let pvm = &s.pvm;
@@ -968,17 +931,28 @@ fn ooo_run(s: &FaultStack) -> (u64, chorus_pvm::PvmStats) {
     let pages = 16u64;
     pvm.region_create(ctx, VirtAddr(0x10_0000), pages * PS, Prot::RW, cache, 0)
         .unwrap();
-    // Pages 0..8 form the batched run; page 10 is its own run.
-    for p in (0..8).chain([10u64]) {
+    let write = |p: u64| {
         let data: Vec<u8> = (0..PS).map(|k| (p as u8) ^ (k as u8)).collect();
         pvm.vm_write(ctx, VirtAddr(0x10_0000 + p * PS), &data)
             .unwrap();
-    }
-    // 9 of 12 frames used: the next hard fault enters below the low
-    // watermark and runs the laundering pass that submits both pushes.
-    let mut buf = [0u8; 4];
-    pvm.vm_read(ctx, VirtAddr(0x10_0000 + 11 * PS), &mut buf)
-        .unwrap();
+    };
+    let read = |p: u64| {
+        let mut buf = [0u8; 4];
+        pvm.vm_read(ctx, VirtAddr(0x10_0000 + p * PS), &mut buf)
+            .unwrap();
+    };
+    // Ring order: page 0 and page 10 (dirty), three clean zero-fills,
+    // then the rest of the run 0..8. All 12 frames are in use.
+    write(0);
+    write(10);
+    (11..14).for_each(read);
+    (1..8).for_each(write);
+    // Each of these zero-fill faults blocks on nothing, so it is a
+    // light entry: the first sets pages 0 and 10 aside, evicts a clean
+    // page and launders the run round page 0; the second launders
+    // page 10.
+    read(14);
+    read(15);
     pvm.drain_upcalls();
     pvm.check_invariants();
     (pvm.cost_model().now().nanos(), pvm.stats())
@@ -989,6 +963,7 @@ fn async_completions_deliver_out_of_order_and_deterministically() {
     let s = ooo_stack();
     let (t1, stats1) = ooo_run(&s);
     assert!(stats1.async_submits >= 2, "{stats1:?}");
+    assert_eq!(stats1.write_behind_pushes, 2, "{stats1:?}");
     assert_eq!(stats1.async_deliveries, stats1.async_submits);
     assert!(
         stats1.async_out_of_order >= 1,
@@ -1004,7 +979,7 @@ fn async_completions_deliver_out_of_order_and_deterministically() {
     assert_eq!(stats1, stats2, "counters diverged across identical runs");
 }
 
-// ===== memory-pressure survival: watchdog, OOM killer =====
+// ===== liveness: the deadline watchdog =====
 
 /// One simulated hour: the horizon a hung (timed-out) upcall parks at
 /// when nobody cancels it.
@@ -1023,14 +998,6 @@ fn hang_plan(at: u64) -> FaultPlan {
         crash_at_op: None,
         hang_at_op: Some(at),
     }
-}
-
-/// The pressure-suite knobs: clustered pulls without the writeback
-/// daemon (so the only engine traffic is what the test drives). The pools are too small for a stream to widen a window past
-/// the cluster size, so pull boundaries stay fixed.
-fn pressure_knobs(c: &mut PvmConfig) {
-    async_knobs(c);
-    c.writeback_daemon = false;
 }
 
 fn file_region(
@@ -1053,12 +1020,7 @@ fn file_region(
 
 #[test]
 fn watchdog_cancels_hung_pull_and_degrades_the_segment_to_sync() {
-    let s = stack(16, hang_plan(0), FaultPlan::quiet(2), |c| {
-        pressure_knobs(c);
-        c.upcall_watchdog = true;
-        c.suspect_after_timeouts = 1;
-        c.quarantine_after_timeouts = 10;
-    });
+    let s = stack(16, hang_plan(0), FaultPlan::quiet(2), async_knobs);
     let pvm = &s.pvm;
     let init: Vec<u8> = (0..SEG_SIZE)
         .map(|k| (k as u8).wrapping_mul(7).wrapping_add(3))
@@ -1074,16 +1036,18 @@ fn watchdog_cancels_hung_pull_and_degrades_the_segment_to_sync() {
     // First fault: the window wedges in the hung mapper and parks in
     // flight; the faulter, waiting on its page, has the watchdog rule
     // on it: the window is cancelled at its deadline (about a
-    // simulated second), not at the hung-reply horizon, the faulter
-    // gets the timeout and the segment becomes Suspected.
+    // simulated second), not at the hung-reply horizon, and the faulter
+    // gets the timeout. The second cancel makes the segment Suspected.
     let mut byte = [0u8; 1];
-    let err = pvm.vm_read(ctx, VirtAddr(base), &mut byte).unwrap_err();
-    assert!(matches!(err, GmiError::MapperTimeout { .. }), "{err}");
+    for _ in 0..2 {
+        let err = pvm.vm_read(ctx, VirtAddr(base), &mut byte).unwrap_err();
+        assert!(matches!(err, GmiError::MapperTimeout { .. }), "{err}");
+    }
     assert!(s.faulty_files.is_wedged());
     s.faulty_files.set_plan(FaultPlan::quiet(2));
     pvm.drain_upcalls();
     let stats = pvm.stats();
-    assert_eq!(stats.watchdog_cancels, 1, "{stats:?}");
+    assert_eq!(stats.watchdog_cancels, 2, "{stats:?}");
     assert_eq!(stats.suspected_mappers, 1, "{stats:?}");
     assert_eq!(stats.quarantined_caches, 0, "{stats:?}");
     let t = pvm.cost_model().now().nanos();
@@ -1108,13 +1072,15 @@ fn watchdog_cancels_hung_pull_and_degrades_the_segment_to_sync() {
 
 #[test]
 fn watchdog_bounds_the_stall_where_the_bare_engine_waits_an_hour() {
-    // Identical stacks, identical workload, one knob: with the watchdog
-    // the hung pull is cancelled at its retry deadline; without it the
-    // forced delivery must ride out the full hung-reply horizon.
-    let run = |watchdog: bool| {
+    // Identical stacks, identical workload, one value: with a deadline
+    // the hung pull is cancelled at it; with none (`deadline_ns = 0`)
+    // the forced delivery must ride out the full hung-reply horizon.
+    let run = |deadline: bool| {
         let s = stack(16, hang_plan(0), FaultPlan::quiet(2), |c| {
-            pressure_knobs(c);
-            c.upcall_watchdog = watchdog;
+            async_knobs(c);
+            if !deadline {
+                c.retry.deadline_ns = 0;
+            }
         });
         let (ctx, _cache, _init) = file_region(&s, SEG_PAGES, 0x10_0000);
         let mut byte = [0u8; 1];
@@ -1142,21 +1108,18 @@ fn watchdog_bounds_the_stall_where_the_bare_engine_waits_an_hour() {
 
 #[test]
 fn repeated_hangs_escalate_from_suspected_to_quarantine() {
-    let s = stack(16, hang_plan(0), FaultPlan::quiet(2), |c| {
-        pressure_knobs(c);
-        c.upcall_watchdog = true;
-        c.suspect_after_timeouts = 1;
-        c.quarantine_after_timeouts = 1;
-    });
+    let s = stack(16, hang_plan(0), FaultPlan::quiet(2), async_knobs);
     let pvm = &s.pvm;
     let (ctx, _cache, init) = file_region(&s, SEG_PAGES, 0x10_0000);
     let mut byte = [0u8; 1];
-    let err = pvm
-        .vm_read(ctx, VirtAddr(0x10_0000), &mut byte)
-        .unwrap_err();
-    assert!(err.is_transient(), "{err}");
+    for _ in 0..4 {
+        let err = pvm
+            .vm_read(ctx, VirtAddr(0x10_0000), &mut byte)
+            .unwrap_err();
+        assert!(err.is_transient(), "{err}");
+    }
 
-    // The watchdog cancellation both suspects the segment and, at the
+    // The second cancellation suspected the segment; the fourth, the
     // quarantine threshold, poisons the cache.
     pvm.drain_upcalls();
     let err = pvm
@@ -1164,7 +1127,7 @@ fn repeated_hangs_escalate_from_suspected_to_quarantine() {
         .unwrap_err();
     assert!(matches!(err, GmiError::CachePoisoned(_)), "{err}");
     let stats = pvm.stats();
-    assert_eq!(stats.watchdog_cancels, 1, "{stats:?}");
+    assert_eq!(stats.watchdog_cancels, 4, "{stats:?}");
     assert_eq!(stats.suspected_mappers, 1, "{stats:?}");
     assert_eq!(stats.quarantined_caches, 1, "{stats:?}");
 
@@ -1192,113 +1155,47 @@ fn repeated_hangs_escalate_from_suspected_to_quarantine() {
 }
 
 #[test]
-fn emergency_reserve_fences_ordinary_allocations_but_feeds_fill_up() {
-    let s = stack(4, FaultPlan::quiet(1), FaultPlan::quiet(2), |c| {
-        c.emergency_reserve_frames = 2;
-    });
-    let pvm = &s.pvm;
+fn the_default_config_survives_a_hung_mapper() {
+    // `PvmConfig::default()`, no field touched: the deadline is the
+    // watchdog, so a mapper that hangs on its first pull costs the
+    // faulter a transient timeout at the retry deadline, not the
+    // hung-reply horizon.
+    const FRAMES: u32 = 16;
+    let seg_mgr = Arc::new(NucleusSegmentManager::new());
+    let files = Arc::new(MemMapper::new(PortName(1)));
+    let faulty = Arc::new(FaultyMapper::new(files.clone(), hang_plan(0)));
+    seg_mgr.register_mapper(PortName(1), faulty.clone());
+    let pvm = Pvm::new(
+        PvmOptions {
+            geometry: PageGeometry::new(PS),
+            frames: FRAMES,
+            cost: CostParams::sun3(),
+            config: PvmConfig::default(),
+            ..PvmOptions::default()
+        },
+        SyncShim::wrap(seg_mgr.clone()),
+    );
+    faulty.attach_clock(pvm.cost_model());
+    let init: Vec<u8> = (0..SEG_SIZE).map(|k| (k as u8) ^ 0x5A).collect();
+    let seg = seg_mgr.segment_for(files.create_segment(&init));
+    let cache = pvm.cache_create(Some(seg)).unwrap();
     let ctx = pvm.context_create().unwrap();
-    let cache = pvm.cache_create(None).unwrap();
-    pvm.region_create(ctx, VirtAddr(0x10_0000), 8 * PS, Prot::RW, cache, 0)
+    pvm.region_create(ctx, VirtAddr(0), SEG_SIZE as u64, Prot::READ, cache, 0)
         .unwrap();
-    // Ordinary (zero-fill) allocations never dip below the reserve:
-    // page replacement runs early and squeezes the anonymous working
-    // set into the unreserved frames.
-    for p in 0..8u64 {
-        pvm.vm_write(ctx, VirtAddr(0x10_0000 + p * PS), &[p as u8])
-            .unwrap();
-    }
-    assert_eq!(
-        pvm.free_frames(),
-        2,
-        "ordinary allocations breached the reserve"
-    );
 
-    // Reclaim-critical work -- `fillUp` landing pulled data -- may draw
-    // from the reserve, closing the regress where freeing frames itself
-    // needs a frame.
-    let init: Vec<u8> = (0..PS as usize).map(|k| (k as u8) ^ 0x5A).collect();
-    let cap = s.files.create_segment(&init);
-    let seg = s.seg_mgr.segment_for(cap);
-    let cache_f = pvm.cache_create(Some(seg)).unwrap();
-    pvm.region_create(ctx, VirtAddr(0x20_0000), PS, Prot::READ, cache_f, 0)
-        .unwrap();
-    let mut got = vec![0u8; PS as usize];
-    pvm.vm_read(ctx, VirtAddr(0x20_0000), &mut got).unwrap();
-    assert_eq!(got, init);
+    let err = pvm.vm_read(ctx, VirtAddr(0), &mut [0u8; 1]).unwrap_err();
+    assert!(matches!(err, GmiError::MapperTimeout { .. }), "{err}");
+    assert!(err.is_transient());
+    let t = pvm.cost_model().now().nanos();
+    assert!(t < 2_000_000_000, "the default rode out the hang: {t} ns");
+    pvm.drain_upcalls();
     let stats = pvm.stats();
-    assert!(stats.reserve_grants >= 1, "{stats:?}");
-    assert!(pvm.free_frames() < 2, "fillUp did not use the reserve");
+    assert_eq!(stats.watchdog_cancels, 1, "{stats:?}");
+    assert_eq!(pvm.free_frames(), FRAMES, "the cancelled window leaked");
+
+    faulty.set_plan(FaultPlan::quiet(0));
+    let mut got = vec![0u8; SEG_SIZE];
+    pvm.vm_read(ctx, VirtAddr(0), &mut got).unwrap();
+    assert_eq!(got, init, "the healed mapper serves the retry");
     pvm.check_invariants();
-}
-
-/// The OOM scenario: every frame pinned by two contexts (the victim
-/// with six locked dirty pages, the survivor with two), then a third
-/// context faults. Reclaim can make no progress, so the killer must
-/// reclaim exactly one context -- the largest footprint.
-fn oom_scenario() -> (u64, chorus_pvm::PvmStats, Vec<u8>) {
-    let s = stack(8, FaultPlan::quiet(1), FaultPlan::quiet(2), |c| {
-        c.oom_killer = true;
-    });
-    let pvm = &s.pvm;
-    let ctx1 = pvm.context_create().unwrap();
-    let cache1 = pvm.cache_create(None).unwrap();
-    let r1 = pvm
-        .region_create(ctx1, VirtAddr(0x10_0000), 6 * PS, Prot::RW, cache1, 0)
-        .unwrap();
-    pvm.region_lock_in_memory(r1).unwrap();
-
-    let ctx2 = pvm.context_create().unwrap();
-    let cache2 = pvm.cache_create(None).unwrap();
-    let r2 = pvm
-        .region_create(ctx2, VirtAddr(0x20_0000), 2 * PS, Prot::RW, cache2, 0)
-        .unwrap();
-    let keep: Vec<u8> = (0..2 * PS as usize)
-        .map(|k| (k as u8).wrapping_mul(31).wrapping_add(7))
-        .collect();
-    pvm.vm_write(ctx2, VirtAddr(0x20_0000), &keep).unwrap();
-    pvm.region_lock_in_memory(r2).unwrap();
-    assert_eq!(pvm.free_frames(), 0, "setup must exhaust the pool");
-
-    // Third context: a file-backed read needs a frame.
-    let init: Vec<u8> = (0..PS as usize).map(|k| (k as u8) ^ 0x5A).collect();
-    let cap = s.files.create_segment(&init);
-    let seg = s.seg_mgr.segment_for(cap);
-    let cache3 = pvm.cache_create(Some(seg)).unwrap();
-    let ctx3 = pvm.context_create().unwrap();
-    pvm.region_create(ctx3, VirtAddr(0x30_0000), PS, Prot::READ, cache3, 0)
-        .unwrap();
-    let mut got = vec![0u8; PS as usize];
-    pvm.vm_read(ctx3, VirtAddr(0x30_0000), &mut got).unwrap();
-    assert_eq!(got, init, "the fault that triggered the kill must complete");
-
-    // The victim's handle reports the kill, not a bare missing context.
-    let err = pvm
-        .vm_read(ctx1, VirtAddr(0x10_0000), &mut [0u8; 1])
-        .unwrap_err();
-    assert!(
-        matches!(err, GmiError::ContextKilled(id) if id == ctx1),
-        "{err}"
-    );
-
-    // Differential check: the survivor's locked pages are untouched.
-    let mut back = vec![0u8; keep.len()];
-    pvm.vm_read(ctx2, VirtAddr(0x20_0000), &mut back).unwrap();
-    assert_eq!(back, keep, "survivor's pages corrupted by the kill");
-    let st = pvm.region_status(r2).unwrap();
-    assert!(st.locked);
-    assert_eq!(st.resident_pages, 2);
-    pvm.check_invariants();
-    (pvm.cost_model().now().nanos(), pvm.stats(), back)
-}
-
-#[test]
-fn oom_killer_reclaims_exactly_one_deterministic_victim() {
-    let (t1, stats1, back1) = oom_scenario();
-    assert_eq!(stats1.oom_kills, 1, "{stats1:?}");
-    // Bit-identical repeat: same victim, same clock, same counters.
-    let (t2, stats2, back2) = oom_scenario();
-    assert_eq!(t1, t2, "simulated time diverged across identical runs");
-    assert_eq!(stats1, stats2, "counters diverged across identical runs");
-    assert_eq!(back1, back2);
 }

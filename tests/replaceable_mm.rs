@@ -259,7 +259,7 @@ fn pressured_pvm(seg_mgr: Arc<NucleusSegmentManager>, replacement: ReplacementKi
             cost: CostParams::zero(),
             config: PvmConfig::builder()
                 .paging(|p| p.check_invariants(true))
-                .policy(|p| p.replacement(replacement))
+                .replacement(replacement)
                 .build()
                 .expect("valid config"),
             ..PvmOptions::default()
@@ -366,7 +366,7 @@ fn no_policy_loses_dirty_pages_under_mapper_faults() {
             seg_mgr.set_default_mapper(PortName(2));
             let mut config = PvmConfig::builder()
                 .paging(|p| p.check_invariants(true))
-                .policy(|p| p.replacement(replacement))
+                .replacement(replacement)
                 .build()
                 .expect("valid config");
             // Generous enough that the ~250‰ per-attempt fault rate
