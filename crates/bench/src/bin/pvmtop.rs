@@ -164,6 +164,8 @@ fn main() {
                 .int("mappers", top.mappers.len() as u64)
                 .int("free_frames", u64::from(top.sample.free_frames))
                 .int("gmap_slots", top.sample.gmap_slots)
+                .int("ahead_pulls", top.sample.ahead_pulls)
+                .int("ahead_skipped", top.sample.ahead_skipped)
                 .bool("hot_cache_first", hottest.cache == hot)
                 .bool(
                     "sick_quarantined",

@@ -16,6 +16,7 @@
 //! [`Slot`] in that map holds a page, a synchronization page stub, or a
 //! copy-on-write page stub.
 
+use crate::config::IPC_MESSAGE_PAGES;
 use crate::keys::{CacheKey, CtxKey, PageKey, RegKey};
 use chorus_gmi::SegmentId;
 use chorus_hal::{Arena, CostModel, FrameNo, Mmu, MmuCtx, OpKind, Prot, VirtAddr, Vpn};
@@ -204,6 +205,15 @@ pub(crate) struct Stream {
     pub window: u64,
     /// The table's miss count when the stream last continued.
     seen: u64,
+    /// The pull before the last, `[from, to)`, while its pages keep
+    /// their reference: an ahead pull is submitted as the reader enters
+    /// the last one, so drop-behind lags one pull. Empty otherwise.
+    lag: (u64, u64),
+    /// A continuation granted the stream a whole IPC message, and there
+    /// may be something past `next` to pull: the first use of a
+    /// readahead page of `[start, next)` makes the next window due
+    /// ([`StreamTable::due`]).
+    pub armed: bool,
 }
 
 /// A cache's stream table. Interleaved random misses and a second
@@ -239,6 +249,7 @@ impl StreamTable {
             if now - s.seen > STREAM_IDLE_MISSES {
                 s.window = (s.window / 2).max(1);
                 s.seen = now;
+                s.armed = false;
             }
         }
         let inside = |s: &Stream| off >= s.next && (off - s.next) / ps < s.window;
@@ -258,17 +269,45 @@ impl StreamTable {
         });
         let s = &mut self.table[slot];
         if found.is_none() {
-            s.window = 0;
-            s.next = off;
+            *s = Stream {
+                next: off,
+                ..Stream::default()
+            };
         }
         let before = s.window;
-        let left = (before > 0 && off != s.start).then_some(s.start..s.next);
+        // A pull an ahead pull left lagging is caught up with here.
+        let from = if s.lag.0 < s.lag.1 { s.lag.0 } else { s.start };
+        let left = (before > 0 && off != s.start).then_some(from..s.next);
         if before == 0 || off != s.start {
             s.window = before.saturating_mul(2).clamp(base, cap);
+            s.armed = before > 0 && s.window >= IPC_MESSAGE_PAGES;
+            s.lag = (0, 0);
         }
         s.start = off;
         s.seen = now;
         (slot, before, left)
+    }
+
+    /// The stream whose next window the first use of the readahead page
+    /// at `off` makes due: a full-window one whose last pull holds it
+    /// (see `PvmState::size_ahead`).
+    pub fn due(&self, off: u64) -> Option<usize> {
+        let holds = |s: &Stream| s.armed && (s.start..s.next).contains(&off);
+        self.table.iter().position(holds)
+    }
+
+    /// Continues stream `slot` at `off` ahead of its reader: no miss, so
+    /// the window stays and nobody ages. Returns what [`Self::miss`]
+    /// does; the pull left behind is the one *before* the last, which
+    /// the reader has only just entered.
+    pub fn ahead(&mut self, slot: usize, off: u64) -> (usize, u64, Option<Range<u64>>) {
+        let s = &mut self.table[slot];
+        let left = s.lag.0..s.lag.1;
+        s.lag = (s.start, s.next);
+        s.start = off;
+        s.seen = self.misses;
+        s.armed = true;
+        (slot, s.window, Some(left))
     }
 }
 
@@ -286,6 +325,17 @@ impl CacheDesc {
     /// True if this cache owns a version of `off` (resident or swapped).
     pub fn owns(&self, off: u64) -> bool {
         self.fully_backed || self.owned.contains(&off)
+    }
+
+    /// True if a `pullIn` may cover the page at `off`: owned, neither
+    /// resident nor in transit nor a COW stub (all indexed in `entries`:
+    /// pulling them again would be redundant mapper I/O), and inside the
+    /// segment's known length (a run crossing it would come back
+    /// truncated).
+    pub fn pullable(&self, off: u64, ps: u64) -> bool {
+        self.owns(off)
+            && !self.entries.contains(&off)
+            && self.seg_len.is_none_or(|len| off + ps <= len)
     }
 
     /// True if the cache can be reclaimed entirely (no users left).
@@ -657,6 +707,41 @@ mod tests {
         let mut t = StreamTable::default();
         t.miss(0, PAGE, 16, 16);
         assert_eq!(t.table[0].window, 16);
+    }
+
+    #[test]
+    fn a_stream_is_read_ahead_from_its_first_full_window_on() {
+        // A lone miss's cluster is no stream, however wide.
+        let mut t = StreamTable::default();
+        t.miss(0, PAGE, 8, 8);
+        t.table[0].next = 8 * PAGE;
+        assert_eq!(t.due(3 * PAGE), None);
+        // Nor is one still ramping: 1, 2, 4, then the full window.
+        let mut t = StreamTable::default();
+        let mut at = 0;
+        for _ in 0..3 {
+            at += miss(&mut t, at);
+            assert_eq!(t.due((at - 1) * PAGE), None);
+        }
+        assert_eq!(miss(&mut t, 7), 8);
+        assert_eq!((t.due(8 * PAGE), t.due(15 * PAGE)), (Some(0), None));
+        // The next window goes out ahead; nothing lags yet, and it is
+        // the pull being read that lags from now on.
+        assert_eq!(t.ahead(0, 15 * PAGE), (0, 8, Some(0..0)));
+        t.table[0].next = 23 * PAGE;
+        assert_eq!((t.due(9 * PAGE), t.due(15 * PAGE)), (None, Some(0)));
+        assert_eq!(t.ahead(0, 23 * PAGE).2, Some(7 * PAGE..15 * PAGE));
+        t.table[0].next = 31 * PAGE;
+        // A miss inside the reach catches up with the lagging pull.
+        let caught_up = Some(15 * PAGE..31 * PAGE);
+        assert_eq!(t.miss(33 * PAGE, PAGE, 1, 8), (0, 8, caught_up));
+        t.table[0].next = 41 * PAGE;
+        assert_eq!(t.due(34 * PAGE), Some(0));
+        // An idle stream's window halves: it has to fill again first.
+        for k in 0..=STREAM_IDLE_MISSES {
+            miss(&mut t, 1_000_000 + 100 * k);
+        }
+        assert_eq!((t.table[0].window, t.due(34 * PAGE)), (4, None));
     }
 
     #[test]

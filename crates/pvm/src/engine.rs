@@ -29,8 +29,10 @@
 //! advanced to the due time — for a waiter on something only a
 //! completion resolves, a frame-starved allocation, a submit over the
 //! cap. A mapper (a segment: the finest mapper identity the PVM sees)
-//! has at most [`MAX_INFLIGHT`] requests in flight: over it a
-//! laundering push is synchronous and a faulter forces a delivery first.
+//! has at most [`MAX_INFLIGHT`] requests in flight, and its last free
+//! slot is a faulter's: a laundering push and an ahead pull go out only
+//! while two are free ([`EngineState::free_slots`]), so a faulter forces
+//! a delivery first only when a faulter's window holds the last one.
 
 use crate::keys::{CacheKey, PageKey};
 use crate::state::{PvmState, StubsTo};
@@ -148,17 +150,19 @@ impl EngineState {
         self.suspected.contains(&segment.0)
     }
 
-    /// True when `segment`'s mapper has a free in-flight slot under its
-    /// cap: [`MAX_INFLIGHT`], shrunk to 1 while the mapper is Suspected.
-    pub fn has_slot(&self, segment: SegmentId) -> bool {
+    /// The in-flight slots `segment`'s mapper has free under its cap:
+    /// [`MAX_INFLIGHT`], shrunk to 1 while the mapper is Suspected. A
+    /// faulter's pull needs one; background work (a laundering push, an
+    /// ahead pull) goes out only while there are two, so it never takes
+    /// the slot the next faulter would otherwise wait for.
+    pub fn free_slots(&self, segment: SegmentId) -> u64 {
         let cap = if self.is_suspected(segment) {
             1
         } else {
             MAX_INFLIGHT
         };
-        self.inflight_by_segment
-            .get(&segment.0)
-            .is_none_or(|&n| n < cap)
+        let inflight = self.inflight_by_segment.get(&segment.0);
+        cap.saturating_sub(inflight.copied().unwrap_or(0))
     }
 
     /// Records one watchdog timeout against `segment`; returns the
@@ -611,21 +615,21 @@ mod tests {
         let (s1, s2) = (SegmentId(1), SegmentId(2));
         let ids: Vec<u64> = (0..MAX_INFLIGHT).map(|_| e.register(s1)).collect();
         let c = e.register(s2);
-        assert!(!e.has_slot(s1), "the cap is {MAX_INFLIGHT} per mapper");
-        assert!(e.has_slot(s2));
+        assert_eq!(e.free_slots(s1), 0, "the cap is {MAX_INFLIGHT} per mapper");
+        assert_eq!(e.free_slots(s2), MAX_INFLIGHT - 1);
         assert_eq!(e.inflight(), MAX_INFLIGHT + 1);
         // Retiring the second while the first is still in flight is an
         // overtake.
         assert!(e.retire(ids[1], s1));
-        assert!(e.has_slot(s1));
+        assert_eq!(e.free_slots(s1), 1);
         assert!(!e.retire(ids[0], s1));
         // A Suspected mapper gets one request at a time.
         e.mark_suspected(s1);
-        assert!(!e.has_slot(s1));
+        assert_eq!(e.free_slots(s1), 0);
         for &id in &ids[2..] {
             e.retire(id, s1);
         }
-        assert!(e.has_slot(s1));
+        assert_eq!(e.free_slots(s1), 1);
         assert!(!e.retire(c, s2));
         assert_eq!(e.inflight(), 0);
     }

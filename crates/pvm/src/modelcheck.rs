@@ -34,6 +34,18 @@
 //!    the tail resident at submit — and the checker rejects it with
 //!    "read before arrival".
 //!
+//! 4. **A window nobody asked for** — an ahead window (DESIGN.md §13)
+//!    is model 3's window submitted by an entry that then goes its way:
+//!    no faulter, no mailbox. Its reader reaches the head while it is
+//!    mid-submit, a second toucher wants the tail, the watchdog and the
+//!    destroyer interleave as before, and the mapper has a cap: a
+//!    laundering push holds one of its two slots until it is delivered,
+//!    and a faulter on some other page needs one. Safety: model 3's
+//!    predicates, and a faulter never finds every slot taken while one
+//!    of them is held by readahead. The buggy variant is the ahead
+//!    submit that takes the last slot instead of leaving it, rejected
+//!    with "faulter forced behind readahead".
+//!
 //! The checker itself is a plain DFS over `(shared, locals, pcs)`
 //! configurations with memoization and a hard state cap — deliberately
 //! tiny, deterministic, and dependency-free. A step that returns
@@ -485,15 +497,76 @@ struct WindowShared {
     submitting: bool,
     free_frames: usize,
     read_early: bool,
+    /// In-flight slots the window's mapper has free (model 4; model 3's
+    /// one window always finds one).
+    slots_free: u8,
+    /// The window in flight holds one of them, and was submitted ahead.
+    holds_slot: bool,
+    ahead: bool,
+    /// The seeded bug of model 4: the ahead submit takes the last slot.
+    takes_last_slot: bool,
+    /// A faulter found no slot while readahead held one.
+    forced: bool,
 }
+
+/// Requests the modeled mapper may have in flight.
+const SLOTS: u8 = 2;
 
 impl WindowShared {
     fn init(eager_tail: bool) -> Self {
         WindowShared {
             eager_tail,
             free_frames: WINDOW,
+            slots_free: SLOTS,
             ..WindowShared::default()
         }
+    }
+
+    /// Model 4: a laundering push holds one of the mapper's slots.
+    fn init_capped(takes_last_slot: bool) -> Self {
+        WindowShared {
+            takes_last_slot,
+            slots_free: SLOTS - 1,
+            ..WindowShared::init(false)
+        }
+    }
+
+    /// A miss, or an ahead submit: stubs and parked entries for the
+    /// window (it stops at a resident page) and a slot of the mapper,
+    /// then the mapper with the lock released.
+    fn submit(&mut self, ahead: bool) {
+        let pages = self.slot.iter().take_while(|&&x| x == Slot::Absent).count();
+        for k in 0..pages {
+            (self.slot[k], self.parked[k]) = (Slot::Stub, Some(false));
+        }
+        self.submitting = true;
+        self.slots_free -= 1;
+        (self.holds_slot, self.ahead) = (true, ahead);
+        self.locked = false;
+    }
+
+    /// `fillUp`: every page that is still wanted gets a frame.
+    fn fill_up(&mut self) {
+        for k in 0..WINDOW {
+            if self.parked[k] == Some(false) {
+                self.free_frames -= 1;
+                if self.eager_tail && k > 0 {
+                    self.parked[k] = None;
+                    self.slot[k] = Slot::Present;
+                } else {
+                    self.parked[k] = Some(true);
+                }
+            }
+        }
+        self.locked = false;
+    }
+
+    /// The window's record leaves the queue, delivered or cancelled:
+    /// its slot is the mapper's again.
+    fn conclude(&mut self) {
+        self.queued = false;
+        self.slots_free += u8::from(core::mem::take(&mut self.holds_slot));
+        self.ahead = false;
     }
 
     /// Page `k` arrives: a parked page takes its stub's place; one the
@@ -523,6 +596,8 @@ fn window_violation(s: &WindowShared) -> Option<&'static str> {
     let parked = s.parked.iter().filter(|&&p| p == Some(true)).count();
     if s.read_early {
         Some("read before arrival")
+    } else if s.forced {
+        Some("faulter forced behind readahead")
     } else if s.free_frames + resident + parked != WINDOW {
         Some("frame leaked")
     } else if (0..WINDOW).any(|k| (s.slot[k] == Slot::Stub) != s.parked[k].is_some()) {
@@ -568,7 +643,7 @@ fn window_toucher(s: &mut WindowShared, page: &mut usize, pc: usize) -> Outcome 
             }
             Slot::Stub if s.queued => {
                 (0..WINDOW).for_each(|k| s.arrive(k));
-                s.queued = false;
+                s.conclude();
                 Outcome::Goto(1)
             }
             Slot::Stub => {
@@ -577,12 +652,14 @@ fn window_toucher(s: &mut WindowShared, page: &mut usize, pc: usize) -> Outcome 
             }
             // A miss on the demand page: stubs and parked entries for
             // the window, then the mapper with the lock released. (A
-            // miss on the tail would be a window of its own.)
-            Slot::Absent if *page == 0 && !s.submitting => {
-                s.slot = [Slot::Stub; WINDOW];
-                s.parked = [Some(false); WINDOW];
-                s.submitting = true;
+            // miss on the tail would be a window of its own.) Over the
+            // mapper's cap it waits for a delivery first.
+            Slot::Absent if *page == 0 && !s.submitting && s.slots_free == 0 => {
                 s.locked = false;
+                Outcome::Goto(0)
+            }
+            Slot::Absent if *page == 0 && !s.submitting => {
+                s.submit(false);
                 Outcome::Next
             }
             Slot::Absent => {
@@ -590,20 +667,8 @@ fn window_toucher(s: &mut WindowShared, page: &mut usize, pc: usize) -> Outcome 
                 Outcome::Done
             }
         },
-        // `fillUp`: every page that is still wanted gets a frame.
         3 => {
-            for k in 0..WINDOW {
-                if s.parked[k] == Some(false) {
-                    s.free_frames -= 1;
-                    if s.eager_tail && k > 0 {
-                        s.parked[k] = None;
-                        s.slot[k] = Slot::Present;
-                    } else {
-                        s.parked[k] = Some(true);
-                    }
-                }
-            }
-            s.locked = false;
+            s.fill_up();
             Outcome::Next
         }
         // The record is queued; the attempt goes on under the lock.
@@ -634,11 +699,87 @@ fn window_reaper(s: &mut WindowShared, destroy: &mut usize, pc: usize) -> Outcom
                 s.free_frames += 1;
             }
         }
-    } else if core::mem::take(&mut s.queued) {
+    } else if s.queued {
+        s.conclude();
         s.give_up();
     }
     s.locked = false;
     Outcome::Done
+}
+
+// ---------------------------------------------------------------
+// Model 4: an ahead window, and the mapper's last slot.
+// ---------------------------------------------------------------
+
+/// The light entry that finds the stream's next window due: it submits
+/// the window if the mapper has two slots free (one, with the seeded
+/// bug), queues it and goes its way.
+fn ahead_submitter(s: &mut WindowShared, _l: &mut usize, pc: usize) -> Outcome {
+    match pc {
+        0 | 2 | 4 => {
+            if s.locked {
+                return Outcome::Block;
+            }
+            s.locked = true;
+            Outcome::Next
+        }
+        1 => {
+            let need = if s.takes_last_slot { 1 } else { 2 };
+            if s.dead || s.slot != [Slot::Absent; WINDOW] || s.slots_free < need {
+                s.locked = false;
+                return Outcome::Done;
+            }
+            s.submit(true);
+            Outcome::Next
+        }
+        3 => {
+            s.fill_up();
+            Outcome::Next
+        }
+        5 => {
+            s.queued = true;
+            s.submitting = false;
+            s.locked = false;
+            Outcome::Done
+        }
+        _ => unreachable!(),
+    }
+}
+
+/// The rest of the mapper's traffic. The laundering push (`faulter` 0)
+/// is delivered and gives its slot back. The faulter on another page
+/// takes a slot for its pull and gives it back at delivery; finding
+/// none, it forces the earliest completion, as `perform` does.
+fn mapper_client(s: &mut WindowShared, faulter: &mut usize, pc: usize) -> Outcome {
+    match pc {
+        0 | 2 => {
+            if s.locked {
+                return Outcome::Block;
+            }
+            s.locked = true;
+            Outcome::Next
+        }
+        1 if *faulter == 1 && s.slots_free == 0 => {
+            s.forced |= s.ahead;
+            if s.queued {
+                (0..WINDOW).for_each(|k| s.arrive(k));
+                s.conclude();
+            }
+            s.locked = false;
+            Outcome::Goto(0)
+        }
+        1 if *faulter == 1 => {
+            s.slots_free -= 1;
+            s.locked = false;
+            Outcome::Next
+        }
+        1 | 3 => {
+            s.slots_free += 1;
+            s.locked = false;
+            Outcome::Done
+        }
+        _ => unreachable!(),
+    }
 }
 
 #[cfg(test)]
@@ -654,6 +795,45 @@ mod tests {
             thread("watchdog", 0, window_reaper),
             thread("destroyer", 1, window_reaper),
         ]
+    }
+
+    fn ahead_threads() -> Vec<ThreadModel<WindowShared, usize>> {
+        let thread = |name, local, step| ThreadModel { name, local, step };
+        vec![
+            thread("ahead", 0, ahead_submitter as fn(&mut _, &mut _, _) -> _),
+            thread("reader", 0, window_toucher),
+            thread("toucher", 1, window_toucher),
+            thread("watchdog", 0, window_reaper),
+            thread("destroyer", 1, window_reaper),
+            thread("push", 0, mapper_client),
+            thread("faulter", 1, mapper_client),
+        ]
+    }
+
+    #[test]
+    fn an_ahead_window_leaves_the_mappers_last_slot_to_a_faulter() {
+        let report = explore(
+            WindowShared::init_capped(false),
+            ahead_threads(),
+            window_violation,
+        )
+        .expect("a window with no faulter is as safe as one with, and never in a faulter's way");
+        assert!(
+            report.states > 1000,
+            "model vacuously small: {}",
+            report.states
+        );
+    }
+
+    #[test]
+    fn an_ahead_submit_that_takes_the_last_slot_forces_a_faulter() {
+        let err = explore(
+            WindowShared::init_capped(true),
+            ahead_threads(),
+            window_violation,
+        )
+        .expect_err("the last slot taken by readahead must be caught");
+        assert!(err.contains("faulter forced behind readahead"), "{err}");
     }
 
     #[test]

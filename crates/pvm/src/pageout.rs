@@ -134,15 +134,23 @@ impl PvmState {
     /// oldest queued page that is still a victim (a page freed, cleaned,
     /// pinned, quarantined or referenced again since it was set aside is
     /// dropped). `Done(())` once `pushed`
-    /// — one `pushOut` has gone out — or the queue is empty; `Blocked`
-    /// must be performed and the step retried, like any other blocked
-    /// action.
+    /// — one `pushOut` has gone out — or the queue is empty, or the
+    /// run's mapper has fewer than two slots free: its last one is a
+    /// faulter's, so the key keeps the head of the queue for the next
+    /// light entry and nothing is pushed synchronously inside an
+    /// operation that had nothing to wait for. `Blocked` must be
+    /// performed and the step retried, like any other blocked action.
     pub fn write_behind_attempt(&mut self, pushed: &mut bool) -> Attempt<()> {
         while !*pushed {
             let Some(&page) = self.write_behind.front() else {
                 break;
             };
             if self.write_behind_ready(page) && !self.page_referenced(page) {
+                let cache = self.caches.get(self.page(page).cache);
+                let segment = cache.and_then(|c| c.segment);
+                if segment.is_some_and(|s| self.engine.free_slots(s) < 2) {
+                    break;
+                }
                 match self.start_clean(page, PushOrigin::Daemon)? {
                     Outcome::Blocked(b @ Blocked::PushOut { .. }) => {
                         let cache = self.page(page).cache;

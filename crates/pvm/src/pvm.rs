@@ -191,6 +191,12 @@ impl Pvm {
         self.state.lock().pages.len()
     }
 
+    /// Faulters whose pull is in flight (open `demand_pulls` mailboxes):
+    /// 0 whenever no operation is running.
+    pub fn waiting_faulters(&self) -> usize {
+        self.state.lock().demand_pulls.len()
+    }
+
     /// Number of free physical frames.
     pub fn free_frames(&self) -> u32 {
         self.state.lock().phys.free_frames()
@@ -225,6 +231,22 @@ impl Pvm {
         let guard = self.state.lock();
         let performed = guard.performed;
         let (mut guard, v) = self.drive(guard, attempt)?;
+        // The entry made a full-window stream's next window due: it goes
+        // out now, ahead of its reader and with nobody waiting on it (a
+        // faulter is not a blocked action: `performed` stays).
+        if let Some((cache, slot)) = guard.ahead_due.take() {
+            guard = match guard.size_ahead(cache, slot) {
+                Some(req) => {
+                    guard.stats.bump(Counter::AheadPulls);
+                    self.submit_pull(guard, cache, req)
+                }
+                None => {
+                    guard.stats.bump(Counter::AheadSkipped);
+                    guard
+                }
+            };
+            guard.check_invariants_if_enabled();
+        }
         // A light entry — nothing blocked, neither the attempt nor the
         // entry hooks before it: no upcall and no wait but for a parked
         // page's arrival (a soft fault on a prefetched page, typically)
@@ -538,7 +560,7 @@ impl Pvm {
                 // Over the mapper's cap the faulter waits out the
                 // earliest completion first (with every slot held by
                 // another thread mid-submit: yields briefly).
-                while !guard.engine.has_slot(req.segment) {
+                while guard.engine.free_slots(req.segment) == 0 {
                     if !guard.force_delivery(true) {
                         let _ = self.stub_cv.wait_for(&mut guard, Duration::from_millis(5));
                     }
@@ -554,18 +576,26 @@ impl Pvm {
                 origin,
             } => {
                 // Nothing waits on a daemon-origin laundering push, so
-                // it is fire-and-collect when the mapper has a free
-                // in-flight slot (at the cap it degrades to the
-                // synchronous path below, never to unbounded queueing
-                // of dirty runs).
+                // it is fire-and-collect or not at all: the synchronous
+                // body below serves `Demand` and `Sync` runs only. The
+                // write-behind step checks the slots under the lock
+                // hold this runs in; a run that came without them would
+                // be given back dirty, not pushed inside an operation
+                // that has nothing to wait for.
                 let req = PushRequest {
                     cache: pub_cache(cache),
                     segment,
                     offset,
                     size,
                 };
-                if origin == PushOrigin::Daemon && guard.engine.has_slot(segment) {
-                    return Ok(self.submit_async_push(guard, cache, req, pages));
+                if origin == PushOrigin::Daemon {
+                    if guard.engine.free_slots(segment) >= 2 {
+                        return Ok(self.submit_async_push(guard, cache, req, pages));
+                    }
+                    for &p in &pages {
+                        guard.finish_clean(p, false);
+                    }
+                    return Ok(guard);
                 }
                 let policy = guard.config.retry;
                 drop(guard);

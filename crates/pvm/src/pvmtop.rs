@@ -357,6 +357,10 @@ pub fn render(top: &PvmTop, n: usize) -> String {
         pol.second_chances,
         pol.drop_behind_pages,
     ));
+    out.push_str(&format!(
+        "        readahead: {} windows pulled ahead of their reader, {} due and skipped\n",
+        s.ahead_pulls, s.ahead_skipped,
+    ));
 
     out.push_str(&format!(
         "\n  {:>5} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>11} {:>9} {:>8} {:>8} {:>8}  {}\n",
@@ -477,6 +481,8 @@ mod tests {
                 arriving_pages: 0,
                 clock_ring_pages: 0,
                 gmap_slots: 0,
+                ahead_pulls: 6,
+                ahead_skipped: 2,
             },
             state_lock_acqs: 12,
             state_lock_contended: 3,
@@ -495,6 +501,7 @@ mod tests {
         assert!(text.contains("pvmtop  sim=42 ns"));
         assert!(text.contains("policy: clock  victims 2/3 req"));
         assert!(text.contains("fallbacks 0  second chances 7  drop-behind 5"));
+        assert!(text.contains("readahead: 6 windows pulled ahead of their reader, 2 due"));
         assert!(text.contains("PVICT"));
         assert!(text.contains("... 1 more caches"));
         assert!(text.contains("lock heat (contended/acqs): state 3/12\n"));

@@ -76,13 +76,10 @@ impl PvmState {
             match self.slot(x, o) {
                 Some(Slot::Present(p)) | Some(Slot::Cow(CowSource::Page(p))) => {
                     debug_assert!(self.pages.contains(p), "stub points at dead page");
-                    // Consumed, mapped or not: no longer a prefetch that
-                    // an eviction would count as wasted, and a use like
-                    // any mapped access (`cache_read` and its kin map
-                    // nothing, so no hardware bit speaks for them).
-                    let page = self.page_mut(p);
-                    page.prefetched = false;
-                    page.ref_bit = true;
+                    // Consumed, mapped or not: a use like any mapped
+                    // access (`cache_read` and its kin map nothing, so
+                    // no hardware bit speaks for them).
+                    self.note_use(p);
                     return done(Version::Page(p));
                 }
                 Some(Slot::Sync) => return blocked(Blocked::WaitStub(x, o)),
@@ -103,20 +100,8 @@ impl PvmState {
                         let segment = desc.segment.ok_or(GmiError::InvalidArgument(
                             "owned page with neither residence nor segment",
                         ))?;
-                        let pages = self.size_pull(x, o)?;
-                        let ps = self.ps();
-                        for k in 0..pages {
-                            let off = o + k * ps;
-                            self.set_slot(x, off, Slot::Sync);
-                            self.engine.parked.insert((x, off), Parked::Empty);
-                        }
-                        let req = chorus_gmi::PullRequest {
-                            cache: crate::keys::pub_cache(x),
-                            segment,
-                            offset: o,
-                            size: pages * ps,
-                            access,
-                        };
+                        let pages = self.size_pull(x, o, None)?;
+                        let req = self.place_window(x, segment, o, pages, access);
                         return blocked(Blocked::PullIn { cache: x, req });
                     }
                     match desc.parent_at(o) {
@@ -132,7 +117,62 @@ impl PvmState {
         }
     }
 
-    /// Sizes the `pullIn` run for a miss of `cache` at `off`, in pages.
+    /// Places the synchronization stubs and parked entries of a window
+    /// of `pages` pages of `cache` at `off`; returns its `pullIn`.
+    fn place_window(
+        &mut self,
+        cache: CacheKey,
+        segment: chorus_gmi::SegmentId,
+        off: u64,
+        pages: u64,
+        access: Access,
+    ) -> chorus_gmi::PullRequest {
+        let ps = self.ps();
+        for at in (off..off + pages * ps).step_by(ps as usize) {
+            self.set_slot(cache, at, Slot::Sync);
+            self.engine.parked.insert((cache, at), Parked::Empty);
+        }
+        chorus_gmi::PullRequest {
+            cache: crate::keys::pub_cache(cache),
+            segment,
+            offset: off,
+            size: pages * ps,
+            access,
+        }
+    }
+
+    /// Reading ahead of the reader (DESIGN.md §13): places the window
+    /// after the one stream `slot` of `cache` is reading, for the driver
+    /// to submit with no faulter. It starts at the first page at or past
+    /// the stream's `next`, within its window, that a pull may cover
+    /// (the reader steps over the resident ones as it did before), and
+    /// is sized as a continuation, with no frame it would take a
+    /// `pushOut` to free. `None` when there is nothing to pull or no
+    /// room for it: a background request needs two free slots of its
+    /// mapper, because the last one is a faulter's.
+    pub fn size_ahead(&mut self, cache: CacheKey, slot: usize) -> Option<chorus_gmi::PullRequest> {
+        let ps = self.ps();
+        let desc = self.caches.get_mut(cache).filter(|c| !c.poisoned)?;
+        let segment = desc.segment?;
+        let stream = *desc.streams.table.get(slot).filter(|s| s.armed)?;
+        if self.engine.free_slots(segment) < 2 {
+            return None;
+        }
+        let mut reach = (stream.next..)
+            .step_by(ps as usize)
+            .take(stream.window as usize);
+        let Some(off) = reach.find(|&o| desc.pullable(o, ps)) else {
+            // Resident or past the segment's end, all of it: the stream
+            // is over (its reader's next miss is outside its reach).
+            desc.streams.table[slot].armed = false;
+            return None;
+        };
+        let pages = self.size_pull(cache, off, Some(slot)).ok()?;
+        (pages > 0).then(|| self.place_window(cache, segment, off, pages, Access::Read))
+    }
+
+    /// Sizes the `pullIn` run for a miss of `cache` at `off`, in pages
+    /// (`ahead`: for stream `ahead` continued before its reader missed).
     ///
     /// The cache's stream table grants a window: `pull_cluster_pages`
     /// for a miss that continues no stream, doubling up to one IPC
@@ -147,7 +187,12 @@ impl PvmState {
     /// A miss that continues a stream also drops the reference of the
     /// window the stream has left, before frames are secured for the
     /// new one: see [`PvmState::drop_behind`].
-    fn size_pull(&mut self, cache: CacheKey, off: u64) -> chorus_gmi::Result<u64> {
+    fn size_pull(
+        &mut self,
+        cache: CacheKey,
+        off: u64,
+        ahead: Option<usize>,
+    ) -> chorus_gmi::Result<u64> {
         let ps = self.ps();
         let floor = self.config.pull_cluster_pages.max(1);
         // Readahead stays under a quarter of the pool: a delivery pins
@@ -161,33 +206,26 @@ impl PvmState {
         // A fully-backed cache owns *every* offset: until the segment's
         // length is known nothing bounds a window the mapper never
         // asked for, so the stream table is not consulted at all.
-        let stream = (!desc.fully_backed || desc.seg_len.is_some())
-            .then(|| desc.streams.miss(off, ps, floor, cap));
+        let stream = match ahead {
+            Some(slot) => Some(desc.streams.ahead(slot, off)),
+            None => (!desc.fully_backed || desc.seg_len.is_some())
+                .then(|| desc.streams.miss(off, ps, floor, cap)),
+        };
         let window = stream
             .as_ref()
             .map_or(floor, |&(slot, ..)| desc.streams.table[slot].window);
         let mut pages = 1u64;
-        while pages < window {
-            let next = off + pages * ps;
-            // Clamp at segment end: the mapper has no data past the
-            // segment's known length, and a run crossing it would come
-            // back truncated.
-            if desc.seg_len.is_some_and(|len| next + ps > len) {
-                break;
-            }
-            // Stop at resident pages, in-transit stubs and COW stubs
-            // (all indexed in `entries`): pulling them again would be
-            // redundant mapper I/O.
-            if !desc.owns(next) || desc.entries.contains(&next) {
-                break;
-            }
+        while pages < window && desc.pullable(off + pages * ps, ps) {
             pages += 1;
         }
         if let Some((.., Some(left))) = &stream {
             self.drop_behind(cache, left.clone());
         }
-        if pages > floor {
-            pages = self.secure_frames(pages).max(floor);
+        // Nobody waits for an ahead window: nothing free or clean, no
+        // window.
+        let least = if ahead.is_some() { 0 } else { floor };
+        if pages > least {
+            pages = self.secure_frames(pages).max(least);
         }
         if let Some((slot, before, _)) = stream {
             let s = &mut self.cache_mut(cache)?.streams.table[slot];

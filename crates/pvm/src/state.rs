@@ -199,6 +199,9 @@ pub(crate) struct PvmState {
     /// Blocked actions performed so far. An entry that leaves it
     /// unchanged was light (`Pvm::run`).
     pub performed: u64,
+    /// The (cache, stream) whose next window fell due during this
+    /// entry (`note_use`); `Pvm::run` submits it on its way out.
+    pub ahead_due: Option<(CacheKey, usize)>,
     /// The dimensional telemetry registry (per-cache / per-context /
     /// per-mapper counters), shared with `Pvm`. Inert (one relaxed load
     /// per site) unless `config.telemetry` is on.
@@ -243,6 +246,7 @@ impl PvmState {
             demand_pulls: FxHashMap::default(),
             write_behind: std::collections::VecDeque::new(),
             performed: 0,
+            ahead_due: None,
             telemetry,
             series: SeriesRing::new(SERIES_CAP),
             next_sample_ns: 0,
@@ -328,6 +332,22 @@ impl PvmState {
     /// (see [`PageDesc::referenced`]).
     pub fn page_referenced(&self, k: PageKey) -> bool {
         self.page(k).referenced(&self.contexts, &*self.mmu)
+    }
+
+    /// A use of page `k`, mapped or read through its cache: the software
+    /// half of its reference, and the end of its being a prefetch an
+    /// eviction would count as wasted. The first use of a readahead page
+    /// of the pull a full-window stream is reading makes that stream's
+    /// next window due.
+    pub fn note_use(&mut self, k: PageKey) {
+        let page = self.page_mut(k);
+        page.ref_bit = true;
+        if core::mem::take(&mut page.prefetched) {
+            let (cache, off) = (page.cache, page.offset);
+            if let Some(slot) = self.caches.get(cache).and_then(|c| c.streams.due(off)) {
+                self.ahead_due = Some((cache, slot));
+            }
+        }
     }
 
     /// Releases pins (`lock_count`) taken on pages. They may have died
@@ -499,13 +519,11 @@ impl PvmState {
         let mmu_ctx = self.ctx(ctx).expect("mapping into dead context").mmu_ctx;
         let frame = self.page(key).frame;
         self.mmu.map(mmu_ctx, vpn, frame, prot);
-        let page = self.page_mut(key);
-        page.mappings.push(Mapping { ctx, vpn, via });
+        self.page_mut(key).mappings.push(Mapping { ctx, vpn, via });
         // The MMU entered the mapping unreferenced; the access that
         // faulted walks the table when it is retried and sets that bit
         // too. Until then the software half stands for the fault.
-        page.ref_bit = true;
-        page.prefetched = false;
+        self.note_use(key);
         // The policy's fault-time hook (the clock reads the reference
         // set above through its view; recency policies queue the touch).
         self.policy.touch(key);
@@ -683,6 +701,8 @@ impl PvmState {
             arriving_pages: self.engine.parked.len() as u64,
             clock_ring_pages: self.policy.len() as u64,
             gmap_slots: self.gmap.len() as u64,
+            ahead_pulls: self.stats.get(Counter::AheadPulls),
+            ahead_skipped: self.stats.get(Counter::AheadSkipped),
         }
     }
 

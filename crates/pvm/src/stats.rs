@@ -130,8 +130,9 @@ counters! {
     /// Batched `pushOut` requests that failed part-way and were split
     /// into per-page retries to avoid dirty-page loss.
     push_batch_splits => PushBatchSplits,
-    /// Misses that continued a sequential stream of their cache's
-    /// stream table (and so pulled a widened window).
+    /// Continuations of a sequential stream of their cache's stream
+    /// table that sized a (widened) window: a miss inside the stream's
+    /// reach, or the stream's next window pulled ahead of its reader.
     readahead_hits => ReadaheadHits,
     /// Times a stream's pull window grew (doubled).
     readahead_ramps => ReadaheadRamps,
@@ -199,6 +200,14 @@ counters! {
     /// Resident pages that lost their reference because the stream that
     /// pulled them in moved on to its next window (drop-behind).
     drop_behind_pages => DropBehindPages,
+    /// Pull windows submitted ahead of their reader: the next window of
+    /// a full-window stream, when the first readahead page of its
+    /// current one is used.
+    ahead_pulls => AheadPulls,
+    /// Ahead windows that fell due and were not submitted: fewer than
+    /// two free slots at the mapper, no frame free or clean, or nothing
+    /// left of the segment to pull.
+    ahead_skipped => AheadSkipped,
 }
 
 const N_COUNTERS: usize = Counter::ALL.len();
@@ -293,7 +302,8 @@ mod tests {
 
     #[test]
     fn counter_labels_match_snapshot_fields() {
-        assert_eq!(Counter::ALL.len(), 45);
+        assert_eq!(Counter::ALL.len(), 47);
+        assert_eq!(Counter::AheadSkipped.label(), "ahead_skipped");
         assert_eq!(Counter::ReadaheadHits.label(), "readahead_hits");
         assert_eq!(Counter::ReadaheadRamps.label(), "readahead_ramps");
         assert_eq!(Counter::PolicyVictims.label(), "policy_victims");

@@ -289,6 +289,11 @@ pub struct TelemetrySample {
     pub clock_ring_pages: u64,
     /// Live slots in the global map (pages + stubs).
     pub gmap_slots: u64,
+    /// Windows submitted ahead of their reader so far, and due ones
+    /// that were not (`Counter::{AheadPulls, AheadSkipped}`): in the
+    /// series, how far each stretch of a run was read ahead.
+    pub ahead_pulls: u64,
+    pub ahead_skipped: u64,
 }
 
 /// A bounded drop-oldest ring of gauge samples.
@@ -411,6 +416,8 @@ mod tests {
             arriving_pages: 0,
             clock_ring_pages: 0,
             gmap_slots: 0,
+            ahead_pulls: 0,
+            ahead_skipped: 0,
         };
         let mut r = SeriesRing::new(2);
         r.push(sample(1));

@@ -279,6 +279,13 @@ impl TraceSink {
                     s.clock_ring_pages, s.gmap_slots
                 ),
             );
+            counter(
+                "readahead",
+                format!(
+                    "\"ahead_pulls\":{},\"ahead_skipped\":{}",
+                    s.ahead_pulls, s.ahead_skipped
+                ),
+            );
         }
         format!(
             "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"clock\":\"simulated\",\"dropped\":{}}}}}\n",
@@ -299,13 +306,15 @@ impl TraceSink {
                 format!(
                     "{{\"sim_ns\":{},\"free_frames\":{},\
                      \"inflight_upcalls\":{},\"arriving_pages\":{},\"clock_ring_pages\":{},\
-                     \"gmap_slots\":{}}}",
+                     \"gmap_slots\":{},\"ahead_pulls\":{},\"ahead_skipped\":{}}}",
                     s.sim_ns,
                     s.free_frames,
                     s.inflight_upcalls,
                     s.arriving_pages,
                     s.clock_ring_pages,
-                    s.gmap_slots
+                    s.gmap_slots,
+                    s.ahead_pulls,
+                    s.ahead_skipped
                 )
             })
             .collect();
@@ -495,6 +504,8 @@ mod tests {
             arriving_pages: 1,
             clock_ring_pages: 5,
             gmap_slots: 6,
+            ahead_pulls: 4,
+            ahead_skipped: 3,
         }
     }
 
@@ -502,8 +513,9 @@ mod tests {
     fn counter_tracks_ride_in_the_chrome_export() {
         let sink = capture_with_activity().with_telemetry(vec![sample(0, 10), sample(1_000, 8)]);
         let json = sink.chrome_trace_json();
-        assert_eq!(json.matches("\"ph\":\"C\"").count(), 6, "3 tracks x 2");
+        assert_eq!(json.matches("\"ph\":\"C\"").count(), 8, "4 tracks x 2");
         assert!(json.contains("\"name\":\"mem.free\""));
+        assert!(json.contains("\"ahead_pulls\":4,\"ahead_skipped\":3"));
         assert!(json.contains("\"name\":\"residency\""));
         // Still structurally sound with the counter events in place.
         let depth = json.chars().fold(0i64, |d, c| match c {

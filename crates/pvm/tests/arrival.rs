@@ -48,10 +48,14 @@ fn page_bytes(page: u64) -> Vec<u8> {
 
 /// A 16-page file mapped at `BASE` of a fresh context, nothing resident.
 fn map_file(pvm: &Pvm, mgr: &MemSegmentManager) -> (CtxId, CacheId) {
-    let data: Vec<u8> = (0..FILE_PAGES).flat_map(page_bytes).collect();
+    map_pages(pvm, mgr, FILE_PAGES)
+}
+
+fn map_pages(pvm: &Pvm, mgr: &MemSegmentManager, pages: u64) -> (CtxId, CacheId) {
+    let data: Vec<u8> = (0..pages).flat_map(page_bytes).collect();
     let cache = pvm.cache_create(Some(mgr.create_segment(&data))).unwrap();
     let ctx = pvm.context_create().unwrap();
-    pvm.region_create(ctx, VirtAddr(BASE), FILE_PAGES * PS, Prot::RW, cache, 0)
+    pvm.region_create(ctx, VirtAddr(BASE), pages * PS, Prot::RW, cache, 0)
         .unwrap();
     (ctx, cache)
 }
@@ -157,11 +161,15 @@ fn cache_read_and_a_cow_read_through_a_descendant_wait_at_the_same_gate() {
 }
 
 /// A manager whose mapper can be made to die for good: it then delivers
-/// the first `partial` pages of a window and fails the request.
+/// the first `partial` pages of a window and fails the request. It
+/// reports its segments `len` bytes long, if that is set (the manager
+/// under it reports no lengths, and a fully-backed cache of unknown
+/// length has no streams).
 struct Dying {
     inner: Arc<dyn SegmentManagerV2>,
     dead: AtomicBool,
     partial: u64,
+    len: Option<u64>,
 }
 
 impl SegmentManagerV2 for Dying {
@@ -190,7 +198,7 @@ impl SegmentManagerV2 for Dying {
         self.inner.create_segment_v2(cache)
     }
     fn segment_len(&self, segment: SegmentId) -> Option<u64> {
-        self.inner.segment_len(segment)
+        self.len.or_else(|| self.inner.segment_len(segment))
     }
 }
 
@@ -230,6 +238,7 @@ fn teardown_and_failure_with_a_window_in_flight_leave_no_frame_behind() {
             inner: SyncShim::wrap(mgr.clone()),
             dead: AtomicBool::new(false),
             partial: 3,
+            len: None,
         });
         let mut o = PvmOptions {
             geometry: chorus_hal::PageGeometry::new(PS),
@@ -364,5 +373,220 @@ fn the_same_operations_give_the_same_clock_and_counters() {
         assert_eq!(first.0.now, second.0.now, "{mmu:?}: clocks diverged");
         assert_eq!(first.0.counts, second.0.counts, "{mmu:?}");
         assert_eq!(first.1, second.1, "{mmu:?}: counters diverged");
+    }
+}
+
+// ----- reading ahead of the reader (DESIGN.md §13) --------------------------
+//
+// These run on the shipped `pull_cluster_pages` (1): a stream ramps 1, 2,
+// 4, 8 and is read ahead from its first full window on.
+
+/// Pages of the streamed file: the ramp's 7, then 7 full windows.
+const STREAM_PAGES: u64 = 7 + 7 * WINDOW;
+/// What the reader does with a page before it wants the next one.
+const THINK: u64 = 3_000;
+/// A miss: the round trip, the page's transfer, its landing.
+const MISS: u64 = IPC + SEG + LAND;
+
+/// A 128-frame PVM over a manager that knows how long the streamed
+/// file is and whose mapper dies on request.
+fn streamed(
+    mmu: MmuChoice,
+    partial: u64,
+    retry: RetryPolicy,
+) -> (Pvm, Arc<MemSegmentManager>, Arc<Dying>) {
+    let mgr = Arc::new(MemSegmentManager::new());
+    let dying = Arc::new(Dying {
+        inner: SyncShim::wrap(mgr.clone()),
+        dead: AtomicBool::new(false),
+        partial,
+        len: Some(STREAM_PAGES * PS),
+    });
+    let mut o = PvmOptions {
+        geometry: chorus_hal::PageGeometry::new(PS),
+        frames: 128,
+        mmu,
+        cost: service_costs(),
+        ..PvmOptions::default()
+    };
+    o.config.check_invariants = true;
+    o.config.retry = retry;
+    (Pvm::new(o, dying.clone()), mgr, dying)
+}
+
+/// Reads pages `from..to` of the stream in order, thinking after each;
+/// returns what each access waited.
+fn stream(pvm: &Pvm, ctx: CtxId, pages: core::ops::Range<u64>) -> Vec<u64> {
+    let model = pvm.cost_model();
+    let waits = pages.map(|p| {
+        let t = now(pvm);
+        touch(pvm, ctx, p);
+        let waited = now(pvm) - t;
+        model.advance_ns(THINK);
+        waited
+    });
+    waits.collect()
+}
+
+#[test]
+fn a_ramped_sequential_reader_never_waits_for_a_round_trip_again() {
+    let run = |mmu| {
+        let (pvm, mgr, _) = streamed(mmu, 0, RetryPolicy::default());
+        let (ctx, _) = map_pages(&pvm, &mgr, STREAM_PAGES);
+        let waits = stream(&pvm, ctx, 0..STREAM_PAGES);
+        // The ramp's four misses wait for the mapper. A page's transfer
+        // takes less than the reader's think time, so every other page
+        // has arrived when it is wanted: an access pays for landings
+        // (its own page's, and the rest of a window that has arrived
+        // whole by then) and nothing else. That includes the head of
+        // every window after the ramp, which went out when the window
+        // before it was entered, 7 pages earlier.
+        for (p, &waited) in waits.iter().enumerate() {
+            if [0, 1, 3, 7].contains(&p) {
+                assert_eq!(waited, MISS, "{mmu:?}: page {p}");
+            } else {
+                assert!(waited < IPC && waited % LAND == 0, "{mmu:?}: {p}: {waited}");
+            }
+        }
+        // Every page landed once, and nobody waited for anything else.
+        assert_eq!(
+            now(&pvm),
+            4 * MISS + (STREAM_PAGES - 4) * LAND + STREAM_PAGES * THINK,
+            "{mmu:?}"
+        );
+        let ahead: Vec<_> = (15..STREAM_PAGES).step_by(8).map(|p| (p, WINDOW)).collect();
+        assert_eq!(
+            pulls(&mgr),
+            [vec![(0, 1), (1, 2), (3, 4), (7, 8)], ahead].concat(),
+            "{mmu:?}"
+        );
+        pvm.drain_upcalls();
+        let stats = pvm.stats();
+        assert_eq!(stats.async_deliveries, stats.async_submits);
+        // The last window's first page found the file at its end.
+        assert_eq!((stats.ahead_pulls, stats.ahead_skipped), (6, 1));
+        assert_eq!(stats.readahead_pages, STREAM_PAGES - 4);
+        assert_eq!(pvm.waiting_faulters(), 0);
+        pvm.check_invariants();
+        (pvm.cost_model().snapshot(), stats)
+    };
+    for mmu in MMUS {
+        let (first, second) = (run(mmu), run(mmu));
+        assert_eq!(first.0.now, second.0.now, "{mmu:?}: clocks diverged");
+        assert_eq!(first.0.counts, second.0.counts, "{mmu:?}");
+        assert_eq!(first.1, second.1, "{mmu:?}: counters diverged");
+    }
+}
+
+#[test]
+fn a_failed_ahead_window_fails_nobody() {
+    for mmu in MMUS {
+        // Transient: the window is given up, and its reader pulls it
+        // again when it gets there.
+        let (pvm, mgr, _) = streamed(mmu, 0, RetryPolicy::no_retry());
+        let (ctx, _) = map_pages(&pvm, &mgr, STREAM_PAGES);
+        stream(&pvm, ctx, 0..8);
+        let free = pvm.free_frames();
+        pulls(&mgr);
+        mgr.fail_next_pull();
+        let waits = stream(&pvm, ctx, 8..23);
+        assert_eq!(pulls(&mgr), [(15, 8), (15, 8), (23, 8)], "{mmu:?}");
+        let missed: Vec<_> = waits.iter().map(|&w| w == MISS).collect();
+        assert_eq!(missed.iter().filter(|&&m| m).count(), 1, "{waits:?}");
+        assert!(missed[15 - 8], "page 15 is a miss again: {waits:?}");
+        pvm.drain_upcalls();
+        let stats = pvm.stats();
+        assert_eq!(stats.async_deliveries, stats.async_submits);
+        assert_eq!((stats.ahead_pulls, stats.quarantined_caches), (2, 0));
+        assert_eq!(pvm.waiting_faulters(), 0, "no mailbox was ever opened");
+        assert_eq!(pvm.free_frames(), free - 16, "{mmu:?}");
+        pvm.check_invariants();
+
+        // Permanent: the mapper delivers three pages and dies. The
+        // entry that sent the window out is none the wiser; the cache is
+        // quarantined when the failure is delivered, as a faulter's
+        // pull would have had it.
+        let (pvm, mgr, dying) = streamed(mmu, 3, RetryPolicy::no_retry());
+        let (ctx, cache) = map_pages(&pvm, &mgr, STREAM_PAGES);
+        stream(&pvm, ctx, 0..8);
+        let free = pvm.free_frames();
+        dying.dead.store(true, Ordering::SeqCst);
+        stream(&pvm, ctx, 8..9);
+        assert_eq!(pvm.stats().quarantined_caches, 0, "still in flight");
+        pvm.drain_upcalls();
+        let stats = pvm.stats();
+        assert_eq!((stats.ahead_pulls, stats.quarantined_caches), (1, 1));
+        assert_eq!(stats.async_deliveries, stats.async_submits);
+        assert_eq!(pvm.waiting_faulters(), 0);
+        assert_eq!(pvm.free_frames(), free, "all of the window was given up");
+        let err = pvm
+            .vm_read(ctx, VirtAddr(BASE + 15 * PS), &mut [0u8; 1])
+            .unwrap_err();
+        assert!(matches!(err, GmiError::CachePoisoned(_)), "{err}");
+        pvm.check_invariants();
+        let region = pvm.find_region(ctx, VirtAddr(BASE)).unwrap();
+        pvm.region_destroy(region).unwrap();
+        pvm.cache_destroy(cache).unwrap();
+        assert_eq!(pvm.free_frames(), 128, "{mmu:?}");
+    }
+}
+
+#[test]
+fn teardown_with_an_ahead_window_in_flight_leaves_no_frame_behind() {
+    for mmu in MMUS {
+        // A deadline between the arrivals of a window's pages 1 and 2.
+        let deadline = IPC + 2 * SEG + SEG / 2;
+        let retry = RetryPolicy {
+            deadline_ns: deadline,
+            ..RetryPolicy::default()
+        };
+        let (pvm, mgr, _) = streamed(mmu, 0, retry);
+        let (ctx, cache) = map_pages(&pvm, &mgr, STREAM_PAGES);
+        let model = pvm.cost_model();
+        // The ramp, each window given the time to land whole; page 8
+        // then sends (15, 8) out with nobody waiting on it.
+        let ramp_then_ahead = || {
+            for p in 0..8 {
+                touch(&pvm, ctx, p);
+                model.advance_ns(IPC + WINDOW * SEG);
+            }
+            touch(&pvm, ctx, 8);
+            assert_eq!(pulls(&mgr).last(), Some(&(15, WINDOW)), "{mmu:?}");
+        };
+        let drained = || {
+            pvm.drain_upcalls();
+            let stats = pvm.stats();
+            assert_eq!(stats.async_deliveries, stats.async_submits, "{stats:?}");
+            assert_eq!(pvm.waiting_faulters(), 0);
+            pvm.check_invariants();
+        };
+        ramp_then_ahead();
+        assert_eq!(pvm.free_frames(), 128 - 15 - WINDOW as u32, "parked frames");
+
+        // The watchdog: at the deadline pages 15 and 16 have arrived and
+        // land, the other six are given up.
+        model.advance_ns(deadline);
+        pvm.cache_read(cache, 0, &mut [0u8; 1]).unwrap();
+        assert_eq!(pvm.stats().watchdog_cancels, 1);
+        assert_eq!(pvm.free_frames(), 128 - 17, "{mmu:?}");
+        drained();
+
+        // Invalidate waits the window out, then frees what it brought.
+        pvm.cache_invalidate(cache, 0, STREAM_PAGES * PS).unwrap();
+        assert_eq!(pvm.free_frames(), 128, "{mmu:?}");
+        ramp_then_ahead();
+        pvm.cache_invalidate(cache, 0, STREAM_PAGES * PS).unwrap();
+        assert_eq!(pvm.free_frames(), 128, "{mmu:?}");
+        drained();
+
+        // Destroy gives up what has not arrived; the window stays queued
+        // and finds nothing to land.
+        ramp_then_ahead();
+        let region = pvm.find_region(ctx, VirtAddr(BASE)).unwrap();
+        pvm.region_destroy(region).unwrap();
+        pvm.cache_destroy(cache).unwrap();
+        assert_eq!(pvm.free_frames(), 128, "{mmu:?}");
+        drained();
+        assert_eq!(pvm.free_frames(), 128, "{mmu:?}");
     }
 }

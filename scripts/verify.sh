@@ -8,8 +8,9 @@
 # page),
 # the pressure smoke (the deadline watchdog must bound hung-upcall
 # stalls with zero data loss), the read-ahead
-# smoke (a sequential stream must amortize pullIn upcalls, random
-# misses must not pay for it), the mapper-fault
+# smoke (a sequential stream must amortize pullIn upcalls and, pulled
+# ahead, not wait for them; random misses must not pay for it), the
+# mapper-fault
 # smoke (retries must heal transient faults with zero client errors),
 # the telemetry smoke (the knob must be free when off — bit-identical
 # sim clocks — and cost <=5% wall when on, with pvmtop attributing a
@@ -111,6 +112,15 @@ for r in (seq, two):
     assert r["readahead_unused"] == 0, r
 assert rand["pulled_pages"] <= 1.05 * rand["pull_ins"], rand
 assert seq["sim_ms"] * 2 < rand["sim_ms"], (seq, rand)
+# Ahead pulls: a full-window stream does not wait for its round trips
+# (1926.2 / 1700.8 ms before them), and makes no more of them (54 / 57
+# / 173 pullIns before; stepping over resident pages saves seq+random
+# a few). A miss that continues no stream is untouched, to the cent.
+assert seq["sim_ms"] <= 1400 and two["sim_ms"] <= 1100, (seq, two)
+assert seq["ahead_pulls"] * 2 > seq["pull_ins"], seq
+for shape, pulls in (("sequential", 54), ("two-streams", 58), ("seq+random", 168)):
+    assert abs(rows[shape]["pull_ins"] - pulls) <= 2, rows[shape]
+assert (rand["pull_ins"], rand["ahead_pulls"], round(rand["sim_ms"], 2)) == (262, 0, 6060.53), rand
 print("ok: %.1f pages/pull sequential, %.1f two streams, %.2f random"
       % tuple(r["pulled_pages"] / r["pull_ins"] for r in (seq, two, rand)))
 '

@@ -10,6 +10,7 @@ use chorus_gmi::{CacheId, CacheIo, CtxId, Gmi, Prot, RetryPolicy, VirtAddr};
 use chorus_hal::{CostParams, OpKind};
 use chorus_nucleus::FaultPlan;
 use chorus_pvm::trace::{TraceEvent, UpcallKind};
+use chorus_pvm::PvmStats;
 use common::{stack, stack_costed, FaultStack, Lcg, PS};
 use std::sync::{Arc, Barrier};
 
@@ -81,7 +82,13 @@ fn a_stream_doubles_its_window_to_one_ipc_message_and_stops_at_segment_end() {
     );
     let stats = s.pvm.stats();
     assert_eq!((stats.readahead_hits, stats.readahead_ramps), (4, 3));
-    assert_eq!(stats.readahead_pages, 21 - 5);
+    assert_eq!(
+        stats.readahead_pages,
+        21 - 4,
+        "the last pull went out ahead of the reader, when page 8 was \
+         first used: it had no faulter, so its head is readahead too"
+    );
+    assert_eq!((stats.ahead_pulls, stats.ahead_skipped), (1, 1));
     assert_eq!(stats.readahead_unused, 0);
 }
 
@@ -108,6 +115,192 @@ fn a_window_stops_at_a_resident_page_and_the_stream_goes_on_behind_it() {
         "the run from page 7 is cut at resident page 12; the miss at 13 \
          is still inside the stream's window"
     );
+}
+
+// ----- reading ahead of the reader ------------------------------------------
+
+#[test]
+fn an_ahead_pull_steps_over_a_resident_page_and_the_stream_goes_on_behind_it() {
+    let s = quiet(64);
+    let (ctx, _) = map_file(&s, 0x19, 40, 0, Prot::READ);
+    read_page(&s, ctx, 0, 16);
+    for p in 0..40 {
+        assert_eq!(read_page(&s, ctx, 0, p), page_bytes(0x19, p), "page {p}");
+    }
+    assert_eq!(
+        s.upcalls(UpcallKind::PullIn),
+        [
+            (16, 1),
+            (0, 1),
+            (1, 2),
+            (3, 4),
+            (7, 8),
+            (15, 1),
+            (17, 8),
+            (25, 8),
+            (33, 7)
+        ],
+        "the window after 7..15 is cut at resident page 16; the one after \
+         it starts behind that page, and the rest tile the file"
+    );
+    let stats = s.pvm.stats();
+    // Pages 8, 15, 17 and 25 were each the first readahead page of
+    // their window to be used; page 33 found nothing left to pull.
+    assert_eq!((stats.ahead_pulls, stats.ahead_skipped), (4, 1));
+    assert_eq!(stats.faults, 40, "one fault a page: nobody faulted twice");
+    assert_eq!(stats.readahead_unused, 0);
+}
+
+#[test]
+fn drop_behind_lags_one_window_behind_an_ahead_pull_and_a_miss_catches_up() {
+    let s = quiet(128);
+    let (ctx, _) = map_file(&s, 0x1a, 64, 0, Prot::READ);
+    let dropped = || s.pvm.stats().drop_behind_pages;
+    for p in 0..8 {
+        read_page(&s, ctx, 0, p);
+    }
+    assert_eq!(dropped(), 1 + 2 + 4, "the misses at 1, 3 and 7");
+    // Page 8 sends (15, 8) out: the reader has only just entered 7..15.
+    read_page(&s, ctx, 0, 8);
+    assert_eq!(dropped(), 7, "the window being read keeps its reference");
+    for p in 9..16 {
+        read_page(&s, ctx, 0, p);
+    }
+    assert_eq!(dropped(), 7 + 8, "page 15 sent (23, 8) out: 7..15 is left");
+    for p in 16..24 {
+        read_page(&s, ctx, 0, p);
+    }
+    assert_eq!(dropped(), 15 + 8, "page 23 sent (31, 8) out: 15..23");
+    // The reader jumps, still inside the stream's reach: a miss, and
+    // both windows it has not been dropped from go at once.
+    read_page(&s, ctx, 0, 40);
+    assert_eq!(dropped(), 23 + 16, "23..39, caught up");
+    assert_eq!(
+        s.upcalls(UpcallKind::PullIn),
+        [
+            (0, 1),
+            (1, 2),
+            (3, 4),
+            (7, 8),
+            (15, 8),
+            (23, 8),
+            (31, 8),
+            (40, 8)
+        ]
+    );
+    assert_eq!(s.pvm.stats().ahead_pulls, 3);
+}
+
+#[test]
+fn a_file_shorter_than_the_ramp_is_never_read_ahead() {
+    // `mix-make`'s images: a stream that never reaches the full window
+    // issues exactly the pulls it did before there were ahead pulls.
+    let s = quiet(64);
+    let (ctx, _) = map_file(&s, 0x1b, 7, 0, Prot::READ);
+    for p in 0..7 {
+        assert_eq!(read_page(&s, ctx, 0, p), page_bytes(0x1b, p));
+    }
+    assert_eq!(s.upcalls(UpcallKind::PullIn), [(0, 1), (1, 2), (3, 4)]);
+    let stats = s.pvm.stats();
+    assert_eq!((stats.ahead_pulls, stats.ahead_skipped), (0, 0));
+}
+
+#[test]
+fn a_pool_with_nothing_free_or_clean_gets_no_ahead_window_and_no_push() {
+    let s = quiet(40);
+    let (ctx, cache) = map_file(&s, 0x1c, 64, 0, Prot::READ);
+    for p in 0..8 {
+        read_page(&s, ctx, 0, p);
+    }
+    // Pages 0..15 are resident and get pinned; 25 dirty anonymous pages
+    // fill the pool.
+    s.pvm.cache_lock_in_memory(cache, 0, 15 * PS).unwrap();
+    let base = 0x10_0000;
+    let (anon_ctx, _) = map_anon(&s, 25, base);
+    for p in 0..25 {
+        write_page(&s, anon_ctx, base, p, &page_bytes(0x1d, p));
+    }
+    assert_eq!(s.pvm.free_frames(), 0);
+    s.upcalls(UpcallKind::PullIn);
+    // Page 8 is the first readahead page of 7..15 to be used: the next
+    // window is due, and every page is either pinned or dirty.
+    read_page(&s, ctx, 0, 8);
+    let stats = s.pvm.stats();
+    assert_eq!((stats.ahead_pulls, stats.ahead_skipped), (0, 1));
+    assert_eq!(s.upcalls(UpcallKind::PullIn), []);
+    assert_eq!(
+        stats.demand_pushes, 0,
+        "an ahead pull never waits for a push"
+    );
+    assert_eq!(s.pvm.resident_page_count(), 40);
+    s.pvm.check_invariants();
+}
+
+/// Costs under which a window outlives its faulter's wait by far: the
+/// round trip is 1 ms, a page's transfer 10 ms, everything else free.
+fn slow_pages() -> CostParams {
+    let mut p = CostParams::zero();
+    p.set(OpKind::IpcOp, 1_000_000);
+    p.set(OpKind::SegmentIoPage, 10_000_000);
+    p
+}
+
+/// When (simulated) each `pullIn` since the last drain was submitted.
+fn pull_submits(s: &FaultStack) -> Vec<(u64, u64)> {
+    let records = s.pvm.tracer().drain();
+    let submit = |r: &chorus_pvm::trace::TraceRecord| match r.event {
+        TraceEvent::UpcallSubmit {
+            kind: UpcallKind::PullIn,
+            offset,
+            ..
+        } => Some((offset / PS, r.sim_ns)),
+        _ => None,
+    };
+    records.iter().filter_map(submit).collect()
+}
+
+#[test]
+fn a_mappers_last_slot_is_not_taken_by_an_ahead_pull() {
+    let s = stack_costed(
+        128,
+        slow_pages(),
+        FaultPlan::quiet(0),
+        FaultPlan::quiet(0),
+        |_| {},
+    );
+    let (ctx, _) = map_file(&s, 0x1e, 192, 0, Prot::READ);
+    let now = || s.pvm.cost_model().now().nanos();
+    // Three streams ramp to the full window; their last pulls go out
+    // 11 ms apart and take 81 ms each, so all three are in flight.
+    for p in [0, 1, 3] {
+        for stream in [0, 64, 128] {
+            read_page(&s, ctx, 0, stream + p);
+        }
+    }
+    s.pvm.drain_upcalls();
+    for stream in [0, 64, 128] {
+        read_page(&s, ctx, 0, stream + 7);
+    }
+    assert_eq!(s.pvm.sample_now().inflight_upcalls, 3);
+    pull_submits(&s);
+    // Page 8 arrived long ago; its first use makes (15, 8) due, and the
+    // one free slot is left alone: no pull, no wait.
+    let t = now();
+    read_page(&s, ctx, 0, 8);
+    let stats = s.pvm.stats();
+    assert_eq!((stats.ahead_pulls, stats.ahead_skipped), (0, 1));
+    assert_eq!((now(), pull_submits(&s)), (t, vec![]));
+    // So a faulter's pull goes out the instant it misses: nothing was
+    // force-delivered to make room for it.
+    read_page(&s, ctx, 0, 190);
+    assert_eq!(pull_submits(&s), [(190, t)]);
+    // The windows land; the stream is still due, and page 9 is the
+    // next first use: now there is room.
+    s.pvm.drain_upcalls();
+    read_page(&s, ctx, 0, 9);
+    assert_eq!(s.upcalls(UpcallKind::PullIn), [(15, 8)]);
+    assert_eq!(s.pvm.stats().ahead_pulls, 1);
+    s.pvm.check_invariants();
 }
 
 #[test]
@@ -488,6 +681,60 @@ fn a_light_entry_launders_one_queued_run_and_a_stale_key_is_dropped() {
         assert_eq!(read_page(s, q.ctx, QBASE, 2 * k), want, "page {}", 2 * k);
     }
     pvm.check_invariants();
+}
+
+#[test]
+fn a_light_entry_leaves_a_mappers_last_slot_to_the_next_faulter() {
+    // As `queued`, on costs that keep a push in flight for 11 ms.
+    let s = stack_costed(
+        17,
+        slow_pages(),
+        FaultPlan::quiet(0),
+        FaultPlan::quiet(1),
+        |c| c.retry = RetryPolicy::no_retry(),
+    );
+    let pinned = s.pvm.cache_create(None).unwrap();
+    s.pvm.cache_write(pinned, 0, b"pinned").unwrap();
+    s.pvm.cache_lock_in_memory(pinned, 0, PS).unwrap();
+    let (ctx, _) = map_anon(&s, 128, QBASE);
+    for k in 0..17 {
+        write_page(&s, ctx, QBASE, 2 * k, &page_bytes(0x32, 2 * k));
+    }
+    let evicted = s.upcalls(UpcallKind::PushOut);
+    assert_eq!(evicted.len(), 1, "laundered inline, then evicted");
+    let light = || {
+        s.pvm.cache_read(pinned, 0, &mut [0u8; 6]).unwrap();
+        s.upcalls(UpcallKind::PushOut)
+    };
+    let now = || s.pvm.cost_model().now().nanos();
+    let t = now();
+    assert_eq!([light(), light(), light()], [[(0, 1)], [(2, 1)], [(4, 1)]]);
+    assert_eq!(s.pvm.sample_now().inflight_upcalls, 3);
+    // The fourth slot is a faulter's: page 6 keeps the head of the
+    // queue, and nothing is pushed synchronously either.
+    let before = s.pvm.stats();
+    assert_eq!([light(), light()], [[], []]);
+    let after = s.pvm.stats();
+    let unlocked = |stats| PvmStats {
+        state_lock_acqs: 0,
+        ..stats
+    };
+    assert_eq!(unlocked(after), unlocked(before), "not a counter moved");
+    assert_eq!(now(), t, "no light entry waited for anything");
+    // The page that was evicted is pulled back the instant it is
+    // missed (the pushes that make room for it come after the submit).
+    pull_submits(&s);
+    read_page(&s, ctx, QBASE, evicted[0].0);
+    assert_eq!(pull_submits(&s), [(evicted[0].0, t)]);
+    // Delivered, the pushes give their slots back and page 6 goes out.
+    s.pvm.drain_upcalls();
+    assert_eq!(light(), [(6, 1)]);
+    let stats = s.pvm.stats();
+    assert_eq!(stats.write_behind_pushes, 4);
+    for k in 0..17 {
+        assert_eq!(read_page(&s, ctx, QBASE, 2 * k), page_bytes(0x32, 2 * k));
+    }
+    s.pvm.check_invariants();
 }
 
 #[test]
