@@ -3,7 +3,7 @@
 //! segment, and the fork syscall sequence.
 
 use chorus_bench::{pvm_world, PAGE};
-use chorus_gmi::{CopyMode, Gmi, Prot, SyncShim, VirtAddr};
+use chorus_gmi::{CopyMode, Gmi, Prot, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_mix::{ProcessManager, ProgramStore};
 use chorus_nucleus::{MemMapper, Nucleus, NucleusSegmentManager, PortName, SwapMapper};
@@ -93,7 +93,7 @@ fn mix_world() -> ProcessManager<Pvm> {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     ));
     let nucleus = Arc::new(Nucleus::new(pvm, seg_mgr, 8));
     let store = Arc::new(ProgramStore::new(files, PageGeometry::SUN3_PAGE_SIZE));

@@ -8,7 +8,7 @@
 
 use chorus_bench::PAGE;
 use chorus_gmi::testing::MemSegmentManager;
-use chorus_gmi::{CacheId, CopyMode, Gmi, SyncShim};
+use chorus_gmi::{CacheId, CopyMode, Gmi};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_shadow::{ShadowOptions, ShadowVm};
 use std::sync::Arc;
@@ -64,7 +64,7 @@ fn main() {
                 cost: CostParams::sun3(),
                 collapse_chains: true,
             },
-            SyncShim::wrap(mgr),
+            mgr,
         );
         let leaf = build_chain(&vm, depth, CopyMode::HistoryCow);
         let model = vm.cost_model();

@@ -18,7 +18,6 @@
 use chorus_bench::PAGE;
 use chorus_gmi::testing::MemSegmentManager;
 use chorus_gmi::Gmi;
-use chorus_gmi::SyncShim;
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_shadow::{ShadowOptions, ShadowVm};
 use std::sync::Arc;
@@ -64,7 +63,7 @@ fn main() {
             cost: CostParams::sun3(),
             collapse_chains: true,
         },
-        SyncShim::wrap(mgr),
+        mgr,
     );
     let model = vm.cost_model();
     let (ms, _) = run(&vm, &model);
@@ -83,7 +82,7 @@ fn main() {
             cost: CostParams::sun3(),
             collapse_chains: false,
         },
-        SyncShim::wrap(mgr),
+        mgr,
     );
     let model = vm.cost_model();
     let (ms, _) = run(&vm, &model);

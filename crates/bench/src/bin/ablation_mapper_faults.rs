@@ -9,7 +9,7 @@
 //! Usage: `cargo run -p chorus-bench --bin ablation_mapper_faults [--json]`
 
 use chorus_bench::{json, PAGE};
-use chorus_gmi::{Gmi, Prot, RetryPolicy, SyncShim, VirtAddr};
+use chorus_gmi::{Gmi, Prot, RetryPolicy, VirtAddr};
 use chorus_hal::{CostParams, OpKind, PageGeometry};
 use chorus_nucleus::{FaultPlan, FaultyMapper, MemMapper, NucleusSegmentManager, PortName};
 use chorus_pvm::{Dim, DimCounter, Pvm, PvmConfig, PvmOptions};
@@ -59,7 +59,7 @@ fn run(fault_per_mille: u32, policy: RetryPolicy, policy_name: &'static str) -> 
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     );
     faulty.attach_clock(pvm.cost_model());
 

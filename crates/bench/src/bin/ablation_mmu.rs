@@ -10,7 +10,6 @@
 
 use chorus_bench::{run_table6, World, REGION_SIZES, TOUCH_PAGES};
 use chorus_gmi::testing::MemSegmentManager;
-use chorus_gmi::SyncShim;
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_pvm::{MmuChoice, Pvm, PvmConfig, PvmOptions};
 use std::sync::Arc;
@@ -28,7 +27,7 @@ fn world(mmu: MmuChoice) -> World<Pvm> {
                 .build()
                 .expect("valid config"),
         },
-        SyncShim::wrap(mgr.clone()),
+        mgr.clone(),
     ));
     let model = pvm.cost_model();
     World {

@@ -25,7 +25,7 @@
 //! Usage: `cargo run --release -p chorus-bench --bin ablation_pressure [--json] [--quick]`
 
 use chorus_bench::{assert_deterministic, bench_args, json, PAGE};
-use chorus_gmi::{Gmi, Prot, RetryPolicy, SyncShim, VirtAddr};
+use chorus_gmi::{Gmi, Prot, RetryPolicy, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_nucleus::{FaultPlan, FaultyMapper, MemMapper, NucleusSegmentManager, PortName};
 use chorus_pvm::{Pvm, PvmConfig, PvmOptions};
@@ -95,7 +95,7 @@ fn run_config(shape: &Shape, scenario: &'static str, hang: bool, deadline: bool)
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     );
     faulty.attach_clock(pvm.cost_model());
 

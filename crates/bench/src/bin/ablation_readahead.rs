@@ -11,7 +11,7 @@
 //! Usage: `cargo run -p chorus-bench --bin ablation_readahead [--json]`
 
 use chorus_bench::{json, PAGE};
-use chorus_gmi::{Gmi, Prot, SyncShim, VirtAddr};
+use chorus_gmi::{Gmi, Prot, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_nucleus::{MemMapper, NucleusSegmentManager, PortName};
 use chorus_pvm::{Pvm, PvmConfig, PvmOptions};
@@ -65,7 +65,7 @@ fn run(shape: &'static str, page_of: Shape) -> Row {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(mgr.clone()),
+        mgr.clone(),
     );
     let cache = pvm.cache_create(Some(seg)).unwrap();
     let ctx = pvm.context_create().unwrap();

@@ -10,7 +10,6 @@
 //!
 //! Usage: `cargo run -p chorus-bench --bin ablation_segment_cache`
 
-use chorus_gmi::SyncShim;
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_mix::{ProcessManager, ProgramStore};
 use chorus_nucleus::{MemMapper, Nucleus, NucleusSegmentManager, PortName, SwapMapper};
@@ -37,7 +36,7 @@ fn run(caching: bool) -> (f64, u64, chorus_nucleus::SegmentCachingStats) {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     ));
     let model = pvm.cost_model();
     let nucleus = Arc::new(Nucleus::new(pvm, seg_mgr, 8));

@@ -22,7 +22,7 @@
 //! Usage: `cargo run --release -p chorus-bench --bin ablation_telemetry [--json] [--quick] [--out DIR]`
 
 use chorus_bench::{json, PAGE};
-use chorus_gmi::{Gmi, Prot, SegmentId, SyncShim, VirtAddr};
+use chorus_gmi::{Gmi, Prot, SegmentId, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_nucleus::{FaultPlan, FaultyMapper, MemMapper, NucleusSegmentManager, PortName};
 use chorus_pvm::{pvmtop, MapperState, Pvm, PvmConfig, PvmOptions, TraceConfig, TraceSink};
@@ -72,7 +72,7 @@ fn build(telemetry: bool, frames: u32) -> (Arc<Pvm>, Arc<MemMapper>, Arc<Nucleus
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     );
     (Arc::new(pvm), files, seg_mgr)
 }
@@ -199,7 +199,7 @@ fn scenario() -> Scenario {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     );
     sick.attach_clock(pvm.cost_model());
 

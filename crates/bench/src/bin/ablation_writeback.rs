@@ -21,7 +21,7 @@
 
 use chorus_bench::{assert_deterministic, bench_args, json, PAGE};
 use chorus_gmi::testing::MemSegmentManager;
-use chorus_gmi::{Gmi, Prot, SyncShim, VirtAddr};
+use chorus_gmi::{Gmi, Prot, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_pvm::trace::Phase;
 use chorus_pvm::{Pvm, PvmConfig, PvmOptions, TraceConfig};
@@ -84,7 +84,7 @@ fn run_config(shape: &Shape, cluster: u64) -> Row {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(mgr.clone()),
+        mgr.clone(),
     );
     let cache = pvm.cache_create(Some(seg)).unwrap();
     let ctx = pvm.context_create().unwrap();

@@ -5,7 +5,7 @@
 //! Usage: `cargo run -p chorus-bench --bin figure3`
 
 use chorus_gmi::testing::MemSegmentManager;
-use chorus_gmi::{CopyMode, Gmi, SyncShim};
+use chorus_gmi::{CopyMode, Gmi};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_pvm::{Pvm, PvmConfig, PvmOptions, TraceConfig};
 use std::sync::Arc;
@@ -25,7 +25,7 @@ fn pvm() -> Arc<Pvm> {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(Arc::new(MemSegmentManager::new())),
+        Arc::new(MemSegmentManager::new()),
     ))
 }
 

@@ -13,7 +13,7 @@
 //! Usage: `cargo run --release -p chorus-bench --bin pvmtop [--json] [--out DIR]`
 
 use chorus_bench::{json, PAGE};
-use chorus_gmi::{Gmi, Prot, SyncShim, VirtAddr};
+use chorus_gmi::{Gmi, Prot, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_nucleus::{FaultPlan, FaultyMapper, MemMapper, NucleusSegmentManager, PortName};
 use chorus_pvm::{pvmtop, MapperState, Pvm, PvmConfig, PvmOptions, TraceConfig};
@@ -66,7 +66,7 @@ fn main() {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     );
     sick.attach_clock(pvm.cost_model());
     let ctx = pvm.context_create().unwrap();

@@ -12,7 +12,7 @@
 //! structure — the substance of the paper's Chorus-vs-Mach comparison.
 
 use chorus_gmi::testing::MemSegmentManager;
-use chorus_gmi::{CacheId, Gmi, Prot, SyncShim, VirtAddr};
+use chorus_gmi::{CacheId, Gmi, Prot, VirtAddr};
 use chorus_hal::{CostModel, CostParams, PageGeometry};
 use chorus_pvm::{Pvm, PvmConfig, PvmOptions, TraceConfig};
 use chorus_shadow::{ShadowOptions, ShadowVm};
@@ -73,7 +73,7 @@ pub fn pvm_world_config(frames: u32, config: PvmConfig) -> World<Pvm> {
             config,
             ..PvmOptions::default()
         },
-        SyncShim::wrap(mgr.clone()),
+        mgr.clone(),
     ));
     let model = pvm.cost_model();
     World {
@@ -94,7 +94,7 @@ pub fn shadow_world(frames: u32) -> World<ShadowVm> {
             cost: CostParams::sun3(),
             collapse_chains: true,
         },
-        SyncShim::wrap(mgr.clone()),
+        mgr.clone(),
     ));
     let model = vm.cost_model();
     World {

@@ -47,37 +47,6 @@ pub fn run<G: Gmi>(mk: impl Fn() -> Fixture<G>) {
     copy_modes_all_preserve_semantics(&mk);
 }
 
-/// Which v2 upcall front end a fixture was built over.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum V2Mode {
-    /// The blanket [`SyncShim`](crate::SyncShim) adapter over the v1
-    /// manager: submissions complete synchronously.
-    Shim,
-    /// A native [`SegmentManagerV2`](crate::SegmentManagerV2)
-    /// implementation, with the manager's asynchronous completion
-    /// engine enabled where it has one.
-    NativeAsync,
-}
-
-impl V2Mode {
-    /// Both front ends, in the order [`run_v2`] exercises them.
-    pub const ALL: [V2Mode; 2] = [V2Mode::Shim, V2Mode::NativeAsync];
-}
-
-/// Runs the whole suite once per [`V2Mode`]: the typed
-/// request/completion API must satisfy the same contract whether the
-/// manager reaches its segments through the sync-shim adapter or a
-/// native (possibly asynchronous) v2 implementation.
-///
-/// # Panics
-///
-/// Panics (via assertions) on any contract violation in either mode.
-pub fn run_v2<G: Gmi>(mk: impl Fn(V2Mode) -> Fixture<G>) {
-    for mode in V2Mode::ALL {
-        run(|| mk(mode));
-    }
-}
-
 fn ps<G: Gmi>(f: &Fixture<G>) -> u64 {
     f.gmi.geometry().page_size()
 }

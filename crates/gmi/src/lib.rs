@@ -11,11 +11,7 @@
 //! - [`SegmentManagerV2`] is the upward interface (paper Table 3): the
 //!   upcalls a memory manager performs against segment managers to move
 //!   data between a cache and its segment, in typed request/completion
-//!   form ([`PullRequest`], [`PushRequest`], [`Completion`]). The
-//!   deprecated positional v1 form survives as [`SegmentManager`]; a
-//!   blanket adapter (and [`SyncShim`] for owned trait objects) makes
-//!   every v1 manager a v2 manager whose submissions complete
-//!   synchronously.
+//!   form ([`PullRequest`], [`PushRequest`], [`Completion`]).
 //! - [`CacheIo`] is the subset of Table 4 a segment manager uses *while
 //!   servicing an upcall* (`fillUp`, `copyBack`, `moveBack`): unlike the
 //!   Table 1 `copy`/`move` operations these never fault — they are used to
@@ -41,8 +37,7 @@ pub use error::{GmiError, Result};
 pub use ids::{CacheId, CtxId, RegionId, SegmentId};
 pub use retry::RetryPolicy;
 pub use traits::{
-    CacheIo, Completion, Gmi, PullRequest, PushRequest, SegmentManager, SegmentManagerV2, SyncShim,
-    UpcallRequest,
+    CacheIo, Completion, Gmi, PullRequest, PushRequest, SegmentManagerV2, SyncShim, UpcallRequest,
 };
 pub use types::{CopyMode, RegionStatus};
 

@@ -10,10 +10,7 @@
 
 use crate::error::{GmiError, Result};
 use crate::ids::{CacheId, SegmentId};
-use crate::traits::{
-    CacheIo, PullRequest, PushRequest, SegmentManager, SegmentManagerV2, UpcallRequest,
-};
-use chorus_hal::Access;
+use crate::traits::{CacheIo, PullRequest, PushRequest, SegmentManagerV2, UpcallRequest};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -67,6 +64,7 @@ struct Inner {
     segments: HashMap<SegmentId, Arc<Mutex<Vec<u8>>>>,
     next_id: u64,
     log: Vec<Upcall>,
+    requests: Vec<UpcallRequest>,
     fail_next_pull: bool,
     deny_write_access: bool,
 }
@@ -123,6 +121,12 @@ impl MemSegmentManager {
         core::mem::take(&mut self.inner.lock().log)
     }
 
+    /// Returns and clears the typed request log: every `pullIn` and
+    /// `pushOut` as submitted, `cache` and `access` included.
+    pub fn take_requests(&self) -> Vec<UpcallRequest> {
+        core::mem::take(&mut self.inner.lock().requests)
+    }
+
     /// Number of `pullIn` upcalls seen so far (log included even if
     /// taken).
     pub fn log_len(&self) -> usize {
@@ -175,35 +179,51 @@ impl MemSegmentManager {
     }
 }
 
-#[allow(deprecated)]
-impl SegmentManager for MemSegmentManager {
-    fn pull_in(
-        &self,
-        io: &dyn CacheIo,
-        cache: CacheId,
-        segment: SegmentId,
-        offset: u64,
-        size: u64,
-        _access: Access,
-    ) -> Result<()> {
+impl SegmentManagerV2 for MemSegmentManager {
+    fn submit_pull(&self, io: &dyn CacheIo, req: &PullRequest) -> Result<()> {
         {
             let mut inner = self.inner.lock();
+            inner.requests.push(UpcallRequest::Pull(*req));
             inner.log.push(Upcall::PullIn {
-                segment,
-                offset,
-                size,
+                segment: req.segment,
+                offset: req.offset,
+                size: req.size,
             });
             if inner.fail_next_pull {
                 inner.fail_next_pull = false;
-                return Err(GmiError::transient_io(segment, "injected pull failure"));
+                return Err(GmiError::transient_io(req.segment, "injected pull failure"));
             }
         }
         self.sleep_latency();
-        let data = self.read_sparse(segment, offset, size)?;
-        io.fill_up(cache, offset, &data)
+        let data = self.read_sparse(req.segment, req.offset, req.size)?;
+        io.fill_up(req.cache, req.offset, &data)
     }
 
-    fn get_write_access(&self, segment: SegmentId, offset: u64, size: u64) -> Result<()> {
+    fn submit_push(&self, io: &dyn CacheIo, req: &PushRequest) -> Result<()> {
+        {
+            let mut inner = self.inner.lock();
+            inner.requests.push(UpcallRequest::Push(*req));
+            inner.log.push(Upcall::PushOut {
+                segment: req.segment,
+                offset: req.offset,
+                size: req.size,
+            });
+        }
+        self.sleep_latency();
+        let mut buf = vec![0u8; req.size as usize];
+        let got = io.copy_back_run(req.cache, req.offset, &mut buf)?;
+        self.write_sparse(req.segment, req.offset, &buf[..got as usize]);
+        if got < req.size {
+            // The tail of the run vanished between the upcall and the
+            // copy (writeback racing an invalidate). The prefix is safe;
+            // report a transient short transfer so the memory manager
+            // retries the remainder page by page.
+            return Err(GmiError::transient_io(req.segment, "short copyBack"));
+        }
+        Ok(())
+    }
+
+    fn acquire_write_access(&self, segment: SegmentId, offset: u64, size: u64) -> Result<()> {
         let mut inner = self.inner.lock();
         inner.log.push(Upcall::GetWriteAccess {
             segment,
@@ -217,34 +237,7 @@ impl SegmentManager for MemSegmentManager {
         }
     }
 
-    fn push_out(
-        &self,
-        io: &dyn CacheIo,
-        cache: CacheId,
-        segment: SegmentId,
-        offset: u64,
-        size: u64,
-    ) -> Result<()> {
-        self.inner.lock().log.push(Upcall::PushOut {
-            segment,
-            offset,
-            size,
-        });
-        self.sleep_latency();
-        let mut buf = vec![0u8; size as usize];
-        let got = io.copy_back_run(cache, offset, &mut buf)?;
-        self.write_sparse(segment, offset, &buf[..got as usize]);
-        if got < size {
-            // The tail of the run vanished between the upcall and the
-            // copy (writeback racing an invalidate). The prefix is safe;
-            // report a transient short transfer so the memory manager
-            // retries the remainder page by page.
-            return Err(GmiError::transient_io(segment, "short copyBack"));
-        }
-        Ok(())
-    }
-
-    fn segment_create(&self, cache: CacheId) -> SegmentId {
+    fn create_segment_v2(&self, cache: CacheId) -> SegmentId {
         let mut inner = self.inner.lock();
         inner.next_id += 1;
         let id = SegmentId(inner.next_id);
@@ -254,100 +247,10 @@ impl SegmentManager for MemSegmentManager {
     }
 }
 
-/// A *native* [`SegmentManagerV2`] over the same in-memory segments:
-/// it implements the v2 trait directly (no sync shim, no v1 trait), so
-/// conformance can drive the typed request/completion path end to end
-/// and prove it equivalent to the adapter.
-///
-/// Requests are logged through the shared [`MemSegmentManager`] log
-/// (as the corresponding [`Upcall`] records), so existing assertions
-/// about upcall traffic keep working against either front end.
-pub struct MemSegmentManagerV2 {
-    base: Arc<MemSegmentManager>,
-    submitted: Mutex<Vec<UpcallRequest>>,
-}
-
-impl MemSegmentManagerV2 {
-    /// Wraps shared in-memory segments with a native v2 front end.
-    pub fn new(base: Arc<MemSegmentManager>) -> MemSegmentManagerV2 {
-        MemSegmentManagerV2 {
-            base,
-            submitted: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The shared backing manager (segment creation, data inspection).
-    pub fn base(&self) -> &Arc<MemSegmentManager> {
-        &self.base
-    }
-
-    /// Returns and clears the typed request log.
-    pub fn take_requests(&self) -> Vec<UpcallRequest> {
-        core::mem::take(&mut self.submitted.lock())
-    }
-}
-
-impl SegmentManagerV2 for MemSegmentManagerV2 {
-    fn submit_pull(&self, io: &dyn CacheIo, req: &PullRequest) -> Result<()> {
-        self.submitted.lock().push(UpcallRequest::Pull(*req));
-        {
-            let mut inner = self.base.inner.lock();
-            inner.log.push(Upcall::PullIn {
-                segment: req.segment,
-                offset: req.offset,
-                size: req.size,
-            });
-            if inner.fail_next_pull {
-                inner.fail_next_pull = false;
-                return Err(GmiError::transient_io(req.segment, "injected pull failure"));
-            }
-        }
-        self.base.sleep_latency();
-        let data = self.base.read_sparse(req.segment, req.offset, req.size)?;
-        io.fill_up(req.cache, req.offset, &data)
-    }
-
-    fn submit_push(&self, io: &dyn CacheIo, req: &PushRequest) -> Result<()> {
-        self.submitted.lock().push(UpcallRequest::Push(*req));
-        self.base.inner.lock().log.push(Upcall::PushOut {
-            segment: req.segment,
-            offset: req.offset,
-            size: req.size,
-        });
-        self.base.sleep_latency();
-        let mut buf = vec![0u8; req.size as usize];
-        let got = io.copy_back_run(req.cache, req.offset, &mut buf)?;
-        self.base
-            .write_sparse(req.segment, req.offset, &buf[..got as usize]);
-        if got < req.size {
-            return Err(GmiError::transient_io(req.segment, "short copyBack"));
-        }
-        Ok(())
-    }
-
-    fn acquire_write_access(&self, segment: SegmentId, offset: u64, size: u64) -> Result<()> {
-        #[allow(deprecated)]
-        self.base.get_write_access(segment, offset, size)
-    }
-
-    fn create_segment_v2(&self, cache: CacheId) -> SegmentId {
-        #[allow(deprecated)]
-        self.base.segment_create(cache)
-    }
-
-    fn segment_len(&self, segment: SegmentId) -> Option<u64> {
-        // Mirror the v1 base (sparse segments, no clamp) so the shim and
-        // native fronts are behaviorally indistinguishable: conformance
-        // proves them equivalent, including upcall traffic.
-        #[allow(deprecated)]
-        self.base.segment_size(segment)
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use chorus_hal::Access;
 
     struct NullIo;
     impl CacheIo for NullIo {
@@ -364,6 +267,16 @@ mod tests {
         }
     }
 
+    fn pull(cache: CacheId, segment: SegmentId, offset: u64, size: u64) -> PullRequest {
+        PullRequest {
+            cache,
+            segment,
+            offset,
+            size,
+            access: Access::Read,
+        }
+    }
+
     #[test]
     fn sparse_reads_return_zeroes_past_end() {
         let m = MemSegmentManager::new();
@@ -376,7 +289,13 @@ mod tests {
     fn push_out_extends_segment() {
         let m = MemSegmentManager::new();
         let s = m.create_segment(b"");
-        m.push_out(&NullIo, CacheId::pack(0, 0), s, 4, 2).unwrap();
+        let req = PushRequest {
+            cache: CacheId::pack(0, 0),
+            segment: s,
+            offset: 4,
+            size: 2,
+        };
+        m.submit_push(&NullIo, &req).unwrap();
         assert_eq!(m.segment_data(s), vec![0, 0, 0, 0, 0xCD, 0xCD]);
     }
 
@@ -385,8 +304,8 @@ mod tests {
         let m = MemSegmentManager::new();
         let s = m.create_segment(b"xyz");
         let c = CacheId::pack(1, 0);
-        m.pull_in(&NullIo, c, s, 0, 2, Access::Read).unwrap();
-        m.get_write_access(s, 0, 2).unwrap();
+        m.submit_pull(&NullIo, &pull(c, s, 0, 2)).unwrap();
+        m.acquire_write_access(s, 0, 2).unwrap();
         let log = m.take_log();
         assert_eq!(
             log,
@@ -407,20 +326,41 @@ mod tests {
     }
 
     #[test]
+    fn requests_are_logged_with_their_cache_in_order() {
+        let m = MemSegmentManager::new();
+        let s = m.create_segment(b"xyz");
+        let c = CacheId::pack(3, 0);
+        let pulled = pull(c, s, 0, 2);
+        let pushed = PushRequest {
+            cache: c,
+            segment: s,
+            offset: 0,
+            size: 2,
+        };
+        m.submit_pull(&NullIo, &pulled).unwrap();
+        m.submit_push(&NullIo, &pushed).unwrap();
+        assert_eq!(
+            m.take_requests(),
+            vec![UpcallRequest::Pull(pulled), UpcallRequest::Push(pushed)]
+        );
+        assert!(m.take_requests().is_empty(), "take_requests clears");
+    }
+
+    #[test]
     fn injected_pull_failure_fires_once() {
         let m = MemSegmentManager::new();
         let s = m.create_segment(b"data");
         let c = CacheId::pack(0, 0);
         m.fail_next_pull();
-        assert!(m.pull_in(&NullIo, c, s, 0, 4, Access::Read).is_err());
-        assert!(m.pull_in(&NullIo, c, s, 0, 4, Access::Read).is_ok());
+        assert!(m.submit_pull(&NullIo, &pull(c, s, 0, 4)).is_err());
+        assert!(m.submit_pull(&NullIo, &pull(c, s, 0, 4)).is_ok());
     }
 
     #[test]
     fn segment_create_assigns_fresh_ids() {
         let m = MemSegmentManager::new();
-        let a = m.segment_create(CacheId::pack(0, 0));
-        let b = m.segment_create(CacheId::pack(1, 0));
+        let a = m.create_segment_v2(CacheId::pack(0, 0));
+        let b = m.create_segment_v2(CacheId::pack(1, 0));
         assert_ne!(a, b);
         assert_eq!(m.segment_data(a), Vec::<u8>::new());
     }
@@ -430,8 +370,8 @@ mod tests {
         let m = MemSegmentManager::new();
         let s = m.create_segment(b"x");
         m.set_deny_write_access(true);
-        assert!(m.get_write_access(s, 0, 1).is_err());
+        assert!(m.acquire_write_access(s, 0, 1).is_err());
         m.set_deny_write_access(false);
-        assert!(m.get_write_access(s, 0, 1).is_ok());
+        assert!(m.acquire_write_access(s, 0, 1).is_ok());
     }
 }

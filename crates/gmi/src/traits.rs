@@ -1,7 +1,6 @@
 //! The GMI traits: the downward [`Gmi`] interface, the upward
-//! [`SegmentManager`] interface (v1, deprecated) and its typed
-//! request/completion successor [`SegmentManagerV2`], and the
-//! fault-resolution [`CacheIo`] subset.
+//! [`SegmentManagerV2`] upcall interface with its typed requests and
+//! completions, and the fault-resolution [`CacheIo`] subset.
 
 use crate::error::Result;
 use crate::ids::{CacheId, CtxId, RegionId, SegmentId};
@@ -14,7 +13,7 @@ use std::sync::Arc;
 ///
 /// These are deliberately distinct from the Table 1 `copy`/`move`
 /// operations: "the former may cause faults, whereas the latter are used
-/// to resolve faults" (§3.3.3). A [`SegmentManager`] receives a `&dyn
+/// to resolve faults" (§3.3.3). A [`SegmentManagerV2`] receives a `&dyn
 /// CacheIo` in its upcalls and uses it to move bytes into or out of the
 /// cache without faulting.
 pub trait CacheIo: Send + Sync {
@@ -64,86 +63,10 @@ pub trait CacheIo: Send + Sync {
     }
 }
 
-/// Table 3: the upcall interface from the memory manager to segment
-/// managers.
-///
-/// One segment manager is attached to a memory manager at construction;
-/// it demultiplexes per-segment (in Chorus, by sending IPC to the mapper
-/// named in the segment's capability — see `chorus-nucleus`).
-pub trait SegmentManager: Send + Sync {
-    /// `segment.pullIn(offset, size, accessMode)`: read data in from the
-    /// segment. The implementation must deliver the bytes with
-    /// [`CacheIo::fill_up`] before returning.
-    ///
-    /// While the pull is in progress the memory manager keeps
-    /// synchronization page stubs in place, so concurrent accesses to the
-    /// fragment block until `fill_up` lands.
-    ///
-    /// # Errors
-    ///
-    /// I/O failure is propagated to the faulting thread.
-    #[deprecated(note = "use `SegmentManagerV2::submit_pull` with a typed `PullRequest`")]
-    fn pull_in(
-        &self,
-        io: &dyn CacheIo,
-        cache: CacheId,
-        segment: SegmentId,
-        offset: u64,
-        size: u64,
-        access: Access,
-    ) -> Result<()>;
+// ----- Table 3: typed request / completion upcalls -----------------------
 
-    /// `segment.getWriteAccess(offset, size)`: the cached data was pulled
-    /// read-only and a write access occurred; ask the segment manager to
-    /// grant write access (e.g. after revoking it from other sites in a
-    /// distributed-coherence protocol).
-    ///
-    /// # Errors
-    ///
-    /// Denial is propagated as a protection error to the faulting thread.
-    #[deprecated(note = "use `SegmentManagerV2::acquire_write_access`")]
-    fn get_write_access(&self, segment: SegmentId, offset: u64, size: u64) -> Result<()>;
-
-    /// `segment.pushOut(offset, size)`: write data back to the segment.
-    /// The implementation collects the bytes with [`CacheIo::copy_back`]
-    /// or [`CacheIo::move_back`].
-    ///
-    /// # Errors
-    ///
-    /// I/O failure aborts the flush/sync/destroy that needed it.
-    #[deprecated(note = "use `SegmentManagerV2::submit_push` with a typed `PushRequest`")]
-    fn push_out(
-        &self,
-        io: &dyn CacheIo,
-        cache: CacheId,
-        segment: SegmentId,
-        offset: u64,
-        size: u64,
-    ) -> Result<()>;
-
-    /// `segmentCreate(cache)`: the memory manager unilaterally created a
-    /// cache (e.g. a working history object, §4.2.3/§3.3.3) and declares
-    /// it to the upper layer so it can be swapped; the segment manager
-    /// assigns it a (temporary) segment.
-    #[deprecated(note = "use `SegmentManagerV2::create_segment_v2`")]
-    fn segment_create(&self, cache: CacheId) -> SegmentId;
-
-    /// The current length of a segment in bytes, if the manager knows
-    /// it. The memory manager uses this to clamp clustered (readahead)
-    /// `pullIn` runs at segment end; `None` (the default, right for
-    /// sparse/unbounded segments) only disables the clamp.
-    #[deprecated(note = "use `SegmentManagerV2::segment_len`")]
-    fn segment_size(&self, segment: SegmentId) -> Option<u64> {
-        let _ = segment;
-        None
-    }
-}
-
-// ----- GMI v2: typed request / completion upcalls ------------------------
-
-/// A typed `pullIn` request (GMI v2): read `[offset, offset + size)` of
-/// `segment` into `cache`. Replaces the positional argument list of
-/// [`SegmentManager::pull_in`].
+/// A typed `pullIn` request: read `[offset, offset + size)` of
+/// `segment` into `cache`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PullRequest {
     /// Destination cache (the `fill_up` target).
@@ -158,9 +81,8 @@ pub struct PullRequest {
     pub access: Access,
 }
 
-/// A typed `pushOut` request (GMI v2): write `[offset, offset + size)`
-/// of `cache` back to `segment`. Replaces the positional argument list
-/// of [`SegmentManager::push_out`].
+/// A typed `pushOut` request: write `[offset, offset + size)` of
+/// `cache` back to `segment`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PushRequest {
     /// Source cache (the `copy_back` target).
@@ -173,7 +95,7 @@ pub struct PushRequest {
     pub size: u64,
 }
 
-/// Either kind of v2 data-transfer request, as carried by a
+/// Either kind of data-transfer request, as carried by a
 /// [`Completion`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpcallRequest {
@@ -223,48 +145,63 @@ pub struct Completion {
     pub result: Result<()>,
 }
 
-/// GMI v2: the typed submit/complete upcall interface.
+/// Table 3: the upcall interface from the memory manager to segment
+/// managers.
 ///
-/// The data-transfer calls take whole request structs instead of
-/// positional arguments; the memory manager's completion engine decides
-/// whether to wait for the result inline (the classic synchronous path)
-/// or to defer the bookkeeping into a [`Completion`] delivered later in
+/// One segment manager is attached to a memory manager at construction;
+/// it demultiplexes per-segment (in Chorus, by sending IPC to the mapper
+/// named in the segment's capability, see `chorus-nucleus`). The
+/// data-transfer calls take whole request structs; the memory manager's
+/// completion engine decides whether to wait for the result inline or
+/// to defer the bookkeeping into a [`Completion`] delivered later in
 /// deterministic order.
-///
-/// Every v1 [`SegmentManager`] gets this trait for free through a
-/// blanket adapter, and [`SyncShim`] lifts an `Arc<dyn SegmentManager>`
-/// into the v2 object world, so existing managers keep working
-/// unchanged.
 pub trait SegmentManagerV2: Send + Sync {
-    /// Services a [`PullRequest`]: the implementation must deliver the
-    /// bytes with [`CacheIo::fill_up`] before returning.
+    /// `segment.pullIn(offset, size, accessMode)`: read data in from the
+    /// segment. The implementation must deliver the bytes with
+    /// [`CacheIo::fill_up`] before returning.
+    ///
+    /// While the pull is in progress the memory manager keeps
+    /// synchronization page stubs in place, so concurrent accesses to the
+    /// fragment block until `fill_up` lands.
     ///
     /// # Errors
     ///
     /// I/O failure is reported to the submitter (or its completion).
     fn submit_pull(&self, io: &dyn CacheIo, req: &PullRequest) -> Result<()>;
 
-    /// Services a [`PushRequest`]: the implementation collects the bytes
-    /// with [`CacheIo::copy_back_run`] (or `copy_back`/`move_back`).
+    /// `segment.pushOut(offset, size)`: write data back to the segment.
+    /// The implementation collects the bytes with
+    /// [`CacheIo::copy_back_run`] (or `copy_back`/`move_back`).
     ///
     /// # Errors
     ///
-    /// I/O failure is reported to the submitter (or its completion).
+    /// I/O failure is reported to the submitter (or its completion) and
+    /// aborts the flush/sync/destroy that needed it.
     fn submit_push(&self, io: &dyn CacheIo, req: &PushRequest) -> Result<()>;
 
-    /// `segment.getWriteAccess(offset, size)` under its v2 name.
+    /// `segment.getWriteAccess(offset, size)`: the cached data was pulled
+    /// read-only and a write access occurred; ask the segment manager to
+    /// grant write access (e.g. after revoking it from other sites in a
+    /// distributed-coherence protocol).
     ///
     /// # Errors
     ///
     /// Denial is propagated as a protection error to the faulting thread.
     fn acquire_write_access(&self, segment: SegmentId, offset: u64, size: u64) -> Result<()>;
 
-    /// `segmentCreate(cache)` under its v2 name.
+    /// `segmentCreate(cache)`: the memory manager unilaterally created a
+    /// cache (e.g. a working history object, §4.2.3/§3.3.3) and declares
+    /// it to the upper layer so it can be swapped; the segment manager
+    /// assigns it a (temporary) segment.
     fn create_segment_v2(&self, cache: CacheId) -> SegmentId;
 
-    /// The current length of a segment in bytes, if known (used to clamp
-    /// clustered pulls at segment end; `None` disables the clamp).
-    fn segment_len(&self, segment: SegmentId) -> Option<u64>;
+    /// The current length of a segment in bytes, if the manager knows
+    /// it. The memory manager clamps clustered (readahead) pulls at
+    /// segment end with it; `None` (the default, right for
+    /// sparse/unbounded segments) only disables the clamp.
+    fn segment_len(&self, _segment: SegmentId) -> Option<u64> {
+        None
+    }
 
     /// `victimAdvice(candidates)`: an external replacement policy asks
     /// the segment manager to approve or veto an eviction candidate
@@ -277,64 +214,16 @@ pub trait SegmentManagerV2: Send + Sync {
     }
 }
 
-/// The blanket sync-shim adapter: wraps *any* v1 [`SegmentManager`]
-/// (concrete or trait object) and makes it a [`SegmentManagerV2`] whose
-/// submissions complete synchronously.
-///
-/// The default type parameter means `SyncShim` alone names
-/// `SyncShim<dyn SegmentManager>`, so `Arc::new(SyncShim::new(mgr))`
-/// coerces to `Arc<dyn SegmentManagerV2>`. The adapter lives on the
-/// wrapper rather than as `impl<T: SegmentManager> SegmentManagerV2 for
-/// T` so the v2 trait stays open for native asynchronous managers.
-pub struct SyncShim<T: ?Sized = dyn SegmentManager> {
-    inner: Arc<T>,
-}
+/// What is left of the adapter that once lifted a positional-argument
+/// upcall trait into [`SegmentManagerV2`]: the identity coercion, kept
+/// because the frozen `benchmark/` sources call it. It and the `V2`
+/// suffix of the trait go when ROADMAP item 1 unfreezes the scoreboard.
+pub struct SyncShim;
 
-impl<T: ?Sized> SyncShim<T> {
-    /// Wraps a v1 manager.
-    pub fn new(inner: Arc<T>) -> SyncShim<T> {
-        SyncShim { inner }
-    }
-
-    /// The wrapped v1 manager.
-    pub fn inner(&self) -> &Arc<T> {
-        &self.inner
-    }
-}
-
-#[allow(deprecated)]
-impl<T: SegmentManager + ?Sized + 'static> SyncShim<T> {
-    /// Wraps a v1 manager straight into the `Arc<dyn SegmentManagerV2>`
-    /// the v2-only front ends take — the one-step idiom now that every
-    /// memory manager constructor speaks v2:
-    /// `Pvm::new(options, SyncShim::wrap(mgr))`.
-    pub fn wrap(inner: Arc<T>) -> Arc<dyn SegmentManagerV2> {
-        Arc::new(SyncShim { inner })
-    }
-}
-
-#[allow(deprecated)]
-impl<T: SegmentManager + ?Sized> SegmentManagerV2 for SyncShim<T> {
-    fn submit_pull(&self, io: &dyn CacheIo, req: &PullRequest) -> Result<()> {
-        self.inner
-            .pull_in(io, req.cache, req.segment, req.offset, req.size, req.access)
-    }
-
-    fn submit_push(&self, io: &dyn CacheIo, req: &PushRequest) -> Result<()> {
-        self.inner
-            .push_out(io, req.cache, req.segment, req.offset, req.size)
-    }
-
-    fn acquire_write_access(&self, segment: SegmentId, offset: u64, size: u64) -> Result<()> {
-        self.inner.get_write_access(segment, offset, size)
-    }
-
-    fn create_segment_v2(&self, cache: CacheId) -> SegmentId {
-        self.inner.segment_create(cache)
-    }
-
-    fn segment_len(&self, segment: SegmentId) -> Option<u64> {
-        self.inner.segment_size(segment)
+impl SyncShim {
+    /// `mgr`, as the trait object the memory managers take.
+    pub fn wrap<T: SegmentManagerV2 + 'static>(mgr: Arc<T>) -> Arc<dyn SegmentManagerV2> {
+        mgr
     }
 }
 
@@ -349,7 +238,7 @@ pub trait Gmi: CacheIo {
     /// `cacheCreate(segment)`: binds a segment to a new empty cache.
     ///
     /// Passing `None` creates a *temporary* cache: the memory manager will
-    /// request a segment via [`SegmentManager::segment_create`] the first
+    /// request a segment via [`SegmentManagerV2::create_segment_v2`] the first
     /// time it needs to push data out.
     fn cache_create(&self, segment: Option<SegmentId>) -> Result<CacheId>;
 
@@ -564,7 +453,7 @@ pub trait Gmi: CacheIo {
 
     /// `cache.setProtection(offset, size, prot)`: caps the hardware access
     /// of the cached fragment (e.g. downgrade to read-only so the next
-    /// write triggers [`SegmentManager::get_write_access`]).
+    /// write triggers [`SegmentManagerV2::acquire_write_access`]).
     ///
     /// # Errors
     ///

@@ -1,6 +1,5 @@
 //! Regression: `spawn` with segment caching disabled must not reclaim
 //! a cache that outstanding per-page location stubs still reference.
-use chorus_gmi::SyncShim;
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_mix::{ProcessManager, ProgramStore};
 use chorus_nucleus::{MemMapper, Nucleus, NucleusSegmentManager, PortName, SwapMapper};
@@ -26,7 +25,7 @@ fn fork_with_segment_caching_disabled() {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     ));
     let nucleus = Arc::new(Nucleus::new(pvm, seg_mgr, 4));
     nucleus.set_segment_caching(false, 0);

@@ -3,7 +3,6 @@
 //! bytes. Catches COW leaks between relatives, exec teardown bugs, and
 //! zombie bookkeeping errors.
 
-use chorus_gmi::SyncShim;
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_mix::{Pid, ProcessManager, ProgramStore};
 use chorus_nucleus::{MemMapper, Nucleus, NucleusSegmentManager, PortName, SwapMapper};
@@ -68,7 +67,7 @@ fn build() -> ProcessManager<Pvm> {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     ));
     let nucleus = Arc::new(Nucleus::new(pvm, seg_mgr, 4));
     let store = Arc::new(ProgramStore::new(files, PS));

@@ -1,7 +1,7 @@
 //! Unix process semantics over the Nucleus and PVM (§5.1.5): fork COW,
 //! text sharing, exec with segment caching, pipelines, shell loops.
 
-use chorus_gmi::{SyncShim, VirtAddr};
+use chorus_gmi::VirtAddr;
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_mix::{ProcState, ProcessManager, ProgramStore};
 use chorus_nucleus::{MemMapper, Nucleus, NucleusSegmentManager, PortName, SwapMapper};
@@ -33,7 +33,7 @@ fn mix(frames: u32) -> Mix {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     ));
     let nucleus = Arc::new(Nucleus::new(pvm, seg_mgr, 4));
     let store = Arc::new(ProgramStore::new(files, PS));

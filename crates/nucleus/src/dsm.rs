@@ -15,7 +15,8 @@
 
 use crate::capability::PortName;
 use chorus_gmi::{
-    Access, CacheId, CacheIo, Gmi, GmiError, Prot, Result, SegmentId, SegmentManager,
+    CacheId, CacheIo, Gmi, GmiError, Prot, PullRequest, PushRequest, Result, SegmentId,
+    SegmentManagerV2,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -170,16 +171,14 @@ impl DsmSiteManager {
     }
 }
 
-impl SegmentManager for DsmSiteManager {
-    fn pull_in(
-        &self,
-        io: &dyn CacheIo,
-        cache: CacheId,
-        _segment: SegmentId,
-        offset: u64,
-        size: u64,
-        _access: Access,
-    ) -> Result<()> {
+impl SegmentManagerV2 for DsmSiteManager {
+    fn submit_pull(&self, io: &dyn CacheIo, req: &PullRequest) -> Result<()> {
+        let PullRequest {
+            cache,
+            offset,
+            size,
+            ..
+        } = *req;
         let ps = self.dir.page_size;
         let mut cur = 0;
         while cur < size {
@@ -205,7 +204,7 @@ impl SegmentManager for DsmSiteManager {
         Ok(())
     }
 
-    fn get_write_access(&self, _segment: SegmentId, offset: u64, _size: u64) -> Result<()> {
+    fn acquire_write_access(&self, _segment: SegmentId, offset: u64, _size: u64) -> Result<()> {
         // Single writer: sync back the current writer, invalidate every
         // other reader, then grant.
         let bytes = self.dir.fetch_page(offset, self.site)?;
@@ -232,14 +231,13 @@ impl SegmentManager for DsmSiteManager {
         Ok(())
     }
 
-    fn push_out(
-        &self,
-        io: &dyn CacheIo,
-        cache: CacheId,
-        _segment: SegmentId,
-        offset: u64,
-        size: u64,
-    ) -> Result<()> {
+    fn submit_push(&self, io: &dyn CacheIo, req: &PushRequest) -> Result<()> {
+        let PushRequest {
+            cache,
+            offset,
+            size,
+            ..
+        } = *req;
         let mut buf = vec![0u8; size as usize];
         io.copy_back(cache, offset, &mut buf)?;
         let mut data = self.dir.data.lock();
@@ -254,7 +252,7 @@ impl SegmentManager for DsmSiteManager {
         Ok(())
     }
 
-    fn segment_create(&self, _cache: CacheId) -> SegmentId {
+    fn create_segment_v2(&self, _cache: CacheId) -> SegmentId {
         // Local anonymous data of a DSM site swaps to a synthetic local
         // segment id (not part of the shared address space).
         SegmentId(u64::MAX - self.site as u64)

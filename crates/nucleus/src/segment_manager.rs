@@ -7,14 +7,16 @@
 //! memory manager calls pullIn, the segment manager sends an IPC read
 //! request to the appropriate segment mapper port."
 //!
-//! This type implements [`chorus_gmi::SegmentManager`] and routes by
+//! This type implements [`chorus_gmi::SegmentManagerV2`] and routes by
 //! capability; the capability↔cache binding table with the *segment
 //! caching* policy (§5.1.3) lives in [`crate::nucleus::Nucleus`], which
 //! owns the GMI handle needed to create and destroy caches.
 
 use crate::capability::{Capability, PortName};
 use crate::mapper::{Mapper, MapperRegistry};
-use chorus_gmi::{Access, CacheId, CacheIo, GmiError, Result, SegmentId, SegmentManager};
+use chorus_gmi::{
+    CacheId, CacheIo, GmiError, PullRequest, PushRequest, Result, SegmentId, SegmentManagerV2,
+};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -112,17 +114,15 @@ impl NucleusSegmentManager {
     }
 }
 
-#[allow(deprecated)]
-impl SegmentManager for NucleusSegmentManager {
-    fn pull_in(
-        &self,
-        io: &dyn CacheIo,
-        cache: CacheId,
-        segment: SegmentId,
-        offset: u64,
-        size: u64,
-        _access: Access,
-    ) -> Result<()> {
+impl SegmentManagerV2 for NucleusSegmentManager {
+    fn submit_pull(&self, io: &dyn CacheIo, req: &PullRequest) -> Result<()> {
+        let PullRequest {
+            cache,
+            segment,
+            offset,
+            size,
+            ..
+        } = *req;
         // "the segment manager sends an IPC read request, to the
         // appropriate segment mapper port... The mapper replies with a
         // message containing the required data."
@@ -137,19 +137,18 @@ impl SegmentManager for NucleusSegmentManager {
         io.fill_up(cache, offset, &data)
     }
 
-    fn get_write_access(&self, segment: SegmentId, offset: u64, size: u64) -> Result<()> {
+    fn acquire_write_access(&self, segment: SegmentId, offset: u64, size: u64) -> Result<()> {
         let (cap, mapper) = self.route(segment)?;
         mapper.get_write_access(cap, offset, size)
     }
 
-    fn push_out(
-        &self,
-        io: &dyn CacheIo,
-        cache: CacheId,
-        segment: SegmentId,
-        offset: u64,
-        size: u64,
-    ) -> Result<()> {
+    fn submit_push(&self, io: &dyn CacheIo, req: &PushRequest) -> Result<()> {
+        let PushRequest {
+            cache,
+            segment,
+            offset,
+            size,
+        } = *req;
         let (cap, mapper) = self.route(segment)?;
         let mut buf = vec![0u8; size as usize];
         let got = io.copy_back_run(cache, offset, &mut buf)?;
@@ -165,12 +164,12 @@ impl SegmentManager for NucleusSegmentManager {
         Ok(())
     }
 
-    fn segment_size(&self, segment: SegmentId) -> Option<u64> {
+    fn segment_len(&self, segment: SegmentId) -> Option<u64> {
         let (cap, mapper) = self.route(segment).ok()?;
         mapper.size(cap)
     }
 
-    fn segment_create(&self, _cache: CacheId) -> SegmentId {
+    fn create_segment_v2(&self, _cache: CacheId) -> SegmentId {
         // "The segment manager waits for the first pushOut upcall for
         // such a temporary cache to allocate it a 'swap' temporary
         // segment with a default mapper." The memory manager's
@@ -188,10 +187,10 @@ impl SegmentManager for NucleusSegmentManager {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::mapper::MemMapper;
+    use chorus_gmi::Access;
 
     struct BufIo(Mutex<HashMap<(CacheId, u64), Vec<u8>>>);
     impl CacheIo for BufIo {
@@ -235,7 +234,14 @@ mod tests {
         let seg = sm.segment_for(cap);
         let io = BufIo(Mutex::new(HashMap::new()));
         let cache = CacheId::pack(0, 0);
-        sm.pull_in(&io, cache, seg, 2, 3, Access::Read).unwrap();
+        let req = PullRequest {
+            cache,
+            segment: seg,
+            offset: 2,
+            size: 3,
+            access: Access::Read,
+        };
+        sm.submit_pull(&io, &req).unwrap();
         assert_eq!(io.0.lock().get(&(cache, 2)).unwrap(), b"cde");
     }
 
@@ -249,7 +255,13 @@ mod tests {
         let io = BufIo(Mutex::new(HashMap::new()));
         let cache = CacheId::pack(0, 0);
         io.fill_up(cache, 0, b"XYZ").unwrap();
-        sm.push_out(&io, cache, seg, 0, 3).unwrap();
+        let req = PushRequest {
+            cache,
+            segment: seg,
+            offset: 0,
+            size: 3,
+        };
+        sm.submit_push(&io, &req).unwrap();
         assert_eq!(&m.segment_data(cap)[..3], b"XYZ");
     }
 
@@ -259,7 +271,7 @@ mod tests {
         let swap = Arc::new(MemMapper::new(PortName(9)));
         sm.register_mapper(PortName(9), swap.clone());
         sm.set_default_mapper(PortName(9));
-        let seg = sm.segment_create(CacheId::pack(1, 0));
+        let seg = sm.create_segment_v2(CacheId::pack(1, 0));
         let cap = sm.capability_for(seg).unwrap();
         assert_eq!(cap.port, PortName(9));
     }

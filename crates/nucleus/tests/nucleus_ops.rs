@@ -1,7 +1,7 @@
 //! Nucleus-level behaviour: rgn* operations, segment caching, IPC
 //! through the transit segment (§5.1).
 
-use chorus_gmi::{Gmi, Prot, SyncShim, VirtAddr};
+use chorus_gmi::{Gmi, Prot, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_nucleus::{
     Actor, IpcError, MemMapper, Nucleus, NucleusSegmentManager, PortName, SwapMapper,
@@ -36,7 +36,7 @@ fn world(frames: u32) -> World {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     ));
     World {
         nucleus: Nucleus::new(pvm, seg_mgr, 4),

@@ -21,10 +21,6 @@ pub(crate) struct ClockRing {
 }
 
 impl ClockRing {
-    pub fn new() -> ClockRing {
-        ClockRing::default()
-    }
-
     pub fn len(&self) -> usize {
         self.ring.len()
     }
@@ -100,7 +96,7 @@ mod tests {
 
     #[test]
     fn insert_remove_membership() {
-        let mut r = ClockRing::new();
+        let mut r = ClockRing::default();
         for i in 0..8 {
             r.insert(k(i));
         }
@@ -116,7 +112,7 @@ mod tests {
 
     #[test]
     fn sweep_visits_every_live_entry() {
-        let mut r = ClockRing::new();
+        let mut r = ClockRing::default();
         for i in 0..5 {
             r.insert(k(i));
         }
@@ -129,7 +125,7 @@ mod tests {
 
     #[test]
     fn removal_during_sweep_keeps_hand_sane() {
-        let mut r = ClockRing::new();
+        let mut r = ClockRing::default();
         for i in 0..6 {
             r.insert(k(i));
         }

@@ -11,7 +11,7 @@
 //! non-test callers set it to different values, and what the PVM does
 //! it does by default or not at all.
 
-use crate::policy::{PolicyConfig, ReplacementKind};
+use crate::policy::ReplacementKind;
 use crate::trace::TraceConfig;
 use chorus_gmi::RetryPolicy;
 
@@ -77,9 +77,10 @@ pub struct PvmConfig {
     /// to multiples of this period on the simulated clock. Must be at
     /// least 1 when [`PvmConfig::telemetry`] is on.
     pub telemetry_sample_ns: u64,
-    /// Replacement policy selection: which `ReplacementPolicy` runs
-    /// victim selection. The default is the classic clock sweep.
-    pub policy: PolicyConfig,
+    /// Who picks eviction victims: the clock alone (the default), or
+    /// the clock with the segment manager advising
+    /// ([`ReplacementKind::External`]).
+    pub replacement: ReplacementKind,
 }
 
 /// The paper's IPC message limit in pages (64 KB over 8 KB pages): the
@@ -100,7 +101,7 @@ impl Default for PvmConfig {
             trace: TraceConfig::default(),
             telemetry: false,
             telemetry_sample_ns: 1_000_000,
-            policy: PolicyConfig::default(),
+            replacement: ReplacementKind::Clock,
         }
     }
 }
@@ -123,7 +124,7 @@ impl PvmConfig {
 /// # use chorus_pvm::PvmConfig;
 /// let config = PvmConfig::builder()
 ///     .paging(|p| p.pull_cluster_pages(4).push_cluster_pages(4))
-///     .replacement(chorus_pvm::ReplacementKind::Lru)
+///     .replacement(chorus_pvm::ReplacementKind::External)
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(config.pull_cluster_pages, 4);
@@ -215,10 +216,10 @@ impl PvmConfigBuilder {
         self
     }
 
-    /// The replacement policy. See [`PolicyConfig::replacement`].
+    /// See [`PvmConfig::replacement`].
     #[must_use]
     pub fn replacement(mut self, kind: ReplacementKind) -> Self {
-        self.config.policy.replacement = kind;
+        self.config.replacement = kind;
         self
     }
 
@@ -269,9 +270,8 @@ mod tests {
             trace,
             telemetry,
             telemetry_sample_ns,
-            policy,
+            replacement,
         } = PvmConfig::default();
-        let PolicyConfig { replacement } = policy;
         assert!(enable_pageout);
         assert_eq!(check_invariants, cfg!(debug_assertions));
         assert_eq!((pull_cluster_pages, push_cluster_pages), (1, 8));
@@ -301,7 +301,7 @@ mod tests {
         assert!(!c.telemetry, "dimensional telemetry is opt-in");
         assert_eq!(c.telemetry_sample_ns, 1_000_000, "1 ms sim cadence");
         assert_eq!(
-            c.policy.replacement,
+            c.replacement,
             ReplacementKind::Clock,
             "the default replacement policy is the classic clock"
         );
@@ -324,10 +324,10 @@ mod tests {
     #[test]
     fn policy_section_selects_and_routes() {
         let c = PvmConfig::builder()
-            .replacement(ReplacementKind::Lru)
+            .replacement(ReplacementKind::External)
             .build()
             .expect("valid policy config");
-        assert_eq!(c.policy.replacement, ReplacementKind::Lru);
+        assert_eq!(c.replacement, ReplacementKind::External);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod trace;
 
 pub use config::{PagingSection, PvmConfig, PvmConfigBuilder, TelemetrySection};
 pub use debug::{CacheDump, SlotDump, TreeDump};
-pub use policy::{PolicyConfig, ReplacementKind};
+pub use policy::ReplacementKind;
 pub use pvm::{MmuChoice, Pvm, PvmOptions};
 pub use pvmtop::{CacheHeat, MapperHealth, MapperState, PhaseLatency, PvmTop};
 pub use stats::{Counter, PvmStats, StatsRegistry};

@@ -13,23 +13,12 @@
 use crate::config::IPC_MESSAGE_PAGES;
 use crate::descriptors::Slot;
 use crate::keys::PageKey;
-use crate::policy::StateView;
+use crate::policy::{Pick, StateView};
 use crate::state::{blocked, done, Attempt, Blocked, Outcome, PushOrigin, PvmState, StubsTo};
 use crate::stats::Counter;
 use crate::trace::TraceEvent;
 use chorus_gmi::GmiError;
 use chorus_hal::{FrameNo, OpKind};
-
-/// Result of one victim-selection round against the policy engine.
-enum Pick {
-    /// A page to clean or evict right now.
-    Victim(PageKey),
-    /// The external policy wants the segment manager's advice on this
-    /// candidate batch before anything is evicted (blocked action).
-    Advice(Vec<PageKey>),
-    /// Nothing evictable.
-    None,
-}
 
 impl PvmState {
     /// Allocates a frame, running page replacement when the pool is
@@ -185,27 +174,20 @@ impl PvmState {
         result
     }
 
-    /// One victim-selection call into the policy engine (the default
-    /// `Clock` policy reproduces the classic two-sweep clock, reference
-    /// bit clearing and `ClockFullSweeps` accounting included). Every
-    /// tracked entry is a live page (freed pages leave the policy
-    /// eagerly), so no stale-key compaction is needed.
+    /// One victim-selection call into the replacement policy, with its
+    /// bookkeeping: `ClockFullSweeps` (`step / n` full sweeps on
+    /// success, two on exhaustion, a trace event whenever the count is
+    /// positive) and the victim counters.
     fn select_victim(&mut self) -> Pick {
         self.stats.bump(Counter::PolicyVictimRequests);
-        let out = self.policy.select_victims(
-            1,
-            &mut StateView {
-                pages: &mut self.pages,
-                caches: &self.caches,
-                contexts: &self.contexts,
-                mmu: &mut *self.mmu,
-                model: &self.model,
-                stats: &self.stats,
-            },
-        );
-        // The clock's sweep bookkeeping, exactly as before the policy
-        // split: `step / n` full sweeps on success, two on exhaustion,
-        // a trace event whenever the count is positive.
+        let out = self.policy.select_victim(&mut StateView {
+            pages: &mut self.pages,
+            caches: &self.caches,
+            contexts: &self.contexts,
+            mmu: &mut *self.mmu,
+            model: &self.model,
+            stats: &self.stats,
+        });
         self.stats.add(Counter::ClockFullSweeps, out.full_sweeps);
         if out.full_sweeps > 0 {
             let sweeps = out.full_sweeps;
@@ -214,7 +196,7 @@ impl PvmState {
         if out.external_fallback {
             self.stats.bump(Counter::PolicyExternalFallbacks);
         }
-        if let Some(&victim) = out.victims.first() {
+        if let Pick::Victim(victim) = out.pick {
             self.stats.bump(Counter::PolicyVictims);
             if self.telemetry.enabled() {
                 self.dim_cache(
@@ -223,12 +205,8 @@ impl PvmState {
                     1,
                 );
             }
-            return Pick::Victim(victim);
         }
-        if let Some(pages) = out.need_advice {
-            return Pick::Advice(pages);
-        }
-        Pick::None
+        out.pick
     }
 
     /// Builds the blocked `victimAdvice` action for a candidate batch:
@@ -255,7 +233,6 @@ impl PvmState {
         let candidates: Vec<PageKey> = self
             .policy
             .keys()
-            .into_iter()
             .filter(|&k| {
                 self.pages
                     .get(k)

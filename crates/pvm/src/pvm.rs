@@ -91,11 +91,9 @@ pub struct Pvm {
 }
 
 impl Pvm {
-    /// Creates a PVM over a v2 segment manager
-    /// ([`chorus_gmi::SegmentManagerV2`]) — the native front of the
-    /// completion engine. Classic synchronous (v1) managers
-    /// attach through [`chorus_gmi::SyncShim::wrap`], the only
-    /// remaining v1 bridge.
+    /// Creates a PVM over a segment manager
+    /// ([`chorus_gmi::SegmentManagerV2`]), whose upcalls the completion
+    /// engine submits and delivers.
     pub fn new(options: PvmOptions, seg_mgr: Arc<dyn SegmentManagerV2>) -> Pvm {
         let model = Arc::new(CostModel::new(options.cost.clone()));
         let geometry = options.geometry;

@@ -142,8 +142,7 @@ impl PhaseLatency {
 /// The replacement policy engine's identity and decision counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicyHeat {
-    /// Label of the replacement policy (`clock`, `lru`, `wsclock`,
-    /// `arc`, `external`).
+    /// Label of the replacement policy (`clock`, `external`).
     pub replacement: &'static str,
     /// Victim-selection rounds requested.
     pub victim_requests: u64,
@@ -302,7 +301,7 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
 
     use crate::stats::Counter as C;
     let policy = PolicyHeat {
-        replacement: state.policy.kind().label(),
+        replacement: state.config.replacement.label(),
         victim_requests: state.stats.get(C::PolicyVictimRequests),
         victims: state.stats.get(C::PolicyVictims),
         external_batches: state.stats.get(C::PolicyExternalBatches),

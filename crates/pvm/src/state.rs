@@ -13,7 +13,7 @@ use crate::config::PvmConfig;
 use crate::descriptors::{CacheDesc, ContextDesc, CowSource, Mapping, PageDesc, RegionDesc, Slot};
 use crate::gmap::GlobalMap;
 use crate::keys::{CacheKey, CtxKey, PageKey, RegKey};
-use crate::policy::{PageIdent, ReplacementPolicy};
+use crate::policy::Replacement;
 use crate::stats::{Counter, StatsRegistry};
 use crate::telemetry::{Dim, DimCounter, SeriesRing, Telemetry, TelemetrySample, SERIES_CAP};
 use crate::trace::{TraceEvent, Tracer};
@@ -165,10 +165,9 @@ pub(crate) struct PvmState {
     pub gmap: GlobalMap,
     /// Owner page of each allocated frame (reverse of `PageDesc.frame`).
     pub frame_owner: FxHashMap<u32, PageKey>,
-    /// The replacement policy engine (every tracked entry is a live
-    /// page; freed pages are removed eagerly). The default configuration
-    /// is one clock ring.
-    pub policy: Box<dyn ReplacementPolicy>,
+    /// The replacement policy (every tracked entry is a live page;
+    /// freed pages are removed eagerly).
+    pub policy: Replacement,
     /// The current user context.
     pub current: Option<CtxKey>,
     pub config: PvmConfig,
@@ -237,7 +236,7 @@ impl PvmState {
             pages: Arena::new(),
             gmap: GlobalMap::default(),
             frame_owner: FxHashMap::default(),
-            policy: crate::policy::new_policy(&config.policy),
+            policy: Replacement::new(config.replacement),
             current: None,
             config,
             stats,
@@ -441,13 +440,7 @@ impl PvmState {
             c.owned.insert(offset);
         }
         self.frame_owner.insert(frame.0, key);
-        self.policy.insert(
-            key,
-            PageIdent {
-                cache: cache.index(),
-                offset,
-            },
-        );
+        self.policy.insert(key);
         key
     }
 
@@ -497,13 +490,7 @@ impl PvmState {
             self.clear_slot(desc.cache, desc.offset);
         }
         self.frame_owner.remove(&desc.frame.0);
-        self.policy.remove(
-            key,
-            PageIdent {
-                cache: desc.cache.index(),
-                offset: desc.offset,
-            },
-        );
+        self.policy.remove(key);
         if release_frame {
             self.phys.release(desc.frame);
         }
@@ -524,9 +511,6 @@ impl PvmState {
         // faulted walks the table when it is retried and sets that bit
         // too. Until then the software half stands for the fault.
         self.note_use(key);
-        // The policy's fault-time hook (the clock reads the reference
-        // set above through its view; recency policies queue the touch).
-        self.policy.touch(key);
     }
 
     /// Removes the mapping at (ctx, vpn), if any, and unthreads it from

@@ -11,7 +11,7 @@ mod common;
 use chorus_gmi::testing::{MemSegmentManager, Upcall};
 use chorus_gmi::{
     CacheId, CacheIo, CopyMode, CtxId, Gmi, GmiError, Prot, PullRequest, PushRequest, Result,
-    RetryPolicy, SegmentId, SegmentManagerV2, SyncShim, VirtAddr,
+    RetryPolicy, SegmentId, SegmentManagerV2, VirtAddr,
 };
 use chorus_hal::{CostParams, OpKind};
 use chorus_pvm::{MmuChoice, Pvm, PvmOptions};
@@ -235,7 +235,7 @@ fn teardown_and_failure_with_a_window_in_flight_leave_no_frame_behind() {
         // of the same cache still in flight.
         let mgr = Arc::new(MemSegmentManager::new());
         let dying = Arc::new(Dying {
-            inner: SyncShim::wrap(mgr.clone()),
+            inner: mgr.clone(),
             dead: AtomicBool::new(false),
             partial: 3,
             len: None,
@@ -397,7 +397,7 @@ fn streamed(
 ) -> (Pvm, Arc<MemSegmentManager>, Arc<Dying>) {
     let mgr = Arc::new(MemSegmentManager::new());
     let dying = Arc::new(Dying {
-        inner: SyncShim::wrap(mgr.clone()),
+        inner: mgr.clone(),
         dead: AtomicBool::new(false),
         partial,
         len: Some(STREAM_PAGES * PS),

@@ -2,7 +2,7 @@
 #![allow(dead_code)] // Not every test binary uses every helper.
 
 use chorus_gmi::testing::MemSegmentManager;
-use chorus_gmi::{CacheId, CtxId, Gmi, Prot, RegionId, SyncShim, VirtAddr};
+use chorus_gmi::{CacheId, CtxId, Gmi, Prot, RegionId, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_pvm::{MmuChoice, Pvm, PvmConfig, PvmOptions};
 use std::sync::Arc;
@@ -33,10 +33,7 @@ pub fn setup_with(
             .expect("valid config"),
     };
     tweak(&mut options);
-    (
-        Arc::new(Pvm::new(options, SyncShim::wrap(mgr.clone()))),
-        mgr,
-    )
+    (Arc::new(Pvm::new(options, mgr.clone())), mgr)
 }
 
 /// Creates a context with one anonymous (temporary-cache) region.

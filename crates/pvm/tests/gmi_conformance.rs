@@ -2,7 +2,6 @@
 
 use chorus_gmi::conformance::{self, Fixture};
 use chorus_gmi::testing::MemSegmentManager;
-use chorus_gmi::SyncShim;
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_pvm::{Pvm, PvmConfig, PvmOptions};
 use std::sync::Arc;
@@ -22,7 +21,7 @@ fn pvm_passes_gmi_conformance() {
                     .expect("valid config"),
                 ..PvmOptions::default()
             },
-            SyncShim::wrap(mgr.clone()),
+            mgr.clone(),
         ));
         Fixture { gmi, mgr }
     });
@@ -44,7 +43,7 @@ fn pvm_passes_gmi_conformance_under_pressure() {
                     .expect("valid config"),
                 ..PvmOptions::default()
             },
-            SyncShim::wrap(mgr.clone()),
+            mgr.clone(),
         ));
         Fixture { gmi, mgr }
     });
@@ -52,14 +51,11 @@ fn pvm_passes_gmi_conformance_under_pressure() {
 
 #[test]
 fn pvm_passes_gmi_conformance_through_v2() {
-    use chorus_gmi::conformance::V2Mode;
-    use chorus_gmi::testing::MemSegmentManagerV2;
-
-    conformance::run_v2(|mode| {
+    conformance::run(|| {
         let mgr = Arc::new(MemSegmentManager::new());
-        // Knobs that put traffic through the completion engine on
-        // both front ends: clustered pulls are multi-page windows and
-        // write-behind issues fire-and-collect pushes.
+        // Knobs that put traffic through the completion engine:
+        // clustered pulls are multi-page windows and write-behind
+        // issues fire-and-collect pushes.
         let config = PvmConfig::builder()
             .paging(|p| {
                 p.check_invariants(true)
@@ -75,12 +71,7 @@ fn pvm_passes_gmi_conformance_through_v2() {
             config,
             ..PvmOptions::default()
         };
-        let gmi = Arc::new(match mode {
-            V2Mode::Shim => Pvm::new(options, SyncShim::wrap(mgr.clone())),
-            V2Mode::NativeAsync => {
-                Pvm::new(options, Arc::new(MemSegmentManagerV2::new(mgr.clone())))
-            }
-        });
+        let gmi = Arc::new(Pvm::new(options, mgr.clone()));
         Fixture { gmi, mgr }
     });
 }

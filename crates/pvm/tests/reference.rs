@@ -10,7 +10,7 @@ mod common;
 use chorus_gmi::testing::{MemSegmentManager, Upcall};
 use chorus_gmi::{
     CacheId, CacheIo, CtxId, Gmi, Prot, PullRequest, PushRequest, Result, RetryPolicy, SegmentId,
-    SegmentManagerV2, SyncShim, VirtAddr,
+    SegmentManagerV2, VirtAddr,
 };
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_pvm::trace::TraceEvent;
@@ -278,7 +278,7 @@ fn a_page_read_during_its_push_out_is_not_the_cleaned_first_victim() {
     // one page inline and would take that page on its retry.
     let mgr = Arc::new(MemSegmentManager::new());
     let hooked = Arc::new(HookedPush {
-        inner: SyncShim::wrap(mgr.clone()),
+        inner: mgr.clone(),
         hook: Mutex::new(None),
     });
     let mut options = PvmOptions {

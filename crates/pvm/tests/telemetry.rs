@@ -79,27 +79,14 @@ fn per_entity_fault_counters_sum_to_global() {
 
 #[test]
 fn inflight_gauge_matches_completion_table() {
-    use chorus_gmi::testing::{MemSegmentManager, MemSegmentManagerV2};
-    use chorus_hal::PageGeometry;
-    use chorus_pvm::{MmuChoice, PvmOptions};
-    // Async upcalls ride the completion engine only on the native-async
-    // (v2) path, so this fixture bypasses the shim-mode common helper.
-    let mgr = Arc::new(MemSegmentManager::new());
-    let options = PvmOptions {
-        geometry: PageGeometry::new(PS),
-        frames: 8,
-        cost: CostParams::sun3(),
-        mmu: MmuChoice::Soft,
-        config: PvmConfig::builder()
+    let (pvm, mgr) = setup_with(8, |o| {
+        o.cost = CostParams::sun3();
+        o.config = PvmConfig::builder()
             .paging(|p| p.check_invariants(true).pull_cluster_pages(4))
             .telemetry(|t| t.telemetry(true))
             .build()
-            .expect("valid config"),
-    };
-    let pvm = Arc::new(Pvm::new(
-        options,
-        Arc::new(MemSegmentManagerV2::new(mgr.clone())),
-    ));
+            .expect("valid config");
+    });
     let pages = 24u64;
     let content = pattern(7, (pages * PS) as usize);
     let seg = mgr.create_segment(&content);

@@ -11,9 +11,8 @@
 //! - copies are **eager** — no history objects, no per-page stubs, no
 //!   deferred anything: every `cache.copy` materializes destination
 //!   pages at once (deterministic cost, the real-time trade-off);
-//! - segments work through the typed v2 upcall interface
-//!   ([`SegmentManagerV2`](chorus_gmi::SegmentManagerV2), with v1
-//!   managers adapted via [`SyncShim`](chorus_gmi::SyncShim)): mapped
+//! - segments work through the typed upcall interface
+//!   ([`SegmentManagerV2`](chorus_gmi::SegmentManagerV2)): mapped
 //!   files are pulled in on first touch and `sync` / `flush` push dirty
 //!   data back, so the same kernel layers run unchanged (the
 //!   replaceability property of §5.2).

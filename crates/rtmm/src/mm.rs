@@ -120,9 +120,7 @@ fn region_key(id: RegionId) -> Id<RtRegion> {
 }
 
 impl MinimalMm {
-    /// Creates the manager over a typed v2 segment manager
-    /// ([`SegmentManagerV2`]), the native request interface. v1
-    /// managers attach through `SyncShim::wrap`.
+    /// Creates the manager over a [`SegmentManagerV2`].
     pub fn new(options: MinimalOptions, seg_mgr: Arc<dyn SegmentManagerV2>) -> MinimalMm {
         let model = Arc::new(CostModel::new(options.cost.clone()));
         let phys = PhysicalMemory::new(options.geometry, options.frames, model.clone());
@@ -967,7 +965,7 @@ mod tests {
                     frames,
                     cost: CostParams::zero(),
                 },
-                chorus_gmi::SyncShim::wrap(mgr.clone()),
+                mgr.clone(),
             ),
             mgr,
         )

@@ -1,51 +1,22 @@
 //! The minimal real-time MM must pass the generic GMI conformance
-//! suite: the paper's replaceability claim made executable — through
-//! both v2 front ends (the sync-shim adapter over a v1 manager, and a
-//! native [`chorus_gmi::SegmentManagerV2`]).
+//! suite: the paper's replaceability claim made executable.
 
-use chorus_gmi::conformance::{self, Fixture, V2Mode};
-use chorus_gmi::testing::{MemSegmentManager, MemSegmentManagerV2};
-use chorus_gmi::{SegmentManager, SegmentManagerV2, SyncShim};
+use chorus_gmi::conformance::{self, Fixture};
+use chorus_gmi::testing::MemSegmentManager;
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_rtmm::{MinimalMm, MinimalOptions};
 use std::sync::Arc;
 
-fn options() -> MinimalOptions {
-    MinimalOptions {
-        geometry: PageGeometry::new(256),
-        frames: 512,
-        cost: CostParams::zero(),
-    }
-}
-
 #[test]
-fn minimal_mm_passes_gmi_conformance_both_v2_modes() {
-    conformance::run_v2(|mode| {
-        let mgr = Arc::new(MemSegmentManager::new());
-        let gmi = Arc::new(match mode {
-            // The v1 manager attaches through the SyncShim bridge.
-            V2Mode::Shim => MinimalMm::new(options(), SyncShim::wrap(mgr.clone())),
-            // The minimal manager has no completion engine; "native"
-            // means a first-class v2 implementation, still synchronous.
-            V2Mode::NativeAsync => {
-                MinimalMm::new(options(), Arc::new(MemSegmentManagerV2::new(mgr.clone())))
-            }
-        });
-        Fixture { gmi, mgr }
-    });
-}
-
-/// The deprecated v1 entry points stay covered through an explicitly
-/// constructed [`SyncShim`]: the adapter must forward every request
-/// kind faithfully (the shim is permanent API for out-of-tree v1
-/// mappers, not a leftover).
-#[test]
-fn sync_shim_adapter_passes_gmi_conformance() {
+fn minimal_mm_passes_gmi_conformance() {
     conformance::run(|| {
         let mgr = Arc::new(MemSegmentManager::new());
-        let v1: Arc<dyn SegmentManager> = mgr.clone();
-        let shim: Arc<dyn SegmentManagerV2> = Arc::new(SyncShim::new(v1));
-        let gmi = Arc::new(MinimalMm::new(options(), shim));
+        let options = MinimalOptions {
+            geometry: PageGeometry::new(256),
+            frames: 512,
+            cost: CostParams::zero(),
+        };
+        let gmi = Arc::new(MinimalMm::new(options, mgr.clone()));
         Fixture { gmi, mgr }
     });
 }

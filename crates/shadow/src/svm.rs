@@ -161,8 +161,7 @@ fn sregion_key(id: RegionId) -> SRegKey {
 }
 
 impl ShadowVm {
-    /// Creates a shadow-object manager over a v2 [`SegmentManagerV2`].
-    /// v1 managers attach through `SyncShim::wrap`.
+    /// Creates a shadow-object manager over a [`SegmentManagerV2`].
     pub fn new(options: ShadowOptions, seg_mgr: Arc<dyn SegmentManagerV2>) -> ShadowVm {
         let model = Arc::new(CostModel::new(options.cost.clone()));
         let phys = PhysicalMemory::new(options.geometry, options.frames, model.clone());

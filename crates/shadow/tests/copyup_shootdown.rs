@@ -5,7 +5,7 @@
 //! of the replaceability test).
 
 use chorus_gmi::testing::MemSegmentManager;
-use chorus_gmi::{Gmi, Prot, SyncShim, VirtAddr};
+use chorus_gmi::{Gmi, Prot, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_shadow::{ShadowOptions, ShadowVm};
 use std::sync::Arc;
@@ -20,7 +20,7 @@ fn mapped_readers_observe_copy_up_through_same_entry() {
             cost: CostParams::zero(),
             collapse_chains: true,
         },
-        SyncShim::wrap(Arc::new(MemSegmentManager::new())),
+        Arc::new(MemSegmentManager::new()),
     );
     let shell = vm.context_create().unwrap();
     let child = vm.context_create().unwrap();

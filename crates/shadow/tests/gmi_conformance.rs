@@ -3,7 +3,6 @@
 
 use chorus_gmi::conformance::{self, Fixture};
 use chorus_gmi::testing::MemSegmentManager;
-use chorus_gmi::SyncShim;
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_shadow::{ShadowOptions, ShadowVm};
 use std::sync::Arc;
@@ -19,34 +18,8 @@ fn shadow_passes_gmi_conformance() {
                 cost: CostParams::zero(),
                 collapse_chains: true,
             },
-            SyncShim::wrap(mgr.clone()),
+            mgr.clone(),
         ));
-        Fixture { gmi, mgr }
-    });
-}
-
-#[test]
-fn shadow_passes_gmi_conformance_through_v2() {
-    use chorus_gmi::conformance::V2Mode;
-    use chorus_gmi::testing::MemSegmentManagerV2;
-
-    conformance::run_v2(|mode| {
-        let mgr = Arc::new(MemSegmentManager::new());
-        let options = ShadowOptions {
-            geometry: PageGeometry::new(256),
-            frames: 512,
-            cost: CostParams::zero(),
-            collapse_chains: true,
-        };
-        // The shadow baseline has no completion engine of its own, so
-        // the native mode checks the typed v2 requests it emits
-        // directly, and the shim mode checks the blanket adapter.
-        let gmi = Arc::new(match mode {
-            V2Mode::Shim => ShadowVm::new(options, SyncShim::wrap(mgr.clone())),
-            V2Mode::NativeAsync => {
-                ShadowVm::new(options, Arc::new(MemSegmentManagerV2::new(mgr.clone())))
-            }
-        });
         Fixture { gmi, mgr }
     });
 }

@@ -2,7 +2,7 @@
 //! semantics, chain growth, and chain collapse (§4.2.5).
 
 use chorus_gmi::testing::MemSegmentManager;
-use chorus_gmi::{CopyMode, Gmi, GmiError, Prot, SyncShim, VirtAddr};
+use chorus_gmi::{CopyMode, Gmi, GmiError, Prot, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_shadow::{ShadowOptions, ShadowVm};
 use std::sync::Arc;
@@ -22,7 +22,7 @@ fn setup_opt(frames: u32, collapse: bool) -> (Arc<ShadowVm>, Arc<MemSegmentManag
             cost: CostParams::zero(),
             collapse_chains: collapse,
         },
-        SyncShim::wrap(mgr.clone()),
+        mgr.clone(),
     );
     (Arc::new(vm), mgr)
 }

@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --example dsm`
 
-use chorus_vm::gmi::{Gmi, Prot, Result, SegmentId, SyncShim, VirtAddr};
+use chorus_vm::gmi::{Gmi, Prot, Result, SegmentId, VirtAddr};
 use chorus_vm::hal::{CostParams, PageGeometry};
 use chorus_vm::nucleus::{DsmDirectory, DsmSiteManager};
 use chorus_vm::pvm::{Pvm, PvmOptions};
@@ -39,7 +39,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
                 cost: CostParams::sun3(),
                 ..PvmOptions::default()
             },
-            SyncShim::wrap(mgr),
+            mgr,
         ));
         let cache = pvm.cache_create(Some(SegmentId(1)))?;
         let ctx = pvm.context_create()?;

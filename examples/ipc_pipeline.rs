@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example ipc_pipeline`
 
-use chorus_vm::gmi::{Prot, SyncShim, VirtAddr};
+use chorus_vm::gmi::{Prot, VirtAddr};
 use chorus_vm::hal::{CostParams, PageGeometry};
 use chorus_vm::nucleus::{MemMapper, Nucleus, NucleusSegmentManager, PortName, SwapMapper};
 use chorus_vm::pvm::{Pvm, PvmOptions};
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cost: CostParams::sun3(),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     ));
     let nucleus = Arc::new(Nucleus::new(pvm, seg_mgr, 8));
     let page = PageGeometry::SUN3_PAGE_SIZE;

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use chorus_vm::gmi::testing::MemSegmentManager;
-use chorus_vm::gmi::{CopyMode, Gmi, Prot, SyncShim, VirtAddr};
+use chorus_vm::gmi::{CopyMode, Gmi, Prot, VirtAddr};
 use chorus_vm::hal::{CostParams, PageGeometry};
 use chorus_vm::pvm::{Pvm, PvmOptions};
 use std::sync::Arc;
@@ -22,7 +22,7 @@ fn main() -> chorus_vm::gmi::Result<()> {
             cost: CostParams::sun3(),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(mapper.clone()),
+        mapper.clone(),
     );
     let page = pvm.geometry().page_size();
 

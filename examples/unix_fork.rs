@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example unix_fork`
 
-use chorus_vm::gmi::{SyncShim, VirtAddr};
+use chorus_vm::gmi::VirtAddr;
 use chorus_vm::hal::{CostParams, PageGeometry};
 use chorus_vm::mix::{ProcessManager, ProgramStore};
 use chorus_vm::nucleus::{MemMapper, Nucleus, NucleusSegmentManager, PortName, SwapMapper};
@@ -31,7 +31,7 @@ fn main() -> chorus_vm::gmi::Result<()> {
             cost: CostParams::sun3(),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     ));
     let nucleus = Arc::new(Nucleus::new(pvm, seg_mgr, 8));
     let page = PageGeometry::SUN3_PAGE_SIZE as usize;

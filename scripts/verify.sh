@@ -14,12 +14,13 @@
 # smoke (retries must heal transient faults with zero client errors),
 # the telemetry smoke (the knob must be free when off — bit-identical
 # sim clocks — and cost <=5% wall when on, with pvmtop attributing a
-# seeded hot-cache/sick-mapper scenario), the policy-matrix smoke
-# (every built-in replacement policy races the three ablation_policies
-# scenarios with per-combo determinism self-checks and byte-verified
-# workloads, and at full size the clock must pull fewer hot pages back
-# than it did without hardware referenced bits), the pvmtop render
-# smoke, the
+# seeded hot-cache/sick-mapper scenario), the replacement smoke (the
+# clock and the externally advised clock race the three
+# ablation_policies scenarios with per-combo determinism self-checks
+# and byte-verified workloads, and at full size the clock must pull
+# fewer hot pages back than it did without hardware referenced bits),
+# the pvmtop render smoke, the one-of-each gate (no allow(deprecated),
+# no SyncShim outside its definition), the
 # release-mode concurrency stress, the tracing
 # bit-identity check (Table 5 regenerated with CHORUS_TRACE=1 must
 # match the committed reports/table5.txt byte for byte — the
@@ -125,7 +126,7 @@ print("ok: %.1f pages/pull sequential, %.1f two streams, %.2f random"
       % tuple(r["pulled_pages"] / r["pull_ins"] for r in (seq, two, rand)))
 '
 
-step "ablation_policies --quick: every replacement policy raced"
+step "ablation_policies --quick: clock vs external, raced"
 # The bench asserts internally that every combination re-runs
 # bit-identically (per-combo determinism self-check on the writeback
 # scenario), that a config which never names the policy section is
@@ -137,18 +138,15 @@ cargo run --release -q -p chorus-bench --bin ablation_policies -- --json --quick
 import json, sys
 out = json.load(sys.stdin)
 rows = out["rows"]
-kinds = {"clock", "lru", "wsclock", "arc", "external"}
+kinds = {"clock", "external"}
 for scenario in ("scale", "writeback", "pressure"):
     have = {r["replacement"] for r in rows if r["scenario"] == scenario}
-    assert have >= kinds, (scenario, have)
+    assert have == kinds, (scenario, have)
 assert all(r["victims"] >= r["evictions"] > 0 for r in rows), \
     "an eviction bypassed the policy engine"
 ext = [r for r in rows if r["replacement"] == "external"]
 assert ext and all(r["external_batches"] > 0 for r in ext), ext
-best = min((r for r in rows if r["scenario"] == "pressure"),
-           key=lambda r: r["pull_ins"])
-print("ok: %d rows, every eviction policy-driven; hot/cold winner %s (%d pulls)"
-      % (len(rows), best["replacement"], best["pull_ins"]))
+print("ok: %d rows, every eviction policy-driven" % len(rows))
 '
 
 step "ablation_policies (full shape): the clock sees the hot set"
@@ -208,6 +206,19 @@ assert out["hot_cache_first"] and out["sick_quarantined"], out
 assert out["top_caches"][0]["faults"] >= out["top_caches"][-1]["faults"], out
 print("ok: %d caches, %d mappers, hottest first" % (out["caches"], out["mappers"]))
 '
+
+step "one of each behind the upcall: no allow(deprecated), no SyncShim"
+# One upcall trait: nothing in the workspace needs a deprecation
+# silenced, and the fieldless SyncShim (kept for the frozen benchmark/)
+# is named only where it is defined and re-exported.
+if grep -rn 'allow(deprecated)' crates src tests examples; then
+  echo "FAIL: #[allow(deprecated)] is back"; exit 1
+fi
+if grep -rn 'SyncShim' crates src tests examples |
+  grep -v '^crates/gmi/src/\(traits\|lib\)\.rs:'; then
+  echo "FAIL: SyncShim named outside crates/gmi/src/{traits,lib}.rs"; exit 1
+fi
+echo "ok"
 
 step "release-mode concurrent_faults stress"
 cargo test --release -q -p chorus-pvm --test concurrent_faults

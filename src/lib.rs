@@ -11,3 +11,8 @@ pub use chorus_nucleus as nucleus;
 pub use chorus_pvm as pvm;
 pub use chorus_rtmm as rtmm;
 pub use chorus_shadow as shadow;
+
+/// Compiles the README's Rust example with the doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -3,7 +3,6 @@
 //! FaultyMapper(swap).
 #![allow(dead_code)] // Not every test binary uses every helper.
 
-use chorus_gmi::SyncShim;
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_nucleus::{
     FaultPlan, FaultyMapper, MemMapper, NucleusSegmentManager, PortName, SwapMapper,
@@ -69,7 +68,7 @@ pub fn stack_costed(
             config,
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     ));
     faulty_files.attach_clock(pvm.cost_model());
     faulty_swap.attach_clock(pvm.cost_model());

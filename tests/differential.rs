@@ -11,7 +11,7 @@
 //! during the random walks.
 
 use chorus_gmi::testing::MemSegmentManager;
-use chorus_gmi::{CacheId, CopyMode, Gmi, SyncShim};
+use chorus_gmi::{CacheId, CopyMode, Gmi};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_pvm::trace::{Resolution, TraceEvent};
 use chorus_pvm::{Pvm, PvmConfig, PvmOptions, TraceConfig};
@@ -347,7 +347,7 @@ fn pvm_with_manager(frames: u32) -> (Arc<Pvm>, Arc<MemSegmentManager>) {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(mgr.clone()),
+        mgr.clone(),
     ));
     (pvm, mgr)
 }
@@ -361,7 +361,7 @@ fn shadow_under_test(frames: u32) -> Arc<chorus_shadow::ShadowVm> {
             cost: CostParams::zero(),
             collapse_chains: true,
         },
-        SyncShim::wrap(mgr),
+        mgr,
     ))
 }
 

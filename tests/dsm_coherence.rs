@@ -2,7 +2,7 @@
 //! `chorus_nucleus::dsm` single-writer/multiple-reader manager with real
 //! PVM sites.
 
-use chorus_gmi::{Gmi, Prot, SegmentId, SyncShim, VirtAddr};
+use chorus_gmi::{Gmi, Prot, SegmentId, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_nucleus::{DsmDirectory, DsmSiteManager};
 use chorus_pvm::{Pvm, PvmConfig, PvmOptions};
@@ -34,7 +34,7 @@ fn build(sites: usize, pages: u64) -> (Arc<DsmDirectory>, Vec<Site>) {
                     .expect("valid config"),
                 ..PvmOptions::default()
             },
-            SyncShim::wrap(mgr),
+            mgr,
         ));
         let cache = pvm.cache_create(Some(SegmentId(1))).unwrap();
         let ctx = pvm.context_create().unwrap();

@@ -12,7 +12,7 @@
 
 mod common;
 
-use chorus_gmi::{Gmi, GmiError, Prot, RetryPolicy, SyncShim, VirtAddr};
+use chorus_gmi::{Gmi, GmiError, Prot, RetryPolicy, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_nucleus::{FaultPlan, FaultyMapper, MemMapper, NucleusSegmentManager, PortName};
 use chorus_pvm::trace::{TraceEvent, UpcallKind, UpcallOutcome};
@@ -1173,7 +1173,7 @@ fn the_default_config_survives_a_hung_mapper() {
             config: PvmConfig::default(),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     );
     faulty.attach_clock(pvm.cost_model());
     let init: Vec<u8> = (0..SEG_SIZE).map(|k| (k as u8) ^ 0x5A).collect();

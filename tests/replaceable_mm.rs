@@ -9,7 +9,9 @@
 //! identical observable behaviour. The stack is written once, generic
 //! over `Gmi`; only the constructor below differs.
 
-use chorus_gmi::{Gmi, Prot, RetryPolicy, SyncShim};
+use chorus_gmi::{
+    CacheId, CacheIo, Gmi, Prot, PullRequest, PushRequest, RetryPolicy, SegmentId, SegmentManagerV2,
+};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_mix::{ProcessManager, ProgramStore};
 use chorus_nucleus::{
@@ -18,6 +20,7 @@ use chorus_nucleus::{
 use chorus_pvm::{Pvm, PvmConfig, PvmOptions, ReplacementKind};
 use chorus_shadow::{ShadowOptions, ShadowVm};
 use chorus_vm::gmi::VirtAddr;
+use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -117,7 +120,7 @@ fn nucleus_and_mix_behave_identically_over_both_memory_managers() {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     ));
     let pm = stack(pvm, seg_mgr, files);
     let pvm_obs = unix_workload(&pm);
@@ -131,7 +134,7 @@ fn nucleus_and_mix_behave_identically_over_both_memory_managers() {
             cost: CostParams::zero(),
             collapse_chains: true,
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     ));
     let pm = stack(shadow, seg_mgr, files);
     let shadow_obs = unix_workload(&pm);
@@ -154,7 +157,7 @@ fn minimal_rt_mm_runs_the_same_workload() {
             frames: 4096,
             cost: CostParams::zero(),
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     ));
     let pm = stack(rt, seg_mgr, files);
     let rt_obs = unix_workload(&pm);
@@ -171,7 +174,7 @@ fn minimal_rt_mm_runs_the_same_workload() {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     ));
     let pm = stack(pvm, seg_mgr, files);
     assert_eq!(rt_obs, unix_workload(&pm));
@@ -193,7 +196,7 @@ fn mmu_backends_behave_identically_under_the_full_stack() {
                     .build()
                     .expect("valid config"),
             },
-            SyncShim::wrap(seg_mgr.clone()),
+            seg_mgr.clone(),
         ));
         let pm = stack(pvm, seg_mgr, files);
         results.push(unix_workload(&pm));
@@ -217,7 +220,7 @@ fn workload_survives_memory_pressure_on_the_pvm() {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     ));
     let pm = stack(pvm.clone(), seg_mgr, files);
     let pressured = unix_workload(&pm);
@@ -236,7 +239,7 @@ fn workload_survives_memory_pressure_on_the_pvm() {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     ));
     let pm = stack(roomy, seg_mgr, files);
     assert_eq!(pressured, unix_workload(&pm));
@@ -244,28 +247,81 @@ fn workload_survives_memory_pressure_on_the_pvm() {
 
 // ===== replaceable policies: the same claim one layer down ==================
 //
-// §5.2's replaceable-unit argument applies inside the PVM too: the
-// replacement policies are trait objects behind `PolicyConfig`, and
-// swapping them may change *performance* but never observable
-// behaviour. These tests race every built-in policy through
-// the identical Nucleus + MIX stack.
+// §5.2's replaceable-unit argument applies to replacement too: the
+// clock decides alone or a segment manager advises it, and whoever
+// decides may change *performance* but never observable behaviour.
+// These tests race the policies through the identical Nucleus + MIX
+// stack.
 
-/// A PVM squeezed far below the working set, with the given policy.
-fn pressured_pvm(seg_mgr: Arc<NucleusSegmentManager>, replacement: ReplacementKind) -> Arc<Pvm> {
-    Arc::new(Pvm::new(
-        PvmOptions {
-            geometry: PageGeometry::new(PS),
-            frames: 4,
-            cost: CostParams::zero(),
-            config: PvmConfig::builder()
-                .paging(|p| p.check_invariants(true))
-                .replacement(replacement)
-                .build()
-                .expect("valid config"),
-            ..PvmOptions::default()
-        },
-        SyncShim::wrap(seg_mgr),
-    ))
+/// A replacement policy outside the core: a segment manager that, asked
+/// for advice, lets only the most recently pulled candidate go. A fresh
+/// page is the clock's last choice and this policy's first, so it is
+/// the one that would take a page of a pull window still in flight if
+/// the PVM did not pin it (DESIGN.md §13).
+struct FreshFirst {
+    inner: Arc<NucleusSegmentManager>,
+    /// Pulled pages, oldest pull first.
+    pulled: Mutex<Vec<(CacheId, u64)>>,
+}
+
+impl SegmentManagerV2 for FreshFirst {
+    fn submit_pull(&self, io: &dyn CacheIo, req: &PullRequest) -> chorus_gmi::Result<()> {
+        {
+            let mut pulled = self.pulled.lock();
+            for offset in (req.offset..req.offset + req.size).step_by(PS as usize) {
+                pulled.retain(|&page| page != (req.cache, offset));
+                pulled.push((req.cache, offset));
+            }
+        }
+        self.inner.submit_pull(io, req)
+    }
+
+    fn submit_push(&self, io: &dyn CacheIo, req: &PushRequest) -> chorus_gmi::Result<()> {
+        self.inner.submit_push(io, req)
+    }
+
+    fn acquire_write_access(&self, seg: SegmentId, off: u64, size: u64) -> chorus_gmi::Result<()> {
+        self.inner.acquire_write_access(seg, off, size)
+    }
+
+    fn create_segment_v2(&self, cache: CacheId) -> SegmentId {
+        self.inner.create_segment_v2(cache)
+    }
+
+    fn segment_len(&self, segment: SegmentId) -> Option<u64> {
+        self.inner.segment_len(segment)
+    }
+
+    fn advise_victims(&self, candidates: &[(CacheId, u64)]) -> Vec<bool> {
+        let pulled = self.pulled.lock();
+        // `None` (zero-filled, never pulled) sorts before every pull.
+        let freshness = |page| pulled.iter().position(|p| p == page);
+        let freshest = candidates.iter().map(freshness).max();
+        candidates
+            .iter()
+            .map(|page| Some(freshness(page)) == freshest)
+            .collect()
+    }
+}
+
+/// The raced policies: a label, the kind the PVM is configured with,
+/// and whether [`FreshFirst`] stands between it and the Nucleus segment
+/// manager (which approves every candidate).
+const POLICIES: [(&str, ReplacementKind, bool); 3] = [
+    ("clock", ReplacementKind::Clock, false),
+    ("external", ReplacementKind::External, false),
+    ("fresh-first", ReplacementKind::External, true),
+];
+
+fn advised(seg_mgr: &Arc<NucleusSegmentManager>, fresh_first: bool) -> Arc<dyn SegmentManagerV2> {
+    if fresh_first {
+        Arc::new(FreshFirst {
+            inner: seg_mgr.clone(),
+            pulled: Mutex::default(),
+        })
+    } else {
+        seg_mgr.clone()
+    }
 }
 
 #[test]
@@ -283,15 +339,30 @@ fn every_replacement_policy_preserves_workload_behaviour_under_pressure() {
                 .expect("valid config"),
             ..PvmOptions::default()
         },
-        SyncShim::wrap(seg_mgr.clone()),
+        seg_mgr.clone(),
     ));
     let pm = stack(roomy, seg_mgr, files);
     let reference = unix_workload(&pm);
 
-    for replacement in ReplacementKind::ALL {
-        let label = replacement.label();
+    for (label, replacement, fresh_first) in POLICIES {
         let (seg_mgr, files) = managers();
-        let pvm = pressured_pvm(seg_mgr.clone(), replacement);
+        // A PVM squeezed far below the working set. Two-page windows:
+        // with one-page pulls no window is in flight while a victim is
+        // picked, and `FreshFirst` has nothing to surface.
+        let pvm = Arc::new(Pvm::new(
+            PvmOptions {
+                geometry: PageGeometry::new(PS),
+                frames: 4,
+                cost: CostParams::zero(),
+                config: PvmConfig::builder()
+                    .paging(|p| p.check_invariants(true).pull_cluster_pages(2))
+                    .replacement(replacement)
+                    .build()
+                    .expect("valid config"),
+                ..PvmOptions::default()
+            },
+            advised(&seg_mgr, fresh_first),
+        ));
         let pm = stack(pvm.clone(), seg_mgr, files);
         assert_eq!(unix_workload(&pm), reference, "{label} diverged");
 
@@ -355,7 +426,7 @@ fn no_policy_loses_dirty_pages_under_mapper_faults() {
 
     for seed in 0..3u64 {
         let mut images: Vec<(&'static str, Vec<Vec<u8>>)> = Vec::new();
-        for replacement in ReplacementKind::ALL {
+        for (label, replacement, fresh_first) in POLICIES {
             let seg_mgr = Arc::new(NucleusSegmentManager::new());
             let files = Arc::new(MemMapper::new(PortName(1)));
             let faulty_files = Arc::new(FaultyMapper::new(files.clone(), healable(seed)));
@@ -365,7 +436,7 @@ fn no_policy_loses_dirty_pages_under_mapper_faults() {
             seg_mgr.register_mapper(PortName(2), faulty_swap.clone());
             seg_mgr.set_default_mapper(PortName(2));
             let mut config = PvmConfig::builder()
-                .paging(|p| p.check_invariants(true))
+                .paging(|p| p.check_invariants(true).pull_cluster_pages(2))
                 .replacement(replacement)
                 .build()
                 .expect("valid config");
@@ -383,7 +454,7 @@ fn no_policy_loses_dirty_pages_under_mapper_faults() {
                     config,
                     ..PvmOptions::default()
                 },
-                SyncShim::wrap(seg_mgr.clone()),
+                advised(&seg_mgr, fresh_first),
             ));
             faulty_files.attach_clock(pvm.cost_model());
             faulty_swap.attach_clock(pvm.cost_model());
@@ -419,21 +490,16 @@ fn no_policy_loses_dirty_pages_under_mapper_faults() {
                     let byte = rng.next() as u8;
                     let data: Vec<u8> = (0..len).map(|k| byte.wrapping_add(k as u8)).collect();
                     pvm.vm_write(ctx, VirtAddr(base + off as u64), &data)
-                        .unwrap_or_else(|e| {
-                            panic!("{} seed={seed}: write failed: {e}", replacement.label())
-                        });
+                        .unwrap_or_else(|e| panic!("{label} seed={seed}: write failed: {e}"));
                     oracle[i][off..off + len].copy_from_slice(&data);
                 } else {
                     let mut buf = vec![0u8; len];
                     pvm.vm_read(ctx, VirtAddr(base + off as u64), &mut buf)
-                        .unwrap_or_else(|e| {
-                            panic!("{} seed={seed}: read failed: {e}", replacement.label())
-                        });
+                        .unwrap_or_else(|e| panic!("{label} seed={seed}: read failed: {e}"));
                     assert_eq!(
                         buf,
                         &oracle[i][off..off + len],
-                        "{} seed={seed} diverged from oracle",
-                        replacement.label()
+                        "{label} seed={seed} diverged from oracle"
                     );
                 }
             }
@@ -445,32 +511,22 @@ fn no_policy_loses_dirty_pages_under_mapper_faults() {
             let mut final_images = Vec::new();
             for (i, (&cap, &cache)) in caps.iter().zip(&caches).enumerate() {
                 pvm.cache_sync(cache, 0, SEG_SIZE as u64)
-                    .unwrap_or_else(|e| {
-                        panic!("{} seed={seed}: sync failed: {e}", replacement.label())
-                    });
+                    .unwrap_or_else(|e| panic!("{label} seed={seed}: sync failed: {e}"));
                 let bytes = files.segment_data(cap);
                 assert_eq!(
-                    bytes,
-                    oracle[i],
-                    "{} seed={seed}: segment {i} lost dirty bytes",
-                    replacement.label()
+                    bytes, oracle[i],
+                    "{label} seed={seed}: segment {i} lost dirty bytes"
                 );
                 final_images.push(bytes);
             }
             let stats = pvm.stats();
-            assert_eq!(
-                stats.quarantined_caches,
-                0,
-                "{} seed={seed}",
-                replacement.label()
-            );
+            assert_eq!(stats.quarantined_caches, 0, "{label} seed={seed}");
             assert!(
                 stats.evictions > 0,
-                "{} seed={seed}: no pressure, the policies were never exercised",
-                replacement.label()
+                "{label} seed={seed}: no pressure, the policies were never exercised"
             );
             pvm.check_invariants();
-            images.push((replacement.label(), final_images));
+            images.push((label, final_images));
         }
 
         // The differential closure: every policy left identical file

@@ -350,7 +350,7 @@ fn a_fully_backed_cache_of_unknown_length_gets_no_tail() {
             frames: 64,
             ..chorus_pvm::PvmOptions::default()
         },
-        chorus_gmi::SyncShim::wrap(mgr.clone()),
+        mgr.clone(),
     );
     let cache = pvm
         .cache_create(Some(mgr.create_segment(&file_bytes(0x14, 2))))
