@@ -6,7 +6,10 @@
 //! what the table made of each: how many `pullIn` round trips, how many
 //! of them went out ahead of their reader, how many pages each carried,
 //! how much of the readahead was evicted untouched, and the simulated
-//! time.
+//! time. Each shape runs at two pools, the file three times either: at
+//! 64 frames a stream at the full window keeps one window in flight
+//! ahead of its reader, at 256 two (the window being read and the two
+//! ahead stay under a quarter of the pool).
 //!
 //! Usage: `cargo run -p chorus-bench --bin ablation_readahead [--json]`
 
@@ -17,12 +20,12 @@ use chorus_nucleus::{MemMapper, NucleusSegmentManager, PortName};
 use chorus_pvm::{Pvm, PvmConfig, PvmOptions};
 use std::sync::Arc;
 
-/// Pages of the mapped file: three times the frame pool.
-const PAGES: u64 = 192;
-const FRAMES: u32 = 64;
-const ACCESSES: u64 = 2 * PAGES;
+/// The frame pools; the mapped file is three times the pool, and read
+/// twice over.
+const POOLS: [u32; 2] = [64, 256];
 
 struct Row {
+    frames: u32,
     shape: &'static str,
     pull_ins: u64,
     ahead_pulls: u64,
@@ -31,33 +34,40 @@ struct Row {
     sim_ms: f64,
 }
 
-/// The page touched by access `i` of a shape.
-type Shape = fn(i: u64, random: u64) -> u64;
+/// The page touched by access `i` of a shape over a file of `pages`.
+type Shape = fn(i: u64, random: u64, pages: u64) -> u64;
 
 const SHAPES: [(&str, Shape); 4] = [
-    ("sequential", |i, _| i % PAGES),
-    ("two-streams", |i, _| {
-        (i / 2 + (i % 2) * (PAGES / 2)) % PAGES
+    ("sequential", |i, _, pages| i % pages),
+    ("two-streams", |i, _, pages| {
+        (i / 2 + (i % 2) * (pages / 2)) % pages
     }),
     (
         "seq+random",
-        |i, r| if i % 2 == 0 { (i / 2) % PAGES } else { r },
+        |i, r, pages| {
+            if i % 2 == 0 {
+                (i / 2) % pages
+            } else {
+                r
+            }
+        },
     ),
-    ("random", |_, r| r),
+    ("random", |_, r, _| r),
 ];
 
-fn run(shape: &'static str, page_of: Shape) -> Row {
+fn run(frames: u32, shape: &'static str, page_of: Shape) -> Row {
+    let pages = 3 * u64::from(frames);
     // A file mapper that knows its segments' lengths: a stream only
     // widens a pull inside bounds the mapper has stated.
     let mgr = Arc::new(NucleusSegmentManager::new());
     let files = Arc::new(MemMapper::new(PortName(1)));
     mgr.register_mapper(PortName(1), files.clone());
-    let content: Vec<u8> = (0..PAGES * PAGE).map(|i| (i % 241) as u8).collect();
+    let content: Vec<u8> = (0..pages * PAGE).map(|i| (i % 241) as u8).collect();
     let seg = mgr.segment_for(files.create_segment(&content));
     let pvm = Pvm::new(
         PvmOptions {
             geometry: PageGeometry::sun3(),
-            frames: FRAMES,
+            frames,
             cost: CostParams::sun3(),
             config: PvmConfig::builder()
                 .paging(|p| p.check_invariants(false))
@@ -69,23 +79,24 @@ fn run(shape: &'static str, page_of: Shape) -> Row {
     );
     let cache = pvm.cache_create(Some(seg)).unwrap();
     let ctx = pvm.context_create().unwrap();
-    pvm.region_create(ctx, VirtAddr(0), PAGES * PAGE, Prot::READ, cache, 0)
+    pvm.region_create(ctx, VirtAddr(0), pages * PAGE, Prot::READ, cache, 0)
         .unwrap();
     let model = pvm.cost_model();
     let t0 = model.now();
     let mut lcg = 0x2545_f491_4f6c_dd1du64;
     let mut buf = [0u8; 8];
-    for i in 0..ACCESSES {
+    for i in 0..2 * pages {
         lcg = lcg
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        let page = page_of(i, (lcg >> 33) % PAGES);
+        let page = page_of(i, (lcg >> 33) % pages, pages);
         pvm.vm_read(ctx, VirtAddr(page * PAGE), &mut buf).unwrap();
         // Data correct whatever the window.
         assert_eq!(buf[..], content[(page * PAGE) as usize..][..8]);
     }
     let stats = pvm.stats();
     Row {
+        frames,
         shape,
         pull_ins: stats.pull_ins,
         ahead_pulls: stats.ahead_pulls,
@@ -98,20 +109,31 @@ fn run(shape: &'static str, page_of: Shape) -> Row {
 
 fn main() {
     let emit_json = std::env::args().any(|a| a == "--json");
-    let rows: Vec<Row> = SHAPES.iter().map(|&(name, f)| run(name, f)).collect();
+    let rows: Vec<Row> = POOLS
+        .iter()
+        .flat_map(|&frames| SHAPES.iter().map(move |&(name, f)| run(frames, name, f)))
+        .collect();
     // Headline cross-checks, asserted so regressions fail loudly: a
     // stream must amortise the round trip, and random misses must not
     // be charged for readahead nobody uses.
-    let by = |shape: &str| rows.iter().find(|r| r.shape == shape).expect("row");
-    assert!(by("sequential").pulled_pages >= 4 * by("sequential").pull_ins);
-    assert!(by("two-streams").pulled_pages >= 4 * by("two-streams").pull_ins);
-    // Half the accesses are random misses of one page each: the stream
-    // among them must still ramp.
-    assert!(by("seq+random").pulled_pages * 2 >= 3 * by("seq+random").pull_ins);
-    assert!(by("random").readahead_unused * 10 <= by("random").pulled_pages);
+    for frames in POOLS {
+        let by = |shape: &str| {
+            rows.iter()
+                .find(|r| (r.frames, r.shape) == (frames, shape))
+                .expect("row")
+        };
+        assert!(by("sequential").pulled_pages >= 4 * by("sequential").pull_ins);
+        assert!(by("two-streams").pulled_pages >= 4 * by("two-streams").pull_ins);
+        // Half the accesses are random misses of one page each: the
+        // stream among them must still ramp.
+        assert!(by("seq+random").pulled_pages * 2 >= 3 * by("seq+random").pull_ins);
+        assert!(by("random").readahead_unused * 10 <= by("random").pulled_pages);
+    }
     if emit_json {
         let encoded = rows.iter().map(|r| {
             json::Obj::new()
+                .int("frames", u64::from(r.frames))
+                .int("pages", 3 * u64::from(r.frames))
                 .str("shape", r.shape)
                 .int("pull_ins", r.pull_ins)
                 .int("ahead_pulls", r.ahead_pulls)
@@ -123,36 +145,37 @@ fn main() {
         println!(
             "{}",
             json::Obj::bench("ablation_readahead")
-                .int("pages", PAGES)
-                .int("frames", u64::from(FRAMES))
-                .int("accesses", ACCESSES)
                 .raw("rows", &json::array(encoded))
                 .build()
         );
         return;
     }
     println!(
-        "Stream-table ablation: {ACCESSES} reads of a {PAGES}-page file through {FRAMES} frames\n"
+        "Stream-table ablation: each file read twice over (6 x frames reads) \
+         through a pool of a third its size\n"
     );
     println!(
-        "  shape       | pullIn upcalls | of them ahead | pages/pull | unused readahead | simulated time"
+        "  frames | shape       | pullIn upcalls | of them ahead | pages/pull | unused readahead | simulated time | per read"
     );
     for r in &rows {
         println!(
-            "  {:<11} | {:>14} | {:>13} | {:>10.2} | {:>16} | {:.2} ms",
+            "  {:>6} | {:<11} | {:>14} | {:>13} | {:>10.2} | {:>16} | {:>11.2} ms | {:.3} ms",
+            r.frames,
             r.shape,
             r.pull_ins,
             r.ahead_pulls,
             r.pulled_pages as f64 / r.pull_ins as f64,
             r.readahead_unused,
-            r.sim_ms
+            r.sim_ms,
+            r.sim_ms / (6 * r.frames) as f64
         );
     }
     println!(
         "\nEach pullIn costs one IPC round trip plus one segment_io_page per\n\
          page: a detected stream trades a longer transfer for fewer round\n\
          trips, and a miss that continues no stream pulls one page. A stream\n\
-         at the full window has its next one pulled while it reads this one:\n\
-         the same round trips, and the reader waits for none of them."
+         at the full window has its next one pulled while it reads this one\n\
+         (its next two, in a pool where the three stay under a quarter): the\n\
+         same round trips, and the reader waits for fewer of them."
     );
 }

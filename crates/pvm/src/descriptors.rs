@@ -195,7 +195,7 @@ const STREAM_IDLE_MISSES: u64 = 32;
 pub(crate) struct Stream {
     /// Where the stream's last pull began. A miss here again is that
     /// pull driven again after it failed: same stream, same window.
-    start: u64,
+    pub start: u64,
     /// Offset one past the stream's last pull, set by whoever sized it
     /// once the run's real end is known. A miss anywhere in `[next,
     /// next + window pages)` continues the stream, so a pull cut short
@@ -205,15 +205,20 @@ pub(crate) struct Stream {
     pub window: u64,
     /// The table's miss count when the stream last continued.
     seen: u64,
-    /// The pull before the last, `[from, to)`, while its pages keep
-    /// their reference: an ahead pull is submitted as the reader enters
-    /// the last one, so drop-behind lags one pull. Empty otherwise.
-    lag: (u64, u64),
+    /// The two pulls before the last, older first, `[from, to)` each,
+    /// while their pages keep their reference: an ahead pull is
+    /// submitted as the reader enters the pull before the last (or the
+    /// last, one window deep), so drop-behind lags behind the reader.
+    /// Empty otherwise.
+    lag: [(u64, u64); 2],
     /// A continuation granted the stream a whole IPC message, and there
     /// may be something past `next` to pull: the first use of a
-    /// readahead page of `[start, next)` makes the next window due
-    /// ([`StreamTable::due`]).
+    /// readahead page of `[start, next)`, or of the pull before it, makes
+    /// the next window due ([`StreamTable::due`]).
     pub armed: bool,
+    /// The `next` whose due window was last counted as skipped
+    /// ([`StreamTable::skip`]).
+    skipped: Option<u64>,
 }
 
 /// A cache's stream table. Interleaved random misses and a second
@@ -235,7 +240,9 @@ impl StreamTable {
     /// (0: the miss started it) and, when the miss *continued* the
     /// stream, the byte range of the pull it has now left behind. A miss
     /// at the last pull's start is that pull driven again: the stream
-    /// has left nothing.
+    /// has left nothing. So is one at the start of the pull before it
+    /// (an ahead window given up while the one after it went on), and
+    /// the stream stays where it is.
     pub fn miss(
         &mut self,
         off: u64,
@@ -253,11 +260,17 @@ impl StreamTable {
             }
         }
         let inside = |s: &Stream| off >= s.next && (off - s.next) / ps < s.window;
-        let found = self.table.iter().position(|s| s.start == off).or_else(|| {
-            (0..self.table.len())
-                .filter(|&i| inside(&self.table[i]))
-                .max_by_key(|&i| self.table[i].window)
-        });
+        let behind = |s: &Stream| s.lag[1].0 == off && off < s.lag[1].1;
+        let found = self
+            .table
+            .iter()
+            .position(|s| s.start == off)
+            .or_else(|| {
+                (0..self.table.len())
+                    .filter(|&i| inside(&self.table[i]))
+                    .max_by_key(|&i| self.table[i].window)
+            })
+            .or_else(|| self.table.iter().position(behind));
         let slot = found.unwrap_or_else(|| {
             if self.table.len() < MAX_STREAMS {
                 self.table.push(Stream::default());
@@ -275,39 +288,58 @@ impl StreamTable {
             };
         }
         let before = s.window;
-        // A pull an ahead pull left lagging is caught up with here.
-        let from = if s.lag.0 < s.lag.1 { s.lag.0 } else { s.start };
-        let left = (before > 0 && off != s.start).then_some(from..s.next);
-        if before == 0 || off != s.start {
+        let redriven_behind = behind(s);
+        let again = off == s.start || redriven_behind;
+        // The pulls ahead pulls left lagging are caught up with here,
+        // from the oldest.
+        let from = s.lag.iter().find(|l| l.0 < l.1).map_or(s.start, |l| l.0);
+        let left = (before > 0 && !again).then_some(from..s.next);
+        if before == 0 || !again {
             s.window = before.saturating_mul(2).clamp(base, cap);
             s.armed = before > 0 && s.window >= IPC_MESSAGE_PAGES;
-            s.lag = (0, 0);
+            s.lag = Default::default();
         }
-        s.start = off;
+        if !redriven_behind {
+            s.start = off;
+        }
         s.seen = now;
         (slot, before, left)
     }
 
     /// The stream whose next window the first use of the readahead page
-    /// at `off` makes due: a full-window one whose last pull holds it
-    /// (see `PvmState::size_ahead`).
-    pub fn due(&self, off: u64) -> Option<usize> {
-        let holds = |s: &Stream| s.armed && (s.start..s.next).contains(&off);
-        self.table.iter().position(holds)
+    /// at `off` makes due: a full-window one whose last pull holds it,
+    /// else (`two`: two windows in flight) whose pull before the last
+    /// does, as a stale stream's may overlap a live one's last. See
+    /// `PvmState::size_ahead`.
+    pub fn due(&self, off: u64, two: bool) -> Option<usize> {
+        let holds = |s: &Stream, (from, to): (u64, u64)| s.armed && (from..to).contains(&off);
+        let last = self.table.iter().position(|s| holds(s, (s.start, s.next)));
+        last.or_else(|| two.then(|| self.table.iter().position(|s| holds(s, s.lag[1])))?)
     }
 
     /// Continues stream `slot` at `off` ahead of its reader: no miss, so
     /// the window stays and nobody ages. Returns what [`Self::miss`]
-    /// does; the pull left behind is the one *before* the last, which
-    /// the reader has only just entered.
-    pub fn ahead(&mut self, slot: usize, off: u64) -> (usize, u64, Option<Range<u64>>) {
+    /// does. The pull left behind is the one before the one the reader
+    /// has just entered: the older of the two that lag (`two`), or the
+    /// one before the last.
+    pub fn ahead(&mut self, slot: usize, off: u64, two: bool) -> (usize, u64, Option<Range<u64>>) {
         let s = &mut self.table[slot];
-        let left = s.lag.0..s.lag.1;
-        s.lag = (s.start, s.next);
+        let [older, newer] = s.lag;
+        let left = if two { older } else { newer };
+        s.lag = [if two { newer } else { (0, 0) }, (s.start, s.next)];
         s.start = off;
         s.seen = self.misses;
         s.armed = true;
-        (slot, s.window, Some(left))
+        (slot, s.window, Some(left.0..left.1))
+    }
+
+    /// Stream `slot`'s due window was not pulled: true the first time
+    /// for the window at its `next` (`ahead_skipped` counts windows, not
+    /// the first uses that retry one).
+    pub fn skip(&mut self, slot: usize) -> bool {
+        self.table
+            .get_mut(slot)
+            .is_none_or(|s| s.skipped.replace(s.next) != Some(s.next))
     }
 }
 
@@ -715,33 +747,88 @@ mod tests {
         let mut t = StreamTable::default();
         t.miss(0, PAGE, 8, 8);
         t.table[0].next = 8 * PAGE;
-        assert_eq!(t.due(3 * PAGE), None);
+        assert_eq!(t.due(3 * PAGE, true), None);
         // Nor is one still ramping: 1, 2, 4, then the full window.
-        let mut t = StreamTable::default();
-        let mut at = 0;
-        for _ in 0..3 {
-            at += miss(&mut t, at);
-            assert_eq!(t.due((at - 1) * PAGE), None);
-        }
-        assert_eq!(miss(&mut t, 7), 8);
-        assert_eq!((t.due(8 * PAGE), t.due(15 * PAGE)), (Some(0), None));
-        // The next window goes out ahead; nothing lags yet, and it is
-        // the pull being read that lags from now on.
-        assert_eq!(t.ahead(0, 15 * PAGE), (0, 8, Some(0..0)));
+        let mut t = ramped();
+        assert_eq!(
+            (t.due(8 * PAGE, true), t.due(15 * PAGE, true)),
+            (Some(0), None)
+        );
+        // The next window goes out ahead; nothing lags yet.
+        assert_eq!(t.ahead(0, 15 * PAGE, true), (0, 8, Some(0..0)));
         t.table[0].next = 23 * PAGE;
-        assert_eq!((t.due(9 * PAGE), t.due(15 * PAGE)), (None, Some(0)));
-        assert_eq!(t.ahead(0, 23 * PAGE).2, Some(7 * PAGE..15 * PAGE));
+        // The reader is still in 7..15, now the pull before the last:
+        // its next first use there makes the window after due as well.
+        assert_eq!(
+            (t.due(9 * PAGE, true), t.due(16 * PAGE, true)),
+            (Some(0), Some(0))
+        );
+        assert_eq!(t.ahead(0, 23 * PAGE, true), (0, 8, Some(0..0)));
         t.table[0].next = 31 * PAGE;
-        // A miss inside the reach catches up with the lagging pull.
-        let caught_up = Some(15 * PAGE..31 * PAGE);
-        assert_eq!(t.miss(33 * PAGE, PAGE, 1, 8), (0, 8, caught_up));
-        t.table[0].next = 41 * PAGE;
-        assert_eq!(t.due(34 * PAGE), Some(0));
+        // Two windows in flight: nothing more of 7..15 makes a third
+        // due. Entering 15..23 does, and leaves 7..15 behind.
+        assert_eq!(
+            (t.due(10 * PAGE, true), t.due(16 * PAGE, true)),
+            (None, Some(0))
+        );
+        assert_eq!(t.ahead(0, 31 * PAGE, true).2, Some(7 * PAGE..15 * PAGE));
+        t.table[0].next = 39 * PAGE;
+        // A miss inside the reach catches up from the oldest pull that
+        // lags.
+        let caught_up = Some(15 * PAGE..39 * PAGE);
+        assert_eq!(t.miss(41 * PAGE, PAGE, 1, 8), (0, 8, caught_up));
+        t.table[0].next = 49 * PAGE;
+        assert_eq!(t.due(42 * PAGE, true), Some(0));
         // An idle stream's window halves: it has to fill again first.
         for k in 0..=STREAM_IDLE_MISSES {
             miss(&mut t, 1_000_000 + 100 * k);
         }
-        assert_eq!((t.table[0].window, t.due(34 * PAGE)), (4, None));
+        assert_eq!((t.table[0].window, t.due(42 * PAGE, true)), (4, None));
+    }
+
+    /// A stream ramped 1, 2, 4 to its first full window, `7..15`.
+    fn ramped() -> StreamTable {
+        let mut t = StreamTable::default();
+        let mut at = 0;
+        for _ in 0..3 {
+            at += miss(&mut t, at);
+            assert_eq!(t.due((at - 1) * PAGE, true), None);
+        }
+        assert_eq!(miss(&mut t, 7), 8);
+        t
+    }
+
+    #[test]
+    fn one_window_deep_the_pull_being_read_is_the_one_that_lags() {
+        let mut t = ramped();
+        assert_eq!(t.ahead(0, 15 * PAGE, false), (0, 8, Some(0..0)));
+        t.table[0].next = 23 * PAGE;
+        // Only the last pull makes the next window due, and entering it
+        // leaves the one before.
+        assert_eq!(
+            (t.due(9 * PAGE, false), t.due(15 * PAGE, false)),
+            (None, Some(0))
+        );
+        assert_eq!(t.ahead(0, 23 * PAGE, false).2, Some(7 * PAGE..15 * PAGE));
+        t.table[0].next = 31 * PAGE;
+        let caught_up = Some(15 * PAGE..31 * PAGE);
+        assert_eq!(t.miss(33 * PAGE, PAGE, 1, 8), (0, 8, caught_up));
+    }
+
+    #[test]
+    fn a_due_window_is_counted_skipped_once() {
+        let mut t = ramped();
+        // The first use that found no room, and not the ones that retry.
+        assert!(t.skip(0));
+        assert!(!t.skip(0));
+        assert!(!t.skip(0));
+        // The window goes out at last; the one after it is another.
+        t.ahead(0, 15 * PAGE, true);
+        t.table[0].next = 23 * PAGE;
+        assert!(t.skip(0));
+        assert!(!t.skip(0));
+        // A stream that is gone still counts.
+        assert!(t.skip(3));
     }
 
     #[test]

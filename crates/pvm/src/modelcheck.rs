@@ -34,17 +34,22 @@
 //!    the tail resident at submit — and the checker rejects it with
 //!    "read before arrival".
 //!
-//! 4. **A window nobody asked for** — an ahead window (DESIGN.md §13)
-//!    is model 3's window submitted by an entry that then goes its way:
-//!    no faulter, no mailbox. Its reader reaches the head while it is
-//!    mid-submit, a second toucher wants the tail, the watchdog and the
-//!    destroyer interleave as before, and the mapper has a cap: a
-//!    laundering push holds one of its two slots until it is delivered,
-//!    and a faulter on some other page needs one. Safety: model 3's
-//!    predicates, and a faulter never finds every slot taken while one
-//!    of them is held by readahead. The buggy variant is the ahead
-//!    submit that takes the last slot instead of leaving it, rejected
-//!    with "faulter forced behind readahead".
+//! 4. **Windows nobody asked for** — ahead windows (DESIGN.md §13)
+//!    are model 3's window submitted by entries that then go their way:
+//!    no faulter, no mailbox, and two of them in flight while the
+//!    reader is still in the window before. The reader reaches the
+//!    first one's head while it is mid-submit, a toucher wants the
+//!    second one's tail, the watchdog and the destroyer interleave as
+//!    before, and the mapper has a cap: a laundering push holds one of
+//!    its three slots until it is delivered, and a faulter on some other
+//!    page needs one. Each submit moves the stream on and drops behind
+//!    the older of the two pulls that lag. Safety: model 3's predicates,
+//!    a faulter never finds every slot taken by readahead and pushes,
+//!    and drop-behind never takes the window the reader is in. One
+//!    buggy variant is the ahead submit that takes the last slot
+//!    instead of leaving it, rejected with "faulter forced behind
+//!    readahead"; the other drops the newer lagging pull, rejected with
+//!    "drop-behind took the window being read".
 //!
 //! The checker itself is a plain DFS over `(shared, locals, pcs)`
 //! configurations with memoization and a hard state cap — deliberately
@@ -466,8 +471,13 @@ fn counted_notifier(s: &mut CountedShared, _l: &mut (), pc: usize) -> Outcome {
 // Model 3: a pull window in flight.
 // ---------------------------------------------------------------
 
-/// Pages in the modeled window: the demand page and one tail page.
+/// Pages in a modeled window: the head (a faulter's demand page, or
+/// the first page of an ahead window) and one tail page.
 const WINDOW: usize = 2;
+
+/// Windows in flight at most: model 3 has one, model 4 the two a
+/// stream keeps ahead of its reader.
+const WINDOWS: usize = 2;
 
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
 enum Slot {
@@ -477,13 +487,9 @@ enum Slot {
     Present,
 }
 
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
-struct WindowShared {
-    locked: bool,
-    /// The seeded bug: `fillUp` lands the tail at submit.
-    eager_tail: bool,
-    /// The cache was destroyed.
-    dead: bool,
+/// One window: its pages and its record in the completion engine.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
+struct Window {
     slot: [Slot; WINDOW],
     /// `Some(filled)` while the page is in the engine's parked table.
     parked: [Option<bool>; WINDOW],
@@ -493,125 +499,192 @@ struct WindowShared {
     /// The window's record is in the completion queue (and its parked
     /// pages carry their arrival times).
     queued: bool,
-    /// A faulter is mid-submit, the lock released for the mapper.
+    /// Its submitter is mid-submit, the lock released for the mapper.
     submitting: bool,
-    free_frames: usize,
-    read_early: bool,
-    /// In-flight slots the window's mapper has free (model 4; model 3's
-    /// one window always finds one).
-    slots_free: u8,
-    /// The window in flight holds one of them, and was submitted ahead.
+    /// It holds one of the mapper's slots, and was submitted ahead.
     holds_slot: bool,
     ahead: bool,
+}
+
+/// Model 4's stream names its pulls: 0 for none, this for the one its
+/// reader is in, the next two for the modeled windows 0 and 1.
+const READING: u8 = 1;
+
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+struct WindowShared {
+    locked: bool,
+    /// The seeded bug of model 3: `fillUp` lands the tail at submit.
+    eager_tail: bool,
+    /// The cache was destroyed.
+    dead: bool,
+    win: [Window; WINDOWS],
+    free_frames: usize,
+    read_early: bool,
+    /// In-flight slots the windows' mapper has free (model 3's one
+    /// window always finds one).
+    slots_free: u8,
     /// The seeded bug of model 4: the ahead submit takes the last slot.
     takes_last_slot: bool,
     /// A faulter found no slot while readahead held one.
     forced: bool,
+    /// Model 4's stream: the two pulls before its last, older first,
+    /// and its last (`StreamTable::ahead`). A miss at `READING` set it
+    /// up: nothing lags.
+    lag: [u8; 2],
+    last: u8,
+    /// The seeded bug of model 4: drop-behind takes `lag[1]`.
+    drops_newer: bool,
+    /// The reader has gone on from `READING` to window 0.
+    moved_on: bool,
+    /// Drop-behind took the window the reader is in.
+    dropped_read: bool,
 }
 
 /// Requests the modeled mapper may have in flight.
-const SLOTS: u8 = 2;
+const SLOTS: u8 = 3;
+
+/// A modeled thread's own state: the (window, page) a toucher wants;
+/// the flag of a reaper (destroys) or mapper client (faults); the
+/// window an ahead submitter sends next.
+type Local = (usize, usize);
 
 impl WindowShared {
     fn init(eager_tail: bool) -> Self {
         WindowShared {
             eager_tail,
-            free_frames: WINDOW,
+            free_frames: WINDOW * WINDOWS,
             slots_free: SLOTS,
+            last: READING,
             ..WindowShared::default()
         }
     }
 
     /// Model 4: a laundering push holds one of the mapper's slots.
-    fn init_capped(takes_last_slot: bool) -> Self {
+    fn init_capped(takes_last_slot: bool, drops_newer: bool) -> Self {
         WindowShared {
             takes_last_slot,
+            drops_newer,
             slots_free: SLOTS - 1,
             ..WindowShared::init(false)
         }
     }
 
-    /// A miss, or an ahead submit: stubs and parked entries for the
-    /// window (it stops at a resident page) and a slot of the mapper,
-    /// then the mapper with the lock released.
-    fn submit(&mut self, ahead: bool) {
-        let pages = self.slot.iter().take_while(|&&x| x == Slot::Absent).count();
+    /// A miss, or an ahead submit: stubs and parked entries for window
+    /// `w` (it stops at a resident page) and a slot of the mapper, then
+    /// the mapper with the lock released.
+    fn submit(&mut self, w: usize, ahead: bool) {
+        let win = &mut self.win[w];
+        let pages = win.slot.iter().take_while(|&&x| x == Slot::Absent).count();
         for k in 0..pages {
-            (self.slot[k], self.parked[k]) = (Slot::Stub, Some(false));
+            (win.slot[k], win.parked[k]) = (Slot::Stub, Some(false));
         }
-        self.submitting = true;
+        win.submitting = true;
+        (win.holds_slot, win.ahead) = (true, ahead);
         self.slots_free -= 1;
-        (self.holds_slot, self.ahead) = (true, ahead);
         self.locked = false;
     }
 
-    /// `fillUp`: every page that is still wanted gets a frame.
-    fn fill_up(&mut self) {
+    /// The stream goes on to window `w` ahead of its reader, and drops
+    /// behind the pull before the one the reader is in.
+    fn ahead_of_reader(&mut self, w: usize) {
+        let [older, newer] = self.lag;
+        let left = if self.drops_newer { newer } else { older };
+        self.dropped_read |= left == READING && !self.moved_on;
+        self.lag = [newer, self.last];
+        self.last = READING + 1 + w as u8;
+    }
+
+    /// `fillUp`: every page of window `w` that is still wanted gets a
+    /// frame.
+    fn fill_up(&mut self, w: usize) {
         for k in 0..WINDOW {
-            if self.parked[k] == Some(false) {
+            if self.win[w].parked[k] == Some(false) {
                 self.free_frames -= 1;
                 if self.eager_tail && k > 0 {
-                    self.parked[k] = None;
-                    self.slot[k] = Slot::Present;
+                    self.win[w].parked[k] = None;
+                    self.win[w].slot[k] = Slot::Present;
                 } else {
-                    self.parked[k] = Some(true);
+                    self.win[w].parked[k] = Some(true);
                 }
             }
         }
         self.locked = false;
     }
 
-    /// The window's record leaves the queue, delivered or cancelled:
+    /// Window `w`'s record leaves the queue, delivered or cancelled:
     /// its slot is the mapper's again.
-    fn conclude(&mut self) {
-        self.queued = false;
-        self.slots_free += u8::from(core::mem::take(&mut self.holds_slot));
-        self.ahead = false;
+    fn conclude(&mut self, w: usize) {
+        let win = &mut self.win[w];
+        win.queued = false;
+        self.slots_free += u8::from(core::mem::take(&mut win.holds_slot));
+        win.ahead = false;
     }
 
-    /// Page `k` arrives: a parked page takes its stub's place; one the
-    /// mapper never filled leaves nothing but a cleared stub.
-    fn arrive(&mut self, k: usize) {
-        self.arrived[k] = true;
-        match self.parked[k].take() {
-            Some(true) => self.slot[k] = Slot::Present,
-            Some(false) => self.slot[k] = Slot::Absent,
+    /// Page `k` of window `w` arrives: a parked page takes its stub's
+    /// place; one the mapper never filled leaves nothing but a cleared
+    /// stub.
+    fn arrive(&mut self, w: usize, k: usize) {
+        let win = &mut self.win[w];
+        win.arrived[k] = true;
+        match win.parked[k].take() {
+            Some(true) => win.slot[k] = Slot::Present,
+            Some(false) => win.slot[k] = Slot::Absent,
             None => {}
         }
     }
 
-    /// Gives up every page still parked: frames freed, stubs cleared.
-    fn give_up(&mut self) {
+    /// Delivers window `w` whole, as a wait for its completion does.
+    fn deliver(&mut self, w: usize) {
+        (0..WINDOW).for_each(|k| self.arrive(w, k));
+        self.conclude(w);
+    }
+
+    /// Gives up every page of window `w` still parked: frames freed,
+    /// stubs cleared.
+    fn give_up(&mut self, w: usize) {
         for k in 0..WINDOW {
-            if let Some(filled) = self.parked[k].take() {
+            if let Some(filled) = self.win[w].parked[k].take() {
                 self.free_frames += usize::from(filled);
-                self.slot[k] = Slot::Absent;
+                self.win[w].slot[k] = Slot::Absent;
             }
         }
     }
 }
 
 fn window_violation(s: &WindowShared) -> Option<&'static str> {
-    let resident = s.slot.iter().filter(|&&x| x == Slot::Present).count();
-    let parked = s.parked.iter().filter(|&&p| p == Some(true)).count();
+    let pages = |of: fn(&Window, usize) -> bool| {
+        s.win
+            .iter()
+            .map(|w| (0..WINDOW).filter(|&k| of(w, k)).count())
+            .sum::<usize>()
+    };
+    let resident = pages(|w, k| w.slot[k] == Slot::Present);
+    let parked = pages(|w, k| w.parked[k] == Some(true));
     if s.read_early {
         Some("read before arrival")
     } else if s.forced {
         Some("faulter forced behind readahead")
-    } else if s.free_frames + resident + parked != WINDOW {
+    } else if s.dropped_read {
+        Some("drop-behind took the window being read")
+    } else if s.free_frames + resident + parked != WINDOW * WINDOWS {
         Some("frame leaked")
-    } else if (0..WINDOW).any(|k| (s.slot[k] == Slot::Stub) != s.parked[k].is_some()) {
+    } else if pages(|w, k| (w.slot[k] == Slot::Stub) != w.parked[k].is_some()) > 0 {
         Some("a stub and its parked page parted")
-    } else if !s.locked && !s.submitting && !s.queued && s.parked != [None; WINDOW] {
+    } else if !s.locked
+        && s.win
+            .iter()
+            .any(|w| !w.submitting && !w.queued && w.parked != [None; WINDOW])
+    {
         Some("a parked page nothing will deliver")
     } else {
         None
     }
 }
 
-/// A thread that wants page `*page`: a faulter on the demand page (two
-/// of them race for the submit) or a toucher of the tail.
-fn window_toucher(s: &mut WindowShared, page: &mut usize, pc: usize) -> Outcome {
+/// A thread that wants page `k` of window `w`: a faulter on the head
+/// (two of them race for the submit), a toucher of a tail, or model 4's
+/// reader going on to the head of the first window ahead of it.
+fn window_toucher(s: &mut WindowShared, &mut (w, k): &mut Local, pc: usize) -> Outcome {
     match pc {
         // Lock (also the mapper's `fillUp` re-locking, pc 2, and the
         // submitter re-locking after the protocol, pc 4).
@@ -623,67 +696,70 @@ fn window_toucher(s: &mut WindowShared, page: &mut usize, pc: usize) -> Outcome 
             Outcome::Next
         }
         // One attempt, under the lock.
-        1 => match s.slot[*page] {
-            _ if s.dead => {
-                s.locked = false;
-                Outcome::Done
+        1 => {
+            s.moved_on |= (w, k) == (0, 0);
+            let win = s.win[w];
+            match win.slot[k] {
+                _ if s.dead => {
+                    s.locked = false;
+                    Outcome::Done
+                }
+                Slot::Present => {
+                    s.read_early |= !win.arrived[k];
+                    s.locked = false;
+                    Outcome::Done
+                }
+                // The page is parked and its arrival known: wait for
+                // that, and no further. One the mapper never filled waits
+                // for the window's completion, which lands what is left;
+                // with the window's faulter mid-submit, a bounded sleep.
+                Slot::Stub if win.queued && win.parked[k] == Some(true) => {
+                    s.arrive(w, k);
+                    Outcome::Goto(1)
+                }
+                Slot::Stub if win.queued => {
+                    s.deliver(w);
+                    Outcome::Goto(1)
+                }
+                Slot::Stub => {
+                    s.locked = false;
+                    Outcome::Goto(0)
+                }
+                // A miss on the head: stubs and parked entries for the
+                // window, then the mapper with the lock released. (A miss
+                // on the tail would be a window of its own.) Over the
+                // mapper's cap it waits for a delivery first.
+                Slot::Absent if k == 0 && !win.submitting && s.slots_free == 0 => {
+                    s.locked = false;
+                    Outcome::Goto(0)
+                }
+                Slot::Absent if k == 0 && !win.submitting => {
+                    s.submit(w, false);
+                    Outcome::Next
+                }
+                Slot::Absent => {
+                    s.locked = false;
+                    Outcome::Done
+                }
             }
-            Slot::Present => {
-                s.read_early |= !s.arrived[*page];
-                s.locked = false;
-                Outcome::Done
-            }
-            // The page is parked and its arrival known: wait for that,
-            // and no further. One the mapper never filled waits for the
-            // window's completion, which lands what is left; with the
-            // window's faulter mid-submit, a bounded sleep.
-            Slot::Stub if s.queued && s.parked[*page] == Some(true) => {
-                s.arrive(*page);
-                Outcome::Goto(1)
-            }
-            Slot::Stub if s.queued => {
-                (0..WINDOW).for_each(|k| s.arrive(k));
-                s.conclude();
-                Outcome::Goto(1)
-            }
-            Slot::Stub => {
-                s.locked = false;
-                Outcome::Goto(0)
-            }
-            // A miss on the demand page: stubs and parked entries for
-            // the window, then the mapper with the lock released. (A
-            // miss on the tail would be a window of its own.) Over the
-            // mapper's cap it waits for a delivery first.
-            Slot::Absent if *page == 0 && !s.submitting && s.slots_free == 0 => {
-                s.locked = false;
-                Outcome::Goto(0)
-            }
-            Slot::Absent if *page == 0 && !s.submitting => {
-                s.submit(false);
-                Outcome::Next
-            }
-            Slot::Absent => {
-                s.locked = false;
-                Outcome::Done
-            }
-        },
+        }
         3 => {
-            s.fill_up();
+            s.fill_up(w);
             Outcome::Next
         }
         // The record is queued; the attempt goes on under the lock.
         5 => {
-            s.queued = true;
-            s.submitting = false;
+            s.win[w].queued = true;
+            s.win[w].submitting = false;
             Outcome::Goto(1)
         }
         _ => unreachable!(),
     }
 }
 
-/// The watchdog (`destroy` false) cancels the queued window; the cache
+/// The watchdog (`destroy` 0) cancels the queued windows; the cache
 /// destroyer frees everything the cache has, in flight or resident.
-fn window_reaper(s: &mut WindowShared, destroy: &mut usize, pc: usize) -> Outcome {
+fn window_reaper(s: &mut WindowShared, &mut (destroy, _): &mut Local, pc: usize) -> Outcome {
     if pc == 0 {
         if s.locked {
             return Outcome::Block;
@@ -691,30 +767,34 @@ fn window_reaper(s: &mut WindowShared, destroy: &mut usize, pc: usize) -> Outcom
         s.locked = true;
         return Outcome::Next;
     }
-    if *destroy == 1 {
-        s.dead = true;
-        s.give_up();
-        for slot in &mut s.slot {
-            if core::mem::replace(slot, Slot::Absent) == Slot::Present {
-                s.free_frames += 1;
+    for w in 0..WINDOWS {
+        if destroy == 1 {
+            s.dead = true;
+            s.give_up(w);
+            for slot in &mut s.win[w].slot {
+                if core::mem::replace(slot, Slot::Absent) == Slot::Present {
+                    s.free_frames += 1;
+                }
             }
+        } else if s.win[w].queued {
+            s.conclude(w);
+            s.give_up(w);
         }
-    } else if s.queued {
-        s.conclude();
-        s.give_up();
     }
     s.locked = false;
     Outcome::Done
 }
 
 // ---------------------------------------------------------------
-// Model 4: an ahead window, and the mapper's last slot.
+// Model 4: two ahead windows, drop-behind, and the mapper's last slot.
 // ---------------------------------------------------------------
 
-/// The light entry that finds the stream's next window due: it submits
-/// the window if the mapper has two slots free (one, with the seeded
-/// bug), queues it and goes its way.
-fn ahead_submitter(s: &mut WindowShared, _l: &mut usize, pc: usize) -> Outcome {
+/// The entries that find the stream's next windows due, one after the
+/// other (`*w`: the window this one sends): each submits its window if
+/// the mapper has two slots free (one, with the seeded bug), queues it
+/// and goes its way; one that finds no room ends the run. Going on to
+/// a window drops the stream's pull behind the reader's.
+fn ahead_submitter(s: &mut WindowShared, (w, _): &mut Local, pc: usize) -> Outcome {
     match pc {
         0 | 2 | 4 => {
             if s.locked {
@@ -725,32 +805,38 @@ fn ahead_submitter(s: &mut WindowShared, _l: &mut usize, pc: usize) -> Outcome {
         }
         1 => {
             let need = if s.takes_last_slot { 1 } else { 2 };
-            if s.dead || s.slot != [Slot::Absent; WINDOW] || s.slots_free < need {
+            if s.dead || s.win[*w].slot != [Slot::Absent; WINDOW] || s.slots_free < need {
                 s.locked = false;
                 return Outcome::Done;
             }
-            s.submit(true);
+            s.ahead_of_reader(*w);
+            s.submit(*w, true);
             Outcome::Next
         }
         3 => {
-            s.fill_up();
+            s.fill_up(*w);
             Outcome::Next
         }
         5 => {
-            s.queued = true;
-            s.submitting = false;
+            s.win[*w].queued = true;
+            s.win[*w].submitting = false;
             s.locked = false;
-            Outcome::Done
+            *w += 1;
+            if *w == WINDOWS {
+                Outcome::Done
+            } else {
+                Outcome::Goto(0)
+            }
         }
         _ => unreachable!(),
     }
 }
 
-/// The rest of the mapper's traffic. The laundering push (`faulter` 0)
-/// is delivered and gives its slot back. The faulter on another page
-/// takes a slot for its pull and gives it back at delivery; finding
-/// none, it forces the earliest completion, as `perform` does.
-fn mapper_client(s: &mut WindowShared, faulter: &mut usize, pc: usize) -> Outcome {
+/// The rest of the mapper's traffic. The laundering push (`faulter`
+/// 0) is delivered and gives its slot back. The faulter on another
+/// page takes a slot for its pull and gives it back at delivery;
+/// finding none, it forces the earliest completion, as `perform` does.
+fn mapper_client(s: &mut WindowShared, &mut (faulter, _): &mut Local, pc: usize) -> Outcome {
     match pc {
         0 | 2 => {
             if s.locked {
@@ -759,16 +845,17 @@ fn mapper_client(s: &mut WindowShared, faulter: &mut usize, pc: usize) -> Outcom
             s.locked = true;
             Outcome::Next
         }
-        1 if *faulter == 1 && s.slots_free == 0 => {
-            s.forced |= s.ahead;
-            if s.queued {
-                (0..WINDOW).for_each(|k| s.arrive(k));
-                s.conclude();
+        1 if faulter == 1 && s.slots_free == 0 => {
+            // Readahead took the last slot, unless another faulter did.
+            let held = |ahead| s.win.iter().any(|w| w.holds_slot && w.ahead == ahead);
+            s.forced |= held(true) && !held(false);
+            if let Some(w) = (0..WINDOWS).find(|&w| s.win[w].queued) {
+                s.deliver(w);
             }
             s.locked = false;
             Outcome::Goto(0)
         }
-        1 if *faulter == 1 => {
+        1 if faulter == 1 => {
             s.slots_free -= 1;
             s.locked = false;
             Outcome::Next
@@ -786,40 +873,52 @@ fn mapper_client(s: &mut WindowShared, faulter: &mut usize, pc: usize) -> Outcom
 mod tests {
     use super::*;
 
-    fn window_threads() -> Vec<ThreadModel<WindowShared, usize>> {
+    fn window_threads() -> Vec<ThreadModel<WindowShared, Local>> {
         let thread = |name, local, step| ThreadModel { name, local, step };
         vec![
-            thread("faulter", 0, window_toucher as fn(&mut _, &mut _, _) -> _),
-            thread("second", 0, window_toucher),
-            thread("toucher", 1, window_toucher),
-            thread("watchdog", 0, window_reaper),
-            thread("destroyer", 1, window_reaper),
+            thread(
+                "faulter",
+                (0, 0),
+                window_toucher as fn(&mut _, &mut _, _) -> _,
+            ),
+            thread("second", (0, 0), window_toucher),
+            thread("toucher", (0, 1), window_toucher),
+            thread("watchdog", (0, 0), window_reaper),
+            thread("destroyer", (1, 0), window_reaper),
         ]
     }
 
-    fn ahead_threads() -> Vec<ThreadModel<WindowShared, usize>> {
+    /// The reader goes on to the head of the first window ahead; the
+    /// toucher wants the tail of the second.
+    fn ahead_threads() -> Vec<ThreadModel<WindowShared, Local>> {
         let thread = |name, local, step| ThreadModel { name, local, step };
         vec![
-            thread("ahead", 0, ahead_submitter as fn(&mut _, &mut _, _) -> _),
-            thread("reader", 0, window_toucher),
-            thread("toucher", 1, window_toucher),
-            thread("watchdog", 0, window_reaper),
-            thread("destroyer", 1, window_reaper),
-            thread("push", 0, mapper_client),
-            thread("faulter", 1, mapper_client),
+            thread(
+                "ahead",
+                (0, 0),
+                ahead_submitter as fn(&mut _, &mut _, _) -> _,
+            ),
+            thread("reader", (0, 0), window_toucher),
+            thread("toucher", (1, 1), window_toucher),
+            thread("watchdog", (0, 0), window_reaper),
+            thread("destroyer", (1, 0), window_reaper),
+            thread("push", (0, 0), mapper_client),
+            thread("faulter", (1, 0), mapper_client),
         ]
     }
 
     #[test]
     fn an_ahead_window_leaves_the_mappers_last_slot_to_a_faulter() {
         let report = explore(
-            WindowShared::init_capped(false),
+            WindowShared::init_capped(false, false),
             ahead_threads(),
             window_violation,
         )
-        .expect("a window with no faulter is as safe as one with, and never in a faulter's way");
+        .expect(
+            "two windows with no faulter are as safe as one with, and never in a faulter's way",
+        );
         assert!(
-            report.states > 1000,
+            report.states > 5000,
             "model vacuously small: {}",
             report.states
         );
@@ -828,12 +927,26 @@ mod tests {
     #[test]
     fn an_ahead_submit_that_takes_the_last_slot_forces_a_faulter() {
         let err = explore(
-            WindowShared::init_capped(true),
+            WindowShared::init_capped(true, false),
             ahead_threads(),
             window_violation,
         )
         .expect_err("the last slot taken by readahead must be caught");
         assert!(err.contains("faulter forced behind readahead"), "{err}");
+    }
+
+    #[test]
+    fn drop_behind_that_takes_the_newer_lagging_pull_takes_the_window_being_read() {
+        let err = explore(
+            WindowShared::init_capped(false, true),
+            ahead_threads(),
+            window_violation,
+        )
+        .expect_err("dropping the reader's own window must be caught");
+        assert!(
+            err.contains("drop-behind took the window being read"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -193,6 +193,12 @@ impl Replacement {
         self.clock.ring.remove(key);
     }
 
+    /// A page its stream has read and left: the hand's next candidate
+    /// (see `ClockRing::next_up`).
+    pub fn next_up(&mut self, key: PageKey) {
+        self.clock.ring.next_up(key);
+    }
+
     /// A laundering push finished for the page (it is clean now).
     pub fn cleaned(&mut self, key: PageKey) {
         // Under the advisor the clock does not hear of a laundered

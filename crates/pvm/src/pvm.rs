@@ -239,7 +239,13 @@ impl Pvm {
                     self.submit_pull(guard, cache, req)
                 }
                 None => {
-                    guard.stats.bump(Counter::AheadSkipped);
+                    if guard
+                        .caches
+                        .get_mut(cache)
+                        .is_none_or(|c| c.streams.skip(slot))
+                    {
+                        guard.stats.bump(Counter::AheadSkipped);
+                    }
                     guard
                 }
             };

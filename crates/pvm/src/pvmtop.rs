@@ -181,6 +181,10 @@ pub struct PvmTop {
     pub state_lock_contended: u64,
     /// The policy engine's identity and decision counters.
     pub policy: PolicyHeat,
+    /// Windows a full-window stream keeps in flight ahead of its reader:
+    /// two where they and the one being read stay under a quarter of
+    /// the pool, else one.
+    pub ahead_depth: u64,
 }
 
 impl PvmTop {
@@ -320,6 +324,7 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
         state_lock_acqs: state.stats.get(C::StateLockAcqs),
         state_lock_contended: state.stats.get(C::StateLockContended),
         policy,
+        ahead_depth: 1 + u64::from(state.two_ahead()),
     }
 }
 
@@ -357,8 +362,9 @@ pub fn render(top: &PvmTop, n: usize) -> String {
         pol.drop_behind_pages,
     ));
     out.push_str(&format!(
-        "        readahead: {} windows pulled ahead of their reader, {} due and skipped\n",
-        s.ahead_pulls, s.ahead_skipped,
+        "        readahead: depth {}, {} windows pulled ahead of their reader, \
+         {} due and skipped\n",
+        top.ahead_depth, s.ahead_pulls, s.ahead_skipped,
     ));
 
     out.push_str(&format!(
@@ -495,12 +501,13 @@ mod tests {
                 second_chances: 7,
                 drop_behind_pages: 5,
             },
+            ahead_depth: 2,
         };
         let text = render(&top, 2);
         assert!(text.contains("pvmtop  sim=42 ns"));
         assert!(text.contains("policy: clock  victims 2/3 req"));
         assert!(text.contains("fallbacks 0  second chances 7  drop-behind 5"));
-        assert!(text.contains("readahead: 6 windows pulled ahead of their reader, 2 due"));
+        assert!(text.contains("readahead: depth 2, 6 windows pulled ahead of their reader, 2 due"));
         assert!(text.contains("PVICT"));
         assert!(text.contains("... 1 more caches"));
         assert!(text.contains("lock heat (contended/acqs): state 3/12\n"));

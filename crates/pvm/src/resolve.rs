@@ -171,6 +171,13 @@ impl PvmState {
         (pages > 0).then(|| self.place_window(cache, segment, off, pages, Access::Read))
     }
 
+    /// Whether a full-window stream keeps its next two windows in flight
+    /// while it reads one, rather than one: only where the three stay
+    /// under a quarter of the pool, the bound `size_pull` puts on one.
+    pub fn two_ahead(&self) -> bool {
+        3 * IPC_MESSAGE_PAGES * 4 < u64::from(self.phys.total_frames())
+    }
+
     /// Sizes the `pullIn` run for a miss of `cache` at `off`, in pages
     /// (`ahead`: for stream `ahead` continued before its reader missed).
     ///
@@ -202,12 +209,13 @@ impl PvmState {
         while cap * 2 <= IPC_MESSAGE_PAGES && cap * 8 < frames {
             cap *= 2;
         }
+        let two = self.two_ahead();
         let desc = self.cache_mut(cache)?;
         // A fully-backed cache owns *every* offset: until the segment's
         // length is known nothing bounds a window the mapper never
         // asked for, so the stream table is not consulted at all.
         let stream = match ahead {
-            Some(slot) => Some(desc.streams.ahead(slot, off)),
+            Some(slot) => Some(desc.streams.ahead(slot, off, two)),
             None => (!desc.fully_backed || desc.seg_len.is_some())
                 .then(|| desc.streams.miss(off, ps, floor, cap)),
         };
@@ -229,7 +237,10 @@ impl PvmState {
         }
         if let Some((slot, before, _)) = stream {
             let s = &mut self.cache_mut(cache)?.streams.table[slot];
-            s.next = off + pages * ps;
+            // A pull driven again behind the last leaves `next` alone.
+            if s.start == off {
+                s.next = off + pages * ps;
+            }
             let ramped = s.window > before;
             if before > 0 {
                 self.stats.bump(Counter::ReadaheadHits);
@@ -248,6 +259,10 @@ impl PvmState {
     /// first-pass victim unless somebody touches it again; without this
     /// every scan page takes two passes and the hand revolves twice as
     /// fast, past hot pages that had no time to be used again.
+    ///
+    /// A page the stream has read is also put just ahead of the hand
+    /// (`next_up`), to go before any the hand would have to clear; an
+    /// unread readahead page keeps its place (DESIGN.md §13).
     fn drop_behind(&mut self, cache: CacheKey, left: Range<u64>) {
         let Some(desc) = self.caches.get(cache) else {
             return;
@@ -258,6 +273,9 @@ impl PvmState {
                 let page = self.pages.get_mut(p).expect("dangling page key");
                 dropped +=
                     u64::from(page.take_reference(&self.contexts, &mut *self.mmu, &self.model));
+                if !page.prefetched {
+                    self.policy.next_up(p);
+                }
             }
         }
         self.stats.add(Counter::DropBehindPages, dropped);

@@ -336,14 +336,16 @@ impl PvmState {
     /// A use of page `k`, mapped or read through its cache: the software
     /// half of its reference, and the end of its being a prefetch an
     /// eviction would count as wasted. The first use of a readahead page
-    /// of the pull a full-window stream is reading makes that stream's
-    /// next window due.
+    /// of the pull a full-window stream is reading (its last, or the one
+    /// before: [`PvmState::two_ahead`]) makes that stream's next window
+    /// due.
     pub fn note_use(&mut self, k: PageKey) {
+        let two = self.two_ahead();
         let page = self.page_mut(k);
         page.ref_bit = true;
         if core::mem::take(&mut page.prefetched) {
             let (cache, off) = (page.cache, page.offset);
-            if let Some(slot) = self.caches.get(cache).and_then(|c| c.streams.due(off)) {
+            if let Some(slot) = self.caches.get(cache).and_then(|c| c.streams.due(off, two)) {
                 self.ahead_due = Some((cache, slot));
             }
         }

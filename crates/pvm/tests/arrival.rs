@@ -479,10 +479,43 @@ fn a_ramped_sequential_reader_never_waits_for_a_round_trip_again() {
 }
 
 #[test]
+fn the_reader_of_a_window_has_the_next_two_in_flight_and_never_a_third() {
+    for mmu in MMUS {
+        let (pvm, mgr, _) = streamed(mmu, 0, RetryPolicy::default());
+        let (ctx, _) = map_pages(&pvm, &mgr, STREAM_PAGES);
+        let mut reach = 0;
+        for p in 0..STREAM_PAGES {
+            touch(&pvm, ctx, p);
+            pvm.cost_model().advance_ns(THINK);
+            reach = pulls(&mgr)
+                .iter()
+                .map(|&(at, n)| at + n)
+                .fold(reach, u64::max);
+            // From the second first use of the first full window (7..15)
+            // on, the window being read ends at `end` and two more are
+            // out; the file's end stops them.
+            if p >= 9 {
+                let end = 7 + (p - 7) / WINDOW * WINDOW + WINDOW;
+                let want = (end + 2 * WINDOW).min(STREAM_PAGES);
+                assert_eq!(reach, want, "{mmu:?}: page {p}");
+            }
+        }
+        pvm.drain_upcalls();
+        let stats = pvm.stats();
+        // (15, 8) .. (55, 8) went out ahead; the window due at the
+        // file's end was counted skipped once.
+        assert_eq!((stats.ahead_pulls, stats.ahead_skipped), (6, 1));
+        assert_eq!(stats.readahead_unused, 0);
+        pvm.check_invariants();
+    }
+}
+
+#[test]
 fn a_failed_ahead_window_fails_nobody() {
     for mmu in MMUS {
-        // Transient: the window is given up, and its reader pulls it
-        // again when it gets there.
+        // Transient: the window is given up while the one after it goes
+        // on, and its reader pulls it again when it gets there, as its
+        // stream's window.
         let (pvm, mgr, _) = streamed(mmu, 0, RetryPolicy::no_retry());
         let (ctx, _) = map_pages(&pvm, &mgr, STREAM_PAGES);
         stream(&pvm, ctx, 0..8);
@@ -490,16 +523,20 @@ fn a_failed_ahead_window_fails_nobody() {
         pulls(&mgr);
         mgr.fail_next_pull();
         let waits = stream(&pvm, ctx, 8..23);
-        assert_eq!(pulls(&mgr), [(15, 8), (15, 8), (23, 8)], "{mmu:?}");
+        // Page 8 sends (15, 8) out, which fails, and page 9 (23, 8); the
+        // miss at 15 pulls its window again, and page 16, the first use
+        // of it, sends (31, 8).
+        let expect = [(15, 8), (23, 8), (15, 8), (31, 8)];
+        assert_eq!(pulls(&mgr), expect, "{mmu:?}");
         let missed: Vec<_> = waits.iter().map(|&w| w == MISS).collect();
         assert_eq!(missed.iter().filter(|&&m| m).count(), 1, "{waits:?}");
         assert!(missed[15 - 8], "page 15 is a miss again: {waits:?}");
         pvm.drain_upcalls();
         let stats = pvm.stats();
         assert_eq!(stats.async_deliveries, stats.async_submits);
-        assert_eq!((stats.ahead_pulls, stats.quarantined_caches), (2, 0));
+        assert_eq!((stats.ahead_pulls, stats.quarantined_caches), (3, 0));
         assert_eq!(pvm.waiting_faulters(), 0, "no mailbox was ever opened");
-        assert_eq!(pvm.free_frames(), free - 16, "{mmu:?}");
+        assert_eq!(pvm.free_frames(), free - 24, "{mmu:?}");
         pvm.check_invariants();
 
         // Permanent: the mapper delivers three pages and dies. The
@@ -544,14 +581,22 @@ fn teardown_with_an_ahead_window_in_flight_leaves_no_frame_behind() {
         let (ctx, cache) = map_pages(&pvm, &mgr, STREAM_PAGES);
         let model = pvm.cost_model();
         // The ramp, each window given the time to land whole; page 8
-        // then sends (15, 8) out with nobody waiting on it.
-        let ramp_then_ahead = || {
+        // then sends (15, 8) out with nobody waiting on it, and page 9
+        // (for `two`) the window after it.
+        let ramp_then_ahead = |two: bool| {
             for p in 0..8 {
                 touch(&pvm, ctx, p);
                 model.advance_ns(IPC + WINDOW * SEG);
             }
             touch(&pvm, ctx, 8);
-            assert_eq!(pulls(&mgr).last(), Some(&(15, WINDOW)), "{mmu:?}");
+            let mut ahead = vec![(15, WINDOW)];
+            if two {
+                touch(&pvm, ctx, 9);
+                ahead.push((23, WINDOW));
+            }
+            assert!(pulls(&mgr).ends_with(&ahead), "{mmu:?}");
+            let parked = 15 + ahead.len() as u32 * WINDOW as u32;
+            assert_eq!(pvm.free_frames(), 128 - parked, "parked frames");
         };
         let drained = || {
             pvm.drain_upcalls();
@@ -560,8 +605,7 @@ fn teardown_with_an_ahead_window_in_flight_leaves_no_frame_behind() {
             assert_eq!(pvm.waiting_faulters(), 0);
             pvm.check_invariants();
         };
-        ramp_then_ahead();
-        assert_eq!(pvm.free_frames(), 128 - 15 - WINDOW as u32, "parked frames");
+        ramp_then_ahead(false);
 
         // The watchdog: at the deadline pages 15 and 16 have arrived and
         // land, the other six are given up.
@@ -571,17 +615,17 @@ fn teardown_with_an_ahead_window_in_flight_leaves_no_frame_behind() {
         assert_eq!(pvm.free_frames(), 128 - 17, "{mmu:?}");
         drained();
 
-        // Invalidate waits the window out, then frees what it brought.
+        // Invalidate waits the windows out, then frees what they brought.
         pvm.cache_invalidate(cache, 0, STREAM_PAGES * PS).unwrap();
         assert_eq!(pvm.free_frames(), 128, "{mmu:?}");
-        ramp_then_ahead();
+        ramp_then_ahead(true);
         pvm.cache_invalidate(cache, 0, STREAM_PAGES * PS).unwrap();
         assert_eq!(pvm.free_frames(), 128, "{mmu:?}");
         drained();
 
-        // Destroy gives up what has not arrived; the window stays queued
-        // and finds nothing to land.
-        ramp_then_ahead();
+        // Destroy gives up what has not arrived; the windows stay queued
+        // and find nothing to land.
+        ramp_then_ahead(true);
         let region = pvm.find_region(ctx, VirtAddr(BASE)).unwrap();
         pvm.region_destroy(region).unwrap();
         pvm.cache_destroy(cache).unwrap();

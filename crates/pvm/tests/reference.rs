@@ -378,9 +378,10 @@ fn the_window_a_stream_has_left_is_the_next_victim() {
         "a re-driven pull drops nothing"
     );
     // 4 bystanders + 15 stream pages resident, 21 frames free. 27
-    // fresh pages need six victims: the hand starts at the bystanders,
-    // gives each its second chance, and takes what the stream left
-    // behind, except the page somebody came back to.
+    // fresh pages need six victims. Drop-behind put what the stream
+    // left just ahead of the hand, which meets it before the
+    // bystanders: it takes those pages, except the one somebody came
+    // back to, and never reaches a bystander.
     evictions(&pvm);
     for p in 0..27 {
         read_page(&pvm, ctx, FRESH, p);
@@ -388,7 +389,7 @@ fn the_window_a_stream_has_left_is_the_next_victim() {
     let left = [0, 1, 2, 3, 5, 6].map(|p| (stream, p));
     assert_eq!(evictions(&pvm), left);
     let stats = pvm.stats();
-    assert_eq!(stats.ref_second_chances, 5, "four bystanders and page 4");
+    assert_eq!(stats.ref_second_chances, 1, "page 4 alone");
     assert_eq!(stats.readahead_unused, 0);
     // The bystanders and page 4 are all still there.
     mgr.take_log();
@@ -400,21 +401,80 @@ fn the_window_a_stream_has_left_is_the_next_victim() {
     pvm.check_invariants();
 }
 
+/// A 32-frame pool whose ring is, from the hand on: stream pages 0 and
+/// 1 (read, then left), four referenced fresh pages, stream page 2 (a
+/// readahead page nobody read, dropped behind when the reader skipped
+/// page 3), pages 4..=7 of the stream's last window, then 21 more
+/// referenced fresh pages: full. Returns the stream's cache.
+fn left_behind() -> (Arc<Pvm>, CtxId, CacheId) {
+    let (pvm, mgr) = world(32);
+    let ctx = pvm.context_create().unwrap();
+    let stream = map_swapped(&pvm, ctx, 0x91, 8, SCAN);
+    map_fresh(&pvm, ctx, 64, FRESH);
+    pvm.context_switch(ctx).unwrap();
+    for p in 0..4 {
+        read_page(&pvm, ctx, FRESH, p);
+    }
+    mgr.take_log();
+    for p in [0, 1, 4] {
+        assert_eq!(read_page(&pvm, ctx, SCAN, p), page_bytes(0x91, p));
+    }
+    assert_eq!(pulls(&mgr, None), [(0, 1), (1, 2), (4, 4)]);
+    assert_eq!(pvm.stats().drop_behind_pages, 3, "pages 0, 1 and 2");
+    for p in 4..25 {
+        read_page(&pvm, ctx, FRESH, p);
+    }
+    assert_eq!(pvm.free_frames(), 0);
+    evictions(&pvm);
+    (pvm, ctx, stream)
+}
+
+#[test]
+fn a_page_the_stream_has_read_and_left_goes_before_one_the_hand_would_clear() {
+    let (pvm, ctx, stream) = left_behind();
+    // The hand started at fresh page 0, referenced: without drop-behind
+    // it would have cleared the four fresh pages before the stream's.
+    read_page(&pvm, ctx, FRESH, 25);
+    read_page(&pvm, ctx, FRESH, 26);
+    assert_eq!(evictions(&pvm), [(stream, 0), (stream, 1)]);
+    assert_eq!(pvm.stats().ref_second_chances, 0);
+    pvm.check_invariants();
+}
+
+#[test]
+fn an_unread_readahead_page_dropped_behind_keeps_its_place() {
+    let (pvm, ctx, stream) = left_behind();
+    for p in 25..28 {
+        read_page(&pvm, ctx, FRESH, p);
+    }
+    // Page 2 lost its reference with the pages read before it, but not
+    // its place: the hand reaches it after the four fresh pages ahead
+    // of it, and gives each its second chance on the way.
+    assert_eq!(evictions(&pvm), [(stream, 0), (stream, 1), (stream, 2)]);
+    let stats = pvm.stats();
+    assert_eq!((stats.ref_second_chances, stats.readahead_unused), (4, 1));
+    pvm.check_invariants();
+}
+
 #[test]
 fn small_pools_scan_as_before() {
-    // Too small for a window of more than one page: a scan pulls every
-    // page once per pass, one at a time, whatever is dropped behind it.
+    // Too small for a window of more than one page: a scan pulls a page
+    // at a time, as before there were streams. Each page it leaves is
+    // the next victim, so the last page of the first pass, which no
+    // miss dropped behind, is still resident when the second comes
+    // round to it.
     for frames in [2u32, 4, 8] {
         let (pvm, mgr) = world(frames);
         let ctx = pvm.context_create().unwrap();
         map_swapped(&pvm, ctx, 0x81, 24, SCAN);
         pvm.context_switch(ctx).unwrap();
         mgr.take_log();
-        for _pass in 0..2 {
+        for pass in 0..2 {
             for p in 0..24 {
                 assert_eq!(read_page(&pvm, ctx, SCAN, p), page_bytes(0x81, p));
             }
-            let expect: Vec<(u64, u64)> = (0..24).map(|p| (p, 1)).collect();
+            let pages = if pass == 0 { 24 } else { 23 };
+            let expect: Vec<(u64, u64)> = (0..pages).map(|p| (p, 1)).collect();
             assert_eq!(pulls(&mgr, None), expect, "{frames} frames");
         }
         let stats = pvm.stats();

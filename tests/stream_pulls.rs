@@ -160,21 +160,23 @@ fn drop_behind_lags_one_window_behind_an_ahead_pull_and_a_miss_catches_up() {
         read_page(&s, ctx, 0, p);
     }
     assert_eq!(dropped(), 1 + 2 + 4, "the misses at 1, 3 and 7");
-    // Page 8 sends (15, 8) out: the reader has only just entered 7..15.
+    // Pages 8 and 9 send (15, 8) and (23, 8) out: the reader has only
+    // just entered 7..15.
     read_page(&s, ctx, 0, 8);
+    read_page(&s, ctx, 0, 9);
     assert_eq!(dropped(), 7, "the window being read keeps its reference");
-    for p in 9..16 {
+    for p in 10..16 {
         read_page(&s, ctx, 0, p);
     }
-    assert_eq!(dropped(), 7 + 8, "page 15 sent (23, 8) out: 7..15 is left");
+    assert_eq!(dropped(), 7 + 8, "page 15 sent (31, 8) out: 7..15 is left");
     for p in 16..24 {
         read_page(&s, ctx, 0, p);
     }
-    assert_eq!(dropped(), 15 + 8, "page 23 sent (31, 8) out: 15..23");
+    assert_eq!(dropped(), 15 + 8, "page 23 sent (39, 8) out: 15..23");
     // The reader jumps, still inside the stream's reach: a miss, and
-    // both windows it has not been dropped from go at once.
-    read_page(&s, ctx, 0, 40);
-    assert_eq!(dropped(), 23 + 16, "23..39, caught up");
+    // the three windows it has not been dropped from go at once.
+    read_page(&s, ctx, 0, 48);
+    assert_eq!(dropped(), 23 + 24, "23..47, caught up");
     assert_eq!(
         s.upcalls(UpcallKind::PullIn),
         [
@@ -185,10 +187,34 @@ fn drop_behind_lags_one_window_behind_an_ahead_pull_and_a_miss_catches_up() {
             (15, 8),
             (23, 8),
             (31, 8),
-            (40, 8)
+            (39, 8),
+            (48, 8)
         ]
     );
-    assert_eq!(s.pvm.stats().ahead_pulls, 3);
+    assert_eq!(s.pvm.stats().ahead_pulls, 4);
+}
+
+#[test]
+fn two_windows_go_ahead_only_where_three_stay_under_a_quarter_of_the_pool() {
+    // The window being read and two ahead are 24 pages: 96 frames is
+    // too small a pool for them, and keeps one window ahead.
+    for (frames, ahead) in [(64u32, 1u64), (96, 1), (97, 2)] {
+        let s = quiet(frames);
+        let (ctx, _) = map_file(&s, 0x1f, 63, 0, Prot::READ);
+        let mut reach = 0;
+        for p in 0..63 {
+            assert_eq!(read_page(&s, ctx, 0, p), page_bytes(0x1f, p));
+            let pulls = s.upcalls(UpcallKind::PullIn);
+            reach = pulls.iter().map(|&(at, n)| at + n).fold(reach, u64::max);
+            if p >= 9 {
+                let end = 7 + (p - 7) / 8 * 8 + 8;
+                let want = (end + ahead * 8).min(63);
+                assert_eq!(reach, want, "{frames} frames: page {p}");
+            }
+        }
+        let stats = s.pvm.stats();
+        assert_eq!((stats.faults, stats.readahead_unused), (63, 0), "{frames}");
+    }
 }
 
 #[test]
@@ -283,10 +309,12 @@ fn a_mappers_last_slot_is_not_taken_by_an_ahead_pull() {
     }
     assert_eq!(s.pvm.sample_now().inflight_upcalls, 3);
     pull_submits(&s);
-    // Page 8 arrived long ago; its first use makes (15, 8) due, and the
-    // one free slot is left alone: no pull, no wait.
+    // Pages 8 and 9 arrived long ago; the first use of each makes
+    // (15, 8) due, and the one free slot is left alone: no pull, no
+    // wait, and one window skipped however many first uses retry it.
     let t = now();
     read_page(&s, ctx, 0, 8);
+    read_page(&s, ctx, 0, 9);
     let stats = s.pvm.stats();
     assert_eq!((stats.ahead_pulls, stats.ahead_skipped), (0, 1));
     assert_eq!((now(), pull_submits(&s)), (t, vec![]));
@@ -294,10 +322,10 @@ fn a_mappers_last_slot_is_not_taken_by_an_ahead_pull() {
     // force-delivered to make room for it.
     read_page(&s, ctx, 0, 190);
     assert_eq!(pull_submits(&s), [(190, t)]);
-    // The windows land; the stream is still due, and page 9 is the
+    // The windows land; the stream is still due, and page 10 is the
     // next first use: now there is room.
     s.pvm.drain_upcalls();
-    read_page(&s, ctx, 0, 9);
+    read_page(&s, ctx, 0, 10);
     assert_eq!(s.upcalls(UpcallKind::PullIn), [(15, 8)]);
     assert_eq!(s.pvm.stats().ahead_pulls, 1);
     s.pvm.check_invariants();
