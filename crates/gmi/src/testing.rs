@@ -11,8 +11,8 @@
 use crate::error::{GmiError, Result};
 use crate::ids::{CacheId, SegmentId};
 use crate::traits::{CacheIo, PullRequest, PushRequest, SegmentManagerV2, UpcallRequest};
+use chorus_hal::FxHashMap;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,7 +61,7 @@ pub enum Upcall {
 /// fault-injection flags, never a byte copy.
 #[derive(Default)]
 struct Inner {
-    segments: HashMap<SegmentId, Arc<Mutex<Vec<u8>>>>,
+    segments: FxHashMap<SegmentId, Arc<Mutex<Vec<u8>>>>,
     next_id: u64,
     log: Vec<Upcall>,
     requests: Vec<UpcallRequest>,

@@ -34,6 +34,7 @@ pub fn run<M: Mmu>(mk_on: impl Fn(Arc<CostModel>) -> M) {
     unmap_and_destroy_drop_referenced(&mk);
     take_referenced_forces_the_next_walk(&mk_on);
     tlb_hit_sets_nothing(&mk_on);
+    mapped_in_lists_a_range_in_vpn_order(&mk);
 }
 
 fn page(m: &impl Mmu) -> u64 {
@@ -285,4 +286,37 @@ fn tlb_hit_sets_nothing<M: Mmu>(mk_on: &impl Fn(Arc<CostModel>) -> M) {
     assert!(!m.referenced(c, Vpn(7)));
     read(&mut m, c, 7).unwrap();
     assert!(m.referenced(c, Vpn(7)), "the read walked");
+}
+
+fn mapped_in_lists_a_range_in_vpn_order<M: Mmu>(mk: &impl Fn() -> M) {
+    let mut m = mk();
+    let c = m.ctx_create();
+    let other = m.ctx_create();
+    let all = |m: &M, c| m.mapped_in(c, Vpn(0), Vpn(u64::MAX));
+    assert!(all(&m, c).is_empty(), "an empty context maps nothing");
+    // Mapped out of order, across a level-2 table boundary (1023/1024).
+    for (v, f) in [(1024, 4), (3, 1), (1023, 3), (5, 2)] {
+        m.map(c, Vpn(v), FrameNo(f), Prot::RW);
+    }
+    m.map(other, Vpn(4), FrameNo(9), Prot::RW);
+    let entry = |v: u64, f: u32| (Vpn(v), FrameNo(f));
+    let every = vec![entry(3, 1), entry(5, 2), entry(1023, 3), entry(1024, 4)];
+    assert_eq!(all(&m, c), every, "in vpn order, other contexts excluded");
+    // Bounds are inclusive, and a range narrower than the table (which
+    // a hash table probes) finds what a wider one (scanned) finds.
+    assert_eq!(m.mapped_in(c, Vpn(3), Vpn(5)), every[..2]);
+    assert!(m.mapped_in(c, Vpn(4), Vpn(4)).is_empty());
+    assert_eq!(m.mapped_in(c, Vpn(1023), Vpn(1024)), every[2..]);
+    assert_eq!(m.mapped_in(c, Vpn(6), Vpn(1 << 20)), every[2..]);
+    assert!(
+        m.mapped_in(c, Vpn(1024), Vpn(1023)).is_empty(),
+        "empty range"
+    );
+    // A range far beyond any table's reach is no panic.
+    assert_eq!(m.mapped_in(c, Vpn(1024), Vpn(1 << 40)), every[3..]);
+    assert!(m.mapped_in(c, Vpn(1 << 40), Vpn((1 << 40) + 8)).is_empty());
+    // An entry goes with its mapping.
+    m.unmap(c, Vpn(1023));
+    assert_eq!(m.mapped_in(c, Vpn(1000), Vpn(2000)), [entry(1024, 4)]);
+    assert_eq!(all(&m, other), [entry(4, 9)]);
 }

@@ -1,14 +1,26 @@
 //! A small FxHash-style hasher (multiply-xor, as used by rustc) for the
-//! hot in-kernel maps.
+//! in-kernel tables.
 //!
 //! The default std `HashMap` hasher is SipHash-1-3, which is keyed and
-//! DoS-resistant but costs tens of cycles per small key. The PVM's hot
-//! maps (the global map, the frame-owner index, the location-stub index,
-//! the fault-path translation cache) are keyed by small fixed-size
-//! tuples of arena ids and offsets that an unprivileged client cannot
-//! choose freely, so the collision-flooding threat model does not apply
-//! and a two-instruction mix is the right trade. Kept in-repo so builds
-//! stay offline-capable (no external `rustc-hash` dependency).
+//! DoS-resistant but costs tens of cycles per small key, and iterates in
+//! a different order every run. The tables below are all keyed by ids
+//! and offsets the kernel issues itself, never by bytes a client chooses,
+//! so the collision-flooding threat model does not apply and a
+//! two-instruction mix is the right trade:
+//!
+//! - the MMU page tables: `SoftMmu`'s context map and per-context
+//!   tables, `TwoLevelMmu`'s context map;
+//! - the PVM's global map, location-stub index, frame-owner index,
+//!   clock positions, parked pages, demand pulls and telemetry cells;
+//! - the Nucleus actor, region-backing, binding, segment-id, mapper,
+//!   port and DSM page tables, and MIX's process table and program
+//!   store (names the system installs, not user input);
+//! - `ShadowVm`'s frame-owner index and the in-memory test segment
+//!   manager, so comparisons with them are like for like.
+//!
+//! `scripts/verify.sh` fails on a std hash table anywhere in the kernel
+//! crates. Kept in-repo so builds stay offline-capable (no external
+//! `rustc-hash` dependency).
 
 use core::hash::{BuildHasher, Hasher};
 

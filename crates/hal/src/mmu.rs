@@ -232,6 +232,16 @@ pub trait Mmu: Send {
 
     /// Number of live mappings in a context (for assertions and stats).
     fn mapped_count(&self, ctx: MmuCtx) -> usize;
+
+    /// The mappings of `ctx` at vpns in `lo..=hi`, as (vpn, frame) pairs
+    /// in vpn order, without touching the TLB or charging costs.
+    ///
+    /// The work follows what is mapped, not the width of the range: a
+    /// region's teardown asks for its whole (possibly huge and sparse)
+    /// range and finds the few pages it holds. There is deliberately no
+    /// default body: probing each vpn with [`Mmu::query`] would be that
+    /// width-bound walk, and would reach vpns a back-end cannot index.
+    fn mapped_in(&self, ctx: MmuCtx, lo: Vpn, hi: Vpn) -> Vec<(Vpn, FrameNo)>;
 }
 
 #[cfg(test)]

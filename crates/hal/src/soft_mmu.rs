@@ -8,9 +8,9 @@
 use crate::addr::{PageGeometry, PhysAddr, VirtAddr, Vpn};
 use crate::cost::{CostModel, OpKind};
 use crate::frame::FrameNo;
+use crate::fx::FxHashMap;
 use crate::mmu::{Access, Mmu, MmuCtx, MmuFault, Prot};
 use crate::tlb::{Tlb, TlbStats};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Default TLB entry count for the software MMUs.
@@ -39,7 +39,7 @@ impl Pte {
 pub struct SoftMmu {
     geom: PageGeometry,
     model: Arc<CostModel>,
-    ctxs: HashMap<u32, HashMap<Vpn, Pte>>,
+    ctxs: FxHashMap<u32, FxHashMap<Vpn, Pte>>,
     next: u32,
     current: Option<MmuCtx>,
     tlb: Tlb,
@@ -51,7 +51,7 @@ impl SoftMmu {
         SoftMmu {
             geom,
             model,
-            ctxs: HashMap::new(),
+            ctxs: FxHashMap::default(),
             next: 0,
             current: None,
             tlb: Tlb::new(DEFAULT_TLB_ENTRIES),
@@ -63,11 +63,11 @@ impl SoftMmu {
         self.tlb.stats()
     }
 
-    fn table(&self, ctx: MmuCtx) -> &HashMap<Vpn, Pte> {
+    fn table(&self, ctx: MmuCtx) -> &FxHashMap<Vpn, Pte> {
         self.ctxs.get(&ctx.0).expect("MMU context does not exist")
     }
 
-    fn table_mut(&mut self, ctx: MmuCtx) -> &mut HashMap<Vpn, Pte> {
+    fn table_mut(&mut self, ctx: MmuCtx) -> &mut FxHashMap<Vpn, Pte> {
         self.ctxs
             .get_mut(&ctx.0)
             .expect("MMU context does not exist")
@@ -88,7 +88,7 @@ impl Mmu for SoftMmu {
     fn ctx_create(&mut self) -> MmuCtx {
         let id = self.next;
         self.next += 1;
-        self.ctxs.insert(id, HashMap::new());
+        self.ctxs.insert(id, FxHashMap::default());
         self.model.charge(OpKind::DescriptorOp);
         MmuCtx(id)
     }
@@ -206,6 +206,27 @@ impl Mmu for SoftMmu {
 
     fn mapped_count(&self, ctx: MmuCtx) -> usize {
         self.table(ctx).len()
+    }
+
+    fn mapped_in(&self, ctx: MmuCtx, lo: Vpn, hi: Vpn) -> Vec<(Vpn, FrameNo)> {
+        let table = self.table(ctx);
+        if hi < lo {
+            return Vec::new();
+        }
+        // Probe a range no wider than the table; scan a table smaller
+        // than the range (and sort what it finds).
+        if hi.0 - lo.0 < table.len() as u64 {
+            return (lo.0..=hi.0)
+                .filter_map(|v| table.get(&Vpn(v)).map(|pte| (Vpn(v), pte.frame)))
+                .collect();
+        }
+        let mut found: Vec<(Vpn, FrameNo)> = table
+            .iter()
+            .filter(|(&v, _)| lo <= v && v <= hi)
+            .map(|(&v, pte)| (v, pte.frame))
+            .collect();
+        found.sort_unstable_by_key(|&(v, _)| v);
+        found
     }
 }
 

@@ -11,9 +11,9 @@
 use crate::addr::{PageGeometry, PhysAddr, VirtAddr, Vpn};
 use crate::cost::{CostModel, OpKind};
 use crate::frame::FrameNo;
+use crate::fx::FxHashMap;
 use crate::mmu::{Access, Mmu, MmuCtx, MmuFault, Prot};
 use crate::tlb::{Tlb, TlbStats};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Entries per level-2 table.
@@ -71,7 +71,7 @@ fn split(vpn: Vpn) -> (usize, usize) {
 pub struct TwoLevelMmu {
     geom: PageGeometry,
     model: Arc<CostModel>,
-    ctxs: HashMap<u32, RootTable>,
+    ctxs: FxHashMap<u32, RootTable>,
     next: u32,
     current: Option<MmuCtx>,
     tlb: Tlb,
@@ -83,7 +83,7 @@ impl TwoLevelMmu {
         TwoLevelMmu {
             geom,
             model,
-            ctxs: HashMap::new(),
+            ctxs: FxHashMap::default(),
             next: 0,
             current: None,
             tlb: Tlb::new(crate::soft_mmu::DEFAULT_TLB_ENTRIES),
@@ -272,6 +272,32 @@ impl Mmu for TwoLevelMmu {
 
     fn mapped_count(&self, ctx: MmuCtx) -> usize {
         self.root(ctx).live_pages
+    }
+
+    fn mapped_in(&self, ctx: MmuCtx, lo: Vpn, hi: Vpn) -> Vec<(Vpn, FrameNo)> {
+        // Nothing is mapped beyond the table reach: clamp to it, then
+        // visit only the level-2 tables present inside the range.
+        let last = (L1_ENTRIES * L2_ENTRIES) as u64 - 1;
+        let hi = hi.0.min(last);
+        if lo.0 > hi {
+            return Vec::new();
+        }
+        let (l1_lo, l2_lo) = split(lo);
+        let (l1_hi, l2_hi) = split(Vpn(hi));
+        let mut found = Vec::new();
+        for (l1, slot) in self.root(ctx).l1[l1_lo..=l1_hi].iter().enumerate() {
+            let Some(table) = slot else { continue };
+            let l1 = l1_lo + l1;
+            let first = if l1 == l1_lo { l2_lo } else { 0 };
+            let end = if l1 == l1_hi { l2_hi } else { L2_ENTRIES - 1 };
+            let base = (l1 * L2_ENTRIES) as u64;
+            found.extend(
+                (first..=end).filter_map(|l2| {
+                    table.entries[l2].map(|pte| (Vpn(base + l2 as u64), pte.frame))
+                }),
+            );
+        }
+        found
     }
 }
 

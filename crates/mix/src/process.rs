@@ -2,9 +2,9 @@
 
 use crate::programs::{Program, ProgramStore};
 use chorus_gmi::{Gmi, GmiError, Prot, Result, VirtAddr};
+use chorus_hal::FxHashMap;
 use chorus_nucleus::{Actor, IpcError, Nucleus, PortName};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -36,7 +36,7 @@ struct Proc {
 pub struct ProcessManager<G: Gmi> {
     nucleus: Arc<Nucleus<G>>,
     store: Arc<ProgramStore>,
-    table: Mutex<HashMap<Pid, Proc>>,
+    table: Mutex<FxHashMap<Pid, Proc>>,
     next_pid: Mutex<u32>,
     /// Address-space layout (all page aligned).
     text_base: VirtAddr,
@@ -57,7 +57,7 @@ impl<G: Gmi> ProcessManager<G> {
         ProcessManager {
             nucleus,
             store,
-            table: Mutex::new(HashMap::new()),
+            table: Mutex::new(FxHashMap::default()),
             next_pid: Mutex::new(1),
             text_base: VirtAddr(16 * ps),
             data_base: VirtAddr(4096 * ps),
@@ -281,17 +281,18 @@ impl<G: Gmi> ProcessManager<G> {
         Ok(())
     }
 
-    /// `wait(2)`: reaps one zombie child, returning its pid and exit
-    /// code; `None` if no child has exited yet.
+    /// `wait(2)`: reaps the lowest-pid zombie child, returning its pid
+    /// and exit code; `None` if no child has exited yet.
     pub fn wait(&self, parent: Pid) -> Option<(Pid, i32)> {
         let mut table = self.table.lock();
         let found = table
             .iter()
-            .find(|(_, p)| p.parent == Some(parent) && matches!(p.state, ProcState::Zombie(_)))
-            .map(|(&pid, p)| match p.state {
-                ProcState::Zombie(code) => (pid, code),
-                ProcState::Running => unreachable!(),
-            });
+            .filter(|(_, p)| p.parent == Some(parent))
+            .filter_map(|(&pid, p)| match p.state {
+                ProcState::Zombie(code) => Some((pid, code)),
+                ProcState::Running => None,
+            })
+            .min();
         if let Some((pid, _)) = found {
             table.remove(&pid);
         }

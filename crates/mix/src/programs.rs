@@ -1,9 +1,9 @@
 //! Program images: named (text, initialized-data) segment pairs served
 //! by a file mapper — the MIX stand-in for executables on a filesystem.
 
+use chorus_hal::FxHashMap;
 use chorus_nucleus::{Capability, MemMapper};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A program image.
@@ -23,7 +23,7 @@ pub struct Program {
 pub struct ProgramStore {
     files: Arc<MemMapper>,
     page_size: u64,
-    programs: Mutex<HashMap<String, Program>>,
+    programs: Mutex<FxHashMap<String, Program>>,
 }
 
 impl ProgramStore {
@@ -32,7 +32,7 @@ impl ProgramStore {
         ProgramStore {
             files,
             page_size,
-            programs: Mutex::new(HashMap::new()),
+            programs: Mutex::new(FxHashMap::default()),
         }
     }
 

@@ -140,6 +140,23 @@ fn fork_exit_wait_lifecycle() {
 }
 
 #[test]
+fn wait_reaps_zombie_children_in_pid_order() {
+    // Not in the order they exited, and not in whatever order a hash
+    // table happens to hold them: every fresh manager agrees.
+    for _ in 0..20 {
+        let m = mix(64);
+        let parent = m.pm.spawn("sh").unwrap();
+        let first = m.pm.fork(parent).unwrap();
+        let second = m.pm.fork(parent).unwrap();
+        m.pm.exit(second, 2).unwrap();
+        m.pm.exit(first, 1).unwrap();
+        assert_eq!(m.pm.wait(parent), Some((first, 1)));
+        assert_eq!(m.pm.wait(parent), Some((second, 2)));
+        assert_eq!(m.pm.wait(parent), None);
+    }
+}
+
+#[test]
 fn parent_exits_first_child_keeps_data() {
     // §4.2.2: "the source is deleted first (the parent process exits
     // while the child continues): remaining unmodified source data must

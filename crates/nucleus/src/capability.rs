@@ -43,7 +43,7 @@ impl fmt::Debug for Capability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use chorus_hal::FxHashSet;
 
     #[test]
     fn capabilities_are_value_types() {
@@ -52,7 +52,7 @@ mod tests {
         let c = Capability::new(PortName(1), 0xBEEF);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        let mut set = HashSet::new();
+        let mut set = FxHashSet::default();
         set.insert(a);
         assert!(set.contains(&b));
         assert!(!set.contains(&c));

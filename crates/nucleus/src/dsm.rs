@@ -18,8 +18,8 @@ use chorus_gmi::{
     CacheId, CacheIo, Gmi, GmiError, Prot, PullRequest, PushRequest, Result, SegmentId,
     SegmentManagerV2,
 };
+use chorus_hal::FxHashMap;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, Weak};
 
 /// Directory state of one shared page.
@@ -81,7 +81,7 @@ impl<G: Gmi> SiteHandle for GmiSite<G> {
 pub struct DsmDirectory {
     page_size: u64,
     data: Mutex<Vec<u8>>,
-    pages: Mutex<HashMap<u64, PageState>>,
+    pages: Mutex<FxHashMap<u64, PageState>>,
     sites: OnceLock<Vec<(Box<dyn SiteHandle>, CacheId)>>,
     stats: Mutex<DsmStats>,
 }
@@ -92,7 +92,7 @@ impl DsmDirectory {
         Arc::new(DsmDirectory {
             page_size,
             data: Mutex::new(vec![0u8; size]),
-            pages: Mutex::new(HashMap::new()),
+            pages: Mutex::new(FxHashMap::default()),
             sites: OnceLock::new(),
             stats: Mutex::new(DsmStats::default()),
         })

@@ -12,9 +12,10 @@
 //! resizes regions.
 
 use crate::capability::PortName;
+use chorus_hal::FxHashMap;
 use core::fmt;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// IPC failures.
@@ -143,7 +144,7 @@ struct PortQueue {
 
 /// The port registry: creation, send (enqueue) and blocking receive.
 pub struct Ports {
-    inner: Mutex<HashMap<PortName, PortQueue>>,
+    inner: Mutex<FxHashMap<PortName, PortQueue>>,
     cv: Condvar,
     next: Mutex<u64>,
 }
@@ -158,7 +159,7 @@ impl Ports {
     /// Creates an empty registry.
     pub fn new() -> Ports {
         Ports {
-            inner: Mutex::new(HashMap::new()),
+            inner: Mutex::new(FxHashMap::default()),
             cv: Condvar::new(),
             next: Mutex::new(1),
         }

@@ -14,8 +14,8 @@
 
 use crate::capability::{Capability, PortName};
 use chorus_gmi::{GmiError, Result, SegmentId};
+use chorus_hal::FxHashMap;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -69,7 +69,7 @@ pub trait Mapper: Send + Sync {
 /// the swap default mapper.
 pub struct MemMapper {
     port: PortName,
-    segments: Mutex<HashMap<u64, Vec<u8>>>,
+    segments: Mutex<FxHashMap<u64, Vec<u8>>>,
     next_key: Mutex<u64>,
     latency: Mutex<Option<Duration>>,
 }
@@ -79,7 +79,7 @@ impl MemMapper {
     pub fn new(port: PortName) -> MemMapper {
         MemMapper {
             port,
-            segments: Mutex::new(HashMap::new()),
+            segments: Mutex::new(FxHashMap::default()),
             next_key: Mutex::new(1),
             latency: Mutex::new(None),
         }
@@ -230,7 +230,7 @@ impl Mapper for SwapMapper {
 /// in-process stand-in for sending IPC to the mapper's port.
 #[derive(Default)]
 pub struct MapperRegistry {
-    mappers: Mutex<HashMap<PortName, Arc<dyn Mapper>>>,
+    mappers: Mutex<FxHashMap<PortName, Arc<dyn Mapper>>>,
 }
 
 impl MapperRegistry {

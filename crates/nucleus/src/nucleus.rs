@@ -6,8 +6,8 @@ use crate::capability::PortName;
 use crate::ipc::{IpcError, Message, Ports};
 use crate::segment_manager::{NucleusSegmentManager, SegmentCachingStats};
 use chorus_gmi::{CacheId, CtxId, Gmi, GmiError, Prot, RegionId, Result, VirtAddr};
+use chorus_hal::FxHashMap;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,11 +38,11 @@ struct Bound {
 }
 
 struct NucInner {
-    actors: HashMap<Actor, CtxId>,
+    actors: FxHashMap<Actor, CtxId>,
     next_actor: u64,
-    region_backing: HashMap<RegionId, Backing>,
-    temp_refs: HashMap<CacheId, u32>,
-    bound: HashMap<Capability, Bound>,
+    region_backing: FxHashMap<RegionId, Backing>,
+    temp_refs: FxHashMap<CacheId, u32>,
+    bound: FxHashMap<Capability, Bound>,
     lru_tick: u64,
     caching_enabled: bool,
     cache_limit: usize,
@@ -77,11 +77,11 @@ impl<G: Gmi> Nucleus<G> {
             transit_cache,
             slot_size,
             inner: Mutex::new(NucInner {
-                actors: HashMap::new(),
+                actors: FxHashMap::default(),
                 next_actor: 1,
-                region_backing: HashMap::new(),
-                temp_refs: HashMap::new(),
-                bound: HashMap::new(),
+                region_backing: FxHashMap::default(),
+                temp_refs: FxHashMap::default(),
+                bound: FxHashMap::default(),
                 lru_tick: 0,
                 caching_enabled: true,
                 cache_limit: 64,

@@ -17,8 +17,8 @@ use crate::mapper::{Mapper, MapperRegistry};
 use chorus_gmi::{
     CacheId, CacheIo, GmiError, PullRequest, PushRequest, Result, SegmentId, SegmentManagerV2,
 };
+use chorus_hal::FxHashMap;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Statistics of the segment-caching policy (§5.1.3).
@@ -34,8 +34,8 @@ pub struct SegmentCachingStats {
 
 struct SmInner {
     next_seg: u64,
-    seg_to_cap: HashMap<SegmentId, Capability>,
-    cap_to_seg: HashMap<Capability, SegmentId>,
+    seg_to_cap: FxHashMap<SegmentId, Capability>,
+    cap_to_seg: FxHashMap<Capability, SegmentId>,
 }
 
 /// The segment manager: GMI upcall handler routing to mappers.
@@ -59,8 +59,8 @@ impl NucleusSegmentManager {
             default_mapper: Mutex::new(None),
             inner: Mutex::new(SmInner {
                 next_seg: 1,
-                seg_to_cap: HashMap::new(),
-                cap_to_seg: HashMap::new(),
+                seg_to_cap: FxHashMap::default(),
+                cap_to_seg: FxHashMap::default(),
             }),
         }
     }
@@ -192,7 +192,7 @@ mod tests {
     use crate::mapper::MemMapper;
     use chorus_gmi::Access;
 
-    struct BufIo(Mutex<HashMap<(CacheId, u64), Vec<u8>>>);
+    struct BufIo(Mutex<FxHashMap<(CacheId, u64), Vec<u8>>>);
     impl CacheIo for BufIo {
         fn fill_up(&self, cache: CacheId, offset: u64, data: &[u8]) -> Result<()> {
             self.0.lock().insert((cache, offset), data.to_vec());
@@ -232,7 +232,7 @@ mod tests {
         sm.register_mapper(PortName(1), m.clone());
         let cap = m.create_segment(b"abcdef");
         let seg = sm.segment_for(cap);
-        let io = BufIo(Mutex::new(HashMap::new()));
+        let io = BufIo(Mutex::new(FxHashMap::default()));
         let cache = CacheId::pack(0, 0);
         let req = PullRequest {
             cache,
@@ -252,7 +252,7 @@ mod tests {
         sm.register_mapper(PortName(1), m.clone());
         let cap = m.create_segment(b"......");
         let seg = sm.segment_for(cap);
-        let io = BufIo(Mutex::new(HashMap::new()));
+        let io = BufIo(Mutex::new(FxHashMap::default()));
         let cache = CacheId::pack(0, 0);
         io.fill_up(cache, 0, b"XYZ").unwrap();
         let req = PushRequest {

@@ -10,6 +10,7 @@ use crate::keys::pub_cache;
 use crate::pvm::Pvm;
 use crate::state::PvmState;
 use chorus_gmi::{CacheId, SegmentId};
+use chorus_hal::Vpn;
 use core::fmt;
 
 impl PvmState {
@@ -231,6 +232,23 @@ impl PvmState {
             }
             if self.caches.get(p.cache).map(|c| c.owns(p.offset)) == Some(false) {
                 panic!("page {key:?} resident but not owned by its cache");
+            }
+        }
+        // The converse: every MMU entry is a recorded mapping of the page
+        // that owns its frame, inside one of its context's regions. A
+        // stray entry outlives the teardown that should have removed it.
+        for (ck, c) in self.contexts.iter() {
+            for (vpn, frame) in self.mmu.mapped_in(c.mmu_ctx, Vpn(0), Vpn(u64::MAX)) {
+                let recorded = self
+                    .frame_owner
+                    .get(&frame.0)
+                    .and_then(|&k| self.pages.get(k))
+                    .is_some_and(|p| p.mappings.iter().any(|m| m.ctx == ck && m.vpn == vpn));
+                assert!(recorded, "{ck:?}: stray MMU entry {vpn:?} -> {frame:?}");
+                assert!(
+                    self.find_region(ck, self.geom.base(vpn)).is_ok(),
+                    "{ck:?}: MMU entry {vpn:?} outside every region"
+                );
             }
         }
         // A page held for a faulter is pinned where the pull expects it.

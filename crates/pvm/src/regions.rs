@@ -122,33 +122,20 @@ impl PvmState {
         Ok(())
     }
 
-    /// The resident mappings inside a region, as (page, vpn) pairs.
-    /// The cost follows the region, never the pool: a region no larger
-    /// than the resident set is found by probing its own virtual range
-    /// in the MMU; only a region *larger* than everything resident (a
-    /// huge sparse mapping) is found from the page side instead.
+    /// The resident mappings inside a region, as (page, vpn) pairs in
+    /// vpn order: what its context's MMU table holds in the region's
+    /// range. The cost follows the pages mapped there, never the
+    /// region's size or the pool.
     fn region_mappings(&self, region: &RegionDesc) -> Vec<(PageKey, Vpn)> {
+        let Ok(ctx) = self.ctx(region.ctx) else {
+            return Vec::new();
+        };
         let lo = self.geom.vpn(region.addr);
         let hi = self.geom.vpn(VirtAddr(region.addr.0 + region.size - 1));
-        if hi.0 - lo.0 < self.pages.len() as u64 {
-            let Ok(ctx) = self.ctx(region.ctx) else {
-                return Vec::new();
-            };
-            return (lo.0..=hi.0)
-                .filter_map(|v| {
-                    let (frame, _) = self.mmu.query(ctx.mmu_ctx, Vpn(v))?;
-                    Some((*self.frame_owner.get(&frame.0)?, Vpn(v)))
-                })
-                .collect();
-        }
-        self.pages
-            .iter()
-            .flat_map(|(k, p)| {
-                p.mappings
-                    .iter()
-                    .filter(|m| m.ctx == region.ctx && m.vpn >= lo && m.vpn <= hi)
-                    .map(move |m| (k, m.vpn))
-            })
+        self.mmu
+            .mapped_in(ctx.mmu_ctx, lo, hi)
+            .into_iter()
+            .filter_map(|(vpn, frame)| Some((*self.frame_owner.get(&frame.0)?, vpn)))
             .collect()
     }
 

@@ -5,6 +5,7 @@
 mod common;
 
 use chorus_gmi::{Gmi, GmiError, Prot, RegionId, VirtAddr};
+use chorus_pvm::MmuChoice;
 use proptest::prelude::*;
 
 const PS: u64 = common::PS;
@@ -52,64 +53,74 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96 })]
 
     /// Region create/destroy/split/find agrees with a naive interval
-    /// model: overlaps rejected exactly when the model says so, lookups
-    /// land in the right region, splits preserve coverage.
+    /// model, on both MMUs: overlaps rejected exactly when the model says
+    /// so, lookups land in the right region, splits preserve coverage.
+    /// Every region is written as it is created, so destroy and split
+    /// run over mapped pages, and a destroyed region's pages fault.
     #[test]
     fn region_list_matches_interval_model(ops in proptest::collection::vec(region_op(), 1..80)) {
-        let (pvm, _) = common::setup(64);
-        let ctx = pvm.context_create().unwrap();
-        let cache = pvm.cache_create(None).unwrap();
-        let mut model = IntervalModel::default();
+        for mmu in [MmuChoice::Soft, MmuChoice::TwoLevel] {
+            let (pvm, _) = common::setup_with(64, |o| o.mmu = mmu);
+            let ctx = pvm.context_create().unwrap();
+            let cache = pvm.cache_create(None).unwrap();
+            let mut model = IntervalModel::default();
 
-        for op in ops {
-            match op {
-                RegionOp::Create { page, pages } => {
-                    let start = page as u64 % SLOTS;
-                    let pages = (pages as u64).min(SLOTS - start).max(1);
-                    let addr = VirtAddr(start * PS);
-                    let res = pvm.region_create(ctx, addr, pages * PS, Prot::RW, cache, start * PS);
-                    if model.overlaps(start, pages) {
-                        prop_assert!(matches!(res, Err(GmiError::RegionOverlap { .. })), "{res:?}");
-                    } else {
-                        let id = res.unwrap();
-                        model.spans.push((start, pages, id));
+            for op in ops.iter().cloned() {
+                match op {
+                    RegionOp::Create { page, pages } => {
+                        let start = page as u64 % SLOTS;
+                        let pages = (pages as u64).min(SLOTS - start).max(1);
+                        let addr = VirtAddr(start * PS);
+                        let res = pvm.region_create(ctx, addr, pages * PS, Prot::RW, cache, start * PS);
+                        if model.overlaps(start, pages) {
+                            prop_assert!(matches!(res, Err(GmiError::RegionOverlap { .. })), "{res:?}");
+                        } else {
+                            let id = res.unwrap();
+                            pvm.vm_write(ctx, addr, &[start as u8]).unwrap();
+                            model.spans.push((start, pages, id));
+                        }
+                    }
+                    RegionOp::Destroy { idx } => {
+                        if model.spans.is_empty() { continue; }
+                        let (start, _, id) = model.spans.swap_remove(idx % model.spans.len());
+                        pvm.region_destroy(id).unwrap();
+                        prop_assert!(pvm.region_status(id).is_err());
+                        // The page written at creation is no longer mapped.
+                        let gone = pvm.vm_read(ctx, VirtAddr(start * PS), &mut [0u8]);
+                        prop_assert!(matches!(gone, Err(GmiError::SegmentationFault { .. })), "{gone:?}");
+                    }
+                    RegionOp::Split { idx, at_page } => {
+                        if model.spans.is_empty() { continue; }
+                        let i = idx % model.spans.len();
+                        let (start, pages, id) = model.spans[i];
+                        let at = at_page as u64;
+                        let res = pvm.region_split(id, at * PS);
+                        if at == 0 || at >= pages {
+                            prop_assert!(res.is_err());
+                        } else {
+                            let upper = res.unwrap();
+                            model.spans[i] = (start, at, id);
+                            model.spans.push((start + at, pages - at, upper));
+                        }
+                    }
+                    RegionOp::Find { page } => {
+                        let va = VirtAddr((page as u64 % SLOTS) * PS + 3);
+                        let got = pvm.find_region(ctx, va).ok();
+                        prop_assert_eq!(got, model.find(page as u64 % SLOTS));
                     }
                 }
-                RegionOp::Destroy { idx } => {
-                    if model.spans.is_empty() { continue; }
-                    let (_, _, id) = model.spans.swap_remove(idx % model.spans.len());
-                    pvm.region_destroy(id).unwrap();
-                    prop_assert!(pvm.region_status(id).is_err());
-                }
-                RegionOp::Split { idx, at_page } => {
-                    if model.spans.is_empty() { continue; }
-                    let i = idx % model.spans.len();
-                    let (start, pages, id) = model.spans[i];
-                    let at = at_page as u64;
-                    let res = pvm.region_split(id, at * PS);
-                    if at == 0 || at >= pages {
-                        prop_assert!(res.is_err());
-                    } else {
-                        let upper = res.unwrap();
-                        model.spans[i] = (start, at, id);
-                        model.spans.push((start + at, pages - at, upper));
-                    }
-                }
-                RegionOp::Find { page } => {
-                    let va = VirtAddr((page as u64 % SLOTS) * PS + 3);
-                    let got = pvm.find_region(ctx, va).ok();
-                    prop_assert_eq!(got, model.find(page as u64 % SLOTS));
-                }
+                // Region operations do not run the checker themselves.
+                pvm.check_invariants();
+                // Cross-check the full listing.
+                let listing = pvm.region_list(ctx).unwrap();
+                prop_assert_eq!(listing.len(), model.spans.len());
+                let mut addrs: Vec<u64> = listing.iter().map(|(_, s)| s.addr.0).collect();
+                prop_assert!(addrs.windows(2).all(|w| w[0] < w[1]), "sorted: {addrs:?}");
+                addrs.sort_unstable();
+                let mut expect: Vec<u64> = model.spans.iter().map(|&(s, _, _)| s * PS).collect();
+                expect.sort_unstable();
+                prop_assert_eq!(addrs, expect);
             }
-            // Cross-check the full listing.
-            let listing = pvm.region_list(ctx).unwrap();
-            prop_assert_eq!(listing.len(), model.spans.len());
-            let mut addrs: Vec<u64> = listing.iter().map(|(_, s)| s.addr.0).collect();
-            prop_assert!(addrs.windows(2).all(|w| w[0] < w[1]), "sorted: {addrs:?}");
-            addrs.sort_unstable();
-            let mut expect: Vec<u64> = model.spans.iter().map(|&(s, _, _)| s * PS).collect();
-            expect.sort_unstable();
-            prop_assert_eq!(addrs, expect);
         }
     }
 

@@ -16,10 +16,9 @@ use chorus_gmi::{
     PushRequest, RegionId, RegionStatus, Result, SegmentId, SegmentManagerV2, VirtAddr,
 };
 use chorus_hal::{
-    Arena, CostModel, CostParams, FrameNo, Id, Mmu, OpKind, PhysicalMemory, SoftMmu, Vpn,
+    Arena, CostModel, CostParams, FrameNo, FxHashMap, Id, Mmu, OpKind, PhysicalMemory, SoftMmu, Vpn,
 };
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Construction options for a [`ShadowVm`].
@@ -105,7 +104,7 @@ struct SState {
     pages: Arena<SPage>,
     contexts: Arena<SContext>,
     regions: Arena<SRegion>,
-    frame_owner: HashMap<u32, SPageKey>,
+    frame_owner: FxHashMap<u32, SPageKey>,
     collapse_chains: bool,
     stats: ShadowStats,
 }
@@ -176,7 +175,7 @@ impl ShadowVm {
                 pages: Arena::new(),
                 contexts: Arena::new(),
                 regions: Arena::new(),
-                frame_owner: HashMap::new(),
+                frame_owner: FxHashMap::default(),
                 collapse_chains: options.collapse_chains,
                 stats: ShadowStats::default(),
             }),

@@ -20,7 +20,8 @@
 # and byte-verified workloads, and at full size the clock must pull
 # fewer hot pages back than it did without hardware referenced bits),
 # the pvmtop render smoke, the one-of-each gate (no allow(deprecated),
-# no SyncShim outside its definition), the
+# no SyncShim outside its definition), the hashing gate (no std
+# HashMap/HashSet in the kernel crates), the
 # release-mode concurrency stress, the tracing
 # bit-identity check (Table 5 regenerated with CHORUS_TRACE=1 must
 # match the committed reports/table5.txt byte for byte — the
@@ -226,6 +227,19 @@ fi
 if grep -rn 'SyncShim' crates src tests examples |
   grep -v '^crates/gmi/src/\(traits\|lib\)\.rs:'; then
   echo "FAIL: SyncShim named outside crates/gmi/src/{traits,lib}.rs"; exit 1
+fi
+echo "ok"
+
+step "one hashing rule: no keyed std hash table in the kernel crates"
+# Every table in the kernel crates is keyed by ids the kernel issues, so
+# each is an FxHashMap/FxHashSet: unkeyed, the same order every run, and
+# cheap on small keys. std's HashMap/HashSet/RandomState are named only
+# where the Fx aliases are defined (crates/hal/src/fx.rs) and in the
+# model checker's visited set (modelcheck.rs), which is no kernel table.
+if grep -rnwE 'HashMap|HashSet|RandomState' \
+  crates/{hal,gmi,pvm,nucleus,mix,shadow,rtmm}/src |
+  grep -v -e '/modelcheck\.rs:' -e '^crates/hal/src/fx\.rs:'; then
+  echo "FAIL: a std hash table in a kernel crate (use chorus_hal::FxHashMap)"; exit 1
 fi
 echo "ok"
 
