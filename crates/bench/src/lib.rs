@@ -58,12 +58,6 @@ pub fn pvm_world_traced(frames: u32, trace: TraceConfig) -> World<Pvm> {
         .telemetry(|t| t.trace(trace))
         .build()
         .expect("valid config");
-    pvm_world_config(frames, config)
-}
-
-/// Builds the PVM world with a fully caller-assembled config (the
-/// policy ablation races replacement policies through this).
-pub fn pvm_world_config(frames: u32, config: PvmConfig) -> World<Pvm> {
     let mgr = Arc::new(MemSegmentManager::new());
     let pvm = Arc::new(Pvm::new(
         PvmOptions {

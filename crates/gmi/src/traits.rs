@@ -203,12 +203,11 @@ pub trait SegmentManagerV2: Send + Sync {
         None
     }
 
-    /// `victimAdvice(candidates)`: an external replacement policy asks
-    /// the segment manager to approve or veto an eviction candidate
-    /// batch, one `(cache, offset)` page per entry. Returns one flag
-    /// per candidate (`true` = evictable); a short reply vetoes the
-    /// missing tail. The default approves everything, so managers that
-    /// never customize replacement need no code.
+    /// Dead: no memory manager calls it. Replacement is the PVM's clock
+    /// alone, and victim advice is not one of the paper's upcalls. It
+    /// is kept only because the frozen `benchmark/src/trace.rs`
+    /// implements it, and goes when ROADMAP item 1 unfreezes the
+    /// scoreboard.
     fn advise_victims(&self, candidates: &[(CacheId, u64)]) -> Vec<bool> {
         vec![true; candidates.len()]
     }

@@ -44,7 +44,7 @@ impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
         // The multiply pushes entropy toward the high bits, but hash
-        // consumers (hashbrown bucket selection, our shard masks) use
+        // consumers (hashbrown bucket selection) use
         // the LOW bits — for page-stride keys those are near-constant.
         // Rotate the high-entropy bits down (the rustc-hash v2 fix).
         self.hash.rotate_left(26)
@@ -110,27 +110,20 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` using [`FxHasher`].
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
-/// Hashes one value with [`FxHasher`] (shard selection helper).
-#[inline]
-pub fn fx_hash_one<T: core::hash::Hash>(value: &T) -> u64 {
-    let mut h = FxHasher::default();
-    value.hash(&mut h);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn deterministic_and_spreading() {
-        assert_eq!(fx_hash_one(&(1u32, 0u64)), fx_hash_one(&(1u32, 0u64)));
-        // Nearby keys must land in different low bits (shard selection
-        // masks the low bits).
+        let fx = FxBuildHasher;
+        assert_eq!(fx.hash_one((1u32, 0u64)), fx.hash_one((1u32, 0u64)));
+        // Nearby keys must land in different low bits (hashbrown selects
+        // buckets with the low bits).
         let h: FxHashSet<u64> = (0..64u64)
-            .map(|o| fx_hash_one(&(7u32, o * 8192)) & 15)
+            .map(|o| fx.hash_one((7u32, o * 8192)) & 15)
             .collect();
-        assert!(h.len() > 4, "page-stride keys must spread across shards");
+        assert!(h.len() > 4, "page-stride keys must spread across buckets");
     }
 
     #[test]

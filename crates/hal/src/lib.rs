@@ -33,7 +33,7 @@ pub use arena::{Arena, Id};
 pub use clock::{TraceClock, TraceStamp};
 pub use cost::{CostModel, CostParams, OpKind, SimTime};
 pub use frame::{FrameNo, MemStats, PhysicalMemory};
-pub use fx::{fx_hash_one, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use mmu::{Access, Mmu, MmuCtx, MmuFault, Prot};
 pub use soft_mmu::SoftMmu;
 pub use tlb::TlbStats;

@@ -8,8 +8,11 @@
 //! swap-remove with hand fix-up to keep the sweep order stable).
 //!
 //! Pages can also be put just ahead of the hand (`next_up`), in a run
-//! the hand meets first and in order; keeping that run contiguous costs
-//! a removal or insertion at most one step per page of it.
+//! the hand meets first and in order: the one take-first mechanism of
+//! replacement, fed by drop-behind (pages a stream has read and left)
+//! and by laundering (pages a `pushOut` has just cleaned). Keeping that
+//! run contiguous costs a removal or insertion at most one step per
+//! page of it.
 
 use crate::keys::PageKey;
 use chorus_hal::FxHashMap;
@@ -55,10 +58,6 @@ impl ClockRing {
 
     pub fn len(&self) -> usize {
         self.ring.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
     }
 
     pub fn contains(&self, key: PageKey) -> bool {

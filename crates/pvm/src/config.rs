@@ -3,15 +3,13 @@
 //! [`PvmConfig`] stays a flat, public struct (literal mutation keeps
 //! working); the validating [`PvmConfig::builder`] exposes the knobs
 //! through *grouped sections* — [`paging`](PvmConfigBuilder::paging) and
-//! [`telemetry`](PvmConfigBuilder::telemetry) — plus the two setters
-//! [`retry`](PvmConfigBuilder::retry) and
-//! [`replacement`](PvmConfigBuilder::replacement).
+//! [`telemetry`](PvmConfigBuilder::telemetry) — plus the
+//! [`retry`](PvmConfigBuilder::retry) setter.
 //!
 //! There is no default-off behaviour here: a field exists because two
 //! non-test callers set it to different values, and what the PVM does
 //! it does by default or not at all.
 
-use crate::policy::ReplacementKind;
 use crate::trace::TraceConfig;
 use chorus_gmi::RetryPolicy;
 
@@ -77,10 +75,6 @@ pub struct PvmConfig {
     /// to multiples of this period on the simulated clock. Must be at
     /// least 1 when [`PvmConfig::telemetry`] is on.
     pub telemetry_sample_ns: u64,
-    /// Who picks eviction victims: the clock alone (the default), or
-    /// the clock with the segment manager advising
-    /// ([`ReplacementKind::External`]).
-    pub replacement: ReplacementKind,
 }
 
 /// The paper's IPC message limit in pages (64 KB over 8 KB pages): the
@@ -101,7 +95,6 @@ impl Default for PvmConfig {
             trace: TraceConfig::default(),
             telemetry: false,
             telemetry_sample_ns: 1_000_000,
-            replacement: ReplacementKind::Clock,
         }
     }
 }
@@ -124,7 +117,6 @@ impl PvmConfig {
 /// # use chorus_pvm::PvmConfig;
 /// let config = PvmConfig::builder()
 ///     .paging(|p| p.pull_cluster_pages(4).push_cluster_pages(4))
-///     .replacement(chorus_pvm::ReplacementKind::External)
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(config.pull_cluster_pages, 4);
@@ -216,13 +208,6 @@ impl PvmConfigBuilder {
         self
     }
 
-    /// See [`PvmConfig::replacement`].
-    #[must_use]
-    pub fn replacement(mut self, kind: ReplacementKind) -> Self {
-        self.config.replacement = kind;
-        self
-    }
-
     /// Validates the assembled configuration.
     ///
     /// # Errors
@@ -260,7 +245,7 @@ mod tests {
     /// this destructuring (no `..`) and says here who the two callers
     /// are.
     #[test]
-    fn config_has_exactly_nine_fields() {
+    fn config_has_exactly_eight_fields() {
         let PvmConfig {
             enable_pageout,
             check_invariants,
@@ -270,7 +255,6 @@ mod tests {
             trace,
             telemetry,
             telemetry_sample_ns,
-            replacement,
         } = PvmConfig::default();
         assert!(enable_pageout);
         assert_eq!(check_invariants, cfg!(debug_assertions));
@@ -278,7 +262,6 @@ mod tests {
         assert!(retry.deadline_ns > 0, "the watchdog is on by default");
         assert!(!trace.enabled && !telemetry);
         assert_eq!(telemetry_sample_ns, 1_000_000);
-        assert_eq!(replacement, ReplacementKind::Clock);
     }
 
     #[test]
@@ -300,11 +283,6 @@ mod tests {
         );
         assert!(!c.telemetry, "dimensional telemetry is opt-in");
         assert_eq!(c.telemetry_sample_ns, 1_000_000, "1 ms sim cadence");
-        assert_eq!(
-            c.replacement,
-            ReplacementKind::Clock,
-            "the default replacement policy is the classic clock"
-        );
     }
 
     #[test]
@@ -319,15 +297,6 @@ mod tests {
         assert_eq!(c.retry.max_attempts, RetryPolicy::no_retry().max_attempts);
         assert!(c.telemetry);
         assert_eq!(c.telemetry_sample_ns, 500_000);
-    }
-
-    #[test]
-    fn policy_section_selects_and_routes() {
-        let c = PvmConfig::builder()
-            .replacement(ReplacementKind::External)
-            .build()
-            .expect("valid policy config");
-        assert_eq!(c.replacement, ReplacementKind::External);
     }
 
     #[test]

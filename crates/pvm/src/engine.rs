@@ -20,9 +20,9 @@
 //! lands, in whoever's operation that is.
 //!
 //! A window is one [`CompletionRecord`], due at its last arrival, where
-//! it lands what nobody came for. Laundering `pushOut`s and
-//! `victimAdvice` rounds are the other records: fire-and-collect, their
-//! bookkeeping applied at the due time. Records leave the queue in
+//! it lands what nobody came for. Laundering `pushOut`s are the other
+//! records: fire-and-collect, their bookkeeping applied at the due
+//! time. Records leave the queue in
 //! `(due-time, request-id)` order ([`chorus_gmi::CompletionQueue`]), so
 //! the same operations produce bit-identical counters and clocks:
 //! everything already due at driver entry, and *forced* — the clock
@@ -46,7 +46,7 @@ use std::collections::BTreeSet;
 /// A submitted upcall whose bookkeeping awaits delivery.
 #[derive(Debug)]
 pub(crate) struct CompletionRecord {
-    /// Pull, push or advice (never `GetWriteAccess`: a faulting writer
+    /// Pull or push (never `GetWriteAccess`: a faulting writer
     /// cannot proceed without the answer, so there is no latency to
     /// hide).
     pub kind: UpcallKind,
@@ -467,19 +467,6 @@ impl PvmState {
                     for &p in &rec.pages {
                         self.finish_clean(p, false);
                     }
-                }
-            }
-            UpcallKind::VictimAdvice => {
-                // The advice round trip: the segment manager already
-                // answered eagerly at submit; the masked candidate
-                // batch waits in `rec.pages`. A cancelled/failed round
-                // approves nothing but still releases the external
-                // policy's in-flight latch so selection can re-request.
-                if rec.result.is_ok() {
-                    self.model.count_only(OpKind::IpcOp);
-                    self.approve_external_victims(&rec.pages);
-                } else {
-                    self.approve_external_victims(&[]);
                 }
             }
             UpcallKind::GetWriteAccess => unreachable!("write access is never asynchronous"),

@@ -43,7 +43,7 @@ mod keys;
 mod modelcheck;
 mod pageout;
 mod perpage;
-pub mod policy;
+mod policy;
 mod pvm;
 pub mod pvmtop;
 mod regions;
@@ -55,7 +55,6 @@ pub mod trace;
 
 pub use config::{PagingSection, PvmConfig, PvmConfigBuilder, TelemetrySection};
 pub use debug::{CacheDump, SlotDump, TreeDump};
-pub use policy::ReplacementKind;
 pub use pvm::{MmuChoice, Pvm, PvmOptions};
 pub use pvmtop::{CacheHeat, MapperHealth, MapperState, PhaseLatency, PvmTop};
 pub use stats::{Counter, PvmStats, StatsRegistry};

@@ -36,9 +36,6 @@ impl PvmState {
                         Outcome::Done(()) => continue,
                     }
                 }
-                Some(Pick::Advice(pages)) => {
-                    return blocked(self.victim_advice_blocked(pages));
-                }
                 Some(Pick::None) => {
                     // No victim, but the completion engine owes work
                     // (e.g. every candidate is `cleaning` under an
@@ -59,8 +56,10 @@ impl PvmState {
     /// without an upcall: clean victims are evicted, dirty ones set
     /// aside for write-behind. `None` once the frames are there, else
     /// what stopped the sweep short — a dirty victim that could not be
-    /// set aside (see [`PvmState::set_aside`]), the external policy's
-    /// request for advice, or nothing evictable.
+    /// set aside (see [`PvmState::set_aside`]), or nothing evictable.
+    /// The clock's hand meets first, in the order they came, the pages
+    /// put just ahead of it: pages a stream has read and left, and
+    /// pages a push has just cleaned (see [`PvmState::finish_clean`]).
     fn sweep(&mut self, floor: u32) -> Option<Pick> {
         while self.phys.free_frames() <= floor {
             if !self.config.enable_pageout {
@@ -79,11 +78,7 @@ impl PvmState {
     /// for the pull about to be issued. Returns how many of them are
     /// free now; the caller shrinks its window to that.
     pub fn secure_frames(&mut self, want: u64) -> u64 {
-        if let Some(Pick::Advice(_)) = self.sweep(want as u32 - 1) {
-            // Nobody will perform this round trip: release the external
-            // policy's in-flight latch.
-            self.approve_external_victims(&[]);
-        }
+        self.sweep(want as u32 - 1);
         u64::from(self.phys.free_frames()).min(want)
     }
 
@@ -193,9 +188,6 @@ impl PvmState {
             let sweeps = out.full_sweeps;
             self.trace.event(|| TraceEvent::ClockSweep { sweeps });
         }
-        if out.external_fallback {
-            self.stats.bump(Counter::PolicyExternalFallbacks);
-        }
         if let Pick::Victim(victim) = out.pick {
             self.stats.bump(Counter::PolicyVictims);
             if self.telemetry.enabled() {
@@ -207,19 +199,6 @@ impl PvmState {
             }
         }
         out.pick
-    }
-
-    /// Builds the blocked `victimAdvice` action for a candidate batch:
-    /// resolves each page's public identity for the segment manager.
-    fn victim_advice_blocked(&self, pages: Vec<PageKey>) -> Blocked {
-        let idents = pages
-            .iter()
-            .map(|&p| {
-                let d = self.page(p);
-                (crate::keys::pub_cache(d.cache), d.offset)
-            })
-            .collect();
-        Blocked::VictimAdvice { pages, idents }
     }
 
     /// Emergency eviction pass (fault-recovery degradation): evicts every
@@ -326,8 +305,10 @@ impl PvmState {
     }
 
     /// Called by the driver after a `pushOut`. On success the page is
-    /// clean and, unless it is referenced or pinned again first, the
-    /// retry picks it as its victim before the policy sweeps on.
+    /// clean and joins the run just ahead of the clock's hand, behind
+    /// the pages already put there: the sweep meets it before any page
+    /// it would have to clear, and takes it unless it is pinned again
+    /// or referenced since (then the hand clears its bit and moves on).
     pub fn finish_clean(&mut self, page: PageKey, success: bool) {
         if let Some(p) = self.pages.get_mut(page) {
             p.cleaning = false;
@@ -337,7 +318,7 @@ impl PvmState {
                 // was accessed while the push was out: the hardware
                 // bits are left alone.
                 p.ref_bit = false;
-                self.policy.cleaned(page);
+                self.policy.next_up(page);
             }
             self.stats.add(Counter::PushOuts, success as u64);
         }

@@ -1,54 +1,25 @@
-//! Page replacement: the clock, and the external advisor beside it.
+//! Page replacement: the paper's clock, and nothing beside it.
 //!
 //! The core keeps one replacement policy, the classic two-sweep clock
-//! (with one addition: pages a `pushOut` has just cleaned go first).
-//! Any other policy belongs outside, behind the upcall:
-//! [`ReplacementKind::External`] ships the clock's candidates to the
-//! segment manager as `victimAdvice` batches and evicts what it
-//! approves. (Pull-window sizing is not a policy: every cache carries a
-//! stream table, see `descriptors.rs`.)
+//! over one resident ring. Pages that should go before any the hand
+//! would have to clear — what a stream has read and left (drop-behind),
+//! what a laundering `pushOut` has just cleaned — are put in the run
+//! just ahead of the hand (`ClockRing::next_up`), in the order they
+//! came, and the hand treats them like every other candidate. (Pull
+//! window sizing is not a policy: every cache carries a stream table,
+//! see `descriptors.rs`.)
 //!
-//! `Replacement` lives *inside* `PvmState` and is only touched under
-//! the state lock; mutable page state is reached through the
-//! `PolicyView` the caller passes in, which borrows the page arena and
-//! the MMU (to read and take the hardware referenced bits) from the
-//! same locked state.
+//! `Clock` lives *inside* `PvmState` and is only touched under the
+//! state lock; mutable page state is reached through the `PolicyView`
+//! the caller passes in, which borrows the page arena and the MMU (to
+//! read and take the hardware referenced bits) from the same locked
+//! state.
 
 use crate::clock::ClockRing;
 use crate::descriptors::{CacheDesc, ContextDesc, PageDesc};
 use crate::keys::PageKey;
 use crate::stats::{Counter, StatsRegistry};
 use chorus_hal::{Arena, CostModel, Mmu};
-use std::collections::VecDeque;
-
-/// Who has the last word on an eviction victim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplacementKind {
-    /// The classic two-sweep clock over one resident ring (default).
-    Clock,
-    /// The clock proposes, the segment manager disposes: candidate
-    /// batches go out through the upcall protocol (they ride the
-    /// completion engine) and only approved pages are evicted; the
-    /// clock alone decides while a batch is in flight.
-    External,
-}
-
-impl ReplacementKind {
-    /// Stable lower-case label (bench JSON, pvmtop).
-    pub fn label(self) -> &'static str {
-        match self {
-            ReplacementKind::Clock => "clock",
-            ReplacementKind::External => "external",
-        }
-    }
-
-    /// Every kind, in the order benches race them.
-    pub const ALL: [ReplacementKind; 2] = [ReplacementKind::Clock, ReplacementKind::External];
-}
-
-/// Candidate batch size of a [`ReplacementKind::External`] advice
-/// upcall.
-const EXTERNAL_BATCH: usize = 8;
 
 /// Read/write access to the per-page state victim selection consults.
 /// Implemented over the page arena by the caller; all methods expect
@@ -73,9 +44,6 @@ pub(crate) trait PolicyView {
 pub(crate) enum Pick {
     /// A page to clean or evict right now.
     Victim(PageKey),
-    /// The segment manager's advice is wanted on this candidate batch
-    /// before anything is evicted.
-    Advice(Vec<PageKey>),
     /// Nothing evictable.
     None,
 }
@@ -85,55 +53,56 @@ pub(crate) enum Pick {
 pub(crate) struct Selection {
     pub pick: Pick,
     /// Full-sweep count for `ClockFullSweeps` accounting: `step / n`
-    /// when the hand found a victim, 2 on an exhausted sweep, 0 when
-    /// the hand did not move or its candidates went out for advice. The
-    /// caller adds this to the counter and emits a `ClockSweep` trace
-    /// event when positive.
+    /// when the hand found a victim, 2 on an exhausted sweep, 0 on an
+    /// empty ring. The caller adds this to the counter and emits a
+    /// `ClockSweep` trace event when positive.
     pub full_sweeps: u64,
-    /// The victim is the clock's own choice because advice is still in
-    /// flight (counted as `PolicyExternalFallbacks`).
-    pub external_fallback: bool,
 }
 
-/// The classic two-sweep clock, with one addition: pages a `pushOut`
-/// has just cleaned are taken before the hand moves on.
+/// The resident set and the classic two-sweep clock that picks victims
+/// from it. Every tracked key is a live page: pages enter at creation
+/// and leave eagerly when freed.
 #[derive(Default)]
-struct Clock {
+pub(crate) struct Clock {
     ring: ClockRing,
-    /// Pages cleaned since the last sweep, oldest first. The hand has
-    /// usually passed them, and without this list the allocation that
-    /// paid for the push would go on to a second dirty victim.
-    cleaned: VecDeque<PageKey>,
 }
 
 impl Clock {
-    /// Hands `found` up to `want` victims: the cleaned pages that
-    /// nobody has touched since, then up to two full revolutions,
-    /// clearing reference bits on the first. Returns the full sweeps
-    /// made (see [`Selection::full_sweeps`]).
-    fn sweep(
-        &mut self,
-        want: usize,
-        view: &mut dyn PolicyView,
-        mut found: impl FnMut(PageKey),
-    ) -> u64 {
-        let mut left = want;
-        while let Some(key) = self.cleaned.pop_front() {
-            if self.ring.contains(key)
-                && !view.pinned_or_cleaning(key)
-                && !view.referenced(key)
-                && !view.dirty_unpushable(key)
-            {
-                found(key);
-                left -= 1;
-                if left == 0 {
-                    return 0;
-                }
-            }
-        }
-        if self.ring.is_empty() {
-            return 0;
-        }
+    /// A page became resident.
+    pub fn insert(&mut self, key: PageKey) {
+        self.ring.insert(key);
+    }
+
+    /// A resident page is going away (eviction, invalidate, destroy).
+    pub fn remove(&mut self, key: PageKey) {
+        self.ring.remove(key);
+    }
+
+    /// A page its stream has read and left, or a laundering push has
+    /// just cleaned: the hand's next candidate, after those already put
+    /// there (see `ClockRing::next_up`).
+    pub fn next_up(&mut self, key: PageKey) {
+        self.ring.next_up(key);
+    }
+
+    /// Number of tracked pages.
+    pub fn len(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// Whether `key` is tracked.
+    pub fn contains(&self, key: PageKey) -> bool {
+        self.ring.contains(key)
+    }
+
+    /// The tracked keys (emergency eviction, invariant checks).
+    pub fn keys(&self) -> impl Iterator<Item = PageKey> + '_ {
+        self.ring.iter()
+    }
+
+    /// Selects one victim, or finds nothing: up to two full revolutions
+    /// of the hand, clearing reference bits on the first.
+    pub fn select_victim(&mut self, view: &mut dyn PolicyView) -> Selection {
         let n = self.ring.len();
         for step in 0..(2 * n) {
             let key = self.ring.advance().expect("ring emptied mid-sweep");
@@ -147,141 +116,14 @@ impl Clock {
             if view.dirty_unpushable(key) {
                 continue;
             }
-            found(key);
-            left -= 1;
-            if left == 0 {
-                return (step / n) as u64;
-            }
+            return Selection {
+                pick: Pick::Victim(key),
+                full_sweeps: (step / n) as u64,
+            };
         }
-        2
-    }
-}
-
-/// [`ReplacementKind::External`]'s side of the advice protocol.
-#[derive(Default)]
-struct Advisor {
-    /// Approved victims not yet taken, in the order they came back.
-    approved: VecDeque<PageKey>,
-    /// A candidate batch is out and has not been answered.
-    inflight: bool,
-}
-
-/// The resident set and the policy that picks victims from it. Every
-/// tracked key is a live page: pages enter at creation and leave
-/// eagerly when freed.
-pub(crate) struct Replacement {
-    clock: Clock,
-    /// `Some` under [`ReplacementKind::External`].
-    advisor: Option<Advisor>,
-}
-
-impl Replacement {
-    pub fn new(kind: ReplacementKind) -> Replacement {
-        Replacement {
-            clock: Clock::default(),
-            advisor: (kind == ReplacementKind::External).then(Advisor::default),
-        }
-    }
-
-    /// A page became resident.
-    pub fn insert(&mut self, key: PageKey) {
-        self.clock.ring.insert(key);
-    }
-
-    /// A resident page is going away (eviction, invalidate, destroy).
-    pub fn remove(&mut self, key: PageKey) {
-        self.clock.ring.remove(key);
-    }
-
-    /// A page its stream has read and left: the hand's next candidate
-    /// (see `ClockRing::next_up`).
-    pub fn next_up(&mut self, key: PageKey) {
-        self.clock.ring.next_up(key);
-    }
-
-    /// A laundering push finished for the page (it is clean now).
-    pub fn cleaned(&mut self, key: PageKey) {
-        // Under the advisor the clock does not hear of a laundered
-        // page. Telling it was measured and is no win
-        // (`ablation_policies`, external rows: `writeback` 23 834.5 ->
-        // 23 825.0 ms, `pressure` 201 -> 222 pulls and 4 877.5 ->
-        // 5 247.2 ms; EXPERIMENTS.md "Policy engine").
-        if self.advisor.is_some() {
-            return;
-        }
-        // An explicit sync of a large cache cleans more pages than any
-        // sweep will ask for; the list need not outgrow the ring.
-        if self.clock.cleaned.len() < self.clock.ring.len() {
-            self.clock.cleaned.push_back(key);
-        }
-    }
-
-    /// Number of tracked pages.
-    pub fn len(&self) -> usize {
-        self.clock.ring.len()
-    }
-
-    /// Whether `key` is tracked.
-    pub fn contains(&self, key: PageKey) -> bool {
-        self.clock.ring.contains(key)
-    }
-
-    /// The tracked keys (emergency eviction, invariant checks).
-    pub fn keys(&self) -> impl Iterator<Item = PageKey> + '_ {
-        self.clock.ring.iter()
-    }
-
-    /// Selects one victim, or asks for advice, or finds nothing.
-    pub fn select_victim(&mut self, view: &mut dyn PolicyView) -> Selection {
-        let mut victim = None;
-        let mut external_fallback = false;
-        let full_sweeps = match &mut self.advisor {
-            None => self.clock.sweep(1, view, |k| victim = Some(k)),
-            Some(advisor) => {
-                // 1. Approved victims that are still evictable go first.
-                victim = core::iter::from_fn(|| advisor.approved.pop_front()).find(|&key| {
-                    self.clock.ring.contains(key)
-                        && !view.pinned_or_cleaning(key)
-                        && !view.dirty_unpushable(key)
-                });
-                if victim.is_some() {
-                    0
-                } else if !advisor.inflight {
-                    // 2. No approvals on hand: request a fresh batch.
-                    let mut batch = Vec::new();
-                    let sweeps = self.clock.sweep(EXTERNAL_BATCH, view, |k| batch.push(k));
-                    if !batch.is_empty() {
-                        advisor.inflight = true;
-                        return Selection {
-                            pick: Pick::Advice(batch),
-                            full_sweeps: 0,
-                            external_fallback: false,
-                        };
-                    }
-                    sweeps
-                } else {
-                    // 3. Advice in flight: the clock decides, so
-                    // allocation never stalls on the advisor.
-                    let sweeps = self.clock.sweep(1, view, |k| victim = Some(k));
-                    external_fallback = victim.is_some();
-                    sweeps
-                }
-            }
-        };
         Selection {
-            pick: victim.map_or(Pick::None, Pick::Victim),
-            full_sweeps,
-            external_fallback,
-        }
-    }
-
-    /// Delivers the approved subset of a previously requested advice
-    /// batch (empty slice: the request failed or was cancelled, so clear
-    /// the in-flight flag and let selection re-request).
-    pub fn approve_victims(&mut self, pages: &[PageKey]) {
-        if let Some(advisor) = &mut self.advisor {
-            advisor.inflight = false;
-            advisor.approved.extend(pages.iter().copied());
+            pick: Pick::None,
+            full_sweeps: if n == 0 { 0 } else { 2 },
         }
     }
 }
@@ -361,7 +203,7 @@ mod tests {
 
     #[test]
     fn clock_two_sweep_semantics() {
-        let mut c = Replacement::new(ReplacementKind::Clock);
+        let mut c = Clock::default();
         let mut view = TestView::default();
         for i in 0..4 {
             c.insert(k(i));
@@ -384,32 +226,39 @@ mod tests {
         assert_eq!(out.pick, Pick::None);
         assert_eq!(out.full_sweeps, 2);
         // Empty ring: silent none.
-        let mut empty = Replacement::new(ReplacementKind::Clock);
-        let out = empty.select_victim(&mut view);
+        let out = Clock::default().select_victim(&mut view);
         assert_eq!(out.pick, Pick::None);
         assert_eq!(out.full_sweeps, 0);
     }
 
+    /// `finish_clean` puts a page its push has just cleaned `next_up`,
+    /// as drop-behind does a page its stream has read.
     #[test]
-    fn external_requests_advice_then_drains_approvals() {
-        let mut e = Replacement::new(ReplacementKind::External);
+    fn a_laundered_page_is_the_hands_next_victim() {
+        let mut c = Clock::default();
         let mut view = TestView::default();
-        for i in 0..12 {
-            e.insert(k(i));
+        for i in 0..8 {
+            c.insert(k(i));
         }
-        // First call: no approvals, not in flight → advice request.
-        let Pick::Advice(cands) = e.select_victim(&mut view).pick else {
-            panic!("requests an advice batch");
-        };
-        assert_eq!(cands.len(), EXTERNAL_BATCH, "batch size respected");
-        // In flight: falls back to the inner clock.
-        let out = e.select_victim(&mut view);
-        assert!(matches!(out.pick, Pick::Victim(_)));
-        assert!(out.external_fallback);
-        // Approval delivery: approved victims drain first.
-        e.approve_victims(&cands);
-        let out = e.select_victim(&mut view);
-        assert_eq!(out.pick, Pick::Victim(cands[0]));
-        assert!(!out.external_fallback);
+        fn victim(c: &mut Clock, view: &mut TestView) -> u32 {
+            match c.select_victim(view).pick {
+                Pick::Victim(key) => key.index(),
+                Pick::None => panic!("a victim is there"),
+            }
+        }
+        // Before the hand's own candidate, page 0.
+        c.next_up(k(5));
+        assert_eq!(victim(&mut c, &mut view), 5);
+        // After the drop-behind pages already in the run.
+        c.next_up(k(6)); // drop-behind
+        c.next_up(k(3)); // cleaned
+        assert_eq!(victim(&mut c, &mut view), 6, "drop-behind comes first");
+        assert_eq!(victim(&mut c, &mut view), 3, "then the cleaned page");
+        // A cleaned page referenced since has its bit cleared and is
+        // passed over: the hand takes the candidate after it.
+        c.next_up(k(7));
+        view.referenced.insert(7);
+        assert_eq!(victim(&mut c, &mut view), 4);
+        assert!(!view.referenced.contains(&7), "its bit was cleared");
     }
 }

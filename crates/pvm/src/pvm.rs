@@ -736,34 +736,6 @@ impl Pvm {
                     }
                 }
             }
-            Blocked::VictimAdvice { pages, idents } => {
-                guard.stats.bump(Counter::PolicyExternalBatches);
-                if pages.is_empty() {
-                    guard.approve_external_victims(&[]);
-                    return Ok(guard);
-                }
-                // Candidates are live here: selection returned this
-                // action under the lock we still hold. They may die
-                // while the advice round trip runs below;
-                // `approve_external_victims` re-filters on return.
-                let cache = guard.page(pages[0]).cache;
-                // Fire-and-collect, like a laundering push: the mapper
-                // answers eagerly, the approval bookkeeping waits for
-                // the completion's due time. Selection falls back to
-                // the internal clock meanwhile, so allocation never
-                // stalls on the advisor.
-                let n = idents.len() as u64;
-                let (id, mut rec) =
-                    guard.begin_request(UpcallKind::VictimAdvice, cache, ADVICE_SEGMENT, (0, 0), n);
-                let service = guard.upcall_service_ns(n);
-                drop(guard);
-                let verdicts = self.seg_mgr.advise_victims(&idents);
-                rec.pages = approved_victims(&pages, &verdicts);
-                let mut guard = self.state.lock();
-                let due = guard.model.now().nanos() + service;
-                guard.engine.queue.insert(due, id, rec);
-                Ok(guard)
-            }
             Blocked::NeedSegment { cache } => {
                 drop(guard);
                 let segment = self.seg_mgr.create_segment_v2(pub_cache(cache));
@@ -1313,26 +1285,6 @@ impl Gmi for Pvm {
             .filter(|&&o| matches!(guard.gmap.get(key, o), Some(Slot::Present(_))))
             .count() as u64)
     }
-}
-
-/// Sentinel segment id that carries `victimAdvice` completions through
-/// the engine's in-flight table: advice is addressed to the manager as
-/// a whole, not to any one segment, and no real segment ever gets this
-/// id (segment ids are small sequential integers).
-const ADVICE_SEGMENT: SegmentId = SegmentId(u64::MAX);
-
-/// Applies a `victimAdvice` verdict mask to its candidate batch: a
-/// candidate survives only where the mapper answered `true`; a short
-/// reply vetoes the missing tail.
-fn approved_victims(
-    pages: &[crate::keys::PageKey],
-    verdicts: &[bool],
-) -> Vec<crate::keys::PageKey> {
-    pages
-        .iter()
-        .zip(verdicts.iter().copied().chain(std::iter::repeat(false)))
-        .filter_map(|(&p, ok)| ok.then_some(p))
-        .collect()
 }
 
 /// Maps an upcall's final result onto the traced outcome.

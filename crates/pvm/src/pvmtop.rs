@@ -139,23 +139,14 @@ impl PhaseLatency {
     }
 }
 
-/// The replacement policy engine's identity and decision counters.
+/// The clock's decision counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicyHeat {
-    /// Label of the replacement policy (`clock`, `external`).
-    pub replacement: &'static str,
     /// Victim-selection rounds requested.
     pub victim_requests: u64,
     /// Victims actually produced.
     pub victims: u64,
-    /// `victimAdvice` batches shipped to the external policy's manager.
-    pub external_batches: u64,
-    /// Candidates approved when advice was applied.
-    pub external_approvals: u64,
-    /// Selections served from the internal fallback clock while advice
-    /// was in flight.
-    pub external_fallbacks: u64,
-    /// Second chances granted: referenced pages a policy passed over.
+    /// Second chances granted: referenced pages the hand passed over.
     pub second_chances: u64,
     /// Pages that lost their reference to drop-behind.
     pub drop_behind_pages: u64,
@@ -179,7 +170,7 @@ pub struct PvmTop {
     pub state_lock_acqs: u64,
     /// State-lock acquisitions that missed the uncontended try-lock.
     pub state_lock_contended: u64,
-    /// The policy engine's identity and decision counters.
+    /// The clock's decision counters.
     pub policy: PolicyHeat,
     /// Windows a full-window stream keeps in flight ahead of its reader:
     /// two where they and the one being read stay under a quarter of
@@ -305,12 +296,8 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
 
     use crate::stats::Counter as C;
     let policy = PolicyHeat {
-        replacement: state.config.replacement.label(),
         victim_requests: state.stats.get(C::PolicyVictimRequests),
         victims: state.stats.get(C::PolicyVictims),
-        external_batches: state.stats.get(C::PolicyExternalBatches),
-        external_approvals: state.stats.get(C::PolicyExternalApprovals),
-        external_fallbacks: state.stats.get(C::PolicyExternalFallbacks),
         second_chances: state.stats.get(C::RefSecondChances),
         drop_behind_pages: state.stats.get(C::DropBehindPages),
     };
@@ -349,17 +336,8 @@ pub fn render(top: &PvmTop, n: usize) -> String {
     ));
     let pol = &top.policy;
     out.push_str(&format!(
-        "        policy: {}  victims {}/{} req  \
-         external {}/{} appr  fallbacks {}  second chances {}  \
-         drop-behind {}\n",
-        pol.replacement,
-        pol.victims,
-        pol.victim_requests,
-        pol.external_approvals,
-        pol.external_batches,
-        pol.external_fallbacks,
-        pol.second_chances,
-        pol.drop_behind_pages,
+        "        clock: victims {}/{} req  second chances {}  drop-behind {}\n",
+        pol.victims, pol.victim_requests, pol.second_chances, pol.drop_behind_pages,
     ));
     out.push_str(&format!(
         "        readahead: depth {}, {} windows pulled ahead of their reader, \
@@ -492,12 +470,8 @@ mod tests {
             state_lock_acqs: 12,
             state_lock_contended: 3,
             policy: PolicyHeat {
-                replacement: "clock",
                 victim_requests: 3,
                 victims: 2,
-                external_batches: 0,
-                external_approvals: 0,
-                external_fallbacks: 0,
                 second_chances: 7,
                 drop_behind_pages: 5,
             },
@@ -505,8 +479,7 @@ mod tests {
         };
         let text = render(&top, 2);
         assert!(text.contains("pvmtop  sim=42 ns"));
-        assert!(text.contains("policy: clock  victims 2/3 req"));
-        assert!(text.contains("fallbacks 0  second chances 7  drop-behind 5"));
+        assert!(text.contains("clock: victims 2/3 req  second chances 7  drop-behind 5\n"));
         assert!(text.contains("readahead: depth 2, 6 windows pulled ahead of their reader, 2 due"));
         assert!(text.contains("PVICT"));
         assert!(text.contains("... 1 more caches"));

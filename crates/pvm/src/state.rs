@@ -13,7 +13,7 @@ use crate::config::PvmConfig;
 use crate::descriptors::{CacheDesc, ContextDesc, CowSource, Mapping, PageDesc, RegionDesc, Slot};
 use crate::gmap::GlobalMap;
 use crate::keys::{CacheKey, CtxKey, PageKey, RegKey};
-use crate::policy::Replacement;
+use crate::policy::Clock;
 use crate::stats::{Counter, StatsRegistry};
 use crate::telemetry::{Dim, DimCounter, SeriesRing, Telemetry, TelemetrySample, SERIES_CAP};
 use crate::trace::{TraceEvent, Tracer};
@@ -71,18 +71,6 @@ pub(crate) enum Blocked {
     /// page is one). The driver force-delivers the earliest completion
     /// and retries.
     AwaitCompletion,
-    /// The external replacement policy needs a `victimAdvice` upcall:
-    /// present the candidate batch to the segment manager and deliver
-    /// the approved subset back through
-    /// [`PvmState::approve_external_victims`] through a
-    /// completion-engine record.
-    VictimAdvice {
-        /// Candidate pages, in policy order.
-        pages: Vec<PageKey>,
-        /// Their public identities (cache id, offset), parallel to
-        /// `pages` — what the segment manager actually sees.
-        idents: Vec<(chorus_gmi::CacheId, u64)>,
-    },
     /// Ask the segment manager for write access (`getWriteAccess`).
     GetWriteAccess {
         /// The cache whose page needs write access (kept for telemetry
@@ -165,9 +153,9 @@ pub(crate) struct PvmState {
     pub gmap: GlobalMap,
     /// Owner page of each allocated frame (reverse of `PageDesc.frame`).
     pub frame_owner: FxHashMap<u32, PageKey>,
-    /// The replacement policy (every tracked entry is a live page;
-    /// freed pages are removed eagerly).
-    pub policy: Replacement,
+    /// The replacement policy, the clock (every tracked entry is a live
+    /// page; freed pages are removed eagerly).
+    pub policy: Clock,
     /// The current user context.
     pub current: Option<CtxKey>,
     pub config: PvmConfig,
@@ -236,7 +224,7 @@ impl PvmState {
             pages: Arena::new(),
             gmap: GlobalMap::default(),
             frame_owner: FxHashMap::default(),
-            policy: Replacement::new(config.replacement),
+            policy: Clock::default(),
             current: None,
             config,
             stats,
@@ -709,26 +697,6 @@ impl PvmState {
         let sample = self.live_sample();
         self.series.push(sample);
         self.stats.bump(Counter::TelemetrySamples);
-    }
-
-    // ----- external replacement policy --------------------------------------
-
-    /// Delivers the approved subset of a `victimAdvice` batch to the
-    /// policy engine, dropping pages that died while the advice was in
-    /// flight. An empty delivery (failed or cancelled advice) still
-    /// clears the policy's in-flight flag so it can re-request.
-    pub(crate) fn approve_external_victims(&mut self, pages: &[PageKey]) {
-        let live: Vec<PageKey> = pages
-            .iter()
-            .copied()
-            .filter(|&p| self.pages.contains(p))
-            .collect();
-        self.stats
-            .add(Counter::PolicyExternalApprovals, live.len() as u64);
-        if live.is_empty() && !pages.is_empty() {
-            self.stats.bump(Counter::PolicyExternalFallbacks);
-        }
-        self.policy.approve_victims(&live);
     }
 
     // ----- charging ----------------------------------------------------------

@@ -137,7 +137,7 @@ counters! {
     /// Times a stream's pull window grew (doubled).
     readahead_ramps => ReadaheadRamps,
     /// Upcalls submitted to the completion engine (pull windows,
-    /// fire-and-collect laundering pushes, advice rounds).
+    /// fire-and-collect laundering pushes).
     async_submits => AsyncSubmits,
     /// Requests the completion engine concluded (a pull window once,
     /// with its last page or its failure); equals `async_submits` once
@@ -172,16 +172,6 @@ counters! {
     /// Victims the policy engine actually produced (a request can come
     /// up empty when every candidate is pinned or cleaning).
     policy_victims => PolicyVictims,
-    /// Candidate batches shipped to an external policy's segment
-    /// manager through the `victimAdvice` upcall.
-    policy_external_batches => PolicyExternalBatches,
-    /// Candidate pages approved (still live) when external victim
-    /// advice was applied.
-    policy_external_approvals => PolicyExternalApprovals,
-    /// Selections the external policy served from its internal
-    /// fallback clock because advice was still in flight (or an entire
-    /// approved batch had died by delivery time).
-    policy_external_fallbacks => PolicyExternalFallbacks,
     /// Readahead tail pages delivered: pages a `pullIn` landed beyond
     /// the one its faulter asked for.
     readahead_pages => ReadaheadPages,
@@ -194,8 +184,8 @@ counters! {
     /// `pushOut` runs issued inline by an allocation that found the
     /// write-behind queue full (the faulter stalls on them).
     demand_pushes => DemandPushes,
-    /// Second chances granted: times a replacement policy passed over a
-    /// page because it was referenced, clearing the reference.
+    /// Second chances granted: times the clock passed over a page
+    /// because it was referenced, clearing the reference.
     ref_second_chances => RefSecondChances,
     /// Resident pages that lost their reference because the stream that
     /// pulled them in moved on to its next window (drop-behind).
@@ -302,7 +292,7 @@ mod tests {
 
     #[test]
     fn counter_labels_match_snapshot_fields() {
-        assert_eq!(Counter::ALL.len(), 47);
+        assert_eq!(Counter::ALL.len(), 44);
         assert_eq!(Counter::AheadSkipped.label(), "ahead_skipped");
         assert_eq!(Counter::ReadaheadHits.label(), "readahead_hits");
         assert_eq!(Counter::ReadaheadRamps.label(), "readahead_ramps");

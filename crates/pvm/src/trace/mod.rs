@@ -116,9 +116,6 @@ pub enum UpcallKind {
     PushOut,
     /// `getWriteAccess` (distributed coherence, §3.3.2).
     GetWriteAccess,
-    /// `victimAdvice`: an external replacement policy asking the
-    /// segment manager to veto/approve an eviction candidate batch.
-    VictimAdvice,
 }
 
 impl UpcallKind {
@@ -128,16 +125,14 @@ impl UpcallKind {
             UpcallKind::PullIn => "pullIn",
             UpcallKind::PushOut => "pushOut",
             UpcallKind::GetWriteAccess => "getWriteAccess",
-            UpcallKind::VictimAdvice => "victimAdvice",
         }
     }
 
-    /// The latency histogram this upcall feeds. Victim advice rides
-    /// the `pushOut` track: both are pageout-side mapper round trips.
+    /// The latency histogram this upcall feeds.
     pub fn phase(self) -> Phase {
         match self {
             UpcallKind::PullIn => Phase::PullIn,
-            UpcallKind::PushOut | UpcallKind::VictimAdvice => Phase::PushOut,
+            UpcallKind::PushOut => Phase::PushOut,
             UpcallKind::GetWriteAccess => Phase::GetWriteAccess,
         }
     }

@@ -334,6 +334,54 @@ fn a_cancelled_window_gives_up_exactly_the_pages_that_have_not_arrived() {
 }
 
 #[test]
+fn a_fault_that_finds_only_parked_pages_waits_for_their_arrival() {
+    // The pool is one window: page 0 locked in memory, the other seven
+    // in flight behind it. A parked page is pinned from `fillUp` to its
+    // arrival (DESIGN.md §13), so a second cache's fault takes none of
+    // them: it waits for the window to land and takes a landed page.
+    for mmu in MMUS {
+        let (pvm, mgr) = setup_with(WINDOW as u32, |o| options(o, mmu, service_costs()));
+        let (ctx, cache) = map_pages(&pvm, &mgr, WINDOW);
+        let t = now(&pvm);
+        pvm.cache_lock_in_memory(cache, 0, PS).unwrap();
+        assert_eq!(pulls(&mgr), [(0, WINDOW)], "{mmu:?}");
+        assert_eq!(pvm.free_frames(), 0, "{mmu:?}: the window fills the pool");
+        assert_eq!(now(&pvm), arrival(t, 0) + LAND, "{mmu:?}");
+        pvm.check_invariants();
+
+        let anon = pvm.cache_create(None).unwrap();
+        let anon_base = 2 * BASE;
+        pvm.region_create(ctx, VirtAddr(anon_base), PS, Prot::RW, anon, 0)
+            .unwrap();
+        write(&pvm, ctx, anon_base, &page_bytes(99));
+        assert!(
+            now(&pvm) > arrival(t, WINDOW - 1),
+            "{mmu:?}: the fault took a parked page instead of waiting"
+        );
+        let stats = pvm.stats();
+        assert_eq!(
+            stats.readahead_pages,
+            WINDOW - 1,
+            "{mmu:?}: all landed first"
+        );
+        assert_eq!((stats.evictions, stats.readahead_unused), (1, 1), "{mmu:?}");
+        pvm.check_invariants();
+
+        // Unlocked, the pool can take a window again.
+        pvm.cache_unlock(cache, 0, PS).unwrap();
+        assert_eq!(read(&pvm, ctx, anon_base, PS as usize), page_bytes(99));
+        for p in 0..WINDOW {
+            let bytes = read(&pvm, ctx, BASE + p * PS, PS as usize);
+            assert_eq!(bytes, page_bytes(p), "{mmu:?}: page {p}");
+        }
+        pvm.drain_upcalls();
+        let stats = pvm.stats();
+        assert_eq!(stats.async_deliveries, stats.async_submits, "{stats:?}");
+        pvm.check_invariants();
+    }
+}
+
+#[test]
 fn the_same_operations_give_the_same_clock_and_counters() {
     // On the paper's costs, with evictions, laundering and a second
     // cache in the mix; everything the run leaves in flight is drained.

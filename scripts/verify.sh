@@ -14,13 +14,9 @@
 # smoke (retries must heal transient faults with zero client errors),
 # the telemetry smoke (the knob must be free when off — bit-identical
 # sim clocks — and cost <=5% wall when on, with pvmtop attributing a
-# seeded hot-cache/sick-mapper scenario), the replacement smoke (the
-# clock and the externally advised clock race the three
-# ablation_policies scenarios with per-combo determinism self-checks
-# and byte-verified workloads, and at full size the clock must pull
-# fewer hot pages back than it did without hardware referenced bits),
-# the pvmtop render smoke, the one-of-each gate (no allow(deprecated),
-# no SyncShim outside its definition), the hashing gate (no std
+# seeded hot-cache/sick-mapper scenario), the pvmtop render smoke, the
+# one-of-each gate (no allow(deprecated), no SyncShim outside its
+# definition, no victim advice beside the clock), the hashing gate (no std
 # HashMap/HashSet in the kernel crates), the
 # release-mode concurrency stress, the tracing
 # bit-identity check (Table 5 regenerated with CHORUS_TRACE=1 must
@@ -136,45 +132,6 @@ print("ok: %.1f pages/pull sequential, %.1f two streams, %.2f random; "
          per_read(seq), per_read(rows[256, "sequential"])))
 '
 
-step "ablation_policies --quick: clock vs external, raced"
-# The bench asserts internally that every combination re-runs
-# bit-identically (per-combo determinism self-check on the writeback
-# scenario), that a config which never names the policy section is
-# bit-identical to an explicit clock selection, and that each
-# workload's bytes survive every policy (no dirty-page loss).
-cargo run --release -q -p chorus-bench --bin ablation_policies -- --json --quick |
-  tee BENCH_policies.json |
-  python3 -c '
-import json, sys
-out = json.load(sys.stdin)
-rows = out["rows"]
-kinds = {"clock", "external"}
-for scenario in ("scale", "writeback", "pressure"):
-    have = {r["replacement"] for r in rows if r["scenario"] == scenario}
-    assert have == kinds, (scenario, have)
-assert all(r["victims"] >= r["evictions"] > 0 for r in rows), \
-    "an eviction bypassed the policy engine"
-ext = [r for r in rows if r["replacement"] == "external"]
-assert ext and all(r["external_batches"] > 0 for r in ext), ext
-print("ok: %d rows, every eviction policy-driven" % len(rows))
-'
-
-step "ablation_policies (full shape): the clock sees the hot set"
-# With a software-only reference bit the clock could not tell the hot
-# pages of `pressure` from the cold stream and pulled 267 pages. (The
-# --quick shape cannot show it: its three rounds keep the hand four
-# pages ahead of the rewrite whatever the clock knows, 102 pulls.)
-cargo run --release -q -p chorus-bench --bin ablation_policies -- --json |
-  python3 -c '
-import json, sys
-rows = json.load(sys.stdin)["rows"]
-clock = next(r for r in rows
-             if r["scenario"] == "pressure" and r["replacement"] == "clock")
-assert clock["pull_ins"] < 267, clock
-print("ok: clock pulls %d pages under hot/cold pressure (267 without "
-      "hardware referenced bits)" % clock["pull_ins"])
-'
-
 step "ablation_mapper_faults: retries heal transient faults"
 cargo run --release -q -p chorus-bench --bin ablation_mapper_faults -- --json |
   tee BENCH_mapper_faults.json |
@@ -217,16 +174,28 @@ assert out["top_caches"][0]["faults"] >= out["top_caches"][-1]["faults"], out
 print("ok: %d caches, %d mappers, hottest first" % (out["caches"], out["mappers"]))
 '
 
-step "one of each behind the upcall: no allow(deprecated), no SyncShim"
+step "one of each: no allow(deprecated), no SyncShim, one replacement policy"
 # One upcall trait: nothing in the workspace needs a deprecation
 # silenced, and the fieldless SyncShim (kept for the frozen benchmark/)
-# is named only where it is defined and re-exported.
+# is named only where it is defined and re-exported. One replacement
+# policy, the clock: the victim-advice path is gone, and the dead
+# advise_victims upcall is named only where the trait declares it (the
+# frozen benchmark/src/trace.rs implements it). The hot-set tests of
+# crates/pvm/tests/reference.rs hold what the clock must see.
 if grep -rn 'allow(deprecated)' crates src tests examples; then
   echo "FAIL: #[allow(deprecated)] is back"; exit 1
 fi
 if grep -rn 'SyncShim' crates src tests examples |
   grep -v '^crates/gmi/src/\(traits\|lib\)\.rs:'; then
   echo "FAIL: SyncShim named outside crates/gmi/src/{traits,lib}.rs"; exit 1
+fi
+if grep -rnE 'ReplacementKind|VictimAdvice|approve_victims|EXTERNAL_BATCH|ADVICE_SEGMENT|PolicyExternal' \
+  crates src tests examples; then
+  echo "FAIL: a second replacement path is back"; exit 1
+fi
+if grep -rn 'advise_victims' crates src tests examples |
+  grep -v '^crates/gmi/src/traits\.rs:'; then
+  echo "FAIL: advise_victims named outside crates/gmi/src/traits.rs"; exit 1
 fi
 echo "ok"
 
