@@ -2,7 +2,7 @@
 //! text sharing, exec with segment caching, pipelines, shell loops.
 
 use chorus_gmi::VirtAddr;
-use chorus_hal::{CostParams, PageGeometry};
+use chorus_hal::{CostParams, OpKind, PageGeometry};
 use chorus_mix::{ProcState, ProcessManager, ProgramStore};
 use chorus_nucleus::{MemMapper, Nucleus, NucleusSegmentManager, PortName, SwapMapper};
 use chorus_pvm::{Pvm, PvmConfig, PvmOptions};
@@ -16,6 +16,10 @@ struct Mix {
 }
 
 fn mix(frames: u32) -> Mix {
+    mix_costed(frames, CostParams::zero())
+}
+
+fn mix_costed(frames: u32, cost: CostParams) -> Mix {
     let seg_mgr = Arc::new(NucleusSegmentManager::new());
     let files = Arc::new(MemMapper::new(PortName(1)));
     let swap = Arc::new(SwapMapper::new(PortName(2)));
@@ -26,7 +30,7 @@ fn mix(frames: u32) -> Mix {
         PvmOptions {
             geometry: PageGeometry::new(PS),
             frames,
-            cost: CostParams::zero(),
+            cost,
             config: PvmConfig::builder()
                 .paging(|p| p.check_invariants(true))
                 .build()
@@ -457,4 +461,68 @@ fn concurrent_shells_do_not_interfere() {
     }
     assert_eq!(m.pm.live_processes(), 0);
     m.pm.nucleus().gmi().check_invariants();
+}
+
+#[test]
+fn a_compile_job_pipes_its_heap_and_exits_without_a_copy() {
+    // The scoreboard's mix-make job in miniature: the child execs, forks
+    // a grandchild that outlives it, pipes two heap pages to the shell
+    // and exits. Its dying heap keeps the piped pages for the pipe's
+    // stubs and the grandchild's history both: exit copies nothing.
+    for frames in [512, 8] {
+        let m = mix_costed(frames, CostParams::sun3());
+        let gmi = m.pm.nucleus().gmi().clone();
+        let (heap, data) = (m.pm.heap_base(), m.pm.data_base());
+        let shell = m.pm.spawn("sh").unwrap();
+        let pipe = m.pm.pipe();
+        let child = m.pm.fork(shell).unwrap();
+        m.pm.write_mem(shell, data, b"shell").unwrap();
+        m.pm.exec(child, "make").unwrap();
+        // Six heap pages, two of them the message, and the stack.
+        let msg = pattern(0xC5, (2 * PS) as usize);
+        m.pm.write_mem(child, heap, &pattern(0x77, (6 * PS) as usize))
+            .unwrap();
+        m.pm.write_mem(child, heap, &msg).unwrap();
+        m.pm.write_mem(child, m.pm.stack_base(), &pattern(0x99, (2 * PS) as usize))
+            .unwrap();
+        m.pm.write_mem(child, data, b"child").unwrap();
+        let grandchild = m.pm.fork(child).unwrap();
+        m.pm.write_mem(grandchild, data, b"grand").unwrap();
+        m.pm.pipe_write(child, pipe, heap, 2 * PS).unwrap();
+
+        let copies = gmi.cost_model().count(OpKind::BcopyPage);
+        m.pm.exit(child, 0).unwrap();
+        assert_eq!(
+            gmi.cost_model().count(OpKind::BcopyPage) - copies,
+            0,
+            "{frames} frames: exit copies nothing"
+        );
+
+        // The orphan still reads its fork-time heap, and its writes
+        // reach neither the message nor the shell.
+        let mut got = vec![0u8; msg.len()];
+        m.pm.read_mem(grandchild, heap, &mut got).unwrap();
+        assert_eq!(got, msg, "{frames} frames");
+        m.pm.write_mem(grandchild, heap, &pattern(0x11, PS as usize))
+            .unwrap();
+        let mut buf = [0u8; 5];
+        m.pm.read_mem(grandchild, data, &mut buf).unwrap();
+        assert_eq!(&buf, b"grand");
+
+        let n =
+            m.pm.pipe_read(shell, pipe, heap, 2 * PS, Duration::from_secs(1))
+                .unwrap();
+        assert_eq!(n, 2 * PS);
+        m.pm.read_mem(shell, heap, &mut got).unwrap();
+        assert_eq!(got, msg, "{frames} frames: the piped bytes");
+        m.pm.exit(grandchild, 0).unwrap();
+        assert_eq!(m.pm.wait(shell), Some((child, 0)));
+        m.pm.read_mem(shell, heap, &mut got).unwrap();
+        assert_eq!(got, msg, "{frames} frames");
+        if frames == 8 {
+            let stats = gmi.stats();
+            assert!(stats.evictions > 0 && stats.push_outs > 0, "{stats:?}");
+        }
+        gmi.check_invariants();
+    }
 }

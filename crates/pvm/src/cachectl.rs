@@ -286,8 +286,11 @@ impl PvmState {
     }
 
     /// `cache.destroy()` (one attempt): write permanent data back, hand
-    /// pages with outstanding stubs over, then either free everything or
-    /// become a zombie internal node if descendants remain (§4.2.2).
+    /// pages with outstanding stubs over to them where no history child
+    /// needs the original, then either free everything or become a
+    /// zombie internal node if descendants remain (§4.2.2). A stubbed
+    /// page a history child needs stays in the zombie for both: a merge
+    /// carries it down, a reclaim donates it, and no copy is made here.
     pub fn cache_destroy_attempt(&mut self, cache: CacheKey) -> Attempt<()> {
         let desc = self.cache(cache)?;
         if desc.mapped_regions > 0 {
@@ -305,25 +308,18 @@ impl PvmState {
                 crate::state::Outcome::Blocked(b) => return blocked(b),
             }
         }
-        // Any page with threaded stubs is donated to its first stub —
-        // unless a history child still needs the original here, in which
-        // case the stubs get a materialized copy and the page stays for
-        // the child.
+        // A page with threaded stubs is donated to its first stub, unless
+        // a history child also needs the original here: then it stays in
+        // the zombie, read-only, serving the child and the stubs both,
+        // and the first write on either side makes the one copy.
         let offsets: Vec<u64> = self.cache(cache)?.entries.iter().copied().collect();
         for o in offsets {
             if let Some(Slot::Present(p)) = self.slot(cache, o) {
                 if self.page(p).lock_count > 0 {
                     return Err(GmiError::Locked);
                 }
-                if !self.page(p).stubs.is_empty() {
-                    if self.has_history_covering(cache, o) {
-                        match self.materialize_stub_original(p)? {
-                            crate::state::Outcome::Done(()) => {}
-                            crate::state::Outcome::Blocked(b) => return blocked(b),
-                        }
-                    } else {
-                        self.donate_page_to_stubs(p);
-                    }
+                if !self.page(p).stubs.is_empty() && !self.has_history_covering(cache, o) {
+                    self.donate_page_to_stubs(p);
                 }
             }
         }

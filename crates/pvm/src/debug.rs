@@ -10,7 +10,7 @@ use crate::keys::pub_cache;
 use crate::pvm::Pvm;
 use crate::state::PvmState;
 use chorus_gmi::{CacheId, SegmentId};
-use chorus_hal::Vpn;
+use chorus_hal::{Prot, Vpn};
 use core::fmt;
 
 impl PvmState {
@@ -224,11 +224,26 @@ impl PvmState {
             }
             for m in &p.mappings {
                 let ctx = self.contexts.get(m.ctx).expect("mapping into dead context");
+                let entry = self.mmu.query(ctx.mmu_ctx, m.vpn);
                 assert_eq!(
-                    self.mmu.query(ctx.mmu_ctx, m.vpn).map(|(f, _)| f),
+                    entry.map(|(f, _)| f),
                     Some(p.frame),
                     "MMU entry mismatch for mapping of page {key:?}"
                 );
+                // Only the owner writes a page, and only once no stub
+                // still reads its value.
+                if entry.is_some_and(|(_, prot)| prot.contains(Prot::WRITE)) {
+                    assert!(
+                        m.via == p.cache,
+                        "page {key:?} writable at {:?} through another cache",
+                        m.vpn
+                    );
+                    assert!(
+                        p.stubs.is_empty(),
+                        "page {key:?} with threaded stubs writable at {:?}",
+                        m.vpn
+                    );
+                }
             }
             if self.caches.get(p.cache).map(|c| c.owns(p.offset)) == Some(false) {
                 panic!("page {key:?} resident but not owned by its cache");

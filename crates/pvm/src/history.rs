@@ -803,11 +803,13 @@ impl PvmState {
         }
     }
 
-    /// Attempts the §4.2.5 merge of a zombie into its sole child. The
-    /// merge is skipped (not an error — the chain simply persists, as in
-    /// pre-GC Mach) when in-transit pages, locked pages, outstanding
-    /// per-page stubs, or swapped-out data make it unsafe to do
-    /// synchronously.
+    /// Attempts the §4.2.5 merge of a zombie into its sole child. A page
+    /// with per-page stubs goes down with them threaded (read-only while
+    /// they remain), or to its stubs where the child has its own
+    /// version. The merge is skipped (not an error — the chain simply
+    /// persists, as in pre-GC Mach) when in-transit pages, locked pages,
+    /// per-page stubs held by the zombie itself, or swapped-out data make
+    /// it unsafe to do synchronously.
     fn try_merge_into_child(&mut self, zombie: CacheKey, child: CacheKey) {
         let Some(z) = self.caches.get(zombie) else {
             return;
@@ -819,7 +821,7 @@ impl PvmState {
                 Some(Slot::Cow(_)) => return,
                 Some(Slot::Present(p)) => {
                     let page = self.page(p);
-                    if !page.stubs.is_empty() || page.lock_count > 0 || page.cleaning {
+                    if page.lock_count > 0 || page.cleaning {
                         return;
                     }
                 }
@@ -902,7 +904,8 @@ impl PvmState {
                         self.create_page(child, co, frame, writable, true);
                         self.charge(OpKind::HistoryOp);
                     }
-                    // Re-home the page descriptor to the first alias.
+                    // Re-home the page descriptor to the first alias. Its
+                    // stubs stay threaded, and keep it read-only.
                     self.unmap_foreign(p);
                     self.clear_slot(zombie, o);
                     let desc = self.page_mut(p);
@@ -918,6 +921,7 @@ impl PvmState {
                         .owned
                         .insert(first);
                 }
+                None if !self.page(p).stubs.is_empty() => self.donate_page_to_stubs(p),
                 None => {
                     self.free_page(p, StubsTo::AlreadyHandled, true);
                 }

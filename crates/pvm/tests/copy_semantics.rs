@@ -3,9 +3,11 @@
 
 mod common;
 
-use chorus_gmi::{CopyMode, Gmi, GmiError, Prot, VirtAddr};
-use chorus_pvm::SlotDump;
+use chorus_gmi::{CacheId, CopyMode, CtxId, Gmi, GmiError, Prot, RegionId, VirtAddr};
+use chorus_hal::OpKind;
+use chorus_pvm::{MmuChoice, Pvm, SlotDump};
 use common::*;
+use std::sync::Arc;
 
 #[test]
 fn per_page_copy_defers_and_isolates() {
@@ -339,4 +341,216 @@ fn move_into_larger_message_slot_then_back() {
         msg,
         "receiver isolated"
     );
+}
+
+// ----- a dying source whose page a history copy and a stub both need ------
+
+const HIST_VA: u64 = 0x1_0000;
+const STUB_VA: u64 = 0x2_0000;
+
+/// A source page with a history copy `hist` and a per-page copy `stub`,
+/// both mapped in one context and read once, after which the source is
+/// destroyed. With `keep_zombie` the source also holds a per-page stub
+/// of its own, which keeps it from merging into `hist`: it stays a
+/// zombie internal node. Asserts that the destroy copies nothing and
+/// that both copies still read the original.
+struct Shared {
+    pvm: Arc<Pvm>,
+    ctx: CtxId,
+    hist: CacheId,
+    hist_region: RegionId,
+    original: Vec<u8>,
+}
+
+impl Shared {
+    fn new(mmu: MmuChoice, keep_zombie: bool) -> Shared {
+        let (pvm, _) = setup_with(32, |o| o.mmu = mmu);
+        let original = pattern(0x5A, PS as usize);
+        let src = pvm.cache_create(None).unwrap();
+        pvm.write_logical(src, 0, &original).unwrap();
+        if keep_zombie {
+            let other = pvm.cache_create(None).unwrap();
+            pvm.write_logical(other, 0, &pattern(0x0F, PS as usize))
+                .unwrap();
+            pvm.cache_copy_with(other, 0, src, PS, PS, CopyMode::PerPage)
+                .unwrap();
+        }
+        let hist = pvm.cache_create(None).unwrap();
+        let stub = pvm.cache_create(None).unwrap();
+        pvm.cache_copy_with(src, 0, hist, 0, PS, CopyMode::HistoryCow)
+            .unwrap();
+        pvm.cache_copy_with(src, 0, stub, 0, PS, CopyMode::PerPage)
+            .unwrap();
+        let ctx = pvm.context_create().unwrap();
+        let hist_region = pvm
+            .region_create(ctx, VirtAddr(HIST_VA), PS, Prot::RW, hist, 0)
+            .unwrap();
+        pvm.region_create(ctx, VirtAddr(STUB_VA), PS, Prot::RW, stub, 0)
+            .unwrap();
+        let shared = Shared {
+            pvm,
+            ctx,
+            hist,
+            hist_region,
+            original,
+        };
+        shared.assert_reads(&shared.original, &shared.original);
+
+        let (copies, allocs, merges) = shared.charges();
+        shared.pvm.cache_destroy(src).unwrap();
+        let (copies_after, allocs_after, merges_after) = shared.charges();
+        assert_eq!(copies_after - copies, 0, "the destroy copies nothing");
+        assert_eq!(allocs_after - allocs, 0, "the destroy allocates nothing");
+        assert_eq!(
+            merges_after - merges,
+            u64::from(!keep_zombie),
+            "the zombie merges into the history copy unless it holds a stub"
+        );
+        let dump = shared.pvm.dump_caches();
+        assert_eq!(
+            dump.cache(hist)
+                .unwrap()
+                .slots
+                .iter()
+                .any(|&(o, s)| o == 0 && matches!(s, SlotDump::Page { .. })),
+            !keep_zombie,
+            "a merge carries the stubbed page down into the history copy"
+        );
+        shared.assert_reads(&shared.original, &shared.original);
+        shared
+    }
+
+    /// (BcopyPage, FrameAlloc, zombie merges) so far.
+    fn charges(&self) -> (u64, u64, u64) {
+        let model = self.pvm.cost_model();
+        (
+            model.count(OpKind::BcopyPage),
+            model.count(OpKind::FrameAlloc),
+            self.pvm.stats().zombie_merges,
+        )
+    }
+
+    fn assert_reads(&self, hist: &[u8], stub: &[u8]) {
+        assert_eq!(read(&self.pvm, self.ctx, HIST_VA, PS as usize), hist);
+        assert_eq!(read(&self.pvm, self.ctx, STUB_VA, PS as usize), stub);
+    }
+}
+
+/// Both fates of the zombie, on both MMUs.
+fn each_case(mut f: impl FnMut(MmuChoice, bool)) {
+    for mmu in [MmuChoice::Soft, MmuChoice::TwoLevel] {
+        for keep_zombie in [false, true] {
+            f(mmu, keep_zombie);
+        }
+    }
+}
+
+#[test]
+fn a_dying_source_keeps_its_stubbed_page_for_both_copies() {
+    each_case(|mmu, keep_zombie| {
+        let s = Shared::new(mmu, keep_zombie);
+        s.pvm.check_invariants();
+    });
+}
+
+/// Writes `writes` (true: the history copy, false: the stub holder) in
+/// order, then checks every byte and the copies those writes made.
+fn writes_cost(mmu: MmuChoice, keep_zombie: bool, writes: &[bool], copies: u64) {
+    let s = Shared::new(mmu, keep_zombie);
+    let before = s.charges().0;
+    let (mut hist, mut stub) = (s.original.clone(), s.original.clone());
+    for &on_hist in writes {
+        let (va, bytes, tag) = if on_hist {
+            (HIST_VA, &mut hist, b"hist")
+        } else {
+            (STUB_VA, &mut stub, b"stub")
+        };
+        write(&s.pvm, s.ctx, va + 8, tag);
+        bytes[8..12].copy_from_slice(tag);
+        s.assert_reads(&hist, &stub);
+    }
+    let case = format!("{mmu:?}, keep_zombie {keep_zombie}, writes {writes:?}");
+    assert_eq!(s.charges().0 - before, copies, "{case}");
+    s.pvm.check_invariants();
+}
+
+#[test]
+fn the_first_write_on_either_side_makes_the_one_copy() {
+    // (history first, stub holder first, one side only): after a merge
+    // the history copy owns the page and its first write hands the
+    // original to the stub; a zombie that stays is copied out of by
+    // each side that writes, as before the source died.
+    let orders: [(&[bool], u64, u64); 4] = [
+        (&[true, false], 1, 2),
+        (&[false, true], 1, 2),
+        (&[true], 1, 1),
+        (&[false], 1, 1),
+    ];
+    each_case(|mmu, keep_zombie| {
+        for (writes, merged, kept) in orders {
+            let copies = if keep_zombie { kept } else { merged };
+            writes_cost(mmu, keep_zombie, writes, copies);
+            // A second round of writes is in place.
+            writes_cost(mmu, keep_zombie, &[writes, writes].concat(), copies);
+        }
+    });
+}
+
+#[test]
+fn nobody_writes_and_the_history_copy_dies_without_a_copy() {
+    each_case(|mmu, keep_zombie| {
+        let s = Shared::new(mmu, keep_zombie);
+        let before = s.charges().0;
+        s.pvm.region_destroy(s.hist_region).unwrap();
+        s.pvm.cache_destroy(s.hist).unwrap();
+        assert_eq!(
+            read(&s.pvm, s.ctx, STUB_VA, PS as usize),
+            s.original,
+            "the stub holder is handed the page"
+        );
+        write(&s.pvm, s.ctx, STUB_VA, b"mine");
+        assert_eq!(
+            s.charges().0 - before,
+            0,
+            "{mmu:?}, keep_zombie {keep_zombie}"
+        );
+        s.pvm.check_invariants();
+    });
+}
+
+#[test]
+fn a_merge_hands_a_page_the_history_copy_replaced_to_its_stubs() {
+    for mmu in [MmuChoice::Soft, MmuChoice::TwoLevel] {
+        let (pvm, _) = setup_with(32, |o| o.mmu = mmu);
+        let original = pattern(0x3C, PS as usize);
+        let src = pvm.cache_create(None).unwrap();
+        pvm.write_logical(src, 0, &original).unwrap();
+        let hist = pvm.cache_create(None).unwrap();
+        let stub = pvm.cache_create(None).unwrap();
+        pvm.cache_copy_with(src, 0, hist, 0, PS, CopyMode::HistoryCow)
+            .unwrap();
+        pvm.cache_copy_with(src, 0, stub, 0, PS, CopyMode::PerPage)
+            .unwrap();
+        let ctx = pvm.context_create().unwrap();
+        pvm.region_create(ctx, VirtAddr(HIST_VA), PS, Prot::RW, hist, 0)
+            .unwrap();
+        pvm.region_create(ctx, VirtAddr(STUB_VA), PS, Prot::RW, stub, 0)
+            .unwrap();
+        write(&pvm, ctx, HIST_VA, b"mine");
+        assert_eq!(read(&pvm, ctx, STUB_VA, PS as usize), original);
+        // The history copy has its own version: the merge gives the
+        // source's page to the stub holder instead of freeing it.
+        let model = pvm.cost_model();
+        let copies = model.count(OpKind::BcopyPage);
+        let merges = pvm.stats().zombie_merges;
+        pvm.cache_destroy(src).unwrap();
+        assert_eq!(pvm.stats().zombie_merges - merges, 1);
+        assert_eq!(read(&pvm, ctx, STUB_VA, PS as usize), original);
+        write(&pvm, ctx, STUB_VA, b"also");
+        assert_eq!(model.count(OpKind::BcopyPage) - copies, 0, "{mmu:?}");
+        let mut hist_bytes = original.clone();
+        hist_bytes[..4].copy_from_slice(b"mine");
+        assert_eq!(read(&pvm, ctx, HIST_VA, PS as usize), hist_bytes);
+        pvm.check_invariants();
+    }
 }

@@ -44,9 +44,10 @@ step() { printf '\n==> %s\n' "$*"; }
 # BENCH_<name>.json references, so snapshot the committed copies first;
 # the drift report at the end compares fresh against snapshot.
 tmp=$(mktemp)
+smoke=$(mktemp)
 refdir=$(mktemp -d)
-trap 'rm -f "$tmp"; rm -rf "$refdir"' EXIT
-cp BENCH_*.json "$refdir"/ 2>/dev/null || true
+trap 'rm -f "$tmp" "$smoke"; rm -rf "$refdir"' EXIT
+cp BENCH_*.json reports/scoreboard_exact.txt "$refdir"/ 2>/dev/null || true
 
 step "cargo build --release"
 cargo build --release
@@ -224,7 +225,21 @@ echo "ok"
 step "scoreboard --smoke: five workloads end to end, 0 failed ops"
 # benchmark/run.sh exits non-zero on a failed op or a wrong byte
 # (pipefail carries that through the tail).
-bash benchmark/run.sh --smoke | tail -n 1
+bash benchmark/run.sh --smoke | tee "$smoke" | tail -n 1
+
+step "scoreboard exact lines vs committed reference"
+# The paper workloads' `exact` lines (simulated clocks, counters, op
+# counts), keyed by workload, are the committed
+# reports/scoreboard_exact.txt: like the BENCH_*.json references, a
+# change that moves them must regenerate and commit the file (this step
+# writes the fresh copy over it). file-scan-mt runs two threads and is
+# not exact.
+awk '/^# scoreboard / { w = $3; sub(/^workload=/, "", w) }
+     /^exact\t/ && w ~ /^(mix-make|ipc-transit|file-scan|dirty-churn)$/ { print w "\t" $2 "\t" $3 }' \
+  "$smoke" > reports/scoreboard_exact.txt
+diff -u "$refdir/scoreboard_exact.txt" reports/scoreboard_exact.txt ||
+  { echo "FAIL: scoreboard exact lines drifted from the committed reference"; exit 1; }
+echo "ok: $(wc -l < reports/scoreboard_exact.txt) exact lines match"
 
 step "scoreboard --check: exact lines repeat, BENCHMARK.json matches"
 bash benchmark/run.sh --check | tail -n 1

@@ -537,6 +537,81 @@ fn regression_ops_1<G: Gmi>(vm: &G) {
     run_differential(vm, &ops);
 }
 
+/// Regression: a source with a history copy (A) and a per-page copy (B)
+/// of the same pages dies; its zombie keeps the pages for both. A and B
+/// then write, in both orders, and die. Runs against both managers.
+#[test]
+fn regression_dying_source_serves_history_and_stubs_pvm() {
+    for hist_first in [true, false] {
+        let vm = pvm_under_test(256);
+        run_differential(&*vm, &dying_source_ops(hist_first));
+        vm.check_invariants();
+        assert_eq!(vm.cache_count(), 0);
+    }
+}
+
+#[test]
+fn shadow_regression_dying_source_serves_history_and_stubs() {
+    for hist_first in [true, false] {
+        let vm = shadow_under_test(4096);
+        run_differential(&*vm, &dying_source_ops(hist_first));
+    }
+}
+
+fn dying_source_ops(hist_first: bool) -> Vec<Op> {
+    let history_copy = |src, dst| Op::CopyHistory {
+        src,
+        dst,
+        src_page: 0,
+        dst_page: 0,
+        pages: PAGES as u8,
+        cor: false,
+    };
+    let write = |idx, off, seed| Op::Write {
+        idx,
+        off,
+        len: 40,
+        seed,
+    };
+    // Caches 0 (source), 1 (A) and 2 (B); a copy's `dst` names the
+    // live cache one past it.
+    let mut ops = vec![
+        Op::Create,
+        Op::Create,
+        Op::Create,
+        Op::Write {
+            idx: 0,
+            off: 0,
+            len: 200,
+            seed: 7,
+        },
+        Op::Write {
+            idx: 0,
+            off: 200,
+            len: 184,
+            seed: 9,
+        },
+        history_copy(0, 0),
+        Op::CopyPerPage {
+            src: 0,
+            dst: 1,
+            src_page: 0,
+            dst_page: 0,
+            pages: PAGES as u8,
+        },
+        Op::Destroy { idx: 0 },
+    ];
+    // With the source gone, A and B are live caches 0 and 1.
+    let (a, b) = (write(0, 10, 1), write(1, 70, 2));
+    if hist_first {
+        ops.extend([a, b]);
+    } else {
+        ops.extend([b, a]);
+    }
+    ops.extend([Op::Destroy { idx: 0 }, Op::Destroy { idx: 0 }]);
+    ops
+}
+
 /// Regression: zombie-merge chain leaving a dangling history pointer.
 #[test]
 fn regression_merge_dangling_history_pvm() {
