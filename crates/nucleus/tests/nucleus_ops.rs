@@ -2,7 +2,7 @@
 //! through the transit segment (§5.1).
 
 use chorus_gmi::{Gmi, Prot, VirtAddr};
-use chorus_hal::{CostParams, PageGeometry};
+use chorus_hal::{CostParams, OpKind, PageGeometry};
 use chorus_nucleus::{
     Actor, IpcError, MemMapper, Nucleus, NucleusSegmentManager, PortName, SwapMapper,
 };
@@ -400,6 +400,48 @@ fn ipc_large_message_uses_transit_slot_deferred() {
     // Sender reuses its buffer without corrupting the delivered message.
     w.nucleus
         .write_mem(s, VirtAddr(0x1000 * PS), &pattern(0x99, (4 * PS) as usize))
+        .unwrap();
+    w.nucleus
+        .read_mem(r, VirtAddr(0x2000 * PS), &mut got)
+        .unwrap();
+    assert_eq!(got, msg);
+}
+
+#[test]
+fn ipc_receive_moves_the_transit_stubs_without_protecting() {
+    // "A receive is implemented by cache.move": the transit slot's
+    // per-page stubs go to the receiver as they stand; the sender's
+    // pages were made read-only by the send.
+    let w = world(128);
+    let (s, r) = ipc_pair(&w);
+    let port = w.nucleus.port_create();
+    let msg = pattern(0x5C, (2 * PS) as usize);
+    w.nucleus.write_mem(s, VirtAddr(0x1000 * PS), &msg).unwrap();
+    w.nucleus
+        .ipc_send(s, port, VirtAddr(0x1000 * PS), 2 * PS)
+        .unwrap();
+    let model = w.nucleus.gmi().cost_model();
+    let protects = model.count(OpKind::ProtectPage);
+    // Into a buffer the receiver has never written.
+    let n = w
+        .nucleus
+        .ipc_receive(
+            r,
+            port,
+            VirtAddr(0x2000 * PS),
+            2 * PS,
+            Duration::from_secs(1),
+        )
+        .unwrap();
+    assert_eq!(n, 2 * PS);
+    assert_eq!(model.count(OpKind::ProtectPage) - protects, 0);
+    let mut got = vec![0u8; msg.len()];
+    w.nucleus
+        .read_mem(r, VirtAddr(0x2000 * PS), &mut got)
+        .unwrap();
+    assert_eq!(got, msg);
+    w.nucleus
+        .write_mem(s, VirtAddr(0x1000 * PS), &pattern(0x99, msg.len()))
         .unwrap();
     w.nucleus
         .read_mem(r, VirtAddr(0x2000 * PS), &mut got)

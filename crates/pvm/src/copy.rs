@@ -7,7 +7,7 @@
 //! dispatch to the history-object technique (§4.2) or the
 //! per-virtual-page technique (§4.3) according to the [`CopyMode`].
 
-use crate::descriptors::{CacheDesc, Slot};
+use crate::descriptors::{CacheDesc, CowSource, Slot};
 use crate::keys::CacheKey;
 use crate::resolve::Version;
 use crate::state::{blocked, done, Attempt, Blocked, PvmState};
@@ -105,12 +105,13 @@ impl PvmState {
     }
 
     /// One attempt of `cache.move`: re-assigns page frames from source to
-    /// destination where possible, degrading to per-page deferred copy
-    /// where the source page cannot be stolen (§3.3.1: "changing the
+    /// destination where possible (§3.3.1: "changing the
     /// real-page-to-cache assignments, rather than by copying, whenever
-    /// possible"). The source fragment becomes undefined. `progress`
-    /// counts completed pages so blocked attempts resume, never undoing
-    /// already-moved pages.
+    /// possible") and hands per-page stubs over as they stand, keeping
+    /// their place in the stub order. A page that cannot be stolen, or a
+    /// stub the source's history child needs, degrades to a per-page
+    /// deferred copy. The source fragment becomes undefined. `progress`
+    /// counts completed pages so blocked attempts resume.
     pub fn cache_move_attempt(
         &mut self,
         src: CacheKey,
@@ -150,38 +151,47 @@ impl PvmState {
         for k in start..pages {
             let so = src_off + k * ps;
             let dstoff = dst_off + k * ps;
-            let stealable = match self.slot(src, so) {
-                Some(Slot::Present(p)) => {
-                    let page = self.page(p);
-                    page.stubs.is_empty()
-                        && page.lock_count == 0
-                        && !page.cleaning
-                        && !self.has_history_covering(src, so)
-                }
+            match self.slot(src, so) {
                 Some(Slot::Sync) => return blocked(Blocked::WaitStub(src, so)),
-                _ => false,
-            };
-            if stealable {
-                let Some(Slot::Present(p)) = self.slot(src, so) else {
-                    unreachable!()
-                };
-                self.unmap_all(p);
-                self.clear_slot(src, so);
-                self.cache_mut(src)?.owned.remove(&so);
-                let desc = self.page_mut(p);
-                desc.cache = dst;
-                desc.offset = dstoff;
-                desc.dirty = true;
-                let writable = !self.has_history_covering(dst, dstoff);
-                self.page_mut(p).writable = writable;
-                self.set_slot(dst, dstoff, Slot::Present(p));
-                self.cache_mut(dst)?.owned.insert(dstoff);
-                self.stats.bump(Counter::MovedFrames);
-            } else {
-                // Not stealable: install a per-page stub instead.
-                match self.per_page_copy_attempt(src, so, dst, dstoff, ps)? {
-                    crate::state::Outcome::Done(()) => {}
-                    crate::state::Outcome::Blocked(b) => return blocked(b),
+                Some(Slot::Cow(from)) if !self.has_history_covering(src, so) => {
+                    if let CowSource::Page(p) = from {
+                        self.unmap_via(p, src);
+                        let stub = self.page_mut(p).stubs.iter_mut().find(|s| **s == (src, so));
+                        *stub.expect("stub threaded on its source page") = (dst, dstoff);
+                    } else if let CowSource::Loc(c, o) = from {
+                        // Registered first: the source never loses its last stub.
+                        self.gmap.push_loc_stub(c, o, (dst, dstoff));
+                        self.gmap.unthread_loc_stub(c, o, src, so);
+                    }
+                    self.clear_slot(src, so);
+                    self.set_slot(dst, dstoff, Slot::Cow(from));
+                }
+                Some(Slot::Present(p))
+                    if self.page(p).stubs.is_empty()
+                        && self.page(p).lock_count == 0
+                        && !self.page(p).cleaning
+                        && !self.has_history_covering(src, so) =>
+                {
+                    self.unmap_all(p);
+                    self.clear_slot(src, so);
+                    self.cache_mut(src)?.owned.remove(&so);
+                    let desc = self.page_mut(p);
+                    desc.cache = dst;
+                    desc.offset = dstoff;
+                    desc.dirty = true;
+                    let writable = !self.has_history_covering(dst, dstoff);
+                    self.page_mut(p).writable = writable;
+                    self.set_slot(dst, dstoff, Slot::Present(p));
+                    self.cache_mut(dst)?.owned.insert(dstoff);
+                    self.stats.bump(Counter::MovedFrames);
+                }
+                _ => {
+                    // A page that cannot be stolen, or a stub the history
+                    // child needs: install a per-page stub instead.
+                    match self.per_page_copy_attempt(src, so, dst, dstoff, ps)? {
+                        crate::state::Outcome::Done(()) => {}
+                        crate::state::Outcome::Blocked(b) => return blocked(b),
+                    }
                 }
             }
             *progress = (k + 1) * ps;
@@ -286,9 +296,9 @@ impl PvmState {
                 // Cow stub or absent: materialize an own copy of the
                 // current value, then promote it.
                 let version = match other {
-                    Some(Slot::Cow(crate::descriptors::CowSource::Page(p))) => Version::Page(p),
-                    Some(Slot::Cow(crate::descriptors::CowSource::Zero)) => Version::Zero,
-                    Some(Slot::Cow(crate::descriptors::CowSource::Loc(c2, o2))) => {
+                    Some(Slot::Cow(CowSource::Page(p))) => Version::Page(p),
+                    Some(Slot::Cow(CowSource::Zero)) => Version::Zero,
+                    Some(Slot::Cow(CowSource::Loc(c2, o2))) => {
                         match self.resolve_version(c2, o2, Access::Read)? {
                             crate::state::Outcome::Done(v) => v,
                             crate::state::Outcome::Blocked(b) => return blocked(b),

@@ -66,7 +66,8 @@ impl PvmState {
         }
     }
 
-    /// One attempt of the per-virtual-page deferred copy.
+    /// One attempt of the per-virtual-page deferred copy. Only a page's
+    /// first stub protects it: a page with stubs has no writable mapping.
     pub fn per_page_copy_attempt(
         &mut self,
         src: CacheKey,
@@ -89,11 +90,14 @@ impl PvmState {
             match self.locate_version(src, so)? {
                 Located::InTransit(x, o) => return blocked(Blocked::WaitStub(x, o)),
                 Located::Page(p) => {
-                    // Protect the source page read-only and thread the
-                    // stub on its descriptor.
+                    // Thread the stub on the source page; the first one
+                    // protects it read-only, later ones find it so.
+                    let first = self.page(p).stubs.is_empty();
                     self.page_mut(p).stubs.push((dst, dstoff));
-                    self.charge(OpKind::ProtectPage);
-                    self.reprotect_mappings(p);
+                    if first {
+                        self.charge(OpKind::ProtectPage);
+                        self.reprotect_mappings(p);
+                    }
                     self.set_slot(dst, dstoff, Slot::Cow(CowSource::Page(p)));
                 }
                 Located::Loc(c, o) => {

@@ -14,7 +14,7 @@ use crate::config::PvmConfig;
 use crate::descriptors::Slot;
 use crate::domains::DomainLock;
 use crate::engine::Parked;
-use crate::keys::{cache_key, ctx_key, pub_cache, pub_ctx, pub_region, region_key};
+use crate::keys::{cache_key, ctx_key, pub_cache, pub_ctx, pub_region, region_key, CtxKey};
 use crate::pvmtop::PvmTop;
 use crate::state::{Attempt, Blocked, Outcome, PushOrigin, PvmState};
 use crate::stats::{Counter, PvmStats, StatsRegistry};
@@ -226,7 +226,21 @@ impl Pvm {
     }
 
     fn run<T>(&self, attempt: impl FnMut(&mut PvmState) -> Attempt<T>) -> Result<T> {
-        let guard = self.state.lock();
+        let (guard, v) = self.run_held(self.state.lock(), attempt)?;
+        drop(guard);
+        // Wake anyone whose wait condition we may have satisfied (stub
+        // resolution, promotion, cleaning).
+        self.stub_cv.notify_all();
+        Ok(v)
+    }
+
+    /// `run` under a state lock the caller holds, returned still held
+    /// (released on error) with sleepers not yet woken.
+    fn run_held<'a, T>(
+        &'a self,
+        guard: parking_lot::MutexGuard<'a, PvmState>,
+        attempt: impl FnMut(&mut PvmState) -> Attempt<T>,
+    ) -> Result<(parking_lot::MutexGuard<'a, PvmState>, T)> {
         let performed = guard.performed;
         let (mut guard, v) = self.drive(guard, attempt)?;
         // The entry made a full-window stream's next window due: it goes
@@ -264,11 +278,7 @@ impl Pvm {
             guard = self.launder(guard, |s| s.write_behind_attempt(&mut pushed));
             guard.check_invariants_if_enabled();
         }
-        drop(guard);
-        // Wake anyone whose wait condition we may have satisfied (stub
-        // resolution, promotion, cleaning).
-        self.stub_cv.notify_all();
-        Ok(v)
+        Ok((guard, v))
     }
 
     /// One driver entry under a state lock the caller already holds:
@@ -1247,20 +1257,11 @@ impl Gmi for Pvm {
 
     fn handle_fault(&self, ctx: CtxId, va: VirtAddr, access: Access) -> Result<()> {
         let key = ctx_key(ctx);
-        let fstart = self.trace.fault_enter(key.index(), va.0, access);
-        let mut first = true;
-        let res = self.run(|s| {
-            let head = first;
-            if head {
-                first = false;
-                s.stats.bump(Counter::Faults);
-                s.charge(chorus_hal::OpKind::FaultEntry);
-            }
-            s.fault_attempt(key, va, access, head)
-        });
-        let resolution = *res.as_ref().unwrap_or(&Resolution::Failed);
-        self.trace.fault_exit(fstart, key.index(), va.0, resolution);
-        res.map(|_| ())
+        let res = self
+            .fault_held(self.state.lock(), key, va, access)
+            .map(drop);
+        self.stub_cv.notify_all();
+        res
     }
 
     fn vm_read(&self, ctx: CtxId, va: VirtAddr, buf: &mut [u8]) -> Result<()> {
@@ -1303,8 +1304,32 @@ enum AccessBuf<'a> {
 }
 
 impl Pvm {
-    /// The faulting user-access simulation loop: translate, fault,
-    /// retry — crossing page (and region) boundaries as needed.
+    /// `handle_fault` under a state lock the caller holds, returned still
+    /// held (released on error) with sleepers not yet woken.
+    fn fault_held<'a>(
+        &'a self,
+        guard: parking_lot::MutexGuard<'a, PvmState>,
+        key: CtxKey,
+        va: VirtAddr,
+        access: Access,
+    ) -> Result<parking_lot::MutexGuard<'a, PvmState>> {
+        let fstart = self.trace.fault_enter(key.index(), va.0, access);
+        let mut first = true;
+        let res = self.run_held(guard, |s| {
+            let head = std::mem::take(&mut first);
+            if head {
+                s.stats.bump(Counter::Faults);
+                s.charge(chorus_hal::OpKind::FaultEntry);
+            }
+            s.fault_attempt(key, va, access, head)
+        });
+        let resolution = res.as_ref().map_or(Resolution::Failed, |(_, r)| *r);
+        self.trace.fault_exit(fstart, key.index(), va.0, resolution);
+        res.map(|(guard, _)| guard)
+    }
+
+    /// The faulting user-access loop, one state-lock hold per page:
+    /// translate, fault, retry — crossing page and region boundaries.
     fn vm_access(
         &self,
         ctx: CtxId,
@@ -1325,33 +1350,34 @@ impl Pvm {
             let n = page_rem.min(len - cur) as usize;
             // Translate-or-fault loop for this chunk.
             let mut tries = 0;
-            loop {
-                let mut guard = self.state.lock();
-                let mmu_ctx = guard.ctx(key)?.mmu_ctx;
+            let mut guard = self.state.lock();
+            let res = loop {
+                let mmu_ctx = match guard.ctx(key) {
+                    Ok(c) => c.mmu_ctx,
+                    Err(e) => break Err(e),
+                };
                 match guard.mmu.translate(mmu_ctx, addr, access, false) {
                     Ok(pa) => {
+                        let chunk = cur as usize..cur as usize + n;
                         match &mut buf {
-                            AccessBuf::Read(b) => {
-                                guard
-                                    .phys
-                                    .read_phys(pa, &mut b[cur as usize..cur as usize + n]);
-                            }
-                            AccessBuf::Write(b) => {
-                                guard
-                                    .phys
-                                    .write_phys(pa, &b[cur as usize..cur as usize + n]);
-                            }
+                            AccessBuf::Read(b) => guard.phys.read_phys(pa, &mut b[chunk]),
+                            AccessBuf::Write(b) => guard.phys.write_phys(pa, &b[chunk]),
                         }
-                        break;
+                        break Ok(());
                     }
                     Err(_fault) => {
-                        drop(guard);
-                        self.handle_fault(ctx, addr, access)?;
+                        let held = self.fault_held(guard, key, addr, access);
+                        guard = held.inspect_err(|_| self.stub_cv.notify_all())?;
                         tries += 1;
                         assert!(tries < 64, "fault livelock at {addr:?}");
                     }
                 }
+            };
+            drop(guard);
+            if tries > 0 {
+                self.stub_cv.notify_all();
             }
+            res?;
             cur += n as u64;
         }
         Ok(())

@@ -554,3 +554,173 @@ fn a_merge_hands_a_page_the_history_copy_replaced_to_its_stubs() {
         pvm.check_invariants();
     }
 }
+
+// ----- a move hands a transit slot's stubs to the receiver (§5.1.6) -------
+
+const A_VA: u64 = 0x1_0000;
+const B_VA: u64 = 0x2_0000;
+
+/// The first per-page stub on a page mapped writable once: the stub's
+/// own protect plus the one MMU entry it turns read-only.
+const FIRST_STUB_PROTECTS: u64 = 2;
+
+/// (ProtectPage, BcopyPage, FrameAlloc, stubs created) so far.
+fn stub_charges(pvm: &Pvm) -> [u64; 4] {
+    let model = pvm.cost_model();
+    [
+        model.count(OpKind::ProtectPage),
+        model.count(OpKind::BcopyPage),
+        model.count(OpKind::FrameAlloc),
+        pvm.stats().cow_stubs_created,
+    ]
+}
+
+fn charged_since(pvm: &Pvm, before: [u64; 4]) -> [u64; 4] {
+    let now = stub_charges(pvm);
+    core::array::from_fn(|k| now[k] - before[k])
+}
+
+/// `cache`'s slot at `off`, if it has one.
+fn slot_at(pvm: &Pvm, cache: CacheId, off: u64) -> Option<SlotDump> {
+    let dump = pvm.dump_caches();
+    let slots = &dump.cache(cache).unwrap().slots;
+    slots.iter().find(|&&(o, _)| o == off).map(|&(_, s)| s)
+}
+
+/// A source `a` mapped at `A_VA` and written (so its page is mapped
+/// writable), and a receiver `b` mapped at `B_VA`, on `mmu`.
+fn sender_and_receiver(mmu: MmuChoice, original: &[u8]) -> (Arc<Pvm>, CtxId, CacheId, CacheId) {
+    let (pvm, _) = setup_with(32, |o| o.mmu = mmu);
+    let (a, b) = (
+        pvm.cache_create(None).unwrap(),
+        pvm.cache_create(None).unwrap(),
+    );
+    let ctx = pvm.context_create().unwrap();
+    pvm.region_create(ctx, VirtAddr(A_VA), PS, Prot::RW, a, 0)
+        .unwrap();
+    pvm.region_create(ctx, VirtAddr(B_VA), PS, Prot::RW, b, 0)
+        .unwrap();
+    write(&pvm, ctx, A_VA, original);
+    (pvm, ctx, a, b)
+}
+
+#[test]
+fn a_move_hands_a_stub_to_the_receiver_as_it_stands() {
+    for mmu in [MmuChoice::Soft, MmuChoice::TwoLevel] {
+        let original = pattern(0x6B, PS as usize);
+        let (pvm, ctx, a, b) = sender_and_receiver(mmu, &original);
+        let transit = pvm.cache_create(None).unwrap();
+        pvm.cache_copy_with(a, 0, transit, 0, PS, CopyMode::PerPage)
+            .unwrap();
+        let before = stub_charges(&pvm);
+        pvm.cache_move(transit, 0, b, 0, PS).unwrap();
+        assert_eq!(
+            charged_since(&pvm, before),
+            [0; 4],
+            "{mmu:?}: a moved stub protects, copies, allocates and creates nothing"
+        );
+        assert_eq!(slot_at(&pvm, transit, 0), None, "{mmu:?}");
+        assert_eq!(slot_at(&pvm, b, 0), Some(SlotDump::CowStub), "{mmu:?}");
+        assert_eq!(read(&pvm, ctx, B_VA, PS as usize), original);
+
+        // The sender writes: its one copy goes to the receiver, whose
+        // own write is then in place.
+        let copies = pvm.cost_model().count(OpKind::BcopyPage);
+        write(&pvm, ctx, A_VA, b"sent");
+        assert_eq!(read(&pvm, ctx, B_VA, PS as usize), original);
+        write(&pvm, ctx, B_VA + 8, b"mine");
+        assert_eq!(
+            pvm.cost_model().count(OpKind::BcopyPage) - copies,
+            1,
+            "{mmu:?}"
+        );
+        let (mut sent, mut mine) = (original.clone(), original.clone());
+        sent[..4].copy_from_slice(b"sent");
+        mine[8..12].copy_from_slice(b"mine");
+        assert_eq!(read(&pvm, ctx, A_VA, PS as usize), sent);
+        assert_eq!(read(&pvm, ctx, B_VA, PS as usize), mine);
+        pvm.check_invariants();
+    }
+}
+
+#[test]
+fn a_moved_location_stub_resolves_on_the_receivers_read() {
+    for mmu in [MmuChoice::Soft, MmuChoice::TwoLevel] {
+        let (pvm, _) = setup_with(8, |o| o.mmu = mmu);
+        let original = pattern(0x2D, PS as usize);
+        let a = pvm.cache_create(None).unwrap();
+        pvm.write_logical(a, 0, &original).unwrap();
+        // Swap the source page out by thrashing.
+        let noise = pvm.cache_create(None).unwrap();
+        pvm.write_logical(noise, 0, &pattern(9, (16 * PS) as usize))
+            .unwrap();
+        assert_eq!(pvm.cache_resident_pages(a).unwrap(), 0, "{mmu:?}");
+        let (transit, b) = (
+            pvm.cache_create(None).unwrap(),
+            pvm.cache_create(None).unwrap(),
+        );
+        pvm.cache_copy_with(a, 0, transit, 0, PS, CopyMode::PerPage)
+            .unwrap();
+        let before = stub_charges(&pvm);
+        pvm.cache_move(transit, 0, b, 0, PS).unwrap();
+        assert_eq!(charged_since(&pvm, before), [0; 4], "{mmu:?}");
+        assert_eq!(slot_at(&pvm, transit, 0), None, "{mmu:?}");
+        assert_eq!(slot_at(&pvm, b, 0), Some(SlotDump::CowStub), "{mmu:?}");
+        assert_eq!(pvm.read_logical(b, 0, PS as usize).unwrap(), original);
+        pvm.write_logical(a, 0, b"sent").unwrap();
+        assert_eq!(pvm.read_logical(b, 0, PS as usize).unwrap(), original);
+        pvm.check_invariants();
+    }
+}
+
+#[test]
+fn a_stub_the_sources_history_copy_needs_is_copied_not_moved() {
+    for mmu in [MmuChoice::Soft, MmuChoice::TwoLevel] {
+        let original = pattern(0x4E, PS as usize);
+        let (pvm, ctx, a, b) = sender_and_receiver(mmu, &original);
+        let transit = pvm.cache_create(None).unwrap();
+        let hist = pvm.cache_create(None).unwrap();
+        pvm.cache_copy_with(a, 0, transit, 0, PS, CopyMode::PerPage)
+            .unwrap();
+        pvm.cache_copy_with(transit, 0, hist, 0, PS, CopyMode::HistoryCow)
+            .unwrap();
+        pvm.cache_move(transit, 0, b, 0, PS).unwrap();
+        assert_eq!(
+            slot_at(&pvm, transit, 0),
+            Some(SlotDump::CowStub),
+            "{mmu:?}: the history copy still reads through the source's stub"
+        );
+        assert_eq!(pvm.read_logical(hist, 0, PS as usize).unwrap(), original);
+        assert_eq!(read(&pvm, ctx, B_VA, PS as usize), original);
+        write(&pvm, ctx, A_VA, b"sent");
+        assert_eq!(pvm.read_logical(hist, 0, PS as usize).unwrap(), original);
+        assert_eq!(read(&pvm, ctx, B_VA, PS as usize), original);
+        pvm.check_invariants();
+    }
+}
+
+#[test]
+fn a_page_that_carries_stubs_is_protected_once() {
+    for mmu in [MmuChoice::Soft, MmuChoice::TwoLevel] {
+        let original = pattern(0x17, PS as usize);
+        let (pvm, ctx, a, _) = sender_and_receiver(mmu, &original);
+        let (d1, d2) = (
+            pvm.cache_create(None).unwrap(),
+            pvm.cache_create(None).unwrap(),
+        );
+        let protects = || pvm.cost_model().count(OpKind::ProtectPage);
+        let before = protects();
+        pvm.cache_copy_with(a, 0, d1, 0, PS, CopyMode::PerPage)
+            .unwrap();
+        assert_eq!(protects() - before, FIRST_STUB_PROTECTS, "{mmu:?}");
+        let before = protects();
+        pvm.cache_copy_with(a, 0, d2, 0, PS, CopyMode::PerPage)
+            .unwrap();
+        assert_eq!(protects() - before, 0, "{mmu:?}: already read-only");
+        write(&pvm, ctx, A_VA, b"sent");
+        for d in [d1, d2] {
+            assert_eq!(pvm.read_logical(d, 0, PS as usize).unwrap(), original);
+        }
+        pvm.check_invariants();
+    }
+}

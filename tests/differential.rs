@@ -612,6 +612,66 @@ fn dying_source_ops(hist_first: bool) -> Vec<Op> {
     ops
 }
 
+/// Regression: a transit cache T hands its per-page stubs on source A
+/// to B, then (after A is written) to C; B and C write, and A, B and C
+/// die. Runs against both managers.
+#[test]
+fn regression_moved_stubs_pvm() {
+    let vm = pvm_under_test(256);
+    run_differential(&*vm, &moved_stub_ops());
+    vm.check_invariants();
+    assert_eq!(vm.cache_count(), 1, "only the transit cache is left");
+}
+
+#[test]
+fn shadow_regression_moved_stubs() {
+    let vm = shadow_under_test(4096);
+    run_differential(&*vm, &moved_stub_ops());
+}
+
+fn moved_stub_ops() -> Vec<Op> {
+    let write = |idx, off, seed| Op::Write {
+        idx,
+        off,
+        len: 90,
+        seed,
+    };
+    // Caches 0 (A), 1 (T), 2 (B) and 3 (C); a copy's or a move's `dst`
+    // names the live cache one past it.
+    let to_transit = Op::CopyPerPage {
+        src: 0,
+        dst: 0,
+        src_page: 0,
+        dst_page: 0,
+        pages: 2,
+    };
+    let from_transit = |dst| Op::Move {
+        src: 1,
+        dst,
+        src_page: 0,
+        dst_page: 0,
+        pages: 2,
+    };
+    vec![
+        Op::Create,
+        Op::Create,
+        Op::Create,
+        Op::Create,
+        write(0, 0, 3),
+        to_transit.clone(),
+        from_transit(1),
+        write(0, 40, 5),
+        to_transit,
+        from_transit(2),
+        write(2, 20, 7),
+        write(3, 100, 11),
+        // Live caches are A, T, B, C, then T, B, C, then T, C.
+        Op::Destroy { idx: 0 },
+        Op::Destroy { idx: 1 },
+        Op::Destroy { idx: 1 },
+    ]
+}
+
 /// Regression: zombie-merge chain leaving a dangling history pointer.
 #[test]
 fn regression_merge_dangling_history_pvm() {
