@@ -584,6 +584,11 @@ mod tests {
             defer_large < 4.0,
             "deferred copy of 1 MB: {defer_large:.3} ms"
         );
+        // Pinned: the write to the one source page re-protects the
+        // entry already there in place instead of unmapping and mapping
+        // it again (DESIGN.md §5).
+        let one = m.cell(8 * 1024, 1).unwrap().sim_ms;
+        assert_eq!(format!("{one:.2}"), "2.09", "8 KB / 1 page: {one} ms");
         let full = m.cell(1024 * 1024, 128).unwrap().sim_ms;
         let reference = paper::TABLE7_CHORUS[2][3].unwrap();
         let err = (full - reference).abs() / reference;

@@ -283,6 +283,39 @@ fn exec_of_recent_program_hits_the_segment_cache() {
 }
 
 #[test]
+fn exec_of_cached_text_faults_once_for_eight_text_pages() {
+    // The text of a program exec'd before stays resident in its segment
+    // cache (§5.1.4), and the text region is read-only: the first text
+    // fault maps the resident run after it, and the rest of an 8-page
+    // text is read without another fault.
+    let m = mix(256);
+    let gmi = m.pm.nucleus().gmi().clone();
+    let text = pattern(0x3c, (8 * PS) as usize);
+    m.pm.store().register("cc", &text, b"cc data");
+    let shell = m.pm.spawn("sh").unwrap();
+    let read_text = |pid| {
+        let mut buf = vec![0u8; PS as usize];
+        for (p, want) in text.chunks(PS as usize).enumerate() {
+            let va = VirtAddr(m.pm.text_base().0 + p as u64 * PS);
+            m.pm.read_mem(pid, va, &mut buf).unwrap();
+            assert_eq!(buf, want, "text page {p}");
+        }
+    };
+    let first = m.pm.fork(shell).unwrap();
+    m.pm.exec(first, "cc").unwrap();
+    read_text(first);
+    m.pm.exit(first, 0).unwrap();
+    assert_eq!(m.pm.wait(shell), Some((first, 0)));
+
+    let again = m.pm.fork(shell).unwrap();
+    m.pm.exec(again, "cc").unwrap();
+    let faults = gmi.stats().faults;
+    read_text(again);
+    assert_eq!(gmi.stats().faults - faults, 1);
+    gmi.check_invariants();
+}
+
+#[test]
 fn pipeline_transfers_data_between_processes() {
     // "in Unix this occurs for instance when creating a pipeline".
     let m = mix(256);

@@ -222,13 +222,27 @@ impl PvmState {
                     "threaded stub not pointing back at page {key:?}"
                 );
             }
-            for m in &p.mappings {
+            for (i, m) in p.mappings.iter().enumerate() {
                 let ctx = self.contexts.get(m.ctx).expect("mapping into dead context");
                 let entry = self.mmu.query(ctx.mmu_ctx, m.vpn);
                 assert_eq!(
                     entry.map(|(f, _)| f),
                     Some(p.frame),
                     "MMU entry mismatch for mapping of page {key:?}"
+                );
+                // One record per translation, made through the cache its
+                // region maps: a shootdown by `via` finds every reader.
+                let twice = p.mappings[..i]
+                    .iter()
+                    .any(|o| (o.ctx, o.vpn) == (m.ctx, m.vpn));
+                assert!(!twice, "page {key:?} recorded twice at {:?}", m.vpn);
+                let region = self.find_region(m.ctx, self.geom.base(m.vpn)).ok();
+                let via = region.and_then(|r| self.regions.get(r)).map(|r| r.cache);
+                assert_eq!(
+                    via,
+                    Some(m.via),
+                    "page {key:?} at {:?}: not its region's cache",
+                    m.vpn
                 );
                 // Only the owner writes a page, and only once no stub
                 // still reads its value.

@@ -8,14 +8,15 @@
 //! (in transit), resolve a copy-on-write stub (§4.3), or walk the history
 //! tree / pull from the segment (§4.2).
 
-use crate::descriptors::{CowSource, RegionDesc, Slot};
+use crate::config::IPC_MESSAGE_PAGES;
+use crate::descriptors::{CowSource, Mapping, RegionDesc, Slot};
 use crate::keys::{CtxKey, PageKey};
 use crate::resolve::Version;
 use crate::state::{blocked, done, Attempt, PvmState};
 use crate::stats::Counter;
 use crate::trace::{Resolution, TraceEvent};
 use chorus_gmi::{GmiError, Result};
-use chorus_hal::{Access, FrameNo, Prot, VirtAddr};
+use chorus_hal::{Access, FrameNo, Prot, VirtAddr, Vpn};
 
 impl PvmState {
     /// One locked attempt at resolving a fault; the driver in `pvm.rs`
@@ -98,6 +99,9 @@ impl PvmState {
                     }
                 }
                 self.map_for_access(p, ctx, vpn, &region, access);
+                if !region.prot.contains(Prot::WRITE) {
+                    self.prefault_after(ctx, vpn, &region, off);
+                }
                 done(Resolution::Resident)
             }
             Some(Slot::Sync) => unreachable!("waited out above"),
@@ -105,6 +109,31 @@ impl PvmState {
                 self.resolve_cow_stub_fault(ctx, vpn, &region, off, src, access)
             }
             None => self.resolve_miss(ctx, vpn, &region, off, access),
+        }
+    }
+
+    /// Maps the resident run after a read fault's page in a read-only
+    /// region (text, read-only files), up to one IPC message of pages
+    /// in all. It stops at the region's end and at the first page not
+    /// resident in the region's cache, unread readahead (its first use
+    /// is its stream's), being cleaned, or already mapped. No use is
+    /// noted: nothing has touched these pages.
+    fn prefault_after(&mut self, ctx: CtxKey, vpn: Vpn, region: &RegionDesc, off: u64) {
+        let mmu_ctx = self.ctx(ctx).expect("fault in a dead context").mmu_ctx;
+        let ps = self.ps();
+        let run = IPC_MESSAGE_PAGES.min((region.offset + region.size - off) / ps);
+        for i in 1..run {
+            let v = Vpn(vpn.0 + i);
+            let Some(Slot::Present(p)) = self.slot(region.cache, off + i * ps) else {
+                break;
+            };
+            let page = self.page(p);
+            if page.prefetched || page.cleaning || self.mmu.query(mmu_ctx, v).is_some() {
+                break;
+            }
+            self.mmu.map(mmu_ctx, v, page.frame, region.prot);
+            let via = region.cache;
+            self.page_mut(p).mappings.push(Mapping { ctx, vpn: v, via });
         }
     }
 

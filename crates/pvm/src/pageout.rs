@@ -18,7 +18,7 @@ use crate::state::{blocked, done, Attempt, Blocked, Outcome, PushOrigin, PvmStat
 use crate::stats::Counter;
 use crate::trace::TraceEvent;
 use chorus_gmi::GmiError;
-use chorus_hal::{FrameNo, OpKind};
+use chorus_hal::FrameNo;
 
 impl PvmState {
     /// Allocates a frame, running page replacement when the pool is
@@ -340,7 +340,6 @@ impl PvmState {
             cache: self.page(victim).cache.index(),
             offset: self.page(victim).offset,
         });
-        self.charge(OpKind::UnmapPage);
         self.free_page(victim, StubsTo::Loc, true);
     }
 

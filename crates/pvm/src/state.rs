@@ -489,17 +489,24 @@ impl PvmState {
 
     // ----- mapping bookkeeping ----------------------------------------------
 
-    /// Enters a mapping in the MMU and records it on the page.
+    /// Enters a mapping in the MMU and records it on the page, or just
+    /// re-protects the entry the page already has there through `via`.
     pub fn map_page(&mut self, key: PageKey, ctx: CtxKey, vpn: Vpn, prot: Prot, via: CacheKey) {
-        // Remove any previous mapping at this (ctx, vpn) first.
-        self.unmap_va(ctx, vpn);
         let mmu_ctx = self.ctx(ctx).expect("mapping into dead context").mmu_ctx;
         let frame = self.page(key).frame;
-        self.mmu.map(mmu_ctx, vpn, frame, prot);
-        self.page_mut(key).mappings.push(Mapping { ctx, vpn, via });
-        // The MMU entered the mapping unreferenced; the access that
-        // faulted walks the table when it is retried and sets that bit
-        // too. Until then the software half stands for the fault.
+        let here = Mapping { ctx, vpn, via };
+        let mapped = self.mmu.query(mmu_ctx, vpn).map(|(f, _)| f) == Some(frame);
+        if mapped && self.page(key).mappings.contains(&here) {
+            self.mmu.protect(mmu_ctx, vpn, prot);
+        } else {
+            // Remove any previous mapping at this (ctx, vpn) first.
+            self.unmap_va(ctx, vpn);
+            self.mmu.map(mmu_ctx, vpn, frame, prot);
+            self.page_mut(key).mappings.push(here);
+        }
+        // A new MMU entry is unreferenced; the access that faulted walks
+        // the table when it is retried and sets that bit too. Until then
+        // the software half stands for the fault.
         self.note_use(key);
     }
 

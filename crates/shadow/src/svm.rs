@@ -390,8 +390,17 @@ impl SState {
     }
 
     fn map_page(&mut self, key: SPageKey, ctx: SCtxKey, vpn: Vpn, prot: Prot) {
-        // Clear any previous mapping at this slot.
         let mmu_ctx = self.contexts.get(ctx).expect("dead context").mmu_ctx;
+        let frame = self.page(key).frame;
+        // Already mapped there (a write fault on a read-only entry):
+        // re-protect the entry in place, as the PVM does.
+        if self.mmu.query(mmu_ctx, vpn).map(|(f, _)| f) == Some(frame)
+            && self.page(key).mappings.contains(&(ctx, vpn))
+        {
+            self.mmu.protect(mmu_ctx, vpn, prot);
+            return;
+        }
+        // Clear any previous mapping at this slot.
         if let Some(old_frame) = self.mmu.unmap(mmu_ctx, vpn) {
             if let Some(&owner) = self.frame_owner.get(&old_frame.0) {
                 self.page_mut(owner)
@@ -399,7 +408,6 @@ impl SState {
                     .retain(|&(c, v)| !(c == ctx && v == vpn));
             }
         }
-        let frame = self.page(key).frame;
         self.mmu.map(mmu_ctx, vpn, frame, prot);
         self.page_mut(key).mappings.push((ctx, vpn));
     }
