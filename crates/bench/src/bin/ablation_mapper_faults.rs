@@ -12,7 +12,7 @@ use chorus_bench::{json, PAGE};
 use chorus_gmi::{Gmi, Prot, RetryPolicy, VirtAddr};
 use chorus_hal::{CostParams, OpKind, PageGeometry};
 use chorus_nucleus::{FaultPlan, FaultyMapper, MemMapper, NucleusSegmentManager, PortName};
-use chorus_pvm::{Dim, DimCounter, Pvm, PvmConfig, PvmOptions};
+use chorus_pvm::{Counter, Dim, Pvm, PvmConfig, PvmOptions};
 use std::sync::Arc;
 
 const PAGES: u64 = 32;
@@ -50,11 +50,6 @@ fn run(fault_per_mille: u32, policy: RetryPolicy, policy_name: &'static str) -> 
             config: PvmConfig::builder()
                 .retry(policy)
                 .paging(|p| p.check_invariants(false))
-                // Telemetry never charges the cost model, so the table
-                // below is identical with the knob on; each scenario
-                // double-checks the dimensional counters against the
-                // globals they shadow (see the asserts after the sweep).
-                .telemetry(|t| t.telemetry(true))
                 .build()
                 .expect("valid config"),
             ..PvmOptions::default()
@@ -97,7 +92,7 @@ fn run(fault_per_mille: u32, policy: RetryPolicy, policy_name: &'static str) -> 
     }
     // Dimensional-telemetry consistency, once per scenario: the gauges
     // must agree with the HAL and the completion engine, and the
-    // per-entity counters must sum to the global cells they shadow.
+    // per-cache rows must sum to the global cell.
     let stats = pvm.stats();
     let sample = pvm.sample_now();
     let mem = pvm.mem_stats();
@@ -111,12 +106,7 @@ fn run(fault_per_mille: u32, policy: RetryPolicy, policy_name: &'static str) -> 
         stats.async_submits - stats.async_deliveries,
         "in-flight gauge vs completion-table population"
     );
-    let by_cache: u64 = pvm
-        .telemetry()
-        .table(Dim::Cache)
-        .iter()
-        .map(|(_, c)| c[DimCounter::Faults as usize])
-        .sum();
+    let by_cache = pvm.telemetry().sum(Dim::Cache, Counter::Faults);
     assert_eq!(by_cache, stats.faults, "per-cache fault counters vs global");
     Row {
         fault_per_mille,

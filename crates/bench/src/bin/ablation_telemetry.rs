@@ -1,25 +1,20 @@
-//! Ablation: the dimensional-telemetry layer (DESIGN.md §12) — per-cache
-//! and per-context counter families, the sim-time gauge sampler and the
-//! `pvmtop` attribution surface — against the bare kernel.
+//! Ablation: the dimensional-telemetry layer (DESIGN.md §12) — per-cache,
+//! per-context and per-mapper counter rows, the sim-time gauge sampler
+//! and the `pvmtop` attribution surface — on a seeded scenario.
 //!
-//! Two questions:
-//!
-//! * **What does the knob cost?** The same pressure workload runs with
-//!   telemetry off and on. The simulated clocks must be bit-identical
-//!   (no telemetry call may charge the cost model) and the wall-clock
-//!   overhead must stay within 5% — measured as the min over repetitions
-//!   so scheduler noise cannot masquerade as knob cost.
-//! * **Does attribution work?** A seeded scenario runs one hot cache
-//!   (repeated write sweeps), one cold cache (a single touch) and one
-//!   cache behind a permanently failing mapper. `pvmtop` must rank the
-//!   hot cache first and flag the sick mapper Quarantined.
+//! **Does attribution work?** One hot cache (repeated write sweeps), one
+//! cold cache (a single touch) and one cache behind a permanently
+//! failing mapper. `pvmtop` must rank the hot cache first and flag the
+//! sick mapper Quarantined, and two runs must agree to the nanosecond.
+//! The layer has no knob, so what it costs is what every run pays: the
+//! scoreboard (`benchmark/`) and the paper tables measure it.
 //!
 //! The scenario's series and dimensional tables are exported as the
 //! `telemetry.json` artifact plus a chrome-trace file whose counter
 //! tracks (`mem.free`, `engine.queues`, `residency`) plot the gauges
 //! over simulated time.
 //!
-//! Usage: `cargo run --release -p chorus-bench --bin ablation_telemetry [--json] [--quick] [--out DIR]`
+//! Usage: `cargo run --release -p chorus-bench --bin ablation_telemetry [--json] [--out DIR]`
 
 use chorus_bench::{json, PAGE};
 use chorus_gmi::{Gmi, Prot, SegmentId, VirtAddr};
@@ -28,132 +23,6 @@ use chorus_nucleus::{FaultPlan, FaultyMapper, MemMapper, NucleusSegmentManager, 
 use chorus_pvm::{pvmtop, MapperState, Pvm, PvmConfig, PvmOptions, TraceConfig, TraceSink};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
-
-struct Shape {
-    pages: u64,
-    sweeps: u64,
-    frames: u32,
-    reps: usize,
-}
-
-const FULL: Shape = Shape {
-    pages: 256,
-    sweeps: 96,
-    frames: 128,
-    reps: 5,
-};
-const QUICK: Shape = Shape {
-    pages: 128,
-    sweeps: 48,
-    frames: 64,
-    reps: 5,
-};
-
-/// Gauge cadence for the overhead run: coarse enough that the sampler
-/// stays a rounding error next to the faults it observes, fine enough
-/// for a few hundred points.
-const SAMPLE_NS: u64 = 500_000_000;
-
-/// One pressure world: a file-backed working set twice the frame pool.
-fn build(telemetry: bool, frames: u32) -> (Arc<Pvm>, Arc<MemMapper>, Arc<NucleusSegmentManager>) {
-    let seg_mgr = Arc::new(NucleusSegmentManager::new());
-    let files = Arc::new(MemMapper::new(PortName(1)));
-    seg_mgr.register_mapper(PortName(1), files.clone());
-    let pvm = Pvm::new(
-        PvmOptions {
-            geometry: PageGeometry::sun3(),
-            frames,
-            cost: CostParams::sun3(),
-            config: PvmConfig::builder()
-                .paging(|p| p.check_invariants(false))
-                .telemetry(|t| t.telemetry(telemetry).telemetry_sample_ns(SAMPLE_NS))
-                .build()
-                .expect("valid config"),
-            ..PvmOptions::default()
-        },
-        seg_mgr.clone(),
-    );
-    (Arc::new(pvm), files, seg_mgr)
-}
-
-struct Measure {
-    wall_ns: u64,
-    sim_ns: u64,
-    faults: u64,
-    samples: u64,
-}
-
-/// Write-sweeps a working set under pressure; every sweep re-pulls
-/// evicted pages and launders dirty victims through the mapper.
-fn run_workload(shape: &Shape, telemetry: bool) -> Measure {
-    let (pvm, files, seg_mgr) = build(telemetry, shape.frames);
-    let content: Vec<u8> = (0..shape.pages * PAGE).map(|i| (i % 239) as u8).collect();
-    let seg = seg_mgr.segment_for(files.create_segment(&content));
-    let cache = pvm.cache_create(Some(seg)).unwrap();
-    let ctx = pvm.context_create().unwrap();
-    pvm.region_create(ctx, VirtAddr(0), shape.pages * PAGE, Prot::RW, cache, 0)
-        .unwrap();
-    let model = pvm.cost_model();
-    let mut page = vec![0u8; PAGE as usize];
-    let t0 = Instant::now();
-    for s in 0..shape.sweeps {
-        for p in 0..shape.pages {
-            pvm.vm_read(ctx, VirtAddr(p * PAGE), &mut page).unwrap();
-            page[0] = (s + 1) as u8;
-            pvm.vm_write(ctx, VirtAddr(p * PAGE), &page).unwrap();
-        }
-    }
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    let stats = pvm.stats();
-    Measure {
-        wall_ns,
-        sim_ns: model.now().nanos(),
-        faults: stats.faults,
-        samples: stats.telemetry_samples,
-    }
-}
-
-/// Interleaved overhead measurement. Two discarded warm-up pairs heat
-/// the allocator, branch predictors and the frequency governor, then
-/// `reps` rounds each run the knob-off and knob-on workloads adjacently
-/// with the order alternating per round, so neither side systematically
-/// occupies the warmer second slot. The headline overhead is
-/// `min(on) / min(off)` across all timed runs: the workload is
-/// single-threaded and deterministic, so scheduler and frequency noise
-/// only ever inflates a run, and each side's minimum is its cleanest
-/// observation (the `timeit` convention). Returns the best run of each
-/// side plus the ratio.
-fn measure(shape: &Shape) -> (Measure, Measure, f64) {
-    let mut off: Option<Measure> = None;
-    let mut on: Option<Measure> = None;
-    for _ in 0..2 {
-        run_workload(shape, false);
-        run_workload(shape, true);
-    }
-    for rep in 0..shape.reps {
-        let settings = if rep % 2 == 0 {
-            [false, true]
-        } else {
-            [true, false]
-        };
-        for telemetry in settings {
-            let m = run_workload(shape, telemetry);
-            let best = if telemetry { &mut on } else { &mut off };
-            if let Some(b) = best.as_ref() {
-                assert_eq!(b.sim_ns, m.sim_ns, "workload is not deterministic");
-                assert_eq!(b.faults, m.faults, "workload is not deterministic");
-            }
-            if best.as_ref().is_none_or(|b| m.wall_ns < b.wall_ns) {
-                *best = Some(m);
-            }
-        }
-    }
-    let off = off.expect("reps >= 1");
-    let on = on.expect("reps >= 1");
-    let ratio = on.wall_ns as f64 / off.wall_ns as f64;
-    (off, on, ratio)
-}
 
 struct Scenario {
     top: chorus_pvm::PvmTop,
@@ -163,10 +32,12 @@ struct Scenario {
     telemetry_json: String,
     trace_json: String,
     sim_ns: u64,
+    faults: u64,
+    samples: u64,
 }
 
-/// Hot cache + cold cache + permanently failing mapper, telemetry and
-/// tracing on; returns the `pvmtop` verdicts and both export artifacts.
+/// Hot cache + cold cache + permanently failing mapper, tracing on;
+/// returns the `pvmtop` verdicts and both export artifacts.
 fn scenario() -> Scenario {
     let seg_mgr = Arc::new(NucleusSegmentManager::new());
     let files = Arc::new(MemMapper::new(PortName(1)));
@@ -187,13 +58,9 @@ fn scenario() -> Scenario {
             cost: CostParams::sun3(),
             config: PvmConfig::builder()
                 .paging(|p| p.check_invariants(true))
-                .telemetry(|t| {
-                    t.telemetry(true)
-                        .telemetry_sample_ns(1_000_000)
-                        .trace(TraceConfig {
-                            enabled: true,
-                            ..TraceConfig::default()
-                        })
+                .trace(TraceConfig {
+                    enabled: true,
+                    ..TraceConfig::default()
                 })
                 .build()
                 .expect("valid config"),
@@ -248,7 +115,9 @@ fn scenario() -> Scenario {
     let sick_quarantined = top
         .mapper(sick_seg)
         .is_some_and(|m| m.state == MapperState::Quarantined);
-    let sink = TraceSink::capture(&pvm.tracer()).with_telemetry(pvm.telemetry_series());
+    let series = pvm.telemetry_series();
+    let samples = series.len() as u64;
+    let sink = TraceSink::capture(&pvm.tracer()).with_telemetry(series);
     Scenario {
         hot_cache_first,
         sick_quarantined,
@@ -256,6 +125,8 @@ fn scenario() -> Scenario {
         telemetry_json: sink.telemetry_json(&pvm.telemetry()),
         trace_json: sink.chrome_trace_json(),
         sim_ns: pvm.cost_model().now().nanos(),
+        faults: pvm.stats().faults,
+        samples,
         top,
     }
 }
@@ -263,49 +134,18 @@ fn scenario() -> Scenario {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let emit_json = args.iter().any(|a| a == "--json");
-    let quick = args.iter().any(|a| a == "--quick");
     let out_dir = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("reports"));
-    let shape = if quick { QUICK } else { FULL };
 
-    // --- knob cost -------------------------------------------------------
-    // Noise on a shared box only ever inflates a deterministic
-    // single-threaded run, so the lowest ratio across a few measurement
-    // attempts is the cleanest estimate of the true knob cost; a clean
-    // first attempt exits early.
-    let (mut off, mut on, mut overhead_ratio) = measure(&shape);
-    for _ in 0..3 {
-        if overhead_ratio <= 1.05 {
-            break;
-        }
-        let (o2, n2, r2) = measure(&shape);
-        if r2 < overhead_ratio {
-            (off, on, overhead_ratio) = (o2, n2, r2);
-        }
-    }
-    assert_eq!(
-        off.sim_ns, on.sim_ns,
-        "telemetry must never advance the simulated clock"
-    );
-    assert_eq!(off.faults, on.faults, "telemetry must not change behaviour");
-    assert_eq!(off.samples, 0, "knob off must record no samples");
-    assert!(on.samples > 0, "sampler never fired with the knob on");
-    let overhead_ok = overhead_ratio <= 1.05;
-    assert!(
-        overhead_ok,
-        "telemetry wall overhead {:.2}% exceeds the 5% target",
-        (overhead_ratio - 1.0) * 100.0
-    );
-
-    // --- attribution -----------------------------------------------------
     let s = scenario();
     let s2 = scenario();
     assert_eq!(s.sim_ns, s2.sim_ns, "scenario is not deterministic");
     assert_eq!(s.top, s2.top, "pvmtop snapshot is not deterministic");
+    assert!(s.samples > 0, "the gauge sampler never fired");
     assert!(s.hot_cache_first, "pvmtop must rank the hot cache first");
     assert!(
         s.sick_quarantined,
@@ -322,18 +162,9 @@ fn main() {
         println!(
             "{}",
             json::Obj::bench("ablation_telemetry")
-                .bool("quick", quick)
-                .int("pages", shape.pages)
-                .int("sweeps", shape.sweeps)
-                .int("frames", u64::from(shape.frames))
-                .int("sim_ns", off.sim_ns)
-                .bool("sim_identical", off.sim_ns == on.sim_ns)
-                .int("faults", off.faults)
-                .int("samples", on.samples)
-                .int("off_wall_ns", off.wall_ns)
-                .int("on_wall_ns", on.wall_ns)
-                .num("overhead_ratio", (overhead_ratio * 1e4).round() / 1e4)
-                .bool("overhead_ok", overhead_ok)
+                .int("sim_ns", s.sim_ns)
+                .int("faults", s.faults)
+                .int("samples", s.samples)
                 .bool("hot_cache_first", s.hot_cache_first)
                 .bool("sick_quarantined", s.sick_quarantined)
                 .int("scenario_caches", s.top.caches.len() as u64)
@@ -346,31 +177,14 @@ fn main() {
     }
 
     println!(
-        "Telemetry ablation: {} write sweeps over a {}-page file-backed\n\
-         working set on {} frames, min wall time over {} repetitions\n",
-        shape.sweeps, shape.pages, shape.frames, shape.reps
+        "Telemetry attribution: a hot, a cold and a quarantined cache;\n\
+         {} faults, {} gauge samples over {:.3} ms of simulated time\n",
+        s.faults,
+        s.samples,
+        s.sim_ns as f64 / 1e6,
     );
     println!(
-        "  knob | sim time      | faults | samples | wall time (min)\n\
-         \x20 off  | {:>10.3} ms | {:>6} | {:>7} | {:>10.3} ms\n\
-         \x20 on   | {:>10.3} ms | {:>6} | {:>7} | {:>10.3} ms",
-        off.sim_ns as f64 / 1e6,
-        off.faults,
-        off.samples,
-        off.wall_ns as f64 / 1e6,
-        on.sim_ns as f64 / 1e6,
-        on.faults,
-        on.samples,
-        on.wall_ns as f64 / 1e6,
-    );
-    println!(
-        "\n  simulated clocks identical; wall overhead {:+.2}% \
-         (min-vs-min over {} interleaved reps, target <= 5%)\n",
-        (overhead_ratio - 1.0) * 100.0,
-        shape.reps,
-    );
-    println!(
-        "  attribution: hottest cache ranked first: {}; mapper of segment\n\
+        "  hottest cache ranked first: {}; mapper of segment\n\
          {:?} flagged {}; artifacts:\n    {}\n    {}\n",
         s.hot_cache_first,
         s.sick_segment,

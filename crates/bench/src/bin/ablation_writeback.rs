@@ -74,11 +74,9 @@ fn run_config(shape: &Shape, cluster: u64) -> Row {
             cost: CostParams::sun3(),
             config: PvmConfig::builder()
                 .paging(|p| p.check_invariants(false).push_cluster_pages(cluster))
-                .telemetry(|t| {
-                    t.trace(TraceConfig {
-                        enabled: true,
-                        ..TraceConfig::default()
-                    })
+                .trace(TraceConfig {
+                    enabled: true,
+                    ..TraceConfig::default()
                 })
                 .build()
                 .expect("valid config"),

@@ -20,7 +20,7 @@ fn pvm() -> Arc<Pvm> {
             cost: CostParams::zero(),
             config: PvmConfig::builder()
                 .paging(|p| p.check_invariants(true))
-                .telemetry(|t| t.trace(TraceConfig::from_env()))
+                .trace(TraceConfig::from_env())
                 .build()
                 .expect("valid config"),
             ..PvmOptions::default()

@@ -54,13 +54,9 @@ fn main() {
             cost: CostParams::sun3(),
             config: PvmConfig::builder()
                 .paging(|p| p.check_invariants(true))
-                .telemetry(|t| {
-                    t.telemetry(true)
-                        .telemetry_sample_ns(1_000_000)
-                        .trace(TraceConfig {
-                            enabled: true,
-                            ..TraceConfig::default()
-                        })
+                .trace(TraceConfig {
+                    enabled: true,
+                    ..TraceConfig::default()
                 })
                 .build()
                 .expect("valid config"),

@@ -55,7 +55,7 @@ pub fn pvm_world(frames: u32) -> World<Pvm> {
 pub fn pvm_world_traced(frames: u32, trace: TraceConfig) -> World<Pvm> {
     let config = PvmConfig::builder()
         .paging(|p| p.check_invariants(false))
-        .telemetry(|t| t.trace(trace))
+        .trace(trace)
         .build()
         .expect("valid config");
     let mgr = Arc::new(MemSegmentManager::new());

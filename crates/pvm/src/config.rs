@@ -1,14 +1,16 @@
 //! PVM tunables.
 //!
 //! [`PvmConfig`] stays a flat, public struct (literal mutation keeps
-//! working); the validating [`PvmConfig::builder`] exposes the knobs
-//! through *grouped sections* — [`paging`](PvmConfigBuilder::paging) and
-//! [`telemetry`](PvmConfigBuilder::telemetry) — plus the
-//! [`retry`](PvmConfigBuilder::retry) setter.
+//! working); the validating [`PvmConfig::builder`] exposes the paging
+//! knobs through the [`paging`](PvmConfigBuilder::paging) section, plus
+//! the [`retry`](PvmConfigBuilder::retry) and
+//! [`trace`](PvmConfigBuilder::trace) setters.
 //!
-//! There is no default-off behaviour here: a field exists because two
-//! non-test callers set it to different values, and what the PVM does
-//! it does by default or not at all.
+//! Tracing aside (a trace record has a cost of its own), there is no
+//! default-off behaviour here: a field exists because two non-test
+//! callers set it to different values, and what the PVM does it does by
+//! default or not at all. The dimensional counters and the gauge
+//! sampler ([`crate::telemetry`]) are always on and have no knob.
 
 use crate::trace::TraceConfig;
 use chorus_gmi::RetryPolicy;
@@ -59,22 +61,6 @@ pub struct PvmConfig {
     /// enabled the simulated clock is untouched, so the evaluation
     /// tables are bit-identical either way.
     pub trace: TraceConfig,
-    /// Dimensional telemetry (see [`crate::telemetry`]): per-cache,
-    /// per-context and per-mapper counter families bumped at the same
-    /// sites that feed the global [`crate::StatsRegistry`] cells, plus
-    /// the deterministic sim-time gauge sampler behind
-    /// [`PvmConfig::telemetry_sample_ns`]. Off by default: every
-    /// dimensional site is then one relaxed atomic load, no sample is
-    /// ever taken, and the evaluation tables are bit-identical. When
-    /// on, no telemetry path touches the simulated clock — it reads
-    /// `now()` but never advances it.
-    pub telemetry: bool,
-    /// Cadence of the deterministic gauge sampler, in *simulated*
-    /// nanoseconds (no wall clock is ever consulted): at most one
-    /// [`crate::TelemetrySample`] is recorded per driver entry, aligned
-    /// to multiples of this period on the simulated clock. Must be at
-    /// least 1 when [`PvmConfig::telemetry`] is on.
-    pub telemetry_sample_ns: u64,
 }
 
 /// The paper's IPC message limit in pages (64 KB over 8 KB pages): the
@@ -93,8 +79,6 @@ impl Default for PvmConfig {
             push_cluster_pages: IPC_MESSAGE_PAGES,
             retry: RetryPolicy::default(),
             trace: TraceConfig::default(),
-            telemetry: false,
-            telemetry_sample_ns: 1_000_000,
         }
     }
 }
@@ -109,9 +93,8 @@ impl PvmConfig {
     }
 }
 
-/// Builder for [`PvmConfig`] enforcing the invariants that a plain
-/// struct literal cannot: non-zero cluster sizes and a non-zero
-/// sampling cadence.
+/// Builder for [`PvmConfig`] enforcing the invariant that a plain
+/// struct literal cannot: non-zero cluster sizes.
 ///
 /// ```
 /// # use chorus_pvm::PvmConfig;
@@ -160,45 +143,13 @@ impl PagingSection {
     }
 }
 
-/// The `telemetry` section: dimensional counter families, the gauge
-/// sampler and event tracing.
-#[derive(Debug)]
-pub struct TelemetrySection {
-    cfg: PvmConfig,
-}
-
-impl TelemetrySection {
-    setters! {
-        /// See [`PvmConfig::telemetry`].
-        telemetry: bool,
-        /// See [`PvmConfig::telemetry_sample_ns`].
-        telemetry_sample_ns: u64,
-        /// See [`PvmConfig::trace`].
-        trace: TraceConfig,
-    }
-}
-
-macro_rules! sections {
-    ($($(#[$meta:meta])* $name:ident: $proxy:ident,)*) => {
-        $(
-            $(#[$meta])*
-            #[must_use]
-            pub fn $name(mut self, f: impl FnOnce($proxy) -> $proxy) -> Self {
-                self.config = f($proxy { cfg: self.config }).cfg;
-                self
-            }
-        )*
-    };
-}
-
 impl PvmConfigBuilder {
-    sections! {
-        /// Core paging mechanics: replacement and clustering. See
-        /// [`PagingSection`].
-        paging: PagingSection,
-        /// Dimensional telemetry, gauge sampling and tracing. See
-        /// [`TelemetrySection`].
-        telemetry: TelemetrySection,
+    /// Core paging mechanics: replacement and clustering. See
+    /// [`PagingSection`].
+    #[must_use]
+    pub fn paging(mut self, f: impl FnOnce(PagingSection) -> PagingSection) -> Self {
+        self.config = f(PagingSection { cfg: self.config }).cfg;
+        self
     }
 
     /// See [`PvmConfig::retry`].
@@ -208,12 +159,19 @@ impl PvmConfigBuilder {
         self
     }
 
+    /// See [`PvmConfig::trace`].
+    #[must_use]
+    pub fn trace(mut self, trace: TraceConfig) -> Self {
+        self.config.trace = trace;
+        self
+    }
+
     /// Validates the assembled configuration.
     ///
     /// # Errors
     ///
     /// Returns [`chorus_gmi::GmiError::Unsupported`] naming the violated
-    /// invariant: a zero cluster size or a zero sampling cadence.
+    /// invariant: a zero cluster size.
     pub fn build(self) -> chorus_gmi::Result<PvmConfig> {
         let c = &self.config;
         if c.pull_cluster_pages < 1 {
@@ -224,11 +182,6 @@ impl PvmConfigBuilder {
         if c.push_cluster_pages < 1 {
             return Err(chorus_gmi::GmiError::Unsupported(
                 "push_cluster_pages must be at least 1",
-            ));
-        }
-        if c.telemetry && c.telemetry_sample_ns < 1 {
-            return Err(chorus_gmi::GmiError::Unsupported(
-                "telemetry_sample_ns must be at least 1 when telemetry is on",
             ));
         }
         Ok(self.config)
@@ -245,7 +198,7 @@ mod tests {
     /// this destructuring (no `..`) and says here who the two callers
     /// are.
     #[test]
-    fn config_has_exactly_eight_fields() {
+    fn config_has_exactly_six_fields() {
         let PvmConfig {
             enable_pageout,
             check_invariants,
@@ -253,15 +206,12 @@ mod tests {
             push_cluster_pages,
             retry,
             trace,
-            telemetry,
-            telemetry_sample_ns,
         } = PvmConfig::default();
         assert!(enable_pageout);
         assert_eq!(check_invariants, cfg!(debug_assertions));
         assert_eq!((pull_cluster_pages, push_cluster_pages), (1, 8));
         assert!(retry.deadline_ns > 0, "the watchdog is on by default");
-        assert!(!trace.enabled && !telemetry);
-        assert_eq!(telemetry_sample_ns, 1_000_000);
+        assert!(!trace.enabled);
     }
 
     #[test]
@@ -281,8 +231,6 @@ mod tests {
             c.push_cluster_pages, IPC_MESSAGE_PAGES,
             "a dirty run is laundered one IPC message at a time"
         );
-        assert!(!c.telemetry, "dimensional telemetry is opt-in");
-        assert_eq!(c.telemetry_sample_ns, 1_000_000, "1 ms sim cadence");
     }
 
     #[test]
@@ -290,13 +238,15 @@ mod tests {
         let c = PvmConfig::builder()
             .paging(|p| p.pull_cluster_pages(4))
             .retry(RetryPolicy::no_retry())
-            .telemetry(|t| t.telemetry(true).telemetry_sample_ns(500_000))
+            .trace(TraceConfig {
+                enabled: true,
+                ..TraceConfig::default()
+            })
             .build()
             .expect("valid config");
         assert_eq!(c.pull_cluster_pages, 4);
         assert_eq!(c.retry.max_attempts, RetryPolicy::no_retry().max_attempts);
-        assert!(c.telemetry);
-        assert_eq!(c.telemetry_sample_ns, 500_000);
+        assert!(c.trace.enabled);
     }
 
     #[test]
@@ -305,16 +255,5 @@ mod tests {
             |f: fn(PagingSection) -> PagingSection| PvmConfig::builder().paging(f).build().is_err();
         assert!(paging_err(|p| p.pull_cluster_pages(0)));
         assert!(paging_err(|p| p.push_cluster_pages(0)));
-        assert!(PvmConfig::builder()
-            .telemetry(|t| t.telemetry(true).telemetry_sample_ns(0))
-            .build()
-            .is_err());
-        assert!(
-            PvmConfig::builder()
-                .telemetry(|t| t.telemetry_sample_ns(0))
-                .build()
-                .is_ok(),
-            "a zero cadence is only rejected once telemetry is on"
-        );
     }
 }

@@ -37,7 +37,7 @@
 use crate::keys::{CacheKey, PageKey};
 use crate::state::{PvmState, StubsTo};
 use crate::stats::Counter;
-use crate::telemetry::DimCounter;
+use crate::telemetry::At;
 use crate::trace::{TraceEvent, UpcallKind};
 use chorus_gmi::{CompletionQueue, GmiError, Result, SegmentId};
 use chorus_hal::{FxHashMap, OpKind};
@@ -316,8 +316,7 @@ impl PvmState {
     /// its own.
     pub(crate) fn queue_window(&mut self, id: u64, mut rec: CompletionRecord) {
         let (ps, pages) = (self.ps(), rec.size / self.ps());
-        self.stats.add(Counter::MapperRetries, rec.retries);
-        self.dim_mapper(rec.segment, DimCounter::Retries, rec.retries);
+        self.count(Counter::MapperRetries, rec.retries, At::Mapper(rec.segment));
         let head = self.engine.parked.get(&(rec.cache, rec.offset));
         if rec.result.is_ok() && !matches!(head, Some(Parked::Filled { .. })) {
             // The mapper never delivered the faulting page.
@@ -331,8 +330,7 @@ impl PvmState {
             Ok(()) => {
                 // The mapper's service is only counted: whoever needs a
                 // page waits for it on the clock.
-                self.stats.bump(Counter::PullIns);
-                self.dim_io(rec.cache, rec.segment, DimCounter::PullIns, 1);
+                self.count(Counter::PullIns, 1, At::Io(rec.cache, rec.segment));
                 self.model.count_only(OpKind::IpcOp);
                 self.model.count_only_n(OpKind::SegmentIoPage, pages);
                 for k in 0..pages {
@@ -451,21 +449,15 @@ impl PvmState {
                     self.model.count_only(OpKind::IpcOp);
                     self.model.count_only_n(OpKind::SegmentIoPage, pages);
                     self.stats.bump(Counter::PushOutBatches);
-                    self.dim_io(
-                        rec.cache,
-                        rec.segment,
-                        DimCounter::PushOuts,
-                        rec.pages.len() as u64,
-                    );
                     for &p in &rec.pages {
-                        self.finish_clean(p, true);
+                        self.finish_clean(p, Some(rec.segment));
                     }
                     self.grow_seg_len(rec.cache, rec.offset + rec.size);
                 } else {
                     // The pages keep their dirty bits: no modified data
                     // is lost, the next laundering pass re-drives them.
                     for &p in &rec.pages {
-                        self.finish_clean(p, false);
+                        self.finish_clean(p, None);
                     }
                 }
             }
@@ -476,8 +468,7 @@ impl PvmState {
             Ok(()) => self.engine.note_success(rec.segment),
             Err(e) => {
                 if matches!(e, GmiError::MapperTimeout { .. }) {
-                    self.stats.bump(Counter::MapperTimeouts);
-                    self.dim_mapper(rec.segment, DimCounter::Timeouts, 1);
+                    self.count(Counter::MapperTimeouts, 1, At::Mapper(rec.segment));
                 }
                 if !e.is_transient() {
                     self.quarantine_cache(rec.cache);
@@ -542,8 +533,7 @@ impl PvmState {
     pub(crate) fn cancel_completion(&mut self, id: u64, mut rec: CompletionRecord) {
         let segment = rec.segment;
         let cache = rec.cache;
-        self.stats.bump(Counter::WatchdogCancels);
-        self.dim_mapper(segment, DimCounter::Cancels, 1);
+        self.count(Counter::WatchdogCancels, 1, At::Mapper(segment));
         self.trace.event(|| TraceEvent::WatchdogCancel {
             kind: rec.kind,
             segment: segment.0,

@@ -14,6 +14,7 @@ use crate::keys::{CtxKey, PageKey};
 use crate::resolve::Version;
 use crate::state::{blocked, done, Attempt, PvmState};
 use crate::stats::Counter;
+use crate::telemetry::At;
 use crate::trace::{Resolution, TraceEvent};
 use chorus_gmi::{GmiError, Result};
 use chorus_hal::{Access, FrameNo, Prot, VirtAddr, Vpn};
@@ -23,34 +24,32 @@ impl PvmState {
     /// retries after performing any blocked action. Returns how the
     /// fault was resolved (recorded by the tracer at fault exit).
     ///
-    /// `note_dims` is true only on the first attempt of a client-visible
-    /// fault: it attributes the fault to its context up front and to its
-    /// cache once the region resolves, reusing the lookup this path does
-    /// anyway (blocked retries and internal materialization calls pass
-    /// false so a fault is attributed exactly once).
+    /// `first` is true only on the first attempt of a client-visible
+    /// fault: the fault is counted then, at its context and, once the
+    /// region lookup this path does anyway resolves, at its cache
+    /// (blocked retries and internal materialization calls pass false
+    /// so a fault is counted exactly once).
     pub fn fault_attempt(
         &mut self,
         ctx: CtxKey,
         va: VirtAddr,
         access: Access,
-        note_dims: bool,
+        first: bool,
     ) -> Attempt<Resolution> {
-        if note_dims {
-            self.note_fault_ctx_dim(ctx);
-        }
         // Region lookup ("the PVM searches in its list of region
         // descriptors for the region containing the fault address").
-        let reg_key = self
+        let found = self
             .find_region(ctx, va)
-            .map_err(|_| GmiError::SegmentationFault {
-                ctx: crate::keys::pub_ctx(ctx),
-                va,
-                access,
-            })?;
-        let region: RegionDesc = self.region(reg_key)?.clone();
-        if note_dims {
-            self.note_fault_cache_dim(region.cache);
+            .and_then(|k| self.region(k).cloned());
+        if first {
+            let cache = found.as_ref().ok().map(|r| r.cache);
+            self.count(Counter::Faults, 1, At::Fault(ctx, cache));
         }
+        let region: RegionDesc = found.map_err(|_| GmiError::SegmentationFault {
+            ctx: crate::keys::pub_ctx(ctx),
+            va,
+            access,
+        })?;
         if !region.prot.allows(access, false) {
             return Err(GmiError::ProtectionViolation {
                 ctx: crate::keys::pub_ctx(ctx),

@@ -53,10 +53,10 @@ mod stats;
 pub mod telemetry;
 pub mod trace;
 
-pub use config::{PagingSection, PvmConfig, PvmConfigBuilder, TelemetrySection};
+pub use config::{PagingSection, PvmConfig, PvmConfigBuilder};
 pub use debug::{CacheDump, SlotDump, TreeDump};
 pub use pvm::{MmuChoice, Pvm, PvmOptions};
 pub use pvmtop::{CacheHeat, MapperHealth, MapperState, PhaseLatency, PvmTop};
 pub use stats::{Counter, PvmStats, StatsRegistry};
-pub use telemetry::{Dim, DimCounter, Telemetry, TelemetrySample};
+pub use telemetry::{Dim, Telemetry, TelemetrySample};
 pub use trace::{TraceConfig, TraceSink, Tracer};

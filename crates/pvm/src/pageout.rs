@@ -16,8 +16,9 @@ use crate::keys::PageKey;
 use crate::policy::{Pick, StateView};
 use crate::state::{blocked, done, Attempt, Blocked, Outcome, PushOrigin, PvmState, StubsTo};
 use crate::stats::Counter;
+use crate::telemetry::At;
 use crate::trace::TraceEvent;
-use chorus_gmi::GmiError;
+use chorus_gmi::{GmiError, SegmentId};
 use chorus_hal::FrameNo;
 
 impl PvmState {
@@ -138,8 +139,7 @@ impl PvmState {
                 match self.start_clean(page, PushOrigin::Daemon)? {
                     Outcome::Blocked(b @ Blocked::PushOut { .. }) => {
                         let cache = self.page(page).cache;
-                        self.stats.bump(Counter::WriteBehindPushes);
-                        self.dim_cache(cache, crate::telemetry::DimCounter::WriteBehindPushes, 1);
+                        self.count(Counter::WriteBehindPushes, 1, At::Cache(cache));
                         *pushed = true;
                         self.write_behind.pop_front();
                         return blocked(b);
@@ -189,14 +189,8 @@ impl PvmState {
             self.trace.event(|| TraceEvent::ClockSweep { sweeps });
         }
         if let Pick::Victim(victim) = out.pick {
-            self.stats.bump(Counter::PolicyVictims);
-            if self.telemetry.enabled() {
-                self.dim_cache(
-                    self.page(victim).cache,
-                    crate::telemetry::DimCounter::PolicyVictims,
-                    1,
-                );
-            }
+            let cache = self.page(victim).cache;
+            self.count(Counter::PolicyVictims, 1, At::Cache(cache));
         }
         out.pick
     }
@@ -257,8 +251,7 @@ impl PvmState {
             self.begin_cleaning(p);
         }
         if origin == PushOrigin::Demand {
-            self.stats.bump(Counter::DemandPushes);
-            self.dim_cache(cache, crate::telemetry::DimCounter::DemandPushes, 1);
+            self.count(Counter::DemandPushes, 1, At::Cache(cache));
         }
         let size = pages.len() as u64 * self.ps();
         blocked(Blocked::PushOut {
@@ -304,23 +297,28 @@ impl PvmState {
         (start, pages)
     }
 
-    /// Called by the driver after a `pushOut`. On success the page is
-    /// clean and joins the run just ahead of the clock's hand, behind
-    /// the pages already put there: the sweep meets it before any page
-    /// it would have to clear, and takes it unless it is pinned again
-    /// or referenced since (then the hand clears its bit and moves on).
-    pub fn finish_clean(&mut self, page: PageKey, success: bool) {
-        if let Some(p) = self.pages.get_mut(page) {
-            p.cleaning = false;
-            if success {
-                p.dirty = false;
-                // Make it an immediate eviction candidate, unless it
-                // was accessed while the push was out: the hardware
-                // bits are left alone.
-                p.ref_bit = false;
-                self.policy.next_up(page);
-            }
-            self.stats.add(Counter::PushOuts, success as u64);
+    /// Called by the driver after a `pushOut`: `pushed` names the
+    /// mapper that took the page, `None` when the push failed. On
+    /// success the page is clean, counted as pushed out, and joins the
+    /// run just ahead of the clock's hand, behind the pages already put
+    /// there: the sweep meets it before any page it would have to
+    /// clear, and takes it unless it is pinned again or referenced
+    /// since (then the hand clears its bit and moves on). A page that
+    /// died while its push was out is neither.
+    pub fn finish_clean(&mut self, page: PageKey, pushed: Option<SegmentId>) {
+        let Some(p) = self.pages.get_mut(page) else {
+            return;
+        };
+        p.cleaning = false;
+        if let Some(segment) = pushed {
+            p.dirty = false;
+            // Make it an immediate eviction candidate, unless it was
+            // accessed while the push was out: the hardware bits are
+            // left alone.
+            p.ref_bit = false;
+            let cache = p.cache;
+            self.policy.next_up(page);
+            self.count(Counter::PushOuts, 1, At::Io(cache, segment));
         }
     }
 
@@ -330,11 +328,9 @@ impl PvmState {
     pub fn evict(&mut self, victim: PageKey) {
         debug_assert!(!self.page(victim).dirty, "evicting a dirty page");
         let (cache, unused) = (self.page(victim).cache, self.page(victim).prefetched);
-        self.stats.bump(Counter::Evictions);
-        self.dim_cache(cache, crate::telemetry::DimCounter::Evictions, 1);
+        self.count(Counter::Evictions, 1, At::Cache(cache));
         if unused {
-            self.stats.bump(Counter::ReadaheadUnused);
-            self.dim_cache(cache, crate::telemetry::DimCounter::ReadaheadUnused, 1);
+            self.count(Counter::ReadaheadUnused, 1, At::Cache(cache));
         }
         self.trace.event(|| TraceEvent::Eviction {
             cache: self.page(victim).cache.index(),

@@ -18,7 +18,7 @@ use crate::keys::{cache_key, ctx_key, pub_cache, pub_ctx, pub_region, region_key
 use crate::pvmtop::PvmTop;
 use crate::state::{Attempt, Blocked, Outcome, PushOrigin, PvmState};
 use crate::stats::{Counter, PvmStats, StatsRegistry};
-use crate::telemetry::{DimCounter, Telemetry, TelemetrySample};
+use crate::telemetry::{At, Telemetry, TelemetrySample};
 use crate::trace::{Phase, Resolution, TraceEvent, Tracer, UpcallKind, UpcallOutcome};
 use chorus_gmi::{
     Access, CacheId, CacheIo, CopyMode, CtxId, Gmi, GmiError, PageGeometry, Prot, PullRequest,
@@ -81,9 +81,6 @@ pub struct Pvm {
     stats: Arc<StatsRegistry>,
     /// The event tracer (see [`crate::trace`]), shared with the state.
     trace: Arc<Tracer>,
-    /// The dimensional telemetry registry (see [`crate::telemetry`]),
-    /// shared with the state; table reads never take the state lock.
-    telemetry: Arc<Telemetry>,
     /// Reentrancy guard for the write-behind drain: a laundering push
     /// that re-enters the driver (e.g. a mapper calling back into the
     /// GMI) must not start a second one.
@@ -105,7 +102,6 @@ impl Pvm {
         let state = PvmState::new(geometry, phys, mmu, model.clone(), options.config);
         let stats = state.stats.clone();
         let trace = state.trace.clone();
-        let telemetry = state.telemetry.clone();
         Pvm {
             state: DomainLock::new(state, stats.clone()),
             stub_cv: Condvar::new(),
@@ -114,7 +110,6 @@ impl Pvm {
             geom: geometry,
             stats,
             trace,
-            telemetry,
             laundering: AtomicBool::new(false),
         }
     }
@@ -130,31 +125,24 @@ impl Pvm {
         self.stats.snapshot()
     }
 
-    /// The live counter registry shared by every counting site.
-    pub fn stats_registry(&self) -> Arc<StatsRegistry> {
-        self.stats.clone()
-    }
-
     /// The event tracer (disabled unless `PvmConfig::trace` enables it).
     pub fn tracer(&self) -> Arc<Tracer> {
         self.trace.clone()
     }
 
-    /// The dimensional telemetry registry (inert unless
-    /// `PvmConfig::telemetry` enables it). Table reads never take the
-    /// state lock.
-    pub fn telemetry(&self) -> Arc<Telemetry> {
-        self.telemetry.clone()
+    /// A copy of the per-cache, per-context and per-mapper counter rows
+    /// (see [`crate::telemetry`]).
+    pub fn telemetry(&self) -> Telemetry {
+        self.state.lock().telemetry.clone()
     }
 
-    /// Copies out the recorded sim-time gauge series, oldest first
-    /// (empty unless `PvmConfig::telemetry` is on).
+    /// Copies out the recorded sim-time gauge series, oldest first.
     pub fn telemetry_series(&self) -> Vec<TelemetrySample> {
         self.state.lock().series.samples()
     }
 
     /// Takes a gauge sample of the live state right now (not appended
-    /// to the series; works with telemetry off).
+    /// to the series).
     pub fn sample_now(&self) -> TelemetrySample {
         self.state.lock().live_sample()
     }
@@ -167,13 +155,13 @@ impl Pvm {
     }
 
     /// Resets the PVM event counters, the tracer's rings and
-    /// histograms, and the telemetry tables and gauge series (the cost
+    /// histograms, and the telemetry rows and gauge series (the cost
     /// model has its own reset).
     pub fn reset_stats(&self) {
         self.stats.reset();
         self.trace.reset();
-        self.telemetry.reset();
         let mut guard = self.state.lock();
+        guard.telemetry.reset();
         guard.series.clear();
         guard.next_sample_ns = 0;
     }
@@ -509,8 +497,7 @@ impl Pvm {
         (rec.result, rec.retries) = self.push_protocol(policy, &req, pages.len());
         rec.pages = pages;
         let mut guard = self.state.lock();
-        guard.stats.add(Counter::MapperRetries, rec.retries);
-        guard.dim_mapper(req.segment, DimCounter::Retries, rec.retries);
+        guard.count(Counter::MapperRetries, rec.retries, At::Mapper(req.segment));
         // As with pulls: a timed-out push parks at the hung-reply
         // horizon (its pages stay `cleaning` until cancelled or forced,
         // then keep their dirty bits — no modified data is lost).
@@ -607,7 +594,7 @@ impl Pvm {
                         return Ok(self.submit_async_push(guard, cache, req, pages));
                     }
                     for &p in &pages {
-                        guard.finish_clean(p, false);
+                        guard.finish_clean(p, None);
                     }
                     return Ok(guard);
                 }
@@ -626,8 +613,7 @@ impl Pvm {
                 let (res, retries) = self.push_protocol(policy, &req, pages.len());
                 self.trace.phase_end(Phase::PushOut, t0);
                 let mut guard = self.state.lock();
-                guard.stats.add(Counter::MapperRetries, retries);
-                guard.dim_mapper(segment, DimCounter::Retries, retries);
+                guard.count(Counter::MapperRetries, retries, At::Mapper(segment));
                 if res.is_ok() {
                     // One mapper round trip for the whole run, plus the
                     // per-page transfer — the request-count amortization
@@ -635,9 +621,8 @@ impl Pvm {
                     guard.charge(chorus_hal::OpKind::IpcOp);
                     guard.charge_n(chorus_hal::OpKind::SegmentIoPage, size / ps);
                     guard.stats.bump(Counter::PushOutBatches);
-                    guard.dim_io(cache, segment, DimCounter::PushOuts, pages.len() as u64);
                     for &p in &pages {
-                        guard.finish_clean(p, true);
+                        guard.finish_clean(p, Some(segment));
                     }
                     guard.grow_seg_len(cache, offset + size);
                     self.trace.phase_end(Phase::EvictStall, stall0);
@@ -645,14 +630,13 @@ impl Pvm {
                 }
                 let first_err = res.unwrap_err();
                 if matches!(first_err, GmiError::MapperTimeout { .. }) {
-                    guard.stats.bump(Counter::MapperTimeouts);
-                    guard.dim_mapper(segment, DimCounter::Timeouts, 1);
+                    guard.count(Counter::MapperTimeouts, 1, At::Mapper(segment));
                 }
                 if pages.len() == 1 {
                     // On failure the page keeps its dirty bit (`success:
                     // false`), so no modified data is lost: a later retry
                     // of the clean can still write it back.
-                    guard.finish_clean(pages[0], false);
+                    guard.finish_clean(pages[0], None);
                     if !first_err.is_transient() {
                         guard.quarantine_cache(cache);
                     }
@@ -704,8 +688,7 @@ impl Pvm {
                     outcomes.push(Some(r));
                 }
                 let mut guard = self.state.lock();
-                guard.stats.add(Counter::MapperRetries, retries_total);
-                guard.dim_mapper(segment, DimCounter::Retries, retries_total);
+                guard.count(Counter::MapperRetries, retries_total, At::Mapper(segment));
                 let mut err: Option<GmiError> = None;
                 let mut quarantine = false;
                 for (i, (&p, r)) in pages.iter().zip(outcomes).enumerate() {
@@ -714,15 +697,13 @@ impl Pvm {
                         Some(Ok(())) => {
                             guard.charge(chorus_hal::OpKind::IpcOp);
                             guard.charge_n(chorus_hal::OpKind::SegmentIoPage, 1);
-                            guard.dim_io(cache, segment, DimCounter::PushOuts, 1);
-                            guard.finish_clean(p, true);
+                            guard.finish_clean(p, Some(segment));
                             guard.grow_seg_len(cache, offset + (i as u64 + 1) * ps);
                         }
                         Some(Err(e)) => {
-                            guard.finish_clean(p, false);
+                            guard.finish_clean(p, None);
                             if matches!(e, GmiError::MapperTimeout { .. }) {
-                                guard.stats.bump(Counter::MapperTimeouts);
-                                guard.dim_mapper(segment, DimCounter::Timeouts, 1);
+                                guard.count(Counter::MapperTimeouts, 1, At::Mapper(segment));
                             }
                             if !e.is_transient() {
                                 quarantine = true;
@@ -778,8 +759,7 @@ impl Pvm {
                 let mut guard = self.state.lock();
                 // Each retry is its own upcall on the wire.
                 guard.stats.add(Counter::WriteAccessUpcalls, 1 + retries);
-                guard.stats.add(Counter::MapperRetries, retries);
-                guard.dim_mapper(segment, DimCounter::Retries, retries);
+                guard.count(Counter::MapperRetries, retries, At::Mapper(segment));
                 match res {
                     Ok(()) => {
                         if guard.pages.contains(page) {
@@ -791,8 +771,7 @@ impl Pvm {
                         // A write-access denial is a coherence decision,
                         // not a mapper death: no quarantine.
                         if matches!(e, GmiError::MapperTimeout { .. }) {
-                            guard.stats.bump(Counter::MapperTimeouts);
-                            guard.dim_mapper(segment, DimCounter::Timeouts, 1);
+                            guard.count(Counter::MapperTimeouts, 1, At::Mapper(segment));
                         }
                         Err(e)
                     }
@@ -963,8 +942,7 @@ impl PvmState {
         (desc.writable, desc.prefetched) = (writable, prefetched);
         self.publish_page(page);
         if prefetched {
-            self.stats.bump(Counter::ReadaheadPages);
-            self.dim_cache(cache, DimCounter::ReadaheadPages, 1);
+            self.count(Counter::ReadaheadPages, 1, At::Cache(cache));
         }
     }
 
@@ -1318,7 +1296,6 @@ impl Pvm {
         let res = self.run_held(guard, |s| {
             let head = std::mem::take(&mut first);
             if head {
-                s.stats.bump(Counter::Faults);
                 s.charge(chorus_hal::OpKind::FaultEntry);
             }
             s.fault_attempt(key, va, access, head)

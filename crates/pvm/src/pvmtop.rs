@@ -5,10 +5,7 @@
 //! question: *which* cache is hot, *which* mapper is sick, and where
 //! the latency went. It folds three sources into one [`PvmTop`] value:
 //!
-//! - the dimensional telemetry registry ([`crate::telemetry`]) for
-//!   per-cache and per-mapper counters (requires `telemetry(true)`;
-//!   with the knob off the counters read as zero and only the live
-//!   gauges below carry signal);
+//! - the per-cache and per-mapper counter rows ([`crate::telemetry`]);
 //! - a walk of the live descriptor arenas for resident/dirty footprints
 //!   and mapper health states (always available);
 //! - the per-phase latency histograms for p50/p99/p999 (populated when
@@ -19,7 +16,8 @@
 //! the same determinism rule the tracer enforces.
 
 use crate::state::PvmState;
-use crate::telemetry::{Dim, DimCounter, TelemetrySample};
+use crate::stats::Counter as C;
+use crate::telemetry::{Dim, TelemetrySample};
 use crate::trace::{HistogramSnapshot, Phase};
 use chorus_gmi::{CacheId, SegmentId};
 use std::collections::BTreeMap;
@@ -208,7 +206,7 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
         *arriving.entry(cache.index()).or_insert(0) += 1;
     }
 
-    let dim = |d: Dim, id: u64, c: DimCounter| state.telemetry.get(d, id, c);
+    let dim = |d: Dim, id: u64, c: C| state.telemetry.get(d, id, c);
 
     let mut caches: Vec<CacheHeat> = state
         .caches
@@ -220,16 +218,16 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
             CacheHeat {
                 cache: crate::keys::pub_cache(key),
                 index: idx,
-                faults: dim(Dim::Cache, id, DimCounter::Faults),
-                pull_ins: dim(Dim::Cache, id, DimCounter::PullIns),
-                push_outs: dim(Dim::Cache, id, DimCounter::PushOuts),
-                evictions: dim(Dim::Cache, id, DimCounter::Evictions),
-                policy_victims: dim(Dim::Cache, id, DimCounter::PolicyVictims),
-                readahead_hits: dim(Dim::Cache, id, DimCounter::ReadaheadHits),
-                readahead_pages: dim(Dim::Cache, id, DimCounter::ReadaheadPages),
-                readahead_unused: dim(Dim::Cache, id, DimCounter::ReadaheadUnused),
-                write_behind_pushes: dim(Dim::Cache, id, DimCounter::WriteBehindPushes),
-                demand_pushes: dim(Dim::Cache, id, DimCounter::DemandPushes),
+                faults: dim(Dim::Cache, id, C::Faults),
+                pull_ins: dim(Dim::Cache, id, C::PullIns),
+                push_outs: dim(Dim::Cache, id, C::PushOuts),
+                evictions: dim(Dim::Cache, id, C::Evictions),
+                policy_victims: dim(Dim::Cache, id, C::PolicyVictims),
+                readahead_hits: dim(Dim::Cache, id, C::ReadaheadHits),
+                readahead_pages: dim(Dim::Cache, id, C::ReadaheadPages),
+                readahead_unused: dim(Dim::Cache, id, C::ReadaheadUnused),
+                write_behind_pushes: dim(Dim::Cache, id, C::WriteBehindPushes),
+                demand_pushes: dim(Dim::Cache, id, C::DemandPushes),
                 arriving_pages: arriving.get(&idx).copied().unwrap_or(0),
                 resident_pages: res,
                 dirty_pages: dirty,
@@ -256,7 +254,7 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
     segments.extend(state.engine.inflight_counts().iter().map(|&(s, _)| s));
     segments.extend(state.engine.timeout_counts().iter().map(|&(s, _)| s));
     segments.extend(state.engine.suspected_segments());
-    segments.extend(state.telemetry.table(Dim::Mapper).iter().map(|&(s, _)| s));
+    segments.extend(state.telemetry.table(Dim::Mapper).iter().map(|(s, _)| *s));
 
     let inflight: BTreeMap<u64, u64> = state.engine.inflight_counts().into_iter().collect();
     let misses: BTreeMap<u64, u32> = state.engine.timeout_counts().into_iter().collect();
@@ -280,11 +278,11 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
                 state: state_,
                 inflight: inflight.get(&seg).copied().unwrap_or(0),
                 deadline_misses: misses.get(&seg).copied().unwrap_or(0),
-                pull_ins: dim(Dim::Mapper, seg, DimCounter::PullIns),
-                push_outs: dim(Dim::Mapper, seg, DimCounter::PushOuts),
-                retries: dim(Dim::Mapper, seg, DimCounter::Retries),
-                timeouts: dim(Dim::Mapper, seg, DimCounter::Timeouts),
-                cancels: dim(Dim::Mapper, seg, DimCounter::Cancels),
+                pull_ins: dim(Dim::Mapper, seg, C::PullIns),
+                push_outs: dim(Dim::Mapper, seg, C::PushOuts),
+                retries: dim(Dim::Mapper, seg, C::MapperRetries),
+                timeouts: dim(Dim::Mapper, seg, C::MapperTimeouts),
+                cancels: dim(Dim::Mapper, seg, C::WatchdogCancels),
             }
         })
         .collect();
@@ -294,7 +292,6 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
         .map(|&p| PhaseLatency::from_snapshot(p, &state.trace.histogram(p)))
         .collect();
 
-    use crate::stats::Counter as C;
     let policy = PolicyHeat {
         victim_requests: state.stats.get(C::PolicyVictimRequests),
         victims: state.stats.get(C::PolicyVictims),

@@ -12,6 +12,7 @@ use crate::engine::Parked;
 use crate::keys::{CacheKey, PageKey};
 use crate::state::{blocked, done, Attempt, Blocked, Outcome, PvmState};
 use crate::stats::Counter;
+use crate::telemetry::At;
 use crate::trace::TraceEvent;
 use chorus_gmi::GmiError;
 use chorus_hal::{Access, OpKind};
@@ -243,8 +244,7 @@ impl PvmState {
             }
             let ramped = s.window > before;
             if before > 0 {
-                self.stats.bump(Counter::ReadaheadHits);
-                self.dim_cache(cache, crate::telemetry::DimCounter::ReadaheadHits, 1);
+                self.count(Counter::ReadaheadHits, 1, At::Cache(cache));
                 if ramped {
                     self.stats.bump(Counter::ReadaheadRamps);
                 }

@@ -15,7 +15,7 @@ use crate::gmap::GlobalMap;
 use crate::keys::{CacheKey, CtxKey, PageKey, RegKey};
 use crate::policy::Clock;
 use crate::stats::{Counter, StatsRegistry};
-use crate::telemetry::{Dim, DimCounter, SeriesRing, Telemetry, TelemetrySample, SERIES_CAP};
+use crate::telemetry::{At, SeriesRing, Telemetry, TelemetrySample, SAMPLE_NS, SERIES_CAP};
 use crate::trace::{TraceEvent, Tracer};
 use chorus_gmi::{GmiError, Result, SegmentId};
 use chorus_hal::{
@@ -189,16 +189,14 @@ pub(crate) struct PvmState {
     /// The (cache, stream) whose next window fell due during this
     /// entry (`note_use`); `Pvm::run` submits it on its way out.
     pub ahead_due: Option<(CacheKey, usize)>,
-    /// The dimensional telemetry registry (per-cache / per-context /
-    /// per-mapper counters), shared with `Pvm`. Inert (one relaxed load
-    /// per site) unless `config.telemetry` is on.
-    pub telemetry: Arc<Telemetry>,
+    /// The per-cache, per-context and per-mapper rows of the counters
+    /// that name their entities ([`PvmState::count`]).
+    pub telemetry: Telemetry,
     /// Ring of deterministic sim-time gauge samples recorded by
-    /// [`PvmState::maybe_sample`]. Empty unless `config.telemetry` is
-    /// on.
+    /// [`PvmState::maybe_sample`].
     pub series: SeriesRing,
-    /// Next simulated instant (multiple of `config.telemetry_sample_ns`)
-    /// at which the gauge sampler fires.
+    /// Next simulated instant (multiple of [`SAMPLE_NS`]) at which the
+    /// gauge sampler fires.
     pub next_sample_ns: u64,
 }
 
@@ -212,7 +210,6 @@ impl PvmState {
     ) -> PvmState {
         let stats = Arc::new(StatsRegistry::new());
         let trace = Arc::new(Tracer::new(config.trace, model.clone(), stats.clone()));
-        let telemetry = Arc::new(Telemetry::new(config.telemetry));
         PvmState {
             geom,
             phys,
@@ -234,7 +231,7 @@ impl PvmState {
             write_behind: std::collections::VecDeque::new(),
             performed: 0,
             ahead_due: None,
-            telemetry,
+            telemetry: Telemetry::default(),
             series: SeriesRing::new(SERIES_CAP),
             next_sample_ns: 0,
         }
@@ -619,55 +616,14 @@ impl PvmState {
         })
     }
 
-    // ----- dimensional telemetry --------------------------------------------
+    // ----- counting and sampling ----------------------------------------
 
-    /// Attributes one handled fault to its context. Called by
-    /// `fault_attempt` on the first attempt only; the cache half rides
-    /// [`Self::note_fault_cache_dim`] once the region resolves, so
-    /// attribution reuses the fault path's own region lookup and never
-    /// touches the cost model (faults into unmapped addresses are
-    /// charged to the context only; the cache-dimension sum therefore
-    /// equals the global fault count whenever every fault resolved).
+    /// Counts `n` events of a counter that names its entities: its
+    /// global cell and the row of each entity of `at`, in one call.
     #[inline]
-    pub fn note_fault_ctx_dim(&self, ctx: CtxKey) {
-        if self.telemetry.enabled() {
-            self.telemetry
-                .bump(Dim::Context, u64::from(ctx.index()), DimCounter::Faults);
-        }
-    }
-
-    /// The cache half of first-attempt fault attribution.
-    #[inline]
-    pub fn note_fault_cache_dim(&self, cache: CacheKey) {
-        if self.telemetry.enabled() {
-            self.telemetry
-                .bump(Dim::Cache, u64::from(cache.index()), DimCounter::Faults);
-        }
-    }
-
-    /// Bumps one counter in the cache dimension.
-    #[inline]
-    pub fn dim_cache(&self, cache: CacheKey, c: DimCounter, n: u64) {
-        self.telemetry
-            .add(Dim::Cache, u64::from(cache.index()), c, n);
-    }
-
-    /// Bumps one counter in the mapper (segment) dimension.
-    #[inline]
-    pub fn dim_mapper(&self, segment: SegmentId, c: DimCounter, n: u64) {
-        self.telemetry.add(Dim::Mapper, segment.0, c, n);
-    }
-
-    /// Bumps one counter in both the cache and mapper dimensions — the
-    /// shape of every upcall event (a cache's traffic through its
-    /// segment's mapper).
-    #[inline]
-    pub fn dim_io(&self, cache: CacheKey, segment: SegmentId, c: DimCounter, n: u64) {
-        if !self.telemetry.enabled() {
-            return;
-        }
-        self.dim_cache(cache, c, n);
-        self.dim_mapper(segment, c, n);
+    pub fn count(&mut self, c: Counter, n: u64, at: At) {
+        self.stats.add_cell(c, n);
+        self.telemetry.add(c, n, at);
     }
 
     /// A gauge sample of the live state, stamped with the current
@@ -689,21 +645,16 @@ impl PvmState {
 
     /// The deterministic sim-time sampler: records at most one gauge
     /// sample per driver entry, once the simulated clock has crossed the
-    /// next multiple of `config.telemetry_sample_ns`. Reads the clock,
-    /// never advances it — with telemetry off this is a single branch.
+    /// next multiple of [`SAMPLE_NS`]. Reads the clock, never advances
+    /// it.
     pub fn maybe_sample(&mut self) {
-        if !self.telemetry.enabled() {
-            return;
-        }
         let now = self.model.now().nanos();
         if now < self.next_sample_ns {
             return;
         }
-        let cadence = self.config.telemetry_sample_ns.max(1);
-        self.next_sample_ns = now - now % cadence + cadence;
+        self.next_sample_ns = now - now % SAMPLE_NS + SAMPLE_NS;
         let sample = self.live_sample();
         self.series.push(sample);
-        self.stats.bump(Counter::TelemetrySamples);
     }
 
     // ----- charging ----------------------------------------------------------

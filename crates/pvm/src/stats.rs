@@ -8,11 +8,17 @@
 //! [`PvmStats`] survives as the plain snapshot view the tests and
 //! benches always consumed; [`PvmStats::delta`] subtracts an earlier
 //! snapshot for before/after measurements.
+//!
+//! A counter may also name the entities it is counted at
+//! ([`Counter::dims`]): such a counter is bumped only under the state
+//! lock, by `PvmState::count`, which adds to its cell here and to the
+//! row of each of its entities ([`crate::telemetry`]) in one call.
 
+use crate::telemetry::Dim;
 use core::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! counters {
-    ($($(#[$doc:meta])* $field:ident => $variant:ident,)*) => {
+    ($($(#[$doc:meta])* $field:ident => $variant:ident $([$($dim:ident),+])?,)*) => {
         /// Identifies one atomic counter cell of the [`StatsRegistry`].
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
         #[repr(usize)]
@@ -28,6 +34,15 @@ macro_rules! counters {
             pub fn label(self) -> &'static str {
                 match self {
                     $(Counter::$variant => stringify!($field),)*
+                }
+            }
+
+            /// The dimensions whose entities each count of this
+            /// counter names (none for a PVM-wide counter).
+            #[inline]
+            pub fn dims(self) -> &'static [Dim] {
+                match self {
+                    $(Counter::$variant => &[$($(Dim::$dim),+)?],)*
                 }
             }
         }
@@ -74,13 +89,13 @@ macro_rules! counters {
 
 counters! {
     /// Page faults handled (§4.1.2 entry).
-    faults => Faults,
+    faults => Faults [Context, Cache],
     /// Faults resolved by allocating a zero-filled page.
     zero_fills => ZeroFills,
     /// Faults resolved by a `pullIn` upcall.
-    pull_ins => PullIns,
+    pull_ins => PullIns [Cache, Mapper],
     /// `pushOut` upcalls performed.
-    push_outs => PushOuts,
+    push_outs => PushOuts [Cache, Mapper],
     /// Write violations resolved by materializing a private copy
     /// (copy-on-write resolution, either technique).
     cow_copies => CowCopies,
@@ -96,7 +111,7 @@ counters! {
     /// Times a thread blocked on a synchronization page stub.
     stub_waits => StubWaits,
     /// Pages evicted by the clock algorithm.
-    evictions => Evictions,
+    evictions => Evictions [Cache],
     /// Frames transferred cache-to-cache by `move` without copying.
     moved_frames => MovedFrames,
     /// Per-virtual-page copy-on-write stubs created (§4.3).
@@ -104,9 +119,9 @@ counters! {
     /// `getWriteAccess` upcalls performed.
     write_access_upcalls => WriteAccessUpcalls,
     /// Mapper upcalls re-driven after a transient failure.
-    mapper_retries => MapperRetries,
+    mapper_retries => MapperRetries [Mapper],
     /// Mapper upcalls abandoned because the retry deadline expired.
-    mapper_timeouts => MapperTimeouts,
+    mapper_timeouts => MapperTimeouts [Mapper],
     /// Caches quarantined after a permanent mapper failure.
     quarantined_caches => QuarantinedCaches,
     /// Emergency eviction passes run when fault recovery hit
@@ -133,7 +148,7 @@ counters! {
     /// Continuations of a sequential stream of their cache's stream
     /// table that sized a (widened) window: a miss inside the stream's
     /// reach, or the stream's next window pulled ahead of its reader.
-    readahead_hits => ReadaheadHits,
+    readahead_hits => ReadaheadHits [Cache],
     /// Times a stream's pull window grew (doubled).
     readahead_ramps => ReadaheadRamps,
     /// Upcalls submitted to the completion engine (pull windows,
@@ -153,14 +168,11 @@ counters! {
     /// In-flight upcalls cancelled by the deadline watchdog after their
     /// per-request deadline (derived from the retry policy) expired on
     /// the simulated clock.
-    watchdog_cancels => WatchdogCancels,
+    watchdog_cancels => WatchdogCancels [Mapper],
     /// Mappers escalated to the `Suspected` state after repeated
     /// watchdog timeouts (in-flight cap shrunk to one request at a
     /// time, one step short of quarantine).
     suspected_mappers => SuspectedMappers,
-    /// Deterministic sim-time gauge samples recorded by the telemetry
-    /// sampler (dimensional telemetry knob on; see [`crate::telemetry`]).
-    telemetry_samples => TelemetrySamples,
     /// Acquisitions of the state lock, the PVM's one mutex.
     state_lock_acqs => StateLockAcqs,
     /// State-lock acquisitions that were contended (the uncontended
@@ -171,19 +183,19 @@ counters! {
     policy_victim_requests => PolicyVictimRequests,
     /// Victims the policy engine actually produced (a request can come
     /// up empty when every candidate is pinned or cleaning).
-    policy_victims => PolicyVictims,
+    policy_victims => PolicyVictims [Cache],
     /// Readahead tail pages delivered: pages a `pullIn` landed beyond
     /// the one its faulter asked for.
-    readahead_pages => ReadaheadPages,
+    readahead_pages => ReadaheadPages [Cache],
     /// Readahead pages evicted before their first touch (the wasted
     /// share of `readahead_pages`).
-    readahead_unused => ReadaheadUnused,
+    readahead_unused => ReadaheadUnused [Cache],
     /// `pushOut` runs issued from the write-behind queue, on a light
     /// driver entry.
-    write_behind_pushes => WriteBehindPushes,
+    write_behind_pushes => WriteBehindPushes [Cache],
     /// `pushOut` runs issued inline by an allocation that found the
     /// write-behind queue full (the faulter stalls on them).
-    demand_pushes => DemandPushes,
+    demand_pushes => DemandPushes [Cache],
     /// Second chances granted: times the clock passed over a page
     /// because it was referenced, clearing the reference.
     ref_second_chances => RefSecondChances,
@@ -229,9 +241,20 @@ impl StatsRegistry {
         self.add(c, 1);
     }
 
-    /// Adds `n` to a counter.
+    /// Adds `n` to a PVM-wide counter. Panics on one that names its
+    /// entities ([`Counter::dims`]): that one is counted with them.
     #[inline]
     pub fn add(&self, c: Counter, n: u64) {
+        if !c.dims().is_empty() {
+            counted_without_entities(c);
+        }
+        self.add_cell(c, n);
+    }
+
+    /// Adds `n` to a counter's cell alone: the global half of counting
+    /// a dimensional event.
+    #[inline]
+    pub(crate) fn add_cell(&self, c: Counter, n: u64) {
         if n != 0 {
             self.cells[c as usize].fetch_add(n, Ordering::Relaxed);
         }
@@ -251,6 +274,12 @@ impl StatsRegistry {
     }
 }
 
+#[cold]
+#[inline(never)]
+fn counted_without_entities(c: Counter) -> ! {
+    panic!("{c:?} is counted at its entities")
+}
+
 impl core::fmt::Debug for StatsRegistry {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("StatsRegistry")
@@ -267,11 +296,11 @@ mod tests {
     fn registry_snapshot_and_reset() {
         let r = StatsRegistry::new();
         r.bump(Counter::ZeroFills);
-        r.add(Counter::MapperRetries, 3);
+        r.add(Counter::AsyncSubmits, 3);
         let s = r.snapshot();
         assert_eq!(s.zero_fills, 1);
-        assert_eq!(s.mapper_retries, 3);
-        assert_eq!(s.get(Counter::MapperRetries), 3);
+        assert_eq!(s.async_submits, 3);
+        assert_eq!(s.get(Counter::AsyncSubmits), 3);
         r.reset();
         assert_eq!(r.snapshot(), PvmStats::default());
     }
@@ -279,25 +308,24 @@ mod tests {
     #[test]
     fn delta_subtracts_fieldwise() {
         let r = StatsRegistry::new();
-        r.add(Counter::Evictions, 2);
+        r.add(Counter::ClockFullSweeps, 2);
         let before = r.snapshot();
-        r.add(Counter::Evictions, 3);
+        r.add(Counter::ClockFullSweeps, 3);
         r.bump(Counter::StubWaits);
         let after = r.snapshot();
         let d = after.delta(&before);
-        assert_eq!(d.evictions, 3);
+        assert_eq!(d.clock_full_sweeps, 3);
         assert_eq!(d.stub_waits, 1);
         assert_eq!(d.faults, 0);
     }
 
     #[test]
     fn counter_labels_match_snapshot_fields() {
-        assert_eq!(Counter::ALL.len(), 44);
+        assert_eq!(Counter::ALL.len(), 43);
         assert_eq!(Counter::AheadSkipped.label(), "ahead_skipped");
         assert_eq!(Counter::ReadaheadHits.label(), "readahead_hits");
         assert_eq!(Counter::ReadaheadRamps.label(), "readahead_ramps");
         assert_eq!(Counter::PolicyVictims.label(), "policy_victims");
-        assert_eq!(Counter::TelemetrySamples.label(), "telemetry_samples");
         assert_eq!(Counter::StateLockAcqs.label(), "state_lock_acqs");
         assert_eq!(Counter::WatchdogCancels.label(), "watchdog_cancels");
         assert_eq!(Counter::AsyncSubmits.label(), "async_submits");
@@ -321,5 +349,11 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(r.get(Counter::StubWaits), 40_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "counted at its entities")]
+    fn a_dimensional_counter_needs_its_entities() {
+        StatsRegistry::new().bump(Counter::Evictions);
     }
 }

@@ -1,276 +1,179 @@
-//! Dimensional telemetry: per-entity counter families and the
-//! deterministic sim-time gauge series.
+//! Dimensional telemetry: per-entity rows of the counters that name
+//! their cache, context or mapper, and the deterministic sim-time gauge
+//! series.
 //!
 //! The flat [`crate::StatsRegistry`] answers "how many faults did the
-//! whole PVM handle"; this module answers "which cache, which context,
-//! which mapper". Every dimensional bump happens at the *same site*
-//! that feeds the corresponding global cell, keyed by the entity's
-//! stable index (arena index for caches and contexts, segment id for
-//! mappers — the finest mapper identity the PVM sees).
+//! whole PVM handle"; the rows here answer "which cache, which context,
+//! which mapper". There is one vocabulary: a row cell is a
+//! [`Counter`], and a counter carries the dimensions its declaration
+//! names ([`Counter::dims`]). Each counted event is one call,
+//! `PvmState::count(counter, n, at)`, that adds to the global cell and
+//! to the row of every entity in `at`; an `At` of the wrong shape
+//! for its counter panics there, and the registry refuses a
+//! dimensional counter without one. A dimension's rows therefore sum to
+//! the global cell — except the cache rows of `faults`, which miss the
+//! faults that resolved no region.
 //!
-//! **Determinism rule.** The layer is gated by `PvmConfig::telemetry`
-//! (off by default): when off, every dimensional site is one relaxed
-//! atomic load and the gauge sampler never runs, so the evaluation
-//! tables stay bit-identical. When on, no telemetry call may advance
-//! the cost-model clock — counters only count, and the sampler *reads*
-//! the simulated clock at a fixed cadence
-//! (`PvmConfig::telemetry_sample_ns`) without ever charging it, so the
-//! sim-time series is a pure observation of the run it rides on.
+//! Entities are keyed by their stable index: arena index for caches and
+//! contexts, segment id for mappers (the finest mapper identity the PVM
+//! sees). Every dimensional event is counted under the state lock, so
+//! the rows are plain integers held there, one per touched entity.
+//!
+//! **Determinism rule.** No telemetry call advances the cost-model
+//! clock: counters only count, and the sampler *reads* the simulated
+//! clock every [`SAMPLE_NS`] without charging it, so the sim-time series
+//! is a pure observation of the run it rides on.
 //!
 //! Gauges that counters cannot express — free frames,
 //! completion-table depth, pages awaiting arrival, clock-ring size —
-//! are captured as
-//! [`TelemetrySample`] points into a bounded [`SeriesRing`]
-//! (drop-oldest), exported by [`crate::TraceSink`] as chrome-trace
-//! counter tracks and a `telemetry.json` artifact.
+//! are captured as [`TelemetrySample`] points into a bounded
+//! [`SeriesRing`] (drop-oldest), exported by [`crate::TraceSink`] as
+//! chrome-trace counter tracks and a `telemetry.json` artifact.
 
+use crate::keys::{CacheKey, CtxKey};
+use crate::stats::Counter;
+use chorus_gmi::SegmentId;
 use chorus_hal::FxHashMap;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-macro_rules! dims {
-    ($($(#[$doc:meta])* $variant:ident => $label:literal,)*) => {
-        /// A labeled dimension of the telemetry registry.
-        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-        #[repr(usize)]
-        pub enum Dim {
-            $($(#[$doc])* $variant,)*
-        }
-
-        impl Dim {
-            /// Every dimension, in declaration order.
-            pub const ALL: &'static [Dim] = &[$(Dim::$variant,)*];
-
-            /// Stable report label.
-            pub fn label(self) -> &'static str {
-                match self {
-                    $(Dim::$variant => $label,)*
-                }
-            }
-        }
-    };
-}
-
-dims! {
+/// A labeled dimension of the telemetry rows.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Dim {
     /// Per local cache (keyed by the cache's arena index).
-    Cache => "cache",
+    Cache,
     /// Per context (keyed by the context's arena index).
-    Context => "context",
+    Context,
     /// Per mapper, approximated per segment (keyed by the segment id).
-    Mapper => "mapper",
+    Mapper,
 }
 
-macro_rules! dim_counters {
-    ($($(#[$doc:meta])* $variant:ident => $label:literal,)*) => {
-        /// One per-entity counter of a dimensional family.
-        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-        #[repr(usize)]
-        pub enum DimCounter {
-            $($(#[$doc])* $variant,)*
-        }
+impl Dim {
+    /// Every dimension, in declaration order.
+    pub const ALL: &'static [Dim] = &[Dim::Cache, Dim::Context, Dim::Mapper];
 
-        impl DimCounter {
-            /// Every counter, in declaration order.
-            pub const ALL: &'static [DimCounter] = &[$(DimCounter::$variant,)*];
-
-            /// Stable report label.
-            pub fn label(self) -> &'static str {
-                match self {
-                    $(DimCounter::$variant => $label,)*
-                }
-            }
-        }
-    };
-}
-
-dim_counters! {
-    /// Faults attributed to the entity (per context: every handled
-    /// fault; per cache: those whose address resolved to a region of
-    /// the cache).
-    Faults => "faults",
-    /// Successful `pullIn` requests (per cache and per mapper).
-    PullIns => "pull_ins",
-    /// Pages successfully pushed out (per cache and per mapper).
-    PushOuts => "push_outs",
-    /// Transient mapper retries (per mapper).
-    Retries => "retries",
-    /// Mapper deadline misses: upcalls abandoned or cancelled at their
-    /// deadline (per mapper).
-    Timeouts => "timeouts",
-    /// In-flight requests cancelled by the watchdog (per mapper).
-    Cancels => "cancels",
-    /// Pages evicted by the clock algorithm (per cache).
-    Evictions => "evictions",
-    /// Misses that continued one of the cache's sequential streams
-    /// (per cache).
-    ReadaheadHits => "readahead_hits",
-    /// Victims the replacement policy engine selected from the entity
-    /// (per cache).
-    PolicyVictims => "policy_victims",
-    /// Readahead tail pages delivered (per cache).
-    ReadaheadPages => "readahead_pages",
-    /// Readahead pages evicted before their first touch (per cache).
-    ReadaheadUnused => "readahead_unused",
-    /// `pushOut` runs issued from the write-behind queue (per cache).
-    WriteBehindPushes => "write_behind_pushes",
-    /// `pushOut` runs issued inline by a stalled allocation (per
-    /// cache).
-    DemandPushes => "demand_pushes",
-}
-
-/// Number of counters in one dimensional row.
-pub const N_DIM_COUNTERS: usize = DimCounter::ALL.len();
-
-/// Entity ids below this bound live in a dense, pre-sized atomic array
-/// (arena indices and segment ids are small sequential integers); the
-/// hash map only ever holds pathological ids. Keeps the hot per-bump
-/// cost down to one relaxed `fetch_add` — no lock on the dense path,
-/// which is what keeps the telemetry-on wall overhead inside the
-/// `ablation_telemetry` budget.
-const DENSE_IDS: u64 = 1024;
-
-/// One dimension's rows: a flat `DENSE_IDS × N_DIM_COUNTERS` atomic
-/// array for small ids plus a mutexed spill map for the rest. A touched
-/// row always has at least one nonzero counter (`add` rejects
-/// `n == 0`), so all-zero dense rows are untouched and skipped on
-/// export.
-struct DimTable {
-    dense: Box<[AtomicU64]>,
-    sparse: Mutex<FxHashMap<u64, [u64; N_DIM_COUNTERS]>>,
-}
-
-impl DimTable {
-    fn new() -> DimTable {
-        DimTable {
-            dense: (0..DENSE_IDS as usize * N_DIM_COUNTERS)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            sparse: Mutex::new(FxHashMap::default()),
+    /// Stable report label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Dim::Cache => "cache",
+            Dim::Context => "context",
+            Dim::Mapper => "mapper",
         }
     }
 
-    #[inline]
-    fn add(&self, id: u64, c: DimCounter, n: u64) {
-        if id < DENSE_IDS {
-            let cell = id as usize * N_DIM_COUNTERS + c as usize;
-            self.dense[cell].fetch_add(n, Ordering::Relaxed);
-        } else {
-            self.sparse.lock().entry(id).or_insert([0; N_DIM_COUNTERS])[c as usize] += n;
-        }
-    }
-
-    fn get(&self, id: u64) -> Option<[u64; N_DIM_COUNTERS]> {
-        if id < DENSE_IDS {
-            let row = self.load_dense(id as usize);
-            row.iter().any(|&v| v != 0).then_some(row)
-        } else {
-            self.sparse.lock().get(&id).copied()
-        }
-    }
-
-    fn load_dense(&self, id: usize) -> [u64; N_DIM_COUNTERS] {
-        core::array::from_fn(|c| self.dense[id * N_DIM_COUNTERS + c].load(Ordering::Relaxed))
-    }
-
-    /// Touched rows, ascending id (dense ids are all below sparse ones).
-    fn rows(&self) -> Vec<(u64, [u64; N_DIM_COUNTERS])> {
-        let mut out: Vec<_> = (0..DENSE_IDS as usize)
-            .map(|id| (id as u64, self.load_dense(id)))
-            .filter(|(_, r)| r.iter().any(|&v| v != 0))
-            .collect();
-        let mut tail: Vec<_> = self.sparse.lock().iter().map(|(&id, &r)| (id, r)).collect();
-        tail.sort_unstable_by_key(|&(id, _)| id);
-        out.extend(tail);
-        out
-    }
-
-    fn clear(&self) {
-        for cell in self.dense.iter() {
-            cell.store(0, Ordering::Relaxed);
-        }
-        self.sparse.lock().clear();
+    /// The counters carrying this dimension, in declaration order: the
+    /// cells of one of its rows.
+    pub fn counters(self) -> impl Iterator<Item = Counter> {
+        Counter::ALL
+            .iter()
+            .copied()
+            .filter(move |c| c.dims().contains(&self))
     }
 }
 
-/// The dimensional counter registry. Shared (via `Arc`) between the
-/// locked state and its readers outside the lock. Small entity ids —
-/// the only ones real runs produce — bump a pre-sized atomic array
-/// without taking any lock; only pathological ids fall back to a
-/// mutexed spill map. With the layer disabled every call is one relaxed
-/// load.
+/// The entities one counted event names, one per dimension of its
+/// counter.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum At {
+    /// One cache.
+    Cache(CacheKey),
+    /// One mapper.
+    Mapper(SegmentId),
+    /// A cache's traffic through its segment's mapper.
+    Io(CacheKey, SegmentId),
+    /// A fault of a context, in a region of a cache when one resolved.
+    Fault(CtxKey, Option<CacheKey>),
+}
+
+impl At {
+    /// The dimensions this shape names, in the order counters declare
+    /// them.
+    fn dims(self) -> &'static [Dim] {
+        match self {
+            At::Cache(_) => &[Dim::Cache],
+            At::Mapper(_) => &[Dim::Mapper],
+            At::Io(..) => &[Dim::Cache, Dim::Mapper],
+            At::Fault(..) => &[Dim::Context, Dim::Cache],
+        }
+    }
+
+    /// The rows the event lands in.
+    fn rows(self) -> [Option<(Dim, u64)>; 2] {
+        let cache = |k: CacheKey| (Dim::Cache, u64::from(k.index()));
+        match self {
+            At::Cache(k) => [Some(cache(k)), None],
+            At::Mapper(s) => [Some((Dim::Mapper, s.0)), None],
+            At::Io(k, s) => [Some(cache(k)), Some((Dim::Mapper, s.0))],
+            At::Fault(x, k) => [Some((Dim::Context, u64::from(x.index()))), k.map(cache)],
+        }
+    }
+}
+
+/// The per-entity rows: one cell per (dimension, entity, counter)
+/// touched so far.
+#[derive(Clone, Debug, Default)]
 pub struct Telemetry {
-    enabled: AtomicBool,
-    tables: [DimTable; Dim::ALL.len()],
+    cells: FxHashMap<(Dim, u64, Counter), u64>,
 }
 
 impl Telemetry {
-    /// A registry, enabled per `PvmConfig::telemetry`.
-    pub fn new(enabled: bool) -> Telemetry {
-        Telemetry {
-            enabled: AtomicBool::new(enabled),
-            tables: core::array::from_fn(|_| DimTable::new()),
-        }
-    }
-
-    /// Whether dimensional counting is on (one relaxed load).
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Adds one to `(dim, id, c)`. A no-op when disabled.
-    #[inline]
-    pub fn bump(&self, dim: Dim, id: u64, c: DimCounter) {
-        self.add(dim, id, c, 1);
-    }
-
-    /// Adds `n` to `(dim, id, c)`. A no-op when disabled or `n == 0`.
-    #[inline]
-    pub fn add(&self, dim: Dim, id: u64, c: DimCounter, n: u64) {
-        if !self.enabled() || n == 0 {
+    /// Adds `n` to the row of every entity of `at`. Panics when `at`
+    /// does not name exactly the dimensions `c` declares. Out of line,
+    /// so the counting sites on the fault and eviction paths stay small.
+    #[inline(never)]
+    pub(crate) fn add(&mut self, c: Counter, n: u64, at: At) {
+        assert_eq!(c.dims(), at.dims(), "{c:?} counted at the wrong entities");
+        if n == 0 {
             return;
         }
-        self.tables[dim as usize].add(id, c, n);
+        for (d, id) in at.rows().into_iter().flatten() {
+            *self.cells.entry((d, id, c)).or_default() += n;
+        }
     }
 
-    /// Reads one dimensional counter (0 for an untouched entity).
-    pub fn get(&self, dim: Dim, id: u64, c: DimCounter) -> u64 {
-        self.tables[dim as usize]
-            .get(id)
-            .map(|row| row[c as usize])
-            .unwrap_or(0)
+    /// Reads one cell (0 for an untouched entity).
+    pub fn get(&self, dim: Dim, id: u64, c: Counter) -> u64 {
+        self.cells.get(&(dim, id, c)).copied().unwrap_or(0)
     }
 
     /// Sums one counter across every entity of a dimension.
-    pub fn sum(&self, dim: Dim, c: DimCounter) -> u64 {
-        self.tables[dim as usize]
-            .rows()
+    pub fn sum(&self, dim: Dim, c: Counter) -> u64 {
+        self.cells
             .iter()
-            .map(|(_, row)| row[c as usize])
+            .filter(|&(&(d, _, k), _)| d == dim && k == c)
+            .map(|(_, &n)| n)
             .sum()
     }
 
-    /// Copies out one dimension's touched rows, sorted ascending by
-    /// entity id (deterministic export order).
-    pub fn table(&self, dim: Dim) -> Vec<(u64, [u64; N_DIM_COUNTERS])> {
-        self.tables[dim as usize].rows()
+    /// One dimension's touched entities, ascending by id (deterministic
+    /// export order), each with every counter of the dimension.
+    pub fn table(&self, dim: Dim) -> Vec<(u64, Vec<(Counter, u64)>)> {
+        let mut ids: Vec<u64> = self
+            .cells
+            .keys()
+            .filter(|&&(d, _, _)| d == dim)
+            .map(|&(_, id, _)| id)
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids.into_iter()
+            .map(|id| {
+                (
+                    id,
+                    dim.counters().map(|c| (c, self.get(dim, id, c))).collect(),
+                )
+            })
+            .collect()
     }
 
-    /// Zeroes every table (the enabled flag is unchanged).
-    pub fn reset(&self) {
-        for t in &self.tables {
-            t.clear();
-        }
+    /// Empties every row.
+    pub fn reset(&mut self) {
+        self.cells.clear();
     }
 }
 
-impl core::fmt::Debug for Telemetry {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Telemetry")
-            .field("enabled", &self.enabled())
-            .finish_non_exhaustive()
-    }
-}
+/// Cadence of the gauge sampler, in *simulated* nanoseconds (no wall
+/// clock is ever consulted): at most one [`TelemetrySample`] per driver
+/// entry, aligned to multiples of 1 ms on the simulated clock.
+pub const SAMPLE_NS: u64 = 1_000_000;
 
 /// One deterministic gauge sample: live state the counters cannot
 /// express, stamped with the simulated time it was observed at.
@@ -300,7 +203,7 @@ pub struct TelemetrySample {
 pub struct SeriesRing {
     cap: usize,
     buf: std::collections::VecDeque<TelemetrySample>,
-    dropped: AtomicU64,
+    dropped: u64,
 }
 
 /// Default sample capacity: enough for long bench runs at a millisecond
@@ -313,7 +216,7 @@ impl SeriesRing {
         SeriesRing {
             cap: cap.max(1),
             buf: std::collections::VecDeque::new(),
-            dropped: AtomicU64::new(0),
+            dropped: 0,
         }
     }
 
@@ -321,7 +224,7 @@ impl SeriesRing {
     pub fn push(&mut self, s: TelemetrySample) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            self.dropped += 1;
         }
         self.buf.push_back(s);
     }
@@ -343,7 +246,7 @@ impl SeriesRing {
 
     /// Samples lost to the drop-oldest policy.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped
     }
 
     /// Clears the ring (capacity and drop count are kept).
@@ -355,56 +258,61 @@ impl SeriesRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_registry_counts_nothing() {
-        let t = Telemetry::new(false);
-        t.bump(Dim::Cache, 3, DimCounter::Faults);
-        t.add(Dim::Mapper, 1, DimCounter::Retries, 9);
-        assert!(!t.enabled());
-        assert_eq!(t.get(Dim::Cache, 3, DimCounter::Faults), 0);
-        assert!(t.table(Dim::Mapper).is_empty());
-    }
+    use chorus_hal::Id;
 
     #[test]
     fn rows_accumulate_and_export_sorted() {
-        let t = Telemetry::new(true);
-        t.bump(Dim::Cache, 7, DimCounter::Faults);
-        t.bump(Dim::Cache, 2, DimCounter::Faults);
-        t.add(Dim::Cache, 7, DimCounter::PullIns, 3);
-        t.bump(Dim::Context, 0, DimCounter::Faults);
-        assert_eq!(t.get(Dim::Cache, 7, DimCounter::PullIns), 3);
-        assert_eq!(t.sum(Dim::Cache, DimCounter::Faults), 2);
+        let (c2, c7): (CacheKey, CacheKey) = (Id::from_raw_parts(2, 0), Id::from_raw_parts(7, 0));
+        let mut t = Telemetry::default();
+        t.add(Counter::Evictions, 1, At::Cache(c7));
+        t.add(Counter::Evictions, 1, At::Cache(c2));
+        t.add(Counter::PullIns, 3, At::Io(c7, SegmentId(1)));
+        t.add(
+            Counter::Faults,
+            1,
+            At::Fault(Id::from_raw_parts(0, 0), None),
+        );
+        assert_eq!(t.get(Dim::Cache, 7, Counter::PullIns), 3);
+        assert_eq!(t.get(Dim::Mapper, 1, Counter::PullIns), 3);
+        assert_eq!(t.sum(Dim::Cache, Counter::Evictions), 2);
+        assert_eq!(t.sum(Dim::Cache, Counter::Faults), 0, "no region resolved");
         let rows = t.table(Dim::Cache);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].0, 2, "export is sorted by entity id");
         assert_eq!(rows[1].0, 7);
+        assert_eq!(rows[1].1.len(), 10, "every counter of the dimension");
+        assert_eq!(t.table(Dim::Context)[0].1, vec![(Counter::Faults, 1)]);
         t.reset();
         assert!(t.table(Dim::Cache).is_empty());
-        assert!(t.enabled(), "reset keeps the enabled flag");
     }
 
     #[test]
-    fn sparse_ids_merge_after_dense_rows() {
-        let t = Telemetry::new(true);
-        t.bump(Dim::Mapper, DENSE_IDS + 7, DimCounter::Retries);
-        t.bump(Dim::Mapper, 3, DimCounter::Retries);
-        let rows = t.table(Dim::Mapper);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, 3, "dense rows sort before sparse ids");
-        assert_eq!(rows[1].0, DENSE_IDS + 7);
-        assert_eq!(t.get(Dim::Mapper, DENSE_IDS + 7, DimCounter::Retries), 1);
-        assert_eq!(t.sum(Dim::Mapper, DimCounter::Retries), 2);
+    #[should_panic(expected = "counted at the wrong entities")]
+    fn a_counter_is_counted_at_its_own_dimensions() {
+        let mut t = Telemetry::default();
+        t.add(Counter::PullIns, 1, At::Mapper(SegmentId(1)));
     }
 
     #[test]
     fn dim_and_counter_labels_are_stable() {
         assert_eq!(Dim::ALL.len(), 3);
-        assert_eq!(DimCounter::ALL.len(), N_DIM_COUNTERS);
         assert_eq!(Dim::Mapper.label(), "mapper");
-        assert_eq!(DimCounter::Faults.label(), "faults");
-        assert_eq!(DimCounter::ReadaheadHits.label(), "readahead_hits");
-        assert_eq!(N_DIM_COUNTERS, 13);
+        let dimensional = Counter::ALL.iter().filter(|c| !c.dims().is_empty());
+        assert_eq!(dimensional.count(), 13);
+        assert_eq!(Counter::Faults.dims(), &[Dim::Context, Dim::Cache]);
+        assert_eq!(
+            Dim::Mapper
+                .counters()
+                .map(Counter::label)
+                .collect::<Vec<_>>(),
+            [
+                "pull_ins",
+                "push_outs",
+                "mapper_retries",
+                "mapper_timeouts",
+                "watchdog_cancels"
+            ]
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use super::histogram::{HistogramSnapshot, Phase};
 use super::{TraceEvent, TraceRecord, Tracer};
-use crate::telemetry::{Dim, DimCounter, Telemetry, TelemetrySample};
+use crate::telemetry::{Dim, Telemetry, TelemetrySample};
 use chorus_hal::Access;
 
 /// A drained capture of a [`Tracer`], ready for export.
@@ -325,9 +325,9 @@ impl TraceSink {
                     .table(d)
                     .iter()
                     .map(|(id, counts)| {
-                        let cells: Vec<String> = DimCounter::ALL
+                        let cells: Vec<String> = counts
                             .iter()
-                            .map(|&c| format!("\"{}\":{}", c.label(), counts[c as usize]))
+                            .map(|(c, n)| format!("\"{}\":{n}", c.label()))
                             .collect();
                         format!("{{\"id\":{id},{}}}", cells.join(","))
                     })
@@ -419,7 +419,9 @@ impl TraceSink {
 mod tests {
     use super::super::{Resolution, TraceConfig, Tracer, UpcallKind, UpcallOutcome};
     use super::*;
-    use crate::stats::StatsRegistry;
+    use crate::stats::{Counter, StatsRegistry};
+    use crate::telemetry::At;
+    use chorus_gmi::SegmentId;
     use chorus_hal::{CostModel, CostParams, OpKind};
     use std::sync::Arc;
 
@@ -532,9 +534,11 @@ mod tests {
 
     #[test]
     fn telemetry_json_carries_series_dims_and_phases() {
-        let telemetry = Telemetry::new(true);
-        telemetry.bump(Dim::Cache, 3, DimCounter::Faults);
-        telemetry.add(Dim::Mapper, 7, DimCounter::PushOuts, 2);
+        let mut telemetry = Telemetry::default();
+        let cache = chorus_hal::Id::from_raw_parts(3, 0);
+        let at = At::Fault(chorus_hal::Id::from_raw_parts(0, 0), Some(cache));
+        telemetry.add(Counter::Faults, 1, at);
+        telemetry.add(Counter::PushOuts, 2, At::Io(cache, SegmentId(7)));
         let sink = capture_with_activity().with_telemetry(vec![sample(500, 9)]);
         let json = sink.telemetry_json(&telemetry);
         assert!(json.contains("\"series\":[{\"sim_ns\":500"));
@@ -542,7 +546,7 @@ mod tests {
         assert!(json.contains("\"mapper\":[{\"id\":7,"));
         assert!(json.contains("\"push_outs\":2"));
         assert!(json.contains("\"phase\":\"fault.total\""));
-        assert!(json.contains("\"context\":[]"));
+        assert!(json.contains("\"context\":[{\"id\":0,\"faults\":1}]"));
         let depth = json.chars().fold(0i64, |d, c| match c {
             '{' | '[' => d + 1,
             '}' | ']' => d - 1,

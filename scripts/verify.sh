@@ -12,9 +12,10 @@
 # ahead, not wait for them; random misses must not pay for it), the
 # mapper-fault
 # smoke (retries must heal transient faults with zero client errors),
-# the telemetry smoke (the knob must be free when off — bit-identical
-# sim clocks — and cost <=5% wall when on, with pvmtop attributing a
-# seeded hot-cache/sick-mapper scenario), the pvmtop render smoke, the
+# the telemetry smoke (pvmtop must attribute a seeded
+# hot-cache/sick-mapper scenario; the always-on counter rows and gauge
+# sampler are held to the sim clock by the paper-table and scoreboard
+# gates below), the pvmtop render smoke, the
 # one-of-each gate (no allow(deprecated), no SyncShim outside its
 # definition, no victim advice beside the clock), the hashing gate (no std
 # HashMap/HashSet in the kernel crates), the
@@ -153,21 +154,19 @@ print("ok: client errors %d -> 0 with retries (%d kernel retries)"
       % (no_retry["client_errors"], retry["mapper_retries"]))
 '
 
-step "ablation_telemetry --quick: knob free when off, <=5% wall when on"
-# The bench asserts internally that the simulated clocks are
-# bit-identical with the knob off and on, that the wall overhead stays
-# within 5%, and that pvmtop ranks the seeded hot cache first and flags
-# the dead mapper Quarantined.
-cargo run --release -q -p chorus-bench --bin ablation_telemetry -- --json --quick |
+step "ablation_telemetry: pvmtop attributes the seeded scenario"
+# The bench asserts internally that the scenario is deterministic, that
+# the gauge sampler fired, and that pvmtop ranks the seeded hot cache
+# first and flags the dead mapper Quarantined. Telemetry has no knob:
+# that it never touches the sim clock is held by the paper-table and
+# scoreboard exact-line gates, which run with it on.
+cargo run --release -q -p chorus-bench --bin ablation_telemetry -- --json |
   tee BENCH_telemetry.json |
   python3 -c '
 import json, sys
 out = json.load(sys.stdin)
-assert out["sim_identical"], out
-assert out["overhead_ok"], out
 assert out["hot_cache_first"] and out["sick_quarantined"], out
-print("ok: wall overhead %+.2f%%, hot cache first, sick mapper quarantined"
-      % ((out["overhead_ratio"] - 1) * 100))
+print("ok: %d samples, hot cache first, sick mapper quarantined" % out["samples"])
 '
 
 step "pvmtop: snapshot renders and self-checks"

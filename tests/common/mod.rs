@@ -51,11 +51,9 @@ pub fn stack_costed(
     // byte-identical with observability on.
     let mut config = PvmConfig::builder()
         .paging(|p| p.check_invariants(true))
-        .telemetry(|t| {
-            t.trace(TraceConfig {
-                enabled: true,
-                ..TraceConfig::default()
-            })
+        .trace(TraceConfig {
+            enabled: true,
+            ..TraceConfig::default()
         })
         .build()
         .expect("valid config");

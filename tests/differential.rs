@@ -337,11 +337,9 @@ fn pvm_with_manager(frames: u32) -> (Arc<Pvm>, Arc<MemSegmentManager>) {
             cost: CostParams::zero(),
             config: PvmConfig::builder()
                 .paging(|p| p.check_invariants(true))
-                .telemetry(|t| {
-                    t.trace(TraceConfig {
-                        enabled: true,
-                        ..TraceConfig::default()
-                    })
+                .trace(TraceConfig {
+                    enabled: true,
+                    ..TraceConfig::default()
                 })
                 .build()
                 .expect("valid config"),
