@@ -69,12 +69,10 @@ impl PvmState {
                     for &q in &run {
                         self.begin_cleaning(q);
                     }
-                    let size = run.len() as u64 * ps;
                     return blocked(Blocked::PushOut {
                         cache,
                         segment,
                         offset: o,
-                        size,
                         pages: run,
                         origin: PushOrigin::Sync,
                     });

@@ -498,7 +498,7 @@ impl Pvm {
         let key = crate::keys::cache_key(cache);
         let mut buf = vec![0u8; len];
         let mut progress = 0u64;
-        self.run_pub(|s| s.cache_read_attempt(key, offset, &mut buf, &mut progress))?;
+        self.run(|s| s.cache_read_attempt(key, offset, &mut buf, &mut progress))?;
         Ok(buf)
     }
 
@@ -511,6 +511,6 @@ impl Pvm {
     ) -> chorus_gmi::Result<()> {
         let key = crate::keys::cache_key(cache);
         let mut progress = 0u64;
-        self.run_pub(|s| s.cache_write_attempt(key, offset, data, &mut progress))
+        self.run(|s| s.cache_write_attempt(key, offset, data, &mut progress))
     }
 }

@@ -20,9 +20,11 @@
 //! lands, in whoever's operation that is.
 //!
 //! A window is one [`CompletionRecord`], due at its last arrival, where
-//! it lands what nobody came for. Laundering `pushOut`s are the other
-//! records: fire-and-collect, their bookkeeping applied at the due
-//! time. Records leave the queue in
+//! it lands what nobody came for. Every `pushOut` is the other kind of
+//! record: a laundering one is fire-and-collect, its bookkeeping
+//! applied at the due time; one somebody waits for (a demand eviction,
+//! a sync) settles as soon as it is answered, through the same
+//! delivery ([`PvmState::queue_push`]). Records leave the queue in
 //! `(due-time, request-id)` order ([`chorus_gmi::CompletionQueue`]), so
 //! the same operations produce bit-identical counters and clocks:
 //! everything already due at driver entry, and *forced* — the clock
@@ -58,7 +60,8 @@ pub(crate) struct CompletionRecord {
     pub offset: u64,
     /// Fragment size in bytes.
     pub size: u64,
-    /// For pushes: the run of pages left `cleaning` until delivery.
+    /// For pushes: the run of pages left `cleaning` until delivery
+    /// (none for a failed batch, whose pages are re-driven one by one).
     pub pages: Vec<PageKey>,
     /// The mapper protocol's final result (retries already ran).
     pub result: Result<()>,
@@ -349,6 +352,30 @@ impl PvmState {
             Err(_) => self.arrival_ns(&rec, 0),
         };
         self.engine.queue.insert(due, id, rec);
+    }
+
+    /// Hands on a `pushOut` whose mapper protocol has answered. Nothing
+    /// waits on a daemon push: it is queued, due when its transfer would
+    /// end, or never on its own if it timed out (the watchdog cancels
+    /// it). A waited one (`wait`) settles at once, the clock advanced
+    /// over the transfer if it succeeded and left where it is if not (a
+    /// timed-out one's retry loop has passed the deadline already), and
+    /// its error is returned.
+    pub(crate) fn queue_push(&mut self, id: u64, rec: CompletionRecord, wait: bool) -> Result<()> {
+        self.count(Counter::MapperRetries, rec.retries, At::Mapper(rec.segment));
+        let service = match &rec.result {
+            Err(_) if wait => 0,
+            Err(GmiError::MapperTimeout { .. }) => HUNG_REPLY_NS,
+            _ => self.upcall_service_ns(rec.size / self.ps()),
+        };
+        let due = self.model.now().nanos() + service;
+        if !wait {
+            self.engine.queue.insert(due, id, rec);
+            return Ok(());
+        }
+        let result = rec.result.clone();
+        self.apply_completion(due, id, rec);
+        result
     }
 
     /// Waits for the page parked at (cache, off), if the wait is for

@@ -253,12 +253,10 @@ impl PvmState {
         if origin == PushOrigin::Demand {
             self.count(Counter::DemandPushes, 1, At::Cache(cache));
         }
-        let size = pages.len() as u64 * self.ps();
         blocked(Blocked::PushOut {
             cache,
             segment,
             offset,
-            size,
             pages,
             origin,
         })

@@ -13,7 +13,7 @@
 use crate::config::PvmConfig;
 use crate::descriptors::Slot;
 use crate::domains::DomainLock;
-use crate::engine::Parked;
+use crate::engine::{CompletionRecord, Parked};
 use crate::keys::{cache_key, ctx_key, pub_cache, pub_ctx, pub_region, region_key, CtxKey};
 use crate::pvmtop::PvmTop;
 use crate::state::{Attempt, Blocked, Outcome, PushOrigin, PvmState};
@@ -209,11 +209,7 @@ impl Pvm {
         self.state.lock()
     }
 
-    pub(crate) fn run_pub<T>(&self, attempt: impl FnMut(&mut PvmState) -> Attempt<T>) -> Result<T> {
-        self.run(attempt)
-    }
-
-    fn run<T>(&self, attempt: impl FnMut(&mut PvmState) -> Attempt<T>) -> Result<T> {
+    pub(crate) fn run<T>(&self, attempt: impl FnMut(&mut PvmState) -> Attempt<T>) -> Result<T> {
         let (guard, v) = self.run_held(self.state.lock(), attempt)?;
         drop(guard);
         // Wake anyone whose wait condition we may have satisfied (stub
@@ -356,18 +352,26 @@ impl Pvm {
         guard
     }
 
-    /// Drives one mapper upcall under the retry policy: transient
-    /// failures are re-driven up to `max_attempts` times with exponential
-    /// backoff charged to the simulated clock, bounded by the per-upcall
+    /// Drives one mapper upcall under the retry policy, between its
+    /// `UpcallStart` and `UpcallEnd` trace events: transient failures
+    /// are re-driven up to `max_attempts` times with exponential backoff
+    /// charged to the simulated clock, bounded by the per-upcall
     /// deadline (also in simulated time, so injected mapper delays count
     /// against it). Returns the final result and the number of retries
     /// performed. Must be called with the state lock released.
     fn upcall_with_retry(
         &self,
-        segment: SegmentId,
+        kind: UpcallKind,
+        (segment, offset, size): (SegmentId, u64, u64),
         policy: chorus_gmi::RetryPolicy,
         mut upcall: impl FnMut() -> Result<()>,
     ) -> (Result<()>, u64) {
+        self.trace.event(|| TraceEvent::UpcallStart {
+            kind,
+            segment: segment.0,
+            offset,
+            size,
+        });
         let start = self.model.now().nanos();
         let past_deadline = |model: &CostModel| {
             policy.deadline_ns > 0
@@ -394,120 +398,128 @@ impl Pvm {
                 Err(e) => break Err(e),
             }
         };
+        self.trace.event(|| TraceEvent::UpcallEnd {
+            kind,
+            outcome: upcall_outcome(&result),
+            retries,
+        });
         (result, retries)
     }
 
     // ----- the completion engine ---------------------------------------------
 
-    /// Submits one `pullIn` for a whole window: registers it in the
-    /// in-flight table, runs the mapper protocol eagerly with the lock
-    /// released (retries and backoff charge the clock as they go; what
-    /// `fillUp` delivers is parked), and queues the window, its arrival
-    /// times counted from the submit instant. Everything else —
-    /// landing, stub clearing, the faulter's error, quarantine — runs
-    /// at delivery.
-    fn submit_pull<'a>(
+    /// Enters one request in the in-flight table and runs its mapper
+    /// protocol eagerly with the lock released (retries and backoff
+    /// charge the clock as they go). Returns the lock and the request's
+    /// record, answered, to be handed on.
+    fn request<'a>(
         &'a self,
         mut guard: parking_lot::MutexGuard<'a, PvmState>,
+        (kind, cache): (UpcallKind, crate::keys::CacheKey),
+        at: (SegmentId, u64, u64),
+        policy: chorus_gmi::RetryPolicy,
+        upcall: impl FnMut() -> Result<()>,
+    ) -> (parking_lot::MutexGuard<'a, PvmState>, u64, CompletionRecord) {
+        let (segment, offset, size) = at;
+        let pages = size / guard.ps();
+        let (id, mut rec) = guard.begin_request(kind, cache, segment, (offset, size), pages);
+        drop(guard);
+        let t0 = self.trace.phase_start();
+        (rec.result, rec.retries) = self.upcall_with_retry(kind, at, policy, upcall);
+        self.trace.phase_end(kind.phase(), t0);
+        (self.state.lock(), id, rec)
+    }
+
+    /// Submits one `pullIn` for a whole window and queues it, its
+    /// arrival times counted from the submit instant (what `fillUp`
+    /// delivers meanwhile is parked). Everything else — landing, stub
+    /// clearing, the faulter's error, quarantine — runs at delivery.
+    fn submit_pull<'a>(
+        &'a self,
+        guard: parking_lot::MutexGuard<'a, PvmState>,
         cache: crate::keys::CacheKey,
         req: PullRequest,
     ) -> parking_lot::MutexGuard<'a, PvmState> {
-        let pages = req.size / guard.ps();
-        let (id, mut rec) = guard.begin_request(
-            UpcallKind::PullIn,
-            cache,
-            req.segment,
-            (req.offset, req.size),
-            pages,
-        );
-        let policy = guard.config.retry;
-        drop(guard);
-        let t0 = self.trace.phase_start();
-        let at = (req.segment, req.offset, req.size);
-        (rec.result, rec.retries) = self.traced_upcall(UpcallKind::PullIn, at, policy, || {
-            self.seg_mgr.submit_pull(self, &req)
-        });
-        self.trace.phase_end(Phase::PullIn, t0);
-        let mut guard = self.state.lock();
+        let (policy, at) = (guard.config.retry, (req.segment, req.offset, req.size));
+        let (mut guard, id, rec) =
+            self.request(guard, (UpcallKind::PullIn, cache), at, policy, || {
+                self.seg_mgr.submit_pull(self, &req)
+            });
         guard.queue_window(id, rec);
         guard
     }
 
-    /// Runs the mapper's side of one upcall under the retry policy,
-    /// between its `UpcallStart` and `UpcallEnd` trace events.
-    fn traced_upcall(
-        &self,
-        kind: UpcallKind,
-        (segment, offset, size): (SegmentId, u64, u64),
-        policy: chorus_gmi::RetryPolicy,
-        upcall: impl FnMut() -> Result<()>,
-    ) -> (Result<()>, u64) {
-        self.trace.event(|| TraceEvent::UpcallStart {
-            kind,
-            segment: segment.0,
-            offset,
-            size,
-        });
-        let (res, retries) = self.upcall_with_retry(segment, policy, upcall);
-        self.trace.event(|| TraceEvent::UpcallEnd {
-            kind,
-            outcome: upcall_outcome(&res),
-            retries,
-        });
-        (res, retries)
-    }
-
-    /// Runs the mapper's side of one `pushOut`. A multi-page batch gets
-    /// one shot: on any failure the caller falls back to per-page pushes
-    /// or leaves the pages dirty, rather than re-driving N-page
-    /// transfers against a mapper that already dropped one.
-    fn push_protocol(
-        &self,
-        mut policy: chorus_gmi::RetryPolicy,
-        req: &PushRequest,
-        pages: usize,
-    ) -> (Result<()>, u64) {
-        if pages > 1 {
-            policy = chorus_gmi::RetryPolicy::no_retry();
-        }
-        let at = (req.segment, req.offset, req.size);
-        self.traced_upcall(UpcallKind::PushOut, at, policy, || {
-            self.seg_mgr.submit_push(self, req)
-        })
-    }
-
-    /// Submits one fire-and-collect laundering push. The pages stay
-    /// `cleaning` (write-protected) until the completion delivers, so
-    /// the bytes the mapper read at submit time cannot be re-dirtied
-    /// under it; on a failed completion they keep their dirty bits and
-    /// the next laundering pass re-drives them — no dirty data is lost.
-    fn submit_async_push<'a>(
+    /// Submits one `pushOut` for a run of pages being cleaned
+    /// (`pages[i]` at `offset + i * ps`) and hands its record on: queued
+    /// for a daemon push, which nothing waits on; settled at once, its
+    /// error the caller's, for a demand or sync push (see
+    /// [`PvmState::queue_push`]). The pages stay `cleaning` until their
+    /// own outcome is applied, and a failed push leaves them dirty. A
+    /// multi-page batch gets one shot: on failure each page still live
+    /// is re-driven as its own one-page push with the retry budget, so
+    /// that one bad page cannot cost its neighbours their data, until
+    /// one dies for good (the rest stay dirty).
+    fn submit_push<'a>(
         &'a self,
-        mut guard: parking_lot::MutexGuard<'a, PvmState>,
-        cache: crate::keys::CacheKey,
-        req: PushRequest,
+        guard: parking_lot::MutexGuard<'a, PvmState>,
+        (cache, segment, offset): (crate::keys::CacheKey, SegmentId, u64),
         pages: Vec<crate::keys::PageKey>,
-    ) -> parking_lot::MutexGuard<'a, PvmState> {
-        let n = pages.len() as u64;
-        let at = (req.offset, req.size);
-        let (id, mut rec) = guard.begin_request(UpcallKind::PushOut, cache, req.segment, at, n);
-        let (policy, service) = (guard.config.retry, guard.upcall_service_ns(n));
-        drop(guard);
-        // A failed batch keeps every page dirty for the next pass.
-        (rec.result, rec.retries) = self.push_protocol(policy, &req, pages.len());
-        rec.pages = pages;
-        let mut guard = self.state.lock();
-        guard.count(Counter::MapperRetries, rec.retries, At::Mapper(req.segment));
-        // As with pulls: a timed-out push parks at the hung-reply
-        // horizon (its pages stay `cleaning` until cancelled or forced,
-        // then keep their dirty bits — no modified data is lost).
-        let service = match rec.result {
-            Err(GmiError::MapperTimeout { .. }) => crate::engine::HUNG_REPLY_NS,
-            _ => service,
+        origin: PushOrigin,
+    ) -> Result<parking_lot::MutexGuard<'a, PvmState>> {
+        // `write_behind_attempt` checks the slot rule under this hold.
+        debug_assert!(origin != PushOrigin::Daemon || guard.engine.free_slots(segment) >= 2);
+        let (wait, ps, retry) = (origin != PushOrigin::Daemon, guard.ps(), guard.config.retry);
+        let push = |guard, offset, n: u64| {
+            let policy = match n {
+                1 => retry,
+                _ => chorus_gmi::RetryPolicy::no_retry(),
+            };
+            let size = n * ps;
+            let req = PushRequest {
+                cache: pub_cache(cache),
+                segment,
+                offset,
+                size,
+            };
+            let at = (segment, offset, size);
+            self.request(guard, (UpcallKind::PushOut, cache), at, policy, || {
+                self.seg_mgr.submit_push(self, &req)
+            })
         };
-        let due = guard.model.now().nanos() + service;
-        guard.engine.queue.insert(due, id, rec);
-        guard
+        let (mut guard, id, mut rec) = push(guard, offset, pages.len() as u64);
+        let mut err = None;
+        if pages.len() == 1 || rec.result.is_ok() {
+            rec.pages = pages;
+            err = guard.queue_push(id, rec, wait).err();
+        } else {
+            // The batch failed, wholly or part-way (a truncated reply):
+            // its record settles carrying no page, and its error is
+            // superseded by those of the pages' own pushes.
+            guard.stats.bump(Counter::PushBatchSplits);
+            let _ = guard.queue_push(id, rec, true);
+            let mut dead = false;
+            for (i, p) in pages.into_iter().enumerate() {
+                if dead || !guard.pages.contains(p) {
+                    guard.finish_clean(p, None);
+                    continue;
+                }
+                let (held, id, mut rec) = push(guard, offset + i as u64 * ps, 1);
+                guard = held;
+                dead = rec.result.as_ref().is_err_and(|e| !e.is_transient());
+                rec.pages = vec![p];
+                if let Err(e) = guard.queue_push(id, rec, wait) {
+                    err.get_or_insert(e);
+                }
+            }
+        }
+        match err {
+            None => Ok(guard),
+            Some(e) => {
+                drop(guard);
+                self.stub_cv.notify_all();
+                Err(e)
+            }
+        }
     }
 
     /// Force-delivers every outstanding completion, advancing the
@@ -572,160 +584,19 @@ impl Pvm {
                 cache,
                 segment,
                 offset,
-                size,
                 pages,
                 origin,
             } => {
-                // Nothing waits on a daemon-origin laundering push, so
-                // it is fire-and-collect or not at all: the synchronous
-                // body below serves `Demand` and `Sync` runs only. The
-                // write-behind step checks the slots under the lock
-                // hold this runs in; a run that came without them would
-                // be given back dirty, not pushed inside an operation
-                // that has nothing to wait for.
-                let req = PushRequest {
-                    cache: pub_cache(cache),
-                    segment,
-                    offset,
-                    size,
+                // A demand push is the faulter stalling on a dirty
+                // eviction, the latency write-behind exists to remove: it
+                // has a histogram of its own.
+                let stall = match origin {
+                    PushOrigin::Demand => self.trace.phase_start(),
+                    _ => None,
                 };
-                if origin == PushOrigin::Daemon {
-                    if guard.engine.free_slots(segment) >= 2 {
-                        return Ok(self.submit_async_push(guard, cache, req, pages));
-                    }
-                    for &p in &pages {
-                        guard.finish_clean(p, None);
-                    }
-                    return Ok(guard);
-                }
-                let policy = guard.config.retry;
-                drop(guard);
-                let ps = self.geom.page_size();
-                // A demand-origin push is the faulting thread stalling on
-                // a dirty eviction — the latency write-behind exists to
-                // remove; record it in its own histogram.
-                let stall0 = if origin == PushOrigin::Demand {
-                    self.trace.phase_start()
-                } else {
-                    None
-                };
-                let t0 = self.trace.phase_start();
-                let (res, retries) = self.push_protocol(policy, &req, pages.len());
-                self.trace.phase_end(Phase::PushOut, t0);
-                let mut guard = self.state.lock();
-                guard.count(Counter::MapperRetries, retries, At::Mapper(segment));
-                if res.is_ok() {
-                    // One mapper round trip for the whole run, plus the
-                    // per-page transfer — the request-count amortization
-                    // that makes clustering pay.
-                    guard.charge(chorus_hal::OpKind::IpcOp);
-                    guard.charge_n(chorus_hal::OpKind::SegmentIoPage, size / ps);
-                    guard.stats.bump(Counter::PushOutBatches);
-                    for &p in &pages {
-                        guard.finish_clean(p, Some(segment));
-                    }
-                    guard.grow_seg_len(cache, offset + size);
-                    self.trace.phase_end(Phase::EvictStall, stall0);
-                    return Ok(guard);
-                }
-                let first_err = res.unwrap_err();
-                if matches!(first_err, GmiError::MapperTimeout { .. }) {
-                    guard.count(Counter::MapperTimeouts, 1, At::Mapper(segment));
-                }
-                if pages.len() == 1 {
-                    // On failure the page keeps its dirty bit (`success:
-                    // false`), so no modified data is lost: a later retry
-                    // of the clean can still write it back.
-                    guard.finish_clean(pages[0], None);
-                    if !first_err.is_transient() {
-                        guard.quarantine_cache(cache);
-                    }
-                    drop(guard);
-                    self.stub_cv.notify_all();
-                    self.trace.phase_end(Phase::EvictStall, stall0);
-                    return Err(first_err);
-                }
-                // A multi-page batch failed (wholly, or part-way with a
-                // truncated reply): split into per-page pushes, each with
-                // its own retry budget, so one bad page cannot lose the
-                // dirty data of its neighbours. Pages that died while the
-                // lock was released (e.g. a concurrent invalidate) have
-                // nothing left to write and are skipped.
-                guard.stats.bump(Counter::PushBatchSplits);
-                drop(guard);
-                let mut outcomes: Vec<Option<Result<()>>> = Vec::with_capacity(pages.len());
-                let mut retries_total = 0u64;
-                let mut dead_mapper = false;
-                for (i, &p) in pages.iter().enumerate() {
-                    if dead_mapper {
-                        outcomes.push(Some(Err(GmiError::SegmentIo {
-                            segment,
-                            cause: "batched pushOut aborted after permanent mapper failure".into(),
-                            transient: true,
-                        })));
-                        continue;
-                    }
-                    if !self.state.lock().pages.contains(p) {
-                        outcomes.push(None);
-                        continue;
-                    }
-                    let off_i = offset + i as u64 * ps;
-                    let (r, rt) = self.upcall_with_retry(segment, policy, || {
-                        self.seg_mgr.submit_push(
-                            self,
-                            &PushRequest {
-                                cache: pub_cache(cache),
-                                segment,
-                                offset: off_i,
-                                size: ps,
-                            },
-                        )
-                    });
-                    retries_total += rt;
-                    if r.as_ref().err().map(|e| !e.is_transient()).unwrap_or(false) {
-                        dead_mapper = true;
-                    }
-                    outcomes.push(Some(r));
-                }
-                let mut guard = self.state.lock();
-                guard.count(Counter::MapperRetries, retries_total, At::Mapper(segment));
-                let mut err: Option<GmiError> = None;
-                let mut quarantine = false;
-                for (i, (&p, r)) in pages.iter().zip(outcomes).enumerate() {
-                    match r {
-                        None => {}
-                        Some(Ok(())) => {
-                            guard.charge(chorus_hal::OpKind::IpcOp);
-                            guard.charge_n(chorus_hal::OpKind::SegmentIoPage, 1);
-                            guard.finish_clean(p, Some(segment));
-                            guard.grow_seg_len(cache, offset + (i as u64 + 1) * ps);
-                        }
-                        Some(Err(e)) => {
-                            guard.finish_clean(p, None);
-                            if matches!(e, GmiError::MapperTimeout { .. }) {
-                                guard.count(Counter::MapperTimeouts, 1, At::Mapper(segment));
-                            }
-                            if !e.is_transient() {
-                                quarantine = true;
-                            }
-                            if err.is_none() {
-                                err = Some(e);
-                            }
-                        }
-                    }
-                }
-                if quarantine {
-                    guard.quarantine_cache(cache);
-                }
-                self.trace.phase_end(Phase::EvictStall, stall0);
-                match err {
-                    None => Ok(guard),
-                    Some(e) => {
-                        drop(guard);
-                        self.stub_cv.notify_all();
-                        Err(e)
-                    }
-                }
+                let held = self.submit_push(guard, (cache, segment, offset), pages, origin);
+                self.trace.phase_end(Phase::EvictStall, stall);
+                held
             }
             Blocked::NeedSegment { cache } => {
                 drop(guard);
@@ -752,7 +623,7 @@ impl Pvm {
                 let t0 = self.trace.phase_start();
                 let at = (segment, offset, size);
                 let (res, retries) =
-                    self.traced_upcall(UpcallKind::GetWriteAccess, at, policy, || {
+                    self.upcall_with_retry(UpcallKind::GetWriteAccess, at, policy, || {
                         self.seg_mgr.acquire_write_access(segment, offset, size)
                     });
                 self.trace.phase_end(Phase::GetWriteAccess, t0);
@@ -965,38 +836,21 @@ impl PvmState {
         }
     }
 
-    /// Non-faulting read of resident data (`copyBack`).
+    /// Non-faulting read of resident data (`copyBack`): all of it, or
+    /// `OutOfRange` at the first page that is not resident.
     pub(crate) fn copy_back_locked(
         &self,
         cache: crate::keys::CacheKey,
         offset: u64,
         buf: &mut [u8],
     ) -> Result<()> {
-        self.cache(cache)?;
-        let ps = self.ps();
-        let mut cur = 0u64;
-        while cur < buf.len() as u64 {
-            let o = offset + cur;
-            let page_off = self.geom.round_down(o);
-            let in_page = (page_off + ps - o).min(buf.len() as u64 - cur);
-            match self.gmap.get(cache, page_off) {
-                Some(Slot::Present(p)) => {
-                    let frame = self.page(p).frame;
-                    self.phys.read(
-                        frame,
-                        o - page_off,
-                        &mut buf[cur as usize..(cur + in_page) as usize],
-                    );
-                }
-                _ => {
-                    return Err(GmiError::OutOfRange {
-                        offset: page_off,
-                        size: ps,
-                        what: "copyBack of non-resident data",
-                    })
-                }
-            }
-            cur += in_page;
+        let read = self.copy_back_run_locked(cache, offset, buf)?;
+        if read < buf.len() as u64 {
+            return Err(GmiError::OutOfRange {
+                offset: self.geom.round_down(offset + read),
+                size: self.ps(),
+                what: "copyBack of non-resident data",
+            });
         }
         Ok(())
     }
@@ -1046,12 +900,8 @@ impl PvmState {
     /// the segment to `end`. An unknown length stays unknown (it only
     /// disables the readahead clamp, never a pull).
     pub(crate) fn grow_seg_len(&mut self, cache: crate::keys::CacheKey, end: u64) {
-        if let Some(c) = self.caches.get_mut(cache) {
-            if let Some(len) = c.seg_len {
-                if end > len {
-                    c.seg_len = Some(end);
-                }
-            }
+        if let Some(len) = self.caches.get_mut(cache).and_then(|c| c.seg_len.as_mut()) {
+            *len = (*len).max(end);
         }
     }
 }

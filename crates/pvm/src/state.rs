@@ -41,9 +41,10 @@ pub(crate) enum Blocked {
         /// access mode of the miss.
         req: chorus_gmi::PullRequest,
     },
-    /// Perform a `pushOut` upcall for a run of pages being cleaned. The
-    /// attempt has already write-protected every page's mappings and set
-    /// their `cleaning` flags; `pages[i]` sits at `offset + i * ps`.
+    /// Submit a `pushOut` request for a run of pages being cleaned
+    /// (`Pvm::submit_push`, the one push path). The attempt has already
+    /// write-protected every page's mappings and set their `cleaning`
+    /// flags; `pages[i]` sits at `offset + i * ps`.
     PushOut {
         /// Source cache.
         cache: CacheKey,
@@ -51,8 +52,6 @@ pub(crate) enum Blocked {
         segment: SegmentId,
         /// Page-aligned offset of the first page of the run.
         offset: u64,
-        /// Size to push (`pages.len() * page_size`).
-        size: u64,
         /// The contiguous run of pages being cleaned, in offset order.
         pages: Vec<PageKey>,
         /// Why the run is being pushed (demand eviction, write-behind,
@@ -88,11 +87,13 @@ pub(crate) enum Blocked {
     },
 }
 
-/// Why a [`Blocked::PushOut`] was issued. Demand evictions stall the
-/// faulting thread (tracked in the `fault.evictStall` histogram); daemon
-/// pushes drain the write-behind queue and must never fail the
-/// operation that triggered them; sync pushes come from explicit
-/// `cache_sync`/flush/destroy and keep their caller's error semantics.
+/// Why a [`Blocked::PushOut`] was issued: every origin is the same
+/// engine request, and only whether somebody waits for it differs.
+/// Nobody waits on a daemon push: it drains the write-behind queue, is
+/// collected at a later entry and never fails the operation that
+/// launched it. Demand and sync pushes settle as soon as the mapper has
+/// answered and return its error; a demand push stalls the faulting
+/// thread (the `fault.evictStall` histogram).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PushOrigin {
     /// Synchronous eviction inside a demand fault or allocation.

@@ -14,6 +14,7 @@ use chorus_gmi::{
     RetryPolicy, SegmentId, SegmentManagerV2, VirtAddr,
 };
 use chorus_hal::{CostParams, OpKind};
+use chorus_pvm::trace::{TraceEvent, UpcallKind};
 use chorus_pvm::{MmuChoice, Pvm, PvmOptions};
 use common::{pattern, read, setup_with, write, PS};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -421,6 +422,98 @@ fn the_same_operations_give_the_same_clock_and_counters() {
         assert_eq!(first.0.now, second.0.now, "{mmu:?}: clocks diverged");
         assert_eq!(first.0.counts, second.0.counts, "{mmu:?}");
         assert_eq!(first.1, second.1, "{mmu:?}: counters diverged");
+    }
+}
+
+// ----- pushes: the same request, waited for ----------------------------------
+
+/// `(completed, pages, sim_ns)` of every `pushOut` submit and completion
+/// traced since the last drain, in order.
+fn push_requests(pvm: &Pvm) -> Vec<(bool, u64, u64)> {
+    let records = pvm.tracer().drain();
+    let push = |r: &chorus_pvm::trace::TraceRecord| match r.event {
+        TraceEvent::UpcallSubmit {
+            kind: UpcallKind::PushOut,
+            pages,
+            ..
+        } => Some((false, pages, r.sim_ns)),
+        TraceEvent::UpcallComplete {
+            kind: UpcallKind::PushOut,
+            pages,
+            ..
+        } => Some((true, pages, r.sim_ns)),
+        _ => None,
+    };
+    records.iter().filter_map(push).collect()
+}
+
+#[test]
+fn a_waited_push_is_one_request_that_takes_its_transfer_time() {
+    // A demand eviction and a `cache_sync` each push through the
+    // completion engine like a laundering push, and settle at once: the
+    // clock moves from submit to completion by the transfer, the round
+    // trip and `n` pages, and nothing is left in flight.
+    let sun3 = CostParams::sun3();
+    let service = |n: u64| sun3.get(OpKind::IpcOp) + n * sun3.get(OpKind::SegmentIoPage);
+    let traced = |frames, mmu| {
+        setup_with(frames, |o| {
+            options(o, mmu, CostParams::sun3());
+            o.config.trace.enabled = true;
+        })
+    };
+    for mmu in MMUS {
+        // Sync: three dirty pages of a file, one batch.
+        let (pvm, mgr) = traced(64, mmu);
+        let (ctx, cache) = map_file(&pvm, &mgr);
+        for p in 0..3 {
+            write(&pvm, ctx, BASE + p * PS, &page_bytes(p + 1));
+        }
+        pvm.drain_upcalls();
+        push_requests(&pvm);
+        let model = pvm.cost_model();
+        let ops = (
+            model.count(OpKind::IpcOp),
+            model.count(OpKind::SegmentIoPage),
+        );
+        pvm.cache_sync(cache, 0, FILE_PAGES * PS).unwrap();
+        let [(false, 3, submit), (true, 3, done)] = push_requests(&pvm)[..] else {
+            panic!("{mmu:?}: one 3-page request");
+        };
+        assert_eq!(done - submit, service(3), "{mmu:?}");
+        let counted = (
+            model.count(OpKind::IpcOp),
+            model.count(OpKind::SegmentIoPage),
+        );
+        assert_eq!(counted, (ops.0 + 1, ops.1 + 3), "{mmu:?}");
+        let stats = pvm.stats();
+        assert_eq!(stats.async_deliveries, stats.async_submits, "{stats:?}");
+        assert_eq!(stats.push_outs, 3);
+        pvm.check_invariants();
+
+        // Demand: a pool of four dirty pages, none next to another; the
+        // fifth write's sweep sets them aside, comes back round to one
+        // and pushes it itself.
+        let (pvm, _) = traced(4, mmu);
+        let (ctx, _, _) = common::anon_region(&pvm, 16);
+        for p in [0, 2, 4, 6] {
+            write(&pvm, ctx, 0x1_0000 + p * PS, &page_bytes(p));
+        }
+        push_requests(&pvm);
+        write(&pvm, ctx, 0x1_0000 + 8 * PS, &page_bytes(8));
+        let [(false, 1, submit), (true, 1, done)] = push_requests(&pvm)[..] else {
+            panic!("{mmu:?}: one 1-page request");
+        };
+        assert_eq!(done - submit, service(1), "{mmu:?}");
+        let stats = pvm.stats();
+        assert_eq!((stats.demand_pushes, stats.write_behind_pushes), (1, 0));
+        assert_eq!(stats.async_deliveries, stats.async_submits, "{stats:?}");
+        for p in [0, 2, 4, 6, 8] {
+            assert_eq!(
+                read(&pvm, ctx, 0x1_0000 + p * PS, PS as usize),
+                page_bytes(p)
+            );
+        }
+        pvm.check_invariants();
     }
 }
 

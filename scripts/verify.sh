@@ -17,7 +17,8 @@
 # sampler are held to the sim clock by the paper-table and scoreboard
 # gates below), the pvmtop render smoke, the
 # one-of-each gate (no allow(deprecated), no SyncShim outside its
-# definition, no victim advice beside the clock), the hashing gate (no std
+# definition, no victim advice beside the clock, one call site each for
+# the pushOut and pullIn upcalls), the hashing gate (no std
 # HashMap/HashSet in the kernel crates), the
 # release-mode concurrency stress, the tracing
 # bit-identity check (Table 5 regenerated with CHORUS_TRACE=1 must
@@ -179,7 +180,7 @@ assert out["top_caches"][0]["faults"] >= out["top_caches"][-1]["faults"], out
 print("ok: %d caches, %d mappers, hottest first" % (out["caches"], out["mappers"]))
 '
 
-step "one of each: no allow(deprecated), no SyncShim, one replacement policy"
+step "one of each: no allow(deprecated), no SyncShim, one replacement policy, one request path"
 # One upcall trait: nothing in the workspace needs a deprecation
 # silenced, and the fieldless SyncShim (kept for the frozen benchmark/)
 # is named only where it is defined and re-exported. One replacement
@@ -202,6 +203,15 @@ if grep -rn 'advise_victims' crates src tests examples |
   grep -v '^crates/gmi/src/traits\.rs:'; then
   echo "FAIL: advise_victims named outside crates/gmi/src/traits.rs"; exit 1
 fi
+# One request path: every pullIn and every pushOut is a completion-engine
+# request, so each upcall is made from exactly one call site.
+for upcall in submit_push submit_pull; do
+  sites=$(grep -rn "seg_mgr\.$upcall(" crates/pvm/src | wc -l)
+  if [ "$sites" -ne 1 ]; then
+    grep -rn "seg_mgr\.$upcall(" crates/pvm/src || true
+    echo "FAIL: seg_mgr.$upcall( at $sites call sites in crates/pvm/src, not one"; exit 1
+  fi
+done
 echo "ok"
 
 step "one hashing rule: no keyed std hash table in the kernel crates"

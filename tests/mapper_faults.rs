@@ -448,11 +448,12 @@ fn clustered_pull_stops_at_resident_pages() {
 fn batched_writeback_faults_never_lose_dirty_pages() {
     // The full healing workload with clustering and the writeback
     // daemon on, under transient/truncate/crash fault sprinkling on
-    // *writes* as well as reads: batched copyBacks fail mid-run — one
-    // somebody waits for is split and retried page by page, one the
-    // daemon submitted leaves its pages dirty for the next pass — and
-    // the byte oracle proves no dirty page is ever lost. Truncated writes land half the batch
-    // before dying, so the idempotent-rewrite path is exercised too.
+    // *writes* as well as reads: batched copyBacks fail mid-run, and
+    // every failed batch, waited for or laundered, is split and
+    // retried page by page (its own record completes as a failed
+    // multi-page push) — and the byte oracle proves no dirty page is
+    // ever lost. Truncated writes land half the batch before dying, so
+    // the idempotent-rewrite path is exercised too.
     for cluster in [None, Some(4)] {
         batched_writeback_case(cluster);
     }

@@ -828,6 +828,102 @@ fn quarantine_and_destruction_empty_the_queue_without_a_push() {
     q.s.pvm.check_invariants();
 }
 
+/// Every mapper operation the trace shows since the last drain: each
+/// upcall start on a quiet mapper is one.
+fn mapper_ops(s: &FaultStack) -> u64 {
+    let records = s.pvm.tracer().drain();
+    let start =
+        |r: &&chorus_pvm::trace::TraceRecord| matches!(r.event, TraceEvent::UpcallStart { .. });
+    records.iter().filter(start).count() as u64
+}
+
+#[test]
+fn a_failed_write_behind_batch_splits_at_once_and_loses_no_page() {
+    // As `queued`, with the pages in pairs: the queue holds four of
+    // them, so a light entry launders a 2-page batch, and the swap
+    // mapper drops exactly that push. The batch is split on the spot:
+    // each page goes out again as its own request, and is clean once
+    // that one is collected.
+    let s = stack(17, FaultPlan::quiet(0), FaultPlan::quiet(1), |_| {});
+    let pinned = s.pvm.cache_create(None).unwrap();
+    s.pvm.cache_write(pinned, 0, b"pinned").unwrap();
+    s.pvm.cache_lock_in_memory(pinned, 0, PS).unwrap();
+    let (ctx, _) = map_anon(&s, 128, QBASE);
+    let pages: Vec<u64> = (0..9).flat_map(|k| [3 * k, 3 * k + 1]).collect();
+    for &p in &pages[..17] {
+        write_page(&s, ctx, QBASE, p, &page_bytes(0x35, p));
+    }
+    let crash = FaultPlan {
+        crash_at_op: Some(mapper_ops(&s)),
+        ..FaultPlan::quiet(1)
+    };
+    s.faulty_swap.set_plan(crash);
+    let before = s.pvm.stats();
+    s.pvm.cache_read(pinned, 0, &mut [0u8; 6]).unwrap();
+    assert_eq!(s.upcalls(UpcallKind::PushOut), [(0, 2), (0, 1), (1, 1)]);
+    let after = s.pvm.stats();
+    assert_eq!(after.write_behind_pushes, before.write_behind_pushes + 1);
+    assert_eq!(after.push_batch_splits, before.push_batch_splits + 1);
+    // The batch is settled; its pages' own pushes are in flight.
+    assert_eq!(after.async_submits, before.async_submits + 3);
+    assert_eq!(after.async_deliveries, before.async_deliveries + 1);
+    assert_eq!(after.push_outs, before.push_outs);
+    s.pvm.drain_upcalls();
+    assert_eq!(s.pvm.stats().push_outs, before.push_outs + 2);
+    for &p in &pages[..17] {
+        assert_eq!(
+            read_page(&s, ctx, QBASE, p),
+            page_bytes(0x35, p),
+            "page {p}"
+        );
+    }
+    s.pvm.check_invariants();
+}
+
+#[test]
+fn a_sync_against_a_hung_mapper_times_out_and_its_pages_stay_dirty() {
+    // The file mapper wedges under a `cache_sync`: the batch and each
+    // page it splits into time out under the retry policy's deadline,
+    // and the sync fails with the timeout at once, the clock nowhere
+    // near the hung-reply horizon (one simulated hour). Nothing was
+    // cleaned; once the mapper is back the same sync writes every page.
+    let s = quiet(16);
+    let (ctx, cache) = map_file(&s, 0x51, 4, 0, Prot::RW);
+    for p in 0..4 {
+        write_page(&s, ctx, 0, p, &page_bytes(0x52, p));
+    }
+    s.pvm.drain_upcalls();
+    s.faulty_files.set_plan(FaultPlan {
+        hang_at_op: Some(0),
+        ..FaultPlan::quiet(0)
+    });
+    let now = || s.pvm.cost_model().now().nanos();
+    let (t, before) = (now(), s.pvm.stats());
+    let err = s.pvm.cache_sync(cache, 0, 4 * PS).unwrap_err();
+    assert!(
+        matches!(err, chorus_gmi::GmiError::MapperTimeout { .. }),
+        "{err}"
+    );
+    assert!(now() - t < 1_000_000_000, "waited {} ns", now() - t);
+    let after = s.pvm.stats();
+    assert_eq!(after.push_outs, before.push_outs, "nothing was cleaned");
+    assert!(after.mapper_timeouts > before.mapper_timeouts);
+    assert_eq!(after.watchdog_cancels, 0);
+    assert_eq!(
+        after.async_deliveries, after.async_submits,
+        "none in flight"
+    );
+
+    s.faulty_files.set_plan(FaultPlan::quiet(0));
+    s.pvm.cache_sync(cache, 0, 4 * PS).unwrap();
+    assert_eq!(s.pvm.stats().push_outs, before.push_outs + 4);
+    s.pvm.cache_invalidate(cache, 0, 4 * PS).unwrap();
+    for p in 0..4 {
+        assert_eq!(read_page(&s, ctx, 0, p), page_bytes(0x52, p), "page {p}");
+    }
+    s.pvm.check_invariants();
+}
+
 // ----- stale deliveries ----------------------------------------------------
 
 #[test]
