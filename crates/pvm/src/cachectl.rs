@@ -155,7 +155,7 @@ impl PvmState {
         // The cache no longer has its own version of the range.
         let owned: Vec<u64> = self.cache(cache)?.owned.range(off..end).copied().collect();
         for o in owned {
-            if self.gmap.has_loc_stubs_at(cache, o) {
+            if self.gmap.loc_stubs_at(cache, o) > 0 {
                 return Err(GmiError::Unsupported(
                     "invalidating swapped-out data with outstanding per-page stubs",
                 ));

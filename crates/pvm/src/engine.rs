@@ -15,9 +15,10 @@
 //!
 //! Mapper service (`IpcOp`, `SegmentIoPage`) is the only cost that
 //! overlaps other work: it is counted, never charged, because whoever
-//! needed the page waited for it on the clock. The landing (`BzeroPage`
-//! for the copy into the frame, `MapPage`) is charged when the page
-//! lands, in whoever's operation that is.
+//! needed the page waited for it on the clock. The landing (`BzeroPage`,
+//! the copy into the frame) is charged when the page lands: in a wait's
+//! idle gap if it arrives there and fits, else in its first toucher's
+//! operation (the `MapPage` is the toucher's fault's either way).
 //!
 //! A window is one [`CompletionRecord`], due at its last arrival, where
 //! it lands what nobody came for. Every `pushOut` is the other kind of
@@ -256,10 +257,40 @@ impl PvmState {
     }
 
     /// Blocks until simulated time `t`: the clock moves there unless it
-    /// is past it already.
-    fn advance_to(&self, t: u64) {
+    /// is past it already. The CPU is idle meanwhile, so the parked
+    /// pages that have arrived, or arrive before `t`, land in the gap in
+    /// arrival order, each at its arrival or once the one before it has
+    /// landed (the paper's `fillUp` lands a page when it is there). Only
+    /// a page whose whole landing ends by `t` lands; the others stay
+    /// parked for their first toucher, so no wait ends later for them.
+    fn advance_to(&mut self, t: u64) {
+        if self.model.now().nanos() < t {
+            let mut arrived: Vec<_> = (self.engine.parked.iter())
+                .filter_map(|(&key, parked)| match *parked {
+                    Parked::Filled { arrival_ns, .. } if arrival_ns < t => Some((arrival_ns, key)),
+                    _ => None,
+                })
+                .collect();
+            arrived.sort_unstable();
+            for (arrival_ns, (cache, off)) in arrived {
+                let now = self.model.now().nanos();
+                if now.max(arrival_ns) + self.landing_ns(cache, off) <= t {
+                    self.model.advance_ns(arrival_ns.saturating_sub(now));
+                    self.deliver_page(cache, off);
+                }
+            }
+        }
         self.model
             .advance_ns(t.saturating_sub(self.model.now().nanos()));
+    }
+
+    /// What landing the page parked at (cache, off) costs on the clock:
+    /// the copy into the frame, and `land_page`'s global-map lookup and
+    /// inserts (the page's own, and one per location stub it threads).
+    fn landing_ns(&self, cache: CacheKey, off: u64) -> u64 {
+        let p = self.model.params();
+        let inserts = 2 + self.gmap.loc_stubs_at(cache, off) as u64;
+        p.get(OpKind::BzeroPage) + inserts * p.get(OpKind::GlobalMapOp)
     }
 
     /// Enters a request in the in-flight table. Returns its id and the
@@ -380,9 +411,10 @@ impl PvmState {
 
     /// Waits for the page parked at (cache, off), if the wait is for
     /// that and nothing more: the clock advances to the page's arrival
-    /// (no further) and the page lands. False when there is no such
-    /// page — the stub is a window's still mid-submit, or one whose
-    /// mapper failed, or the wait is for a completion.
+    /// (no further), landing what arrives and fits before it, and the
+    /// page lands. False when there is no such page — the stub is a
+    /// window's still mid-submit, or one whose mapper failed, or the
+    /// wait is for a completion.
     pub(crate) fn await_page(&mut self, cache: CacheKey, off: u64) -> bool {
         match self.engine.parked.get(&(cache, off)) {
             Some(&Parked::Filled { arrival_ns, .. }) if arrival_ns != u64::MAX => {
@@ -396,10 +428,11 @@ impl PvmState {
     }
 
     /// Delivers the page parked at (cache, off), if it is still there:
-    /// it takes its stub's place in the global map, and the landing is
-    /// charged here, in whoever's operation this is. One the mapper
-    /// never filled leaves no stub: whoever sleeps on it drives a pull
-    /// of their own.
+    /// it takes its stub's place in the global map, and its landing
+    /// (`BzeroPage`) is charged here, once: in the idle gap of a wait
+    /// ([`Self::advance_to`]), a completion, or its first toucher's
+    /// wait. One the mapper never filled leaves no stub: whoever sleeps
+    /// on it drives a pull of their own.
     fn deliver_page(&mut self, cache: CacheKey, off: u64) {
         match self.engine.parked.remove(&(cache, off)) {
             Some(Parked::Filled { page, .. }) => {

@@ -115,11 +115,9 @@ impl GlobalMap {
             .is_some_and(|l| l.contains(&dst))
     }
 
-    /// True if any stub is threaded on (cache, offset).
-    pub fn has_loc_stubs_at(&self, cache: CacheKey, off: u64) -> bool {
-        self.loc_stubs
-            .get(&(cache, off))
-            .is_some_and(|l| !l.is_empty())
+    /// How many stubs are threaded on (cache, offset).
+    pub fn loc_stubs_at(&self, cache: CacheKey, off: u64) -> usize {
+        self.loc_stubs.get(&(cache, off)).map_or(0, Vec::len)
     }
 
     /// True if any location anywhere in `cache` still has threaded stubs
@@ -175,7 +173,7 @@ mod tests {
         let (src, dst) = (ks[0], ks[1]);
         m.push_loc_stub(src, 0, (dst, 8192));
         m.push_loc_stub(src, 0, (dst, 16384));
-        assert!(m.has_loc_stubs_at(src, 0));
+        assert_eq!(m.loc_stubs_at(src, 0), 2);
         assert!(m.has_loc_stubs_from(src));
         assert!(!m.unthread_loc_stub(src, 0, dst, 8192), "one stub remains");
         assert!(m.unthread_loc_stub(src, 0, dst, 16384), "now emptied");

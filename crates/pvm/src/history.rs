@@ -502,7 +502,7 @@ impl PvmState {
         //    content.
         let owned: Vec<u64> = self.cache(cache)?.owned.range(off..end).copied().collect();
         for o in owned {
-            if self.gmap.has_loc_stubs_at(cache, o) {
+            if self.gmap.loc_stubs_at(cache, o) > 0 {
                 return Err(GmiError::Unsupported(
                     "overwriting a swapped-out page with outstanding per-page stubs",
                 ));

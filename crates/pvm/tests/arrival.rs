@@ -15,7 +15,7 @@ use chorus_gmi::{
 };
 use chorus_hal::{CostParams, OpKind};
 use chorus_pvm::trace::{TraceEvent, UpcallKind};
-use chorus_pvm::{MmuChoice, Pvm, PvmOptions};
+use chorus_pvm::{MmuChoice, Pvm, PvmOptions, SlotDump};
 use common::{pattern, read, setup_with, write, PS};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -100,18 +100,19 @@ fn the_faulter_waits_for_its_page_and_a_toucher_for_the_one_it_touches() {
         assert_eq!(stats.readahead_pages, 0, "the tail is still in flight");
 
         // Page 3 right away: its arrival, and no further. Pages 1 and 2
-        // have arrived by then and land when somebody wants them.
+        // arrive during the wait and land in it, each before the next
+        // arrives.
         touch(&pvm, ctx, 3);
         assert_eq!(now(&pvm), arrival(t, 3) + LAND, "{mmu:?}");
-        assert_eq!(pvm.stats().readahead_pages, 1);
-        // An arrived page costs its landing, a landed one nothing more.
+        assert_eq!(pvm.stats().readahead_pages, 3);
+        // A landed page costs nothing more, whoever touches it first.
         touch(&pvm, ctx, 3);
         assert_eq!(now(&pvm), arrival(t, 3) + LAND, "{mmu:?}");
         touch(&pvm, ctx, 1);
-        assert_eq!(now(&pvm), arrival(t, 3) + 2 * LAND, "{mmu:?}");
+        assert_eq!(now(&pvm), arrival(t, 3) + LAND, "{mmu:?}");
         touch(&pvm, ctx, 1);
-        assert_eq!(now(&pvm), arrival(t, 3) + 2 * LAND, "{mmu:?}");
-        assert_eq!(pvm.stats().async_inflight_stalls, 3);
+        assert_eq!(now(&pvm), arrival(t, 3) + LAND, "{mmu:?}");
+        assert_eq!(pvm.stats().async_inflight_stalls, 2);
 
         // The rest of the file: the first window's tail, then one more
         // request, the same two a blocking pull would have made.
@@ -127,6 +128,125 @@ fn the_faulter_waits_for_its_page_and_a_toucher_for_the_one_it_touches() {
         assert_eq!(model.count(OpKind::IpcOp), 2);
         assert_eq!(model.count(OpKind::SegmentIoPage), FILE_PAGES);
         assert_eq!(model.count(OpKind::BzeroPage), FILE_PAGES);
+        pvm.check_invariants();
+    }
+}
+
+/// Pages landed so far: one `BzeroPage` each.
+fn landings(pvm: &Pvm) -> u64 {
+    pvm.cost_model().count(OpKind::BzeroPage)
+}
+
+/// The offsets, in pages, of `cache`'s synchronization stubs.
+fn stubs(pvm: &Pvm, cache: CacheId) -> Vec<u64> {
+    let dump = pvm.dump_caches();
+    let slots = &dump.cache(cache).unwrap().slots;
+    (slots.iter())
+        .filter(|(_, slot)| matches!(slot, SlotDump::Sync))
+        .map(|&(off, _)| off / PS)
+        .collect()
+}
+
+#[test]
+fn a_wait_lands_the_pages_that_arrive_during_it() {
+    for mmu in MMUS {
+        let (pvm, mgr) = setup_with(64, |o| options(o, mmu, service_costs()));
+        let (a, _) = map_file(&pvm, &mgr);
+        let (b, _) = map_file(&pvm, &mgr);
+        touch(&pvm, a, 0);
+        // Waiting for b's head, the CPU is idle while the tail of a's
+        // window arrives, a page every `SEG`: each lands as it arrives.
+        let t = now(&pvm);
+        touch(&pvm, b, 0);
+        assert_eq!(now(&pvm), arrival(t, 0) + LAND, "{mmu:?}");
+        assert_eq!(pvm.stats().readahead_pages, WINDOW - 1, "{mmu:?}");
+        // Waiting for page 4 of its own window, pages 1 to 3 of it land,
+        // page 1 first: landed last, it would no longer fit.
+        touch(&pvm, b, 4);
+        assert_eq!(now(&pvm), arrival(t, 4) + LAND, "{mmu:?}");
+        assert_eq!(landings(&pvm), 3 + WINDOW - 1 + 3, "{mmu:?}");
+        // Every page landed in a wait is resident: touching it lands
+        // nothing and waits for nothing.
+        let before = (now(&pvm), pvm.stats().async_inflight_stalls);
+        for p in 1..WINDOW {
+            touch(&pvm, a, p);
+        }
+        for p in 1..4 {
+            touch(&pvm, b, p);
+        }
+        let after = (now(&pvm), pvm.stats().async_inflight_stalls);
+        assert_eq!(after, before, "{mmu:?}");
+        assert_eq!(landings(&pvm), 3 + WINDOW - 1 + 3, "{mmu:?}");
+        pvm.drain_upcalls();
+        let stats = pvm.stats();
+        assert_eq!(stats.async_deliveries, stats.async_submits);
+        assert_eq!(landings(&pvm), 2 * WINDOW, "one landing a page");
+        pvm.check_invariants();
+    }
+}
+
+#[test]
+fn a_waiter_wakes_at_its_page_s_arrival_and_landing_whatever_lands_before() {
+    // Thinking `d` after the head lands, the reader then wants page 4:
+    // the pages before it arrive before or during the wait, and only
+    // those that can land whole before page 4 arrives land in it. The
+    // reader wakes the same time after page 4's arrival whatever landed
+    // before: `LAND` on the service costs, and on costs where a landing
+    // also does global-map work, what the first `d` reads.
+    let mut gmap_costs = service_costs();
+    gmap_costs.set(OpKind::GlobalMapOp, 300);
+    for (costs, after_arrival) in [(service_costs(), Some(LAND)), (gmap_costs, None)] {
+        for mmu in MMUS {
+            let mut woke = after_arrival;
+            for d in (0..3 * SEG).step_by(250) {
+                let (pvm, mgr) = setup_with(64, |o| options(o, mmu, costs.clone()));
+                let (ctx, _) = map_file(&pvm, &mgr);
+                let t = now(&pvm);
+                touch(&pvm, ctx, 0);
+                pvm.cost_model().advance_ns(d);
+                touch(&pvm, ctx, 4);
+                let after = now(&pvm) - arrival(t, 4);
+                assert_eq!(after, *woke.get_or_insert(after), "{mmu:?}: d = {d}");
+                for p in 1..WINDOW {
+                    touch(&pvm, ctx, p);
+                }
+                pvm.drain_upcalls();
+                assert_eq!(landings(&pvm), WINDOW, "{mmu:?}: d = {d}");
+                pvm.check_invariants();
+            }
+        }
+    }
+}
+
+#[test]
+fn a_page_whose_landing_would_overrun_the_wait_stays_a_stub_until_touched() {
+    for mmu in MMUS {
+        let (pvm, mgr) = setup_with(64, |o| options(o, mmu, service_costs()));
+        let (ctx, cache) = map_file(&pvm, &mgr);
+        let t = now(&pvm);
+        touch(&pvm, ctx, 0);
+        // Pages 1 and 2 have arrived when the reader wants page 4, page 3
+        // arrives during the wait. Landed in turn from then on, 1 and 2
+        // fit, and 3 would end `3 * LAND - SEG - SEG / 4` past page 4's
+        // arrival: it is left.
+        let think = arrival(t, 3) - SEG / 4 - now(&pvm);
+        pvm.cost_model().advance_ns(think);
+        touch(&pvm, ctx, 4);
+        assert_eq!(now(&pvm), arrival(t, 4) + LAND, "{mmu:?}");
+        assert_eq!(stubs(&pvm, cache), [3, 5, 6, 7], "{mmu:?}");
+        assert_eq!(landings(&pvm), 4, "{mmu:?}");
+        // Its first toucher lands it, and pays for that alone.
+        touch(&pvm, ctx, 3);
+        assert_eq!(now(&pvm), arrival(t, 4) + 2 * LAND, "{mmu:?}");
+        assert_eq!(landings(&pvm), 5, "{mmu:?}");
+        assert_eq!(stubs(&pvm, cache), [5, 6, 7], "{mmu:?}");
+        for p in 1..3 {
+            touch(&pvm, ctx, p);
+        }
+        assert_eq!(now(&pvm), arrival(t, 4) + 2 * LAND, "{mmu:?}");
+        pvm.drain_upcalls();
+        let stats = pvm.stats();
+        assert_eq!(stats.async_deliveries, stats.async_submits);
         pvm.check_invariants();
     }
 }
@@ -300,9 +420,10 @@ fn a_cancelled_window_gives_up_exactly_the_pages_that_have_not_arrived() {
         let t = now(&pvm);
         touch(&pvm, ctx, 0);
         // Page 4 is waited for and lands at its arrival, past the
-        // deadline; the next driver entry is the watchdog's. Of the
-        // window's other pages 1 to 3 have arrived by then and land,
-        // 5 to 7 have not: their frames and stubs go.
+        // deadline; pages 1 to 3 arrive during the wait and land in it.
+        // The next driver entry is the watchdog's: pages 5 to 7 have not
+        // arrived, their frames and stubs go, and nothing is left to
+        // land.
         touch(&pvm, ctx, 4);
         assert_eq!(now(&pvm), arrival(t, 4) + LAND, "{mmu:?}");
         assert_eq!(pvm.stats().watchdog_cancels, 0);
@@ -311,7 +432,7 @@ fn a_cancelled_window_gives_up_exactly_the_pages_that_have_not_arrived() {
         assert_eq!((stats.watchdog_cancels, stats.mapper_timeouts), (1, 1));
         assert_eq!(stats.async_deliveries, stats.async_submits);
         assert_eq!(pvm.free_frames(), free - 5, "{mmu:?}");
-        assert_eq!(now(&pvm), arrival(t, 4) + 4 * LAND, "{mmu:?}");
+        assert_eq!(now(&pvm), arrival(t, 4) + LAND, "{mmu:?}");
         pvm.check_invariants();
         for p in 0..5 {
             touch(&pvm, ctx, p);

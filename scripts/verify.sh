@@ -56,8 +56,10 @@ cp BENCH_*.json reports/scoreboard_exact.txt "$refdir"/ 2>/dev/null || true
 step "cargo build --release"
 cargo build --release
 
-step "cargo test -q (the workspace's default members)"
-cargo test -q
+step "cargo test -q --no-fail-fast (the workspace's default members)"
+# Every test binary runs even after one fails, so a run reports all the
+# failures at once; the step still fails if any test does.
+cargo test -q --no-fail-fast
 
 step "cargo fmt --check"
 cargo fmt --check
@@ -125,11 +127,14 @@ seq, two, rand = (rows[64, s] for s in ("sequential", "two-streams", "random"))
 # A miss that continues no stream pulls its one page and nothing ahead,
 # to the cent. Its fault, on a read-only region, then probes the page
 # after it for a resident run to map (one 2 us global-map lookup a
-# pull: 6060.53 -> 6061.06 ms, DESIGN.md section 5).
+# pull: 6060.53 -> 6061.06 ms, DESIGN.md section 5). The one pull of
+# two pages lands its second in a later wait: one 0.87 ms
+# landing hidden in idle time (6061.06 -> 6060.18 ms, DESIGN.md
+# section 10).
 assert seq["sim_ms"] <= 1250 and two["sim_ms"] <= 980, (seq, two)
 for shape, pulls in (("sequential", 52), ("two-streams", 56), ("seq+random", 173)):
     assert abs(rows[64, shape]["pull_ins"] - pulls) <= 2, rows[64, shape]
-assert (rand["pull_ins"], rand["ahead_pulls"], round(rand["sim_ms"], 2)) == (262, 0, 6061.06), rand
+assert (rand["pull_ins"], rand["ahead_pulls"], round(rand["sim_ms"], 2)) == (262, 0, 6060.18), rand
 # 256 frames keep two windows ahead: a read of the sequential stream
 # costs less than at 64 (both files are three times their pool).
 per_read = lambda r: r["sim_ms"] / (2 * r["pages"])
