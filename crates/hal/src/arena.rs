@@ -31,7 +31,8 @@ impl<T> Id<T> {
         }
     }
 
-    /// Returns the raw slot index (useful only for debug output).
+    /// Returns the raw slot index: debug output, and side tables kept
+    /// per slot (a live id owns its slot until it is freed).
     #[inline]
     pub fn index(self) -> u32 {
         self.index

@@ -1,163 +1,184 @@
 //! The clock-replacement candidate ring.
 //!
-//! The seed kept resident pages in a `Vec<PageKey>` that accumulated
-//! stale keys and relied on periodic O(n) compaction inside
-//! `select_victim`. This ring keeps every entry live instead: pages are
-//! inserted at creation and removed eagerly when freed, so the sweep
-//! never skips dead keys and membership updates are O(1) (hash-indexed
-//! swap-remove with hand fix-up to keep the sweep order stable).
+//! A doubly linked ring of the resident pages whose links live in a
+//! `Vec` indexed by the page arena slot (`PageKey::index()`), so the
+//! hand's walk and every membership update are O(1) and do no hashing.
+//! The ring keeps its order: a page enters just behind the hand, and a
+//! page leaves by unlinking, so between two looks from the hand every
+//! page waits one full revolution, in which the hand looks at every
+//! other page once (only `next_up`, below, moves a page, and only the
+//! page it is given). A page whose reference the hand has just cleared
+//! thus has the whole revolution to be used again.
 //!
 //! Pages can also be put just ahead of the hand (`next_up`), in a run
 //! the hand meets first and in order: the one take-first mechanism of
 //! replacement, fed by drop-behind (pages a stream has read and left)
-//! and by laundering (pages a `pushOut` has just cleaned). Keeping that
-//! run contiguous costs a removal or insertion at most one step per
-//! page of it.
+//! and by laundering (pages a `pushOut` has just cleaned). A page moves
+//! into that run; no other page moves.
 
 use crate::keys::PageKey;
-use chorus_hal::FxHashMap;
 
-/// A ring of resident-page candidates with a stable clock hand.
+/// One arena slot's place in the ring.
+#[derive(Clone, Copy, Default)]
+struct Link {
+    /// The page in the ring at this slot, if any.
+    key: Option<PageKey>,
+    prev: u32,
+    next: u32,
+    /// In the run `next_up` put ahead of the hand.
+    up: bool,
+}
+
+/// A ring of resident-page candidates with a clock hand.
 #[derive(Default)]
 pub(crate) struct ClockRing {
-    ring: Vec<PageKey>,
-    /// Position of each key in `ring` (for O(1) removal).
-    pos: FxHashMap<PageKey, usize>,
-    /// Index of the *next* candidate to examine.
-    hand: usize,
-    /// The entries `next_up` put ahead of the hand and the hand has not
-    /// reached: positions `hand .. hand + up`, modulo the length.
-    up: usize,
+    /// Indexed by `PageKey::index()`.
+    links: Vec<Link>,
+    len: usize,
+    /// Slot of the *next* candidate to examine; `None` on an empty ring.
+    hand: Option<u32>,
+    /// Slot of the last page of the run ahead of the hand, which starts
+    /// at the hand; `None` while the run is empty.
+    run_tail: Option<u32>,
 }
 
 impl ClockRing {
-    /// Swaps two positions, keeping `pos` in step.
-    fn swap(&mut self, a: usize, b: usize) {
-        self.ring.swap(a, b);
-        self.pos.insert(self.ring[a], a);
-        self.pos.insert(self.ring[b], b);
+    /// The slot of `key` if it is in the ring.
+    fn slot(&self, key: PageKey) -> Option<u32> {
+        let i = key.index();
+        let link = self.links.get(i as usize)?;
+        (link.key == Some(key)).then_some(i)
     }
 
-    /// Re-records the positions of `ring[..to]` after a rotation.
-    fn reindex(&mut self, to: usize) {
-        for (i, &key) in self.ring[..to].iter().enumerate() {
-            self.pos.insert(key, i);
-        }
+    fn link(&mut self, i: u32) -> &mut Link {
+        &mut self.links[i as usize]
     }
 
-    /// Where position `i` comes in the hand's order (0: next).
-    fn turn(&self, i: usize) -> usize {
-        (i + self.ring.len() - self.hand) % self.ring.len()
+    /// Links the unlinked slot `i` in just before slot `at`.
+    fn link_before(&mut self, i: u32, at: u32) {
+        let prev = self.links[at as usize].prev;
+        self.link(prev).next = i;
+        self.link(at).prev = i;
+        let link = self.link(i);
+        (link.prev, link.next) = (prev, at);
     }
 
-    /// How many pages of the run ahead of the hand wrap past the end
-    /// of `ring` to its start.
-    fn wrapped(&self) -> usize {
-        (self.hand + self.up).saturating_sub(self.ring.len())
+    /// Takes slot `i` out of the ring's order; the caller fixes the hand.
+    fn unlink(&mut self, i: u32) {
+        let Link { prev, next, .. } = self.links[i as usize];
+        self.link(prev).next = next;
+        self.link(next).prev = prev;
     }
 
     pub fn len(&self) -> usize {
-        self.ring.len()
+        self.len
     }
 
     pub fn contains(&self, key: PageKey) -> bool {
-        self.pos.contains_key(&key)
+        self.slot(key).is_some()
     }
 
-    /// Iterates the ring in arbitrary (insertion-perturbed) order.
+    /// Iterates the ring in the hand's order, from its next candidate.
     pub fn iter(&self) -> impl Iterator<Item = PageKey> + '_ {
-        self.ring.iter().copied()
+        let mut at = self.hand;
+        (0..self.len).map(move |_| {
+            let link = &self.links[at.expect("a non-empty ring has a hand") as usize];
+            at = Some(link.next);
+            link.key.expect("a linked slot holds a page")
+        })
     }
 
-    /// Adds a page to the ring. Idempotent.
+    /// Adds a page just behind the hand: the hand meets it last, after
+    /// every page already in the ring. Idempotent.
     pub fn insert(&mut self, key: PageKey) {
-        if self.pos.contains_key(&key) {
+        if self.contains(key) {
             return;
         }
-        let (n, wrapped) = (self.ring.len(), self.wrapped());
-        self.pos.insert(key, n);
-        self.ring.push(key);
-        // The new last slot lies inside a run that wraps: the run's
-        // pages at the start move up one slot, the first of them to the
-        // new last, and the page takes the slot after them.
-        if wrapped > 0 {
-            self.ring[..wrapped].rotate_left(1);
-            self.swap(wrapped - 1, n);
-            self.reindex(wrapped);
+        let i = key.index();
+        if self.links.len() <= i as usize {
+            self.links.resize(i as usize + 1, Link::default());
         }
+        assert!(
+            self.links[i as usize].key.is_none(),
+            "a freed page's slot reused while it is still in the ring"
+        );
+        *self.link(i) = Link {
+            key: Some(key),
+            prev: i,
+            next: i,
+            up: false,
+        };
+        match self.hand {
+            Some(hand) => self.link_before(i, hand),
+            None => self.hand = Some(i),
+        }
+        self.len += 1;
     }
 
-    /// Removes a page via swap-remove, fixing up the hand so the sweep
-    /// neither skips nor re-examines unrelated entries, and keeping the
-    /// run ahead of it in place and in order.
+    /// Removes a page. The others keep their order; a hand pointing at
+    /// it moves to its successor, and the run ahead of the hand closes
+    /// up. Idempotent.
     pub fn remove(&mut self, key: PageKey) {
-        let Some(&found) = self.pos.get(&key) else {
+        let Some(i) = self.slot(key) else {
             return;
         };
-        let (n, mut i) = (self.ring.len(), found);
-        let at = self.turn(i);
-        if at < self.up {
-            // Inside the run: the pages after it close up, in order.
-            for o in at + 1..self.up {
-                self.swap((self.hand + o - 1) % n, (self.hand + o) % n);
-            }
-            self.up -= 1;
-            i = (self.hand + self.up) % n;
+        let Link { prev, next, .. } = self.links[i as usize];
+        if self.run_tail == Some(i) {
+            // The run's last page: the one before it ends the run, unless
+            // it was the run's only page.
+            self.run_tail = (self.hand != Some(i)).then_some(prev);
         }
-        let last = n - 1;
-        if self.up > 0 && self.hand + self.up >= n {
-            // The last slot is the run's: the emptied slot moves past the
-            // run's pages at the start, then under them to slot 0, where
-            // the run goes on after the last slot is gone.
-            let wrapped = self.wrapped();
-            self.swap(i, wrapped);
-            self.ring[..=wrapped].rotate_right(1);
-            self.reindex(wrapped + 1);
-            i = 0;
-        }
-        // The former last element moves into slot i. If the hand pointed
-        // at its old slot, it follows it to its new home; a hand pointing
-        // at the removed slot stays (the moved element becomes the next
-        // candidate).
-        self.swap(i, last);
-        if self.hand == last {
-            self.hand = i;
-        }
-        self.pos.remove(&key);
-        self.ring.pop();
-        if self.hand >= self.ring.len() {
-            self.hand = 0;
+        self.unlink(i);
+        *self.link(i) = Link::default();
+        self.len -= 1;
+        if self.hand == Some(i) {
+            self.hand = (self.len > 0).then_some(next);
         }
     }
 
     /// Puts a page just ahead of the hand, after the pages already put
     /// there: the hand meets them first, in the order they came, and
-    /// passes nothing else on the way. The page whose slot it takes
-    /// moves to the one it left. Idempotent; a page not in the ring is
-    /// ignored.
+    /// passes nothing else on the way. Idempotent; a page not in the
+    /// ring is ignored.
     pub fn next_up(&mut self, key: PageKey) {
-        let Some(&i) = self.pos.get(&key) else {
+        let Some(i) = self.slot(key) else {
             return;
         };
-        if self.turn(i) >= self.up {
-            self.swap(i, (self.hand + self.up) % self.ring.len());
-            self.up += 1;
+        if self.links[i as usize].up {
+            return;
         }
+        let hand = self.hand.expect("a non-empty ring has a hand");
+        match self.run_tail {
+            // The run starts at the hand: the page goes after its last.
+            Some(tail) => {
+                self.unlink(i);
+                let after = self.links[tail as usize].next;
+                self.link_before(i, after);
+            }
+            // An empty run: the page becomes the hand's next candidate.
+            None if i != hand => {
+                self.unlink(i);
+                self.link_before(i, hand);
+                self.hand = Some(i);
+            }
+            None => {}
+        }
+        self.link(i).up = true;
+        self.run_tail = Some(i);
     }
 
     /// Advances the hand one step and returns the candidate it passed
     /// over, or `None` if the ring is empty.
     pub fn advance(&mut self) -> Option<PageKey> {
-        if self.ring.is_empty() {
-            return None;
+        let i = self.hand?;
+        let link = self.link(i);
+        link.up = false;
+        let (key, next) = (link.key, link.next);
+        if self.run_tail == Some(i) {
+            self.run_tail = None;
         }
-        if self.hand >= self.ring.len() {
-            self.hand = 0;
-        }
-        let key = self.ring[self.hand];
-        self.hand = (self.hand + 1) % self.ring.len();
-        self.up = self.up.saturating_sub(1);
-        Some(key)
+        self.hand = Some(next);
+        key
     }
 }
 
@@ -273,45 +294,100 @@ mod tests {
         assert_eq!(rest, [0, 4, 6, 7, 8]);
     }
 
+    /// The ring against a reference clock: a `VecDeque` in the hand's
+    /// order (front: next candidate) whose first `up` pages are the run.
+    /// Random inserts, removes, `next_up`s and advances must keep the
+    /// exact sweep order, and between two looks at an undisturbed page
+    /// the hand looks once at every other page that was live and
+    /// undisturbed all along: one full revolution.
     #[test]
-    fn the_run_survives_any_mix_of_operations() {
+    fn the_ring_keeps_the_order_of_a_reference_clock() {
+        const SLOTS: u32 = 24;
         let mut r = ClockRing::default();
-        let mut run = std::collections::VecDeque::new();
+        let mut want = std::collections::VecDeque::<u32>::new();
+        let mut up = 0;
+        // A freed slot comes back with a new generation, as in the arena.
+        let mut generation = [1u32; SLOTS as usize];
+        // Per slot: the step of its last insert, remove or move, and of
+        // the hand's last look at it.
+        let mut disturbed = [0usize; SLOTS as usize];
+        let mut looked = [None::<usize>; SLOTS as usize];
+        let mut looks = Vec::new();
         let mut x = 7u64;
-        for _ in 0..20_000 {
+        for step in 1..=50_000 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let key = ((x >> 33) % 24) as u32;
-            match (x >> 20) % 4 {
-                0 => r.insert(k(key)),
-                1 => {
-                    r.remove(k(key));
-                    run.retain(|&p| p != key);
+            let slot = ((x >> 33) % u64::from(SLOTS)) as u32;
+            let key = Id::from_raw_parts(slot, generation[slot as usize]);
+            let at = want.iter().position(|&p| p == slot);
+            match (x >> 20) % 8 {
+                0 | 1 => {
+                    r.insert(key);
+                    if at.is_none() {
+                        want.push_back(slot);
+                        disturbed[slot as usize] = step;
+                    }
                 }
                 2 => {
-                    if r.contains(k(key)) && !run.contains(&key) {
-                        run.push_back(key);
+                    r.remove(key);
+                    if let Some(at) = at {
+                        want.remove(at);
+                        up -= usize::from(at < up);
+                        generation[slot as usize] += 1;
+                        disturbed[slot as usize] = step;
                     }
-                    r.next_up(k(key));
+                }
+                3 => {
+                    r.next_up(key);
+                    if let Some(at) = at.filter(|&at| at >= up) {
+                        want.remove(at);
+                        want.insert(up, slot);
+                        up += 1;
+                        disturbed[slot as usize] = step;
+                    }
                 }
                 _ => {
                     let got = r.advance().map(|p| p.index());
-                    if let Some(want) = run.pop_front() {
-                        assert_eq!(got, Some(want));
+                    let front = want.pop_front();
+                    assert_eq!(got, front, "step {step}: the hand's candidate");
+                    want.extend(front);
+                    up = up.saturating_sub(1);
+                    // The revolution is checked on what the ring returned.
+                    let Some(p) = got else { continue };
+                    let since = looked[p as usize].replace(looks.len());
+                    looks.push((step, p));
+                    // Its last look, if it has stayed in place since.
+                    let Some((since, from)) = since
+                        .map(|t| (t, looks[t].0))
+                        .filter(|&(_, from)| disturbed[p as usize] < from)
+                    else {
+                        continue;
+                    };
+                    let between = &looks[since + 1..looks.len() - 1];
+                    for &q in want
+                        .iter()
+                        .filter(|&&q| q != p && disturbed[q as usize] < from)
+                    {
+                        let n = between.iter().filter(|&&(_, o)| o == q).count();
+                        assert_eq!(n, 1, "step {step}: {q} seen {n} times in {p}'s revolution");
                     }
                 }
             }
-            let n = r.ring.len();
-            assert_eq!(r.pos.len(), n);
-            for (i, p) in r.ring.iter().enumerate() {
-                assert_eq!(r.pos[p], i);
-            }
-            assert!(n == 0 || r.hand < n);
-            assert_eq!(r.up, run.len());
-            for (o, &p) in run.iter().enumerate() {
-                assert_eq!(r.ring[(r.hand + o) % n].index(), p, "run out of place");
-            }
+            assert_eq!(r.len(), want.len());
+            assert!(
+                r.iter().map(|p| p.index()).eq(want.iter().copied()),
+                "step {step}: sweep order"
+            );
+            let g = generation[slot as usize];
+            assert_eq!(
+                r.contains(Id::from_raw_parts(slot, g)),
+                want.contains(&slot)
+            );
+            assert!(
+                !r.contains(Id::from_raw_parts(slot, g - 1)),
+                "a freed page's key"
+            );
         }
     }
 }

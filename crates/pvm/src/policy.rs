@@ -255,10 +255,11 @@ mod tests {
         assert_eq!(victim(&mut c, &mut view), 6, "drop-behind comes first");
         assert_eq!(victim(&mut c, &mut view), 3, "then the cleaned page");
         // A cleaned page referenced since has its bit cleared and is
-        // passed over: the hand takes the candidate after it.
+        // passed over: the hand takes the candidate after it, its own
+        // next page.
         c.next_up(k(7));
         view.referenced.insert(7);
-        assert_eq!(victim(&mut c, &mut view), 4);
+        assert_eq!(victim(&mut c, &mut view), 0);
         assert!(!view.referenced.contains(&7), "its bit was cleared");
     }
 }

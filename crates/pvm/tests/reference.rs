@@ -69,10 +69,11 @@ fn map_swapped(pvm: &Pvm, ctx: CtxId, tag: u8, pages: u64, base: u64) -> CacheId
 
 /// Maps untouched anonymous memory at `base`: every first read of a
 /// page allocates one (zero-filled) frame and nothing else.
-fn map_fresh(pvm: &Pvm, ctx: CtxId, pages: u64, base: u64) {
+fn map_fresh(pvm: &Pvm, ctx: CtxId, pages: u64, base: u64) -> CacheId {
     let cache = pvm.cache_create(None).unwrap();
     pvm.region_create(ctx, VirtAddr(base), pages * PS, Prot::RW, cache, 0)
         .unwrap();
+    cache
 }
 
 fn read_page(pvm: &Pvm, ctx: CtxId, base: u64, page: u64) -> Vec<u8> {
@@ -201,6 +202,75 @@ fn a_page_mapped_in_two_contexts_is_referenced_through_either() {
         read_page(&pvm, a, FRESH, 7 + k);
     }
     assert!(evictions(&pvm).contains(&(shared, 0)));
+}
+
+#[test]
+fn a_page_the_hand_has_passed_waits_a_full_revolution() {
+    const NEAR: u64 = 0x40_0000;
+    let (pvm, mgr) = world(16);
+    let ctx = pvm.context_create().unwrap();
+    let fresh = map_fresh(&pvm, ctx, 64, FRESH);
+    let (near, _) = map_file(&pvm, &mgr, ctx, 0xa1, 3, NEAR);
+    let (_, hot_seg) = map_file(&pvm, &mgr, ctx, 0xa2, 1, HOT);
+    // The ring, in the order the pages came: fresh page 0, near pages
+    // 0 and 1, fresh pages 1 and 2, near page 2, fresh pages 3..=10,
+    // the hot page, fresh page 11: full.
+    read_page(&pvm, ctx, FRESH, 0);
+    read_page(&pvm, ctx, NEAR, 0);
+    read_page(&pvm, ctx, NEAR, 1);
+    read_page(&pvm, ctx, FRESH, 1);
+    read_page(&pvm, ctx, FRESH, 2);
+    read_page(&pvm, ctx, NEAR, 2);
+    for p in 3..=10 {
+        read_page(&pvm, ctx, FRESH, p);
+    }
+    assert_eq!(read_page(&pvm, ctx, HOT, 0), page_bytes(0xa2, 0));
+    read_page(&pvm, ctx, FRESH, 11);
+    assert_eq!(pvm.free_frames(), 0);
+    evictions(&pvm);
+    mgr.take_log();
+    // Every page is referenced: the next miss sends the hand round once,
+    // clearing each bit, and takes fresh page 0 on its second look. The
+    // hot page has been passed; thirteen pages are ahead of it now, and
+    // the ones that come later go behind it.
+    read_page(&pvm, ctx, FRESH, 12);
+    assert_eq!(evictions(&pvm), [(fresh, 0)]);
+    assert_eq!(pvm.stats().ref_second_chances, 16);
+    // Seven evictions, none of them the hot page's. The two pages just
+    // ahead of the hand are freed; their frames take two misses.
+    pvm.cache_invalidate(near, 0, 2 * PS).unwrap();
+    read_page(&pvm, ctx, FRESH, 13);
+    read_page(&pvm, ctx, FRESH, 14);
+    // Fresh page 5, written through its cache and laundered, is put
+    // next up: the next victim.
+    pvm.cache_write(fresh, 5 * PS, &page_bytes(0xa3, 5))
+        .unwrap();
+    pvm.cache_sync(fresh, 5 * PS, PS).unwrap();
+    read_page(&pvm, ctx, FRESH, 15);
+    read_page(&pvm, ctx, FRESH, 16);
+    read_page(&pvm, ctx, FRESH, 17);
+    // The page the hand points at now is freed.
+    pvm.cache_invalidate(near, 2 * PS, PS).unwrap();
+    for p in 18..23 {
+        read_page(&pvm, ctx, FRESH, p);
+    }
+    assert_eq!(
+        evictions(&pvm),
+        [5, 1, 2, 3, 4, 6, 7].map(|p| (fresh, p)),
+        "the hand went its way in order"
+    );
+    assert_eq!(
+        pvm.stats().ref_second_chances,
+        16,
+        "nothing was passed again"
+    );
+    assert_eq!(read_page(&pvm, ctx, HOT, 0), page_bytes(0xa2, 0));
+    assert_eq!(
+        pulls(&mgr, Some(hot_seg)),
+        [],
+        "the passed page was evicted"
+    );
+    pvm.check_invariants();
 }
 
 // ----- the software half ---------------------------------------------------

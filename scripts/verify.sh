@@ -124,6 +124,10 @@ seq, two, rand = (rows[64, s] for s in ("sequential", "two-streams", "random"))
 # 58 / 168 pullIns before what the stream has read went to the hand).
 # seq+random pulls more on this one seed (168 -> 173, 3329.0 ->
 # 3461.8 ms) and not over twenty (EXPERIMENTS.md "Two windows ahead").
+# A ring that keeps its order moves it again on this seed (173 -> 181,
+# 3338.5 -> 3456.2 ms), and again not over twenty: LCG seeds 1..=20
+# read 179.9 -> 179.6 pulls, 3594.6 -> 3586.6 ms (EXPERIMENTS.md "The
+# clock keeps its order").
 # A miss that continues no stream pulls its one page and nothing ahead,
 # to the cent. Its fault, on a read-only region, then probes the page
 # after it for a resident run to map (one 2 us global-map lookup a
@@ -132,7 +136,7 @@ seq, two, rand = (rows[64, s] for s in ("sequential", "two-streams", "random"))
 # landing hidden in idle time (6061.06 -> 6060.18 ms, DESIGN.md
 # section 10).
 assert seq["sim_ms"] <= 1250 and two["sim_ms"] <= 980, (seq, two)
-for shape, pulls in (("sequential", 52), ("two-streams", 56), ("seq+random", 173)):
+for shape, pulls in (("sequential", 52), ("two-streams", 56), ("seq+random", 181)):
     assert abs(rows[64, shape]["pull_ins"] - pulls) <= 2, rows[64, shape]
 assert (rand["pull_ins"], rand["ahead_pulls"], round(rand["sim_ms"], 2)) == (262, 0, 6060.18), rand
 # 256 frames keep two windows ahead: a read of the sequential stream
