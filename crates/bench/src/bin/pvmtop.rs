@@ -6,7 +6,9 @@
 //! The binary drives a seeded scenario — several file-backed caches of
 //! graded heat, one cold anonymous cache, one cache behind a mapper
 //! that dies permanently on its first pull — then renders the snapshot
-//! and writes it to `reports/pvmtop.txt`. The scenario is deterministic
+//! and writes it to `reports/pvmtop.txt`; the human output also prints
+//! the state lock's wall-clock profile, which stays out of the report
+//! and the `--json` envelope. The scenario is deterministic
 //! and self-checking: the hottest cache must rank first and the dead
 //! mapper must be flagged Quarantined.
 //!
@@ -176,5 +178,8 @@ fn main() {
     }
 
     println!("{rendered}");
+    // The state lock's profile is host time and varies run to run: it
+    // is printed here, never written to the report or the --json.
+    println!("{}", pvm.lock_profile().render());
     println!("snapshot written to {}", txt_path.display());
 }

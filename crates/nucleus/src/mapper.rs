@@ -8,16 +8,15 @@
 //!
 //! Substitution note (see DESIGN.md): mappers here are in-process
 //! objects invoked through a registry keyed by their port name; the
-//! request/reply message shapes match the paper's IPC protocol, and the
-//! optional per-request latency simulates the secondary-storage round
-//! trip (making synchronization-page-stub blocking observable).
+//! request/reply message shapes match the paper's IPC protocol; the
+//! secondary-storage round trip is the cost model's `SegmentIoPage`,
+//! charged to the simulated clock, never a wall-clock sleep.
 
 use crate::capability::{Capability, PortName};
 use chorus_gmi::{GmiError, Result, SegmentId};
 use chorus_hal::FxHashMap;
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The standard mapper interface (read/write of segment fragments).
 pub trait Mapper: Send + Sync {
@@ -64,14 +63,12 @@ pub trait Mapper: Send + Sync {
     }
 }
 
-/// A mapper holding segments in memory, with optional simulated I/O
-/// latency. Serves both as a "file server" for tests/examples and as
-/// the swap default mapper.
+/// A mapper holding segments in memory. Serves both as a "file server"
+/// for tests/examples and as the swap default mapper.
 pub struct MemMapper {
     port: PortName,
     segments: Mutex<FxHashMap<u64, Vec<u8>>>,
     next_key: Mutex<u64>,
-    latency: Mutex<Option<Duration>>,
 }
 
 impl MemMapper {
@@ -81,7 +78,6 @@ impl MemMapper {
             port,
             segments: Mutex::new(FxHashMap::default()),
             next_key: Mutex::new(1),
-            latency: Mutex::new(None),
         }
     }
 
@@ -114,36 +110,22 @@ impl MemMapper {
             .expect("unknown capability")
             .clone()
     }
+}
 
-    /// Sets the simulated per-request latency.
-    pub fn set_latency(&self, latency: Option<Duration>) {
-        *self.latency.lock() = latency;
-    }
-
-    fn delay(&self) {
-        let latency = *self.latency.lock();
-        if let Some(d) = latency {
-            std::thread::sleep(d);
-        }
-    }
-
-    fn check(&self, cap: Capability) -> Result<()> {
-        if cap.port != self.port || !self.segments.lock().contains_key(&cap.key) {
-            return Err(GmiError::permanent_io(
-                SegmentId(cap.key),
-                "invalid capability",
-            ));
-        }
-        Ok(())
-    }
+/// The error a request naming no segment of this mapper gets.
+fn invalid(cap: Capability) -> GmiError {
+    GmiError::permanent_io(SegmentId(cap.key), "invalid capability")
 }
 
 impl Mapper for MemMapper {
     fn read(&self, cap: Capability, offset: u64, size: u64) -> Result<Vec<u8>> {
-        self.check(cap)?;
-        self.delay();
+        // One lock a request: the capability is checked in the lookup
+        // that serves it.
         let segments = self.segments.lock();
-        let data = segments.get(&cap.key).expect("checked above");
+        let data = match segments.get(&cap.key) {
+            Some(data) if cap.port == self.port => data,
+            _ => return Err(invalid(cap)),
+        };
         // The reply is written once: the stored bytes, then the sparse
         // tail (if any) zero-filled — never a pre-zeroed buffer that is
         // overwritten.
@@ -156,10 +138,11 @@ impl Mapper for MemMapper {
     }
 
     fn write(&self, cap: Capability, offset: u64, bytes: &[u8]) -> Result<()> {
-        self.check(cap)?;
-        self.delay();
         let mut segments = self.segments.lock();
-        let data = segments.get_mut(&cap.key).expect("checked above");
+        let data = match segments.get_mut(&cap.key) {
+            Some(data) if cap.port == self.port => data,
+            _ => return Err(invalid(cap)),
+        };
         let end = offset as usize + bytes.len();
         if data.len() < end {
             data.resize(end, 0);
@@ -283,6 +266,13 @@ mod tests {
         assert!(m.read(forged, 0, 1).is_err());
         let wrong_port = Capability::new(PortName(2), cap.key);
         assert!(m.read(wrong_port, 0, 1).is_err());
+        // Reads and writes alike, and the segment is left as it was.
+        for bad in [forged, wrong_port] {
+            let want = GmiError::permanent_io(SegmentId(bad.key), "invalid capability");
+            assert_eq!(m.read(bad, 0, 1).unwrap_err(), want);
+            assert_eq!(m.write(bad, 0, b"x").unwrap_err(), want);
+        }
+        assert_eq!(m.segment_data(cap), b"data");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::config::PvmConfig;
 use crate::descriptors::Slot;
-use crate::domains::DomainLock;
+use crate::domains::{DomainGuard, DomainLock, LockEntry, LockProfile};
 use crate::engine::{CompletionRecord, Parked};
 use crate::keys::{cache_key, ctx_key, pub_cache, pub_ctx, pub_region, region_key, CtxKey};
 use crate::pvmtop::PvmTop;
@@ -29,6 +29,9 @@ use parking_lot::Condvar;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// A held state lock.
+type StateGuard<'a> = DomainGuard<'a, PvmState>;
 
 /// Which MMU back-end to instantiate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -69,7 +72,8 @@ impl Default for PvmOptions {
 
 /// The Paged Virtual memory Manager.
 pub struct Pvm {
-    /// The state lock: the PVM's one mutex, in a counting wrapper.
+    /// The state lock: the PVM's one mutex, in a counting, profiling
+    /// wrapper.
     state: DomainLock<PvmState>,
     stub_cv: Condvar,
     seg_mgr: Arc<dyn SegmentManagerV2>,
@@ -133,34 +137,43 @@ impl Pvm {
     /// A copy of the per-cache, per-context and per-mapper counter rows
     /// (see [`crate::telemetry`]).
     pub fn telemetry(&self) -> Telemetry {
-        self.state.lock().telemetry.clone()
+        self.state.lock(LockEntry::Query).telemetry.clone()
     }
 
     /// Copies out the recorded sim-time gauge series, oldest first.
     pub fn telemetry_series(&self) -> Vec<TelemetrySample> {
-        self.state.lock().series.samples()
+        self.state.lock(LockEntry::Query).series.samples()
     }
 
     /// Takes a gauge sample of the live state right now (not appended
     /// to the series).
     pub fn sample_now(&self) -> TelemetrySample {
-        self.state.lock().live_sample()
+        self.state.lock(LockEntry::Query).live_sample()
     }
 
     /// The `pvmtop` introspection snapshot: top caches by fault/dirty
     /// heat, per-mapper health, per-phase latency percentiles, and the
     /// live gauges — one consistent picture under one lock acquisition.
     pub fn top(&self) -> PvmTop {
-        crate::pvmtop::snapshot(&self.state.lock())
+        crate::pvmtop::snapshot(&self.state.lock(LockEntry::Query))
     }
 
-    /// Resets the PVM event counters, the tracer's rings and
-    /// histograms, and the telemetry rows and gauge series (the cost
-    /// model has its own reset).
+    /// The state lock's per-entry wait and hold histograms, in
+    /// wall-clock nanoseconds (see [`LockProfile`]). Host time: it
+    /// varies run to run and no deterministic report carries it. Never
+    /// takes the lock.
+    pub fn lock_profile(&self) -> LockProfile {
+        self.state.profile()
+    }
+
+    /// Resets the PVM event counters, the state lock's profile, the
+    /// tracer's rings and histograms, and the telemetry rows and gauge
+    /// series (the cost model has its own reset).
     pub fn reset_stats(&self) {
         self.stats.reset();
+        self.state.reset_profile();
         self.trace.reset();
-        let mut guard = self.state.lock();
+        let mut guard = self.state.lock(LockEntry::Query);
         guard.telemetry.reset();
         guard.series.clear();
         guard.next_sample_ns = 0;
@@ -169,28 +182,28 @@ impl Pvm {
     /// Number of live cache descriptors (including zombies and working
     /// objects) — used by tests and the ablation benches.
     pub fn cache_count(&self) -> usize {
-        self.state.lock().caches.len()
+        self.state.lock(LockEntry::Query).caches.len()
     }
 
     /// Number of resident pages across all caches.
     pub fn resident_page_count(&self) -> usize {
-        self.state.lock().pages.len()
+        self.state.lock(LockEntry::Query).pages.len()
     }
 
     /// Faulters whose pull is in flight (open `demand_pulls` mailboxes):
     /// 0 whenever no operation is running.
     pub fn waiting_faulters(&self) -> usize {
-        self.state.lock().demand_pulls.len()
+        self.state.lock(LockEntry::Query).demand_pulls.len()
     }
 
     /// Number of free physical frames.
     pub fn free_frames(&self) -> u32 {
-        self.state.lock().phys.free_frames()
+        self.state.lock(LockEntry::Query).phys.free_frames()
     }
 
     /// Physical memory statistics.
     pub fn mem_stats(&self) -> chorus_hal::MemStats {
-        self.state.lock().phys.stats()
+        self.state.lock(LockEntry::Query).phys.stats()
     }
 
     /// Runs the structural invariant checker (also run automatically when
@@ -200,17 +213,17 @@ impl Pvm {
     ///
     /// Panics on any violated invariant.
     pub fn check_invariants(&self) {
-        self.state.lock().check_invariants();
+        self.state.lock(LockEntry::Query).check_invariants();
     }
 
     // ----- the blocked-action driver ---------------------------------------
 
-    pub(crate) fn state_for_dump(&self) -> parking_lot::MutexGuard<'_, PvmState> {
-        self.state.lock()
+    pub(crate) fn state_for_dump(&self) -> StateGuard<'_> {
+        self.state.lock(LockEntry::Query)
     }
 
     pub(crate) fn run<T>(&self, attempt: impl FnMut(&mut PvmState) -> Attempt<T>) -> Result<T> {
-        let (guard, v) = self.run_held(self.state.lock(), attempt)?;
+        let (guard, v) = self.run_held(self.state.lock(LockEntry::Gmi), attempt)?;
         drop(guard);
         // Wake anyone whose wait condition we may have satisfied (stub
         // resolution, promotion, cleaning).
@@ -222,9 +235,9 @@ impl Pvm {
     /// (released on error) with sleepers not yet woken.
     fn run_held<'a, T>(
         &'a self,
-        guard: parking_lot::MutexGuard<'a, PvmState>,
+        guard: StateGuard<'a>,
         attempt: impl FnMut(&mut PvmState) -> Attempt<T>,
-    ) -> Result<(parking_lot::MutexGuard<'a, PvmState>, T)> {
+    ) -> Result<(StateGuard<'a>, T)> {
         let performed = guard.performed;
         let (mut guard, v) = self.drive(guard, attempt)?;
         // The entry made a full-window stream's next window due: it goes
@@ -272,9 +285,9 @@ impl Pvm {
     /// re-acquire; on error the lock is released.
     fn drive<'a, T>(
         &'a self,
-        mut guard: parking_lot::MutexGuard<'a, PvmState>,
+        mut guard: StateGuard<'a>,
         mut attempt: impl FnMut(&mut PvmState) -> Attempt<T>,
-    ) -> Result<(parking_lot::MutexGuard<'a, PvmState>, T)> {
+    ) -> Result<(StateGuard<'a>, T)> {
         guard.pump_completions();
         if guard.watchdog_sweep() > 0 {
             // Cancelled pulls cleared their stubs: wake sleepers so
@@ -304,7 +317,7 @@ impl Pvm {
                         Ok(held) => guard = held,
                         Err(e) => {
                             if demand.is_some() {
-                                self.state.lock().end_demand(demand);
+                                self.state.lock(LockEntry::Relock).end_demand(demand);
                             }
                             return Err(e);
                         }
@@ -329,9 +342,9 @@ impl Pvm {
     /// start laundering of its own.
     fn launder<'a>(
         &'a self,
-        mut guard: parking_lot::MutexGuard<'a, PvmState>,
+        mut guard: StateGuard<'a>,
         mut step: impl FnMut(&mut PvmState) -> Attempt<()>,
-    ) -> parking_lot::MutexGuard<'a, PvmState> {
+    ) -> StateGuard<'a> {
         if self.laundering.swap(true, Ordering::Acquire) {
             return guard;
         }
@@ -341,7 +354,7 @@ impl Pvm {
                 Ok(Outcome::Blocked(action)) => match self.perform(guard, action) {
                     Ok(g) => guard = g,
                     Err(_) => {
-                        guard = self.state.lock();
+                        guard = self.state.lock(LockEntry::Relock);
                         break;
                     }
                 },
@@ -414,12 +427,12 @@ impl Pvm {
     /// record, answered, to be handed on.
     fn request<'a>(
         &'a self,
-        mut guard: parking_lot::MutexGuard<'a, PvmState>,
+        mut guard: StateGuard<'a>,
         (kind, cache): (UpcallKind, crate::keys::CacheKey),
         at: (SegmentId, u64, u64),
         policy: chorus_gmi::RetryPolicy,
         upcall: impl FnMut() -> Result<()>,
-    ) -> (parking_lot::MutexGuard<'a, PvmState>, u64, CompletionRecord) {
+    ) -> (StateGuard<'a>, u64, CompletionRecord) {
         let (segment, offset, size) = at;
         let pages = size / guard.ps();
         let (id, mut rec) = guard.begin_request(kind, cache, segment, (offset, size), pages);
@@ -427,7 +440,7 @@ impl Pvm {
         let t0 = self.trace.phase_start();
         (rec.result, rec.retries) = self.upcall_with_retry(kind, at, policy, upcall);
         self.trace.phase_end(kind.phase(), t0);
-        (self.state.lock(), id, rec)
+        (self.state.lock(LockEntry::Relock), id, rec)
     }
 
     /// Submits one `pullIn` for a whole window and queues it, its
@@ -436,10 +449,10 @@ impl Pvm {
     /// clearing, the faulter's error, quarantine — runs at delivery.
     fn submit_pull<'a>(
         &'a self,
-        guard: parking_lot::MutexGuard<'a, PvmState>,
+        guard: StateGuard<'a>,
         cache: crate::keys::CacheKey,
         req: PullRequest,
-    ) -> parking_lot::MutexGuard<'a, PvmState> {
+    ) -> StateGuard<'a> {
         let (policy, at) = (guard.config.retry, (req.segment, req.offset, req.size));
         let (mut guard, id, rec) =
             self.request(guard, (UpcallKind::PullIn, cache), at, policy, || {
@@ -461,11 +474,11 @@ impl Pvm {
     /// one dies for good (the rest stay dirty).
     fn submit_push<'a>(
         &'a self,
-        guard: parking_lot::MutexGuard<'a, PvmState>,
+        guard: StateGuard<'a>,
         (cache, segment, offset): (crate::keys::CacheKey, SegmentId, u64),
         pages: Vec<crate::keys::PageKey>,
         origin: PushOrigin,
-    ) -> Result<parking_lot::MutexGuard<'a, PvmState>> {
+    ) -> Result<StateGuard<'a>> {
         // `write_behind_attempt` checks the slot rule under this hold.
         debug_assert!(origin != PushOrigin::Daemon || guard.engine.free_slots(segment) >= 2);
         let (wait, ps, retry) = (origin != PushOrigin::Daemon, guard.ps(), guard.config.retry);
@@ -528,17 +541,13 @@ impl Pvm {
     /// the tables include all in-flight work; a no-op with the engine
     /// idle.
     pub fn drain_upcalls(&self) {
-        while self.state.lock().force_delivery(false) {
+        while self.state.lock(LockEntry::Gmi).force_delivery(false) {
             self.stub_cv.notify_all();
         }
     }
 
     /// Performs a blocked action, re-acquiring the lock afterwards.
-    fn perform<'a>(
-        &'a self,
-        mut guard: parking_lot::MutexGuard<'a, PvmState>,
-        action: Blocked,
-    ) -> Result<parking_lot::MutexGuard<'a, PvmState>> {
+    fn perform<'a>(&'a self, mut guard: StateGuard<'a>, action: Blocked) -> Result<StateGuard<'a>> {
         guard.performed += 1;
         match action {
             Blocked::WaitStub(cache, offset) => {
@@ -557,7 +566,7 @@ impl Pvm {
                 // timeout guards against lost notifications.
                 let t0 = self.trace.phase_start();
                 let span = self.trace.span("stub.sleep");
-                let _ = self.stub_cv.wait_for(&mut guard, Duration::from_millis(50));
+                guard.wait_for(&self.stub_cv, Duration::from_millis(50));
                 drop(span);
                 self.trace.phase_end(Phase::StubWait, t0);
                 self.trace.event(|| TraceEvent::StubWake);
@@ -575,7 +584,7 @@ impl Pvm {
                 // another thread mid-submit: yields briefly).
                 while guard.engine.free_slots(req.segment) == 0 {
                     if !guard.force_delivery(true) {
-                        let _ = self.stub_cv.wait_for(&mut guard, Duration::from_millis(5));
+                        guard.wait_for(&self.stub_cv, Duration::from_millis(5));
                     }
                 }
                 Ok(self.submit_pull(guard, cache, req))
@@ -602,7 +611,7 @@ impl Pvm {
                 drop(guard);
                 let segment = self.seg_mgr.create_segment_v2(pub_cache(cache));
                 let seg_len = self.seg_mgr.segment_len(segment);
-                let mut guard = self.state.lock();
+                let mut guard = self.state.lock(LockEntry::Relock);
                 if let Ok(c) = guard.cache_mut(cache) {
                     if c.segment.is_none() {
                         c.segment = Some(segment);
@@ -627,7 +636,7 @@ impl Pvm {
                         self.seg_mgr.acquire_write_access(segment, offset, size)
                     });
                 self.trace.phase_end(Phase::GetWriteAccess, t0);
-                let mut guard = self.state.lock();
+                let mut guard = self.state.lock(LockEntry::Relock);
                 // Each retry is its own upcall on the wire.
                 guard.stats.add(Counter::WriteAccessUpcalls, 1 + retries);
                 guard.count(Counter::MapperRetries, retries, At::Mapper(segment));
@@ -661,7 +670,7 @@ impl CacheIo for Pvm {
         // One state-lock hold per delivery: every page lands through
         // its own driver entry under it, and the lock is only given up
         // where an attempt blocks (a dirty victim to push).
-        let mut guard = self.state.lock();
+        let mut guard = self.state.lock(LockEntry::FillUp);
         guard.cache(key)?;
         for (i, chunk) in data.chunks(ps as usize).enumerate() {
             let page_off = offset + i as u64 * ps;
@@ -686,19 +695,19 @@ impl CacheIo for Pvm {
 
     fn copy_back(&self, cache: CacheId, offset: u64, buf: &mut [u8]) -> Result<()> {
         let key = cache_key(cache);
-        let guard = self.state.lock();
+        let guard = self.state.lock(LockEntry::CopyBack);
         guard.copy_back_locked(key, offset, buf)
     }
 
     fn copy_back_run(&self, cache: CacheId, offset: u64, buf: &mut [u8]) -> Result<u64> {
         let key = cache_key(cache);
-        let guard = self.state.lock();
+        let guard = self.state.lock(LockEntry::CopyBack);
         guard.copy_back_run_locked(key, offset, buf)
     }
 
     fn move_back(&self, cache: CacheId, offset: u64, buf: &mut [u8]) -> Result<()> {
         let key = cache_key(cache);
-        let mut guard = self.state.lock();
+        let mut guard = self.state.lock(LockEntry::CopyBack);
         guard.copy_back_locked(key, offset, buf)?;
         // Remove the fragment from the cache, releasing the frames.
         let ps = guard.ps();
@@ -914,7 +923,7 @@ impl Gmi for Pvm {
         // lock; it clamps clustered pulls at segment end (`None` just
         // disables the clamp).
         let seg_len = segment.and_then(|s| self.seg_mgr.segment_len(s));
-        let mut guard = self.state.lock();
+        let mut guard = self.state.lock(LockEntry::Gmi);
         let key = guard.cache_create_locked(segment);
         if seg_len.is_some() {
             if let Ok(c) = guard.cache_mut(key) {
@@ -971,22 +980,22 @@ impl Gmi for Pvm {
     }
 
     fn context_create(&self) -> Result<CtxId> {
-        let mut guard = self.state.lock();
+        let mut guard = self.state.lock(LockEntry::Gmi);
         Ok(pub_ctx(guard.context_create_locked()))
     }
 
     fn context_destroy(&self, ctx: CtxId) -> Result<()> {
-        let mut guard = self.state.lock();
+        let mut guard = self.state.lock(LockEntry::Gmi);
         guard.context_destroy_locked(ctx_key(ctx))
     }
 
     fn context_switch(&self, ctx: CtxId) -> Result<()> {
-        let mut guard = self.state.lock();
+        let mut guard = self.state.lock(LockEntry::Gmi);
         guard.context_switch_locked(ctx_key(ctx))
     }
 
     fn region_list(&self, ctx: CtxId) -> Result<Vec<(RegionId, RegionStatus)>> {
-        let guard = self.state.lock();
+        let guard = self.state.lock(LockEntry::Gmi);
         let desc = guard.ctx(ctx_key(ctx))?;
         desc.regions
             .iter()
@@ -995,7 +1004,7 @@ impl Gmi for Pvm {
     }
 
     fn find_region(&self, ctx: CtxId, va: VirtAddr) -> Result<RegionId> {
-        let guard = self.state.lock();
+        let guard = self.state.lock(LockEntry::Gmi);
         guard.find_region(ctx_key(ctx), va).map(pub_region)
     }
 
@@ -1008,21 +1017,21 @@ impl Gmi for Pvm {
         cache: CacheId,
         offset: u64,
     ) -> Result<RegionId> {
-        let mut guard = self.state.lock();
+        let mut guard = self.state.lock(LockEntry::Gmi);
         guard
             .region_create_locked(ctx_key(ctx), addr, size, prot, cache_key(cache), offset)
             .map(pub_region)
     }
 
     fn region_split(&self, region: RegionId, offset: u64) -> Result<RegionId> {
-        let mut guard = self.state.lock();
+        let mut guard = self.state.lock(LockEntry::Gmi);
         guard
             .region_split_locked(region_key(region), offset)
             .map(pub_region)
     }
 
     fn region_set_protection(&self, region: RegionId, prot: Prot) -> Result<()> {
-        let mut guard = self.state.lock();
+        let mut guard = self.state.lock(LockEntry::Gmi);
         guard.region_set_protection_locked(region_key(region), prot)
     }
 
@@ -1032,17 +1041,17 @@ impl Gmi for Pvm {
     }
 
     fn region_unlock(&self, region: RegionId) -> Result<()> {
-        let mut guard = self.state.lock();
+        let mut guard = self.state.lock(LockEntry::Gmi);
         guard.region_unlock_locked(region_key(region))
     }
 
     fn region_status(&self, region: RegionId) -> Result<RegionStatus> {
-        let guard = self.state.lock();
+        let guard = self.state.lock(LockEntry::Gmi);
         guard.region_status_locked(region_key(region))
     }
 
     fn region_destroy(&self, region: RegionId) -> Result<()> {
-        let mut guard = self.state.lock();
+        let mut guard = self.state.lock(LockEntry::Gmi);
         guard.region_destroy_locked(region_key(region))
     }
 
@@ -1068,7 +1077,7 @@ impl Gmi for Pvm {
         size: u64,
         prot: Prot,
     ) -> Result<()> {
-        let mut guard = self.state.lock();
+        let mut guard = self.state.lock(LockEntry::Gmi);
         guard.cache_set_protection_locked(cache_key(cache), offset, size, prot)
     }
 
@@ -1079,14 +1088,14 @@ impl Gmi for Pvm {
     }
 
     fn cache_unlock(&self, cache: CacheId, offset: u64, size: u64) -> Result<()> {
-        let mut guard = self.state.lock();
+        let mut guard = self.state.lock(LockEntry::Gmi);
         guard.cache_unlock_locked(cache_key(cache), offset, size)
     }
 
     fn handle_fault(&self, ctx: CtxId, va: VirtAddr, access: Access) -> Result<()> {
         let key = ctx_key(ctx);
         let res = self
-            .fault_held(self.state.lock(), key, va, access)
+            .fault_held(self.state.lock(LockEntry::Fault), key, va, access)
             .map(drop);
         self.stub_cv.notify_all();
         res
@@ -1105,7 +1114,7 @@ impl Gmi for Pvm {
     }
 
     fn cache_resident_pages(&self, cache: CacheId) -> Result<u64> {
-        let guard = self.state.lock();
+        let guard = self.state.lock(LockEntry::Gmi);
         let key = cache_key(cache);
         let desc = guard.cache(key)?;
         Ok(desc
@@ -1136,11 +1145,11 @@ impl Pvm {
     /// held (released on error) with sleepers not yet woken.
     fn fault_held<'a>(
         &'a self,
-        guard: parking_lot::MutexGuard<'a, PvmState>,
+        guard: StateGuard<'a>,
         key: CtxKey,
         va: VirtAddr,
         access: Access,
-    ) -> Result<parking_lot::MutexGuard<'a, PvmState>> {
+    ) -> Result<StateGuard<'a>> {
         let fstart = self.trace.fault_enter(key.index(), va.0, access);
         let mut first = true;
         let res = self.run_held(guard, |s| {
@@ -1177,7 +1186,7 @@ impl Pvm {
             let n = page_rem.min(len - cur) as usize;
             // Translate-or-fault loop for this chunk.
             let mut tries = 0;
-            let mut guard = self.state.lock();
+            let mut guard = self.state.lock(LockEntry::VmAccess);
             let res = loop {
                 let mmu_ctx = match guard.ctx(key) {
                     Ok(c) => c.mmu_ctx,

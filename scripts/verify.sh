@@ -236,8 +236,12 @@ if grep -rnwE 'HashMap|HashSet|RandomState' \
 fi
 echo "ok"
 
-step "release-mode concurrent_faults stress"
+step "release-mode concurrency stress: concurrent_faults and the state lock's handoff"
+# Races only show up in release. The domains tests hand the state lock
+# between two threads 200k times (a lost increment fails) and hold it
+# 20 ms under a spinning waiter (it must give up and park).
 cargo test --release -q -p chorus-pvm --test concurrent_faults
+cargo test --release -q -p chorus-pvm --lib domains
 
 step "tracing bit-identity: table5 with CHORUS_TRACE=1 vs committed report"
 CHORUS_TRACE=1 cargo run --release -q -p chorus-bench --bin table5 > "$tmp"
