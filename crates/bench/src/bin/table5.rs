@@ -1,23 +1,62 @@
 //! Regenerates Table 5: component sizes, with the paper's machine-
 //! independent / machine-dependent split mapped onto this repository's
-//! crates (lines counted include comments and docs, like the paper's
-//! "lines of code includes header files and comments").
+//! crates. Every row counts like for like: the lines of each file up to
+//! its first `#[cfg(test)]` item (its unit tests), comments and docs
+//! included, like the paper's "lines of code includes header files and
+//! comments"; a test-only module (`#[cfg(test)] mod x;`) is skipped.
 //!
 //! Usage: `cargo run -p chorus-bench --bin table5`
 
 use std::path::Path;
 
-/// Lines of a `.rs` file, or of every `.rs` file under a directory.
+/// Non-test lines of a `.rs` file, or of every `.rs` file under a
+/// directory but the test-only modules its files declare.
 fn count_lines(path: &Path) -> u64 {
     if path.extension().is_some_and(|e| e == "rs") {
-        return std::fs::read_to_string(path).map_or(0, |text| text.lines().count() as u64);
+        return std::fs::read_to_string(path).map_or(0, |text| non_test(&text).0);
     }
-    std::fs::read_dir(path)
+    let entries: Vec<_> = std::fs::read_dir(path)
         .into_iter()
         .flatten()
         .flatten()
-        .map(|entry| count_lines(&entry.path()))
+        .map(|entry| entry.path())
+        .collect();
+    let test_only: Vec<String> = entries
+        .iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        .flat_map(|p| non_test(&std::fs::read_to_string(p).unwrap_or_default()).1)
+        .collect();
+    entries
+        .iter()
+        .filter(|p| {
+            let stem = p.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+            !test_only.iter().any(|m| m == stem)
+        })
+        .map(|p| count_lines(p))
         .sum()
+}
+
+/// The lines of `text` before its first `#[cfg(test)]` item, and the
+/// names of the test-only modules it declares on the way (such a
+/// declaration does not end the count).
+fn non_test(text: &str) -> (u64, Vec<String>) {
+    let mut lines = text.lines();
+    let (mut count, mut test_only) = (0, Vec::new());
+    while let Some(line) = lines.next() {
+        if line.trim() == "#[cfg(test)]" {
+            let item = lines.next().unwrap_or("").trim();
+            let item = item
+                .trim_start_matches("pub(crate) ")
+                .trim_start_matches("pub ");
+            match item.strip_prefix("mod ").and_then(|m| m.strip_suffix(';')) {
+                Some(module) => test_only.push(module.to_string()),
+                None => break,
+            }
+            continue;
+        }
+        count += 1;
+    }
+    (count, test_only)
 }
 
 fn main() {

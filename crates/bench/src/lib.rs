@@ -43,7 +43,7 @@ pub struct World<G: Gmi> {
 
 /// Builds the PVM world on the calibrated cost model.
 ///
-/// `CHORUS_TRACE=1` (or `wall`) turns tracing on in every bench world;
+/// `CHORUS_TRACE=1` turns tracing on in every bench world;
 /// tables and figures must stay bit-identical either way (the
 /// bit-identity check in scripts/verify.sh).
 pub fn pvm_world(frames: u32) -> World<Pvm> {

@@ -4,59 +4,30 @@
 //! ([`crate::CostModel`]) is the *simulated* clock that Tables 5–7 are
 //! measured on; a tracer that charged it — even one nanosecond — would
 //! change the published numbers when enabled. [`TraceClock`] is the
-//! enforced boundary: it can only *sample* the simulated clock (plus an
-//! optional wall clock for profiling the simulator itself), never
+//! enforced boundary: it can only *sample* the simulated clock, never
 //! advance it. Layers above (the PVM tracer, nucleus mapper spans) stamp
 //! events exclusively through this hook.
 
 use crate::cost::{CostModel, SimTime};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// A dual timestamp: simulated nanoseconds (deterministic) plus optional
-/// wall nanoseconds since the clock's epoch (informational only — never
-/// part of any determinism contract).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceStamp {
-    /// Simulated time at the sample (deterministic across runs).
-    pub sim_ns: u64,
-    /// Wall nanoseconds since [`TraceClock`] construction, when wall
-    /// sampling is enabled; `None` otherwise.
-    pub wall_ns: Option<u64>,
-}
-
-/// Read-only sampling handle over a [`CostModel`] and, optionally, the
-/// host wall clock.
+/// Read-only sampling handle over a [`CostModel`].
 ///
-/// Deliberately exposes no way to advance either clock: observability
+/// Deliberately exposes no way to advance the clock: observability
 /// code holding a `TraceClock` cannot alter simulated time.
 #[derive(Clone)]
 pub struct TraceClock {
     model: Arc<CostModel>,
-    /// Wall epoch; `None` disables wall sampling (the deterministic
-    /// default).
-    epoch: Option<Instant>,
 }
 
 impl TraceClock {
-    /// Creates a sampling handle. `wall` enables wall-clock stamping.
-    pub fn new(model: Arc<CostModel>, wall: bool) -> TraceClock {
-        TraceClock {
-            model,
-            epoch: wall.then(Instant::now),
-        }
+    /// Creates a sampling handle.
+    pub fn new(model: Arc<CostModel>) -> TraceClock {
+        TraceClock { model }
     }
 
-    /// Samples both clocks. Never advances simulated time.
-    #[inline]
-    pub fn stamp(&self) -> TraceStamp {
-        TraceStamp {
-            sim_ns: self.model.now().nanos(),
-            wall_ns: self.epoch.map(|e| e.elapsed().as_nanos() as u64),
-        }
-    }
-
-    /// Samples only the simulated clock.
+    /// Samples the simulated clock (deterministic across runs). Never
+    /// advances it.
     #[inline]
     pub fn sim_now(&self) -> SimTime {
         self.model.now()
@@ -67,7 +38,6 @@ impl core::fmt::Debug for TraceClock {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("TraceClock")
             .field("sim_now", &self.model.now())
-            .field("wall", &self.epoch.is_some())
             .finish()
     }
 }
@@ -80,25 +50,14 @@ mod tests {
     #[test]
     fn stamp_tracks_simulated_clock_without_advancing_it() {
         let m = Arc::new(CostModel::new(CostParams::sun3()));
-        let clock = TraceClock::new(m.clone(), false);
-        assert_eq!(clock.stamp().sim_ns, 0);
+        let clock = TraceClock::new(m.clone());
+        assert_eq!(clock.sim_now().nanos(), 0);
         m.charge(OpKind::BzeroPage);
-        let s = clock.stamp();
-        assert_eq!(s.sim_ns, 870_000);
-        assert_eq!(s.wall_ns, None);
+        assert_eq!(clock.sim_now().nanos(), 870_000);
         // Sampling many times moves nothing.
         for _ in 0..1000 {
-            clock.stamp();
+            clock.sim_now();
         }
         assert_eq!(m.now().nanos(), 870_000);
-    }
-
-    #[test]
-    fn wall_sampling_is_opt_in_and_monotonic() {
-        let m = Arc::new(CostModel::counting());
-        let clock = TraceClock::new(m, true);
-        let a = clock.stamp().wall_ns.expect("wall enabled");
-        let b = clock.stamp().wall_ns.expect("wall enabled");
-        assert!(b >= a);
     }
 }

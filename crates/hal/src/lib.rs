@@ -30,7 +30,7 @@ pub mod two_level;
 
 pub use addr::{PageGeometry, PhysAddr, VirtAddr, Vpn};
 pub use arena::{Arena, Id};
-pub use clock::{TraceClock, TraceStamp};
+pub use clock::TraceClock;
 pub use cost::{CostModel, CostParams, OpKind, SimTime};
 pub use frame::{FrameNo, MemStats, PhysicalMemory};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

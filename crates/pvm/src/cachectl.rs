@@ -10,7 +10,7 @@
 use crate::descriptors::Slot;
 use crate::engine::Parked;
 use crate::keys::{CacheKey, PageKey};
-use crate::state::{blocked, done, Attempt, Blocked, PushOrigin, PvmState, StubsTo};
+use crate::state::{blocked, Attempt, Blocked, PushOrigin, PvmState, StubsTo};
 use chorus_gmi::{GmiError, Result};
 use chorus_hal::Prot;
 
@@ -81,7 +81,7 @@ impl PvmState {
                 Slot::Cow(_) => {}
             }
         }
-        done(())
+        Ok(())
     }
 
     /// Write-protects a page's mappings and marks it cleaning, so
@@ -101,15 +101,12 @@ impl PvmState {
 
     /// `cache.flush(offset, size)`: sync, then discard the fragment.
     pub fn flush_attempt(&mut self, cache: CacheKey, off: u64, size: u64) -> Attempt<()> {
-        match self.sync_attempt(cache, off, size)? {
-            crate::state::Outcome::Done(()) => {}
-            crate::state::Outcome::Blocked(b) => return blocked(b),
-        }
+        self.sync_attempt(cache, off, size)?;
         for (_o, slot) in self.range_pages(cache, off, size)? {
             if let Slot::Present(p) = slot {
                 let page = self.page(p);
                 if page.lock_count > 0 {
-                    return Err(GmiError::Locked);
+                    return Err(GmiError::Locked.into());
                 }
                 debug_assert!(!page.dirty, "flush after sync found a dirty page");
                 // Data is safely on the segment; ownership marks stay so
@@ -117,52 +114,20 @@ impl PvmState {
                 self.free_page(p, StubsTo::Loc, true);
             }
         }
-        done(())
+        Ok(())
     }
 
-    /// `cache.invalidate(offset, size)`: discard without write-back.
+    /// `cache.invalidate(offset, size)`: discard without write-back. A
+    /// history child's snapshot survives the invalidation of the local
+    /// replica, and stub destinations keep the pre-invalidation value
+    /// ([`PvmState::discard_slot`]).
     pub fn invalidate_attempt(&mut self, cache: CacheKey, off: u64, size: u64) -> Attempt<()> {
-        let end = off.saturating_add(size);
         for (o, slot) in self.range_pages(cache, off, size)? {
-            match slot {
-                Slot::Sync => return blocked(Blocked::WaitStub(cache, o)),
-                Slot::Cow(src) => {
-                    self.unthread_cow_stub(cache, o, src);
-                    self.clear_slot(cache, o);
-                }
-                Slot::Present(p) => {
-                    if self.page(p).lock_count > 0 {
-                        return Err(GmiError::Locked);
-                    }
-                    // A history child's snapshot must survive the
-                    // invalidation of the local replica.
-                    if self.has_history_covering(cache, o) {
-                        match self.push_original_to_history(cache, o, p)? {
-                            crate::state::Outcome::Done(()) => {}
-                            crate::state::Outcome::Blocked(b) => return blocked(b),
-                        }
-                    }
-                    // Stub destinations still need the (pre-invalidation)
-                    // value: hand the page over rather than dropping it.
-                    if !self.page(p).stubs.is_empty() {
-                        self.donate_page_to_stubs(p);
-                    } else {
-                        self.free_page(p, StubsTo::AlreadyHandled, true);
-                    }
-                }
-            }
+            self.discard_slot(cache, o, slot)?;
         }
         // The cache no longer has its own version of the range.
-        let owned: Vec<u64> = self.cache(cache)?.owned.range(off..end).copied().collect();
-        for o in owned {
-            if self.gmap.loc_stubs_at(cache, o) > 0 {
-                return Err(GmiError::Unsupported(
-                    "invalidating swapped-out data with outstanding per-page stubs",
-                ));
-            }
-            self.cache_mut(cache)?.owned.remove(&o);
-        }
-        done(())
+        self.disown_range(cache, off, off.saturating_add(size))?;
+        Ok(())
     }
 
     /// `cache.setProtection(offset, size, prot)`: grants or revokes write
@@ -224,38 +189,28 @@ impl PvmState {
                 _ => {
                     // Materialize an own resident page with the current
                     // value, then pin it.
-                    let page = match self.own_resident_page(cache, o)? {
-                        crate::state::Outcome::Done(p) => p,
-                        crate::state::Outcome::Blocked(b) => return blocked(b),
-                    };
+                    let page = self.own_resident_page(cache, o)?;
                     self.page_mut(page).lock_count += 1;
                     *pinned += 1;
                 }
             }
         }
-        done(())
+        Ok(())
     }
 
     /// Materializes (without promoting) an own resident page holding the
     /// current value of (cache, off).
     fn own_resident_page(&mut self, cache: CacheKey, off: u64) -> Attempt<PageKey> {
         use crate::resolve::Version;
-        let version = match self.resolve_version(cache, off, chorus_hal::Access::Read)? {
-            crate::state::Outcome::Done(v) => v,
-            crate::state::Outcome::Blocked(b) => return blocked(b),
-        };
+        let version = self.resolve_version(cache, off, chorus_hal::Access::Read)?;
         if let Version::Page(p) = version {
             if self.page(p).cache == cache {
-                return done(p);
+                return Ok(p);
             }
         }
-        let alloc = match version {
+        let frame = match version {
             Version::Page(p) => self.alloc_frame_keeping(p)?,
             Version::Zero => self.alloc_frame()?,
-        };
-        let frame = match alloc {
-            crate::state::Outcome::Done(f) => f,
-            crate::state::Outcome::Blocked(b) => return blocked(b),
         };
         match version {
             Version::Page(p) => {
@@ -269,7 +224,7 @@ impl PvmState {
             self.unthread_cow_stub(cache, off, src);
         }
         let writable = !self.has_history_covering(cache, off);
-        done(self.create_page(cache, off, frame, writable, true))
+        Ok(self.create_page(cache, off, frame, writable, true))
     }
 
     /// `cache.unlock(offset, size)`.
@@ -292,19 +247,16 @@ impl PvmState {
     pub fn cache_destroy_attempt(&mut self, cache: CacheKey) -> Attempt<()> {
         let desc = self.cache(cache)?;
         if desc.mapped_regions > 0 {
-            return Err(GmiError::InvalidArgument(
-                "destroying a cache that is still mapped",
-            ));
+            return Err(
+                GmiError::InvalidArgument("destroying a cache that is still mapped").into(),
+            );
         }
         // Permanent caches write modified data back first — unless the
         // cache was quarantined, in which case its mapper is gone and
         // the write-back is abandoned (the data was already lost to the
         // permanent failure; destruction must still succeed).
         if desc.fully_backed && !desc.poisoned {
-            match self.sync_attempt(cache, 0, u64::MAX)? {
-                crate::state::Outcome::Done(()) => {}
-                crate::state::Outcome::Blocked(b) => return blocked(b),
-            }
+            self.sync_attempt(cache, 0, u64::MAX)?;
         }
         // A page with threaded stubs is donated to its first stub, unless
         // a history child also needs the original here: then it stays in
@@ -314,7 +266,7 @@ impl PvmState {
         for o in offsets {
             if let Some(Slot::Present(p)) = self.slot(cache, o) {
                 if self.page(p).lock_count > 0 {
-                    return Err(GmiError::Locked);
+                    return Err(GmiError::Locked.into());
                 }
                 if !self.page(p).stubs.is_empty() && !self.has_history_covering(cache, o) {
                     self.donate_page_to_stubs(p);
@@ -337,6 +289,6 @@ impl PvmState {
             desc.zombie = true;
             self.collapse_if_possible(cache); // Reclaims immediately.
         }
-        done(())
+        Ok(())
     }
 }

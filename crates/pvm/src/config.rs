@@ -226,7 +226,6 @@ mod tests {
         );
         assert!(c.retry.max_attempts > 1, "transient faults heal by default");
         assert!(!c.trace.enabled, "tracing is opt-in");
-        assert!(!c.trace.wall_clock, "wall stamps are opt-in");
         assert_eq!(
             c.push_cluster_pages, IPC_MESSAGE_PAGES,
             "a dirty run is laundered one IPC message at a time"

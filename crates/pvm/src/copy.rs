@@ -10,7 +10,7 @@
 use crate::descriptors::{CacheDesc, CowSource, Slot};
 use crate::keys::CacheKey;
 use crate::resolve::Version;
-use crate::state::{blocked, done, Attempt, Blocked, PvmState};
+use crate::state::{blocked, Attempt, Blocked, PvmState};
 use crate::stats::Counter;
 use chorus_gmi::{CopyMode, GmiError, Result, SegmentId};
 use chorus_hal::{Access, OpKind};
@@ -63,7 +63,7 @@ impl PvmState {
         self.check_not_poisoned(src)?;
         self.check_not_poisoned(dst)?;
         if size == 0 {
-            return done(());
+            return Ok(());
         }
         let mode = match mode {
             CopyMode::Auto => self.choose_mode(src_off, dst_off, size),
@@ -126,7 +126,7 @@ impl PvmState {
         self.check_not_poisoned(src)?;
         self.check_not_poisoned(dst)?;
         if size == 0 {
-            return done(());
+            return Ok(());
         }
         let aligned = self.geom.is_aligned(src_off)
             && self.geom.is_aligned(dst_off)
@@ -137,13 +137,10 @@ impl PvmState {
             return self.eager_copy_attempt(src, src_off, dst, dst_off, size, progress);
         }
         if src == dst {
-            return Err(GmiError::InvalidArgument("move within one cache"));
+            return Err(GmiError::InvalidArgument("move within one cache").into());
         }
         if *progress == 0 {
-            match self.overwrite_range(dst, dst_off, size)? {
-                crate::state::Outcome::Done(()) => {}
-                crate::state::Outcome::Blocked(b) => return blocked(b),
-            }
+            self.overwrite_range(dst, dst_off, size)?;
         }
         let ps = self.ps();
         let pages = self.geom.pages_for(size);
@@ -158,13 +155,13 @@ impl PvmState {
                         self.unmap_via(p, src);
                         let stub = self.page_mut(p).stubs.iter_mut().find(|s| **s == (src, so));
                         *stub.expect("stub threaded on its source page") = (dst, dstoff);
-                    } else if let CowSource::Loc(c, o) = from {
-                        // Registered first: the source never loses its last stub.
-                        self.gmap.push_loc_stub(c, o, (dst, dstoff));
-                        self.gmap.unthread_loc_stub(c, o, src, so);
+                        self.set_slot(dst, dstoff, Slot::Cow(from));
+                    } else {
+                        // Threaded first: the source never loses its last stub.
+                        self.thread_cow_stub(dst, dstoff, from);
+                        self.unthread_cow_stub(src, so, from);
                     }
                     self.clear_slot(src, so);
-                    self.set_slot(dst, dstoff, Slot::Cow(from));
                 }
                 Some(Slot::Present(p))
                     if self.page(p).stubs.is_empty()
@@ -188,15 +185,12 @@ impl PvmState {
                 _ => {
                     // A page that cannot be stolen, or a stub the history
                     // child needs: install a per-page stub instead.
-                    match self.per_page_copy_attempt(src, so, dst, dstoff, ps)? {
-                        crate::state::Outcome::Done(()) => {}
-                        crate::state::Outcome::Blocked(b) => return blocked(b),
-                    }
+                    self.per_page_copy_attempt(src, so, dst, dstoff, ps)?;
                 }
             }
             *progress = (k + 1) * ps;
         }
-        done(())
+        Ok(())
     }
 
     // ----- byte-granular access ------------------------------------------
@@ -220,10 +214,7 @@ impl PvmState {
         while cur < end {
             let page_off = self.geom.round_down(cur);
             let in_page = (page_off + ps).min(end) - cur;
-            let version = match self.resolve_version(cache, page_off, Access::Read)? {
-                crate::state::Outcome::Done(v) => v,
-                crate::state::Outcome::Blocked(b) => return blocked(b),
-            };
+            let version = self.resolve_version(cache, page_off, Access::Read)?;
             let dst = &mut buf[(cur - off) as usize..(cur - off + in_page) as usize];
             match version {
                 Version::Page(p) => {
@@ -235,7 +226,7 @@ impl PvmState {
             cur += in_page;
             *progress = cur - off;
         }
-        done(())
+        Ok(())
     }
 
     /// Writes bytes into a cache range, materializing own writable pages
@@ -256,10 +247,7 @@ impl PvmState {
         while cur < end {
             let page_off = self.geom.round_down(cur);
             let in_page = (page_off + ps).min(end) - cur;
-            let page = match self.own_writable_page(cache, page_off)? {
-                crate::state::Outcome::Done(p) => p,
-                crate::state::Outcome::Blocked(b) => return blocked(b),
-            };
+            let page = self.own_writable_page(cache, page_off)?;
             let frame = self.page(page).frame;
             self.phys.write(
                 frame,
@@ -271,7 +259,7 @@ impl PvmState {
             cur += in_page;
             *progress = cur - off;
         }
-        done(())
+        Ok(())
     }
 
     /// Ensures (cache, page_off) has an own, writable, resident page
@@ -284,12 +272,9 @@ impl PvmState {
         match self.slot(cache, page_off) {
             Some(Slot::Present(p)) => {
                 if !self.page(p).write_allowed() {
-                    match self.promote_page(cache, page_off, p)? {
-                        crate::state::Outcome::Done(()) => {}
-                        crate::state::Outcome::Blocked(b) => return blocked(b),
-                    }
+                    self.promote_page(cache, page_off, p)?;
                 }
-                done(p)
+                Ok(p)
             }
             Some(Slot::Sync) => blocked(Blocked::WaitStub(cache, page_off)),
             other => {
@@ -299,24 +284,14 @@ impl PvmState {
                     Some(Slot::Cow(CowSource::Page(p))) => Version::Page(p),
                     Some(Slot::Cow(CowSource::Zero)) => Version::Zero,
                     Some(Slot::Cow(CowSource::Loc(c2, o2))) => {
-                        match self.resolve_version(c2, o2, Access::Read)? {
-                            crate::state::Outcome::Done(v) => v,
-                            crate::state::Outcome::Blocked(b) => return blocked(b),
-                        }
+                        self.resolve_version(c2, o2, Access::Read)?
                     }
                     Some(_) => unreachable!(),
-                    None => match self.resolve_version(cache, page_off, Access::Read)? {
-                        crate::state::Outcome::Done(v) => v,
-                        crate::state::Outcome::Blocked(b) => return blocked(b),
-                    },
+                    None => self.resolve_version(cache, page_off, Access::Read)?,
                 };
-                let alloc = match version {
+                let frame = match version {
                     Version::Page(p) => self.alloc_frame_keeping(p)?,
                     Version::Zero => self.alloc_frame()?,
-                };
-                let frame = match alloc {
-                    crate::state::Outcome::Done(f) => f,
-                    crate::state::Outcome::Blocked(b) => return blocked(b),
                 };
                 match version {
                     Version::Page(p) => {
@@ -338,12 +313,9 @@ impl PvmState {
                 let writable = !self.has_history_covering(cache, page_off);
                 let key = self.create_page(cache, page_off, frame, writable, true);
                 if !self.page(key).write_allowed() {
-                    match self.promote_page(cache, page_off, key)? {
-                        crate::state::Outcome::Done(()) => {}
-                        crate::state::Outcome::Blocked(b) => return blocked(b),
-                    }
+                    self.promote_page(cache, page_off, key)?;
                 }
-                done(key)
+                Ok(key)
             }
         }
     }
@@ -363,7 +335,7 @@ impl PvmState {
             let (a, b) = (src_off, src_off + size);
             let (c, d) = (dst_off, dst_off + size);
             if a < d && c < b {
-                return Err(GmiError::InvalidArgument("overlapping eager copy"));
+                return Err(GmiError::InvalidArgument("overlapping eager copy").into());
             }
         }
         let ps = self.ps();
@@ -373,19 +345,13 @@ impl PvmState {
             let n = ps.min(size - moved);
             let buf = &mut chunk[..n as usize];
             let mut sub = 0u64;
-            match self.cache_read_attempt(src, src_off + moved, buf, &mut sub)? {
-                crate::state::Outcome::Done(()) => {}
-                crate::state::Outcome::Blocked(b) => return blocked(b),
-            }
+            self.cache_read_attempt(src, src_off + moved, buf, &mut sub)?;
             let data = chunk[..n as usize].to_vec();
             let mut sub = 0u64;
-            match self.cache_write_attempt(dst, dst_off + moved, &data, &mut sub)? {
-                crate::state::Outcome::Done(()) => {}
-                crate::state::Outcome::Blocked(b) => return blocked(b),
-            }
+            self.cache_write_attempt(dst, dst_off + moved, &data, &mut sub)?;
             moved += n;
             *progress = moved;
         }
-        done(())
+        Ok(())
     }
 }

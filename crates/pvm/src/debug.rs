@@ -151,6 +151,20 @@ impl PvmState {
                     f.parent
                 );
             }
+            // §4.2.1's shape: a source has a single immediate
+            // descendant, its history object; a zombie keeps the rule.
+            // Working objects are exempt: one relays its source to the
+            // previous history and to every later copy routed through
+            // it, so no bound holds on their children.
+            if !c.internal {
+                for &ch in &c.children {
+                    assert_eq!(
+                        Some(ch),
+                        c.history,
+                        "{key:?}: child {ch:?} is not its history object"
+                    );
+                }
+            }
             if let Some(h) = c.history {
                 let hist = self
                     .caches
@@ -180,7 +194,7 @@ impl PvmState {
                         );
                         let Some(cd) = self.caches.get(x) else { break };
                         // A present or owned slot terminates the walk.
-                        if cd.owns(o) || cd.entries.contains(&o) {
+                        if cd.has_own(o) {
                             break;
                         }
                         match cd.parent_at(o) {

@@ -133,6 +133,24 @@ impl ParentFragment {
         debug_assert!(self.covers_parent(off));
         self.child_off + (off - self.parent_off)
     }
+
+    /// Composes this fragment, a child's view of a middle cache, with
+    /// `below`, one of the middle cache's own fragments, over the middle
+    /// cache's offsets `[lo, hi)`: the piece of the child that reaches
+    /// `below.parent` through the middle cache, if they overlap.
+    pub fn through(self, below: ParentFragment, lo: u64, hi: u64) -> Option<ParentFragment> {
+        let lo = lo.max(self.parent_off).max(below.child_off);
+        let hi = hi
+            .min(self.parent_off.saturating_add(self.size))
+            .min(below.child_end());
+        (lo < hi).then(|| ParentFragment {
+            child_off: self.to_child(lo),
+            size: hi - lo,
+            parent: below.parent,
+            parent_off: below.to_parent(lo),
+            cor: self.cor || below.cor,
+        })
+    }
 }
 
 /// A local cache descriptor: the real memory in use for one segment.
@@ -357,6 +375,13 @@ impl CacheDesc {
     /// True if this cache owns a version of `off` (resident or swapped).
     pub fn owns(&self, off: u64) -> bool {
         self.fully_backed || self.owned.contains(&off)
+    }
+
+    /// True if the cache has its own version at `off`: owned, or in the
+    /// global map (a resident page, a stub). A history or merge must not
+    /// put a second one there.
+    pub fn has_own(&self, off: u64) -> bool {
+        self.owns(off) || self.entries.contains(&off)
     }
 
     /// True if a `pullIn` may cover the page at `off`: owned, neither

@@ -5,7 +5,7 @@
 //! parking when the hold it waits out is short.
 //!
 //! - **Profile.** Every acquisition names its [`LockEntry`]. Each entry
-//!   keeps two log2 histograms of wall-clock nanoseconds: the wait of
+//!   keeps two log2 [`Histogram`]s of wall-clock nanoseconds: the wait of
 //!   a contended acquisition (the uncontended path reads no clock) and
 //!   the hold of one acquisition in [`HOLD_SAMPLE`]. [`LockProfile`]
 //!   copies them out. They are host time: nothing deterministic (the
@@ -22,6 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::stats::{Counter, StatsRegistry};
+use crate::trace::{Histogram, HistogramSnapshot};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// How long a contended acquisition spins before it parks: about the
@@ -35,10 +36,6 @@ pub const SPIN_BUDGET: Duration = Duration::from_micros(32);
 
 /// One acquisition in this many has its hold timed.
 pub const HOLD_SAMPLE: u32 = 64;
-
-/// Buckets of a [`LockProfile`] histogram: bucket 0 counts 0 ns, bucket
-/// `b` counts `[2^(b-1), 2^b)` ns, the last bucket everything longer.
-pub const LOCK_BUCKETS: usize = 40;
 
 /// Where a state-lock acquisition is made.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,41 +88,9 @@ impl LockEntry {
     }
 }
 
-/// The bucket of a duration in nanoseconds.
-fn bucket(ns: u64) -> usize {
-    ((u64::BITS - ns.leading_zeros()) as usize).min(LOCK_BUCKETS - 1)
-}
-
-/// The largest duration bucket `b` counts, in nanoseconds.
-fn bucket_upper_ns(b: usize) -> u64 {
-    match b {
-        0 => 0,
-        _ if b >= LOCK_BUCKETS - 1 => u64::MAX,
-        _ => (1u64 << b) - 1,
-    }
-}
-
-struct Hist([AtomicU64; LOCK_BUCKETS]);
-
-impl Default for Hist {
-    fn default() -> Hist {
-        Hist(std::array::from_fn(|_| AtomicU64::new(0)))
-    }
-}
-
-impl Hist {
-    fn record(&self, d: Duration) {
-        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        self.0[bucket(ns)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> [u64; LOCK_BUCKETS] {
-        std::array::from_fn(|b| self.0[b].load(Ordering::Relaxed))
-    }
-
-    fn reset(&self) {
-        self.0.iter().for_each(|c| c.store(0, Ordering::Relaxed));
-    }
+/// Records a wall-clock duration.
+fn record(hist: &Histogram, d: Duration) {
+    hist.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
 }
 
 #[cold]
@@ -137,8 +102,8 @@ fn hold_start() -> Option<Instant> {
 /// One entry's wait and hold histograms.
 #[derive(Default)]
 struct EntryHists {
-    wait: Hist,
-    hold: Hist,
+    wait: Histogram,
+    hold: Histogram,
 }
 
 /// The counting, profiling, spinning mutex around
@@ -203,7 +168,7 @@ impl<T> DomainLock<T> {
                 break self.inner.lock();
             }
         };
-        self.hist(entry).wait.record(start.elapsed());
+        record(&self.hist(entry).wait, start.elapsed());
         guard
     }
 
@@ -226,7 +191,7 @@ impl<T> DomainLock<T> {
     #[cold]
     #[inline(never)]
     fn record_hold(&self, entry: LockEntry, since: Instant) {
-        self.hist(entry).hold.record(since.elapsed());
+        record(&self.hist(entry).hold, since.elapsed());
     }
 
     fn hist(&self, entry: LockEntry) -> &EntryHists {
@@ -277,7 +242,7 @@ impl<T> DomainGuard<'_, T> {
         let start = Instant::now();
         let _ = cv.wait_for(&mut self.inner, timeout);
         self.entry = LockEntry::StubSleep;
-        self.lock.hist(self.entry).wait.record(start.elapsed());
+        record(&self.lock.hist(self.entry).wait, start.elapsed());
         self.held_since = self.lock.sample_hold();
     }
 
@@ -308,16 +273,16 @@ impl<T> DerefMut for DomainGuard<'_, T> {
     }
 }
 
-/// One entry point's histograms (see [`LOCK_BUCKETS`] for the buckets).
+/// One entry point's histograms.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EntryProfile {
     /// The entry point.
     pub entry: LockEntry,
     /// Wall-clock waits of its contended acquisitions (and, for
     /// [`LockEntry::StubSleep`], its sleeps).
-    pub wait: [u64; LOCK_BUCKETS],
+    pub wait: HistogramSnapshot,
     /// Wall-clock holds of one acquisition in [`HOLD_SAMPLE`].
-    pub hold: [u64; LOCK_BUCKETS],
+    pub hold: HistogramSnapshot,
 }
 
 /// The state lock's wall-clock profile (see [`crate::Pvm::lock_profile`]).
@@ -331,24 +296,6 @@ pub struct LockProfile {
     pub give_ups: u64,
 }
 
-/// The upper bound of the bucket holding the `q` quantile of `hist`
-/// (0 for an empty histogram).
-fn quantile_ns(hist: &[u64; LOCK_BUCKETS], q: f64) -> u64 {
-    let total: u64 = hist.iter().sum();
-    if total == 0 {
-        return 0;
-    }
-    let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
-    let mut seen = 0;
-    for (b, &n) in hist.iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            return bucket_upper_ns(b);
-        }
-    }
-    u64::MAX
-}
-
 impl LockProfile {
     /// The row of `entry`.
     pub fn entry(&self, entry: LockEntry) -> &EntryProfile {
@@ -358,46 +305,45 @@ impl LockProfile {
     /// The `q` quantile of the sampled holds of every entry, as a
     /// bucket's upper bound: what [`SPIN_BUDGET`] is read off.
     pub fn hold_quantile_ns(&self, q: f64) -> u64 {
-        let mut all = [0u64; LOCK_BUCKETS];
-        for e in &self.entries {
-            for (a, h) in all.iter_mut().zip(e.hold) {
-                *a += h;
-            }
-        }
-        quantile_ns(&all, q)
+        let all = self
+            .entries
+            .iter()
+            .map(|e| e.hold)
+            .reduce(|a, b| a.merge(&b));
+        all.map_or(0, |h| h.percentile(q))
     }
 
-    /// A per-entry table: contended waits with their p50 / p99 / max
-    /// buckets, and sampled holds with their p50 / p99 / p99.9 buckets.
+    /// A per-entry table: contended waits with their total, their p50 /
+    /// p99 buckets and their longest, and sampled holds with their p50 /
+    /// p99 / p99.9 buckets. The total wait, not the share of contended
+    /// acquisitions, says how much waiting there was: a spin that
+    /// catches more handoffs raises the share and cuts the total.
     pub fn render(&self) -> String {
-        let fmt = |ns: u64| match ns {
-            u64::MAX => "inf".to_string(),
-            ns => ns.to_string(),
-        };
         let mut out = format!(
-            "  STATE LOCK (wall ns, log2 buckets)  spin budget {} ns, {} give-ups, \
-             hold p99.9 {} ns\n",
+            "  STATE LOCK (wall ns, log2 buckets; W.TOTAL in us)  spin budget {} ns, \
+             {} give-ups, hold p99.9 {} ns\n",
             SPIN_BUDGET.as_nanos(),
             self.give_ups,
-            fmt(self.hold_quantile_ns(0.999)),
+            self.hold_quantile_ns(0.999),
         );
         out.push_str(
-            "  ENTRY          WAITS   W.P50   W.P99   W.MAX    HOLDS   H.P50   H.P99  H.P999\n",
+            "  ENTRY          WAITS   W.TOTAL   W.P50   W.P99   W.MAX    HOLDS   H.P50   H.P99  \
+             H.P999\n",
         );
         for e in &self.entries {
-            let waits: u64 = e.wait.iter().sum();
-            let holds: u64 = e.hold.iter().sum();
+            let (w, h) = (&e.wait, &e.hold);
             out.push_str(&format!(
-                "  {:<10} {:>9} {:>7} {:>7} {:>7} {:>8} {:>7} {:>7} {:>7}\n",
+                "  {:<10} {:>9} {:>9} {:>7} {:>7} {:>7} {:>8} {:>7} {:>7} {:>7}\n",
                 e.entry.label(),
-                waits,
-                fmt(quantile_ns(&e.wait, 0.5)),
-                fmt(quantile_ns(&e.wait, 0.99)),
-                fmt(quantile_ns(&e.wait, 1.0)),
-                holds,
-                fmt(quantile_ns(&e.hold, 0.5)),
-                fmt(quantile_ns(&e.hold, 0.99)),
-                fmt(quantile_ns(&e.hold, 0.999)),
+                w.count(),
+                w.sum / 1_000,
+                w.percentile(0.5),
+                w.percentile(0.99),
+                w.max,
+                h.count(),
+                h.percentile(0.5),
+                h.percentile(0.99),
+                h.percentile(0.999),
             ));
         }
         out
@@ -460,9 +406,9 @@ mod tests {
         assert_eq!(stats.get(Counter::StateLockAcqs), 2 * HOLDS + 1);
         // Every timed hold was recorded against its entry.
         let p = l.profile();
-        let holds: u64 = p.entry(LockEntry::Fault).hold.iter().sum();
+        let holds = p.entry(LockEntry::Fault).hold.count();
         assert_eq!(holds, 2 * HOLDS / u64::from(HOLD_SAMPLE));
-        let waits: u64 = p.entry(LockEntry::Fault).wait.iter().sum();
+        let waits = p.entry(LockEntry::Fault).wait.count();
         assert_eq!(waits, stats.get(Counter::StateLockContended));
     }
 
@@ -488,29 +434,43 @@ mod tests {
         let p = l.profile();
         assert_eq!(p.give_ups, 1);
         let wait = p.entry(LockEntry::VmAccess).wait;
-        assert_eq!(wait.iter().sum::<u64>(), 1);
-        let at_16ms = bucket(16_000_000);
-        assert_eq!(wait[at_16ms..].iter().sum::<u64>(), 1, "{wait:?}");
-        assert!(quantile_ns(&wait, 1.0) >= 16_000_000);
+        assert_eq!(wait.count(), 1);
+        let at_16ms = Histogram::bucket_of(16_000_000);
+        assert_eq!(wait.buckets[at_16ms..].iter().sum::<u64>(), 1, "{wait:?}");
+        assert!(wait.percentile(1.0) >= 16_000_000);
+        assert!(
+            wait.sum >= 16_000_000,
+            "the total wait is the histogram's sum"
+        );
         l.reset_profile();
         assert_eq!(l.profile().give_ups, 0);
     }
 
     #[test]
     fn buckets_are_log2() {
+        use crate::trace::histogram::{bucket_bounds, BUCKETS};
+        let bucket = Histogram::bucket_of;
         assert_eq!(bucket(0), 0);
         assert_eq!(bucket(1), 1);
         assert_eq!((bucket(2), bucket(3), bucket(4)), (2, 2, 3));
-        assert_eq!(bucket(u64::MAX), LOCK_BUCKETS - 1);
-        for b in 1..LOCK_BUCKETS - 1 {
-            assert_eq!(bucket(bucket_upper_ns(b)), b);
-            assert_eq!(bucket(bucket_upper_ns(b) + 1), b + 1);
+        let h = Histogram::new();
+        h.record(u64::MAX);
+        assert_eq!(
+            h.snapshot().buckets[BUCKETS - 1],
+            1,
+            "the last bucket takes the rest"
+        );
+        for b in 1..BUCKETS - 1 {
+            let (_, upper) = bucket_bounds(b);
+            assert_eq!(bucket(upper - 1), b);
+            assert_eq!(bucket(upper), b + 1);
         }
-        let mut h = [0u64; LOCK_BUCKETS];
-        h[bucket(5_000)] = 999;
-        h[bucket(40_000)] = 1;
-        assert_eq!(quantile_ns(&h, 0.5), 8_191);
-        assert_eq!(quantile_ns(&h, 0.999), 8_191);
-        assert_eq!(quantile_ns(&h, 1.0), 65_535);
+        let h = Histogram::new();
+        (0..999).for_each(|_| h.record(5_000));
+        h.record(40_000);
+        let s = h.snapshot();
+        assert_eq!(s.percentile(0.5), 8_192);
+        assert_eq!(s.percentile(0.999), 8_192);
+        assert_eq!(s.percentile(1.0), 65_536);
     }
 }

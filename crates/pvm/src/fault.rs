@@ -12,7 +12,7 @@ use crate::config::IPC_MESSAGE_PAGES;
 use crate::descriptors::{CowSource, Mapping, RegionDesc, Slot};
 use crate::keys::{CtxKey, PageKey};
 use crate::resolve::Version;
-use crate::state::{blocked, done, Attempt, PvmState};
+use crate::state::{blocked, Attempt, PvmState};
 use crate::stats::Counter;
 use crate::telemetry::At;
 use crate::trace::{Resolution, TraceEvent};
@@ -55,7 +55,8 @@ impl PvmState {
                 ctx: crate::keys::pub_ctx(ctx),
                 va,
                 access,
-            });
+            }
+            .into());
         }
         // Fault offset in the segment.
         let off = self.geom.round_down(region.va_to_offset(va));
@@ -83,7 +84,7 @@ impl PvmState {
                         return blocked(crate::state::Blocked::WaitStub(cache, off));
                     }
                     if let Some(e) = self.take_demand_error((cache, off)) {
-                        return Err(e);
+                        return Err(e.into());
                     }
                 }
                 slot => break slot,
@@ -92,16 +93,13 @@ impl PvmState {
         match slot {
             Some(Slot::Present(p)) => {
                 if access == Access::Write && !self.page(p).write_allowed() {
-                    match self.promote_page(cache, off, p)? {
-                        crate::state::Outcome::Done(()) => {}
-                        crate::state::Outcome::Blocked(b) => return blocked(b),
-                    }
+                    self.promote_page(cache, off, p)?;
                 }
                 self.map_for_access(p, ctx, vpn, &region, access);
                 if !region.prot.contains(Prot::WRITE) {
                     self.prefault_after(ctx, vpn, &region, off);
                 }
-                done(Resolution::Resident)
+                Ok(Resolution::Resident)
             }
             Some(Slot::Sync) => unreachable!("waited out above"),
             Some(Slot::Cow(src)) => {
@@ -150,10 +148,7 @@ impl PvmState {
         // Locate the source value.
         let version = match src {
             CowSource::Page(p) => Version::Page(p),
-            CowSource::Loc(c2, o2) => match self.resolve_version(c2, o2, Access::Read)? {
-                crate::state::Outcome::Done(v) => v,
-                crate::state::Outcome::Blocked(b) => return blocked(b),
-            },
+            CowSource::Loc(c2, o2) => self.resolve_version(c2, o2, Access::Read)?,
             CowSource::Zero => Version::Zero,
         };
         match access {
@@ -163,7 +158,7 @@ impl PvmState {
                     // any cache to which it was copied."
                     let prot = region.prot.remove(Prot::WRITE);
                     self.map_page(p, ctx, vpn, prot, cache);
-                    done(Resolution::SharedRead)
+                    Ok(Resolution::SharedRead)
                 }
                 Version::Zero => {
                     // Materialize the (zero) value as an own page.
@@ -191,10 +186,7 @@ impl PvmState {
         access: Access,
     ) -> Attempt<Resolution> {
         let cache = region.cache;
-        let version = match self.resolve_version(cache, off, access)? {
-            crate::state::Outcome::Done(v) => v,
-            crate::state::Outcome::Blocked(b) => return blocked(b),
-        };
+        let version = self.resolve_version(cache, off, access)?;
         let cor = self.is_cor_at(cache, off);
         match version {
             Version::Page(p) if access != Access::Write && !cor => {
@@ -202,7 +194,7 @@ impl PvmState {
                 // read-only through this cache.
                 let prot = region.prot.remove(Prot::WRITE);
                 self.map_page(p, ctx, vpn, prot, cache);
-                done(Resolution::SharedRead)
+                Ok(Resolution::SharedRead)
             }
             version => {
                 // Write violation in the copy, or copy-on-reference, or
@@ -231,13 +223,9 @@ impl PvmState {
         let cache = region.cache;
         // Pin the resolved source page across the allocation so the
         // inline eviction cannot reclaim it.
-        let alloc = match version {
+        let frame = match version {
             Version::Page(p) => self.alloc_frame_keeping(p)?,
             Version::Zero => self.alloc_frame()?,
-        };
-        let frame = match alloc {
-            crate::state::Outcome::Done(f) => f,
-            crate::state::Outcome::Blocked(b) => return blocked(b),
         };
         // After a blocked alloc the whole attempt reruns, so `version`
         // is re-resolved; here we hold the lock continuously.
@@ -268,13 +256,10 @@ impl PvmState {
         if access == Access::Write && !self.page(page).write_allowed() {
             // §4.2.3 complication: this cache has its own history, which
             // must receive the original value before the write.
-            match self.promote_page(cache, off, page)? {
-                crate::state::Outcome::Done(()) => {}
-                crate::state::Outcome::Blocked(b) => return blocked(b),
-            }
+            self.promote_page(cache, off, page)?;
         }
         self.map_for_access(page, ctx, vpn, region, access);
-        done(resolution)
+        Ok(resolution)
     }
 
     fn fill_from(&mut self, src: FrameNo, dst: FrameNo) {
@@ -330,36 +315,22 @@ impl PvmState {
             matches!(self.gmap.get(cache, off), Some(Slot::Present(_))) || c.owns(off)
         };
         if writable_region {
-            match self.fault_attempt(ctx, va, Access::Write, false)? {
-                crate::state::Outcome::Done(_) => {}
-                crate::state::Outcome::Blocked(b) => return blocked(b),
-            }
+            self.fault_attempt(ctx, va, Access::Write, false)?;
         } else if owns_it {
-            match self.fault_attempt(ctx, va, Access::Read, false)? {
-                crate::state::Outcome::Done(_) => {}
-                crate::state::Outcome::Blocked(b) => return blocked(b),
-            }
+            self.fault_attempt(ctx, va, Access::Read, false)?;
         } else {
             // Force a private materialization even for reads.
-            let version = match self.resolve_version(cache, off, Access::Read)? {
-                crate::state::Outcome::Done(v) => v,
-                crate::state::Outcome::Blocked(b) => return blocked(b),
-            };
+            let version = self.resolve_version(cache, off, Access::Read)?;
             let vpn = self.geom.vpn(va);
-            match self.materialize_own(ctx, vpn, &region, off, version, Access::Read, None)? {
-                crate::state::Outcome::Done(_) => {}
-                crate::state::Outcome::Blocked(b) => return blocked(b),
-            }
+            self.materialize_own(ctx, vpn, &region, off, version, Access::Read, None)?;
         }
         // Pin the now-resident own page.
         match self.slot(cache, off) {
             Some(Slot::Present(p)) => {
                 self.page_mut(p).lock_count += 1;
-                done(())
+                Ok(())
             }
-            _ => Err(GmiError::InvalidArgument(
-                "lockInMemory could not materialize page",
-            )),
+            _ => Err(GmiError::InvalidArgument("lockInMemory could not materialize page").into()),
         }
     }
 

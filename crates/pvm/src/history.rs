@@ -25,7 +25,7 @@
 
 use crate::descriptors::{CowSource, ParentFragment, Slot};
 use crate::keys::{CacheKey, PageKey};
-use crate::state::{blocked, done, Attempt, Blocked, PvmState, StubsTo};
+use crate::state::{blocked, Attempt, Blocked, PvmState, StubsTo};
 use crate::stats::Counter;
 use crate::trace::TraceEvent;
 use chorus_gmi::{GmiError, Result};
@@ -107,22 +107,19 @@ impl PvmState {
                 kept.push(ParentFragment { size, ..f });
                 added_parents.push(f.parent);
             }
-            if f_end > end && f.size != FULL_COVER {
+            if f_end > end {
+                // A full-coverage fragment (a working object's) stays
+                // full-coverage above the cut.
                 let cut = end - f.child_off;
+                let size = if f.size == FULL_COVER {
+                    FULL_COVER
+                } else {
+                    f.size - cut
+                };
                 kept.push(ParentFragment {
                     child_off: end,
-                    size: f.size - cut,
+                    size,
                     parent_off: f.parent_off + cut,
-                    ..f
-                });
-                added_parents.push(f.parent);
-            } else if f.size == FULL_COVER && f_end > end {
-                // Full-coverage fragments (working objects) keep their
-                // upper part too.
-                kept.push(ParentFragment {
-                    child_off: end,
-                    size: FULL_COVER,
-                    parent_off: f.parent_off + (end - f.child_off),
                     ..f
                 });
                 added_parents.push(f.parent);
@@ -188,25 +185,7 @@ impl PvmState {
                     // range: route through it.
                     self.add_parent_fragment(child, ParentFragment { parent: h, ..frag });
                 } else {
-                    // Insert a fresh working object between p and h.
-                    let w = self.create_internal_cache();
-                    self.stats.bump(Counter::WorkingObjects);
-                    self.charge(OpKind::ObjectCreate);
-                    self.charge(OpKind::HistoryOp);
-                    self.add_parent_fragment(
-                        w,
-                        ParentFragment {
-                            child_off: 0,
-                            size: FULL_COVER,
-                            parent: p,
-                            parent_off: 0,
-                            cor: false,
-                        },
-                    );
-                    self.repoint_fragments(h, p, w);
-                    if let Some(pd) = self.caches.get_mut(p) {
-                        pd.history = Some(w);
-                    }
+                    let w = self.insert_working_object(p, h);
                     self.add_parent_fragment(child, ParentFragment { parent: w, ..frag });
                     if let Some(wd) = self.caches.get_mut(w) {
                         wd.zombie = true;
@@ -219,7 +198,7 @@ impl PvmState {
     /// Removes one child-list entry of `parent` referring to `child`
     /// WITHOUT running the collapse check — used when several references
     /// must be detached before the graph is consistent enough to
-    /// collapse.
+    /// collapse. The history link goes with the last entry.
     pub fn detach_child_ref(&mut self, parent: CacheKey, child: CacheKey) {
         if let Some(pc) = self.caches.get_mut(parent) {
             if let Some(pos) = pc.children.iter().position(|&c| c == child) {
@@ -248,14 +227,11 @@ impl PvmState {
         cor: bool,
     ) -> Attempt<()> {
         if src == dst {
-            return Err(GmiError::InvalidArgument("deferred copy within one cache"));
+            return Err(GmiError::InvalidArgument("deferred copy within one cache").into());
         }
         // 1. The destination range is being overwritten: preserve its
         //    originals for *its* history (if any), then drop its pages.
-        match self.overwrite_range(dst, dst_off, size)? {
-            crate::state::Outcome::Done(()) => {}
-            crate::state::Outcome::Blocked(b) => return blocked(b),
-        }
+        self.overwrite_range(dst, dst_off, size)?;
 
         // 2. Protect the source's own present pages in the range
         //    read-only (§4.2.2: "all the pages of (the corresponding
@@ -278,34 +254,11 @@ impl PvmState {
                 // link already serves; just extend coverage below.
                 src
             }
-            Some(h) => {
-                // §4.2.3: src already has a history; insert a working
-                // object w between src and h. It is made collapsible
-                // (zombie) only once fully linked, so no cascade can
-                // reclaim it mid-construction.
-                let w = self.create_internal_cache();
-                self.stats.bump(Counter::WorkingObjects);
-                self.charge(OpKind::ObjectCreate);
-                self.charge(OpKind::HistoryOp);
-                // w relays all of src.
-                self.add_parent_fragment(
-                    w,
-                    ParentFragment {
-                        child_off: 0,
-                        size: FULL_COVER,
-                        parent: src,
-                        parent_off: 0,
-                        cor: false,
-                    },
-                );
-                // Re-point h's fragments from src to w (identity shift).
-                // Note h may itself use src as *its* history for a
-                // disjoint range (mutual links are legal at offset
-                // granularity); that relationship is unaffected.
-                self.repoint_fragments(h, src, w);
-                self.cache_mut(src)?.history = Some(w);
-                w
-            }
+            // §4.2.3: src already has a history; insert a working object
+            // w between src and h. It is made collapsible (zombie) only
+            // once fully linked, so no cascade can reclaim it
+            // mid-construction.
+            Some(h) => self.insert_working_object(src, h),
         };
 
         // 4. Install the destination fragment (working objects are
@@ -329,34 +282,53 @@ impl PvmState {
             self.cache_mut(link_parent)?.zombie = true;
         }
         self.check_invariants_if_enabled();
-        done(())
+        Ok(())
     }
 
-    /// Re-points every fragment of `child` that references `old_parent`
-    /// to `new_parent` (which must relay `old_parent` identically).
-    fn repoint_fragments(&mut self, child: CacheKey, old_parent: CacheKey, new_parent: CacheKey) {
+    /// Inserts a fresh working object `w` between `p` and its history
+    /// `h` (§4.2.3): `w` relays all of `p`, `h`'s fragments from `p`
+    /// are re-pointed at `w` (an identity shift), and `w` becomes `p`'s
+    /// history. `h` may itself use `p` as *its* history for a disjoint
+    /// range (mutual links are legal at offset granularity); that
+    /// relationship is unaffected. The caller marks `w` zombie once it
+    /// has linked the new child.
+    fn insert_working_object(&mut self, p: CacheKey, h: CacheKey) -> CacheKey {
+        let w = self.create_internal_cache();
+        self.stats.bump(Counter::WorkingObjects);
+        self.charge(OpKind::ObjectCreate);
+        self.charge(OpKind::HistoryOp);
+        self.add_parent_fragment(
+            w,
+            ParentFragment {
+                child_off: 0,
+                size: FULL_COVER,
+                parent: p,
+                parent_off: 0,
+                cor: false,
+            },
+        );
         let mut moved = 0;
-        if let Some(c) = self.caches.get_mut(child) {
-            for f in &mut c.parents {
-                if f.parent == old_parent {
-                    f.parent = new_parent;
-                    moved += 1;
-                }
+        if let Some(hd) = self.caches.get_mut(h) {
+            for f in hd.parents.iter_mut().filter(|f| f.parent == p) {
+                f.parent = w;
+                moved += 1;
             }
         }
+        // Transfer the child references without a collapse check on
+        // `p`: it is about to gain `w` as its history.
         for _ in 0..moved {
-            // Transfer child references without triggering collapse on
-            // old_parent (it just gained new_parent as its history child).
-            if let Some(pc) = self.caches.get_mut(old_parent) {
-                if let Some(pos) = pc.children.iter().position(|&c| c == child) {
-                    pc.children.swap_remove(pos);
-                }
-            }
-            if let Some(pc) = self.caches.get_mut(new_parent) {
-                pc.children.push(child);
-            }
+            self.detach_child_ref(p, h);
+            self.caches
+                .get_mut(w)
+                .expect("fresh working object")
+                .children
+                .push(h);
         }
         self.charge_n(OpKind::HistoryOp, moved);
+        if let Some(pd) = self.caches.get_mut(p) {
+            pd.history = Some(w);
+        }
+        w
     }
 
     /// Creates an anonymous internal cache (a working history object).
@@ -396,12 +368,12 @@ impl PvmState {
         Ok(())
     }
 
-    /// Prepares a destination range for overwriting: waits out sync
-    /// stubs, refuses locked pages, preserves pre-overwrite values for
-    /// the destination's history child (own pages are pushed, per-page
-    /// stubs duplicated, and inherited coverage re-pointed to the old
-    /// parents), unthreads per-page stubs, and finally drops the
-    /// destination's own pages and ownership marks in the range.
+    /// Prepares a destination range for overwriting: preserves
+    /// pre-overwrite values for the destination's history child
+    /// (swapped-out own pages are pulled back in, per-page stubs
+    /// duplicated, and inherited coverage re-pointed to the old
+    /// parents), then discards the range like an invalidation
+    /// ([`Self::discard_slot`], [`Self::disown_range`]).
     pub fn overwrite_range(&mut self, cache: CacheKey, off: u64, size: u64) -> Attempt<()> {
         let end = off.saturating_add(size);
         // 0. Swapped-out own pages that the history child still needs
@@ -409,27 +381,21 @@ impl PvmState {
         if self.cache(cache)?.history.is_some() {
             let owned: Vec<u64> = self.cache(cache)?.owned.range(off..end).copied().collect();
             for o in owned {
-                let resident = self.cache(cache)?.entries.contains(&o);
-                if resident {
+                if self.cache(cache)?.entries.contains(&o) {
                     continue;
                 }
-                let mut needed = false;
-                for (h, ho) in self.history_child_offsets(cache, o) {
-                    let hd = self.cache(h)?;
-                    if !(hd.owns(ho) || hd.entries.contains(&ho)) {
-                        needed = true;
-                    }
-                }
+                let needed = self
+                    .history_child_offsets(cache, o)
+                    .into_iter()
+                    .any(|(h, ho)| self.caches.get(h).is_some_and(|hd| !hd.has_own(ho)));
                 if needed {
-                    match self.resolve_version(cache, o, chorus_hal::Access::Read)? {
-                        crate::state::Outcome::Done(_) => {}
-                        crate::state::Outcome::Blocked(b) => return blocked(b),
-                    }
+                    self.resolve_version(cache, o, chorus_hal::Access::Read)?;
                 }
             }
         }
-        // 1. Walk the resident slots: preserve values for the history
-        //    child, then drop them.
+        // 1. Walk the slots: the history child's snapshot includes a
+        //    stub's value, so the stub is duplicated for it (at every
+        //    aliasing offset); then the slot is discarded.
         let offsets: Vec<u64> = self
             .cache(cache)?
             .entries
@@ -437,60 +403,17 @@ impl PvmState {
             .copied()
             .collect();
         for o in offsets {
-            match self.slot(cache, o) {
-                Some(Slot::Sync) => return blocked(Blocked::WaitStub(cache, o)),
-                Some(Slot::Cow(src)) => {
-                    // The history child's snapshot includes this stub's
-                    // value: duplicate the stub for it (at every
-                    // aliasing offset).
-                    for (h, ho) in self.history_child_offsets(cache, o) {
-                        let hd = self.cache(h)?;
-                        if !(hd.owns(ho) || hd.entries.contains(&ho)) {
-                            self.set_slot(h, ho, Slot::Cow(src));
-                            match src {
-                                crate::descriptors::CowSource::Page(p) => {
-                                    self.page_mut(p).stubs.push((h, ho));
-                                }
-                                crate::descriptors::CowSource::Loc(c2, o2) => {
-                                    self.gmap.push_loc_stub(c2, o2, (h, ho));
-                                }
-                                crate::descriptors::CowSource::Zero => {}
-                            }
-                        }
-                    }
-                    // A read through the stub mapped the source page
-                    // into this cache's regions; that mapping must not
-                    // outlive the stub, or the reader goes on seeing the
-                    // old value after the overwrite.
-                    if let crate::descriptors::CowSource::Page(p) = src {
-                        self.unmap_via(p, cache);
-                    }
-                    self.unthread_cow_stub(cache, o, src);
-                    self.clear_slot(cache, o);
-                }
-                Some(Slot::Present(p)) => {
-                    if self.page(p).lock_count > 0 {
-                        return Err(GmiError::Locked);
-                    }
-                    // Preserve the original for this cache's own history
-                    // before the overwrite (§4.2.4 generalization).
-                    if self.has_history_covering(cache, o) {
-                        match self.push_original_to_history(cache, o, p)? {
-                            crate::state::Outcome::Done(()) => {}
-                            crate::state::Outcome::Blocked(b) => return blocked(b),
-                        }
-                    }
-                    // Outstanding per-page stubs still need the value:
-                    // hand the page over to the first stub instead of
-                    // freeing it.
-                    if !self.page(p).stubs.is_empty() {
-                        self.donate_page_to_stubs(p);
-                    } else {
-                        self.free_page(p, StubsTo::AlreadyHandled, true);
+            let Some(slot) = self.slot(cache, o) else {
+                continue;
+            };
+            if let Slot::Cow(src) = slot {
+                for (h, ho) in self.history_child_offsets(cache, o) {
+                    if !self.cache(h)?.has_own(ho) {
+                        self.thread_cow_stub(h, ho, src);
                     }
                 }
-                None => {}
             }
+            self.discard_slot(cache, o, slot)?;
         }
         // 2. The history child's *inherited* coverage of the range must
         //    keep resolving to the old parents, not to the new content:
@@ -500,16 +423,54 @@ impl PvmState {
         }
         // 3. Ownership marks for the overwritten range die with the old
         //    content.
+        self.disown_range(cache, off, end)?;
+        Ok(())
+    }
+
+    /// Discards what `cache` holds at `o`, whose slot is `slot`, as an
+    /// overwrite or an invalidation of the range does: a page in transit
+    /// is waited out and a locked page refused; a resident page first
+    /// gives its original to the cache's own history child (§4.2.4),
+    /// then goes to its per-page stubs or is freed. A per-page stub is
+    /// unthreaded, and a read through it had mapped its source page
+    /// into this cache's regions: that mapping goes with the stub, or
+    /// the reader goes on seeing the old value.
+    pub fn discard_slot(&mut self, cache: CacheKey, o: u64, slot: Slot) -> Attempt<()> {
+        match slot {
+            Slot::Sync => return blocked(Blocked::WaitStub(cache, o)),
+            Slot::Cow(src) => {
+                if let CowSource::Page(p) = src {
+                    self.unmap_via(p, cache);
+                }
+                self.unthread_cow_stub(cache, o, src);
+                self.clear_slot(cache, o);
+            }
+            Slot::Present(p) => {
+                if self.page(p).lock_count > 0 {
+                    return Err(GmiError::Locked.into());
+                }
+                if self.has_history_covering(cache, o) {
+                    self.push_original_to_history(cache, o, p)?;
+                }
+                self.release_page(p);
+            }
+        }
+        Ok(())
+    }
+
+    /// Drops `cache`'s ownership marks in `[off, end)`: it no longer has
+    /// its own version there.
+    pub fn disown_range(&mut self, cache: CacheKey, off: u64, end: u64) -> Result<()> {
         let owned: Vec<u64> = self.cache(cache)?.owned.range(off..end).copied().collect();
         for o in owned {
             if self.gmap.loc_stubs_at(cache, o) > 0 {
                 return Err(GmiError::Unsupported(
-                    "overwriting a swapped-out page with outstanding per-page stubs",
+                    "discarding swapped-out data with outstanding per-page stubs",
                 ));
             }
             self.cache_mut(cache)?.owned.remove(&o);
         }
-        done(())
+        Ok(())
     }
 
     /// Re-points the parts of `h`'s fragments that cover `[lo, hi)` of
@@ -543,28 +504,13 @@ impl PvmState {
             let phi = f.parent_off.saturating_add(f.size).min(hi);
             debug_assert!(plo < phi);
             let clo = f.to_child(plo);
-            let chi = clo + (phi - plo);
             // Remove the covered piece (keeps the out-of-range parts).
-            self.clip_parent_fragments(h, clo, chi);
+            self.clip_parent_fragments(h, clo, clo + (phi - plo));
             // Re-add composed pieces where the cache inherited data.
-            for zf in &via {
-                let zlo = plo.max(zf.child_off);
-                let zhi = phi.min(zf.child_end());
-                if zlo >= zhi {
-                    continue;
-                }
-                self.attach_child_fragment(
-                    h,
-                    ParentFragment {
-                        child_off: clo + (zlo - plo),
-                        size: zhi - zlo,
-                        parent: zf.parent,
-                        parent_off: zf.to_parent(zlo),
-                        cor: f.cor || zf.cor,
-                    },
-                );
+            for piece in via.iter().filter_map(|&zf| f.through(zf, lo, hi)) {
+                self.attach_child_fragment(h, piece);
             }
-            self.charge(chorus_hal::OpKind::HistoryOp);
+            self.charge(OpKind::HistoryOp);
         }
     }
 
@@ -581,15 +527,11 @@ impl PvmState {
         page: PageKey,
     ) -> Attempt<()> {
         for (h, h_off) in self.history_child_offsets(cache, off) {
-            let hist = self.cache(h)?;
-            if hist.owns(h_off) || hist.entries.contains(&h_off) {
+            if self.cache(h)?.has_own(h_off) {
                 // The history already has its own version at this spot.
                 continue;
             }
-            let frame = match self.alloc_frame_keeping(page)? {
-                crate::state::Outcome::Done(f) => f,
-                crate::state::Outcome::Blocked(b) => return blocked(b),
-            };
+            let frame = self.alloc_frame_keeping(page)?;
             let src_frame = self.page(page).frame;
             self.phys.copy_frame(src_frame, frame);
             let writable = !self.has_history_covering(h, h_off);
@@ -601,7 +543,7 @@ impl PvmState {
             });
             self.charge(OpKind::HistoryOp);
         }
-        done(())
+        Ok(())
     }
 
     /// The full write-violation algorithm for a cache's own read-only
@@ -628,18 +570,12 @@ impl PvmState {
         }
         // Per-page stubs still reference the original value (§4.3).
         if !self.page(page).stubs.is_empty() {
-            match self.materialize_stub_original(page)? {
-                crate::state::Outcome::Done(()) => {}
-                crate::state::Outcome::Blocked(b) => return blocked(b),
-            }
+            self.materialize_stub_original(page)?;
         }
         // History constraint (§4.2.2): place the original in the history
         // object unless it already has its own version.
         if !self.page(page).writable {
-            match self.push_original_to_history(cache, off, page)? {
-                crate::state::Outcome::Done(()) => {}
-                crate::state::Outcome::Blocked(b) => return blocked(b),
-            }
+            self.push_original_to_history(cache, off, page)?;
             self.page_mut(page).writable = true;
             self.stats.bump(Counter::Promotes);
         }
@@ -648,17 +584,14 @@ impl PvmState {
         self.unmap_foreign(page);
         self.page_mut(page).dirty = true;
         self.charge(OpKind::ProtectPage);
-        done(())
+        Ok(())
     }
 
     /// Copies the original value of a stub-source page into a fresh page
     /// owned by the first stub destination, re-threading the remaining
     /// stubs onto the new page.
     pub fn materialize_stub_original(&mut self, page: PageKey) -> Attempt<()> {
-        let frame = match self.alloc_frame_keeping(page)? {
-            crate::state::Outcome::Done(f) => f,
-            crate::state::Outcome::Blocked(b) => return blocked(b),
-        };
+        let frame = self.alloc_frame_keeping(page)?;
         let src_frame = self.page(page).frame;
         self.phys.copy_frame(src_frame, frame);
         let mut stubs = core::mem::take(&mut self.page_mut(page).stubs);
@@ -673,11 +606,22 @@ impl PvmState {
             self.set_slot(dc, doff, Slot::Cow(CowSource::Page(new_page)));
         }
         self.stats.bump(Counter::CowCopies);
-        done(())
+        Ok(())
     }
 
-    /// Hands a page over to its first stub destination (used when the
-    /// owner is discarding the page but stubs still need the value).
+    /// Lets go of a page its owner is discarding: handed over to its
+    /// first stub destination while per-page stubs still need the value,
+    /// freed otherwise.
+    pub fn release_page(&mut self, page: PageKey) {
+        if self.page(page).stubs.is_empty() {
+            self.free_page(page, StubsTo::AlreadyHandled, true);
+        } else {
+            self.donate_page_to_stubs(page);
+        }
+    }
+
+    /// Hands a page over to its first stub destination (see
+    /// [`Self::release_page`]).
     pub fn donate_page_to_stubs(&mut self, page: PageKey) {
         let desc = self.page_mut(page);
         let (first_cache, first_off) = desc.stubs.remove(0);
@@ -704,6 +648,27 @@ impl PvmState {
             self.set_slot(dc, doff, Slot::Cow(CowSource::Page(page)));
         }
         self.stats.bump(Counter::MovedFrames);
+    }
+
+    /// Installs a per-page stub at (dst, dst_off) and threads it on its
+    /// source (§4.3): on the source page's stub list, or on the location
+    /// index when the source is not resident. Only a page's first stub
+    /// protects it read-only; later ones find it so, for a page with
+    /// stubs has no writable mapping.
+    pub fn thread_cow_stub(&mut self, dst: CacheKey, dst_off: u64, src: CowSource) {
+        match src {
+            CowSource::Page(p) => {
+                let first = self.page(p).stubs.is_empty();
+                self.page_mut(p).stubs.push((dst, dst_off));
+                if first {
+                    self.charge(OpKind::ProtectPage);
+                    self.reprotect_mappings(p);
+                }
+            }
+            CowSource::Loc(c, o) => self.gmap.push_loc_stub(c, o, (dst, dst_off)),
+            CowSource::Zero => {}
+        }
+        self.set_slot(dst, dst_off, Slot::Cow(src));
     }
 
     /// Unthreads one per-page stub from its source bookkeeping.
@@ -761,13 +726,7 @@ impl PvmState {
         };
         for o in offsets {
             match self.slot(cache, o) {
-                Some(Slot::Present(p)) => {
-                    if !self.page(p).stubs.is_empty() {
-                        self.donate_page_to_stubs(p);
-                    } else {
-                        self.free_page(p, StubsTo::AlreadyHandled, true);
-                    }
-                }
+                Some(Slot::Present(p)) => self.release_page(p),
                 Some(Slot::Cow(src)) => {
                     self.unthread_cow_stub(cache, o, src);
                     self.clear_slot(cache, o);
@@ -874,10 +833,7 @@ impl PvmState {
                 .iter()
                 .filter(|f| f.covers_parent(o))
                 .map(|f| f.to_child(o))
-                .filter(|co| {
-                    let c = s.cache(child).expect("dead child");
-                    !c.owns(*co) && !c.entries.contains(co)
-                })
+                .filter(|&co| !s.cache(child).expect("dead child").has_own(co))
                 .collect()
         };
         let extra_frames: u64 = offsets
@@ -921,35 +877,21 @@ impl PvmState {
                         .owned
                         .insert(first);
                 }
-                None if !self.page(p).stubs.is_empty() => self.donate_page_to_stubs(p),
-                None => {
-                    self.free_page(p, StubsTo::AlreadyHandled, true);
-                }
+                None => self.release_page(p),
             }
             self.charge(OpKind::HistoryOp);
         }
 
         // 2. Compose the child's zombie-fragments with the zombie's own
         //    parent fragments.
-        let mut composed: Vec<ParentFragment> = Vec::new();
-        for cf in &child_frags {
-            for zf in &zombie_frags {
-                // Overlap of cf's parent range with zf's child range, in
-                // zombie offsets.
-                let lo = cf.parent_off.max(zf.child_off);
-                let hi = (cf.parent_off.saturating_add(cf.size)).min(zf.child_end());
-                if lo >= hi {
-                    continue;
-                }
-                composed.push(ParentFragment {
-                    child_off: cf.to_child(lo),
-                    size: if hi - lo == 0 { 0 } else { hi - lo },
-                    parent: zf.parent,
-                    parent_off: zf.to_parent(lo),
-                    cor: cf.cor || zf.cor,
-                });
-            }
-        }
+        let composed: Vec<ParentFragment> = child_frags
+            .iter()
+            .flat_map(|cf| {
+                zombie_frags
+                    .iter()
+                    .filter_map(|&zf| cf.through(zf, 0, u64::MAX))
+            })
+            .collect();
 
         // 3. Splice the zombie out of the graph.
         //    Remove the child's fragments pointing at the zombie.
@@ -967,37 +909,30 @@ impl PvmState {
         //    Install composed fragments on the child (routing through
         //    working objects where the shape invariant demands it).
         for f in composed {
-            if f.size > 0 {
-                self.attach_child_fragment(child, f);
-            }
+            self.attach_child_fragment(child, f);
         }
         //    Whoever used the zombie as history now uses the child — but
         //    only where the composition kept a fragment from them; with
         //    no surviving fragment, nobody can see their originals
-        //    anymore and the history link dissolves.
-        let adopters: Vec<CacheKey> = self
-            .caches
-            .iter()
-            .filter(|(_, c)| c.history == Some(zombie))
-            .map(|(k, _)| k)
-            .collect();
-        for a in adopters {
-            let keeps = self
+        //    anymore and the history link dissolves. Only a parent of
+        //    the zombie can name it as its history.
+        for &a in &z_parents {
+            if self
                 .caches
-                .get(child)
-                .map(|c| c.parents.iter().any(|f| f.parent == a))
-                .unwrap_or(false);
-            self.caches.get_mut(a).expect("dead adopter").history =
-                if keeps { Some(child) } else { None };
+                .get(a)
+                .is_some_and(|c| c.history == Some(zombie))
+            {
+                let keeps = self
+                    .caches
+                    .get(child)
+                    .is_some_and(|c| c.parents.iter().any(|f| f.parent == a));
+                self.caches.get_mut(a).expect("dead adopter").history = keeps.then_some(child);
+            }
         }
         //    Detach the zombie from its parents (without collapsing
         //    them yet — the child now references them instead).
         for p in z_parents {
-            if let Some(pc) = self.caches.get_mut(p) {
-                if let Some(pos) = pc.children.iter().position(|&c| c == zombie) {
-                    pc.children.swap_remove(pos);
-                }
-            }
+            self.detach_child_ref(p, zombie);
         }
         // The zombie should now be fully dead.
         debug_assert!(self
@@ -1050,6 +985,7 @@ mod tests {
         let parent = s.caches.insert(CacheDesc::default());
         let child = s.caches.insert(CacheDesc::default());
         s.add_parent_fragment(child, frag(0x100, 0x400, parent, 0x1000));
+        s.caches.get_mut(parent).unwrap().history = Some(child);
         // Clip the middle: two pieces survive.
         s.clip_parent_fragments(child, 0x200, 0x300);
         let parents = &s.caches.get(child).unwrap().parents;

@@ -55,7 +55,7 @@ pub mod trace;
 
 pub use config::{PagingSection, PvmConfig, PvmConfigBuilder};
 pub use debug::{CacheDump, SlotDump, TreeDump};
-pub use domains::{EntryProfile, LockEntry, LockProfile, HOLD_SAMPLE, LOCK_BUCKETS, SPIN_BUDGET};
+pub use domains::{EntryProfile, LockEntry, LockProfile, HOLD_SAMPLE, SPIN_BUDGET};
 pub use pvm::{MmuChoice, Pvm, PvmOptions};
 pub use pvmtop::{CacheHeat, MapperHealth, MapperState, PhaseLatency, PvmTop};
 pub use stats::{Counter, PvmStats, StatsRegistry};

@@ -14,7 +14,7 @@ use crate::config::IPC_MESSAGE_PAGES;
 use crate::descriptors::Slot;
 use crate::keys::PageKey;
 use crate::policy::{Pick, StateView};
-use crate::state::{blocked, done, Attempt, Blocked, Outcome, PushOrigin, PvmState, StubsTo};
+use crate::state::{blocked, Attempt, Blocked, PushOrigin, PvmState, Stop, StubsTo};
 use crate::stats::Counter;
 use crate::telemetry::At;
 use crate::trace::TraceEvent;
@@ -30,13 +30,8 @@ impl PvmState {
     pub fn alloc_frame(&mut self) -> Attempt<FrameNo> {
         loop {
             match self.sweep(0) {
-                None => return done(self.phys.alloc().expect("free frame count lied")),
-                Some(Pick::Victim(victim)) => {
-                    match self.start_clean(victim, PushOrigin::Demand)? {
-                        Outcome::Blocked(b) => return blocked(b),
-                        Outcome::Done(()) => continue,
-                    }
-                }
+                None => return Ok(self.phys.alloc().expect("free frame count lied")),
+                Some(Pick::Victim(victim)) => self.start_clean(victim, PushOrigin::Demand)?,
                 Some(Pick::None) => {
                     // No victim, but the completion engine owes work
                     // (e.g. every candidate is `cleaning` under an
@@ -47,7 +42,7 @@ impl PvmState {
                     if self.config.enable_pageout && !self.engine.queue.is_empty() {
                         return blocked(Blocked::AwaitCompletion);
                     }
-                    return Err(GmiError::OutOfMemory);
+                    return Err(GmiError::OutOfMemory.into());
                 }
             }
         }
@@ -136,8 +131,8 @@ impl PvmState {
                 if segment.is_some_and(|s| self.engine.free_slots(s) < 2) {
                     break;
                 }
-                match self.start_clean(page, PushOrigin::Daemon)? {
-                    Outcome::Blocked(b @ Blocked::PushOut { .. }) => {
+                match self.start_clean(page, PushOrigin::Daemon) {
+                    Err(Stop::Blocked(b @ Blocked::PushOut { .. })) => {
                         let cache = self.page(page).cache;
                         self.count(Counter::WriteBehindPushes, 1, At::Cache(cache));
                         *pushed = true;
@@ -145,14 +140,14 @@ impl PvmState {
                         return blocked(b);
                     }
                     // `segmentCreate` first; the page keeps its place.
-                    Outcome::Blocked(b) => return blocked(b),
+                    Err(stop) => return Err(stop),
                     // Its cache had died: evicted on the spot.
-                    Outcome::Done(()) => {}
+                    Ok(()) => {}
                 }
             }
             self.write_behind.pop_front();
         }
-        done(())
+        Ok(())
     }
 
     /// Allocates a frame while `keep` is guaranteed to stay resident:
@@ -238,7 +233,7 @@ impl PvmState {
         let Some(desc) = self.caches.get(cache) else {
             // Orphaned page: its cache died; just evict.
             self.evict(victim);
-            return done(());
+            return Ok(());
         };
         let Some(segment) = desc.segment else {
             return blocked(Blocked::NeedSegment { cache });

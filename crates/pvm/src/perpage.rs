@@ -12,10 +12,9 @@
 
 use crate::descriptors::{CowSource, Slot};
 use crate::keys::CacheKey;
-use crate::state::{blocked, done, Attempt, Blocked, PvmState};
+use crate::state::{blocked, Attempt, Blocked, PvmState};
 use crate::stats::Counter;
 use chorus_gmi::Result;
-use chorus_hal::OpKind;
 
 /// The statically-located source of a per-page stub.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,38 +77,21 @@ impl PvmState {
     ) -> Attempt<()> {
         // Clear the destination range (waits out transits, unthreads old
         // stubs, preserves originals for the destination's history).
-        match self.overwrite_range(dst, dst_off, size)? {
-            crate::state::Outcome::Done(()) => {}
-            crate::state::Outcome::Blocked(b) => return blocked(b),
-        }
+        self.overwrite_range(dst, dst_off, size)?;
         let ps = self.ps();
         let pages = self.geom.pages_for(size);
         for k in 0..pages {
             let so = src_off + k * ps;
             let dstoff = dst_off + k * ps;
-            match self.locate_version(src, so)? {
+            let from = match self.locate_version(src, so)? {
                 Located::InTransit(x, o) => return blocked(Blocked::WaitStub(x, o)),
-                Located::Page(p) => {
-                    // Thread the stub on the source page; the first one
-                    // protects it read-only, later ones find it so.
-                    let first = self.page(p).stubs.is_empty();
-                    self.page_mut(p).stubs.push((dst, dstoff));
-                    if first {
-                        self.charge(OpKind::ProtectPage);
-                        self.reprotect_mappings(p);
-                    }
-                    self.set_slot(dst, dstoff, Slot::Cow(CowSource::Page(p)));
-                }
-                Located::Loc(c, o) => {
-                    self.gmap.push_loc_stub(c, o, (dst, dstoff));
-                    self.set_slot(dst, dstoff, Slot::Cow(CowSource::Loc(c, o)));
-                }
-                Located::Zero => {
-                    self.set_slot(dst, dstoff, Slot::Cow(CowSource::Zero));
-                }
-            }
+                Located::Page(p) => CowSource::Page(p),
+                Located::Loc(c, o) => CowSource::Loc(c, o),
+                Located::Zero => CowSource::Zero,
+            };
+            self.thread_cow_stub(dst, dstoff, from);
             self.stats.bump(Counter::CowStubsCreated);
         }
-        done(())
+        Ok(())
     }
 }

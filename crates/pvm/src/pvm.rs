@@ -16,7 +16,7 @@ use crate::domains::{DomainGuard, DomainLock, LockEntry, LockProfile};
 use crate::engine::{CompletionRecord, Parked};
 use crate::keys::{cache_key, ctx_key, pub_cache, pub_ctx, pub_region, region_key, CtxKey};
 use crate::pvmtop::PvmTop;
-use crate::state::{Attempt, Blocked, Outcome, PushOrigin, PvmState};
+use crate::state::{Attempt, Blocked, PushOrigin, PvmState, Stop};
 use crate::stats::{Counter, PvmStats, StatsRegistry};
 use crate::telemetry::{At, Telemetry, TelemetrySample};
 use crate::trace::{Phase, Resolution, TraceEvent, Tracer, UpcallKind, UpcallOutcome};
@@ -306,9 +306,9 @@ impl Pvm {
                 break Err(e);
             }
             match attempt(&mut guard) {
-                Err(e) => break Err(e),
-                Ok(Outcome::Done(v)) => break Ok(v),
-                Ok(Outcome::Blocked(action)) => {
+                Err(Stop::Failed(e)) => break Err(e),
+                Ok(v) => break Ok(v),
+                Err(Stop::Blocked(action)) => {
                     if let Blocked::PullIn { cache, req } = &action {
                         guard.end_demand(demand.replace((*cache, req.offset)));
                         guard.demand_pulls.insert((*cache, req.offset), Ok(None));
@@ -348,17 +348,13 @@ impl Pvm {
         if self.laundering.swap(true, Ordering::Acquire) {
             return guard;
         }
-        loop {
-            match step(&mut guard) {
-                Ok(Outcome::Done(())) => break,
-                Ok(Outcome::Blocked(action)) => match self.perform(guard, action) {
-                    Ok(g) => guard = g,
-                    Err(_) => {
-                        guard = self.state.lock(LockEntry::Relock);
-                        break;
-                    }
-                },
-                Err(_) => break,
+        while let Err(Stop::Blocked(action)) = step(&mut guard) {
+            match self.perform(guard, action) {
+                Ok(g) => guard = g,
+                Err(_) => {
+                    guard = self.state.lock(LockEntry::Relock);
+                    break;
+                }
             }
         }
         self.laundering.store(false, Ordering::Release);
@@ -740,7 +736,7 @@ impl PvmState {
             if self.gmap.get(cache, page_off) == Some(Slot::Sync) {
                 self.gmap.remove(cache, page_off);
             }
-            return crate::state::done(());
+            return Ok(());
         }
         let slot = self.slot(cache, page_off);
         // A page of a window in flight is parked: its bytes wait in a
@@ -751,24 +747,22 @@ impl PvmState {
             // delivery). A clean resident page equals its segment, so
             // these bytes can only be as old or older — written and
             // laundered since the mapper read them: leave it alone.
-            Some(Slot::Present(_)) => return crate::state::done(()),
+            Some(Slot::Present(_)) => return Ok(()),
             Some(Slot::Sync) => self.engine.parked.get(&(cache, page_off)).copied(),
             _ => None,
         };
         if let Some(Parked::Filled { .. }) = parked {
             // A duplicate delivery: the first one stands.
-            return crate::state::done(());
+            return Ok(());
         }
         // Failing this allocation would strand the pulled data and
         // error the recovery, so it degrades through an emergency
         // eviction pass before giving up.
-        let alloc = match self.alloc_frame() {
-            Err(GmiError::OutOfMemory) if self.emergency_evict() > 0 => self.alloc_frame(),
-            other => other,
-        };
-        let frame = match alloc? {
-            Outcome::Done(f) => f,
-            Outcome::Blocked(b) => return crate::state::blocked(b),
+        let frame = match self.alloc_frame() {
+            Err(Stop::Failed(GmiError::OutOfMemory)) if self.emergency_evict() > 0 => {
+                self.alloc_frame()?
+            }
+            other => other?,
         };
         if parked.is_some() {
             // The transfer into the frame is the mapper's; the copy is
@@ -783,7 +777,7 @@ impl PvmState {
             let page = self.new_page(cache, page_off, frame, true, false);
             self.land_page(cache, page_off, page);
         }
-        crate::state::done(())
+        Ok(())
     }
 
     /// Parks a page of a window in flight in its filled `frame`: its

@@ -2,7 +2,7 @@
 
 use crate::descriptors::{ContextDesc, RegionDesc, Slot};
 use crate::keys::{CtxKey, PageKey, RegKey};
-use crate::state::{blocked, done, Attempt, PvmState};
+use crate::state::{Attempt, PvmState};
 use chorus_gmi::{GmiError, RegionStatus, Result};
 use chorus_hal::{OpKind, Prot, VirtAddr, Vpn};
 
@@ -227,7 +227,7 @@ impl PvmState {
     pub fn region_lock_attempt(&mut self, reg: RegKey) -> Attempt<()> {
         let region = self.region(reg)?.clone();
         if region.locked {
-            return done(());
+            return Ok(());
         }
         let writable = region.prot.contains(Prot::WRITE);
         let pages = self.geom.pages_for(region.size);
@@ -242,15 +242,11 @@ impl PvmState {
             if region.pinned.contains(&off) {
                 continue;
             }
-            match self.lock_one_page(region.ctx, va, writable)? {
-                crate::state::Outcome::Done(()) => {
-                    self.region_mut(reg)?.pinned.insert(off);
-                }
-                crate::state::Outcome::Blocked(b) => return blocked(b),
-            }
+            self.lock_one_page(region.ctx, va, writable)?;
+            self.region_mut(reg)?.pinned.insert(off);
         }
         self.region_mut(reg)?.locked = true;
-        done(())
+        Ok(())
     }
 
     /// `region.unlock()`.

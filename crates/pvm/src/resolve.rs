@@ -10,7 +10,7 @@ use crate::config::IPC_MESSAGE_PAGES;
 use crate::descriptors::{CowSource, Slot};
 use crate::engine::Parked;
 use crate::keys::{CacheKey, PageKey};
-use crate::state::{blocked, done, Attempt, Blocked, Outcome, PvmState};
+use crate::state::{blocked, Attempt, Blocked, PvmState};
 use crate::stats::Counter;
 use crate::telemetry::At;
 use crate::trace::TraceEvent;
@@ -44,7 +44,7 @@ impl PvmState {
         let result = self.resolve_version_walk(cache, off, access, &mut depth);
         // Record the root-ward walk depth when the walk concluded (a
         // blocked walk re-runs and re-reports after the pull/wait).
-        if let Ok(Outcome::Done(_)) = result {
+        if result.is_ok() {
             self.trace.event(|| TraceEvent::HistoryWalk {
                 cache: cache.index(),
                 offset: off,
@@ -81,7 +81,7 @@ impl PvmState {
                     // access (`cache_read` and its kin map nothing, so
                     // no hardware bit speaks for them).
                     self.note_use(p);
-                    return done(Version::Page(p));
+                    return Ok(Version::Page(p));
                 }
                 Some(Slot::Sync) => return blocked(Blocked::WaitStub(x, o)),
                 Some(Slot::Cow(CowSource::Loc(c2, o2))) => {
@@ -89,7 +89,7 @@ impl PvmState {
                     x = c2;
                     o = o2;
                 }
-                Some(Slot::Cow(CowSource::Zero)) => return done(Version::Zero),
+                Some(Slot::Cow(CowSource::Zero)) => return Ok(Version::Zero),
                 None => {
                     let desc = self.cache(x)?;
                     if desc.owns(o) {
@@ -111,7 +111,7 @@ impl PvmState {
                             o = frag.to_parent(o);
                             x = frag.parent;
                         }
-                        None => return done(Version::Zero),
+                        None => return Ok(Version::Zero),
                     }
                 }
             }

@@ -5,9 +5,12 @@
 //! lock. Operations that must block (waiting on a synchronization page
 //! stub, performing a `pullIn`/`pushOut` upcall) never sleep while
 //! holding the lock: an
-//! *attempt* runs under the lock and either completes or returns a
-//! [`Blocked`] action; the driver in `pvm.rs` releases the lock, performs
-//! the action, and retries the attempt.
+//! *attempt* runs under the lock and returns an [`Attempt`], whose error
+//! side is a [`Stop`]: either `Stop::Failed` with a hard error or
+//! `Stop::Blocked` with the [`Blocked`] action it needs. A block passes
+//! up through every nested attempt with `?`, like an error; the driver
+//! in `pvm.rs` releases the lock, performs the action, and retries the
+//! attempt.
 
 use crate::config::PvmConfig;
 use crate::descriptors::{CacheDesc, ContextDesc, CowSource, Mapping, PageDesc, RegionDesc, Slot};
@@ -104,25 +107,31 @@ pub(crate) enum PushOrigin {
     Sync,
 }
 
-/// Result of one locked attempt.
-pub(crate) enum Outcome<T> {
-    /// The operation completed.
-    Done(T),
-    /// The lock must be released and `Blocked` performed, then retry.
+/// Why a locked attempt stopped short of its result: it must block, or
+/// it failed.
+#[derive(Debug)]
+pub(crate) enum Stop {
+    /// The lock must be released and the action performed, then the
+    /// attempt retried.
     Blocked(Blocked),
+    /// A hard error: the operation fails with it.
+    Failed(GmiError),
 }
 
-/// `Result` of an attempt: hard error, completion, or blocked.
-pub(crate) type Attempt<T> = Result<Outcome<T>>;
+impl From<GmiError> for Stop {
+    fn from(e: GmiError) -> Stop {
+        Stop::Failed(e)
+    }
+}
 
-/// Shorthand for returning a blocked outcome.
+/// `Result` of an attempt: its value, or why it stopped. A block
+/// propagates with `?` like an error does; only the drivers in `pvm.rs`
+/// (and the write-behind step, which counts its push) act on one.
+pub(crate) type Attempt<T> = core::result::Result<T, Stop>;
+
+/// Shorthand for stopping an attempt on a blocked action.
 pub(crate) fn blocked<T>(b: Blocked) -> Attempt<T> {
-    Ok(Outcome::Blocked(b))
-}
-
-/// Shorthand for returning a completed outcome.
-pub(crate) fn done<T>(v: T) -> Attempt<T> {
-    Ok(Outcome::Done(v))
+    Err(Stop::Blocked(b))
 }
 
 /// How [`PvmState::free_page`] should treat stubs threaded on the page.
@@ -464,8 +473,7 @@ impl PvmState {
         match stubs_to {
             StubsTo::Loc => {
                 for (dc, doff) in desc.stubs {
-                    self.set_slot(dc, doff, Slot::Cow(CowSource::Loc(desc.cache, desc.offset)));
-                    self.gmap.push_loc_stub(desc.cache, desc.offset, (dc, doff));
+                    self.thread_cow_stub(dc, doff, CowSource::Loc(desc.cache, desc.offset));
                 }
             }
             StubsTo::AlreadyHandled => {

@@ -1,11 +1,13 @@
-//! Log2-bucket latency histograms over simulated time.
+//! Log2-bucket latency histograms.
 //!
 //! Each [`Histogram`] is a fixed array of atomic buckets where bucket
 //! `i` counts samples with `2^(i-1) <= v < 2^i` nanoseconds (bucket 0
 //! counts zero-duration samples). Recording is wait-free (one
 //! `fetch_add` per sample) so a histogram can sit on the fault hot path
 //! without taking any lock; the cells only count, never touch the cost
-//! model, preserving the tracer's determinism rule.
+//! model, preserving the tracer's determinism rule. The tracer's phases
+//! record simulated time; the state lock's profile
+//! ([`crate::LockProfile`]) records wall-clock time.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
@@ -52,7 +54,7 @@ phases! {
     EvictStall => "fault.evictStall",
 }
 
-/// One wait-free log2 latency histogram (durations in simulated ns).
+/// One wait-free log2 latency histogram (durations in ns).
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
@@ -82,10 +84,10 @@ impl Histogram {
         (u64::BITS - v.leading_zeros()) as usize
     }
 
-    /// Records one sample.
+    /// Records one sample (one of `2^63` ns or more in the last bucket).
     #[inline]
     pub fn record(&self, v: u64) {
-        self.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[Self::bucket_of(v).min(BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -125,6 +127,16 @@ impl HistogramSnapshot {
     /// Total number of samples.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
+    }
+
+    /// The samples of both snapshots.
+    pub fn merge(mut self, other: &HistogramSnapshot) -> HistogramSnapshot {
+        for (a, b) in self.buckets.iter_mut().zip(other.buckets) {
+            *a += b;
+        }
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+        self
     }
 
     /// Mean sample, or 0 with no samples.

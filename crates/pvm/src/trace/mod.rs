@@ -3,8 +3,7 @@
 //! The tracer records typed events (fault entry/exit, stub wait/wake,
 //! history pushes and root-ward walk depth, mapper upcalls with retry
 //! outcomes, eviction, quarantine) into per-lane bounded ring buffers,
-//! each record stamped with the *simulated* cost-model clock (plus an
-//! optional wall clock).
+//! each record stamped with the *simulated* cost-model clock.
 //!
 //! **Determinism rule (enforced by construction):** no trace call may
 //! advance the cost-model clock. The tracer only holds a
@@ -43,9 +42,6 @@ pub struct TraceConfig {
     /// Capacity of each per-lane ring buffer (records); the oldest
     /// records are overwritten when a lane overflows.
     pub ring_capacity: usize,
-    /// Also stamp records with host wall time. Informational only —
-    /// never part of any determinism contract — so it defaults to off.
-    pub wall_clock: bool,
 }
 
 impl Default for TraceConfig {
@@ -53,28 +49,25 @@ impl Default for TraceConfig {
         TraceConfig {
             enabled: false,
             ring_capacity: 1 << 16,
-            wall_clock: false,
         }
     }
 }
 
 impl TraceConfig {
     /// Reads the `CHORUS_TRACE` environment variable: unset, empty, `0`
-    /// or `off` leave tracing disabled; `1`, `on` or `sim` enable it;
-    /// `wall` enables it with wall-clock stamping. The bench worlds use
-    /// this so the verify script can regenerate every table with
-    /// tracing forced on and diff against the committed copies.
+    /// or `off` leave tracing disabled; `1`, `on` or `sim` enable it.
+    /// The bench worlds use this so the verify script can regenerate
+    /// every table with tracing forced on and diff against the
+    /// committed copies.
     pub fn from_env() -> TraceConfig {
-        let mut cfg = TraceConfig::default();
-        match std::env::var("CHORUS_TRACE").as_deref() {
-            Ok("1") | Ok("on") | Ok("sim") => cfg.enabled = true,
-            Ok("wall") => {
-                cfg.enabled = true;
-                cfg.wall_clock = true;
-            }
-            _ => {}
+        let enabled = matches!(
+            std::env::var("CHORUS_TRACE").as_deref(),
+            Ok("1") | Ok("on") | Ok("sim")
+        );
+        TraceConfig {
+            enabled,
+            ..TraceConfig::default()
         }
-        cfg
     }
 }
 
@@ -358,8 +351,6 @@ pub struct TraceRecord {
     pub seq: u64,
     /// Simulated time at the event (deterministic).
     pub sim_ns: u64,
-    /// Wall time since tracer construction, when enabled.
-    pub wall_ns: Option<u64>,
     /// Recording lane (stable per thread; exported as the tid).
     pub lane: u32,
     /// The event.
@@ -440,7 +431,7 @@ impl Tracer {
     pub fn new(config: TraceConfig, model: Arc<CostModel>, stats: Arc<StatsRegistry>) -> Tracer {
         Tracer {
             enabled: AtomicBool::new(config.enabled),
-            clock: TraceClock::new(model, config.wall_clock),
+            clock: TraceClock::new(model),
             seq: AtomicU64::new(0),
             lanes: (0..LANES)
                 .map(|_| Mutex::new(Ring::new(config.ring_capacity)))
@@ -481,12 +472,10 @@ impl Tracer {
     }
 
     fn push(&self, event: TraceEvent) {
-        let stamp = self.clock.stamp();
         let lane = lane_id();
         let rec = TraceRecord {
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            sim_ns: stamp.sim_ns,
-            wall_ns: stamp.wall_ns,
+            sim_ns: self.clock.sim_now().nanos(),
             lane,
             event,
         };
@@ -629,7 +618,6 @@ mod tests {
             TraceConfig {
                 enabled: true,
                 ring_capacity: 8,
-                wall_clock: false,
             },
             model.clone(),
             Arc::new(StatsRegistry::new()),
@@ -661,7 +649,6 @@ mod tests {
         assert_eq!(recs[0].sim_ns, 0);
         assert_eq!(recs[1].sim_ns, 870_000);
         assert!(recs[0].seq < recs[1].seq);
-        assert_eq!(recs[0].wall_ns, None);
         // Tracing itself never advanced the simulated clock.
         assert_eq!(model.now().nanos(), 870_000);
     }

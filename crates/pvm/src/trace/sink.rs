@@ -247,9 +247,6 @@ impl TraceSink {
             }
             let mut args = args;
             args.push(("seq", rec.seq.to_string()));
-            if let Some(w) = rec.wall_ns {
-                args.push(("wall_ns", w.to_string()));
-            }
             let body: Vec<String> = args.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
             ev.push_str(&format!(",\"args\":{{{}}}}}", body.join(",")));
             events.push(ev);

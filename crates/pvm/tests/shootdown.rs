@@ -5,7 +5,8 @@
 
 mod common;
 
-use chorus_gmi::{CopyMode, Gmi, Prot, VirtAddr};
+use chorus_gmi::{CacheId, CopyMode, Gmi, Prot, VirtAddr};
+use chorus_pvm::Pvm;
 use common::*;
 
 #[test]
@@ -61,18 +62,16 @@ fn reader_mapping_follows_per_page_stub_materialization() {
     assert_eq!(pvm.read_logical(src, 0, 4).unwrap(), pattern(0x33, 4));
 }
 
-#[test]
-fn reader_mapping_does_not_outlive_an_overwritten_per_page_stub() {
-    // The Nucleus IPC receive path: a message lands in the receiver's
-    // cache as per-page stubs, the receiver reads it (mapping the
-    // sender's page read-only through its stub) and never writes, and
-    // the next message is copied over the same range.
+/// The Nucleus IPC receive path: a message lands in the receiver's
+/// cache as per-page stubs, the receiver reads it (mapping the sender's
+/// page read-only through its stub) and never writes. Then `replace`
+/// drops the stubs and returns what the range holds after it: the
+/// reader must see that, not the first message through a stale
+/// mapping.
+fn reader_mapping_goes_with_its_stub(replace: impl FnOnce(&Pvm, CacheId) -> Vec<u8>) {
     let (pvm, _) = setup(64);
     let first = pvm.cache_create(None).unwrap();
-    let second = pvm.cache_create(None).unwrap();
     pvm.write_logical(first, 0, &pattern(0x51, (2 * PS) as usize))
-        .unwrap();
-    pvm.write_logical(second, 0, &pattern(0x52, (2 * PS) as usize))
         .unwrap();
     let inbox = pvm.cache_create(None).unwrap();
     let reader = pvm.context_create().unwrap();
@@ -83,12 +82,34 @@ fn reader_mapping_does_not_outlive_an_overwritten_per_page_stub() {
         .unwrap();
     let len = (2 * PS) as usize;
     assert_eq!(read(&pvm, reader, 0x1000, len), pattern(0x51, len));
-    pvm.cache_copy_with(second, 0, inbox, 0, 2 * PS, CopyMode::PerPage)
-        .unwrap();
+    let want = replace(&pvm, inbox);
+    assert_eq!(pvm.read_logical(inbox, 0, len).unwrap(), want);
     assert_eq!(
         read(&pvm, reader, 0x1000, len),
-        pattern(0x52, len),
+        want,
         "the reader still sees the first message through a stale mapping"
     );
     pvm.check_invariants();
+}
+
+#[test]
+fn reader_mapping_does_not_outlive_an_overwritten_per_page_stub() {
+    // The next message is copied over the same range.
+    reader_mapping_goes_with_its_stub(|pvm, inbox| {
+        let second = pvm.cache_create(None).unwrap();
+        pvm.write_logical(second, 0, &pattern(0x52, (2 * PS) as usize))
+            .unwrap();
+        pvm.cache_copy_with(second, 0, inbox, 0, 2 * PS, CopyMode::PerPage)
+            .unwrap();
+        pattern(0x52, (2 * PS) as usize)
+    });
+}
+
+#[test]
+fn reader_mapping_does_not_outlive_an_invalidated_per_page_stub() {
+    // The receiver's cache is invalidated instead: the range reads zero.
+    reader_mapping_goes_with_its_stub(|pvm, inbox| {
+        pvm.cache_invalidate(inbox, 0, 2 * PS).unwrap();
+        vec![0; (2 * PS) as usize]
+    });
 }

@@ -18,7 +18,8 @@
 # gates below), the pvmtop render smoke, the
 # one-of-each gate (no allow(deprecated), no SyncShim outside its
 # definition, no victim advice beside the clock, one call site each for
-# the pushOut and pullIn upcalls), the hashing gate (no std
+# the pushOut and pullIn upcalls, no `Outcome` beside the attempt's
+# `Result<T, Stop>`, one `push_loc_stub(` caller), the hashing gate (no std
 # HashMap/HashSet in the kernel crates), the
 # release-mode concurrency stress, the tracing
 # bit-identity check (Table 5 regenerated with CHORUS_TRACE=1 must
@@ -189,7 +190,7 @@ assert out["top_caches"][0]["faults"] >= out["top_caches"][-1]["faults"], out
 print("ok: %d caches, %d mappers, hottest first" % (out["caches"], out["mappers"]))
 '
 
-step "one of each: no allow(deprecated), no SyncShim, one replacement policy, one request path"
+step "one of each: no allow(deprecated), no SyncShim, one replacement policy, one request path, one attempt type, one stub threading"
 # One upcall trait: nothing in the workspace needs a deprecation
 # silenced, and the fieldless SyncShim (kept for the frozen benchmark/)
 # is named only where it is defined and re-exported. One replacement
@@ -214,6 +215,17 @@ if grep -rn 'advise_victims' crates src tests examples |
 fi
 # One request path: every pullIn and every pushOut is a completion-engine
 # request, so each upcall is made from exactly one call site.
+# An attempt returns `Result<T, Stop>` and a block propagates with `?`:
+# no second outcome type beside it.
+if grep -rnw 'Outcome' crates/pvm/src | grep -v '^crates/pvm/src/modelcheck\.rs:'; then
+  echo "FAIL: Outcome named in crates/pvm/src outside modelcheck.rs"; exit 1
+fi
+# A per-page stub is threaded on its source by `thread_cow_stub` alone.
+sites=$(grep -rn 'push_loc_stub(' crates/pvm/src | grep -vc '^crates/pvm/src/gmap\.rs:')
+if [ "$sites" -ne 1 ]; then
+  grep -rn 'push_loc_stub(' crates/pvm/src | grep -v '^crates/pvm/src/gmap\.rs:' || true
+  echo "FAIL: push_loc_stub( at $sites call sites outside gmap.rs, not one"; exit 1
+fi
 for upcall in submit_push submit_pull; do
   sites=$(grep -rn "seg_mgr\.$upcall(" crates/pvm/src | wc -l)
   if [ "$sites" -ne 1 ]; then
