@@ -15,7 +15,8 @@
 //! - [`CacheIo`] is the subset of Table 4 a segment manager uses *while
 //!   servicing an upcall* (`fillUp`, `copyBack`, `moveBack`): unlike the
 //!   Table 1 `copy`/`move` operations these never fault — they are used to
-//!   resolve faults.
+//!   resolve faults. Its `_pages` forms move [`Page`]s by reference, so a
+//!   page changes hands between a mapper and a cache without a copy.
 //!
 //! Two memory managers implement this interface in the workspace: the
 //! paper's PVM with history objects (`chorus-pvm`) and a Mach-style
@@ -42,4 +43,4 @@ pub use traits::{
 pub use types::{CopyMode, RegionStatus};
 
 // Hardware-level types used throughout the interface.
-pub use chorus_hal::{Access, PageGeometry, Prot, VirtAddr};
+pub use chorus_hal::{Access, Page, PageGeometry, Prot, VirtAddr};

@@ -5,7 +5,7 @@
 use crate::error::Result;
 use crate::ids::{CacheId, CtxId, RegionId, SegmentId};
 use crate::types::{CopyMode, RegionStatus};
-use chorus_hal::{Access, PageGeometry, Prot, VirtAddr};
+use chorus_hal::{Access, Page, PageGeometry, Prot, VirtAddr};
 use std::sync::Arc;
 
 /// Table 4 data-transfer downcalls, used by segment managers to resolve
@@ -16,12 +16,20 @@ use std::sync::Arc;
 /// to resolve faults" (§3.3.3). A [`SegmentManagerV2`] receives a `&dyn
 /// CacheIo` in its upcalls and uses it to move bytes into or out of the
 /// cache without faulting.
+///
+/// The byte forms copy; the `_pages` forms ([`CacheIo::fill_up_pages`],
+/// [`CacheIo::copy_back_pages`]) hand [`Page`]s over by reference, the
+/// per-page deferred copy of §1: a page changes hands between a mapper
+/// and a cache, and is copied only when one side writes it. Their
+/// default bodies go through the byte forms, so an implementation that
+/// overrides only those stays correct, and copies.
 pub trait CacheIo: Send + Sync {
     /// `fillUp`: provides the data requested by a `pullIn` upcall.
     ///
     /// The fragment `[offset, offset + data.len())` of `cache` becomes
     /// resident with the given contents; any threads blocked on the
     /// corresponding synchronization page stubs are released.
+    /// [`CacheIo::fill_up_pages`] does the same without the copy.
     ///
     /// # Errors
     ///
@@ -30,7 +38,8 @@ pub trait CacheIo: Send + Sync {
     fn fill_up(&self, cache: CacheId, offset: u64, data: &[u8]) -> Result<()>;
 
     /// `copyBack`: reads cached data during a `pushOut`, leaving it
-    /// resident.
+    /// resident. [`CacheIo::copy_back_pages`] hands the pages over by
+    /// reference instead of copying them.
     ///
     /// # Errors
     ///
@@ -60,6 +69,42 @@ pub trait CacheIo: Send + Sync {
     /// Fails if the cache is dead or the *first* page is not resident.
     fn copy_back_run(&self, cache: CacheId, offset: u64, buf: &mut [u8]) -> Result<u64> {
         self.copy_back(cache, offset, buf).map(|_| buf.len() as u64)
+    }
+
+    /// `fillUp` by reference: `pages` (each a page of the cache, the last
+    /// possibly short) become resident at `offset` as
+    /// [`CacheIo::fill_up`] would make their bytes, the cache holding
+    /// each page itself until it writes it.
+    ///
+    /// The default concatenates them and calls [`CacheIo::fill_up`].
+    ///
+    /// # Errors
+    ///
+    /// As [`CacheIo::fill_up`].
+    fn fill_up_pages(&self, cache: CacheId, offset: u64, pages: Vec<Page>) -> Result<()> {
+        match pages.as_slice() {
+            [one] => self.fill_up(cache, offset, one),
+            _ => self.fill_up(cache, offset, &pages.concat()),
+        }
+    }
+
+    /// `copyBack` by reference: the pages of the longest fully-resident
+    /// prefix of `[offset, offset + size)` (`offset` page aligned), as
+    /// [`CacheIo::copy_back_run`] would read it, each page shared with
+    /// the cache, which copies it before its next write. Their lengths
+    /// sum to the prefix's.
+    ///
+    /// The default reads the prefix with [`CacheIo::copy_back_run`] and
+    /// returns it as one buffer.
+    ///
+    /// # Errors
+    ///
+    /// As [`CacheIo::copy_back_run`].
+    fn copy_back_pages(&self, cache: CacheId, offset: u64, size: u64) -> Result<Vec<Page>> {
+        let mut buf = vec![0u8; size as usize];
+        let got = self.copy_back_run(cache, offset, &mut buf)?;
+        buf.truncate(got as usize);
+        Ok(vec![buf.into()])
     }
 }
 
@@ -158,7 +203,8 @@ pub struct Completion {
 pub trait SegmentManagerV2: Send + Sync {
     /// `segment.pullIn(offset, size, accessMode)`: read data in from the
     /// segment. The implementation must deliver the bytes with
-    /// [`CacheIo::fill_up`] before returning.
+    /// [`CacheIo::fill_up_pages`] (or [`CacheIo::fill_up`], which copies
+    /// them) before returning.
     ///
     /// While the pull is in progress the memory manager keeps
     /// synchronization page stubs in place, so concurrent accesses to the
@@ -170,8 +216,9 @@ pub trait SegmentManagerV2: Send + Sync {
     fn submit_pull(&self, io: &dyn CacheIo, req: &PullRequest) -> Result<()>;
 
     /// `segment.pushOut(offset, size)`: write data back to the segment.
-    /// The implementation collects the bytes with
-    /// [`CacheIo::copy_back_run`] (or `copy_back`/`move_back`).
+    /// The implementation collects the data with
+    /// [`CacheIo::copy_back_pages`] (or, copying it, `copy_back_run`,
+    /// `copy_back` or `move_back`).
     ///
     /// # Errors
     ///

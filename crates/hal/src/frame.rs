@@ -8,13 +8,69 @@
 //!
 //! The pool is flat: every allocation hands out the lowest free frame,
 //! so frame numbers are deterministic.
+//!
+//! Each frame's bytes are a [`Page`], a buffer that may be shared by
+//! reference with whoever else holds it: a mapper's segment after a
+//! `fillUp` or `pushOut` hands it over ([`PhysicalMemory::share`],
+//! [`PhysicalMemory::adopt`]), or a `copyBack` reading it with the
+//! frame's lock dropped. A shared buffer is never written: every writer
+//! takes a private one first, so a write through a frame is seen by no
+//! other holder, and a page that is only read is never copied at all.
+//! Sharing moves no simulated time: the charges are those of the copies
+//! the exchange stands for.
 
 use crate::addr::{PageGeometry, PhysAddr};
 use crate::cost::{CostModel, OpKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// A page's bytes, shared by reference between the frame that holds
+/// them and any other holder (a mapper's segment store, a `copyBack`
+/// reply). Immutable while shared: a holder that writes copies first.
+pub type Page = Arc<[u8]>;
+
+/// Page buffers whose last holder let them go, kept for the next private
+/// copy: a stream of copies and releases then reuses the same buffers
+/// instead of going to the allocator, whose per-thread arenas keep a
+/// buffer freed by another thread than the one that will allocate next
+/// resident beside the new one (the measuring thread of a scoreboard run
+/// releases pages its set-up thread allocated). At most [`SPARES_MAX`].
+static SPARES: Mutex<Vec<Page>> = Mutex::new(Vec::new());
+
+/// The most spare buffers kept (8 MiB of Sun-3 pages).
+const SPARES_MAX: usize = 1024;
+
+/// Lets `page` go: kept as a spare if this was its last reference.
+pub fn recycle(page: Page) {
+    if Arc::strong_count(&page) == 1 {
+        let mut spares = SPARES.lock().unwrap_or_else(|e| e.into_inner());
+        if spares.len() < SPARES_MAX {
+            spares.push(page);
+        }
+    }
+}
+
+/// A spare buffer of `len` bytes, if one is kept.
+fn take_spare(len: usize) -> Option<Page> {
+    let mut spares = SPARES.lock().unwrap_or_else(|e| e.into_inner());
+    let at = spares.iter().rposition(|page| page.len() == len)?;
+    Some(spares.swap_remove(at))
+}
+
+/// A private copy of `bytes`, in a spare buffer if one of the size is
+/// kept.
+pub fn private_copy(bytes: &[u8]) -> Page {
+    match take_spare(bytes.len()) {
+        Some(mut page) => {
+            Arc::get_mut(&mut page)
+                .expect("a spare has one holder")
+                .copy_from_slice(bytes);
+            page
+        }
+        None => Page::from(bytes),
+    }
+}
 
 /// A physical page frame number.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -37,14 +93,23 @@ pub struct MemStats {
     pub zeroed_bytes: u64,
     /// Frame-to-frame copies.
     pub copied: u64,
+    /// Pages copied because a write found its frame's buffer shared
+    /// with another holder: the deferred copies that came due. A write
+    /// of the whole page (`zero`, `fill`, `copy_frame`) takes a fresh
+    /// buffer instead and copies nothing, and a write to a frame that
+    /// holds the pool's zero page (never written since the pool was
+    /// created, or zeroed while shared) is not counted.
+    pub shared_copies: u64,
 }
 
 /// A fixed-size pool of physical page frames.
 pub struct PhysicalMemory {
     geom: PageGeometry,
     model: Arc<CostModel>,
-    /// The frames' bytes, frame `n` at `n * page_size`.
-    bytes: Vec<u8>,
+    /// Each frame's bytes. A frame never written holds `zero`.
+    pages: Vec<Page>,
+    /// The one all-zero page every untouched frame shares.
+    zero: Page,
     /// The free frames, lowest number first.
     free: BinaryHeap<Reverse<u32>>,
     allocated: Vec<bool>,
@@ -54,11 +119,12 @@ pub struct PhysicalMemory {
 impl PhysicalMemory {
     /// Creates a pool of `frames` frames of `geom.page_size()` bytes each.
     pub fn new(geom: PageGeometry, frames: u32, model: Arc<CostModel>) -> PhysicalMemory {
-        let page = geom.page_size() as usize;
+        let zero: Page = vec![0u8; geom.page_size() as usize].into();
         PhysicalMemory {
             geom,
             model,
-            bytes: vec![0u8; page * frames as usize],
+            pages: vec![zero.clone(); frames as usize],
+            zero,
             free: (0..frames).map(Reverse).collect(),
             allocated: vec![false; frames as usize],
             stats: MemStats::default(),
@@ -117,31 +183,68 @@ impl PhysicalMemory {
         Some(f)
     }
 
-    /// Fills a frame with zeroes (`bzero`).
+    /// Fills a frame with zeroes (`bzero`). A frame whose buffer is
+    /// shared takes the pool's zero page instead of a copy to clear.
     pub fn zero(&mut self, f: FrameNo) {
-        let page = self.geom.page_size() as usize;
-        self.frame_mut(f).fill(0);
+        self.check_live(f);
+        let slot = &mut self.pages[f.0 as usize];
+        match Arc::get_mut(slot) {
+            Some(bytes) => bytes.fill(0),
+            None => recycle(std::mem::replace(slot, self.zero.clone())),
+        }
         self.stats.zeroed += 1;
-        self.stats.zeroed_bytes += page as u64;
+        self.stats.zeroed_bytes += self.geom.page_size();
         self.model.charge(OpKind::BzeroPage);
     }
 
-    /// Lands a `fillUp` chunk (possibly a short trailing one) in a fresh
-    /// frame: `data` followed by zeroes, each byte written once, charged
-    /// and counted as the `bzero` + copy it replaces (`BzeroPage`,
-    /// `zeroed`), so the simulated clock cannot tell the difference.
-    /// `zeroed_bytes` counts the bytes actually cleared.
+    /// Lands a `fillUp` page (possibly a short trailing chunk) in a
+    /// fresh frame, as [`Self::adopt`] does, charged and counted as the
+    /// `bzero` + copy it replaces (`BzeroPage`, `zeroed`), so the
+    /// simulated clock cannot tell a page handed over from one copied.
+    /// `zeroed_bytes` counts the bytes a short chunk leaves to clear.
     ///
     /// # Panics
     ///
-    /// Panics if `data` is longer than a page or the frame is not live.
-    pub fn fill(&mut self, f: FrameNo, data: &[u8]) {
-        let (head, tail) = self.frame_mut(f).split_at_mut(data.len());
-        head.copy_from_slice(data);
-        tail.fill(0);
+    /// Panics if `page` is longer than a page or the frame is not live.
+    pub fn fill(&mut self, f: FrameNo, page: Page) {
+        let tail = self.geom.page_size().saturating_sub(page.len() as u64);
+        self.adopt(f, page);
         self.stats.zeroed += 1;
-        self.stats.zeroed_bytes += self.geom.page_size() - data.len() as u64;
+        self.stats.zeroed_bytes += tail;
         self.model.charge(OpKind::BzeroPage);
+    }
+
+    /// Installs `page` as frame `f`'s bytes, uncharged. A full page is
+    /// taken by reference: no byte moves, and whoever else holds it
+    /// keeps seeing its own copy, since the frame's first write copies
+    /// it. A shorter one (the trailing chunk of a `fillUp`) is copied
+    /// in, its tail zero-filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is longer than a page or the frame is not live.
+    pub fn adopt(&mut self, f: FrameNo, page: Page) {
+        self.check_live(f);
+        let size = self.geom.page_size() as usize;
+        assert!(page.len() <= size, "a page of {} bytes", page.len());
+        if page.len() == size {
+            recycle(std::mem::replace(&mut self.pages[f.0 as usize], page));
+            return;
+        }
+        let (head, tail) = self.private(f, false).split_at_mut(page.len());
+        head.copy_from_slice(&page);
+        tail.fill(0);
+    }
+
+    /// Hands out a reference to frame `f`'s bytes: the frame's next
+    /// write copies them first, so the holder's page never changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame is not live.
+    pub fn share(&self, f: FrameNo) -> Page {
+        self.check_live(f);
+        self.pages[f.0 as usize].clone()
     }
 
     /// Copies the full contents of frame `src` into frame `dst` (`bcopy`).
@@ -153,8 +256,8 @@ impl PhysicalMemory {
         assert_ne!(src, dst, "copy_frame with identical frames");
         self.check_live(src);
         self.check_live(dst);
-        let (src, dst) = (self.byte_range(src), self.byte_range(dst));
-        self.bytes.copy_within(src, dst.start);
+        let bytes = self.pages[src.0 as usize].clone();
+        self.private(dst, false).copy_from_slice(&bytes);
         self.stats.copied += 1;
         self.model.charge(OpKind::BcopyPage);
     }
@@ -176,17 +279,16 @@ impl PhysicalMemory {
     /// Read-only view of a live frame's bytes.
     pub fn frame(&self, f: FrameNo) -> &[u8] {
         self.check_live(f);
-        &self.bytes[self.byte_range(f)]
+        &self.pages[f.0 as usize]
     }
 
     /// Mutable view of a live frame's bytes.
     ///
-    /// This is the `fillUp` path: data arriving from a segment mapper is
-    /// written straight into the frame.
+    /// A frame whose buffer is shared copies it first (counted in
+    /// `shared_copies`), so no other holder sees the write.
     pub fn frame_mut(&mut self, f: FrameNo) -> &mut [u8] {
         self.check_live(f);
-        let range = self.byte_range(f);
-        &mut self.bytes[range]
+        self.private(f, true)
     }
 
     /// Reads `buf.len()` bytes from a frame starting at `offset`.
@@ -240,11 +342,23 @@ impl PhysicalMemory {
         (f.0 as usize) < self.allocated.len() && self.allocated[f.0 as usize]
     }
 
-    /// Where frame `f`'s bytes sit in the plane.
-    fn byte_range(&self, f: FrameNo) -> Range<usize> {
-        let page = self.geom.page_size() as usize;
-        let start = f.0 as usize * page;
-        start..start + page
+    /// Frame `f`'s buffer, made private first if it is shared: a copy
+    /// of the shared one for a partial write (`keep`), else one whose
+    /// bytes the caller overwrites in whole.
+    fn private(&mut self, f: FrameNo, keep: bool) -> &mut [u8] {
+        let slot = &mut self.pages[f.0 as usize];
+        if Arc::get_mut(slot).is_none() {
+            *slot = match keep {
+                true if Arc::ptr_eq(slot, &self.zero) => private_copy(slot),
+                true => {
+                    self.stats.shared_copies += 1;
+                    private_copy(slot)
+                }
+                false => take_spare(slot.len())
+                    .unwrap_or_else(|| std::iter::repeat_n(0, slot.len()).collect()),
+            };
+        }
+        Arc::get_mut(slot).expect("a private buffer")
     }
 
     fn check_live(&self, f: FrameNo) {
@@ -316,7 +430,7 @@ mod tests {
             let f = pm.alloc().unwrap();
             pm.frame_mut(f).fill(0xAB);
             if fill {
-                pm.fill(f, data);
+                pm.fill(f, Page::from(data));
             } else {
                 pm.zero(f);
                 pm.write(f, 0, data);
@@ -331,8 +445,104 @@ mod tests {
         }
         let mut pm = pool(1);
         let f = pm.alloc().unwrap();
-        pm.fill(f, b"hello");
+        pm.fill(f, Page::from(&b"hello"[..]));
         assert_eq!(pm.stats().zeroed_bytes, 64 - 5, "only the tail is cleared");
+    }
+
+    /// A pool of two frames, the first holding a page that is also held
+    /// outside the pool.
+    fn shared_frame() -> (PhysicalMemory, FrameNo, Page) {
+        let mut pm = pool(2);
+        let f = pm.alloc().unwrap();
+        let page = Page::from(&[7u8; 64][..]);
+        pm.adopt(f, page.clone());
+        (pm, f, page)
+    }
+
+    #[test]
+    fn share_then_adopt_round_trips_bytes_by_reference() {
+        let mut pm = pool(2);
+        let (a, b) = (pm.alloc().unwrap(), pm.alloc().unwrap());
+        pm.write(a, 3, b"page");
+        let page = pm.share(a);
+        pm.adopt(b, page.clone());
+        assert_eq!(pm.frame(b), pm.frame(a));
+        assert_eq!(&pm.frame(b)[3..7], b"page");
+        assert!(Arc::ptr_eq(&page, &pm.share(b)), "no byte moved");
+        assert_eq!(pm.stats().shared_copies, 0);
+        // A short page is copied in and zero-padded.
+        pm.adopt(b, Page::from(&b"ab"[..]));
+        assert_eq!(&pm.frame(b)[..3], b"ab\0");
+    }
+
+    #[test]
+    fn a_write_to_a_shared_page_copies_it_first() {
+        let (mut pm, f, page) = shared_frame();
+        pm.write(f, 1, b"x");
+        assert_eq!(pm.frame(f)[..3], [7, b'x', 7]);
+        assert!(
+            page.iter().all(|&b| b == 7),
+            "the other holder saw the write"
+        );
+        assert_eq!(pm.stats().shared_copies, 1);
+        // The frame's buffer is its own now: the next write copies nothing.
+        pm.write(f, 2, b"y");
+        assert_eq!(pm.stats().shared_copies, 1);
+        // The same through `frame_mut`.
+        let (mut pm, f, page) = shared_frame();
+        pm.frame_mut(f)[0] = 1;
+        assert_eq!(
+            (page[0], pm.frame(f)[0], pm.stats().shared_copies),
+            (7, 1, 1)
+        );
+    }
+
+    #[test]
+    fn whole_page_writes_to_a_shared_page_leave_it_alone() {
+        let (mut pm, f, page) = shared_frame();
+        pm.zero(f);
+        assert!(pm.frame(f).iter().all(|&b| b == 0));
+        let (mut pm2, g, page2) = shared_frame();
+        pm2.fill(g, Page::from(&b"hello"[..]));
+        assert_eq!(&pm2.frame(g)[..6], b"hello\0");
+        let (mut pm3, h, page3) = shared_frame();
+        let other = pm3.alloc_zeroed().unwrap();
+        pm3.copy_frame(other, h);
+        assert!(pm3.frame(h).iter().all(|&b| b == 0));
+        for (pm, page) in [(&pm, page), (&pm2, page2), (&pm3, page3)] {
+            assert!(
+                page.iter().all(|&b| b == 7),
+                "the other holder saw the write"
+            );
+            assert_eq!(pm.stats().shared_copies, 0, "nothing to copy");
+        }
+    }
+
+    #[test]
+    fn a_page_let_go_by_its_last_holder_is_reused() {
+        // A length no other test uses, so no other test takes the spare.
+        let page = Page::from(&[1u8; 37][..]);
+        let held = page.clone();
+        recycle(page);
+        let copy = private_copy(&[2u8; 37]);
+        assert!(
+            !Arc::ptr_eq(&copy, &held),
+            "a page still held is not reused"
+        );
+        let addr = Arc::as_ptr(&held) as *const u8;
+        recycle(held);
+        let reused = private_copy(&[3u8; 37]);
+        assert_eq!(Arc::as_ptr(&reused) as *const u8, addr);
+        assert_eq!(&reused[..], &[3u8; 37][..]);
+    }
+
+    #[test]
+    fn a_frames_first_write_is_not_a_shared_copy() {
+        let mut pm = pool(1);
+        let f = pm.alloc().unwrap();
+        assert!(pm.frame(f).iter().all(|&b| b == 0));
+        pm.write(f, 0, b"first");
+        assert_eq!(pm.stats().shared_copies, 0);
     }
 
     #[test]

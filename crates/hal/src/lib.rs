@@ -32,7 +32,7 @@ pub use addr::{PageGeometry, PhysAddr, VirtAddr, Vpn};
 pub use arena::{Arena, Id};
 pub use clock::TraceClock;
 pub use cost::{CostModel, CostParams, OpKind, SimTime};
-pub use frame::{FrameNo, MemStats, PhysicalMemory};
+pub use frame::{private_copy, recycle, FrameNo, MemStats, Page, PhysicalMemory};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use mmu::{Access, Mmu, MmuCtx, MmuFault, Prot};
 pub use soft_mmu::SoftMmu;

@@ -10,11 +10,18 @@
 //! objects invoked through a registry keyed by their port name; the
 //! request/reply message shapes match the paper's IPC protocol; the
 //! secondary-storage round trip is the cost model's `SegmentIoPage`,
-//! charged to the simulated clock, never a wall-clock sleep.
+//! charged to the simulated clock, never a wall-clock sleep. The data
+//! of a request changes hands by reference, not by copy: a mapper's
+//! [`Mapper::read_pages`] reply is the [`Page`]s of its store, which the
+//! cache lands as they are, and [`Mapper::write_pages`] keeps the
+//! cache's pages, each side copying a page only when it writes it. That
+//! is the per-page deferred copy the paper's IPC makes through its
+//! transit segment (§1); the simulated clock charges the transfer the
+//! same either way.
 
 use crate::capability::{Capability, PortName};
-use chorus_gmi::{GmiError, Result, SegmentId};
-use chorus_hal::FxHashMap;
+use chorus_gmi::{GmiError, Page, PageGeometry, Result, SegmentId};
+use chorus_hal::{private_copy, recycle, FxHashMap};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -33,6 +40,35 @@ pub trait Mapper: Send + Sync {
     ///
     /// Fails when the capability is invalid or I/O fails.
     fn write(&self, cap: Capability, offset: u64, data: &[u8]) -> Result<()>;
+
+    /// Reads `size` bytes at `offset` as pages handed over by reference:
+    /// their lengths sum to what [`Mapper::read`] would return, and a
+    /// mapper that stores pages of the cache's size answers with those,
+    /// so no byte moves.
+    ///
+    /// The default returns [`Mapper::read`]'s reply as one buffer.
+    ///
+    /// # Errors
+    ///
+    /// As [`Mapper::read`].
+    fn read_pages(&self, cap: Capability, offset: u64, size: u64) -> Result<Vec<Page>> {
+        Ok(vec![self.read(cap, offset, size)?.into()])
+    }
+
+    /// Writes `pages`, back to back from `offset`, keeping each page by
+    /// reference where the mapper stores pages of its size.
+    ///
+    /// The default concatenates them and calls [`Mapper::write`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Mapper::write`].
+    fn write_pages(&self, cap: Capability, offset: u64, pages: Vec<Page>) -> Result<()> {
+        match pages.as_slice() {
+            [one] => self.write(cap, offset, one),
+            _ => self.write(cap, offset, &pages.concat()),
+        }
+    }
 
     /// Grants or denies write access (coherence protocols override).
     ///
@@ -65,10 +101,28 @@ pub trait Mapper: Send + Sync {
 
 /// A mapper holding segments in memory. Serves both as a "file server"
 /// for tests/examples and as the swap default mapper.
+///
+/// Each segment is a run of [`Page`]s plus a length: a page it hands
+/// out by [`Mapper::read_pages`] or takes by [`Mapper::write_pages`] is
+/// shared with the cache, and whichever side writes it first copies it.
+/// Pages never written are one shared zero page, and every byte past a
+/// segment's length is zero.
 pub struct MemMapper {
     port: PortName,
-    segments: Mutex<FxHashMap<u64, Vec<u8>>>,
+    /// The zero page every hole shares.
+    zero: Page,
+    segments: Mutex<FxHashMap<u64, Segment>>,
     next_key: Mutex<u64>,
+}
+
+/// The size of a stored page: the default geometry's. A cache of
+/// another page size exchanges pages with the mapper by copy.
+const PAGE: u64 = PageGeometry::SUN3_PAGE_SIZE;
+
+/// One segment of a [`MemMapper`].
+struct Segment {
+    pages: Vec<Page>,
+    len: u64,
 }
 
 impl MemMapper {
@@ -76,6 +130,7 @@ impl MemMapper {
     pub fn new(port: PortName) -> MemMapper {
         MemMapper {
             port,
+            zero: vec![0u8; PAGE as usize].into(),
             segments: Mutex::new(FxHashMap::default()),
             next_key: Mutex::new(1),
         }
@@ -94,7 +149,12 @@ impl MemMapper {
         // guessable from small integers.
         let key = (*next).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         *next += 1;
-        self.segments.lock().insert(key, data.to_vec());
+        let mut segment = Segment {
+            pages: Vec::new(),
+            len: 0,
+        };
+        self.write_bytes(&mut segment, 0, data);
+        self.segments.lock().insert(key, segment);
         Capability::new(self.port, key)
     }
 
@@ -104,11 +164,65 @@ impl MemMapper {
     ///
     /// Panics on an unknown capability.
     pub fn segment_data(&self, cap: Capability) -> Vec<u8> {
-        self.segments
-            .lock()
-            .get(&cap.key)
-            .expect("unknown capability")
-            .clone()
+        let segments = self.segments.lock();
+        let segment = segments.get(&cap.key).expect("unknown capability");
+        self.read_bytes(segment, 0, segment.len)
+    }
+
+    /// Runs `op` on the segment `cap` names, under the one lock a
+    /// request takes: the capability is checked in the lookup that
+    /// serves it.
+    fn with<T>(&self, cap: Capability, op: impl FnOnce(&mut Segment) -> T) -> Result<T> {
+        let mut segments = self.segments.lock();
+        match segments.get_mut(&cap.key) {
+            Some(segment) if cap.port == self.port => Ok(op(segment)),
+            _ => Err(invalid(cap)),
+        }
+    }
+
+    /// `size` bytes at `offset`, the sparse tail (if any) zero-filled.
+    fn read_bytes(&self, segment: &Segment, offset: u64, size: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity(size as usize);
+        let mut cur = offset;
+        while cur < offset + size {
+            let (index, skip) = ((cur / PAGE) as usize, cur % PAGE);
+            let n = (PAGE - skip).min(offset + size - cur);
+            match segment.pages.get(index) {
+                Some(page) => out.extend_from_slice(&page[skip as usize..(skip + n) as usize]),
+                None => out.resize(out.len() + n as usize, 0),
+            }
+            cur += n;
+        }
+        out
+    }
+
+    /// Writes `bytes` at `offset`, growing the segment over holes of the
+    /// zero page. A page shared with a cache is copied first.
+    fn write_bytes(&self, segment: &mut Segment, offset: u64, bytes: &[u8]) {
+        let end = offset + bytes.len() as u64;
+        self.grow(segment, end);
+        let mut cur = offset;
+        while cur < end {
+            let (index, skip) = ((cur / PAGE) as usize, cur % PAGE);
+            let n = (PAGE - skip).min(end - cur);
+            let slot = &mut segment.pages[index];
+            if Arc::get_mut(slot).is_none() {
+                *slot = private_copy(slot);
+            }
+            let page = Arc::get_mut(slot).expect("a private page");
+            let src = (cur - offset) as usize;
+            page[skip as usize..(skip + n) as usize].copy_from_slice(&bytes[src..src + n as usize]);
+            cur += n;
+        }
+    }
+
+    /// Extends the segment to at least `end` bytes.
+    fn grow(&self, segment: &mut Segment, end: u64) {
+        let pages = end.div_ceil(PAGE) as usize;
+        if segment.pages.len() < pages {
+            segment.pages.resize(pages, self.zero.clone());
+        }
+        segment.len = segment.len.max(end);
     }
 }
 
@@ -119,43 +233,49 @@ fn invalid(cap: Capability) -> GmiError {
 
 impl Mapper for MemMapper {
     fn read(&self, cap: Capability, offset: u64, size: u64) -> Result<Vec<u8>> {
-        // One lock a request: the capability is checked in the lookup
-        // that serves it.
-        let segments = self.segments.lock();
-        let data = match segments.get(&cap.key) {
-            Some(data) if cap.port == self.port => data,
-            _ => return Err(invalid(cap)),
-        };
-        // The reply is written once: the stored bytes, then the sparse
-        // tail (if any) zero-filled — never a pre-zeroed buffer that is
-        // overwritten.
-        let start = (offset as usize).min(data.len());
-        let end = (start + size as usize).min(data.len());
-        let mut out = Vec::with_capacity(size as usize);
-        out.extend_from_slice(&data[start..end]);
-        out.resize(size as usize, 0);
-        Ok(out)
+        self.with(cap, |segment| self.read_bytes(segment, offset, size))
     }
 
     fn write(&self, cap: Capability, offset: u64, bytes: &[u8]) -> Result<()> {
-        let mut segments = self.segments.lock();
-        let data = match segments.get_mut(&cap.key) {
-            Some(data) if cap.port == self.port => data,
-            _ => return Err(invalid(cap)),
-        };
-        let end = offset as usize + bytes.len();
-        if data.len() < end {
-            data.resize(end, 0);
-        }
-        data[offset as usize..end].copy_from_slice(bytes);
-        Ok(())
+        self.with(cap, |segment| self.write_bytes(segment, offset, bytes))
+    }
+
+    fn read_pages(&self, cap: Capability, offset: u64, size: u64) -> Result<Vec<Page>> {
+        self.with(cap, |segment| {
+            if !offset.is_multiple_of(PAGE) || !size.is_multiple_of(PAGE) {
+                return vec![self.read_bytes(segment, offset, size).into()];
+            }
+            let first = (offset / PAGE) as usize;
+            (first..first + (size / PAGE) as usize)
+                .map(|i| segment.pages.get(i).unwrap_or(&self.zero).clone())
+                .collect()
+        })
+    }
+
+    fn write_pages(&self, cap: Capability, offset: u64, pages: Vec<Page>) -> Result<()> {
+        self.with(cap, |segment| {
+            let mut cur = offset;
+            for page in pages {
+                let len = page.len() as u64;
+                if cur.is_multiple_of(PAGE) && len == PAGE {
+                    self.grow(segment, cur + len);
+                    recycle(std::mem::replace(
+                        &mut segment.pages[(cur / PAGE) as usize],
+                        page,
+                    ));
+                } else {
+                    self.write_bytes(segment, cur, &page);
+                }
+                cur += len;
+            }
+        })
     }
 
     fn size(&self, cap: Capability) -> Option<u64> {
         if cap.port != self.port {
             return None;
         }
-        self.segments.lock().get(&cap.key).map(|d| d.len() as u64)
+        self.segments.lock().get(&cap.key).map(|s| s.len)
     }
 
     fn allocate_temporary(&self) -> Result<Capability> {
@@ -198,6 +318,15 @@ impl Mapper for SwapMapper {
     fn write(&self, cap: Capability, offset: u64, data: &[u8]) -> Result<()> {
         *self.swapped_out_bytes.lock() += data.len() as u64;
         self.inner.write(cap, offset, data)
+    }
+
+    fn read_pages(&self, cap: Capability, offset: u64, size: u64) -> Result<Vec<Page>> {
+        self.inner.read_pages(cap, offset, size)
+    }
+
+    fn write_pages(&self, cap: Capability, offset: u64, pages: Vec<Page>) -> Result<()> {
+        *self.swapped_out_bytes.lock() += pages.iter().map(|p| p.len() as u64).sum::<u64>();
+        self.inner.write_pages(cap, offset, pages)
     }
 
     fn size(&self, cap: Capability) -> Option<u64> {
@@ -256,6 +385,80 @@ mod tests {
         assert_eq!(m.read(cap, 3, 4).unwrap(), vec![b'l', b'o', 0, 0]);
         m.write(cap, 7, b"xy").unwrap();
         assert_eq!(m.read(cap, 5, 4).unwrap(), vec![0, 0, b'x', b'y']);
+    }
+
+    /// Bytes at `at`, counted from page `page` of the store.
+    fn at(page: u64, at: u64) -> u64 {
+        page * PAGE + at
+    }
+
+    #[test]
+    fn byte_io_at_unaligned_offsets_is_a_view_over_the_pages() {
+        let m = MemMapper::new(PortName(1));
+        let cap = m.create_segment(&vec![b'.'; at(1, 4) as usize]);
+        // Every request below straddles a page boundary.
+        assert_eq!(m.read(cap, at(1, 0) - 2, 6).unwrap(), b"......");
+        m.write(cap, at(1, 0) - 3, b"abcdef").unwrap();
+        assert_eq!(
+            m.size(cap),
+            Some(at(1, 4)),
+            "a write inside leaves the length"
+        );
+        assert_eq!(m.read(cap, at(1, 0) - 4, 8).unwrap(), b".abcdef.");
+        // Sparse growth: a write past the end leaves zeroes behind it,
+        // the untouched pages being the shared zero page.
+        m.write(cap, at(4, 0) - 1, b"xy").unwrap();
+        assert_eq!(m.size(cap), Some(at(4, 1)));
+        let data = m.segment_data(cap);
+        assert_eq!(data.len() as u64, at(4, 1));
+        assert!(data[at(1, 4) as usize..at(4, 0) as usize - 1]
+            .iter()
+            .all(|&b| b == 0));
+        assert_eq!(&data[at(4, 0) as usize - 1..], b"xy");
+        let pages = m.read_pages(cap, at(2, 0), PAGE).unwrap();
+        assert!(Arc::ptr_eq(&pages[0], &m.zero), "a hole is the zero page");
+        assert_eq!(
+            m.read(cap, at(4, 0) - 2, 5).unwrap(),
+            vec![0, b'x', b'y', 0, 0]
+        );
+    }
+
+    #[test]
+    fn pages_change_hands_and_a_write_copies_first() {
+        let m = MemMapper::new(PortName(1));
+        let mut data = vec![b'a'; PAGE as usize];
+        data.extend(vec![b'b'; PAGE as usize]);
+        let cap = m.create_segment(&data);
+        // A reply shares the stored pages...
+        let pages = m.read_pages(cap, 0, 2 * PAGE).unwrap();
+        assert_eq!(pages.concat(), data);
+        assert!(Arc::ptr_eq(
+            &pages[1],
+            &m.read_pages(cap, PAGE, PAGE).unwrap()[0]
+        ));
+        // ...which a byte write to the segment leaves alone.
+        m.write(cap, at(1, 1), b"X").unwrap();
+        assert!(pages[1].iter().all(|&b| b == b'b'));
+        assert_eq!(m.read(cap, at(1, 0), 3).unwrap(), b"bXb");
+        // A written page is kept as it is, and a write copies it first.
+        let page = Page::from(vec![b'c'; PAGE as usize]);
+        m.write_pages(cap, at(2, 0), vec![page.clone()]).unwrap();
+        assert!(Arc::ptr_eq(
+            &page,
+            &m.read_pages(cap, at(2, 0), PAGE).unwrap()[0]
+        ));
+        m.write(cap, at(2, 4), b"Y").unwrap();
+        assert!(page.iter().all(|&b| b == b'c'));
+        assert_eq!(m.read(cap, at(2, 3), 3).unwrap(), b"cYc");
+        assert_eq!(m.size(cap), Some(at(3, 0)));
+        // A request in another page size is served by copy.
+        let small = m.read_pages(cap, at(1, 0) - 2, 4).unwrap();
+        assert_eq!(small.concat(), b"aabX");
+        m.write_pages(cap, 2, vec![Page::from(&b"zz"[..])]).unwrap();
+        assert_eq!(m.read(cap, 0, 5).unwrap(), b"aazza");
+        let forged = Capability::new(PortName(1), cap.key ^ 1);
+        assert!(m.read_pages(forged, 0, PAGE).is_err());
+        assert!(m.write_pages(forged, 0, vec![page]).is_err());
     }
 
     #[test]

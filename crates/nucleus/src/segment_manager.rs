@@ -15,7 +15,7 @@
 use crate::capability::{Capability, PortName};
 use crate::mapper::{Mapper, MapperRegistry};
 use chorus_gmi::{
-    CacheId, CacheIo, GmiError, PullRequest, PushRequest, Result, SegmentId, SegmentManagerV2,
+    CacheId, CacheIo, GmiError, Page, PullRequest, PushRequest, Result, SegmentId, SegmentManagerV2,
 };
 use chorus_hal::FxHashMap;
 use parking_lot::Mutex;
@@ -127,14 +127,16 @@ impl SegmentManagerV2 for NucleusSegmentManager {
         // appropriate segment mapper port... The mapper replies with a
         // message containing the required data."
         let (cap, mapper) = self.route(segment)?;
-        let data = mapper.read(cap, offset, size)?;
+        let pages = mapper.read_pages(cap, offset, size)?;
         // A mapper must answer with the full fragment (sparse holes are
         // its job to zero-fill); a short reply is a corrupt transfer and
         // must be rejected before fillUp can deliver partial data.
-        if (data.len() as u64) < size {
+        if bytes(&pages) < size {
             return Err(GmiError::transient_io(segment, "truncated mapper reply"));
         }
-        io.fill_up(cache, offset, &data)
+        // The reply's pages change hands: the cache lands them as they
+        // are, copying one only when it writes it.
+        io.fill_up_pages(cache, offset, pages)
     }
 
     fn acquire_write_access(&self, segment: SegmentId, offset: u64, size: u64) -> Result<()> {
@@ -150,9 +152,10 @@ impl SegmentManagerV2 for NucleusSegmentManager {
             size,
         } = *req;
         let (cap, mapper) = self.route(segment)?;
-        let mut buf = vec![0u8; size as usize];
-        let got = io.copy_back_run(cache, offset, &mut buf)?;
-        mapper.write(cap, offset, &buf[..got as usize])?;
+        // The cache's pages go to the segment by reference.
+        let pages = io.copy_back_pages(cache, offset, size)?;
+        let got = bytes(&pages);
+        mapper.write_pages(cap, offset, pages)?;
         if got < size {
             // Part of the run vanished between the upcall and the copy
             // (writeback racing an invalidate). The prefix that was still
@@ -186,9 +189,15 @@ impl SegmentManagerV2 for NucleusSegmentManager {
     }
 }
 
+/// The bytes a run of pages holds.
+fn bytes(pages: &[Page]) -> u64 {
+    pages.iter().map(|p| p.len() as u64).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faulty::{FaultPlan, FaultyMapper};
     use crate::mapper::MemMapper;
     use chorus_gmi::Access;
 
@@ -243,6 +252,35 @@ mod tests {
         };
         sm.submit_pull(&io, &req).unwrap();
         assert_eq!(io.0.lock().get(&(cache, 2)).unwrap(), b"cde");
+    }
+
+    #[test]
+    fn a_short_reply_through_the_default_read_pages_is_a_transient_truncation() {
+        // `FaultyMapper` overrides only the byte methods, so its replies
+        // take the default `read_pages`; every reply is cut in half.
+        let sm = NucleusSegmentManager::new();
+        let m = Arc::new(MemMapper::new(PortName(1)));
+        let cap = m.create_segment(&[7u8; 64]);
+        let plan = FaultPlan {
+            truncate_per_mille: 1000,
+            ..FaultPlan::quiet(3)
+        };
+        sm.register_mapper(PortName(1), Arc::new(FaultyMapper::new(m, plan)));
+        let io = BufIo(Mutex::new(FxHashMap::default()));
+        let req = PullRequest {
+            cache: CacheId::pack(0, 0),
+            segment: sm.segment_for(cap),
+            offset: 0,
+            size: 64,
+            access: Access::Read,
+        };
+        let err = sm.submit_pull(&io, &req).unwrap_err();
+        assert!(err.is_transient(), "{err:?}");
+        assert_eq!(
+            err,
+            GmiError::transient_io(req.segment, "truncated mapper reply")
+        );
+        assert!(io.0.lock().is_empty(), "nothing partial was filled up");
     }
 
     #[test]

@@ -24,7 +24,9 @@ use chorus_gmi::{
     Access, CacheId, CacheIo, CopyMode, CtxId, Gmi, GmiError, PageGeometry, Prot, PullRequest,
     PushRequest, RegionId, RegionStatus, Result, SegmentId, SegmentManagerV2, VirtAddr,
 };
-use chorus_hal::{CostModel, CostParams, Mmu, PhysicalMemory, SoftMmu, TwoLevelMmu};
+use chorus_hal::{
+    private_copy, CostModel, CostParams, Mmu, Page, PhysicalMemory, SoftMmu, TwoLevelMmu,
+};
 use parking_lot::Condvar;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -661,20 +663,36 @@ impl Pvm {
 
 impl CacheIo for Pvm {
     fn fill_up(&self, cache: CacheId, offset: u64, data: &[u8]) -> Result<()> {
+        // The byte form lands copies: one page of its own per chunk.
+        let ps = self.geom.page_size() as usize;
+        self.fill_up_pages(cache, offset, data.chunks(ps).map(private_copy).collect())
+    }
+
+    fn fill_up_pages(&self, cache: CacheId, offset: u64, pages: Vec<Page>) -> Result<()> {
         let key = cache_key(cache);
         let ps = self.geom.page_size();
+        debug_assert!(offset.is_multiple_of(ps), "fillUp must start page-aligned");
+        // Pages of another size (a mapper paging in its own) are cut
+        // into ours, which copies them.
+        let ours = pages.split_last().is_none_or(|(last, rest)| {
+            last.len() as u64 <= ps && rest.iter().all(|p| p.len() as u64 == ps)
+        });
+        let pages = match ours {
+            true => pages,
+            false => pages
+                .concat()
+                .chunks(ps as usize)
+                .map(private_copy)
+                .collect(),
+        };
         // One state-lock hold per delivery: every page lands through
         // its own driver entry under it, and the lock is only given up
         // where an attempt blocks (a dirty victim to push).
         let mut guard = self.state.lock(LockEntry::FillUp);
         guard.cache(key)?;
-        for (i, chunk) in data.chunks(ps as usize).enumerate() {
+        for (i, page) in pages.iter().enumerate() {
             let page_off = offset + i as u64 * ps;
-            debug_assert!(
-                page_off.is_multiple_of(ps),
-                "fillUp chunks must start page-aligned"
-            );
-            match self.drive(guard, |s| s.fill_up_page_attempt(key, page_off, chunk)) {
+            match self.drive(guard, |s| s.fill_up_page_attempt(key, page_off, page)) {
                 Ok((held, ())) => guard = held,
                 Err(e) => {
                     // `drive` gave the lock up on its way out.
@@ -690,21 +708,30 @@ impl CacheIo for Pvm {
     }
 
     fn copy_back(&self, cache: CacheId, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let key = cache_key(cache);
-        let guard = self.state.lock(LockEntry::CopyBack);
-        guard.copy_back_locked(key, offset, buf)
+        let read = self.copy_back_run(cache, offset, buf)?;
+        short_copy_back(self.geom, offset, buf.len() as u64, read)
     }
 
     fn copy_back_run(&self, cache: CacheId, offset: u64, buf: &mut [u8]) -> Result<u64> {
+        // The pages are shared under the lock and copied out after it.
+        let skip = offset - self.geom.round_down(offset);
+        let pages = self.copy_back_pages(cache, offset - skip, skip + buf.len() as u64)?;
+        Ok(copy_out(&pages, skip, buf))
+    }
+
+    fn copy_back_pages(&self, cache: CacheId, offset: u64, size: u64) -> Result<Vec<Page>> {
         let key = cache_key(cache);
         let guard = self.state.lock(LockEntry::CopyBack);
-        guard.copy_back_run_locked(key, offset, buf)
+        guard.resident_pages(key, offset, size)
     }
 
     fn move_back(&self, cache: CacheId, offset: u64, buf: &mut [u8]) -> Result<()> {
         let key = cache_key(cache);
+        let skip = offset - self.geom.round_down(offset);
         let mut guard = self.state.lock(LockEntry::CopyBack);
-        guard.copy_back_locked(key, offset, buf)?;
+        let pages = guard.resident_pages(key, offset - skip, skip + buf.len() as u64)?;
+        let read = copy_out(&pages, skip, buf);
+        short_copy_back(self.geom, offset, buf.len() as u64, read)?;
         // Remove the fragment from the cache, releasing the frames.
         let ps = guard.ps();
         let mut cur = 0u64;
@@ -723,13 +750,42 @@ impl CacheIo for Pvm {
     }
 }
 
+/// `copyBack` is all or nothing: `OutOfRange` at the first page of
+/// `[offset, offset + len)` that was not resident when `read` bytes were.
+fn short_copy_back(geom: PageGeometry, offset: u64, len: u64, read: u64) -> Result<()> {
+    if read < len {
+        return Err(GmiError::OutOfRange {
+            offset: geom.round_down(offset + read),
+            size: geom.page_size(),
+            what: "copyBack of non-resident data",
+        });
+    }
+    Ok(())
+}
+
+/// Copies the bytes of `pages`, from `skip` bytes into the first, into
+/// `buf`: as many as both hold. Returns how many.
+fn copy_out(pages: &[Page], skip: u64, buf: &mut [u8]) -> u64 {
+    let mut cur = 0usize;
+    let mut skip = skip as usize;
+    for page in pages {
+        let n = (page.len() - skip).min(buf.len() - cur);
+        buf[cur..cur + n].copy_from_slice(&page[skip..skip + n]);
+        (cur, skip) = (cur + n, 0);
+        if cur == buf.len() {
+            break;
+        }
+    }
+    cur as u64
+}
+
 impl PvmState {
     /// One attempt of delivering one page of `fillUp` data.
     pub(crate) fn fill_up_page_attempt(
         &mut self,
         cache: crate::keys::CacheKey,
         page_off: u64,
-        chunk: &[u8],
+        data: &Page,
     ) -> Attempt<()> {
         if self.caches.get(cache).is_none() {
             // The cache died while the pull was in flight; drop the data.
@@ -764,16 +820,15 @@ impl PvmState {
             }
             other => other?,
         };
+        // The frame takes the mapper's page by reference; a partial
+        // trailing chunk is copied in and zero-padded.
         if parked.is_some() {
             // The transfer into the frame is the mapper's; the copy is
             // charged when the page lands (`PvmState::deliver_page`).
-            self.phys.write(frame, 0, chunk);
-            self.phys.frame_mut(frame)[chunk.len()..].fill(0);
+            self.phys.adopt(frame, data.clone());
             self.park(cache, page_off, frame);
         } else {
-            // Partial trailing chunks are zero-padded: only the tail
-            // the chunk leaves uncovered is cleared.
-            self.phys.fill(frame, chunk);
+            self.phys.fill(frame, data.clone());
             let page = self.new_page(cache, page_off, frame, true, false);
             self.land_page(cache, page_off, page);
         }
@@ -839,64 +894,37 @@ impl PvmState {
         }
     }
 
-    /// Non-faulting read of resident data (`copyBack`): all of it, or
-    /// `OutOfRange` at the first page that is not resident.
-    pub(crate) fn copy_back_locked(
+    /// The pages of the longest fully-resident prefix of `[offset,
+    /// offset + size)` (`offset` page aligned), shared with their
+    /// frames: `copyBack`'s reply, by reference. A page that vanished
+    /// mid-run (writeback racing an invalidate) shortens it instead of
+    /// failing the whole batch; a first page not resident fails it.
+    pub(crate) fn resident_pages(
         &self,
         cache: crate::keys::CacheKey,
         offset: u64,
-        buf: &mut [u8],
-    ) -> Result<()> {
-        let read = self.copy_back_run_locked(cache, offset, buf)?;
-        if read < buf.len() as u64 {
-            return Err(GmiError::OutOfRange {
-                offset: self.geom.round_down(offset + read),
-                size: self.ps(),
-                what: "copyBack of non-resident data",
-            });
-        }
-        Ok(())
-    }
-
-    /// Reads the longest fully-resident page-aligned prefix of
-    /// `[offset, offset + buf.len())` into `buf`, returning its length
-    /// in bytes. A batched `pushOut` uses this so a page that vanished
-    /// mid-run (writeback racing an invalidate) shortens the reply
-    /// instead of failing the whole batch.
-    pub(crate) fn copy_back_run_locked(
-        &self,
-        cache: crate::keys::CacheKey,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<u64> {
+        size: u64,
+    ) -> Result<Vec<Page>> {
         self.cache(cache)?;
-        let ps = self.ps();
-        let mut cur = 0u64;
-        while cur < buf.len() as u64 {
-            let o = offset + cur;
-            let page_off = self.geom.round_down(o);
-            let in_page = (page_off + ps - o).min(buf.len() as u64 - cur);
+        debug_assert!(
+            offset.is_multiple_of(self.ps()),
+            "copyBack runs are page-aligned"
+        );
+        let mut pages = Vec::new();
+        for page_off in (offset..offset + size).step_by(self.ps() as usize) {
             match self.gmap.get(cache, page_off) {
-                Some(Slot::Present(p)) => {
-                    let frame = self.page(p).frame;
-                    self.phys.read(
-                        frame,
-                        o - page_off,
-                        &mut buf[cur as usize..(cur + in_page) as usize],
-                    );
-                }
-                _ if cur == 0 => {
+                Some(Slot::Present(p)) => pages.push(self.phys.share(self.page(p).frame)),
+                _ if pages.is_empty() => {
                     return Err(GmiError::OutOfRange {
                         offset: page_off,
-                        size: ps,
+                        size: self.ps(),
                         what: "copyBack of non-resident data",
                     })
                 }
                 _ => break,
             }
-            cur += in_page;
         }
-        Ok(cur)
+        Ok(pages)
     }
 
     /// Grows a cache's known segment length after a `pushOut` extended

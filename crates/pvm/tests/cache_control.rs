@@ -4,8 +4,11 @@
 mod common;
 
 use chorus_gmi::testing::Upcall;
-use chorus_gmi::{CopyMode, Gmi, GmiError, Prot, VirtAddr};
+use chorus_gmi::{CacheId, CopyMode, CtxId, Gmi, GmiError, PageGeometry, Prot, VirtAddr};
+use chorus_nucleus::{Capability, Mapper, MemMapper, NucleusSegmentManager, PortName};
+use chorus_pvm::{Pvm, PvmConfig, PvmOptions};
 use common::*;
+use std::sync::Arc;
 
 #[test]
 fn sync_skips_clean_and_stubbed_ranges() {
@@ -193,4 +196,100 @@ fn adjacent_regions_of_one_cache_see_one_another() {
     write(&pvm, ctx, PS + 7, b"overlap");
     // The second region maps segment offset PS at its base.
     assert_eq!(read(&pvm, ctx, 4 * PS + 7, 7), b"overlap");
+}
+
+/// A PVM of the default (Sun-3) geometry over the Nucleus segment
+/// manager and a `MemMapper`, which stores pages of that size, so pulled
+/// and pushed pages change hands by reference; a four-page file, mapped
+/// read-write at `FILE_VA` and read in whole.
+struct SharedStack {
+    pvm: Arc<Pvm>,
+    files: Arc<MemMapper>,
+    cap: Capability,
+    cache: CacheId,
+    ctx: CtxId,
+}
+
+const FILE_VA: u64 = 0x10_0000;
+/// The page size of the shared stack.
+const SPS: u64 = PageGeometry::SUN3_PAGE_SIZE;
+
+fn shared_stack() -> SharedStack {
+    let seg_mgr = Arc::new(NucleusSegmentManager::new());
+    let files = Arc::new(MemMapper::new(PortName(1)));
+    seg_mgr.register_mapper(PortName(1), files.clone());
+    let options = PvmOptions {
+        frames: 32,
+        config: PvmConfig::builder()
+            .paging(|p| p.check_invariants(true))
+            .build()
+            .expect("valid config"),
+        ..PvmOptions::default()
+    };
+    let pvm = Arc::new(Pvm::new(options, seg_mgr.clone()));
+    let cap = files.create_segment(&pattern(1, (4 * SPS) as usize));
+    let cache = pvm.cache_create(Some(seg_mgr.segment_for(cap))).unwrap();
+    let ctx = pvm.context_create().unwrap();
+    pvm.region_create(ctx, VirtAddr(FILE_VA), 4 * SPS, Prot::RW, cache, 0)
+        .unwrap();
+    assert_eq!(
+        read(&pvm, ctx, FILE_VA, (4 * SPS) as usize),
+        pattern(1, (4 * SPS) as usize)
+    );
+    pvm.drain_upcalls();
+    SharedStack {
+        pvm,
+        files,
+        cap,
+        cache,
+        ctx,
+    }
+}
+
+#[test]
+fn a_mapped_write_to_a_pulled_page_reaches_the_segment_only_at_sync() {
+    let s = shared_stack();
+    let before = s.pvm.mem_stats().shared_copies;
+    write(&s.pvm, s.ctx, FILE_VA + SPS + 3, b"mapped");
+    assert_eq!(
+        s.pvm.mem_stats().shared_copies,
+        before + 1,
+        "the frame held the mapper's page"
+    );
+    assert_eq!(s.files.segment_data(s.cap), pattern(1, (4 * SPS) as usize));
+    s.pvm.cache_sync(s.cache, 0, 4 * SPS).unwrap();
+    let mut want = pattern(1, (4 * SPS) as usize);
+    want[(SPS + 3) as usize..(SPS + 9) as usize].copy_from_slice(b"mapped");
+    assert_eq!(s.files.segment_data(s.cap), want);
+}
+
+#[test]
+fn a_mapped_write_after_a_sync_leaves_the_segment_at_the_synced_bytes() {
+    let s = shared_stack();
+    write(&s.pvm, s.ctx, FILE_VA + 2 * SPS, b"synced");
+    s.pvm.cache_sync(s.cache, 0, 4 * SPS).unwrap();
+    let synced = s.files.segment_data(s.cap);
+    // The push handed the frame's page to the segment: this write
+    // copies it first.
+    let before = s.pvm.mem_stats().shared_copies;
+    write(&s.pvm, s.ctx, FILE_VA + 2 * SPS, b"later!");
+    assert_eq!(s.pvm.mem_stats().shared_copies, before + 1);
+    assert_eq!(s.files.segment_data(s.cap), synced);
+    assert_eq!(
+        &synced[(2 * SPS) as usize..(2 * SPS + 6) as usize],
+        b"synced"
+    );
+    assert_eq!(read(&s.pvm, s.ctx, FILE_VA + 2 * SPS, 6), b"later!");
+}
+
+#[test]
+fn a_mapper_write_to_the_segment_leaves_a_resident_frame_alone() {
+    let s = shared_stack();
+    s.files.write(s.cap, SPS - 2, b"segment!").unwrap();
+    assert_eq!(s.pvm.cache_resident_pages(s.cache).unwrap(), 4);
+    assert_eq!(
+        read(&s.pvm, s.ctx, FILE_VA, (4 * SPS) as usize),
+        pattern(1, (4 * SPS) as usize)
+    );
+    assert_eq!(&s.files.read(s.cap, SPS - 2, 8).unwrap(), b"segment!");
 }

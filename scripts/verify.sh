@@ -19,7 +19,8 @@
 # one-of-each gate (no allow(deprecated), no SyncShim outside its
 # definition, no victim advice beside the clock, one call site each for
 # the pushOut and pullIn upcalls, no `Outcome` beside the attempt's
-# `Result<T, Stop>`, one `push_loc_stub(` caller), the hashing gate (no std
+# `Result<T, Stop>`, one `push_loc_stub(` caller, one call site each of
+# the page methods in the Nucleus segment manager), the hashing gate (no std
 # HashMap/HashSet in the kernel crates), the
 # release-mode concurrency stress, the tracing
 # bit-identity check (Table 5 regenerated with CHORUS_TRACE=1 must
@@ -190,7 +191,7 @@ assert out["top_caches"][0]["faults"] >= out["top_caches"][-1]["faults"], out
 print("ok: %d caches, %d mappers, hottest first" % (out["caches"], out["mappers"]))
 '
 
-step "one of each: no allow(deprecated), no SyncShim, one replacement policy, one request path, one attempt type, one stub threading"
+step "one of each: no allow(deprecated), no SyncShim, one replacement policy, one request path, one attempt type, one stub threading, one data path"
 # One upcall trait: nothing in the workspace needs a deprecation
 # silenced, and the fieldless SyncShim (kept for the frozen benchmark/)
 # is named only where it is defined and re-exported. One replacement
@@ -233,6 +234,19 @@ for upcall in submit_push submit_pull; do
     echo "FAIL: seg_mgr.$upcall( at $sites call sites in crates/pvm/src, not one"; exit 1
   fi
 done
+# Pages change hands: the Nucleus segment manager moves data between
+# mapper and cache by the page methods alone, one call site each (its
+# unit tests, after the first #[cfg(test)], are not counted).
+sm_src=$(sed '/#\[cfg(test)\]/q' crates/nucleus/src/segment_manager.rs)
+for call in read_pages fill_up_pages copy_back_pages write_pages; do
+  sites=$(grep -c "$call(" <<< "$sm_src" || true)
+  if [ "$sites" -ne 1 ]; then
+    echo "FAIL: $call( at $sites call sites in segment_manager.rs, not one"; exit 1
+  fi
+done
+if grep -nE 'mapper\.read\(|io\.fill_up\(' <<< "$sm_src"; then
+  echo "FAIL: segment_manager.rs copies bytes where pages should change hands"; exit 1
+fi
 echo "ok"
 
 step "one hashing rule: no keyed std hash table in the kernel crates"
@@ -248,12 +262,17 @@ if grep -rnwE 'HashMap|HashSet|RandomState' \
 fi
 echo "ok"
 
-step "release-mode concurrency stress: concurrent_faults and the state lock's handoff"
+step "release-mode concurrency stress: concurrent_faults, the state lock's handoff, shared pages"
 # Races only show up in release. The domains tests hand the state lock
 # between two threads 200k times (a lost increment fails) and hold it
-# 20 ms under a spinning waiter (it must give up and park).
+# 20 ms under a spinning waiter (it must give up and park). The
+# copy-on-write isolation tests check that a page shared by a frame and
+# a mapper's segment is copied by whichever side writes it.
 cargo test --release -q -p chorus-pvm --test concurrent_faults
 cargo test --release -q -p chorus-pvm --lib domains
+cargo test --release -q -p chorus-hal --lib frame
+cargo test --release -q -p chorus-nucleus --lib mapper
+cargo test --release -q -p chorus-pvm --test cache_control -- a_mapped_write_ a_mapper_write_
 
 step "tracing bit-identity: table5 with CHORUS_TRACE=1 vs committed report"
 CHORUS_TRACE=1 cargo run --release -q -p chorus-bench --bin table5 > "$tmp"
