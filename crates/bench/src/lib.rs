@@ -44,8 +44,9 @@ pub struct World<G: Gmi> {
 /// Builds the PVM world on the calibrated cost model.
 ///
 /// `CHORUS_TRACE=1` turns tracing on in every bench world;
-/// tables and figures must stay bit-identical either way (the
-/// bit-identity check in scripts/verify.sh).
+/// tables and figures must stay bit-identical either way: the
+/// tracing bit-identity check in scripts/verify.sh regenerates
+/// `table6` and `table7` (built here) and `figure3` with it on.
 pub fn pvm_world(frames: u32) -> World<Pvm> {
     pvm_world_traced(frames, TraceConfig::from_env())
 }

@@ -253,8 +253,8 @@ pub trait SegmentManagerV2: Send + Sync {
     /// Dead: no memory manager calls it. Replacement is the PVM's clock
     /// alone, and victim advice is not one of the paper's upcalls. It
     /// is kept only because the frozen `benchmark/src/trace.rs`
-    /// implements it, and goes when ROADMAP item 1 unfreezes the
-    /// scoreboard.
+    /// implements it, and goes with the change that unfreezes and
+    /// re-baselines the scoreboard (`benchmark/`).
     fn advise_victims(&self, candidates: &[(CacheId, u64)]) -> Vec<bool> {
         vec![true; candidates.len()]
     }
@@ -263,7 +263,8 @@ pub trait SegmentManagerV2: Send + Sync {
 /// What is left of the adapter that once lifted a positional-argument
 /// upcall trait into [`SegmentManagerV2`]: the identity coercion, kept
 /// because the frozen `benchmark/` sources call it. It and the `V2`
-/// suffix of the trait go when ROADMAP item 1 unfreezes the scoreboard.
+/// suffix of the trait go with the change that unfreezes and
+/// re-baselines the scoreboard (`benchmark/`).
 pub struct SyncShim;
 
 impl SyncShim {

@@ -1,4 +1,10 @@
-//! The clock-replacement candidate ring.
+//! Page replacement: the paper's clock, and nothing beside it.
+//!
+//! The core keeps one replacement policy, the classic two-sweep clock
+//! over one ring of the resident pages ([`ClockRing::select_victim`];
+//! the caller judges each candidate over its page arena and MMU, under
+//! the state lock). Pull window sizing is not a policy: every cache
+//! carries a stream table, see `streams.rs`.
 //!
 //! A doubly linked ring of the resident pages whose links live in a
 //! `Vec` indexed by the page arena slot (`PageKey::index()`), so the
@@ -180,12 +186,33 @@ impl ClockRing {
         self.hand = Some(next);
         key
     }
+
+    /// Picks one victim: up to two full revolutions of the hand, each
+    /// candidate judged by `take`, which gives a page it passes over
+    /// for being referenced its second chance (clears the reference).
+    /// Returns the victim, if any, and the full sweeps it took: `step /
+    /// n` when the hand found one, 2 on an exhausted sweep, 0 on an
+    /// empty ring.
+    pub fn select_victim(
+        &mut self,
+        mut take: impl FnMut(PageKey) -> bool,
+    ) -> (Option<PageKey>, u64) {
+        let n = self.len;
+        for step in 0..2 * n {
+            let key = self.advance().expect("ring emptied mid-sweep");
+            if take(key) {
+                return (Some(key), (step / n) as u64);
+            }
+        }
+        (None, if n == 0 { 0 } else { 2 })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use chorus_hal::Id;
+    use std::collections::BTreeSet;
 
     fn k(i: u32) -> PageKey {
         Id::from_raw_parts(i, 1)
@@ -243,6 +270,77 @@ mod tests {
         r.remove(k(3));
         r.remove(k(4));
         assert!(r.advance().is_none(), "empty ring yields no candidates");
+    }
+
+    /// A judge over a test's own sets: a pinned page is never taken, a
+    /// referenced one loses its reference and is passed over.
+    fn judge<'a>(
+        pinned: &'a BTreeSet<u32>,
+        referenced: &'a mut BTreeSet<u32>,
+    ) -> impl FnMut(PageKey) -> bool + 'a {
+        |key| !pinned.contains(&key.index()) && !referenced.remove(&key.index())
+    }
+
+    #[test]
+    fn clock_two_sweep_semantics() {
+        let mut r = ClockRing::default();
+        let (mut pinned, mut referenced) = (BTreeSet::new(), BTreeSet::new());
+        for i in 0..4 {
+            r.insert(k(i));
+            referenced.insert(i);
+        }
+        // Everything referenced: first sweep clears, second finds the
+        // first candidate — one full sweep on the books.
+        let (victim, sweeps) = r.select_victim(judge(&pinned, &mut referenced));
+        assert!(victim.is_some());
+        assert_eq!(sweeps, 1);
+        assert!(referenced.is_empty(), "first sweep cleared ref bits");
+        // Nothing referenced now: immediate victim, zero full sweeps.
+        let (_, sweeps) = r.select_victim(judge(&pinned, &mut referenced));
+        assert_eq!(sweeps, 0);
+        // All pinned: exhausted sweep reports two revolutions.
+        for i in 0..4 {
+            pinned.insert(i);
+        }
+        let out = r.select_victim(judge(&pinned, &mut referenced));
+        assert_eq!(out, (None, 2));
+        // Empty ring: silent none.
+        let out = ClockRing::default().select_victim(judge(&pinned, &mut referenced));
+        assert_eq!(out, (None, 0));
+    }
+
+    /// `finish_clean` puts a page its push has just cleaned `next_up`,
+    /// as drop-behind does a page its stream has read.
+    #[test]
+    fn a_laundered_page_is_the_hands_next_victim() {
+        let mut r = ClockRing::default();
+        let (pinned, mut referenced) = (BTreeSet::new(), BTreeSet::new());
+        for i in 0..8 {
+            r.insert(k(i));
+        }
+        let victim = |r: &mut ClockRing, referenced: &mut BTreeSet<u32>| {
+            let (key, _) = r.select_victim(judge(&pinned, referenced));
+            key.expect("a victim is there").index()
+        };
+        // Before the hand's own candidate, page 0.
+        r.next_up(k(5));
+        assert_eq!(victim(&mut r, &mut referenced), 5);
+        // After the drop-behind pages already in the run.
+        r.next_up(k(6)); // drop-behind
+        r.next_up(k(3)); // cleaned
+        assert_eq!(
+            victim(&mut r, &mut referenced),
+            6,
+            "drop-behind comes first"
+        );
+        assert_eq!(victim(&mut r, &mut referenced), 3, "then the cleaned page");
+        // A cleaned page referenced since has its bit cleared and is
+        // passed over: the hand takes the candidate after it, its own
+        // next page.
+        r.next_up(k(7));
+        referenced.insert(7);
+        assert_eq!(victim(&mut r, &mut referenced), 0);
+        assert!(!referenced.contains(&7), "its bit was cleared");
     }
 
     /// The next `count` candidates, by index.

@@ -109,21 +109,21 @@ impl PvmState {
         );
     }
 
-    /// Policy/pages bijection: every resident page is tracked by the
-    /// replacement policy engine and every tracked key is a live page.
+    /// Clock/pages bijection: every resident page is in the clock's
+    /// ring and every key in it is a live page.
     fn check_clock_ring(&self) {
         assert_eq!(
-            self.policy.len(),
+            self.clock.len(),
             self.pages.len(),
-            "policy tracked size != live pages"
+            "clock ring size != live pages"
         );
-        for k in self.policy.keys() {
-            assert!(self.pages.contains(k), "dead page key in policy engine");
+        for k in self.clock.iter() {
+            assert!(self.pages.contains(k), "dead page key in the clock ring");
         }
         for (k, _) in self.pages.iter() {
             assert!(
-                self.policy.contains(k),
-                "live page {k:?} missing from policy engine"
+                self.clock.contains(k),
+                "live page {k:?} missing from the clock ring"
             );
         }
     }

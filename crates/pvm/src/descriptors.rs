@@ -16,11 +16,9 @@
 //! [`Slot`] in that map holds a page, a synchronization page stub, or a
 //! copy-on-write page stub.
 
-use crate::config::IPC_MESSAGE_PAGES;
 use crate::keys::{CacheKey, CtxKey, PageKey, RegKey};
 use chorus_gmi::SegmentId;
 use chorus_hal::{Arena, CostModel, FrameNo, Mmu, MmuCtx, OpKind, Prot, VirtAddr, Vpn};
-use core::ops::Range;
 use std::collections::BTreeSet;
 
 /// A context descriptor: one protected virtual address space.
@@ -199,166 +197,7 @@ pub(crate) struct CacheDesc {
     pub seg_len: Option<u64>,
     /// The sequential streams detected in this cache's miss sequence;
     /// they size clustered `pullIn` runs.
-    pub streams: StreamTable,
-}
-
-/// Streams tracked per cache: a fifth replaces the weakest.
-const MAX_STREAMS: usize = 4;
-
-/// Misses of the cache a stream may sit out before its window halves.
-const STREAM_IDLE_MISSES: u64 = 32;
-
-/// One detected sequential stream of a cache's miss sequence.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Stream {
-    /// Where the stream's last pull began. A miss here again is that
-    /// pull driven again after it failed: same stream, same window.
-    pub start: u64,
-    /// Offset one past the stream's last pull, set by whoever sized it
-    /// once the run's real end is known. A miss anywhere in `[next,
-    /// next + window pages)` continues the stream, so a pull cut short
-    /// by a resident page does not break it.
-    pub next: u64,
-    /// The window last granted, in pages, demand page included.
-    pub window: u64,
-    /// The table's miss count when the stream last continued.
-    seen: u64,
-    /// The two pulls before the last, older first, `[from, to)` each,
-    /// while their pages keep their reference: an ahead pull is
-    /// submitted as the reader enters the pull before the last (or the
-    /// last, one window deep), so drop-behind lags behind the reader.
-    /// Empty otherwise.
-    lag: [(u64, u64); 2],
-    /// A continuation granted the stream a whole IPC message, and there
-    /// may be something past `next` to pull: the first use of a
-    /// readahead page of `[start, next)`, or of the pull before it, makes
-    /// the next window due ([`StreamTable::due`]).
-    pub armed: bool,
-    /// The `next` whose due window was last counted as skipped
-    /// ([`StreamTable::skip`]).
-    skipped: Option<u64>,
-}
-
-/// A cache's stream table. Interleaved random misses and a second
-/// sequential reader each get an entry of their own instead of
-/// resetting the cursor of the stream that is ramping.
-#[derive(Debug, Default)]
-pub(crate) struct StreamTable {
-    pub table: Vec<Stream>,
-    misses: u64,
-}
-
-impl StreamTable {
-    /// Finds the stream a miss at `off` belongs to and sets its window.
-    /// A miss inside a stream's window continues it and doubles the
-    /// window up to `cap`; a miss elsewhere starts a stream of `base`
-    /// pages in place of the weakest one (smallest window, then longest
-    /// idle). `base <= cap`, both at least one page of `ps` bytes.
-    /// Returns the stream's index in `table`, the window it had before
-    /// (0: the miss started it) and, when the miss *continued* the
-    /// stream, the byte range of the pull it has now left behind. A miss
-    /// at the last pull's start is that pull driven again: the stream
-    /// has left nothing. So is one at the start of the pull before it
-    /// (an ahead window given up while the one after it went on), and
-    /// the stream stays where it is.
-    pub fn miss(
-        &mut self,
-        off: u64,
-        ps: u64,
-        base: u64,
-        cap: u64,
-    ) -> (usize, u64, Option<Range<u64>>) {
-        self.misses += 1;
-        let now = self.misses;
-        for s in &mut self.table {
-            if now - s.seen > STREAM_IDLE_MISSES {
-                s.window = (s.window / 2).max(1);
-                s.seen = now;
-                s.armed = false;
-            }
-        }
-        let inside = |s: &Stream| off >= s.next && (off - s.next) / ps < s.window;
-        let behind = |s: &Stream| s.lag[1].0 == off && off < s.lag[1].1;
-        let found = self
-            .table
-            .iter()
-            .position(|s| s.start == off)
-            .or_else(|| {
-                (0..self.table.len())
-                    .filter(|&i| inside(&self.table[i]))
-                    .max_by_key(|&i| self.table[i].window)
-            })
-            .or_else(|| self.table.iter().position(behind));
-        let slot = found.unwrap_or_else(|| {
-            if self.table.len() < MAX_STREAMS {
-                self.table.push(Stream::default());
-                return self.table.len() - 1;
-            }
-            (0..MAX_STREAMS)
-                .min_by_key(|&i| (self.table[i].window, self.table[i].seen))
-                .expect("a full table is not empty")
-        });
-        let s = &mut self.table[slot];
-        if found.is_none() {
-            *s = Stream {
-                next: off,
-                ..Stream::default()
-            };
-        }
-        let before = s.window;
-        let redriven_behind = behind(s);
-        let again = off == s.start || redriven_behind;
-        // The pulls ahead pulls left lagging are caught up with here,
-        // from the oldest.
-        let from = s.lag.iter().find(|l| l.0 < l.1).map_or(s.start, |l| l.0);
-        let left = (before > 0 && !again).then_some(from..s.next);
-        if before == 0 || !again {
-            s.window = before.saturating_mul(2).clamp(base, cap);
-            s.armed = before > 0 && s.window >= IPC_MESSAGE_PAGES;
-            s.lag = Default::default();
-        }
-        if !redriven_behind {
-            s.start = off;
-        }
-        s.seen = now;
-        (slot, before, left)
-    }
-
-    /// The stream whose next window the first use of the readahead page
-    /// at `off` makes due: a full-window one whose last pull holds it,
-    /// else (`two`: two windows in flight) whose pull before the last
-    /// does, as a stale stream's may overlap a live one's last. See
-    /// `PvmState::size_ahead`.
-    pub fn due(&self, off: u64, two: bool) -> Option<usize> {
-        let holds = |s: &Stream, (from, to): (u64, u64)| s.armed && (from..to).contains(&off);
-        let last = self.table.iter().position(|s| holds(s, (s.start, s.next)));
-        last.or_else(|| two.then(|| self.table.iter().position(|s| holds(s, s.lag[1])))?)
-    }
-
-    /// Continues stream `slot` at `off` ahead of its reader: no miss, so
-    /// the window stays and nobody ages. Returns what [`Self::miss`]
-    /// does. The pull left behind is the one before the one the reader
-    /// has just entered: the older of the two that lag (`two`), or the
-    /// one before the last.
-    pub fn ahead(&mut self, slot: usize, off: u64, two: bool) -> (usize, u64, Option<Range<u64>>) {
-        let s = &mut self.table[slot];
-        let [older, newer] = s.lag;
-        let left = if two { older } else { newer };
-        s.lag = [if two { newer } else { (0, 0) }, (s.start, s.next)];
-        s.start = off;
-        s.seen = self.misses;
-        s.armed = true;
-        (slot, s.window, Some(left.0..left.1))
-    }
-
-    /// Stream `slot`'s due window was not pulled: true the first time
-    /// for the window at its `next` (`ahead_skipped` counts windows, not
-    /// the first uses that retry one).
-    pub fn skip(&mut self, slot: usize) -> bool {
-        self.table
-            .get_mut(slot)
-            .is_none_or(|s| s.skipped.replace(s.next) != Some(s.next))
-    }
+    pub streams: crate::streams::StreamTable,
 }
 
 impl CacheDesc {
@@ -636,224 +475,6 @@ mod tests {
         assert!(!c.owns(0x2000));
         c.fully_backed = true;
         assert!(c.owns(0x2000));
-    }
-
-    const PAGE: u64 = 0x1000;
-
-    /// A miss on page `page` whose pull then covers the whole window.
-    fn miss(t: &mut StreamTable, page: u64) -> u64 {
-        let (slot, ..) = t.miss(page * PAGE, PAGE, 1, 8);
-        let s = &mut t.table[slot];
-        s.next = (page + s.window) * PAGE;
-        s.window
-    }
-
-    #[test]
-    fn random_misses_do_not_reset_a_sequential_stream() {
-        let mut t = StreamTable::default();
-        let mut next = 0;
-        let mut windows = Vec::new();
-        for round in 0..6 {
-            let w = miss(&mut t, next);
-            windows.push(w);
-            next += w;
-            // Three unrelated misses between every two of the stream's.
-            for k in 0..3 {
-                assert_eq!(miss(&mut t, 1000 + 50 * (3 * round + k)), 1);
-            }
-        }
-        assert_eq!(windows, [1, 2, 4, 8, 8, 8]);
-    }
-
-    #[test]
-    fn a_fifth_stream_replaces_the_weakest() {
-        let mut t = StreamTable::default();
-        // Two ramped streams, then two one-page ones: the table is full.
-        for start in [0u64, 500] {
-            let mut at = start;
-            for _ in 0..3 {
-                at += miss(&mut t, at);
-            }
-        }
-        miss(&mut t, 2000);
-        miss(&mut t, 3000);
-        // A fifth takes the older of the two one-page entries (2000)...
-        miss(&mut t, 4000);
-        assert_eq!(miss(&mut t, 3001), 2, "the younger weak stream survived");
-        assert_eq!(miss(&mut t, 2001), 1, "the older one was replaced");
-        // ...and both ramped streams are still there.
-        assert_eq!(miss(&mut t, 7), 8);
-        assert_eq!(miss(&mut t, 507), 8);
-    }
-
-    #[test]
-    fn two_interleaved_readers_both_reach_the_full_window() {
-        let mut t = StreamTable::default();
-        let (mut a, mut b) = (0u64, 10_000u64);
-        let (mut wa, mut wb) = (0, 0);
-        for _ in 0..5 {
-            wa = miss(&mut t, a);
-            a += wa;
-            wb = miss(&mut t, b);
-            b += wb;
-        }
-        assert_eq!((wa, wb), (8, 8));
-    }
-
-    #[test]
-    fn a_truncated_window_is_continued() {
-        let mut t = StreamTable::default();
-        let mut at = 0;
-        for _ in 0..3 {
-            at += miss(&mut t, at);
-        }
-        // Granted 8, but a resident page cut the run after 3; the next
-        // miss lands behind the resident pages, still inside the window.
-        let (slot, before, left) = t.miss(at * PAGE, PAGE, 1, 8);
-        assert_eq!((before, t.table[slot].window), (4, 8));
-        assert_eq!(left, Some((at - 4) * PAGE..at * PAGE));
-        t.table[slot].next = (at + 3) * PAGE;
-        // What the stream leaves behind is the pull as it really ended.
-        let cut = Some(at * PAGE..(at + 3) * PAGE);
-        assert_eq!(t.miss((at + 5) * PAGE, PAGE, 1, 8), (slot, 8, cut));
-        // One page past the window is somebody else's miss.
-        t.table[slot].next = (at + 13) * PAGE;
-        assert_eq!(t.miss((at + 13 + 8) * PAGE, PAGE, 1, 8).1, 0);
-    }
-
-    #[test]
-    fn a_pull_driven_again_keeps_its_stream_and_window() {
-        let mut t = StreamTable::default();
-        let mut at = 0;
-        for _ in 0..3 {
-            at += miss(&mut t, at);
-        }
-        // The 8-page pull at `at` fails and the access faults again:
-        // same stream, same window, and nobody's stream is evicted.
-        assert_eq!(miss(&mut t, at), 8);
-        assert_eq!(t.miss(at * PAGE, PAGE, 1, 8), (0, 8, None));
-        assert_eq!((t.table.len(), t.table[0].window), (1, 8));
-        t.table[0].next = (at + 8) * PAGE;
-        assert_eq!(miss(&mut t, at + 8), 8);
-    }
-
-    #[test]
-    fn an_idle_stream_decays_and_the_minimum_window_is_kept() {
-        let mut t = StreamTable::default();
-        let mut at = 0;
-        for _ in 0..4 {
-            at += miss(&mut t, at);
-        }
-        // The stream sits out a long run of misses: its window halves.
-        for k in 0..=STREAM_IDLE_MISSES {
-            miss(&mut t, 1_000_000 + 100 * k);
-        }
-        assert_eq!(miss(&mut t, at), 8, "halved to 4, doubled on the hit");
-        for k in 0..=3 * STREAM_IDLE_MISSES + 2 {
-            miss(&mut t, 2_000_000 + 100 * k);
-        }
-        assert_eq!(miss(&mut t, at + 8), 2, "decayed to 1 over three periods");
-        // `base` is a floor for new and continued streams alike, and a
-        // base above the ceiling is the window.
-        let mut t = StreamTable::default();
-        assert_eq!(t.miss(0, PAGE, 4, 8), (0, 0, None));
-        assert_eq!(t.table[0].window, 4);
-        t.table[0].next = 4 * PAGE;
-        assert_eq!(t.miss(4 * PAGE, PAGE, 4, 8), (0, 4, Some(0..4 * PAGE)));
-        assert_eq!(t.table[0].window, 8);
-        let mut t = StreamTable::default();
-        t.miss(0, PAGE, 16, 16);
-        assert_eq!(t.table[0].window, 16);
-    }
-
-    #[test]
-    fn a_stream_is_read_ahead_from_its_first_full_window_on() {
-        // A lone miss's cluster is no stream, however wide.
-        let mut t = StreamTable::default();
-        t.miss(0, PAGE, 8, 8);
-        t.table[0].next = 8 * PAGE;
-        assert_eq!(t.due(3 * PAGE, true), None);
-        // Nor is one still ramping: 1, 2, 4, then the full window.
-        let mut t = ramped();
-        assert_eq!(
-            (t.due(8 * PAGE, true), t.due(15 * PAGE, true)),
-            (Some(0), None)
-        );
-        // The next window goes out ahead; nothing lags yet.
-        assert_eq!(t.ahead(0, 15 * PAGE, true), (0, 8, Some(0..0)));
-        t.table[0].next = 23 * PAGE;
-        // The reader is still in 7..15, now the pull before the last:
-        // its next first use there makes the window after due as well.
-        assert_eq!(
-            (t.due(9 * PAGE, true), t.due(16 * PAGE, true)),
-            (Some(0), Some(0))
-        );
-        assert_eq!(t.ahead(0, 23 * PAGE, true), (0, 8, Some(0..0)));
-        t.table[0].next = 31 * PAGE;
-        // Two windows in flight: nothing more of 7..15 makes a third
-        // due. Entering 15..23 does, and leaves 7..15 behind.
-        assert_eq!(
-            (t.due(10 * PAGE, true), t.due(16 * PAGE, true)),
-            (None, Some(0))
-        );
-        assert_eq!(t.ahead(0, 31 * PAGE, true).2, Some(7 * PAGE..15 * PAGE));
-        t.table[0].next = 39 * PAGE;
-        // A miss inside the reach catches up from the oldest pull that
-        // lags.
-        let caught_up = Some(15 * PAGE..39 * PAGE);
-        assert_eq!(t.miss(41 * PAGE, PAGE, 1, 8), (0, 8, caught_up));
-        t.table[0].next = 49 * PAGE;
-        assert_eq!(t.due(42 * PAGE, true), Some(0));
-        // An idle stream's window halves: it has to fill again first.
-        for k in 0..=STREAM_IDLE_MISSES {
-            miss(&mut t, 1_000_000 + 100 * k);
-        }
-        assert_eq!((t.table[0].window, t.due(42 * PAGE, true)), (4, None));
-    }
-
-    /// A stream ramped 1, 2, 4 to its first full window, `7..15`.
-    fn ramped() -> StreamTable {
-        let mut t = StreamTable::default();
-        let mut at = 0;
-        for _ in 0..3 {
-            at += miss(&mut t, at);
-            assert_eq!(t.due((at - 1) * PAGE, true), None);
-        }
-        assert_eq!(miss(&mut t, 7), 8);
-        t
-    }
-
-    #[test]
-    fn one_window_deep_the_pull_being_read_is_the_one_that_lags() {
-        let mut t = ramped();
-        assert_eq!(t.ahead(0, 15 * PAGE, false), (0, 8, Some(0..0)));
-        t.table[0].next = 23 * PAGE;
-        // Only the last pull makes the next window due, and entering it
-        // leaves the one before.
-        assert_eq!(
-            (t.due(9 * PAGE, false), t.due(15 * PAGE, false)),
-            (None, Some(0))
-        );
-        assert_eq!(t.ahead(0, 23 * PAGE, false).2, Some(7 * PAGE..15 * PAGE));
-        t.table[0].next = 31 * PAGE;
-        let caught_up = Some(15 * PAGE..31 * PAGE);
-        assert_eq!(t.miss(33 * PAGE, PAGE, 1, 8), (0, 8, caught_up));
-    }
-
-    #[test]
-    fn a_due_window_is_counted_skipped_once() {
-        let mut t = ramped();
-        // The first use that found no room, and not the ones that retry.
-        assert!(t.skip(0));
-        assert!(!t.skip(0));
-        assert!(!t.skip(0));
-        // The window goes out at last; the one after it is another.
-        t.ahead(0, 15 * PAGE, true);
-        t.table[0].next = 23 * PAGE;
-        assert!(t.skip(0));
-        assert!(!t.skip(0));
-        // A stream that is gone still counts.
-        assert!(t.skip(3));
     }
 
     #[test]

@@ -43,13 +43,13 @@ mod keys;
 mod modelcheck;
 mod pageout;
 mod perpage;
-mod policy;
 mod pvm;
 pub mod pvmtop;
 mod regions;
 mod resolve;
 mod state;
 mod stats;
+mod streams;
 pub mod telemetry;
 pub mod trace;
 

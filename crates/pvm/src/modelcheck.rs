@@ -528,11 +528,11 @@ struct WindowShared {
     /// A faulter found no slot while readahead held one.
     forced: bool,
     /// Model 4's stream: the two pulls before its last, older first,
-    /// and its last (`StreamTable::ahead`). A miss at `READING` set it
-    /// up: nothing lags.
-    lag: [u8; 2],
+    /// and its last (the ring of `StreamTable::ahead`). A miss at
+    /// `READING` set it up: nothing lags.
+    before: [u8; 2],
     last: u8,
-    /// The seeded bug of model 4: drop-behind takes `lag[1]`.
+    /// The seeded bug of model 4: drop-behind takes `before[1]`.
     drops_newer: bool,
     /// The reader has gone on from `READING` to window 0.
     moved_on: bool,
@@ -587,10 +587,10 @@ impl WindowShared {
     /// The stream goes on to window `w` ahead of its reader, and drops
     /// behind the pull before the one the reader is in.
     fn ahead_of_reader(&mut self, w: usize) {
-        let [older, newer] = self.lag;
+        let [older, newer] = self.before;
         let left = if self.drops_newer { newer } else { older };
         self.dropped_read |= left == READING && !self.moved_on;
-        self.lag = [newer, self.last];
+        self.before = [newer, self.last];
         self.last = READING + 1 + w as u8;
     }
 

@@ -13,7 +13,6 @@
 use crate::config::IPC_MESSAGE_PAGES;
 use crate::descriptors::Slot;
 use crate::keys::PageKey;
-use crate::policy::{Pick, StateView};
 use crate::state::{blocked, Attempt, Blocked, PushOrigin, PvmState, Stop, StubsTo};
 use crate::stats::Counter;
 use crate::telemetry::At;
@@ -31,8 +30,8 @@ impl PvmState {
         loop {
             match self.sweep(0) {
                 None => return Ok(self.phys.alloc().expect("free frame count lied")),
-                Some(Pick::Victim(victim)) => self.start_clean(victim, PushOrigin::Demand)?,
-                Some(Pick::None) => {
+                Some(Some(victim)) => self.start_clean(victim, PushOrigin::Demand)?,
+                Some(None) => {
                     // No victim, but the completion engine owes work
                     // (e.g. every candidate is `cleaning` under an
                     // in-flight laundering push, or parked until its
@@ -56,14 +55,14 @@ impl PvmState {
     /// The clock's hand meets first, in the order they came, the pages
     /// put just ahead of it: pages a stream has read and left, and
     /// pages a push has just cleaned (see [`PvmState::finish_clean`]).
-    fn sweep(&mut self, floor: u32) -> Option<Pick> {
+    fn sweep(&mut self, floor: u32) -> Option<Option<PageKey>> {
         while self.phys.free_frames() <= floor {
             if !self.config.enable_pageout {
-                return Some(Pick::None);
+                return Some(None);
             }
             match self.select_victim() {
-                Pick::Victim(victim) if !self.page(victim).dirty => self.evict(victim),
-                Pick::Victim(victim) if self.set_aside(victim) => {}
+                Some(victim) if !self.page(victim).dirty => self.evict(victim),
+                Some(victim) if self.set_aside(victim) => {}
                 stop => return Some(stop),
             }
         }
@@ -164,30 +163,36 @@ impl PvmState {
         result
     }
 
-    /// One victim-selection call into the replacement policy, with its
-    /// bookkeeping: `ClockFullSweeps` (`step / n` full sweeps on
-    /// success, two on exhaustion, a trace event whenever the count is
-    /// positive) and the victim counters.
-    fn select_victim(&mut self) -> Pick {
+    /// One victim-selection call into the clock, with its bookkeeping:
+    /// `ClockFullSweeps` (`step / n` full sweeps on success, two on
+    /// exhaustion, a trace event whenever the count is positive) and the
+    /// victim counters. Never a victim: a pinned page, one being
+    /// cleaned, or a dirty page of a quarantined cache (it cannot be
+    /// cleaned; its clean pages still are). A referenced page gets its
+    /// second chance.
+    fn select_victim(&mut self) -> Option<PageKey> {
         self.stats.bump(Counter::PolicyVictimRequests);
-        let out = self.policy.select_victim(&mut StateView {
-            pages: &mut self.pages,
-            caches: &self.caches,
-            contexts: &self.contexts,
-            mmu: &mut *self.mmu,
-            model: &self.model,
-            stats: &self.stats,
+        let (victim, sweeps) = self.clock.select_victim(|key| {
+            let p = self.pages.get_mut(key).expect("dead key in the clock");
+            if p.lock_count > 0 || p.cleaning {
+                return false;
+            }
+            if p.referenced(&self.contexts, &*self.mmu) {
+                p.take_reference(&self.contexts, &mut *self.mmu, &self.model);
+                self.stats.bump(Counter::RefSecondChances);
+                return false;
+            }
+            !(p.dirty && self.caches.get(p.cache).is_some_and(|c| c.poisoned))
         });
-        self.stats.add(Counter::ClockFullSweeps, out.full_sweeps);
-        if out.full_sweeps > 0 {
-            let sweeps = out.full_sweeps;
+        self.stats.add(Counter::ClockFullSweeps, sweeps);
+        if sweeps > 0 {
             self.trace.event(|| TraceEvent::ClockSweep { sweeps });
         }
-        if let Pick::Victim(victim) = out.pick {
+        if let Some(victim) = victim {
             let cache = self.page(victim).cache;
             self.count(Counter::PolicyVictims, 1, At::Cache(cache));
         }
-        out.pick
+        victim
     }
 
     /// Emergency eviction pass (fault-recovery degradation): evicts every
@@ -199,8 +204,8 @@ impl PvmState {
     /// the number of frames freed.
     pub fn emergency_evict(&mut self) -> u64 {
         let candidates: Vec<PageKey> = self
-            .policy
-            .keys()
+            .clock
+            .iter()
             .filter(|&k| {
                 self.pages
                     .get(k)
@@ -310,7 +315,7 @@ impl PvmState {
             // left alone.
             p.ref_bit = false;
             let cache = p.cache;
-            self.policy.next_up(page);
+            self.clock.next_up(page);
             self.count(Counter::PushOuts, 1, At::Io(cache, segment));
         }
     }

@@ -245,23 +245,8 @@ impl Pvm {
         // The entry made a full-window stream's next window due: it goes
         // out now, ahead of its reader and with nobody waiting on it (a
         // faulter is not a blocked action: `performed` stays).
-        if let Some((cache, slot)) = guard.ahead_due.take() {
-            guard = match guard.size_ahead(cache, slot) {
-                Some(req) => {
-                    guard.stats.bump(Counter::AheadPulls);
-                    self.submit_pull(guard, cache, req)
-                }
-                None => {
-                    if guard
-                        .caches
-                        .get_mut(cache)
-                        .is_none_or(|c| c.streams.skip(slot))
-                    {
-                        guard.stats.bump(Counter::AheadSkipped);
-                    }
-                    guard
-                }
-            };
+        if let Some((cache, req)) = guard.ahead_window() {
+            guard = self.submit_pull(guard, cache, req);
             guard.check_invariants_if_enabled();
         }
         // A light entry — nothing blocked, neither the attempt nor the

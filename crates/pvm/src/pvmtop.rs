@@ -37,7 +37,7 @@ pub struct CacheHeat {
     pub push_outs: u64,
     /// Pages evicted from this cache by the clock.
     pub evictions: u64,
-    /// Victims the replacement policy engine picked from this cache.
+    /// Victims the clock picked from this cache.
     pub policy_victims: u64,
     /// Misses that continued a sequential stream.
     pub readahead_hits: u64,
@@ -308,7 +308,7 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
         state_lock_acqs: state.stats.get(C::StateLockAcqs),
         state_lock_contended: state.stats.get(C::StateLockContended),
         policy,
-        ahead_depth: 1 + u64::from(state.two_ahead()),
+        ahead_depth: 1 + u64::from(state.readahead.two),
     }
 }
 

@@ -12,12 +12,13 @@
 //! in `pvm.rs` releases the lock, performs the action, and retries the
 //! attempt.
 
+use crate::clock::ClockRing;
 use crate::config::PvmConfig;
 use crate::descriptors::{CacheDesc, ContextDesc, CowSource, Mapping, PageDesc, RegionDesc, Slot};
 use crate::gmap::GlobalMap;
 use crate::keys::{CacheKey, CtxKey, PageKey, RegKey};
-use crate::policy::Clock;
 use crate::stats::{Counter, StatsRegistry};
+use crate::streams::Readahead;
 use crate::telemetry::{At, SeriesRing, Telemetry, TelemetrySample, SAMPLE_NS, SERIES_CAP};
 use crate::trace::{TraceEvent, Tracer};
 use chorus_gmi::{GmiError, Result, SegmentId};
@@ -163,9 +164,9 @@ pub(crate) struct PvmState {
     pub gmap: GlobalMap,
     /// Owner page of each allocated frame (reverse of `PageDesc.frame`).
     pub frame_owner: FxHashMap<u32, PageKey>,
-    /// The replacement policy, the clock (every tracked entry is a live
-    /// page; freed pages are removed eagerly).
-    pub policy: Clock,
+    /// The replacement policy, the clock's ring of resident pages (every
+    /// tracked entry is a live page; freed pages are removed eagerly).
+    pub clock: ClockRing,
     /// The current user context.
     pub current: Option<CtxKey>,
     pub config: PvmConfig,
@@ -197,8 +198,11 @@ pub(crate) struct PvmState {
     /// unchanged was light (`Pvm::run`).
     pub performed: u64,
     /// The (cache, stream) whose next window fell due during this
-    /// entry (`note_use`); `Pvm::run` submits it on its way out.
+    /// entry (`first_use`); `Pvm::run` submits it on its way out
+    /// (`ahead_window`).
     pub ahead_due: Option<(CacheKey, usize)>,
+    /// How far this PVM reads ahead, from its pool size.
+    pub readahead: Readahead,
     /// The per-cache, per-context and per-mapper rows of the counters
     /// that name their entities ([`PvmState::count`]).
     pub telemetry: Telemetry,
@@ -220,6 +224,7 @@ impl PvmState {
     ) -> PvmState {
         let stats = Arc::new(StatsRegistry::new());
         let trace = Arc::new(Tracer::new(config.trace, model.clone(), stats.clone()));
+        let readahead = Readahead::new(phys.total_frames(), config.pull_cluster_pages);
         PvmState {
             geom,
             phys,
@@ -231,7 +236,7 @@ impl PvmState {
             pages: Arena::new(),
             gmap: GlobalMap::default(),
             frame_owner: FxHashMap::default(),
-            policy: Clock::default(),
+            clock: ClockRing::default(),
             current: None,
             config,
             stats,
@@ -241,6 +246,7 @@ impl PvmState {
             write_behind: std::collections::VecDeque::new(),
             performed: 0,
             ahead_due: None,
+            readahead,
             telemetry: Telemetry::default(),
             series: SeriesRing::new(SERIES_CAP),
             next_sample_ns: 0,
@@ -330,19 +336,13 @@ impl PvmState {
 
     /// A use of page `k`, mapped or read through its cache: the software
     /// half of its reference, and the end of its being a prefetch an
-    /// eviction would count as wasted. The first use of a readahead page
-    /// of the pull a full-window stream is reading (its last, or the one
-    /// before: [`PvmState::two_ahead`]) makes that stream's next window
-    /// due.
+    /// eviction would count as wasted ([`PvmState::first_use`]).
     pub fn note_use(&mut self, k: PageKey) {
-        let two = self.two_ahead();
         let page = self.page_mut(k);
         page.ref_bit = true;
         if core::mem::take(&mut page.prefetched) {
             let (cache, off) = (page.cache, page.offset);
-            if let Some(slot) = self.caches.get(cache).and_then(|c| c.streams.due(off, two)) {
-                self.ahead_due = Some((cache, slot));
-            }
+            self.first_use(cache, off);
         }
     }
 
@@ -437,7 +437,7 @@ impl PvmState {
             c.owned.insert(offset);
         }
         self.frame_owner.insert(frame.0, key);
-        self.policy.insert(key);
+        self.clock.insert(key);
         key
     }
 
@@ -486,7 +486,7 @@ impl PvmState {
             self.clear_slot(desc.cache, desc.offset);
         }
         self.frame_owner.remove(&desc.frame.0);
-        self.policy.remove(key);
+        self.clock.remove(key);
         if release_frame {
             self.phys.release(desc.frame);
         }
@@ -645,7 +645,7 @@ impl PvmState {
             free_frames: self.phys.free_frames(),
             inflight_upcalls: self.engine.inflight(),
             arriving_pages: self.engine.parked.len() as u64,
-            clock_ring_pages: self.policy.len() as u64,
+            clock_ring_pages: self.clock.len() as u64,
             gmap_slots: self.gmap.len() as u64,
             ahead_pulls: self.stats.get(Counter::AheadPulls),
             ahead_skipped: self.stats.get(Counter::AheadSkipped),

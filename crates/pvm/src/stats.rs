@@ -178,10 +178,9 @@ counters! {
     /// State-lock acquisitions that were contended (the uncontended
     /// try-lock missed and the caller blocked).
     state_lock_contended => StateLockContended,
-    /// Victim-selection rounds requested from the replacement policy
-    /// engine.
+    /// Victim-selection rounds requested from the clock.
     policy_victim_requests => PolicyVictimRequests,
-    /// Victims the policy engine actually produced (a request can come
+    /// Victims the clock actually produced (a request can come
     /// up empty when every candidate is pinned or cleaning).
     policy_victims => PolicyVictims [Cache],
     /// Readahead tail pages delivered: pages a `pullIn` landed beyond

@@ -300,6 +300,14 @@ pub enum TraceEvent {
         /// Page offset.
         offset: u64,
     },
+    /// Drop-behind put a page its stream has read and left just ahead
+    /// of the clock hand, to be its next victim.
+    DropBehind {
+        /// Owning cache index.
+        cache: u32,
+        /// Page offset.
+        offset: u64,
+    },
     /// The clock hand completed full sweep(s) while hunting a victim.
     ClockSweep {
         /// Full passes over the resident ring.
@@ -539,14 +547,14 @@ impl Tracer {
 
     /// Opens a named nested phase; the returned guard closes it on drop.
     pub fn span(&self, name: &'static str) -> Span<'_> {
-        let armed = self.is_enabled();
-        if armed {
+        let open = self.is_enabled();
+        if open {
             self.push(TraceEvent::SpanBegin { name });
         }
         Span {
             tracer: self,
             name,
-            armed,
+            open,
         }
     }
 
@@ -596,12 +604,13 @@ impl core::fmt::Debug for Tracer {
 pub struct Span<'a> {
     tracer: &'a Tracer,
     name: &'static str,
-    armed: bool,
+    /// Tracing was on when it opened: its end is recorded too.
+    open: bool,
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if self.armed {
+        if self.open {
             self.tracer.push(TraceEvent::SpanEnd { name: self.name });
         }
     }

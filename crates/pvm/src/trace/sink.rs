@@ -148,6 +148,11 @@ fn parts(e: &TraceEvent) -> (Ph, String, Vec<(&'static str, String)>) {
             "clock.evict".into(),
             vec![("cache", cache.to_string()), ("offset", offset.to_string())],
         ),
+        TraceEvent::DropBehind { cache, offset } => (
+            Ph::Instant,
+            "clock.dropBehind".into(),
+            vec![("cache", cache.to_string()), ("offset", offset.to_string())],
+        ),
         TraceEvent::ClockSweep { sweeps } => (
             Ph::Instant,
             "clock.sweep".into(),
