@@ -12,7 +12,7 @@ use crate::engine::Parked;
 use crate::keys::{CacheKey, PageKey};
 use crate::state::{blocked, Attempt, Blocked, PushOrigin, PvmState, StubsTo};
 use chorus_gmi::{GmiError, Result};
-use chorus_hal::Prot;
+use chorus_hal::{Access, Prot};
 
 impl PvmState {
     fn range_pages(&self, cache: CacheKey, off: u64, size: u64) -> Result<Vec<(u64, Slot)>> {
@@ -122,6 +122,7 @@ impl PvmState {
     /// replica, and stub destinations keep the pre-invalidation value
     /// ([`PvmState::discard_slot`]).
     pub fn invalidate_attempt(&mut self, cache: CacheKey, off: u64, size: u64) -> Attempt<()> {
+        self.check_unpinned(cache, off, off.saturating_add(size))?;
         for (o, slot) in self.range_pages(cache, off, size)? {
             self.discard_slot(cache, o, slot)?;
         }
@@ -180,51 +181,20 @@ impl PvmState {
                 continue;
             }
             let o = self.geom.round_down(off) + k * ps;
-            match self.slot(cache, o) {
-                Some(Slot::Present(p)) => {
-                    self.page_mut(p).lock_count += 1;
-                    *pinned += 1;
-                }
+            let page = match self.slot(cache, o) {
+                Some(Slot::Present(p)) => p,
                 Some(Slot::Sync) => return blocked(Blocked::WaitStub(cache, o)),
                 _ => {
                     // Materialize an own resident page with the current
                     // value, then pin it.
-                    let page = self.own_resident_page(cache, o)?;
-                    self.page_mut(page).lock_count += 1;
-                    *pinned += 1;
+                    let version = self.current_version(cache, o, Access::Read)?;
+                    self.own_page(cache, o, version, false)?
                 }
-            }
+            };
+            self.page_mut(page).lock_count += 1;
+            *pinned += 1;
         }
         Ok(())
-    }
-
-    /// Materializes (without promoting) an own resident page holding the
-    /// current value of (cache, off).
-    fn own_resident_page(&mut self, cache: CacheKey, off: u64) -> Attempt<PageKey> {
-        use crate::resolve::Version;
-        let version = self.resolve_version(cache, off, chorus_hal::Access::Read)?;
-        if let Version::Page(p) = version {
-            if self.page(p).cache == cache {
-                return Ok(p);
-            }
-        }
-        let frame = match version {
-            Version::Page(p) => self.alloc_frame_keeping(p)?,
-            Version::Zero => self.alloc_frame()?,
-        };
-        match version {
-            Version::Page(p) => {
-                let src = self.page(p).frame;
-                self.phys.copy_frame(src, frame);
-                self.unmap_via(p, cache);
-            }
-            Version::Zero => self.phys.zero(frame),
-        }
-        if let Some(Slot::Cow(src)) = self.slot(cache, off) {
-            self.unthread_cow_stub(cache, off, src);
-        }
-        let writable = !self.has_history_covering(cache, off);
-        Ok(self.create_page(cache, off, frame, writable, true))
     }
 
     /// `cache.unlock(offset, size)`.
@@ -258,6 +228,7 @@ impl PvmState {
         if desc.fully_backed && !desc.poisoned {
             self.sync_attempt(cache, 0, u64::MAX)?;
         }
+        self.check_unpinned(cache, 0, u64::MAX)?;
         // A page with threaded stubs is donated to its first stub, unless
         // a history child also needs the original here: then it stays in
         // the zombie, read-only, serving the child and the stubs both,
@@ -265,9 +236,6 @@ impl PvmState {
         let offsets: Vec<u64> = self.cache(cache)?.entries.iter().copied().collect();
         for o in offsets {
             if let Some(Slot::Present(p)) = self.slot(cache, o) {
-                if self.page(p).lock_count > 0 {
-                    return Err(GmiError::Locked.into());
-                }
                 if !self.page(p).stubs.is_empty() && !self.has_history_covering(cache, o) {
                     self.donate_page_to_stubs(p);
                 }

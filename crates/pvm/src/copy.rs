@@ -169,17 +169,8 @@ impl PvmState {
                         && !self.page(p).cleaning
                         && !self.has_history_covering(src, so) =>
                 {
-                    self.unmap_all(p);
-                    self.clear_slot(src, so);
-                    self.cache_mut(src)?.owned.remove(&so);
-                    let desc = self.page_mut(p);
-                    desc.cache = dst;
-                    desc.offset = dstoff;
-                    desc.dirty = true;
                     let writable = !self.has_history_covering(dst, dstoff);
-                    self.page_mut(p).writable = writable;
-                    self.set_slot(dst, dstoff, Slot::Present(p));
-                    self.cache_mut(dst)?.owned.insert(dstoff);
+                    self.rehome_page(p, (dst, dstoff), writable);
                     self.stats.bump(Counter::MovedFrames);
                 }
                 _ => {
@@ -277,45 +268,11 @@ impl PvmState {
                 Ok(p)
             }
             Some(Slot::Sync) => blocked(Blocked::WaitStub(cache, page_off)),
-            other => {
+            _ => {
                 // Cow stub or absent: materialize an own copy of the
-                // current value, then promote it.
-                let version = match other {
-                    Some(Slot::Cow(CowSource::Page(p))) => Version::Page(p),
-                    Some(Slot::Cow(CowSource::Zero)) => Version::Zero,
-                    Some(Slot::Cow(CowSource::Loc(c2, o2))) => {
-                        self.resolve_version(c2, o2, Access::Read)?
-                    }
-                    Some(_) => unreachable!(),
-                    None => self.resolve_version(cache, page_off, Access::Read)?,
-                };
-                let frame = match version {
-                    Version::Page(p) => self.alloc_frame_keeping(p)?,
-                    Version::Zero => self.alloc_frame()?,
-                };
-                match version {
-                    Version::Page(p) => {
-                        let src = self.page(p).frame;
-                        self.phys.copy_frame(src, frame);
-                        self.stats.bump(Counter::CowCopies);
-                        // Stale read mappings established through this
-                        // cache must re-fault onto the new own page.
-                        self.unmap_via(p, cache);
-                    }
-                    Version::Zero => {
-                        self.phys.zero(frame);
-                        self.stats.bump(Counter::ZeroFills);
-                    }
-                }
-                if let Some(Slot::Cow(src)) = other {
-                    self.unthread_cow_stub(cache, page_off, src);
-                }
-                let writable = !self.has_history_covering(cache, page_off);
-                let key = self.create_page(cache, page_off, frame, writable, true);
-                if !self.page(key).write_allowed() {
-                    self.promote_page(cache, page_off, key)?;
-                }
-                Ok(key)
+                // current value, promoted.
+                let version = self.current_version(cache, page_off, Access::Read)?;
+                self.own_page(cache, page_off, version, true)
             }
         }
     }

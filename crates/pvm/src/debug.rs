@@ -6,6 +6,7 @@
 
 use crate::descriptors::{CowSource, Slot};
 use crate::engine::Parked;
+use crate::history::FULL_COVER;
 use crate::keys::pub_cache;
 use crate::pvm::Pvm;
 use crate::state::PvmState;
@@ -164,6 +165,42 @@ impl PvmState {
                         "{key:?}: child {ch:?} is not its history object"
                     );
                 }
+            }
+            // The tree is binary: a source has its history, and a cache
+            // relaying no source in full has two children at most — a
+            // working object the previous history and the next copy
+            // (§4.2.3). Only a working object, relaying its source
+            // unchanged, is reused for further copies (see
+            // `attach_child_fragment`) and has more.
+            let relays: Vec<_> = c.parents.iter().filter(|f| f.size == FULL_COVER).collect();
+            let mut distinct = c.children.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert!(
+                !relays.is_empty() || distinct.len() <= 2,
+                "{key:?}: {} children, relaying no source in full",
+                distinct.len()
+            );
+            // A working object keeps that shape on repeated copies: it
+            // relays one source in full, offsets unchanged.
+            for f in &relays {
+                assert!(
+                    c.internal && f.child_off == f.parent_off && f.parent == relays[0].parent,
+                    "{key:?}: a whole-source relay that is no working object's identity"
+                );
+            }
+            // Live internal caches are bounded by live copy relations
+            // (§4.2.5): a zombie lives while a copy reads it — a child
+            // fragment, a location stub, or a per-page stub on one of
+            // its pages.
+            if c.zombie {
+                let stubbed = c.entries.iter().any(|&o| {
+                    matches!(self.gmap.get(key, o), Some(Slot::Present(p)) if !self.page(p).stubs.is_empty())
+                });
+                assert!(
+                    !c.children.is_empty() || self.gmap.has_loc_stubs_from(key) || stubbed,
+                    "{key:?}: a zombie no copy reads"
+                );
             }
             if let Some(h) = c.history {
                 let hist = self

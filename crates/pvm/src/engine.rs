@@ -386,12 +386,12 @@ impl PvmState {
     }
 
     /// Hands on a `pushOut` whose mapper protocol has answered. Nothing
-    /// waits on a daemon push: it is queued, due when its transfer would
-    /// end, or never on its own if it timed out (the watchdog cancels
-    /// it). A waited one (`wait`) settles at once, the clock advanced
-    /// over the transfer if it succeeded and left where it is if not (a
-    /// timed-out one's retry loop has passed the deadline already), and
-    /// its error is returned.
+    /// waits on a daemon push: it is queued, due when its transfer from
+    /// its submit would end, or never on its own if it timed out (the
+    /// watchdog cancels it). A waited one (`wait`) settles at once, the
+    /// clock advanced over the transfer if it succeeded and left where
+    /// it is if not (a timed-out one's retry loop has passed the deadline
+    /// already), and its error is returned.
     pub(crate) fn queue_push(&mut self, id: u64, rec: CompletionRecord, wait: bool) -> Result<()> {
         self.count(Counter::MapperRetries, rec.retries, At::Mapper(rec.segment));
         let service = match &rec.result {
@@ -399,12 +399,15 @@ impl PvmState {
             Err(GmiError::MapperTimeout { .. }) => HUNG_REPLY_NS,
             _ => self.upcall_service_ns(rec.size / self.ps()),
         };
-        let due = self.model.now().nanos() + service;
         if !wait {
-            self.engine.queue.insert(due, id, rec);
+            // Due from its submit, like a window's pages: another client
+            // may have moved the shared clock past it, and past its
+            // deadline, while the mapper protocol ran unlocked.
+            self.engine.queue.insert(rec.submit_ns + service, id, rec);
             return Ok(());
         }
         let result = rec.result.clone();
+        let due = self.model.now().nanos() + service;
         self.apply_completion(due, id, rec);
         result
     }

@@ -9,15 +9,15 @@
 //! tree / pull from the segment (§4.2).
 
 use crate::config::IPC_MESSAGE_PAGES;
-use crate::descriptors::{CowSource, Mapping, RegionDesc, Slot};
-use crate::keys::{CtxKey, PageKey};
+use crate::descriptors::{Mapping, RegionDesc, Slot};
+use crate::keys::{CacheKey, CtxKey, PageKey};
 use crate::resolve::Version;
 use crate::state::{blocked, Attempt, PvmState};
 use crate::stats::Counter;
 use crate::telemetry::At;
 use crate::trace::{Resolution, TraceEvent};
 use chorus_gmi::{GmiError, Result};
-use chorus_hal::{Access, FrameNo, Prot, VirtAddr, Vpn};
+use chorus_hal::{Access, Prot, VirtAddr, Vpn};
 
 impl PvmState {
     /// One locked attempt at resolving a fault; the driver in `pvm.rs`
@@ -102,10 +102,7 @@ impl PvmState {
                 Ok(Resolution::Resident)
             }
             Some(Slot::Sync) => unreachable!("waited out above"),
-            Some(Slot::Cow(src)) => {
-                self.resolve_cow_stub_fault(ctx, vpn, &region, off, src, access)
-            }
-            None => self.resolve_miss(ctx, vpn, &region, off, access),
+            slot => self.resolve_copy(ctx, vpn, &region, off, access, slot.is_none()),
         }
     }
 
@@ -134,136 +131,103 @@ impl PvmState {
         }
     }
 
-    /// Fault on a per-virtual-page copy-on-write stub (§4.3).
-    fn resolve_cow_stub_fault(
+    /// Fault on a per-virtual-page copy-on-write stub (§4.3) or a miss:
+    /// a read of a source page shares it read-only through this cache
+    /// ("the source page is accessible, for reads, through any cache to
+    /// which it was copied"), unless a miss falls in a copy-on-reference
+    /// fragment; anything else is given an own page ("a new page frame
+    /// is allocated with a copy of the source page, and inserted in the
+    /// global map in replacement of the stub"), or a demand-zero one.
+    fn resolve_copy(
         &mut self,
         ctx: CtxKey,
-        vpn: chorus_hal::Vpn,
-        region: &RegionDesc,
-        off: u64,
-        src: CowSource,
-        access: Access,
-    ) -> Attempt<Resolution> {
-        let cache = region.cache;
-        // Locate the source value.
-        let version = match src {
-            CowSource::Page(p) => Version::Page(p),
-            CowSource::Loc(c2, o2) => self.resolve_version(c2, o2, Access::Read)?,
-            CowSource::Zero => Version::Zero,
-        };
-        match access {
-            Access::Read | Access::Execute => match version {
-                Version::Page(p) => {
-                    // "the source page is accessible, for reads, through
-                    // any cache to which it was copied."
-                    let prot = region.prot.remove(Prot::WRITE);
-                    self.map_page(p, ctx, vpn, prot, cache);
-                    Ok(Resolution::SharedRead)
-                }
-                Version::Zero => {
-                    // Materialize the (zero) value as an own page.
-                    self.materialize_own(ctx, vpn, region, off, Version::Zero, access, Some(src))
-                }
-            },
-            Access::Write => {
-                // "a new page frame is allocated with a copy of the
-                // source page, and inserted in the global map in
-                // replacement of the stub."
-                self.materialize_own(ctx, vpn, region, off, version, access, Some(src))
-            }
-        }
-    }
-
-    /// Fault with no slot at all: cache miss — copy-on-write /
-    /// copy-on-reference resolution through the history tree, or demand
-    /// zero-fill.
-    fn resolve_miss(
-        &mut self,
-        ctx: CtxKey,
-        vpn: chorus_hal::Vpn,
+        vpn: Vpn,
         region: &RegionDesc,
         off: u64,
         access: Access,
+        miss: bool,
     ) -> Attempt<Resolution> {
         let cache = region.cache;
-        let version = self.resolve_version(cache, off, access)?;
-        let cor = self.is_cor_at(cache, off);
+        let version = self.current_version(cache, off, access)?;
+        let cor = miss && self.is_cor_at(cache, off);
         match version {
             Version::Page(p) if access != Access::Write && !cor => {
-                // Copy-on-write read: share the ancestor's page
-                // read-only through this cache.
                 let prot = region.prot.remove(Prot::WRITE);
                 self.map_page(p, ctx, vpn, prot, cache);
                 Ok(Resolution::SharedRead)
             }
-            version => {
-                // Write violation in the copy, or copy-on-reference, or
-                // demand zero: allocate an own page.
-                self.materialize_own(ctx, vpn, region, off, version, access, None)
-            }
+            version => self.materialize_own(ctx, vpn, region, off, version, access),
         }
     }
 
-    /// Allocates an own page for (cache, off) holding the *original*
-    /// value given by `version`, replaces any stub, applies the history
-    /// write-violation algorithm if the access is a write, and maps the
-    /// page. Resolves as [`Resolution::CowCopy`] or
-    /// [`Resolution::ZeroFill`] depending on the source version.
-    #[allow(clippy::too_many_arguments)]
+    /// Gives the faulting cache its own page holding `version` (see
+    /// [`Self::own_page`]) and maps it. Resolves as
+    /// [`Resolution::CowCopy`] or [`Resolution::ZeroFill`] depending on
+    /// the source version.
     fn materialize_own(
         &mut self,
         ctx: CtxKey,
-        vpn: chorus_hal::Vpn,
+        vpn: Vpn,
         region: &RegionDesc,
         off: u64,
         version: Version,
         access: Access,
-        replaced_stub: Option<CowSource>,
     ) -> Attempt<Resolution> {
-        let cache = region.cache;
+        let page = self.own_page(region.cache, off, version, access == Access::Write)?;
+        self.map_for_access(page, ctx, vpn, region, access);
+        Ok(match version {
+            Version::Page(_) => Resolution::CowCopy,
+            Version::Zero => Resolution::ZeroFill,
+        })
+    }
+
+    /// Allocates an own page for (cache, off) holding `version`, the
+    /// value it reads now, in place of the per-page stub or the nothing
+    /// there (§4.2.2–§4.2.4, §4.3). It is writable where no history
+    /// child of the cache covers the offset, and dirty but for an
+    /// unwritten zero fill, which is re-derivable. With `write` it is
+    /// promoted, ready for the write.
+    pub(crate) fn own_page(
+        &mut self,
+        cache: CacheKey,
+        off: u64,
+        version: Version,
+        write: bool,
+    ) -> Attempt<PageKey> {
         // Pin the resolved source page across the allocation so the
-        // inline eviction cannot reclaim it.
+        // inline eviction cannot reclaim it. After a blocked alloc the
+        // whole attempt reruns, so `version` is re-resolved.
         let frame = match version {
             Version::Page(p) => self.alloc_frame_keeping(p)?,
             Version::Zero => self.alloc_frame()?,
         };
-        // After a blocked alloc the whole attempt reruns, so `version`
-        // is re-resolved; here we hold the lock continuously.
-        let (dirty, resolution) = match version {
+        match version {
             Version::Page(p) => {
                 let src_frame = self.page(p).frame;
-                self.fill_from(src_frame, frame);
+                self.phys.copy_frame(src_frame, frame);
                 self.stats.bump(Counter::CowCopies);
                 // Readers that mapped the old version *through this
                 // cache* must re-fault onto the new own page.
                 self.unmap_via(p, cache);
-                (true, Resolution::CowCopy)
             }
             Version::Zero => {
                 self.phys.zero(frame);
                 self.stats.bump(Counter::ZeroFills);
-                // A demand-zero page is re-derivable; it only needs
-                // writeback once actually written.
-                (access == Access::Write, Resolution::ZeroFill)
             }
-        };
+        }
         // Unthread the replaced per-page stub from its source.
-        if let Some(src) = replaced_stub {
+        if let Some(Slot::Cow(src)) = self.gmap.get(cache, off) {
             self.unthread_cow_stub(cache, off, src);
         }
         let writable = !self.has_history_covering(cache, off);
+        let dirty = write || version != Version::Zero;
         let page = self.create_page(cache, off, frame, writable, dirty);
-        if access == Access::Write && !self.page(page).write_allowed() {
+        if write && !self.page(page).write_allowed() {
             // §4.2.3 complication: this cache has its own history, which
             // must receive the original value before the write.
             self.promote_page(cache, off, page)?;
         }
-        self.map_for_access(page, ctx, vpn, region, access);
-        Ok(resolution)
-    }
-
-    fn fill_from(&mut self, src: FrameNo, dst: FrameNo) {
-        self.phys.copy_frame(src, dst);
+        Ok(page)
     }
 
     /// Maps an own page with the protection appropriate for the access:
@@ -274,7 +238,7 @@ impl PvmState {
         &mut self,
         page: PageKey,
         ctx: CtxKey,
-        vpn: chorus_hal::Vpn,
+        vpn: Vpn,
         region: &RegionDesc,
         access: Access,
     ) {
@@ -320,9 +284,9 @@ impl PvmState {
             self.fault_attempt(ctx, va, Access::Read, false)?;
         } else {
             // Force a private materialization even for reads.
-            let version = self.resolve_version(cache, off, Access::Read)?;
+            let version = self.current_version(cache, off, Access::Read)?;
             let vpn = self.geom.vpn(va);
-            self.materialize_own(ctx, vpn, &region, off, version, Access::Read, None)?;
+            self.materialize_own(ctx, vpn, &region, off, version, Access::Read)?;
         }
         // Pin the now-resident own page.
         match self.slot(cache, off) {
@@ -335,7 +299,7 @@ impl PvmState {
     }
 
     /// Unpins one page of a region.
-    pub fn unlock_one_page(&mut self, cache: crate::keys::CacheKey, off: u64) -> Result<()> {
+    pub fn unlock_one_page(&mut self, cache: CacheKey, off: u64) -> Result<()> {
         if let Some(Slot::Present(p)) = self.slot(cache, off) {
             let page = self.page_mut(p);
             if page.lock_count > 0 {

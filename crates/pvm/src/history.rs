@@ -29,7 +29,7 @@ use crate::state::{blocked, Attempt, Blocked, PvmState, StubsTo};
 use crate::stats::Counter;
 use crate::trace::TraceEvent;
 use chorus_gmi::{GmiError, Result};
-use chorus_hal::OpKind;
+use chorus_hal::{FrameNo, OpKind};
 
 /// Fragment size used by working history objects to relay the entire
 /// offset space of their parent.
@@ -376,6 +376,7 @@ impl PvmState {
     /// ([`Self::discard_slot`], [`Self::disown_range`]).
     pub fn overwrite_range(&mut self, cache: CacheKey, off: u64, size: u64) -> Attempt<()> {
         let end = off.saturating_add(size);
+        self.check_unpinned(cache, off, end)?;
         // 0. Swapped-out own pages that the history child still needs
         //    must come back in before their ownership marks die.
         if self.cache(cache)?.history.is_some() {
@@ -427,14 +428,25 @@ impl PvmState {
         Ok(())
     }
 
+    /// Refuses a discard of `[off, end)` of `cache` that would take a
+    /// pinned page, before anything is discarded: a refused overwrite,
+    /// invalidation or destruction changes nothing.
+    pub fn check_unpinned(&self, cache: CacheKey, off: u64, end: u64) -> Result<()> {
+        let pinned = |o: &u64| matches!(self.gmap.get(cache, *o), Some(Slot::Present(p)) if self.page(p).lock_count > 0);
+        match self.cache(cache)?.entries.range(off..end).any(pinned) {
+            true => Err(GmiError::Locked),
+            false => Ok(()),
+        }
+    }
+
     /// Discards what `cache` holds at `o`, whose slot is `slot`, as an
-    /// overwrite or an invalidation of the range does: a page in transit
-    /// is waited out and a locked page refused; a resident page first
-    /// gives its original to the cache's own history child (§4.2.4),
-    /// then goes to its per-page stubs or is freed. A per-page stub is
-    /// unthreaded, and a read through it had mapped its source page
-    /// into this cache's regions: that mapping goes with the stub, or
-    /// the reader goes on seeing the old value.
+    /// overwrite or an invalidation of the range does, once the range
+    /// is known to be unpinned: a page in transit is waited out; a
+    /// resident page first gives its original to the cache's own history
+    /// child (§4.2.4), then goes to its per-page stubs or is freed. A
+    /// per-page stub is unthreaded, and a read through it had mapped its
+    /// source page into this cache's regions: that mapping goes with the
+    /// stub, or the reader goes on seeing the old value.
     pub fn discard_slot(&mut self, cache: CacheKey, o: u64, slot: Slot) -> Attempt<()> {
         match slot {
             Slot::Sync => return blocked(Blocked::WaitStub(cache, o)),
@@ -446,9 +458,6 @@ impl PvmState {
                 self.clear_slot(cache, o);
             }
             Slot::Present(p) => {
-                if self.page(p).lock_count > 0 {
-                    return Err(GmiError::Locked.into());
-                }
                 if self.has_history_covering(cache, o) {
                     self.push_original_to_history(cache, o, p)?;
                 }
@@ -532,10 +541,8 @@ impl PvmState {
                 continue;
             }
             let frame = self.alloc_frame_keeping(page)?;
-            let src_frame = self.page(page).frame;
-            self.phys.copy_frame(src_frame, frame);
             let writable = !self.has_history_covering(h, h_off);
-            self.create_page(h, h_off, frame, writable, true);
+            self.copy_to_new_page(page, frame, (h, h_off), writable);
             self.stats.bump(Counter::HistoryPushes);
             self.trace.event(|| TraceEvent::HistoryPush {
                 cache: h.index(),
@@ -592,15 +599,13 @@ impl PvmState {
     /// stubs onto the new page.
     pub fn materialize_stub_original(&mut self, page: PageKey) -> Attempt<()> {
         let frame = self.alloc_frame_keeping(page)?;
-        let src_frame = self.page(page).frame;
-        self.phys.copy_frame(src_frame, frame);
         let mut stubs = core::mem::take(&mut self.page_mut(page).stubs);
-        let (first_cache, first_off) = stubs.remove(0);
+        let first = stubs.remove(0);
         // The new page belongs to the first stub's cache; the remaining
         // stubs now thread on it. It stays read-only if that cache has
         // its own history child covering the offset.
-        let writable = stubs.is_empty() && !self.has_history_covering(first_cache, first_off);
-        let new_page = self.create_page(first_cache, first_off, frame, writable, true);
+        let writable = stubs.is_empty() && !self.has_history_covering(first.0, first.1);
+        let new_page = self.copy_to_new_page(page, frame, first, writable);
         self.page_mut(new_page).stubs = stubs.clone();
         for (dc, doff) in stubs {
             self.set_slot(dc, doff, Slot::Cow(CowSource::Page(new_page)));
@@ -623,16 +628,35 @@ impl PvmState {
     /// Hands a page over to its first stub destination (see
     /// [`Self::release_page`]).
     pub fn donate_page_to_stubs(&mut self, page: PageKey) {
-        let desc = self.page_mut(page);
-        let (first_cache, first_off) = desc.stubs.remove(0);
-        let old_cache = desc.cache;
-        let old_off = desc.offset;
-        desc.cache = first_cache;
-        desc.offset = first_off;
-        let remaining = desc.stubs.clone();
-        desc.dirty = true;
-        let writable = remaining.is_empty() && !self.has_history_covering(first_cache, first_off);
-        self.page_mut(page).writable = writable;
+        let first = self.page_mut(page).stubs.remove(0);
+        let remaining = self.page(page).stubs.clone();
+        let writable = remaining.is_empty() && !self.has_history_covering(first.0, first.1);
+        self.rehome_page(page, first, writable);
+        for (dc, doff) in remaining {
+            self.set_slot(dc, doff, Slot::Cow(CowSource::Page(page)));
+        }
+        self.stats.bump(Counter::MovedFrames);
+    }
+
+    /// Enters a copy of `src`'s value as a new dirty page at (cache, off)
+    /// in the fresh `frame`, `writable` as the caller's rule has it.
+    pub fn copy_to_new_page(
+        &mut self,
+        src: PageKey,
+        frame: FrameNo,
+        (cache, off): (CacheKey, u64),
+        writable: bool,
+    ) -> PageKey {
+        let src_frame = self.page(src).frame;
+        self.phys.copy_frame(src_frame, frame);
+        self.create_page(cache, off, frame, writable, true)
+    }
+
+    /// Moves `page` to (cache, off), dirty and `writable` as the caller's
+    /// rule has it: its mappings are shot down, its old slot and
+    /// ownership mark given up. Its stubs stay threaded on it.
+    pub fn rehome_page(&mut self, page: PageKey, (cache, off): (CacheKey, u64), writable: bool) {
+        let (old_cache, old_off) = (self.page(page).cache, self.page(page).offset);
         self.unmap_all(page);
         if self.gmap.get(old_cache, old_off) == Some(Slot::Present(page)) {
             self.clear_slot(old_cache, old_off);
@@ -640,14 +664,15 @@ impl PvmState {
         if let Some(c) = self.caches.get_mut(old_cache) {
             c.owned.remove(&old_off);
         }
-        self.set_slot(first_cache, first_off, Slot::Present(page));
-        if let Ok(c) = self.cache_mut(first_cache) {
-            c.owned.insert(first_off);
+        let desc = self.page_mut(page);
+        desc.cache = cache;
+        desc.offset = off;
+        desc.dirty = true;
+        desc.writable = writable;
+        self.set_slot(cache, off, Slot::Present(page));
+        if let Some(c) = self.caches.get_mut(cache) {
+            c.owned.insert(off);
         }
-        for (dc, doff) in remaining {
-            self.set_slot(dc, doff, Slot::Cow(CowSource::Page(page)));
-        }
-        self.stats.bump(Counter::MovedFrames);
     }
 
     /// Installs a per-page stub at (dst, dst_off) and threads it on its
@@ -762,6 +787,24 @@ impl PvmState {
         }
     }
 
+    /// True when nothing keeps `zombie` from merging synchronously:
+    /// every page it holds is resident, unpinned and not being cleaned
+    /// (no page in transit, no per-page stub of its own, no swapped-out
+    /// data, which merging would have to pull in), and no location stub
+    /// reads it.
+    fn mergeable(&self, zombie: CacheKey) -> bool {
+        let Some(z) = self.caches.get(zombie) else {
+            return false;
+        };
+        let settled = |o: &u64| match self.gmap.get(zombie, *o) {
+            Some(Slot::Present(p)) => self.page(p).lock_count == 0 && !self.page(p).cleaning,
+            _ => false,
+        };
+        z.entries.iter().all(settled)
+            && z.owned.is_subset(&z.entries)
+            && !self.gmap.has_loc_stubs_from(zombie)
+    }
+
     /// Attempts the §4.2.5 merge of a zombie into its sole child. A page
     /// with per-page stubs goes down with them threaded (read-only while
     /// they remain), or to its stubs where the child has its own
@@ -770,48 +813,19 @@ impl PvmState {
     /// per-page stubs held by the zombie itself, or swapped-out data make
     /// it unsafe to do synchronously.
     fn try_merge_into_child(&mut self, zombie: CacheKey, child: CacheKey) {
-        let Some(z) = self.caches.get(zombie) else {
-            return;
-        };
-        // Bail-out checks.
-        for &o in &z.entries {
-            match self.gmap.get(zombie, o) {
-                Some(Slot::Sync) => return,
-                Some(Slot::Cow(_)) => return,
-                Some(Slot::Present(p)) => {
-                    let page = self.page(p);
-                    if page.lock_count > 0 || page.cleaning {
-                        return;
-                    }
-                }
-                None => return,
-            }
-        }
-        let z = self.caches.get(zombie).expect("zombie vanished");
-        if z.owned.iter().any(|o| !z.entries.contains(o)) {
-            // Swapped-out data: merging would require pulling it in.
-            return;
-        }
-        if self.gmap.has_loc_stubs_from(zombie) {
+        if !self.mergeable(zombie) {
             return;
         }
 
+        let z = self.caches.get(zombie).expect("zombie vanished");
+        let (zombie_frags, offsets) =
+            (z.parents.clone(), Vec::from_iter(z.entries.iter().copied()));
         // The child's fragments that point at the zombie.
-        let child_frags: Vec<ParentFragment> = self
-            .cache(child)
-            .map(|c| {
-                c.parents
-                    .iter()
-                    .copied()
-                    .filter(|f| f.parent == zombie)
-                    .collect()
-            })
-            .unwrap_or_default();
-        let zombie_frags: Vec<ParentFragment> = self
-            .caches
-            .get(zombie)
-            .map(|z| z.parents.clone())
-            .unwrap_or_default();
+        let child_frags = Vec::from_iter(
+            (self.caches.get(child).into_iter().flat_map(|c| &c.parents))
+                .filter(|f| f.parent == zombie)
+                .copied(),
+        );
 
         // 1. Move pages down into the child where the child lacks its
         //    own version and a fragment covers them; with generalized
@@ -820,14 +834,6 @@ impl PvmState {
         //    first gets the page, the rest get copies. The merge bails
         //    (harmlessly, the chain just persists) if the pool cannot
         //    supply the extra frames without blocking.
-        let offsets: Vec<u64> = self
-            .caches
-            .get(zombie)
-            .expect("zombie vanished")
-            .entries
-            .iter()
-            .copied()
-            .collect();
         let targets_of = |s: &Self, o: u64| -> Vec<u64> {
             child_frags
                 .iter()
@@ -854,28 +860,14 @@ impl PvmState {
                     // data is still intact here).
                     for &co in rest {
                         let frame = self.phys.alloc().expect("reserved frame vanished");
-                        let src_frame = self.page(p).frame;
-                        self.phys.copy_frame(src_frame, frame);
                         let writable = !self.has_history_covering(child, co);
-                        self.create_page(child, co, frame, writable, true);
+                        self.copy_to_new_page(p, frame, (child, co), writable);
                         self.charge(OpKind::HistoryOp);
                     }
                     // Re-home the page descriptor to the first alias. Its
                     // stubs stay threaded, and keep it read-only.
-                    self.unmap_foreign(p);
-                    self.clear_slot(zombie, o);
-                    let desc = self.page_mut(p);
-                    desc.cache = child;
-                    desc.offset = first;
-                    desc.dirty = true;
-                    let writable = !self.has_history_covering(child, first)
-                        && self.page(p).mappings.is_empty();
-                    self.page_mut(p).writable = writable;
-                    self.set_slot(child, first, Slot::Present(p));
-                    self.cache_mut(child)
-                        .expect("dead child")
-                        .owned
-                        .insert(first);
+                    let writable = !self.has_history_covering(child, first);
+                    self.rehome_page(p, (child, first), writable);
                 }
                 None => self.release_page(p),
             }

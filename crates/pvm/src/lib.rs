@@ -8,7 +8,7 @@
 //!   the size of every management structure depends only on the amount of
 //!   physical memory in use, never on segment or address-space sizes;
 //! - efficient deferred copy: the novel **history object** technique for
-//!   large fragments ([`history`](crate::Pvm)) and a **per-virtual-page**
+//!   large fragments (the `history` module) and a **per-virtual-page**
 //!   technique for small fragments such as IPC messages, both supporting
 //!   copy-on-write and copy-on-reference;
 //! - a machine-independent core over the small [`chorus_hal::Mmu`]

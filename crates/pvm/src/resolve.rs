@@ -11,7 +11,6 @@ use crate::engine::Parked;
 use crate::keys::{CacheKey, PageKey};
 use crate::state::{blocked, Attempt, Blocked, PvmState};
 use crate::trace::TraceEvent;
-use chorus_gmi::GmiError;
 use chorus_hal::{Access, OpKind};
 
 /// The resolved current version of a (cache, offset) datum.
@@ -48,6 +47,23 @@ impl PvmState {
             });
         }
         result
+    }
+
+    /// The value (cache, off) reads now: its per-page stub's source
+    /// (§4.3), read for reading whatever `access` is, or what the walk
+    /// from the slot finds (§4.2.1).
+    pub(crate) fn current_version(
+        &mut self,
+        cache: CacheKey,
+        off: u64,
+        access: Access,
+    ) -> Attempt<Version> {
+        match self.gmap.get(cache, off) {
+            Some(Slot::Cow(CowSource::Page(p))) => Ok(Version::Page(p)),
+            Some(Slot::Cow(CowSource::Loc(c, o))) => self.resolve_version(c, o, Access::Read),
+            Some(Slot::Cow(CowSource::Zero)) => Ok(Version::Zero),
+            _ => self.resolve_version(cache, off, access),
+        }
     }
 
     fn resolve_version_walk(
@@ -94,9 +110,12 @@ impl PvmState {
                         // and ask for a pull (§4.1.2); with clustering
                         // enabled, adjacent owned-non-resident pages ride
                         // along under their own stubs (read-ahead).
-                        let segment = desc.segment.ok_or(GmiError::InvalidArgument(
-                            "owned page with neither residence nor segment",
-                        ))?;
+                        let Some(segment) = desc.segment else {
+                            // No segment: a page of the cache left memory
+                            // clean, and the only clean page a cache
+                            // without one holds is a zero fill.
+                            return Ok(Version::Zero);
+                        };
                         let pages = self.size_pull(x, o, None)?;
                         let req = self.place_window(x, segment, o, pages, access);
                         return blocked(Blocked::PullIn { cache: x, req });

@@ -638,6 +638,100 @@ fn a_waited_push_is_one_request_that_takes_its_transfer_time() {
     }
 }
 
+/// A manager whose next `submit_push`, once armed, takes `busy_ns` of
+/// the shared clock before it answers: another client's work, done
+/// while the mapper protocol runs with the state lock released.
+struct Neighbour {
+    inner: MemSegmentManager,
+    clock: std::sync::OnceLock<Arc<chorus_hal::CostModel>>,
+    armed: AtomicBool,
+    busy_ns: u64,
+}
+
+impl SegmentManagerV2 for Neighbour {
+    fn submit_pull(&self, io: &dyn CacheIo, req: &PullRequest) -> Result<()> {
+        self.inner.submit_pull(io, req)
+    }
+    fn submit_push(&self, io: &dyn CacheIo, req: &PushRequest) -> Result<()> {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.clock
+                .get()
+                .expect("clock attached")
+                .advance_ns(self.busy_ns);
+        }
+        self.inner.submit_push(io, req)
+    }
+    fn acquire_write_access(&self, segment: SegmentId, offset: u64, size: u64) -> Result<()> {
+        self.inner.acquire_write_access(segment, offset, size)
+    }
+    fn create_segment_v2(&self, cache: CacheId) -> SegmentId {
+        self.inner.create_segment_v2(cache)
+    }
+}
+
+#[test]
+fn a_daemon_push_is_due_from_its_submit_however_far_the_clock_moved_meanwhile() {
+    // The shared clock moves 2 s while a write-behind push's mapper
+    // protocol runs, past the push's 1 s deadline: the push is late by
+    // no fault of its mapper, so it is delivered, not cancelled.
+    let deadline = RetryPolicy::default().deadline_ns;
+    for mmu in MMUS {
+        let mgr = Arc::new(Neighbour {
+            inner: MemSegmentManager::new(),
+            clock: std::sync::OnceLock::new(),
+            armed: AtomicBool::new(false),
+            busy_ns: 2 * deadline,
+        });
+        let mut o = PvmOptions {
+            geometry: chorus_hal::PageGeometry::new(PS),
+            frames: 4,
+            mmu,
+            cost: service_costs(),
+            ..PvmOptions::default()
+        };
+        o.config.check_invariants = true;
+        let pvm = Pvm::new(o, mgr.clone());
+        mgr.clock.set(pvm.cost_model()).ok();
+        // Four dirty pages fill the pool; the fifth write sets them
+        // aside and pushes one itself.
+        let (ctx, _, cache) = common::anon_region(&pvm, 16);
+        for p in [0, 2, 4, 6, 8] {
+            write(&pvm, ctx, 0x1_0000 + p * PS, &page_bytes(p));
+        }
+        assert_eq!(pvm.stats().demand_pushes, 1, "{mmu:?}");
+        // A light entry launders one queued run, with nobody waiting...
+        mgr.armed.store(true, Ordering::SeqCst);
+        pvm.cache_read(cache, 8 * PS, &mut [0u8; 1]).unwrap();
+        assert!(
+            !mgr.armed.load(Ordering::SeqCst),
+            "{mmu:?}: no push went out"
+        );
+        assert_eq!(pvm.stats().write_behind_pushes, 1, "{mmu:?}");
+        // ...and the next entry delivers it: two pushes done.
+        pvm.cache_read(cache, 8 * PS, &mut [0u8; 1]).unwrap();
+        let stats = pvm.stats();
+        assert_eq!(
+            (
+                stats.push_outs,
+                stats.watchdog_cancels,
+                stats.mapper_timeouts
+            ),
+            (2, 0, 0),
+            "{mmu:?}: {stats:?}"
+        );
+        pvm.drain_upcalls();
+        let stats = pvm.stats();
+        assert_eq!(stats.async_deliveries, stats.async_submits, "{stats:?}");
+        for p in [0, 2, 4, 6, 8] {
+            assert_eq!(
+                read(&pvm, ctx, 0x1_0000 + p * PS, PS as usize),
+                page_bytes(p)
+            );
+        }
+        pvm.check_invariants();
+    }
+}
+
 // ----- reading ahead of the reader (DESIGN.md §13) --------------------------
 //
 // These run on the shipped `pull_cluster_pages` (1): a stream ramps 1, 2,

@@ -6,6 +6,23 @@ use chorus_gmi::{Gmi, GmiError, Prot, VirtAddr};
 use common::*;
 
 #[test]
+fn an_evicted_unwritten_page_of_a_cache_without_segment_reads_as_zeroes() {
+    // A read fault's zero fill is clean: evicted, it goes without a
+    // push, and the cache has no segment to pull it back from. It reads
+    // as zeroes again (it once failed: "owned page with neither
+    // residence nor segment").
+    let (pvm, _) = setup(4);
+    let (ctx, _r, _c) = anon_region(&pvm, 16);
+    for pass in 0..2 {
+        for p in 0..16 {
+            assert_eq!(read(&pvm, ctx, 0x1_0000 + p * PS, 1), [0], "pass {pass}");
+        }
+    }
+    assert!(pvm.stats().evictions >= 12, "{:?}", pvm.stats());
+    pvm.check_invariants();
+}
+
+#[test]
 fn zero_fill_read_write_roundtrip() {
     let (pvm, _) = setup(32);
     let (ctx, _r, _c) = anon_region(&pvm, 4);

@@ -6,7 +6,7 @@ mod common;
 use chorus_gmi::testing::Upcall;
 use chorus_gmi::{CacheId, CopyMode, CtxId, Gmi, GmiError, PageGeometry, Prot, VirtAddr};
 use chorus_nucleus::{Capability, Mapper, MemMapper, NucleusSegmentManager, PortName};
-use chorus_pvm::{Pvm, PvmConfig, PvmOptions};
+use chorus_pvm::{Pvm, PvmConfig, PvmOptions, SlotDump};
 use common::*;
 use std::sync::Arc;
 
@@ -121,6 +121,91 @@ fn region_lock_materializes_cow_copies_for_stability() {
         .unwrap();
     assert_eq!(read(&pvm, ctx, 0x1000, 8), pattern(0x31, 8));
     pvm.region_unlock(r).unwrap();
+}
+
+#[test]
+fn cache_lock_over_a_deferred_copy_counts_its_copies() {
+    // lockInMemory gives each page an own copy the way a fault or a
+    // write does, and counts it the same: a copied page is a
+    // copy-on-write copy, an untouched one a zero fill, left clean as a
+    // read fault leaves it (it needs no write-back until written).
+    let (pvm, _) = setup(32);
+    let src = pvm.cache_create(None).unwrap();
+    pvm.write_logical(src, 0, &pattern(0x31, (2 * PS) as usize))
+        .unwrap();
+    let cpy = pvm.cache_create(None).unwrap();
+    pvm.cache_copy_with(src, 0, cpy, 0, 2 * PS, CopyMode::HistoryCow)
+        .unwrap();
+    let per_page = pvm.cache_create(None).unwrap();
+    pvm.cache_copy_with(src, 0, per_page, 0, 2 * PS, CopyMode::PerPage)
+        .unwrap();
+    let before = pvm.stats();
+    pvm.cache_lock_in_memory(cpy, 0, 3 * PS).unwrap();
+    pvm.cache_lock_in_memory(per_page, 0, 2 * PS).unwrap();
+    let after = pvm.stats();
+    assert_eq!(after.cow_copies - before.cow_copies, 4, "{after:?}");
+    assert_eq!(after.zero_fills - before.zero_fills, 1, "{after:?}");
+    let dump = pvm.dump_caches();
+    let slots = &dump.cache(cpy).unwrap().slots;
+    assert_eq!(
+        slots.iter().map(|&(o, s)| (o / PS, s)).collect::<Vec<_>>(),
+        [0, 1]
+            .map(|p| (
+                p,
+                SlotDump::Page {
+                    writable: true,
+                    dirty: true
+                }
+            ))
+            .into_iter()
+            .chain([(
+                2,
+                SlotDump::Page {
+                    writable: true,
+                    dirty: false
+                }
+            )])
+            .collect::<Vec<_>>()
+    );
+    // Pinned copies keep the copied value however the source changes.
+    pvm.write_logical(src, 0, &pattern(0xEE, (2 * PS) as usize))
+        .unwrap();
+    for cache in [cpy, per_page] {
+        assert_eq!(
+            pvm.read_logical(cache, 0, (2 * PS) as usize).unwrap(),
+            pattern(0x31, (2 * PS) as usize)
+        );
+    }
+    pvm.cache_unlock(cpy, 0, 3 * PS).unwrap();
+    pvm.cache_unlock(per_page, 0, 2 * PS).unwrap();
+    pvm.check_invariants();
+}
+
+#[test]
+fn a_refused_discard_of_pinned_memory_changes_nothing() {
+    // A destroy, an overwrite or an invalidation that would take a
+    // pinned page is refused before it discards anything.
+    let (pvm, _) = setup(32);
+    let src = pvm.cache_create(None).unwrap();
+    let dst = pvm.cache_create(None).unwrap();
+    pvm.write_logical(src, 0, &pattern(0x11, (3 * PS) as usize))
+        .unwrap();
+    pvm.write_logical(dst, 0, &pattern(0x22, (3 * PS) as usize))
+        .unwrap();
+    pvm.cache_lock_in_memory(dst, 2 * PS, PS).unwrap();
+    let locked = |r: chorus_gmi::Result<()>| assert!(matches!(r, Err(GmiError::Locked)), "{r:?}");
+    locked(pvm.cache_copy_with(src, 0, dst, 0, 3 * PS, CopyMode::HistoryCow));
+    locked(pvm.cache_copy_with(src, 0, dst, 0, 3 * PS, CopyMode::PerPage));
+    locked(pvm.cache_move(src, 0, dst, 0, 3 * PS));
+    locked(pvm.cache_invalidate(dst, 0, 3 * PS));
+    locked(pvm.cache_destroy(dst));
+    assert_eq!(
+        pvm.read_logical(dst, 0, (3 * PS) as usize).unwrap(),
+        pattern(0x22, (3 * PS) as usize)
+    );
+    pvm.cache_unlock(dst, 2 * PS, PS).unwrap();
+    pvm.cache_destroy(dst).unwrap();
+    pvm.check_invariants();
 }
 
 #[test]

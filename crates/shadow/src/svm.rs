@@ -438,7 +438,9 @@ impl SState {
             }
             if o.owned.contains(&obj_off) || o.fully_backed {
                 let Some(segment) = o.pager else {
-                    return Err(GmiError::InvalidArgument("owned page without pager"));
+                    // No pager: the page left memory clean, and the only
+                    // clean page of an object without one is a zero fill.
+                    return Ok(Step::Done(Value::Zero));
                 };
                 return Ok(Step::Pull {
                     object: cur,
@@ -660,6 +662,18 @@ impl SState {
         };
         for p in removed {
             self.charge(OpKind::DescriptorOp);
+            // The object may live on in the entry's other parts: readers
+            // of the removed window re-fault onto what replaces it.
+            let window = p.obj_off..p.obj_off + p.size;
+            let pages: Vec<SPageKey> = self
+                .object(p.object)
+                .pages
+                .range(window)
+                .map(|(_, &k)| k)
+                .collect();
+            for k in pages {
+                self.unmap_page(k);
+            }
             self.obj_unref(p.object);
         }
         Ok(())

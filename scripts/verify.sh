@@ -21,7 +21,8 @@
 # the pushOut and pullIn upcalls, no `Outcome` beside the attempt's
 # `Result<T, Stop>`, one `push_loc_stub(` caller, one call site each of
 # the page methods in the Nucleus segment manager, one home for the
-# readahead rules: no stream field named outside streams.rs), the
+# readahead rules: no stream field named outside streams.rs, at most
+# two `phys.copy_frame(` sites: one own-page materialization), the
 # hashing gate (no std HashMap/HashSet in the kernel crates), the
 # release-mode concurrency stress, the tracing bit-identity check
 # (table6, table7 and figure3, which build their PVMs with
@@ -194,7 +195,7 @@ assert out["top_caches"][0]["faults"] >= out["top_caches"][-1]["faults"], out
 print("ok: %d caches, %d mappers, hottest first" % (out["caches"], out["mappers"]))
 '
 
-step "one of each: no allow(deprecated), no SyncShim, one replacement policy, one request path, one attempt type, one stub threading, one data path, one home for readahead"
+step "one of each: no allow(deprecated), no SyncShim, one replacement policy, one request path, one attempt type, one stub threading, one data path, one home for readahead, one own-page materialization"
 # One upcall trait: nothing in the workspace needs a deprecation
 # silenced, and the fieldless SyncShim (kept for the frozen benchmark/)
 # is named only where it is defined and re-exported. One replacement
@@ -250,6 +251,15 @@ done
 if grep -nE 'mapper\.read\(|io\.fill_up\(' <<< "$sm_src"; then
   echo "FAIL: segment_manager.rs copies bytes where pages should change hands"; exit 1
 fi
+# One own-page materialization: a page's frame is copied by
+# `fault.rs::own_page` (a fault, `cache_write`, `lockInMemory`) and by
+# `history.rs::copy_to_new_page` (a history push, a stub's original, a
+# merge's alias copy), and nowhere else.
+sites=$(grep -rn 'phys\.copy_frame(' crates/pvm/src | wc -l)
+if [ "$sites" -gt 2 ]; then
+  grep -rn 'phys\.copy_frame(' crates/pvm/src || true
+  echo "FAIL: phys.copy_frame( at $sites call sites in crates/pvm/src, more than two"; exit 1
+fi
 # Every readahead rule lives in crates/pvm/src/streams.rs: the rest of
 # the PVM calls its narrow interface and names no stream field.
 if grep -rnE '\.streams\.table|\.(armed|lag|skipped)\b' crates/pvm/src |
@@ -271,13 +281,15 @@ if grep -rnwE 'HashMap|HashSet|RandomState' \
 fi
 echo "ok"
 
-step "release-mode concurrency stress: concurrent_faults, the state lock's handoff, shared pages"
+step "release-mode concurrency stress: concurrent_faults, the state lock's handoff, shared pages, the differential oracle"
 # Races only show up in release. The domains tests hand the state lock
 # between two threads 200k times (a lost increment fails) and hold it
 # 20 ms under a spinning waiter (it must give up and park). The
 # copy-on-write isolation tests check that a page shared by a frame and
-# a mapper's segment is copied by whichever side writes it.
+# a mapper's segment is copied by whichever side writes it. The
+# differential oracle runs again with optimisations on.
 cargo test --release -q -p chorus-pvm --test concurrent_faults
+cargo test --release -q --test differential
 cargo test --release -q -p chorus-pvm --lib domains
 cargo test --release -q -p chorus-hal --lib frame
 cargo test --release -q -p chorus-nucleus --lib mapper

@@ -3,6 +3,12 @@
 //! that tracks the logical bytes of every cache. After every step the
 //! full logical contents must agree.
 //!
+//! Every cache is mapped by a region of one context, so a mapped read
+//! or write faults its pages in through the region (copy-on-write and
+//! demand-zero resolution), beside the explicit `cache_write`, and a
+//! `lockInMemory` materializes and pins them: the three ways a cache
+//! gets an own page of a deferred copy.
+//!
 //! The same harness runs against the PVM (history objects) and — once a
 //! second `Gmi` implementation is in scope — against the Mach-style
 //! shadow baseline, which also makes the two implementations
@@ -11,7 +17,7 @@
 //! during the random walks.
 
 use chorus_gmi::testing::MemSegmentManager;
-use chorus_gmi::{CacheId, CopyMode, Gmi};
+use chorus_gmi::{CacheId, CopyMode, CtxId, Gmi, GmiError, Prot, RegionId, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_pvm::trace::{Resolution, TraceEvent};
 use chorus_pvm::{Pvm, PvmConfig, PvmOptions, TraceConfig};
@@ -22,6 +28,9 @@ const PS: u64 = 64;
 const PAGES: u64 = 6;
 const SIZE: usize = (PS * PAGES) as usize;
 const MAX_CACHES: usize = 6;
+/// Where cache `i` (in creation order) is mapped.
+const MAP_BASE: u64 = 0x10_0000;
+const MAP_STRIDE: u64 = 0x1000;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -70,6 +79,32 @@ enum Op {
     Flush {
         idx: usize,
     },
+    Invalidate {
+        idx: usize,
+        page: u8,
+        pages: u8,
+    },
+    Lock {
+        idx: usize,
+        page: u8,
+        pages: u8,
+    },
+    Unlock {
+        idx: usize,
+        page: u8,
+        pages: u8,
+    },
+    MappedRead {
+        idx: usize,
+        off: u16,
+        len: u8,
+    },
+    MappedWrite {
+        idx: usize,
+        off: u16,
+        len: u8,
+        seed: u8,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -96,13 +131,40 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             }),
         1 => (0..MAX_CACHES).prop_map(|idx| Op::Sync { idx }),
         1 => (0..MAX_CACHES).prop_map(|idx| Op::Flush { idx }),
+        1 => (0..MAX_CACHES, 0..PAGES as u8, 1..=PAGES as u8)
+            .prop_map(|(idx, page, pages)| Op::Invalidate { idx, page, pages }),
+        1 => (0..MAX_CACHES, 0..PAGES as u8, 1..=PAGES as u8)
+            .prop_map(|(idx, page, pages)| Op::Lock { idx, page, pages }),
+        1 => (0..MAX_CACHES, 0..PAGES as u8, 1..=PAGES as u8)
+            .prop_map(|(idx, page, pages)| Op::Unlock { idx, page, pages }),
+        3 => (0..MAX_CACHES, 0..SIZE as u16, 1..96u8)
+            .prop_map(|(idx, off, len)| Op::MappedRead { idx, off, len }),
+        3 => (0..MAX_CACHES, 0..SIZE as u16, 1..64u8, any::<u8>())
+            .prop_map(|(idx, off, len, seed)| Op::MappedWrite { idx, off, len, seed }),
     ]
 }
 
-/// The oracle: plain byte arrays plus an "undefined" mask (move leaves
-/// its source undefined, so those bytes are exempt from comparison).
+/// One cache of the oracle: its bytes, an "undefined" mask (move leaves
+/// its source undefined and invalidate the range it discards, so those
+/// bytes are exempt from comparison) and its pins, page by page.
+struct ModelCache {
+    bytes: Vec<u8>,
+    undef: Vec<bool>,
+    pins: [u32; PAGES as usize],
+}
+
+impl ModelCache {
+    /// True if a page of `[off, off + size)` is pinned: a discard there
+    /// (overwrite, invalidate, flush, destroy) is refused as `Locked`,
+    /// and changes nothing.
+    fn pinned(&self, off: u64, size: u64) -> bool {
+        (off / PS..(off + size).div_ceil(PS)).any(|p| self.pins[p as usize] > 0)
+    }
+}
+
+/// The oracle.
 struct Model {
-    caches: Vec<Option<(Vec<u8>, Vec<bool>)>>,
+    caches: Vec<Option<ModelCache>>,
 }
 
 impl Model {
@@ -140,14 +202,41 @@ fn clamp_pages(page: u8, pages: u8) -> (u64, u64) {
 }
 
 fn run_differential<G: Gmi>(gmi: &G, ops: &[Op]) {
-    run_differential_with(gmi, ops, |_| {});
+    run_differential_with(gmi, ops, true, |_| {});
 }
 
 /// Like [`run_differential`], calling `before_op(index)` before every
 /// operation — the hook for sprinkling mapper faults into the walk.
-fn run_differential_with<G: Gmi>(gmi: &G, ops: &[Op], mut before_op: impl FnMut(usize)) {
+/// Without `pins` the walk's `Lock` and `Unlock` are skipped: the
+/// shadow baseline pins pages but refuses no destroy or overwrite of
+/// them.
+fn run_differential_with<G: Gmi>(
+    gmi: &G,
+    ops: &[Op],
+    pins: bool,
+    mut before_op: impl FnMut(usize),
+) {
     let mut model = Model::new();
-    let mut ids: Vec<Option<CacheId>> = Vec::new();
+    let mut ids: Vec<Option<(CacheId, RegionId)>> = Vec::new();
+    let ctx: CtxId = gmi.context_create().unwrap();
+    let va = |i: usize, off: u64| VirtAddr(MAP_BASE + i as u64 * MAP_STRIDE + off);
+    let map = |i: usize, id| {
+        gmi.region_create(ctx, va(i, 0), SIZE as u64, Prot::RW, id, 0)
+            .unwrap()
+    };
+    // A discard of pinned memory is refused and changes nothing; true
+    // when the operation went through.
+    let done = |result: chorus_gmi::Result<()>, pinned: bool, op: &Op| {
+        if pinned {
+            assert!(
+                matches!(result, Err(GmiError::Locked)),
+                "{op:?}: {result:?}"
+            );
+        } else {
+            result.unwrap_or_else(|e| panic!("{op:?}: {e:?}"));
+        }
+        !pinned
+    };
 
     for (op_index, op) in ops.iter().enumerate() {
         before_op(op_index);
@@ -157,17 +246,32 @@ fn run_differential_with<G: Gmi>(gmi: &G, ops: &[Op], mut before_op: impl FnMut(
                     continue;
                 }
                 let id = gmi.cache_create(None).unwrap();
-                model
-                    .caches
-                    .push(Some((vec![0u8; SIZE], vec![false; SIZE])));
-                ids.push(Some(id));
+                ids.push(Some((id, map(model.caches.len(), id))));
+                model.caches.push(Some(ModelCache {
+                    bytes: vec![0u8; SIZE],
+                    undef: vec![false; SIZE],
+                    pins: [0; PAGES as usize],
+                }));
             }
             Op::Destroy { idx } => {
                 let Some(i) = model.live(idx) else { continue };
-                gmi.cache_destroy(ids[i].take().unwrap()).unwrap();
-                model.caches[i] = None;
+                let (id, region) = ids[i].unwrap();
+                gmi.region_destroy(region).unwrap();
+                let pinned = model.caches[i].as_ref().unwrap().pinned(0, SIZE as u64);
+                if done(gmi.cache_destroy(id), pinned, op) {
+                    ids[i] = None;
+                    model.caches[i] = None;
+                } else {
+                    ids[i] = Some((id, map(i, id)));
+                }
             }
             Op::Write {
+                idx,
+                off,
+                len,
+                seed,
+            }
+            | Op::MappedWrite {
                 idx,
                 off,
                 len,
@@ -178,10 +282,27 @@ fn run_differential_with<G: Gmi>(gmi: &G, ops: &[Op], mut before_op: impl FnMut(
                 let data: Vec<u8> = (0..len)
                     .map(|k| seed.wrapping_add(k as u8).wrapping_mul(31))
                     .collect();
-                gmi.cache_write(ids[i].unwrap(), off, &data).unwrap();
-                let (bytes, undef) = model.caches[i].as_mut().unwrap();
-                bytes[off as usize..(off + len) as usize].copy_from_slice(&data);
-                undef[off as usize..(off + len) as usize].fill(false);
+                let id = ids[i].unwrap().0;
+                match op {
+                    Op::Write { .. } => gmi.cache_write(id, off, &data).unwrap(),
+                    _ => gmi.vm_write(ctx, va(i, off), &data).unwrap(),
+                }
+                let c = model.caches[i].as_mut().unwrap();
+                c.bytes[off as usize..(off + len) as usize].copy_from_slice(&data);
+                c.undef[off as usize..(off + len) as usize].fill(false);
+            }
+            Op::MappedRead { idx, off, len } => {
+                let Some(i) = model.live(idx) else { continue };
+                let (off, len) = clamp_range(off as u64, len as u64);
+                let mut got = vec![0u8; len as usize];
+                gmi.vm_read(ctx, va(i, off), &mut got).unwrap();
+                let c = model.caches[i].as_ref().unwrap();
+                for (k, &b) in got.iter().enumerate() {
+                    let at = off as usize + k;
+                    if !c.undef[at] {
+                        assert_eq!(b, c.bytes[at], "cache #{i} byte {at} mapped read {op:?}");
+                    }
+                }
             }
             Op::CopyHistory {
                 src,
@@ -205,9 +326,11 @@ fn run_differential_with<G: Gmi>(gmi: &G, ops: &[Op], mut before_op: impl FnMut(
                 } else {
                     CopyMode::HistoryCow
                 };
-                gmi.cache_copy_with(ids[s].unwrap(), so, ids[d].unwrap(), dof, sz, mode)
-                    .unwrap();
-                model_copy(&mut model, s, d, so, dof, sz);
+                let pinned = model.caches[d].as_ref().unwrap().pinned(dof, sz);
+                let (sid, did) = (ids[s].unwrap().0, ids[d].unwrap().0);
+                if done(gmi.cache_copy_with(sid, so, did, dof, sz, mode), pinned, op) {
+                    model_copy(&mut model, s, d, so, dof, sz);
+                }
             }
             Op::CopyPerPage {
                 src,
@@ -225,16 +348,12 @@ fn run_differential_with<G: Gmi>(gmi: &G, ops: &[Op], mut before_op: impl FnMut(
                 let (so, mut sz) = clamp_pages(src_page, pages);
                 let (dof, dsz) = clamp_pages(dst_page, pages);
                 sz = sz.min(dsz);
-                gmi.cache_copy_with(
-                    ids[s].unwrap(),
-                    so,
-                    ids[d].unwrap(),
-                    dof,
-                    sz,
-                    CopyMode::PerPage,
-                )
-                .unwrap();
-                model_copy(&mut model, s, d, so, dof, sz);
+                let pinned = model.caches[d].as_ref().unwrap().pinned(dof, sz);
+                let (sid, did) = (ids[s].unwrap().0, ids[d].unwrap().0);
+                let result = gmi.cache_copy_with(sid, so, did, dof, sz, CopyMode::PerPage);
+                if done(result, pinned, op) {
+                    model_copy(&mut model, s, d, so, dof, sz);
+                }
             }
             Op::CopyEager {
                 src,
@@ -253,9 +372,9 @@ fn run_differential_with<G: Gmi>(gmi: &G, ops: &[Op], mut before_op: impl FnMut(
                 let (dof, dsz) = clamp_range(dst_off as u64, len as u64);
                 sz = sz.min(dsz);
                 gmi.cache_copy_with(
-                    ids[s].unwrap(),
+                    ids[s].unwrap().0,
                     so,
-                    ids[d].unwrap(),
+                    ids[d].unwrap().0,
                     dof,
                     sz,
                     CopyMode::Eager,
@@ -279,36 +398,70 @@ fn run_differential_with<G: Gmi>(gmi: &G, ops: &[Op], mut before_op: impl FnMut(
                 let (so, mut sz) = clamp_pages(src_page, pages);
                 let (dof, dsz) = clamp_pages(dst_page, pages);
                 sz = sz.min(dsz);
-                gmi.cache_move(ids[s].unwrap(), so, ids[d].unwrap(), dof, sz)
-                    .unwrap();
-                model_copy(&mut model, s, d, so, dof, sz);
-                // The source fragment becomes undefined.
-                let (_, undef) = model.caches[s].as_mut().unwrap();
-                undef[so as usize..(so + sz) as usize].fill(true);
+                let pinned = model.caches[d].as_ref().unwrap().pinned(dof, sz);
+                let (sid, did) = (ids[s].unwrap().0, ids[d].unwrap().0);
+                if done(gmi.cache_move(sid, so, did, dof, sz), pinned, op) {
+                    model_copy(&mut model, s, d, so, dof, sz);
+                    // The source fragment becomes undefined.
+                    let c = model.caches[s].as_mut().unwrap();
+                    c.undef[so as usize..(so + sz) as usize].fill(true);
+                }
             }
             Op::Sync { idx } => {
                 let Some(i) = model.live(idx) else { continue };
-                gmi.cache_sync(ids[i].unwrap(), 0, SIZE as u64).unwrap();
+                gmi.cache_sync(ids[i].unwrap().0, 0, SIZE as u64).unwrap();
             }
             Op::Flush { idx } => {
                 let Some(i) = model.live(idx) else { continue };
-                gmi.cache_flush(ids[i].unwrap(), 0, SIZE as u64).unwrap();
+                let pinned = model.caches[i].as_ref().unwrap().pinned(0, SIZE as u64);
+                done(
+                    gmi.cache_flush(ids[i].unwrap().0, 0, SIZE as u64),
+                    pinned,
+                    op,
+                );
+            }
+            Op::Invalidate { idx, page, pages } => {
+                let Some(i) = model.live(idx) else { continue };
+                let (off, size) = clamp_pages(page, pages);
+                let pinned = model.caches[i].as_ref().unwrap().pinned(off, size);
+                if done(
+                    gmi.cache_invalidate(ids[i].unwrap().0, off, size),
+                    pinned,
+                    op,
+                ) {
+                    let c = model.caches[i].as_mut().unwrap();
+                    c.undef[off as usize..(off + size) as usize].fill(true);
+                }
+            }
+            Op::Lock { idx, page, pages } | Op::Unlock { idx, page, pages } => {
+                let Some(i) = model.live(idx).filter(|_| pins) else {
+                    continue;
+                };
+                let (off, size) = clamp_pages(page, pages);
+                let id = ids[i].unwrap().0;
+                let lock = matches!(op, Op::Lock { .. });
+                if lock {
+                    gmi.cache_lock_in_memory(id, off, size).unwrap();
+                } else {
+                    gmi.cache_unlock(id, off, size).unwrap();
+                }
+                let c = model.caches[i].as_mut().unwrap();
+                for p in &mut c.pins[(off / PS) as usize..((off + size) / PS) as usize] {
+                    *p = if lock { *p + 1 } else { p.saturating_sub(1) };
+                }
             }
         }
 
         // Full-state comparison after every operation.
         for (i, entry) in model.caches.iter().enumerate() {
-            let Some((bytes, undef)) = entry else {
+            let Some(c) = entry else {
                 continue;
             };
             let mut got = vec![0u8; SIZE];
-            gmi.cache_read(ids[i].unwrap(), 0, &mut got).unwrap();
-            for k in 0..SIZE {
-                if !undef[k] {
-                    assert_eq!(
-                        got[k], bytes[k],
-                        "cache #{i} byte {k} diverged after {op:?}"
-                    );
+            gmi.cache_read(ids[i].unwrap().0, 0, &mut got).unwrap();
+            for (k, (&b, &want)) in got.iter().zip(&c.bytes).enumerate() {
+                if !c.undef[k] {
+                    assert_eq!(b, want, "cache #{i} byte {k} diverged after {op:?}");
                 }
             }
         }
@@ -316,12 +469,12 @@ fn run_differential_with<G: Gmi>(gmi: &G, ops: &[Op], mut before_op: impl FnMut(
 }
 
 fn model_copy(model: &mut Model, s: usize, d: usize, so: u64, dof: u64, sz: u64) {
-    let (src_bytes, src_undef) = model.caches[s].as_ref().unwrap().clone();
-    let (bytes, undef) = model.caches[d].as_mut().unwrap();
-    bytes[dof as usize..(dof + sz) as usize]
-        .copy_from_slice(&src_bytes[so as usize..(so + sz) as usize]);
-    undef[dof as usize..(dof + sz) as usize]
-        .copy_from_slice(&src_undef[so as usize..(so + sz) as usize]);
+    let (so, dof, sz) = (so as usize, dof as usize, sz as usize);
+    let src = model.caches[s].as_ref().unwrap();
+    let (src_bytes, src_undef) = (src.bytes.clone(), src.undef.clone());
+    let c = model.caches[d].as_mut().unwrap();
+    c.bytes[dof..dof + sz].copy_from_slice(&src_bytes[so..so + sz]);
+    c.undef[dof..dof + sz].copy_from_slice(&src_undef[so..so + sz]);
 }
 
 fn pvm_under_test(frames: u32) -> Arc<Pvm> {
@@ -389,7 +542,7 @@ proptest! {
     #[test]
     fn shadow_matches_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
         let vm = shadow_under_test(4096);
-        run_differential(&*vm, &ops);
+        run_differential_with(&*vm, &ops, false, |_| {});
     }
 
     /// Transient mapper faults sprinkled through the walk must be healed
@@ -402,7 +555,7 @@ proptest! {
         every in 1..5usize,
     ) {
         let (pvm, mgr) = pvm_with_manager(16);
-        run_differential_with(&*pvm, &ops, |i| {
+        run_differential_with(&*pvm, &ops, true, |i| {
             if i % every == 0 {
                 mgr.fail_next_pull();
             }
