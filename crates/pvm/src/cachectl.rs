@@ -21,7 +21,7 @@ impl PvmState {
             .cache(cache)?
             .entries
             .range(off..end)
-            .map(|&o| (o, self.gmap.get(cache, o).expect("entry without slot")))
+            .map(|o| (o, self.gmap.get(cache, o).expect("entry without slot")))
             .collect())
     }
 
@@ -233,7 +233,7 @@ impl PvmState {
         // a history child also needs the original here: then it stays in
         // the zombie, read-only, serving the child and the stubs both,
         // and the first write on either side makes the one copy.
-        let offsets: Vec<u64> = self.cache(cache)?.entries.iter().copied().collect();
+        let offsets: Vec<u64> = self.cache(cache)?.entries.iter().collect();
         for o in offsets {
             if let Some(Slot::Present(p)) = self.slot(cache, o) {
                 if !self.page(p).stubs.is_empty() && !self.has_history_covering(cache, o) {

@@ -22,7 +22,7 @@ impl PvmState {
         self.caches.insert(CacheDesc {
             segment,
             fully_backed: segment.is_some(),
-            ..Default::default()
+            ..CacheDesc::new(self.ps())
         })
     }
 

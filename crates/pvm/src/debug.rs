@@ -45,7 +45,7 @@ impl PvmState {
                 .get(cache)
                 .unwrap_or_else(|| panic!("global slot for dead cache {cache:?}"));
             assert!(
-                c.entries.contains(&off),
+                c.entries.contains(off),
                 "slot ({cache:?},{off:#x}) missing from entry index"
             );
             match slot {
@@ -76,7 +76,7 @@ impl PvmState {
             }
         }
         for (cache, c) in self.caches.iter() {
-            for &off in &c.entries {
+            for off in c.entries.iter() {
                 assert!(
                     self.gmap.get(cache, off).is_some(),
                     "entry index ({cache:?},{off:#x}) without global slot"
@@ -194,7 +194,7 @@ impl PvmState {
             // fragment, a location stub, or a per-page stub on one of
             // its pages.
             if c.zombie {
-                let stubbed = c.entries.iter().any(|&o| {
+                let stubbed = c.entries.iter().any(|o| {
                     matches!(self.gmap.get(key, o), Some(Slot::Present(p)) if !self.page(p).stubs.is_empty())
                 });
                 assert!(
@@ -262,8 +262,8 @@ impl PvmState {
                 ),
             }
             assert_eq!(
-                self.frame_owner.get(&p.frame.0),
-                Some(&key),
+                self.frame_owner[p.frame.0 as usize],
+                Some(key),
                 "frame owner mismatch"
             );
             for &(dc, doff) in &p.stubs {
@@ -319,10 +319,8 @@ impl PvmState {
         // stray entry outlives the teardown that should have removed it.
         for (ck, c) in self.contexts.iter() {
             for (vpn, frame) in self.mmu.mapped_in(c.mmu_ctx, Vpn(0), Vpn(u64::MAX)) {
-                let recorded = self
-                    .frame_owner
-                    .get(&frame.0)
-                    .and_then(|&k| self.pages.get(k))
+                let recorded = self.frame_owner[frame.0 as usize]
+                    .and_then(|k| self.pages.get(k))
                     .is_some_and(|p| p.mappings.iter().any(|m| m.ctx == ck && m.vpn == vpn));
                 assert!(recorded, "{ck:?}: stray MMU entry {vpn:?} -> {frame:?}");
                 assert!(
@@ -384,12 +382,18 @@ impl PvmState {
         );
         assert_eq!(
             self.frame_owner.len(),
+            self.phys.total_frames() as usize,
+            "frame_owner not sized to the pool"
+        );
+        assert_eq!(
+            self.frame_owner.iter().flatten().count(),
             self.pages.len(),
             "frame_owner index drift"
         );
-        for (&f, &p) in &self.frame_owner {
+        for (f, p) in self.frame_owner.iter().enumerate() {
+            let Some(p) = *p else { continue };
             assert!(
-                self.phys.is_allocated(chorus_hal::FrameNo(f)),
+                self.phys.is_allocated(chorus_hal::FrameNo(f as u32)),
                 "frame_owner lists unallocated frame {f}"
             );
             assert!(self.pages.contains(p), "frame_owner lists dead page");
@@ -498,7 +502,7 @@ impl Pvm {
         let mut out = TreeDump::default();
         for (key, c) in guard.caches.iter() {
             let mut slots = Vec::new();
-            for &off in &c.entries {
+            for off in c.entries.iter() {
                 let slot = match guard.gmap.get(key, off) {
                     Some(Slot::Present(p)) => {
                         let page = guard.page(p);

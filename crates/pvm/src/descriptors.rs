@@ -19,7 +19,198 @@
 use crate::keys::{CacheKey, CtxKey, PageKey, RegKey};
 use chorus_gmi::SegmentId;
 use chorus_hal::{Arena, CostModel, FrameNo, Mmu, MmuCtx, OpKind, Prot, VirtAddr, Vpn};
-use std::collections::BTreeSet;
+use std::ops::{Bound, RangeBounds};
+
+/// A set of page-aligned segment offsets, as bitmap words: a sorted
+/// `Vec` of (word index, 64-bit mask) over page numbers, no zero mask
+/// kept. It answers like an ordered set of the offsets; a probe
+/// that is not page aligned is absent. A default set keys by byte (page
+/// size 1).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PageSet {
+    shift: u32,
+    words: Vec<(u64, u64)>,
+}
+
+impl PageSet {
+    /// An empty set of offsets aligned to `page_size` (a power of two).
+    pub fn new(page_size: u64) -> PageSet {
+        debug_assert!(page_size.is_power_of_two());
+        PageSet {
+            shift: page_size.trailing_zeros(),
+            words: Vec::new(),
+        }
+    }
+
+    /// The page number of an aligned offset.
+    fn page(&self, off: u64) -> Option<u64> {
+        (off & ((1u64 << self.shift) - 1) == 0).then_some(off >> self.shift)
+    }
+
+    /// Where word `w` is, or would go.
+    fn find(&self, w: u64) -> std::result::Result<usize, usize> {
+        self.words.binary_search_by_key(&w, |&(i, _)| i)
+    }
+
+    /// True if `off` is in the set.
+    pub fn contains(&self, off: u64) -> bool {
+        self.page(off).is_some_and(|p| {
+            self.find(p >> 6)
+                .is_ok_and(|i| self.words[i].1 & (1 << (p & 63)) != 0)
+        })
+    }
+
+    /// Adds an aligned `off`; true if it was absent.
+    pub fn insert(&mut self, off: u64) -> bool {
+        let p = self.page(off).expect("unaligned offset in a page set");
+        let bit = 1u64 << (p & 63);
+        match self.find(p >> 6) {
+            Ok(i) => {
+                let mask = &mut self.words[i].1;
+                let absent = *mask & bit == 0;
+                *mask |= bit;
+                absent
+            }
+            Err(i) => {
+                self.words.insert(i, (p >> 6, bit));
+                true
+            }
+        }
+    }
+
+    /// Removes `off`; true if it was present.
+    pub fn remove(&mut self, off: u64) -> bool {
+        let Some(p) = self.page(off) else {
+            return false;
+        };
+        let Ok(i) = self.find(p >> 6) else {
+            return false;
+        };
+        let bit = 1u64 << (p & 63);
+        let present = self.words[i].1 & bit != 0;
+        self.words[i].1 &= !bit;
+        if self.words[i].1 == 0 {
+            self.words.remove(i);
+        }
+        present
+    }
+
+    /// The number of offsets in the set.
+    pub fn len(&self) -> usize {
+        self.words
+            .iter()
+            .map(|&(_, m)| m.count_ones() as usize)
+            .sum()
+    }
+
+    /// Removes every offset.
+    pub fn clear(&mut self) {
+        self.words.clear();
+    }
+
+    /// The offsets in ascending order.
+    pub fn iter(&self) -> PageIter<'_> {
+        self.range(..)
+    }
+
+    /// The offsets inside `bounds`, in ascending order.
+    pub fn range(&self, bounds: impl RangeBounds<u64>) -> PageIter<'_> {
+        let mask = (1u64 << self.shift) - 1;
+        // The first and last page numbers inside the bounds, inclusive.
+        let first = match bounds.start_bound() {
+            Bound::Unbounded => Some(0),
+            Bound::Included(&lo) => Some((lo >> self.shift) + u64::from(lo & mask != 0)),
+            Bound::Excluded(&lo) => (lo >> self.shift).checked_add(1),
+        };
+        let last = match bounds.end_bound() {
+            Bound::Unbounded => Some(u64::MAX >> self.shift),
+            Bound::Included(&hi) => Some(hi >> self.shift),
+            Bound::Excluded(&hi) => hi.checked_sub(1).map(|hi| hi >> self.shift),
+        };
+        let (first, last, words) = match (first, last) {
+            (Some(first), Some(last)) if first <= last => {
+                let at = self.words.partition_point(|&(w, _)| w < first >> 6);
+                (first, last, &self.words[at..])
+            }
+            _ => (0, 0, &[][..]),
+        };
+        PageIter {
+            shift: self.shift,
+            words,
+            first,
+            last,
+            mask: 0,
+            word: 0,
+        }
+    }
+
+    /// True if every offset of `self` is in `other` (of the same page
+    /// size).
+    pub fn is_subset(&self, other: &PageSet) -> bool {
+        debug_assert_eq!(self.shift, other.shift);
+        let mut theirs = other.words.iter().peekable();
+        self.words.iter().all(|&(w, m)| {
+            while theirs.next_if(|&&(o, _)| o < w).is_some() {}
+            theirs
+                .peek()
+                .is_some_and(|&&(o, om)| o == w && m & !om == 0)
+        })
+    }
+
+    /// Splits the set at `off`: `self` keeps the offsets below it, the
+    /// returned set holds the rest.
+    pub fn split_off(&mut self, off: u64) -> PageSet {
+        let (mut lower, mut upper) = (PageSet::new(1 << self.shift), PageSet::new(1 << self.shift));
+        for o in self.iter() {
+            if o < off { &mut lower } else { &mut upper }.insert(o);
+        }
+        *self = lower;
+        upper
+    }
+}
+
+/// The offsets of a [`PageSet`] range, ascending.
+pub(crate) struct PageIter<'a> {
+    shift: u32,
+    /// The words not yet loaded.
+    words: &'a [(u64, u64)],
+    /// The page numbers in range, inclusive.
+    first: u64,
+    last: u64,
+    /// The bits of the loaded word not yet yielded, and its index.
+    mask: u64,
+    word: u64,
+}
+
+impl Iterator for PageIter<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        while self.mask == 0 {
+            let (&(w, m), rest) = self.words.split_first()?;
+            if w > self.last >> 6 {
+                self.words = &[];
+                return None;
+            }
+            self.words = rest;
+            let lo = if w == self.first >> 6 {
+                self.first & 63
+            } else {
+                0
+            };
+            let hi = if w == self.last >> 6 {
+                self.last & 63
+            } else {
+                63
+            };
+            self.mask = m & (u64::MAX << lo) & (u64::MAX >> (63 - hi));
+            self.word = w;
+        }
+        let bit = u64::from(self.mask.trailing_zeros());
+        self.mask &= self.mask - 1;
+        Some(((self.word << 6) | bit) << self.shift)
+    }
+}
 
 /// A context descriptor: one protected virtual address space.
 #[derive(Debug)]
@@ -53,7 +244,7 @@ pub(crate) struct RegionDesc {
     /// makes nested `lockInMemory` of the same page by two regions
     /// balance: each region contributes exactly one pin and removes
     /// exactly that pin on unlock.
-    pub pinned: BTreeSet<u64>,
+    pub pinned: PageSet,
 }
 
 impl RegionDesc {
@@ -162,11 +353,11 @@ pub(crate) struct CacheDesc {
     /// with no parent coverage means `pullIn`, not zero-fill.
     pub fully_backed: bool,
     /// Offsets (page aligned) with a live [`Slot`] in the global map.
-    pub entries: BTreeSet<u64>,
+    pub entries: PageSet,
     /// Offsets this cache owns a private version of, resident or swapped
     /// out. Misses on owned offsets are resolved by `pullIn`; misses on
     /// un-owned offsets go up the history tree.
-    pub owned: BTreeSet<u64>,
+    pub owned: PageSet,
     /// Generalized parent list, sorted by `child_off`, non-overlapping.
     pub parents: Vec<ParentFragment>,
     /// The history object: this cache's single immediate descendant in
@@ -201,6 +392,15 @@ pub(crate) struct CacheDesc {
 }
 
 impl CacheDesc {
+    /// An empty descriptor whose page indexes key by `page_size`.
+    pub fn new(page_size: u64) -> CacheDesc {
+        CacheDesc {
+            entries: PageSet::new(page_size),
+            owned: PageSet::new(page_size),
+            ..CacheDesc::default()
+        }
+    }
+
     /// Finds the parent fragment covering child offset `off`, if any.
     pub fn parent_at(&self, off: u64) -> Option<ParentFragment> {
         // `parents` is sorted by child_off and non-overlapping.
@@ -213,14 +413,14 @@ impl CacheDesc {
 
     /// True if this cache owns a version of `off` (resident or swapped).
     pub fn owns(&self, off: u64) -> bool {
-        self.fully_backed || self.owned.contains(&off)
+        self.fully_backed || self.owned.contains(off)
     }
 
     /// True if the cache has its own version at `off`: owned, or in the
     /// global map (a resident page, a stub). A history or merge must not
     /// put a second one there.
     pub fn has_own(&self, off: u64) -> bool {
-        self.owns(off) || self.entries.contains(&off)
+        self.owns(off) || self.entries.contains(off)
     }
 
     /// True if a `pullIn` may cover the page at `off`: owned, neither
@@ -230,7 +430,7 @@ impl CacheDesc {
     /// truncated).
     pub fn pullable(&self, off: u64, ps: u64) -> bool {
         self.owns(off)
-            && !self.entries.contains(&off)
+            && !self.entries.contains(off)
             && self.seg_len.is_none_or(|len| off + ps <= len)
     }
 
@@ -395,9 +595,119 @@ pub(crate) enum Slot {
 mod tests {
     use super::*;
     use chorus_hal::Id;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn ck(i: u32) -> CacheKey {
         Id::from_raw_parts(i, 0)
+    }
+
+    /// One step of a page-set program: (op, set, base, page, jitter,
+    /// length). The offset is `bases[base] + page * ps`, or with `jitter
+    /// & 2` one the set holds (its `page`-th, cyclically); where the op
+    /// probes, an odd `jitter` moves it off alignment by `jitter % ps`
+    /// (odd). A range is `length` pages long, or ends at `u64::MAX` when
+    /// `length` is 0.
+    type Step = (u8, bool, usize, u64, u64, u64);
+
+    fn step() -> impl Strategy<Value = Step> {
+        (
+            0u8..8,
+            any::<bool>(),
+            0usize..4,
+            0u64..300,
+            0u64..1 << 13,
+            0u64..200,
+        )
+    }
+
+    /// Runs `program` on two page sets of `1 << shift`-byte pages and on
+    /// two `BTreeSet` models, comparing every answer.
+    fn page_set_program(shift: u32, program: &[Step]) -> Result<(), TestCaseError> {
+        let ps = 1u64 << shift;
+        // Near zero, across a 64-page word boundary at 2^32, below 2^48,
+        // and at the very top of the offset space.
+        let bases = [
+            0,
+            (1 << 32) - 64 * ps,
+            (1 << 48) - 7 * ps,
+            u64::MAX - 299 * ps - (ps - 1),
+        ];
+        let mut sets = [PageSet::new(ps), PageSet::new(ps)];
+        let mut models = [BTreeSet::new(), BTreeSet::new()];
+        for &(op, which, base, page, jitter, len) in program {
+            let (set, model) = (
+                &mut sets[usize::from(which)],
+                &mut models[usize::from(which)],
+            );
+            let held = model.iter().cycle().nth(page as usize).copied();
+            let off = match held {
+                Some(o) if jitter & 2 != 0 => o,
+                _ => bases[base] + page * ps,
+            };
+            let probe = off + (jitter & 1) * (jitter % ps);
+            match op {
+                0..=2 => prop_assert_eq!(set.insert(off), model.insert(off)),
+                3 => prop_assert_eq!(set.remove(probe), model.remove(&probe)),
+                4 => prop_assert_eq!(set.contains(probe), model.contains(&probe)),
+                5 => {
+                    let hi = if len == 0 {
+                        u64::MAX
+                    } else {
+                        probe.saturating_add(len * ps - jitter % 7)
+                    };
+                    let got: Vec<u64> = set.range(probe..hi).collect();
+                    let want: Vec<u64> = model.range(probe..hi).copied().collect();
+                    prop_assert_eq!(got, want, "range {:#x}..{:#x}", probe, hi);
+                }
+                6 => {
+                    let got: Vec<u64> = set.range(probe..).collect();
+                    prop_assert_eq!(got, model.range(probe..).copied().collect::<Vec<_>>());
+                    let got: Vec<u64> = set.range(..=probe).collect();
+                    prop_assert_eq!(got, model.range(..=probe).copied().collect::<Vec<_>>());
+                }
+                _ => {
+                    let upper = set.split_off(probe);
+                    let model_upper = model.split_off(&probe);
+                    prop_assert_eq!(
+                        upper.iter().collect::<Vec<_>>(),
+                        model_upper.into_iter().collect::<Vec<_>>()
+                    );
+                }
+            }
+            for i in 0..2 {
+                prop_assert_eq!(sets[i].len(), models[i].len());
+                prop_assert_eq!(
+                    sets[i].iter().collect::<Vec<_>>(),
+                    models[i].iter().copied().collect::<Vec<_>>()
+                );
+            }
+            prop_assert_eq!(sets[0].is_subset(&sets[1]), models[0].is_subset(&models[1]));
+            prop_assert_eq!(sets[1].is_subset(&sets[0]), models[1].is_subset(&models[0]));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+
+        #[test]
+        fn a_page_set_answers_like_a_btreeset(shift in 4u32..14, program in proptest::collection::vec(step(), 1..120)) {
+            page_set_program(shift, &program)?;
+        }
+    }
+
+    #[test]
+    fn a_default_page_set_keys_by_byte() {
+        let mut s = PageSet::default();
+        assert!(s.insert(0x1001) && s.insert(u64::MAX));
+        assert_eq!(s.range(0x1000..u64::MAX).collect::<Vec<_>>(), [0x1001]);
+        assert_eq!(s.range(0x1001..).collect::<Vec<_>>(), [0x1001, u64::MAX]);
+        let mut pages = PageSet::new(0x2000);
+        pages.insert(0x4000);
+        assert!(!pages.contains(0x4001) && !pages.remove(0x4001));
+        assert_eq!(pages.range(0x2001..0x4001).collect::<Vec<_>>(), [0x4000]);
+        assert_eq!(pages.range(0x2001..0x4000).count(), 0);
     }
 
     #[test]
@@ -410,7 +720,7 @@ mod tests {
             cache: ck(0),
             offset: 0x2000,
             locked: false,
-            pinned: BTreeSet::new(),
+            pinned: PageSet::new(0x1000),
         };
         assert!(r.contains(VirtAddr(0x8000)));
         assert!(!r.contains(VirtAddr(0xC000)));

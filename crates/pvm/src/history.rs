@@ -337,7 +337,7 @@ impl PvmState {
     pub fn create_internal_cache(&mut self) -> CacheKey {
         self.caches.insert(crate::descriptors::CacheDesc {
             internal: true,
-            ..Default::default()
+            ..crate::descriptors::CacheDesc::new(self.ps())
         })
     }
 
@@ -353,7 +353,6 @@ impl PvmState {
             .cache(cache)?
             .entries
             .range(off..off.saturating_add(size))
-            .copied()
             .collect();
         for o in offsets {
             if let Some(Slot::Present(p)) = self.gmap.get(cache, o) {
@@ -380,9 +379,9 @@ impl PvmState {
         // 0. Swapped-out own pages that the history child still needs
         //    must come back in before their ownership marks die.
         if self.cache(cache)?.history.is_some() {
-            let owned: Vec<u64> = self.cache(cache)?.owned.range(off..end).copied().collect();
+            let owned: Vec<u64> = self.cache(cache)?.owned.range(off..end).collect();
             for o in owned {
-                if self.cache(cache)?.entries.contains(&o) {
+                if self.cache(cache)?.entries.contains(o) {
                     continue;
                 }
                 let needed = self
@@ -397,12 +396,7 @@ impl PvmState {
         // 1. Walk the slots: the history child's snapshot includes a
         //    stub's value, so the stub is duplicated for it (at every
         //    aliasing offset); then the slot is discarded.
-        let offsets: Vec<u64> = self
-            .cache(cache)?
-            .entries
-            .range(off..end)
-            .copied()
-            .collect();
+        let offsets: Vec<u64> = self.cache(cache)?.entries.range(off..end).collect();
         for o in offsets {
             let Some(slot) = self.slot(cache, o) else {
                 continue;
@@ -432,7 +426,7 @@ impl PvmState {
     /// pinned page, before anything is discarded: a refused overwrite,
     /// invalidation or destruction changes nothing.
     pub fn check_unpinned(&self, cache: CacheKey, off: u64, end: u64) -> Result<()> {
-        let pinned = |o: &u64| matches!(self.gmap.get(cache, *o), Some(Slot::Present(p)) if self.page(p).lock_count > 0);
+        let pinned = |o| matches!(self.gmap.get(cache, o), Some(Slot::Present(p)) if self.page(p).lock_count > 0);
         match self.cache(cache)?.entries.range(off..end).any(pinned) {
             true => Err(GmiError::Locked),
             false => Ok(()),
@@ -470,14 +464,14 @@ impl PvmState {
     /// Drops `cache`'s ownership marks in `[off, end)`: it no longer has
     /// its own version there.
     pub fn disown_range(&mut self, cache: CacheKey, off: u64, end: u64) -> Result<()> {
-        let owned: Vec<u64> = self.cache(cache)?.owned.range(off..end).copied().collect();
+        let owned: Vec<u64> = self.cache(cache)?.owned.range(off..end).collect();
         for o in owned {
             if self.gmap.loc_stubs_at(cache, o) > 0 {
                 return Err(GmiError::Unsupported(
                     "discarding swapped-out data with outstanding per-page stubs",
                 ));
             }
-            self.cache_mut(cache)?.owned.remove(&o);
+            self.cache_mut(cache)?.owned.remove(o);
         }
         Ok(())
     }
@@ -662,7 +656,7 @@ impl PvmState {
             self.clear_slot(old_cache, old_off);
         }
         if let Some(c) = self.caches.get_mut(old_cache) {
-            c.owned.remove(&old_off);
+            c.owned.remove(old_off);
         }
         let desc = self.page_mut(page);
         desc.cache = cache;
@@ -746,7 +740,7 @@ impl PvmState {
     /// Releases every resource of a cache with no remaining users.
     fn reclaim_dead_cache(&mut self, cache: CacheKey) {
         let offsets: Vec<u64> = match self.caches.get(cache) {
-            Some(c) => c.entries.iter().copied().collect(),
+            Some(c) => c.entries.iter().collect(),
             None => return,
         };
         for o in offsets {
@@ -796,7 +790,7 @@ impl PvmState {
         let Some(z) = self.caches.get(zombie) else {
             return false;
         };
-        let settled = |o: &u64| match self.gmap.get(zombie, *o) {
+        let settled = |o| match self.gmap.get(zombie, o) {
             Some(Slot::Present(p)) => self.page(p).lock_count == 0 && !self.page(p).cleaning,
             _ => false,
         };
@@ -818,8 +812,7 @@ impl PvmState {
         }
 
         let z = self.caches.get(zombie).expect("zombie vanished");
-        let (zombie_frags, offsets) =
-            (z.parents.clone(), Vec::from_iter(z.entries.iter().copied()));
+        let (zombie_frags, offsets) = (z.parents.clone(), Vec::from_iter(z.entries.iter()));
         // The child's fragments that point at the zombie.
         let child_frags = Vec::from_iter(
             (self.caches.get(child).into_iter().flat_map(|c| &c.parents))

@@ -1127,7 +1127,7 @@ impl Gmi for Pvm {
         Ok(desc
             .entries
             .iter()
-            .filter(|&&o| matches!(guard.gmap.get(key, o), Some(Slot::Present(_))))
+            .filter(|&o| matches!(guard.gmap.get(key, o), Some(Slot::Present(_))))
             .count() as u64)
     }
 }

@@ -1,6 +1,6 @@
 //! Context and region management (Table 2 operations).
 
-use crate::descriptors::{ContextDesc, RegionDesc, Slot};
+use crate::descriptors::{ContextDesc, PageSet, RegionDesc, Slot};
 use crate::keys::{CtxKey, PageKey, RegKey};
 use crate::state::{Attempt, PvmState};
 use chorus_gmi::{GmiError, RegionStatus, Result};
@@ -89,7 +89,7 @@ impl PvmState {
             cache,
             offset,
             locked: false,
-            pinned: Default::default(),
+            pinned: PageSet::new(self.ps()),
         });
         self.ctx_mut(ctx)?.regions.insert(idx, key);
         self.cache_mut(cache)?.mapped_regions += 1;
@@ -135,7 +135,7 @@ impl PvmState {
         self.mmu
             .mapped_in(ctx.mmu_ctx, lo, hi)
             .into_iter()
-            .filter_map(|(vpn, frame)| Some((*self.frame_owner.get(&frame.0)?, vpn)))
+            .filter_map(|(vpn, frame)| Some((self.frame_owner[frame.0 as usize]?, vpn)))
             .collect()
     }
 
@@ -161,11 +161,8 @@ impl PvmState {
         // A locked region's pins are split with it: each half keeps the
         // pins of the offsets it still covers, so each half's later
         // unlock releases exactly its own pins.
-        let upper_pinned: std::collections::BTreeSet<u64> = region
-            .pinned
-            .range(region.offset + offset..)
-            .copied()
-            .collect();
+        let mut lower_pinned = region.pinned;
+        let upper_pinned = lower_pinned.split_off(region.offset + offset);
         let upper = RegionDesc {
             ctx: region.ctx,
             addr: VirtAddr(region.addr.0 + offset),
@@ -180,11 +177,7 @@ impl PvmState {
         {
             let lower = self.region_mut(reg)?;
             lower.size = offset;
-            lower.pinned = region
-                .pinned
-                .range(..region.offset + offset)
-                .copied()
-                .collect();
+            lower.pinned = lower_pinned;
         }
         let ctx = region.ctx;
         let desc = self.ctx(ctx)?;
@@ -239,7 +232,7 @@ impl PvmState {
             // page locked by *another* region still receives one more
             // pin here — nested locks balance (each unlock releases
             // only its own region's pin).
-            if region.pinned.contains(&off) {
+            if region.pinned.contains(off) {
                 continue;
             }
             self.lock_one_page(region.ctx, va, writable)?;
@@ -258,7 +251,7 @@ impl PvmState {
     /// attempt that failed part-way) and clears its flag.
     pub fn region_force_unlock(&mut self, reg: RegKey) -> Result<()> {
         let region = self.region(reg)?.clone();
-        for &off in &region.pinned {
+        for off in region.pinned.iter() {
             self.unlock_one_page(region.cache, off)?;
         }
         let desc = self.region_mut(reg)?;
@@ -274,7 +267,7 @@ impl PvmState {
         let resident = cache
             .entries
             .range(region.offset..region.offset + region.size)
-            .filter(|&&o| matches!(self.gmap.get(region.cache, o), Some(Slot::Present(_))))
+            .filter(|&o| matches!(self.gmap.get(region.cache, o), Some(Slot::Present(_))))
             .count() as u64;
         Ok(RegionStatus {
             addr: region.addr,

@@ -162,8 +162,9 @@ pub(crate) struct PvmState {
     /// (per-virtual-page stubs whose source page is not resident,
     /// re-threaded at the next pull).
     pub gmap: GlobalMap,
-    /// Owner page of each allocated frame (reverse of `PageDesc.frame`).
-    pub frame_owner: FxHashMap<u32, PageKey>,
+    /// Owner page of each allocated frame, indexed by frame number
+    /// (reverse of `PageDesc.frame`).
+    pub frame_owner: Vec<Option<PageKey>>,
     /// The replacement policy, the clock's ring of resident pages (every
     /// tracked entry is a live page; freed pages are removed eagerly).
     pub clock: ClockRing,
@@ -225,6 +226,7 @@ impl PvmState {
         let stats = Arc::new(StatsRegistry::new());
         let trace = Arc::new(Tracer::new(config.trace, model.clone(), stats.clone()));
         let readahead = Readahead::new(phys.total_frames(), config.pull_cluster_pages);
+        let frame_owner = vec![None; phys.total_frames() as usize];
         PvmState {
             geom,
             phys,
@@ -235,7 +237,7 @@ impl PvmState {
             caches: Arena::new(),
             pages: Arena::new(),
             gmap: GlobalMap::default(),
-            frame_owner: FxHashMap::default(),
+            frame_owner,
             clock: ClockRing::default(),
             current: None,
             config,
@@ -394,7 +396,7 @@ impl PvmState {
         let old = self.gmap.remove(cache, off);
         if old.is_some() {
             if let Some(c) = self.caches.get_mut(cache) {
-                c.entries.remove(&off);
+                c.entries.remove(off);
             }
         }
         old
@@ -436,7 +438,7 @@ impl PvmState {
         if let Some(c) = self.caches.get_mut(cache) {
             c.owned.insert(offset);
         }
-        self.frame_owner.insert(frame.0, key);
+        self.frame_owner[frame.0 as usize] = Some(key);
         self.clock.insert(key);
         key
     }
@@ -485,7 +487,7 @@ impl PvmState {
         if self.gmap.get(desc.cache, desc.offset) == Some(Slot::Present(key)) {
             self.clear_slot(desc.cache, desc.offset);
         }
-        self.frame_owner.remove(&desc.frame.0);
+        self.frame_owner[desc.frame.0 as usize] = None;
         self.clock.remove(key);
         if release_frame {
             self.phys.release(desc.frame);
@@ -522,7 +524,7 @@ impl PvmState {
         let Ok(desc) = self.ctx(ctx) else { return };
         let mmu_ctx = desc.mmu_ctx;
         if let Some(frame) = self.mmu.unmap(mmu_ctx, vpn) {
-            if let Some(&owner) = self.frame_owner.get(&frame.0) {
+            if let Some(owner) = self.frame_owner[frame.0 as usize] {
                 let page = self.page_mut(owner);
                 page.mappings.retain(|m| !(m.ctx == ctx && m.vpn == vpn));
             }

@@ -300,7 +300,7 @@ impl PvmState {
         let (Some(desc), cache, trace) = (self.caches.get(key), key.index(), &self.trace) else {
             return;
         };
-        for &offset in desc.entries.range(left) {
+        for offset in desc.entries.range(left) {
             if let Some(crate::descriptors::Slot::Present(p)) = self.gmap.get(key, offset) {
                 let page = self.pages.get_mut(p).expect("dangling page key");
                 let took = page.take_reference(&self.contexts, &mut *self.mmu, &self.model);
