@@ -1,40 +1,48 @@
 //! `pvmtop`: a one-shot operator's view of a live PVM — top-N caches by
 //! fault/dirty heat, per-mapper health (Healthy / Suspected /
 //! Quarantined), per-phase latency percentiles and the gauge sample the
-//! counters cannot express.
+//! counters cannot express — and the check that the dimensional
+//! telemetry (DESIGN.md §12) attributes what it sees.
 //!
 //! The binary drives a seeded scenario — several file-backed caches of
 //! graded heat, one cold anonymous cache, one cache behind a mapper
 //! that dies permanently on its first pull — then renders the snapshot
 //! and writes it to `reports/pvmtop.txt`; the human output also prints
 //! the state lock's wall-clock profile, which stays out of the report
-//! and the `--json` envelope. The scenario is deterministic
-//! and self-checking: the hottest cache must rank first and the dead
-//! mapper must be flagged Quarantined.
+//! and the `--json` envelope. The scenario is self-checking: it runs
+//! twice and must agree to the nanosecond, the gauge sampler must have
+//! fired, the hottest cache must rank first and the dead mapper must be
+//! flagged Quarantined. Its series and dimensional tables are exported
+//! as `reports/telemetry.json`, plus `reports/telemetry.trace.json`, a
+//! chrome-trace file whose counter tracks (`mem.free`,
+//! `engine.queues`, `residency`) plot the gauges over simulated time.
+//! The layer has no knob, so what it costs is what every run pays: the
+//! scoreboard (`benchmark/`) and the paper tables measure it.
 //!
 //! Usage: `cargo run --release -p chorus-bench --bin pvmtop [--json] [--out DIR]`
 
 use chorus_bench::{json, PAGE};
-use chorus_gmi::{Gmi, Prot, VirtAddr};
+use chorus_gmi::{CacheId, Gmi, Prot, SegmentId, VirtAddr};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_nucleus::{FaultPlan, FaultyMapper, MemMapper, NucleusSegmentManager, PortName};
-use chorus_pvm::{pvmtop, MapperState, Pvm, PvmConfig, PvmOptions, TraceConfig};
+use chorus_pvm::{pvmtop, MapperState, Pvm, PvmConfig, PvmOptions, TraceConfig, TraceSink};
 use std::path::PathBuf;
 use std::sync::Arc;
 
 /// How many cache rows the rendered table keeps.
 const TOP_N: usize = 5;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let emit_json = args.iter().any(|a| a == "--json");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("reports"));
+/// The scenario's PVM, left as the scenario ends, with the caches the
+/// checks name.
+struct Scenario {
+    pvm: Arc<Pvm>,
+    hot: CacheId,
+    sick_segment: SegmentId,
+}
 
+/// Graded heat, a cold cache and a permanently failing mapper, tracing
+/// on.
+fn scenario() -> Scenario {
     let seg_mgr = Arc::new(NucleusSegmentManager::new());
     let files = Arc::new(MemMapper::new(PortName(1)));
     let sick_files = Arc::new(MemMapper::new(PortName(2)));
@@ -47,7 +55,7 @@ fn main() {
     ));
     seg_mgr.register_mapper(PortName(1), files.clone());
     seg_mgr.register_mapper(PortName(2), sick.clone());
-    let pvm = Pvm::new(
+    let pvm = Arc::new(Pvm::new(
         PvmOptions {
             geometry: PageGeometry::sun3(),
             // Smaller than any one cache's working set, so every sweep
@@ -65,7 +73,7 @@ fn main() {
             ..PvmOptions::default()
         },
         seg_mgr.clone(),
-    );
+    ));
     sick.attach_clock(pvm.cost_model());
     let ctx = pvm.context_create().unwrap();
 
@@ -116,10 +124,43 @@ fn main() {
         "permanent mapper death must surface"
     );
 
+    Scenario {
+        pvm,
+        hot,
+        sick_segment: sick_seg,
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let emit_json = args.iter().any(|a| a == "--json");
+    let out_dir = args
+        .iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1))
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("reports"));
+
+    let Scenario {
+        pvm,
+        hot,
+        sick_segment,
+    } = scenario();
+    let again = scenario().pvm;
+    let sim_ns = |pvm: &Pvm| pvm.cost_model().now().nanos();
+    assert_eq!(
+        sim_ns(&pvm),
+        sim_ns(&again),
+        "scenario is not deterministic"
+    );
     let top = pvm.top();
+    assert_eq!(top, again.top(), "pvmtop snapshot is not deterministic");
+    let series = pvm.telemetry_series();
+    let samples = series.len() as u64;
+    assert!(samples > 0, "the gauge sampler never fired");
     let hottest = top.hottest_cache().expect("caches exist");
     assert_eq!(hottest.cache, hot, "hottest cache must rank first");
-    let sick_row = top.mapper(sick_seg).expect("sick mapper row");
+    let sick_row = top.mapper(sick_segment).expect("sick mapper row");
     assert_eq!(
         sick_row.state,
         MapperState::Quarantined,
@@ -130,7 +171,12 @@ fn main() {
     std::fs::create_dir_all(&out_dir).expect("create output dir");
     let txt_path = out_dir.join("pvmtop.txt");
     std::fs::write(&txt_path, &rendered).expect("write pvmtop.txt");
-
+    let sink = TraceSink::capture(&pvm.tracer()).with_telemetry(series);
+    let telemetry_path = out_dir.join("telemetry.json");
+    let trace_path = out_dir.join("telemetry.trace.json");
+    std::fs::write(&telemetry_path, sink.telemetry_json(&pvm.telemetry()))
+        .expect("write telemetry json");
+    std::fs::write(&trace_path, sink.chrome_trace_json()).expect("write trace json");
     if emit_json {
         let cache_rows = top.caches.iter().take(TOP_N).map(|c| {
             json::Obj::new()
@@ -158,6 +204,8 @@ fn main() {
             "{}",
             json::Obj::bench("pvmtop")
                 .int("sim_ns", top.sim_ns)
+                .int("faults", pvm.stats().faults)
+                .int("samples", samples)
                 .int("caches", top.caches.len() as u64)
                 .int("mappers", top.mappers.len() as u64)
                 .int("free_frames", u64::from(top.sample.free_frames))
@@ -172,6 +220,8 @@ fn main() {
                 .raw("top_caches", &json::array(cache_rows))
                 .raw("mappers_health", &json::array(mapper_rows))
                 .str("rendered", &txt_path.display().to_string())
+                .str("telemetry_json", &telemetry_path.display().to_string())
+                .str("trace_json", &trace_path.display().to_string())
                 .build()
         );
         return;
@@ -181,5 +231,10 @@ fn main() {
     // The state lock's profile is host time and varies run to run: it
     // is printed here, never written to the report or the --json.
     println!("{}", pvm.lock_profile().render());
-    println!("snapshot written to {}", txt_path.display());
+    println!(
+        "snapshot written to {}; telemetry to {} and {}",
+        txt_path.display(),
+        telemetry_path.display(),
+        trace_path.display()
+    );
 }

@@ -24,10 +24,6 @@ use chorus_gmi::RetryPolicy;
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct PvmConfig {
-    /// Enable clock page replacement when the frame pool runs dry. When
-    /// disabled, exhaustion returns `GmiError::OutOfMemory` immediately
-    /// (useful for deterministic tests).
-    pub enable_pageout: bool,
     /// Run the full structural invariant checker after every mutating
     /// operation. Expensive; defaults to on only in debug builds.
     pub check_invariants: bool,
@@ -73,7 +69,6 @@ pub(crate) const IPC_MESSAGE_PAGES: u64 = 8;
 impl Default for PvmConfig {
     fn default() -> PvmConfig {
         PvmConfig {
-            enable_pageout: true,
             check_invariants: cfg!(debug_assertions),
             pull_cluster_pages: 1,
             push_cluster_pages: IPC_MESSAGE_PAGES,
@@ -124,7 +119,7 @@ macro_rules! setters {
     };
 }
 
-/// The `paging` section: core replacement/clustering mechanics.
+/// The `paging` section: the invariant checker and clustering.
 #[derive(Debug)]
 pub struct PagingSection {
     cfg: PvmConfig,
@@ -132,8 +127,6 @@ pub struct PagingSection {
 
 impl PagingSection {
     setters! {
-        /// See [`PvmConfig::enable_pageout`].
-        enable_pageout: bool,
         /// See [`PvmConfig::check_invariants`].
         check_invariants: bool,
         /// See [`PvmConfig::pull_cluster_pages`].
@@ -144,7 +137,7 @@ impl PagingSection {
 }
 
 impl PvmConfigBuilder {
-    /// Core paging mechanics: replacement and clustering. See
+    /// Paging mechanics: the invariant checker and clustering. See
     /// [`PagingSection`].
     #[must_use]
     pub fn paging(mut self, f: impl FnOnce(PagingSection) -> PagingSection) -> Self {
@@ -198,16 +191,14 @@ mod tests {
     /// this destructuring (no `..`) and says here who the two callers
     /// are.
     #[test]
-    fn config_has_exactly_six_fields() {
+    fn config_has_exactly_five_fields() {
         let PvmConfig {
-            enable_pageout,
             check_invariants,
             pull_cluster_pages,
             push_cluster_pages,
             retry,
             trace,
         } = PvmConfig::default();
-        assert!(enable_pageout);
         assert_eq!(check_invariants, cfg!(debug_assertions));
         assert_eq!((pull_cluster_pages, push_cluster_pages), (1, 8));
         assert!(retry.deadline_ns > 0, "the watchdog is on by default");
@@ -219,7 +210,6 @@ mod tests {
         let c = PvmConfig::default();
         // 8 pages * 8 KB = 64 KB, the paper's IPC message limit.
         assert_eq!(IPC_MESSAGE_PAGES * 8192, 64 * 1024);
-        assert!(c.enable_pageout);
         assert_eq!(
             c.pull_cluster_pages, 1,
             "no minimum window: streams alone widen a pull"

@@ -14,6 +14,10 @@
 //!   `try_lock` for at most [`SPIN_BUDGET`], then parks in the mutex's
 //!   own `lock()` and counts a give-up (DESIGN.md §7 "Spin, then
 //!   park").
+//! - **Give up and take back.** A holder releases the lock in two
+//!   places only: [`DomainGuard::unlocked`] around an upcall, which
+//!   takes it back as [`LockEntry::Relock`] through the same counted,
+//!   spinning path, and [`DomainGuard::wait_for`] on a stub's sleep.
 
 use std::hint::spin_loop;
 use std::ops::{Deref, DerefMut};
@@ -47,7 +51,8 @@ pub enum LockEntry {
     /// `CacheIo::fill_up`: one hold per delivery.
     FillUp,
     /// Taking the lock back after an upcall (`pullIn`, `pushOut`,
-    /// `segmentCreate`, `getWriteAccess`) or after a failed one.
+    /// `segmentCreate`, `getWriteAccess`): only
+    /// `DomainGuard::unlocked` acquires it.
     Relock,
     /// `CacheIo::copy_back`, `copy_back_run` and `move_back`.
     CopyBack,
@@ -130,25 +135,36 @@ impl<T> DomainLock<T> {
         }
     }
 
-    /// Locks for `entry`, counting the acquisition and (when the
-    /// uncontended try-lock misses) the contention. A contended
-    /// acquisition spins on the try-lock for up to [`SPIN_BUDGET`],
-    /// then parks; its wait is recorded either way.
+    /// Locks for `entry`; never [`LockEntry::Relock`], which only
+    /// [`DomainGuard::unlocked`] takes.
     #[inline]
     pub(crate) fn lock(&self, entry: LockEntry) -> DomainGuard<'_, T> {
-        self.stats.bump(Counter::StateLockAcqs);
-        let inner = match self.inner.try_lock() {
-            Some(g) => g,
-            None => {
-                self.stats.bump(Counter::StateLockContended);
-                self.contended(entry)
-            }
-        };
+        debug_assert!(
+            entry != LockEntry::Relock,
+            "re-lock through DomainGuard::unlocked"
+        );
+        let inner = self.acquire(entry);
         DomainGuard {
             held_since: self.sample_hold(),
             inner,
             lock: self,
             entry,
+        }
+    }
+
+    /// Takes the mutex for `entry`, counting the acquisition and (when
+    /// the uncontended try-lock misses) the contention. A contended
+    /// acquisition spins on the try-lock for up to [`SPIN_BUDGET`],
+    /// then parks; its wait is recorded either way.
+    #[inline]
+    fn acquire(&self, entry: LockEntry) -> MutexGuard<'_, T> {
+        self.stats.bump(Counter::StateLockAcqs);
+        match self.inner.try_lock() {
+            Some(g) => g,
+            None => {
+                self.stats.bump(Counter::StateLockContended);
+                self.contended(entry)
+            }
         }
     }
 
@@ -233,6 +249,18 @@ pub(crate) struct DomainGuard<'a, T> {
 }
 
 impl<T> DomainGuard<'_, T> {
+    /// Gives the lock up while `f` runs (an upcall) and takes it back
+    /// as [`LockEntry::Relock`], counted, spinning and profiled like any
+    /// acquisition. The hold ends before `f`; a `Relock` hold follows.
+    pub(crate) fn unlocked<U>(&mut self, f: impl FnOnce() -> U) -> U {
+        self.end_hold();
+        let lock = self.lock;
+        let v = MutexGuard::unlocked(&mut self.inner, || (f(), lock.acquire(LockEntry::Relock)));
+        self.entry = LockEntry::Relock;
+        self.held_since = lock.sample_hold();
+        v
+    }
+
     /// Sleeps on `cv` for at most `timeout`, the lock released
     /// meanwhile. The hold ends at the sleep; the sleep is recorded as
     /// a [`LockEntry::StubSleep`] wait, and what follows it is that
@@ -444,6 +472,64 @@ mod tests {
         );
         l.reset_profile();
         assert_eq!(l.profile().give_ups, 0);
+    }
+
+    /// `unlocked` lets another thread in while `f` runs, returns what
+    /// `f` returned, and counts one acquisition of its own, as
+    /// `Relock`: a contended re-lock records its wait there.
+    #[test]
+    fn unlocked_lets_others_in_and_relocks_once() {
+        let stats = Arc::new(StatsRegistry::new());
+        let l = Arc::new(DomainLock::new(0u64, stats.clone()));
+        let mut g = l.lock(LockEntry::Fault);
+        let before = stats.get(Counter::StateLockAcqs);
+        let l2 = l.clone();
+        let seen = g.unlocked(|| {
+            let other = std::thread::spawn(move || {
+                let mut o = l2.lock(LockEntry::Gmi);
+                *o += 1;
+                *o
+            });
+            other.join().unwrap()
+        });
+        assert_eq!(seen, 1, "another thread held the lock meanwhile");
+        assert_eq!((*g, g.entry), (1, LockEntry::Relock));
+        assert_eq!(
+            stats.get(Counter::StateLockAcqs) - before,
+            2,
+            "the other thread's acquisition and one re-lock"
+        );
+
+        // The other thread still holds the lock when `f` returns: the
+        // re-lock waits, and its wait is `Relock`'s.
+        let before = stats.get(Counter::StateLockAcqs);
+        let (l2, holding) = (l.clone(), Arc::new(AtomicBool::new(false)));
+        let holding2 = holding.clone();
+        let mut other = None;
+        g.unlocked(|| {
+            other = Some(std::thread::spawn(move || {
+                let _o = l2.lock(LockEntry::Gmi);
+                holding2.store(true, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(5));
+            }));
+            while !holding.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        });
+        drop(g);
+        other.unwrap().join().unwrap();
+        assert_eq!(stats.get(Counter::StateLockAcqs) - before, 2);
+        let p = l.profile();
+        assert_eq!(p.entry(LockEntry::Relock).wait.count(), 1);
+        assert_eq!(p.entry(LockEntry::Gmi).wait.count(), 0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "DomainGuard::unlocked")]
+    fn relock_is_taken_only_by_unlocked() {
+        let l = DomainLock::new(0u64, Arc::new(StatsRegistry::new()));
+        let _g = l.lock(LockEntry::Relock);
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl PvmState {
                     // arrival): delivering a completion makes those
                     // pages evictable, so wait for one instead of
                     // reporting a premature OutOfMemory.
-                    if self.config.enable_pageout && !self.engine.queue.is_empty() {
+                    if !self.engine.queue.is_empty() {
                         return blocked(Blocked::AwaitCompletion);
                     }
                     return Err(GmiError::OutOfMemory.into());
@@ -57,9 +57,6 @@ impl PvmState {
     /// pages a push has just cleaned (see [`PvmState::finish_clean`]).
     fn sweep(&mut self, floor: u32) -> Option<Option<PageKey>> {
         while self.phys.free_frames() <= floor {
-            if !self.config.enable_pageout {
-                return Some(None);
-            }
             match self.select_victim() {
                 Some(victim) if !self.page(victim).dirty => self.evict(victim),
                 Some(victim) if self.set_aside(victim) => {}
@@ -193,38 +190,6 @@ impl PvmState {
             self.count(Counter::PolicyVictims, 1, At::Cache(cache));
         }
         victim
-    }
-
-    /// Emergency eviction pass (fault-recovery degradation): evicts every
-    /// clean, unpinned, non-cleaning resident page regardless of
-    /// reference bits. Used when a `fillUp` delivering pulled data cannot
-    /// allocate a frame — failing that allocation would strand the pull
-    /// and wedge every faulter waiting on its stubs, so trading the whole
-    /// clean working set for progress is the better degradation. Returns
-    /// the number of frames freed.
-    pub fn emergency_evict(&mut self) -> u64 {
-        let candidates: Vec<PageKey> = self
-            .clock
-            .iter()
-            .filter(|&k| {
-                self.pages
-                    .get(k)
-                    .map(|p| !p.dirty && !p.cleaning && p.lock_count == 0)
-                    .unwrap_or(false)
-            })
-            .collect();
-        let mut freed = 0u64;
-        for k in candidates {
-            if !self.pages.contains(k) {
-                continue;
-            }
-            self.evict(k);
-            freed += 1;
-        }
-        if freed > 0 {
-            self.stats.bump(Counter::EmergencyPageouts);
-        }
-        freed
     }
 
     /// Begins cleaning a dirty victim: gathers the surrounding run of

@@ -2,13 +2,15 @@
 //! [`Gmi`] trait implementation.
 //!
 //! Locking discipline: all state lives behind one mutex. Attempts run
-//! under the lock and never sleep; when an attempt must wait (a page in
-//! transit) or perform an upcall (`pullIn`, `pushOut`, `segmentCreate`,
+//! under the lock and never sleep; when one must wait (a page in
+//! transit) or upcall (`pullIn`, `pushOut`, `segmentCreate`,
 //! `getWriteAccess`), it returns a [`Blocked`] action which the driver
-//! performs with the lock *released*, then retries the attempt. This is
-//! exactly the paper's synchronization-page-stub protocol (§4.1.2):
-//! concurrent accesses to an in-transit fragment sleep until the transfer
-//! completes.
+//! performs, then retries the attempt: the paper's
+//! synchronization-page-stub protocol (§4.1.2). The driver holds the
+//! lock by reference (`&mut StateGuard`), held again on every return,
+//! error or not; it is given up only by `DomainGuard::unlocked` (an
+//! upcall) and `DomainGuard::wait_for` (a stub sleep), and
+//! `Pvm::enter` wakes the sleepers once the entry releases it.
 
 use crate::config::PvmConfig;
 use crate::descriptors::Slot;
@@ -224,57 +226,63 @@ impl Pvm {
         self.state.lock(LockEntry::Query)
     }
 
-    pub(crate) fn run<T>(&self, attempt: impl FnMut(&mut PvmState) -> Attempt<T>) -> Result<T> {
-        let (guard, v) = self.run_held(self.state.lock(LockEntry::Gmi), attempt)?;
-        drop(guard);
-        // Wake anyone whose wait condition we may have satisfied (stub
-        // resolution, promotion, cleaning).
+    /// Runs `f` under the state lock taken for `entry`, then wakes the
+    /// sleepers, whatever `f` returned: what it did (a stub resolved, a
+    /// page cleaned, a failed pull's stubs cleared) may be their wait.
+    fn enter<T>(
+        &self,
+        entry: LockEntry,
+        f: impl FnOnce(&mut StateGuard<'_>) -> Result<T>,
+    ) -> Result<T> {
+        let res = f(&mut self.state.lock(entry));
         self.stub_cv.notify_all();
-        Ok(v)
+        res
     }
 
-    /// `run` under a state lock the caller holds, returned still held
-    /// (released on error) with sleepers not yet woken.
-    fn run_held<'a, T>(
-        &'a self,
-        guard: StateGuard<'a>,
+    pub(crate) fn run<T>(&self, attempt: impl FnMut(&mut PvmState) -> Attempt<T>) -> Result<T> {
+        self.enter(LockEntry::Gmi, |guard| self.operate(guard, attempt))
+    }
+
+    /// One operation under the held state lock: [`Pvm::drive`], then
+    /// the background work the entry has room for.
+    fn operate<T>(
+        &self,
+        guard: &mut StateGuard<'_>,
         attempt: impl FnMut(&mut PvmState) -> Attempt<T>,
-    ) -> Result<(StateGuard<'a>, T)> {
+    ) -> Result<T> {
         let performed = guard.performed;
-        let (mut guard, v) = self.drive(guard, attempt)?;
+        let v = self.drive(guard, attempt)?;
         // The entry made a full-window stream's next window due: it goes
         // out now, ahead of its reader and with nobody waiting on it (a
         // faulter is not a blocked action: `performed` stays).
         if let Some((cache, req)) = guard.ahead_window() {
-            guard = self.submit_pull(guard, cache, req);
+            self.submit_pull(guard, cache, req);
             guard.check_invariants_if_enabled();
         }
-        // A light entry — nothing blocked, neither the attempt nor the
-        // entry hooks before it: no upcall and no wait but for a parked
-        // page's arrival (a soft fault on a prefetched page, typically)
-        // — has room for one mapper round trip: it launders one run off
-        // the write-behind queue, so the
-        // allocations to come find clean victims and no entry pays for
-        // a pull and a push. (Another thread can only move the count
-        // while this entry has the lock released, performing.)
+        // A light entry — nothing blocked but for a parked page's
+        // arrival (a soft fault on a prefetched page, typically) — has
+        // room for one mapper round trip: it launders one run off the
+        // write-behind queue, so the allocations to come find clean
+        // victims. (Another thread moves the count only while this
+        // entry performs, the lock given up.)
         if guard.performed == performed && !guard.write_behind.is_empty() {
             let mut pushed = false;
-            guard = self.launder(guard, |s| s.write_behind_attempt(&mut pushed));
+            self.launder(guard, |s| s.write_behind_attempt(&mut pushed));
             guard.check_invariants_if_enabled();
         }
-        Ok((guard, v))
+        Ok(v)
     }
 
-    /// One driver entry under a state lock the caller already holds:
-    /// the entry hooks (completion pump, watchdog, gauge sampler), then
-    /// the attempt loop. Returns with the lock held so a caller with
-    /// more to do under it (`fillUp` landing several pages) need not
-    /// re-acquire; on error the lock is released.
-    fn drive<'a, T>(
-        &'a self,
-        mut guard: StateGuard<'a>,
+    /// One driver entry under the held state lock: the entry hooks
+    /// (completion pump, watchdog, gauge sampler), then the attempt
+    /// loop. The lock is still held when it returns, with or without
+    /// an error, so a caller with more to do under it (`fillUp` landing
+    /// several pages) goes on.
+    fn drive<T>(
+        &self,
+        guard: &mut StateGuard<'_>,
         mut attempt: impl FnMut(&mut PvmState) -> Attempt<T>,
-    ) -> Result<(StateGuard<'a>, T)> {
+    ) -> Result<T> {
         guard.pump_completions();
         if guard.watchdog_sweep() > 0 {
             // Cancelled pulls cleared their stubs: wake sleepers so
@@ -292,7 +300,7 @@ impl Pvm {
             if let Some(e) = demand.and_then(|key| guard.take_demand_error(key)) {
                 break Err(e);
             }
-            match attempt(&mut guard) {
+            match attempt(guard) {
                 Err(Stop::Failed(e)) => break Err(e),
                 Ok(v) => break Ok(v),
                 Err(Stop::Blocked(action)) => {
@@ -300,14 +308,8 @@ impl Pvm {
                         guard.end_demand(demand.replace((*cache, req.offset)));
                         guard.demand_pulls.insert((*cache, req.offset), Ok(None));
                     }
-                    match self.perform(guard, action) {
-                        Ok(held) => guard = held,
-                        Err(e) => {
-                            if demand.is_some() {
-                                self.state.lock(LockEntry::Relock).end_demand(demand);
-                            }
-                            return Err(e);
-                        }
+                    if let Err(e) = self.perform(guard, action) {
+                        break Err(e);
                     }
                 }
             }
@@ -317,39 +319,32 @@ impl Pvm {
         if guard.config.check_invariants {
             guard.check_invariants();
         }
-        Ok((guard, v))
+        Ok(v)
     }
 
     /// Runs a laundering step (`write_behind_attempt`) to completion,
-    /// performing what it blocks on. Inline and deterministic, never on
-    /// a thread of its own; a failure ends the pass and is swallowed:
-    /// laundering must never fail the operation that happened to
-    /// trigger it (the pages simply stay dirty). Guarded against
-    /// reentry: a push whose mapper calls back into the GMI must not
-    /// start laundering of its own.
-    fn launder<'a>(
-        &'a self,
-        mut guard: StateGuard<'a>,
+    /// performing what it blocks on, inline. A failure ends the pass and
+    /// is swallowed: it must not fail the entry that launders (the pages
+    /// stay dirty). A push whose mapper calls back into the GMI does not
+    /// launder again.
+    fn launder(
+        &self,
+        guard: &mut StateGuard<'_>,
         mut step: impl FnMut(&mut PvmState) -> Attempt<()>,
-    ) -> StateGuard<'a> {
+    ) {
         if self.laundering.swap(true, Ordering::Acquire) {
-            return guard;
+            return;
         }
-        while let Err(Stop::Blocked(action)) = step(&mut guard) {
-            match self.perform(guard, action) {
-                Ok(g) => guard = g,
-                Err(_) => {
-                    guard = self.state.lock(LockEntry::Relock);
-                    break;
-                }
+        while let Err(Stop::Blocked(action)) = step(guard) {
+            if self.perform(guard, action).is_err() {
+                break;
             }
         }
         self.laundering.store(false, Ordering::Release);
-        guard
     }
 
-    /// Drives one mapper upcall under the retry policy, between its
-    /// `UpcallStart` and `UpcallEnd` trace events: transient failures
+    /// Drives one mapper upcall under the retry policy, in its phase and
+    /// between its `UpcallStart` and `UpcallEnd` trace events: transient failures
     /// are re-driven up to `max_attempts` times with exponential backoff
     /// charged to the simulated clock, bounded by the per-upcall
     /// deadline (also in simulated time, so injected mapper delays count
@@ -362,6 +357,7 @@ impl Pvm {
         policy: chorus_gmi::RetryPolicy,
         mut upcall: impl FnMut() -> Result<()>,
     ) -> (Result<()>, u64) {
+        let t0 = self.trace.phase_start();
         self.trace.event(|| TraceEvent::UpcallStart {
             kind,
             segment: segment.0,
@@ -399,50 +395,47 @@ impl Pvm {
             outcome: upcall_outcome(&result),
             retries,
         });
+        self.trace.phase_end(kind.phase(), t0);
         (result, retries)
     }
 
     // ----- the completion engine ---------------------------------------------
 
     /// Enters one request in the in-flight table and runs its mapper
-    /// protocol eagerly with the lock released (retries and backoff
-    /// charge the clock as they go). Returns the lock and the request's
+    /// protocol eagerly with the lock given up (retries and backoff
+    /// charge the clock as they go). Returns the request's id and its
     /// record, answered, to be handed on.
-    fn request<'a>(
-        &'a self,
-        mut guard: StateGuard<'a>,
+    fn request(
+        &self,
+        guard: &mut StateGuard<'_>,
         (kind, cache): (UpcallKind, crate::keys::CacheKey),
         at: (SegmentId, u64, u64),
         policy: chorus_gmi::RetryPolicy,
         upcall: impl FnMut() -> Result<()>,
-    ) -> (StateGuard<'a>, u64, CompletionRecord) {
+    ) -> (u64, CompletionRecord) {
         let (segment, offset, size) = at;
         let pages = size / guard.ps();
         let (id, mut rec) = guard.begin_request(kind, cache, segment, (offset, size), pages);
-        drop(guard);
-        let t0 = self.trace.phase_start();
-        (rec.result, rec.retries) = self.upcall_with_retry(kind, at, policy, upcall);
-        self.trace.phase_end(kind.phase(), t0);
-        (self.state.lock(LockEntry::Relock), id, rec)
+        (rec.result, rec.retries) =
+            guard.unlocked(|| self.upcall_with_retry(kind, at, policy, upcall));
+        (id, rec)
     }
 
     /// Submits one `pullIn` for a whole window and queues it, its
     /// arrival times counted from the submit instant (what `fillUp`
     /// delivers meanwhile is parked). Everything else — landing, stub
     /// clearing, the faulter's error, quarantine — runs at delivery.
-    fn submit_pull<'a>(
-        &'a self,
-        guard: StateGuard<'a>,
+    fn submit_pull(
+        &self,
+        guard: &mut StateGuard<'_>,
         cache: crate::keys::CacheKey,
         req: PullRequest,
-    ) -> StateGuard<'a> {
+    ) {
         let (policy, at) = (guard.config.retry, (req.segment, req.offset, req.size));
-        let (mut guard, id, rec) =
-            self.request(guard, (UpcallKind::PullIn, cache), at, policy, || {
-                self.seg_mgr.submit_pull(self, &req)
-            });
+        let (id, rec) = self.request(guard, (UpcallKind::PullIn, cache), at, policy, || {
+            self.seg_mgr.submit_pull(self, &req)
+        });
         guard.queue_window(id, rec);
-        guard
     }
 
     /// Submits one `pushOut` for a run of pages being cleaned
@@ -455,17 +448,17 @@ impl Pvm {
     /// is re-driven as its own one-page push with the retry budget, so
     /// that one bad page cannot cost its neighbours their data, until
     /// one dies for good (the rest stay dirty).
-    fn submit_push<'a>(
-        &'a self,
-        guard: StateGuard<'a>,
+    fn submit_push(
+        &self,
+        guard: &mut StateGuard<'_>,
         (cache, segment, offset): (crate::keys::CacheKey, SegmentId, u64),
         pages: Vec<crate::keys::PageKey>,
         origin: PushOrigin,
-    ) -> Result<StateGuard<'a>> {
+    ) -> Result<()> {
         // `write_behind_attempt` checks the slot rule under this hold.
         debug_assert!(origin != PushOrigin::Daemon || guard.engine.free_slots(segment) >= 2);
         let (wait, ps, retry) = (origin != PushOrigin::Daemon, guard.ps(), guard.config.retry);
-        let push = |guard, offset, n: u64| {
+        let push = |guard: &mut StateGuard<'_>, offset, n: u64| {
             let policy = match n {
                 1 => retry,
                 _ => chorus_gmi::RetryPolicy::no_retry(),
@@ -482,40 +475,30 @@ impl Pvm {
                 self.seg_mgr.submit_push(self, &req)
             })
         };
-        let (mut guard, id, mut rec) = push(guard, offset, pages.len() as u64);
-        let mut err = None;
+        let (id, mut rec) = push(guard, offset, pages.len() as u64);
         if pages.len() == 1 || rec.result.is_ok() {
             rec.pages = pages;
-            err = guard.queue_push(id, rec, wait).err();
-        } else {
-            // The batch failed, wholly or part-way (a truncated reply):
-            // its record settles carrying no page, and its error is
-            // superseded by those of the pages' own pushes.
-            guard.stats.bump(Counter::PushBatchSplits);
-            let _ = guard.queue_push(id, rec, true);
-            let mut dead = false;
-            for (i, p) in pages.into_iter().enumerate() {
-                if dead || !guard.pages.contains(p) {
-                    guard.finish_clean(p, None);
-                    continue;
-                }
-                let (held, id, mut rec) = push(guard, offset + i as u64 * ps, 1);
-                guard = held;
-                dead = rec.result.as_ref().is_err_and(|e| !e.is_transient());
-                rec.pages = vec![p];
-                if let Err(e) = guard.queue_push(id, rec, wait) {
-                    err.get_or_insert(e);
-                }
+            return guard.queue_push(id, rec, wait);
+        }
+        // The batch failed, wholly or part-way (a truncated reply): its
+        // record settles carrying no page, and its error is superseded
+        // by those of the pages' own pushes.
+        guard.stats.bump(Counter::PushBatchSplits);
+        let _ = guard.queue_push(id, rec, true);
+        let (mut err, mut dead) = (None, false);
+        for (i, p) in pages.into_iter().enumerate() {
+            if dead || !guard.pages.contains(p) {
+                guard.finish_clean(p, None);
+                continue;
+            }
+            let (id, mut rec) = push(guard, offset + i as u64 * ps, 1);
+            dead = rec.result.as_ref().is_err_and(|e| !e.is_transient());
+            rec.pages = vec![p];
+            if let Err(e) = guard.queue_push(id, rec, wait) {
+                err.get_or_insert(e);
             }
         }
-        match err {
-            None => Ok(guard),
-            Some(e) => {
-                drop(guard);
-                self.stub_cv.notify_all();
-                Err(e)
-            }
-        }
+        err.map_or(Ok(()), Err)
     }
 
     /// Force-delivers every outstanding completion, advancing the
@@ -529,8 +512,9 @@ impl Pvm {
         }
     }
 
-    /// Performs a blocked action, re-acquiring the lock afterwards.
-    fn perform<'a>(&'a self, mut guard: StateGuard<'a>, action: Blocked) -> Result<StateGuard<'a>> {
+    /// Performs a blocked action, the lock given up around an upcall
+    /// or a sleep and held again on return, error or not.
+    fn perform(&self, guard: &mut StateGuard<'_>, action: Blocked) -> Result<()> {
         guard.performed += 1;
         match action {
             Blocked::WaitStub(cache, offset) => {
@@ -541,7 +525,7 @@ impl Pvm {
                 // earliest one (advancing the clock to its due time)
                 // before considering a sleep.
                 if guard.await_page(cache, offset) || guard.force_delivery(true) {
-                    return Ok(guard);
+                    return Ok(());
                 }
                 // Another thread is mid-submit on the window, or the
                 // wait is for a page being cleaned. Bounded wait:
@@ -553,13 +537,13 @@ impl Pvm {
                 drop(span);
                 self.trace.phase_end(Phase::StubWait, t0);
                 self.trace.event(|| TraceEvent::StubWake);
-                Ok(guard)
+                Ok(())
             }
             Blocked::AwaitCompletion => {
                 // Frame allocation is starved but the engine owes work
                 // whose delivery can free frames; force it, then retry.
                 guard.force_delivery(true);
-                Ok(guard)
+                Ok(())
             }
             Blocked::PullIn { cache, req } => {
                 // Over the mapper's cap the faulter waits out the
@@ -570,7 +554,8 @@ impl Pvm {
                         guard.wait_for(&self.stub_cv, Duration::from_millis(5));
                     }
                 }
-                Ok(self.submit_pull(guard, cache, req))
+                self.submit_pull(guard, cache, req);
+                Ok(())
             }
             Blocked::PushOut {
                 cache,
@@ -586,22 +571,22 @@ impl Pvm {
                     PushOrigin::Demand => self.trace.phase_start(),
                     _ => None,
                 };
-                let held = self.submit_push(guard, (cache, segment, offset), pages, origin);
+                let res = self.submit_push(guard, (cache, segment, offset), pages, origin);
                 self.trace.phase_end(Phase::EvictStall, stall);
-                held
+                res
             }
             Blocked::NeedSegment { cache } => {
-                drop(guard);
-                let segment = self.seg_mgr.create_segment_v2(pub_cache(cache));
-                let seg_len = self.seg_mgr.segment_len(segment);
-                let mut guard = self.state.lock(LockEntry::Relock);
+                let (segment, seg_len) = guard.unlocked(|| {
+                    let segment = self.seg_mgr.create_segment_v2(pub_cache(cache));
+                    (segment, self.seg_mgr.segment_len(segment))
+                });
                 if let Ok(c) = guard.cache_mut(cache) {
                     if c.segment.is_none() {
                         c.segment = Some(segment);
                         c.seg_len = seg_len;
                     }
                 }
-                Ok(guard)
+                Ok(())
             }
             Blocked::GetWriteAccess {
                 cache: _,
@@ -610,16 +595,12 @@ impl Pvm {
                 size,
                 page,
             } => {
-                let policy = guard.config.retry;
-                drop(guard);
-                let t0 = self.trace.phase_start();
-                let at = (segment, offset, size);
-                let (res, retries) =
+                let (policy, at) = (guard.config.retry, (segment, offset, size));
+                let (res, retries) = guard.unlocked(|| {
                     self.upcall_with_retry(UpcallKind::GetWriteAccess, at, policy, || {
                         self.seg_mgr.acquire_write_access(segment, offset, size)
-                    });
-                self.trace.phase_end(Phase::GetWriteAccess, t0);
-                let mut guard = self.state.lock(LockEntry::Relock);
+                    })
+                });
                 // Each retry is its own upcall on the wire.
                 guard.stats.add(Counter::WriteAccessUpcalls, 1 + retries);
                 guard.count(Counter::MapperRetries, retries, At::Mapper(segment));
@@ -628,7 +609,7 @@ impl Pvm {
                         if guard.pages.contains(page) {
                             guard.page_mut(page).seg_write_ok = true;
                         }
-                        Ok(guard)
+                        Ok(())
                     }
                     Err(e) => {
                         // A write-access denial is a coherence decision,
@@ -670,26 +651,17 @@ impl CacheIo for Pvm {
                 .map(private_copy)
                 .collect(),
         };
-        // One state-lock hold per delivery: every page lands through
-        // its own driver entry under it, and the lock is only given up
-        // where an attempt blocks (a dirty victim to push).
-        let mut guard = self.state.lock(LockEntry::FillUp);
-        guard.cache(key)?;
-        for (i, page) in pages.iter().enumerate() {
-            let page_off = offset + i as u64 * ps;
-            match self.drive(guard, |s| s.fill_up_page_attempt(key, page_off, page)) {
-                Ok((held, ())) => guard = held,
-                Err(e) => {
-                    // `drive` gave the lock up on its way out.
-                    self.stub_cv.notify_all();
-                    return Err(e);
-                }
+        // One hold and one wake per delivery: every page lands through
+        // its own driver entry, the lock given up only where an attempt
+        // blocks (a dirty victim to push).
+        self.enter(LockEntry::FillUp, |guard| {
+            guard.cache(key)?;
+            for (i, page) in pages.iter().enumerate() {
+                let page_off = offset + i as u64 * ps;
+                self.drive(guard, |s| s.fill_up_page_attempt(key, page_off, page))?;
             }
-        }
-        drop(guard);
-        // One wake per delivery, for the faulters asleep on its stubs.
-        self.stub_cv.notify_all();
-        Ok(())
+            Ok(())
+        })
     }
 
     fn copy_back(&self, cache: CacheId, offset: u64, buf: &mut [u8]) -> Result<()> {
@@ -713,25 +685,24 @@ impl CacheIo for Pvm {
     fn move_back(&self, cache: CacheId, offset: u64, buf: &mut [u8]) -> Result<()> {
         let key = cache_key(cache);
         let skip = offset - self.geom.round_down(offset);
-        let mut guard = self.state.lock(LockEntry::CopyBack);
-        let pages = guard.resident_pages(key, offset - skip, skip + buf.len() as u64)?;
-        let read = copy_out(&pages, skip, buf);
-        short_copy_back(self.geom, offset, buf.len() as u64, read)?;
-        // Remove the fragment from the cache, releasing the frames.
-        let ps = guard.ps();
-        let mut cur = 0u64;
-        while cur < buf.len() as u64 {
-            let o = offset + cur;
-            if let Some(Slot::Present(p)) = guard.slot(key, o) {
-                if guard.page(p).stubs.is_empty() && guard.page(p).lock_count == 0 {
-                    guard.free_page(p, crate::state::StubsTo::AlreadyHandled, true);
+        self.enter(LockEntry::CopyBack, |guard| {
+            let pages = guard.resident_pages(key, offset - skip, skip + buf.len() as u64)?;
+            let read = copy_out(&pages, skip, buf);
+            short_copy_back(self.geom, offset, buf.len() as u64, read)?;
+            // Remove the fragment from the cache, releasing the frames.
+            let ps = guard.ps();
+            let mut cur = 0u64;
+            while cur < buf.len() as u64 {
+                let o = offset + cur;
+                if let Some(Slot::Present(p)) = guard.slot(key, o) {
+                    if guard.page(p).stubs.is_empty() && guard.page(p).lock_count == 0 {
+                        guard.free_page(p, crate::state::StubsTo::AlreadyHandled, true);
+                    }
                 }
+                cur += ps;
             }
-            cur += ps;
-        }
-        drop(guard);
-        self.stub_cv.notify_all();
-        Ok(())
+            Ok(())
+        })
     }
 }
 
@@ -796,15 +767,9 @@ impl PvmState {
             // A duplicate delivery: the first one stands.
             return Ok(());
         }
-        // Failing this allocation would strand the pulled data and
-        // error the recovery, so it degrades through an emergency
-        // eviction pass before giving up.
-        let frame = match self.alloc_frame() {
-            Err(Stop::Failed(GmiError::OutOfMemory)) if self.emergency_evict() > 0 => {
-                self.alloc_frame()?
-            }
-            other => other?,
-        };
+        // Fails only if the clock's two sweeps found no clean, unpinned
+        // page that is not being cleaned.
+        let frame = self.alloc_frame()?;
         // The frame takes the mapper's page by reference; a partial
         // trailing chunk is copied in and zero-padded.
         if parked.is_some() {
@@ -1101,11 +1066,9 @@ impl Gmi for Pvm {
 
     fn handle_fault(&self, ctx: CtxId, va: VirtAddr, access: Access) -> Result<()> {
         let key = ctx_key(ctx);
-        let res = self
-            .fault_held(self.state.lock(LockEntry::Fault), key, va, access)
-            .map(drop);
-        self.stub_cv.notify_all();
-        res
+        self.enter(LockEntry::Fault, |guard| {
+            self.fault(guard, key, va, access).map(drop)
+        })
     }
 
     fn vm_read(&self, ctx: CtxId, va: VirtAddr, buf: &mut [u8]) -> Result<()> {
@@ -1148,27 +1111,26 @@ enum AccessBuf<'a> {
 }
 
 impl Pvm {
-    /// `handle_fault` under a state lock the caller holds, returned still
-    /// held (released on error) with sleepers not yet woken.
-    fn fault_held<'a>(
-        &'a self,
-        guard: StateGuard<'a>,
+    /// `handle_fault` under the held state lock.
+    fn fault(
+        &self,
+        guard: &mut StateGuard<'_>,
         key: CtxKey,
         va: VirtAddr,
         access: Access,
-    ) -> Result<StateGuard<'a>> {
+    ) -> Result<Resolution> {
         let fstart = self.trace.fault_enter(key.index(), va.0, access);
         let mut first = true;
-        let res = self.run_held(guard, |s| {
+        let res = self.operate(guard, |s| {
             let head = std::mem::take(&mut first);
             if head {
                 s.charge(chorus_hal::OpKind::FaultEntry);
             }
             s.fault_attempt(key, va, access, head)
         });
-        let resolution = res.as_ref().map_or(Resolution::Failed, |(_, r)| *r);
+        let resolution = *res.as_ref().unwrap_or(&Resolution::Failed);
         self.trace.fault_exit(fstart, key.index(), va.0, resolution);
-        res.map(|(guard, _)| guard)
+        res
     }
 
     /// The faulting user-access loop, one state-lock hold per page:
@@ -1209,9 +1171,10 @@ impl Pvm {
                         break Ok(());
                     }
                     Err(_fault) => {
-                        let held = self.fault_held(guard, key, addr, access);
-                        guard = held.inspect_err(|_| self.stub_cv.notify_all())?;
                         tries += 1;
+                        if let Err(e) = self.fault(&mut guard, key, addr, access) {
+                            break Err(e);
+                        }
                         assert!(tries < 64, "fault livelock at {addr:?}");
                     }
                 }

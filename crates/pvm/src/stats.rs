@@ -124,8 +124,10 @@ counters! {
     mapper_timeouts => MapperTimeouts [Mapper],
     /// Caches quarantined after a permanent mapper failure.
     quarantined_caches => QuarantinedCaches,
-    /// Emergency eviction passes run when fault recovery hit
-    /// `OutOfMemory`.
+    /// Always 0: the emergency eviction pass is gone (the clock alone
+    /// frees frames). Kept because the frozen scoreboard's
+    /// `benchmark/src/run.rs` names the cell; ROADMAP item 3 drops
+    /// `pvm.emergency_pageouts`, then the cell goes.
     emergency_pageouts => EmergencyPageouts,
     /// Reserved, never bumped: `benchmark/src/run.rs` still names this
     /// cell. A later `benchmark` PR drops `pvm.fast_path_hit_ratio`,
@@ -175,8 +177,10 @@ counters! {
     suspected_mappers => SuspectedMappers,
     /// Acquisitions of the state lock, the PVM's one mutex.
     state_lock_acqs => StateLockAcqs,
-    /// State-lock acquisitions that were contended (the uncontended
-    /// try-lock missed and the caller blocked).
+    /// State-lock acquisitions whose first `try_lock` missed. Most of
+    /// them are caught by the spin that follows (DESIGN.md §7 "Spin,
+    /// then park"); they are not blocks, and the lock profile's waits
+    /// and give-ups say how long and how many parked.
     state_lock_contended => StateLockContended,
     /// Victim-selection rounds requested from the clock.
     policy_victim_requests => PolicyVictimRequests,

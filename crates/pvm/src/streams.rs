@@ -8,7 +8,7 @@
 //! loses its reference (drop-behind). The rest of the PVM calls in at
 //! three points: a miss ([`PvmState::size_pull`]), the first use of a
 //! readahead page ([`PvmState::first_use`], from `note_use`) and the end
-//! of a driver entry ([`PvmState::ahead_window`], from `Pvm::run_held`).
+//! of a driver entry ([`PvmState::ahead_window`], from `Pvm::operate`).
 //!
 //! What readahead must never do is DESIGN.md §13's readahead contract,
 //! properties (a)–(f), which `tests/readahead_spec.rs` checks over

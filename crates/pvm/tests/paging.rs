@@ -4,10 +4,15 @@
 
 mod common;
 
-use chorus_gmi::testing::Upcall;
-use chorus_gmi::{Gmi, GmiError, Prot, VirtAddr};
+use chorus_gmi::testing::{MemSegmentManager, Upcall};
+use chorus_gmi::{
+    CacheId, CacheIo, Gmi, GmiError, Prot, PullRequest, PushRequest, SegmentId, SegmentManagerV2,
+    VirtAddr,
+};
+use chorus_hal::PageGeometry;
+use chorus_pvm::{Pvm, PvmOptions};
 use common::*;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 #[test]
@@ -75,18 +80,6 @@ fn clean_pages_evict_without_pushout() {
             content[(page * PS) as usize..(page * PS) as usize + 4]
         );
     }
-}
-
-#[test]
-fn out_of_memory_when_pageout_disabled() {
-    let (pvm, _) = setup_with(2, |o| o.config.enable_pageout = false);
-    let (ctx, _r, _c) = anon_region(&pvm, 4);
-    write(&pvm, ctx, 0x1_0000, b"1");
-    write(&pvm, ctx, 0x1_0000 + PS, b"2");
-    let err = pvm
-        .vm_write(ctx, VirtAddr(0x1_0000 + 2 * PS), b"3")
-        .unwrap_err();
-    assert_eq!(err, GmiError::OutOfMemory);
 }
 
 /// Exhaustion ends where the paper ends it: with every frame pinned
@@ -297,6 +290,77 @@ fn write_access_upcall_on_coherence_revocation() {
     mgr.set_deny_write_access(true);
     let err = pvm.vm_write(ctx, VirtAddr(0), b"no").unwrap_err();
     assert!(matches!(err, GmiError::SegmentIo { .. }));
+}
+
+/// A mapper that protects what it has just filled, as a DSM site does
+/// with a read copy: the next local write upcalls `getWriteAccess`.
+struct ReadOnlyFills {
+    inner: Arc<MemSegmentManager>,
+    pvm: OnceLock<Weak<Pvm>>,
+}
+
+impl SegmentManagerV2 for ReadOnlyFills {
+    fn submit_pull(&self, io: &dyn CacheIo, req: &PullRequest) -> chorus_gmi::Result<()> {
+        self.inner.submit_pull(io, req)?;
+        let pvm = self.pvm.get().and_then(Weak::upgrade).expect("attached");
+        pvm.cache_set_protection(req.cache, req.offset, req.size, Prot::READ)
+    }
+    fn submit_push(&self, io: &dyn CacheIo, req: &PushRequest) -> chorus_gmi::Result<()> {
+        self.inner.submit_push(io, req)
+    }
+    fn acquire_write_access(
+        &self,
+        segment: SegmentId,
+        offset: u64,
+        size: u64,
+    ) -> chorus_gmi::Result<()> {
+        self.inner.acquire_write_access(segment, offset, size)
+    }
+    fn create_segment_v2(&self, cache: CacheId) -> SegmentId {
+        self.inner.create_segment_v2(cache)
+    }
+}
+
+/// A blocked action that fails while its fault's pull is in flight — a
+/// write to a page not yet resident, whose `getWriteAccess` after the
+/// read-only fill is denied — returns with the lock held and closes the
+/// faulter's mailbox there: nobody is left waiting, the demand page is
+/// unpinned and still readable.
+#[test]
+fn a_failed_action_after_a_demand_pull_leaves_no_faulter_waiting() {
+    let mgr = Arc::new(MemSegmentManager::new());
+    let fills = Arc::new(ReadOnlyFills {
+        inner: mgr.clone(),
+        pvm: OnceLock::new(),
+    });
+    let options = PvmOptions {
+        geometry: PageGeometry::new(PS),
+        frames: 4,
+        ..PvmOptions::default()
+    };
+    let pvm = Arc::new(Pvm::new(options, fills.clone()));
+    fills.pvm.set(Arc::downgrade(&pvm)).unwrap();
+    let seg = mgr.create_segment(&pattern(0x30, (2 * PS) as usize));
+    let cache = pvm.cache_create(Some(seg)).unwrap();
+    let ctx = pvm.context_create().unwrap();
+    pvm.region_create(ctx, VirtAddr(0), 2 * PS, Prot::RW, cache, 0)
+        .unwrap();
+    mgr.set_deny_write_access(true);
+    let err = pvm.vm_write(ctx, VirtAddr(0), b"no").unwrap_err();
+    assert!(matches!(err, GmiError::SegmentIo { .. }));
+    let log = mgr.take_log();
+    assert!(
+        matches!(
+            log[..],
+            [Upcall::PullIn { .. }, Upcall::GetWriteAccess { .. }]
+        ),
+        "{log:?}"
+    );
+    assert_eq!(pvm.waiting_faulters(), 0);
+    pvm.check_invariants();
+    assert_eq!(read(&pvm, ctx, 0, 4), pattern(0x30, 4));
+    pvm.cache_invalidate(cache, 0, PS).unwrap();
+    assert_eq!(pvm.resident_page_count(), 0, "the demand page was unpinned");
 }
 
 #[test]

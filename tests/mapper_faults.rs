@@ -349,31 +349,6 @@ fn failed_pageout_case(cluster: Option<u64>) {
 }
 
 #[test]
-fn emergency_pageout_rescues_fill_up_when_replacement_is_off() {
-    // Page replacement disabled, two frames, three pages wanted: the
-    // third pull's fillUp cannot allocate — failing it would strand the
-    // pull, so the emergency pass trades the clean working set for
-    // progress.
-    let s = stack(2, FaultPlan::quiet(0), FaultPlan::quiet(0), |c| {
-        c.enable_pageout = false;
-    });
-    let pvm = &s.pvm;
-    let ctx = pvm.context_create().unwrap();
-    let init: Vec<u8> = (0..SEG_SIZE).map(|k| k as u8).collect();
-    let seg = s.seg_mgr.segment_for(s.files.create_segment(&init));
-    let cache = pvm.cache_create(Some(seg)).unwrap();
-    pvm.region_create(ctx, VirtAddr(0), SEG_SIZE as u64, Prot::READ, cache, 0)
-        .unwrap();
-    let mut buf = [0u8; 4];
-    for p in 0..3u64 {
-        pvm.vm_read(ctx, VirtAddr(p * PS), &mut buf).unwrap();
-        assert_eq!(buf[0], (p * PS) as u8);
-    }
-    assert!(pvm.stats().emergency_pageouts >= 1);
-    pvm.check_invariants();
-}
-
-#[test]
 fn clustered_pull_clamps_at_segment_end() {
     // Regression: a fully-backed cache owns *every* offset, so an
     // unclamped 8-page cluster faulting at page 0 of a 4-page segment
